@@ -13,7 +13,8 @@ import (
 // The ansatz is a product of layers, |ψ⟩ = M_p P_p ⋯ M_1 P_1 |+⟩, with
 //
 //	P_s = exp(iγ_s H_γ),  H_γ = diag(h(z))   (the phase separator;
-//	      h(z) is diagKernel.gen, the convention workspace.go applies),
+//	      h(z) is the costKernel's phase generator, the convention
+//	      workspace.go applies),
 //	M_s = exp(−iβ_s G_X), G_X = Σ_q X_q      (the RX mixing layer).
 //
 // Writing |φ_s⟩ for the state after stage s and ⟨λ_s| = ⟨ψ|C·(stages
@@ -72,14 +73,11 @@ func (w *EvalWorkspace) valueGrad(gamma, beta, dGamma, dBeta []float64) float64 
 		w.seedBody = func(lo, hi int) (float64, float64) {
 			return k.seedChunkValue(w.adj, w.state, 0, lo, hi), 0
 		}
-		w.genBody = func(lo, hi int) (float64, float64) {
-			return k.genInnerChunk(w.adj, w.state, 0, lo, hi)
-		}
 		w.sumXBody = func(lo, hi int) (float64, float64) {
-			return quantum.InnerProductSumXRange(w.adj, w.state, lo, hi)
+			return quantum.SumXImRange(w.adj, w.state, lo, hi), 0
 		}
-		w.unphaseBoth = func(lo, hi int) {
-			k.applyPhase2Range(w.state, w.adj, w.factors, w.gamma, w.conj, 0, lo, hi)
+		w.unphaseBody = func(lo, hi int) (float64, float64) {
+			return k.unphaseInnerChunk(w.adj, w.state, w.factors, w.gamma, 0, lo, hi), 0
 		}
 	}
 	dim := w.state.Dim()
@@ -96,7 +94,7 @@ func (w *EvalWorkspace) valueGrad(gamma, beta, dGamma, dBeta []float64) float64 
 	// φ = (stages 1..s+1 applied) and λ = (stages s+2..p un-applied from
 	// C|ψ⟩), i.e. exactly φ_{s+1} and λ_{s+1} in the derivation above.
 	for s := len(gamma) - 1; s >= 0; s-- {
-		_, im := quantum.ReduceChunks(dim, w.sumXBody)
+		im, _ := quantum.ReduceChunks(dim, w.sumXBody)
 		dBeta[s] = 2 * im
 
 		// Un-apply the mixer from both states: M† = RXAll(−2β), through
@@ -104,14 +102,12 @@ func (w *EvalWorkspace) valueGrad(gamma, beta, dGamma, dBeta []float64) float64 
 		w.runner.Layer(-2*beta[s], false, nil)
 		w.adjRunner.Layer(-2*beta[s], false, nil)
 
-		_, gim := quantum.ReduceChunks(dim, w.genBody)
-		dGamma[s] = -2 * gim
-
-		// Un-apply the phase separator from both states (conjugated
-		// factors), generating each chunk's diagonal once.
+		// One pass per chunk takes Im⟨λ|H_γ|φ⟩ and un-applies the phase
+		// separator from both states (conjugated factors).
 		w.k.prepareFactors(w.factors, gamma[s], true)
-		w.gamma, w.conj = gamma[s], true
-		quantum.ForEachChunk(dim, w.unphaseBoth)
+		w.gamma = gamma[s]
+		gim, _ := quantum.ReduceChunks(dim, w.unphaseBody)
+		dGamma[s] = -2 * gim
 	}
 	return val
 }
@@ -136,18 +132,13 @@ func (w *EvalWorkspace) valueGradSharded(gamma, beta, dGamma, dBeta []float64) f
 			si := lo >> w.sbits
 			return k.seedChunkValue(w.adjSS.Shard(si), w.ss.Shard(si), off, lo-off, hi-off), 0
 		}
-		w.genShard = func(lo, hi int) (float64, float64) {
-			off := lo &^ (sdim - 1)
-			si := lo >> w.sbits
-			return k.genInnerChunk(w.adjSS.Shard(si), w.ss.Shard(si), off, lo-off, hi-off)
-		}
 		w.sumXShard = func(lo, hi int) (float64, float64) {
-			return quantum.ShardedSumXRange(w.adjSS, w.ss, lo, hi)
+			return quantum.ShardedSumXImRange(w.adjSS, w.ss, lo, hi), 0
 		}
-		w.unphaseShard = func(lo, hi int) {
+		w.unphaseShard = func(lo, hi int) (float64, float64) {
 			off := lo &^ (sdim - 1)
 			si := lo >> w.sbits
-			k.applyPhase2Range(w.ss.Shard(si), w.adjSS.Shard(si), w.factors, w.gamma, w.conj, off, lo-off, hi-off)
+			return k.unphaseInnerChunk(w.adjSS.Shard(si), w.ss.Shard(si), w.factors, w.gamma, off, lo-off, hi-off), 0
 		}
 	}
 
@@ -155,18 +146,16 @@ func (w *EvalWorkspace) valueGradSharded(gamma, beta, dGamma, dBeta []float64) f
 	val, _ := w.ss.Reduce(w.seedShard)
 
 	for s := len(gamma) - 1; s >= 0; s-- {
-		_, im := w.ss.Reduce(w.sumXShard)
+		im, _ := w.ss.Reduce(w.sumXShard)
 		dBeta[s] = 2 * im
 
 		w.ss.Layer(-2*beta[s], false, nil)
 		w.adjSS.Layer(-2*beta[s], false, nil)
 
-		_, gim := w.ss.Reduce(w.genShard)
-		dGamma[s] = -2 * gim
-
 		w.k.prepareFactors(w.factors, gamma[s], true)
-		w.gamma, w.conj = gamma[s], true
-		w.ss.ForEach(w.unphaseShard)
+		w.gamma = gamma[s]
+		gim, _ := w.ss.Reduce(w.unphaseShard)
+		dGamma[s] = -2 * gim
 	}
 	return val
 }

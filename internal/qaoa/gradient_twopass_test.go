@@ -1,0 +1,153 @@
+package qaoa
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"qaoaml/internal/graph"
+	"qaoaml/internal/problem"
+	"qaoaml/internal/quantum"
+)
+
+// The adjoint reverse sweep used to make two passes per stage over both
+// states — take ⟨λ|H_γ|φ⟩ (full complex, real half discarded), then
+// un-apply the phase separator — and read ΣX's matrix element in
+// complex form. It now makes one fused pass and reads imaginary parts
+// only. This file keeps the two-pass stage as a test-only reference,
+// built from what the fused sweep does not use (the complex public
+// reductions, a separately generated h(z), one applyPhaseRange per
+// state), and pins ValueGrad to it bit for bit on every kernel.
+
+// refGen returns the phase generator h(z) over the global range
+// [lo, hi) the way the pre-change genInnerChunk bodies produced it.
+func refGen(k costKernel, lo, hi int) []float64 {
+	gen := make([]float64, hi-lo)
+	switch k := k.(type) {
+	case *diagKernel:
+		for i := range gen {
+			gen[i] = k.halfAngles[k.idx[lo+i]]
+		}
+	case *streamKernel:
+		if !k.integer {
+			k.fillGen(lo, hi, gen)
+			break
+		}
+		k.fillCut(lo, hi, gen)
+		for i, c := range gen {
+			gen[i] = (k.m - 2*c) / 2
+		}
+	case *isingStreamKernel:
+		if !k.integer {
+			k.fillGen(lo, hi, gen)
+			break
+		}
+		idx := make([]int32, hi-lo)
+		k.fillIdx(lo, hi, idx)
+		for i, j := range idx {
+			gen[i] = k.genFromT(k.tmin + int64(j))
+		}
+	default:
+		panic(fmt.Sprintf("refGen: unknown kernel %T", k))
+	}
+	return gen
+}
+
+// refValueGradTwoPass is the pre-change flat reverse sweep.
+func refValueGradTwoPass(w *EvalWorkspace, x, grad []float64) float64 {
+	p := len(x) / 2
+	gamma, beta, dGamma, dBeta := x[:p], x[p:], grad[:p], grad[p:]
+	k, st := w.k, w.state
+	dim := st.Dim()
+	adj := quantum.NewState(k.qubits())
+	adjRunner := quantum.NewLayerRunner(adj)
+
+	w.runLayers(gamma, beta)
+	val, _ := quantum.ReduceChunks(dim, func(lo, hi int) (float64, float64) {
+		return k.seedChunkValue(adj, st, 0, lo, hi), 0
+	})
+	for s := p - 1; s >= 0; s-- {
+		dBeta[s] = 2 * imag(adj.InnerProductSumX(st))
+
+		w.runner.Layer(-2*beta[s], false, nil)
+		adjRunner.Layer(-2*beta[s], false, nil)
+
+		_, gim := quantum.ReduceChunks(dim, func(lo, hi int) (float64, float64) {
+			return adj.InnerProductDiagonalRange(st, lo, refGen(k, lo, hi))
+		})
+		dGamma[s] = -2 * gim
+
+		k.prepareFactors(w.factors, gamma[s], true)
+		quantum.ReduceChunks(dim, func(lo, hi int) (float64, float64) {
+			k.applyPhaseRange(st, w.factors, -gamma[s], 0, lo, hi)
+			k.applyPhaseRange(adj, w.factors, -gamma[s], 0, lo, hi)
+			return 0, 0
+		})
+	}
+	return val
+}
+
+func TestValueGradMatchesTwoPassReference(t *testing.T) {
+	type kcase struct {
+		name string
+		k    costKernel
+	}
+	var cases []kcase
+	add := func(name string, pb *Problem, wantKernel costKernel) {
+		k := pb.kernel()
+		if fmt.Sprintf("%T", k) != fmt.Sprintf("%T", wantKernel) {
+			t.Fatalf("%s: kernel is %T, want %T", name, k, wantKernel)
+		}
+		cases = append(cases, kcase{name, k})
+	}
+	sizes := []int{8, 14}
+	if !testing.Short() {
+		sizes = append(sizes, 17)
+	}
+	for _, n := range sizes {
+		rng := rand.New(rand.NewSource(int64(900 + n)))
+		var mcWant, isWant costKernel = (*streamKernel)(nil), (*isingStreamKernel)(nil)
+		if n < StreamingThreshold {
+			mcWant, isWant = (*diagKernel)(nil), (*diagKernel)(nil)
+		}
+		add(fmt.Sprintf("maxcut/n%d", n), mustProblem(t, graph.RandomRegular(n, 3+n%2, rng)), mcWant)
+		add(fmt.Sprintf("ising/n%d", n), mustIsing(t, problem.RandomIsing(n, rng)), isWant)
+	}
+	// Float coefficients: the per-amplitude Sincos streaming paths.
+	rng := rand.New(rand.NewSource(914))
+	add("maxcut-float/n14", mustProblem(t, randomWeightedGraph(rng, 14)), (*streamKernel)(nil))
+	fin := problem.RandomIsing(14, rng)
+	fin.Linear[3] = 0.37
+	add("ising-float/n14", mustIsing(t, fin), (*isingStreamKernel)(nil))
+
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, c := range cases {
+		for _, p := range []int{1, 3} {
+			x := testParams(p).Vector()
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				label := fmt.Sprintf("%s p=%d GOMAXPROCS=%d", c.name, p, procs)
+
+				ws := newFlatWorkspace(c.k, nil)
+				got := make([]float64, len(x))
+				val := ws.ValueGrad(x, got)
+				if ev := ws.ExpectationVec(x); val != ev {
+					t.Errorf("%s: ValueGrad value %v != ExpectationVec %v", label, val, ev)
+				}
+
+				want := make([]float64, len(x))
+				refVal := refValueGradTwoPass(newFlatWorkspace(c.k, nil), x, want)
+				if val != refVal {
+					t.Errorf("%s: value %v != two-pass reference %v", label, val, refVal)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("%s: grad[%d] = %v, two-pass reference %v", label, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

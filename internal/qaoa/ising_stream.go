@@ -72,10 +72,12 @@ type isingStreamKernel struct {
 	hiLinInt []int64
 	hiLinF   []float64
 
-	// Integer path: T is exact int64 in [tmin, tmin+nfac).
+	// Integer path: T is exact int64 in [tmin, tmin+len(genTab)), and
+	// genTab[T−tmin] = genFromT(T) is the distinct-value table the phase
+	// factors and the gradient's H_γ matrix elements are indexed through.
 	integer bool
 	tmin    int64
-	nfac    int
+	genTab  []float64
 }
 
 // newIsingStreamKernel builds the streaming kernel for an instance.
@@ -105,7 +107,10 @@ func newIsingStreamKernel(in *problem.Instance) *isingStreamKernel {
 		if 2*span+1 <= maxStreamFactorTable {
 			k.integer = true
 			k.tmin = -span
-			k.nfac = int(2*span + 1)
+			k.genTab = make([]float64, 2*span+1)
+			for j := range k.genTab {
+				k.genTab[j] = k.genFromT(k.tmin + int64(j))
+			}
 		}
 	}
 
@@ -330,21 +335,8 @@ func (k *isingStreamKernel) fillIdx(lo, hi int, idx []int32) {
 }
 
 // fillGen writes the phase generator gen(z) = −sense·T(z)/2 for the
-// chunk [lo, hi).
+// chunk [lo, hi). Float path only: integer kernels index genTab.
 func (k *isingStreamKernel) fillGen(lo, hi int, gen []float64) {
-	if k.integer {
-		var d, p [maxStreamChunkBits]int64
-		base := k.chunkSetupInt(uint64(lo), &d, &p)
-		tll := k.tllInt
-		var lin int64
-		gen[0] = k.genFromT(base + tll[0])
-		for i := 1; i < hi-lo; i++ {
-			t := bits.TrailingZeros64(uint64(i))
-			lin += d[t] - p[t]
-			gen[i] = k.genFromT(base + tll[i] + lin)
-		}
-		return
-	}
 	var d, p [maxStreamChunkBits]float64
 	base := k.chunkSetupFloat(uint64(lo), &d, &p)
 	tll := k.tllF
@@ -361,60 +353,26 @@ func (k *isingStreamKernel) fillGen(lo, hi int, gen []float64) {
 
 func (k *isingStreamKernel) qubits() int { return k.n }
 
-func (k *isingStreamKernel) factorLen() int { return k.nfac }
+func (k *isingStreamKernel) factorLen() int { return len(k.genTab) }
 
 // prepareFactors fills the per-distinct-T phase factor table
-// exp(iγ·gen(T)) with exactly the genFromT doubles fillGen streams, so
-// indexed application and generator-streamed application agree bit for
-// bit. The float path streams per-amplitude phases instead.
+// exp(iγ·gen(T)) from genTab — exactly the genFromT doubles the
+// gradient's matrix elements read. The float path streams
+// per-amplitude phases instead.
 func (k *isingStreamKernel) prepareFactors(factors []complex128, gamma float64, conj bool) {
-	if !k.integer {
-		return
-	}
-	sign := 1.0
-	if conj {
-		sign = -1
-	}
-	for j := range factors {
-		sin, cos := math.Sincos(gamma * k.genFromT(k.tmin+int64(j)))
-		factors[j] = complex(cos, sign*sin)
-	}
+	prepareFactorTable(factors, k.genTab, gamma, conj)
 }
 
-func (k *isingStreamKernel) applyPhaseRange(st *quantum.State, factors []complex128, gamma float64, conj bool, off, lo, hi int) {
+func (k *isingStreamKernel) applyPhaseRange(st *quantum.State, factors []complex128, gamma float64, off, lo, hi int) {
 	ws := k.scratch.get()
 	if k.integer {
 		idx := ws.idxBuf(hi - lo)
 		k.fillIdx(off+lo, off+hi, idx)
 		st.MulDiagonalIndexedRange(lo, idx, factors)
 	} else {
-		scale := gamma
-		if conj {
-			scale = -gamma
-		}
 		gen := ws.genBuf(hi - lo)
 		k.fillGen(off+lo, off+hi, gen)
-		st.MulPhaseGenRange(lo, gen, scale)
-	}
-	k.scratch.put(ws)
-}
-
-func (k *isingStreamKernel) applyPhase2Range(a, b *quantum.State, factors []complex128, gamma float64, conj bool, off, lo, hi int) {
-	ws := k.scratch.get()
-	if k.integer {
-		idx := ws.idxBuf(hi - lo)
-		k.fillIdx(off+lo, off+hi, idx)
-		a.MulDiagonalIndexedRange(lo, idx, factors)
-		b.MulDiagonalIndexedRange(lo, idx, factors)
-	} else {
-		scale := gamma
-		if conj {
-			scale = -gamma
-		}
-		gen := ws.genBuf(hi - lo)
-		k.fillGen(off+lo, off+hi, gen)
-		a.MulPhaseGenRange(lo, gen, scale)
-		b.MulPhaseGenRange(lo, gen, scale)
+		st.MulPhaseGenRange(lo, gen, gamma)
 	}
 	k.scratch.put(ws)
 }
@@ -437,11 +395,17 @@ func (k *isingStreamKernel) seedChunkValue(adj, st *quantum.State, off, lo, hi i
 	return e
 }
 
-func (k *isingStreamKernel) genInnerChunk(adj, st *quantum.State, off, lo, hi int) (re, im float64) {
+func (k *isingStreamKernel) unphaseInnerChunk(adj, st *quantum.State, factors []complex128, gamma float64, off, lo, hi int) (im float64) {
 	ws := k.scratch.get()
-	gen := ws.genBuf(hi - lo)
-	k.fillGen(off+lo, off+hi, gen)
-	re, im = adj.InnerProductDiagonalRange(st, lo, gen)
+	if k.integer {
+		idx := ws.idxBuf(hi - lo)
+		k.fillIdx(off+lo, off+hi, idx)
+		im = adj.InnerImMulIndexedRange(st, lo, idx, k.genTab, factors)
+	} else {
+		gen := ws.genBuf(hi - lo)
+		k.fillGen(off+lo, off+hi, gen)
+		im = adj.InnerImMulPhaseGenRange(st, lo, gen, -gamma)
+	}
 	k.scratch.put(ws)
-	return re, im
+	return im
 }

@@ -1,7 +1,6 @@
 package qaoa
 
 import (
-	"math"
 	"math/bits"
 
 	"qaoaml/internal/graph"
@@ -92,10 +91,13 @@ type streamKernel struct {
 	hhWF     []float64
 	hhWInt   []int64
 
-	// Integer path: cut values are exact int64 in [cmin, cmin+nfac).
+	// Integer path: cut values are exact int64 in [cmin, cmin+len(genTab)),
+	// and genTab[c−cmin] is the phase generator h = (m − 2c)/2 of cut
+	// value c — the distinct-value table the phase factors and the
+	// gradient's H_γ matrix elements are indexed through.
 	integer bool
 	cmin    int64
-	nfac    int
+	genTab  []float64
 }
 
 // newStreamKernel builds the streaming kernel for a graph. totalWeight
@@ -124,7 +126,10 @@ func newStreamKernel(g *graph.Graph, totalWeight float64) *streamKernel {
 		if cmax-cmin+1 <= maxStreamFactorTable {
 			k.integer = true
 			k.cmin = cmin
-			k.nfac = int(cmax - cmin + 1)
+			k.genTab = make([]float64, cmax-cmin+1)
+			for j := range k.genTab {
+				k.genTab[j] = (k.m - 2*float64(cmin+int64(j))) / 2
+			}
 		}
 	}
 
@@ -367,21 +372,8 @@ func (k *streamKernel) fillIdx(lo, hi int, idx []int32) {
 
 // fillGen writes the phase generator h(z) = (m − 2C(z))/2 for the chunk
 // [lo, hi) into gen — the same convention the materialized Problem
-// kernel factorizes.
+// kernel factorizes. Float path only: integer kernels index genTab.
 func (k *streamKernel) fillGen(lo, hi int, gen []float64) {
-	if k.integer {
-		var d, p [maxStreamChunkBits]int64
-		base := k.chunkSetupInt(uint64(lo), &d, &p)
-		cll := k.cllInt
-		var lin int64
-		gen[0] = (k.m - 2*float64(base+cll[0])) / 2
-		for i := 1; i < hi-lo; i++ {
-			t := bits.TrailingZeros64(uint64(i))
-			lin += d[t] - p[t]
-			gen[i] = (k.m - 2*float64(base+cll[i]+lin)) / 2
-		}
-		return
-	}
 	var d, p [maxStreamChunkBits]float64
 	base := k.chunkSetupFloat(uint64(lo), &d, &p)
 	cll := k.cllF
@@ -398,61 +390,26 @@ func (k *streamKernel) fillGen(lo, hi int, gen []float64) {
 
 func (k *streamKernel) qubits() int { return k.n }
 
-func (k *streamKernel) factorLen() int { return k.nfac }
+func (k *streamKernel) factorLen() int { return len(k.genTab) }
 
 // prepareFactors fills the per-distinct-cut phase factor table
 // exp(iγ(m−2c)/2) with the exact arithmetic diagKernel uses for the
 // same distinct values. The float path has no finite distinct set and
 // streams phases per amplitude instead.
 func (k *streamKernel) prepareFactors(factors []complex128, gamma float64, conj bool) {
-	if !k.integer {
-		return
-	}
-	sign := 1.0
-	if conj {
-		sign = -1
-	}
-	for j := range factors {
-		h := (k.m - 2*float64(k.cmin+int64(j))) / 2
-		sin, cos := math.Sincos(gamma * h)
-		factors[j] = complex(cos, sign*sin)
-	}
+	prepareFactorTable(factors, k.genTab, gamma, conj)
 }
 
-func (k *streamKernel) applyPhaseRange(st *quantum.State, factors []complex128, gamma float64, conj bool, off, lo, hi int) {
+func (k *streamKernel) applyPhaseRange(st *quantum.State, factors []complex128, gamma float64, off, lo, hi int) {
 	ws := k.scratch.get()
 	if k.integer {
 		idx := ws.idxBuf(hi - lo)
 		k.fillIdx(off+lo, off+hi, idx)
 		st.MulDiagonalIndexedRange(lo, idx, factors)
 	} else {
-		scale := gamma
-		if conj {
-			scale = -gamma
-		}
 		gen := ws.genBuf(hi - lo)
 		k.fillGen(off+lo, off+hi, gen)
-		st.MulPhaseGenRange(lo, gen, scale)
-	}
-	k.scratch.put(ws)
-}
-
-func (k *streamKernel) applyPhase2Range(a, b *quantum.State, factors []complex128, gamma float64, conj bool, off, lo, hi int) {
-	ws := k.scratch.get()
-	if k.integer {
-		idx := ws.idxBuf(hi - lo)
-		k.fillIdx(off+lo, off+hi, idx)
-		a.MulDiagonalIndexedRange(lo, idx, factors)
-		b.MulDiagonalIndexedRange(lo, idx, factors)
-	} else {
-		scale := gamma
-		if conj {
-			scale = -gamma
-		}
-		gen := ws.genBuf(hi - lo)
-		k.fillGen(off+lo, off+hi, gen)
-		a.MulPhaseGenRange(lo, gen, scale)
-		b.MulPhaseGenRange(lo, gen, scale)
+		st.MulPhaseGenRange(lo, gen, gamma)
 	}
 	k.scratch.put(ws)
 }
@@ -475,11 +432,17 @@ func (k *streamKernel) seedChunkValue(adj, st *quantum.State, off, lo, hi int) f
 	return e
 }
 
-func (k *streamKernel) genInnerChunk(adj, st *quantum.State, off, lo, hi int) (re, im float64) {
+func (k *streamKernel) unphaseInnerChunk(adj, st *quantum.State, factors []complex128, gamma float64, off, lo, hi int) (im float64) {
 	ws := k.scratch.get()
-	gen := ws.genBuf(hi - lo)
-	k.fillGen(off+lo, off+hi, gen)
-	re, im = adj.InnerProductDiagonalRange(st, lo, gen)
+	if k.integer {
+		idx := ws.idxBuf(hi - lo)
+		k.fillIdx(off+lo, off+hi, idx)
+		im = adj.InnerImMulIndexedRange(st, lo, idx, k.genTab, factors)
+	} else {
+		gen := ws.genBuf(hi - lo)
+		k.fillGen(off+lo, off+hi, gen)
+		im = adj.InnerImMulPhaseGenRange(st, lo, gen, -gamma)
+	}
 	k.scratch.put(ws)
-	return re, im
+	return im
 }

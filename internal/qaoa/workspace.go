@@ -23,8 +23,10 @@ import (
 //     mixing layer — runs through one fused quantum.LayerRunner sweep:
 //     each cache-resident chunk is filled, phased, and mixed (for every
 //     in-chunk qubit pair) back-to-back, so the state vector streams
-//     from memory once per stage instead of once per pass. The kernels
-//     are bandwidth-bound at large n, so pass-count is the lever.
+//     from memory once per stage instead of once per pass. (Measured
+//     since: the sweep is scalar-ALU-bound, not bandwidth-bound — ≈ 0.2
+//     of the triad roofline after the mixer butterflies dropped their
+//     complex products by exact zeros, 0.1 before; see quantum/fused.go.)
 //   - All buffers (state vector, factor table) and the dispatch
 //     closures live in an EvalWorkspace that is reused across objective
 //     calls, so a warm NegExpectation performs no heap allocation at
@@ -48,8 +50,8 @@ import (
 // (quantum.ReduceChunks), so expectations and gradients are
 // bit-reproducible across GOMAXPROCS settings.
 // The interface is range-based: the workspace drives the chunk loop
-// (through quantum.LayerRunner, ReduceChunks and ForEachChunk over the
-// fixed geometry) and the kernel supplies per-chunk bodies. That lets
+// (through quantum.LayerRunner and ReduceChunks over the fixed
+// geometry) and the kernel supplies per-chunk bodies. That lets
 // the phase separator run inside the fused layer sweep while the chunk
 // is cache-resident, and lets reductions fuse with streamed diagonal
 // generation.
@@ -72,13 +74,9 @@ type costKernel interface {
 	// generate identical per-chunk values.
 
 	// applyPhaseRange applies the phase separator to st over one chunk.
-	// gamma and conj repeat the prepareFactors arguments for kernels
-	// that stream phases without a factor table.
-	applyPhaseRange(st *quantum.State, factors []complex128, gamma float64, conj bool, off, lo, hi int)
-	// applyPhase2Range applies the phase separator to two states over
-	// one chunk, generating the chunk's diagonal once. The adjoint
-	// reverse sweep un-applies each stage from both states.
-	applyPhase2Range(a, b *quantum.State, factors []complex128, gamma float64, conj bool, off, lo, hi int)
+	// gamma repeats the prepareFactors argument for kernels that stream
+	// phases without a factor table.
+	applyPhaseRange(st *quantum.State, factors []complex128, gamma float64, off, lo, hi int)
 	// expectChunk returns one chunk's contribution to ⟨st|C|st⟩.
 	expectChunk(st *quantum.State, off, lo, hi int) float64
 	// seedChunkValue overwrites adj's chunk with (C|st⟩)'s and returns
@@ -86,23 +84,26 @@ type costKernel interface {
 	// order of expectChunk — so a fused value+seed pass stays
 	// bit-identical to a plain expectation.
 	seedChunkValue(adj, st *quantum.State, off, lo, hi int) float64
-	// genInnerChunk returns one chunk's contribution to ⟨adj|H_γ|st⟩ in
-	// split real/imag form.
-	genInnerChunk(adj, st *quantum.State, off, lo, hi int) (re, im float64)
+	// unphaseInnerChunk is one chunk of an adjoint reverse stage: it
+	// returns the chunk's contribution to Im⟨adj|H_γ|st⟩ (the half of
+	// the matrix element ∂E/∂γ reads) and then un-applies the phase
+	// separator from both states — factors prepared conjugated for
+	// gamma — reading the states and generating the chunk's diagonal
+	// once.
+	unphaseInnerChunk(adj, st *quantum.State, factors []complex128, gamma float64, off, lo, hi int) float64
 }
 
 // diagKernel is the immutable per-problem precomputation: the cost
 // diagonal, and the distinct-value factorization of the phase-separator
 // angles. For parameter γ, amplitude z picks up phase γ·halfAngles[idx[z]];
-// gen is the same coefficient table unfactorized (gen[z] =
-// halfAngles[idx[z]]), the diagonal generator H_γ of the phase layer
-// that adjoint differentiation (gradient.go) takes matrix elements of.
+// h(z) = halfAngles[idx[z]] is therefore also the diagonal generator
+// H_γ of the phase layer that adjoint differentiation (gradient.go)
+// takes matrix elements of.
 type diagKernel struct {
 	n          int
 	diag       []float64 // cost diagonal C(z) (the observable)
 	idx        []int32   // idx[z] → index into halfAngles
 	halfAngles []float64 // distinct per-γ phase coefficients
-	gen        []float64 // per-amplitude phase generator h(z)
 }
 
 // newDiagKernel factorizes the phase angles angle(z) = coeff(diag[z])
@@ -113,7 +114,6 @@ func newDiagKernel(n int, diag []float64, coeff func(v float64) float64) *diagKe
 		n:    n,
 		diag: diag,
 		idx:  make([]int32, len(diag)),
-		gen:  make([]float64, len(diag)),
 	}
 	seen := make(map[float64]int32, 64)
 	for z, v := range diag {
@@ -125,7 +125,6 @@ func newDiagKernel(n int, diag []float64, coeff func(v float64) float64) *diagKe
 			seen[a] = j
 		}
 		k.idx[z] = j
-		k.gen[z] = a
 	}
 	return k
 }
@@ -141,7 +140,6 @@ func newDiagKernelFromGen(n int, diag, gen []float64) *diagKernel {
 		n:    n,
 		diag: diag,
 		idx:  make([]int32, len(diag)),
-		gen:  gen,
 	}
 	seen := make(map[float64]int32, 64)
 	for z, a := range gen {
@@ -201,23 +199,26 @@ func (k *diagKernel) qubits() int    { return k.n }
 func (k *diagKernel) factorLen() int { return len(k.halfAngles) }
 
 func (k *diagKernel) prepareFactors(factors []complex128, gamma float64, conj bool) {
+	prepareFactorTable(factors, k.halfAngles, gamma, conj)
+}
+
+// prepareFactorTable fills factors[j] = e^{±iγ·gens[j]} (minus when
+// conj): one Sincos per distinct phase-generator value, shared by every
+// kernel that applies phases through an index table. Float streaming
+// kernels pass an empty table and stream per-amplitude phases instead.
+func prepareFactorTable(factors []complex128, gens []float64, gamma float64, conj bool) {
 	sign := 1.0
 	if conj {
 		sign = -1
 	}
-	for j, h := range k.halfAngles {
+	for j, h := range gens {
 		sin, cos := math.Sincos(gamma * h)
 		factors[j] = complex(cos, sign*sin)
 	}
 }
 
-func (k *diagKernel) applyPhaseRange(st *quantum.State, factors []complex128, _ float64, _ bool, off, lo, hi int) {
+func (k *diagKernel) applyPhaseRange(st *quantum.State, factors []complex128, _ float64, off, lo, hi int) {
 	st.MulDiagonalIndexedRange(lo, k.idx[off+lo:off+hi], factors)
-}
-
-func (k *diagKernel) applyPhase2Range(a, b *quantum.State, factors []complex128, _ float64, _ bool, off, lo, hi int) {
-	a.MulDiagonalIndexedRange(lo, k.idx[off+lo:off+hi], factors)
-	b.MulDiagonalIndexedRange(lo, k.idx[off+lo:off+hi], factors)
 }
 
 func (k *diagKernel) expectChunk(st *quantum.State, off, lo, hi int) float64 {
@@ -228,8 +229,8 @@ func (k *diagKernel) seedChunkValue(adj, st *quantum.State, off, lo, hi int) flo
 	return adj.SeedDiagonalRange(st, lo, k.diag[off+lo:off+hi])
 }
 
-func (k *diagKernel) genInnerChunk(adj, st *quantum.State, off, lo, hi int) (re, im float64) {
-	return adj.InnerProductDiagonalRange(st, lo, k.gen[off+lo:off+hi])
+func (k *diagKernel) unphaseInnerChunk(adj, st *quantum.State, factors []complex128, _ float64, off, lo, hi int) float64 {
+	return adj.InnerImMulIndexedRange(st, lo, k.idx[off+lo:off+hi], k.halfAngles, factors)
 }
 
 // ShardThreshold is the register width from which NewWorkspace switches
@@ -263,11 +264,9 @@ type EvalWorkspace struct {
 	factors []complex128
 	runner  *quantum.LayerRunner
 
-	// Stage parameters for the phase closures, written between
-	// dispatches (the pool's channel send orders them before any worker
-	// reads).
+	// Stage angle for the phase closures, written between dispatches
+	// (the pool's channel send orders it before any worker reads).
 	gamma float64
-	conj  bool
 
 	phaseState func(lo, hi int)
 	expectBody func(lo, hi int) (a, b float64)
@@ -277,10 +276,9 @@ type EvalWorkspace struct {
 	// them. Warm gradient calls are allocation-free.
 	adj         *quantum.State
 	adjRunner   *quantum.LayerRunner
-	unphaseBoth func(lo, hi int)
 	seedBody    func(lo, hi int) (a, b float64)
-	genBody     func(lo, hi int) (a, b float64)
 	sumXBody    func(lo, hi int) (a, b float64)
+	unphaseBody func(lo, hi int) (a, b float64)
 
 	// Sharded-path state and closures (nil/unset on the flat path).
 	ss    *quantum.ShardedState
@@ -289,10 +287,9 @@ type EvalWorkspace struct {
 
 	phaseShard   func(off, lo, hi int)
 	expectShard  func(lo, hi int) (a, b float64)
-	unphaseShard func(lo, hi int)
 	seedShard    func(lo, hi int) (a, b float64)
-	genShard     func(lo, hi int) (a, b float64)
 	sumXShard    func(lo, hi int) (a, b float64)
+	unphaseShard func(lo, hi int) (a, b float64)
 
 	// arena, when non-nil, supplied the state buffers (and supplies the
 	// lazy adjoint buffer); Release returns them there for the next
@@ -346,7 +343,7 @@ func newFlatWorkspace(k costKernel, a *Arena) *EvalWorkspace {
 	}
 	w.runner = quantum.NewLayerRunner(w.state)
 	w.phaseState = func(lo, hi int) {
-		k.applyPhaseRange(w.state, w.factors, w.gamma, w.conj, 0, lo, hi)
+		k.applyPhaseRange(w.state, w.factors, w.gamma, 0, lo, hi)
 	}
 	w.expectBody = func(lo, hi int) (float64, float64) {
 		return k.expectChunk(w.state, 0, lo, hi), 0
@@ -369,7 +366,7 @@ func newShardedWorkspace(k costKernel, shardBits int, a *Arena) *EvalWorkspace {
 	// them onto the owning shard: off is the shard's base index, lo−off
 	// its local range.
 	w.phaseShard = func(off, lo, hi int) {
-		k.applyPhaseRange(w.ss.Shard(off>>w.sbits), w.factors, w.gamma, w.conj, off, lo, hi)
+		k.applyPhaseRange(w.ss.Shard(off>>w.sbits), w.factors, w.gamma, off, lo, hi)
 	}
 	w.expectShard = func(lo, hi int) (float64, float64) {
 		off := lo &^ (w.ss.ShardDim() - 1)
@@ -417,9 +414,9 @@ func (w *EvalWorkspace) Release() {
 	}
 	w.runner, w.adjRunner = nil, nil
 	w.phaseState, w.expectBody = nil, nil
-	w.unphaseBoth, w.seedBody, w.genBody, w.sumXBody = nil, nil, nil, nil
-	w.phaseShard, w.expectShard, w.unphaseShard = nil, nil, nil
-	w.seedShard, w.genShard, w.sumXShard = nil, nil, nil
+	w.seedBody, w.sumXBody, w.unphaseBody = nil, nil, nil
+	w.phaseShard, w.expectShard = nil, nil
+	w.seedShard, w.sumXShard, w.unphaseShard = nil, nil, nil
 }
 
 // argmax returns the index of the most probable basis state of the
@@ -466,7 +463,7 @@ func (w *EvalWorkspace) runLayers(gamma, beta []float64) {
 	}
 	for s := range gamma {
 		w.k.prepareFactors(w.factors, gamma[s], false)
-		w.gamma, w.conj = gamma[s], false
+		w.gamma = gamma[s]
 		w.runner.Layer(2*beta[s], s == 0, w.phaseState)
 	}
 }
@@ -478,7 +475,7 @@ func (w *EvalWorkspace) runLayersSharded(gamma, beta []float64) {
 	}
 	for s := range gamma {
 		w.k.prepareFactors(w.factors, gamma[s], false)
-		w.gamma, w.conj = gamma[s], false
+		w.gamma = gamma[s]
 		w.ss.Layer(2*beta[s], s == 0, w.phaseShard)
 	}
 }

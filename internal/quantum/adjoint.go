@@ -59,8 +59,10 @@ func (s *State) MulDiagonalReal(diag []float64) {
 // the diagonal per chunk instead of materializing 2^n entries.
 func (s *State) MulDiagonalRealRange(lo int, diag []float64) {
 	s.checkRange(lo, len(diag))
+	amps := s.amps[lo : lo+len(diag)]
 	for i, d := range diag {
-		s.amps[lo+i] *= complex(d, 0)
+		a := amps[i]
+		amps[i] = complex(real(a)*d, imag(a)*d)
 	}
 }
 
@@ -116,11 +118,13 @@ func (s *State) InnerProductDiagonal(t *State, diag []float64) complex128 {
 // three times.
 func (s *State) SeedDiagonalRange(src *State, lo int, diag []float64) float64 {
 	s.checkRange(lo, len(diag))
+	src.checkRange(lo, len(diag))
+	dst, from := s.amps[lo:lo+len(diag)], src.amps[lo:lo+len(diag)]
 	e := 0.0
 	for i, d := range diag {
-		a := src.amps[lo+i]
+		a := from[i]
 		e += (real(a)*real(a) + imag(a)*imag(a)) * d
-		s.amps[lo+i] = a * complex(d, 0)
+		dst[i] = complex(real(a)*d, imag(a)*d)
 	}
 	return e
 }
@@ -138,6 +142,47 @@ func (s *State) InnerProductDiagonalRange(t *State, lo int, diag []float64) (re,
 		im += (real(a)*imag(b) - imag(a)*real(b)) * d
 	}
 	return re, im
+}
+
+// InnerImMulIndexedRange is one chunk of an adjoint reverse stage, fused:
+// it returns the chunk's contribution to Im⟨s|D|t⟩ for the real
+// diagonal D with entries vals[idx[i]] — accumulated exactly like the
+// imaginary half of InnerProductDiagonalRange, the half the gradient
+// reads — and then multiplies both states' amplitudes by
+// factors[idx[i]], so the two states are read and the index table
+// walked once per stage instead of once per step.
+func (s *State) InnerImMulIndexedRange(t *State, lo int, idx []int32, vals []float64, factors []complex128) (im float64) {
+	s.checkRange(lo, len(idx))
+	t.checkRange(lo, len(idx))
+	sa, ta := s.amps[lo:lo+len(idx)], t.amps[lo:lo+len(idx)]
+	vals = vals[:len(factors)]
+	for i, k := range idx {
+		a, b := sa[i], ta[i]
+		im += (real(a)*imag(b) - imag(a)*real(b)) * vals[k]
+		f := factors[k]
+		sa[i] = a * f
+		ta[i] = b * f
+	}
+	return im
+}
+
+// InnerImMulPhaseGenRange is InnerImMulIndexedRange for diagonals
+// without a small distinct-value set: D has entries gen[i] and both
+// states are multiplied by e^{i·scale·gen[i]} (see MulPhaseGenRange),
+// the phase factor computed once for the pair.
+func (s *State) InnerImMulPhaseGenRange(t *State, lo int, gen []float64, scale float64) (im float64) {
+	s.checkRange(lo, len(gen))
+	t.checkRange(lo, len(gen))
+	sa, ta := s.amps[lo:lo+len(gen)], t.amps[lo:lo+len(gen)]
+	for i, h := range gen {
+		a, b := sa[i], ta[i]
+		im += (real(a)*imag(b) - imag(a)*real(b)) * h
+		sin, cos := math.Sincos(scale * h)
+		f := complex(cos, sin)
+		sa[i] = a * f
+		ta[i] = b * f
+	}
+	return im
 }
 
 // InnerProductSumX returns ⟨s| Σ_q X_q |t⟩, the matrix element of the
@@ -158,56 +203,97 @@ func (s *State) InnerProductSumX(t *State) complex128 {
 		panic("quantum: qubit count mismatch in InnerProductSumX")
 	}
 	if reduceChunkCount(len(s.amps)) == 1 {
-		re, im := sumXPartial(s.amps, t.amps, 0, len(s.amps), s.n)
+		re, im := sumXPartial(s.amps, t.amps, 0, len(s.amps), s.n, true)
 		return complex(re, im)
 	}
 	re, im := ReduceChunks(len(s.amps), func(lo, hi int) (float64, float64) {
-		return sumXPartial(s.amps, t.amps, lo, hi, s.n)
+		return sumXPartial(s.amps, t.amps, lo, hi, s.n, true)
 	})
 	return complex(re, im)
 }
 
-// InnerProductSumXRange returns one chunk's contribution to
-// ⟨s|Σ_q X_q|t⟩ in split real/imag form — the streamed form of
-// InnerProductSumX for callers that drive the chunk loop themselves
-// (fused gradient sweeps). lo must be chunk-aligned; see sumXPartial.
-func InnerProductSumXRange(s, t *State, lo, hi int) (re, im float64) {
+// SumXImRange returns one chunk's contribution to Im⟨s|Σ_q X_q|t⟩ — the
+// streamed form of InnerProductSumX for callers that drive the chunk
+// loop themselves (fused gradient sweeps), restricted to the imaginary
+// part ∂E/∂β reads. lo must be chunk-aligned; see sumXPartial.
+func SumXImRange(s, t *State, lo, hi int) float64 {
 	if s.n != t.n {
-		panic("quantum: qubit count mismatch in InnerProductSumXRange")
+		panic("quantum: qubit count mismatch in SumXImRange")
 	}
-	return sumXPartial(s.amps, t.amps, lo, hi, s.n)
+	_, im := sumXPartial(s.amps, t.amps, lo, hi, s.n, false)
+	return im
 }
 
 // sumXPartial accumulates the Σ_q X_q matrix-element terms whose
-// representative index lies in [lo, hi). lo is chunk-aligned (a
-// multiple of hi−lo when the range is one chunk of a larger array), so
-// the base-stride walk stays aligned for every bit below the span.
-func sumXPartial(sa, ta []complex128, lo, hi, n int) (re, im float64) {
+// representative index lies in [lo, hi), qubit by qubit in ascending
+// order. lo is chunk-aligned (a multiple of hi−lo when the range is one
+// chunk of a larger array), so the base-stride walk stays aligned for
+// every bit below the span. The real part is accumulated only when
+// wantRe is set; the gradient reads the imaginary part alone.
+func sumXPartial(sa, ta []complex128, lo, hi, n int, wantRe bool) (re, im float64) {
 	span := hi - lo
 	for q := 0; q < n; q++ {
 		bit := 1 << uint(q)
-		if bit < span {
-			for base := lo; base < hi; base += bit << 1 {
-				for i := base; i < base+bit; i++ {
-					j := i | bit
-					a, b := sa[i], ta[j] // ⟨z|X_q|z⊕bit⟩ terms, both orders
-					c, d := sa[j], ta[i]
-					re += real(a)*real(b) + imag(a)*imag(b) + real(c)*real(d) + imag(c)*imag(d)
-					im += real(a)*imag(b) - imag(a)*real(b) + real(c)*imag(d) - imag(c)*real(d)
+		// Each run is the pairs (i, i+bit) for run consecutive i. Below
+		// the span, runs of bit indices alternate with their partners.
+		// At and above it the whole chunk has bit q clear or set. Clear:
+		// one run, every index a representative whose partner sits bit
+		// elements ahead in a later chunk (read-only access). Set: the
+		// partner chunk owns these pairs.
+		run := min(bit, span)
+		if run == span && lo&bit != 0 {
+			continue
+		}
+		if bit == 1 && span > 1 {
+			// Qubit 0 pairs neighbours: one contiguous walk instead of
+			// length-1 runs.
+			for s, t := sa[lo:hi], ta[lo:hi]; len(s) >= 2 && len(t) >= 2; s, t = s[2:], t[2:] {
+				im += sumXIm(s[0], t[1], s[1], t[0])
+				if wantRe {
+					re += sumXRe(s[0], t[1], s[1], t[0])
 				}
 			}
-		} else if lo&bit == 0 {
-			// The whole chunk has bit q clear: every index is a
-			// representative whose partner sits bit elements ahead, in a
-			// later chunk (read-only access).
-			for i := lo; i < hi; i++ {
-				j := i | bit
-				a, b := sa[i], ta[j]
-				c, d := sa[j], ta[i]
-				re += real(a)*real(b) + imag(a)*imag(b) + real(c)*real(d) + imag(c)*imag(d)
-				im += real(a)*imag(b) - imag(a)*real(b) + real(c)*imag(d) - imag(c)*real(d)
+			continue
+		}
+		for base := lo; base < hi; base += run << 1 {
+			s0, s1 := sa[base:base+run], sa[base+bit:base+bit+run]
+			t0, t1 := ta[base:base+run], ta[base+bit:base+bit+run]
+			im = sumXRunIm(im, s0, s1, t0, t1)
+			if wantRe {
+				re = sumXRunRe(re, s0, s1, t0, t1)
 			}
 		}
 	}
 	return re, im
+}
+
+// sumXIm and sumXRe are the imaginary and real parts of one
+// ⟨z|X_q|z⊕bit⟩ term pair conj(a)·b + conj(c)·d: a, c are one state's
+// amplitudes at z and z⊕bit, b, d the other's at z⊕bit and z.
+func sumXIm(a, b, c, d complex128) float64 {
+	return real(a)*imag(b) - imag(a)*real(b) + real(c)*imag(d) - imag(c)*real(d)
+}
+
+func sumXRe(a, b, c, d complex128) float64 {
+	return real(a)*real(b) + imag(a)*imag(b) + real(c)*real(d) + imag(c)*imag(d)
+}
+
+// sumXRunIm adds the imaginary parts of one run of ⟨z|X_q|z⊕bit⟩ terms,
+// both orders, onto im: s0/t0 are the two states' amplitudes with bit q
+// clear, s1/t1 their partners with it set — four equal-length slices.
+func sumXRunIm(im float64, s0, s1, t0, t1 []complex128) float64 {
+	s1, t0, t1 = s1[:len(s0)], t0[:len(s0)], t1[:len(s0)]
+	for k, a := range s0 {
+		im += sumXIm(a, t1[k], s1[k], t0[k])
+	}
+	return im
+}
+
+// sumXRunRe is sumXRunIm for the real parts.
+func sumXRunRe(re float64, s0, s1, t0, t1 []complex128) float64 {
+	s1, t0, t1 = s1[:len(s0)], t0[:len(s0)], t1[:len(s0)]
+	for k, a := range s0 {
+		re += sumXRe(a, t1[k], s1[k], t0[k])
+	}
+	return re
 }

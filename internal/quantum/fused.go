@@ -9,9 +9,19 @@ import (
 //
 // A QAOA stage used to make separate full passes over the state vector:
 // one for the diagonal phase separator, then one per fused qubit pair
-// for the RX mixer (n/2 passes), plus an initial fill. At n ≥ 20 every
-// one of those passes streams 16+ MiB through memory, and the kernels
-// are bandwidth-bound — so pass-count, not thread-count, is the lever.
+// for the RX mixer (n/2 passes), plus an initial fill. Fusing them cut
+// the passes, but the benchmark ladder (go run ./benchmark -trace) has
+// since measured what bounds a sweep, and it is not memory bandwidth:
+// quantum.roofline_share was 0.10–0.11 of the STREAM-triad probe with
+// the complex-product butterflies (≈ 92 flops per 4-amplitude
+// butterfly, half of them multiplications by an exact zero) and is
+// ≈ 0.17–0.20 with the real-arithmetic rxQuad/rxDuo of kernels.go (44
+// flops, 40 after the compiler shares the four cm·component products).
+// The sweep is scalar-ALU-bound; the next lever is SIMD, not fewer
+// passes. The rewrite is value-identical: every dropped term is (±0)·x
+// added to or subtracted from a finite value, so only the sign of an
+// exact zero can differ (and bit-identity is per GOARCH — Go fuses
+// a*b+c on arm64, not on amd64).
 //
 // The LayerRunner collapses a whole stage into:
 //
@@ -51,11 +61,10 @@ type LayerRunner struct {
 	clen int
 
 	// Per-Layer parameters, written before dispatch, read-only during.
-	phase      func(lo, hi int)
-	fill       bool
-	cc, cm, mm complex128 // fused pair coefficients
-	c, ms      complex128 // single-qubit RX coefficients
-	pairQ      int        // current cross-chunk pair
+	phase func(lo, hi int)
+	fill  bool
+	rx    rxCoef // mixer butterfly coefficients
+	pairQ int    // current cross-chunk pair
 
 	lowBody  func(lo, hi int)
 	pairBody func(rlo, rhi int)
@@ -67,11 +76,11 @@ func NewLayerRunner(s *State) *LayerRunner {
 	r := &LayerRunner{s: s, amp: complex(1/math.Sqrt(float64(len(s.amps))), 0)}
 	r.lowBody = r.runLow
 	r.pairBody = func(rlo, rhi int) {
-		r.s.rxPairRange(r.pairQ, rlo, rhi, r.cc, r.cm, r.mm)
+		rxQuadRange(r.s.amps, r.pairQ, rlo, rhi, r.rx.cc, r.rx.cm, r.rx.mm)
 	}
-	r.oneBody = func(rlo, rhi int) {
-		bit := 1 << uint(r.s.n-1)
-		r.s.apply1QRange(bit, rlo, rhi, r.c, r.ms, r.ms, r.c)
+	r.oneBody = func(lo, hi int) {
+		half := len(r.s.amps) >> 1
+		rxDuo(r.s.amps[lo:hi], r.s.amps[half+lo:half+hi], r.rx.c, r.rx.s)
 	}
 	return r
 }
@@ -83,12 +92,7 @@ func NewLayerRunner(s *State) *LayerRunner {
 // RXAll(theta).
 func (r *LayerRunner) Layer(theta float64, fill bool, phase func(lo, hi int)) {
 	s := r.s
-	sin, cos := math.Sincos(theta / 2)
-	r.c = complex(cos, 0)
-	r.ms = complex(0, -sin)
-	r.cc = r.c * r.c
-	r.cm = r.c * r.ms
-	r.mm = r.ms * r.ms
+	r.rx = newRXCoef(theta)
 	r.phase = phase
 	r.fill = fill
 
@@ -159,10 +163,10 @@ func (r *LayerRunner) runLow(lo, hi int) {
 	}
 	q := 0
 	for ; q+1 < limit && 1<<uint(q+1) < span; q += 2 {
-		s.rxPairRange(q, lo>>2, hi>>2, r.cc, r.cm, r.mm)
+		rxQuadRange(s.amps, q, lo>>2, hi>>2, r.rx.cc, r.rx.cm, r.rx.mm)
 	}
 	if limit == s.n && q == s.n-1 && 1<<uint(q) < span {
 		// Single-chunk register with odd n: the final qubit is in-chunk.
-		s.apply1QRange(1<<uint(q), lo>>1, hi>>1, r.c, r.ms, r.ms, r.c)
+		r.oneBody(lo>>1, hi>>1)
 	}
 }

@@ -51,68 +51,140 @@ func (s *State) parallel() bool {
 	return !s.serial && len(s.amps) >= ParallelDim && runtime.GOMAXPROCS(0) > 1
 }
 
+// rxCoef holds the real coefficients of the RX(θ) butterflies. One
+// qubit's RX is c·I + ms·X with c = cos θ/2 purely real and ms =
+// −i·sin θ/2 purely imaginary, so the fused two-qubit kernel (c·I +
+// ms·X)⊗(c·I + ms·X) has coefficients c² (real), c·ms (imaginary) and
+// ms² (real). The kernels below multiply components by these reals
+// instead of forming complex products whose other half is an exact
+// zero.
+type rxCoef struct {
+	c, s       float64 // cos θ/2, sin θ/2
+	cc, cm, mm float64 // c², Im(c·ms) = −c·s, ms² = −s²
+}
+
+func newRXCoef(theta float64) rxCoef {
+	s, c := math.Sincos(theta / 2)
+	return rxCoef{c: c, s: s, cc: c * c, cm: -(c * s), mm: -(s * s)}
+}
+
 // RXAll applies RX(θ) to every qubit — the QAOA mixing layer
 // exp(−i(θ/2)ΣXi) — walking the amplitude array once per fused qubit
 // pair instead of once per qubit. The amplitudes match n sequential
-// RX(q, θ) calls to rounding error.
+// RX(q, θ) calls to rounding error. Large registers split each pass's
+// representative set across workers; the per-amplitude arithmetic is
+// identical, so the result matches the serial pass bit-for-bit.
 func (s *State) RXAll(theta float64) {
-	sin, cos := math.Sincos(theta / 2)
-	c := complex(cos, 0)
-	ms := complex(0, -sin)
+	k := newRXCoef(theta)
 	q := 0
 	for ; q+1 < s.n; q += 2 {
-		s.rxPair(q, c, ms)
+		s.rxPair(q, k)
 	}
 	if q < s.n {
-		s.Apply1Q(q, c, ms, ms, c)
+		s.rxLast(k)
 	}
 }
 
-// rxPair applies (c·I + ms·X) ⊗ (c·I + ms·X) to qubits q and q+1 in a
-// single pass: a 4×4 kernel touching each amplitude once where two
-// Apply1Q calls would touch it twice. Large registers split the
-// representative set across workers; the per-amplitude arithmetic is
-// identical, so the result matches the serial pass bit-for-bit.
-func (s *State) rxPair(q int, c, ms complex128) {
-	cc := c * c
-	cm := c * ms
-	mm := ms * ms
+// rxPair applies the fused RX butterfly to qubits q and q+1 in a single
+// pass: a 4×4 kernel touching each amplitude once where two RX calls
+// would touch it twice.
+func (s *State) rxPair(q int, k rxCoef) {
 	if s.parallel() {
-		runRange(len(s.amps)>>2, true, func(lo, hi int) {
-			s.rxPairRange(q, lo, hi, cc, cm, mm)
+		runRange(len(s.amps)>>2, true, func(rlo, rhi int) {
+			rxQuadRange(s.amps, q, rlo, rhi, k.cc, k.cm, k.mm)
 		})
 		return
 	}
-	s.rxPairRange(q, 0, len(s.amps)>>2, cc, cm, mm)
+	rxQuadRange(s.amps, q, 0, len(s.amps)>>2, k.cc, k.cm, k.mm)
 }
 
-// rxPairRange applies the fused two-qubit RX kernel for representatives
-// r ∈ [rlo, rhi). Representative r maps to the amplitude index with the
-// bits of qubits q and q+1 cleared: i = ((r &^ (bit0−1)) << 2) | (r &
-// (bit0−1)); ascending r visits the same (base, offset) pairs as the
-// classic base-stride loop, in the same order.
-func (s *State) rxPairRange(q, rlo, rhi int, cc, cm, mm complex128) {
+// rxLast applies RX to the top qubit, the one an odd register width
+// leaves unpaired: its pairs are equal offsets of the two array halves.
+func (s *State) rxLast(k rxCoef) {
+	half := len(s.amps) >> 1
+	if s.parallel() {
+		runRange(half, true, func(lo, hi int) {
+			rxDuo(s.amps[lo:hi], s.amps[half+lo:half+hi], k.c, k.s)
+		})
+		return
+	}
+	rxDuo(s.amps[:half], s.amps[half:], k.c, k.s)
+}
+
+// rxQuadRange applies the fused RX butterfly on qubits q and q+1 for
+// representatives r ∈ [rlo, rhi). Representative r maps to the
+// amplitude index with the bits of qubits q and q+1 cleared: i = ((r &^
+// (bit0−1)) << 2) | (r & (bit0−1)); ascending r visits the same (base,
+// offset) pairs as the classic base-stride loop, in the same order.
+// Each run of consecutive representatives is four equal-length
+// contiguous sub-slices, handed to rxQuad; for q = 0 the whole range is
+// one contiguous block of 4-amplitude groups.
+func rxQuadRange(amps []complex128, q, rlo, rhi int, cc, cm, mm float64) {
+	if q == 0 {
+		rxQuadLow(amps[rlo<<2:rhi<<2], cc, cm, mm)
+		return
+	}
 	bit0 := 1 << uint(q)
 	bit1 := bit0 << 1
 	mask := bit0 - 1
 	for r := rlo; r < rhi; {
 		i := ((r &^ mask) << 2) | (r & mask)
-		run := bit0 - (r & mask)
-		if run > rhi-r {
-			run = rhi - r
-		}
-		for k := 0; k < run; k++ {
-			i00 := i + k
-			i01 := i00 | bit0
-			i10 := i00 | bit1
-			i11 := i01 | bit1
-			a00, a01, a10, a11 := s.amps[i00], s.amps[i01], s.amps[i10], s.amps[i11]
-			s.amps[i00] = cc*a00 + cm*(a01+a10) + mm*a11
-			s.amps[i01] = cc*a01 + cm*(a00+a11) + mm*a10
-			s.amps[i10] = cc*a10 + cm*(a00+a11) + mm*a01
-			s.amps[i11] = cc*a11 + cm*(a01+a10) + mm*a00
-		}
+		run := min(bit0-(r&mask), rhi-r)
+		rxQuad(amps[i:i+run], amps[i+bit0:i+bit0+run], amps[i+bit1:i+bit1+run], amps[i+bit0+bit1:i+bit0+bit1+run], cc, cm, mm)
 		r += run
+	}
+}
+
+// rxMix returns cc·a + i·cm·t + mm·b — one output of the fused
+// two-qubit RX butterfly — in real arithmetic on the components, in
+// the association order of the complex expression cc*a + cm*t + mm*b
+// with cc, mm real and cm imaginary. The terms this drops are (±0)·x
+// added to a finite value, so the result is the complex expression's
+// except possibly in the sign of an exact zero. (Bit-identity is per
+// GOARCH: arm64 fuses a*b+c, amd64 does not.)
+func rxMix(a, t, b complex128, cc, cm, mm float64) complex128 {
+	return complex(cc*real(a)-cm*imag(t)+mm*real(b), cc*imag(a)+cm*real(t)+mm*imag(b))
+}
+
+// rxQuad applies the fused two-qubit RX butterfly to every quadruple
+// (p00[k], p01[k], p10[k], p11[k]): the amplitudes whose two target
+// bits read 00, 01, 10 and 11. The four slices are equal-length and
+// disjoint — runs of one state, or equal local ranges of four shards.
+func rxQuad(p00, p01, p10, p11 []complex128, cc, cm, mm float64) {
+	p01, p10, p11 = p01[:len(p00)], p10[:len(p00)], p11[:len(p00)]
+	for k, a00 := range p00 {
+		a01, a10, a11 := p01[k], p10[k], p11[k]
+		t, u := a01+a10, a00+a11
+		p00[k] = rxMix(a00, t, a11, cc, cm, mm)
+		p01[k] = rxMix(a01, u, a10, cc, cm, mm)
+		p10[k] = rxMix(a10, u, a01, cc, cm, mm)
+		p11[k] = rxMix(a11, t, a00, cc, cm, mm)
+	}
+}
+
+// rxQuadLow is rxQuad for qubits 0 and 1, whose quadruples are the
+// consecutive 4-amplitude groups of a.
+func rxQuadLow(a []complex128, cc, cm, mm float64) {
+	for ; len(a) >= 4; a = a[4:] {
+		a00, a01, a10, a11 := a[0], a[1], a[2], a[3]
+		t, u := a01+a10, a00+a11
+		a[0] = rxMix(a00, t, a11, cc, cm, mm)
+		a[1] = rxMix(a01, u, a10, cc, cm, mm)
+		a[2] = rxMix(a10, u, a01, cc, cm, mm)
+		a[3] = rxMix(a11, t, a00, cc, cm, mm)
+	}
+}
+
+// rxDuo applies the single-qubit RX butterfly c·I − i·s·X to every
+// pair (p0[k], p1[k]) — the target bit clear and set — in real
+// arithmetic on the components (see rxMix for why that equals the
+// complex 2×2 product). The slices are equal-length and disjoint.
+func rxDuo(p0, p1 []complex128, c, s float64) {
+	p1 = p1[:len(p0)]
+	for k, x := range p0 {
+		y := p1[k]
+		p0[k] = complex(c*real(x)+s*imag(y), c*imag(x)-s*real(y))
+		p1[k] = complex(c*real(y)+s*imag(x), c*imag(y)-s*real(x))
 	}
 }
 
@@ -148,4 +220,3 @@ func applyPhaseRange(amps []complex128, phases []float64) {
 		amps[i] *= complex(cos, sin)
 	}
 }
-

@@ -181,9 +181,12 @@ func TestChunkedReductionMatchesSerialSum(t *testing.T) {
 	}
 
 	var ranges [][2]int
-	ForEachChunk(dim, func(lo, hi int) { ranges = append(ranges, [2]int{lo, hi}) })
+	ReduceChunks(dim, func(lo, hi int) (float64, float64) {
+		ranges = append(ranges, [2]int{lo, hi}) // below ParallelDim: serial, in order
+		return 0, 0
+	})
 	if len(ranges) != dim/ReduceChunkLen {
-		t.Fatalf("ForEachChunk produced %d chunks, want %d", len(ranges), dim/ReduceChunkLen)
+		t.Fatalf("ReduceChunks produced %d chunks, want %d", len(ranges), dim/ReduceChunkLen)
 	}
 	for c, r := range ranges {
 		if r[0] != c*ReduceChunkLen || r[1] != (c+1)*ReduceChunkLen {

@@ -96,25 +96,3 @@ func ReduceChunks(dim int, f func(lo, hi int) (a, b float64)) (a, b float64) {
 	}
 	return dispatchReduce(nc, clen, f)
 }
-
-// ForEachChunk runs f over every fixed-geometry chunk of [0, dim),
-// fanning out across the worker pool for large dim. Chunks are disjoint
-// [lo, hi) ranges in the same layout ReduceChunks uses, so streamed
-// element-wise kernels whose per-element values depend on the chunk
-// base (incremental cost streaming) see the same ranges at every
-// worker count.
-func ForEachChunk(dim int, f func(lo, hi int)) {
-	nc := reduceChunkCount(dim)
-	if nc == 1 {
-		f(0, dim)
-		return
-	}
-	clen := ChunkLen(dim)
-	if !reduceParallel(dim) {
-		for c := 0; c < nc; c++ {
-			f(c*clen, (c+1)*clen)
-		}
-		return
-	}
-	dispatchChunks(nc, clen, f)
-}

@@ -114,13 +114,11 @@ type ShardedState struct {
 	theta      float64
 	fill       bool
 	phaseFn    func(off, lo, hi int)
-	cc, cm, mm complex128 // fused pair coefficients
-	c1, ms1    complex128 // single-qubit RX coefficients
-	exB0, exB1 int        // shard-index bits of the current quad pass
+	rx         rxCoef // exchange butterfly coefficients
+	exB0, exB1 int    // shard-index bits of the current quad pass
 
-	redBody  func(lo, hi int) (a, b float64)
-	eachBody func(lo, hi int)
-	parts    []float64
+	redBody func(lo, hi int) (a, b float64)
+	parts   []float64
 
 	// Pre-built worker bodies, one closure each, so warm operations
 	// allocate nothing.
@@ -130,7 +128,6 @@ type ShardedState struct {
 	opSingle func(int)
 	opFill   func(int)
 	opReduce func(int)
-	opEach   func(int)
 }
 
 // NewShardedState returns the n-qubit state |0…0⟩ split into
@@ -210,13 +207,6 @@ func NewShardedState(n, shardBits int) *ShardedState {
 			ss.parts[2*gc], ss.parts[2*gc+1] = ss.redBody(lo, lo+ss.clen)
 		}
 	}
-	ss.opEach = func(w int) {
-		cps := ss.sdim / ss.clen
-		for c := 0; c < cps; c++ {
-			lo := (w*cps + c) * ss.clen
-			ss.eachBody(lo, lo+ss.clen)
-		}
-	}
 
 	ss.grp = newShardGroup(k - 1)
 	runtime.SetFinalizer(ss, (*ShardedState).Close)
@@ -278,11 +268,7 @@ func (ss *ShardedState) group() *shardGroup {
 // shard-index qubits runs in-shard on the owning workers; the top
 // qubits run as cross-shard exchange passes.
 func (ss *ShardedState) Layer(theta float64, fill bool, phase func(off, lo, hi int)) {
-	sin, cos := math.Sincos(theta / 2)
-	c := complex(cos, 0)
-	ms := complex(0, -sin)
-	ss.c1, ss.ms1 = c, ms
-	ss.cc, ss.cm, ss.mm = c*c, c*ms, ms*ms
+	ss.rx = newRXCoef(theta)
 	ss.theta, ss.fill, ss.phaseFn = theta, fill, phase
 
 	g := ss.group()
@@ -321,21 +307,15 @@ func (ss *ShardedState) pairBody(w int) {
 	span := hb >> 1
 	lo := (w & 1) * span
 	hi := lo + span
-	cc, cm, mm := ss.cc, ss.cm, ss.mm
-	for l := lo; l < hi; l++ {
-		a00, a01, a10, a11 := a[l], a[l+hb], b[l], b[l+hb]
-		a[l] = cc*a00 + cm*(a01+a10) + mm*a11
-		a[l+hb] = cc*a01 + cm*(a00+a11) + mm*a10
-		b[l] = cc*a10 + cm*(a00+a11) + mm*a01
-		b[l+hb] = cc*a11 + cm*(a01+a10) + mm*a00
-	}
+	rxQuad(a[lo:hi], a[hb+lo:hb+hi], b[lo:hi], b[hb+lo:hb+hi], ss.rx.cc, ss.rx.cm, ss.rx.mm)
 }
 
 // quadBody is one 4-shard exchange pass: the fused RX pair on global
 // qubits (sbits+exB0, sbits+exB1) combines equal local indices of the
 // four shards whose indices differ in bits exB0/exB1. Each of the
 // quad's four workers takes one quarter of the local index range —
-// disjoint writes, fixed schedule, the exact rxPairRange arithmetic.
+// disjoint writes, fixed schedule, the same rxQuad kernel the flat path
+// runs.
 func (ss *ShardedState) quadBody(w int) {
 	b0 := 1 << uint(ss.exB0)
 	b1 := 1 << uint(ss.exB1)
@@ -348,14 +328,7 @@ func (ss *ShardedState) quadBody(w int) {
 	span := ss.sdim >> 2
 	lo := rank * span
 	hi := lo + span
-	cc, cm, mm := ss.cc, ss.cm, ss.mm
-	for l := lo; l < hi; l++ {
-		a00, a01, a10, a11 := s0[l], s1[l], s2[l], s3[l]
-		s0[l] = cc*a00 + cm*(a01+a10) + mm*a11
-		s1[l] = cc*a01 + cm*(a00+a11) + mm*a10
-		s2[l] = cc*a10 + cm*(a00+a11) + mm*a01
-		s3[l] = cc*a11 + cm*(a01+a10) + mm*a00
-	}
+	rxQuad(s0[lo:hi], s1[lo:hi], s2[lo:hi], s3[lo:hi], ss.rx.cc, ss.rx.cm, ss.rx.mm)
 }
 
 // singleBody is the 2-shard exchange for the odd final qubit n−1
@@ -372,12 +345,7 @@ func (ss *ShardedState) singleBody(w int) {
 	span := ss.sdim >> 1
 	lo := rank * span
 	hi := lo + span
-	c, ms := ss.c1, ss.ms1
-	for l := lo; l < hi; l++ {
-		x, y := a[l], b[l]
-		a[l] = c*x + ms*y
-		b[l] = ms*x + c*y
-	}
+	rxDuo(a[lo:hi], b[lo:hi], ss.rx.c, ss.rx.s)
 }
 
 // Reduce evaluates body over every fixed-geometry chunk of the GLOBAL
@@ -398,25 +366,16 @@ func (ss *ShardedState) Reduce(body func(lo, hi int) (a, b float64)) (a, b float
 	return a, b
 }
 
-// ForEach runs body over every fixed-geometry chunk of the global index
-// range, each chunk on the worker owning its shard — the sharded
-// ForEachChunk. body receives global [lo, hi) bounds.
-func (ss *ShardedState) ForEach(body func(lo, hi int)) {
-	ss.eachBody = body
-	ss.group().run(ss.opEach)
-	ss.eachBody = nil
-}
-
-// ShardedSumXRange returns one global chunk's contribution to
-// ⟨s|Σ_q X_q|t⟩ in split real/imag form — the sharded form of
-// InnerProductSumXRange, with identical accumulation order. For qubits
-// below the shard width the partner amplitude is shard-local; for the
-// shard-index qubits it sits at the SAME local index of the partner
-// shard (read-only, so chunks stay write-disjoint). Call it from a
-// Reduce body over two same-geometry states.
-func ShardedSumXRange(s, t *ShardedState, lo, hi int) (re, im float64) {
+// ShardedSumXImRange returns one global chunk's contribution to
+// Im⟨s|Σ_q X_q|t⟩ — the sharded form of SumXImRange, with identical
+// accumulation order. For qubits below the shard width the partner
+// amplitude is shard-local, so the flat walk runs over shard-local
+// indices; for the shard-index qubits it sits at the SAME local index
+// of the partner shard (read-only, so chunks stay write-disjoint). Call
+// it from a Reduce body over two same-geometry states.
+func ShardedSumXImRange(s, t *ShardedState, lo, hi int) float64 {
 	if s.n != t.n || s.sbits != t.sbits {
-		panic("quantum: geometry mismatch in ShardedSumXRange")
+		panic("quantum: geometry mismatch in ShardedSumXImRange")
 	}
 	sbits := uint(s.sbits)
 	si := lo >> sbits
@@ -424,47 +383,14 @@ func ShardedSumXRange(s, t *ShardedState, lo, hi int) (re, im float64) {
 	ta := t.shards[si].amps
 	llo := lo & (s.sdim - 1)
 	lhi := llo + (hi - lo)
-	span := hi - lo
-	for q := 0; q < s.n; q++ {
+	_, im := sumXPartial(sa, ta, llo, lhi, s.sbits, false)
+	for q := s.sbits; q < s.n; q++ {
 		bit := 1 << uint(q)
-		switch {
-		case bit < span:
-			// Pair fully inside the chunk: same nested walk as the flat
-			// kernel, over shard-local indices.
-			for base := llo; base < lhi; base += bit << 1 {
-				for i := base; i < base+bit; i++ {
-					j := i | bit
-					a, b := sa[i], ta[j]
-					c, d := sa[j], ta[i]
-					re += real(a)*real(b) + imag(a)*imag(b) + real(c)*real(d) + imag(c)*imag(d)
-					im += real(a)*imag(b) - imag(a)*real(b) + real(c)*imag(d) - imag(c)*real(d)
-				}
-			}
-		case lo&bit != 0:
-			// Partner chunk owns these pairs.
-		case bit < s.sdim:
-			// Whole chunk is the representative; the partner range lives
-			// bit elements ahead in the same shard.
-			for i := llo; i < lhi; i++ {
-				j := i | bit
-				a, b := sa[i], ta[j]
-				c, d := sa[j], ta[i]
-				re += real(a)*real(b) + imag(a)*imag(b) + real(c)*real(d) + imag(c)*imag(d)
-				im += real(a)*imag(b) - imag(a)*real(b) + real(c)*imag(d) - imag(c)*real(d)
-			}
-		default:
-			// Shard-index qubit: the partner amplitudes sit at the same
-			// local indices of the partner shard.
-			pj := (lo | bit) >> sbits
-			pa := s.shards[pj].amps
-			pt := t.shards[pj].amps
-			for i := llo; i < lhi; i++ {
-				a, b := sa[i], pt[i]
-				c, d := pa[i], ta[i]
-				re += real(a)*real(b) + imag(a)*imag(b) + real(c)*real(d) + imag(c)*imag(d)
-				im += real(a)*imag(b) - imag(a)*real(b) + real(c)*imag(d) - imag(c)*real(d)
-			}
+		if lo&bit != 0 {
+			continue // partner shard owns these pairs
 		}
+		pj := (lo | bit) >> sbits
+		im = sumXRunIm(im, sa[llo:lhi], s.shards[pj].amps[llo:lhi], ta[llo:lhi], t.shards[pj].amps[llo:lhi])
 	}
-	return re, im
+	return im
 }

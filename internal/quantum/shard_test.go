@@ -137,16 +137,20 @@ func TestShardedSumXMatchesFlat(t *testing.T) {
 			ft := randomParallelState(n, 92)
 			sss := shardedFromState(t, fs, sb)
 			sst := shardedFromState(t, ft, sb)
-			fr, fi := ReduceChunks(len(fs.amps), func(lo, hi int) (float64, float64) {
-				return InnerProductSumXRange(fs, ft, lo, hi)
+			// The streamed forms carry only the imaginary part (the half
+			// the gradient reads); it must equal the public complex
+			// form's, which shares the walk.
+			fi, _ := ReduceChunks(len(fs.amps), func(lo, hi int) (float64, float64) {
+				return SumXImRange(fs, ft, lo, hi), 0
 			})
-			sr, si := sss.Reduce(func(lo, hi int) (float64, float64) {
-				return ShardedSumXRange(sss, sst, lo, hi)
+			si, _ := sss.Reduce(func(lo, hi int) (float64, float64) {
+				return ShardedSumXImRange(sss, sst, lo, hi), 0
 			})
-			if sr != fr || si != fi {
-				t.Fatalf("shards=%d: sharded ΣX (%v, %v) != flat (%v, %v)", 1<<sb, sr, si, fr, fi)
+			full := fs.InnerProductSumX(ft)
+			if si != fi || fi != imag(full) {
+				t.Fatalf("shards=%d: Im ΣX sharded %v, flat %v, InnerProductSumX %v", 1<<sb, si, fi, imag(full))
 			}
-			return [2]float64{fr, fi}
+			return [2]float64{real(full), fi}
 		}, func(t *testing.T, baseline, got any, w int) {
 			if baseline.([2]float64) != got.([2]float64) {
 				t.Fatalf("ΣX differs at GOMAXPROCS=%d: %v != %v", w, got, baseline)

@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# Bounds-check gate for the mixer and ΣX kernels. The inner loops of
+# rxQuad, rxQuadLow, rxDuo and the ΣX partial (sumXPartial, sumXRunIm,
+# sumXRunRe) iterate equal-length sub-slices so the compiler can drop
+# every per-element index check; a refactor that brings one back costs
+# 10–20 % of a sweep without failing any test. This asks the compiler
+# (ssa/check_bce) which checks survive in internal/quantum and fails if
+# an IsInBounds falls inside one of those functions. IsSliceInBounds —
+# the once-per-run re-slicing in front of each loop — is expected.
+# CI runs this; locally: scripts/check_bce.sh
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+funcs='rxQuad rxQuadLow rxDuo sumXPartial sumXRunIm sumXRunRe'
+
+# The compiler's diagnostics are cached and replayed with the build, so
+# a warm cache reports the same lines as a cold one.
+report="$(go build -gcflags='-d=ssa/check_bce/debug=1' ./internal/quantum/ 2>&1 | grep 'Found IsInBounds' || true)"
+
+bad=0
+for fn in $funcs; do
+  loc="$(grep -n "^func $fn(" internal/quantum/*.go | grep -v _test.go || true)"
+  if [ "$(printf '%s\n' "$loc" | grep -c .)" != 1 ]; then
+    echo "check_bce: expected exactly one definition of $fn, found: ${loc:-none}" >&2
+    exit 1
+  fi
+  file="${loc%%:*}"
+  start="$(printf '%s' "$loc" | cut -d: -f2)"
+  # A top-level function ends at the first line that is exactly "}".
+  end="$(awk -v s="$start" 'NR > s && /^}$/ { print NR; exit }' "$file")"
+  hits="$(printf '%s\n' "$report" | awk -F: -v f="$file" -v s="$start" -v e="$end" '$1 == f && $2 >= s && $2 <= e')"
+  if [ -n "$hits" ]; then
+    echo "check_bce: bounds check inside $fn ($file:$start-$end):" >&2
+    printf '%s\n' "$hits" >&2
+    bad=1
+  fi
+done
+
+if [ "$bad" != 0 ]; then
+  exit 1
+fi
+echo "check_bce: no IsInBounds in $funcs"
