@@ -559,6 +559,7 @@ func BenchmarkGradientAdjoint(b *testing.B) {
 // BenchmarkLBFGSBGradientPath runs L-BFGS-B to convergence on the same
 // depth-5 instance from the same start with finite-difference vs
 // adjoint gradients — the end-to-end speedup the adjoint engine buys.
+// The adjoint run also reports forward passes per run next to NFev.
 func BenchmarkLBFGSBGradientPath(b *testing.B) {
 	pb := benchProblem(b)
 	bounds := core.ParamBounds(5)
@@ -584,6 +585,10 @@ func BenchmarkLBFGSBGradientPath(b *testing.B) {
 				b.Fatal("no gradient evaluations")
 			}
 		}
+		// NFev per run when every gradient reused the line search's
+		// state, NFev + NGev when none did.
+		b.ReportMetric(float64(ev.ForwardPasses())/float64(b.N), "fwdpasses/run")
+		b.ReportMetric(float64(ev.NFev())/float64(b.N), "nfev/run")
 	})
 }
 

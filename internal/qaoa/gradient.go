@@ -25,20 +25,34 @@ import (
 //	        = −2 Im⟨M_s†λ_s|H_γ|P_s φ_{s−1}⟩.
 //
 // One forward pass prepares |ψ⟩ (and the value ⟨C⟩); the reverse sweep
-// seeds λ = C|ψ⟩ and walks s = p..1, taking the two inner products and
-// un-applying each layer from both states with the inverse of the same
-// fused kernels the forward pass uses (RXAll(−2β), conjugated phase
-// factors). Every partial is exact — all 2p of them for roughly the
-// cost of three evaluations, independent of p, where central finite
-// differences spend 4p evaluations. See DESIGN.md, "Adjoint
+// seeds λ = C|ψ⟩ and walks s = p..1. A reverse stage is two passes over
+// both states: one two-state mixer sweep (quantum.ReverseMixer) that
+// un-applies RX(−2β_s) with the forward pass's own butterflies and
+// reads Im⟨λ|G_X|φ⟩ off the quadruples it has loaded — every X_q
+// commutes with every RX, so a pair's terms may be taken when that
+// pair's butterfly runs, as long as φ and λ are un-applied in lockstep
+// — and one un-phase pass that takes Im⟨λ|H_γ|φ⟩ and multiplies both
+// states by the conjugated phase factors. Every partial is exact, all
+// 2p of them for about three forward passes' time independent of p
+// (benchmark ladder, qaoa.valuegrad_over_expect: 3.8 → 3.2 at n = 8,
+// 4.3 → 3.3 at n = 20 when ΣX moved into the sweep), where central
+// finite differences spend 4p evaluations.
+//
+// State reuse: ValueGrad(x) directly after an evaluation at x on the
+// same workspace skips the forward pass — L-BFGS-B and SLSQP always
+// ask for the gradient at the point their line search just accepted,
+// so in an optimizer run every gradient is a reverse sweep only.
+// Nothing else is ever skipped: Expectation, ExpectationVec and
+// BestSampled always simulate the circuit. See DESIGN.md, "Adjoint
 // differentiation".
 
 // ValueGrad evaluates ⟨C⟩ at the flat parameter vector
 // [γ1..γp, β1..βp] and fills grad (same layout, same length) with the
 // exact partial derivatives ∂⟨C⟩/∂γ_s, ∂⟨C⟩/∂β_s. The returned value
 // is bit-identical to ExpectationVec(x): the forward pass is the same
-// code path. Warm calls perform no heap allocation; the adjoint state
-// buffer is allocated once on first use.
+// code path, and is skipped when the workspace's last evaluation was at
+// this very x (the state is still there). Warm calls perform no heap
+// allocation; the adjoint state buffer is allocated once on first use.
 func (w *EvalWorkspace) ValueGrad(x, grad []float64) float64 {
 	if len(x)%2 != 0 {
 		panic(fmt.Sprintf("qaoa: parameter vector of odd length %d", len(x)))
@@ -54,108 +68,82 @@ func (w *EvalWorkspace) ValueGrad(x, grad []float64) float64 {
 // and cost are those of ValueGrad.
 func (w *EvalWorkspace) Gradient(x, grad []float64) { w.ValueGrad(x, grad) }
 
-// valueGrad runs the forward pass and the adjoint reverse sweep. All
-// kernel-dependent steps (phase layers, observable application, matrix
-// elements) go through the costKernel interface, so the same sweep
-// drives the materialized small-n path and the streaming large-n path.
+// valueGrad runs the forward pass — unless the state buffer still holds
+// |ψ(γ,β)⟩ — and the adjoint reverse sweep. All kernel-dependent steps
+// (phase layers, observable application, matrix elements) go through
+// the costKernel interface and all layout-dependent ones through the
+// workspace's reduce and chunk bodies, so one sweep drives the
+// materialized and streaming kernels on the flat and sharded layouts;
+// partial merge order and per-chunk arithmetic are the same on both
+// layouts, so value and gradient are bit-identical across them.
 func (w *EvalWorkspace) valueGrad(gamma, beta, dGamma, dBeta []float64) float64 {
-	if w.ss != nil {
-		return w.valueGradSharded(gamma, beta, dGamma, dBeta)
+	if w.rev == nil {
+		w.initAdjoint()
 	}
-	k := w.k
-	if w.adj == nil {
-		// One-time adjoint buffers and dispatch closures; every later
-		// call reuses them, so warm sweeps allocate nothing. The seed
-		// pass overwrites every adjoint chunk, so the buffer's initial
-		// content is irrelevant (arena-pooled buffers arrive dirty).
-		w.adj = w.arena.adjointState(w.state)
-		w.adjRunner = quantum.NewLayerRunner(w.adj)
-		w.seedBody = func(lo, hi int) (float64, float64) {
-			return k.seedChunkValue(w.adj, w.state, 0, lo, hi), 0
-		}
-		w.sumXBody = func(lo, hi int) (float64, float64) {
-			return quantum.SumXImRange(w.adj, w.state, lo, hi), 0
-		}
-		w.unphaseBody = func(lo, hi int) (float64, float64) {
-			return k.unphaseInnerChunk(w.adj, w.state, w.factors, w.gamma, 0, lo, hi), 0
-		}
+	if !w.holds(gamma, beta) {
+		w.runLayers(gamma, beta)
 	}
-	dim := w.state.Dim()
-
-	// Forward pass: |ψ⟩, exactly as expectation().
-	w.runLayers(gamma, beta)
 
 	// Seed the adjoint and read the value in one fused pass: λ = C|ψ⟩,
 	// val = ⟨C⟩. The per-chunk sums and their merge order match
 	// expectation()'s exactly, so the value stays bit-identical.
-	val, _ := quantum.ReduceChunks(dim, w.seedBody)
+	val, _ := w.reduce(w.seedBody)
 
 	// Reverse sweep: invariantly, entering iteration s the buffers hold
 	// φ = (stages 1..s+1 applied) and λ = (stages s+2..p un-applied from
 	// C|ψ⟩), i.e. exactly φ_{s+1} and λ_{s+1} in the derivation above.
+	// From here on the state buffer no longer holds |ψ⟩.
+	w.heldOK = false
 	for s := len(gamma) - 1; s >= 0; s-- {
-		im, _ := quantum.ReduceChunks(dim, w.sumXBody)
-		dBeta[s] = 2 * im
-
-		// Un-apply the mixer from both states: M† = RXAll(−2β), through
-		// the fused layer sweep (no phase, no fill).
-		w.runner.Layer(-2*beta[s], false, nil)
-		w.adjRunner.Layer(-2*beta[s], false, nil)
+		// M† = RXAll(−2β) un-applied from both states, Im⟨λ|G_X|φ⟩ read
+		// on the way.
+		dBeta[s] = 2 * w.rev.Sweep(-2*beta[s])
 
 		// One pass per chunk takes Im⟨λ|H_γ|φ⟩ and un-applies the phase
 		// separator from both states (conjugated factors).
 		w.k.prepareFactors(w.factors, gamma[s], true)
 		w.gamma = gamma[s]
-		gim, _ := quantum.ReduceChunks(dim, w.unphaseBody)
+		gim, _ := w.reduce(w.unphaseBody)
 		dGamma[s] = -2 * gim
 	}
 	return val
 }
 
-// valueGradSharded is the reverse sweep over the sharded state layout:
-// the same stage structure as the flat sweep, with reductions and
-// un-apply passes driven by the ShardedState's per-shard workers over
-// the same global chunk geometry. Sharded chunk bodies receive global
-// bounds and map them onto the owning shard; the partial merge order
-// and per-chunk arithmetic are unchanged, so value and gradient are
-// bit-identical to the flat sweep.
-func (w *EvalWorkspace) valueGradSharded(gamma, beta, dGamma, dBeta []float64) float64 {
+// initAdjoint builds the one-time adjoint buffers and dispatch closures;
+// every later call reuses them, so warm sweeps allocate nothing. The
+// seed pass overwrites every adjoint chunk, so the buffer's initial
+// content is irrelevant (arena-pooled buffers arrive dirty). Sharded
+// chunk bodies receive global bounds and map them onto the owning
+// shard.
+func (w *EvalWorkspace) initAdjoint() {
 	k := w.k
-	if w.adjSS == nil {
-		// The seed pass overwrites every adjoint chunk, so a fresh
-		// (zeroed) shard set — or a dirty arena-pooled one — is a valid
-		// starting point.
-		w.adjSS = w.arena.getSharded(w.ss.NumQubits(), bits.Len(uint(w.ss.NumShards()-1)))
-		sdim := w.ss.ShardDim()
-		w.seedShard = func(lo, hi int) (float64, float64) {
-			off := lo &^ (sdim - 1)
-			si := lo >> w.sbits
-			return k.seedChunkValue(w.adjSS.Shard(si), w.ss.Shard(si), off, lo-off, hi-off), 0
+	if w.ss == nil {
+		dim := w.state.Dim()
+		w.adj = w.arena.adjointState(w.state)
+		w.rev = quantum.NewReverseMixer(w.state, w.adj)
+		w.reduce = func(body func(lo, hi int) (float64, float64)) (float64, float64) {
+			return quantum.ReduceChunks(dim, body)
 		}
-		w.sumXShard = func(lo, hi int) (float64, float64) {
-			return quantum.ShardedSumXImRange(w.adjSS, w.ss, lo, hi), 0
+		w.seedBody = func(lo, hi int) (float64, float64) {
+			return k.seedChunkValue(w.adj, w.state, 0, lo, hi), 0
 		}
-		w.unphaseShard = func(lo, hi int) (float64, float64) {
-			off := lo &^ (sdim - 1)
-			si := lo >> w.sbits
-			return k.unphaseInnerChunk(w.adjSS.Shard(si), w.ss.Shard(si), w.factors, w.gamma, off, lo-off, hi-off), 0
+		w.unphaseBody = func(lo, hi int) (float64, float64) {
+			return k.unphaseInnerChunk(w.adj, w.state, w.factors, w.gamma, 0, lo, hi), 0
 		}
+		return
 	}
-
-	w.runLayersSharded(gamma, beta)
-	val, _ := w.ss.Reduce(w.seedShard)
-
-	for s := len(gamma) - 1; s >= 0; s-- {
-		im, _ := w.ss.Reduce(w.sumXShard)
-		dBeta[s] = 2 * im
-
-		w.ss.Layer(-2*beta[s], false, nil)
-		w.adjSS.Layer(-2*beta[s], false, nil)
-
-		w.k.prepareFactors(w.factors, gamma[s], true)
-		w.gamma = gamma[s]
-		gim, _ := w.ss.Reduce(w.unphaseShard)
-		dGamma[s] = -2 * gim
+	w.adjSS = w.arena.getSharded(w.ss.NumQubits(), bits.Len(uint(w.ss.NumShards()-1)))
+	w.rev = quantum.NewShardedReverseMixer(w.ss, w.adjSS)
+	w.reduce = w.ss.Reduce
+	sdim := w.ss.ShardDim()
+	w.seedBody = func(lo, hi int) (float64, float64) {
+		off := lo &^ (sdim - 1)
+		si := lo >> w.sbits
+		return k.seedChunkValue(w.adjSS.Shard(si), w.ss.Shard(si), off, lo-off, hi-off), 0
 	}
-	return val
+	w.unphaseBody = func(lo, hi int) (float64, float64) {
+		off := lo &^ (sdim - 1)
+		si := lo >> w.sbits
+		return k.unphaseInnerChunk(w.adjSS.Shard(si), w.ss.Shard(si), w.factors, w.gamma, off, lo-off, hi-off), 0
+	}
 }

@@ -2,6 +2,7 @@ package qaoa
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -14,11 +15,16 @@ import (
 // The adjoint reverse sweep used to make two passes per stage over both
 // states — take ⟨λ|H_γ|φ⟩ (full complex, real half discarded), then
 // un-apply the phase separator — and read ΣX's matrix element in
-// complex form. It now makes one fused pass and reads imaginary parts
-// only. This file keeps the two-pass stage as a test-only reference,
-// built from what the fused sweep does not use (the complex public
-// reductions, a separately generated h(z), one applyPhaseRange per
-// state), and pins ValueGrad to it bit for bit on every kernel.
+// complex form, qubit by qubit, before un-applying the mixer from each
+// state. It now makes one fused un-phase pass reading imaginary parts
+// only, and reads ΣX inside a two-state mixer sweep. This file keeps
+// the old stage as a test-only reference, built from what the fused
+// sweep does not use (the complex public reductions, a separately
+// generated h(z), one applyPhaseRange and one Layer per state). The
+// value and every ∂E/∂γ are pinned to it bit for bit on every kernel;
+// ∂E/∂β, whose summation order the two-state sweep defines anew, to
+// rounding — and to itself, bit for bit, across worker counts and
+// layouts.
 
 // refGen returns the phase generator h(z) over the global range
 // [lo, hi) the way the pre-change genInnerChunk bodies produced it.
@@ -54,7 +60,7 @@ func refGen(k costKernel, lo, hi int) []float64 {
 	return gen
 }
 
-// refValueGradTwoPass is the pre-change flat reverse sweep.
+// refValueGradTwoPass is the two-pass flat reverse sweep.
 func refValueGradTwoPass(w *EvalWorkspace, x, grad []float64) float64 {
 	p := len(x) / 2
 	gamma, beta, dGamma, dBeta := x[:p], x[p:], grad[:p], grad[p:]
@@ -124,29 +130,43 @@ func TestValueGradMatchesTwoPassReference(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	for _, c := range cases {
+		shardBits := min(2, max(0, c.k.qubits()-13))
 		for _, p := range []int{1, 3} {
 			x := testParams(p).Vector()
-			for _, procs := range []int{1, 2, 8} {
-				runtime.GOMAXPROCS(procs)
-				label := fmt.Sprintf("%s p=%d GOMAXPROCS=%d", c.name, p, procs)
-
-				ws := newFlatWorkspace(c.k, nil)
+			want := make([]float64, len(x))
+			refVal := refValueGradTwoPass(newFlatWorkspace(c.k, nil), x, want)
+			var first []float64
+			check := func(label string, ws *EvalWorkspace) {
 				got := make([]float64, len(x))
 				val := ws.ValueGrad(x, got)
 				if ev := ws.ExpectationVec(x); val != ev {
 					t.Errorf("%s: ValueGrad value %v != ExpectationVec %v", label, val, ev)
 				}
-
-				want := make([]float64, len(x))
-				refVal := refValueGradTwoPass(newFlatWorkspace(c.k, nil), x, want)
 				if val != refVal {
 					t.Errorf("%s: value %v != two-pass reference %v", label, val, refVal)
 				}
 				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("%s: grad[%d] = %v, two-pass reference %v", label, i, got[i], want[i])
+					if i < p && got[i] != want[i] {
+						t.Errorf("%s: ∂E/∂γ[%d] = %v, two-pass reference %v", label, i, got[i], want[i])
+					}
+					if d := math.Abs(got[i] - want[i]); d > 1e-12*(1+math.Abs(want[i])) {
+						t.Errorf("%s: grad[%d] = %v, two-pass reference %v (|Δ| = %g)", label, i, got[i], want[i], d)
+					}
+					if first != nil && got[i] != first[i] {
+						t.Errorf("%s: grad[%d] = %v differs from the first run's %v", label, i, got[i], first[i])
 					}
 				}
+				if first == nil {
+					first = got
+				}
+			}
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				label := fmt.Sprintf("%s p=%d GOMAXPROCS=%d", c.name, p, procs)
+				check(label+" flat", newFlatWorkspace(c.k, nil))
+				sw := newShardedWorkspace(c.k, shardBits, nil)
+				check(fmt.Sprintf("%s shards=%d", label, 1<<shardBits), sw)
+				sw.Close()
 			}
 		}
 	}

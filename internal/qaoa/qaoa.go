@@ -358,6 +358,12 @@ func (e *Evaluator) NegValueGrad(x, grad []float64) float64 {
 	return -v
 }
 
+// ForwardPasses returns how many times the evaluator's workspace has
+// simulated the circuit. NegExpectation always does; a gradient does
+// only when the workspace's last evaluation was not at its x, so an
+// L-BFGS-B or SLSQP run reads NFev here, not NFev + NGev.
+func (e *Evaluator) ForwardPasses() int { return e.ws.forwardPasses }
+
 // NFev returns the number of QC calls so far.
 func (e *Evaluator) NFev() int { return e.nfev }
 

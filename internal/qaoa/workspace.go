@@ -271,13 +271,24 @@ type EvalWorkspace struct {
 	phaseState func(lo, hi int)
 	expectBody func(lo, hi int) (a, b float64)
 
+	// held is the [γ…,β…] whose |ψ⟩ the last forward pass left in
+	// state/ss, valid while heldOK: runLayers records it, the reverse
+	// sweep (which consumes the state) and Release clear it, and nothing
+	// else writes the buffer. ValueGrad alone reads it, to skip a
+	// forward pass that would rebuild what is already there.
+	held          []float64
+	heldOK        bool
+	forwardPasses int // runLayers calls, for tests and benchmarks
+
 	// Adjoint-sweep buffers and closures (gradient.go), allocated on
 	// first ValueGrad call so plain expectation streams never pay for
-	// them. Warm gradient calls are allocation-free.
+	// them. Warm gradient calls are allocation-free. The chunk bodies
+	// and reduce are the layout's own (flat or sharded); the sweep that
+	// drives them is shared.
 	adj         *quantum.State
-	adjRunner   *quantum.LayerRunner
+	rev         *quantum.ReverseMixer
+	reduce      func(body func(lo, hi int) (a, b float64)) (a, b float64)
 	seedBody    func(lo, hi int) (a, b float64)
-	sumXBody    func(lo, hi int) (a, b float64)
 	unphaseBody func(lo, hi int) (a, b float64)
 
 	// Sharded-path state and closures (nil/unset on the flat path).
@@ -285,11 +296,8 @@ type EvalWorkspace struct {
 	adjSS *quantum.ShardedState
 	sbits uint // log2(shard dim), for global→shard index mapping
 
-	phaseShard   func(off, lo, hi int)
-	expectShard  func(lo, hi int) (a, b float64)
-	seedShard    func(lo, hi int) (a, b float64)
-	sumXShard    func(lo, hi int) (a, b float64)
-	unphaseShard func(lo, hi int) (a, b float64)
+	phaseShard  func(off, lo, hi int)
+	expectShard func(lo, hi int) (a, b float64)
 
 	// arena, when non-nil, supplied the state buffers (and supplies the
 	// lazy adjoint buffer); Release returns them there for the next
@@ -412,11 +420,11 @@ func (w *EvalWorkspace) Release() {
 		a.putSharded(w.adjSS)
 		w.adjSS = nil
 	}
-	w.runner, w.adjRunner = nil, nil
+	w.heldOK = false
+	w.runner, w.rev = nil, nil
 	w.phaseState, w.expectBody = nil, nil
-	w.seedBody, w.sumXBody, w.unphaseBody = nil, nil, nil
+	w.reduce, w.seedBody, w.unphaseBody = nil, nil, nil
 	w.phaseShard, w.expectShard = nil, nil
-	w.seedShard, w.sumXShard, w.unphaseShard = nil, nil, nil
 }
 
 // argmax returns the index of the most probable basis state of the
@@ -451,21 +459,23 @@ func (w *EvalWorkspace) Shards() int {
 
 // runLayers prepares |ψ(γ,β)⟩ in the workspace state: per stage, one
 // fused layer sweep applies the uniform fill (first stage), the phase
-// separator and the RX(2β) mixer.
+// separator and the RX(2β) mixer. It records (γ,β) as the state held.
 func (w *EvalWorkspace) runLayers(gamma, beta []float64) {
-	if w.ss != nil {
+	w.forwardPasses++
+	switch {
+	case w.ss != nil:
 		w.runLayersSharded(gamma, beta)
-		return
-	}
-	if len(gamma) == 0 {
+	case len(gamma) == 0:
 		w.state.FillUniform()
-		return
+	default:
+		for s := range gamma {
+			w.k.prepareFactors(w.factors, gamma[s], false)
+			w.gamma = gamma[s]
+			w.runner.Layer(2*beta[s], s == 0, w.phaseState)
+		}
 	}
-	for s := range gamma {
-		w.k.prepareFactors(w.factors, gamma[s], false)
-		w.gamma = gamma[s]
-		w.runner.Layer(2*beta[s], s == 0, w.phaseState)
-	}
+	w.held = append(append(w.held[:0], gamma...), beta...)
+	w.heldOK = true
 }
 
 func (w *EvalWorkspace) runLayersSharded(gamma, beta []float64) {
@@ -478,6 +488,21 @@ func (w *EvalWorkspace) runLayersSharded(gamma, beta []float64) {
 		w.gamma = gamma[s]
 		w.ss.Layer(2*beta[s], s == 0, w.phaseShard)
 	}
+}
+
+// holds reports whether the state buffer still holds |ψ(γ,β)⟩ from the
+// last forward pass: the same 2p floats by ==, so a NaN never matches.
+func (w *EvalWorkspace) holds(gamma, beta []float64) bool {
+	p := len(gamma)
+	if !w.heldOK || len(w.held) != 2*p {
+		return false
+	}
+	for s := range gamma {
+		if w.held[s] != gamma[s] || w.held[p+s] != beta[s] {
+			return false
+		}
+	}
+	return true
 }
 
 // prepareState builds a fresh |ψ(γ,β)⟩ with the fused layer kernels.

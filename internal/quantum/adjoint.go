@@ -188,7 +188,9 @@ func (s *State) InnerImMulPhaseGenRange(t *State, lo int, gen []float64, scale f
 // InnerProductSumX returns ⟨s| Σ_q X_q |t⟩, the matrix element of the
 // transverse-field mixer generator: Σ_q Σ_z conj(s_z)·t_{z⊕2^q}. No
 // allocation on the serial path. It panics if the register widths
-// differ.
+// differ. The adjoint gradient reads its imaginary part inside the
+// two-state mixer sweep instead (reverse.go); this qubit-by-qubit,
+// full-complex walk shares no code with that and is its oracle.
 //
 // Chunking: every ⟨z|X_q|z⊕2^q⟩ pair is accumulated (both orders) at
 // its representative index (the one with bit q clear), in the chunk
@@ -203,34 +205,21 @@ func (s *State) InnerProductSumX(t *State) complex128 {
 		panic("quantum: qubit count mismatch in InnerProductSumX")
 	}
 	if reduceChunkCount(len(s.amps)) == 1 {
-		re, im := sumXPartial(s.amps, t.amps, 0, len(s.amps), s.n, true)
+		re, im := sumXPartial(s.amps, t.amps, 0, len(s.amps), s.n)
 		return complex(re, im)
 	}
 	re, im := ReduceChunks(len(s.amps), func(lo, hi int) (float64, float64) {
-		return sumXPartial(s.amps, t.amps, lo, hi, s.n, true)
+		return sumXPartial(s.amps, t.amps, lo, hi, s.n)
 	})
 	return complex(re, im)
-}
-
-// SumXImRange returns one chunk's contribution to Im⟨s|Σ_q X_q|t⟩ — the
-// streamed form of InnerProductSumX for callers that drive the chunk
-// loop themselves (fused gradient sweeps), restricted to the imaginary
-// part ∂E/∂β reads. lo must be chunk-aligned; see sumXPartial.
-func SumXImRange(s, t *State, lo, hi int) float64 {
-	if s.n != t.n {
-		panic("quantum: qubit count mismatch in SumXImRange")
-	}
-	_, im := sumXPartial(s.amps, t.amps, lo, hi, s.n, false)
-	return im
 }
 
 // sumXPartial accumulates the Σ_q X_q matrix-element terms whose
 // representative index lies in [lo, hi), qubit by qubit in ascending
 // order. lo is chunk-aligned (a multiple of hi−lo when the range is one
 // chunk of a larger array), so the base-stride walk stays aligned for
-// every bit below the span. The real part is accumulated only when
-// wantRe is set; the gradient reads the imaginary part alone.
-func sumXPartial(sa, ta []complex128, lo, hi, n int, wantRe bool) (re, im float64) {
+// every bit below the span.
+func sumXPartial(sa, ta []complex128, lo, hi, n int) (re, im float64) {
 	span := hi - lo
 	for q := 0; q < n; q++ {
 		bit := 1 << uint(q)
@@ -244,56 +233,24 @@ func sumXPartial(sa, ta []complex128, lo, hi, n int, wantRe bool) (re, im float6
 		if run == span && lo&bit != 0 {
 			continue
 		}
-		if bit == 1 && span > 1 {
-			// Qubit 0 pairs neighbours: one contiguous walk instead of
-			// length-1 runs.
-			for s, t := sa[lo:hi], ta[lo:hi]; len(s) >= 2 && len(t) >= 2; s, t = s[2:], t[2:] {
-				im += sumXIm(s[0], t[1], s[1], t[0])
-				if wantRe {
-					re += sumXRe(s[0], t[1], s[1], t[0])
-				}
-			}
-			continue
-		}
 		for base := lo; base < hi; base += run << 1 {
-			s0, s1 := sa[base:base+run], sa[base+bit:base+bit+run]
-			t0, t1 := ta[base:base+run], ta[base+bit:base+bit+run]
-			im = sumXRunIm(im, s0, s1, t0, t1)
-			if wantRe {
-				re = sumXRunRe(re, s0, s1, t0, t1)
-			}
+			re, im = sumXRun(re, im, sa[base:base+run], sa[base+bit:base+bit+run], ta[base:base+run], ta[base+bit:base+bit+run])
 		}
 	}
 	return re, im
 }
 
-// sumXIm and sumXRe are the imaginary and real parts of one
-// ⟨z|X_q|z⊕bit⟩ term pair conj(a)·b + conj(c)·d: a, c are one state's
-// amplitudes at z and z⊕bit, b, d the other's at z⊕bit and z.
-func sumXIm(a, b, c, d complex128) float64 {
-	return real(a)*imag(b) - imag(a)*real(b) + real(c)*imag(d) - imag(c)*real(d)
-}
-
-func sumXRe(a, b, c, d complex128) float64 {
-	return real(a)*real(b) + imag(a)*imag(b) + real(c)*real(d) + imag(c)*imag(d)
-}
-
-// sumXRunIm adds the imaginary parts of one run of ⟨z|X_q|z⊕bit⟩ terms,
-// both orders, onto im: s0/t0 are the two states' amplitudes with bit q
-// clear, s1/t1 their partners with it set — four equal-length slices.
-func sumXRunIm(im float64, s0, s1, t0, t1 []complex128) float64 {
+// sumXRun adds one run of ⟨z|X_q|z⊕bit⟩ terms, both orders, onto
+// (re, im): s0/t0 are the two states' amplitudes with bit q clear,
+// s1/t1 their partners with it set — four equal-length slices. Each
+// term pair is conj(a)·b + conj(c)·d with a, c one state's amplitudes
+// at z and z⊕bit and b, d the other's at z⊕bit and z.
+func sumXRun(re, im float64, s0, s1, t0, t1 []complex128) (float64, float64) {
 	s1, t0, t1 = s1[:len(s0)], t0[:len(s0)], t1[:len(s0)]
 	for k, a := range s0 {
-		im += sumXIm(a, t1[k], s1[k], t0[k])
+		b, c, d := t1[k], s1[k], t0[k]
+		re += real(a)*real(b) + imag(a)*imag(b) + real(c)*real(d) + imag(c)*imag(d)
+		im += real(a)*imag(b) - imag(a)*real(b) + real(c)*imag(d) - imag(c)*real(d)
 	}
-	return im
-}
-
-// sumXRunRe is sumXRunIm for the real parts.
-func sumXRunRe(re float64, s0, s1, t0, t1 []complex128) float64 {
-	s1, t0, t1 = s1[:len(s0)], t0[:len(s0)], t1[:len(s0)]
-	for k, a := range s0 {
-		re += sumXRe(a, t1[k], s1[k], t0[k])
-	}
-	return re
+	return re, im
 }

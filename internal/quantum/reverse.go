@@ -1,0 +1,275 @@
+package quantum
+
+import (
+	"fmt"
+	"math/bits"
+)
+
+// Two-state reverse mixer sweep.
+//
+// An adjoint reverse stage needs two things from the mixer: the matrix
+// element Im⟨λ|Σ_q X_q|φ⟩ (∂E/∂β is twice it) and RX(−2β) un-applied
+// from both states. Every X_q commutes with every RX, so the terms of
+// qubits q and q+1 may be read at any point of the un-apply, provided φ
+// and λ have had the same butterflies applied — and the cheapest point
+// is the moment that pair's butterfly loads the quadruple anyway. There
+// the two terms collapse onto sums rxQuad forms itself: with t = a01+a10
+// and u = a00+a11 of each state,
+//
+//	⟨λ|X_q+X_{q+1}|φ⟩ over one quadruple = conj(u_λ)·t_φ + conj(t_λ)·u_φ,
+//
+// eight multiplications next to the 88 flops of the two butterflies.
+// The sweep therefore walks both states once, pair pass by pair pass in
+// LayerRunner.Layer's order, and per L1-sized sub-run takes the ΣX terms
+// and then calls rxQuad/rxDuo on φ and on λ — the very kernels the
+// forward sweep runs, so both states come out bit-identical to two
+// Layer(theta, false, nil) calls. (A single loop body carrying all 16
+// amplitudes of a quadruple pair spills registers and runs 1.5× slower
+// per state than rxQuad.)
+//
+// Summation order. The returned value is defined once, for every layout
+// and worker count, as nested left-to-right folds from zero:
+//
+//	quadruples of a sub-run (≤ revSubQuads, ascending)
+//	→ sub-runs of a run → runs of a pair → pairs of a block (the low
+//	  pass un-applies every in-chunk pair of chunk c, and a single-chunk
+//	  register's odd final qubit, into block c)
+//	→ blocks of a pass: every pass has dim/ChunkLen(dim) blocks, block c
+//	  being chunk c's representatives — ChunkLen/4 quadruples, or
+//	  ChunkLen/2 pairs for the odd final qubit
+//	→ passes: low, cross-chunk pairs ascending, odd final qubit.
+//
+// Blocks are a function of the dimension alone and run through the
+// fixed-geometry reductions (ReduceChunks, ShardedState.Reduce), never
+// through runRange's serial shortcut, so flat ≡ sharded ≡ any
+// GOMAXPROCS, bit for bit.
+
+// revSubQuads is the sub-run length: 128 quadruples are 8 KiB per
+// state, so the ΣX read and the two butterflies that follow it find
+// both states' sub-runs in L1.
+const revSubQuads = 128
+
+// ampSpans is the view of a register the sweep works through: span
+// returns amplitudes [i, i+n) of the global basis-state range. n is at
+// most the fixed chunk length and divides i, so a span never straddles
+// a shard.
+type ampSpans interface {
+	span(i, n int) []complex128
+}
+
+func (s *State) span(i, n int) []complex128 { return s.amps[i : i+n] }
+
+func (ss *ShardedState) span(i, n int) []complex128 {
+	l := i & (ss.sdim - 1)
+	return ss.shards[i>>uint(ss.sbits)].amps[l : l+n]
+}
+
+// ReverseMixer un-applies the RX mixer from a ket |φ⟩ and an adjoint λ
+// in lockstep and reads Im⟨λ|ΣX|φ⟩ off on the way (see the file
+// comment). It holds the reduction closures the worker dispatch needs,
+// so warm Sweep calls allocate nothing. A ReverseMixer is bound to its
+// two states and is not safe for concurrent use.
+type ReverseMixer struct {
+	phi, lam     ampSpans
+	n, dim, clen int // register width, 2^n, fixed chunk length (≤ dim)
+
+	// Per-Sweep parameters, written before dispatch, read-only during.
+	rx rxCoef
+	q  int // low qubit of the current cross-chunk pair
+
+	reduce                     func(body func(lo, hi int) (a, b float64)) (a, b float64)
+	lowBody, pairBody, oneBody func(lo, hi int) (a, b float64)
+}
+
+// NewReverseMixer returns a sweep over two flat states of equal width.
+func NewReverseMixer(phi, lam *State) *ReverseMixer {
+	if phi.n != lam.n {
+		panic(fmt.Sprintf("quantum: ReverseMixer width mismatch %d != %d", phi.n, lam.n))
+	}
+	dim := len(phi.amps)
+	return newReverseMixer(phi, lam, phi.n, func(body func(lo, hi int) (a, b float64)) (a, b float64) {
+		return ReduceChunks(dim, body)
+	})
+}
+
+// NewShardedReverseMixer returns a sweep over two sharded states of
+// equal geometry. Blocks run on phi's shard workers, each on the
+// worker owning the block's chunk.
+func NewShardedReverseMixer(phi, lam *ShardedState) *ReverseMixer {
+	if phi.n != lam.n || phi.sbits != lam.sbits {
+		panic("quantum: geometry mismatch in NewShardedReverseMixer")
+	}
+	return newReverseMixer(phi, lam, phi.n, phi.Reduce)
+}
+
+func newReverseMixer(phi, lam ampSpans, n int, reduce func(func(lo, hi int) (a, b float64)) (a, b float64)) *ReverseMixer {
+	dim := 1 << uint(n)
+	m := &ReverseMixer{phi: phi, lam: lam, n: n, dim: dim, clen: min(ChunkLen(dim), dim), reduce: reduce}
+	m.lowBody, m.pairBody, m.oneBody = m.low, m.pair, m.one
+	return m
+}
+
+// Sweep applies RX(theta) to every qubit of both states — amplitudes
+// bit-identical to LayerRunner.Layer(theta, false, nil) on each — and
+// returns Im⟨λ|Σ_q X_q|φ⟩ in the file comment's summation order. The
+// value does not depend on theta: it is the matrix element between the
+// states as they were on entry (and, ΣX commuting with the mixer, as
+// they are on return).
+func (m *ReverseMixer) Sweep(theta float64) float64 {
+	m.rx = newRXCoef(theta)
+	im, _ := m.reduce(m.lowBody)
+
+	// Cross-chunk pairs in ascending qubit order, then the odd final
+	// qubit: LayerRunner.Layer's pass sequence.
+	cb := bits.TrailingZeros(uint(m.clen))
+	q := cb - 1
+	if q%2 != 0 {
+		q = cb
+	}
+	for ; q+1 < m.n; q += 2 {
+		m.q = q
+		p, _ := m.reduce(m.pairBody)
+		im += p
+	}
+	if m.n%2 == 1 && m.dim > m.clen {
+		p, _ := m.reduce(m.oneBody)
+		im += p
+	}
+	return im
+}
+
+// low is one block of the low pass: chunk [lo, hi) of both states has
+// every in-chunk pair un-applied, and — when the chunk spans the whole
+// register — the odd final qubit, exactly as LayerRunner.runLow.
+func (m *ReverseMixer) low(lo, hi int) (im, _ float64) {
+	span := hi - lo
+	p, l := m.phi.span(lo, span), m.lam.span(lo, span)
+	q := 0
+	for ; q+1 < m.n && 1<<uint(q+1) < span; q += 2 {
+		im += revQuadChunk(p, l, q, m.rx)
+	}
+	if q == m.n-1 && 1<<uint(q) < span {
+		half := span >> 1
+		im += revDuo(p[:half], p[half:], l[:half], l[half:], m.rx)
+	}
+	return im, 0
+}
+
+// pair is one block of a cross-chunk pair pass: the quadruples of pair
+// (q, q+1) whose representatives are chunk [lo, hi)'s, [lo/4, hi/4).
+// 2^q is at least half a chunk, so the block is a single run: four
+// contiguous spans per state.
+func (m *ReverseMixer) pair(lo, hi int) (im, _ float64) {
+	bit0 := 1 << uint(m.q)
+	bit1 := bit0 << 1
+	mask := bit0 - 1
+	r, n := lo>>2, (hi-lo)>>2
+	i := ((r &^ mask) << 2) | (r & mask)
+	return revQuad(
+		m.phi.span(i, n), m.phi.span(i+bit0, n), m.phi.span(i+bit1, n), m.phi.span(i+bit0+bit1, n),
+		m.lam.span(i, n), m.lam.span(i+bit0, n), m.lam.span(i+bit1, n), m.lam.span(i+bit0+bit1, n),
+		m.rx), 0
+}
+
+// one is one block of the odd final qubit's pass on a multi-chunk
+// register: pairs [lo/2, hi/2), equal offsets of the two halves.
+func (m *ReverseMixer) one(lo, hi int) (im, _ float64) {
+	i, n, half := lo>>1, (hi-lo)>>1, m.dim>>1
+	return revDuo(m.phi.span(i, n), m.phi.span(half+i, n), m.lam.span(i, n), m.lam.span(half+i, n), m.rx), 0
+}
+
+// revQuadChunk un-applies the in-chunk pair (q, q+1) from one chunk of
+// both states — rxQuadRange's walk over all of the chunk's
+// representatives, runs of 2^q quadruples — and returns the pair's ΣX
+// terms, run by run.
+func revQuadChunk(p, l []complex128, q int, k rxCoef) (im float64) {
+	if q == 0 {
+		return revQuadLow(p, l, k)
+	}
+	bit0 := 1 << uint(q)
+	bit1 := bit0 << 1
+	for i := 0; i < len(p); i += bit0 << 2 {
+		im += revQuad(
+			p[i:i+bit0], p[i+bit0:i+bit1], p[i+bit1:i+bit1+bit0], p[i+bit1+bit0:i+bit1<<1],
+			l[i:i+bit0], l[i+bit0:i+bit1], l[i+bit1:i+bit1+bit0], l[i+bit1+bit0:i+bit1<<1],
+			k)
+	}
+	return im
+}
+
+// revQuad un-applies one run of quadruples from both states, sub-run
+// by sub-run: the ΣX terms first, then rxQuad on φ's and on λ's four
+// slices. All eight slices are equal-length.
+func revQuad(p00, p01, p10, p11, l00, l01, l10, l11 []complex128, k rxCoef) (im float64) {
+	for o := 0; o < len(p00); o += revSubQuads {
+		e := min(o+revSubQuads, len(p00))
+		im += sumXQuad(p00[o:e], p01[o:e], p10[o:e], p11[o:e], l00[o:e], l01[o:e], l10[o:e], l11[o:e])
+		rxQuad(p00[o:e], p01[o:e], p10[o:e], p11[o:e], k.cc, k.cm, k.mm)
+		rxQuad(l00[o:e], l01[o:e], l10[o:e], l11[o:e], k.cc, k.cm, k.mm)
+	}
+	return im
+}
+
+// revQuadLow is revQuad for qubits 0 and 1, whose quadruples are the
+// consecutive 4-amplitude groups of p and l.
+func revQuadLow(p, l []complex128, k rxCoef) (im float64) {
+	for o := 0; o < len(p); o += 4 * revSubQuads {
+		e := min(o+4*revSubQuads, len(p))
+		im += sumXQuadLow(p[o:e], l[o:e])
+		rxQuadLow(p[o:e], k.cc, k.cm, k.mm)
+		rxQuadLow(l[o:e], k.cc, k.cm, k.mm)
+	}
+	return im
+}
+
+// revDuo is revQuad for the single-qubit butterfly of the odd final
+// qubit: p0/l0 hold the pairs' amplitudes with the bit clear, p1/l1
+// with it set.
+func revDuo(p0, p1, l0, l1 []complex128, k rxCoef) (im float64) {
+	for o := 0; o < len(p0); o += 2 * revSubQuads {
+		e := min(o+2*revSubQuads, len(p0))
+		im += sumXDuo(p0[o:e], p1[o:e], l0[o:e], l1[o:e])
+		rxDuo(p0[o:e], p1[o:e], k.c, k.s)
+		rxDuo(l0[o:e], l1[o:e], k.c, k.s)
+	}
+	return im
+}
+
+// imConjMul returns Im(conj(a)·b).
+func imConjMul(a, b complex128) float64 {
+	return real(a)*imag(b) - imag(a)*real(b)
+}
+
+// sumXQuad returns Σ_k Im(conj(u_λ)·t_φ + conj(t_λ)·u_φ) over the
+// quadruples (p00[k], p01[k], p10[k], p11[k]) of φ and their λ
+// counterparts: Im⟨λ|X_q+X_{q+1}|φ⟩ restricted to them.
+func sumXQuad(p00, p01, p10, p11, l00, l01, l10, l11 []complex128) (im float64) {
+	p01, p10, p11 = p01[:len(p00)], p10[:len(p00)], p11[:len(p00)]
+	l00, l01, l10, l11 = l00[:len(p00)], l01[:len(p00)], l10[:len(p00)], l11[:len(p00)]
+	for k, a00 := range p00 {
+		t, u := p01[k]+p10[k], a00+p11[k]
+		lt, lu := l01[k]+l10[k], l00[k]+l11[k]
+		im += imConjMul(lu, t) + imConjMul(lt, u)
+	}
+	return im
+}
+
+// sumXQuadLow is sumXQuad for consecutive 4-amplitude groups.
+func sumXQuadLow(p, l []complex128) (im float64) {
+	for ; len(p) >= 4 && len(l) >= 4; p, l = p[4:], l[4:] {
+		t, u := p[1]+p[2], p[0]+p[3]
+		lt, lu := l[1]+l[2], l[0]+l[3]
+		im += imConjMul(lu, t) + imConjMul(lt, u)
+	}
+	return im
+}
+
+// sumXDuo returns Σ_k Im(conj(l0[k])·p1[k] + conj(l1[k])·p0[k]):
+// Im⟨λ|X_q|φ⟩ over the pairs of one qubit.
+func sumXDuo(p0, p1, l0, l1 []complex128) (im float64) {
+	p1, l0, l1 = p1[:len(p0)], l0[:len(p0)], l1[:len(p0)]
+	for k, x := range p0 {
+		im += imConjMul(l0[k], p1[k]) + imConjMul(l1[k], x)
+	}
+	return im
+}

@@ -336,21 +336,3 @@ func BenchmarkRXQuad(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSumXIm times the Im-only ΣX matrix-element reduction the
-// adjoint gradient runs once per stage (all n qubits, every chunk).
-func BenchmarkSumXIm(b *testing.B) {
-	b.Run("n16", func(b *testing.B) {
-		s, t := randomParallelState(16, 8), randomParallelState(16, 9)
-		clen := ChunkLen(len(s.amps))
-		var sink float64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for lo := 0; lo < len(s.amps); lo += clen {
-				sink += SumXImRange(s, t, lo, lo+clen)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(s.amps)), "ns/amp")
-		_ = sink
-	})
-}

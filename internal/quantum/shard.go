@@ -365,32 +365,3 @@ func (ss *ShardedState) Reduce(body func(lo, hi int) (a, b float64)) (a, b float
 	}
 	return a, b
 }
-
-// ShardedSumXImRange returns one global chunk's contribution to
-// Im⟨s|Σ_q X_q|t⟩ — the sharded form of SumXImRange, with identical
-// accumulation order. For qubits below the shard width the partner
-// amplitude is shard-local, so the flat walk runs over shard-local
-// indices; for the shard-index qubits it sits at the SAME local index
-// of the partner shard (read-only, so chunks stay write-disjoint). Call
-// it from a Reduce body over two same-geometry states.
-func ShardedSumXImRange(s, t *ShardedState, lo, hi int) float64 {
-	if s.n != t.n || s.sbits != t.sbits {
-		panic("quantum: geometry mismatch in ShardedSumXImRange")
-	}
-	sbits := uint(s.sbits)
-	si := lo >> sbits
-	sa := s.shards[si].amps
-	ta := t.shards[si].amps
-	llo := lo & (s.sdim - 1)
-	lhi := llo + (hi - lo)
-	_, im := sumXPartial(sa, ta, llo, lhi, s.sbits, false)
-	for q := s.sbits; q < s.n; q++ {
-		bit := 1 << uint(q)
-		if lo&bit != 0 {
-			continue // partner shard owns these pairs
-		}
-		pj := (lo | bit) >> sbits
-		im = sumXRunIm(im, sa[llo:lhi], s.shards[pj].amps[llo:lhi], ta[llo:lhi], t.shards[pj].amps[llo:lhi])
-	}
-	return im
-}

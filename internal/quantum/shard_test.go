@@ -13,11 +13,18 @@ import (
 // at every shard count and every GOMAXPROCS. All comparisons use ==.
 
 // shardedFromState loads a flat state's amplitudes into a fresh
-// sharded layout.
+// sharded layout, closed when the test ends.
 func shardedFromState(t *testing.T, s *State, shardBits int) *ShardedState {
 	t.Helper()
-	ss := NewShardedState(s.n, shardBits)
+	ss := loadSharded(s, shardBits)
 	t.Cleanup(ss.Close)
+	return ss
+}
+
+// loadSharded is shardedFromState for callers that Close the state
+// themselves.
+func loadSharded(s *State, shardBits int) *ShardedState {
+	ss := NewShardedState(s.n, shardBits)
 	for i, sh := range ss.shards {
 		copy(sh.amps, s.amps[i*ss.sdim:(i+1)*ss.sdim])
 	}
@@ -137,22 +144,18 @@ func TestShardedSumXMatchesFlat(t *testing.T) {
 			ft := randomParallelState(n, 92)
 			sss := shardedFromState(t, fs, sb)
 			sst := shardedFromState(t, ft, sb)
-			// The streamed forms carry only the imaginary part (the half
-			// the gradient reads); it must equal the public complex
-			// form's, which shares the walk.
-			fi, _ := ReduceChunks(len(fs.amps), func(lo, hi int) (float64, float64) {
-				return SumXImRange(fs, ft, lo, hi), 0
-			})
-			si, _ := sss.Reduce(func(lo, hi int) (float64, float64) {
-				return ShardedSumXImRange(sss, sst, lo, hi), 0
-			})
+			// The gradient reads Im⟨s|ΣX|t⟩ inside the two-state mixer
+			// sweep: flat and sharded sweeps must agree bit for bit, and
+			// with the public complex form to rounding.
 			full := fs.InnerProductSumX(ft)
-			if si != fi || fi != imag(full) {
+			fi := NewReverseMixer(ft, fs).Sweep(0.6)
+			si := NewShardedReverseMixer(sst, sss).Sweep(0.6)
+			if si != fi || math.Abs(fi-imag(full)) > 1e-12 {
 				t.Fatalf("shards=%d: Im ΣX sharded %v, flat %v, InnerProductSumX %v", 1<<sb, si, fi, imag(full))
 			}
-			return [2]float64{real(full), fi}
+			return [3]float64{real(full), imag(full), fi}
 		}, func(t *testing.T, baseline, got any, w int) {
-			if baseline.([2]float64) != got.([2]float64) {
+			if baseline.([3]float64) != got.([3]float64) {
 				t.Fatalf("ΣX differs at GOMAXPROCS=%d: %v != %v", w, got, baseline)
 			}
 		})
