@@ -1,0 +1,118 @@
+package core
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"qaoaml/internal/optimize"
+	"qaoaml/internal/qaoa"
+	"qaoaml/internal/telemetry"
+)
+
+// Level 1 is answered in closed form (qaoa/depth1.go); these tests pin
+// that the flows around it still count, cancel and trace exactly as
+// they did when it was simulated.
+
+func fourOptimizers() map[string]optimize.Optimizer {
+	return map[string]optimize.Optimizer{
+		"lbfgsb":     &optimize.LBFGSB{Tol: 1e-6},
+		"slsqp":      &optimize.SLSQP{Tol: 1e-6},
+		"neldermead": &optimize.NelderMead{Tol: 1e-6},
+		"cobyla":     &optimize.COBYLA{Tol: 1e-6},
+	}
+}
+
+// FC is the paper's metric: at depth 1 every call the optimizer reports
+// must have reached an evaluator counter — F and Batch calls as NFev,
+// gradients as NGev — no circuit is simulated for any of them, and the
+// flow reports the optimizer's own count.
+func TestLevel1CountsEveryClosedFormCall(t *testing.T) {
+	data := testData(t)
+	pb := data.Problems[3]
+	bounds := ParamBounds(1)
+	for name, opt := range fourOptimizers() {
+		ev := qaoa.NewEvaluator(pb, 1)
+		be := qaoa.NewBatchEvaluator(pb, 1, 0)
+		mem := telemetry.NewMemory()
+		r := optimize.Run(context.Background(), optimize.Problem{
+			F: ev.NegExpectation, Batch: be.EvalBatch, Grad: ev.NegGrad,
+			X0: bounds.Random(rand.New(rand.NewSource(5))), Bounds: bounds,
+		}, optimize.Options{Optimizer: opt, Recorder: mem})
+		if r.NFev != ev.NFev()+be.NFev() || r.NGev != ev.NGev() {
+			t.Errorf("%s: optimizer reports NFev=%d NGev=%d, evaluators counted %d+%d and %d",
+				name, r.NFev, r.NGev, ev.NFev(), be.NFev(), ev.NGev())
+		}
+		if got := mem.Snapshot().Counters["optimize.fev_total"]; got != int64(r.NFev) {
+			t.Errorf("%s: optimize.fev_total = %d, want %d", name, got, r.NFev)
+		}
+		if gradient := name == "lbfgsb" || name == "slsqp"; gradient != (ev.NGev() > 0) {
+			t.Errorf("%s: NGev = %d", name, ev.NGev())
+		}
+		if ev.ForwardPasses() != 0 {
+			t.Errorf("%s: level-1 run simulated the circuit %d times", name, ev.ForwardPasses())
+		}
+		flow := NaiveRun(pb, 1, opt, rand.New(rand.NewSource(5)))
+		if flow.NFev != r.NFev {
+			t.Errorf("%s: NaiveRun at depth 1 reports NFev=%d, the same run by hand %d", name, flow.NFev, r.NFev)
+		}
+		if want := pb.ApproximationRatio(flow.Params); flow.AR < want-1e-12 || flow.AR > want+1e-12 {
+			t.Errorf("%s: level-1 AR %v, state vector %v", name, flow.AR, want)
+		}
+		ev.Release()
+		be.Release()
+	}
+}
+
+func TestTwoLevelTotalsForEveryOptimizer(t *testing.T) {
+	data := testData(t)
+	train, test := data.SplitIndices(0.5, 1)
+	pred := NewPredictor(nil)
+	if err := pred.Train(data, train); err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range fourOptimizers() {
+		res, err := TwoLevel(data.Problems[test[1]], 2, opt, pred, rand.New(rand.NewSource(9)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Level1.NFev < 2 || res.Level2.NFev < 1 || res.TotalNFev != res.Level1.NFev+res.Level2.NFev {
+			t.Errorf("%s: TotalNFev %d, levels %d + %d", name, res.TotalNFev, res.Level1.NFev, res.Level2.NFev)
+		}
+	}
+}
+
+// A cancel that lands while level 1 is optimizing returns the level-1
+// incumbent with ctx.Err(), never starts level 2, and still closes the
+// level-1 span.
+func TestTwoLevelCancelledDuringLevel1(t *testing.T) {
+	data := testData(t)
+	train, test := data.SplitIndices(0.5, 1)
+	pred := NewPredictor(nil)
+	if err := pred.Train(data, train); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mem := telemetry.NewMemory()
+	seen := 0
+	rec := telemetry.Tee(mem, func(telemetry.IterEvent) {
+		if seen++; seen == 2 {
+			cancel()
+		}
+	})
+	res, err := TwoLevelCtx(ctx, data.Problems[test[0]], 3, &optimize.LBFGSB{Tol: 1e-6}, pred, rand.New(rand.NewSource(3)), rec)
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.Level1.NFev < 2 || res.Level2.NFev != 0 || res.TotalNFev != res.Level1.NFev {
+		t.Errorf("cancelled mid-level-1: %+v", res)
+	}
+	if res.Level1.Params.Depth() != 1 || res.Level1.Params.Validate(true) != nil || res.Level1.AR <= 0 {
+		t.Errorf("level-1 incumbent unusable: %+v", res.Level1)
+	}
+	snap := mem.Snapshot()
+	if snap.Spans["twolevel.level1"].Count != 1 || snap.Spans["twolevel.level2"].Count != 0 {
+		t.Errorf("spans after a level-1 cancel: %+v", snap.Spans)
+	}
+}

@@ -199,6 +199,8 @@ func (in *Instance) IntegerCoeffs() bool {
 // updates (O(degree) work per step) and returns the optimal Value per
 // the instance's Sense, the worst Value (the opposite extreme, needed
 // for normalized scores), and an assignment achieving the optimum.
+// Without fields Value(z) = Value(^z), so the walk stops after the
+// half with the top spin up and loses neither extreme.
 func (in *Instance) BruteForce() (opt, worst float64, argOpt uint64) {
 	if in.N > BruteForceMaxQubits {
 		panic(fmt.Sprintf("problem: brute force over %d qubits exceeds the %d-qubit limit", in.N, BruteForceMaxQubits))
@@ -224,10 +226,14 @@ func (in *Instance) BruteForce() (opt, worst float64, argOpt uint64) {
 
 	s := make([]float64, in.N) // spins of the current gray-code state
 	v := in.Offset
+	steps := uint64(1) << uint(in.N-1)
 	for i := range s {
 		s[i] = 1
 		if in.Linear != nil {
 			v += in.Linear[i]
+			if in.Linear[i] != 0 {
+				steps = uint64(1) << uint(in.N)
+			}
 		}
 	}
 	for _, t := range in.Quad {
@@ -237,7 +243,7 @@ func (in *Instance) BruteForce() (opt, worst float64, argOpt uint64) {
 	sign := in.Sense.Sign()
 	opt, worst = v, v
 	var cur, arg uint64 // cur is the gray code of step k
-	for k := uint64(1); k < uint64(1)<<uint(in.N); k++ {
+	for k := uint64(1); k < steps; k++ {
 		b := bits.TrailingZeros64(k)
 		// Flipping spin b changes the value by −2·s_b·(h_b + Σ_j J_bj·s_j).
 		local := 0.0

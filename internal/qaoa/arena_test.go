@@ -24,34 +24,36 @@ func arenaProblem(t *testing.T, n int, seed int64) *Problem {
 // arena, further evaluator lifecycles on same-width problems must
 // allocate zero bytes of amplitude storage — state and adjoint buffers
 // both come from the pool. n >= StreamingThreshold so the problem
-// itself holds no 2^n cost table either.
+// itself holds no 2^n cost table either. Depth 1 draws its only buffer
+// for the readout (the closed form needs none), depth 2 a state and an
+// adjoint.
 func TestArenaSteadyStateAllocatesNoAmplitudes(t *testing.T) {
 	const n = StreamingThreshold + 1
-	a := NewArena(0)
-	defer a.Close()
+	for _, p := range []int{1, 2} {
+		a := NewArena(0)
+		x := testParams(p).Vector()
+		grad := make([]float64, 2*p)
+		lifecycle := func(seed int64) {
+			ev := NewEvaluatorArena(arenaProblem(t, n, seed), p, a)
+			ev.NegExpectation(x)
+			ev.NegValueGrad(x, grad)
+			ev.BestSampled(FromVector(x))
+			ev.Release()
+		}
+		lifecycle(1)
 
-	warm := arenaProblem(t, n, 1)
-	x := []float64{0.4, 0.7}
-	grad := make([]float64, 2)
-	ev := NewEvaluatorArena(warm, 1, a)
-	ev.NegValueGrad(x, grad) // forces the adjoint buffer too
-	ev.Release()
-
-	before := quantum.AmpBytesAllocated()
-	for seed := int64(2); seed < 8; seed++ {
-		pb := arenaProblem(t, n, seed)
-		ev := NewEvaluatorArena(pb, 1, a)
-		ev.NegExpectation(x)
-		ev.NegValueGrad(x, grad)
-		ev.BestSampled(Params{Gamma: x[:1], Beta: x[1:]})
-		ev.Release()
-	}
-	if delta := quantum.AmpBytesAllocated() - before; delta != 0 {
-		t.Fatalf("steady-state evaluators allocated %d bytes of amplitude storage, want 0", delta)
-	}
-	st := a.Stats()
-	if st.Gets == 0 || st.Hits == 0 {
-		t.Fatalf("arena never hit: stats %+v", st)
+		before := quantum.AmpBytesAllocated()
+		for seed := int64(2); seed < 8; seed++ {
+			lifecycle(seed)
+		}
+		if delta := quantum.AmpBytesAllocated() - before; delta != 0 {
+			t.Fatalf("p=%d: steady-state evaluators allocated %d bytes of amplitude storage, want 0", p, delta)
+		}
+		st := a.Stats()
+		if st.Gets == 0 || st.Hits == 0 {
+			t.Fatalf("p=%d: arena never hit: stats %+v", p, st)
+		}
+		a.Close()
 	}
 }
 

@@ -19,12 +19,21 @@ import (
 // NegExpectation calls regardless of how the scheduler interleaves the
 // workers. EvalBatch itself must not be called concurrently (the NFev
 // counter and worker workspaces are reused across calls).
+//
+// The engine is built on the first EvalBatch, not by the constructor:
+// a gradient-based run never calls Batch, and its BatchEvaluator then
+// never draws a 2^n state. At depth 1 the engine is the closed form of
+// depth1.go, evaluated serially — a point costs less than a goroutine
+// hand-off — so there are no workers at all.
 type BatchEvaluator struct {
 	Problem *Problem
 	Depth   int
 
-	workers []*EvalWorkspace
-	nfev    int
+	arena    *Arena
+	nworkers int
+	d1       *depth1          // Depth == 1, after the first EvalBatch
+	workers  []*EvalWorkspace // Depth ≥ 2, after the first EvalBatch
+	nfev     int
 }
 
 // NewBatchEvaluator builds a batch evaluator with the given worker
@@ -52,16 +61,12 @@ func NewBatchEvaluatorArena(pb *Problem, p, workers int, a *Arena) *BatchEvaluat
 	if 1<<uint(pb.NumQubits()) >= quantum.ParallelDim {
 		workers = 1
 	}
-	b := &BatchEvaluator{Problem: pb, Depth: p, workers: make([]*EvalWorkspace, workers)}
-	for i := range b.workers {
-		b.workers[i] = pb.NewWorkspaceArena(a)
-	}
-	return b
+	return &BatchEvaluator{Problem: pb, Depth: p, arena: a, nworkers: workers}
 }
 
-// Release retires all worker workspaces, returning arena-drawn buffers
-// to their arena (closing shard workers otherwise). The evaluator must
-// not be used afterwards.
+// Release retires the worker workspaces, if any were built, returning
+// arena-drawn buffers to their arena (closing shard workers otherwise).
+// The evaluator must not be used afterwards.
 func (b *BatchEvaluator) Release() {
 	for _, ws := range b.workers {
 		ws.Release()
@@ -81,6 +86,22 @@ func (b *BatchEvaluator) EvalBatch(points [][]float64) []float64 {
 	}
 	b.nfev += len(points)
 	out := make([]float64, len(points))
+	if b.Depth == 1 {
+		if b.d1 == nil {
+			b.d1 = newDepth1(b.Problem)
+		}
+		for i, x := range points {
+			v, _, _ := b.d1.eval(x[0], x[1])
+			out[i] = -v
+		}
+		return out
+	}
+	if b.workers == nil {
+		b.workers = make([]*EvalWorkspace, b.nworkers)
+		for i := range b.workers {
+			b.workers[i] = b.Problem.NewWorkspaceArena(b.arena)
+		}
+	}
 	nw := len(b.workers)
 	if nw > len(points) {
 		nw = len(points)

@@ -89,16 +89,16 @@ func TestBatchEvaluatorLargeNCollapsesWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
 	g := graph.RandomRegular(16, 4, rng)
 	pb := mustProblem(t, g)
-	b := NewBatchEvaluator(pb, 1, 4)
+	b := NewBatchEvaluator(pb, 2, 4)
+	points := [][]float64{
+		testParams(2).Vector(),
+		{0.5, 0.9, 0.25, 0.4},
+		{1.1, 0.3, 0.7, 0.2},
+	}
+	got := b.EvalBatch(points)
 	if len(b.workers) != 1 {
 		t.Fatalf("n=16 batch evaluator kept %d workers; want 1 (in-kernel parallelism)", len(b.workers))
 	}
-	points := [][]float64{
-		testParams(1).Vector(),
-		{0.5, 0.25},
-		{1.1, 0.7},
-	}
-	got := b.EvalBatch(points)
 	ws := pb.NewWorkspace()
 	for i, x := range points {
 		if want := -ws.ExpectationVec(x); got[i] != want {

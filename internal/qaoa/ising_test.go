@@ -73,6 +73,16 @@ func TestMaxCutViaQUBOBitIdentical(t *testing.T) {
 						t.Errorf("n=%d p=%d w=%d: grad[%d] direct %v != via-QUBO %v", c.n, p, w, i, dg[i], qg[i])
 					}
 				}
+				if p != 1 {
+					continue
+				}
+				// The depth-1 closed form compiles the graph path through
+				// CompileMaxCut, so the two evaluators run one formula on
+				// one coefficient set.
+				dv, qv = NewEvaluator(direct, 1).NegValueGrad(x, dg), NewEvaluator(viaQUBO, 1).NegValueGrad(x, qg)
+				if dv != qv || dg[0] != qg[0] || dg[1] != qg[1] {
+					t.Errorf("n=%d w=%d: closed form direct %v %v != via-QUBO %v %v", c.n, w, dv, dg, qv, qg)
+				}
 			}
 		}
 	}

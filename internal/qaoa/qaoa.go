@@ -119,12 +119,20 @@ type Problem struct {
 // NewProblem precomputes the cost table (small instances only — see
 // Problem) and the exact MaxCut optimum. It returns an error for graphs
 // with no edges (AR undefined) or a non-positive optimum (all-negative
-// weights make AR meaningless).
+// weights make AR meaningless). The optimum is found by the compiled
+// instance's gray-code walk (O(degree) per assignment, where
+// graph.WeightedMaxCut re-sums every edge) and stored as the directly
+// summed cut weight of the assignment it lands on.
 func NewProblem(g *graph.Graph) (*Problem, error) {
 	if g.NumEdges() == 0 {
 		return nil, fmt.Errorf("qaoa: graph with no edges has no MaxCut objective")
 	}
-	opt, _ := g.WeightedMaxCut()
+	in, err := problem.CompileMaxCut(g)
+	if err != nil {
+		return nil, err
+	}
+	_, _, arg := in.BruteForce()
+	opt := g.WeightedCutValue(arg)
 	if opt <= 0 {
 		return nil, fmt.Errorf("qaoa: MaxCut optimum %v is not positive; approximation ratio undefined", opt)
 	}
@@ -268,16 +276,25 @@ func (pb *Problem) BestSampledCut(pr Params) (cut float64, assign uint64) {
 
 // Evaluator wraps a Problem as a minimization objective over the flat
 // parameter vector and counts quantum-computer calls (the paper's
-// "function calls" / "QC calls" / loop iterations). It owns an
-// EvalWorkspace, so NegExpectation performs no heap allocation after
-// warm-up; like the workspace, an Evaluator is not safe for concurrent
-// use — create one per goroutine.
+// "function calls" / "QC calls" / loop iterations). Every call counts
+// the same way at every depth; how a call is answered differs:
+//
+//   - Depth ≥ 2 owns an EvalWorkspace and simulates the circuit.
+//   - Depth 1 evaluates the closed form of depth1.go and holds no 2^n
+//     buffer; a workspace is built only if BestSampled asks for the
+//     amplitudes.
+//
+// Either way NegExpectation and NegValueGrad perform no heap allocation
+// after warm-up; an Evaluator is not safe for concurrent use — create
+// one per goroutine.
 type Evaluator struct {
 	Problem *Problem
 	Depth   int
 	nfev    int
 	ngev    int
-	ws      *EvalWorkspace
+	d1      *depth1        // Depth == 1 only
+	ws      *EvalWorkspace // nil at depth 1 until BestSampled needs it
+	arena   *Arena
 }
 
 // NewEvaluator returns an evaluator for a fixed circuit depth p ≥ 1.
@@ -293,20 +310,44 @@ func NewEvaluatorArena(pb *Problem, p int, a *Arena) *Evaluator {
 	if p < 1 {
 		panic(fmt.Sprintf("qaoa: depth %d < 1", p))
 	}
-	return &Evaluator{Problem: pb, Depth: p, ws: pb.NewWorkspaceArena(a)}
+	e := &Evaluator{Problem: pb, Depth: p, arena: a}
+	if p == 1 {
+		e.d1 = newDepth1(pb)
+	} else {
+		e.ws = pb.NewWorkspaceArena(a)
+	}
+	return e
 }
 
-// Release retires the evaluator's workspace, returning arena-drawn
-// buffers to their arena (closing shard workers otherwise). The
-// evaluator must not be used afterwards.
-func (e *Evaluator) Release() { e.ws.Release() }
+// workspace returns the state-vector workspace, building it on first
+// use (only a depth-1 evaluator starts without one).
+func (e *Evaluator) workspace() *EvalWorkspace {
+	if e.ws == nil {
+		e.ws = e.Problem.NewWorkspaceArena(e.arena)
+	}
+	return e.ws
+}
+
+// Release retires the evaluator's workspace, if it built one, returning
+// arena-drawn buffers to their arena (closing shard workers otherwise).
+// The evaluator must not be used afterwards.
+func (e *Evaluator) Release() {
+	if e.ws != nil {
+		e.ws.Release()
+	}
+}
 
 // ApproximationRatio returns the quality ratio at the given parameters
-// through the evaluator's own workspace — bit-identical to
+// through the evaluator's own engine: at depth ≥ 2 bit-identical to
 // Problem.ApproximationRatio (same kernel, same chunk geometry) but
-// with no pool round-trip and no buffer allocation.
+// with no pool round-trip and no buffer allocation; at depth 1 the
+// closed form, equal to it to rounding.
 func (e *Evaluator) ApproximationRatio(pr Params) float64 {
-	return e.Problem.ratioOf(e.ws.Expectation(pr))
+	if e.d1 != nil && len(pr.Gamma) == 1 && len(pr.Beta) == 1 {
+		v, _, _ := e.d1.eval(pr.Gamma[0], pr.Beta[0])
+		return e.Problem.ratioOf(v)
+	}
+	return e.Problem.ratioOf(e.workspace().Expectation(pr))
 }
 
 // BestSampled returns the most probable basis state's Score and
@@ -318,8 +359,9 @@ func (e *Evaluator) BestSampled(pr Params) (score float64, assign uint64) {
 	if err := pr.Validate(false); err != nil {
 		panic(err)
 	}
-	e.ws.runLayers(pr.Gamma, pr.Beta)
-	assign = e.ws.argmax()
+	ws := e.workspace()
+	ws.runLayers(pr.Gamma, pr.Beta)
+	assign = ws.argmax()
 	return e.Problem.ScoreValue(assign), assign
 }
 
@@ -333,24 +375,36 @@ func (e *Evaluator) NegExpectation(x []float64) float64 {
 		panic(fmt.Sprintf("qaoa: parameter vector length %d != 2p = %d", len(x), e.Dim()))
 	}
 	e.nfev++
+	if e.d1 != nil {
+		v, _, _ := e.d1.eval(x[0], x[1])
+		return -v
+	}
 	return -e.ws.ExpectationVec(x)
 }
 
 // NegGrad fills grad with the exact gradient of the minimization
-// objective −⟨C⟩ at x, computed by one adjoint reverse sweep (see
-// gradient.go) — no finite differences, no function calls counted.
-// Each call counts one gradient evaluation (NGev). Warm calls perform
-// no heap allocation.
+// objective −⟨C⟩ at x — one adjoint reverse sweep (see gradient.go),
+// or the closed form's own derivative at depth 1 — with no finite
+// differences and no function calls counted. Each call counts one
+// gradient evaluation (NGev). Warm calls perform no heap allocation.
 func (e *Evaluator) NegGrad(x, grad []float64) { e.NegValueGrad(x, grad) }
 
 // NegValueGrad is NegGrad returning −⟨C⟩ as well; the value is
-// bit-identical to NegExpectation(x) (same forward pass) but does not
-// count a QC call, only a gradient evaluation.
+// bit-identical to NegExpectation(x) (same forward pass, same closed
+// form) but does not count a QC call, only a gradient evaluation.
 func (e *Evaluator) NegValueGrad(x, grad []float64) float64 {
 	if len(x) != e.Dim() {
 		panic(fmt.Sprintf("qaoa: parameter vector length %d != 2p = %d", len(x), e.Dim()))
 	}
 	e.ngev++
+	if e.d1 != nil {
+		if len(grad) != 2 {
+			panic(fmt.Sprintf("qaoa: gradient length %d != parameter length 2", len(grad)))
+		}
+		v, dg, db := e.d1.eval(x[0], x[1])
+		grad[0], grad[1] = -dg, -db
+		return -v
+	}
 	v := e.ws.ValueGrad(x, grad)
 	for i := range grad {
 		grad[i] = -grad[i]
@@ -358,11 +412,18 @@ func (e *Evaluator) NegValueGrad(x, grad []float64) float64 {
 	return -v
 }
 
-// ForwardPasses returns how many times the evaluator's workspace has
-// simulated the circuit. NegExpectation always does; a gradient does
+// ForwardPasses returns how many times the evaluator has simulated the
+// circuit. At depth ≥ 2 NegExpectation always does, and a gradient does
 // only when the workspace's last evaluation was not at its x, so an
-// L-BFGS-B or SLSQP run reads NFev here, not NFev + NGev.
-func (e *Evaluator) ForwardPasses() int { return e.ws.forwardPasses }
+// L-BFGS-B or SLSQP run reads NFev here, not NFev + NGev. A depth-1
+// optimizer run reads 0: the closed form answers every call, and only
+// BestSampled simulates.
+func (e *Evaluator) ForwardPasses() int {
+	if e.ws == nil {
+		return 0
+	}
+	return e.ws.forwardPasses
+}
 
 // NFev returns the number of QC calls so far.
 func (e *Evaluator) NFev() int { return e.nfev }
