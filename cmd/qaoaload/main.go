@@ -54,12 +54,12 @@ type Entry struct {
 	OfferedRPS float64 `json:"offered_rps"`
 	BatchSize  int     `json:"batch_size,omitempty"`
 
-	Requests  int64 `json:"requests"`         // HTTP requests sent
-	Items     int64 `json:"items"`            // solve specs sent (= Requests unless batching)
-	Done      int64 `json:"done"`             // items that reached state done
-	Cached    int64 `json:"cached"`           // … of which served from the result cache
-	Coalesced int64 `json:"coalesced"`        // … of which attached to an identical in-flight job
-	Deduped   int64 `json:"deduped,omitempty"` // batch items collapsed intra-batch
+	Requests  int64 `json:"requests"`           // HTTP requests sent
+	Items     int64 `json:"items"`              // solve specs sent (= Requests unless batching)
+	Done      int64 `json:"done"`               // items that reached state done
+	Cached    int64 `json:"cached"`             // … of which served from the result cache
+	Coalesced int64 `json:"coalesced"`          // … of which attached to an identical in-flight job
+	Deduped   int64 `json:"deduped,omitempty"`  // batch items collapsed intra-batch
 	Rejected  int64 `json:"rejected,omitempty"` // 429s (queue full / cost budget)
 	Failed    int64 `json:"failed,omitempty"`   // transport errors, 5xx, failed/cancelled jobs
 

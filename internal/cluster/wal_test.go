@@ -167,7 +167,7 @@ func TestWALCompaction(t *testing.T) {
 	}
 	// 50 jobs accepted and settled without results: all dead weight.
 	for i := 0; i < 50; i++ {
-		key := string(rune('a' + i%26)) + string(rune('0'+i/26))
+		key := string(rune('a'+i%26)) + string(rune('0'+i/26))
 		if err := w.Accepted(key, "fp", walReq(int64(i))); err != nil {
 			t.Fatal(err)
 		}

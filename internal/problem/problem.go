@@ -195,12 +195,26 @@ func (in *Instance) IntegerCoeffs() bool {
 	return true
 }
 
+// FieldFree reports whether no linear term is nonzero. Value(z) then
+// equals Value(^z) — the X⊗n symmetry behind BruteForce's half walk,
+// the β mod π/2 canonical fold and the qaoa half-register evolution. It
+// is an exact test: a field of any size, however small, breaks the
+// symmetry.
+func (in *Instance) FieldFree() bool {
+	for _, h := range in.Linear {
+		if h != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // BruteForce scans all 2^N assignments with gray-code incremental
 // updates (O(degree) work per step) and returns the optimal Value per
 // the instance's Sense, the worst Value (the opposite extreme, needed
-// for normalized scores), and an assignment achieving the optimum.
-// Without fields Value(z) = Value(^z), so the walk stops after the
-// half with the top spin up and loses neither extreme.
+// for normalized scores), and an assignment achieving the optimum. A
+// FieldFree instance stops the walk after the half with the top spin
+// up and loses neither extreme.
 func (in *Instance) BruteForce() (opt, worst float64, argOpt uint64) {
 	if in.N > BruteForceMaxQubits {
 		panic(fmt.Sprintf("problem: brute force over %d qubits exceeds the %d-qubit limit", in.N, BruteForceMaxQubits))
@@ -226,14 +240,14 @@ func (in *Instance) BruteForce() (opt, worst float64, argOpt uint64) {
 
 	s := make([]float64, in.N) // spins of the current gray-code state
 	v := in.Offset
-	steps := uint64(1) << uint(in.N-1)
+	steps := uint64(1) << uint(in.N)
+	if in.FieldFree() {
+		steps >>= 1
+	}
 	for i := range s {
 		s[i] = 1
 		if in.Linear != nil {
 			v += in.Linear[i]
-			if in.Linear[i] != 0 {
-				steps = uint64(1) << uint(in.N)
-			}
 		}
 	}
 	for _, t := range in.Quad {

@@ -330,3 +330,35 @@ func TestValidateRejects(t *testing.T) {
 		}
 	}
 }
+
+// FieldFree is an exact test on the linear terms alone, and the
+// predicate BruteForce's half walk rests on: with it the walk must
+// still find both extremes.
+func TestFieldFree(t *testing.T) {
+	quad := []Term{{I: 0, J: 1, W: 1}, {I: 1, J: 2, W: -2}, {I: 0, J: 2, W: 0.5}}
+	cases := []struct {
+		name   string
+		linear []float64
+		want   bool
+	}{
+		{"nil", nil, true},
+		{"zeros", []float64{0, 0, 0}, true},
+		{"negative zero", []float64{0, math.Copysign(0, -1), 0}, true},
+		{"tiny", []float64{0, 0, 1e-300}, false},
+		{"one", []float64{1, 0, 0}, false},
+	}
+	for _, c := range cases {
+		in := &Instance{Family: FamilyQUBO, Sense: Minimize, N: 3, Vars: 3, Linear: c.linear, Quad: quad}
+		if got := in.FieldFree(); got != c.want {
+			t.Errorf("%s: FieldFree = %v, want %v", c.name, got, c.want)
+		}
+		opt, worst, arg := in.BruteForce()
+		wantOpt, wantWorst := math.Inf(1), math.Inf(-1)
+		for z := uint64(0); z < 8; z++ {
+			wantOpt, wantWorst = math.Min(wantOpt, in.Value(z)), math.Max(wantWorst, in.Value(z))
+		}
+		if opt != wantOpt || worst != wantWorst || in.Value(arg) != opt {
+			t.Errorf("%s: BruteForce = (%v, %v, %b), exhaustive scan (%v, %v)", c.name, opt, worst, arg, wantOpt, wantWorst)
+		}
+	}
+}

@@ -7,16 +7,18 @@ import (
 )
 
 // Arena pools the state-vector-sized buffers evaluation workspaces
-// hold: flat 2^n amplitude vectors and sharded shard sets (above
-// ShardThreshold). Buffers are keyed by register width — and, for
-// sharded states, the shard layout — never by problem, because a
-// state vector carries no problem-specific content: every evaluation
-// begins with a fill pass (or an explicit FillUniform), so a buffer
-// released after solving one instance is immediately reusable for any
-// other instance of the same width. This is what makes a served solve
-// loop allocation-free in the steady state: the daemon's per-worker
-// arena hands the same 2^n vectors to solve after solve instead of
-// growing the heap by 16·2^n bytes per request.
+// hold: flat amplitude vectors and sharded shard sets (above
+// ShardThreshold). Buffers are keyed by the width of the register a
+// workspace evolves — the problem's n, or n−1 for the half register of
+// a Hamiltonian without linear terms (workspace.go) — and, for sharded
+// states, the shard layout; never by problem, because a state vector
+// carries no problem-specific content: every evaluation begins with a
+// fill pass (or an explicit FillUniform), so a buffer released after
+// solving one instance is immediately reusable for any other instance
+// evolving the same width, half register or full. This is what makes a
+// served solve loop allocation-free in the steady state: the daemon's
+// per-worker arena hands the same vectors to solve after solve instead
+// of growing the heap by 16 bytes per amplitude per request.
 //
 // Results are unaffected: a workspace drawn from an arena computes
 // bit-identical expectations and gradients to a freshly allocated one
@@ -103,10 +105,10 @@ func (a *Arena) Close() {
 	}
 }
 
-// getState returns an n-qubit flat state: pooled if available, freshly
-// allocated otherwise. A nil arena always allocates (the non-pooled
-// workspace path). Pooled buffers come back with arbitrary amplitude
-// content; every consumer fills before reading.
+// getState returns an n-qubit flat state, n being the evolved width:
+// pooled if available, freshly allocated otherwise. A nil arena always
+// allocates (the non-pooled workspace path). Pooled buffers come back
+// with arbitrary amplitude content; every consumer fills before reading.
 func (a *Arena) getState(n int) *quantum.State {
 	if a == nil {
 		return quantum.NewUniformState(n)

@@ -104,14 +104,15 @@ func TestArenaBitIdentity(t *testing.T) {
 func TestArenaShardedReuse(t *testing.T) {
 	a := NewArena(0)
 	defer a.Close()
-	pb := arenaProblem(t, StreamingThreshold+1, 3)
+	// n = 15: the half register is 14 qubits, two shards of one chunk each.
+	pb := arenaProblem(t, StreamingThreshold+2, 3)
 	x := []float64{0.6, 0.1}
 
 	w1 := newShardedWorkspace(pb.kernel(), 1, a)
 	first := w1.ExpectationVec(x)
 	w1.Release()
 
-	dirty := arenaProblem(t, StreamingThreshold+1, 55)
+	dirty := arenaProblem(t, StreamingThreshold+2, 55)
 	wd := newShardedWorkspace(dirty.kernel(), 1, a)
 	wd.ExpectationVec(x)
 	wd.Release()

@@ -22,7 +22,7 @@ import (
 //
 // The engine is built on the first EvalBatch, not by the constructor:
 // a gradient-based run never calls Batch, and its BatchEvaluator then
-// never draws a 2^n state. At depth 1 the engine is the closed form of
+// never draws a state vector. At depth 1 the engine is the closed form of
 // depth1.go, evaluated serially — a point costs less than a goroutine
 // hand-off — so there are no workers at all.
 type BatchEvaluator struct {
@@ -58,7 +58,7 @@ func NewBatchEvaluatorArena(pb *Problem, p, workers int, a *Arena) *BatchEvaluat
 	// (chunked gates and reductions); stacking batch-level workers on
 	// top would oversubscribe every core with competing state vectors,
 	// so the batch collapses to one worker and lets the kernels scale.
-	if 1<<uint(pb.NumQubits()) >= quantum.ParallelDim {
+	if 1<<uint(pb.stateQubits()) >= quantum.ParallelDim {
 		workers = 1
 	}
 	return &BatchEvaluator{Problem: pb, Depth: p, arena: a, nworkers: workers}

@@ -70,16 +70,21 @@ func mod(x, m float64) float64 {
 // comparable across graphs.
 func (pb *Problem) Canonicalize(pr Params) Params {
 	// Generic Ising instances: linear terms break the bit-flip (X⊗n)
-	// symmetry behind the β mod π/2 folding, so only the full-period
-	// reductions apply — β mod π always (RX(2β) is π-periodic up to
-	// global phase), plus γ mod 2π and the joint conjugation when the
-	// doubled coefficients are integral (phase-generator differences are
-	// then integers, making the separator 2π-periodic in γ).
+	// symmetry behind the β mod π/2 folding, so an instance with a field
+	// folds β mod π only (RX(2β) is π-periodic up to global phase); a
+	// FieldFree one (partition) has the symmetry and folds mod π/2 like
+	// MaxCut. Either way γ mod 2π and the joint conjugation apply when
+	// the doubled coefficients are integral (phase-generator differences
+	// are then integers, making the separator 2π-periodic in γ).
 	if pb.Inst != nil {
-		if pb.Inst.IntegerCoeffs() {
-			return canonicalizeIsing(pr)
+		period := math.Pi
+		if pb.Inst.FieldFree() {
+			period = BetaPeriod
 		}
-		return foldBetaPeriod(pr, math.Pi)
+		if pb.Inst.IntegerCoeffs() {
+			return canonicalizeIsing(pr, period)
+		}
+		return foldBetaPeriod(pr, period)
 	}
 	// Non-integer edge weights break the 2π-periodicity of the phase
 	// separator, so only the weight-independent β folding applies.
@@ -111,8 +116,9 @@ func (pb *Problem) Canonicalize(pr Params) Params {
 func foldBetaOnly(pr Params) Params { return foldBetaPeriod(pr, BetaPeriod) }
 
 // foldBetaPeriod folds every mixer angle into [0, period) with γ
-// untouched. Generic Ising instances use period π (the RX(2β) layer
-// itself), MaxCut uses π/2 (the extra X⊗n symmetry).
+// untouched. Instances with a field use period π (the RX(2β) layer
+// itself); MaxCut and field-free instances use π/2 (the extra X⊗n
+// symmetry).
 func foldBetaPeriod(pr Params, period float64) Params {
 	p := pr.Depth()
 	out := NewParams(p)
@@ -124,20 +130,20 @@ func foldBetaPeriod(pr Params, period float64) Params {
 }
 
 // canonicalizeIsing maps params of an integer-coefficient Ising
-// instance into its fundamental domain: γi mod 2π, βi mod π, then the
-// joint conjugation (γ⃗, β⃗) → (−γ⃗, −β⃗) — exact for any real diagonal
-// observable — to bring γ1 into [0, π].
-func canonicalizeIsing(pr Params) Params {
+// instance into its fundamental domain: γi mod 2π, βi mod betaPeriod
+// (see foldBetaPeriod), then the joint conjugation (γ⃗, β⃗) → (−γ⃗, −β⃗)
+// — exact for any real diagonal observable — to bring γ1 into [0, π].
+func canonicalizeIsing(pr Params, betaPeriod float64) Params {
 	p := pr.Depth()
 	out := NewParams(p)
 	for i := 0; i < p; i++ {
 		out.Gamma[i] = mod(pr.Gamma[i], GammaMax)
-		out.Beta[i] = mod(pr.Beta[i], math.Pi)
+		out.Beta[i] = mod(pr.Beta[i], betaPeriod)
 	}
 	if p > 0 && out.Gamma[0] > math.Pi {
 		for i := 0; i < p; i++ {
 			out.Gamma[i] = mod(-out.Gamma[i], GammaMax)
-			out.Beta[i] = mod(-out.Beta[i], math.Pi)
+			out.Beta[i] = mod(-out.Beta[i], betaPeriod)
 		}
 	}
 	return out

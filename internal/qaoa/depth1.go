@@ -66,10 +66,14 @@ type depth1 struct {
 }
 
 // ising returns the problem's Hamiltonian as a compiled instance: Inst,
-// or the graph through problem.CompileMaxCut.
+// or the graph's form NewProblem compiled. Only a Problem literal built
+// around a graph by hand compiles here.
 func (pb *Problem) ising() *problem.Instance {
 	if pb.Inst != nil {
 		return pb.Inst
+	}
+	if pb.compiled != nil {
+		return pb.compiled
 	}
 	in, err := problem.CompileMaxCut(pb.Graph)
 	if err != nil {

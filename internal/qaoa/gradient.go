@@ -38,6 +38,11 @@ import (
 // 4.3 → 3.3 at n = 20 when ΣX moved into the sweep), where central
 // finite differences spend 4p evaluations.
 //
+// On a half register (workspace.go) φ and λ are both the lower halves of
+// X⊗n-symmetric vectors, scaled by √2, so every matrix element above is
+// the same sum over the stored half; the dropped qubit's X term comes
+// out of the mixer sweep's mirror pass.
+//
 // State reuse: ValueGrad(x) directly after an evaluation at x on the
 // same workspace skips the forward pass — L-BFGS-B and SLSQP always
 // ask for the gradient at the point their line search just accepted,
@@ -120,7 +125,7 @@ func (w *EvalWorkspace) initAdjoint() {
 	if w.ss == nil {
 		dim := w.state.Dim()
 		w.adj = w.arena.adjointState(w.state)
-		w.rev = quantum.NewReverseMixer(w.state, w.adj)
+		w.rev = quantum.NewReverseMixer(w.state, w.adj, k.mirror())
 		w.reduce = func(body func(lo, hi int) (float64, float64)) (float64, float64) {
 			return quantum.ReduceChunks(dim, body)
 		}

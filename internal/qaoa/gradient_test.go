@@ -8,7 +8,7 @@ import (
 	"qaoaml/internal/graph"
 )
 
-// fdStep balances truncation (O(h²·f''')) against roundoff (O(ε|f|/h))
+// fdStep balances truncation (O(h²·f”')) against roundoff (O(ε|f|/h))
 // for objectives of magnitude ~10: both land well below the 1e-8
 // comparison tolerance.
 const fdStep = 1e-5

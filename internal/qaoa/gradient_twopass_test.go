@@ -24,7 +24,8 @@ import (
 // value and every ∂E/∂γ are pinned to it bit for bit on every kernel;
 // ∂E/∂β, whose summation order the two-state sweep defines anew, to
 // rounding — and to itself, bit for bit, across worker counts and
-// layouts.
+// layouts. On a half register the reference takes ΣX on the unfolded
+// full states, so the dropped qubit's term is the oracle's own.
 
 // refGen returns the phase generator h(z) over the global range
 // [lo, hi) the way the pre-change genInnerChunk bodies produced it.
@@ -68,13 +69,18 @@ func refValueGradTwoPass(w *EvalWorkspace, x, grad []float64) float64 {
 	dim := st.Dim()
 	adj := quantum.NewState(k.qubits())
 	adjRunner := quantum.NewLayerRunner(adj)
+	adjRunner.SetMirror(k.mirror())
 
 	w.runLayers(gamma, beta)
 	val, _ := quantum.ReduceChunks(dim, func(lo, hi int) (float64, float64) {
 		return k.seedChunkValue(adj, st, 0, lo, hi), 0
 	})
 	for s := p - 1; s >= 0; s-- {
-		dBeta[s] = 2 * imag(adj.InnerProductSumX(st))
+		if k.mirror() {
+			dBeta[s] = 2 * imag(adj.UnfoldMirror().InnerProductSumX(st.UnfoldMirror()))
+		} else {
+			dBeta[s] = 2 * imag(adj.InnerProductSumX(st))
+		}
 
 		w.runner.Layer(-2*beta[s], false, nil)
 		adjRunner.Layer(-2*beta[s], false, nil)

@@ -1,0 +1,396 @@
+package qaoa
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"qaoaml/internal/graph"
+	"qaoaml/internal/problem"
+)
+
+// Differential oracle for half-register evolution (workspace.go,
+// quantum/mirror.go). A Hamiltonian without linear terms is evolved on
+// 2^(n−1) amplitudes; this file holds that engine to two code-disjoint
+// references on seeded instances of every field-free kind the
+// constructors produce:
+//
+//   - the gate-level circuit, BuildCircuit(pr).Simulate(), on all 2^n
+//     amplitudes;
+//   - the same couplings forced through the full-register sweep — the
+//     engine every Hamiltonian with a field still runs — by the
+//     test-only constructor fullRegisterKernel.
+//
+// Half and full agree to rounding only (they sum different terms in
+// different orders). What stays exact is each half-register path with
+// itself: flat ≡ sharded ≡ any GOMAXPROCS, and materialized ≡ streaming
+// on integer couplings, all by ==.
+
+// fullRegisterKernel builds the instance's kernel over all 2^n basis
+// states whatever its fields: what newIsingKernel picks for a
+// Hamiltonian with one.
+func fullRegisterKernel(in *problem.Instance) costKernel { return newIsingKernel(in, false) }
+
+type halfCase struct {
+	name string
+	pb   *Problem
+	// unit marks O(1) couplings, where central differences at fdStep
+	// are a meaningful reference (their truncation error grows with the
+	// cube of the coupling scale).
+	unit bool
+}
+
+// halfCases draws the n-qubit field-free population: unweighted,
+// integer- and float-weighted MaxCut through NewProblem, partition
+// through its compiler (the benchmark's integers, and unit-scale
+// floats), and J-only Ising instances through NewIsing with a nil and
+// an all-zero Linear. Every coupling set reaches qubit n−1, the one a
+// half register does not store.
+func halfCases(t *testing.T, n int, rng *rand.Rand) []halfCase {
+	t.Helper()
+	var cases []halfCase
+	add := func(name string, unit bool, pb *Problem, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("n=%d %s: %v", n, name, err)
+		}
+		cases = append(cases, halfCase{fmt.Sprintf("%s/n%d", name, n), pb, unit})
+	}
+	base := graph.ErdosRenyiConnected(n, 0.5, rng)
+	reweigh := func(w func() float64) *graph.Graph {
+		g := graph.New(n)
+		for _, e := range base.Edges() {
+			if err := g.AddWeightedEdge(e.U, e.V, w()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	pb, err := NewProblem(base)
+	add("maxcut", true, pb, err)
+	pb, err = NewProblem(reweigh(func() float64 { return float64(1 + rng.Intn(4)) }))
+	add("maxcut-int", true, pb, err)
+	pb, err = NewProblem(reweigh(func() float64 { return 0.25 + 1.5*rng.Float64() }))
+	add("maxcut-float", true, pb, err)
+
+	pb, err = New(problem.Partition(problem.RandomPartition(n, rng)))
+	add("partition", false, pb, err)
+	nums := make([]float64, n)
+	for i := range nums {
+		nums[i] = 0.1 + 0.5*rng.Float64()
+	}
+	pb, err = New(problem.Partition(nums))
+	add("partition-unit", true, pb, err)
+
+	jOnly := func(w func() float64, linear []float64) *problem.Instance {
+		in := &problem.Instance{Family: problem.FamilyQUBO, Sense: problem.Sense(1 - 2*rng.Intn(2)), N: n, Vars: n, Linear: linear, Offset: 0.75}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if j == i+1 || rng.Intn(3) == 0 { // the chain keeps every qubit coupled
+					in.Quad = append(in.Quad, problem.Term{I: i, J: j, W: w()})
+				}
+			}
+		}
+		return in
+	}
+	pb, err = NewIsing(jOnly(func() float64 { return float64(1-2*rng.Intn(2)) / 2 }, make([]float64, n)))
+	add("ising-int", true, pb, err)
+	pb, err = NewIsing(jOnly(func() float64 { return 2*rng.Float64() - 1 }, nil))
+	add("ising-float", true, pb, err)
+	return cases
+}
+
+// halfKernels returns the problem's half-register kernels of both
+// kinds, whichever one its size selects: the materialized table and the
+// chunk-streamed generator.
+func halfKernels(pb *Problem) map[string]costKernel {
+	if pb.Inst != nil {
+		n := pb.Inst.N - 1
+		diag, gen := buildIsingTables(pb.Inst, 1<<uint(n))
+		mat := newDiagKernelFromGen(n, diag, gen)
+		mat.half = true
+		return map[string]costKernel{"materialized": mat, "streaming": newIsingStreamKernel(pb.Inst, true)}
+	}
+	g := pb.Graph
+	return map[string]costKernel{
+		"materialized": newCutKernel(g.N, g.WeightedCutTable(), pb.TotalWeight),
+		"streaming":    newStreamKernel(g, pb.TotalWeight),
+	}
+}
+
+// halfShardBits lists the shard layouts an n-qubit problem's half
+// register admits (a shard holds at least one 2^13 chunk).
+func halfShardBits(n int) []int {
+	var out []int
+	for sb := 0; sb <= 2 && (sb == 0 || n-1-sb >= 13); sb++ {
+		out = append(out, sb)
+	}
+	return out
+}
+
+func TestHalfRegisterMatchesFullRegisterAndCircuit(t *testing.T) {
+	// n = 2: the half register is one qubit, whose RX partner is its
+	// mirror partner. n = 3, 4: the smallest even and odd widths, the
+	// latter the smallest fused pass. Through 14: single chunk. 15, 16:
+	// two and four chunks, one and two shard bits. 17: on the pool.
+	sizes := []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	if !testing.Short() {
+		sizes = append(sizes, 17)
+	}
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	rng := rand.New(rand.NewSource(1700))
+	for _, n := range sizes {
+		cases := halfCases(t, n, rng)
+		if n >= 15 {
+			// One instance per kernel arithmetic: integer MaxCut, dense
+			// integer Ising, float Ising.
+			cases = []halfCase{cases[1], cases[3], cases[6]}
+		}
+		for _, c := range cases {
+			in := c.pb.ising()
+			if !in.FieldFree() {
+				t.Fatalf("%s: instance has a field", c.name)
+			}
+			scale, freq := coeffScale(in)
+			selected := c.pb.kernel()
+			if !selected.mirror() || selected.qubits() != n-1 {
+				t.Fatalf("%s: selected kernel %T evolves %d qubits (mirror %v), want the %d-qubit half register",
+					c.name, selected, selected.qubits(), selected.mirror(), n-1)
+			}
+			fullK := fullRegisterKernel(in)
+			if fullK.mirror() || fullK.qubits() != n {
+				t.Fatalf("%s: full-register kernel evolves %d qubits (mirror %v)", c.name, fullK.qubits(), fullK.mirror())
+			}
+			full := newFlatWorkspace(fullK, nil)
+			// The selected kernel takes its kind's place, so the kernel the
+			// public constructors build is one of the two compared.
+			kernels := halfKernels(c.pb)
+			pick := map[bool]string{true: "materialized", false: "streaming"}[n < StreamingThreshold]
+			if got, want := fmt.Sprintf("%T", selected), fmt.Sprintf("%T", kernels[pick]); got != want {
+				t.Fatalf("%s: selected kernel is %s, want the %s %s", c.name, got, pick, want)
+			}
+			kernels[pick] = selected
+
+			depths := []int{1, 2, 3, 4}
+			if n >= 15 {
+				depths = []int{1, 3} // odd and even stage counts still alternate
+			}
+			procs := []int{1}
+			if n >= 15 {
+				procs = []int{1, 2, 8} // below, a single chunk: nothing to schedule
+			}
+			for _, p := range depths {
+				pr := randomParams(rng, p)
+				x := pr.Vector()
+				label := fmt.Sprintf("%s p=%d", c.name, p)
+
+				wantGrad := make([]float64, len(x))
+				want := full.ValueGrad(x, wantGrad)
+				// Gate by gate is slow on wide registers: every depth through
+				// n = 12, one stage above, and under -short (the race matrix)
+				// not past the single-chunk sizes.
+				if n <= 12 || (p == 1 && (n <= 14 || !testing.Short())) {
+					circuit := c.pb.BuildCircuit(pr).Simulate().ExpectationDiagonal(c.pb.costDiagonal())
+					if d := math.Abs(want - circuit); d > 1e-12*scale {
+						t.Errorf("%s: full-register value %v, gate circuit %v (|Δ| = %g)", label, want, circuit, d)
+					}
+					if got := c.pb.Expectation(pr); math.Abs(got-circuit) > 1e-12*scale {
+						t.Errorf("%s: Expectation %v, gate circuit %v (|Δ| = %g)", label, got, circuit, math.Abs(got-circuit))
+					}
+				}
+
+				exact := map[string][]float64{} // kernel → [value, grad…] of the flat layout
+				for kind, k := range kernels {
+					klabel := label + " " + kind
+					w := newFlatWorkspace(k, nil)
+					grad := make([]float64, len(x))
+					val := w.ValueGrad(x, grad)
+					if ev := w.ExpectationVec(x); ev != val {
+						t.Errorf("%s: ExpectationVec %v != ValueGrad value %v", klabel, ev, val)
+					}
+					if d := math.Abs(val - want); d > 1e-12*scale {
+						t.Errorf("%s: value %v, full register %v (|Δ| = %g > %g)", klabel, val, want, d, 1e-12*scale)
+					}
+					for i := range grad {
+						if d := math.Abs(grad[i] - wantGrad[i]); d > 1e-10*scale*freq {
+							t.Errorf("%s: grad[%d] = %v, full register %v (|Δ| = %g > %g)", klabel, i, grad[i], wantGrad[i], d, 1e-10*scale*freq)
+						}
+					}
+					if c.unit && n <= 10 && kind == pick {
+						for i := range x {
+							fd := centralFD(w.ExpectationVec, x, i)
+							if d := math.Abs(grad[i] - fd); d > 1e-6*math.Max(1, scale) {
+								t.Errorf("%s: grad[%d] = %v, central difference %v (|Δ| = %g)", klabel, i, grad[i], fd, d)
+							}
+						}
+					}
+					exact[kind] = append([]float64{val}, grad...)
+
+					// flat ≡ sharded ≡ any GOMAXPROCS, by ==.
+					layouts := []*EvalWorkspace{w}
+					for _, sb := range halfShardBits(n) {
+						layouts = append(layouts, newShardedWorkspace(k, sb, nil))
+					}
+					for _, np := range procs {
+						runtime.GOMAXPROCS(np)
+						for li, ws := range layouts {
+							g := make([]float64, len(x))
+							got := append([]float64{ws.ValueGrad(x, g)}, g...)
+							for i := range got {
+								if got[i] != exact[kind][i] {
+									t.Errorf("%s layout %d (%d shards) GOMAXPROCS=%d: component %d = %v != the first flat run's %v",
+										klabel, li, ws.Shards(), np, i, got[i], exact[kind][i])
+								}
+							}
+						}
+					}
+					runtime.GOMAXPROCS(prev)
+					for _, ws := range layouts {
+						ws.Close()
+					}
+				}
+				if in.IntegerCoeffs() {
+					for i, v := range exact["materialized"] {
+						if v != exact["streaming"][i] {
+							t.Errorf("%s: materialized component %d = %v != streaming %v on integer couplings", label, i, v, exact["streaming"][i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// The choice is made from the Hamiltonian alone and is exact: any
+// nonzero field, however small, selects the full register — and the
+// two engines still agree to rounding, the field being far below it.
+func TestHalfRegisterSelection(t *testing.T) {
+	rng := rand.New(rand.NewSource(1701))
+	for _, n := range []int{2, 5, 9, 14} {
+		for _, c := range halfCases(t, n, rng) {
+			if c.pb.Inst == nil {
+				continue
+			}
+			in := *c.pb.Inst
+			in.Linear = make([]float64, n)
+			in.Linear[rng.Intn(n)] = 1e-300
+			fielded := mustIsing(t, &in)
+			if k := fielded.kernel(); k.mirror() || k.qubits() != n || fielded.halfRegister() || fielded.stateQubits() != n {
+				t.Fatalf("%s: a 1e-300 field left the half register selected (%T, %d qubits)", c.name, k, k.qubits())
+			}
+			if !c.pb.halfRegister() || c.pb.stateQubits() != n-1 {
+				t.Fatalf("%s: field-free problem reports %d state qubits", c.name, c.pb.stateQubits())
+			}
+			scale, _ := coeffScale(&in)
+			pr := randomParams(rng, 2)
+			if h, f := c.pb.Expectation(pr), fielded.Expectation(pr); math.Abs(h-f) > 1e-12*scale {
+				t.Errorf("%s: half-register value %v, with a 1e-300 field %v", c.name, h, f)
+			}
+			// The readout is an assignment with the top bit clear, one of
+			// the most probable of the unfolded state, and the evaluator's.
+			score, assign := c.pb.BestSampled(pr)
+			st := c.pb.State(pr)
+			_, pmax := st.ArgmaxProbability()
+			if assign >= 1<<uint(n-1) || math.Abs(st.Probability(assign)-pmax) > 1e-14 {
+				t.Errorf("%s: readout %b has probability %v, the maximum is %v", c.name, assign, st.Probability(assign), pmax)
+			}
+			ev := NewEvaluator(c.pb, 2)
+			if es, ea := ev.BestSampled(pr); es != score || ea != assign {
+				t.Errorf("%s: Evaluator.BestSampled (%v, %b) != Problem.BestSampled (%v, %b)", c.name, es, ea, score, assign)
+			}
+		}
+	}
+}
+
+// fieldedPins are Float64bits of [⟨C⟩, ∂γ1…, ∂β1…] recorded at the
+// parent of the half-register change (commit 2a863cc) for
+// problem.RandomIsing(n, seed 17), p = 3, x = fieldedPinX: a
+// Hamiltonian with fields must evaluate exactly as it did, on every
+// layout. n = 10 is the materialized kernel (too small to shard: flat
+// and the one-shard layout); n = 15 the streaming kernel, flat and with
+// 0 and 2 shard bits.
+var (
+	fieldedPinX = []float64{0.41, 0.87, 1.31, 0.33, 0.58, 0.21}
+	fieldedPins = map[int][7]uint64{
+		10: {0xbfedd7ebd7d4a683, 0xc01cc6d7eaac1357, 0xc0239c8e808d6cd9, 0xc019126cfb87fc91, 0x40290ee4a7b9022c, 0xc023fd12a9e195f2, 0xbffc464f39a370aa},
+		15: {0x4008f67111d83c7f, 0xc023b6ba7a543468, 0xc01010d24bea7e0b, 0x402979f7813c1d6a, 0xc013bc0ea6a79396, 0xc031c513e477e683, 0xc023caf030743d74},
+	}
+)
+
+func TestFieldedHamiltonianBitsUnchanged(t *testing.T) {
+	for n, pins := range fieldedPins {
+		in := problem.RandomIsing(n, rand.New(rand.NewSource(17)))
+		if in.FieldFree() {
+			t.Fatalf("n=%d: pinned instance has no field", n)
+		}
+		pb := mustIsing(t, in)
+		layouts := map[string]*EvalWorkspace{
+			"flat":     newFlatWorkspace(pb.kernel(), nil),
+			"1 shard":  newShardedWorkspace(pb.kernel(), 0, nil),
+			"4 shards": nil,
+		}
+		if n >= 15 {
+			layouts["4 shards"] = newShardedWorkspace(pb.kernel(), 2, nil)
+		}
+		for name, w := range layouts {
+			if w == nil {
+				continue
+			}
+			grad := make([]float64, len(fieldedPinX))
+			e := w.ExpectationVec(fieldedPinX)
+			got := append([]float64{w.ValueGrad(fieldedPinX, grad)}, grad...)
+			if math.Float64bits(e) != pins[0] {
+				t.Errorf("n=%d %s: ExpectationVec bits %#x, parent %#x", n, name, math.Float64bits(e), pins[0])
+			}
+			for i, v := range got {
+				if math.Float64bits(v) != pins[i] {
+					t.Errorf("n=%d %s: component %d bits %#x, parent %#x", n, name, i, math.Float64bits(v), pins[i])
+				}
+			}
+			w.Close()
+		}
+	}
+}
+
+// BenchmarkHalfRegister times one expectation and one value+gradient
+// (p = 2) on a 3-regular MaxCut instance — a half register — against
+// the same couplings plus one field on qubit 0, which evolve all 2^n
+// amplitudes.
+func BenchmarkHalfRegister(b *testing.B) {
+	x, grad := testParams(2).Vector(), make([]float64, 4)
+	for _, n := range []int{8, 14, 20} {
+		g := graph.RandomRegular(n, 3, rand.New(rand.NewSource(int64(n))))
+		in, err := problem.CompileMaxCut(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fielded := *in
+		fielded.Linear = make([]float64, n)
+		fielded.Linear[0] = 0.5
+		for _, c := range []struct {
+			name string
+			in   *problem.Instance
+		}{{"fieldfree", in}, {"onefield", &fielded}} {
+			pb := mustIsing(b, c.in)
+			ws := pb.NewWorkspace()
+			var sink float64
+			b.Run(fmt.Sprintf("n%d/%s/expect", n, c.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sink += ws.ExpectationVec(x)
+				}
+			})
+			b.Run(fmt.Sprintf("n%d/%s/valuegrad", n, c.name), func(b *testing.B) {
+				sink += ws.ValueGrad(x, grad) // draws the adjoint buffer
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sink += ws.ValueGrad(x, grad)
+				}
+			})
+			_ = sink
+			ws.Close()
+		}
+	}
+}

@@ -84,10 +84,15 @@ func TestEvaluationBitIdenticalAcrossWorkers(t *testing.T) {
 
 // The batch evaluator must stay bit-identical to sequential evaluation
 // when the register is large enough to trigger the in-kernel
-// parallelism (workers collapse to 1; the kernels scale instead).
+// parallelism (workers collapse to 1; the kernels scale instead). The
+// register that counts is the one evolved: a 17-vertex MaxCut's half
+// register is the first at quantum.ParallelDim.
 func TestBatchEvaluatorLargeNCollapsesWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
-	g := graph.RandomRegular(16, 4, rng)
+	if b := NewBatchEvaluator(mustProblem(t, graph.RandomRegular(16, 4, rng)), 2, 4); b.nworkers != 4 {
+		t.Fatalf("n=16 batch evaluator has %d workers; want 4 (its 2^15 half register runs serial kernels)", b.nworkers)
+	}
+	g := graph.RandomRegular(17, 4, rng)
 	pb := mustProblem(t, g)
 	b := NewBatchEvaluator(pb, 2, 4)
 	points := [][]float64{
@@ -97,7 +102,7 @@ func TestBatchEvaluatorLargeNCollapsesWorkers(t *testing.T) {
 	}
 	got := b.EvalBatch(points)
 	if len(b.workers) != 1 {
-		t.Fatalf("n=16 batch evaluator kept %d workers; want 1 (in-kernel parallelism)", len(b.workers))
+		t.Fatalf("n=17 batch evaluator kept %d workers; want 1 (in-kernel parallelism)", len(b.workers))
 	}
 	ws := pb.NewWorkspace()
 	for i, x := range points {

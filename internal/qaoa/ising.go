@@ -67,16 +67,16 @@ func NewIsing(in *problem.Instance) (*Problem, error) {
 }
 
 // buildIsingTables materializes the Score diagonal and the phase
-// generator gen(z) = −sense·(Σ h_i s_i + Σ J_ij s_i s_j) for a small
-// instance. Instances with integral doubled coefficients accumulate
+// generator gen(z) = −sense·(Σ h_i s_i + Σ J_ij s_i s_j) of a small
+// instance for z < dim: 2^N, or 2^(N−1) for the lower half a half
+// register evolves. Instances with integral doubled coefficients accumulate
 // the doubled sum T(z) = Σ(2J)ss + Σ(2h)s in int64 and recover both
 // tables by exact halving — the same arithmetic the streaming kernel
 // uses, which is what makes materialized and streamed evaluation
 // bit-identical (and, for compiled MaxCut, identical to the legacy
 // cut-table kernel: T = 2C − m gives gen = (m−2C)/2 and Score = C
 // exactly).
-func buildIsingTables(in *problem.Instance) (diag, gen []float64) {
-	dim := 1 << uint(in.N)
+func buildIsingTables(in *problem.Instance, dim int) (diag, gen []float64) {
 	diag = make([]float64, dim)
 	gen = make([]float64, dim)
 	sign := in.Sense.Sign()
@@ -135,13 +135,20 @@ func buildIsingTables(in *problem.Instance) (diag, gen []float64) {
 // newIsingKernel picks the evaluation engine for an instance by size,
 // mirroring the MaxCut dispatch: materialized tables with memoized
 // phase factors below StreamingThreshold, chunk-streamed generation
-// above.
-func newIsingKernel(in *problem.Instance) costKernel {
-	if in.N < StreamingThreshold {
-		diag, gen := buildIsingTables(in)
-		return newDiagKernelFromGen(in.N, diag, gen)
+// above. half builds it over the lower half of the basis states, for a
+// half register; the instance must then be FieldFree.
+func newIsingKernel(in *problem.Instance, half bool) costKernel {
+	n := in.N
+	if half {
+		n--
 	}
-	return newIsingStreamKernel(in)
+	if in.N < StreamingThreshold {
+		diag, gen := buildIsingTables(in, 1<<uint(n))
+		k := newDiagKernelFromGen(n, diag, gen)
+		k.half = half
+		return k
+	}
+	return newIsingStreamKernel(in, half)
 }
 
 // ScoreValue returns the direction-normalized objective Score(z) for
@@ -161,7 +168,16 @@ func (pb *Problem) ScoreValue(z uint64) float64 {
 // spans the full register; mask to Inst.Vars for the decision
 // variables.
 func (pb *Problem) BestSampled(pr Params) (score float64, assign uint64) {
-	assign, _ = pb.State(pr).ArgmaxProbability()
+	if err := pr.Validate(false); err != nil {
+		panic(err)
+	}
+	// A transient workspace, read the way Evaluator.BestSampled reads
+	// its own: a half register's most probable index is an assignment
+	// with the top bit clear, the lower of the two equally probable
+	// complements.
+	w := newFlatWorkspace(pb.kernel(), nil)
+	w.runLayers(pr.Gamma, pr.Beta)
+	assign = w.argmax()
 	return pb.ScoreValue(assign), assign
 }
 

@@ -42,6 +42,10 @@ import (
 // bit-identical at every GOMAXPROCS; on the integer path they are also
 // bit-identical to the materialized Ising kernel, which derives its
 // tables from the same T accumulator.
+//
+// For a half register (workspace.go) the kernel is built for the lower
+// 2^(N−1) basis states: the chunk geometry follows that dimension, and
+// terms on spin N−1 are ordinary high-bit terms whose bit is never set.
 
 // isingStreamKernel evaluates an arbitrary diagonal Hamiltonian from
 // its term lists. Immutable after construction; scratch comes from the
@@ -49,7 +53,8 @@ import (
 type isingStreamKernel struct {
 	scratch scratchList
 
-	n           int
+	n           int     // qubits of the evolved register: N, or N−1 when half
+	half        bool    // built for the lower half of a FieldFree instance
 	sense       float64 // +1 maximize, −1 minimize
 	senseOffset float64 // sense·Offset: the constant part of Score
 	cb          int     // chunk width in bits
@@ -80,15 +85,20 @@ type isingStreamKernel struct {
 	genTab  []float64
 }
 
-// newIsingStreamKernel builds the streaming kernel for an instance.
-func newIsingStreamKernel(in *problem.Instance) *isingStreamKernel {
+// newIsingStreamKernel builds the streaming kernel for an instance,
+// over all basis states or (half) the lower half.
+func newIsingStreamKernel(in *problem.Instance, half bool) *isingStreamKernel {
 	k := &isingStreamKernel{
 		scratch:     newScratchList(),
 		n:           in.N,
+		half:        half,
 		sense:       in.Sense.Sign(),
 		senseOffset: in.Sense.Sign() * in.Offset,
 	}
-	dim := 1 << uint(in.N)
+	if half {
+		k.n--
+	}
+	dim := 1 << uint(k.n)
 	clen := quantum.ChunkLen(dim)
 	if clen > dim {
 		clen = dim
@@ -352,6 +362,8 @@ func (k *isingStreamKernel) fillGen(lo, hi int, gen []float64) {
 // --- costKernel implementation ---
 
 func (k *isingStreamKernel) qubits() int { return k.n }
+
+func (k *isingStreamKernel) mirror() bool { return k.half }
 
 func (k *isingStreamKernel) factorLen() int { return len(k.genTab) }
 

@@ -3,6 +3,7 @@ package qaoa
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -13,6 +14,15 @@ import (
 func mustIsing(t testing.TB, in *problem.Instance) *Problem {
 	t.Helper()
 	pb, err := NewIsing(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pb
+}
+
+func mustNew(t testing.TB, spec problem.Spec) *Problem {
+	t.Helper()
+	pb, err := New(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +122,7 @@ func TestIsingStreamMatchesMaterializedExactly(t *testing.T) {
 	if _, ok := pb.kernel().(*isingStreamKernel); !ok {
 		t.Fatalf("n=%d instance did not pick the streaming kernel", in.N)
 	}
-	diag, gen := buildIsingTables(in)
+	diag, gen := buildIsingTables(in, 1<<uint(in.N))
 	mat := newDiagKernelFromGen(in.N, diag, gen)
 
 	prev := runtime.GOMAXPROCS(0)
@@ -156,7 +166,7 @@ func TestIsingStreamFloatCoefficients(t *testing.T) {
 	if sk.integer {
 		t.Fatal("float instance must take the float streaming path")
 	}
-	diag, gen := buildIsingTables(in)
+	diag, gen := buildIsingTables(in, 1<<uint(in.N))
 	mat := newDiagKernelFromGen(in.N, diag, gen)
 	x := testParams(2).Vector()
 	sv := newWorkspace(pb.kernel(), nil).ExpectationVec(x)
@@ -272,5 +282,69 @@ func TestIsingCanonicalizePreservesExpectation(t *testing.T) {
 		if math.Abs(e0-e1) > 1e-9*(1+math.Abs(e0)) {
 			t.Fatalf("trial %d: canonicalization changed <Score>: %v -> %v", trial, e0, e1)
 		}
+	}
+}
+
+// A field-free instance (partition) has MaxCut's X⊗n symmetry: ⟨Score⟩
+// is π/2-periodic in every β, and its canonical β lies in [0, π/2) —
+// the domain the MaxCut-trained predictor's features come from. One
+// field brings the period back to π.
+func TestFieldFreeCanonicalizeFoldsBetaModHalfPi(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	pb := mustNew(t, problem.Partition(problem.RandomPartition(8, rng)))
+	if !pb.Inst.FieldFree() || !pb.Inst.IntegerCoeffs() {
+		t.Fatal("partition instance should be field-free with integer coefficients")
+	}
+	floatIn := *pb.Inst
+	floatIn.Quad = append([]problem.Term(nil), floatIn.Quad...)
+	floatIn.Quad[0].W += 0.3 // no γ period left: only the β fold applies
+	fielded := *pb.Inst
+	fielded.Linear = make([]float64, fielded.N)
+	fielded.Linear[2] = 40
+	broke := false
+	for trial := 0; trial < 8; trial++ {
+		pr := NewParams(3)
+		for i := range pr.Gamma {
+			pr.Gamma[i] = (rng.Float64() - 0.5) * 4 * GammaMax
+			pr.Beta[i] = (rng.Float64() - 0.5) * 4 * BetaMax
+		}
+		for _, free := range []*Problem{pb, mustIsing(t, &floatIn)} {
+			scale, _ := coeffScale(free.Inst)
+			e0 := free.Expectation(pr)
+			for i := range pr.Beta {
+				shifted := Params{Gamma: pr.Gamma, Beta: append([]float64(nil), pr.Beta...)}
+				shifted.Beta[i] += math.Pi / 2
+				if e := free.Expectation(shifted); math.Abs(e-e0) > 1e-12*scale {
+					t.Fatalf("trial %d: β[%d]+π/2 moved <Score> %v -> %v", trial, i, e0, e)
+				}
+			}
+			canon := free.Canonicalize(pr)
+			for i, b := range canon.Beta {
+				if b < 0 || b >= math.Pi/2 {
+					t.Fatalf("trial %d: canonical beta[%d] = %v out of [0, π/2)", trial, i, b)
+				}
+			}
+			if e := free.Expectation(canon); math.Abs(e-e0) > 1e-9*scale {
+				t.Fatalf("trial %d: canonicalization changed <Score>: %v -> %v", trial, e0, e)
+			}
+			if again := free.Canonicalize(canon); !reflect.DeepEqual(again, canon) {
+				t.Fatalf("trial %d: Canonicalize is not idempotent: %v -> %v", trial, canon, again)
+			}
+		}
+		fpb := mustIsing(t, &fielded)
+		shifted := Params{Gamma: pr.Gamma, Beta: append([]float64(nil), pr.Beta...)}
+		shifted.Beta[0] += math.Pi / 2
+		scale, _ := coeffScale(&fielded)
+		if math.Abs(fpb.Expectation(shifted)-fpb.Expectation(pr)) > 1e-6*scale {
+			broke = true
+		}
+		for _, b := range fpb.Canonicalize(pr).Beta {
+			if b < 0 || b >= math.Pi {
+				t.Fatalf("trial %d: fielded canonical beta %v out of [0, π)", trial, b)
+			}
+		}
+	}
+	if !broke {
+		t.Error("a field never broke the π/2 period: the fielded control checks nothing")
 	}
 }

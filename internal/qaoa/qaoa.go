@@ -92,9 +92,11 @@ func (pr Params) Validate(checkDomain bool) error {
 // CutTable is only materialized for small instances (n <
 // StreamingThreshold). Above the threshold it stays nil and every
 // evaluation streams C(z) from the edge list (see stream.go), so the
-// per-problem memory footprint is the state vector alone — a 2^20
-// problem holds no 8 MiB cost table and no 4 MiB index table. Use
-// CutValue for point lookups; it works in both modes.
+// per-problem memory footprint is the state vector alone — and that is
+// 2^(n−1) amplitudes for MaxCut and every other Hamiltonian without
+// linear terms, which evolve as a half register (see workspace.go): an
+// n = 20 MaxCut workspace holds an 8 MiB state, no cost table and no
+// index table. Use CutValue for point lookups; it works in both modes.
 type Problem struct {
 	Graph       *graph.Graph
 	CutTable    []float64 // nil in streaming mode
@@ -108,6 +110,10 @@ type Problem struct {
 	Spec     problem.Spec
 	Inst     *problem.Instance
 	MinScore float64
+
+	// compiled is the graph's Ising form, kept from NewProblem's optimum
+	// scan for the depth-1 closed form (see ising).
+	compiled *problem.Instance
 
 	// Fast-path precomputation (see workspace.go), built lazily so any
 	// correctly-populated Problem value gets it on first evaluation.
@@ -141,6 +147,7 @@ func NewProblem(g *graph.Graph) (*Problem, error) {
 		OptValue:    opt,
 		TotalWeight: g.TotalWeight(),
 		Spec:        problem.MaxCut(g),
+		compiled:    in,
 	}
 	if g.N < StreamingThreshold {
 		pb.CutTable = g.WeightedCutTable()
@@ -164,7 +171,7 @@ func (pb *Problem) CutValue(z uint64) float64 {
 // it; the evaluation hot paths never do.
 func (pb *Problem) costDiagonal() []float64 {
 	if pb.Inst != nil {
-		diag, _ := buildIsingTables(pb.Inst)
+		diag, _ := buildIsingTables(pb.Inst, 1<<uint(pb.Inst.N))
 		return diag
 	}
 	if pb.CutTable != nil {
@@ -181,6 +188,21 @@ func (pb *Problem) NumQubits() int {
 		return pb.Inst.N
 	}
 	return pb.Graph.N
+}
+
+// halfRegister reports whether workspaces evolve the problem as a half
+// register: its Hamiltonian has no linear term, which a cut never has.
+func (pb *Problem) halfRegister() bool {
+	return pb.Inst == nil || pb.Inst.FieldFree()
+}
+
+// stateQubits returns the width of the register a workspace evolves,
+// the length ShardThreshold and quantum.ParallelDim are held against.
+func (pb *Problem) stateQubits() int {
+	if pb.halfRegister() {
+		return pb.NumQubits() - 1
+	}
+	return pb.NumQubits()
 }
 
 // BuildCircuit constructs the explicit gate-level QAOA circuit for the
@@ -222,8 +244,9 @@ func (pb *Problem) BuildCircuit(pr Params) *quantum.Circuit {
 
 // State returns |ψ(γ, β)⟩ using the fast diagonal phase-separator path
 // (distinct-cut memoized phases, fused mixing kernel — see
-// workspace.go). The result matches BuildCircuit(pr).Simulate() to
-// rounding error, including global phase.
+// workspace.go), always as the full 2^n-amplitude register. The result
+// matches BuildCircuit(pr).Simulate() to rounding error, including
+// global phase.
 func (pb *Problem) State(pr Params) *quantum.State {
 	if err := pr.Validate(false); err != nil {
 		panic(err)
@@ -280,7 +303,7 @@ func (pb *Problem) BestSampledCut(pr Params) (cut float64, assign uint64) {
 // the same way at every depth; how a call is answered differs:
 //
 //   - Depth ≥ 2 owns an EvalWorkspace and simulates the circuit.
-//   - Depth 1 evaluates the closed form of depth1.go and holds no 2^n
+//   - Depth 1 evaluates the closed form of depth1.go and holds no state
 //     buffer; a workspace is built only if BestSampled asks for the
 //     amplitudes.
 //
@@ -353,7 +376,7 @@ func (e *Evaluator) ApproximationRatio(pr Params) float64 {
 // BestSampled returns the most probable basis state's Score and
 // assignment at the given parameters, reusing the evaluator's
 // workspace — the allocation-free analogue of Problem.BestSampled
-// (which builds a transient 2^n state per call). Ties resolve to the
+// (which builds a transient workspace per call). Ties resolve to the
 // lowest basis index in both, so the readouts agree exactly.
 func (e *Evaluator) BestSampled(pr Params) (score float64, assign uint64) {
 	if err := pr.Validate(false); err != nil {

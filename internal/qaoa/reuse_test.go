@@ -2,6 +2,7 @@ package qaoa
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -34,6 +35,8 @@ func reuseCases(t *testing.T) []reuseCase {
 	diag := mustProblem(t, graph.RandomRegular(8, 3, rng)).kernel()
 	mc := mustProblem(t, graph.RandomRegular(14, 3, rng)).kernel()
 	is := mustIsing(t, problem.RandomIsing(14, rng)).kernel()
+	// A 14-qubit half register: the smallest MaxCut that shards.
+	mcs := mustProblem(t, graph.ErdosRenyiConnected(15, 0.3, rng)).kernel()
 	if _, ok := diag.(*diagKernel); !ok {
 		t.Fatalf("n=8 kernel is %T, want *diagKernel", diag)
 	}
@@ -47,7 +50,7 @@ func reuseCases(t *testing.T) []reuseCase {
 		{"materialized", diag, flat(diag)},
 		{"maxcut-stream", mc, flat(mc)},
 		{"ising-stream", is, flat(is)},
-		{"sharded", mc, func(a *Arena) *EvalWorkspace { return newShardedWorkspace(mc, 1, a) }},
+		{"sharded", mcs, func(a *Arena) *EvalWorkspace { return newShardedWorkspace(mcs, 1, a) }},
 	}
 }
 
@@ -187,5 +190,123 @@ func TestStateReuseZeroAlloc(t *testing.T) {
 			t.Errorf("%s: %d forward passes over 21 evaluate-then-differentiate rounds; the reuse path was not taken", c.name, got)
 		}
 		ws.Close()
+	}
+}
+
+// TestStateReuseInterleaved is the randomized guard of the held-state
+// record: whatever order evaluations, gradients, readouts, depth
+// changes, releases and arena recycles come in, every result must be ==
+// a cold workspace's, so a writer of the state buffer that forgets to
+// clear the record fails here. The workspaces share one Arena and
+// alternate between field-free problems of width n — half registers of
+// n−1 qubits — and problems with fields of width n−1, flat and sharded,
+// so half- and full-register evolutions keep trading the very same
+// buffers (and a pooled sharded state its mirror setting).
+func TestStateReuseInterleaved(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	type kind struct {
+		name    string
+		pb      *Problem
+		sharded bool
+	}
+	var kinds []kind
+	// 8-qubit registers: materialized kernels. 14-qubit registers:
+	// streaming kernels, flat and two shards.
+	for _, n := range []int{9, 15} {
+		free := []*Problem{
+			mustProblem(t, graph.ErdosRenyiConnected(n, 0.4, rng)),
+			mustNew(t, problem.Partition(problem.RandomPartition(n, rng))),
+		}
+		fielded := mustIsing(t, problem.RandomIsing(n-1, rng))
+		if fielded.halfRegister() {
+			t.Fatalf("n=%d: RandomIsing drew no field; reseed", n-1)
+		}
+		for _, pb := range append(free, fielded) {
+			if got := pb.stateQubits(); got != n-1 {
+				t.Fatalf("problem evolves %d qubits, want %d", got, n-1)
+			}
+			kinds = append(kinds, kind{fmt.Sprintf("%s/n%d", pb.Spec.Family, pb.NumQubits()), pb, false})
+			if n-1 >= 14 {
+				kinds = append(kinds, kind{fmt.Sprintf("%s/n%d/sharded", pb.Spec.Family, pb.NumQubits()), pb, true})
+			}
+		}
+	}
+	// A few points per depth, so repeats — the reuse path — are common.
+	points := map[int][][]float64{}
+	for p := 1; p <= 3; p++ {
+		for i := 0; i < 3; i++ {
+			points[p] = append(points[p], randomParams(rng, p).Vector())
+		}
+	}
+
+	type slot struct {
+		k  kind
+		ws *EvalWorkspace
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		rng := rand.New(rand.NewSource(4100 + seed))
+		a := NewArena(0)
+		slots := make([]*slot, 3)
+		reused, mixed := 0, map[bool]int{}
+		for step := 0; step < 300; step++ {
+			si := rng.Intn(len(slots))
+			s := slots[si]
+			if s == nil {
+				// Arena recycle: any kind may draw the buffers any other left.
+				k := kinds[rng.Intn(len(kinds))]
+				ws := newFlatWorkspace
+				if k.sharded {
+					ws = func(kern costKernel, a *Arena) *EvalWorkspace { return newShardedWorkspace(kern, 1, a) }
+				}
+				slots[si] = &slot{k, ws(k.pb.kernel(), a)}
+				mixed[k.pb.halfRegister()]++
+				continue
+			}
+			p := 1 + rng.Intn(3) // depth changes whenever it differs from the last
+			x := points[p][rng.Intn(len(points[p]))]
+			label := fmt.Sprintf("seed %d step %d %s p=%d", seed, step, s.k.name, p)
+			cold := newFlatWorkspace(s.k.pb.kernel(), nil)
+			switch op := rng.Intn(8); {
+			case op < 3:
+				if got, want := s.ws.ExpectationVec(x), cold.ExpectationVec(x); got != want {
+					t.Fatalf("%s: ExpectationVec %v != cold %v", label, got, want)
+				}
+			case op < 6:
+				before := s.ws.forwardPasses
+				got, want := make([]float64, len(x)), make([]float64, len(x))
+				gv, wv := s.ws.ValueGrad(x, got), cold.ValueGrad(x, want)
+				if gv != wv {
+					t.Fatalf("%s: ValueGrad value %v != cold %v", label, gv, wv)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s: grad[%d] = %v != cold %v", label, i, got[i], want[i])
+					}
+				}
+				if s.ws.forwardPasses == before {
+					reused++
+				}
+			case op < 7:
+				pr := FromVector(x)
+				gs, ga := (&Evaluator{Problem: s.k.pb, Depth: p, ws: s.ws}).BestSampled(pr)
+				ws, wa := (&Evaluator{Problem: s.k.pb, Depth: p, ws: cold}).BestSampled(pr)
+				if gs != ws || ga != wa {
+					t.Fatalf("%s: BestSampled (%v, %b) != cold (%v, %b)", label, gs, ga, ws, wa)
+				}
+			default:
+				s.ws.Release()
+				slots[si] = nil
+			}
+		}
+		for _, s := range slots {
+			if s != nil {
+				s.ws.Release()
+			}
+		}
+		if st := a.Stats(); st.Hits == 0 || reused == 0 || mixed[true] == 0 || mixed[false] == 0 {
+			t.Errorf("seed %d: %d arena hits of %d gets, %d reused states, %d half- and %d full-register workspaces; the sequence exercised nothing",
+				seed, st.Hits, st.Gets, reused, mixed[true], mixed[false])
+		}
+		a.Close()
 	}
 }

@@ -9,12 +9,17 @@ import (
 
 // Streaming cost path for large MaxCut instances.
 //
-// The materialized diagKernel needs a 2^n float64 cost table plus a 2^n
-// int32 index table — 12 MiB at n = 20, 200 MiB at n = 24 — on top of
-// the state vector itself, just to look up C(z) per amplitude. The
-// streamKernel eliminates both tables: C(z) is recomputed on the fly,
-// chunk by chunk over the same fixed geometry every other kernel uses
-// (quantum.ChunkLen amplitudes per chunk).
+// The materialized diagKernel needs a float64 cost table plus an int32
+// index table as long as the state vector — 6 MiB at n = 20, 100 MiB at
+// n = 24 — on top of the state vector itself, just to look up C(z) per
+// amplitude. The streamKernel eliminates both tables: C(z) is
+// recomputed on the fly, chunk by chunk over the same fixed geometry
+// every other kernel uses (quantum.ChunkLen amplitudes per chunk).
+//
+// A cut has no linear terms, so the kernel serves a half register
+// (workspace.go): it is built for the 2^(n−1) basis states with vertex
+// n−1 in partition 0, whose edges are ordinary high-endpoint edges with
+// that bit always clear.
 //
 // Within a chunk, the low cb = log2(chunk length) bits of z run through
 // all values while the high bits are frozen, so the cut splits into
@@ -71,7 +76,7 @@ const maxStreamChunkBits = 16
 type streamKernel struct {
 	scratch scratchList
 
-	n  int
+	n  int     // qubits of the half register: the graph's vertices less one
 	m  float64 // total edge weight
 	cb int     // chunk width in bits: log2(min(ChunkLen(2^n), 2^n))
 
@@ -104,8 +109,8 @@ type streamKernel struct {
 // is the problem's TotalWeight (kept explicit so the phase convention
 // matches the materialized kernel exactly).
 func newStreamKernel(g *graph.Graph, totalWeight float64) *streamKernel {
-	k := &streamKernel{scratch: newScratchList(), n: g.N, m: totalWeight}
-	dim := 1 << uint(g.N)
+	k := &streamKernel{scratch: newScratchList(), n: g.N - 1, m: totalWeight}
+	dim := 1 << uint(k.n)
 	clen := quantum.ChunkLen(dim)
 	if clen > dim {
 		clen = dim
@@ -389,6 +394,8 @@ func (k *streamKernel) fillGen(lo, hi int, gen []float64) {
 // --- costKernel implementation ---
 
 func (k *streamKernel) qubits() int { return k.n }
+
+func (k *streamKernel) mirror() bool { return true }
 
 func (k *streamKernel) factorLen() int { return len(k.genTab) }
 

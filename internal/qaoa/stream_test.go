@@ -11,12 +11,9 @@ import (
 
 // materializedKernel builds the small-n diagKernel for any graph,
 // regardless of the streaming threshold — the reference the streaming
-// path is compared against.
+// path is compared against. Like it, a half register's.
 func materializedKernel(g *graph.Graph) *diagKernel {
-	m := g.TotalWeight()
-	return newDiagKernel(g.N, g.WeightedCutTable(), func(c float64) float64 {
-		return (m - 2*c) / 2
-	})
+	return newCutKernel(g.N, g.WeightedCutTable(), g.TotalWeight())
 }
 
 func testParams(p int) Params {
@@ -148,10 +145,11 @@ func TestStreamKernelSmallRegister(t *testing.T) {
 	}
 }
 
-// The point of streaming mode: a 2^20 problem must hold no 2^n cost or
-// index table. The only O(2^n) allocation an evaluation needs is the
-// workspace state vector (16 MiB at n=20); the materialized kernel
-// would add 12 MiB of tables on top.
+// The point of streaming mode: an n = 20 problem must hold no
+// state-sized cost or index table. The only such allocation an
+// evaluation needs is the workspace state vector — a MaxCut's half
+// register, 2^19 amplitudes, 8 MiB; the materialized kernel would add
+// 6 MiB of tables on top.
 func TestStreamingMemoryBudgetN20(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping 2^20 memory-budget test in short mode")
@@ -176,9 +174,9 @@ func TestStreamingMemoryBudgetN20(t *testing.T) {
 	runtime.KeepAlive(ws)
 
 	delta := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	const stateBytes = 16 << 20 // 2^20 complex128
+	const stateBytes = 8 << 20 // 2^19 complex128
 	if delta > stateBytes+stateBytes/4 {
-		t.Errorf("n=20 evaluation retains %d bytes; budget is the state vector (%d) plus slack — a 2^n table leaked", delta, stateBytes)
+		t.Errorf("n=20 evaluation retains %d bytes; budget is the half-register state vector (%d) plus slack — a table leaked, or the full register was drawn", delta, stateBytes)
 	}
 	if e <= 0 || e >= pb.TotalWeight {
 		t.Errorf("n=20 streamed expectation %v outside (0, total weight %v)", e, pb.TotalWeight)

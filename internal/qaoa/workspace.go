@@ -31,6 +31,15 @@ import (
 //     closures live in an EvalWorkspace that is reused across objective
 //     calls, so a warm NegExpectation performs no heap allocation at
 //     all.
+//   - A Hamiltonian without linear terms (every MaxCut, partition, any
+//     Instance that is FieldFree) has C(z) = C(z̄), so ψ(z) = ψ(z̄) at
+//     every stage. The workspace then evolves the half register φ(z) =
+//     √2·ψ(z), z < 2^(n−1): 2^(n−1) amplitudes, cost tables and chunk
+//     ranges, and one mirror butterfly per mixer for the qubit it does
+//     not store (quantum/mirror.go). Fill, phase, ⟨C⟩, the adjoint seed
+//     and the un-phase pass are the same code over the lower-half index
+//     range. The choice is made from the Hamiltonian alone; one with a
+//     field evolves all 2^n amplitudes as before.
 //
 // The results match the explicit gate-level circuit (BuildCircuit +
 // Simulate) to rounding error, global phase included.
@@ -40,15 +49,17 @@ import (
 // and how the adjoint sweep's matrix elements are taken. Two
 // implementations exist:
 //
-//   - diagKernel (below): materialized 2^n cost diagonal with
+//   - diagKernel (below): materialized cost diagonal with
 //     distinct-value phase memoization — the small-n fast path.
-//   - streamKernel (stream.go): computes C(z) on the fly from the edge
-//     list per fixed-geometry chunk, so large MaxCut instances never
-//     hold a 2^n float64 table.
+//   - streamKernel (stream.go) and isingStreamKernel (ising_stream.go):
+//     compute C(z) on the fly from the term lists per fixed-geometry
+//     chunk, so large instances never hold a state-sized float64 table.
 //
-// Both produce results over the same fixed reduction geometry
+// All produce results over the same fixed reduction geometry
 // (quantum.ReduceChunks), so expectations and gradients are
-// bit-reproducible across GOMAXPROCS settings.
+// bit-reproducible across GOMAXPROCS settings. A kernel covers the
+// basis states the workspace stores: all 2^n, or the lower 2^(n−1) of a
+// half register — the same global indices, the top bit clear.
 // The interface is range-based: the workspace drives the chunk loop
 // (through quantum.LayerRunner and ReduceChunks over the fixed
 // geometry) and the kernel supplies per-chunk bodies. That lets
@@ -56,8 +67,13 @@ import (
 // is cache-resident, and lets reductions fuse with streamed diagonal
 // generation.
 type costKernel interface {
-	// qubits returns the register width.
+	// qubits returns the width of the register the workspace evolves:
+	// the problem's n, or n−1 when mirror reports a half register.
 	qubits() int
+	// mirror reports whether the kernel covers the lower half of an
+	// X⊗n-symmetric problem (no linear terms), to be evolved as a half
+	// register.
+	mirror() bool
 	// factorLen returns the length of the per-workspace factor scratch
 	// the kernel wants (0 if it needs none).
 	factorLen() int
@@ -100,7 +116,8 @@ type costKernel interface {
 // H_γ of the phase layer that adjoint differentiation (gradient.go)
 // takes matrix elements of.
 type diagKernel struct {
-	n          int
+	n          int       // qubits of the evolved register: len(diag) = 2^n
+	half       bool      // diag is the lower half of an (n+1)-qubit problem's
 	diag       []float64 // cost diagonal C(z) (the observable)
 	idx        []int32   // idx[z] → index into halfAngles
 	halfAngles []float64 // distinct per-γ phase coefficients
@@ -159,27 +176,33 @@ func newDiagKernelFromGen(n int, diag, gen []float64) *diagKernel {
 // was created; sync.Once makes first use safe under concurrency.
 // Problems with a materialized CutTable get the memoized diagKernel;
 // streaming-mode problems (CutTable nil, n ≥ StreamingThreshold) get
-// the edge-list streamKernel, which never allocates a 2^n table.
+// the edge-list streamKernel, which never allocates a state-sized
+// table. A cut has no linear terms, so both cover the lower half.
 func (pb *Problem) kernel() costKernel {
 	pb.kernOnce.Do(func() {
-		if pb.Inst != nil {
-			pb.kern = newIsingKernel(pb.Inst)
-			return
-		}
-		if pb.CutTable == nil {
+		switch {
+		case pb.Inst != nil:
+			pb.kern = newIsingKernel(pb.Inst, pb.halfRegister())
+		case pb.CutTable == nil:
 			pb.kern = newStreamKernel(pb.Graph, pb.TotalWeight)
-			return
+		default:
+			pb.kern = newCutKernel(pb.Graph.N, pb.CutTable, pb.TotalWeight)
 		}
-		m := pb.TotalWeight
-		// Each edge contributes e^{iγw/2} when uncut and e^{−iγw/2} when
-		// cut, so amplitude z picks up total phase γ(m − 2C(z))/2 — the
-		// same convention applyPhaseSeparator used, preserving the global
-		// phase of the gate-level circuit.
-		pb.kern = newDiagKernel(pb.NumQubits(), pb.CutTable, func(c float64) float64 {
-			return (m - 2*c) / 2
-		})
 	})
 	return pb.kern
+}
+
+// newCutKernel builds the materialized MaxCut kernel over the lower
+// half of an n-vertex cut table with total edge weight m. Each edge
+// contributes e^{iγw/2} when uncut and e^{−iγw/2} when cut, so
+// amplitude z picks up total phase γ(m − 2C(z))/2 — the convention that
+// preserves the global phase of the gate-level circuit.
+func newCutKernel(n int, cutTable []float64, m float64) *diagKernel {
+	k := newDiagKernel(n-1, cutTable[:1<<uint(n-1)], func(c float64) float64 {
+		return (m - 2*c) / 2
+	})
+	k.half = true
+	return k
 }
 
 // kernel returns the DiagonalProblem's phase kernel: exp(−iγC) gives
@@ -196,6 +219,7 @@ func (dp *DiagonalProblem) kernel() *diagKernel {
 // pre-interface engine ran (same tables, same summation order within
 // and across chunks), so results are byte-for-byte unchanged.
 func (k *diagKernel) qubits() int    { return k.n }
+func (k *diagKernel) mirror() bool   { return k.half }
 func (k *diagKernel) factorLen() int { return len(k.halfAngles) }
 
 func (k *diagKernel) prepareFactors(factors []complex128, gamma float64, conj bool) {
@@ -233,9 +257,10 @@ func (k *diagKernel) unphaseInnerChunk(adj, st *quantum.State, factors []complex
 	return adj.InnerImMulIndexedRange(st, lo, k.idx[off+lo:off+hi], k.halfAngles, factors)
 }
 
-// ShardThreshold is the register width from which NewWorkspace switches
+// ShardThreshold is the width of the evolved register — one less than
+// the problem's for a half register — from which NewWorkspace switches
 // the evaluation state to the sharded representation (quantum.
-// ShardedState): at n ≥ 27 a single flat allocation is ≥ 2 GiB, the
+// ShardedState): at 27 qubits a single flat allocation is 2 GiB, the
 // regime where per-worker shard ownership pays for itself. The sharded
 // path computes bit-identical results; the threshold only picks the
 // memory layout.
@@ -258,6 +283,12 @@ const DefaultShardBits = 2
 // non-nil) and the sharded driver paths run instead; results are
 // bit-identical either way. Call Close on sharded workspaces to release
 // the shard workers promptly (a finalizer backs it up).
+//
+// When the kernel reports a half register, state (or ss) and the
+// adjoint hold 2^(n−1) amplitudes and the layer runner, the sharded
+// state and the reverse mixer run their mirror pass. Half- and
+// full-register results are each bit-identical across layouts, worker
+// counts and arenas; they agree with each other to rounding only.
 type EvalWorkspace struct {
 	k       costKernel
 	state   *quantum.State
@@ -350,6 +381,7 @@ func newFlatWorkspace(k costKernel, a *Arena) *EvalWorkspace {
 		arena:   a,
 	}
 	w.runner = quantum.NewLayerRunner(w.state)
+	w.runner.SetMirror(k.mirror())
 	w.phaseState = func(lo, hi int) {
 		k.applyPhaseRange(w.state, w.factors, w.gamma, 0, lo, hi)
 	}
@@ -361,6 +393,7 @@ func newFlatWorkspace(k costKernel, a *Arena) *EvalWorkspace {
 
 func newShardedWorkspace(k costKernel, shardBits int, a *Arena) *EvalWorkspace {
 	ss := a.getSharded(k.qubits(), shardBits)
+	ss.SetMirror(k.mirror()) // a pooled state keeps its last owner's setting
 	ss.FillUniform()
 	w := &EvalWorkspace{
 		k:       k,
@@ -508,10 +541,14 @@ func (w *EvalWorkspace) holds(gamma, beta []float64) bool {
 // prepareState builds a fresh |ψ(γ,β)⟩ with the fused layer kernels.
 // It backs the one-shot State helpers, which are not hot paths, so the
 // transient workspace is fine. Always flat: the helpers hand out a
-// *quantum.State.
+// *quantum.State, and always the problem's full register — a half
+// register is unfolded.
 func prepareState(k costKernel, gamma, beta []float64) *quantum.State {
 	w := newFlatWorkspace(k, nil)
 	w.runLayers(gamma, beta)
+	if k.mirror() {
+		return w.state.UnfoldMirror()
+	}
 	return w.state
 }
 

@@ -131,8 +131,8 @@ func TestKernelCompressesDistinctCuts(t *testing.T) {
 	if max := g.NumEdges() + 1; len(k.halfAngles) > max {
 		t.Errorf("kernel has %d distinct phase angles, want ≤ %d", len(k.halfAngles), max)
 	}
-	if len(k.idx) != len(pb.CutTable) {
-		t.Errorf("kernel index table length %d != cut table length %d", len(k.idx), len(pb.CutTable))
+	if len(k.idx) != len(pb.CutTable)/2 {
+		t.Errorf("kernel index table length %d != half the cut table's %d", len(k.idx), len(pb.CutTable))
 	}
 }
 

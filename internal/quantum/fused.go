@@ -59,6 +59,9 @@ type LayerRunner struct {
 	// chunk length so per-chunk phase callbacks see the same ranges the
 	// flat path would.
 	clen int
+	// mirror makes the state a half register (mirror.go): the sweep ends
+	// with the mirror butterfly of the qubit the state does not store.
+	mirror bool
 
 	// Per-Layer parameters, written before dispatch, read-only during.
 	phase func(lo, hi int)
@@ -66,9 +69,10 @@ type LayerRunner struct {
 	rx    rxCoef // mixer butterfly coefficients
 	pairQ int    // current cross-chunk pair
 
-	lowBody  func(lo, hi int)
-	pairBody func(rlo, rhi int)
-	oneBody  func(rlo, rhi int)
+	lowBody    func(lo, hi int)
+	pairBody   func(rlo, rhi int)
+	oneBody    func(rlo, rhi int)
+	mirrorBody func(rlo, rhi int)
 }
 
 // NewLayerRunner returns a runner bound to s.
@@ -82,14 +86,22 @@ func NewLayerRunner(s *State) *LayerRunner {
 		half := len(r.s.amps) >> 1
 		rxDuo(r.s.amps[lo:hi], r.s.amps[half+lo:half+hi], r.rx.c, r.rx.s)
 	}
+	r.mirrorBody = func(rlo, rhi int) {
+		mirrorRange(r.s.amps, r.s.n, rlo, rhi, r.rx)
+	}
 	return r
 }
 
+// SetMirror makes the runner treat its state as a half register
+// (mirror.go) or, with false, as the full register again.
+func (r *LayerRunner) SetMirror(on bool) { r.mirror = on }
+
 // Layer applies one fused QAOA stage to the state: an optional uniform
 // refill, the caller's phase separator (called per fixed-geometry
-// chunk; nil to skip), and RX(theta) on every qubit. The amplitudes are
-// bit-identical to FillUniform() + phase over the same chunk ranges +
-// RXAll(theta).
+// chunk; nil to skip), and RX(theta) on every qubit — on a half
+// register, the dropped qubit included. The amplitudes of a full
+// register are bit-identical to FillUniform() + phase over the same
+// chunk ranges + RXAll(theta).
 func (r *LayerRunner) Layer(theta float64, fill bool, phase func(lo, hi int)) {
 	s := r.s
 	r.rx = newRXCoef(theta)
@@ -124,8 +136,9 @@ func (r *LayerRunner) Layer(theta float64, fill bool, phase func(lo, hi int)) {
 		dispatchChunks(nc, clen, r.lowBody)
 	}
 
-	// Cross-chunk pairs in ascending qubit order, then the odd final
-	// qubit. With a single chunk everything was in-chunk already.
+	// Cross-chunk pairs in ascending qubit order, then the last pass: the
+	// odd final qubit, or a half register's mirror butterfly with that
+	// qubit fused in. With a single chunk everything was in-chunk already.
 	cb := bits.TrailingZeros(uint(clen))
 	q := cb - 1
 	if q%2 != 0 {
@@ -135,16 +148,23 @@ func (r *LayerRunner) Layer(theta float64, fill bool, phase func(lo, hi int)) {
 		r.pairQ = q
 		runRange(dim>>2, par, r.pairBody)
 	}
-	if limit == s.n && s.n%2 == 1 && nc > 1 {
-		runRange(dim>>1, par, r.oneBody)
+	if limit == s.n && nc > 1 {
+		switch {
+		case r.mirror:
+			runRange(mirrorReps(s.n), par, r.mirrorBody)
+		case s.n%2 == 1:
+			runRange(dim>>1, par, r.oneBody)
+		}
 	}
 }
 
 // runLow processes one chunk of the low sweep: fill, phase, every mixer
 // pair both of whose qubits address bits inside the chunk, and — when
-// the chunk spans the whole register — the odd final qubit. Chunk
-// bounds are ChunkLen-aligned, so the representative ranges [lo>>2,
-// hi>>2) and [lo>>1, hi>>1) map exactly onto the chunk's butterflies.
+// the chunk spans the whole register — the last pass: the odd final
+// qubit and a half register's mirror butterfly, fused when they fuse.
+// Chunk bounds are ChunkLen-aligned, so the representative ranges
+// [lo>>2, hi>>2) and [lo>>1, hi>>1) map exactly onto the chunk's
+// butterflies.
 func (r *LayerRunner) runLow(lo, hi int) {
 	s := r.s
 	if r.fill {
@@ -165,8 +185,13 @@ func (r *LayerRunner) runLow(lo, hi int) {
 	for ; q+1 < limit && 1<<uint(q+1) < span; q += 2 {
 		rxQuadRange(s.amps, q, lo>>2, hi>>2, r.rx.cc, r.rx.cm, r.rx.mm)
 	}
-	if limit == s.n && q == s.n-1 && 1<<uint(q) < span {
-		// Single-chunk register with odd n: the final qubit is in-chunk.
+	if limit != s.n || span != len(s.amps) {
+		return
+	}
+	if s.n%2 == 1 && !(r.mirror && mirrorFused(s.n)) {
 		r.oneBody(lo>>1, hi>>1)
+	}
+	if r.mirror {
+		r.mirrorBody(0, mirrorReps(s.n))
 	}
 }

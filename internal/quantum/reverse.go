@@ -33,11 +33,20 @@ import (
 //	quadruples of a sub-run (≤ revSubQuads, ascending)
 //	→ sub-runs of a run → runs of a pair → pairs of a block (the low
 //	  pass un-applies every in-chunk pair of chunk c, and a single-chunk
-//	  register's odd final qubit, into block c)
+//	  register's last pass, into block c)
 //	→ blocks of a pass: every pass has dim/ChunkLen(dim) blocks, block c
 //	  being chunk c's representatives — ChunkLen/4 quadruples, or
-//	  ChunkLen/2 pairs for the odd final qubit
-//	→ passes: low, cross-chunk pairs ascending, odd final qubit.
+//	  ChunkLen/2 pairs for a lone butterfly
+//	→ passes: low, cross-chunk pairs ascending, last pass.
+//
+// The last pass is the odd final qubit's on a full register. On a half
+// register (mirror.go) it is the mirror butterfly's, whose ΣX term is
+// the dropped qubit's share of the matrix element: quadruples {i, i+T,
+// M−1−i, T−1−i} with the odd final qubit fused in when the width is odd
+// and at least 3, pairs (i, M−1−i) otherwise — and at width 1 qubit 0's
+// pair first, then the mirror's. Its groups are taken in ascending
+// order of their lowest index i, sub-run by sub-run and block by block
+// like every other pass.
 //
 // Blocks are a function of the dimension alone and run through the
 // fixed-geometry reductions (ReduceChunks, ShardedState.Reduce), never
@@ -71,56 +80,59 @@ func (ss *ShardedState) span(i, n int) []complex128 {
 // two states and is not safe for concurrent use.
 type ReverseMixer struct {
 	phi, lam     ampSpans
-	n, dim, clen int // register width, 2^n, fixed chunk length (≤ dim)
+	n, dim, clen int  // register width, 2^n, fixed chunk length (≤ dim)
+	mirror       bool // the states are half registers (mirror.go)
 
 	// Per-Sweep parameters, written before dispatch, read-only during.
 	rx rxCoef
 	q  int // low qubit of the current cross-chunk pair
 
-	reduce                     func(body func(lo, hi int) (a, b float64)) (a, b float64)
-	lowBody, pairBody, oneBody func(lo, hi int) (a, b float64)
+	reduce                                 func(body func(lo, hi int) (a, b float64)) (a, b float64)
+	lowBody, pairBody, oneBody, mirrorBody func(lo, hi int) (a, b float64)
 }
 
-// NewReverseMixer returns a sweep over two flat states of equal width.
-func NewReverseMixer(phi, lam *State) *ReverseMixer {
+// NewReverseMixer returns a sweep over two flat states of equal width,
+// full registers or (mirror) half registers.
+func NewReverseMixer(phi, lam *State, mirror bool) *ReverseMixer {
 	if phi.n != lam.n {
 		panic(fmt.Sprintf("quantum: ReverseMixer width mismatch %d != %d", phi.n, lam.n))
 	}
 	dim := len(phi.amps)
-	return newReverseMixer(phi, lam, phi.n, func(body func(lo, hi int) (a, b float64)) (a, b float64) {
+	return newReverseMixer(phi, lam, phi.n, mirror, func(body func(lo, hi int) (a, b float64)) (a, b float64) {
 		return ReduceChunks(dim, body)
 	})
 }
 
 // NewShardedReverseMixer returns a sweep over two sharded states of
-// equal geometry. Blocks run on phi's shard workers, each on the
-// worker owning the block's chunk.
+// equal geometry, half registers if phi is one (SetMirror). Blocks run
+// on phi's shard workers, each on the worker owning the block's chunk.
 func NewShardedReverseMixer(phi, lam *ShardedState) *ReverseMixer {
 	if phi.n != lam.n || phi.sbits != lam.sbits {
 		panic("quantum: geometry mismatch in NewShardedReverseMixer")
 	}
-	return newReverseMixer(phi, lam, phi.n, phi.Reduce)
+	return newReverseMixer(phi, lam, phi.n, phi.mirror, phi.Reduce)
 }
 
-func newReverseMixer(phi, lam ampSpans, n int, reduce func(func(lo, hi int) (a, b float64)) (a, b float64)) *ReverseMixer {
+func newReverseMixer(phi, lam ampSpans, n int, mirror bool, reduce func(func(lo, hi int) (a, b float64)) (a, b float64)) *ReverseMixer {
 	dim := 1 << uint(n)
-	m := &ReverseMixer{phi: phi, lam: lam, n: n, dim: dim, clen: min(ChunkLen(dim), dim), reduce: reduce}
-	m.lowBody, m.pairBody, m.oneBody = m.low, m.pair, m.one
+	m := &ReverseMixer{phi: phi, lam: lam, n: n, dim: dim, clen: min(ChunkLen(dim), dim), mirror: mirror, reduce: reduce}
+	m.lowBody, m.pairBody, m.oneBody, m.mirrorBody = m.low, m.pair, m.one, m.mirrorBlock
 	return m
 }
 
 // Sweep applies RX(theta) to every qubit of both states — amplitudes
 // bit-identical to LayerRunner.Layer(theta, false, nil) on each — and
-// returns Im⟨λ|Σ_q X_q|φ⟩ in the file comment's summation order. The
-// value does not depend on theta: it is the matrix element between the
-// states as they were on entry (and, ΣX commuting with the mixer, as
-// they are on return).
+// returns Im⟨λ|Σ_q X_q|φ⟩ in the file comment's summation order, the
+// sum running over a half register's dropped qubit too. The value does
+// not depend on theta: it is the matrix element between the states as
+// they were on entry (and, ΣX commuting with the mixer, as they are on
+// return).
 func (m *ReverseMixer) Sweep(theta float64) float64 {
 	m.rx = newRXCoef(theta)
 	im, _ := m.reduce(m.lowBody)
 
-	// Cross-chunk pairs in ascending qubit order, then the odd final
-	// qubit: LayerRunner.Layer's pass sequence.
+	// Cross-chunk pairs in ascending qubit order, then the last pass:
+	// LayerRunner.Layer's pass sequence.
 	cb := bits.TrailingZeros(uint(m.clen))
 	q := cb - 1
 	if q%2 != 0 {
@@ -131,16 +143,22 @@ func (m *ReverseMixer) Sweep(theta float64) float64 {
 		p, _ := m.reduce(m.pairBody)
 		im += p
 	}
-	if m.n%2 == 1 && m.dim > m.clen {
-		p, _ := m.reduce(m.oneBody)
-		im += p
+	if m.dim > m.clen {
+		switch {
+		case m.mirror:
+			p, _ := m.reduce(m.mirrorBody)
+			im += p
+		case m.n%2 == 1:
+			p, _ := m.reduce(m.oneBody)
+			im += p
+		}
 	}
 	return im
 }
 
 // low is one block of the low pass: chunk [lo, hi) of both states has
 // every in-chunk pair un-applied, and — when the chunk spans the whole
-// register — the odd final qubit, exactly as LayerRunner.runLow.
+// register — the last pass, exactly as LayerRunner.runLow.
 func (m *ReverseMixer) low(lo, hi int) (im, _ float64) {
 	span := hi - lo
 	p, l := m.phi.span(lo, span), m.lam.span(lo, span)
@@ -148,9 +166,15 @@ func (m *ReverseMixer) low(lo, hi int) (im, _ float64) {
 	for ; q+1 < m.n && 1<<uint(q+1) < span; q += 2 {
 		im += revQuadChunk(p, l, q, m.rx)
 	}
-	if q == m.n-1 && 1<<uint(q) < span {
+	if span != m.dim {
+		return im, 0
+	}
+	if m.n%2 == 1 && !(m.mirror && mirrorFused(m.n)) {
 		half := span >> 1
 		im += revDuo(p[:half], p[half:], l[:half], l[half:], m.rx)
+	}
+	if m.mirror {
+		im += m.revMirror(0, mirrorReps(m.n))
 	}
 	return im, 0
 }
@@ -176,6 +200,30 @@ func (m *ReverseMixer) pair(lo, hi int) (im, _ float64) {
 func (m *ReverseMixer) one(lo, hi int) (im, _ float64) {
 	i, n, half := lo>>1, (hi-lo)>>1, m.dim>>1
 	return revDuo(m.phi.span(i, n), m.phi.span(half+i, n), m.lam.span(i, n), m.lam.span(half+i, n), m.rx), 0
+}
+
+// mirrorBlock is one block of a half register's mirror pass on a
+// multi-chunk register: the groups whose representatives are chunk
+// [lo, hi)'s, [lo/4, hi/4) when the odd final qubit fuses in and
+// [lo/2, hi/2) otherwise.
+func (m *ReverseMixer) mirrorBlock(lo, hi int) (im, _ float64) {
+	sh := mirrorShift(m.n)
+	return m.revMirror(lo>>sh, hi>>sh), 0
+}
+
+// revMirror un-applies the mirror pass for representatives [rlo, rhi)
+// from both states and returns their ΣX terms: mirrorRange on two
+// states through span.
+func (m *ReverseMixer) revMirror(rlo, rhi int) float64 {
+	n := rhi - rlo
+	if mirrorFused(m.n) {
+		t := m.dim >> 1
+		return revQuadMirror(
+			m.phi.span(rlo, n), m.phi.span(t+rlo, n), m.phi.span(m.dim-rhi, n), m.phi.span(t-rhi, n),
+			m.lam.span(rlo, n), m.lam.span(t+rlo, n), m.lam.span(m.dim-rhi, n), m.lam.span(t-rhi, n),
+			m.rx)
+	}
+	return revDuoMirror(m.phi.span(rlo, n), m.phi.span(m.dim-rhi, n), m.lam.span(rlo, n), m.lam.span(m.dim-rhi, n), m.rx)
 }
 
 // revQuadChunk un-applies the in-chunk pair (q, q+1) from one chunk of

@@ -49,7 +49,7 @@ func TestReverseMixerMatchesLayerAndOracle(t *testing.T) {
 			}
 			withWorkers(t, workers, func() any {
 				phi, lam := reverseTestPair(n, seed)
-				got := NewReverseMixer(phi, lam).Sweep(theta)
+				got := NewReverseMixer(phi, lam, false).Sweep(theta)
 				ampsEqualExact(t, label+" φ", phi0, phi, runtime.GOMAXPROCS(0))
 				ampsEqualExact(t, label+" λ", lam0, lam, runtime.GOMAXPROCS(0))
 				if d := math.Abs(got - oracle); d > 1e-12*(1+math.Abs(oracle)) {
@@ -98,7 +98,7 @@ func TestReverseMixerZeroAlloc(t *testing.T) {
 	var sink float64
 	for _, n := range []int{8, 16} {
 		phi, lam := reverseTestPair(n, 77)
-		m := NewReverseMixer(phi, lam)
+		m := NewReverseMixer(phi, lam, false)
 		sink += m.Sweep(0.3) // warm the pool's job freelist
 		if allocs := testing.AllocsPerRun(10, func() { sink += m.Sweep(-0.3) }); allocs != 0 {
 			t.Fatalf("n=%d: Sweep allocates %v times per run", n, allocs)
@@ -113,7 +113,7 @@ func TestReverseMixerPanicsOnMismatch(t *testing.T) {
 			t.Fatal("NewReverseMixer accepted mismatched widths")
 		}
 	}()
-	NewReverseMixer(NewState(3), NewState(4))
+	NewReverseMixer(NewState(3), NewState(4), false)
 }
 
 // BenchmarkReverseMixer times one two-state sweep — RX un-applied from
@@ -125,7 +125,7 @@ func BenchmarkReverseMixer(b *testing.B) {
 	for _, n := range []int{8, 16, 20} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			phi, lam := randomParallelState(n, 8), randomParallelState(n, 9)
-			m := NewReverseMixer(phi, lam)
+			m := NewReverseMixer(phi, lam, false)
 			var sink float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

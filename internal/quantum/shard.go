@@ -103,6 +103,9 @@ type ShardedState struct {
 	sdim  int // amplitudes per shard
 	clen  int // global fixed chunk length ChunkLen(2^n)
 	amp   complex128
+	// mirror makes the state a half register (mirror.go): Layer ends with
+	// the mirror exchange between shards w and K−1−w.
+	mirror bool
 
 	shards  []*State
 	runners []*LayerRunner
@@ -126,6 +129,7 @@ type ShardedState struct {
 	opPair   func(int)
 	opQuad   func(int)
 	opSingle func(int)
+	opMirror func(int)
 	opFill   func(int)
 	opReduce func(int)
 }
@@ -193,6 +197,7 @@ func NewShardedState(n, shardBits int) *ShardedState {
 	ss.opPair = ss.pairBody
 	ss.opQuad = ss.quadBody
 	ss.opSingle = ss.singleBody
+	ss.opMirror = ss.mirrorBody
 	ss.opFill = func(w int) {
 		amps := ss.shards[w].amps
 		for i := range amps {
@@ -222,6 +227,16 @@ func (ss *ShardedState) Close() {
 		ss.grp = nil
 	}
 	runtime.SetFinalizer(ss, nil)
+}
+
+// SetMirror makes Layer treat the state as a half register (mirror.go)
+// or, with false, as the full register again. Pooled states are handed
+// from one kind of evolution to the other, so every owner sets it.
+func (ss *ShardedState) SetMirror(on bool) {
+	ss.mirror = on
+	if len(ss.shards) == 1 {
+		ss.runners[0].SetMirror(on) // one shard: its runner sweeps every qubit
+	}
 }
 
 // NumQubits returns the register width n.
@@ -280,7 +295,8 @@ func (ss *ShardedState) Layer(theta float64, fill bool, phase func(off, lo, hi i
 
 	// Exchange passes, ascending qubit order: the straddle pair when the
 	// shard width is odd, then one 4-shard pass per shard-index pair,
-	// then the odd final qubit.
+	// then the odd final qubit — or a half register's mirror exchange
+	// with that qubit fused in.
 	q := ss.sbits
 	if ss.sbits%2 == 1 {
 		g.run(ss.opPair)
@@ -290,7 +306,10 @@ func (ss *ShardedState) Layer(theta float64, fill bool, phase func(off, lo, hi i
 		ss.exB0, ss.exB1 = q-ss.sbits, q+1-ss.sbits
 		g.run(ss.opQuad)
 	}
-	if ss.n%2 == 1 {
+	switch {
+	case ss.mirror:
+		g.run(ss.opMirror)
+	case ss.n%2 == 1:
 		g.run(ss.opSingle)
 	}
 }
@@ -346,6 +365,33 @@ func (ss *ShardedState) singleBody(w int) {
 	lo := rank * span
 	hi := lo + span
 	rxDuo(a[lo:hi], b[lo:hi], ss.rx.c, ss.rx.s)
+}
+
+// mirrorBody is a half register's mirror exchange (mirror.go): global
+// index i = w·sdim + l meets M−1−i = (K−1−w)·sdim + (sdim−1−l), so shard
+// w exchanges with shard K−1−w, local ranges reversed. The K workers
+// split the representative range evenly. Fused with the odd final qubit
+// T = M/2: a quarter shard of representatives each, in shard w/4, with
+// partners in shards w/4 + K/2 (i+T), K−1−w/4 (M−1−i) and K/2−1−w/4
+// (T−1−i). Unfused: half a shard each, in shard w/2.
+func (ss *ShardedState) mirrorBody(w int) {
+	k := len(ss.shards)
+	if mirrorFused(ss.n) {
+		span := ss.sdim >> 2
+		s0, h := w>>2, k>>1
+		lo := (w & 3) * span
+		hi := lo + span
+		rlo, rhi := ss.sdim-hi, ss.sdim-lo
+		rxQuadMirror(ss.shards[s0].amps[lo:hi], ss.shards[s0+h].amps[lo:hi],
+			ss.shards[k-1-s0].amps[rlo:rhi], ss.shards[h-1-s0].amps[rlo:rhi],
+			ss.rx.cc, ss.rx.cm, ss.rx.mm)
+		return
+	}
+	span := ss.sdim >> 1
+	s0 := w >> 1
+	lo := (w & 1) * span
+	hi := lo + span
+	rxDuoMirror(ss.shards[s0].amps[lo:hi], ss.shards[k-1-s0].amps[ss.sdim-hi:ss.sdim-lo], ss.rx.c, ss.rx.s)
 }
 
 // Reduce evaluates body over every fixed-geometry chunk of the GLOBAL

@@ -148,7 +148,7 @@ func TestShardedSumXMatchesFlat(t *testing.T) {
 			// sweep: flat and sharded sweeps must agree bit for bit, and
 			// with the public complex form to rounding.
 			full := fs.InnerProductSumX(ft)
-			fi := NewReverseMixer(ft, fs).Sweep(0.6)
+			fi := NewReverseMixer(ft, fs, false).Sweep(0.6)
 			si := NewShardedReverseMixer(sst, sss).Sweep(0.6)
 			if si != fi || math.Abs(fi-imag(full)) > 1e-12 {
 				t.Fatalf("shards=%d: Im ΣX sharded %v, flat %v, InnerProductSumX %v", 1<<sb, si, fi, imag(full))
