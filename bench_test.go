@@ -179,11 +179,12 @@ func BenchmarkPhaseSeparatorDiagonal(b *testing.B) {
 func BenchmarkPhaseSeparatorGates(b *testing.B) {
 	pb := benchProblem(b)
 	pr := qaoa.Params{Gamma: []float64{0.4, 0.7, 0.9}, Beta: []float64{0.5, 0.3, 0.2}}
+	table := pb.Graph.WeightedCutTable()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := pb.BuildCircuit(pr).Simulate()
-		_ = st.ExpectationDiagonal(pb.CutTable)
+		_ = st.ExpectationDiagonal(table)
 	}
 }
 
@@ -594,9 +595,9 @@ func BenchmarkLBFGSBGradientPath(b *testing.B) {
 
 // --- large-register scaling benches (streaming cost + parallel kernels) ---
 
-// largeBenchProblem builds a 3-regular streaming-mode MaxCut instance.
-// Above the streaming threshold no 2^n cost table exists; C(z) is
-// generated from the edge list per fixed-geometry chunk.
+// largeBenchProblem builds a 3-regular MaxCut instance above
+// qaoa.StreamingThreshold: no 2^n cost table exists, C(z) is generated
+// from the term lists per fixed-geometry chunk.
 func largeBenchProblem(b *testing.B, n int) *qaoa.Problem {
 	b.Helper()
 	rng := rand.New(rand.NewSource(int64(40 + n)))
@@ -604,17 +605,13 @@ func largeBenchProblem(b *testing.B, n int) *qaoa.Problem {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if pb.CutTable != nil {
-		b.Fatalf("n=%d problem materialized its cut table; streaming expected", n)
-	}
 	return pb
 }
 
 // BenchmarkExpectationLargeN measures one depth-1 expectation at 16,
 // 20, 22 and 24 qubits through the streaming kernel — the scaling
 // targets the small-n engine could not reach (a 2^22 cost+index table
-// pair alone would cost 48 MiB). n=26 and n=28 run through qaoabench
-// only, to keep the go-test bench smoke fast.
+// pair alone would cost 48 MiB).
 func BenchmarkExpectationLargeN(b *testing.B) {
 	for _, n := range []int{16, 20, 22, 24} {
 		n := n

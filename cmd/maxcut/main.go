@@ -77,7 +77,7 @@ func run(file string, depth int, optName string, starts int, seed int64, tol flo
 
 	rng := rand.New(rand.NewSource(seed))
 	rec := core.OptimizeDepth(pb, 0, depth, starts, opt, rng)
-	cut, assign := pb.BestSampledCut(rec.Params)
+	cut, assign := pb.BestSampled(rec.Params)
 
 	if quiet {
 		fmt.Fprintf(w, "%0*b %g\n", g.N, assign, cut)

@@ -3,7 +3,7 @@
 // workload at a fixed open-loop arrival rate and writes the measured
 // serving numbers — throughput, latency percentiles, cache hit rate,
 // workspace-reuse rate — as JSON (BENCH_server.json by default),
-// merging prior runs the way qaoabench does.
+// merging prior runs into its history.
 //
 // The arrival process is open-loop: requests are launched on a fixed
 // tick regardless of how many are still outstanding, so a server that
@@ -693,8 +693,7 @@ func checkReport(path string) error {
 // merge folds a previous report at path into r, keyed by
 // (name, gomaxprocs) with this run winning; prior timestamps join
 // History (newest first, capped). Missing file = first run; corrupt
-// file = overwritten. The logic mirrors qaoabench's merge so the two
-// BENCH files age the same way.
+// file = overwritten.
 func (r *Report) merge(path string) {
 	blob, err := os.ReadFile(path)
 	if err != nil {

@@ -47,6 +47,6 @@ func main() {
 	fmt.Printf("expected cut ⟨C⟩: %.4f\n", pb.Expectation(params))
 	fmt.Printf("approximation ratio: %.4f\n", pb.ApproximationRatio(params))
 
-	cut, assign := pb.BestSampledCut(params)
+	cut, assign := pb.BestSampled(params)
 	fmt.Printf("most probable assignment: %08b → cut %g\n", assign, cut)
 }

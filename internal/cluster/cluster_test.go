@@ -238,8 +238,10 @@ func TestFleetSSEProxy(t *testing.T) {
 // the dispatch context cancellation turns into DELETE on the worker.
 func TestFleetCancellationPropagates(t *testing.T) {
 	coord, workers, _ := startFleet(t, 1, server.Config{})
+	// A solve of several seconds, so the cancel lands while it runs even
+	// when the test goroutine is starved for a few hundred ms.
 	req := server.SolveRequest{
-		Nodes: 16, Edges: ladder(16), Depth: 8,
+		Nodes: 20, Edges: ladder(20), Depth: 10,
 		Strategy: "naive", Seed: 7,
 	}
 	code, view := solveHTTP(t, coord.ts.URL, req)

@@ -9,7 +9,7 @@ import (
 
 // Deterministic seeded generators, one per family: the datagen
 // ensembles of the cross-family training sets, and the instance
-// sources of the qaoabench problem-family suites. Each generator
+// sources of the benchmark's cold mixes. Each generator
 // consumes the rng in a fixed order, so (family, size, seed) pins the
 // instance exactly.
 

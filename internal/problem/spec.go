@@ -24,9 +24,7 @@ type Spec struct {
 	PenaltyB float64        // coloring conflict penalty (0 = 1)
 }
 
-// MaxCut wraps a weighted graph as a MaxCut spec — the family that
-// keeps the legacy direct-graph evaluation path, bit-identical to the
-// pre-Spec API.
+// MaxCut wraps a weighted graph as a MaxCut spec, the paper's family.
 func MaxCut(g *graph.Graph) Spec { return Spec{Family: FamilyMaxCut, Graph: g} }
 
 // FromInstance wraps a pre-built Ising/QUBO Hamiltonian.
@@ -46,10 +44,8 @@ func Coloring(g *graph.Graph, colors int) Spec {
 	return Spec{Family: FamilyColoring, Graph: g, Colors: colors}
 }
 
-// Compile lowers the spec to its Ising Instance. MaxCut specs compile
-// too (Offset m/2, J = −w/2) — qaoa routes them to the legacy graph
-// kernels by family, but the compiled form is what the bit-identity
-// guarantees are stated against.
+// Compile lowers the spec to its validated Ising Instance, the one
+// form qaoa evaluates (MaxCut: Offset m/2, J = −w/2).
 func (s Spec) Compile() (*Instance, error) {
 	switch s.Family {
 	case FamilyMaxCut:

@@ -29,22 +29,7 @@ const BetaPeriod = math.Pi / 2
 
 // Canonicalize maps params into the fundamental domain described above
 // without changing the expectation value. The receiver is not modified.
-func Canonicalize(pr Params) Params {
-	p := pr.Depth()
-	out := NewParams(p)
-	for i := 0; i < p; i++ {
-		out.Gamma[i] = mod(pr.Gamma[i], GammaMax)
-		out.Beta[i] = mod(pr.Beta[i], BetaPeriod)
-	}
-	// Joint conjugation to bring γ1 into [0, π].
-	if p > 0 && out.Gamma[0] > math.Pi {
-		for i := 0; i < p; i++ {
-			out.Gamma[i] = mod(-out.Gamma[i], GammaMax)
-			out.Beta[i] = mod(-out.Beta[i], BetaPeriod)
-		}
-	}
-	return out
-}
+func Canonicalize(pr Params) Params { return canonicalizeIsing(pr, BetaPeriod) }
 
 // mod returns x modulo m in [0, m).
 func mod(x, m float64) float64 {
@@ -69,56 +54,54 @@ func mod(x, m float64) float64 {
 // 3-regular, where this folding is what makes the per-stage patterns
 // comparable across graphs.
 func (pb *Problem) Canonicalize(pr Params) Params {
-	// Generic Ising instances: linear terms break the bit-flip (X⊗n)
-	// symmetry behind the β mod π/2 folding, so an instance with a field
-	// folds β mod π only (RX(2β) is π-periodic up to global phase); a
-	// FieldFree one (partition) has the symmetry and folds mod π/2 like
-	// MaxCut. Either way γ mod 2π and the joint conjugation apply when
-	// the doubled coefficients are integral (phase-generator differences
-	// are then integers, making the separator 2π-periodic in γ).
-	if pb.Inst != nil {
-		period := math.Pi
-		if pb.Inst.FieldFree() {
-			period = BetaPeriod
+	// MaxCut first: its folds are keyed on the graph's weights and
+	// degrees, and the predictor's features depend on them.
+	if g := pb.Graph; g != nil {
+		// Non-integer edge weights break the 2π-periodicity of the phase
+		// separator, so only the weight-independent β folding applies.
+		if g.Weighted() && !g.IntegerWeighted() {
+			return foldBetaPeriod(pr, BetaPeriod)
 		}
-		if pb.Inst.IntegerCoeffs() {
-			return canonicalizeIsing(pr, period)
-		}
-		return foldBetaPeriod(pr, period)
-	}
-	// Non-integer edge weights break the 2π-periodicity of the phase
-	// separator, so only the weight-independent β folding applies.
-	if pb.Graph.Weighted() && !pb.Graph.IntegerWeighted() {
-		return foldBetaOnly(pr)
-	}
-	out := Canonicalize(pr)
-	// The odd-degree γ+π folding relies on unit weights (the parity
-	// argument counts edges, not weights).
-	if pb.Graph.Weighted() || !allDegreesOdd(pb.Graph) {
-		return out
-	}
-	out = foldGammaModPi(out)
-	// Conjugation (γ → −γ, β → −β jointly) followed by refolding brings
-	// γ1 from (π/2, π) into [0, π/2].
-	if out.Gamma[0] > math.Pi/2 {
-		for i := range out.Gamma {
-			out.Gamma[i] = mod(-out.Gamma[i], GammaMax)
-			out.Beta[i] = mod(-out.Beta[i], BetaPeriod)
+		out := Canonicalize(pr)
+		// The odd-degree γ+π folding relies on unit weights (the parity
+		// argument counts edges, not weights).
+		if g.Weighted() || !allDegreesOdd(g) {
+			return out
 		}
 		out = foldGammaModPi(out)
+		// Conjugation (γ → −γ, β → −β jointly) followed by refolding brings
+		// γ1 from (π/2, π) into [0, π/2].
+		if out.Gamma[0] > math.Pi/2 {
+			for i := range out.Gamma {
+				out.Gamma[i] = mod(-out.Gamma[i], GammaMax)
+				out.Beta[i] = mod(-out.Beta[i], BetaPeriod)
+			}
+			out = foldGammaModPi(out)
+		}
+		return out
 	}
-	return out
+	// Every other family: linear terms break the bit-flip (X⊗n) symmetry
+	// behind the β mod π/2 folding, so an instance with a field folds β
+	// mod π only (RX(2β) is π-periodic up to global phase); a FieldFree
+	// one (partition) has the symmetry and folds mod π/2 like MaxCut.
+	// Either way γ mod 2π and the joint conjugation apply when the
+	// doubled coefficients are integral (phase-generator differences are
+	// then integers, making the separator 2π-periodic in γ).
+	period := math.Pi
+	if pb.Inst.FieldFree() {
+		period = BetaPeriod
+	}
+	if pb.Inst.IntegerCoeffs() {
+		return canonicalizeIsing(pr, period)
+	}
+	return foldBetaPeriod(pr, period)
 }
 
-// foldBetaOnly applies only the mixer-period symmetry: βi mod π/2 per
-// stage, with γ untouched (valid for any edge weights, since the cut
-// weight is invariant under complementing every vertex).
-func foldBetaOnly(pr Params) Params { return foldBetaPeriod(pr, BetaPeriod) }
-
 // foldBetaPeriod folds every mixer angle into [0, period) with γ
-// untouched. Instances with a field use period π (the RX(2β) layer
-// itself); MaxCut and field-free instances use π/2 (the extra X⊗n
-// symmetry).
+// untouched — valid for any coefficients. Instances with a field use
+// period π (the RX(2β) layer itself); MaxCut and field-free instances
+// use π/2 (the extra X⊗n symmetry: the objective is invariant under
+// complementing every bit).
 func foldBetaPeriod(pr Params, period float64) Params {
 	p := pr.Depth()
 	out := NewParams(p)
@@ -133,6 +116,7 @@ func foldBetaPeriod(pr Params, period float64) Params {
 // instance into its fundamental domain: γi mod 2π, βi mod betaPeriod
 // (see foldBetaPeriod), then the joint conjugation (γ⃗, β⃗) → (−γ⃗, −β⃗)
 // — exact for any real diagonal observable — to bring γ1 into [0, π].
+// With betaPeriod = π/2 it is Canonicalize.
 func canonicalizeIsing(pr Params, betaPeriod float64) Params {
 	p := pr.Depth()
 	out := NewParams(p)

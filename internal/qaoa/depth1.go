@@ -1,10 +1,6 @@
 package qaoa
 
-import (
-	"math"
-
-	"qaoaml/internal/problem"
-)
+import "math"
 
 // Depth 1 in closed form. A p = 1 QAOA state on an Ising Hamiltonian
 // never needs its 2^n amplitudes: conjugating Z_i (or Z_i·Z_j) back
@@ -35,11 +31,8 @@ import (
 // divides by a cosine that may vanish. ∂/∂β differentiates the three
 // β prefactors.
 //
-// MaxCut problems built from a graph compile through
-// problem.CompileMaxCut first, so the graph path and the Ising path run
-// one formula on one coefficient set and agree by ==. The engine is
-// serial and its summation order is fixed by the instance, so results
-// do not depend on GOMAXPROCS.
+// The engine is serial and its summation order is fixed by the
+// instance, so results do not depend on GOMAXPROCS.
 //
 // What stays on the state vector, and why: depths ≥ 2 (no closed form
 // of useful size), BestSampled (a readout needs the amplitudes, so a
@@ -65,27 +58,10 @@ type depth1 struct {
 	cj, sj []float64
 }
 
-// ising returns the problem's Hamiltonian as a compiled instance: Inst,
-// or the graph's form NewProblem compiled. Only a Problem literal built
-// around a graph by hand compiles here.
-func (pb *Problem) ising() *problem.Instance {
-	if pb.Inst != nil {
-		return pb.Inst
-	}
-	if pb.compiled != nil {
-		return pb.compiled
-	}
-	in, err := problem.CompileMaxCut(pb.Graph)
-	if err != nil {
-		panic(err) // NewProblem admits no graph CompileMaxCut rejects
-	}
-	return in
-}
-
 // newDepth1 lays the problem's Hamiltonian out in the dense form the
 // closed form walks.
 func newDepth1(pb *Problem) *depth1 {
-	in := pb.ising()
+	in := pb.Inst
 	n := in.N
 	sign := in.Sense.Sign()
 	d := &depth1{

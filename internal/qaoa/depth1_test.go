@@ -152,7 +152,7 @@ func TestDepth1ClosedFormMatchesStateVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(1612))
 	for _, c := range depth1Cases(t) {
 		name, pb := c.name, c.pb
-		scale, freq := coeffScale(pb.ising())
+		scale, freq := coeffScale(pb.Inst)
 		h := fdStep / freq
 		ev := NewEvaluator(pb, 1)
 		ws := pb.NewWorkspace()

@@ -94,24 +94,6 @@ func TestAdjointGradientMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
-// The general diagonal ansatz (exp(−iγC) convention, arbitrary cost
-// tables) must differentiate exactly too.
-func TestAdjointGradientDiagonalProblem(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	// Small weights keep the quadratic cost table O(1): the FD *reference*
-	// truncation error scales with |C|³, and large tables would make the
-	// reference — not the adjoint — the inaccurate side.
-	dp, err := NumberPartitionProblem([]float64{0.3, 0.1, 0.4, 0.15, 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := dp.NewWorkspace()
-	for p := 1; p <= 4; p++ {
-		checkGradient(t, ws, randomPoint(rng, p, false), "numpart/interior")
-		checkGradient(t, ws, randomPoint(rng, p, true), "numpart/face")
-	}
-}
-
 // Evaluator.NegValueGrad must negate both value and gradient and count
 // gradient evaluations separately from QC calls.
 func TestEvaluatorNegValueGrad(t *testing.T) {

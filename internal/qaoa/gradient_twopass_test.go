@@ -36,15 +36,6 @@ func refGen(k costKernel, lo, hi int) []float64 {
 		for i := range gen {
 			gen[i] = k.halfAngles[k.idx[lo+i]]
 		}
-	case *streamKernel:
-		if !k.integer {
-			k.fillGen(lo, hi, gen)
-			break
-		}
-		k.fillCut(lo, hi, gen)
-		for i, c := range gen {
-			gen[i] = (k.m - 2*c) / 2
-		}
 	case *isingStreamKernel:
 		if !k.integer {
 			k.fillGen(lo, hi, gen)
@@ -53,7 +44,7 @@ func refGen(k costKernel, lo, hi int) []float64 {
 		idx := make([]int32, hi-lo)
 		k.fillIdx(lo, hi, idx)
 		for i, j := range idx {
-			gen[i] = k.genFromT(k.tmin + int64(j))
+			gen[i] = k.genFromT(k.tmin + 2*int64(j))
 		}
 	default:
 		panic(fmt.Sprintf("refGen: unknown kernel %T", k))
@@ -119,16 +110,16 @@ func TestValueGradMatchesTwoPassReference(t *testing.T) {
 	}
 	for _, n := range sizes {
 		rng := rand.New(rand.NewSource(int64(900 + n)))
-		var mcWant, isWant costKernel = (*streamKernel)(nil), (*isingStreamKernel)(nil)
+		var want costKernel = (*isingStreamKernel)(nil)
 		if n < StreamingThreshold {
-			mcWant, isWant = (*diagKernel)(nil), (*diagKernel)(nil)
+			want = (*diagKernel)(nil)
 		}
-		add(fmt.Sprintf("maxcut/n%d", n), mustProblem(t, graph.RandomRegular(n, 3+n%2, rng)), mcWant)
-		add(fmt.Sprintf("ising/n%d", n), mustIsing(t, problem.RandomIsing(n, rng)), isWant)
+		add(fmt.Sprintf("maxcut/n%d", n), mustProblem(t, graph.RandomRegular(n, 3+n%2, rng)), want)
+		add(fmt.Sprintf("ising/n%d", n), mustIsing(t, problem.RandomIsing(n, rng)), want)
 	}
 	// Float coefficients: the per-amplitude Sincos streaming paths.
 	rng := rand.New(rand.NewSource(914))
-	add("maxcut-float/n14", mustProblem(t, randomWeightedGraph(rng, 14)), (*streamKernel)(nil))
+	add("maxcut-float/n14", mustProblem(t, randomWeightedGraph(rng, 14)), (*isingStreamKernel)(nil))
 	fin := problem.RandomIsing(14, rng)
 	fin.Linear[3] = 0.37
 	add("ising-float/n14", mustIsing(t, fin), (*isingStreamKernel)(nil))

@@ -33,6 +33,20 @@ import (
 // Hamiltonian with one.
 func fullRegisterKernel(in *problem.Instance) costKernel { return newIsingKernel(in, false) }
 
+// scoreTable is the gate circuit's observable: Score(z) summed term by
+// term by the problem package, the graph's own cut table for MaxCut —
+// no code shared with the kernels' tables.
+func scoreTable(pb *Problem) []float64 {
+	if pb.Graph != nil {
+		return pb.Graph.WeightedCutTable()
+	}
+	table := make([]float64, 1<<uint(pb.Inst.N))
+	for z := range table {
+		table[z] = pb.Inst.Score(uint64(z))
+	}
+	return table
+}
+
 type halfCase struct {
 	name string
 	pb   *Problem
@@ -106,17 +120,9 @@ func halfCases(t *testing.T, n int, rng *rand.Rand) []halfCase {
 // kinds, whichever one its size selects: the materialized table and the
 // chunk-streamed generator.
 func halfKernels(pb *Problem) map[string]costKernel {
-	if pb.Inst != nil {
-		n := pb.Inst.N - 1
-		diag, gen := buildIsingTables(pb.Inst, 1<<uint(n))
-		mat := newDiagKernelFromGen(n, diag, gen)
-		mat.half = true
-		return map[string]costKernel{"materialized": mat, "streaming": newIsingStreamKernel(pb.Inst, true)}
-	}
-	g := pb.Graph
 	return map[string]costKernel{
-		"materialized": newCutKernel(g.N, g.WeightedCutTable(), pb.TotalWeight),
-		"streaming":    newStreamKernel(g, pb.TotalWeight),
+		"materialized": newMaterializedKernel(pb.Inst, true),
+		"streaming":    newIsingStreamKernel(pb.Inst, true),
 	}
 }
 
@@ -150,7 +156,7 @@ func TestHalfRegisterMatchesFullRegisterAndCircuit(t *testing.T) {
 			cases = []halfCase{cases[1], cases[3], cases[6]}
 		}
 		for _, c := range cases {
-			in := c.pb.ising()
+			in := c.pb.Inst
 			if !in.FieldFree() {
 				t.Fatalf("%s: instance has a field", c.name)
 			}
@@ -193,7 +199,7 @@ func TestHalfRegisterMatchesFullRegisterAndCircuit(t *testing.T) {
 				// n = 12, one stage above, and under -short (the race matrix)
 				// not past the single-chunk sizes.
 				if n <= 12 || (p == 1 && (n <= 14 || !testing.Short())) {
-					circuit := c.pb.BuildCircuit(pr).Simulate().ExpectationDiagonal(c.pb.costDiagonal())
+					circuit := c.pb.BuildCircuit(pr).Simulate().ExpectationDiagonal(scoreTable(c.pb))
 					if d := math.Abs(want - circuit); d > 1e-12*scale {
 						t.Errorf("%s: full-register value %v, gate circuit %v (|Δ| = %g)", label, want, circuit, d)
 					}
@@ -271,9 +277,6 @@ func TestHalfRegisterSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(1701))
 	for _, n := range []int{2, 5, 9, 14} {
 		for _, c := range halfCases(t, n, rng) {
-			if c.pb.Inst == nil {
-				continue
-			}
 			in := *c.pb.Inst
 			in.Linear = make([]float64, n)
 			in.Linear[rng.Intn(n)] = 1e-300
@@ -305,52 +308,116 @@ func TestHalfRegisterSelection(t *testing.T) {
 	}
 }
 
-// fieldedPins are Float64bits of [⟨C⟩, ∂γ1…, ∂β1…] recorded at the
-// parent of the half-register change (commit 2a863cc) for
-// problem.RandomIsing(n, seed 17), p = 3, x = fieldedPinX: a
-// Hamiltonian with fields must evaluate exactly as it did, on every
-// layout. n = 10 is the materialized kernel (too small to shard: flat
-// and the one-shard layout); n = 15 the streaming kernel, flat and with
-// 0 and 2 shard bits.
+// pinRegular is the pinned 3-regular MaxCut graph on n vertices.
+func pinRegular(n int) *graph.Graph {
+	return graph.RandomRegular(n, 3, rand.New(rand.NewSource(int64(400+n))))
+}
+
+// pinCases are recorded evaluations at x = fieldedPinX (p = 3), which
+// every layout must reproduce bit for bit:
+//
+//   - problem.RandomIsing(n, seed 17), recorded at the parent of the
+//     half-register change (commit 2a863cc): a Hamiltonian with fields
+//     evaluates exactly as it did. n = 10 is the materialized kernel,
+//     n = 15 the streaming one.
+//   - MaxCut, recorded at the parent of the one-Hamiltonian-path change
+//     (commit 4f9b77a) from the graph kernels it deleted (cut table,
+//     edge-list stream): 3-regular unweighted n = 8 (materialized), 14
+//     and 20 (streamed), and n = 14 with integer weights 1 + i mod 4 in
+//     edge order.
+//
+// pins are Float64bits of [⟨C⟩, ∂γ1…, ∂β1…]; opt is OptValue; d1 are
+// Float64bits of the depth-1 closed form's NegValueGrad [−⟨C⟩, −∂γ,
+// −∂β] at (fieldedPinX[0], fieldedPinX[3]).
 var (
 	fieldedPinX = []float64{0.41, 0.87, 1.31, 0.33, 0.58, 0.21}
-	fieldedPins = map[int][7]uint64{
-		10: {0xbfedd7ebd7d4a683, 0xc01cc6d7eaac1357, 0xc0239c8e808d6cd9, 0xc019126cfb87fc91, 0x40290ee4a7b9022c, 0xc023fd12a9e195f2, 0xbffc464f39a370aa},
-		15: {0x4008f67111d83c7f, 0xc023b6ba7a543468, 0xc01010d24bea7e0b, 0x402979f7813c1d6a, 0xc013bc0ea6a79396, 0xc031c513e477e683, 0xc023caf030743d74},
+	pinCases    = []struct {
+		name  string
+		build func(t *testing.T) *Problem
+		long  bool // skipped under -short
+		opt   float64
+		pins  [7]uint64
+		d1    [3]uint64
+	}{
+		{"ising/n10", func(t *testing.T) *Problem {
+			return mustIsing(t, problem.RandomIsing(10, rand.New(rand.NewSource(17))))
+		}, false, 15,
+			[7]uint64{0xbfedd7ebd7d4a683, 0xc01cc6d7eaac1357, 0xc0239c8e808d6cd9, 0xc019126cfb87fc91, 0x40290ee4a7b9022c, 0xc023fd12a9e195f2, 0xbffc464f39a370aa},
+			[3]uint64{0xc013f2c00d1f4af9, 0x40319c4242a3b656, 0xc01be8ffb7b0dd7d}},
+		{"ising/n15", func(t *testing.T) *Problem {
+			return mustIsing(t, problem.RandomIsing(15, rand.New(rand.NewSource(17))))
+		}, false, 23,
+			[7]uint64{0x4008f67111d83c7f, 0xc023b6ba7a543468, 0xc01010d24bea7e0b, 0x402979f7813c1d6a, 0xc013bc0ea6a79396, 0xc031c513e477e683, 0xc023caf030743d74},
+			[3]uint64{0xc018ec3df449280c, 0x4043f70bcaf21d62, 0xc02158c58d3dc9f2}},
+		{"maxcut/n8", func(t *testing.T) *Problem { return mustProblem(t, pinRegular(8)) }, false, 10,
+			[7]uint64{0x401e6db2bfa0362e, 0x3fd18cde6d41b230, 0x3fd140b57c2296f4, 0xc005baad16275269, 0x400e2ae64ecf3c92, 0xc0181e0b4c0354a5, 0x3ff4c7c8e247e159},
+			[3]uint64{0xc01f312674555aaf, 0xc001d12e8b8eb5b7, 0xbff385e6996b9bfa}},
+		{"maxcut/n14", func(t *testing.T) *Problem { return mustProblem(t, pinRegular(14)) }, false, 19,
+			[7]uint64{0x402af4aa0fe446f4, 0xbff11f150a6cc136, 0xbff72e4a8f221c39, 0xc00c85eb39c425f6, 0x40206a7536fbd5de, 0xc024f04e6250ead6, 0x3ff3a1c03aa677f5},
+			[3]uint64{0xc02bab76c0f814af, 0xc012670edce7956d, 0xc008d9b528d75026}},
+		{"maxcut/n20", func(t *testing.T) *Problem { return mustProblem(t, pinRegular(20)) }, true, 27,
+			[7]uint64{0x4032bfda86c7fde9, 0xbfeb0a3a5d11108e, 0xbff1eccfa5535426, 0xc0169a5d646c79cb, 0x402405803bcee242, 0xc02ddcddebc3db18, 0x40014ad620465f52},
+			[3]uint64{0xc033a54d46c78136, 0xc018857f17148eb0, 0xc00e9e3628410918}},
+		{"maxcut-int/n14", func(t *testing.T) *Problem {
+			g := graph.New(14)
+			for i, e := range pinRegular(14).Edges() {
+				if err := g.AddWeightedEdge(e.U, e.V, float64(1+i%4)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return mustProblem(t, g)
+		}, false, 47,
+			[7]uint64{0x4039401abc76a099, 0xc0296f063bc01120, 0xc022afdb2d63b4ff, 0x401542fe970941e8, 0x400e91c0ff090792, 0xc021bb31943b9db8, 0x4004b08e74f63da4},
+			[3]uint64{0xc03ec4964b8b9c85, 0x40438bd6b7d82b8f, 0xc0156d997f74ac39}},
 	}
 )
 
 func TestFieldedHamiltonianBitsUnchanged(t *testing.T) {
-	for n, pins := range fieldedPins {
-		in := problem.RandomIsing(n, rand.New(rand.NewSource(17)))
-		if in.FieldFree() {
-			t.Fatalf("n=%d: pinned instance has no field", n)
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, c := range pinCases {
+		if c.long && testing.Short() {
+			continue
 		}
-		pb := mustIsing(t, in)
+		pb := c.build(t)
+		if pb.OptValue != c.opt {
+			t.Errorf("%s: OptValue %v, recorded %v", c.name, pb.OptValue, c.opt)
+		}
+		// Flat, one shard, and four shards where each still holds a chunk.
 		layouts := map[string]*EvalWorkspace{
-			"flat":     newFlatWorkspace(pb.kernel(), nil),
-			"1 shard":  newShardedWorkspace(pb.kernel(), 0, nil),
-			"4 shards": nil,
+			"flat":    newFlatWorkspace(pb.kernel(), nil),
+			"1 shard": newShardedWorkspace(pb.kernel(), 0, nil),
 		}
-		if n >= 15 {
+		if pb.stateQubits()-2 >= 13 {
 			layouts["4 shards"] = newShardedWorkspace(pb.kernel(), 2, nil)
 		}
-		for name, w := range layouts {
-			if w == nil {
-				continue
-			}
-			grad := make([]float64, len(fieldedPinX))
-			e := w.ExpectationVec(fieldedPinX)
-			got := append([]float64{w.ValueGrad(fieldedPinX, grad)}, grad...)
-			if math.Float64bits(e) != pins[0] {
-				t.Errorf("n=%d %s: ExpectationVec bits %#x, parent %#x", n, name, math.Float64bits(e), pins[0])
-			}
-			for i, v := range got {
-				if math.Float64bits(v) != pins[i] {
-					t.Errorf("n=%d %s: component %d bits %#x, parent %#x", n, name, i, math.Float64bits(v), pins[i])
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			for name, w := range layouts {
+				label := fmt.Sprintf("%s %s GOMAXPROCS=%d", c.name, name, procs)
+				grad := make([]float64, len(fieldedPinX))
+				e := w.ExpectationVec(fieldedPinX)
+				got := append([]float64{w.ValueGrad(fieldedPinX, grad)}, grad...)
+				if math.Float64bits(e) != c.pins[0] {
+					t.Errorf("%s: ExpectationVec bits %#x, recorded %#x", label, math.Float64bits(e), c.pins[0])
+				}
+				for i, v := range got {
+					if math.Float64bits(v) != c.pins[i] {
+						t.Errorf("%s: component %d bits %#x, recorded %#x", label, i, math.Float64bits(v), c.pins[i])
+					}
 				}
 			}
+		}
+		runtime.GOMAXPROCS(prev)
+		for _, w := range layouts {
 			w.Close()
+		}
+		grad := make([]float64, 2)
+		v := NewEvaluator(pb, 1).NegValueGrad([]float64{fieldedPinX[0], fieldedPinX[3]}, grad)
+		for i, got := range []float64{v, grad[0], grad[1]} {
+			if math.Float64bits(got) != c.d1[i] {
+				t.Errorf("%s: closed-form component %d bits %#x, recorded %#x", c.name, i, math.Float64bits(got), c.d1[i])
+			}
 		}
 	}
 }

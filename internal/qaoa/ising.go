@@ -1,70 +1,6 @@
 package qaoa
 
-import (
-	"fmt"
-
-	"qaoaml/internal/problem"
-	"qaoaml/internal/quantum"
-)
-
-// Generic Ising/QUBO front-end. New is the canonical constructor for
-// every problem family: MaxCut specs route to the legacy graph kernels
-// (bit-identical to NewProblem), every other family compiles to a
-// problem.Instance and evaluates through the Ising kernels — the
-// materialized table below StreamingThreshold, the streaming kernel
-// (ising_stream.go) above it. QAOA always maximizes Score(z) =
-// sense·Value(z), so minimization families need no special casing past
-// compilation.
-
-// New builds an evaluation-ready Problem from a problem spec.
-func New(spec problem.Spec) (*Problem, error) {
-	if spec.Family == problem.FamilyMaxCut {
-		if spec.Graph == nil {
-			return nil, fmt.Errorf("qaoa: maxcut spec has no graph")
-		}
-		pb, err := NewProblem(spec.Graph)
-		if err != nil {
-			return nil, err
-		}
-		pb.Spec = spec
-		return pb, nil
-	}
-	in, err := spec.Compile()
-	if err != nil {
-		return nil, err
-	}
-	pb, err := NewIsing(in)
-	if err != nil {
-		return nil, err
-	}
-	pb.Spec = spec
-	return pb, nil
-}
-
-// NewIsing wraps a compiled Ising Hamiltonian for QAOA evaluation. The
-// exact Score extremes come from a gray-code brute-force scan, so the
-// register is capped at problem.BruteForceMaxQubits — approximation
-// ratios are undefined without the true optimum.
-func NewIsing(in *problem.Instance) (*Problem, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if in.N > problem.BruteForceMaxQubits {
-		return nil, fmt.Errorf("qaoa: %d-qubit instance exceeds the %d-qubit exact-optimum limit", in.N, problem.BruteForceMaxQubits)
-	}
-	opt, worst, _ := in.BruteForce()
-	sign := in.Sense.Sign()
-	pb := &Problem{
-		Spec:     problem.FromInstance(in),
-		Inst:     in,
-		OptValue: sign * opt,   // best Score (QAOA's maximum)
-		MinScore: sign * worst, // worst Score (AR floor)
-	}
-	if pb.OptValue <= pb.MinScore {
-		return nil, fmt.Errorf("qaoa: constant objective (score range [%v, %v]); nothing to optimize", pb.MinScore, pb.OptValue)
-	}
-	return pb, nil
-}
+import "qaoaml/internal/problem"
 
 // buildIsingTables materializes the Score diagonal and the phase
 // generator gen(z) = −sense·(Σ h_i s_i + Σ J_ij s_i s_j) of a small
@@ -73,9 +9,8 @@ func NewIsing(in *problem.Instance) (*Problem, error) {
 // the doubled sum T(z) = Σ(2J)ss + Σ(2h)s in int64 and recover both
 // tables by exact halving — the same arithmetic the streaming kernel
 // uses, which is what makes materialized and streamed evaluation
-// bit-identical (and, for compiled MaxCut, identical to the legacy
-// cut-table kernel: T = 2C − m gives gen = (m−2C)/2 and Score = C
-// exactly).
+// bit-identical (for an integer-weighted MaxCut, T = 2C − m gives
+// gen = (m−2C)/2 and Score = C exactly).
 func buildIsingTables(in *problem.Instance, dim int) (diag, gen []float64) {
 	diag = make([]float64, dim)
 	gen = make([]float64, dim)
@@ -132,41 +67,42 @@ func buildIsingTables(in *problem.Instance, dim int) (diag, gen []float64) {
 	return diag, gen
 }
 
-// newIsingKernel picks the evaluation engine for an instance by size,
-// mirroring the MaxCut dispatch: materialized tables with memoized
-// phase factors below StreamingThreshold, chunk-streamed generation
-// above. half builds it over the lower half of the basis states, for a
-// half register; the instance must then be FieldFree.
+// newIsingKernel picks the evaluation engine for an instance by size:
+// materialized tables with memoized phase factors below
+// StreamingThreshold, chunk-streamed generation from it. half builds it
+// over the lower half of the basis states, for a half register; the
+// instance must then be FieldFree.
 func newIsingKernel(in *problem.Instance, half bool) costKernel {
-	n := in.N
-	if half {
-		n--
-	}
 	if in.N < StreamingThreshold {
-		diag, gen := buildIsingTables(in, 1<<uint(n))
-		k := newDiagKernelFromGen(n, diag, gen)
-		k.half = half
-		return k
+		return newMaterializedKernel(in, half)
 	}
 	return newIsingStreamKernel(in, half)
 }
 
-// ScoreValue returns the direction-normalized objective Score(z) for
-// an assignment — cut weight for MaxCut problems, sense·Value for
-// compiled instances. This is the quantity QAOA maximizes and the one
-// reports should quote.
-func (pb *Problem) ScoreValue(z uint64) float64 {
-	if pb.Inst != nil {
-		return pb.Inst.Score(z)
+// newMaterializedKernel builds the table kernel of an instance of any
+// size — what newIsingKernel selects for a small one, and the tests'
+// reference for the streaming kernel.
+func newMaterializedKernel(in *problem.Instance, half bool) *diagKernel {
+	n := in.N
+	if half {
+		n--
 	}
-	return pb.CutValue(z)
+	diag, gen := buildIsingTables(in, 1<<uint(n))
+	k := newDiagKernelFromGen(n, diag, gen)
+	k.half = half
+	return k
 }
 
+// ScoreValue returns the direction-normalized objective Score(z) =
+// sense·Value(z) for an assignment — the cut weight for MaxCut. This is
+// the quantity QAOA maximizes and the one reports should quote.
+func (pb *Problem) ScoreValue(z uint64) float64 { return pb.Inst.Score(z) }
+
 // BestSampled returns the most probable basis state's Score and
-// assignment — the family-generic readout. For compiled families with
-// auxiliary qubits (Max-3-SAT quadratization), the assignment still
-// spans the full register; mask to Inst.Vars for the decision
-// variables.
+// assignment, i.e. the solution a user would read out after
+// optimization. For families with auxiliary qubits (Max-3-SAT
+// quadratization), the assignment still spans the full register; mask
+// to Inst.Vars for the decision variables.
 func (pb *Problem) BestSampled(pr Params) (score float64, assign uint64) {
 	if err := pr.Validate(false); err != nil {
 		panic(err)
@@ -187,24 +123,4 @@ func (pb *Problem) BestSampled(pr Params) (score float64, assign uint64) {
 // alone; see ApproximationRatio for the dispatch).
 func (pb *Problem) NormalizedScore(e float64) float64 {
 	return (e - pb.MinScore) / (pb.OptValue - pb.MinScore)
-}
-
-// isingCircuit appends the generic phase separator for one stage: an
-// RZ(2γ·sense·h) per qubit with a field, and CNOT·RZ(2γ·sense·J)·CNOT
-// per coupling. With RZ(θ) = diag(e^{−iθ/2}, e^{+iθ/2}), basis state z
-// picks up exactly e^{iγ·gen(z)} — the fast path's convention, global
-// phase included. A compiled MaxCut (sense +1, J = −w/2) emits
-// RZ(−γw), the legacy MaxCut circuit gate for gate.
-func (pb *Problem) isingCircuit(c *quantum.Circuit, gamma float64) {
-	sign := pb.Inst.Sense.Sign()
-	for q, h := range pb.Inst.Linear {
-		if h != 0 {
-			c.RZ(q, 2*gamma*sign*h)
-		}
-	}
-	for _, t := range pb.Inst.Quad {
-		c.CNOT(t.I, t.J)
-		c.RZ(t.J, 2*gamma*sign*t.W)
-		c.CNOT(t.I, t.J)
-	}
 }

@@ -8,44 +8,77 @@ import (
 	"qaoaml/internal/quantum"
 )
 
-// Streaming cost path for large Ising/QUBO instances — the general-
-// Hamiltonian sibling of streamKernel (stream.go), sharing its chunk
-// decomposition and its exact-integer discipline.
+// Streaming cost path for large instances.
+//
+// The materialized diagKernel needs a float64 cost table plus an int32
+// index table as long as the state vector — 6 MiB at n = 20, 100 MiB at
+// n = 24 — on top of the state vector itself, just to look up C(z) per
+// amplitude. The isingStreamKernel holds neither: C(z) is recomputed on
+// the fly, chunk by chunk over the same fixed geometry every other
+// kernel uses (quantum.ChunkLen amplitudes per chunk).
 //
 // The Hamiltonian is evaluated through the doubled accumulator
 //
 //	T(z) = Σ_q (2J_q)·s_i·s_j + Σ_i (2h_i)·s_i
 //
-// so that instances with half-integral couplings (every compiled
-// MaxCut: J = −w/2) still take the exact int64 path. The observable
-// and phase generator recover from T exactly:
+// so that instances with half-integral couplings (every MaxCut:
+// J = −w/2) still take the exact int64 path. The observable and phase
+// generator recover from T exactly:
 //
 //	Score(z) = sense·Offset + sense·T(z)/2
 //	gen(z)   = −sense·T(z)/2
 //
-// (phase factor e^{iγ·gen(z)}, matching diagKernel's convention: for a
-// compiled integer-weight MaxCut, T = 2C − m, so gen = (m − 2C)/2 and
-// Score = C bit-for-bit — the identity the MaxCut-via-QUBO acceptance
-// tests assert).
+// (phase factor e^{iγ·gen(z)}, matching diagKernel's convention: for an
+// integer-weight MaxCut, T = 2C − m, so gen = (m − 2C)/2 and Score = C
+// bit for bit).
 //
-// Chunk decomposition over the fixed geometry, with cb chunk bits:
+// Within a chunk the low cb = log2(chunk length) bits of z run through
+// all values while the high bits are frozen, so T splits into three
+// independent parts:
 //
 //   - quadratic terms with both spins below cb and linear terms below
-//     cb fold into a 2^cb table built once at construction;
-//   - terms entirely in the high bits are a per-chunk constant;
-//   - cross terms (i < cb ≤ j) reduce, for frozen high bits, to a
-//     per-low-spin linear form base + Σ_{set bits} d_u updated in O(1)
-//     per amplitude via the trailing-zeros prefix-sum trick of
-//     stream.go.
+//     cb depend only on the chunk-local bits: they fold into a 2^cb
+//     table built ONCE at construction (≤ 256 KiB — chunk-sized, not
+//     state-sized) shared by every chunk;
+//   - terms entirely in the high bits are a per-chunk constant,
+//     computed once per chunk in O(terms);
+//   - cross terms (i < cb ≤ j) reduce, for frozen high bits, to
+//     base + Σ_{u: zl_u=1} d_u, with base and the per-low-spin deltas
+//     d_u fixed by the chunk's high bits. That linear form updates in
+//     O(1) per increment of zl: when zl−1 → zl flips the trailing run up
+//     to bit t = TrailingZeros(zl), the sum changes by d_t − Σ_{u<t} d_u
+//     — a prefix-sum lookup. Per amplitude that is a table load and two
+//     adds, not an O(degree) walk over each flipped spin's adjacency.
 //
-// All per-chunk values depend only on the chunk bounds, so results are
+// All per-chunk values depend only on the chunk bounds (which the fixed
+// geometry pins) and the scratch buffers are per-chunk, so the streamed
+// expectation, phase application and gradient matrix elements are
 // bit-identical at every GOMAXPROCS; on the integer path they are also
-// bit-identical to the materialized Ising kernel, which derives its
-// tables from the same T accumulator.
+// bit-identical to the materialized kernel, which derives its tables
+// from the same T accumulator and applies the same per-distinct-value
+// factor arithmetic over the same chunk reductions. Float coefficients
+// have no finite distinct-value set to memoize and stream per-amplitude
+// phases through math.Sincos, which agrees with the materialized path
+// to rounding error.
 //
 // For a half register (workspace.go) the kernel is built for the lower
 // 2^(N−1) basis states: the chunk geometry follows that dimension, and
 // terms on spin N−1 are ordinary high-bit terms whose bit is never set.
+
+// StreamingThreshold is the qubit count from which a problem's kernel
+// stops materializing 2^n tables and evaluates in streaming mode. At
+// n = 13 the table pair costs 96 KiB + 32 KiB — already bigger than the
+// reduction chunk — and doubles per qubit.
+const StreamingThreshold = 13
+
+// maxStreamFactorTable caps the distinct-value phase-factor table of
+// the integer streaming path. Instances whose T range exceeds it
+// (extreme coefficients) fall back to per-amplitude Sincos streaming.
+const maxStreamFactorTable = 1 << 16
+
+// maxStreamChunkBits bounds the chunk width the kernel's stack arrays
+// are sized for; quantum.LargeReduceChunkLen = 2^15 keeps us below it.
+const maxStreamChunkBits = 16
 
 // isingStreamKernel evaluates an arbitrary diagonal Hamiltonian from
 // its term lists. Immutable after construction; scratch comes from the
@@ -77,9 +110,11 @@ type isingStreamKernel struct {
 	hiLinInt []int64
 	hiLinF   []float64
 
-	// Integer path: T is exact int64 in [tmin, tmin+len(genTab)), and
-	// genTab[T−tmin] = genFromT(T) is the distinct-value table the phase
-	// factors and the gradient's H_γ matrix elements are indexed through.
+	// Integer path: T is exact int64 in [tmin, −tmin] and T ≡ tmin
+	// (mod 2) for every z — each term contributes ±a — so
+	// genTab[(T−tmin)/2] = genFromT(T) is the distinct-value table the
+	// phase factors and the gradient's H_γ matrix elements are indexed
+	// through.
 	integer bool
 	tmin    int64
 	genTab  []float64
@@ -114,12 +149,12 @@ func newIsingStreamKernel(in *problem.Instance, half bool) *isingStreamKernel {
 		for _, h := range in.Linear {
 			span += int64(math.Abs(2 * h))
 		}
-		if 2*span+1 <= maxStreamFactorTable {
+		if span+1 <= maxStreamFactorTable {
 			k.integer = true
 			k.tmin = -span
-			k.genTab = make([]float64, 2*span+1)
+			k.genTab = make([]float64, span+1)
 			for j := range k.genTab {
-				k.genTab[j] = k.genFromT(k.tmin + int64(j))
+				k.genTab[j] = k.genFromT(k.tmin + 2*int64(j))
 			}
 		}
 	}
@@ -218,6 +253,57 @@ func newIsingStreamKernel(in *problem.Instance, half bool) *isingStreamKernel {
 	return k
 }
 
+// streamScratch holds one chunk's worth of generated cost data.
+type streamScratch struct {
+	idx []int32
+	gen []float64
+}
+
+// scratchList recycles chunk scratch through a bounded channel, one
+// list per kernel. Not a sync.Pool: its per-P caches are cleared by
+// every GC, so long runs would re-allocate scratch once per P per GC
+// cycle and bytes/op would grow with GOMAXPROCS. A channel freelist
+// survives GC and is shared across Ps: in steady state at most
+// maxPoolWorkers buffers circulate and warm chunk bodies allocate
+// nothing.
+type scratchList struct {
+	ch chan *streamScratch
+}
+
+func newScratchList() scratchList {
+	return scratchList{ch: make(chan *streamScratch, 64)}
+}
+
+func (l scratchList) get() *streamScratch {
+	select {
+	case ws := <-l.ch:
+		return ws
+	default:
+		return new(streamScratch)
+	}
+}
+
+func (l scratchList) put(ws *streamScratch) {
+	select {
+	case l.ch <- ws:
+	default:
+	}
+}
+
+func (ws *streamScratch) idxBuf(n int) []int32 {
+	if cap(ws.idx) < n {
+		ws.idx = make([]int32, n)
+	}
+	return ws.idx[:n]
+}
+
+func (ws *streamScratch) genBuf(n int) []float64 {
+	if cap(ws.gen) < n {
+		ws.gen = make([]float64, n)
+	}
+	return ws.gen[:n]
+}
+
 // scoreFromT and genFromT are the only places T becomes a float: both
 // operations (int64→float64 for |T| well under 2^53, halving, sign
 // flip) are exact, so every consumer sees the same doubles.
@@ -232,7 +318,7 @@ func (k *isingStreamKernel) genFromT(t int64) float64 {
 // chunkSetupInt computes the chunk-constant part of T for the chunk
 // based at lo — high-high quadratic terms, high linear terms, and the
 // cross-term contribution at all-zero low bits — plus the per-low-spin
-// flip deltas d with prefix sums p.
+// flip deltas d with their prefix sums p[u] = Σ_{x<u} d[x].
 func (k *isingStreamKernel) chunkSetupInt(lo uint64, d, p *[maxStreamChunkBits]int64) int64 {
 	var base int64
 	for i, u := range k.hhU {
@@ -302,7 +388,9 @@ func (k *isingStreamKernel) chunkSetupFloat(lo uint64, d, p *[maxStreamChunkBits
 	return base
 }
 
-// fillScore writes Score(z) for the chunk [lo, hi).
+// fillScore writes Score(z) for the chunk [lo, hi). lo is chunk-aligned
+// and hi−lo = 2^cb, so the chunk-local bits of z are exactly the buffer
+// index.
 func (k *isingStreamKernel) fillScore(lo, hi int, score []float64) {
 	if k.integer {
 		var d, p [maxStreamChunkBits]int64
@@ -329,18 +417,18 @@ func (k *isingStreamKernel) fillScore(lo, hi int, score []float64) {
 	}
 }
 
-// fillIdx writes the factor-table index T(z)−tmin for the chunk
+// fillIdx writes the factor-table index (T(z)−tmin)/2 for the chunk
 // [lo, hi). Integer path only.
 func (k *isingStreamKernel) fillIdx(lo, hi int, idx []int32) {
 	var d, p [maxStreamChunkBits]int64
 	base := k.chunkSetupInt(uint64(lo), &d, &p) - k.tmin
 	tll := k.tllInt
 	var lin int64
-	idx[0] = int32(base + tll[0])
+	idx[0] = int32((base + tll[0]) >> 1)
 	for i := 1; i < hi-lo; i++ {
 		t := bits.TrailingZeros64(uint64(i))
 		lin += d[t] - p[t]
-		idx[i] = int32(base + tll[i] + lin)
+		idx[i] = int32((base + tll[i] + lin) >> 1)
 	}
 }
 

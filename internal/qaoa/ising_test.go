@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"qaoaml/internal/graph"
 	"qaoaml/internal/problem"
 )
 
@@ -27,75 +26,6 @@ func mustNew(t testing.TB, spec problem.Spec) *Problem {
 		t.Fatal(err)
 	}
 	return pb
-}
-
-// The acceptance bar of the QUBO front-end: a MaxCut instance compiled
-// through the generic Ising path must evaluate bit-identically to the
-// direct graph path — expectation AND adjoint gradient — across the
-// materialized (n=8), streaming (n=14) and full-size (n=20) regimes at
-// GOMAXPROCS 1, 2 and 8. T = 2C − m is exact in int64, halving is an
-// exponent shift and m/2 + T/2 = C exactly, so every table, factor and
-// reduction the two paths build holds the same doubles.
-func TestMaxCutViaQUBOBitIdentical(t *testing.T) {
-	type cfg struct {
-		n, deg int
-		short  bool
-	}
-	cfgs := []cfg{
-		{n: 8, deg: 3, short: true},
-		{n: 14, deg: 3, short: true},
-		{n: 20, deg: 3, short: false},
-	}
-	workers := []int{1, 2, 8}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	for _, c := range cfgs {
-		if testing.Short() && !c.short {
-			continue
-		}
-		rng := rand.New(rand.NewSource(int64(400 + c.n)))
-		g := graph.RandomRegular(c.n, c.deg, rng)
-		direct := mustProblem(t, g)
-		in, err := problem.CompileMaxCut(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaQUBO := mustIsing(t, in)
-		if viaQUBO.OptValue != direct.OptValue {
-			t.Errorf("n=%d: compiled optimum %v != MaxCut optimum %v", c.n, viaQUBO.OptValue, direct.OptValue)
-		}
-		for _, p := range []int{1, 3} {
-			x := testParams(p).Vector()
-			for _, w := range workers {
-				runtime.GOMAXPROCS(w)
-				dw, qw := direct.NewWorkspace(), viaQUBO.NewWorkspace()
-				if dv, qv := dw.ExpectationVec(x), qw.ExpectationVec(x); dv != qv {
-					t.Errorf("n=%d p=%d w=%d: direct <C> %v != via-QUBO %v", c.n, p, w, dv, qv)
-				}
-				dg, qg := make([]float64, len(x)), make([]float64, len(x))
-				dv, qv := dw.ValueGrad(x, dg), qw.ValueGrad(x, qg)
-				if dv != qv {
-					t.Errorf("n=%d p=%d w=%d: direct grad value %v != via-QUBO %v", c.n, p, w, dv, qv)
-				}
-				for i := range dg {
-					if dg[i] != qg[i] {
-						t.Errorf("n=%d p=%d w=%d: grad[%d] direct %v != via-QUBO %v", c.n, p, w, i, dg[i], qg[i])
-					}
-				}
-				if p != 1 {
-					continue
-				}
-				// The depth-1 closed form compiles the graph path through
-				// CompileMaxCut, so the two evaluators run one formula on
-				// one coefficient set.
-				dv, qv = NewEvaluator(direct, 1).NegValueGrad(x, dg), NewEvaluator(viaQUBO, 1).NegValueGrad(x, qg)
-				if dv != qv || dg[0] != qg[0] || dg[1] != qg[1] {
-					t.Errorf("n=%d w=%d: closed form direct %v %v != via-QUBO %v %v", c.n, w, dv, dg, qv, qg)
-				}
-			}
-		}
-	}
 }
 
 // Streaming vs materialized for Hamiltonians WITH linear terms: an
@@ -122,8 +52,7 @@ func TestIsingStreamMatchesMaterializedExactly(t *testing.T) {
 	if _, ok := pb.kernel().(*isingStreamKernel); !ok {
 		t.Fatalf("n=%d instance did not pick the streaming kernel", in.N)
 	}
-	diag, gen := buildIsingTables(in, 1<<uint(in.N))
-	mat := newDiagKernelFromGen(in.N, diag, gen)
+	mat := newMaterializedKernel(in, false)
 
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -166,8 +95,7 @@ func TestIsingStreamFloatCoefficients(t *testing.T) {
 	if sk.integer {
 		t.Fatal("float instance must take the float streaming path")
 	}
-	diag, gen := buildIsingTables(in, 1<<uint(in.N))
-	mat := newDiagKernelFromGen(in.N, diag, gen)
+	mat := newMaterializedKernel(in, false)
 	x := testParams(2).Vector()
 	sv := newWorkspace(pb.kernel(), nil).ExpectationVec(x)
 	mv := newWorkspace(mat, nil).ExpectationVec(x)
@@ -239,12 +167,8 @@ func TestNewAllFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", fam, err)
 		}
-		if fam == problem.FamilyMaxCut {
-			if pb.Inst != nil || pb.Graph == nil {
-				t.Fatalf("maxcut must keep the legacy graph path")
-			}
-		} else if pb.Inst == nil {
-			t.Fatalf("%s: compiled family did not populate Inst", fam)
+		if pb.Inst.Family != fam || (pb.Graph != nil) != (fam == problem.FamilyMaxCut) {
+			t.Fatalf("%s: compiled a %q instance, Graph set: %v", fam, pb.Inst.Family, pb.Graph != nil)
 		}
 		pr := testParams(1)
 		ar := pb.ApproximationRatio(pr)
@@ -257,8 +181,7 @@ func TestNewAllFamilies(t *testing.T) {
 // Generic canonicalization must preserve the expectation: β mod π and
 // (for integer coefficients) γ mod 2π plus the joint conjugation are
 // exact symmetries of Hamiltonians with linear terms — while the
-// MaxCut-only β mod π/2 fold is NOT, which is why the Inst guard
-// exists.
+// β mod π/2 fold of field-free Hamiltonians is NOT.
 func TestIsingCanonicalizePreservesExpectation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	in := problem.RandomIsing(8, rng)
@@ -346,5 +269,58 @@ func TestFieldFreeCanonicalizeFoldsBetaModHalfPi(t *testing.T) {
 	}
 	if !broke {
 		t.Error("a field never broke the π/2 period: the fielded control checks nothing")
+	}
+}
+
+func TestNumberPartitionProblem(t *testing.T) {
+	// {5, 4, 3, 2} has perfect partitions, e.g. {5,2} vs {4,3}.
+	pb := mustNew(t, problem.Partition([]float64{5, 4, 3, 2}))
+	if pb.OptValue != 0 {
+		t.Errorf("perfect partition optimum = %v, want 0", pb.OptValue)
+	}
+	// z = 0110 means sets {5,2} / {4,3}: diff 0.
+	if got := pb.ScoreValue(0b0110); got != 0 {
+		t.Errorf("score(0110) = %v, want 0", got)
+	}
+	// All on one side: diff = 14 → score −196, the worst.
+	if got := pb.ScoreValue(0); got != -196 || pb.MinScore != -196 {
+		t.Errorf("score(0000) = %v, worst %v, want -196", got, pb.MinScore)
+	}
+}
+
+func TestNumberPartitionValidation(t *testing.T) {
+	if _, err := New(problem.Partition([]float64{1})); err == nil {
+		t.Error("single number accepted")
+	}
+	if _, err := New(problem.Partition([]float64{1, -2})); err == nil {
+		t.Error("negative number accepted")
+	}
+}
+
+// QAOA on a small partition instance should concentrate probability on
+// perfect partitions.
+func TestQAOASolvesNumberPartitioning(t *testing.T) {
+	pb := mustNew(t, problem.Partition([]float64{5, 4, 3, 2}))
+	// Coarse grid at p = 1 over a scaled-down γ range (scores are O(100),
+	// so useful γ values are small).
+	best := math.Inf(-1)
+	var bestPr Params
+	for i := 1; i <= 60; i++ {
+		for j := 1; j < 60; j++ {
+			pr := Params{
+				Gamma: []float64{0.2 * float64(i) / 60},
+				Beta:  []float64{BetaMax * float64(j) / 60},
+			}
+			if e := pb.Expectation(pr); e > best {
+				best, bestPr = e, pr
+			}
+		}
+	}
+	score, assign := pb.BestSampled(bestPr)
+	if score != 0 {
+		t.Errorf("most probable assignment %04b has score %v, want a perfect partition", assign, score)
+	}
+	if s := pb.NormalizedScore(best); s <= 0.5 {
+		t.Errorf("optimized score %v not above the uniform baseline", s)
 	}
 }

@@ -1,8 +1,15 @@
 // Package qaoa implements the Quantum Approximate Optimization Algorithm
-// for graph MaxCut exactly as the paper's circuits do: a Hadamard layer,
-// then p stages each made of a phase-separation layer (CNOT·RZ(−γ)·CNOT
-// per edge, equivalently exp(iγ Z⊗Z/2)) and a mixing layer (RX(2β) per
-// qubit, i.e. exp(−iβ Σ Xi)).
+// as the paper's circuits do: a Hadamard layer, then p stages each made
+// of a phase-separation layer (CNOT·RZ·CNOT per coupling, RZ per field)
+// and a mixing layer (RX(2β) per qubit, i.e. exp(−iβ Σ Xi)).
+//
+// Every problem family — the paper's MaxCut (J = −w/2, no field), QUBO,
+// Max-k-SAT, partition, portfolio, coloring — compiles to one Ising
+// Hamiltonian, a problem.Instance, and New is the one constructor. The
+// instance is evaluated by one of two kernels chosen by size: a
+// materialized table with memoized phases below StreamingThreshold
+// (workspace.go), chunk-streamed generation from the term lists from it
+// (ising_stream.go). QAOA always maximizes Score(z) = sense·Value(z).
 //
 // Parameter conventions follow Farhi et al. (the paper's reference [1]):
 // the stage angles are γi ∈ [0, 2π] and βi ∈ [0, π]. A parameter vector
@@ -12,7 +19,6 @@ package qaoa
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"sync"
 
@@ -84,117 +90,85 @@ func (pr Params) Validate(checkDomain bool) error {
 	return nil
 }
 
-// Problem is a (possibly weighted) MaxCut instance prepared for QAOA
-// evaluation: the graph, the cost diagonal C(z) (cut weight per
-// computational basis state), and the exact optimum used for
-// approximation ratios.
-//
-// CutTable is only materialized for small instances (n <
-// StreamingThreshold). Above the threshold it stays nil and every
-// evaluation streams C(z) from the edge list (see stream.go), so the
-// per-problem memory footprint is the state vector alone — and that is
-// 2^(n−1) amplitudes for MaxCut and every other Hamiltonian without
-// linear terms, which evolve as a half register (see workspace.go): an
-// n = 20 MaxCut workspace holds an 8 MiB state, no cost table and no
-// index table. Use CutValue for point lookups; it works in both modes.
+// Problem is a compiled Hamiltonian prepared for QAOA evaluation: the
+// Ising instance every kernel reads, and the exact Score extremes that
+// approximation ratios are taken against. No state-sized table lives
+// here: the kernel (built on first evaluation) holds one only below
+// StreamingThreshold, and an instance without linear terms — every
+// MaxCut, every partition — evolves as a half register of 2^(n−1)
+// amplitudes (workspace.go), so an n = 20 MaxCut workspace is an 8 MiB
+// state and nothing else.
 type Problem struct {
-	Graph       *graph.Graph
-	CutTable    []float64 // nil in streaming mode
-	OptValue    float64   // exact optimum: MaxCut weight, or best Score for Ising problems
-	TotalWeight float64   // sum of all edge weights (MaxCut problems only)
+	Spec problem.Spec
+	Inst *problem.Instance // the compiled Hamiltonian; always set
+	// Graph is what a MaxCut problem was built from, nil for every other
+	// family. It selects MaxCut's two family policies (ratioOf,
+	// Canonicalize) and nothing about evaluation.
+	Graph    *graph.Graph
+	OptValue float64 // exact best Score; for MaxCut the optimum's directly summed cut weight
+	MinScore float64 // exact worst Score, the floor of the normalized-score ratio
 
-	// Generic-Hamiltonian fields (New / NewIsing). For non-MaxCut
-	// families Graph is nil, Inst holds the compiled Ising instance and
-	// evaluation runs through the Ising kernels (ising.go); MinScore is
-	// the exact worst Score, the floor of the normalized-score ratio.
-	Spec     problem.Spec
-	Inst     *problem.Instance
-	MinScore float64
-
-	// compiled is the graph's Ising form, kept from NewProblem's optimum
-	// scan for the depth-1 closed form (see ising).
-	compiled *problem.Instance
-
-	// Fast-path precomputation (see workspace.go), built lazily so any
-	// correctly-populated Problem value gets it on first evaluation.
+	// The evaluation kernel (workspace.go), built on first use.
 	kernOnce sync.Once
 	kern     costKernel
 	pool     wsPool
 }
 
-// NewProblem precomputes the cost table (small instances only — see
-// Problem) and the exact MaxCut optimum. It returns an error for graphs
-// with no edges (AR undefined) or a non-positive optimum (all-negative
-// weights make AR meaningless). The optimum is found by the compiled
-// instance's gray-code walk (O(degree) per assignment, where
-// graph.WeightedMaxCut re-sums every edge) and stored as the directly
-// summed cut weight of the assignment it lands on.
-func NewProblem(g *graph.Graph) (*Problem, error) {
-	if g.NumEdges() == 0 {
-		return nil, fmt.Errorf("qaoa: graph with no edges has no MaxCut objective")
-	}
-	in, err := problem.CompileMaxCut(g)
+// New builds an evaluation-ready Problem from a problem spec: compile
+// it, then find the exact Score extremes by the instance's gray-code
+// scan — so the register is capped at problem.BruteForceMaxQubits;
+// approximation ratios are undefined without the true optimum.
+//
+// MaxCut keeps the paper's ratio ⟨C⟩/C_opt, so its optimum is stored as
+// the directly summed cut weight of the assignment the scan lands on,
+// and a graph whose optimum is not positive (no edges, all-negative
+// weights) is rejected: the ratio would be meaningless.
+func New(spec problem.Spec) (*Problem, error) {
+	in, err := spec.Compile() // validated by every compiler
 	if err != nil {
 		return nil, err
 	}
-	_, _, arg := in.BruteForce()
-	opt := g.WeightedCutValue(arg)
-	if opt <= 0 {
-		return nil, fmt.Errorf("qaoa: MaxCut optimum %v is not positive; approximation ratio undefined", opt)
+	if in.N > problem.BruteForceMaxQubits {
+		return nil, fmt.Errorf("qaoa: %d-qubit instance exceeds the %d-qubit exact-optimum limit", in.N, problem.BruteForceMaxQubits)
 	}
-	pb := &Problem{
-		Graph:       g,
-		OptValue:    opt,
-		TotalWeight: g.TotalWeight(),
-		Spec:        problem.MaxCut(g),
-		compiled:    in,
+	opt, worst, arg := in.BruteForce()
+	sign := in.Sense.Sign()
+	pb := &Problem{Spec: spec, Inst: in, OptValue: sign * opt, MinScore: sign * worst}
+	if spec.Family == problem.FamilyMaxCut {
+		pb.Graph = spec.Graph
+		pb.OptValue = spec.Graph.WeightedCutValue(arg)
+		if pb.OptValue <= 0 {
+			return nil, fmt.Errorf("qaoa: MaxCut optimum %v is not positive; approximation ratio undefined", pb.OptValue)
+		}
+		return pb, nil
 	}
-	if g.N < StreamingThreshold {
-		pb.CutTable = g.WeightedCutTable()
+	if pb.OptValue <= pb.MinScore {
+		return nil, fmt.Errorf("qaoa: constant objective (score range [%v, %v]); nothing to optimize", pb.MinScore, pb.OptValue)
 	}
 	return pb, nil
 }
 
-// CutValue returns C(z), the cut weight of assignment z — a table
-// lookup when the table is materialized, an edge-list scan in streaming
-// mode.
-func (pb *Problem) CutValue(z uint64) float64 {
-	if pb.CutTable != nil {
-		return pb.CutTable[z]
-	}
-	return pb.Graph.WeightedCutValue(z)
-}
+// NewProblem is New for a (possibly weighted) MaxCut graph.
+func NewProblem(g *graph.Graph) (*Problem, error) { return New(problem.MaxCut(g)) }
 
-// costDiagonal returns the materialized cost diagonal, computing a
-// fresh table in streaming mode. Only gate-level consumers that
-// genuinely need all 2^n entries (the noisy trajectory sampler) call
-// it; the evaluation hot paths never do.
+// NewIsing is New for a pre-built Ising Hamiltonian.
+func NewIsing(in *problem.Instance) (*Problem, error) { return New(problem.FromInstance(in)) }
+
+// costDiagonal materializes the full Score diagonal. Only gate-level
+// consumers that genuinely need all 2^n entries (the noisy trajectory
+// sampler) call it; the evaluation hot paths never do.
 func (pb *Problem) costDiagonal() []float64 {
-	if pb.Inst != nil {
-		diag, _ := buildIsingTables(pb.Inst, 1<<uint(pb.Inst.N))
-		return diag
-	}
-	if pb.CutTable != nil {
-		return pb.CutTable
-	}
-	return pb.Graph.WeightedCutTable()
+	diag, _ := buildIsingTables(pb.Inst, 1<<uint(pb.Inst.N))
+	return diag
 }
 
-// NumQubits returns the register width: one qubit per vertex for
-// MaxCut, the compiled register (decision variables plus any
-// quadratization auxiliaries) for Ising problems.
-func (pb *Problem) NumQubits() int {
-	if pb.Inst != nil {
-		return pb.Inst.N
-	}
-	return pb.Graph.N
-}
+// NumQubits returns the compiled register width: the decision variables
+// plus any quadratization auxiliaries.
+func (pb *Problem) NumQubits() int { return pb.Inst.N }
 
 // halfRegister reports whether workspaces evolve the problem as a half
-// register: its Hamiltonian has no linear term, which a cut never has.
-func (pb *Problem) halfRegister() bool {
-	return pb.Inst == nil || pb.Inst.FieldFree()
-}
+// register: its Hamiltonian has no linear term.
+func (pb *Problem) halfRegister() bool { return pb.Inst.FieldFree() }
 
 // stateQubits returns the width of the register a workspace evolves,
 // the length ShardThreshold and quantum.ParallelDim are held against.
@@ -206,36 +180,35 @@ func (pb *Problem) stateQubits() int {
 }
 
 // BuildCircuit constructs the explicit gate-level QAOA circuit for the
-// given parameters: H on all qubits, then per stage the CNOT·RZ(−γ)·CNOT
-// phase separator per edge followed by RX(2β) mixers. This is the
-// circuit of the paper's Fig. 1(a).
+// given parameters: H on all qubits, then per stage the phase separator
+// — RZ(2γ·sense·h) per qubit with a field, CNOT·RZ(2γ·sense·J)·CNOT per
+// coupling — followed by RX(2β) mixers. With RZ(θ) = diag(e^{−iθ/2},
+// e^{+iθ/2}), basis state z picks up exactly e^{iγ·gen(z)}, the fast
+// path's convention, global phase included. For MaxCut (sense +1,
+// J = −w/2) the coupling gate is RZ(−γw): the circuit of the paper's
+// Fig. 1(a).
 func (pb *Problem) BuildCircuit(pr Params) *quantum.Circuit {
 	if err := pr.Validate(false); err != nil {
 		panic(err)
 	}
-	n := pb.NumQubits()
-	c := quantum.NewCircuit(n)
-	for q := 0; q < n; q++ {
+	in := pb.Inst
+	sign := in.Sense.Sign()
+	c := quantum.NewCircuit(in.N)
+	for q := 0; q < in.N; q++ {
 		c.H(q)
 	}
-	if pb.Inst != nil {
-		for s := 0; s < pr.Depth(); s++ {
-			pb.isingCircuit(c, pr.Gamma[s])
-			for q := 0; q < n; q++ {
-				c.RX(q, 2*pr.Beta[s])
+	for s := 0; s < pr.Depth(); s++ {
+		for q, h := range in.Linear {
+			if h != 0 {
+				c.RZ(q, 2*pr.Gamma[s]*sign*h)
 			}
 		}
-		return c
-	}
-	edges := pb.Graph.Edges()
-	weights := pb.Graph.Weights()
-	for s := 0; s < pr.Depth(); s++ {
-		for i, e := range edges {
-			c.CNOT(e.U, e.V)
-			c.RZ(e.V, -pr.Gamma[s]*weights[i])
-			c.CNOT(e.U, e.V)
+		for _, t := range in.Quad {
+			c.CNOT(t.I, t.J)
+			c.RZ(t.J, 2*pr.Gamma[s]*sign*t.W)
+			c.CNOT(t.I, t.J)
 		}
-		for q := 0; q < n; q++ {
+		for q := 0; q < in.N; q++ {
 			c.RX(q, 2*pr.Beta[s])
 		}
 	}
@@ -243,7 +216,7 @@ func (pb *Problem) BuildCircuit(pr Params) *quantum.Circuit {
 }
 
 // State returns |ψ(γ, β)⟩ using the fast diagonal phase-separator path
-// (distinct-cut memoized phases, fused mixing kernel — see
+// (distinct-value memoized phases, fused mixing kernel — see
 // workspace.go), always as the full 2^n-amplitude register. The result
 // matches BuildCircuit(pr).Simulate() to rounding error, including
 // global phase.
@@ -254,10 +227,11 @@ func (pb *Problem) State(pr Params) *quantum.State {
 	return prepareState(pb.kernel(), pr.Gamma, pr.Beta)
 }
 
-// Expectation returns ⟨ψ(γ, β)|C|ψ(γ, β)⟩, the expected cut size. It is
-// safe for concurrent use: evaluation buffers come from an internal
-// pool. Evaluation loops should prefer an Evaluator or EvalWorkspace,
-// which reuse one buffer set without pool round-trips.
+// Expectation returns ⟨ψ(γ, β)|C|ψ(γ, β)⟩, the expected Score (cut
+// weight for MaxCut). It is safe for concurrent use: evaluation buffers
+// come from an internal pool. Evaluation loops should prefer an
+// Evaluator or EvalWorkspace, which reuse one buffer set without pool
+// round-trips.
 func (pb *Problem) Expectation(pr Params) float64 {
 	if err := pr.Validate(false); err != nil {
 		panic(err)
@@ -271,8 +245,8 @@ func (pb *Problem) Expectation(pr Params) float64 {
 // ApproximationRatio returns the quality ratio for the given
 // parameters: ⟨C⟩ / C_opt for MaxCut (the paper's convention), and the
 // [0, 1]-normalized score (⟨Score⟩ − worst) / (best − worst) for
-// compiled Ising families, whose raw Score can be negative and whose
-// plain ratio would be meaningless.
+// every other family, whose raw Score can be negative and whose plain
+// ratio would be meaningless.
 func (pb *Problem) ApproximationRatio(pr Params) float64 {
 	return pb.ratioOf(pb.Expectation(pr))
 }
@@ -282,19 +256,10 @@ func (pb *Problem) ApproximationRatio(pr Params) float64 {
 // Evaluator.ApproximationRatio, so both report bit-identical ratios for
 // the same expectation value.
 func (pb *Problem) ratioOf(e float64) float64 {
-	if pb.Inst != nil {
-		return pb.NormalizedScore(e)
+	if pb.Graph != nil {
+		return e / pb.OptValue
 	}
-	return e / pb.OptValue
-}
-
-// BestSampledCut returns the most probable basis state's objective and
-// the assignment, i.e. the solution a user would read out after
-// optimization. For MaxCut problems the objective is the cut weight;
-// for compiled Ising families it is the direction-normalized Score
-// (see BestSampled, the family-generic name).
-func (pb *Problem) BestSampledCut(pr Params) (cut float64, assign uint64) {
-	return pb.BestSampled(pr)
+	return pb.NormalizedScore(e)
 }
 
 // Evaluator wraps a Problem as a minimization objective over the flat
@@ -459,20 +424,6 @@ func (e *Evaluator) NGev() int { return e.ngev }
 
 // ResetNGev zeroes the gradient-evaluation counter.
 func (e *Evaluator) ResetNGev() { e.ngev = 0 }
-
-// UniformState returns the p = 0 state (just the Hadamard layer), whose
-// expectation is m/2 — a useful baseline in tests.
-func (pb *Problem) UniformState() *quantum.State {
-	return quantum.NewUniformState(pb.NumQubits())
-}
-
-// GlobalPhaseReference exposes the phase convention used by the fast
-// path for verification: for a depth-1 circuit with β = 0 the amplitude
-// of basis state z is exp(iγ(m−2C(z))/2)/√dim.
-func (pb *Problem) GlobalPhaseReference(gamma float64, z uint64) complex128 {
-	dim := float64(int(1) << uint(pb.NumQubits()))
-	return cmplx.Exp(complex(0, gamma*(pb.TotalWeight-2*pb.CutValue(z))/2)) * complex(1/math.Sqrt(dim), 0)
-}
 
 // NoisyExpectation estimates ⟨C⟩ for the explicit gate-level circuit
 // run under a depolarizing noise model, averaged over Monte-Carlo

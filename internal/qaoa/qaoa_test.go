@@ -2,7 +2,6 @@ package qaoa
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -112,9 +111,6 @@ func TestZeroParamsGiveUniformExpectation(t *testing.T) {
 	if got := pb.Expectation(pr); math.Abs(got-want) > 1e-10 {
 		t.Errorf("<C> = %v, want m/2 = %v", got, want)
 	}
-	if us := pb.UniformState().ExpectationDiagonal(pb.CutTable); math.Abs(us-want) > 1e-10 {
-		t.Errorf("uniform <C> = %v, want %v", us, want)
-	}
 }
 
 // The fast diagonal path must equal the explicit gate circuit exactly,
@@ -130,21 +126,6 @@ func TestFastPathMatchesGateCircuit(t *testing.T) {
 		slow := pb.BuildCircuit(pr).Simulate()
 		if !fast.Equal(slow, 1e-10) {
 			t.Fatalf("trial %d: fast path != gate circuit (p=%d, %v)", trial, p, g)
-		}
-	}
-}
-
-func TestGlobalPhaseReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := graph.ErdosRenyiConnected(4, 0.6, rng)
-	pb := mustProblem(t, g)
-	gamma := 1.3
-	pr := Params{Gamma: []float64{gamma}, Beta: []float64{0}}
-	st := pb.State(pr)
-	for z := uint64(0); z < 16; z++ {
-		want := pb.GlobalPhaseReference(gamma, z)
-		if cmplx.Abs(st.Amplitude(z)-want) > 1e-10 {
-			t.Fatalf("amp(%d) = %v, want %v", z, st.Amplitude(z), want)
 		}
 	}
 }
@@ -232,12 +213,12 @@ func TestEvaluatorWrongDimPanics(t *testing.T) {
 	ev.NegExpectation([]float64{1, 2})
 }
 
-func TestBestSampledCut(t *testing.T) {
+func TestBestSampled(t *testing.T) {
 	pb := mustProblem(t, graph.Path(2))
 	// At the optimal single-edge parameters the state concentrates on the
 	// cut states |01>, |10>.
 	pr := Params{Gamma: []float64{math.Pi / 2}, Beta: []float64{math.Pi / 8}}
-	cut, assign := pb.BestSampledCut(pr)
+	cut, assign := pb.BestSampled(pr)
 	if cut != 1 {
 		t.Errorf("cut = %g, want 1", cut)
 	}

@@ -40,11 +40,13 @@ func reuseCases(t *testing.T) []reuseCase {
 	if _, ok := diag.(*diagKernel); !ok {
 		t.Fatalf("n=8 kernel is %T, want *diagKernel", diag)
 	}
-	if _, ok := mc.(*streamKernel); !ok {
-		t.Fatalf("n=14 MaxCut kernel is %T, want *streamKernel", mc)
+	for name, k := range map[string]costKernel{"MaxCut": mc, "Ising": is} {
+		if _, ok := k.(*isingStreamKernel); !ok {
+			t.Fatalf("n=14 %s kernel is %T, want *isingStreamKernel", name, k)
+		}
 	}
-	if _, ok := is.(*isingStreamKernel); !ok {
-		t.Fatalf("n=14 Ising kernel is %T, want *isingStreamKernel", is)
+	if !mc.mirror() || is.mirror() {
+		t.Fatalf("want a half-register MaxCut stream (mirror %v) and a full-register Ising one (mirror %v)", mc.mirror(), is.mirror())
 	}
 	return []reuseCase{
 		{"materialized", diag, flat(diag)},

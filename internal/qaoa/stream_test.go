@@ -9,13 +9,6 @@ import (
 	"qaoaml/internal/graph"
 )
 
-// materializedKernel builds the small-n diagKernel for any graph,
-// regardless of the streaming threshold — the reference the streaming
-// path is compared against. Like it, a half register's.
-func materializedKernel(g *graph.Graph) *diagKernel {
-	return newCutKernel(g.N, g.WeightedCutTable(), g.TotalWeight())
-}
-
 func testParams(p int) Params {
 	pr := NewParams(p)
 	for s := 0; s < p; s++ {
@@ -25,59 +18,73 @@ func testParams(p int) Params {
 	return pr
 }
 
-// Integer-weighted graphs must match the materialized path EXACTLY:
-// the streaming walker accumulates cuts in int64 (no rounding), the
-// phase factors use the same distinct-value arithmetic, and the chunk
-// reductions share their geometry. n=14 exercises the multi-chunk
-// serial path.
+// Integer-weighted graphs must match the materialized path EXACTLY, at
+// every worker count: the streaming walker accumulates T in int64 (no
+// rounding), the phase factors use the same distinct-value arithmetic,
+// and the chunk reductions share their geometry. The integer path
+// reaches Σ|w| < 2¹⁶: T keeps the parity of Σ|w|, so the factor table
+// holds Σ|w|+1 entries, not 2·Σ|w|+1.
 func TestStreamKernelMatchesMaterializedExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	graphs := map[string]*graph.Graph{
 		"unweighted-3reg-n14": graph.RandomRegular(14, 3, rng),
 		"erdos-renyi-n13":     graph.ErdosRenyiConnected(13, 0.3, rng),
 	}
-	// Integer-weighted (non-unit) variant.
-	gw := graph.RandomRegular(14, 3, rng)
-	wg := graph.New(14)
-	for i, e := range gw.Edges() {
-		if err := wg.AddWeightedEdge(e.U, e.V, float64(1+i%5)); err != nil {
-			t.Fatal(err)
+	// Integer-weighted variants: small weights, and Σ|w| = 40000.
+	reweigh := func(w func(i, m int) float64) *graph.Graph {
+		edges := graph.RandomRegular(14, 3, rng).Edges()
+		g := graph.New(14)
+		for i, e := range edges {
+			if err := g.AddWeightedEdge(e.U, e.V, w(i, len(edges))); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return g
 	}
-	graphs["int-weighted-n14"] = wg
+	graphs["int-weighted-n14"] = reweigh(func(i, _ int) float64 { return float64(1 + i%5) })
+	graphs["int-weighted-sum40000-n14"] = reweigh(func(i, m int) float64 {
+		if i == m-1 {
+			return float64(40000 - 1800*(m-1) - 5*(m-1)*(m-2))
+		}
+		return float64(1800 + 10*i)
+	})
 
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
 	for name, g := range graphs {
 		g := g
 		t.Run(name, func(t *testing.T) {
 			pb := mustProblem(t, g)
-			if pb.CutTable != nil {
-				t.Fatalf("n=%d problem materialized its cut table; want streaming mode", g.N)
-			}
-			sk, ok := pb.kernel().(*streamKernel)
+			sk, ok := pb.kernel().(*isingStreamKernel)
 			if !ok {
-				t.Fatalf("kernel is %T, want *streamKernel", pb.kernel())
+				t.Fatalf("kernel is %T, want *isingStreamKernel", pb.kernel())
 			}
 			if !sk.integer {
 				t.Fatalf("integer-weighted graph did not take the exact integer path")
 			}
-			ref := newWorkspace(materializedKernel(g), nil)
-			got := pb.NewWorkspace()
-			for _, p := range []int{1, 3} {
-				pr := testParams(p)
-				x := pr.Vector()
-				if rv, gv := ref.ExpectationVec(x), got.ExpectationVec(x); rv != gv {
-					t.Errorf("p=%d: streaming expectation %v != materialized %v", p, gv, rv)
-				}
-				rGrad := make([]float64, len(x))
-				gGrad := make([]float64, len(x))
-				rv := ref.ValueGrad(x, rGrad)
-				gv := got.ValueGrad(x, gGrad)
-				if rv != gv {
-					t.Errorf("p=%d: streaming gradient value %v != materialized %v", p, gv, rv)
-				}
-				for i := range rGrad {
-					if rGrad[i] != gGrad[i] {
-						t.Errorf("p=%d: grad[%d] streaming %v != materialized %v", p, i, gGrad[i], rGrad[i])
+			if want := int(g.TotalWeight()) + 1; len(sk.genTab) != want {
+				t.Errorf("factor table holds %d entries, want Σ|w|+1 = %d", len(sk.genTab), want)
+			}
+			mat := newMaterializedKernel(pb.Inst, true)
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				ref, got := newWorkspace(mat, nil), pb.NewWorkspace()
+				for _, p := range []int{1, 3} {
+					x := testParams(p).Vector()
+					if rv, gv := ref.ExpectationVec(x), got.ExpectationVec(x); rv != gv {
+						t.Errorf("p=%d GOMAXPROCS=%d: streaming expectation %v != materialized %v", p, procs, gv, rv)
+					}
+					rGrad := make([]float64, len(x))
+					gGrad := make([]float64, len(x))
+					rv := ref.ValueGrad(x, rGrad)
+					gv := got.ValueGrad(x, gGrad)
+					if rv != gv {
+						t.Errorf("p=%d GOMAXPROCS=%d: streaming gradient value %v != materialized %v", p, procs, gv, rv)
+					}
+					for i := range rGrad {
+						if rGrad[i] != gGrad[i] {
+							t.Errorf("p=%d GOMAXPROCS=%d: grad[%d] streaming %v != materialized %v", p, procs, i, gGrad[i], rGrad[i])
+						}
 					}
 				}
 			}
@@ -98,18 +105,18 @@ func TestStreamKernelMatchesMaterializedFloat(t *testing.T) {
 		}
 	}
 	pb := mustProblem(t, g)
-	sk, ok := pb.kernel().(*streamKernel)
+	sk, ok := pb.kernel().(*isingStreamKernel)
 	if !ok {
-		t.Fatalf("kernel is %T, want *streamKernel", pb.kernel())
+		t.Fatalf("kernel is %T, want *isingStreamKernel", pb.kernel())
 	}
 	if sk.integer {
 		t.Fatal("π-scaled weights must take the float streaming path")
 	}
-	ref := newWorkspace(materializedKernel(g), nil)
+	ref := newWorkspace(newMaterializedKernel(pb.Inst, true), nil)
 	got := pb.NewWorkspace()
 	pr := testParams(2)
 	x := pr.Vector()
-	scale := math.Max(1, pb.TotalWeight)
+	scale := math.Max(1, g.TotalWeight())
 	if rv, gv := ref.ExpectationVec(x), got.ExpectationVec(x); math.Abs(rv-gv) > 1e-12*scale {
 		t.Errorf("streaming expectation %v != materialized %v", gv, rv)
 	}
@@ -127,20 +134,18 @@ func TestStreamKernelMatchesMaterializedFloat(t *testing.T) {
 	}
 }
 
-// A hand-built streaming Problem below the threshold (CutTable nil at
-// n=8) must agree exactly with the standard materialized problem —
-// single-chunk streaming coverage.
+// A streaming kernel built below the threshold (n = 8: the half
+// register is one short chunk) must agree exactly with the materialized
+// kernel the problem selects — single-chunk streaming coverage.
 func TestStreamKernelSmallRegister(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	g := graph.ErdosRenyiConnected(8, 0.4, rng)
-	ref := mustProblem(t, g)
-	opt, _ := g.WeightedMaxCut()
-	stream := &Problem{Graph: g, OptValue: opt, TotalWeight: g.TotalWeight()}
-	if _, ok := stream.kernel().(*streamKernel); !ok {
-		t.Fatalf("nil-CutTable problem built %T, want *streamKernel", stream.kernel())
+	pb := mustProblem(t, graph.ErdosRenyiConnected(8, 0.4, rng))
+	if _, ok := pb.kernel().(*diagKernel); !ok {
+		t.Fatalf("n=8 kernel is %T, want *diagKernel", pb.kernel())
 	}
+	stream := newWorkspace(newIsingStreamKernel(pb.Inst, true), nil)
 	pr := testParams(3)
-	if rv, gv := ref.Expectation(pr), stream.Expectation(pr); rv != gv {
+	if rv, gv := pb.Expectation(pr), stream.Expectation(pr); rv != gv {
 		t.Errorf("streaming n=8 expectation %v != materialized %v", gv, rv)
 	}
 }
@@ -157,11 +162,8 @@ func TestStreamingMemoryBudgetN20(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	g := graph.RandomRegular(20, 3, rng)
 	pb := mustProblem(t, g)
-	if pb.CutTable != nil {
-		t.Fatal("n=20 problem materialized its cut table")
-	}
-	if _, ok := pb.kernel().(*streamKernel); !ok {
-		t.Fatalf("n=20 kernel is %T, want *streamKernel", pb.kernel())
+	if _, ok := pb.kernel().(*isingStreamKernel); !ok {
+		t.Fatalf("n=20 kernel is %T, want *isingStreamKernel", pb.kernel())
 	}
 
 	var before, after runtime.MemStats
@@ -178,24 +180,7 @@ func TestStreamingMemoryBudgetN20(t *testing.T) {
 	if delta > stateBytes+stateBytes/4 {
 		t.Errorf("n=20 evaluation retains %d bytes; budget is the half-register state vector (%d) plus slack — a table leaked, or the full register was drawn", delta, stateBytes)
 	}
-	if e <= 0 || e >= pb.TotalWeight {
-		t.Errorf("n=20 streamed expectation %v outside (0, total weight %v)", e, pb.TotalWeight)
-	}
-}
-
-// CutValue must work in both modes and agree with the graph.
-func TestCutValueStreamingMode(t *testing.T) {
-	rng := rand.New(rand.NewSource(39))
-	g := graph.RandomRegular(14, 3, rng)
-	pb := mustProblem(t, g)
-	for _, z := range []uint64{0, 1, 4097, 1<<14 - 1} {
-		if got, want := pb.CutValue(z), g.WeightedCutValue(z); got != want {
-			t.Errorf("CutValue(%d) = %v, want %v", z, got, want)
-		}
-	}
-	// BestSampledCut goes through ArgmaxProbability + CutValue now.
-	cut, assign := pb.BestSampledCut(testParams(1))
-	if want := g.WeightedCutValue(assign); cut != want {
-		t.Errorf("BestSampledCut cut %v != WeightedCutValue(%d) = %v", cut, assign, want)
+	if e <= 0 || e >= g.TotalWeight() {
+		t.Errorf("n=20 streamed expectation %v outside (0, total weight %v)", e, g.TotalWeight())
 	}
 }

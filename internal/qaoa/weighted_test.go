@@ -37,8 +37,8 @@ func TestWeightedSingleEdgeClosedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	pb := mustProblem(t, g)
-	if pb.OptValue != 2.5 || pb.TotalWeight != 2.5 {
-		t.Fatalf("problem fields: opt=%v total=%v", pb.OptValue, pb.TotalWeight)
+	if pb.OptValue != 2.5 {
+		t.Fatalf("optimum %v, want 2.5", pb.OptValue)
 	}
 	for _, gamma := range []float64{0, 0.3, 1.1, 2.0} {
 		for _, beta := range []float64{0, 0.2, math.Pi / 8, 1.0} {
@@ -52,7 +52,11 @@ func TestWeightedSingleEdgeClosedForm(t *testing.T) {
 }
 
 // The weighted fast path must still equal the weighted gate circuit
-// exactly.
+// exactly. A float-weighted cut is accumulated through the doubled
+// Ising sum T(z), not the cut sum, so on both kernels (n = 8
+// materialized, n = 14 streamed) ⟨C⟩ is also held to the graph's own
+// cut table — on the gate circuit's state and on the fast path's — and
+// the adjoint gradient to central differences.
 func TestWeightedFastPathMatchesGateCircuit(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 10; trial++ {
@@ -61,6 +65,59 @@ func TestWeightedFastPathMatchesGateCircuit(t *testing.T) {
 		pr := randomParams(rng, 1+rng.Intn(3))
 		if !pb.State(pr).Equal(pb.BuildCircuit(pr).Simulate(), 1e-10) {
 			t.Fatalf("trial %d: weighted fast path != gate circuit", trial)
+		}
+	}
+	for _, n := range []int{8, 14} {
+		g := graph.New(n)
+		for _, e := range graph.RandomRegular(n, 3, rng).Edges() {
+			if err := g.AddWeightedEdge(e.U, e.V, 0.25+1.5*rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pb := mustProblem(t, g)
+		table, tol := g.WeightedCutTable(), 1e-12*g.TotalWeight()
+		ws := pb.NewWorkspace()
+		for p := 1; p <= 3; p++ {
+			pr := randomParams(rng, p)
+			x := pr.Vector()
+			grad := make([]float64, len(x))
+			got := ws.ValueGrad(x, grad)
+			for name, want := range map[string]float64{
+				"gate circuit":       pb.BuildCircuit(pr).Simulate().ExpectationDiagonal(table),
+				"fast state ⊗ table": pb.State(pr).ExpectationDiagonal(table),
+			} {
+				if d := math.Abs(got - want); d > tol {
+					t.Errorf("n=%d p=%d: ⟨C⟩ = %v, %s %v (|Δ| = %g > %g)", n, p, got, name, want, d, tol)
+				}
+			}
+			for i := range x {
+				if fd := centralFD(ws.ExpectationVec, x, i); math.Abs(grad[i]-fd) > 1e-6 {
+					t.Errorf("n=%d p=%d: grad[%d] = %v, central difference %v", n, p, i, grad[i], fd)
+				}
+			}
+		}
+	}
+}
+
+// Integer-valued weights of any size are served: past the int64 path's
+// coefficient cap (problem.Instance.IntegerCoeffs) they stream as
+// floats; no integer sum of them is ever formed. The angles are dyadic
+// so that γ·w is exact — at |w| ~ 1e19 one ulp of that product is a
+// thousand radians, and neither engine's phase would mean anything.
+func TestHugeIntegerWeights(t *testing.T) {
+	pr := Params{Gamma: []float64{0.5, 0.75}, Beta: []float64{0.3, 0.7}}
+	for _, w := range []float64{1e19, 3e18} {
+		g := graph.New(13)
+		for v := 0; v < 13; v++ {
+			if err := g.AddWeightedEdge(v, (v+1)%13, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pb := mustProblem(t, g)
+		got := pb.Expectation(pr)
+		want := pb.BuildCircuit(pr).Simulate().ExpectationDiagonal(g.WeightedCutTable())
+		if d := math.Abs(got - want); !(d <= 1e-12*math.Abs(want)) {
+			t.Errorf("w=%g: ⟨C⟩ = %v, gate circuit %v", w, got, want)
 		}
 	}
 }
@@ -166,7 +223,7 @@ func TestWeightedOptimizationPrefersHeavyEdge(t *testing.T) {
 			}
 		}
 	}
-	cut, assign := pb.BestSampledCut(bestPr)
+	cut, assign := pb.BestSampled(bestPr)
 	if (assign>>0)&1 == (assign>>1)&1 {
 		t.Errorf("heavy edge uncut in most probable assignment %03b (cut %g)", assign, cut)
 	}

@@ -18,7 +18,9 @@ import (
 //     handful of distinct values (an 8-node unweighted graph has ≲ 30
 //     distinct cut sizes against 256 amplitudes). The engine computes
 //     e^{iγ·φ} once per *distinct* value with math.Sincos and applies
-//     them through a precomputed index table.
+//     them through an index table — precomputed below
+//     StreamingThreshold, regenerated per chunk from the term lists
+//     from it (ising_stream.go).
 //   - A whole QAOA stage — uniform fill, phase separator, RX(2β)
 //     mixing layer — runs through one fused quantum.LayerRunner sweep:
 //     each cache-resident chunk is filled, phased, and mixed (for every
@@ -47,15 +49,16 @@ import (
 // costKernel is the per-problem evaluation engine behind EvalWorkspace:
 // how the phase separator exp(iγH_γ) is applied, how ⟨C⟩ is read out,
 // and how the adjoint sweep's matrix elements are taken. Two
-// implementations exist:
+// implementations exist, chosen by newIsingKernel from the instance's
+// size:
 //
 //   - diagKernel (below): materialized cost diagonal with
 //     distinct-value phase memoization — the small-n fast path.
-//   - streamKernel (stream.go) and isingStreamKernel (ising_stream.go):
-//     compute C(z) on the fly from the term lists per fixed-geometry
-//     chunk, so large instances never hold a state-sized float64 table.
+//   - isingStreamKernel (ising_stream.go): computes C(z) on the fly
+//     from the term lists per fixed-geometry chunk, so large instances
+//     never hold a state-sized float64 table.
 //
-// All produce results over the same fixed reduction geometry
+// Both produce results over the same fixed reduction geometry
 // (quantum.ReduceChunks), so expectations and gradients are
 // bit-reproducible across GOMAXPROCS settings. A kernel covers the
 // basis states the workspace stores: all 2^n, or the lower 2^(n−1) of a
@@ -123,35 +126,12 @@ type diagKernel struct {
 	halfAngles []float64 // distinct per-γ phase coefficients
 }
 
-// newDiagKernel factorizes the phase angles angle(z) = coeff(diag[z])
-// into distinct values. Index assignment follows first occurrence in
-// basis-state order, so it is deterministic.
-func newDiagKernel(n int, diag []float64, coeff func(v float64) float64) *diagKernel {
-	k := &diagKernel{
-		n:    n,
-		diag: diag,
-		idx:  make([]int32, len(diag)),
-	}
-	seen := make(map[float64]int32, 64)
-	for z, v := range diag {
-		a := coeff(v)
-		j, ok := seen[a]
-		if !ok {
-			j = int32(len(k.halfAngles))
-			k.halfAngles = append(k.halfAngles, a)
-			seen[a] = j
-		}
-		k.idx[z] = j
-	}
-	return k
-}
-
-// newDiagKernelFromGen builds the materialized kernel from independent
-// observable and phase-generator tables — the generic-Hamiltonian
-// entry, where gen(z) is not a pointwise function of diag(z) (a
-// minimization instance flips the sign, auxiliary penalties shift it).
-// The distinct-value factorization dedupes gen with the same
-// first-occurrence rule as newDiagKernel.
+// newDiagKernelFromGen builds the materialized kernel from the
+// observable and phase-generator tables — independent inputs, since
+// gen(z) is not a pointwise function of diag(z) (a minimization
+// instance flips the sign, auxiliary penalties shift it). The phase
+// angles are factorized into distinct values; index assignment follows
+// first occurrence in basis-state order, so it is deterministic.
 func newDiagKernelFromGen(n int, diag, gen []float64) *diagKernel {
 	k := &diagKernel{
 		n:    n,
@@ -171,53 +151,14 @@ func newDiagKernelFromGen(n int, diag, gen []float64) *diagKernel {
 	return k
 }
 
-// kernel returns the Problem's phase kernel, building it on first use.
-// Lazy construction keeps any Problem value usable regardless of how it
-// was created; sync.Once makes first use safe under concurrency.
-// Problems with a materialized CutTable get the memoized diagKernel;
-// streaming-mode problems (CutTable nil, n ≥ StreamingThreshold) get
-// the edge-list streamKernel, which never allocates a state-sized
-// table. A cut has no linear terms, so both cover the lower half.
+// kernel returns the Problem's evaluation kernel, building it on first
+// use; sync.Once makes first use safe under concurrency.
 func (pb *Problem) kernel() costKernel {
-	pb.kernOnce.Do(func() {
-		switch {
-		case pb.Inst != nil:
-			pb.kern = newIsingKernel(pb.Inst, pb.halfRegister())
-		case pb.CutTable == nil:
-			pb.kern = newStreamKernel(pb.Graph, pb.TotalWeight)
-		default:
-			pb.kern = newCutKernel(pb.Graph.N, pb.CutTable, pb.TotalWeight)
-		}
-	})
+	pb.kernOnce.Do(func() { pb.kern = newIsingKernel(pb.Inst, pb.halfRegister()) })
 	return pb.kern
 }
 
-// newCutKernel builds the materialized MaxCut kernel over the lower
-// half of an n-vertex cut table with total edge weight m. Each edge
-// contributes e^{iγw/2} when uncut and e^{−iγw/2} when cut, so
-// amplitude z picks up total phase γ(m − 2C(z))/2 — the convention that
-// preserves the global phase of the gate-level circuit.
-func newCutKernel(n int, cutTable []float64, m float64) *diagKernel {
-	k := newDiagKernel(n-1, cutTable[:1<<uint(n-1)], func(c float64) float64 {
-		return (m - 2*c) / 2
-	})
-	k.half = true
-	return k
-}
-
-// kernel returns the DiagonalProblem's phase kernel: exp(−iγC) gives
-// amplitude z the phase −γ·C(z).
-func (dp *DiagonalProblem) kernel() *diagKernel {
-	dp.kernOnce.Do(func() {
-		dp.kern = newDiagKernel(dp.N, dp.Diag, func(d float64) float64 { return -d })
-	})
-	return dp.kern
-}
-
-// costKernel implementation for the materialized-table path. The
-// per-chunk bodies run exactly the per-element operations the
-// pre-interface engine ran (same tables, same summation order within
-// and across chunks), so results are byte-for-byte unchanged.
+// costKernel implementation for the materialized-table path.
 func (k *diagKernel) qubits() int    { return k.n }
 func (k *diagKernel) mirror() bool   { return k.half }
 func (k *diagKernel) factorLen() int { return len(k.halfAngles) }
@@ -350,11 +291,6 @@ func (pb *Problem) NewWorkspace() *EvalWorkspace {
 // Release, not Close, so the buffers return to the arena.
 func (pb *Problem) NewWorkspaceArena(a *Arena) *EvalWorkspace {
 	return newWorkspace(pb.kernel(), a)
-}
-
-// NewWorkspace returns a reusable evaluation workspace for the problem.
-func (dp *DiagonalProblem) NewWorkspace() *EvalWorkspace {
-	return newWorkspace(dp.kernel(), nil)
 }
 
 // NewWorkspaceShards returns a workspace whose state is split into

@@ -51,8 +51,8 @@ type chunkJob struct {
 // jobFree recycles job descriptors through a bounded channel rather
 // than a sync.Pool: pool caches are per-P and cleared by every GC, so
 // under many workers a long benchmark run re-allocated jobs (and their
-// parts buffers) once per P per GC cycle — the bytes/op growth with
-// GOMAXPROCS that BENCH_qaoa.json recorded. The channel freelist is
+// parts buffers) once per P per GC cycle, and bytes/op grew with
+// GOMAXPROCS. The channel freelist is
 // GC-immune and shared across Ps; in steady state a handful of jobs
 // circulate forever and warm dispatches allocate nothing.
 var jobFree = make(chan *chunkJob, maxPoolWorkers)

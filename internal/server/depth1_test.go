@@ -10,8 +10,8 @@ import (
 
 // A depth-1 solve optimizes in closed form and holds no state vector
 // until the readout builds one; the assignment it then returns must be
-// the one Problem.BestSampled reads at the returned angles, for the
-// graph path and the compiled-Ising path alike.
+// the one Problem.BestSampled reads at the returned angles, for a
+// half-register family (MaxCut) and a fielded one (QUBO) alike.
 func TestSolveDepth1ReadoutMatchesBestSampled(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	nodes, edges := testInstance(31)

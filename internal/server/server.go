@@ -865,11 +865,7 @@ func (s *Server) runSolve(ctx context.Context, job *Job) (*SolveResult, error) {
 	score, assign := rd.BestSampled(qaoa.Params{Gamma: res.Gamma, Beta: res.Beta})
 	rd.Release()
 	res.Objective = score
-	vars := pb.NumQubits()
-	if pb.Inst != nil {
-		vars = pb.Inst.Vars
-	}
-	res.Assignment = assignBits(assign, vars)
+	res.Assignment = assignBits(assign, pb.Inst.Vars)
 	return res, nil
 }
 

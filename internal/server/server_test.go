@@ -181,6 +181,30 @@ func TestNaiveSolveMatchesDirectRun(t *testing.T) {
 	}
 }
 
+// Integer-valued weights of any size are served and leave the process
+// up: a 13-node ring at w = 1e19 is past every int64 sum of its weights.
+func TestHugeIntegerWeightsSolve(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	const nodes = 13
+	req := SolveRequest{Nodes: nodes, Depth: 2, Strategy: StrategyNaive, Seed: 1, Wait: true}
+	for v := 0; v < nodes; v++ {
+		req.Edges = append(req.Edges, [2]int{v, (v + 1) % nodes})
+		req.Weights = append(req.Weights, 1e19)
+	}
+	code, view := postSolve(t, ts.URL, req)
+	if code != http.StatusOK || view.State != StateDone || view.Result == nil {
+		t.Fatalf("status %d, view %+v", code, view)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d after the solve", resp.StatusCode)
+	}
+}
+
 func TestJobEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	if code, _ := getJob(t, ts.URL, "job-00000099"); code != http.StatusNotFound {
