@@ -11,7 +11,7 @@
 //	POST   /v1/solve      submit an instance (wait=true blocks until done)
 //	GET    /v1/jobs/{id}  poll a job
 //	DELETE /v1/jobs/{id}  cancel a job
-//	GET    /healthz       liveness + queue depth + registered models
+//	GET    /healthz       liveness + queue depth + registered models + kernel
 //	GET    /metrics       telemetry snapshot (latency histograms, gauges)
 //
 // Pre-trained two-level predictors are loaded from -models (one
@@ -48,6 +48,7 @@ import (
 
 	"qaoaml/internal/cluster"
 	"qaoaml/internal/core"
+	"qaoaml/internal/quantum"
 	"qaoaml/internal/server"
 	"qaoaml/internal/telemetry"
 )
@@ -217,7 +218,7 @@ func run(cfg daemonConfig) error {
 	httpSrv := &http.Server{Addr: cfg.addr, Handler: s.Handler()}
 	errc := make(chan error, 1)
 	go func() {
-		logger.Printf("listening on %s", cfg.addr)
+		logger.Printf("listening on %s (kernel %s)", cfg.addr, quantum.Kernel())
 		errc <- httpSrv.ListenAndServe()
 	}()
 

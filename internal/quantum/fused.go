@@ -7,23 +7,8 @@ import (
 
 // Fused QAOA layer kernels.
 //
-// A QAOA stage used to make separate full passes over the state vector:
-// one for the diagonal phase separator, then one per fused qubit pair
-// for the RX mixer (n/2 passes), plus an initial fill. Fusing them cut
-// the passes, but the benchmark ladder (go run ./benchmark -trace) has
-// since measured what bounds a sweep, and it is not memory bandwidth:
-// quantum.roofline_share was 0.10–0.11 of the STREAM-triad probe with
-// the complex-product butterflies (≈ 92 flops per 4-amplitude
-// butterfly, half of them multiplications by an exact zero) and is
-// ≈ 0.17–0.20 with the real-arithmetic rxQuad/rxDuo of kernels.go (44
-// flops, 40 after the compiler shares the four cm·component products).
-// The sweep is scalar-ALU-bound; the next lever is SIMD, not fewer
-// passes. The rewrite is value-identical: every dropped term is (±0)·x
-// added to or subtracted from a finite value, so only the sign of an
-// exact zero can differ (and bit-identity is per GOARCH — Go fuses
-// a*b+c on arm64, not on amd64).
-//
-// The LayerRunner collapses a whole stage into:
+// A QAOA stage is a diagonal phase separator followed by RX on every
+// qubit. The LayerRunner collapses it into:
 //
 //   - ONE cache-blocked low sweep: per fixed-geometry chunk (ChunkLen
 //     elements, resident in L2), the optional uniform fill, the phase
@@ -32,14 +17,31 @@ import (
 //     chunk that covers qubit pairs (0,1)…(12,13) — all but the top few
 //     qubits of even a 28-qubit register.
 //   - One full pass per remaining cross-chunk pair (at most ⌈(n−cb)/2⌉
-//     passes), in ascending qubit order, plus the odd final qubit.
+//     passes), in ascending qubit order, plus the last pass: the odd
+//     final qubit, or a half register's mirror butterfly (mirror.go).
+//
+// What bounds a sweep is arithmetic, not memory bandwidth (go run
+// ./benchmark -trace holds it against a STREAM-triad probe). Every pair
+// pass, here, in the shard exchange and in the reverse sweep, funnels
+// through three butterflies — rxQuad, rxQuadLow (kernels.go) and
+// rxQuadMirror — which do real arithmetic on the components (40 flops
+// per quadruple where the complex products did 92) and, on an amd64 CPU
+// with AVX2, do it four doubles wide in assembly (rx_amd64.s), in the Go
+// bodies' operation order and without FMA, so to the same bits. The Go
+// bodies stay: they are the only path on other GOARCHs and older CPUs,
+// the odd tail of a run, and the oracle the assembly is tested against.
+// Still scalar, and after the butterflies the larger share of an n = 20
+// gradient: the ΣX terms of reverse.go (their left fold is a serial add
+// chain whose order defines the result), rxDuo for an even stored width's
+// last pass, and the indexed phase multiply.
 //
 // Bit-identity: each amplitude goes through exactly the same arithmetic
 // operations in the same algebraic order as FillUniform + phase +
 // RXAll — the butterflies of distinct pairs touch disjoint index sets,
 // so interleaving them per chunk instead of per pass cannot change any
 // intermediate value. The chunk geometry is the fixed ChunkLen(dim)
-// layout, so results are also identical at every GOMAXPROCS.
+// layout, so results are also identical at every GOMAXPROCS. Across
+// machines the contract is per GOARCH (see rxMix).
 
 // LayerRunner applies fused QAOA layers (phase separator + RX mixer) to
 // one state. It holds the persistent closures the worker pool dispatch

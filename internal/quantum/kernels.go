@@ -140,8 +140,11 @@ func rxQuadRange(amps []complex128, q, rlo, rhi int, cc, cm, mm float64) {
 // the association order of the complex expression cc*a + cm*t + mm*b
 // with cc, mm real and cm imaginary. The terms this drops are (±0)·x
 // added to a finite value, so the result is the complex expression's
-// except possibly in the sign of an exact zero. (Bit-identity is per
-// GOARCH: arm64 fuses a*b+c, amd64 does not.)
+// except possibly in the sign of an exact zero. Bit-identity is per
+// GOARCH: the compiler fuses x*y+z on arm64, ppc64le and s390x, and on
+// amd64 at no GOAMD64 level (go1.22–1.24 lower only an explicit
+// math.FMA there), which is what lets rx_amd64.s be == to this on
+// every amd64 build.
 func rxMix(a, t, b complex128, cc, cm, mm float64) complex128 {
 	return complex(cc*real(a)-cm*imag(t)+mm*real(b), cc*imag(a)+cm*real(t)+mm*imag(b))
 }
@@ -150,7 +153,18 @@ func rxMix(a, t, b complex128, cc, cm, mm float64) complex128 {
 // (p00[k], p01[k], p10[k], p11[k]): the amplitudes whose two target
 // bits read 00, 01, 10 and 11. The four slices are equal-length and
 // disjoint — runs of one state, or equal local ranges of four shards.
+// Where the CPU has AVX2 the even-length prefix runs in assembly
+// (rx_amd64.go); rxQuadGo does the rest, to the same bits.
 func rxQuad(p00, p01, p10, p11 []complex128, cc, cm, mm float64) {
+	p01, p10, p11 = p01[:len(p00)], p10[:len(p00)], p11[:len(p00)]
+	if k := rxQuadVec(p00, p01, p10, p11, cc, cm, mm); k < len(p00) {
+		rxQuadGo(p00[k:], p01[k:], p10[k:], p11[k:], cc, cm, mm)
+	}
+}
+
+// rxQuadGo is rxQuad's portable body: the only one off amd64 and before
+// AVX2, the odd tail, and the oracle the assembly is tested against.
+func rxQuadGo(p00, p01, p10, p11 []complex128, cc, cm, mm float64) {
 	p01, p10, p11 = p01[:len(p00)], p10[:len(p00)], p11[:len(p00)]
 	for k, a00 := range p00 {
 		a01, a10, a11 := p01[k], p10[k], p11[k]
@@ -165,6 +179,13 @@ func rxQuad(p00, p01, p10, p11 []complex128, cc, cm, mm float64) {
 // rxQuadLow is rxQuad for qubits 0 and 1, whose quadruples are the
 // consecutive 4-amplitude groups of a.
 func rxQuadLow(a []complex128, cc, cm, mm float64) {
+	if k := rxQuadLowVec(a, cc, cm, mm); k < len(a) {
+		rxQuadLowGo(a[k:], cc, cm, mm)
+	}
+}
+
+// rxQuadLowGo is rxQuadLow's portable body (see rxQuadGo).
+func rxQuadLowGo(a []complex128, cc, cm, mm float64) {
 	for ; len(a) >= 4; a = a[4:] {
 		a00, a01, a10, a11 := a[0], a[1], a[2], a[3]
 		t, u := a01+a10, a00+a11
@@ -208,6 +229,7 @@ func (s *State) MulDiagonalIndexed(idx []int32, factors []complex128) {
 }
 
 func mulIndexedRange(amps []complex128, idx []int32, factors []complex128) {
+	amps = amps[:len(idx)]
 	for i, k := range idx {
 		amps[i] *= factors[k]
 	}

@@ -79,8 +79,18 @@ func rxDuoMirror(p0, p1 []complex128, c, s float64) {
 
 // rxQuadMirror is rxQuad with the second target's two partners
 // reversed: quadruple k is (p00[k], p01[k], p10[len−1−k],
-// p11[len−1−k]).
+// p11[len−1−k]). Like rxQuad, it runs an even number of leading
+// quadruples in assembly where it can.
 func rxQuadMirror(p00, p01, p10, p11 []complex128, cc, cm, mm float64) {
+	n := len(p00)
+	p01, p10, p11 = p01[:n], p10[:n], p11[:n]
+	if k := rxQuadMirrorVec(p00, p01, p10, p11, cc, cm, mm); k < n {
+		rxQuadMirrorGo(p00[k:], p01[k:], p10[:n-k], p11[:n-k], cc, cm, mm)
+	}
+}
+
+// rxQuadMirrorGo is rxQuadMirror's portable body (see rxQuadGo).
+func rxQuadMirrorGo(p00, p01, p10, p11 []complex128, cc, cm, mm float64) {
 	n := len(p00)
 	p01, p10, p11 = p01[:n], p10[:n], p11[:n]
 	for k, j := 0, n-1; k < n && uint(j) < uint(n); k, j = k+1, j-1 {

@@ -200,9 +200,10 @@ func (s *State) ExpectationDiagonal(diag []float64) float64 {
 // is bit-identical to the materialized-table path.
 func (s *State) ExpectationDiagonalRange(lo int, diag []float64) float64 {
 	s.checkRange(lo, len(diag))
+	amps := s.amps[lo : lo+len(diag)]
 	e := 0.0
 	for i, d := range diag {
-		a := s.amps[lo+i]
+		a := amps[i]
 		e += (real(a)*real(a) + imag(a)*imag(a)) * d
 	}
 	return e

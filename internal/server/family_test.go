@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qaoaml/internal/problem"
+	"qaoaml/internal/quantum"
 )
 
 // familyRequests builds one small solvable request per non-MaxCut
@@ -222,8 +223,9 @@ func TestLegacyMaxCutBodyUnchanged(t *testing.T) {
 	}
 }
 
-// The healthz document must advertise the schema version and the
-// supported problem families.
+// The healthz document must advertise the schema version, the
+// supported problem families and which butterfly body this process runs
+// (a worker without AVX2 returns the same bits, slower).
 func TestHealthzAdvertisesSchema(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -234,6 +236,7 @@ func TestHealthzAdvertisesSchema(t *testing.T) {
 	var doc struct {
 		APIVersion int      `json:"api_version"`
 		Problems   []string `json:"problems"`
+		Kernel     string   `json:"kernel"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
@@ -243,6 +246,9 @@ func TestHealthzAdvertisesSchema(t *testing.T) {
 	}
 	if len(doc.Problems) != len(problem.Families()) {
 		t.Errorf("problems %v, want %v", doc.Problems, problem.Families())
+	}
+	if doc.Kernel != quantum.Kernel() || (doc.Kernel != "avx2" && doc.Kernel != "go") {
+		t.Errorf("kernel %q, want %q (avx2 or go)", doc.Kernel, quantum.Kernel())
 	}
 }
 

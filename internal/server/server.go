@@ -1020,6 +1020,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"cost_inflight": costInflight,
 		"cost_budget":   s.cfg.MaxInflightCost,
 		"batch_max":     s.cfg.MaxBatch,
+		"kernel":        quantum.Kernel(),
 	})
 }
 
