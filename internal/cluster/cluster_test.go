@@ -170,9 +170,19 @@ func TestFleetWorkerFailover(t *testing.T) {
 	single := startNode(t, server.Config{Workers: 2})
 	coord, workers, disp := startFleet(t, 2, server.Config{CacheSize: -1})
 
-	// Kill worker 0 outright (listener gone: connection refused, the
-	// same signature as kill -9 from the coordinator's side).
-	workers[0].ts.Close()
+	// The ring places keys by the workers' URLs, whose ports differ from
+	// run to run, so which worker owns a key is not known in advance —
+	// and a dead worker no key is routed to is never found out. Let the
+	// fleet solve request 0 once and kill the worker that did the work:
+	// the repeat below has it as its primary.
+	solveDone(t, coord.ts.URL, fleetReq(0))
+	dead := workers[0]
+	if dead.mem.CounterValue("optimize.fev_total") == 0 {
+		dead = workers[1]
+	}
+	// Listener gone: connection refused, the same signature as kill -9
+	// from the coordinator's side.
+	dead.ts.Close()
 
 	for i := 0; i < 4; i++ {
 		req := fleetReq(i)
@@ -182,7 +192,7 @@ func TestFleetWorkerFailover(t *testing.T) {
 			t.Fatalf("request %d: post-failover result differs:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
-	if up := disp.Workers(); up[workers[0].ts.URL] {
+	if up := disp.Workers(); up[dead.ts.URL] {
 		t.Fatal("dead worker still marked live after failed dispatches")
 	}
 }

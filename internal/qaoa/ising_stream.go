@@ -49,6 +49,8 @@ import (
 //     to bit t = TrailingZeros(zl), the sum changes by d_t − Σ_{u<t} d_u
 //     — a prefix-sum lookup. Per amplitude that is a table load and two
 //     adds, not an O(degree) walk over each flipped spin's adjacency.
+//     (The integer fills take the recurrence over one block of low
+//     values per chunk and add each block's own part: linBlock.)
 //
 // All per-chunk values depend only on the chunk bounds (which the fixed
 // geometry pins) and the scratch buffers are per-chunk, so the streamed
@@ -388,20 +390,52 @@ func (k *isingStreamKernel) chunkSetupFloat(lo uint64, d, p *[maxStreamChunkBits
 	return base
 }
 
+// linBlock is the block length of the integer fills: the cross-term
+// linear form lin(z) = Σ_{u: z_u=1} d_u is additive over bits and the
+// sums are int64, so lin(blk+j) = lin(blk) + lin(j) exactly. One
+// linBlock-entry table of lin(j) per chunk and lin(blk) from blk's set
+// bits leave the inner loop two independent loads and two adds per
+// amplitude, where the recurrence was a serial chain through TZCNT and
+// two dependent table loads. (The float fills keep the recurrence: their
+// adds do not reassociate.)
+const linBlock = 256
+
+// fillLinLow writes lin(j) for j < len(linLo) by the trailing-zeros
+// recurrence (see the file comment).
+func fillLinLow(linLo []int64, d, p *[maxStreamChunkBits]int64) {
+	var lin int64
+	for j := 1; j < len(linLo); j++ {
+		t := bits.TrailingZeros64(uint64(j))
+		lin += d[t] - p[t]
+		linLo[j] = lin
+	}
+}
+
+// linOf returns lin(z) from z's set bits.
+func linOf(z int, d *[maxStreamChunkBits]int64) (lin int64) {
+	for x := uint64(z); x != 0; x &= x - 1 {
+		lin += d[bits.TrailingZeros64(x)]
+	}
+	return lin
+}
+
 // fillScore writes Score(z) for the chunk [lo, hi). lo is chunk-aligned
 // and hi−lo = 2^cb, so the chunk-local bits of z are exactly the buffer
 // index.
 func (k *isingStreamKernel) fillScore(lo, hi int, score []float64) {
 	if k.integer {
 		var d, p [maxStreamChunkBits]int64
+		var linBuf [linBlock]int64
 		base := k.chunkSetupInt(uint64(lo), &d, &p)
-		tll := k.tllInt
-		var lin int64
-		score[0] = k.scoreFromT(base + tll[0])
-		for i := 1; i < hi-lo; i++ {
-			t := bits.TrailingZeros64(uint64(i))
-			lin += d[t] - p[t]
-			score[i] = k.scoreFromT(base + tll[i] + lin)
+		n := hi - lo
+		linLo := linBuf[:min(linBlock, n)]
+		fillLinLow(linLo, &d, &p)
+		for blk := 0; blk < n; blk += len(linLo) {
+			b := base + linOf(blk, &d)
+			tll, out := k.tllInt[blk:blk+len(linLo)], score[blk:blk+len(linLo)]
+			for j, lin := range linLo {
+				out[j] = k.scoreFromT(b + tll[j] + lin)
+			}
 		}
 		return
 	}
@@ -421,14 +455,17 @@ func (k *isingStreamKernel) fillScore(lo, hi int, score []float64) {
 // [lo, hi). Integer path only.
 func (k *isingStreamKernel) fillIdx(lo, hi int, idx []int32) {
 	var d, p [maxStreamChunkBits]int64
+	var linBuf [linBlock]int64
 	base := k.chunkSetupInt(uint64(lo), &d, &p) - k.tmin
-	tll := k.tllInt
-	var lin int64
-	idx[0] = int32((base + tll[0]) >> 1)
-	for i := 1; i < hi-lo; i++ {
-		t := bits.TrailingZeros64(uint64(i))
-		lin += d[t] - p[t]
-		idx[i] = int32((base + tll[i] + lin) >> 1)
+	n := hi - lo
+	linLo := linBuf[:min(linBlock, n)]
+	fillLinLow(linLo, &d, &p)
+	for blk := 0; blk < n; blk += len(linLo) {
+		b := base + linOf(blk, &d)
+		tll, out := k.tllInt[blk:blk+len(linLo)], idx[blk:blk+len(linLo)]
+		for j, lin := range linLo {
+			out[j] = int32((b + tll[j] + lin) >> 1)
+		}
 	}
 }
 

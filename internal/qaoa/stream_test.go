@@ -2,11 +2,13 @@ package qaoa
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"qaoaml/internal/graph"
+	"qaoaml/internal/problem"
 )
 
 func testParams(p int) Params {
@@ -182,5 +184,61 @@ func TestStreamingMemoryBudgetN20(t *testing.T) {
 	}
 	if e <= 0 || e >= g.TotalWeight() {
 		t.Errorf("n=20 streamed expectation %v outside (0, total weight %v)", e, g.TotalWeight())
+	}
+}
+
+// The integer fills walk a chunk in blocks (lin(blk) from blk's set bits
+// plus a per-chunk table of the low bits' lin) where they used to carry
+// the trailing-zeros recurrence from one amplitude to the next. int64
+// sums regroup exactly, so every index and score of every chunk must be
+// the recurrence's: every family at n = 13…16, over all basis states
+// and — where the instance has no field — over the half register's.
+// (RandomSpec's MaxCut and QUBO draws take the integer fills; the other
+// families' coefficients send them to the float ones, which still carry
+// the recurrence.)
+func TestIsingStreamBlockedFillMatchesRecurrence(t *testing.T) {
+	for _, fam := range problem.Families() {
+		for n := 13; n <= 16; n++ {
+			spec, err := problem.RandomSpec(fam, n, rand.New(rand.NewSource(int64(40+n))))
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", fam, n, err)
+			}
+			in := mustNew(t, spec).Inst
+			for _, half := range []bool{false, true} {
+				if half && !in.FieldFree() {
+					continue
+				}
+				k := newIsingStreamKernel(in, half)
+				if !k.integer {
+					if fam == problem.FamilyMaxCut || fam == problem.FamilyQUBO {
+						t.Fatalf("%s n=%d: not an integer kernel, the blocked fills go untested", fam, n)
+					}
+					continue
+				}
+				clen := 1 << uint(k.cb)
+				idx, score := make([]int32, clen), make([]float64, clen)
+				for lo := 0; lo < 1<<uint(k.n); lo += clen {
+					k.fillIdx(lo, lo+clen, idx)
+					k.fillScore(lo, lo+clen, score)
+
+					var d, p [maxStreamChunkBits]int64
+					base := k.chunkSetupInt(uint64(lo), &d, &p)
+					var lin int64
+					for i := 0; i < clen; i++ {
+						if i > 0 {
+							tz := bits.TrailingZeros64(uint64(i))
+							lin += d[tz] - p[tz]
+						}
+						tt := base + k.tllInt[i] + lin
+						if want := int32((tt - k.tmin) >> 1); idx[i] != want {
+							t.Fatalf("%s n=%d half=%v chunk %d: idx[%d] = %d, recurrence %d", fam, in.N, half, lo/clen, i, idx[i], want)
+						}
+						if want := k.scoreFromT(tt); score[i] != want {
+							t.Fatalf("%s n=%d half=%v chunk %d: score[%d] = %v, recurrence %v", fam, in.N, half, lo/clen, i, score[i], want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -27,13 +27,16 @@ import (
 // rxQuadMirror — which do real arithmetic on the components (40 flops
 // per quadruple where the complex products did 92) and, on an amd64 CPU
 // with AVX2, do it four doubles wide in assembly (rx_amd64.s), in the Go
-// bodies' operation order and without FMA, so to the same bits. The Go
-// bodies stay: they are the only path on other GOARCHs and older CPUs,
-// the odd tail of a run, and the oracle the assembly is tested against.
-// Still scalar, and after the butterflies the larger share of an n = 20
-// gradient: the ΣX terms of reverse.go (their left fold is a serial add
-// chain whose order defines the result), rxDuo for an even stored width's
-// last pass, and the indexed phase multiply.
+// bodies' operation order and without FMA, so to the same bits. The
+// reverse sweep's two-state forms of the three are assembly too, with
+// the ΣX terms of reverse.go taken in lanes between the two states'
+// butterflies and folded by scalar adds in reverse.go's order (the fold
+// is a serial chain; inside the butterfly loop its latency is hidden).
+// The Go bodies stay: they are the only path on other GOARCHs and older
+// CPUs, the odd tail of a run, and the oracle the assembly is tested
+// against. Still scalar: rxDuo and its ΣX terms for an even stored
+// width's last pass, the indexed phase multiply and un-phase (a gather),
+// and the index fill that feeds them.
 //
 // Bit-identity: each amplitude goes through exactly the same arithmetic
 // operations in the same algebraic order as FillUniform + phase +

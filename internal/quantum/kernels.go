@@ -117,8 +117,9 @@ func (s *State) rxLast(k rxCoef) {
 // (bit0−1)) << 2) | (r & (bit0−1)); ascending r visits the same (base,
 // offset) pairs as the classic base-stride loop, in the same order.
 // Each run of consecutive representatives is four equal-length
-// contiguous sub-slices, handed to rxQuad; for q = 0 the whole range is
-// one contiguous block of 4-amplitude groups.
+// contiguous sub-slices, handed to rxQuad — or, when the range is whole
+// runs, all of them to the assembly in one call; for q = 0 the whole
+// range is one contiguous block of 4-amplitude groups.
 func rxQuadRange(amps []complex128, q, rlo, rhi int, cc, cm, mm float64) {
 	if q == 0 {
 		rxQuadLow(amps[rlo<<2:rhi<<2], cc, cm, mm)
@@ -127,6 +128,9 @@ func rxQuadRange(amps []complex128, q, rlo, rhi int, cc, cm, mm float64) {
 	bit0 := 1 << uint(q)
 	bit1 := bit0 << 1
 	mask := bit0 - 1
+	if (rlo|rhi)&mask == 0 && rxQuadRunsVec(amps[rlo<<2:rhi<<2], bit0, cc, cm, mm) {
+		return
+	}
 	for r := rlo; r < rhi; {
 		i := ((r &^ mask) << 2) | (r & mask)
 		run := min(bit0-(r&mask), rhi-r)

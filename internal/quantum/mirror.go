@@ -130,9 +130,15 @@ func sumXQuadMirror(p00, p01, p10, p11, l00, l01, l10, l11 []complex128) (im flo
 // the ascending slices meets [len−e, len−o) of the reversed ones.
 func revQuadMirror(p00, p01, p10, p11, l00, l01, l10, l11 []complex128, k rxCoef) (im float64) {
 	n := len(p00)
+	p01, p10, p11 = p01[:n], p10[:n], p11[:n]
+	l00, l01, l10, l11 = l00[:n], l01[:n], l10[:n], l11[:n]
 	for o := 0; o < n; o += revSubQuads {
 		e := min(o+revSubQuads, n)
 		ro, re := n-e, n-o
+		if s, ok := revQuadMirrorVec(p00[o:e], p01[o:e], p10[ro:re], p11[ro:re], l00[o:e], l01[o:e], l10[ro:re], l11[ro:re], k); ok {
+			im += s
+			continue
+		}
 		im += sumXQuadMirror(p00[o:e], p01[o:e], p10[ro:re], p11[ro:re], l00[o:e], l01[o:e], l10[ro:re], l11[ro:re])
 		rxQuadMirror(p00[o:e], p01[o:e], p10[ro:re], p11[ro:re], k.cc, k.cm, k.mm)
 		rxQuadMirror(l00[o:e], l01[o:e], l10[ro:re], l11[ro:re], k.cc, k.cm, k.mm)

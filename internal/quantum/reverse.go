@@ -20,15 +20,39 @@ import (
 //
 // eight multiplications next to the 88 flops of the two butterflies.
 // The sweep therefore walks both states once, pair pass by pair pass in
-// LayerRunner.Layer's order, and per L1-sized sub-run takes the ΣX terms
-// and then calls rxQuad/rxDuo on φ and on λ — the very kernels the
-// forward sweep runs, so both states come out bit-identical to two
-// Layer(theta, false, nil) calls. (A single loop body carrying all 16
-// amplitudes of a quadruple pair spills registers and runs 1.5× slower
-// per state than rxQuad.)
+// LayerRunner.Layer's order and sub-run by sub-run within a pass. What
+// is fused where:
 //
-// Summation order. The returned value is defined once, for every layout
-// and worker count, as nested left-to-right folds from zero:
+//   - On amd64 with AVX2 a sub-run of quadruples is one assembly body
+//     (revQuadAVX2, revQuadLowAVX2, revQuadMirrorAVX2 in rx_amd64.s). Per
+//     two quadruples it loads φ's, keeps t and u, butterflies and stores
+//     them; loads λ's, multiplies its sums into φ's for the two terms,
+//     adds them to the fold with scalar adds, quadruple k before k+1;
+//     butterflies and stores λ's. Every slice is read once and written
+//     once, and the fold's dependent add waits in the shadow of the
+//     butterflies' arithmetic. An in-chunk pair whose runs are no longer
+//     than a sub-run — (2,3), (4,5), (6,7) — is one call per chunk: the
+//     body steps from run to run itself.
+//   - Everywhere else — other GOARCHs, a CPU without AVX2, a sub-run of
+//     odd length, and the lone butterflies revDuo and revDuoMirror — a
+//     sub-run is three loops: the ΣX terms (sumX*), then rxQuad/rxDuo on
+//     φ and on λ. The sub-run is L1-sized so that the second and third
+//     find it there. (The Go compiler is why these are three: one Go
+//     loop body carrying all 16 amplitudes of a quadruple pair spills
+//     registers and runs 1.5× slower per state than rxQuad. The assembly
+//     fits a quadruple pair of one state, the other's sums, the fold and
+//     the coefficients in the 16 YMM registers.)
+//
+// Either way the butterflies are the forward sweep's operation for
+// operation, so both states come out bit-identical to two Layer(theta,
+// false, nil) calls; and the terms — MUL, MUL, SUB twice, one ADD — and
+// their fold are the ones defined next, so the returned value does not
+// say which body ran (rx_amd64_test.go compares them by Float64bits).
+//
+// Summation order — the same for every body, and unchanged by the
+// assembly: only the terms are computed in lanes, the fold is scalar.
+// The returned value is defined once, for every layout and worker count,
+// as nested left-to-right folds from zero:
 //
 //	quadruples of a sub-run (≤ revSubQuads, ascending)
 //	→ sub-runs of a run → runs of a pair → pairs of a block (the low
@@ -229,13 +253,20 @@ func (m *ReverseMixer) revMirror(rlo, rhi int) float64 {
 // revQuadChunk un-applies the in-chunk pair (q, q+1) from one chunk of
 // both states — rxQuadRange's walk over all of the chunk's
 // representatives, runs of 2^q quadruples — and returns the pair's ΣX
-// terms, run by run.
+// terms, run by run. Runs no longer than a sub-run are the fold's units
+// themselves, and the assembly walks all of them in one call.
 func revQuadChunk(p, l []complex128, q int, k rxCoef) (im float64) {
 	if q == 0 {
 		return revQuadLow(p, l, k)
 	}
+	l = l[:len(p)]
 	bit0 := 1 << uint(q)
 	bit1 := bit0 << 1
+	if bit0 <= revSubQuads {
+		if s, ok := revQuadRunsVec(p, l, bit0, k); ok {
+			return s
+		}
+	}
 	for i := 0; i < len(p); i += bit0 << 2 {
 		im += revQuad(
 			p[i:i+bit0], p[i+bit0:i+bit1], p[i+bit1:i+bit1+bit0], p[i+bit1+bit0:i+bit1<<1],
@@ -246,11 +277,19 @@ func revQuadChunk(p, l []complex128, q int, k rxCoef) (im float64) {
 }
 
 // revQuad un-applies one run of quadruples from both states, sub-run
-// by sub-run: the ΣX terms first, then rxQuad on φ's and on λ's four
-// slices. All eight slices are equal-length.
+// by sub-run, and returns its ΣX terms: in one fused assembly body
+// where there is one (rx_amd64.go), else the terms first, then rxQuad on
+// φ's and on λ's four slices. All eight slices are equal-length.
 func revQuad(p00, p01, p10, p11, l00, l01, l10, l11 []complex128, k rxCoef) (im float64) {
-	for o := 0; o < len(p00); o += revSubQuads {
-		e := min(o+revSubQuads, len(p00))
+	n := len(p00)
+	p01, p10, p11 = p01[:n], p10[:n], p11[:n]
+	l00, l01, l10, l11 = l00[:n], l01[:n], l10[:n], l11[:n]
+	for o := 0; o < n; o += revSubQuads {
+		e := min(o+revSubQuads, n)
+		if s, ok := revQuadVec(p00[o:e], p01[o:e], p10[o:e], p11[o:e], l00[o:e], l01[o:e], l10[o:e], l11[o:e], k); ok {
+			im += s
+			continue
+		}
 		im += sumXQuad(p00[o:e], p01[o:e], p10[o:e], p11[o:e], l00[o:e], l01[o:e], l10[o:e], l11[o:e])
 		rxQuad(p00[o:e], p01[o:e], p10[o:e], p11[o:e], k.cc, k.cm, k.mm)
 		rxQuad(l00[o:e], l01[o:e], l10[o:e], l11[o:e], k.cc, k.cm, k.mm)
@@ -261,8 +300,13 @@ func revQuad(p00, p01, p10, p11, l00, l01, l10, l11 []complex128, k rxCoef) (im 
 // revQuadLow is revQuad for qubits 0 and 1, whose quadruples are the
 // consecutive 4-amplitude groups of p and l.
 func revQuadLow(p, l []complex128, k rxCoef) (im float64) {
+	l = l[:len(p)]
 	for o := 0; o < len(p); o += 4 * revSubQuads {
 		e := min(o+4*revSubQuads, len(p))
+		if s, ok := revQuadLowVec(p[o:e], l[o:e], k); ok {
+			im += s
+			continue
+		}
 		im += sumXQuadLow(p[o:e], l[o:e])
 		rxQuadLow(p[o:e], k.cc, k.cm, k.mm)
 		rxQuadLow(l[o:e], k.cc, k.cm, k.mm)

@@ -117,22 +117,35 @@ func TestReverseMixerPanicsOnMismatch(t *testing.T) {
 }
 
 // BenchmarkReverseMixer times one two-state sweep — RX un-applied from
-// all qubits of both states, ΣX read on the way — in ns per amplitude
-// of the register; two LayerRunner.Layer calls plus the old per-qubit
-// ΣX walk are what it replaced. n8 is a single chunk, n16 and n20 add
-// cross-chunk passes (run on the calling goroutine at GOMAXPROCS=1).
+// all qubits of both states, ΣX read on the way — in ns per stored
+// amplitude, per body (forEachKernel). n8 is a single chunk, n16 and n20
+// add cross-chunk passes (run on the calling goroutine at GOMAXPROCS=1);
+// n7-half and n19-half are the half registers of paper_n8 and whale_n20,
+// whose last pass is the mirror body's.
 func BenchmarkReverseMixer(b *testing.B) {
-	for _, n := range []int{8, 16, 20} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			phi, lam := randomParallelState(n, 8), randomParallelState(n, 9)
-			m := NewReverseMixer(phi, lam, false)
-			var sink float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink += m.Sweep(0.4)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(phi.amps)), "ns/amp")
-			_ = sink
+	for _, c := range []struct {
+		name   string
+		n      int
+		mirror bool
+	}{
+		{"n8", 8, false},
+		{"n16", 16, false},
+		{"n20", 20, false},
+		{"n7-half", 7, true},
+		{"n19-half", 19, true},
+	} {
+		forEachKernel(func(kernel string) {
+			b.Run(c.name+"/"+kernel, func(b *testing.B) {
+				phi, lam := randomParallelState(c.n, 8), randomParallelState(c.n, 9)
+				m := NewReverseMixer(phi, lam, c.mirror)
+				var sink float64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sink += m.Sweep(0.4)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(phi.amps)), "ns/amp")
+				_ = sink
+			})
 		})
 	}
 }

@@ -31,13 +31,22 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func rxQuadAVX2(p00, p01, p10, p11 *complex128, n int, cc, cm, mm float64)
+func rxQuadAVX2(p00, p01, p10, p11 *complex128, run, runs int, cc, cm, mm float64)
 
 //go:noescape
 func rxQuadMirrorAVX2(p00, p01, p10, p11 *complex128, n int, cc, cm, mm float64)
 
 //go:noescape
 func rxQuadLowAVX2(a *complex128, quads int, cc, cm, mm float64)
+
+//go:noescape
+func revQuadAVX2(p00, p01, p10, p11, l00, l01, l10, l11 *complex128, run, runs int, cc, cm, mm float64) float64
+
+//go:noescape
+func revQuadMirrorAVX2(p00, p01, p10, p11, l00, l01, l10, l11 *complex128, n int, cc, cm, mm float64) float64
+
+//go:noescape
+func revQuadLowAVX2(p, l *complex128, quads int, cc, cm, mm float64) float64
 
 // Kernel names the body the mixer butterflies run: "avx2" for the
 // assembly, "go" for the portable bodies. Both return the same bits.
@@ -55,8 +64,19 @@ func rxQuadVec(p00, p01, p10, p11 []complex128, cc, cm, mm float64) int {
 		return 0
 	}
 	n := len(p00) &^ 1
-	rxQuadAVX2(&p00[0], &p01[0], &p10[0], &p11[0], n, cc, cm, mm)
+	rxQuadAVX2(&p00[0], &p01[0], &p10[0], &p11[0], n, 1, cc, cm, mm)
 	return n
+}
+
+// rxQuadRunsVec applies rxQuad's butterfly to every run of blk — whole
+// blocks of a pair pass: 4·run amplitudes each, the run's four slices
+// back to back — in one assembly call and reports whether it did.
+func rxQuadRunsVec(blk []complex128, run int, cc, cm, mm float64) bool {
+	if !useAVX2 || run&1 != 0 || len(blk) < 4*run {
+		return false
+	}
+	rxQuadAVX2(&blk[0], &blk[run], &blk[2*run], &blk[3*run], run, len(blk)/(4*run), cc, cm, mm)
+	return true
 }
 
 // rxQuadMirrorVec applies rxQuadMirror's butterfly to quadruples [0, k)
@@ -81,4 +101,49 @@ func rxQuadLowVec(a []complex128, cc, cm, mm float64) int {
 	}
 	rxQuadLowAVX2(&a[0], len(a)>>2, cc, cm, mm)
 	return len(a) &^ 3
+}
+
+// The two-state steps un-apply one sub-run from φ and from λ in assembly
+// and return its ΣX fold; ok is false when they did nothing. They take a
+// sub-run whole or not at all — an odd length goes to the Go bodies: the
+// fold has one entry, at +0, so it cannot be handed over half-way. The
+// callers have cut all slices to one length.
+
+// revQuadVec is revQuad's step for one sub-run of eight equal-length
+// slices.
+func revQuadVec(p00, p01, p10, p11, l00, l01, l10, l11 []complex128, k rxCoef) (im float64, ok bool) {
+	n := len(p00)
+	if !useAVX2 || n == 0 || n&1 != 0 {
+		return 0, false
+	}
+	return revQuadAVX2(&p00[0], &p01[0], &p10[0], &p11[0], &l00[0], &l01[0], &l10[0], &l11[0], n, 1, k.cc, k.cm, k.mm), true
+}
+
+// revQuadRunsVec is revQuadChunk's step for a whole chunk p (and l, as
+// long) whose runs of run quadruples are sub-runs themselves: every
+// run's fold, folded in run order, from one call.
+func revQuadRunsVec(p, l []complex128, run int, k rxCoef) (im float64, ok bool) {
+	if !useAVX2 || run&1 != 0 || len(p) < 4*run {
+		return 0, false
+	}
+	return revQuadAVX2(&p[0], &p[run], &p[2*run], &p[3*run], &l[0], &l[run], &l[2*run], &l[3*run], run, len(p)/(4*run), k.cc, k.cm, k.mm), true
+}
+
+// revQuadMirrorVec is revQuadMirror's step: p10, p11, l10, l11 are the
+// descending slices of the sub-run.
+func revQuadMirrorVec(p00, p01, p10, p11, l00, l01, l10, l11 []complex128, k rxCoef) (im float64, ok bool) {
+	n := len(p00)
+	if !useAVX2 || n == 0 || n&1 != 0 {
+		return 0, false
+	}
+	return revQuadMirrorAVX2(&p00[0], &p01[0], &p10[0], &p11[0], &l00[0], &l01[0], &l10[0], &l11[0], n, k.cc, k.cm, k.mm), true
+}
+
+// revQuadLowVec is revQuadLow's step for the 4-amplitude groups of p and
+// l, whose common length is a multiple of 4.
+func revQuadLowVec(p, l []complex128, k rxCoef) (im float64, ok bool) {
+	if !useAVX2 || len(p) < 4 || len(p)&3 != 0 {
+		return 0, false
+	}
+	return revQuadLowAVX2(&p[0], &l[0], len(p)>>2, k.cc, k.cm, k.mm), true
 }

@@ -311,51 +311,17 @@ func TestLayerAgreesWithCircuitSimulator(t *testing.T) {
 // regression there can be pinned to a qubit position here. All run on
 // the calling goroutine.
 
-// rxPath is one way to run the quadruple butterflies.
-type rxPath struct {
-	name         string
-	quad, mirror func(p00, p01, p10, p11 []complex128, cc, cm, mm float64)
-	low          func(a []complex128, cc, cm, mm float64)
-}
-
-// rxPaths returns the Go bodies and, where Kernel() is not "go", the
-// production entry points that dispatch to the assembly.
-func rxPaths() []rxPath {
-	paths := []rxPath{{"go", rxQuadGo, rxQuadMirrorGo, rxQuadLowGo}}
-	if k := Kernel(); k != "go" {
-		paths = append(paths, rxPath{k, rxQuad, rxQuadMirror, rxQuadLow})
-	}
-	return paths
-}
-
-// pairPass applies pair (q, q+1)'s butterflies to all of amps:
-// rxQuadRange's walk over the full representative range.
-func (p rxPath) pairPass(amps []complex128, q int, k rxCoef) {
-	if q == 0 {
-		p.low(amps, k.cc, k.cm, k.mm)
-		return
-	}
-	b0 := 1 << uint(q)
-	b1 := b0 << 1
-	for i := 0; i < len(amps); i += b0 << 2 {
-		p.quad(amps[i:i+b0], amps[i+b0:i+b1], amps[i+b1:i+b1+b0], amps[i+b1+b0:i+b1<<1], k.cc, k.cm, k.mm)
-	}
-}
-
-// mirrorPass applies an odd-width half register's fused mirror pass.
-func (p rxPath) mirrorPass(amps []complex128, k rxCoef) {
-	m := len(amps)
-	t, r := m>>1, m>>2
-	p.mirror(amps[:r], amps[t:t+r], amps[m-r:], amps[t-r:t], k.cc, k.cm, k.mm)
-}
-
-// BenchmarkRXQuad times one fused RX pair pass per butterfly body:
-// in-chunk low qubits (q0 is the contiguous fast path, q2 the shortest
-// sliced runs — one call per 16 amplitudes — q12 the last in-chunk pair)
-// and the mirror pass over one L2-resident chunk, a cross-chunk pair
-// over a 2^20 register that streams from memory, and n7, the whole
-// mixer of paper_n8's half register (three pair passes and the mirror's
-// 32 quadruples), where call overhead is all there is to lose.
+// BenchmarkRXQuad times one fused RX pair pass per butterfly body
+// (forEachKernel), through the calls Layer makes — rxQuadRange over the
+// whole representative range, mirrorRange — so that what a body's
+// dispatch costs is in the figure: in-chunk low qubits (q0 is the
+// contiguous fast path; q2 and q4 the shortest sliced runs, 16 and 64
+// amplitudes, which the assembly walks from one call per pass and the Go
+// bodies take one call each; q12 the last in-chunk pair) and the mirror
+// pass over one L2-resident chunk, a cross-chunk pair over a 2^20
+// register that streams from memory, and n7, the whole mixer of
+// paper_n8's half register (three pair passes and the mirror's 32
+// quadruples), where call overhead is all there is to lose.
 func BenchmarkRXQuad(b *testing.B) {
 	k := newRXCoef(0.4)
 	for _, c := range []struct {
@@ -366,13 +332,14 @@ func BenchmarkRXQuad(b *testing.B) {
 	}{
 		{"q0", 15, []int{0}, false},
 		{"q2", 15, []int{2}, false},
+		{"q4", 15, []int{4}, false},
 		{"q12", 15, []int{12}, false},
 		{"cross-chunk", 20, []int{18}, false},
 		{"mirror", 15, nil, true},
 		{"n7", 7, []int{0, 2, 4}, true},
 	} {
-		for _, p := range rxPaths() {
-			b.Run(c.name+"/"+p.name, func(b *testing.B) {
+		forEachKernel(func(kernel string) {
+			b.Run(c.name+"/"+kernel, func(b *testing.B) {
 				s := randomParallelState(c.n, 7)
 				touched := len(s.amps) * len(c.pairs)
 				if c.mirror {
@@ -381,14 +348,14 @@ func BenchmarkRXQuad(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for _, q := range c.pairs {
-						p.pairPass(s.amps, q, k)
+						rxQuadRange(s.amps, q, 0, len(s.amps)>>2, k.cc, k.cm, k.mm)
 					}
 					if c.mirror {
-						p.mirrorPass(s.amps, k)
+						mirrorRange(s.amps, c.n, 0, mirrorReps(c.n), k)
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(touched), "ns/amp")
 			})
-		}
+		})
 	}
 }

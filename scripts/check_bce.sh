@@ -3,22 +3,28 @@
 # butterflies' Go bodies (rxQuadGo, rxQuadLowGo, rxQuadMirrorGo — the
 # fallback, the odd tail and the oracle of the AVX2 assembly — and rxDuo,
 # rxDuoMirror), the entry points that dispatch between the two (rxQuad,
-# rxQuadLow, rxQuadMirror), the two-state sweep's ΣX terms (sumXQuad,
-# sumXQuadLow, sumXDuo, sumXQuadMirror, sumXDuoMirror; the mirror forms
-# run one index ascending, one descending, both held in range by the loop
-# condition) and the ΣX oracle (sumXPartial, sumXRun) iterate equal-length
-# sub-slices so the compiler can drop every per-element index check; a
-# refactor that brings one back costs 10–20 % of a Go-body sweep without
-# failing any test. This asks the compiler (ssa/check_bce) which checks
-# survive in internal/quantum and fails if an IsInBounds falls inside one
-# of those functions. IsSliceInBounds — the once-per-run re-slicing in
-# front of each loop — is expected.
+# rxQuadLow, rxQuadMirror, the pair-pass walk rxQuadRange and the
+# two-state sweep's revQuad, revQuadLow, revQuadMirror, revQuadChunk,
+# whose sub-run loops hand equal-length re-slices to either body), the
+# sweep's ΣX terms (sumXQuad, sumXQuadLow, sumXDuo, sumXQuadMirror,
+# sumXDuoMirror — the Go path and the oracle of the fused assembly; the
+# mirror forms run one index ascending, one descending, both held in
+# range by the loop condition) and the ΣX oracle (sumXPartial, sumXRun)
+# iterate equal-length sub-slices so the compiler can drop every
+# per-element index check; a refactor that brings one back costs 10–20 %
+# of a Go-body sweep without failing any test. This asks the compiler
+# (ssa/check_bce) which checks survive in internal/quantum and fails if
+# an IsInBounds falls inside one of those functions. IsSliceInBounds —
+# the once-per-run re-slicing in front of each loop — is expected, and so
+# are the IsInBounds of rx_amd64.go's *Vec steps: one per pointer handed
+# to the assembly, once per call, the check that makes a short slice
+# panic in Go.
 # CI runs this; locally: scripts/check_bce.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-funcs='rxQuad rxQuadGo rxQuadLow rxQuadLowGo rxQuadMirror rxQuadMirrorGo rxDuo rxDuoMirror sumXQuad sumXQuadLow sumXDuo sumXQuadMirror sumXDuoMirror sumXPartial sumXRun'
+funcs='rxQuad rxQuadGo rxQuadLow rxQuadLowGo rxQuadMirror rxQuadMirrorGo rxQuadRange rxDuo rxDuoMirror revQuad revQuadLow revQuadMirror revQuadChunk sumXQuad sumXQuadLow sumXDuo sumXQuadMirror sumXDuoMirror sumXPartial sumXRun'
 
 # The compiler's diagnostics are cached and replayed with the build, so
 # a warm cache reports the same lines as a cold one.
