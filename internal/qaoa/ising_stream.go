@@ -59,9 +59,13 @@ import (
 // bit-identical to the materialized kernel, which derives its tables
 // from the same T accumulator and applies the same per-distinct-value
 // factor arithmetic over the same chunk reductions. Float coefficients
-// have no finite distinct-value set to memoize and stream per-amplitude
-// phases through math.Sincos, which agrees with the materialized path
-// to rounding error.
+// have no finite distinct-value set to memoize: their chunk's phase
+// factors are built by doubling from one rotation per chunk bit and per
+// in-chunk coupling (fillPhase) — two complex multiplies per amplitude,
+// no per-amplitude Sincos — and agree with the materialized path to
+// rounding error: a few ε per multiply along a chain of at most
+// 1 + cb + cb(cb−1)/2 factors, plus the |θ|·ε every evaluation of an
+// angle θ carries (|θ| up to γ·Σ|coef|: 1e5 rad on a partition).
 //
 // For a half register (workspace.go) the kernel is built for the lower
 // 2^(N−1) basis states: the chunk geometry follows that dimension, and
@@ -74,8 +78,8 @@ import (
 const StreamingThreshold = 13
 
 // maxStreamFactorTable caps the distinct-value phase-factor table of
-// the integer streaming path. Instances whose T range exceeds it
-// (extreme coefficients) fall back to per-amplitude Sincos streaming.
+// the integer streaming path. Instances whose T range exceeds it (every
+// partition of a useful size) take the float path.
 const maxStreamFactorTable = 1 << 16
 
 // maxStreamChunkBits bounds the chunk width the kernel's stack arrays
@@ -120,6 +124,17 @@ type isingStreamKernel struct {
 	integer bool
 	tmin    int64
 	genTab  []float64
+
+	// Float path, for fillPhase. lowFlip[t] is what flipping low spin t
+	// alone adds to the in-chunk part of T (T(2^t) − T(0) over those
+	// terms). pairGen is what that flip adds to gen on top when the lower
+	// spin j of an in-chunk pair (j, t) is already down: −sense·2a,
+	// repeated (j, t) terms summed, zero sums dropped — CSR by t, j
+	// ascending. A stage prepares one rotation per entry (prepareFactors).
+	lowFlip   []float64
+	pairStart []int32
+	pairLow   []int32
+	pairGen   []float64
 }
 
 // newIsingStreamKernel builds the streaming kernel for an instance,
@@ -240,6 +255,28 @@ func newIsingStreamKernel(in *problem.Instance, half bool) *isingStreamKernel {
 			k.tllInt[z] = t
 		}
 	} else {
+		// Flipping one low spin negates the terms it is in: summed here
+		// term by term, where tllF[2^t] − tllF[0] would carry the rounding
+		// of every low term into each of the cb differences.
+		k.lowFlip = make([]float64, k.cb)
+		step := make([]float64, k.cb*k.cb) // [t·cb + j], j < t
+		for i, a := range lowA {
+			k.lowFlip[lowI[i]] -= 2 * a
+			k.lowFlip[lowJ[i]] -= 2 * a
+			step[int(lowJ[i])*k.cb+int(lowI[i])] -= k.sense * 2 * a
+		}
+		for i, g := range lowLinG {
+			k.lowFlip[lowLinIdx[i]] -= 2 * g
+		}
+		k.pairStart = make([]int32, k.cb+1)
+		for t := 0; t < k.cb; t++ {
+			for j, g := range step[t*k.cb : t*k.cb+t] {
+				if g != 0 {
+					k.pairLow, k.pairGen = append(k.pairLow, int32(j)), append(k.pairGen, g)
+				}
+			}
+			k.pairStart[t+1] = int32(len(k.pairGen))
+		}
 		k.tllF = make([]float64, nLow)
 		for z := range k.tllF {
 			t := 0.0
@@ -257,8 +294,9 @@ func newIsingStreamKernel(in *problem.Instance, half bool) *isingStreamKernel {
 
 // streamScratch holds one chunk's worth of generated cost data.
 type streamScratch struct {
-	idx []int32
-	gen []float64
+	idx   []int32
+	gen   []float64
+	phase []complex128
 }
 
 // scratchList recycles chunk scratch through a bounded channel, one
@@ -304,6 +342,15 @@ func (ws *streamScratch) genBuf(n int) []float64 {
 		ws.gen = make([]float64, n)
 	}
 	return ws.gen[:n]
+}
+
+// phaseBuf returns fillPhase's two tables for an n-amplitude chunk, one
+// allocation: n factors and n/2 of doubling scratch (192 KiB at 2^13).
+func (ws *streamScratch) phaseBuf(n int) (g, f []complex128) {
+	if cap(ws.phase) < n+n/2 {
+		ws.phase = make([]complex128, n+n/2)
+	}
+	return ws.phase[:n], ws.phase[n : n+n/2]
 }
 
 // scoreFromT and genFromT are the only places T becomes a float: both
@@ -484,20 +531,90 @@ func (k *isingStreamKernel) fillGen(lo, hi int, gen []float64) {
 	}
 }
 
+// fillPhase writes the phase factors g[z] = e^{i·scale·gen(z)} of the
+// chunk based at lo. Float path only; w holds e^{i·scale·pairGen[e]}
+// (prepareFactors) and f is scratch of half the chunk.
+//
+// With the high bits frozen gen is a quadratic form in the chunk's low
+// bits, so setting bit t on top of a pattern r < 2^t adds
+//
+//	Δ_t(r) = Δ_t(0) + Σ_{j<t, r_j=1} pairGen(j, t),
+//	Δ_t(0) = −sense·(lowFlip_t + d_t)/2,
+//
+// which is linear in r's bits: f[r] = e^{i·scale·Δ_t(r)} doubles one bit
+// j at a time, f[2^j + r'] = f[r']·w_tj (a copy where j and t share no
+// coupling), and g doubles one bit t at a time, g[2^t + r] = g[r]·f[r].
+// That is two complex multiplies per amplitude and 1 + cb Sincos per
+// chunk, against one Sincos per amplitude for e^{i·scale·gen(z)} taken
+// directly. g[z] is a product of at most 1 + cb + cb(cb−1)/2 unit
+// factors, each a function of (lo, scale) alone, so every layout and
+// GOMAXPROCS computes the same bits.
+func (k *isingStreamKernel) fillPhase(lo int, scale float64, w, g, f []complex128) {
+	var d, p [maxStreamChunkBits]float64
+	base := k.chunkSetupFloat(uint64(lo), &d, &p)
+	g[0] = expi(scale * (-k.sense * ((base + k.tllF[0]) / 2)))
+	for t := 0; t < k.cb; t++ {
+		bit := 1 << uint(t)
+		f[0] = expi(scale * (-k.sense * ((k.lowFlip[t] + d[t]) / 2)))
+		e, end := k.pairStart[t], k.pairStart[t+1]
+		for j := 0; j < t; j++ {
+			h := 1 << uint(j)
+			if e < end && int(k.pairLow[e]) == j {
+				phaseScale(f[h:2*h], f[:h], w[e])
+				e++
+			} else {
+				copy(f[h:2*h], f[:h])
+			}
+		}
+		phaseMul(g[bit:2*bit], g[:bit], f[:bit])
+	}
+}
+
+// phaseScale writes dst[i] = src[i]·w, phaseMul dst[i] = a[i]·b[i]:
+// fillPhase's two inner loops, over equal-length disjoint slices.
+func phaseScale(dst, src []complex128, w complex128) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] = src[i] * w
+	}
+}
+
+func phaseMul(dst, a, b []complex128) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] * b[i]
+	}
+}
+
+func expi(x float64) complex128 {
+	sin, cos := math.Sincos(x)
+	return complex(cos, sin)
+}
+
 // --- costKernel implementation ---
 
 func (k *isingStreamKernel) qubits() int { return k.n }
 
 func (k *isingStreamKernel) mirror() bool { return k.half }
 
-func (k *isingStreamKernel) factorLen() int { return len(k.genTab) }
+// factorGens are the generators whose rotations a stage prepares once:
+// the distinct values of gen (integer path), or the low-low pair steps
+// fillPhase doubles with (float path).
+func (k *isingStreamKernel) factorGens() []float64 {
+	if k.integer {
+		return k.genTab
+	}
+	return k.pairGen
+}
 
-// prepareFactors fills the per-distinct-T phase factor table
-// exp(iγ·gen(T)) from genTab — exactly the genFromT doubles the
-// gradient's matrix elements read. The float path streams
-// per-amplitude phases instead.
+func (k *isingStreamKernel) factorLen() int { return len(k.factorGens()) }
+
+// prepareFactors fills, on the integer path, the per-distinct-T phase
+// factor table exp(iγ·gen(T)) from genTab — exactly the genFromT doubles
+// the gradient's matrix elements read — and on the float path the pair
+// rotations exp(iγ·pairGen) every chunk's fillPhase shares.
 func (k *isingStreamKernel) prepareFactors(factors []complex128, gamma float64, conj bool) {
-	prepareFactorTable(factors, k.genTab, gamma, conj)
+	prepareFactorTable(factors, k.factorGens(), gamma, conj)
 }
 
 func (k *isingStreamKernel) applyPhaseRange(st *quantum.State, factors []complex128, gamma float64, off, lo, hi int) {
@@ -507,9 +624,9 @@ func (k *isingStreamKernel) applyPhaseRange(st *quantum.State, factors []complex
 		k.fillIdx(off+lo, off+hi, idx)
 		st.MulDiagonalIndexedRange(lo, idx, factors)
 	} else {
-		gen := ws.genBuf(hi - lo)
-		k.fillGen(off+lo, off+hi, gen)
-		st.MulPhaseGenRange(lo, gen, gamma)
+		g, f := ws.phaseBuf(hi - lo)
+		k.fillPhase(off+lo, gamma, factors, g, f)
+		st.MulRange(lo, g)
 	}
 	k.scratch.put(ws)
 }
@@ -541,7 +658,9 @@ func (k *isingStreamKernel) unphaseInnerChunk(adj, st *quantum.State, factors []
 	} else {
 		gen := ws.genBuf(hi - lo)
 		k.fillGen(off+lo, off+hi, gen)
-		im = adj.InnerImMulPhaseGenRange(st, lo, gen, -gamma)
+		g, f := ws.phaseBuf(hi - lo)
+		k.fillPhase(off+lo, -gamma, factors, g, f)
+		im = adj.InnerImMulRange(st, lo, gen, g)
 	}
 	k.scratch.put(ws)
 	return im

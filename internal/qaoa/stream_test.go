@@ -1,8 +1,10 @@
 package qaoa
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"math/cmplx"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -94,9 +96,9 @@ func TestStreamKernelMatchesMaterializedExactly(t *testing.T) {
 	}
 }
 
-// Float-weighted graphs stream per-amplitude Sincos phases instead of
-// the distinct-value table, so agreement is to rounding error, not
-// bit-exact.
+// Float-weighted graphs build each chunk's phases by doubling instead of
+// reading the distinct-value table, so agreement is to rounding error,
+// not bit-exact.
 func TestStreamKernelMatchesMaterializedFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	base := graph.ErdosRenyiConnected(13, 0.3, rng)
@@ -239,6 +241,240 @@ func TestIsingStreamBlockedFillMatchesRecurrence(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// phaseCases draws the float-path population at n qubits: the three
+// families whose coefficients send them there (from n = 4, RandomSpec's
+// minimum), a float-weighted MaxCut, and hand-built Hamiltonians aimed
+// at fillPhase's branches — a dense one with every coupling and field
+// (pairs below, across and above the chunk width), (i, j) pairs listed
+// two and three times over, one of them cancelling to zero, fields with
+// no coupling at all, and a lone field on the top chunk bit beside a
+// chain.
+func phaseCases(t *testing.T, n int, rng *rand.Rand) map[string]*problem.Instance {
+	t.Helper()
+	cases := map[string]*problem.Instance{}
+	if n >= 4 {
+		for _, fam := range []string{problem.FamilyMaxKSAT, problem.FamilyPartition, problem.FamilyPortfolio} {
+			spec, err := problem.RandomSpec(fam, n, rng)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", fam, n, err)
+			}
+			cases[fam] = mustNew(t, spec).Inst
+		}
+	}
+	g := graph.New(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if j == i+1 || rng.Intn(3) == 0 {
+				if err := g.AddWeightedEdge(i, j, 0.25+1.5*rng.Float64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	cases["maxcut-float"] = mustProblem(t, g).Inst
+
+	build := func(name string, linear []float64, quad []problem.Term) {
+		cases[name] = &problem.Instance{Family: problem.FamilyQUBO, Sense: problem.Sense(1 - 2*rng.Intn(2)), N: n, Vars: n, Linear: linear, Quad: quad, Offset: 0.75}
+	}
+	w := func() float64 { return 2*rng.Float64() - 1 }
+	fields := func() []float64 {
+		h := make([]float64, n)
+		for i := range h {
+			h[i] = w()
+		}
+		return h
+	}
+	var dense, chain []problem.Term
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			dense = append(dense, problem.Term{I: i, J: j, W: w()})
+			if j == i+1 {
+				chain = append(chain, problem.Term{I: i, J: j, W: w()})
+			}
+		}
+	}
+	build("dense", fields(), dense)
+	cancel := w()
+	repeat := append(append([]problem.Term(nil), chain...),
+		problem.Term{I: 0, J: 1, W: w()}, problem.Term{I: 0, J: n - 1, W: w()}, problem.Term{I: 0, J: 1, W: w()},
+		problem.Term{I: 0, J: n - 1, W: cancel}, problem.Term{I: 0, J: n - 1, W: -cancel})
+	build("repeat", nil, repeat)
+	build("no-couplings", fields(), nil)
+	top := make([]float64, n)
+	top[min(n, 13)-1] = w()
+	build("top-field", top, chain)
+	return cases
+}
+
+// The float path's phase factors are built by doubling (fillPhase): one
+// Sincos per chunk and per chunk bit, every other factor a product of up
+// to cb(cb+1)/2 unit complex numbers. The oracle is Sincos(s·gen(z)) per
+// amplitude with gen(z) = −sense·T(z)/2 summed term by term from the
+// instance — no table, no recurrence — for every chunk of the register,
+// full and (without a field) half. Both sides round angles of up to
+// |s|·(Σ|2J| + Σ|2h|)/2 radians and the chain adds a few ε per multiply:
+//
+//	|g[z] − e^{i·s·gen(z)}| ≤ c·ε·(cb² + |s|·(Σ|2J| + Σ|2h|)),  c = 4.
+//
+// Worst ratio observed over this population: 0.41 of that bound. The
+// arithmetic fillPhase replaced, Sincos(s·fillGen(z)), reaches 46 times
+// the bound (s = 1e3, n ≥ 14: its cross-term sum is a serial chain of
+// 2^cb adds); both ratios are logged.
+func TestFloatPhaseDoublingMatchesSincos(t *testing.T) {
+	const c, eps = 4.0, 0x1p-52
+	rng := rand.New(rand.NewSource(2100))
+	gamma := 0.37 + rng.Float64()
+	worst, worstAt, worstOld := 0.0, "", 0.0
+	for n := 2; n <= 16; n++ {
+		for name, in := range phaseCases(t, n, rng) {
+			span := 0.0
+			for _, q := range in.Quad {
+				span += math.Abs(2 * q.W)
+			}
+			for _, h := range in.Linear {
+				span += math.Abs(2 * h)
+			}
+			for _, half := range []bool{false, true} {
+				if half && !in.FieldFree() {
+					continue
+				}
+				k := newIsingStreamKernel(in, half)
+				if k.integer {
+					// A small partition fits the int64 path's factor table.
+					if n >= StreamingThreshold || name != problem.FamilyPartition {
+						t.Fatalf("%s n=%d: an integer kernel, the float path goes untested", name, n)
+					}
+					continue
+				}
+				clen := 1 << uint(k.cb)
+				gen, old, w := make([]float64, clen), make([]float64, clen), make([]complex128, k.factorLen())
+				g, f := new(streamScratch).phaseBuf(clen)
+				for lo := 0; lo < 1<<uint(k.n); lo += clen {
+					for z := range gen {
+						gen[z] = -in.Sense.Sign() * doubledT(in, uint64(lo+z)) / 2
+					}
+					k.fillGen(lo, lo+clen, old)
+					for _, s := range []float64{0, gamma, -gamma, 2 * math.Pi, 1e3} {
+						tol := c * eps * (float64(k.cb*k.cb) + math.Abs(s)*span)
+						k.prepareFactors(w, math.Abs(s), s < 0)
+						k.fillPhase(lo, s, w, g, f)
+						for z, h := range gen {
+							want := expi(s * h)
+							d := cmplx.Abs(g[z] - want)
+							if !(d <= tol) {
+								t.Fatalf("%s n=%d half=%v s=%v chunk %d: g[%d] = %v, Sincos %v (|Δ| = %g > %g)",
+									name, n, half, s, lo/clen, z, g[z], want, d, tol)
+							}
+							if d/tol > worst {
+								worst, worstAt = d/tol, fmt.Sprintf("%s n=%d half=%v s=%v", name, n, half, s)
+							}
+							worstOld = math.Max(worstOld, cmplx.Abs(expi(s*old[z])-want)/tol)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("worst |Δ|/bound = %.3g (%s); per-amplitude Sincos of fillGen: %.3g", worst, worstAt, worstOld)
+}
+
+// doubledT is T(z) = Σ 2J·s_i·s_j + Σ 2h·s_i, term by term.
+func doubledT(in *problem.Instance, z uint64) (t float64) {
+	for _, q := range in.Quad {
+		if (z>>uint(q.I))&1 == (z>>uint(q.J))&1 {
+			t += 2 * q.W
+		} else {
+			t -= 2 * q.W
+		}
+	}
+	for i, h := range in.Linear {
+		if (z>>uint(i))&1 == 0 {
+			t += 2 * h
+		} else {
+			t -= 2 * h
+		}
+	}
+	return t
+}
+
+// mustFloatStream stops the test unless the problem's kernel is the
+// stream kernel on its float path.
+func mustFloatStream(t testing.TB, pb *Problem, name string) {
+	t.Helper()
+	if k, ok := pb.kernel().(*isingStreamKernel); !ok || k.integer {
+		t.Fatalf("%s n=%d: kernel %T is not the float stream kernel", name, pb.Inst.N, pb.kernel())
+	}
+}
+
+// Warm float-path evaluations allocate nothing: the chunk's phase tables
+// are recycled with the rest of the stream scratch.
+func TestFloatPhaseWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, n := range []int{13, 14} {
+		for name, in := range phaseCases(t, n, rand.New(rand.NewSource(int64(2200+n)))) {
+			pb := mustIsing(t, in)
+			mustFloatStream(t, pb, name)
+			ws := pb.NewWorkspace()
+			x := testParams(2).Vector()
+			grad := make([]float64, len(x))
+			ws.ValueGrad(x, grad) // warm-up: adjoint buffer, chunk scratch
+			if allocs := testing.AllocsPerRun(10, func() {
+				ws.ExpectationVec(x)
+				ws.ValueGrad(x, grad)
+			}); allocs != 0 {
+				t.Errorf("%s n=%d: a warm ExpectationVec + ValueGrad allocates %v times", name, n, allocs)
+			}
+			ws.Close()
+		}
+	}
+}
+
+// BenchmarkFloatPhase times one expectation and one value+gradient
+// (p = 3) where the float stream kernel runs: the three families whose
+// coefficients take it from n = StreamingThreshold. maxksat and portfolio
+// carry fields (full register), partition evolves half of one; ns/amp/layer
+// is per stored amplitude and stage.
+func BenchmarkFloatPhase(b *testing.B) {
+	const p = 3
+	x, grad := testParams(p).Vector(), make([]float64, 2*p)
+	for _, fam := range []string{problem.FamilyMaxKSAT, problem.FamilyPartition, problem.FamilyPortfolio} {
+		for _, n := range []int{13, 14, 16} {
+			spec, err := problem.RandomSpec(fam, n, rand.New(rand.NewSource(int64(n))))
+			if err != nil {
+				b.Fatal(err)
+			}
+			pb := mustNew(b, spec)
+			mustFloatStream(b, pb, fam)
+			ws := pb.NewWorkspace()
+			amps := 1 << uint(pb.stateQubits())
+			report := func(b *testing.B) {
+				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				b.ReportMetric(ns/1e3, "µs/op")
+				b.ReportMetric(ns/float64(p*amps), "ns/amp/layer")
+			}
+			var sink float64
+			b.Run(fmt.Sprintf("%s/n%d/expect", fam, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sink += ws.ExpectationVec(x)
+				}
+				report(b)
+			})
+			b.Run(fmt.Sprintf("%s/n%d/valuegrad", fam, n), func(b *testing.B) {
+				sink += ws.ValueGrad(x, grad) // draws the adjoint buffer
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sink += ws.ValueGrad(x, grad)
+				}
+				report(b)
+			})
+			_ = sink
+			ws.Close()
 		}
 	}
 }

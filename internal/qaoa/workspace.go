@@ -78,11 +78,12 @@ type costKernel interface {
 	// register.
 	mirror() bool
 	// factorLen returns the length of the per-workspace factor scratch
-	// the kernel wants (0 if it needs none).
+	// the kernel wants.
 	factorLen() int
-	// prepareFactors fills the factor scratch for stage angle gamma
-	// (conjugated to un-apply). Called once per stage, before the
-	// chunked phase application.
+	// prepareFactors fills the factor scratch — the stage's rotations
+	// that every chunk shares — for stage angle gamma (conjugated to
+	// un-apply). Called once per stage, before the chunked phase
+	// application.
 	prepareFactors(factors []complex128, gamma float64, conj bool)
 	// Every per-chunk method takes an offset/range pair: [lo, hi) indexes
 	// the passed State's amplitudes, off+lo…off+hi is the corresponding
@@ -93,8 +94,9 @@ type costKernel interface {
 	// generate identical per-chunk values.
 
 	// applyPhaseRange applies the phase separator to st over one chunk.
-	// gamma repeats the prepareFactors argument for kernels that stream
-	// phases without a factor table.
+	// gamma is the angle the factors rotate by — the prepareFactors
+	// argument, negated where they were conjugated — for kernels that
+	// build per-chunk phases on top of them.
 	applyPhaseRange(st *quantum.State, factors []complex128, gamma float64, off, lo, hi int)
 	// expectChunk returns one chunk's contribution to ⟨st|C|st⟩.
 	expectChunk(st *quantum.State, off, lo, hi int) float64
@@ -168,9 +170,10 @@ func (k *diagKernel) prepareFactors(factors []complex128, gamma float64, conj bo
 }
 
 // prepareFactorTable fills factors[j] = e^{±iγ·gens[j]} (minus when
-// conj): one Sincos per distinct phase-generator value, shared by every
-// kernel that applies phases through an index table. Float streaming
-// kernels pass an empty table and stream per-amplitude phases instead.
+// conj), one Sincos each: per distinct phase-generator value for the
+// kernels that apply phases through an index table, per in-chunk
+// coupling for the float streaming kernel, which builds every chunk's
+// phases from those rotations.
 func prepareFactorTable(factors []complex128, gens []float64, gamma float64, conj bool) {
 	sign := 1.0
 	if conj {

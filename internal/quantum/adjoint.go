@@ -1,9 +1,6 @@
 package quantum
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file holds the kernels adjoint-mode (reverse-sweep) analytic
 // differentiation is built from. Adjoint differentiation keeps two
@@ -74,15 +71,15 @@ func (s *State) MulDiagonalIndexedRange(lo int, idx []int32, factors []complex12
 	mulIndexedRange(s.amps[lo:lo+len(idx)], idx, factors)
 }
 
-// MulPhaseGenRange multiplies amps[lo+i] by e^{i·scale·gen[i]} over one
-// chunk: the streamed phase separator for cost functions without a
-// small distinct-value set (irrational edge weights). scale carries the
-// stage angle, negated to un-apply.
-func (s *State) MulPhaseGenRange(lo int, gen []float64, scale float64) {
-	s.checkRange(lo, len(gen))
-	for i, h := range gen {
-		sin, cos := math.Sincos(scale * h)
-		s.amps[lo+i] *= complex(cos, sin)
+// MulRange multiplies amps[lo+i] by f[i] over one chunk: the streamed
+// phase separator for cost functions without a small distinct-value set
+// (float couplings), whose kernel builds the chunk's phase factors
+// itself.
+func (s *State) MulRange(lo int, f []complex128) {
+	s.checkRange(lo, len(f))
+	amps := s.amps[lo : lo+len(f)]
+	for i, w := range f {
+		amps[i] *= w
 	}
 }
 
@@ -166,21 +163,19 @@ func (s *State) InnerImMulIndexedRange(t *State, lo int, idx []int32, vals []flo
 	return im
 }
 
-// InnerImMulPhaseGenRange is InnerImMulIndexedRange for diagonals
-// without a small distinct-value set: D has entries gen[i] and both
-// states are multiplied by e^{i·scale·gen[i]} (see MulPhaseGenRange),
-// the phase factor computed once for the pair.
-func (s *State) InnerImMulPhaseGenRange(t *State, lo int, gen []float64, scale float64) (im float64) {
+// InnerImMulRange is InnerImMulIndexedRange for diagonals without a
+// small distinct-value set: D has entries gen[i] and both states are
+// multiplied by f[i] (see MulRange), gen and f equally long.
+func (s *State) InnerImMulRange(t *State, lo int, gen []float64, f []complex128) (im float64) {
 	s.checkRange(lo, len(gen))
 	t.checkRange(lo, len(gen))
-	sa, ta := s.amps[lo:lo+len(gen)], t.amps[lo:lo+len(gen)]
+	sa, ta, f := s.amps[lo:lo+len(gen)], t.amps[lo:lo+len(gen)], f[:len(gen)]
 	for i, h := range gen {
 		a, b := sa[i], ta[i]
 		im += (real(a)*imag(b) - imag(a)*real(b)) * h
-		sin, cos := math.Sincos(scale * h)
-		f := complex(cos, sin)
-		sa[i] = a * f
-		ta[i] = b * f
+		w := f[i]
+		sa[i] = a * w
+		ta[i] = b * w
 	}
 	return im
 }
