@@ -95,7 +95,7 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 		if bank.Outputs() != 2*depth {
 			return nil, fmt.Errorf("core: depth-%d bank has %d outputs, want %d", depth, bank.Outputs(), 2*depth)
 		}
-		p.banks[depth] = bank
+		p.setBank(depth, bank)
 	}
 	return p, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"qaoaml/internal/ml"
 	"qaoaml/internal/qaoa"
@@ -16,7 +17,8 @@ type Predictor struct {
 	// (default: GPR, the paper's best performer).
 	NewModel func() ml.Regressor
 
-	banks map[int]*ml.MultiOutput // target depth → trained bank
+	banks  map[int]*ml.MultiOutput // target depth → trained bank
+	depths []int                   // the keys of banks, ascending
 }
 
 // NewPredictor returns a Predictor using the given model factory
@@ -28,15 +30,18 @@ func NewPredictor(factory func() ml.Regressor) *Predictor {
 	return &Predictor{NewModel: factory, banks: make(map[int]*ml.MultiOutput)}
 }
 
-// TargetDepths lists the depths the predictor was trained for.
-func (p *Predictor) TargetDepths() []int {
-	var out []int
-	for d := 2; d <= 64; d++ {
-		if _, ok := p.banks[d]; ok {
-			out = append(out, d)
-		}
+// TargetDepths lists the depths the predictor was trained for,
+// ascending. The slice is the predictor's own (the serving layer reads
+// it on every two-level request): callers must not modify it.
+func (p *Predictor) TargetDepths() []int { return p.depths }
+
+// setBank installs the trained bank of one target depth.
+func (p *Predictor) setBank(depth int, bank *ml.MultiOutput) {
+	if _, ok := p.banks[depth]; !ok {
+		i, _ := slices.BinarySearch(p.depths, depth)
+		p.depths = slices.Insert(p.depths, i, depth)
 	}
-	return out
+	p.banks[depth] = bank
 }
 
 // Train fits the predictor from the dataset restricted to the training
@@ -59,7 +64,7 @@ func (p *Predictor) Train(data *Data, trainIDs []int) error {
 		if err := bank.Fit(x, y); err != nil {
 			return fmt.Errorf("core: training depth-%d bank: %w", depth, err)
 		}
-		p.banks[depth] = bank
+		p.setBank(depth, bank)
 	}
 	return nil
 }

@@ -1,11 +1,12 @@
 package graph
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Fingerprint returns a deterministic canonical hash of the graph: the
@@ -21,31 +22,31 @@ import (
 // are reported per vertex index, so isomorphic-but-relabeled instances
 // are deliberately distinct.
 func (g *Graph) Fingerprint() string {
-	// Sort edge indices by (U, V); edges are stored with U < V, so this
-	// is a total order over the edge set.
+	// Sort edge indices by (U, V); edges are stored with U < V and never
+	// repeat, so this is a total order over the edge set.
 	idx := make([]int, len(g.edges))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ea, eb := g.edges[idx[a]], g.edges[idx[b]]
+	slices.SortFunc(idx, func(a, b int) int {
+		ea, eb := g.edges[a], g.edges[b]
 		if ea.U != eb.U {
-			return ea.U < eb.U
+			return cmp.Compare(ea.U, eb.U)
 		}
-		return ea.V < eb.V
+		return cmp.Compare(ea.V, eb.V)
 	})
 
-	h := sha256.New()
-	var buf [8 * 3]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(g.N))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(g.edges)))
-	h.Write(buf[:16])
+	// One buffer, one hash call: (N, edge count), then every (u, v, w).
+	le := binary.LittleEndian
+	buf := make([]byte, 0, 16+24*len(idx))
+	buf = le.AppendUint64(buf, uint64(g.N))
+	buf = le.AppendUint64(buf, uint64(len(g.edges)))
 	for _, i := range idx {
 		e := g.edges[i]
-		binary.LittleEndian.PutUint64(buf[0:8], uint64(e.U))
-		binary.LittleEndian.PutUint64(buf[8:16], uint64(e.V))
-		binary.LittleEndian.PutUint64(buf[16:24], math.Float64bits(g.weights[i]))
-		h.Write(buf[:])
+		buf = le.AppendUint64(buf, uint64(e.U))
+		buf = le.AppendUint64(buf, uint64(e.V))
+		buf = le.AppendUint64(buf, math.Float64bits(g.weights[i]))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }

@@ -127,3 +127,23 @@ func TestFingerprintNoCollisionsRandomEnsemble(t *testing.T) {
 		t.Fatalf("ensemble too degenerate: only %d distinct graphs", len(seen))
 	}
 }
+
+// The golden hash of one weighted graph, recorded before Fingerprint
+// was rewritten to hash one buffer: MaxCut solve keys in a WAL written
+// by an older binary must still find their cache entries.
+func TestFingerprintPinned(t *testing.T) {
+	const want = "94c8c5edf14abf75719060a044aa5c5d91d9e055a851d571a07aa377304058d1"
+	rng := rand.New(rand.NewSource(5))
+	g := ErdosRenyiConnected(9, 0.6, rng)
+	w := New(g.N)
+	edges := g.Edges()
+	for _, i := range rng.Perm(len(edges)) {
+		weight := float64(rng.Intn(9)-4) + 0.5
+		if err := w.AddWeightedEdge(edges[i].V, edges[i].U, weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := w.Fingerprint(); got != want {
+		t.Errorf("fingerprint moved:\n got %s\nwant %s", got, want)
+	}
+}

@@ -19,13 +19,14 @@
 package problem
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // Sense is the optimization direction of an instance's Value.
@@ -287,33 +288,33 @@ func (in *Instance) BruteForce() (opt, worst float64, argOpt uint64) {
 // variables, so the qaoad exact cache never aliases distinct instances
 // that happen to share a coupling graph.
 func (in *Instance) Fingerprint() string {
-	terms := append([]Term(nil), in.Quad...)
-	sort.Slice(terms, func(a, b int) bool {
-		if terms[a].I != terms[b].I {
-			return terms[a].I < terms[b].I
+	terms := slices.Clone(in.Quad)
+	slices.SortFunc(terms, func(a, b Term) int {
+		if a.I != b.I {
+			return cmp.Compare(a.I, b.I)
 		}
-		return terms[a].J < terms[b].J
+		return cmp.Compare(a.J, b.J)
 	})
-	h := sha256.New()
-	h.Write([]byte(in.Family))
-	var buf [24]byte
-	binary.LittleEndian.PutUint64(buf[0:8], uint64(int64(in.Sense)))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(in.N))
-	binary.LittleEndian.PutUint64(buf[16:24], uint64(in.Vars))
-	h.Write(buf[:24])
-	binary.LittleEndian.PutUint64(buf[0:8], math.Float64bits(in.Offset))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(in.Linear)))
-	binary.LittleEndian.PutUint64(buf[16:24], uint64(len(terms)))
-	h.Write(buf[:24])
+	// The hashed bytes, in order: family, (sense, N, Vars), (offset,
+	// len(Linear), len(Quad)), every field, every sorted (i, j, w) — laid
+	// out in one buffer and hashed in one call.
+	le := binary.LittleEndian
+	buf := make([]byte, 0, len(in.Family)+48+8*len(in.Linear)+24*len(terms))
+	buf = append(buf, in.Family...)
+	buf = le.AppendUint64(buf, uint64(int64(in.Sense)))
+	buf = le.AppendUint64(buf, uint64(in.N))
+	buf = le.AppendUint64(buf, uint64(in.Vars))
+	buf = le.AppendUint64(buf, math.Float64bits(in.Offset))
+	buf = le.AppendUint64(buf, uint64(len(in.Linear)))
+	buf = le.AppendUint64(buf, uint64(len(terms)))
 	for _, v := range in.Linear {
-		binary.LittleEndian.PutUint64(buf[0:8], math.Float64bits(v))
-		h.Write(buf[:8])
+		buf = le.AppendUint64(buf, math.Float64bits(v))
 	}
 	for _, t := range terms {
-		binary.LittleEndian.PutUint64(buf[0:8], uint64(t.I))
-		binary.LittleEndian.PutUint64(buf[8:16], uint64(t.J))
-		binary.LittleEndian.PutUint64(buf[16:24], math.Float64bits(t.W))
-		h.Write(buf[:24])
+		buf = le.AppendUint64(buf, uint64(t.I))
+		buf = le.AppendUint64(buf, uint64(t.J))
+		buf = le.AppendUint64(buf, math.Float64bits(t.W))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }

@@ -1,7 +1,5 @@
 package server
 
-import "qaoaml/internal/problem"
-
 // Cost-priced admission control. The bounded queue alone admits work
 // blind to its size: ten queued n=30 solves and ten n=8 solves look
 // identical to a channel, yet differ by four orders of magnitude in
@@ -106,16 +104,4 @@ func (a *admission) retryAfter(cost int64) int {
 		secs = 60
 	}
 	return secs
-}
-
-// costOf prices a normalized request. The compiled register width
-// (auxiliary qubits included) is authoritative; a spec that cannot
-// report one (never the case for specs normalize accepted) falls back
-// to the node count.
-func costOf(req SolveRequest, spec problem.Spec) int64 {
-	qubits, err := spec.Qubits()
-	if err != nil || qubits < 1 {
-		qubits = req.Nodes
-	}
-	return jobCost(qubits, req.Depth)
 }

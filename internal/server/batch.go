@@ -11,12 +11,14 @@ import (
 // results (each item goes through the identical normalize → submit →
 // solve path; batching changes scheduling, never arithmetic).
 //
-// Deduplication is layered: identical specs WITHIN the batch collapse
-// onto one job here (items after the first are marked deduped and
-// share its result), and each distinct spec still passes through the
-// single-flight and LRU layers in submit, so a batch also coalesces
+// Deduplication is layered, and every layer reads the one solve key
+// normalize resolved for the item: identical specs WITHIN the batch
+// collapse onto one job here (items after the first are marked deduped
+// and share its result), and each distinct spec still passes through
+// the single-flight and LRU layers in submit, so a batch also coalesces
 // with concurrent individual requests and hits the result cache. A
-// batch of B identical items costs exactly one optimizer run.
+// batch of B identical items costs exactly one optimizer run, and an
+// item — duplicate, cached or fresh — is compiled and hashed once.
 //
 // Errors are per item: a malformed or rejected spec fails its own slot
 // (code + error) while the rest of the batch proceeds. The HTTP status
@@ -81,28 +83,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i := range req.Items {
 		item := &req.Items[i]
 		item.Wait = false // the batch waits collectively below
-		spec, herr := s.normalize(item)
+		rs, herr := s.normalize(item)
 		if herr != nil {
 			results[i] = BatchItemResult{Code: herr.code, Error: herr.msg}
 			continue
 		}
-		fp, err := spec.Fingerprint()
-		if err != nil {
-			results[i] = BatchItemResult{Code: http.StatusInternalServerError, Error: err.Error()}
-			continue
-		}
-		if j, ok := byKey[solveKey(fp, *item)]; ok {
+		if j, ok := byKey[rs.key]; ok {
 			s.mem.Count("server.batch.deduped", 1)
 			results[i] = BatchItemResult{Code: http.StatusOK, Deduped: true}
 			items[i] = batchItem{owner: j}
 			continue
 		}
-		job, outcome, herr := s.submit(*item, spec)
+		job, outcome, herr := s.submit(item, rs)
 		if herr != nil {
 			results[i] = BatchItemResult{Code: herr.code, Error: herr.msg}
 			continue
 		}
-		byKey[solveKey(fp, *item)] = i
+		byKey[rs.key] = i
 		results[i] = BatchItemResult{Code: http.StatusOK}
 		items[i] = batchItem{job: job, outcome: outcome, owner: i}
 	}

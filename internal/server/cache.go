@@ -2,7 +2,7 @@ package server
 
 import (
 	"container/list"
-	"fmt"
+	"strconv"
 	"sync"
 )
 
@@ -78,7 +78,23 @@ func (c *lruCache) Len() int {
 // and wait-mode are deliberately excluded — they change whether a
 // solve finishes, never what it computes — and only successful results
 // are cached.
-func solveKey(fingerprint string, req SolveRequest) string {
-	return fmt.Sprintf("%s|f=%s|p=%d|s=%s|o=%s|m=%s|seed=%d",
-		fingerprint, req.Problem, req.Depth, req.Strategy, req.Optimizer, req.Model, req.Seed)
+func solveKey(fingerprint string, req *SolveRequest) string {
+	// Appended into one sized buffer, not Sprintf'd — but the string is
+	// persistent state (WAL records and recovered cache entries carry it)
+	// and must stay "%s|f=%s|p=%d|s=%s|o=%s|m=%s|seed=%d" byte for byte.
+	b := make([]byte, 0, len(fingerprint)+len(req.Problem)+len(req.Strategy)+len(req.Optimizer)+len(req.Model)+64)
+	b = append(b, fingerprint...)
+	b = append(b, "|f="...)
+	b = append(b, req.Problem...)
+	b = append(b, "|p="...)
+	b = strconv.AppendInt(b, int64(req.Depth), 10)
+	b = append(b, "|s="...)
+	b = append(b, req.Strategy...)
+	b = append(b, "|o="...)
+	b = append(b, req.Optimizer...)
+	b = append(b, "|m="...)
+	b = append(b, req.Model...)
+	b = append(b, "|seed="...)
+	b = strconv.AppendInt(b, req.Seed, 10)
+	return string(b)
 }

@@ -57,17 +57,19 @@ func (s *Server) SeedCache(key string, res *SolveResult) {
 
 // Resubmit re-enqueues a recovered request with no attached client —
 // WAL recovery's path for jobs that were accepted but never finished.
-// The request re-normalizes and re-journals exactly like a fresh
-// submission (recovery dedups repeated accepted records by key), and
-// runs under a fresh default deadline. It returns the job, or the
-// submission error (e.g. a model that is no longer registered).
+// The request takes the path of a fresh submission — normalize, then
+// submit with the identity it resolved, so it is re-journaled under the
+// key its accepted record carries (recovery dedups repeated accepted
+// records by key) — and runs under a fresh default deadline. It returns
+// the job, or the submission error (e.g. a model that is no longer
+// registered).
 func (s *Server) Resubmit(req SolveRequest) (*Job, error) {
 	req.Wait = false
-	spec, herr := s.normalize(&req)
+	rs, herr := s.normalize(&req)
 	if herr != nil {
 		return nil, herr
 	}
-	job, _, herr := s.submit(req, spec)
+	job, _, herr := s.submit(&req, rs)
 	if herr != nil {
 		return nil, herr
 	}

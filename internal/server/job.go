@@ -70,10 +70,14 @@ type Job struct {
 	ID  string
 	Key string // canonical cache key (fingerprint + solve options)
 
+	// What normalize resolved, carried to the worker (unset on cache
+	// hits, which are born finished): the request, its spec, the compiled
+	// instance (nil for MaxCut, solved from spec) and its fingerprint.
 	req  SolveRequest
 	spec problem.Spec
-	fp   string // canonical instance fingerprint
-	cost int64  // admission-control price (0: cache hit, never admitted)
+	inst *problem.Instance
+	fp   string
+	cost int64 // admission-control price (0: cache hit, never admitted)
 
 	// arena is the owning worker's buffer arena, set by that worker
 	// just before runJob and read only on its goroutine.

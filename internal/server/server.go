@@ -1,13 +1,17 @@
 // Package server is the QAOA-as-a-service layer: an HTTP JSON API that
-// accepts MaxCut instances and runs them through the core naive or
-// two-level (ML-initialized, Fig. 4) flows on a bounded worker pool.
+// accepts problem instances of six families and runs them through the
+// core naive or two-level (ML-initialized, Fig. 4) flows on a bounded
+// worker pool. A request is decoded, resolved once (normalize: validate,
+// compile, fingerprint, key), submitted (cache, single-flight, admission,
+// journal, queue), solved by a worker and encoded; no stage after
+// normalize derives the request's identity again.
 //
 // The subsystem is built from four pieces:
 //
 //   - a bounded job queue drained by a fixed worker pool, with explicit
 //     backpressure (429 + Retry-After) when the queue is full;
-//   - an LRU result cache keyed by the canonical graph fingerprint plus
-//     solve options, with single-flight coalescing of identical
+//   - an LRU result cache keyed by the canonical instance fingerprint
+//     plus solve options, with single-flight coalescing of identical
 //     in-flight requests;
 //   - a model Registry of pre-trained parameter predictors, hot-
 //     reloadable on SIGHUP;
@@ -28,6 +32,7 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -242,6 +247,11 @@ type Server struct {
 	wg         sync.WaitGroup
 	mux        *http.ServeMux
 
+	// Every cache hit is born finished: they all share one cancelled
+	// context and one closed done channel instead of making a pair each.
+	finishedCtx  context.Context
+	finishedDone chan struct{}
+
 	// solveFn runs one job's optimization; tests swap it to make
 	// cancellation timing deterministic.
 	solveFn func(ctx context.Context, job *Job) (*SolveResult, error)
@@ -272,6 +282,10 @@ func New(cfg Config) *Server {
 	}
 	s.adm = admission{budget: cfg.MaxInflightCost}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
+	finishedCtx, cancel := context.WithCancel(s.baseCtx)
+	cancel()
+	s.finishedCtx, s.finishedDone = finishedCtx, make(chan struct{})
+	close(s.finishedDone)
 	s.solveFn = s.runSolve
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/solve", s.timed("solve", s.handleSolve))
@@ -507,10 +521,31 @@ func (s *Server) requestSpec(req *SolveRequest) (problem.Spec, *httpError) {
 	return zero, badRequest("unknown problem %q (want one of %v)", req.Problem, problem.Families())
 }
 
-// normalize applies defaults and validates the request, returning the
-// compiled problem spec.
-func (s *Server) normalize(req *SolveRequest) (problem.Spec, *httpError) {
-	var zero problem.Spec
+// resolved is a request's identity, computed once by normalize and read
+// by every later stage — batch dedup, the cache and single-flight
+// lookups, admission, the journal and the worker. Nothing downstream
+// compiles, fingerprints or keys the request again.
+type resolved struct {
+	spec problem.Spec
+	// inst is the compiled Hamiltonian the worker solves; nil for MaxCut,
+	// which requestGraph has fully validated and whose optimum qaoa.New
+	// takes from the graph.
+	inst   *problem.Instance
+	qubits int    // register width, auxiliaries included: the admission price's exponent
+	fp     string // canonical instance fingerprint
+	key    string // canonical solve key (solveKey)
+}
+
+// normalize is the one place a request's identity is computed. It
+// applies the defaults in place and validates in a fixed order —
+// optimizer, depth, family and payload, register width, compile,
+// strategy and model — so a request with several faults always reports
+// the same one. The instance is compiled here, once: a malformed
+// payload fails the request, not the job, and the register cap counts
+// auxiliary qubits (maxksat). The fingerprint and the solve key are
+// taken from that one compile.
+func (s *Server) normalize(req *SolveRequest) (resolved, *httpError) {
+	var zero resolved
 	if req.Problem == "" {
 		req.Problem = problem.FamilyMaxCut
 	}
@@ -536,20 +571,30 @@ func (s *Server) normalize(req *SolveRequest) (problem.Spec, *httpError) {
 	if herr != nil {
 		return zero, herr
 	}
-	// Compile now so malformed payloads fail the request, not the job,
-	// and so the register cap covers auxiliary qubits (maxksat) and
-	// one-hot blowup (coloring: nodes·colors).
-	if req.Problem != problem.FamilyMaxCut {
-		qubits, err := spec.Qubits()
+	rs := resolved{spec: spec}
+	if req.Problem == problem.FamilyMaxCut {
+		rs.qubits = spec.Graph.N // capped by requestGraph
+	} else {
+		if req.Problem == problem.FamilyColoring {
+			// The one-hot width is arithmetic (nodes·colors), so the cap is
+			// checked before the instance — nodes·colors²/2 couplings —
+			// exists.
+			qubits, err := spec.Qubits()
+			if err != nil {
+				return zero, badRequest("%v", err)
+			}
+			if herr := s.checkQubits(req, qubits); herr != nil {
+				return zero, herr
+			}
+		}
+		inst, err := spec.Compile()
 		if err != nil {
 			return zero, badRequest("%v", err)
 		}
-		if qubits < 2 || qubits > s.cfg.MaxNodes {
-			return zero, badRequest("%s instance needs %d qubits, out of [2, %d]", req.Problem, qubits, s.cfg.MaxNodes)
+		if herr := s.checkQubits(req, inst.N); herr != nil {
+			return zero, herr
 		}
-		if _, err := spec.Compile(); err != nil {
-			return zero, badRequest("%v", err)
-		}
+		rs.inst, rs.qubits = inst, inst.N
 	}
 	switch req.Strategy {
 	case StrategyNaive:
@@ -561,36 +606,40 @@ func (s *Server) normalize(req *SolveRequest) (problem.Spec, *httpError) {
 		if !ok {
 			return zero, badRequest("unknown model %q (registered: %v)", req.Model, s.registry.Names())
 		}
-		if !hasDepth(pred.TargetDepths(), req.Depth) {
+		if !slices.Contains(pred.TargetDepths(), req.Depth) {
 			return zero, badRequest("model %q not trained for target depth %d (trained: %v)",
 				req.Model, req.Depth, pred.TargetDepths())
 		}
 	default:
 		return zero, badRequest("unknown strategy %q (want %q or %q)", req.Strategy, StrategyNaive, StrategyTwoLevel)
 	}
-	return spec, nil
+	// Identity last: a rejected request pays for no hash.
+	if rs.inst != nil {
+		rs.fp = rs.inst.Fingerprint()
+	} else {
+		rs.fp = spec.Graph.Fingerprint()
+	}
+	rs.key = solveKey(rs.fp, req)
+	return rs, nil
 }
 
-func hasDepth(depths []int, d int) bool {
-	for _, v := range depths {
-		if v == d {
-			return true
-		}
+// checkQubits holds a compiled family's register width against the
+// node cap.
+func (s *Server) checkQubits(req *SolveRequest, qubits int) *httpError {
+	if qubits < 2 || qubits > s.cfg.MaxNodes {
+		return badRequest("%s instance needs %d qubits, out of [2, %d]", req.Problem, qubits, s.cfg.MaxNodes)
 	}
-	return false
+	return nil
 }
 
-// submit resolves a normalized request to a job: a cache hit returns a
-// finished job, an identical in-flight request is coalesced, otherwise a
-// fresh job is enqueued. A full queue returns 429; a draining server
-// returns 503.
-func (s *Server) submit(req SolveRequest, spec problem.Spec) (*Job, submitOutcome, *httpError) {
-	fp, err := spec.Fingerprint()
-	if err != nil {
-		// normalize compiled the spec already; a failure here is a bug.
-		return nil, 0, &httpError{code: http.StatusInternalServerError, msg: err.Error()}
-	}
-	key := solveKey(fp, req)
+// submit turns a normalized request into a job, reading the identity
+// normalize resolved: a cache hit returns a finished job, an identical
+// in-flight request is coalesced, otherwise a fresh job is priced,
+// journaled and enqueued. A full queue or an exhausted cost budget
+// returns 429; a draining server returns 503. The request is copied
+// only into a job that will actually run.
+func (s *Server) submit(req *SolveRequest, rs resolved) (*Job, submitOutcome, *httpError) {
+	key := rs.key
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -599,7 +648,7 @@ func (s *Server) submit(req SolveRequest, spec problem.Spec) (*Job, submitOutcom
 	}
 	if res, ok := s.cache.Get(key); ok {
 		s.mem.Count("server.cache.hits", 1)
-		job := s.newFinishedJob(key, req, res)
+		job := s.newFinishedJob(key, res)
 		s.jobs.add(job)
 		return job, outcomeCached, nil
 	}
@@ -615,7 +664,7 @@ func (s *Server) submit(req SolveRequest, spec problem.Spec) (*Job, submitOutcom
 	// Cost-priced admission: reserve the job's cost against the global
 	// in-flight budget before it may take a queue slot. Cache hits and
 	// coalesced requests above never reach here — they add no work.
-	cost := costOf(req, spec)
+	cost := jobCost(rs.qubits, req.Depth)
 	if !s.adm.admit(cost) {
 		s.mem.Count("server.admission.rejected", 1)
 		return nil, 0, &httpError{
@@ -647,7 +696,7 @@ func (s *Server) submit(req SolveRequest, spec problem.Spec) (*Job, submitOutcom
 	// refuses the job — an unjournalable acceptance would be a silent
 	// hole in the durability contract.
 	if s.cfg.Journal != nil {
-		if err := s.cfg.Journal.Accepted(key, fp, req); err != nil {
+		if err := s.cfg.Journal.Accepted(key, rs.fp, *req); err != nil {
 			s.adm.unadmit(cost)
 			s.mem.Count("server.journal.errors", 1)
 			return nil, 0, &httpError{code: http.StatusServiceUnavailable, msg: fmt.Sprintf("journaling job: %v", err)}
@@ -657,7 +706,7 @@ func (s *Server) submit(req SolveRequest, spec problem.Spec) (*Job, submitOutcom
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 	job := &Job{
-		ID: s.jobs.nextID(), Key: key, req: req, spec: spec, fp: fp, cost: cost,
+		ID: s.jobs.nextID(), Key: key, req: *req, spec: rs.spec, inst: rs.inst, fp: rs.fp, cost: cost,
 		ctx: ctx, cancel: cancel, done: make(chan struct{}),
 		state: StateQueued, enqueued: time.Now(), bus: newEventBus(),
 	}
@@ -679,18 +728,15 @@ func (s *Server) submit(req SolveRequest, spec problem.Spec) (*Job, submitOutcom
 }
 
 // newFinishedJob materializes a cache hit as an already-done job record.
-func (s *Server) newFinishedJob(key string, req SolveRequest, res *SolveResult) *Job {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	cancel()
+// Born finished, it has nothing of its own to cancel or to wait for.
+func (s *Server) newFinishedJob(key string, res *SolveResult) *Job {
 	now := time.Now()
-	job := &Job{
-		ID: s.jobs.nextID(), Key: key, req: req,
-		ctx: ctx, cancel: cancel, done: make(chan struct{}),
+	return &Job{
+		ID: s.jobs.nextID(), Key: key,
+		ctx: s.finishedCtx, cancel: func() {}, done: s.finishedDone,
 		state: StateDone, cached: true, result: res,
 		enqueued: now, started: now, finished: now,
 	}
-	close(job.done)
-	return job
 }
 
 // completeJob finishes a job from the worker path and runs the shared
@@ -817,7 +863,15 @@ func (s *Server) runSolve(ctx context.Context, job *Job) (*SolveResult, error) {
 		return s.cfg.Dispatcher.Dispatch(ctx, job.req, job.fp, job.cost, job.publish)
 	}
 	rec := telemetry.Tee(s.mem, job.publish)
-	pb, err := qaoa.New(job.spec)
+	// The instance normalize compiled is the one solved; MaxCut alone goes
+	// back to its spec, because its optimum is summed over the graph.
+	var pb *qaoa.Problem
+	var err error
+	if job.inst != nil {
+		pb, err = qaoa.NewIsing(job.inst)
+	} else {
+		pb, err = qaoa.New(job.spec)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -938,12 +992,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("decoding request: %v", err))
 		return
 	}
-	spec, herr := s.normalize(&req)
+	rs, herr := s.normalize(&req)
 	if herr != nil {
 		writeError(w, herr)
 		return
 	}
-	job, outcome, herr := s.submit(req, spec)
+	job, outcome, herr := s.submit(&req, rs)
 	if herr != nil {
 		writeError(w, herr)
 		return
