@@ -348,21 +348,6 @@ func BenchmarkHierarchical(b *testing.B) {
 	}
 }
 
-// BenchmarkSPSA measures the hardware-practical SPSA optimizer on the
-// same instance as BenchmarkOptimizer for comparison.
-func BenchmarkSPSA(b *testing.B) {
-	pb := benchProblem(b)
-	bounds := core.ParamBounds(2)
-	x0 := bounds.Random(rand.New(rand.NewSource(9)))
-	for i := 0; i < b.N; i++ {
-		ev := qaoa.NewEvaluator(pb, 2)
-		r := (&optimize.SPSA{Seed: 13}).Minimize(ev.NegExpectation, append([]float64(nil), x0...), bounds)
-		if r.NFev == 0 {
-			b.Fatal("no evaluations")
-		}
-	}
-}
-
 // BenchmarkCanonicalize measures the symmetry folding applied to every
 // recorded optimum.
 func BenchmarkCanonicalize(b *testing.B) {
@@ -413,30 +398,6 @@ func BenchmarkDatasetPersistence(b *testing.B) {
 		if _, err := core.Load(&buf); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkNoiseSweep regenerates the depolarizing-noise extension
-// figure at reduced trajectory count.
-func BenchmarkNoiseSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunNoiseSweep(2, 2, 20, 15)
-		if len(res.Points) == 0 {
-			b.Fatal("bad result")
-		}
-	}
-}
-
-// BenchmarkNoisyExpectation measures one Monte-Carlo noisy expectation
-// (100 trajectories) vs the exact path in BenchmarkExpectation.
-func BenchmarkNoisyExpectation(b *testing.B) {
-	pb := benchProblem(b)
-	pr := qaoa.Params{Gamma: []float64{0.4, 0.7}, Beta: []float64{0.5, 0.3}}
-	nm := quantum.NoiseModel{P1: 0.001, P2: 0.01}
-	rng := rand.New(rand.NewSource(16))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = pb.NoisyExpectation(pr, nm, 100, rng)
 	}
 }
 
@@ -492,19 +453,6 @@ func BenchmarkBatchEval(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = be.EvalBatch(points)
-	}
-}
-
-// BenchmarkSampleCounts measures measurement sampling with the CDF +
-// binary-search path (1024 shots from a depth-2 8-qubit state).
-func BenchmarkSampleCounts(b *testing.B) {
-	pb := benchProblem(b)
-	st := pb.State(qaoa.Params{Gamma: []float64{0.4, 0.7}, Beta: []float64{0.5, 0.3}})
-	rng := rand.New(rand.NewSource(19))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = st.SampleCounts(1024, rng)
 	}
 }
 
@@ -688,20 +636,6 @@ func BenchmarkShardedGradient(b *testing.B) {
 			_ = w.ValueGrad(x, grad)
 		}
 	})
-}
-
-// BenchmarkSampleOutcomes measures the pooled sampling path underlying
-// SampleCounts (1024 shots; ≤ 2 allocations per warm call).
-func BenchmarkSampleOutcomes(b *testing.B) {
-	pb := benchProblem(b)
-	st := pb.State(qaoa.Params{Gamma: []float64{0.4, 0.7}, Beta: []float64{0.5, 0.3}})
-	rng := rand.New(rand.NewSource(19))
-	_ = st.SampleOutcomes(1024, rng)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = st.SampleOutcomes(1024, rng)
-	}
 }
 
 // BenchmarkEigenSym measures the Jacobi eigensolver on an 8×8 graph

@@ -31,7 +31,7 @@ import (
 func main() {
 	var (
 		depth   = flag.Int("depth", 2, "QAOA circuit depth p")
-		optName = flag.String("optimizer", "lbfgsb", "local optimizer: lbfgsb|neldermead|slsqp|cobyla|spsa")
+		optName = flag.String("optimizer", "lbfgsb", "local optimizer: lbfgsb|neldermead|slsqp|cobyla")
 		starts  = flag.Int("starts", 10, "random multistarts")
 		seed    = flag.Int64("seed", 1, "RNG seed")
 		tol     = flag.Float64("tol", 1e-6, "functional tolerance")
@@ -174,8 +174,6 @@ func optimizerByName(name string, tol float64) (optimize.Optimizer, error) {
 		return &optimize.SLSQP{Tol: tol}, nil
 	case "cobyla":
 		return &optimize.COBYLA{Tol: tol}, nil
-	case "spsa":
-		return &optimize.SPSA{Tol: tol}, nil
 	}
 	return nil, fmt.Errorf("unknown optimizer %q", name)
 }

@@ -89,8 +89,6 @@ experiments:
   fig6      Fig 6    — ML prediction error distributions
   mlcmp     Sec III-C — GPR vs LM vs RTREE vs RSVM comparison
   hier      Sec I(d)  — hierarchical vs two-level vs naive ablation
-  spsa      extension — two-level initialization under SPSA
-  noise     extension — AR degradation under depolarizing gate noise
   all       everything above (one shared dataset)
 
 flags:
@@ -102,7 +100,7 @@ flags:
 // dataset and trained predictor.
 func needsEnv(name string) bool {
 	switch name {
-	case "fig1c", "fig2", "fig3", "noise":
+	case "fig1c", "fig2", "fig3":
 		return false
 	}
 	return true
@@ -201,10 +199,6 @@ func run(ctx context.Context, name string, cfg RunConfig, mem *telemetry.Memory)
 			return err
 		}
 		return finish(start, report("hier", res))
-	case "spsa":
-		return finish(start, report("spsa", experiments.RunSPSAExtension(env)))
-	case "noise":
-		return finish(start, report("noise", experiments.RunNoiseSweep(scale.MaxTarget, 4, 200, scale.Seed)))
 	case "all":
 		printDatagenSummary(env)
 		if err := report("fig1c", experiments.RunFig1c(scale.MaxTarget, scale.Starts, scale.Seed)); err != nil {

@@ -10,10 +10,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 
+	"qaoaml/internal/core"
 	"qaoaml/internal/optimize"
 	"qaoaml/internal/problem"
 	"qaoaml/internal/qaoa"
@@ -29,28 +31,21 @@ func main() {
 	}
 	fmt.Printf("smallest achievable difference of sums: %g (0 = perfect partition)\n\n", math.Sqrt(-pb.OptValue))
 
-	// The score scale is O(sum²), so useful γ are much smaller than the
-	// MaxCut domain; give the optimizer a scaled box.
-	const depth = 3
-	lo := make([]float64, 2*depth)
-	hi := make([]float64, 2*depth)
-	for i := 0; i < depth; i++ {
-		hi[i] = 0.2                // γ
-		hi[depth+i] = qaoa.BetaMax // β
-	}
-	bounds := optimize.NewBounds(lo, hi)
-
-	ev := qaoa.NewEvaluator(pb, depth)
+	// Multistart the way the dataset generator does it: 20 random starts
+	// over the paper's parameter box, adjoint gradients, best run kept.
+	const depth, starts = 3, 20
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	rng := rand.New(rand.NewSource(2))
-	ms := optimize.MultiStart(opt, ev.NegExpectation, bounds, 20, rng)
-	params := qaoa.FromVector(ms.Best.X)
+	rec, err := core.OptimizeDepthCtx(context.Background(), pb, 0, depth, starts, opt, rng, nil)
+	if err != nil {
+		panic(err)
+	}
+	params := rec.Params
 
-	fmt.Printf("QAOA depth %d, 20 starts, %d QC calls\n", depth, ms.TotalNFev)
-	fmt.Printf("⟨Score⟩ = %.4f, normalized score %.4f\n",
-		pb.Expectation(params), pb.ApproximationRatio(params))
+	fmt.Printf("QAOA depth %d, %d starts, %d QC calls\n", depth, starts, rec.NFev)
+	fmt.Printf("⟨Score⟩ = %.4f, normalized score %.4f\n", -rec.NegF, rec.AR)
 
-	score, assign := ev.BestSampled(params)
+	score, assign := pb.BestSampled(params)
 	var left, right []float64
 	for i, s := range numbers {
 		if (assign>>uint(i))&1 == 0 {

@@ -371,6 +371,64 @@ func TestFleetWALCrashRecovery(t *testing.T) {
 	}
 }
 
+// A 202 is a durable receipt: submit journals before any worker compiles.
+// A request whose coefficients are each finite but overflow in sum can
+// never be solved, so a coordinator must answer 400 and journal nothing
+// — as a solve, as a batch item — and stay healthy.
+func TestFleetRejectsOverflowBeforeJournal(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "jobs.wal")
+	wal, _, err := OpenWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	coord, _, _ := startFleet(t, 1, server.Config{Journal: wal})
+	ring := [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}}
+	reqs := []server.SolveRequest{
+		{Nodes: 4, Edges: ring, Weights: []float64{1e308, 1e308, 1e308, 1e308}, Depth: 1, Strategy: "naive"},
+		{Problem: "qubo", Nodes: 3, Linear: []float64{1e308, 1e308, 0},
+			Quad: []server.WireTerm{{I: 0, J: 1, W: 1e308}}, Depth: 1, Strategy: "naive"},
+	}
+	for i, req := range reqs {
+		if code, view := solveHTTP(t, coord.ts.URL, req); code != http.StatusBadRequest {
+			t.Errorf("request %d: status %d (job %s %s), want 400", i, code, view.ID, view.State)
+		}
+	}
+	blob, err := json.Marshal(server.BatchRequest{Items: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(coord.ts.URL+"/v1/solve/batch", "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var br server.BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	for i, item := range br.Items {
+		if item.Code != http.StatusBadRequest || item.Job != nil {
+			t.Errorf("batch item %d: code %d job %v, want 400 and none", i, item.Code, item.Job)
+		}
+	}
+	if len(br.Items) != len(reqs) {
+		t.Errorf("batch answered %d items for %d", len(br.Items), len(reqs))
+	}
+	records, _, err := readWALRecords(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 0 {
+		t.Errorf("the WAL holds %d records for requests no worker can solve: %+v", len(records), records)
+	}
+	if resp, err := http.Get(coord.ts.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after the rejections: %v %v", resp, err)
+	} else {
+		resp.Body.Close()
+	}
+}
+
 // ladder returns a 2×(n/2) ladder graph edge list — connected,
 // deterministic, and slow enough to optimize at depth 8 that tests can
 // race a cancellation or crash against the running solve.

@@ -15,15 +15,6 @@ import (
 // NewProblem is New on a MaxCut spec, so these wrappers are
 // bit-identical to calling the *qaoa.Problem variants on its output.
 
-// OptimizeDepthSpec is OptimizeDepthCtx over a problem spec.
-func OptimizeDepthSpec(ctx context.Context, spec problem.Spec, graphID, depth, starts int, opt optimize.Optimizer, rng *rand.Rand, rec telemetry.Recorder, seeds ...qaoa.Params) (Record, error) {
-	pb, err := qaoa.New(spec)
-	if err != nil {
-		return Record{}, err
-	}
-	return OptimizeDepthCtx(ctx, pb, graphID, depth, starts, opt, rng, rec, seeds...)
-}
-
 // NaiveRunSpec is NaiveRunCtx over a problem spec (the baseline flow
 // for any family).
 func NaiveRunSpec(ctx context.Context, spec problem.Spec, pt int, opt optimize.Optimizer, rng *rand.Rand, rec telemetry.Recorder) (RunResult, error) {

@@ -138,28 +138,5 @@ func (h HierResult) CSV() string {
 	}, rows)
 }
 
-// CSV renders the SPSA extension rows.
-func (s SPSAResult) CSV() string {
-	var rows [][]string
-	for _, r := range s.Rows {
-		rows = append(rows, []string{
-			strconv.Itoa(r.Depth),
-			f64(r.NaiveMeanAR), f64(r.NaiveMeanFC),
-			f64(r.TwoMeanAR), f64(r.TwoMeanFC),
-			f64(r.FCReductionPct),
-		})
-	}
-	return writeCSV([]string{"p", "naive_ar", "naive_fc", "two_ar", "two_fc", "fc_reduction_pct"}, rows)
-}
-
-// CSV renders the noise sweep.
-func (n NoiseSweepResult) CSV() string {
-	var rows [][]string
-	for _, p := range n.Points {
-		rows = append(rows, []string{f64(p.P2), f64(p.MeanAR), f64(p.SDAR)})
-	}
-	return writeCSV([]string{"p2", "mean_ar", "sd_ar"}, rows)
-}
-
 // CSVName returns the canonical file name for an experiment id.
 func CSVName(id string) string { return fmt.Sprintf("%s.csv", id) }

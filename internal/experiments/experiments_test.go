@@ -316,59 +316,12 @@ func TestNewEnvFromData(t *testing.T) {
 	}
 }
 
-func TestRunSPSAExtension(t *testing.T) {
-	env := sharedEnv(t)
-	res := RunSPSAExtension(env)
-	if len(res.Rows) != 2 { // depths 2..3
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if r.Optimizer != "SPSA" {
-			t.Errorf("optimizer = %q", r.Optimizer)
-		}
-		if r.NaiveMeanFC <= 0 || r.TwoMeanFC <= 0 {
-			t.Errorf("nonpositive FC: %+v", r)
-		}
-		if r.NaiveMeanAR <= 0 || r.TwoMeanAR <= 0 || r.NaiveMeanAR > 1+1e-9 || r.TwoMeanAR > 1+1e-9 {
-			t.Errorf("AR out of range: %+v", r)
-		}
-	}
-	if !strings.Contains(res.String(), "SPSA") {
-		t.Error("rendering broken")
-	}
-}
-
-func TestRunNoiseSweep(t *testing.T) {
-	res := RunNoiseSweep(2, 2, 40, 31)
-	if len(res.Points) < 3 {
-		t.Fatalf("points = %d", len(res.Points))
-	}
-	// First level is noiseless.
-	if res.Points[0].P2 != 0 {
-		t.Fatalf("first point P2 = %v", res.Points[0].P2)
-	}
-	// AR must degrade monotonically-ish: last level clearly below first.
-	first, last := res.Points[0].MeanAR, res.Points[len(res.Points)-1].MeanAR
-	if last >= first {
-		t.Errorf("AR did not degrade with noise: %v -> %v", first, last)
-	}
-	for _, p := range res.Points {
-		if p.MeanAR <= 0 || p.MeanAR > 1+1e-9 {
-			t.Errorf("AR out of range at P2=%v: %v", p.P2, p.MeanAR)
-		}
-	}
-	if !strings.Contains(res.String(), "depolarizing") {
-		t.Error("rendering broken")
-	}
-}
-
 func TestCSVRendering(t *testing.T) {
 	env := sharedEnv(t)
 	checks := map[string]string{
 		"fig5":  RunFig5(env).CSV(),
 		"fig6":  RunFig6(env).CSV(),
 		"fig1c": RunFig1c(2, 2, 1).CSV(),
-		"noise": RunNoiseSweep(2, 1, 5, 1).CSV(),
 	}
 	for id, csvText := range checks {
 		lines := strings.Split(strings.TrimSpace(csvText), "\n")

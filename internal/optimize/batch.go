@@ -1,13 +1,5 @@
 package optimize
 
-import (
-	"context"
-	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
 // BatchFunc evaluates the same objective at several independent points
 // and returns the values in input order. Implementations may evaluate
 // the points concurrently (qaoa.BatchEvaluator does, on per-worker
@@ -20,120 +12,3 @@ import (
 // — qaoa.BatchEvaluator collapses to one worker above the kernel
 // parallelism threshold for exactly this reason.
 type BatchFunc func(points [][]float64) []float64
-
-// SerialBatch adapts a plain Func to BatchFunc by evaluating points in
-// order — useful for tests and for objectives with no batch fast path.
-func SerialBatch(f Func) BatchFunc {
-	return func(points [][]float64) []float64 {
-		out := make([]float64, len(points))
-		for i, x := range points {
-			out[i] = f(x)
-		}
-		return out
-	}
-}
-
-// BatchMinimizer is implemented by optimizers that can evaluate
-// independent probe points (finite-difference gradient stencils) in
-// one batch. MinimizeBatch must produce the same Result — point,
-// value, iterations and NFev — as Minimize with the same f; bf is
-// consulted only for probe batches.
-type BatchMinimizer interface {
-	Optimizer
-	MinimizeBatch(f Func, bf BatchFunc, x0 []float64, bounds *Bounds) Result
-}
-
-// MinimizeWith dispatches to the batched probe path when the optimizer
-// supports it and bf is non-nil, else to the plain serial path. It is a
-// thin wrapper around Run with a background context.
-func MinimizeWith(opt Optimizer, f Func, bf BatchFunc, x0 []float64, bounds *Bounds) Result {
-	return Run(context.Background(), Problem{F: f, Batch: bf, X0: x0, Bounds: bounds}, Options{Optimizer: opt})
-}
-
-// MultiStartFromBatch behaves like MultiStartFrom with batched probe
-// evaluation inside each run (via MinimizeWith). Runs execute serially
-// in start order; per-run results and the total NFev are identical to
-// MultiStartFrom.
-func MultiStartFromBatch(opt Optimizer, f Func, bf BatchFunc, bounds *Bounds, starts [][]float64) MultiStartResult {
-	if len(starts) == 0 {
-		panic("optimize: MultiStartFromBatch needs at least one start")
-	}
-	var out MultiStartResult
-	for i, x0 := range starts {
-		r := MinimizeWith(opt, f, bf, x0, bounds)
-		out.Runs = append(out.Runs, r)
-		out.TotalNFev += r.NFev
-		if i == 0 || r.F < out.Best.F {
-			out.Best = r
-		}
-	}
-	return out
-}
-
-// MultiStartConcurrent minimizes from k points sampled uniformly in
-// bounds — the same points, in the same order, as MultiStart with the
-// same rng — but runs the independent starts on up to workers
-// goroutines. newF must return a fresh objective on every call (one is
-// created per worker); objectives with shared state (e.g. a counting
-// evaluator) must not be shared across workers. Results, the winning
-// run and TotalNFev are identical to the serial MultiStart because each
-// run is independent and best-selection folds in start order.
-func MultiStartConcurrent(opt Optimizer, newF func() Func, bounds *Bounds, k int, rng *rand.Rand, workers int) MultiStartResult {
-	if k < 1 {
-		panic("optimize: MultiStartConcurrent needs k >= 1")
-	}
-	starts := make([][]float64, k)
-	for i := range starts {
-		starts[i] = bounds.Random(rng)
-	}
-	return MultiStartFromConcurrent(opt, newF, bounds, starts, workers)
-}
-
-// MultiStartFromConcurrent is MultiStartFrom over explicit start points
-// with the runs distributed over up to workers goroutines (≤ 0 selects
-// GOMAXPROCS). The optimizer value is shared across workers and must be
-// a pure-configuration struct (all optimizers in this package are).
-func MultiStartFromConcurrent(opt Optimizer, newF func() Func, bounds *Bounds, starts [][]float64, workers int) MultiStartResult {
-	if len(starts) == 0 {
-		panic("optimize: MultiStartFromConcurrent needs at least one start")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(starts) {
-		workers = len(starts)
-	}
-	runs := make([]Result, len(starts))
-	if workers == 1 {
-		f := newF()
-		for i, x0 := range starts {
-			runs[i] = opt.Minimize(f, x0, bounds)
-		}
-	} else {
-		var next int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				f := newF()
-				for {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= len(starts) {
-						return
-					}
-					runs[i] = opt.Minimize(f, starts[i], bounds)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	out := MultiStartResult{Runs: runs}
-	for i, r := range runs {
-		out.TotalNFev += r.NFev
-		if i == 0 || r.F < out.Best.F {
-			out.Best = r
-		}
-	}
-	return out
-}

@@ -1,6 +1,8 @@
 package optimize
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,8 +15,19 @@ func resultsEqual(a, b Result) bool {
 		a.Iters == b.Iters && a.Converged == b.Converged && a.Message == b.Message
 }
 
-// countingBatch wraps SerialBatch and records how many batches and
-// points flowed through it.
+// inOrder evaluates a batch the way serial code would: point by point.
+func inOrder(f Func) BatchFunc {
+	return func(points [][]float64) []float64 {
+		out := make([]float64, len(points))
+		for i, x := range points {
+			out[i] = f(x)
+		}
+		return out
+	}
+}
+
+// countingBatch is inOrder recording how many batches and points flowed
+// through it.
 type countingBatch struct {
 	f       Func
 	batches int
@@ -24,152 +37,60 @@ type countingBatch struct {
 func (c *countingBatch) eval(points [][]float64) []float64 {
 	c.batches++
 	c.points += len(points)
-	return SerialBatch(c.f)(points)
+	return inOrder(c.f)(points)
 }
 
-// MinimizeBatch must reproduce Minimize exactly — same point, value,
-// iteration count, NFev and message — for every batch-capable
-// optimizer, scheme and objective, because the batched probes are the
-// same points the serial path evaluates.
-func TestMinimizeBatchIsBitIdenticalToMinimize(t *testing.T) {
+// Run with Problem.Batch must reproduce Run without it exactly — same
+// point, value, iteration count, NFev and message — for every optimizer,
+// scheme, objective and start, because the batched probes are the same
+// points the serial path evaluates. The finite-difference optimizers
+// must send their stencils through it; the derivative-free ones have no
+// probes and must ignore it.
+func TestRunWithBatchIsBitIdenticalToSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
 	objectives := []struct {
-		name string
-		f    Func
-		x0   []float64
-		b    *Bounds
+		name   string
+		f      Func
+		starts [][]float64
+		b      *Bounds
 	}{
-		{"sphere", sphere([]float64{0.3, -0.2}), []float64{-1, 1}, UniformBounds(2, -2, 2)},
-		{"rosenbrock", rosenbrock, []float64{-1.2, 1}, UniformBounds(2, -2, 2)},
-		{"qaoa-like", qaoaLike, []float64{0.3, 0.4}, UniformBounds(2, 0, math.Pi)},
+		{"sphere", sphere([]float64{0.3, -0.2}), [][]float64{{-1, 1}}, UniformBounds(2, -2, 2)},
+		{"rosenbrock", rosenbrock, [][]float64{{-1.2, 1}}, UniformBounds(2, -2, 2)},
+		{"qaoa-like", qaoaLike, [][]float64{{0.3, 0.4}}, UniformBounds(2, 0, math.Pi)},
+	}
+	for i := range objectives {
+		// A multistart's worth of random starts per objective.
+		for k := 0; k < 5; k++ {
+			objectives[i].starts = append(objectives[i].starts, objectives[i].b.Random(rng))
+		}
 	}
 	for _, scheme := range []FDScheme{CentralDiff, ForwardDiff} {
-		opts := []BatchMinimizer{
-			&LBFGSB{Scheme: scheme},
-			&SLSQP{Scheme: scheme},
+		opts := []struct {
+			opt    Optimizer
+			probes bool
+		}{
+			{&LBFGSB{Scheme: scheme}, true},
+			{&SLSQP{Scheme: scheme}, true},
+			{&NelderMead{}, false},
+			{&COBYLA{}, false},
 		}
-		for _, opt := range opts {
+		for _, o := range opts {
 			for _, obj := range objectives {
-				serial := opt.Minimize(obj.f, obj.x0, obj.b)
-				cb := &countingBatch{f: obj.f}
-				batched := opt.MinimizeBatch(obj.f, cb.eval, obj.x0, obj.b)
-				if !resultsEqual(serial, batched) {
-					t.Errorf("%s/%s/%s: batch result %+v != serial %+v",
-						opt.Name(), scheme, obj.name, batched, serial)
-				}
-				if cb.batches == 0 {
-					t.Errorf("%s/%s/%s: batch objective never consulted", opt.Name(), scheme, obj.name)
+				for _, x0 := range obj.starts {
+					label := fmt.Sprintf("%s/%s/%s from %v", o.opt.Name(), scheme, obj.name, x0)
+					serial := Run(context.Background(), Problem{F: obj.f, X0: x0, Bounds: obj.b}, Options{Optimizer: o.opt})
+					cb := &countingBatch{f: obj.f}
+					batched := Run(context.Background(), Problem{F: obj.f, Batch: cb.eval, X0: x0, Bounds: obj.b}, Options{Optimizer: o.opt})
+					if !resultsEqual(serial, batched) {
+						t.Errorf("%s: batch result %+v != serial %+v", label, batched, serial)
+					}
+					if got := cb.batches > 0; got != o.probes {
+						t.Errorf("%s: batch objective consulted %d times", label, cb.batches)
+					}
 				}
 			}
 		}
 	}
-}
-
-// MinimizeWith must route to MinimizeBatch when available and fall back
-// to Minimize otherwise.
-func TestMinimizeWithDispatch(t *testing.T) {
-	b := UniformBounds(2, -2, 2)
-	f := sphere([]float64{0.5, 0.5})
-	x0 := []float64{-1, 1}
-	cb := &countingBatch{f: f}
-	got := MinimizeWith(&LBFGSB{}, f, cb.eval, x0, b)
-	want := (&LBFGSB{}).Minimize(f, x0, b)
-	if !resultsEqual(got, want) {
-		t.Errorf("MinimizeWith(LBFGSB) = %+v, want %+v", got, want)
-	}
-	if cb.batches == 0 {
-		t.Error("MinimizeWith did not use the batch path for a BatchMinimizer")
-	}
-	// NelderMead has no batch path: bf must be ignored, not break anything.
-	nm := MinimizeWith(&NelderMead{}, f, cb.eval, x0, b)
-	nmWant := (&NelderMead{}).Minimize(f, x0, b)
-	if !resultsEqual(nm, nmWant) {
-		t.Errorf("MinimizeWith(NelderMead) = %+v, want %+v", nm, nmWant)
-	}
-	// nil bf always takes the serial path.
-	if got := MinimizeWith(&LBFGSB{}, f, nil, x0, b); !resultsEqual(got, want) {
-		t.Errorf("MinimizeWith(nil bf) = %+v, want %+v", got, want)
-	}
-}
-
-// MultiStartFromBatch must match MultiStartFrom run for run.
-func TestMultiStartFromBatchMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	b := UniformBounds(3, -2, 2)
-	starts := make([][]float64, 6)
-	for i := range starts {
-		starts[i] = b.Random(rng)
-	}
-	f := sphere([]float64{0.4, -0.3, 0.9})
-	serial := MultiStartFrom(&LBFGSB{}, f, b, starts)
-	batched := MultiStartFromBatch(&LBFGSB{}, f, SerialBatch(f), b, starts)
-	if len(batched.Runs) != len(serial.Runs) {
-		t.Fatalf("run count %d != %d", len(batched.Runs), len(serial.Runs))
-	}
-	for i := range serial.Runs {
-		if !resultsEqual(serial.Runs[i], batched.Runs[i]) {
-			t.Errorf("run %d: batch %+v != serial %+v", i, batched.Runs[i], serial.Runs[i])
-		}
-	}
-	if batched.TotalNFev != serial.TotalNFev || !resultsEqual(batched.Best, serial.Best) {
-		t.Errorf("aggregate mismatch: batch (best %+v, nfev %d) vs serial (best %+v, nfev %d)",
-			batched.Best, batched.TotalNFev, serial.Best, serial.TotalNFev)
-	}
-}
-
-// Concurrent multistart must produce exactly the serial MultiStartFrom
-// results — runs are independent, results indexed by start, best folded
-// in start order — for any worker count.
-func TestMultiStartFromConcurrentMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	b := UniformBounds(2, -2, 2)
-	starts := make([][]float64, 9)
-	for i := range starts {
-		starts[i] = b.Random(rng)
-	}
-	f := rosenbrock
-	serial := MultiStartFrom(&LBFGSB{}, f, b, starts)
-	for _, workers := range []int{1, 2, 4, 16} {
-		conc := MultiStartFromConcurrent(&LBFGSB{}, func() Func { return f }, b, starts, workers)
-		if len(conc.Runs) != len(serial.Runs) {
-			t.Fatalf("workers=%d: run count %d != %d", workers, len(conc.Runs), len(serial.Runs))
-		}
-		for i := range serial.Runs {
-			if !resultsEqual(serial.Runs[i], conc.Runs[i]) {
-				t.Errorf("workers=%d run %d: concurrent %+v != serial %+v",
-					workers, i, conc.Runs[i], serial.Runs[i])
-			}
-		}
-		if conc.TotalNFev != serial.TotalNFev || !resultsEqual(conc.Best, serial.Best) {
-			t.Errorf("workers=%d: aggregate mismatch", workers)
-		}
-	}
-}
-
-// MultiStartConcurrent must draw the same start points as MultiStart
-// with the same rng, so the whole MultiStartResult matches.
-func TestMultiStartConcurrentMatchesMultiStart(t *testing.T) {
-	b := UniformBounds(2, 0, math.Pi)
-	serial := MultiStart(&SLSQP{}, qaoaLike, b, 5, rand.New(rand.NewSource(21)))
-	conc := MultiStartConcurrent(&SLSQP{}, func() Func { return qaoaLike }, b, 5,
-		rand.New(rand.NewSource(21)), 3)
-	if len(conc.Runs) != len(serial.Runs) {
-		t.Fatalf("run count %d != %d", len(conc.Runs), len(serial.Runs))
-	}
-	for i := range serial.Runs {
-		if !resultsEqual(serial.Runs[i], conc.Runs[i]) {
-			t.Errorf("run %d: concurrent %+v != serial %+v", i, conc.Runs[i], serial.Runs[i])
-		}
-	}
-}
-
-func TestMultiStartConcurrentPanicsOnZeroStarts(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MultiStartFromConcurrent(&LBFGSB{}, func() Func { return rosenbrock },
-		UniformBounds(2, -1, 1), nil, 2)
 }
 
 // The workspace gradient must agree bit-for-bit with the package-level
@@ -196,7 +117,7 @@ func TestGradientWorkspaceMatchesGradient(t *testing.T) {
 				}
 				cnt := &counter{f: f}
 				bdst := make([]float64, 3)
-				_, nev := ws.GradientBatch(bdst, SerialBatch(cnt.call), x, fx, b, scheme, 0)
+				_, nev := ws.GradientBatch(bdst, inOrder(cnt.call), x, fx, b, scheme, 0)
 				if !reflect.DeepEqual(want, bdst) {
 					t.Errorf("%s at %v: batch %v != serial %v", scheme, x, bdst, want)
 				}

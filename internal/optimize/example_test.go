@@ -2,7 +2,6 @@ package optimize_test
 
 import (
 	"fmt"
-	"math/rand"
 
 	"qaoaml/internal/optimize"
 )
@@ -17,22 +16,4 @@ func ExampleLBFGSB() {
 	res := opt.Minimize(f, []float64{0.9, 0.9}, bounds)
 	fmt.Printf("x = (%.2f, %.2f), converged: %v\n", res.X[0], res.X[1], res.Converged)
 	// Output: x = (0.50, -0.25), converged: true
-}
-
-// MultiStart escapes local minima by restarting from random points.
-func ExampleMultiStart() {
-	// A double-well in 1D: the global minimum is at x = 2.
-	f := func(x []float64) float64 {
-		d1 := (x[0] + 1) * (x[0] + 1)
-		d2 := (x[0] - 2) * (x[0] - 2)
-		if d1+0.5 < d2 {
-			return d1 + 0.5
-		}
-		return d2
-	}
-	bounds := optimize.UniformBounds(1, -4, 4)
-	rng := rand.New(rand.NewSource(1))
-	ms := optimize.MultiStart(&optimize.NelderMead{}, f, bounds, 8, rng)
-	fmt.Printf("best x = %.1f, f = %.1f\n", ms.Best.X[0], ms.Best.F)
-	// Output: best x = 2.0, f = 0.0
 }

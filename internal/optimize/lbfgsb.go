@@ -24,14 +24,6 @@ func (o *LBFGSB) Minimize(f Func, x0 []float64, bounds *Bounds) Result {
 	return Run(context.Background(), Problem{F: f, X0: x0, Bounds: bounds}, Options{Optimizer: o})
 }
 
-// MinimizeBatch implements BatchMinimizer: finite-difference gradient
-// stencils are evaluated through bf (probes are independent, so a batch
-// objective may run them concurrently); everything else — and the
-// resulting trajectory, NFev and Result — is identical to Minimize.
-func (o *LBFGSB) MinimizeBatch(f Func, bf BatchFunc, x0 []float64, bounds *Bounds) Result {
-	return Run(context.Background(), Problem{F: f, Batch: bf, X0: x0, Bounds: bounds}, Options{Optimizer: o})
-}
-
 // run implements the runner hook behind Run. Per-iteration events
 // report the projected-gradient ∞-norm and the accepted line-search
 // step of the previous iteration.

@@ -1,17 +1,15 @@
 // Package optimize implements the classical local optimizers the paper
 // drives its QAOA loop with: two gradient-based methods (L-BFGS-B and
 // SLSQP, both using finite-difference gradients so every gradient costs
-// function calls, as on a real quantum computer), two derivative-free
-// methods (Nelder-Mead and COBYLA), and SPSA as a hardware-practical
-// extension. All support box bounds, the only constraint kind the QAOA
-// parameter domain needs.
+// function calls, as on a real quantum computer) and two derivative-free
+// methods (Nelder-Mead and COBYLA). All support box bounds, the only
+// constraint kind the QAOA parameter domain needs.
 //
 // Run(ctx, Problem, Options) is the context-first entry point: it
 // honors cancellation and deadlines (checked once per outer iteration),
 // emits per-iteration traces and per-run FC/latency observations
 // through a telemetry.Recorder, and reports the termination cause in
-// Result.Status. Minimize, MinimizeBatch and MinimizeWith are thin
-// wrappers around it.
+// Result.Status. Each optimizer's Minimize is a thin wrapper around it.
 //
 // The implementations follow the same algorithm families as the SciPy
 // routines the paper uses; see DESIGN.md for the substitution notes.

@@ -270,51 +270,6 @@ func TestFDSchemeString(t *testing.T) {
 	}
 }
 
-func TestMultiStart(t *testing.T) {
-	b := UniformBounds(2, -2, 2)
-	rng := rand.New(rand.NewSource(4))
-	ms := MultiStart(&NelderMead{}, sphere([]float64{1, 1}), b, 5, rng)
-	if len(ms.Runs) != 5 {
-		t.Fatalf("runs = %d", len(ms.Runs))
-	}
-	sum := 0
-	for _, r := range ms.Runs {
-		sum += r.NFev
-	}
-	if sum != ms.TotalNFev {
-		t.Errorf("TotalNFev = %d, want %d", ms.TotalNFev, sum)
-	}
-	if ms.Best.F > 1e-5 {
-		t.Errorf("Best.F = %v", ms.Best.F)
-	}
-	for _, r := range ms.Runs {
-		if ms.Best.F > r.F {
-			t.Error("Best is not the minimum over runs")
-		}
-	}
-}
-
-func TestMultiStartFrom(t *testing.T) {
-	b := UniformBounds(1, -5, 5)
-	f := func(x []float64) float64 { return math.Cos(x[0]) } // minima at ±π
-	ms := MultiStartFrom(&LBFGSB{}, f, b, [][]float64{{3}, {-3}, {0.5}})
-	if len(ms.Runs) != 3 {
-		t.Fatalf("runs = %d", len(ms.Runs))
-	}
-	if ms.Best.F > -0.999 {
-		t.Errorf("Best.F = %v, want ~-1", ms.Best.F)
-	}
-}
-
-func TestMultiStartPanicsOnZeroStarts(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MultiStart(&NelderMead{}, sphere([]float64{0}), UniformBounds(1, 0, 1), 0, rand.New(rand.NewSource(0)))
-}
-
 // Property: every optimizer returns a feasible point with F equal to
 // the objective evaluated there, never worse than the start.
 func TestOptimizerInvariants(t *testing.T) {

@@ -58,12 +58,12 @@ type Options struct {
 	MaxNFev int
 }
 
-// Run is the context-first entry point every optimizer run goes
-// through: Minimize, MinimizeBatch and MinimizeWith are one-line
-// wrappers around it. The context is checked once per outer iteration,
-// so cancellation and deadlines take effect within one optimizer step
-// and the returned Result carries the best point found so far with
-// Status == Cancelled.
+// Run is the one way to run an optimizer: the Minimize methods are
+// one-line wrappers around it, and multistart is a loop of Runs
+// (core.OptimizeDepthCtx). The context is checked once per outer
+// iteration, so cancellation and deadlines take effect within one
+// optimizer step and the returned Result carries the best point found
+// so far with Status == Cancelled.
 func Run(ctx context.Context, p Problem, opts Options) Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -91,13 +91,9 @@ func Run(ctx context.Context, p Problem, opts Options) Result {
 		res = r.run(env)
 	} else {
 		// External Optimizer implementations without the internal run
-		// hook: no mid-run cancellation, but batch dispatch and status
-		// mapping still apply.
-		if bm, ok := opt.(BatchMinimizer); ok && p.Batch != nil {
-			res = bm.MinimizeBatch(p.F, p.Batch, p.X0, p.Bounds)
-		} else {
-			res = opt.Minimize(p.F, p.X0, p.Bounds)
-		}
+		// hook: no mid-run cancellation and no batched probes, but status
+		// mapping still applies.
+		res = opt.Minimize(p.F, p.X0, p.Bounds)
 		if res.Converged {
 			res.Status = Converged
 		} else {
@@ -129,7 +125,7 @@ func analyticGrad(p Problem) GradFunc {
 }
 
 // runner is the internal per-algorithm hook Run dispatches to; all
-// five optimizers in this package implement it.
+// four optimizers in this package implement it.
 type runner interface {
 	run(env *runEnv) Result
 }

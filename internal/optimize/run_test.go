@@ -9,12 +9,6 @@ import (
 	"qaoaml/internal/telemetry"
 )
 
-// allRunners is every optimizer in the package, including SPSA (which
-// the legacy allOptimizers test helper excludes as a non-paper method).
-func allRunners() []Optimizer {
-	return append(allOptimizers(), &SPSA{})
-}
-
 func TestRunDefaultsToLBFGSB(t *testing.T) {
 	b := UniformBounds(2, -2, 2)
 	r := Run(context.Background(), Problem{F: sphere([]float64{1, 1}), X0: []float64{0, 0}, Bounds: b}, Options{})
@@ -29,7 +23,7 @@ func TestRunMatchesMinimize(t *testing.T) {
 	b := UniformBounds(3, -2, 2)
 	f := sphere([]float64{0.7, -0.3, 1.2})
 	x0 := []float64{-1, 1, 0}
-	for _, opt := range allRunners() {
+	for _, opt := range allOptimizers() {
 		want := opt.Minimize(f, x0, b)
 		got := Run(context.Background(), Problem{F: f, X0: x0, Bounds: b}, Options{Optimizer: opt})
 		if got.F != want.F || got.NFev != want.NFev || got.Iters != want.Iters || got.Message != want.Message {
@@ -47,7 +41,7 @@ func TestRunCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	b := UniformBounds(2, -2, 2)
-	for _, opt := range allRunners() {
+	for _, opt := range allOptimizers() {
 		r := Run(ctx, Problem{F: sphere([]float64{0, 0}), X0: []float64{1, 1}, Bounds: b}, Options{Optimizer: opt})
 		if r.Status != Cancelled {
 			t.Errorf("%s: status = %v, want Cancelled", opt.Name(), r.Status)
@@ -62,7 +56,7 @@ func TestRunCancelledBeforeStart(t *testing.T) {
 // every optimizer stops within one outer step, keeping its incumbent.
 func TestRunCancelMidRun(t *testing.T) {
 	b := UniformBounds(4, -2, 2)
-	for _, opt := range allRunners() {
+	for _, opt := range allOptimizers() {
 		ctx, cancel := context.WithCancel(context.Background())
 		calls := 0
 		f := func(x []float64) float64 {
@@ -109,7 +103,7 @@ func TestRunDeadlineSetsCancelled(t *testing.T) {
 
 func TestRunCallbackStops(t *testing.T) {
 	b := UniformBounds(4, -2, 2)
-	for _, opt := range allRunners() {
+	for _, opt := range allOptimizers() {
 		events := 0
 		r := Run(context.Background(), Problem{F: rosenbrockND, X0: []float64{-1.2, 1, -1.2, 1}, Bounds: b},
 			Options{Optimizer: opt, Callback: func(ev telemetry.IterEvent) bool {
@@ -125,12 +119,12 @@ func TestRunCallbackStops(t *testing.T) {
 	}
 }
 
-// TestRunEmitsTraces checks all five optimizers emit per-iteration
+// TestRunEmitsTraces checks all four optimizers emit per-iteration
 // events with sane cumulative NFev.
 func TestRunEmitsTraces(t *testing.T) {
 	b := UniformBounds(3, -2, 2)
 	f := sphere([]float64{0.7, -0.3, 1.2})
-	for _, opt := range allRunners() {
+	for _, opt := range allOptimizers() {
 		mem := telemetry.NewMemory()
 		r := Run(context.Background(), Problem{F: f, X0: []float64{-1, 1, 0}, Bounds: b},
 			Options{Optimizer: opt, Recorder: mem})
@@ -173,7 +167,7 @@ func TestRunEmitsTraces(t *testing.T) {
 
 func TestRunMaxNFevCapsBudget(t *testing.T) {
 	b := UniformBounds(4, -2, 2)
-	for _, opt := range allRunners() {
+	for _, opt := range allOptimizers() {
 		r := Run(context.Background(), Problem{F: rosenbrockND, X0: []float64{-1.2, 1, -1.2, 1}, Bounds: b},
 			Options{Optimizer: opt, MaxNFev: 12})
 		// Gradient methods may overshoot within one probe batch (2n+1).
@@ -199,7 +193,7 @@ func TestStatusString(t *testing.T) {
 // the legacy bool and the new enum on ordinary (non-cancelled) runs.
 func TestStatusMatchesConvergedFlag(t *testing.T) {
 	b := UniformBounds(2, -2, 2)
-	for _, opt := range allRunners() {
+	for _, opt := range allOptimizers() {
 		easy := opt.Minimize(sphere([]float64{0, 0}), []float64{1, 1}, b)
 		if easy.Converged != (easy.Status == Converged) {
 			t.Errorf("%s: easy run Status %v vs Converged %v", opt.Name(), easy.Status, easy.Converged)

@@ -100,9 +100,10 @@ type Instance struct {
 }
 
 // Validate checks structural invariants: qubit counts, finite
-// coefficients, index ranges, i < j term normalization, and that at
-// least one coupling or field is non-zero (a constant Hamiltonian has
-// nothing to optimize).
+// coefficients whose magnitudes also sum to a finite number (every
+// Value(z) is a signed sum of them, so that bounds them all), index
+// ranges, i < j term normalization, and that at least one coupling or
+// field is non-zero (a constant Hamiltonian has nothing to optimize).
 func (in *Instance) Validate() error {
 	if in.N < 1 {
 		return fmt.Errorf("problem: instance has %d qubits", in.N)
@@ -120,6 +121,7 @@ func (in *Instance) Validate() error {
 		return fmt.Errorf("problem: %d linear terms for %d qubits", len(in.Linear), in.N)
 	}
 	nonzero := false
+	mag := math.Abs(in.Offset)
 	for i, h := range in.Linear {
 		if math.IsNaN(h) || math.IsInf(h, 0) {
 			return fmt.Errorf("problem: non-finite linear term h[%d] = %v", i, h)
@@ -127,6 +129,7 @@ func (in *Instance) Validate() error {
 		if h != 0 {
 			nonzero = true
 		}
+		mag += math.Abs(h)
 	}
 	for k, t := range in.Quad {
 		if t.I < 0 || t.J >= in.N || t.I >= t.J {
@@ -138,6 +141,10 @@ func (in *Instance) Validate() error {
 		if t.W != 0 {
 			nonzero = true
 		}
+		mag += math.Abs(t.W)
+	}
+	if math.IsInf(mag, 0) {
+		return fmt.Errorf("problem: coefficients overflow: |offset| + Σ|h| + Σ|J| is not finite")
 	}
 	if !nonzero {
 		return fmt.Errorf("problem: constant Hamiltonian (all couplings and fields zero) has nothing to optimize")

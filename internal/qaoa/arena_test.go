@@ -98,9 +98,9 @@ func TestArenaBitIdentity(t *testing.T) {
 	}
 }
 
-// TestArenaShardedReuse: sharded workspaces round-trip through the
+// TestArenaShardedReuse: two-shard workspaces round-trip through the
 // arena (same shard geometry → same buffers) and stay bit-identical to
-// the flat path on dirty reuse.
+// one shard on dirty reuse.
 func TestArenaShardedReuse(t *testing.T) {
 	a := NewArena(0)
 	defer a.Close()
@@ -126,46 +126,44 @@ func TestArenaShardedReuse(t *testing.T) {
 	if got := w2.ExpectationVec(x); got != first {
 		t.Fatalf("recycled sharded expectation %v != first run %v", got, first)
 	}
-	flat := pb.NewWorkspace()
-	defer flat.Close()
-	if got, want := w2.ExpectationVec(x), flat.ExpectationVec(x); got != want {
-		t.Fatalf("sharded %v != flat %v", got, want)
+	one := pb.NewWorkspace()
+	if got, want := w2.ExpectationVec(x), one.ExpectationVec(x); got != want {
+		t.Fatalf("two shards %v != one %v", got, want)
 	}
 }
 
 // TestArenaCapAndClose: the per-key pool never exceeds its cap (extra
-// buffers are dropped, sharded ones closed), and a closed arena
-// declines further buffers while still serving fresh allocations.
+// buffers are closed and dropped), and a closed arena declines further
+// buffers while still serving fresh allocations.
 func TestArenaCapAndClose(t *testing.T) {
 	a := NewArena(2)
-	for i := 0; i < 5; i++ {
-		a.putState(quantum.NewUniformState(6))
+	key := shardKey{n: 6, shards: 1}
+	pooled := func() int {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.free[key])
 	}
-	a.mu.Lock()
-	if got := len(a.flat[6]); got != 2 {
-		a.mu.Unlock()
+	for i := 0; i < 5; i++ {
+		a.put(quantum.NewShardedState(6, 0))
+	}
+	if got := pooled(); got != 2 {
 		t.Fatalf("pool holds %d states over cap 2", got)
 	}
-	a.mu.Unlock()
 
 	a.Close()
-	if st := a.getState(6); st == nil || st.NumQubits() != 6 {
+	if ss := a.get(6, 0); ss == nil || ss.NumQubits() != 6 {
 		t.Fatal("closed arena must still hand out fresh states")
 	}
-	a.putState(quantum.NewUniformState(6))
-	a.mu.Lock()
-	if got := len(a.flat[6]); got != 0 {
-		a.mu.Unlock()
+	a.put(quantum.NewShardedState(6, 0))
+	if got := pooled(); got != 0 {
 		t.Fatalf("closed arena retained %d states, want 0", got)
 	}
-	a.mu.Unlock()
 
-	// nil arena: everything degrades to plain allocation.
+	// nil arena: plain allocation.
 	var nilA *Arena
-	if st := nilA.getState(5); st.NumQubits() != 5 {
-		t.Fatal("nil arena getState")
+	if ss := nilA.get(5, 0); ss.NumQubits() != 5 {
+		t.Fatal("nil arena get")
 	}
-	nilA.putState(quantum.NewUniformState(5)) // must not panic
 }
 
 // TestArenaConcurrent hammers get/put from many goroutines; the race
@@ -180,8 +178,7 @@ func TestArenaConcurrent(t *testing.T) {
 			defer wg.Done()
 			n := 5 + g%3
 			for i := 0; i < 50; i++ {
-				st := a.getState(n)
-				a.putState(st)
+				a.put(a.get(n, 0))
 			}
 		}(g)
 	}

@@ -76,11 +76,11 @@ func (w *EvalWorkspace) Gradient(x, grad []float64) { w.ValueGrad(x, grad) }
 // valueGrad runs the forward pass — unless the state buffer still holds
 // |ψ(γ,β)⟩ — and the adjoint reverse sweep. All kernel-dependent steps
 // (phase layers, observable application, matrix elements) go through
-// the costKernel interface and all layout-dependent ones through the
-// workspace's reduce and chunk bodies, so one sweep drives the
-// materialized and streaming kernels on the flat and sharded layouts;
-// partial merge order and per-chunk arithmetic are the same on both
-// layouts, so value and gradient are bit-identical across them.
+// the costKernel interface and all layout-dependent ones through
+// quantum.ShardedState (Reduce, the reverse mixer), so one sweep drives
+// the materialized and streaming kernels at every shard count; partial
+// merge order and per-chunk arithmetic do not depend on it, so value and
+// gradient are bit-identical across shard counts.
 func (w *EvalWorkspace) valueGrad(gamma, beta, dGamma, dBeta []float64) float64 {
 	if w.rev == nil {
 		w.initAdjoint()
@@ -92,7 +92,7 @@ func (w *EvalWorkspace) valueGrad(gamma, beta, dGamma, dBeta []float64) float64 
 	// Seed the adjoint and read the value in one fused pass: λ = C|ψ⟩,
 	// val = ⟨C⟩. The per-chunk sums and their merge order match
 	// expectation()'s exactly, so the value stays bit-identical.
-	val, _ := w.reduce(w.seedBody)
+	val, _ := w.ss.Reduce(w.seedBody)
 
 	// Reverse sweep: invariantly, entering iteration s the buffers hold
 	// φ = (stages 1..s+1 applied) and λ = (stages s+2..p un-applied from
@@ -108,7 +108,7 @@ func (w *EvalWorkspace) valueGrad(gamma, beta, dGamma, dBeta []float64) float64 
 		// separator from both states (conjugated factors).
 		w.k.prepareFactors(w.factors, gamma[s], true)
 		w.gamma = gamma[s]
-		gim, _ := w.reduce(w.unphaseBody)
+		gim, _ := w.ss.Reduce(w.unphaseBody)
 		dGamma[s] = -2 * gim
 	}
 	return val
@@ -117,38 +117,21 @@ func (w *EvalWorkspace) valueGrad(gamma, beta, dGamma, dBeta []float64) float64 
 // initAdjoint builds the one-time adjoint buffers and dispatch closures;
 // every later call reuses them, so warm sweeps allocate nothing. The
 // seed pass overwrites every adjoint chunk, so the buffer's initial
-// content is irrelevant (arena-pooled buffers arrive dirty). Sharded
-// chunk bodies receive global bounds and map them onto the owning
-// shard.
+// content is irrelevant (arena-pooled buffers arrive dirty). The chunk
+// bodies receive global bounds and map them onto the owning shard.
 func (w *EvalWorkspace) initAdjoint() {
 	k := w.k
-	if w.ss == nil {
-		dim := w.state.Dim()
-		w.adj = w.arena.adjointState(w.state)
-		w.rev = quantum.NewReverseMixer(w.state, w.adj, k.mirror())
-		w.reduce = func(body func(lo, hi int) (float64, float64)) (float64, float64) {
-			return quantum.ReduceChunks(dim, body)
-		}
-		w.seedBody = func(lo, hi int) (float64, float64) {
-			return k.seedChunkValue(w.adj, w.state, 0, lo, hi), 0
-		}
-		w.unphaseBody = func(lo, hi int) (float64, float64) {
-			return k.unphaseInnerChunk(w.adj, w.state, w.factors, w.gamma, 0, lo, hi), 0
-		}
-		return
-	}
-	w.adjSS = w.arena.getSharded(w.ss.NumQubits(), bits.Len(uint(w.ss.NumShards()-1)))
-	w.rev = quantum.NewShardedReverseMixer(w.ss, w.adjSS)
-	w.reduce = w.ss.Reduce
+	w.adj = w.arena.get(w.ss.NumQubits(), bits.Len(uint(w.ss.NumShards()-1)))
+	w.rev = quantum.NewShardedReverseMixer(w.ss, w.adj)
 	sdim := w.ss.ShardDim()
 	w.seedBody = func(lo, hi int) (float64, float64) {
 		off := lo &^ (sdim - 1)
 		si := lo >> w.sbits
-		return k.seedChunkValue(w.adjSS.Shard(si), w.ss.Shard(si), off, lo-off, hi-off), 0
+		return k.seedChunkValue(w.adj.Shard(si), w.ss.Shard(si), off, lo-off, hi-off), 0
 	}
 	w.unphaseBody = func(lo, hi int) (float64, float64) {
 		off := lo &^ (sdim - 1)
 		si := lo >> w.sbits
-		return k.unphaseInnerChunk(w.adjSS.Shard(si), w.ss.Shard(si), w.factors, w.gamma, off, lo-off, hi-off), 0
+		return k.unphaseInnerChunk(w.adj.Shard(si), w.ss.Shard(si), w.factors, w.gamma, off, lo-off, hi-off), 0
 	}
 }

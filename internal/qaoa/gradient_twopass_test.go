@@ -23,8 +23,8 @@ import (
 // generated h(z), one applyPhaseRange and one Layer per state). The
 // value and every ∂E/∂γ are pinned to it bit for bit on every kernel;
 // ∂E/∂β, whose summation order the two-state sweep defines anew, to
-// rounding — and to itself, bit for bit, across worker counts and
-// layouts. On a half register the reference takes ΣX on the unfolded
+// rounding — and to itself, bit for bit, across worker counts and shard
+// counts. On a half register the reference takes ΣX on the unfolded
 // full states, so the dropped qubit's term is the oracle's own.
 
 // refGen returns the phase generator h(z) over the global range
@@ -52,15 +52,19 @@ func refGen(k costKernel, lo, hi int) []float64 {
 	return gen
 }
 
-// refValueGradTwoPass is the two-pass flat reverse sweep.
+// refValueGradTwoPass is the two-pass reverse sweep over plain States:
+// the forward pass is a one-shard workspace's, everything after it
+// quantum.State, LayerRunner and ReduceChunks.
 func refValueGradTwoPass(w *EvalWorkspace, x, grad []float64) float64 {
 	p := len(x) / 2
 	gamma, beta, dGamma, dBeta := x[:p], x[p:], grad[:p], grad[p:]
-	k, st := w.k, w.state
+	k, st := w.k, w.ss.Shard(0)
 	dim := st.Dim()
 	adj := quantum.NewState(k.qubits())
-	adjRunner := quantum.NewLayerRunner(adj)
-	adjRunner.SetMirror(k.mirror())
+	runners := [2]*quantum.LayerRunner{quantum.NewLayerRunner(st), quantum.NewLayerRunner(adj)}
+	for _, r := range runners {
+		r.SetMirror(k.mirror())
+	}
 
 	w.runLayers(gamma, beta)
 	val, _ := quantum.ReduceChunks(dim, func(lo, hi int) (float64, float64) {
@@ -73,8 +77,9 @@ func refValueGradTwoPass(w *EvalWorkspace, x, grad []float64) float64 {
 			dBeta[s] = 2 * imag(adj.InnerProductSumX(st))
 		}
 
-		w.runner.Layer(-2*beta[s], false, nil)
-		adjRunner.Layer(-2*beta[s], false, nil)
+		for _, r := range runners {
+			r.Layer(-2*beta[s], false, nil)
+		}
 
 		_, gim := quantum.ReduceChunks(dim, func(lo, hi int) (float64, float64) {
 			return adj.InnerProductDiagonalRange(st, lo, refGen(k, lo, hi))
@@ -131,7 +136,7 @@ func TestValueGradMatchesTwoPassReference(t *testing.T) {
 		for _, p := range []int{1, 3} {
 			x := testParams(p).Vector()
 			want := make([]float64, len(x))
-			refVal := refValueGradTwoPass(newFlatWorkspace(c.k, nil), x, want)
+			refVal := refValueGradTwoPass(newShardedWorkspace(c.k, 0, nil), x, want)
 			var first []float64
 			check := func(label string, ws *EvalWorkspace) {
 				got := make([]float64, len(x))
@@ -160,10 +165,11 @@ func TestValueGradMatchesTwoPassReference(t *testing.T) {
 			for _, procs := range []int{1, 2, 8} {
 				runtime.GOMAXPROCS(procs)
 				label := fmt.Sprintf("%s p=%d GOMAXPROCS=%d", c.name, p, procs)
-				check(label+" flat", newFlatWorkspace(c.k, nil))
-				sw := newShardedWorkspace(c.k, shardBits, nil)
-				check(fmt.Sprintf("%s shards=%d", label, 1<<shardBits), sw)
-				sw.Close()
+				for _, sb := range []int{0, shardBits} {
+					sw := newShardedWorkspace(c.k, sb, nil)
+					check(fmt.Sprintf("%s shards=%d", label, 1<<sb), sw)
+					sw.Close()
+				}
 			}
 		}
 	}

@@ -25,7 +25,7 @@ import (
 //
 // Half and full agree to rounding only (they sum different terms in
 // different orders). What stays exact is each half-register path with
-// itself: flat ≡ sharded ≡ any GOMAXPROCS, and materialized ≡ streaming
+// itself: 1 ≡ 2 ≡ 4 shards ≡ any GOMAXPROCS, and materialized ≡ streaming
 // where the stream kernel takes its int64 path, all by ==.
 
 // fullRegisterKernel builds the instance's kernel over all 2^n basis
@@ -127,7 +127,8 @@ func halfKernels(pb *Problem) map[string]costKernel {
 }
 
 // halfShardBits lists the shard layouts an n-qubit problem's half
-// register admits (a shard holds at least one 2^13 chunk).
+// register admits, one shard first (a shard of several holds at least
+// one 2^13 chunk).
 func halfShardBits(n int) []int {
 	var out []int
 	for sb := 0; sb <= 2 && (sb == 0 || n-1-sb >= 13); sb++ {
@@ -170,7 +171,7 @@ func TestHalfRegisterMatchesFullRegisterAndCircuit(t *testing.T) {
 			if fullK.mirror() || fullK.qubits() != n {
 				t.Fatalf("%s: full-register kernel evolves %d qubits (mirror %v)", c.name, fullK.qubits(), fullK.mirror())
 			}
-			full := newFlatWorkspace(fullK, nil)
+			full := newWorkspace(fullK, nil)
 			// The selected kernel takes its kind's place, so the kernel the
 			// public constructors build is one of the two compared.
 			kernels := halfKernels(c.pb)
@@ -208,10 +209,10 @@ func TestHalfRegisterMatchesFullRegisterAndCircuit(t *testing.T) {
 					}
 				}
 
-				exact := map[string][]float64{} // kernel → [value, grad…] of the flat layout
+				exact := map[string][]float64{} // kernel → [value, grad…] on one shard
 				for kind, k := range kernels {
 					klabel := label + " " + kind
-					w := newFlatWorkspace(k, nil)
+					w := newWorkspace(k, nil)
 					grad := make([]float64, len(x))
 					val := w.ValueGrad(x, grad)
 					if ev := w.ExpectationVec(x); ev != val {
@@ -235,9 +236,9 @@ func TestHalfRegisterMatchesFullRegisterAndCircuit(t *testing.T) {
 					}
 					exact[kind] = append([]float64{val}, grad...)
 
-					// flat ≡ sharded ≡ any GOMAXPROCS, by ==.
+					// 1 ≡ 2 ≡ 4 shards ≡ any GOMAXPROCS, by ==.
 					layouts := []*EvalWorkspace{w}
-					for _, sb := range halfShardBits(n) {
+					for _, sb := range halfShardBits(n)[1:] {
 						layouts = append(layouts, newShardedWorkspace(k, sb, nil))
 					}
 					for _, np := range procs {
@@ -247,7 +248,7 @@ func TestHalfRegisterMatchesFullRegisterAndCircuit(t *testing.T) {
 							got := append([]float64{ws.ValueGrad(x, g)}, g...)
 							for i := range got {
 								if got[i] != exact[kind][i] {
-									t.Errorf("%s layout %d (%d shards) GOMAXPROCS=%d: component %d = %v != the first flat run's %v",
+									t.Errorf("%s layout %d (%d shards) GOMAXPROCS=%d: component %d = %v != the first one-shard run's %v",
 										klabel, li, ws.Shards(), np, i, got[i], exact[kind][i])
 								}
 							}
@@ -430,11 +431,10 @@ func TestFieldedHamiltonianBitsUnchanged(t *testing.T) {
 		if pb.OptValue != c.opt {
 			t.Errorf("%s: OptValue %v, recorded %v", c.name, pb.OptValue, c.opt)
 		}
-		// Flat, one shard, and four shards where each still holds a chunk.
-		layouts := map[string]*EvalWorkspace{
-			"flat":    newFlatWorkspace(pb.kernel(), nil),
-			"1 shard": newShardedWorkspace(pb.kernel(), 0, nil),
-		}
+		// One shard — what NewWorkspace builds, and what recorded most of
+		// these bits as the flat layout — and four where each still holds a
+		// chunk.
+		layouts := map[string]*EvalWorkspace{"1 shard": pb.NewWorkspace()}
 		if pb.stateQubits()-2 >= 13 {
 			layouts["4 shards"] = newShardedWorkspace(pb.kernel(), 2, nil)
 		}

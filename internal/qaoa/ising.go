@@ -111,7 +111,7 @@ func (pb *Problem) BestSampled(pr Params) (score float64, assign uint64) {
 	// its own: a half register's most probable index is an assignment
 	// with the top bit clear, the lower of the two equally probable
 	// complements.
-	w := newFlatWorkspace(pb.kernel(), nil)
+	w := newShardedWorkspace(pb.kernel(), 0, nil)
 	w.runLayers(pr.Gamma, pr.Beta)
 	assign = w.argmax()
 	return pb.ScoreValue(assign), assign

@@ -19,7 +19,6 @@ package qaoa
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"qaoaml/internal/graph"
@@ -153,14 +152,6 @@ func NewProblem(g *graph.Graph) (*Problem, error) { return New(problem.MaxCut(g)
 
 // NewIsing is New for a pre-built Ising Hamiltonian.
 func NewIsing(in *problem.Instance) (*Problem, error) { return New(problem.FromInstance(in)) }
-
-// costDiagonal materializes the full Score diagonal. Only gate-level
-// consumers that genuinely need all 2^n entries (the noisy trajectory
-// sampler) call it; the evaluation hot paths never do.
-func (pb *Problem) costDiagonal() []float64 {
-	diag, _ := buildIsingTables(pb.Inst, 1<<uint(pb.Inst.N))
-	return diag
-}
 
 // NumQubits returns the compiled register width: the decision variables
 // plus any quadratization auxiliaries.
@@ -424,12 +415,3 @@ func (e *Evaluator) NGev() int { return e.ngev }
 
 // ResetNGev zeroes the gradient-evaluation counter.
 func (e *Evaluator) ResetNGev() { e.ngev = 0 }
-
-// NoisyExpectation estimates ⟨C⟩ for the explicit gate-level circuit
-// run under a depolarizing noise model, averaged over Monte-Carlo
-// trajectories. The paper evaluates noiselessly (QuTiP); this is the
-// NISQ-hardware substitute — see quantum.NoiseModel.
-func (pb *Problem) NoisyExpectation(pr Params, nm quantum.NoiseModel, trajectories int, rng *rand.Rand) float64 {
-	c := pb.BuildCircuit(pr)
-	return c.NoisyExpectationDiagonal(pb.costDiagonal(), nm, trajectories, rng)
-}

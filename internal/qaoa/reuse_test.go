@@ -18,8 +18,8 @@ import (
 // counts runLayers calls, so each case pins both the numbers and
 // whether a pass was run.
 
-// reuseCase builds workspaces of one kernel × layout, all drawing from
-// the arena handed in (nil: plain ownership).
+// reuseCase builds workspaces of one kernel × shard count, all drawing
+// from the arena handed in (nil: plain ownership).
 type reuseCase struct {
 	name string
 	k    costKernel
@@ -29,8 +29,8 @@ type reuseCase struct {
 func reuseCases(t *testing.T) []reuseCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
-	flat := func(k costKernel) func(*Arena) *EvalWorkspace {
-		return func(a *Arena) *EvalWorkspace { return newFlatWorkspace(k, a) }
+	one := func(k costKernel) func(*Arena) *EvalWorkspace {
+		return func(a *Arena) *EvalWorkspace { return newWorkspace(k, a) }
 	}
 	diag := mustProblem(t, graph.RandomRegular(8, 3, rng)).kernel()
 	mc := mustProblem(t, graph.RandomRegular(14, 3, rng)).kernel()
@@ -49,9 +49,9 @@ func reuseCases(t *testing.T) []reuseCase {
 		t.Fatalf("want a half-register MaxCut stream (mirror %v) and a full-register Ising one (mirror %v)", mc.mirror(), is.mirror())
 	}
 	return []reuseCase{
-		{"materialized", diag, flat(diag)},
-		{"maxcut-stream", mc, flat(mc)},
-		{"ising-stream", is, flat(is)},
+		{"materialized", diag, one(diag)},
+		{"maxcut-stream", mc, one(mc)},
+		{"ising-stream", is, one(is)},
 		{"sharded", mcs, func(a *Arena) *EvalWorkspace { return newShardedWorkspace(mcs, 1, a) }},
 	}
 }
@@ -201,9 +201,9 @@ func TestStateReuseZeroAlloc(t *testing.T) {
 // a cold workspace's, so a writer of the state buffer that forgets to
 // clear the record fails here. The workspaces share one Arena and
 // alternate between field-free problems of width n — half registers of
-// n−1 qubits — and problems with fields of width n−1, flat and sharded,
-// so half- and full-register evolutions keep trading the very same
-// buffers (and a pooled sharded state its mirror setting).
+// n−1 qubits — and problems with fields of width n−1, on one shard and
+// on two, so half- and full-register evolutions keep trading the very
+// same buffers (and a pooled state its mirror setting).
 func TestStateReuseInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	type kind struct {
@@ -213,7 +213,7 @@ func TestStateReuseInterleaved(t *testing.T) {
 	}
 	var kinds []kind
 	// 8-qubit registers: materialized kernels. 14-qubit registers:
-	// streaming kernels, flat and two shards.
+	// streaming kernels, one shard and two.
 	for _, n := range []int{9, 15} {
 		free := []*Problem{
 			mustProblem(t, graph.ErdosRenyiConnected(n, 0.4, rng)),
@@ -256,18 +256,18 @@ func TestStateReuseInterleaved(t *testing.T) {
 			if s == nil {
 				// Arena recycle: any kind may draw the buffers any other left.
 				k := kinds[rng.Intn(len(kinds))]
-				ws := newFlatWorkspace
+				shardBits := 0
 				if k.sharded {
-					ws = func(kern costKernel, a *Arena) *EvalWorkspace { return newShardedWorkspace(kern, 1, a) }
+					shardBits = 1
 				}
-				slots[si] = &slot{k, ws(k.pb.kernel(), a)}
+				slots[si] = &slot{k, newShardedWorkspace(k.pb.kernel(), shardBits, a)}
 				mixed[k.pb.halfRegister()]++
 				continue
 			}
 			p := 1 + rng.Intn(3) // depth changes whenever it differs from the last
 			x := points[p][rng.Intn(len(points[p]))]
 			label := fmt.Sprintf("seed %d step %d %s p=%d", seed, step, s.k.name, p)
-			cold := newFlatWorkspace(s.k.pb.kernel(), nil)
+			cold := s.k.pb.NewWorkspace()
 			switch op := rng.Intn(8); {
 			case op < 3:
 				if got, want := s.ws.ExpectationVec(x), cold.ExpectationVec(x); got != want {

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"qaoaml/internal/graph"
-	"qaoaml/internal/quantum"
 )
 
 func randomWeightedGraph(rng *rand.Rand, n int) *graph.Graph {
@@ -226,27 +225,5 @@ func TestWeightedOptimizationPrefersHeavyEdge(t *testing.T) {
 	cut, assign := pb.BestSampled(bestPr)
 	if (assign>>0)&1 == (assign>>1)&1 {
 		t.Errorf("heavy edge uncut in most probable assignment %03b (cut %g)", assign, cut)
-	}
-}
-
-// Depolarizing noise must degrade the QAOA expectation toward the
-// uniform value m/2 and never improve past the noiseless optimum.
-func TestNoisyExpectationDegradesAR(t *testing.T) {
-	rng := rand.New(rand.NewSource(50))
-	g := graph.ErdosRenyiConnected(5, 0.6, rng)
-	pb := mustProblem(t, g)
-	best, exact := GridSearchP1(pb, 32)
-	nm := quantum.NoiseModel{P1: 0.05, P2: 0.1}
-	noisy := pb.NoisyExpectation(best, nm, 300, rng)
-	if noisy >= exact {
-		t.Errorf("noisy <C> = %v not below noiseless %v", noisy, exact)
-	}
-	uniform := float64(g.NumEdges()) / 2
-	if noisy < uniform-0.5 {
-		t.Errorf("noisy <C> = %v far below the uniform floor %v", noisy, uniform)
-	}
-	// Zero noise reproduces the exact value.
-	if got := pb.NoisyExpectation(best, quantum.NoiseModel{}, 1, rng); math.Abs(got-exact) > 1e-10 {
-		t.Errorf("zero-noise expectation = %v, want %v", got, exact)
 	}
 }

@@ -33,6 +33,10 @@ import (
 //     closures live in an EvalWorkspace that is reused across objective
 //     calls, so a warm NegExpectation performs no heap allocation at
 //     all.
+//   - The state vector is always a quantum.ShardedState: one shard below
+//     ShardThreshold — which is the flat engine, fanned out over the
+//     chunk pool — and 2^DefaultShardBits worker-owned shards from it.
+//     The workspace has one code path; the layout lives in quantum.
 //   - A Hamiltonian without linear terms (every MaxCut, partition, any
 //     Instance that is FieldFree) has C(z) = C(z̄), so ψ(z) = ψ(z̄) at
 //     every stage. The workspace then evolves the half register φ(z) =
@@ -64,7 +68,7 @@ import (
 // basis states the workspace stores: all 2^n, or the lower 2^(n−1) of a
 // half register — the same global indices, the top bit clear.
 // The interface is range-based: the workspace drives the chunk loop
-// (through quantum.LayerRunner and ReduceChunks over the fixed
+// (through quantum.ShardedState's Layer and Reduce over the fixed
 // geometry) and the kernel supplies per-chunk bodies. That lets
 // the phase separator run inside the fused layer sweep while the chunk
 // is cache-resident, and lets reductions fuse with streamed diagonal
@@ -87,11 +91,10 @@ type costKernel interface {
 	prepareFactors(factors []complex128, gamma float64, conj bool)
 	// Every per-chunk method takes an offset/range pair: [lo, hi) indexes
 	// the passed State's amplitudes, off+lo…off+hi is the corresponding
-	// GLOBAL basis-state range (for cost tables and streamed fills). The
-	// flat path passes off = 0; the sharded path (shard states of a
-	// quantum.ShardedState) passes the shard's base index. Chunk bounds
-	// follow the fixed global geometry either way, so the two paths
-	// generate identical per-chunk values.
+	// GLOBAL basis-state range (for cost tables and streamed fills). st is
+	// a shard of a quantum.ShardedState and off its base index (0 when
+	// there is one shard). Chunk bounds follow the fixed global geometry
+	// at every shard count, so per-chunk values do not depend on it.
 
 	// applyPhaseRange applies the phase separator to st over one chunk.
 	// gamma is the angle the factors rotate by — the prepareFactors
@@ -202,77 +205,68 @@ func (k *diagKernel) unphaseInnerChunk(adj, st *quantum.State, factors []complex
 }
 
 // ShardThreshold is the width of the evolved register — one less than
-// the problem's for a half register — from which NewWorkspace switches
-// the evaluation state to the sharded representation (quantum.
-// ShardedState): at 27 qubits a single flat allocation is 2 GiB, the
-// regime where per-worker shard ownership pays for itself. The sharded
-// path computes bit-identical results; the threshold only picks the
-// memory layout.
+// the problem's for a half register — from which NewWorkspace splits the
+// evaluation state over more than one shard: at 27 qubits a single
+// allocation is 2 GiB, the regime where per-worker shard ownership pays
+// for itself. Results are bit-identical at every shard count; the
+// threshold only picks the memory layout.
 const ShardThreshold = 27
 
-// DefaultShardBits is the shard count exponent NewWorkspace uses above
+// DefaultShardBits is the shard count exponent NewWorkspace uses from
 // ShardThreshold: 2^2 = 4 shards keeps per-shard allocations ≤ 2 GiB
 // through n = 30 while the exchange passes stay a small fraction of a
 // layer.
 const DefaultShardBits = 2
 
 // EvalWorkspace owns the preallocated buffers one evaluation stream
-// needs: the state vector, the distinct-phase factor table, the fused
-// layer runner and the per-chunk dispatch closures (created once here,
-// so warm evaluations construct no closures and allocate nothing). A
-// workspace is not safe for concurrent use; create one per goroutine
-// (BatchEvaluator does exactly that).
+// needs: the state vector, the distinct-phase factor table and the
+// per-chunk dispatch closures (created once here, so warm evaluations
+// construct no closures and allocate nothing). A workspace is not safe
+// for concurrent use; create one per goroutine (BatchEvaluator does
+// exactly that).
 //
-// Above ShardThreshold the state lives in a quantum.ShardedState (ss
-// non-nil) and the sharded driver paths run instead; results are
-// bit-identical either way. Call Close on sharded workspaces to release
-// the shard workers promptly (a finalizer backs it up).
+// The state is a quantum.ShardedState, one shard below ShardThreshold;
+// results are bit-identical at every shard count. Call Close (or
+// Release) when done: with more than one shard it stops the shard
+// workers promptly (a finalizer backs it up).
 //
-// When the kernel reports a half register, state (or ss) and the
-// adjoint hold 2^(n−1) amplitudes and the layer runner, the sharded
-// state and the reverse mixer run their mirror pass. Half- and
-// full-register results are each bit-identical across layouts, worker
-// counts and arenas; they agree with each other to rounding only.
+// When the kernel reports a half register, the state and the adjoint
+// hold 2^(n−1) amplitudes and Layer and the reverse mixer run their
+// mirror pass. Half- and full-register results are each bit-identical
+// across shard counts, worker counts and arenas; they agree with each
+// other to rounding only.
 type EvalWorkspace struct {
 	k       costKernel
-	state   *quantum.State
+	ss      *quantum.ShardedState
+	sbits   uint // log2(shard dim), for global→shard index mapping
 	factors []complex128
-	runner  *quantum.LayerRunner
 
 	// Stage angle for the phase closures, written between dispatches
-	// (the pool's channel send orders it before any worker reads).
+	// (the dispatch's channel send orders it before any worker reads).
 	gamma float64
 
-	phaseState func(lo, hi int)
+	// Chunk bodies. Reduce bodies receive GLOBAL bounds (every shard count
+	// iterates the same fixed chunk geometry) and map them onto the owning
+	// shard: off is the shard's base index, lo−off its local range.
+	phaseBody  func(off, lo, hi int)
 	expectBody func(lo, hi int) (a, b float64)
 
-	// held is the [γ…,β…] whose |ψ⟩ the last forward pass left in
-	// state/ss, valid while heldOK: runLayers records it, the reverse
-	// sweep (which consumes the state) and Release clear it, and nothing
-	// else writes the buffer. ValueGrad alone reads it, to skip a
-	// forward pass that would rebuild what is already there.
+	// held is the [γ…,β…] whose |ψ⟩ the last forward pass left in ss,
+	// valid while heldOK: runLayers records it, the reverse sweep (which
+	// consumes the state) and Release clear it, and nothing else writes
+	// the buffer. ValueGrad alone reads it, to skip a forward pass that
+	// would rebuild what is already there.
 	held          []float64
 	heldOK        bool
 	forwardPasses int // runLayers calls, for tests and benchmarks
 
 	// Adjoint-sweep buffers and closures (gradient.go), allocated on
 	// first ValueGrad call so plain expectation streams never pay for
-	// them. Warm gradient calls are allocation-free. The chunk bodies
-	// and reduce are the layout's own (flat or sharded); the sweep that
-	// drives them is shared.
-	adj         *quantum.State
+	// them. Warm gradient calls are allocation-free.
+	adj         *quantum.ShardedState
 	rev         *quantum.ReverseMixer
-	reduce      func(body func(lo, hi int) (a, b float64)) (a, b float64)
 	seedBody    func(lo, hi int) (a, b float64)
 	unphaseBody func(lo, hi int) (a, b float64)
-
-	// Sharded-path state and closures (nil/unset on the flat path).
-	ss    *quantum.ShardedState
-	adjSS *quantum.ShardedState
-	sbits uint // log2(shard dim), for global→shard index mapping
-
-	phaseShard  func(off, lo, hi int)
-	expectShard func(lo, hi int) (a, b float64)
 
 	// arena, when non-nil, supplied the state buffers (and supplies the
 	// lazy adjoint buffer); Release returns them there for the next
@@ -281,9 +275,8 @@ type EvalWorkspace struct {
 	arena *Arena
 }
 
-// NewWorkspace returns a reusable evaluation workspace for the problem.
-// At ShardThreshold qubits and above the state is sharded
-// (DefaultShardBits); results are identical to the flat representation.
+// NewWorkspace returns a reusable evaluation workspace for the problem:
+// one shard below ShardThreshold qubits, 2^DefaultShardBits from it.
 func (pb *Problem) NewWorkspace() *EvalWorkspace {
 	return newWorkspace(pb.kernel(), nil)
 }
@@ -297,43 +290,24 @@ func (pb *Problem) NewWorkspaceArena(a *Arena) *EvalWorkspace {
 }
 
 // NewWorkspaceShards returns a workspace whose state is split into
-// 2^shardBits shards regardless of size (0 = flat layout in a one-shard
-// ShardedState). Evaluation results are bit-identical to NewWorkspace;
-// only the memory layout and worker ownership change. Callers should
-// Close the workspace when done.
+// 2^shardBits shards regardless of size. Evaluation results are
+// bit-identical to NewWorkspace; only the memory layout and worker
+// ownership change. Callers should Close the workspace when done.
 func (pb *Problem) NewWorkspaceShards(shardBits int) *EvalWorkspace {
 	return newShardedWorkspace(pb.kernel(), shardBits, nil)
 }
 
 func newWorkspace(k costKernel, a *Arena) *EvalWorkspace {
+	shardBits := 0
 	if k.qubits() >= ShardThreshold {
-		return newShardedWorkspace(k, DefaultShardBits, a)
+		shardBits = DefaultShardBits
 	}
-	return newFlatWorkspace(k, a)
-}
-
-func newFlatWorkspace(k costKernel, a *Arena) *EvalWorkspace {
-	w := &EvalWorkspace{
-		k:       k,
-		state:   a.getState(k.qubits()),
-		factors: make([]complex128, k.factorLen()),
-		arena:   a,
-	}
-	w.runner = quantum.NewLayerRunner(w.state)
-	w.runner.SetMirror(k.mirror())
-	w.phaseState = func(lo, hi int) {
-		k.applyPhaseRange(w.state, w.factors, w.gamma, 0, lo, hi)
-	}
-	w.expectBody = func(lo, hi int) (float64, float64) {
-		return k.expectChunk(w.state, 0, lo, hi), 0
-	}
-	return w
+	return newShardedWorkspace(k, shardBits, a)
 }
 
 func newShardedWorkspace(k costKernel, shardBits int, a *Arena) *EvalWorkspace {
-	ss := a.getSharded(k.qubits(), shardBits)
+	ss := a.get(k.qubits(), shardBits)
 	ss.SetMirror(k.mirror()) // a pooled state keeps its last owner's setting
-	ss.FillUniform()
 	w := &EvalWorkspace{
 		k:       k,
 		ss:      ss,
@@ -341,28 +315,24 @@ func newShardedWorkspace(k costKernel, shardBits int, a *Arena) *EvalWorkspace {
 		factors: make([]complex128, k.factorLen()),
 		arena:   a,
 	}
-	// Sharded chunk bodies receive GLOBAL bounds (the sharded drivers
-	// iterate the same fixed chunk geometry as the flat ones) and map
-	// them onto the owning shard: off is the shard's base index, lo−off
-	// its local range.
-	w.phaseShard = func(off, lo, hi int) {
+	w.phaseBody = func(off, lo, hi int) {
 		k.applyPhaseRange(w.ss.Shard(off>>w.sbits), w.factors, w.gamma, off, lo, hi)
 	}
-	w.expectShard = func(lo, hi int) (float64, float64) {
+	w.expectBody = func(lo, hi int) (float64, float64) {
 		off := lo &^ (w.ss.ShardDim() - 1)
 		return k.expectChunk(w.ss.Shard(lo>>w.sbits), off, lo-off, hi-off), 0
 	}
 	return w
 }
 
-// Close releases the shard worker goroutines of a sharded workspace.
-// It is a no-op for flat workspaces and safe to call more than once.
+// Close releases the workspace's shard worker goroutines, if it has any.
+// Safe to call more than once.
 func (w *EvalWorkspace) Close() {
 	if w.ss != nil {
 		w.ss.Close()
 	}
-	if w.adjSS != nil {
-		w.adjSS.Close()
+	if w.adj != nil {
+		w.adj.Close()
 	}
 }
 
@@ -376,38 +346,18 @@ func (w *EvalWorkspace) Release() {
 	}
 	a := w.arena
 	w.arena = nil
-	if w.state != nil {
-		a.putState(w.state)
-		w.state = nil
-	}
-	if w.adj != nil {
-		a.putState(w.adj)
-		w.adj = nil
-	}
-	if w.ss != nil {
-		a.putSharded(w.ss)
-		w.ss = nil
-	}
-	if w.adjSS != nil {
-		a.putSharded(w.adjSS)
-		w.adjSS = nil
-	}
+	a.put(w.ss)
+	a.put(w.adj)
+	w.ss, w.adj, w.rev = nil, nil, nil
 	w.heldOK = false
-	w.runner, w.rev = nil, nil
-	w.phaseState, w.expectBody = nil, nil
-	w.reduce, w.seedBody, w.unphaseBody = nil, nil, nil
-	w.phaseShard, w.expectShard = nil, nil
+	w.phaseBody, w.expectBody, w.seedBody, w.unphaseBody = nil, nil, nil, nil
 }
 
 // argmax returns the index of the most probable basis state of the
-// current workspace state, identical to State.ArgmaxProbability on the
-// flat layout: ties resolve to the lowest global index, so the sharded
-// scan (ascending shards, strict improvement only) matches it exactly.
+// current workspace state. Ties resolve to the lowest global index:
+// State.ArgmaxProbability's rule within a shard, and across shards the
+// scan ascends and takes strict improvements only.
 func (w *EvalWorkspace) argmax() uint64 {
-	if w.ss == nil {
-		arg, _ := w.state.ArgmaxProbability()
-		return arg
-	}
 	var best uint64
 	bestProb := -1.0
 	for i := 0; i < w.ss.NumShards(); i++ {
@@ -421,45 +371,24 @@ func (w *EvalWorkspace) argmax() uint64 {
 }
 
 // Shards returns how many state-vector shards the workspace evaluates
-// over (1 for the flat layout).
-func (w *EvalWorkspace) Shards() int {
-	if w.ss != nil {
-		return w.ss.NumShards()
-	}
-	return 1
-}
+// over.
+func (w *EvalWorkspace) Shards() int { return w.ss.NumShards() }
 
 // runLayers prepares |ψ(γ,β)⟩ in the workspace state: per stage, one
 // fused layer sweep applies the uniform fill (first stage), the phase
 // separator and the RX(2β) mixer. It records (γ,β) as the state held.
 func (w *EvalWorkspace) runLayers(gamma, beta []float64) {
 	w.forwardPasses++
-	switch {
-	case w.ss != nil:
-		w.runLayersSharded(gamma, beta)
-	case len(gamma) == 0:
-		w.state.FillUniform()
-	default:
-		for s := range gamma {
-			w.k.prepareFactors(w.factors, gamma[s], false)
-			w.gamma = gamma[s]
-			w.runner.Layer(2*beta[s], s == 0, w.phaseState)
-		}
-	}
-	w.held = append(append(w.held[:0], gamma...), beta...)
-	w.heldOK = true
-}
-
-func (w *EvalWorkspace) runLayersSharded(gamma, beta []float64) {
 	if len(gamma) == 0 {
 		w.ss.FillUniform()
-		return
 	}
 	for s := range gamma {
 		w.k.prepareFactors(w.factors, gamma[s], false)
 		w.gamma = gamma[s]
-		w.ss.Layer(2*beta[s], s == 0, w.phaseShard)
+		w.ss.Layer(2*beta[s], s == 0, w.phaseBody)
 	}
+	w.held = append(append(w.held[:0], gamma...), beta...)
+	w.heldOK = true
 }
 
 // holds reports whether the state buffer still holds |ψ(γ,β)⟩ from the
@@ -479,26 +408,22 @@ func (w *EvalWorkspace) holds(gamma, beta []float64) bool {
 
 // prepareState builds a fresh |ψ(γ,β)⟩ with the fused layer kernels.
 // It backs the one-shot State helpers, which are not hot paths, so the
-// transient workspace is fine. Always flat: the helpers hand out a
-// *quantum.State, and always the problem's full register — a half
-// register is unfolded.
+// transient workspace is fine. One shard, whose State the helpers hand
+// out, and always the problem's full register — a half register is
+// unfolded.
 func prepareState(k costKernel, gamma, beta []float64) *quantum.State {
-	w := newFlatWorkspace(k, nil)
+	w := newShardedWorkspace(k, 0, nil)
 	w.runLayers(gamma, beta)
 	if k.mirror() {
-		return w.state.UnfoldMirror()
+		return w.ss.Shard(0).UnfoldMirror()
 	}
-	return w.state
+	return w.ss.Shard(0)
 }
 
 // expectation evaluates ⟨C⟩ at (γ, β), reusing the workspace buffers.
 func (w *EvalWorkspace) expectation(gamma, beta []float64) float64 {
 	w.runLayers(gamma, beta)
-	if w.ss != nil {
-		e, _ := w.ss.Reduce(w.expectShard)
-		return e
-	}
-	e, _ := quantum.ReduceChunks(w.state.Dim(), w.expectBody)
+	e, _ := w.ss.Reduce(w.expectBody)
 	return e
 }
 

@@ -61,8 +61,8 @@ type LayerRunner struct {
 	limit int
 	// clen overrides the chunk length of the low sweep (0: ChunkLen of
 	// the state's own dimension). Sharded states pin it to the GLOBAL
-	// chunk length so per-chunk phase callbacks see the same ranges the
-	// flat path would.
+	// chunk length so per-chunk phase callbacks see the same ranges at
+	// every shard count.
 	clen int
 	// mirror makes the state a half register (mirror.go): the sweep ends
 	// with the mirror butterfly of the qubit the state does not store.

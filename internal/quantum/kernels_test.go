@@ -145,40 +145,3 @@ func TestParallelChunksMatchSerial(t *testing.T) {
 		}
 	}
 }
-
-// sampleCountsLinear is the pre-optimization O(shots·2^n) reference:
-// one linear scan per shot, one rng.Float64 per shot.
-func sampleCountsLinear(s *State, shots int, rng *rand.Rand) map[uint64]int {
-	counts := make(map[uint64]int)
-	for i := 0; i < shots; i++ {
-		counts[s.Sample(rng)]++
-	}
-	return counts
-}
-
-// SampleCounts must reproduce the old linear-scan path exactly under
-// the same seed: same RNG consumption, same outcome per shot.
-func TestSampleCountsMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(105))
-	for trial := 0; trial < 4; trial++ {
-		s := randomKernelState(rng, 6)
-		seed := int64(900 + trial)
-		fast := s.SampleCounts(5000, rand.New(rand.NewSource(seed)))
-		slow := sampleCountsLinear(s, 5000, rand.New(rand.NewSource(seed)))
-		if len(fast) != len(slow) {
-			t.Fatalf("trial %d: outcome support %d != %d", trial, len(fast), len(slow))
-		}
-		for z, c := range slow {
-			if fast[z] != c {
-				t.Fatalf("trial %d: counts[%d] = %d, want %d", trial, z, fast[z], c)
-			}
-		}
-	}
-}
-
-func TestSampleCountsZeroShots(t *testing.T) {
-	s := NewUniformState(3)
-	if c := s.SampleCounts(0, rand.New(rand.NewSource(1))); len(c) != 0 {
-		t.Errorf("zero shots returned counts %v", c)
-	}
-}

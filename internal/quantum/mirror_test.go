@@ -198,7 +198,8 @@ func TestMirrorReverseMixerMatchesLayerAndOracle(t *testing.T) {
 			}
 			withWorkers(t, workers, func() any {
 				phi, lam := reverseTestPair(n, seed)
-				got := NewReverseMixer(phi, lam, true).Sweep(theta)
+				m, phi, lam := oneShardMixer(phi, lam, true)
+				got := m.Sweep(theta)
 				ampsEqualExact(t, label+" φ", phi0, phi, runtime.GOMAXPROCS(0))
 				ampsEqualExact(t, label+" λ", lam0, lam, runtime.GOMAXPROCS(0))
 				if d := math.Abs(got - oracle); d > 1e-12*(1+math.Abs(oracle)) {
@@ -211,7 +212,7 @@ func TestMirrorReverseMixerMatchesLayerAndOracle(t *testing.T) {
 					sphi.SetMirror(true)
 					slabel := fmt.Sprintf("%s shards=%d", label, 1<<sb)
 					if sg := NewShardedReverseMixer(sphi, slam).Sweep(theta); sg != got {
-						t.Fatalf("%s: sharded Sweep %v != flat %v", slabel, sg, got)
+						t.Fatalf("%s: sharded Sweep %v != one shard's %v", slabel, sg, got)
 					}
 					ampsEqualExact(t, slabel+" φ", phi0, sphi.gather(), sb)
 					ampsEqualExact(t, slabel+" λ", lam0, slam.gather(), sb)
@@ -236,7 +237,7 @@ func TestMirrorSweepsZeroAlloc(t *testing.T) {
 		phi, lam := reverseTestPair(n, 78)
 		r := NewLayerRunner(phi)
 		r.SetMirror(true)
-		m := NewReverseMixer(phi, lam, true)
+		m, _, _ := oneShardMixer(phi, lam, true)
 		r.Layer(0.3, false, nil) // warm the pool's job freelist
 		sink += m.Sweep(0.3)
 		if allocs := testing.AllocsPerRun(10, func() {

@@ -208,43 +208,3 @@ func TestSmallRegisterSingleChunk(t *testing.T) {
 		t.Fatalf("n=14: reduceChunkCount = %d, want 2", got)
 	}
 }
-
-func TestSampleOutcomesMatchesSampleCounts(t *testing.T) {
-	s := randomKernelState(rand.New(rand.NewSource(5)), 10)
-	for seed := int64(0); seed < 3; seed++ {
-		slow := sampleCountsLinear(s, 4000, rand.New(rand.NewSource(seed)))
-		pairs := s.SampleOutcomes(4000, rand.New(rand.NewSource(seed)))
-		if len(pairs) != len(slow) {
-			t.Fatalf("seed %d: %d distinct outcomes, want %d", seed, len(pairs), len(slow))
-		}
-		total := 0
-		for i, p := range pairs {
-			if slow[p.Outcome] != p.Count {
-				t.Fatalf("seed %d: outcome %d count %d, want %d", seed, p.Outcome, p.Count, slow[p.Outcome])
-			}
-			if i > 0 && pairs[i-1].Outcome >= p.Outcome {
-				t.Fatalf("seed %d: outcomes not strictly sorted at %d", seed, i)
-			}
-			total += p.Count
-		}
-		if total != 4000 {
-			t.Fatalf("seed %d: counts sum to %d, want 4000", seed, total)
-		}
-	}
-}
-
-// TestSampleOutcomesAllocBudget pins the satellite target: a warm
-// SampleOutcomes call allocates at most twice (the result slice; one
-// spare for pool churn), down from 14 allocations for the map-based
-// SampleCounts path.
-func TestSampleOutcomesAllocBudget(t *testing.T) {
-	s := randomKernelState(rand.New(rand.NewSource(6)), 10)
-	rng := rand.New(rand.NewSource(1))
-	s.SampleOutcomes(1024, rng) // warm the pool
-	allocs := testing.AllocsPerRun(20, func() {
-		s.SampleOutcomes(1024, rng)
-	})
-	if allocs > 2 {
-		t.Fatalf("SampleOutcomes allocates %.0f times per run, want <= 2", allocs)
-	}
-}

@@ -1,9 +1,6 @@
 package quantum
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Two-state reverse mixer sweep.
 //
@@ -73,25 +70,18 @@ import (
 // like every other pass.
 //
 // Blocks are a function of the dimension alone and run through the
-// fixed-geometry reductions (ReduceChunks, ShardedState.Reduce), never
-// through runRange's serial shortcut, so flat ≡ sharded ≡ any
-// GOMAXPROCS, bit for bit.
+// fixed-geometry reduction (ShardedState.Reduce; ReduceChunks on one
+// shard), never through runRange's serial shortcut, so the value is the
+// same at every shard count and GOMAXPROCS, bit for bit.
 
 // revSubQuads is the sub-run length: 128 quadruples are 8 KiB per
 // state, so the ΣX read and the two butterflies that follow it find
 // both states' sub-runs in L1.
 const revSubQuads = 128
 
-// ampSpans is the view of a register the sweep works through: span
-// returns amplitudes [i, i+n) of the global basis-state range. n is at
-// most the fixed chunk length and divides i, so a span never straddles
-// a shard.
-type ampSpans interface {
-	span(i, n int) []complex128
-}
-
-func (s *State) span(i, n int) []complex128 { return s.amps[i : i+n] }
-
+// span returns amplitudes [i, i+n) of the global basis-state range, the
+// view the sweep works through. n is at most the fixed chunk length and
+// divides i, so a span never straddles a shard.
 func (ss *ShardedState) span(i, n int) []complex128 {
 	l := i & (ss.sdim - 1)
 	return ss.shards[i>>uint(ss.sbits)].amps[l : l+n]
@@ -103,7 +93,7 @@ func (ss *ShardedState) span(i, n int) []complex128 {
 // so warm Sweep calls allocate nothing. A ReverseMixer is bound to its
 // two states and is not safe for concurrent use.
 type ReverseMixer struct {
-	phi, lam     ampSpans
+	phi, lam     *ShardedState
 	n, dim, clen int  // register width, 2^n, fixed chunk length (≤ dim)
 	mirror       bool // the states are half registers (mirror.go)
 
@@ -111,35 +101,18 @@ type ReverseMixer struct {
 	rx rxCoef
 	q  int // low qubit of the current cross-chunk pair
 
-	reduce                                 func(body func(lo, hi int) (a, b float64)) (a, b float64)
 	lowBody, pairBody, oneBody, mirrorBody func(lo, hi int) (a, b float64)
-}
-
-// NewReverseMixer returns a sweep over two flat states of equal width,
-// full registers or (mirror) half registers.
-func NewReverseMixer(phi, lam *State, mirror bool) *ReverseMixer {
-	if phi.n != lam.n {
-		panic(fmt.Sprintf("quantum: ReverseMixer width mismatch %d != %d", phi.n, lam.n))
-	}
-	dim := len(phi.amps)
-	return newReverseMixer(phi, lam, phi.n, mirror, func(body func(lo, hi int) (a, b float64)) (a, b float64) {
-		return ReduceChunks(dim, body)
-	})
 }
 
 // NewShardedReverseMixer returns a sweep over two sharded states of
 // equal geometry, half registers if phi is one (SetMirror). Blocks run
-// on phi's shard workers, each on the worker owning the block's chunk.
+// through phi.Reduce: on the chunk pool for one shard, else each on the
+// worker owning the block's chunk.
 func NewShardedReverseMixer(phi, lam *ShardedState) *ReverseMixer {
 	if phi.n != lam.n || phi.sbits != lam.sbits {
 		panic("quantum: geometry mismatch in NewShardedReverseMixer")
 	}
-	return newReverseMixer(phi, lam, phi.n, phi.mirror, phi.Reduce)
-}
-
-func newReverseMixer(phi, lam ampSpans, n int, mirror bool, reduce func(func(lo, hi int) (a, b float64)) (a, b float64)) *ReverseMixer {
-	dim := 1 << uint(n)
-	m := &ReverseMixer{phi: phi, lam: lam, n: n, dim: dim, clen: min(ChunkLen(dim), dim), mirror: mirror, reduce: reduce}
+	m := &ReverseMixer{phi: phi, lam: lam, n: phi.n, dim: phi.Dim(), clen: phi.clen, mirror: phi.mirror}
 	m.lowBody, m.pairBody, m.oneBody, m.mirrorBody = m.low, m.pair, m.one, m.mirrorBlock
 	return m
 }
@@ -153,7 +126,7 @@ func newReverseMixer(phi, lam ampSpans, n int, mirror bool, reduce func(func(lo,
 // return).
 func (m *ReverseMixer) Sweep(theta float64) float64 {
 	m.rx = newRXCoef(theta)
-	im, _ := m.reduce(m.lowBody)
+	im, _ := m.phi.Reduce(m.lowBody)
 
 	// Cross-chunk pairs in ascending qubit order, then the last pass:
 	// LayerRunner.Layer's pass sequence.
@@ -164,16 +137,16 @@ func (m *ReverseMixer) Sweep(theta float64) float64 {
 	}
 	for ; q+1 < m.n; q += 2 {
 		m.q = q
-		p, _ := m.reduce(m.pairBody)
+		p, _ := m.phi.Reduce(m.pairBody)
 		im += p
 	}
 	if m.dim > m.clen {
 		switch {
 		case m.mirror:
-			p, _ := m.reduce(m.mirrorBody)
+			p, _ := m.phi.Reduce(m.mirrorBody)
 			im += p
 		case m.n%2 == 1:
-			p, _ := m.reduce(m.oneBody)
+			p, _ := m.phi.Reduce(m.oneBody)
 			im += p
 		}
 	}

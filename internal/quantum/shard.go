@@ -7,42 +7,47 @@ import (
 	"sync"
 )
 
-// Sharded state representation.
+// Sharded state representation — the register every evaluation runs on.
 //
 // A ShardedState holds the 2^n amplitudes of an n-qubit register as
 // k = 2^s independently allocated shards of 2^(n−s) amplitudes: shard i
-// owns the amplitudes whose basis-state index has high bits i. Each
-// shard is owned by one fixed worker goroutine for the lifetime of the
-// state, so every in-shard operation — uniform fill, diagonal phase,
-// RX butterflies on the low n−s qubits (via the fused LayerRunner),
-// chunked reductions — runs with perfect locality and zero cross-shard
-// synchronization. On a NUMA machine each shard's pages stay with the
-// core that allocated and always touches them; the flat array, by
-// contrast, interleaves every worker over one allocation.
+// owns the amplitudes whose basis-state index has high bits i.
+//
+// One shard (s = 0) is the flat engine itself, not an imitation of it:
+// the shard is an ordinary State, its LayerRunner sweeps every qubit,
+// and Layer, Reduce and FillUniform are the runner's, ReduceChunks and
+// the State's own — fanned out over the chunk pool (pool.go) from
+// ParallelDim. No goroutine is started and no finalizer set.
+//
+// With k > 1 each shard is owned by one fixed worker goroutine for the
+// lifetime of the state, so every in-shard operation — uniform fill,
+// diagonal phase, RX butterflies on the low n−s qubits (via the fused
+// LayerRunner), chunked reductions — runs with perfect locality and zero
+// cross-shard synchronization; shard States are serial-pinned so that
+// work never re-enters the chunk pool. On a NUMA machine each shard's
+// pages stay with the core that allocated and always touches them.
 //
 // Only RX on the top s qubits crosses shards, and it does so as an
 // explicit pairwise exchange: qubit n−s+b pairs shard i with shard
 // i^(1<<b), and the butterfly combines amplitudes at EQUAL local
-// indices of the paired shards. The exchange passes are structured
-// exactly like a future cross-process message exchange (ROADMAP item
-// 4's coordinator/worker split): each pass names the partner shard and
+// indices of the paired shards. Each pass names the partner shard and
 // touches nothing else, so "read partner amplitudes" can become
 // "receive partner's buffer" without reshaping the computation.
 //
-// Bit-identity with the flat path. The flat fused layer (fused.go)
-// applies per amplitude: fill → phase → RX pair (0,1) → (2,3) → … →
-// odd final qubit, with fixed-geometry chunk ranges for the phase
-// callback and fixed reduction merge order. The sharded layer applies
-// the SAME per-amplitude operation sequence: the in-shard LayerRunner
-// (with its sweep capped below the exchange qubits and its chunk
-// length pinned to the GLOBAL ChunkLen) covers the low pairs, then the
-// exchange passes cover the straddle pair, the shard-index pairs and
-// the odd final qubit, ascending. Every butterfly uses the identical
-// fused 4×4 (or 2×2) arithmetic on the identical quadruple, distinct
-// pairs touch disjoint quadruples, and reductions merge per-chunk
-// partials in global chunk order — so amplitudes, expectations and
-// gradients match the flat path bit for bit at every GOMAXPROCS and
-// every shard count.
+// Bit-identity across shard counts. The fused layer (fused.go) applies
+// per amplitude: fill → phase → RX pair (0,1) → (2,3) → … → odd final
+// qubit, with fixed-geometry chunk ranges for the phase callback and
+// fixed reduction merge order. With k > 1 the SAME per-amplitude
+// sequence runs: the in-shard LayerRunner (its sweep capped below the
+// exchange qubits, its chunk length pinned to the GLOBAL ChunkLen)
+// covers the low pairs, then the exchange passes cover the straddle
+// pair, the shard-index pairs and the odd final qubit, ascending.
+// Every butterfly uses the identical fused 4×4 (or 2×2) arithmetic on
+// the identical quadruple, distinct pairs touch disjoint quadruples,
+// and reductions merge per-chunk partials in global chunk order — so
+// amplitudes, expectations and gradients are bit-identical at every
+// GOMAXPROCS and every shard count (shard_test.go holds Layer against
+// LayerRunner.Layer on a plain State).
 
 // shardGroup runs one operation concurrently across the shard workers.
 // Worker w (1..k−1) is a long-lived goroutine; rank 0 is the calling
@@ -96,7 +101,7 @@ func (g *shardGroup) close() {
 // ShardedState is an n-qubit register split into 2^shardBits shards,
 // initialized to |0…0⟩. It is not safe for concurrent use. Call Close
 // when done to release the shard workers promptly; a finalizer backs
-// it up for dropped states.
+// it up for dropped states that have any.
 type ShardedState struct {
 	n     int // total qubits
 	sbits int // qubits per shard
@@ -139,7 +144,7 @@ type ShardedState struct {
 // chunk each (2^(n−shardBits) ≥ ChunkLen(2^n)) so the global chunk
 // layout — and with it every reduction's merge order and every
 // streaming kernel's chunk decomposition — survives sharding intact.
-// shardBits 0 is valid: one shard, no workers, flat semantics.
+// shardBits 0 is valid: one shard, no workers — the flat engine.
 func NewShardedState(n, shardBits int) *ShardedState {
 	if n < 1 || n > MaxQubits {
 		panic(fmt.Sprintf("quantum: qubit count %d out of [1,%d]", n, MaxQubits))
@@ -172,7 +177,9 @@ func NewShardedState(n, shardBits int) *ShardedState {
 		limit = sbits - 1 // the straddle pair (sbits−1, sbits) belongs to the exchange
 	}
 	for i := 0; i < k; i++ {
-		sh := &State{n: sbits, amps: make([]complex128, sdim), serial: true}
+		// The owning worker is a shard's parallelism; a lone shard has none
+		// and rides the chunk pool like any State.
+		sh := &State{n: sbits, amps: make([]complex128, sdim), serial: shardBits > 0}
 		ampBytes.Add(int64(16 * sdim))
 		r := NewLayerRunner(sh)
 		r.amp = ss.amp // uniform amplitude of the GLOBAL register
@@ -214,13 +221,18 @@ func NewShardedState(n, shardBits int) *ShardedState {
 	}
 
 	ss.grp = newShardGroup(k - 1)
-	runtime.SetFinalizer(ss, (*ShardedState).Close)
+	if k > 1 {
+		// Only helper goroutines need one; on a lone shard it would keep
+		// the amplitudes of a dropped state alive for an extra GC cycle.
+		runtime.SetFinalizer(ss, (*ShardedState).Close)
+	}
 	return ss
 }
 
 // Close stops the shard workers. The state must not be used afterwards.
 // Close is idempotent and runs automatically (via finalizer) when a
-// state is garbage collected, so dropped states never leak goroutines.
+// state with workers is garbage collected, so dropped states never leak
+// goroutines.
 func (ss *ShardedState) Close() {
 	if ss.grp != nil {
 		ss.grp.close()
@@ -252,7 +264,8 @@ func (ss *ShardedState) NumShards() int { return len(ss.shards) }
 func (ss *ShardedState) ShardDim() int { return ss.sdim }
 
 // Shard returns shard i: the 2^(n−shardBits)-qubit-dimension slice of
-// amplitudes whose global index has high bits i. The returned State is
+// amplitudes whose global index has high bits i — the whole register
+// when there is one shard. With more, the returned State is
 // serial-pinned; reading it is always safe between operations.
 func (ss *ShardedState) Shard(i int) *State { return ss.shards[i] }
 
@@ -262,9 +275,15 @@ func (ss *ShardedState) Amplitude(index uint64) complex128 {
 }
 
 // FillUniform overwrites the state with the uniform superposition, each
-// worker filling its own shard.
+// worker filling its own shard (a lone shard fills itself, on the chunk
+// pool from ParallelDim).
 func (ss *ShardedState) FillUniform() {
-	ss.group().run(ss.opFill)
+	g := ss.group()
+	if len(ss.shards) == 1 {
+		ss.shards[0].FillUniform()
+		return
+	}
+	g.run(ss.opFill)
 }
 
 func (ss *ShardedState) group() *shardGroup {
@@ -276,22 +295,22 @@ func (ss *ShardedState) group() *shardGroup {
 
 // Layer applies one fused QAOA stage — optional uniform refill, the
 // caller's phase separator, RX(theta) on every qubit — with amplitudes
-// bit-identical to LayerRunner.Layer on the flat state. The phase
+// bit-identical to LayerRunner.Layer on a plain State. The phase
 // callback receives the shard's global base offset plus shard-LOCAL
 // chunk bounds (off+lo … off+hi is the global range), over the global
 // fixed chunk geometry; nil skips the phase. Everything below the
 // shard-index qubits runs in-shard on the owning workers; the top
 // qubits run as cross-shard exchange passes.
 func (ss *ShardedState) Layer(theta float64, fill bool, phase func(off, lo, hi int)) {
-	ss.rx = newRXCoef(theta)
 	ss.theta, ss.fill, ss.phaseFn = theta, fill, phase
 
 	g := ss.group()
 	g.run(ss.opLayer) // fill + phase + all RX pairs below the exchange qubits
 	ss.phaseFn = nil
 	if len(ss.shards) == 1 {
-		return
+		return // the shard's runner swept every qubit
 	}
+	ss.rx = newRXCoef(theta)
 
 	// Exchange passes, ascending qubit order: the straddle pair when the
 	// shard width is odd, then one 4-shard pass per shard-index pair,
@@ -333,8 +352,8 @@ func (ss *ShardedState) pairBody(w int) {
 // qubits (sbits+exB0, sbits+exB1) combines equal local indices of the
 // four shards whose indices differ in bits exB0/exB1. Each of the
 // quad's four workers takes one quarter of the local index range —
-// disjoint writes, fixed schedule, the same rxQuad kernel the flat path
-// runs.
+// disjoint writes, fixed schedule, the same rxQuad kernel an in-shard
+// pair runs.
 func (ss *ShardedState) quadBody(w int) {
 	b0 := 1 << uint(ss.exB0)
 	b1 := 1 << uint(ss.exB1)
@@ -397,12 +416,17 @@ func (ss *ShardedState) mirrorBody(w int) {
 // Reduce evaluates body over every fixed-geometry chunk of the GLOBAL
 // index range [0, 2^n) — each chunk executed by the worker owning its
 // shard — and combines the per-chunk partials left-to-right in global
-// chunk order: the exact merge ReduceChunks performs on a flat state,
-// so sharded reductions are bit-identical to flat ones. body receives
-// global [lo, hi) bounds; use ShardDim to map into shard-local ranges.
+// chunk order: the exact merge of ReduceChunks, which is what a lone
+// shard runs, so reductions are bit-identical at every shard count.
+// body receives global [lo, hi) bounds; use ShardDim to map into
+// shard-local ranges.
 func (ss *ShardedState) Reduce(body func(lo, hi int) (a, b float64)) (a, b float64) {
+	g := ss.group()
+	if len(ss.shards) == 1 {
+		return ReduceChunks(ss.sdim, body)
+	}
 	ss.redBody = body
-	ss.group().run(ss.opReduce)
+	g.run(ss.opReduce)
 	ss.redBody = nil
 	nc := ss.Dim() / ss.clen
 	for c := 0; c < nc; c++ {

@@ -145,13 +145,14 @@ func TestShardedSumXMatchesFlat(t *testing.T) {
 			sss := shardedFromState(t, fs, sb)
 			sst := shardedFromState(t, ft, sb)
 			// The gradient reads Im⟨s|ΣX|t⟩ inside the two-state mixer
-			// sweep: flat and sharded sweeps must agree bit for bit, and
-			// with the public complex form to rounding.
+			// sweep: every shard count must agree with one shard bit for
+			// bit, and with the public complex form to rounding.
 			full := fs.InnerProductSumX(ft)
-			fi := NewReverseMixer(ft, fs, false).Sweep(0.6)
+			m, _, _ := oneShardMixer(ft, fs, false)
+			fi := m.Sweep(0.6)
 			si := NewShardedReverseMixer(sst, sss).Sweep(0.6)
 			if si != fi || math.Abs(fi-imag(full)) > 1e-12 {
-				t.Fatalf("shards=%d: Im ΣX sharded %v, flat %v, InnerProductSumX %v", 1<<sb, si, fi, imag(full))
+				t.Fatalf("shards=%d: Im ΣX sharded %v, one shard %v, InnerProductSumX %v", 1<<sb, si, fi, imag(full))
 			}
 			return [3]float64{real(full), imag(full), fi}
 		}, func(t *testing.T, baseline, got any, w int) {
@@ -160,6 +161,109 @@ func TestShardedSumXMatchesFlat(t *testing.T) {
 			}
 		})
 	}
+}
+
+// One shard is the register of every workspace below qaoa.ShardThreshold,
+// so it has to be the flat engine and cost what a State costs: Layer,
+// Reduce, FillUniform and the reverse sweep == LayerRunner, ReduceChunks
+// and State.FillUniform on a plain State, and == themselves at every
+// worker count (n = 17 runs on the chunk pool); no goroutine and no
+// finalizer — a state dropped un-Closed is gone after one GC — and
+// nothing allocated once warm.
+func TestOneShardStateIsTheFlatEngine(t *testing.T) {
+	const n = 17
+	reduceBody := func(amps []complex128) func(lo, hi int) (a, b float64) {
+		return func(lo, hi int) (a, b float64) {
+			for i := lo; i < hi; i++ {
+				z := amps[i]
+				a += real(z)*real(z) + imag(z)*imag(z)
+				b += real(z) * float64(i%7)
+			}
+			return a, b
+		}
+	}
+	phaseBody := func(amps []complex128) func(lo, hi int) {
+		return func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				amps[i] *= testPhaseFactor(i)
+			}
+		}
+	}
+	type result struct {
+		phi, lam *State
+		red      [2]float64
+		sweep    float64
+	}
+	withWorkers(t, identityWorkers, func() any {
+		flat, flatLam := randomParallelState(n, 171), randomParallelState(n, 172)
+		before := runtime.NumGoroutine()
+		phi, lam := loadSharded(flat, 0), loadSharded(flatLam, 0)
+		if g := runtime.NumGoroutine(); g > before {
+			t.Fatalf("two one-shard states started %d goroutines", g-before)
+		}
+		ph := phaseBody(phi.Shard(0).amps)
+		phi.Layer(0.8134, false, func(off, lo, hi int) { ph(off+lo, off+hi) })
+		var res result
+		res.red[0], res.red[1] = phi.Reduce(reduceBody(phi.Shard(0).amps))
+		res.sweep = NewShardedReverseMixer(phi, lam).Sweep(-0.41)
+		res.phi, res.lam = phi.Shard(0), lam.Shard(0)
+
+		w := runtime.GOMAXPROCS(0)
+		r := NewLayerRunner(flat)
+		r.Layer(0.8134, false, phaseBody(flat.amps))
+		fa, fb := ReduceChunks(len(flat.amps), reduceBody(flat.amps))
+		if res.red != [2]float64{fa, fb} {
+			t.Fatalf("GOMAXPROCS=%d: Reduce %v != ReduceChunks (%v, %v)", w, res.red, fa, fb)
+		}
+		r.Layer(-0.41, false, nil)
+		NewLayerRunner(flatLam).Layer(-0.41, false, nil)
+		ampsEqualExact(t, "one-shard Layer + Sweep φ vs LayerRunner", flat, res.phi, w)
+		ampsEqualExact(t, "one-shard Sweep λ vs LayerRunner", flatLam, res.lam, w)
+
+		lam.FillUniform()
+		ampsEqualExact(t, "one-shard FillUniform", NewUniformState(n), lam.Shard(0), w)
+		return res
+	}, func(t *testing.T, baseline, got any, w int) {
+		b, g := baseline.(result), got.(result)
+		if b.red != g.red || b.sweep != g.sweep {
+			t.Fatalf("GOMAXPROCS=%d: Reduce %v, Sweep %v != %v, %v at 1", w, g.red, g.sweep, b.red, b.sweep)
+		}
+		ampsEqualExact(t, "one-shard φ across workers", b.phi, g.phi, w)
+	})
+
+	// Dropped without Close, the amplitudes go in the next collection. A
+	// finalizer on the state would carry them through it, and the one set
+	// here — finalizers run in dependency order — would wait a cycle.
+	collected := make(chan struct{})
+	func() {
+		ss := NewShardedState(n, 0)
+		runtime.SetFinalizer(&ss.shards[0].amps[0], func(*complex128) { close(collected) })
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a dropped one-shard state's amplitudes survived a GC: something still holds or finalizes it")
+	}
+
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	phi, lam := NewShardedState(n, 0), NewShardedState(n, 0)
+	lam.FillUniform()
+	m := NewShardedReverseMixer(phi, lam)
+	ph, red := phaseBody(phi.Shard(0).amps), reduceBody(phi.Shard(0).amps)
+	phase := func(off, lo, hi int) { ph(off+lo, off+hi) }
+	var sink float64
+	warm := func() {
+		phi.Layer(0.3, true, phase)
+		a, _ := phi.Reduce(red)
+		sink += a + m.Sweep(-0.3)
+	}
+	warm() // the pool's job freelist
+	if allocs := testing.AllocsPerRun(10, warm); allocs != 0 {
+		t.Fatalf("warm Layer + Reduce + Sweep on one shard allocate %v times per run", allocs)
+	}
+	_ = sink
 }
 
 func TestShardedFillUniformAndAccessors(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"math/rand"
 	"sync/atomic"
 )
 
@@ -231,33 +230,6 @@ func (s *State) checkRange(lo, length int) {
 	if lo < 0 || length < 0 || lo+length > len(s.amps) {
 		panic(fmt.Sprintf("quantum: range [%d,%d) out of dim %d", lo, lo+length, len(s.amps)))
 	}
-}
-
-// Sample draws one computational-basis measurement outcome.
-func (s *State) Sample(rng *rand.Rand) uint64 {
-	r := rng.Float64()
-	acc := 0.0
-	for i, a := range s.amps {
-		acc += real(a)*real(a) + imag(a)*imag(a)
-		if r < acc {
-			return uint64(i)
-		}
-	}
-	return uint64(len(s.amps) - 1) // roundoff: return last state
-}
-
-// SampleCounts draws shots measurements and returns outcome counts as a
-// map. It is a convenience wrapper over SampleOutcomes (sample.go),
-// which is the allocation-lean form; both consume the RNG identically
-// to the per-shot linear scan (one Float64 per shot, same outcome per
-// shot).
-func (s *State) SampleCounts(shots int, rng *rand.Rand) map[uint64]int {
-	pairs := s.SampleOutcomes(shots, rng)
-	counts := make(map[uint64]int, len(pairs))
-	for _, p := range pairs {
-		counts[p.Outcome] = p.Count
-	}
-	return counts
 }
 
 // --- single-qubit gates ---

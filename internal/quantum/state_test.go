@@ -205,16 +205,6 @@ func TestEqualUpToGlobalPhase(t *testing.T) {
 	}
 }
 
-func TestSampleDistribution(t *testing.T) {
-	s := NewState(1)
-	s.H(0)
-	rng := rand.New(rand.NewSource(7))
-	counts := s.SampleCounts(10000, rng)
-	if counts[0] < 4500 || counts[0] > 5500 {
-		t.Errorf("H|0> sampling biased: %v", counts)
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	s := NewState(1)
 	s.amps[0] = 3

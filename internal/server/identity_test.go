@@ -85,6 +85,10 @@ func rejectCases() []rejectCase {
 		{"zero-weight", naive(SolveRequest{Nodes: 4, Edges: ring, Weights: []float64{1, 0, 1, 1}}), true, "edge 1: graph: invalid edge weight 0 on (1,2)"},
 		{"nan-field", naive(SolveRequest{Problem: "qubo", Nodes: 3, Linear: []float64{math.NaN(), 0, 1},
 			Quad: []WireTerm{{I: 0, J: 1, W: 1}}}), false, "problem: non-finite linear term h[0] = NaN"},
+		// Each coefficient finite, their sum not: no worker could solve it.
+		{"maxcut-weights-overflow", naive(SolveRequest{Nodes: 4, Edges: ring, Weights: []float64{1e308, 1e308, 1e308, 1e308}}), true, "edge weights overflow: Σ|w| is not finite"},
+		{"qubo-coefficients-overflow", naive(SolveRequest{Problem: "qubo", Nodes: 3, Linear: []float64{1e308, 1e308, 0},
+			Quad: []WireTerm{{I: 0, J: 1, W: 1e308}}}), true, "problem: coefficients overflow: |offset| + Σ|h| + Σ|J| is not finite"},
 		{"nan-number", naive(SolveRequest{Problem: "partition", Numbers: []float64{1, math.NaN(), 3}}), false, "problem: invalid number[1] = NaN"},
 		{"literal-out-of-range", naive(SolveRequest{Problem: "maxksat", Vars: 3, Clauses: [][]int{{1, -2}, {2, 7}}}), true, "problem: clause 1 literal 7 out of range for 3 variables"},
 		{"ragged-covariance", naive(SolveRequest{Problem: "portfolio", Returns: []float64{0.1, 0.2, 0.3},

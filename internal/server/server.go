@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -428,6 +429,7 @@ func (s *Server) requestGraph(req *SolveRequest) (*graph.Graph, *httpError) {
 		return nil, badRequest("%d weights for %d edges", len(req.Weights), len(req.Edges))
 	}
 	g := graph.New(req.Nodes)
+	total := 0.0
 	for i, e := range req.Edges {
 		if e[0] < 0 || e[0] >= req.Nodes || e[1] < 0 || e[1] >= req.Nodes {
 			return nil, badRequest("edge %d (%d,%d) out of range for %d nodes", i, e[0], e[1], req.Nodes)
@@ -439,6 +441,12 @@ func (s *Server) requestGraph(req *SolveRequest) (*graph.Graph, *httpError) {
 		if err := g.AddWeightedEdge(e[0], e[1], w); err != nil {
 			return nil, badRequest("edge %d: %v", i, err)
 		}
+		total += math.Abs(w)
+	}
+	// MaxCut is not compiled until a worker solves it, and a cut is a
+	// sum of weights: each finite is not enough.
+	if math.IsInf(total, 0) {
+		return nil, badRequest("edge weights overflow: Σ|w| is not finite")
 	}
 	return g, nil
 }

@@ -8,9 +8,8 @@ package telemetry
 // GNorm and Step are per-algorithm convergence signals: the projected
 // gradient ∞-norm and line-search step for the gradient methods
 // (L-BFGS-B, SLSQP), the simplex function-value spread and diameter for
-// Nelder-Mead, the model spread and trust-region radius for COBYLA, and
-// the previous pseudo-gradient ∞-norm and gain a_k for SPSA. All values
-// are finite (never NaN/Inf) so events marshal to JSON.
+// Nelder-Mead, and the model spread and trust-region radius for COBYLA.
+// All values are finite (never NaN/Inf) so events marshal to JSON.
 type IterEvent struct {
 	Source string  `json:"source"` // optimizer name, e.g. "L-BFGS-B"
 	Iter   int     `json:"iter"`   // 0-based outer iteration
