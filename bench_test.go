@@ -15,7 +15,6 @@ import (
 	"qaoaml/internal/core"
 	"qaoaml/internal/experiments"
 	"qaoaml/internal/graph"
-	"qaoaml/internal/linalg"
 	"qaoaml/internal/ml"
 	"qaoaml/internal/optimize"
 	"qaoaml/internal/qaoa"
@@ -65,7 +64,7 @@ func BenchmarkDataGen(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Generate(cfg); err != nil {
+		if _, err := core.GenerateCtx(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -249,13 +248,16 @@ func BenchmarkTwoLevelVsNaive(b *testing.B) {
 	b.Run("naive", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(10))
 		for i := 0; i < b.N; i++ {
-			_ = core.NaiveRun(pb, 3, opt, rng)
+			if _, err := core.Solve(context.Background(), pb, core.Options{Depth: 3, Optimizer: opt, Rng: rng}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("twolevel", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(10))
 		for i := 0; i < b.N; i++ {
-			if _, err := core.TwoLevel(pb, 3, opt, env.Predictor, rng); err != nil {
+			o := core.Options{Strategy: core.StrategyTwoLevel, Depth: 3, Optimizer: opt, Rng: rng, Predictor: env.Predictor}
+			if _, err := core.Solve(context.Background(), pb, o); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -636,19 +638,4 @@ func BenchmarkShardedGradient(b *testing.B) {
 			_ = w.ValueGrad(x, grad)
 		}
 	})
-}
-
-// BenchmarkEigenSym measures the Jacobi eigensolver on an 8×8 graph
-// Laplacian (the spectral-utility hot path).
-func BenchmarkEigenSym(b *testing.B) {
-	rng := rand.New(rand.NewSource(17))
-	g := graph.ErdosRenyiConnected(8, 0.5, rng)
-	l := g.LaplacianMatrix()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := linalg.EigenSym(l); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -14,6 +14,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -76,7 +77,12 @@ func run(file string, depth int, optName string, starts int, seed int64, tol flo
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	rec := core.OptimizeDepth(pb, 0, depth, starts, opt, rng)
+	rec, err := core.Solve(context.Background(), pb, core.Options{
+		Strategy: core.StrategyMultiStart, Depth: depth, Optimizer: opt, Rng: rng, Starts: starts,
+	})
+	if err != nil {
+		return err
+	}
 	cut, assign := pb.BestSampled(rec.Params)
 
 	if quiet {
@@ -163,17 +169,18 @@ func parseEdgeList(r io.Reader) (*graph.Graph, error) {
 	return g, nil
 }
 
-// optimizerByName maps a CLI name to an optimizer at the given tolerance.
+// optimizerByName maps a CLI name (optimize.ByName's, or an alias) to
+// an optimizer at the given tolerance.
 func optimizerByName(name string, tol float64) (optimize.Optimizer, error) {
-	switch strings.ToLower(name) {
-	case "lbfgsb", "l-bfgs-b":
-		return &optimize.LBFGSB{Tol: tol}, nil
-	case "neldermead", "nelder-mead", "nm":
-		return &optimize.NelderMead{Tol: tol}, nil
-	case "slsqp":
-		return &optimize.SLSQP{Tol: tol}, nil
-	case "cobyla":
-		return &optimize.COBYLA{Tol: tol}, nil
+	key := strings.ToLower(name)
+	switch key {
+	case "l-bfgs-b":
+		key = "lbfgsb"
+	case "nelder-mead", "nm":
+		key = "neldermead"
+	}
+	if opt, ok := optimize.ByName(key, tol); ok {
+		return opt, nil
 	}
 	return nil, fmt.Errorf("unknown optimizer %q", name)
 }

@@ -265,7 +265,7 @@ func trainDefault(reg *server.Registry, cfg daemonConfig, logger *log.Logger) er
 	start := time.Now()
 	logger.Printf("training default model: %d graphs × depths 1..%d (seed %d)...",
 		cfg.trainGraphs, cfg.trainDepth, cfg.trainSeed)
-	data, err := core.Generate(core.DataGenConfig{
+	data, err := core.GenerateCtx(context.Background(), core.DataGenConfig{
 		NumGraphs: cfg.trainGraphs, Nodes: 8, EdgeProb: 0.5,
 		MaxDepth: cfg.trainDepth, Starts: 2, Tol: 1e-6,
 		Seed: cfg.trainSeed, Workers: cfg.srv.Workers,

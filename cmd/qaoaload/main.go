@@ -618,7 +618,7 @@ func trainedRegistry() (*server.Registry, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := core.Generate(core.DataGenConfig{
+	data, err := core.GenerateCtx(context.Background(), core.DataGenConfig{
 		NumGraphs: 8, Nodes: 8, EdgeProb: 0.5,
 		MaxDepth: 3, Starts: 2, Tol: 1e-6, Seed: 1,
 	})

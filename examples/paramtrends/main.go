@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -40,7 +41,12 @@ func main() {
 			// the optimizer stays in the regular (annealing-like) family.
 			seeds = append(seeds, qaoa.Interpolate(prev))
 		}
-		rec := core.OptimizeDepth(pb, 0, depth, 10, opt, rng, seeds...)
+		rec, err := core.Solve(context.Background(), pb, core.Options{
+			Strategy: core.StrategyMultiStart, Depth: depth, Optimizer: opt, Rng: rng, Starts: 10, Seeds: seeds,
+		})
+		if err != nil {
+			panic(err)
+		}
 		prev = rec.Params
 		fmt.Printf("%2d  %.4f  %-24s  %-24s\n",
 			depth, rec.AR, fmtAngles(rec.Params.Gamma), fmtAngles(rec.Params.Beta))

@@ -36,7 +36,9 @@ func main() {
 	const depth, starts = 3, 20
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	rng := rand.New(rand.NewSource(2))
-	rec, err := core.OptimizeDepthCtx(context.Background(), pb, 0, depth, starts, opt, rng, nil)
+	rec, err := core.Solve(context.Background(), pb, core.Options{
+		Strategy: core.StrategyMultiStart, Depth: depth, Optimizer: opt, Rng: rng, Starts: starts,
+	})
 	if err != nil {
 		panic(err)
 	}

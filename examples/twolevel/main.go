@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -34,7 +35,7 @@ func main() {
 	}
 	fmt.Printf("generating dataset (%d graphs, depths 1..%d, %d starts)...\n",
 		cfg.NumGraphs, cfg.MaxDepth, cfg.Starts)
-	data, err := core.Generate(cfg)
+	data, err := core.GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -53,19 +54,24 @@ func main() {
 	rng := rand.New(rand.NewSource(99))
 
 	fmt.Println("pt  naive FC  naive AR  two-level FC  two-level AR  FC reduction")
-	var last core.TwoLevelResult
+	var last core.Result
 	for pt := 2; pt <= cfg.MaxDepth; pt++ {
-		naive := core.NaiveRun(pb, pt, opt, rng)
-		two, err := core.TwoLevel(pb, pt, opt, pred, rng)
+		o := core.Options{Depth: pt, Optimizer: opt, Rng: rng, Predictor: pred}
+		naive, err := core.Solve(context.Background(), pb, o)
+		if err != nil {
+			panic(err)
+		}
+		o.Strategy = core.StrategyTwoLevel
+		two, err := core.Solve(context.Background(), pb, o)
 		if err != nil {
 			panic(err)
 		}
 		last = two
 		fmt.Printf("%2d  %8d  %8.4f  %12d  %12.4f  %11.1f%%\n",
-			pt, naive.NFev, naive.AR, two.TotalNFev, two.AR(),
-			100*(1-float64(two.TotalNFev)/float64(naive.NFev)))
+			pt, naive.NFev, naive.AR, two.NFev, two.AR,
+			100*(1-float64(two.NFev)/float64(naive.NFev)))
 	}
 
 	fmt.Printf("\n(two-level FC includes the depth-1 warm-up: last row = %d level-1 + %d level-2 calls)\n",
-		last.Level1.NFev, last.Level2.NFev)
+		last.Stages[0].NFev, last.Stages[1].NFev)
 }

@@ -20,7 +20,7 @@ import (
 // fingerprint (Ring), so repeat requests land on the worker whose
 // result cache owns the key; failures walk the ring's failover
 // sequence with exponential backoff; per-worker in-flight cost budgets
-// reuse the admission price (server.JobCost) so one worker is never
+// reuse the admission price (the cost a job carries) so one worker is never
 // loaded past what its own admission control would accept; and the
 // job's context threads through end-to-end — cancelling it aborts the
 // remote optimizer via DELETE /v1/jobs/{id}.
@@ -33,7 +33,7 @@ import (
 type DispatcherConfig struct {
 	// Workers is the fleet roster: base URLs like "http://127.0.0.1:8081".
 	Workers []string
-	// WorkerBudget caps the summed admission cost (server.JobCost) the
+	// WorkerBudget caps the summed admission cost (depth × 2^qubits) the
 	// coordinator keeps in flight per worker; 0 means no per-worker cap
 	// (the workers' own admission control still applies). Like local
 	// admission, an idle worker accepts one job of any cost.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,6 +11,16 @@ import (
 	"qaoaml/internal/qaoa"
 	"qaoaml/internal/stats"
 )
+
+// solve is Solve on a background context, failing the test on error.
+func solve(t testing.TB, pb *qaoa.Problem, o Options) Result {
+	t.Helper()
+	r, err := Solve(context.Background(), pb, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 // testData generates a small deterministic dataset shared by the tests.
 func testData(t testing.TB) *Data {
@@ -23,7 +34,7 @@ func testData(t testing.TB) *Data {
 		Tol:       1e-6,
 		Seed:      7,
 	}
-	data, err := Generate(cfg)
+	data, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +150,7 @@ func TestGenerateValidatesConfig(t *testing.T) {
 		{NumGraphs: 1, Nodes: 6, EdgeProb: 0.5, MaxDepth: 2, Starts: 0},
 	}
 	for i, cfg := range bad {
-		if _, err := Generate(cfg); err == nil {
+		if _, err := GenerateCtx(context.Background(), cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
@@ -221,7 +232,7 @@ func TestPredictorUnknownDepth(t *testing.T) {
 
 func TestPredictorRequiresDepth2(t *testing.T) {
 	cfg := DataGenConfig{NumGraphs: 2, Nodes: 4, EdgeProb: 0.9, MaxDepth: 1, Starts: 1, Seed: 1}
-	data, err := Generate(cfg)
+	data, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,9 +245,9 @@ func TestNaiveRun(t *testing.T) {
 	data := testData(t)
 	rng := rand.New(rand.NewSource(2))
 	opt := &optimize.LBFGSB{Tol: 1e-6}
-	r := NaiveRun(data.Problems[0], 2, opt, rng)
+	r := solve(t, data.Problems[0], Options{Depth: 2, Optimizer: opt, Rng: rng})
 	if r.NFev <= 0 || r.AR <= 0 || r.AR > 1+1e-9 {
-		t.Errorf("NaiveRun = %+v", r)
+		t.Errorf("naive Solve = %+v", r)
 	}
 	if r.Params.Depth() != 2 {
 		t.Errorf("depth = %d", r.Params.Depth())
@@ -253,23 +264,22 @@ func TestTwoLevelFlow(t *testing.T) {
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	rng := rand.New(rand.NewSource(3))
 	pb := data.Problems[test[0]]
-	res, err := TwoLevel(pb, 3, opt, pred, rng)
-	if err != nil {
-		t.Fatal(err)
+	o := Options{Strategy: StrategyTwoLevel, Depth: 3, Optimizer: opt, Predictor: pred, Rng: rng}
+	res := solve(t, pb, o)
+	if len(res.Stages) != 2 || res.NFev != res.Stages[0].NFev+res.Stages[1].NFev {
+		t.Fatalf("NFev %d over stages %+v", res.NFev, res.Stages)
 	}
-	if res.TotalNFev != res.Level1.NFev+res.Level2.NFev {
-		t.Error("TotalNFev mismatch")
-	}
-	if res.Level1.Params.Depth() != 1 || res.Level2.Params.Depth() != 3 {
+	if res.Stages[0].Params.Depth() != 1 || res.Stages[1].Params.Depth() != 3 || res.Params.Depth() != 3 {
 		t.Error("level depths wrong")
 	}
-	if res.AR() <= 0 || res.AR() > 1+1e-9 {
-		t.Errorf("AR = %v", res.AR())
+	if res.AR <= 0 || res.AR > 1+1e-9 || res.AR != res.Stages[1].AR {
+		t.Errorf("AR = %v", res.AR)
 	}
 	if err := res.Predicted.Validate(true); err != nil {
 		t.Errorf("predicted init out of domain: %v", err)
 	}
-	if _, err := TwoLevel(pb, 1, opt, pred, rng); err == nil {
+	o.Depth = 1
+	if _, err := Solve(context.Background(), pb, o); err == nil {
 		t.Error("target depth 1 accepted")
 	}
 }
@@ -292,15 +302,12 @@ func TestTwoLevelReducesFunctionCalls(t *testing.T) {
 		pb := data.Problems[g]
 		rng := rand.New(rand.NewSource(int64(100 + g)))
 		for rep := 0; rep < 3; rep++ {
-			nv := NaiveRun(pb, pt, opt, rng)
-			tl, err := TwoLevel(pb, pt, opt, pred, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
+			nv := solve(t, pb, Options{Depth: pt, Optimizer: opt, Rng: rng})
+			tl := solve(t, pb, Options{Strategy: StrategyTwoLevel, Depth: pt, Optimizer: opt, Predictor: pred, Rng: rng})
 			naiveFC += float64(nv.NFev)
-			twoFC += float64(tl.TotalNFev)
+			twoFC += float64(tl.NFev)
 			naiveAR += nv.AR
-			twoAR += tl.AR()
+			twoAR += tl.AR
 			runs++
 		}
 	}
@@ -332,27 +339,26 @@ func TestHierarchicalFlow(t *testing.T) {
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	rng := rand.New(rand.NewSource(5))
 	pb := data.Problems[test[0]]
-	res, err := Hierarchical(pb, 3, opt, pred, hpred, rng)
-	if err != nil {
-		t.Fatal(err)
+	o := Options{Strategy: StrategyHierarchical, Depth: 3, Optimizer: opt, Predictor: pred, HierPredictor: hpred, Rng: rng}
+	res := solve(t, pb, o)
+	if len(res.Stages) != 3 || res.NFev != res.Stages[0].NFev+res.Stages[1].NFev+res.Stages[2].NFev {
+		t.Fatalf("NFev %d over stages %+v", res.NFev, res.Stages)
 	}
-	if res.TotalNFev != res.Level1.NFev+res.Level2.NFev+res.Level3.NFev {
-		t.Error("TotalNFev mismatch")
+	if res.AR <= 0 || res.AR > 1+1e-9 {
+		t.Errorf("AR = %v", res.AR)
 	}
-	if res.AR() <= 0 || res.AR() > 1+1e-9 {
-		t.Errorf("AR = %v", res.AR())
+	if res.Stages[1].Params.Depth() != 2 || res.Params.Depth() != 3 {
+		t.Error("stage depths wrong")
 	}
-	if res.Level3.Params.Depth() != 3 {
-		t.Error("final depth wrong")
-	}
-	if _, err := Hierarchical(pb, 2, opt, pred, hpred, rng); err == nil {
+	o.Depth = 2
+	if _, err := Solve(context.Background(), pb, o); err == nil {
 		t.Error("hierarchical target depth 2 accepted")
 	}
 }
 
 func TestHierPredictorRequiresDepth3(t *testing.T) {
 	cfg := DataGenConfig{NumGraphs: 3, Nodes: 4, EdgeProb: 0.9, MaxDepth: 2, Starts: 1, Seed: 1}
-	data, err := Generate(cfg)
+	data, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,8 +446,14 @@ func TestOptimizeDepthSeedAccounting(t *testing.T) {
 
 	// Same RNG stream: with a seed leg, the first random start is
 	// replaced, so the run count is identical but the trajectories differ.
-	recPlain := OptimizeDepth(pb, 0, 2, 3, opt, rand.New(rand.NewSource(9)))
-	recSeeded := OptimizeDepth(pb, 0, 2, 3, opt, rand.New(rand.NewSource(9)), seed)
+	multi := func(starts int, rngSeed int64, seeds ...qaoa.Params) Result {
+		return solve(t, pb, Options{
+			Strategy: StrategyMultiStart, Depth: 2, Optimizer: opt, Starts: starts,
+			Rng: rand.New(rand.NewSource(rngSeed)), Seeds: seeds,
+		})
+	}
+	recPlain := multi(3, 9)
+	recSeeded := multi(3, 9, seed)
 	if recPlain.NFev <= 0 || recSeeded.NFev <= 0 {
 		t.Fatal("no evaluations")
 	}
@@ -453,8 +465,8 @@ func TestOptimizeDepthSeedAccounting(t *testing.T) {
 	}
 	// With starts=1 and a seed, the single leg is the seed itself:
 	// deterministic regardless of the RNG.
-	a := OptimizeDepth(pb, 0, 2, 1, opt, rand.New(rand.NewSource(1)), seed)
-	b := OptimizeDepth(pb, 0, 2, 1, opt, rand.New(rand.NewSource(2)), seed)
+	a := multi(1, 1, seed)
+	b := multi(1, 2, seed)
 	if a.NegF != b.NegF || a.NFev != b.NFev {
 		t.Error("seed-only run not deterministic across RNGs")
 	}
@@ -467,7 +479,10 @@ func TestOptimizeDepthClipsSeeds(t *testing.T) {
 	pb := data.Problems[1]
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	wild := qaoa.Params{Gamma: []float64{99, -7}, Beta: []float64{42, -1}}
-	rec := OptimizeDepth(pb, 1, 2, 2, opt, rand.New(rand.NewSource(3)), wild)
+	rec := solve(t, pb, Options{
+		Strategy: StrategyMultiStart, Depth: 2, Optimizer: opt, Starts: 2,
+		Rng: rand.New(rand.NewSource(3)), Seeds: []qaoa.Params{wild},
+	})
 	if err := rec.Params.Validate(true); err != nil {
 		t.Errorf("result out of domain: %v", err)
 	}

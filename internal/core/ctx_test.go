@@ -134,9 +134,9 @@ func TestNaiveRunCtxCancelled(t *testing.T) {
 	data := testData(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err := NaiveRunCtx(ctx, data.Problems[0], 2, &optimize.LBFGSB{}, rand.New(rand.NewSource(1)), nil)
+	r, err := Solve(ctx, data.Problems[0], Options{Depth: 2, Optimizer: &optimize.LBFGSB{}, Rng: rand.New(rand.NewSource(1))})
 	if err == nil {
-		t.Fatal("cancelled NaiveRunCtx returned nil error")
+		t.Fatal("cancelled naive Solve returned nil error")
 	}
 	if r.NFev > 1 {
 		t.Errorf("pre-cancelled run spent %d evaluations", r.NFev)
@@ -156,19 +156,17 @@ func TestTwoLevelCtxSpansAndCancellation(t *testing.T) {
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	pb := data.Problems[test[0]]
 
-	// Full run: all three flow spans recorded, result matches TwoLevel.
+	// Full run: all three flow spans recorded, and the recorder does not
+	// change the result.
 	mem := telemetry.NewMemory()
-	res, err := TwoLevelCtx(context.Background(), pb, 3, opt, pred, rand.New(rand.NewSource(3)), mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := TwoLevel(pb, 3, opt, pred, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalNFev != want.TotalNFev || res.AR() != want.AR() {
-		t.Errorf("TwoLevelCtx diverged from TwoLevel: %d/%v vs %d/%v",
-			res.TotalNFev, res.AR(), want.TotalNFev, want.AR())
+	o := Options{Strategy: StrategyTwoLevel, Depth: 3, Optimizer: opt, Predictor: pred}
+	o.Rng, o.Recorder = rand.New(rand.NewSource(3)), mem
+	res := solve(t, pb, o)
+	o.Rng, o.Recorder = rand.New(rand.NewSource(3)), nil
+	want := solve(t, pb, o)
+	if res.NFev != want.NFev || res.AR != want.AR {
+		t.Errorf("recorded two-level run diverged from the plain one: %d/%v vs %d/%v",
+			res.NFev, res.AR, want.NFev, want.AR)
 	}
 	snap := mem.Snapshot()
 	for _, span := range []string{"twolevel.level1", "twolevel.predict", "twolevel.level2"} {
@@ -181,11 +179,12 @@ func TestTwoLevelCtxSpansAndCancellation(t *testing.T) {
 	// partial result and a non-nil error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	partial, err := TwoLevelCtx(ctx, pb, 3, opt, pred, rand.New(rand.NewSource(3)), nil)
+	o.Rng = rand.New(rand.NewSource(3))
+	partial, err := Solve(ctx, pb, o)
 	if err == nil {
-		t.Fatal("cancelled TwoLevelCtx returned nil error")
+		t.Fatal("cancelled two-level Solve returned nil error")
 	}
-	if partial.TotalNFev > 1 || partial.Level2.NFev != 0 {
+	if partial.NFev > 1 || len(partial.Stages) != 1 {
 		t.Errorf("cancelled flow kept optimizing: %+v", partial)
 	}
 }

@@ -41,21 +41,6 @@ type DataGenConfig struct {
 	Recorder telemetry.Recorder
 }
 
-// DefaultDataGenConfig returns a medium-scale configuration: the
-// paper's recipe with a reduced graph count so it runs in seconds.
-// Set NumGraphs to 330 for the full paper scale.
-func DefaultDataGenConfig() DataGenConfig {
-	return DataGenConfig{
-		NumGraphs: 60,
-		Nodes:     8,
-		EdgeProb:  0.5,
-		MaxDepth:  6,
-		Starts:    20,
-		Tol:       1e-6,
-		Seed:      1,
-	}
-}
-
 func (c *DataGenConfig) fillDefaults() error {
 	if c.NumGraphs < 1 {
 		return fmt.Errorf("core: NumGraphs %d < 1", c.NumGraphs)
@@ -147,89 +132,23 @@ func ParamBounds(p int) *optimize.Bounds {
 	return optimize.NewBounds(lo, hi)
 }
 
-// OptimizeDepth finds the best depth-p parameters for a problem by
-// multistart local optimization and returns a Record. Any seed params
-// (e.g. the INTERP initialization from the previous depth) replace the
-// same number of random starts, so the total start count is unchanged.
-func OptimizeDepth(pb *qaoa.Problem, graphID, depth, starts int, opt optimize.Optimizer, rng *rand.Rand, seeds ...qaoa.Params) Record {
-	rec, _ := OptimizeDepthCtx(context.Background(), pb, graphID, depth, starts, opt, rng, nil, seeds...)
-	return rec
-}
-
-// OptimizeDepthCtx is OptimizeDepth with cancellation and telemetry:
-// each start runs through optimize.Run with ctx and rec, so deadlines
-// take effect within one optimizer step. On cancellation it returns the
-// best-of-completed-starts record (zero Record if no start finished)
-// together with ctx.Err(); the partially spent NFev is still counted.
-func OptimizeDepthCtx(ctx context.Context, pb *qaoa.Problem, graphID, depth, starts int, opt optimize.Optimizer, rng *rand.Rand, rec telemetry.Recorder, seeds ...qaoa.Params) (Record, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ev := qaoa.NewEvaluator(pb, depth)
-	bounds := ParamBounds(depth)
-	points := make([][]float64, 0, starts)
-	for _, s := range seeds {
-		if len(points) == starts-1 && starts > 1 {
-			break // always keep at least one random start
-		}
-		points = append(points, bounds.Clip(s.Vector()))
-	}
-	for len(points) < starts {
-		points = append(points, bounds.Random(rng))
-	}
-	// Gradient-based optimizers take the adjoint path (Grad), so a
-	// gradient costs one reverse sweep instead of 2n evaluations; the
-	// batch evaluator stays wired up for optimizers that still probe
-	// finite-difference stencils.
-	be := qaoa.NewBatchEvaluator(pb, depth, 0)
-	var best optimize.Result
-	completed, totalNFev := 0, 0
-	for _, x0 := range points {
-		r := optimize.Run(ctx, optimize.Problem{F: ev.NegExpectation, Batch: be.EvalBatch, Grad: ev.NegGrad, X0: x0, Bounds: bounds},
-			optimize.Options{Optimizer: opt, Recorder: rec})
-		totalNFev += r.NFev
-		if r.Status == optimize.Cancelled {
-			break
-		}
-		if completed == 0 || r.F < best.F {
-			best = r
-		}
-		completed++
-	}
-	if completed == 0 {
-		return Record{GraphID: graphID, Depth: depth, NFev: totalNFev}, ctx.Err()
-	}
-	// Canonicalize so that symmetric copies of the optimum (the QAOA
-	// landscape's β-period and conjugation symmetries) map to one
-	// representative; without this the ML targets are inconsistent
-	// across graphs and the parameter trends of Figs. 2-3 wash out.
-	params := pb.Canonicalize(qaoa.FromVector(best.X))
-	return Record{
-		GraphID: graphID,
-		Depth:   depth,
-		Params:  params,
-		NegF:    best.F,
-		AR:      pb.ApproximationRatio(params),
-		NFev:    totalNFev,
-		MeanFev: float64(totalNFev) / float64(starts),
-	}, ctx.Err()
-}
-
-// Generate produces the dataset: NumGraphs Erdős–Rényi graphs, each
-// optimized at depths 1..MaxDepth from Starts random initializations.
-// Graph sampling is deterministic in Seed; per-graph optimization runs
-// use independent seeded RNGs so results are reproducible regardless of
-// worker scheduling.
+// Generate is GenerateCtx on a background context.
+//
+// Deprecated: pinned by benchmark/ (ROADMAP item 1); call GenerateCtx.
 func Generate(cfg DataGenConfig) (*Data, error) {
 	return GenerateCtx(context.Background(), cfg)
 }
 
-// GenerateCtx is Generate with cancellation: the context is threaded
-// into every optimizer run, so a cancel or deadline takes effect within
-// one optimizer step. On cancellation it returns the partial dataset —
-// Records[g] holds the fully completed depths of graph g (possibly
-// empty) — together with ctx.Err(), so long sweeps can checkpoint what
-// they have. A nil error means the dataset is complete.
+// GenerateCtx produces the dataset: NumGraphs Erdős–Rényi graphs, each
+// optimized at depths 1..MaxDepth from Starts random initializations.
+// Graph sampling is deterministic in Seed; per-graph optimization runs
+// use independent seeded RNGs so results are reproducible regardless of
+// worker scheduling. The context is threaded into every optimizer run,
+// so a cancel or deadline takes effect within one optimizer step. On
+// cancellation it returns the partial dataset — Records[g] holds the
+// fully completed depths of graph g (possibly empty) — together with
+// ctx.Err(), so long sweeps can checkpoint what they have. A nil error
+// means the dataset is complete.
 func GenerateCtx(ctx context.Context, cfg DataGenConfig) (*Data, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -294,9 +213,16 @@ func GenerateCtx(ctx context.Context, cfg DataGenConfig) (*Data, error) {
 				if depth > 1 {
 					seeds = append(seeds, qaoa.Interpolate(recs[depth-2].Params))
 				}
-				rec, err := OptimizeDepthCtx(ctx, problems[g], g, depth, cfg.Starts, cfg.Optimizer, rng, cfg.Recorder, seeds...)
+				res, err := Solve(ctx, problems[g], Options{
+					Strategy: StrategyMultiStart, Depth: depth, Optimizer: cfg.Optimizer, Rng: rng,
+					Starts: cfg.Starts, Seeds: seeds, Recorder: cfg.Recorder,
+				})
 				if err != nil {
 					break // cancelled mid-depth: drop the partial record
+				}
+				rec := Record{
+					GraphID: g, Depth: depth, Params: res.Params, NegF: res.NegF, AR: res.AR,
+					NFev: res.NFev, MeanFev: float64(res.NFev) / float64(cfg.Starts),
 				}
 				recs = append(recs, rec)
 				cfg.Recorder.Count("datagen.records", 1)

@@ -52,9 +52,9 @@ func TestLevel1CountsEveryClosedFormCall(t *testing.T) {
 		if ev.ForwardPasses() != 0 {
 			t.Errorf("%s: level-1 run simulated the circuit %d times", name, ev.ForwardPasses())
 		}
-		flow := NaiveRun(pb, 1, opt, rand.New(rand.NewSource(5)))
+		flow := solve(t, pb, Options{Depth: 1, Optimizer: opt, Rng: rand.New(rand.NewSource(5))})
 		if flow.NFev != r.NFev {
-			t.Errorf("%s: NaiveRun at depth 1 reports NFev=%d, the same run by hand %d", name, flow.NFev, r.NFev)
+			t.Errorf("%s: naive Solve at depth 1 reports NFev=%d, the same run by hand %d", name, flow.NFev, r.NFev)
 		}
 		if want := pb.ApproximationRatio(flow.Params); flow.AR < want-1e-12 || flow.AR > want+1e-12 {
 			t.Errorf("%s: level-1 AR %v, state vector %v", name, flow.AR, want)
@@ -72,12 +72,15 @@ func TestTwoLevelTotalsForEveryOptimizer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, opt := range fourOptimizers() {
-		res, err := TwoLevel(data.Problems[test[1]], 2, opt, pred, rand.New(rand.NewSource(9)))
+		res, err := Solve(context.Background(), data.Problems[test[1]], Options{
+			Strategy: StrategyTwoLevel, Depth: 2, Optimizer: opt, Predictor: pred, Rng: rand.New(rand.NewSource(9)),
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if res.Level1.NFev < 2 || res.Level2.NFev < 1 || res.TotalNFev != res.Level1.NFev+res.Level2.NFev {
-			t.Errorf("%s: TotalNFev %d, levels %d + %d", name, res.TotalNFev, res.Level1.NFev, res.Level2.NFev)
+		level1, level2 := res.Stages[0], res.Stages[1]
+		if level1.NFev < 2 || level2.NFev < 1 || res.NFev != level1.NFev+level2.NFev {
+			t.Errorf("%s: NFev %d, levels %d + %d", name, res.NFev, level1.NFev, level2.NFev)
 		}
 	}
 }
@@ -101,15 +104,18 @@ func TestTwoLevelCancelledDuringLevel1(t *testing.T) {
 			cancel()
 		}
 	})
-	res, err := TwoLevelCtx(ctx, data.Problems[test[0]], 3, &optimize.LBFGSB{Tol: 1e-6}, pred, rand.New(rand.NewSource(3)), rec)
+	res, err := Solve(ctx, data.Problems[test[0]], Options{
+		Strategy: StrategyTwoLevel, Depth: 3, Optimizer: &optimize.LBFGSB{Tol: 1e-6}, Predictor: pred,
+		Rng: rand.New(rand.NewSource(3)), Recorder: rec,
+	})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if res.Level1.NFev < 2 || res.Level2.NFev != 0 || res.TotalNFev != res.Level1.NFev {
-		t.Errorf("cancelled mid-level-1: %+v", res)
+	if len(res.Stages) != 1 || res.Stages[0].NFev < 2 || res.NFev != res.Stages[0].NFev {
+		t.Fatalf("cancelled mid-level-1: %+v", res)
 	}
-	if res.Level1.Params.Depth() != 1 || res.Level1.Params.Validate(true) != nil || res.Level1.AR <= 0 {
-		t.Errorf("level-1 incumbent unusable: %+v", res.Level1)
+	if level1 := res.Stages[0]; level1.Params.Depth() != 1 || level1.Params.Validate(true) != nil || level1.AR <= 0 {
+		t.Errorf("level-1 incumbent unusable: %+v", level1)
 	}
 	snap := mem.Snapshot()
 	if snap.Spans["twolevel.level1"].Count != 1 || snap.Spans["twolevel.level2"].Count != 0 {

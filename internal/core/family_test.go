@@ -2,18 +2,15 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"qaoaml/internal/optimize"
 	"qaoaml/internal/problem"
-	"qaoaml/internal/qaoa"
 )
 
 // Datagen over non-MaxCut families: the ensemble generator must
-// produce optimizable instances, records must carry normalized ARs in
-// [0, 1], and the family-aware training set must assemble with the
-// 4-wide feature rows.
+// produce optimizable instances, and records must carry normalized ARs
+// in [0, 1].
 func TestGenerateFamilyEnsembles(t *testing.T) {
 	for _, fam := range []string{problem.FamilyQUBO, problem.FamilyPartition} {
 		cfg := DataGenConfig{
@@ -26,7 +23,7 @@ func TestGenerateFamilyEnsembles(t *testing.T) {
 			Family:    fam,
 			Optimizer: &optimize.LBFGSB{Tol: 1e-4, MaxIter: 40},
 		}
-		data, err := Generate(cfg)
+		data, err := GenerateCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", fam, err)
 		}
@@ -40,16 +37,6 @@ func TestGenerateFamilyEnsembles(t *testing.T) {
 				}
 			}
 		}
-		ds, err := FamilyTrainingSet(data, []int{0, 1, 2}, 2)
-		if err != nil {
-			t.Fatalf("%s: training set: %v", fam, err)
-		}
-		if len(ds.X) != 3 || len(ds.X[0]) != 4 {
-			t.Fatalf("%s: training set shape %dx%d, want 3x4", fam, len(ds.X), len(ds.X[0]))
-		}
-		if code := ds.X[0][3]; code != FamilyCode(fam) {
-			t.Errorf("%s: family code column %v != %v", fam, code, FamilyCode(fam))
-		}
 	}
 }
 
@@ -62,11 +49,11 @@ func TestGenerateFamilyDeterministic(t *testing.T) {
 		Family:    problem.FamilyQUBO,
 		Optimizer: &optimize.LBFGSB{Tol: 1e-4, MaxIter: 20},
 	}
-	a, err := Generate(cfg)
+	a, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(cfg)
+	b, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,32 +65,5 @@ func TestGenerateFamilyDeterministic(t *testing.T) {
 		if a.Record(g, 1).NegF != b.Record(g, 1).NegF {
 			t.Errorf("instance %d optimum differs across identical configs", g)
 		}
-	}
-}
-
-// The spec entry points must be bit-identical to the direct problem
-// variants for MaxCut (same construction path inside qaoa.New).
-func TestSpecEntryPointsMatchDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	spec, err := problem.RandomSpec(problem.FamilyMaxCut, 6, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := &optimize.LBFGSB{Tol: 1e-6}
-	pb, err := qaoa.New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := NaiveRunCtx(context.Background(), pb, 2, opt, rand.New(rand.NewSource(3)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSpec, err := NaiveRunSpec(context.Background(), spec, 2, opt, rand.New(rand.NewSource(3)), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.AR != viaSpec.AR || direct.NFev != viaSpec.NFev {
-		t.Errorf("spec entry point diverges: AR %v vs %v, NFev %d vs %d",
-			viaSpec.AR, direct.AR, viaSpec.NFev, direct.NFev)
 	}
 }

@@ -2,16 +2,15 @@
 // parameter initialization. It generates the optimal-parameter dataset
 // (Sec. III-A), extracts the three-feature representation
 // (γ1OPT(p=1), β1OPT(p=1), target depth pt — Sec. II-D), trains the
-// per-depth regression banks (Sec. III-C), and runs the two-level
-// optimization flow of Fig. 4 plus the hierarchical variant sketched in
-// Sec. I(d).
+// per-depth regression banks (Sec. III-C), and runs every optimization
+// flow — naive, multistart, the two-level flow of Fig. 4 and the
+// hierarchical variant sketched in Sec. I(d) — through one entry point,
+// Solve.
 package core
 
 import (
 	"fmt"
 
-	"qaoaml/internal/ml"
-	"qaoaml/internal/problem"
 	"qaoaml/internal/qaoa"
 )
 
@@ -38,59 +37,6 @@ func FeaturesFromParams(p1 qaoa.Params, targetDepth int) Features {
 		panic(fmt.Sprintf("core: target depth %d < 2", targetDepth))
 	}
 	return Features{Gamma1: p1.Gamma[0], Beta1: p1.Beta[0], TargetDepth: targetDepth}
-}
-
-// FamilyCode returns a stable numeric encoding of a problem family for
-// regression inputs: the family's index in problem.Families(), or −1
-// for an unknown name. The ordering is part of the trained-model
-// contract — Families() is append-only.
-func FamilyCode(family string) float64 {
-	for i, f := range problem.Families() {
-		if f == family {
-			return float64(i)
-		}
-	}
-	return -1
-}
-
-// FamilyFeatures is the cross-family predictor input: the two-level
-// features plus the problem family, for regression banks trained on
-// mixed-family datasets where the optimal-angle trends differ per
-// Hamiltonian class.
-type FamilyFeatures struct {
-	Family string
-	Features
-}
-
-// Vector flattens the family-aware features (4 values).
-func (f FamilyFeatures) Vector() []float64 {
-	return append(f.Features.Vector(), FamilyCode(f.Family))
-}
-
-// FamilyTrainingSet builds the ml dataset for one target depth from a
-// generated Data, with family-aware feature rows: each training
-// instance contributes (γ1OPT(p=1), β1OPT(p=1), pt, family code) →
-// target-depth parameter vector. Datasets from several families can be
-// concatenated row-wise before fitting, which is the point of the
-// family column.
-func FamilyTrainingSet(data *Data, ids []int, targetDepth int) (*ml.Dataset, error) {
-	if targetDepth < 2 || targetDepth > data.Config.MaxDepth {
-		return nil, fmt.Errorf("core: target depth %d out of [2, %d]", targetDepth, data.Config.MaxDepth)
-	}
-	fam := data.Config.Family
-	if fam == "" { // pre-family datasets are MaxCut by construction
-		fam = problem.FamilyMaxCut
-	}
-	ds := &ml.Dataset{}
-	for _, g := range ids {
-		p1 := data.Record(g, 1).Params
-		f := FamilyFeatures{Family: fam, Features: FeaturesFromParams(p1, targetDepth)}
-		ds.Append(f.Vector(), data.Record(g, targetDepth).Params.Vector())
-	}
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	return ds, nil
 }
 
 // HierFeatures is the hierarchical predictor input: the depth-1 and

@@ -95,6 +95,9 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 		if bank.Outputs() != 2*depth {
 			return nil, fmt.Errorf("core: depth-%d bank has %d outputs, want %d", depth, bank.Outputs(), 2*depth)
 		}
+		if want := len(Features{}.Vector()); bank.Inputs() != want {
+			return nil, fmt.Errorf("core: depth-%d bank takes %d features, want %d", depth, bank.Inputs(), want)
+		}
 		p.setBank(depth, bank)
 	}
 	return p, nil

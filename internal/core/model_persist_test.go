@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ var persistEnv struct {
 func trainedPredictor(t *testing.T) (*Data, *Predictor) {
 	t.Helper()
 	persistEnv.once.Do(func() {
-		data, err := Generate(DataGenConfig{
+		data, err := GenerateCtx(context.Background(), DataGenConfig{
 			NumGraphs: 8, Nodes: 6, EdgeProb: 0.5,
 			MaxDepth: 3, Starts: 2, Tol: 1e-6, Seed: 11,
 		})
@@ -97,15 +98,35 @@ func TestPredictorSaveUntrained(t *testing.T) {
 	}
 }
 
+// bankOf repeats one model state as a depth-2 bank (4 outputs).
+func bankOf(family, model string) string {
+	return `{"version":1,"family":"` + family + `","banks":{"2":{"models":[` +
+		strings.TrimSuffix(strings.Repeat(model+",", 4), ",") + `]}}}`
+}
+
+// malformedPredictors are files LoadPredictor must refuse. The last
+// four used to load: the cyclic tree then never returned from Predict
+// (a qaoad worker holding its admission cost forever), the others
+// panicked in it, and nothing in the server recovers. They double as
+// fuzz seeds.
+var malformedPredictors = map[string]string{
+	"bad version":   `{"version":9,"family":"GPR","banks":{}}`,
+	"no banks":      `{"version":1,"family":"GPR","banks":{}}`,
+	"bad family":    `{"version":1,"family":"NOPE","banks":{"2":{"models":[]}}}`,
+	"forest family": `{"version":1,"family":"FOREST","banks":{"2":{"models":[]}}}`,
+	"bad depth key": `{"version":1,"family":"LM","banks":{"x":{"models":[]}}}`,
+	"garbage":       `{{`,
+	"tree children point at each other": bankOf("RTREE", `{"kind":"RTREE","tree":{"dim":3,"nodes":[`+
+		`{"f":0,"t":0,"v":0,"l":1,"r":1},{"f":0,"t":0,"v":0,"l":0,"r":0}]}}`),
+	"tree splits past its width": bankOf("RTREE", `{"kind":"RTREE","tree":{"dim":3,"nodes":[`+
+		`{"f":7,"t":0,"v":0,"l":1,"r":2},{"f":0,"t":0,"v":1,"l":-1,"r":-1},{"f":0,"t":0,"v":2,"l":-1,"r":-1}]}}`),
+	"linear bank of five features": bankOf("LM", `{"kind":"LM","linear":{"coef":[1,2,3,4,5],"intercept":0}}`),
+	"kernel points narrower than the scaler": bankOf("RSVM", `{"kind":"RSVM","svr":{"length_scale":1,`+
+		`"x_train":[[1,2]],"beta":[1],"x_scale":{"mean":[0,0,0],"std":[1,1,1]},"y_mean":0,"y_std":1}}`),
+}
+
 func TestLoadPredictorRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"bad version":   `{"version":9,"family":"GPR","banks":{}}`,
-		"no banks":      `{"version":1,"family":"GPR","banks":{}}`,
-		"bad family":    `{"version":1,"family":"NOPE","banks":{"2":{"models":[]}}}`,
-		"bad depth key": `{"version":1,"family":"LM","banks":{"x":{"models":[]}}}`,
-		"garbage":       `{{`,
-	}
-	for name, blob := range cases {
+	for name, blob := range malformedPredictors {
 		if _, err := LoadPredictor(strings.NewReader(blob)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}

@@ -104,11 +104,9 @@ const (
 
 // Save serializes the dataset as JSON. MaxCut datasets keep writing
 // schema v1 byte-identically (edge lists); every other family writes
-// v2 with the full per-instance spec.
+// v2: the same config and record layout, with the full per-instance
+// spec in place of the edge list.
 func (d *Data) Save(w io.Writer) error {
-	if d.Config.Family != "" && d.Config.Family != problem.FamilyMaxCut {
-		return d.saveV2(w)
-	}
 	df := dataFile{
 		Version: dataFileVersion,
 		Config: configFile{
@@ -121,14 +119,25 @@ func (d *Data) Save(w io.Writer) error {
 			Seed:      d.Config.Seed,
 			Family:    d.Config.Family,
 		},
-		Nodes: d.Config.Nodes,
 	}
-	for _, pb := range d.Problems {
-		var edges [][2]int
-		for _, e := range pb.Graph.Edges() {
-			edges = append(edges, [2]int{e.U, e.V})
+	if d.Config.Family != "" && d.Config.Family != problem.FamilyMaxCut {
+		df.Version = dataFileVersionV2
+		for i, pb := range d.Problems {
+			sf, err := encodeSpec(pb.Spec)
+			if err != nil {
+				return fmt.Errorf("core: instance %d: %w", i, err)
+			}
+			df.Specs = append(df.Specs, sf)
 		}
-		df.Graphs = append(df.Graphs, edges)
+	} else {
+		df.Nodes = d.Config.Nodes
+		for _, pb := range d.Problems {
+			var edges [][2]int
+			for _, e := range pb.Graph.Edges() {
+				edges = append(edges, [2]int{e.U, e.V})
+			}
+			df.Graphs = append(df.Graphs, edges)
+		}
 	}
 	for _, recs := range d.Records {
 		var rf []recordFile
@@ -141,51 +150,7 @@ func (d *Data) Save(w io.Writer) error {
 		}
 		df.Records = append(df.Records, rf)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(df)
-}
-
-// saveV2 serializes a non-MaxCut dataset: the same config and record
-// layout as v1, with full problem specs in place of edge lists.
-func (d *Data) saveV2(w io.Writer) error {
-	df := dataFile{
-		Version: dataFileVersionV2,
-		Config: configFile{
-			NumGraphs: d.Config.NumGraphs,
-			Nodes:     d.Config.Nodes,
-			EdgeProb:  d.Config.EdgeProb,
-			MaxDepth:  d.Config.MaxDepth,
-			Starts:    d.Config.Starts,
-			Tol:       d.Config.Tol,
-			Seed:      d.Config.Seed,
-			Family:    d.Config.Family,
-		},
-	}
-	for i, pb := range d.Problems {
-		sf, err := encodeSpec(pb.Spec)
-		if err != nil {
-			return fmt.Errorf("core: instance %d: %w", i, err)
-		}
-		df.Specs = append(df.Specs, sf)
-	}
-	df.Records = encodeRecords(d.Records)
 	return json.NewEncoder(w).Encode(df)
-}
-
-func encodeRecords(records [][]Record) [][]recordFile {
-	var out [][]recordFile
-	for _, recs := range records {
-		var rf []recordFile
-		for _, r := range recs {
-			rf = append(rf, recordFile{
-				GraphID: r.GraphID, Depth: r.Depth,
-				Gamma: r.Params.Gamma, Beta: r.Params.Beta,
-				NegF: r.NegF, AR: r.AR, NFev: r.NFev, MeanFev: r.MeanFev,
-			})
-		}
-		out = append(out, rf)
-	}
-	return out
 }
 
 // encodeSpec lowers one problem.Spec to the tagged v2 union.
@@ -248,26 +213,50 @@ func encodeSpec(s problem.Spec) (specFile, error) {
 	return sf, nil
 }
 
+// decodeGraph rebuilds a graph from a file's edge list (weights nil =
+// unweighted). The file comes from outside the program, and graph.New
+// and AddWeightedEdge panic on a negative size or an endpoint out of
+// range, so both are checked here; the size cap is qaoa.New's own,
+// applied before anything is allocated for it.
+func decodeGraph(nodes int, edges [][2]int, weights []float64) (*graph.Graph, error) {
+	if nodes < 2 || nodes > problem.BruteForceMaxQubits {
+		return nil, fmt.Errorf("%d nodes out of [2, %d]", nodes, problem.BruteForceMaxQubits)
+	}
+	if weights != nil && len(weights) != len(edges) {
+		return nil, fmt.Errorf("%d weights for %d edges", len(weights), len(edges))
+	}
+	g := graph.New(nodes)
+	for ei, e := range edges {
+		if e[0] < 0 || e[0] >= nodes || e[1] < 0 || e[1] >= nodes {
+			return nil, fmt.Errorf("edge (%d,%d) out of range for %d nodes", e[0], e[1], nodes)
+		}
+		w := 1.0
+		if weights != nil {
+			w = weights[ei]
+		}
+		if err := g.AddWeightedEdge(e[0], e[1], w); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
 // decodeSpec rebuilds the problem.Spec a v2 file carries.
 func decodeSpec(sf specFile) (problem.Spec, error) {
 	var zero problem.Spec
 	switch sf.Family {
 	case problem.FamilyMaxCut, problem.FamilyColoring:
-		g := graph.New(sf.Nodes)
-		for ei, e := range sf.Edges {
-			w := 1.0
-			if sf.Weights != nil {
-				if ei >= len(sf.Weights) {
-					return zero, fmt.Errorf("%d weights for %d edges", len(sf.Weights), len(sf.Edges))
-				}
-				w = sf.Weights[ei]
-			}
-			if err := g.AddWeightedEdge(e[0], e[1], w); err != nil {
-				return zero, err
-			}
+		g, err := decodeGraph(sf.Nodes, sf.Edges, sf.Weights)
+		if err != nil {
+			return zero, err
 		}
 		if sf.Family == problem.FamilyMaxCut {
 			return problem.MaxCut(g), nil
+		}
+		// The one-hot register is nodes·colors wide and compiling it builds
+		// nodes·colors²/2 couplings, so the width is capped before that.
+		if sf.Colors < 2 || sf.Colors > problem.BruteForceMaxQubits/sf.Nodes {
+			return zero, fmt.Errorf("%d nodes × %d colors out of [2 colors, %d qubits]", sf.Nodes, sf.Colors, problem.BruteForceMaxQubits)
 		}
 		s := problem.Coloring(g, sf.Colors)
 		s.PenaltyA = sf.PenaltyA
@@ -355,11 +344,9 @@ func Load(r io.Reader) (*Data, error) {
 			return nil, fmt.Errorf("core: dataset has %d graphs but %d record rows", len(df.Graphs), len(df.Records))
 		}
 		for gi, edges := range df.Graphs {
-			g := graph.New(df.Nodes)
-			for _, e := range edges {
-				if err := g.AddEdge(e[0], e[1]); err != nil {
-					return nil, fmt.Errorf("core: dataset graph %d: %w", gi, err)
-				}
+			g, err := decodeGraph(df.Nodes, edges, nil)
+			if err != nil {
+				return nil, fmt.Errorf("core: dataset graph %d: %w", gi, err)
 			}
 			pb, err := qaoa.NewProblem(g)
 			if err != nil {

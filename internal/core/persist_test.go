@@ -91,3 +91,32 @@ func TestLoadFileMissing(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// malformedDatasets are files Load must refuse. All but "one node" and
+// "short weights" used to crash their reader: Load handed sizes and
+// endpoints straight to graph.New / AddWeightedEdge, which panic, and
+// allocated for a huge register before qaoa.New could refuse it. They
+// double as fuzz seeds.
+var malformedDatasets = map[string]string{
+	"v1 endpoint out of range": `{"version":1,"config":{"max_depth":1},"nodes":2,"graphs":[[[0,5]]],"records":[[]]}`,
+	"v1 negative endpoint":     `{"version":1,"config":{"max_depth":1},"nodes":2,"graphs":[[[-1,1]]],"records":[[]]}`,
+	"v1 negative nodes":        `{"version":1,"config":{"max_depth":1},"nodes":-1,"graphs":[[[0,5]]],"records":[[]]}`,
+	"v1 one node":              `{"version":1,"config":{"max_depth":1},"nodes":1,"graphs":[[]],"records":[[]]}`,
+	"v1 huge nodes":            `{"version":1,"config":{"max_depth":1},"nodes":1000000000,"graphs":[[[0,1]]],"records":[[]]}`,
+	"v2 endpoint out of range": `{"version":2,"config":{"max_depth":1},"specs":[{"family":"maxcut","nodes":2,"edges":[[0,7]]}],"records":[[]]}`,
+	"v2 coloring negative":     `{"version":2,"config":{"max_depth":1},"specs":[{"family":"coloring","nodes":-3,"edges":[[0,1]],"colors":2}],"records":[[]]}`,
+	"v2 coloring huge colors":  `{"version":2,"config":{"max_depth":1},"specs":[{"family":"coloring","nodes":4,"edges":[[0,1]],"colors":100000}],"records":[[]]}`,
+	"v2 maxksat huge vars":     `{"version":2,"config":{"max_depth":1},"specs":[{"family":"maxksat","vars":1000000000,"clauses":[[1,2]]}],"records":[[]]}`,
+	"v2 short weights":         `{"version":2,"config":{"max_depth":1},"specs":[{"family":"maxcut","nodes":3,"edges":[[0,1],[1,2]],"weights":[2]}],"records":[[]]}`,
+}
+
+func TestLoadRejectsMalformedGraphs(t *testing.T) {
+	for name, blob := range malformedDatasets {
+		_, err := Load(strings.NewReader(blob))
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if !strings.HasPrefix(err.Error(), "core: dataset ") {
+			t.Errorf("%s: error %q does not name the dataset entry", name, err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -18,7 +19,7 @@ func TestSaveLoadV2AllFamilies(t *testing.T) {
 			continue // v1 path, covered by TestSaveLoadRoundTrip
 		}
 		t.Run(family, func(t *testing.T) {
-			data, err := Generate(DataGenConfig{
+			data, err := GenerateCtx(context.Background(), DataGenConfig{
 				NumGraphs: 3, Nodes: 6, EdgeProb: 0.5,
 				MaxDepth: 2, Starts: 1, Tol: 1e-6, Seed: 11,
 				Family: family,
@@ -77,7 +78,7 @@ func TestSaveLoadV2AllFamilies(t *testing.T) {
 // MaxCut datasets must keep writing schema v1 — the byte format every
 // existing dataset file uses — with no v2 fields leaking in.
 func TestSaveMaxCutStaysV1(t *testing.T) {
-	data, err := Generate(DataGenConfig{
+	data, err := GenerateCtx(context.Background(), DataGenConfig{
 		NumGraphs: 2, Nodes: 6, EdgeProb: 0.5,
 		MaxDepth: 2, Starts: 1, Tol: 1e-6, Seed: 3,
 	})

@@ -14,6 +14,7 @@ import (
 	"qaoaml/internal/core"
 	"qaoaml/internal/ml"
 	"qaoaml/internal/optimize"
+	"qaoaml/internal/qaoa"
 	"qaoaml/internal/telemetry"
 )
 
@@ -163,12 +164,23 @@ func (e *Env) testSubset() []int {
 // Optimizers returns the paper's four local optimizers at tolerance
 // 1e-6, keyed in the order of Table I.
 func Optimizers() []optimize.Optimizer {
-	return []optimize.Optimizer{
-		&optimize.LBFGSB{Tol: 1e-6},
-		&optimize.NelderMead{Tol: 1e-6},
-		&optimize.SLSQP{Tol: 1e-6},
-		&optimize.COBYLA{Tol: 1e-6},
+	var opts []optimize.Optimizer
+	for _, name := range []string{"lbfgsb", "neldermead", "slsqp", "cobyla"} {
+		opt, _ := optimize.ByName(name, 1e-6)
+		opts = append(opts, opt)
 	}
+	return opts
+}
+
+// solve is core.Solve for the experiment sweeps, which nothing cancels:
+// an error is a predictor without the bank asked for or a bad start
+// count, and aborts the sweep.
+func solve(pb *qaoa.Problem, o core.Options) core.Result {
+	r, err := core.Solve(context.Background(), pb, o)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return r
 }
 
 // ModelFactories returns the paper's four regression model families as

@@ -56,7 +56,7 @@ func RunFig1c(maxDepth, inits int, seed int64) Fig1cResult {
 		for gi, pb := range problems {
 			rng := rand.New(rand.NewSource(seed + int64(gi)*131 + int64(p)))
 			for k := 0; k < inits; k++ {
-				r := core.NaiveRun(pb, p, opt, rng)
+				r := solve(pb, core.Options{Depth: p, Optimizer: opt, Rng: rng})
 				ars = append(ars, r.AR)
 				fcs = append(fcs, float64(r.NFev))
 			}
@@ -105,6 +105,23 @@ type Fig2Result struct {
 	Schedules []StageParams
 }
 
+// interpChain optimizes depths 1..maxDepth by multistart, one start of
+// each depth seeded with the INTERP of the optimum before it, as in
+// dataset generation. Element d−1 is the depth-d result.
+func interpChain(pb *qaoa.Problem, maxDepth, starts int, opt optimize.Optimizer, rng *rand.Rand) []core.Result {
+	var chain []core.Result
+	for d := 1; d <= maxDepth; d++ {
+		var seeds []qaoa.Params
+		if d > 1 {
+			seeds = append(seeds, qaoa.Interpolate(chain[d-2].Params))
+		}
+		chain = append(chain, solve(pb, core.Options{
+			Strategy: core.StrategyMultiStart, Depth: d, Optimizer: opt, Rng: rng, Starts: starts, Seeds: seeds,
+		}))
+	}
+	return chain
+}
+
 // RunFig2 executes the Fig. 2 experiment with the given multistart
 // count per instance (paper: 20 random initializations).
 func RunFig2(starts int, seed int64) Fig2Result {
@@ -113,20 +130,9 @@ func RunFig2(starts int, seed int64) Fig2Result {
 	res := Fig2Result{Depths: []int{3, 5}}
 	for gi, pb := range problems {
 		rng := rand.New(rand.NewSource(seed + int64(gi)*977))
-		// Chain depths 1..5 with INTERP seeding, as in dataset generation.
-		var prev qaoa.Params
-		byDepth := map[int]core.Record{}
-		for d := 1; d <= 5; d++ {
-			var seeds []qaoa.Params
-			if d > 1 {
-				seeds = append(seeds, qaoa.Interpolate(prev))
-			}
-			rec := core.OptimizeDepth(pb, gi, d, starts, opt, rng, seeds...)
-			prev = rec.Params
-			byDepth[d] = rec
-		}
+		byDepth := interpChain(pb, 5, starts, opt, rng)
 		for _, d := range res.Depths {
-			rec := byDepth[d]
+			rec := byDepth[d-1]
 			res.Schedules = append(res.Schedules, StageParams{
 				GraphID: gi, Depth: d,
 				Gamma: rec.Params.Gamma, Beta: rec.Params.Beta, AR: rec.AR,
@@ -171,14 +177,7 @@ func RunFig3(maxDepth, starts int, seed int64) Fig3Result {
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	rng := rand.New(rand.NewSource(seed + 5))
 	var res Fig3Result
-	var prev qaoa.Params
-	for d := 1; d <= maxDepth; d++ {
-		var seeds []qaoa.Params
-		if d > 1 {
-			seeds = append(seeds, qaoa.Interpolate(prev))
-		}
-		rec := core.OptimizeDepth(pb, 0, d, starts, opt, rng, seeds...)
-		prev = rec.Params
+	for _, rec := range interpChain(pb, maxDepth, starts, opt, rng) {
 		res.GammaByDepth = append(res.GammaByDepth, rec.Params.Gamma)
 		res.BetaByDepth = append(res.BetaByDepth, rec.Params.Beta)
 		res.ARByDepth = append(res.ARByDepth, rec.AR)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -46,7 +47,8 @@ func RunHierarchical(env *Env) (HierResult, error) {
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	res := HierResult{Optimizer: opt.Name()}
 
-	type sample struct{ nFC, nAR, tFC, tAR, hFC, hAR []float64 }
+	flows := [3]core.Strategy{core.StrategyNaive, core.StrategyTwoLevel, core.StrategyHierarchical}
+	type sample [len(flows)]struct{ fc, ar []float64 }
 	for pt := 3; pt <= env.Scale.MaxTarget; pt++ {
 		ids := env.testSubset()
 		samples := make([]sample, len(ids))
@@ -62,25 +64,19 @@ func RunHierarchical(env *Env) (HierResult, error) {
 				defer func() { <-sem }()
 				pb := env.Data.Problems[g]
 				rng := rand.New(rand.NewSource(env.Scale.Seed + int64(g)*33331 + int64(pt)))
+				o := core.Options{Depth: pt, Optimizer: opt, Rng: rng, Predictor: env.Predictor, HierPredictor: hpred}
 				var s sample
 				for rep := 0; rep < env.Scale.Reps; rep++ {
-					nv := core.NaiveRun(pb, pt, opt, rng)
-					tl, err := core.TwoLevel(pb, pt, opt, env.Predictor, rng)
-					if err != nil {
-						errOnce.Do(func() { firstErr = err })
-						return
+					for i, strategy := range flows {
+						o.Strategy = strategy
+						r, err := core.Solve(context.Background(), pb, o)
+						if err != nil {
+							errOnce.Do(func() { firstErr = err })
+							return
+						}
+						s[i].fc = append(s[i].fc, float64(r.NFev))
+						s[i].ar = append(s[i].ar, r.AR)
 					}
-					hr, err := core.Hierarchical(pb, pt, opt, env.Predictor, hpred, rng)
-					if err != nil {
-						errOnce.Do(func() { firstErr = err })
-						return
-					}
-					s.nFC = append(s.nFC, float64(nv.NFev))
-					s.nAR = append(s.nAR, nv.AR)
-					s.tFC = append(s.tFC, float64(tl.TotalNFev))
-					s.tAR = append(s.tAR, tl.AR())
-					s.hFC = append(s.hFC, float64(hr.TotalNFev))
-					s.hAR = append(s.hAR, hr.AR())
 				}
 				samples[k] = s
 			}(k, g)
@@ -91,18 +87,16 @@ func RunHierarchical(env *Env) (HierResult, error) {
 		}
 		var all sample
 		for _, s := range samples {
-			all.nFC = append(all.nFC, s.nFC...)
-			all.nAR = append(all.nAR, s.nAR...)
-			all.tFC = append(all.tFC, s.tFC...)
-			all.tAR = append(all.tAR, s.tAR...)
-			all.hFC = append(all.hFC, s.hFC...)
-			all.hAR = append(all.hAR, s.hAR...)
+			for i := range all {
+				all[i].fc = append(all[i].fc, s[i].fc...)
+				all[i].ar = append(all[i].ar, s[i].ar...)
+			}
 		}
 		row := HierRow{
 			Depth:       pt,
-			NaiveMeanFC: stats.Mean(all.nFC), NaiveMeanAR: stats.Mean(all.nAR),
-			TwoMeanFC: stats.Mean(all.tFC), TwoMeanAR: stats.Mean(all.tAR),
-			HierMeanFC: stats.Mean(all.hFC), HierMeanAR: stats.Mean(all.hAR),
+			NaiveMeanFC: stats.Mean(all[0].fc), NaiveMeanAR: stats.Mean(all[0].ar),
+			TwoMeanFC: stats.Mean(all[1].fc), TwoMeanAR: stats.Mean(all[1].ar),
+			HierMeanFC: stats.Mean(all[2].fc), HierMeanAR: stats.Mean(all[2].ar),
 		}
 		if row.NaiveMeanFC > 0 {
 			row.TwoReductionPct = 100 * (1 - row.TwoMeanFC/row.NaiveMeanFC)

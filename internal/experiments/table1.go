@@ -88,15 +88,12 @@ func runTable1Cell(env *Env, opt optimize.Optimizer, pt int) Table1Row {
 			rng := rand.New(rand.NewSource(env.Scale.Seed + int64(g)*104729 + int64(pt)*31 + int64(len(opt.Name()))))
 			var s cellSample
 			for rep := 0; rep < env.Scale.Reps; rep++ {
-				nv := core.NaiveRun(pb, pt, opt, rng)
+				nv := solve(pb, core.Options{Depth: pt, Optimizer: opt, Rng: rng})
 				s.naiveAR = append(s.naiveAR, nv.AR)
 				s.naiveFC = append(s.naiveFC, float64(nv.NFev))
-				tl, err := core.TwoLevel(pb, pt, opt, env.Predictor, rng)
-				if err != nil {
-					panic(fmt.Sprintf("experiments: two-level run failed: %v", err))
-				}
-				s.twoAR = append(s.twoAR, tl.AR())
-				s.twoFC = append(s.twoFC, float64(tl.TotalNFev))
+				tl := solve(pb, core.Options{Strategy: core.StrategyTwoLevel, Depth: pt, Optimizer: opt, Rng: rng, Predictor: env.Predictor})
+				s.twoAR = append(s.twoAR, tl.AR)
+				s.twoFC = append(s.twoFC, float64(tl.NFev))
 			}
 			samples[k] = s
 		}(k, g)

@@ -11,8 +11,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"qaoaml/internal/linalg"
 )
 
 // Edge is an undirected edge between vertices U < V.
@@ -326,41 +324,4 @@ func (g *Graph) Triangles() int {
 		}
 	}
 	return count
-}
-
-// AdjacencyMatrix returns the (weighted) adjacency matrix of g.
-func (g *Graph) AdjacencyMatrix() *linalg.Matrix {
-	a := linalg.NewMatrix(g.N, g.N)
-	for i, e := range g.edges {
-		a.Set(e.U, e.V, g.weights[i])
-		a.Set(e.V, e.U, g.weights[i])
-	}
-	return a
-}
-
-// LaplacianMatrix returns the (weighted) graph Laplacian L = D − A.
-func (g *Graph) LaplacianMatrix() *linalg.Matrix {
-	l := linalg.NewMatrix(g.N, g.N)
-	for i, e := range g.edges {
-		w := g.weights[i]
-		l.Set(e.U, e.V, -w)
-		l.Set(e.V, e.U, -w)
-		l.Set(e.U, e.U, l.At(e.U, e.U)+w)
-		l.Set(e.V, e.V, l.At(e.V, e.V)+w)
-	}
-	return l
-}
-
-// AlgebraicConnectivity returns the second-smallest Laplacian
-// eigenvalue (Fiedler value): positive iff the graph is connected, and
-// a classical upper-bound driver for MaxCut spectral relaxations.
-func (g *Graph) AlgebraicConnectivity() (float64, error) {
-	if g.N < 2 {
-		return 0, fmt.Errorf("graph: algebraic connectivity needs n >= 2")
-	}
-	vals, _, err := linalg.EigenSym(g.LaplacianMatrix())
-	if err != nil {
-		return 0, err
-	}
-	return vals[1], nil
 }

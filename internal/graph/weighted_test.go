@@ -244,78 +244,3 @@ func TestGeneratorPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestAdjacencyAndLaplacian(t *testing.T) {
-	g := Path(3) // 0-1-2
-	a := g.AdjacencyMatrix()
-	if a.At(0, 1) != 1 || a.At(1, 0) != 1 || a.At(0, 2) != 0 {
-		t.Errorf("adjacency:\n%v", a)
-	}
-	l := g.LaplacianMatrix()
-	// Row sums of a Laplacian are zero.
-	for i := 0; i < 3; i++ {
-		s := 0.0
-		for j := 0; j < 3; j++ {
-			s += l.At(i, j)
-		}
-		if math.Abs(s) > 1e-12 {
-			t.Errorf("Laplacian row %d sums to %v", i, s)
-		}
-	}
-	if l.At(1, 1) != 2 || l.At(0, 0) != 1 {
-		t.Errorf("Laplacian degrees wrong:\n%v", l)
-	}
-}
-
-func TestAlgebraicConnectivity(t *testing.T) {
-	// Connected graph: Fiedler value > 0. Known: λ2(K_n) = n.
-	kn := Complete(5)
-	got, err := kn.AlgebraicConnectivity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-5) > 1e-8 {
-		t.Errorf("λ2(K5) = %v, want 5", got)
-	}
-	// Known: λ2(P2) = 2 (Laplacian [[1,-1],[-1,1]]).
-	p2 := Path(2)
-	got, err = p2.AlgebraicConnectivity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-2) > 1e-8 {
-		t.Errorf("λ2(P2) = %v, want 2", got)
-	}
-	// Disconnected graph: Fiedler value 0.
-	disc := New(4)
-	mustAddW(t, disc, 0, 1, 1)
-	mustAddW(t, disc, 2, 3, 1)
-	got, err = disc.AlgebraicConnectivity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got) > 1e-8 {
-		t.Errorf("λ2 of disconnected graph = %v, want 0", got)
-	}
-	if _, err := New(1).AlgebraicConnectivity(); err == nil {
-		t.Error("single-vertex graph accepted")
-	}
-}
-
-// Fiedler value sign matches Connected() across random graphs.
-func TestFiedlerMatchesConnectivity(t *testing.T) {
-	rng := rand.New(rand.NewSource(80))
-	for trial := 0; trial < 30; trial++ {
-		g := ErdosRenyi(7, 0.25, rng)
-		if g.NumEdges() == 0 {
-			continue
-		}
-		lam2, err := g.AlgebraicConnectivity()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.Connected() != (lam2 > 1e-8) {
-			t.Fatalf("trial %d: Connected=%v but λ2=%v", trial, g.Connected(), lam2)
-		}
-	}
-}

@@ -98,20 +98,6 @@ func TestDiagAndAddToDiag(t *testing.T) {
 	}
 }
 
-func TestIsSymmetric(t *testing.T) {
-	s := FromRows([][]float64{{1, 2}, {2, 3}})
-	if !s.IsSymmetric(0) {
-		t.Error("symmetric matrix not detected")
-	}
-	ns := FromRows([][]float64{{1, 2}, {0, 3}})
-	if ns.IsSymmetric(0) {
-		t.Error("nonsymmetric matrix detected as symmetric")
-	}
-	if FromRows([][]float64{{1, 2, 3}}).IsSymmetric(0) {
-		t.Error("nonsquare matrix detected as symmetric")
-	}
-}
-
 // Property: (A·B)ᵀ = Bᵀ·Aᵀ for random small matrices.
 func TestMulTransposeProperty(t *testing.T) {
 	f := func(seed int64) bool {

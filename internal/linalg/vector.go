@@ -17,9 +17,6 @@ import (
 // Vector is a dense column vector.
 type Vector []float64
 
-// NewVector returns a zero vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
-
 // Clone returns a deep copy of v.
 func (v Vector) Clone() Vector {
 	w := make(Vector, len(v))

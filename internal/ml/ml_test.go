@@ -380,71 +380,6 @@ func TestStandardizer(t *testing.T) {
 	}
 }
 
-func TestDatasetSplit(t *testing.T) {
-	var d Dataset
-	for i := 0; i < 10; i++ {
-		d.Append([]float64{float64(i)}, []float64{float64(2 * i)})
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	train, test := d.Split(0.2, rand.New(rand.NewSource(8)))
-	if train.Len() != 2 || test.Len() != 8 {
-		t.Errorf("split sizes = %d/%d", train.Len(), test.Len())
-	}
-	// All samples present exactly once.
-	seen := map[float64]bool{}
-	for _, row := range append(append([][]float64{}, train.X...), test.X...) {
-		if seen[row[0]] {
-			t.Fatalf("duplicate sample %v", row[0])
-		}
-		seen[row[0]] = true
-	}
-	if len(seen) != 10 {
-		t.Errorf("samples lost: %d", len(seen))
-	}
-}
-
-func TestDatasetSplitExtremes(t *testing.T) {
-	var d Dataset
-	d.Append([]float64{1}, []float64{1})
-	d.Append([]float64{2}, []float64{2})
-	train, test := d.Split(0.01, rand.New(rand.NewSource(9)))
-	if train.Len() != 1 || test.Len() != 1 {
-		t.Errorf("tiny-frac split = %d/%d, want 1/1", train.Len(), test.Len())
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic for frac >= 1")
-			}
-		}()
-		d.Split(1.0, rand.New(rand.NewSource(0)))
-	}()
-}
-
-func TestDatasetColumns(t *testing.T) {
-	var d Dataset
-	d.Append([]float64{1, 2}, []float64{3, 4})
-	d.Append([]float64{5, 6}, []float64{7, 8})
-	if c := d.Column(1); c[0] != 4 || c[1] != 8 {
-		t.Errorf("Column = %v", c)
-	}
-	if c := d.FeatureColumn(0); c[0] != 1 || c[1] != 5 {
-		t.Errorf("FeatureColumn = %v", c)
-	}
-}
-
-func TestDatasetAppendCopies(t *testing.T) {
-	var d Dataset
-	x := []float64{1}
-	d.Append(x, x)
-	x[0] = 99
-	if d.X[0][0] != 1 || d.Y[0][0] != 1 {
-		t.Error("Append shares storage with caller")
-	}
-}
-
 // Property: tree predictions are always within the training target range.
 func TestTreePredictionWithinRange(t *testing.T) {
 	f := func(seed int64) bool {
@@ -501,66 +436,6 @@ func TestLinearResidualOrthogonality(t *testing.T) {
 	}
 }
 
-func TestCrossValidate(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	x, y := linearData(rng, 80, 0.05)
-	res, err := CrossValidate(func() Regressor { return &Linear{} }, x, y, 5, 2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Folds) != 5 {
-		t.Fatalf("folds = %d", len(res.Folds))
-	}
-	total := 0
-	for _, f := range res.Folds {
-		total += f.N
-	}
-	if total != 80 {
-		t.Errorf("fold sample total = %d, want 80", total)
-	}
-	if res.Mean.RMSE > 0.1 {
-		t.Errorf("linear CV RMSE = %v on near-noiseless linear data", res.Mean.RMSE)
-	}
-	if res.Mean.R2 < 0.95 {
-		t.Errorf("linear CV R2 = %v", res.Mean.R2)
-	}
-}
-
-func TestCrossValidateValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	x, y := linearData(rng, 10, 0)
-	if _, err := CrossValidate(nil, x, y, 2, 2, rng); err == nil {
-		t.Error("nil factory accepted")
-	}
-	if _, err := CrossValidate(func() Regressor { return &Linear{} }, x, y, 1, 2, rng); err == nil {
-		t.Error("k=1 accepted")
-	}
-	if _, err := CrossValidate(func() Regressor { return &Linear{} }, x, y, 11, 2, rng); err == nil {
-		t.Error("k>n accepted")
-	}
-	if _, err := CrossValidate(func() Regressor { return &Linear{} }, nil, nil, 2, 2, rng); err == nil {
-		t.Error("empty data accepted")
-	}
-}
-
-// Cross-validation should rank the correctly specified model above a
-// badly regularized alternative on average.
-func TestCrossValidateDiscriminates(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	x, y := smoothData(rng, 120)
-	gpr, err := CrossValidate(func() Regressor { return &GPR{} }, x, y, 4, 2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lin, err := CrossValidate(func() Regressor { return &Linear{} }, x, y, 4, 2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gpr.Mean.RMSE >= lin.Mean.RMSE {
-		t.Errorf("GPR CV RMSE %v not better than linear %v on nonlinear data", gpr.Mean.RMSE, lin.Mean.RMSE)
-	}
-}
-
 // With the additive linear kernel GPR should match the linear model on
 // purely linear data (instead of reverting to the prior mean off the
 // training range).
@@ -595,84 +470,5 @@ func TestGPRLinearVarPinnedAndDisabled(t *testing.T) {
 	dFar := disabled.Predict([]float64{6})
 	if math.Abs(pFar-6) >= math.Abs(dFar-6) {
 		t.Errorf("linear kernel (%v) not better than RBF-only (%v) at x=6", pFar, dFar)
-	}
-}
-
-func TestForestFitsSmoothFunction(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	x, y := smoothData(rng, 300)
-	f := Forest{Trees: 60, Seed: 2}
-	if err := f.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	xt, yt := smoothData(rng, 80)
-	m := Evaluate(yt, PredictBatch(&f, xt), 2)
-	if m.RMSE > 0.3 {
-		t.Errorf("forest RMSE = %v", m.RMSE)
-	}
-}
-
-func TestForestBeatsSingleTreeOnNoisyData(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	x := make([][]float64, 250)
-	y := make([]float64, 250)
-	for i := range x {
-		x[i] = []float64{rng.Float64() * 6}
-		y[i] = math.Sin(x[i][0]) + 0.4*rng.NormFloat64()
-	}
-	var single Tree
-	if err := single.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	forest := Forest{Trees: 80, Seed: 3}
-	if err := forest.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	var xt [][]float64
-	var yt []float64
-	for i := 0; i < 100; i++ {
-		v := rng.Float64() * 6
-		xt = append(xt, []float64{v})
-		yt = append(yt, math.Sin(v))
-	}
-	ms := Evaluate(yt, PredictBatch(&single, xt), 1)
-	mf := Evaluate(yt, PredictBatch(&forest, xt), 1)
-	if mf.RMSE >= ms.RMSE {
-		t.Errorf("forest RMSE %v not better than single tree %v on noisy data", mf.RMSE, ms.RMSE)
-	}
-}
-
-func TestForestDeterministicWithSeed(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	x, y := linearData(rng, 50, 0.1)
-	a := Forest{Trees: 10, Seed: 7}
-	b := Forest{Trees: 10, Seed: 7}
-	if err := a.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	q := []float64{0.3, -0.2}
-	if a.Predict(q) != b.Predict(q) {
-		t.Error("same seed produced different forests")
-	}
-}
-
-func TestForestValidation(t *testing.T) {
-	var f Forest
-	if err := f.Fit(nil, nil); !errors.Is(err, ErrEmptyTrainingSet) {
-		t.Errorf("empty err = %v", err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Predict before Fit should panic")
-			}
-		}()
-		f.Predict([]float64{1})
-	}()
-	if f.Name() != "FOREST" {
-		t.Errorf("Name = %q", f.Name())
 	}
 }

@@ -11,6 +11,7 @@ type MultiOutput struct {
 	New func() Regressor
 
 	models []Regressor
+	inputs int // features per Predict row, once fitted or loaded
 }
 
 // NewMultiOutput returns a MultiOutput with the given model factory.
@@ -28,6 +29,9 @@ func (m *MultiOutput) Name() string {
 
 // Outputs returns the number of target columns (0 before Fit).
 func (m *MultiOutput) Outputs() int { return len(m.models) }
+
+// Inputs returns the number of features Predict takes (0 before Fit).
+func (m *MultiOutput) Inputs() int { return m.inputs }
 
 // Fit trains one model per column of y. All rows of y must share a
 // length; x rows are validated by the underlying models.
@@ -58,7 +62,7 @@ func (m *MultiOutput) Fit(x [][]float64, y [][]float64) error {
 			return fmt.Errorf("ml: fitting output %d: %w", j, err)
 		}
 	}
-	m.models = models
+	m.models, m.inputs = models, len(x[0])
 	return nil
 }
 

@@ -1,38 +1,28 @@
 package ml
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 
 	"qaoaml/internal/linalg"
 )
 
-// Model persistence: versioned JSON snapshots of trained regressors,
-// mirroring the dataset Save/Load in core/persist.go. The serialized
-// state is the exact fitted state — standardizers, dual coefficients,
-// Cholesky factors — so a loaded model's Predict is bit-identical to the
-// original's (same float operations in the same order), which the model
-// registry in internal/server relies on for cache coherence.
-
-// ModelFileVersion is the schema version written by Save.
-const ModelFileVersion = 1
-
-// modelFile is the on-disk envelope for a single regressor.
-type modelFile struct {
-	Version int        `json:"version"`
-	Model   modelState `json:"model"`
-}
+// Model persistence: JSON-serializable snapshots of trained regressor
+// banks, which core embeds in its versioned predictor files. The
+// serialized state is the exact fitted state — standardizers, dual
+// coefficients, Cholesky factors — so a loaded model's Predict is
+// bit-identical to the original's (same float operations in the same
+// order), which the model registry in internal/server relies on for
+// cache coherence. A state comes from a file, so decoding checks every
+// shape Predict relies on: a bank that loads predicts without panicking
+// or looping on any input of its width.
 
 // modelState is a tagged union over the supported model families.
 type modelState struct {
-	Kind   string       `json:"kind"` // Name() of the model: LM, RTREE, GPR, RSVM, FOREST
+	Kind   string       `json:"kind"` // Name() of the model: LM, RTREE, GPR, RSVM
 	Linear *linearState `json:"linear,omitempty"`
 	Tree   *treeState   `json:"tree,omitempty"`
 	GPR    *gprState    `json:"gpr,omitempty"`
 	SVR    *svrState    `json:"svr,omitempty"`
-	Forest *forestState `json:"forest,omitempty"`
 }
 
 type linearState struct {
@@ -95,65 +85,8 @@ type svrState struct {
 	YStd        float64           `json:"y_std"`
 }
 
-type forestState struct {
-	Trees       int         `json:"trees,omitempty"`
-	MaxDepth    int         `json:"max_depth,omitempty"`
-	MinLeafSize int         `json:"min_leaf_size,omitempty"`
-	Seed        int64       `json:"seed,omitempty"`
-	Dim         int         `json:"dim"`
-	Members     []treeState `json:"members"`
-	Scales      [][]int     `json:"scales"`
-}
-
-// Save writes a trained regressor as versioned JSON. Supported families:
-// Linear, Tree, GPR, SVR, Forest. Unfitted models and unknown
-// implementations are rejected.
-func Save(w io.Writer, r Regressor) error {
-	st, err := encodeRegressor(r)
-	if err != nil {
-		return err
-	}
-	return json.NewEncoder(w).Encode(modelFile{Version: ModelFileVersion, Model: st})
-}
-
-// SaveFile writes the model to path.
-func SaveFile(path string, r Regressor) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := Save(f, r); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// Load reads a model previously written by Save. The returned regressor
-// predicts bit-identically to the one saved.
-func Load(rd io.Reader) (Regressor, error) {
-	var mf modelFile
-	if err := json.NewDecoder(rd).Decode(&mf); err != nil {
-		return nil, fmt.Errorf("ml: decoding model: %w", err)
-	}
-	if mf.Version != ModelFileVersion {
-		return nil, fmt.Errorf("ml: unsupported model version %d (want %d)", mf.Version, ModelFileVersion)
-	}
-	return decodeRegressor(mf.Model)
-}
-
-// LoadFile reads a model from path.
-func LoadFile(path string) (Regressor, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}
-
 // FactoryFor returns a fresh-model constructor for a family name as
-// reported by Regressor.Name (LM, RTREE, GPR, RSVM, FOREST).
+// reported by Regressor.Name (LM, RTREE, GPR, RSVM).
 func FactoryFor(name string) (func() Regressor, bool) {
 	switch name {
 	case "LM":
@@ -164,8 +97,6 @@ func FactoryFor(name string) (func() Regressor, bool) {
 		return func() Regressor { return &GPR{} }, true
 	case "RSVM":
 		return func() Regressor { return &SVR{} }, true
-	case "FOREST":
-		return func() Regressor { return &Forest{} }, true
 	}
 	return nil, false
 }
@@ -211,41 +142,35 @@ func encodeRegressor(r Regressor) (modelState, error) {
 			XScale: encodeStandardizer(m.xScale),
 			YMean:  m.yMean, YStd: m.yStd,
 		}}, nil
-	case *Forest:
-		if len(m.members) == 0 {
-			return modelState{}, fmt.Errorf("ml: cannot save unfitted %s model", m.Name())
-		}
-		fs := forestState{
-			Trees: m.Trees, MaxDepth: m.MaxDepth, MinLeafSize: m.MinLeafSize,
-			Seed: m.Seed, Dim: m.dim,
-		}
-		for i, tree := range m.members {
-			fs.Members = append(fs.Members, encodeTree(tree))
-			fs.Scales = append(fs.Scales, append([]int(nil), m.scales[i]...))
-		}
-		return modelState{Kind: m.Name(), Forest: &fs}, nil
 	}
 	return modelState{}, fmt.Errorf("ml: model %q does not support persistence", r.Name())
 }
 
-func decodeRegressor(st modelState) (Regressor, error) {
+// decodeRegressor rebuilds one model and reports how many features its
+// Predict takes.
+func decodeRegressor(st modelState) (Regressor, int, error) {
 	switch {
 	case st.Linear != nil:
 		return &Linear{
 			Coef:      append([]float64(nil), st.Linear.Coef...),
 			Intercept: st.Linear.Intercept,
 			fitted:    true,
-		}, nil
+		}, len(st.Linear.Coef), nil
 	case st.Tree != nil:
-		return decodeTree(*st.Tree)
+		t, err := decodeTree(*st.Tree)
+		return t, st.Tree.Dim, err
 	case st.GPR != nil:
 		s := st.GPR
+		dim, err := checkKernelState(s.XTrain, s.XScale)
+		if err != nil {
+			return nil, 0, fmt.Errorf("ml: GPR state: %w", err)
+		}
 		l, err := decodeMatrix(s.CholL)
 		if err != nil {
-			return nil, fmt.Errorf("ml: GPR Cholesky factor: %w", err)
+			return nil, 0, fmt.Errorf("ml: GPR Cholesky factor: %w", err)
 		}
-		if len(s.Alpha) != len(s.XTrain) || l.Rows != len(s.XTrain) {
-			return nil, fmt.Errorf("ml: GPR state shapes disagree (%d points, %d alpha, %d×%d L)",
+		if len(s.Alpha) != len(s.XTrain) || l.Rows != len(s.XTrain) || l.Cols != l.Rows {
+			return nil, 0, fmt.Errorf("ml: GPR state shapes disagree (%d points, %d alpha, %d×%d L)",
 				len(s.XTrain), len(s.Alpha), l.Rows, l.Cols)
 		}
 		return &GPR{
@@ -257,14 +182,18 @@ func decodeRegressor(st modelState) (Regressor, error) {
 			ell: s.Ell, sf2: s.Sf2, sn2: s.Sn2, sl2: s.Sl2,
 			logML:  s.LogML,
 			fitted: true,
-		}, nil
+		}, dim, nil
 	case st.SVR != nil:
 		s := st.SVR
+		dim, err := checkKernelState(s.XTrain, s.XScale)
+		if err != nil {
+			return nil, 0, fmt.Errorf("ml: SVR state: %w", err)
+		}
 		if len(s.Beta) != len(s.XTrain) {
-			return nil, fmt.Errorf("ml: SVR state shapes disagree (%d points, %d beta)", len(s.XTrain), len(s.Beta))
+			return nil, 0, fmt.Errorf("ml: SVR state shapes disagree (%d points, %d beta)", len(s.XTrain), len(s.Beta))
 		}
 		if s.LengthScale <= 0 {
-			return nil, fmt.Errorf("ml: SVR length scale %v not positive", s.LengthScale)
+			return nil, 0, fmt.Errorf("ml: SVR length scale %v not positive", s.LengthScale)
 		}
 		return &SVR{
 			C: s.C, Epsilon: s.Epsilon, LengthScale: s.LengthScale,
@@ -274,27 +203,24 @@ func decodeRegressor(st modelState) (Regressor, error) {
 			xScale: decodeStandardizer(s.XScale),
 			yMean:  s.YMean, yStd: s.YStd,
 			fitted: true,
-		}, nil
-	case st.Forest != nil:
-		s := st.Forest
-		if len(s.Members) == 0 || len(s.Members) != len(s.Scales) {
-			return nil, fmt.Errorf("ml: forest state has %d members but %d feature subsets", len(s.Members), len(s.Scales))
-		}
-		f := &Forest{
-			Trees: s.Trees, MaxDepth: s.MaxDepth, MinLeafSize: s.MinLeafSize,
-			Seed: s.Seed, dim: s.Dim,
-		}
-		for i, ts := range s.Members {
-			tree, err := decodeTree(ts)
-			if err != nil {
-				return nil, fmt.Errorf("ml: forest member %d: %w", i, err)
-			}
-			f.members = append(f.members, tree)
-			f.scales = append(f.scales, append([]int(nil), s.Scales[i]...))
-		}
-		return f, nil
+		}, dim, nil
 	}
-	return nil, fmt.Errorf("ml: model state of kind %q has no payload", st.Kind)
+	return nil, 0, fmt.Errorf("ml: model state of kind %q has no payload", st.Kind)
+}
+
+// checkKernelState returns the feature width of a kernel model's state:
+// the standardizer's, which every stored training point must share.
+func checkKernelState(xTrain [][]float64, sc standardizerState) (int, error) {
+	dim := len(sc.Mean)
+	if len(sc.Std) != dim {
+		return 0, fmt.Errorf("standardizer has %d means but %d scales", dim, len(sc.Std))
+	}
+	for i, row := range xTrain {
+		if len(row) != dim {
+			return 0, fmt.Errorf("training point %d has %d features, the standardizer %d", i, len(row), dim)
+		}
+	}
+	return dim, nil
 }
 
 // encodeTree flattens the node graph into a preorder slice.
@@ -330,8 +256,14 @@ func decodeTree(st treeState) (*Tree, error) {
 			return nil, fmt.Errorf("ml: tree node %d has exactly one child", i)
 		}
 		if fn.Left >= 0 {
-			if fn.Left >= len(nodes) || fn.Right >= len(nodes) || fn.Left == i || fn.Right == i {
+			// encodeTree writes preorder, so a child always follows its
+			// parent; holding a file to that keeps the links acyclic, and
+			// Predict's walk finite.
+			if fn.Left >= len(nodes) || fn.Right >= len(nodes) || fn.Left <= i || fn.Right <= i {
 				return nil, fmt.Errorf("ml: tree node %d has out-of-range children (%d, %d)", i, fn.Left, fn.Right)
+			}
+			if fn.Feature < 0 || fn.Feature >= st.Dim {
+				return nil, fmt.Errorf("ml: tree node %d splits on feature %d of %d", i, fn.Feature, st.Dim)
 			}
 			nodes[i].left, nodes[i].right = nodes[fn.Left], nodes[fn.Right]
 		}
@@ -392,7 +324,8 @@ func (m *MultiOutput) State() (MultiOutputState, error) {
 }
 
 // MultiOutputFromState rebuilds a trained bank from its snapshot. The
-// bank's model factory is reconstructed from the first model's family.
+// bank's model factory is reconstructed from the first model's family,
+// and every model must take the same number of features (Inputs).
 func MultiOutputFromState(st MultiOutputState) (*MultiOutput, error) {
 	if len(st.Models) == 0 {
 		return nil, fmt.Errorf("ml: multi-output state has no models")
@@ -403,38 +336,15 @@ func MultiOutputFromState(st MultiOutputState) (*MultiOutput, error) {
 	}
 	bank := NewMultiOutput(factory)
 	for j, ms := range st.Models {
-		mod, err := decodeRegressor(ms)
+		mod, inputs, err := decodeRegressor(ms)
 		if err != nil {
 			return nil, fmt.Errorf("ml: output %d: %w", j, err)
 		}
+		if j > 0 && inputs != bank.inputs {
+			return nil, fmt.Errorf("ml: output %d takes %d features, output 0 takes %d", j, inputs, bank.inputs)
+		}
+		bank.inputs = inputs
 		bank.models = append(bank.models, mod)
 	}
 	return bank, nil
-}
-
-// SaveMultiOutput writes a trained bank as versioned JSON.
-func SaveMultiOutput(w io.Writer, m *MultiOutput) error {
-	st, err := m.State()
-	if err != nil {
-		return err
-	}
-	return json.NewEncoder(w).Encode(struct {
-		Version int              `json:"version"`
-		Bank    MultiOutputState `json:"bank"`
-	}{Version: ModelFileVersion, Bank: st})
-}
-
-// LoadMultiOutput reads a bank previously written by SaveMultiOutput.
-func LoadMultiOutput(rd io.Reader) (*MultiOutput, error) {
-	var mf struct {
-		Version int              `json:"version"`
-		Bank    MultiOutputState `json:"bank"`
-	}
-	if err := json.NewDecoder(rd).Decode(&mf); err != nil {
-		return nil, fmt.Errorf("ml: decoding multi-output bank: %w", err)
-	}
-	if mf.Version != ModelFileVersion {
-		return nil, fmt.Errorf("ml: unsupported model version %d (want %d)", mf.Version, ModelFileVersion)
-	}
-	return MultiOutputFromState(mf.Bank)
 }

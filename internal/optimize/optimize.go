@@ -142,6 +142,23 @@ type Optimizer interface {
 	Name() string
 }
 
+// ByName returns the paper's local optimizer of that name ("lbfgsb",
+// "neldermead", "slsqp" or "cobyla") at functional tolerance tol, and
+// false for any other name.
+func ByName(name string, tol float64) (Optimizer, bool) {
+	switch name {
+	case "lbfgsb":
+		return &LBFGSB{Tol: tol}, true
+	case "neldermead":
+		return &NelderMead{Tol: tol}, true
+	case "slsqp":
+		return &SLSQP{Tol: tol}, true
+	case "cobyla":
+		return &COBYLA{Tol: tol}, true
+	}
+	return nil, false
+}
+
 // counter wraps f and counts evaluations.
 type counter struct {
 	f Func

@@ -60,7 +60,7 @@ type Options struct {
 
 // Run is the one way to run an optimizer: the Minimize methods are
 // one-line wrappers around it, and multistart is a loop of Runs
-// (core.OptimizeDepthCtx). The context is checked once per outer
+// (core.Solve). The context is checked once per outer
 // iteration, so cancellation and deadlines take effect within one
 // optimizer step and the returned Result carries the best point found
 // so far with Status == Cancelled.

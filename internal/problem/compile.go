@@ -65,6 +65,12 @@ func (f *Formula) Validate() error {
 	if f.Vars < 1 {
 		return fmt.Errorf("problem: formula over %d variables", f.Vars)
 	}
+	// Compiling allocates per variable, and Vars is a bare number in a
+	// request or a file: cap it at the widest register anything can
+	// evaluate before it sizes an allocation.
+	if f.Vars > BruteForceMaxQubits {
+		return fmt.Errorf("problem: formula over %d variables exceeds the %d-qubit limit", f.Vars, BruteForceMaxQubits)
+	}
 	if len(f.Clauses) == 0 {
 		return fmt.Errorf("problem: formula has no clauses")
 	}

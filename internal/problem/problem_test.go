@@ -303,6 +303,16 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	}
 }
 
+// Vars is a bare number on the wire and in dataset files; compiling a
+// formula allocates per variable, so an absurd count is refused before
+// anything is sized by it (a billion variables used to ask for 8 GB).
+func TestMaxKSATRejectsHugeVars(t *testing.T) {
+	f := &Formula{Vars: 1_000_000_000, Clauses: []Clause{{1, 2}}}
+	if _, err := CompileMaxKSAT(f); err == nil {
+		t.Fatal("billion-variable formula compiled")
+	}
+}
+
 func TestIntegerCoeffs(t *testing.T) {
 	in := &Instance{Family: FamilyQUBO, Sense: Maximize, N: 2, Vars: 2, Quad: []Term{{I: 0, J: 1, W: -0.5}}}
 	if !in.IntegerCoeffs() {

@@ -14,7 +14,7 @@ import (
 
 // TestTwoLevelEndToEnd is the PR's acceptance test: an in-process qaoad
 // serves an 8-node two-level solve, the job is polled to completion,
-// and the result matches the direct core.TwoLevelCtx call bit-for-bit.
+// and the result matches the direct core.Solve call bit-for-bit.
 // A repeated identical request is then served from the cache with zero
 // additional optimizer function evaluations, verified via the
 // optimize.fev_total telemetry counter.
@@ -47,28 +47,30 @@ func TestTwoLevelEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := core.TwoLevelCtx(context.Background(), pb, depth,
-		&optimize.LBFGSB{Tol: 1e-6}, testPredictor(t), rand.New(rand.NewSource(1)), nil)
+	direct, err := core.Solve(context.Background(), pb, core.Options{
+		Strategy: core.StrategyTwoLevel, Depth: depth, Optimizer: &optimize.LBFGSB{Tol: 1e-6},
+		Predictor: testPredictor(t), Rng: rand.New(rand.NewSource(1)),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := final.Result
-	if res.AR != direct.AR() {
-		t.Fatalf("served AR %v != direct %v", res.AR, direct.AR())
+	if res.AR != direct.AR {
+		t.Fatalf("served AR %v != direct %v", res.AR, direct.AR)
 	}
-	if res.Level1AR != direct.Level1.AR {
-		t.Fatalf("served level-1 AR %v != direct %v", res.Level1AR, direct.Level1.AR)
+	if res.Level1AR != direct.Stages[0].AR {
+		t.Fatalf("served level-1 AR %v != direct %v", res.Level1AR, direct.Stages[0].AR)
 	}
-	if res.NFev != direct.TotalNFev {
-		t.Fatalf("served NFev %d != direct %d", res.NFev, direct.TotalNFev)
+	if res.NFev != direct.NFev {
+		t.Fatalf("served NFev %d != direct %d", res.NFev, direct.NFev)
 	}
 	if len(res.Gamma) != depth || len(res.Beta) != depth {
 		t.Fatalf("served params have %d/%d stages, want %d", len(res.Gamma), len(res.Beta), depth)
 	}
 	for i := 0; i < depth; i++ {
-		if res.Gamma[i] != direct.Level2.Params.Gamma[i] || res.Beta[i] != direct.Level2.Params.Beta[i] {
+		if res.Gamma[i] != direct.Params.Gamma[i] || res.Beta[i] != direct.Params.Beta[i] {
 			t.Fatalf("stage %d: served (γ,β)=(%v,%v) != direct (%v,%v)",
-				i, res.Gamma[i], res.Beta[i], direct.Level2.Params.Gamma[i], direct.Level2.Params.Beta[i])
+				i, res.Gamma[i], res.Beta[i], direct.Params.Gamma[i], direct.Params.Beta[i])
 		}
 	}
 

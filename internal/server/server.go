@@ -309,9 +309,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics returns the telemetry sink backing /metrics.
 func (s *Server) Metrics() *telemetry.Memory { return s.mem }
 
-// Registry returns the model registry.
-func (s *Server) ModelRegistry() *Registry { return s.registry }
-
 // Drain stops accepting work, lets queued and running jobs finish, and
 // returns when the worker pool has exited. If ctx expires first, the
 // remaining jobs are cancelled (they finish as cancelled, not dropped)
@@ -883,39 +880,34 @@ func (s *Server) runSolve(ctx context.Context, job *Job) (*SolveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(job.req.Seed))
-	opt := optimizerFor(job.req.Optimizer)
-	var res *SolveResult
+	o := core.Options{
+		Depth: job.req.Depth, Optimizer: optimizerFor(job.req.Optimizer), Rng: rand.New(rand.NewSource(job.req.Seed)),
+		Arena: job.arena, Recorder: rec,
+	}
 	switch job.req.Strategy {
 	case StrategyNaive:
-		r, err := core.NaiveRunArena(ctx, job.arena, pb, job.req.Depth, opt, rng, rec)
-		if err != nil {
-			return nil, err
-		}
-		res = &SolveResult{
-			Strategy: StrategyNaive, AR: r.AR,
-			Gamma: r.Params.Gamma, Beta: r.Params.Beta,
-			NFev: r.NFev,
-		}
 	case StrategyTwoLevel:
 		pred, ok := s.registry.Get(job.req.Model)
 		if !ok {
 			return nil, fmt.Errorf("model %q disappeared from the registry", job.req.Model)
 		}
-		r, err := core.TwoLevelArena(ctx, job.arena, pb, job.req.Depth, opt, pred, rng, rec)
-		if err != nil {
-			return nil, err
-		}
-		res = &SolveResult{
-			Strategy: StrategyTwoLevel, AR: r.AR(),
-			Gamma: r.Level2.Params.Gamma, Beta: r.Level2.Params.Beta,
-			NFev: r.TotalNFev, Level1AR: r.Level1.AR,
-		}
+		o.Strategy, o.Predictor = core.StrategyTwoLevel, pred
 	default:
 		return nil, fmt.Errorf("unknown strategy %q", job.req.Strategy)
 	}
-	res.Problem = job.req.Problem
-	res.Fingerprint = job.fp
+	r, err := core.Solve(ctx, pb, o)
+	if err != nil {
+		return nil, err
+	}
+	res := &SolveResult{
+		Problem: job.req.Problem, Fingerprint: job.fp,
+		Strategy: job.req.Strategy, AR: r.AR,
+		Gamma: r.Params.Gamma, Beta: r.Params.Beta,
+		NFev: r.NFev,
+	}
+	if o.Strategy == core.StrategyTwoLevel {
+		res.Level1AR = r.Stages[0].AR
+	}
 	// Read out the most probable assignment at the final parameters —
 	// the solution a client acts on — masked to the decision variables
 	// (quadratization auxiliaries are an encoding detail). The readout
@@ -941,21 +933,12 @@ func assignBits(z uint64, vars int) string {
 	return string(b)
 }
 
-// optimizerFor maps an API optimizer name to a configured instance (the
-// paper's four local optimizers at tolerance 1e-6, as in
-// experiments.Optimizers). Unknown names return nil.
+// optimizerFor maps an API optimizer name to the paper's configuration
+// (tolerance 1e-6, as in experiments.Optimizers). Unknown names return
+// nil.
 func optimizerFor(name string) optimize.Optimizer {
-	switch name {
-	case "lbfgsb":
-		return &optimize.LBFGSB{Tol: 1e-6}
-	case "neldermead":
-		return &optimize.NelderMead{Tol: 1e-6}
-	case "slsqp":
-		return &optimize.SLSQP{Tol: 1e-6}
-	case "cobyla":
-		return &optimize.COBYLA{Tol: 1e-6}
-	}
-	return nil
+	opt, _ := optimize.ByName(name, 1e-6)
+	return opt
 }
 
 // ---- HTTP handlers ----

@@ -159,8 +159,9 @@ func TestNaiveSolveMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := core.NaiveRunCtx(context.Background(), pb, depth,
-		&optimize.LBFGSB{Tol: 1e-6}, rand.New(rand.NewSource(seed)), nil)
+	direct, err := core.Solve(context.Background(), pb, core.Options{
+		Depth: depth, Optimizer: &optimize.LBFGSB{Tol: 1e-6}, Rng: rand.New(rand.NewSource(seed)),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

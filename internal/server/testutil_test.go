@@ -29,7 +29,7 @@ const testTrainSeed = 17
 func testPredictor(t *testing.T) *core.Predictor {
 	t.Helper()
 	testEnv.once.Do(func() {
-		data, err := core.Generate(core.DataGenConfig{
+		data, err := core.GenerateCtx(context.Background(), core.DataGenConfig{
 			NumGraphs: 8, Nodes: 8, EdgeProb: 0.5,
 			MaxDepth: 3, Starts: 2, Tol: 1e-6, Seed: testTrainSeed,
 		})
