@@ -186,18 +186,20 @@ func encodeFrame(r walRecord) ([]byte, error) {
 	if len(payload) > walMaxRecordLen {
 		return nil, fmt.Errorf("cluster: wal record of %d bytes exceeds the %d limit", len(payload), walMaxRecordLen)
 	}
+	return frameOf(payload), nil
+}
+
+// frameOf prefixes a payload with its length and CRC.
+func frameOf(payload []byte) []byte {
 	frame := make([]byte, walFrameHeader+len(payload))
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
 	copy(frame[walFrameHeader:], payload)
-	return frame, nil
+	return frame
 }
 
-// readWALRecords reads every intact record; a missing file is an empty
-// log. It stops at the first frame whose length runs past EOF, whose
-// CRC mismatches, or whose payload is not a valid record — the torn
-// tail a crash mid-append leaves — and reports torn=true for any
-// unread remainder.
+// readWALRecords reads every intact record of the log at path (see
+// decodeWAL); a missing file is an empty log.
 func readWALRecords(path string) (records []walRecord, torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -206,6 +208,15 @@ func readWALRecords(path string) (records []walRecord, torn bool, err error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("cluster: reading wal %s: %w", path, err)
 	}
+	records, torn = decodeWAL(data)
+	return records, torn, nil
+}
+
+// decodeWAL decodes the frames of a log. It stops at the first frame
+// whose length runs past the end, whose CRC mismatches, or whose payload
+// is not a valid record — the torn tail a crash mid-append leaves — and
+// reports torn=true for any unread remainder.
+func decodeWAL(data []byte) (records []walRecord, torn bool) {
 	off := 0
 	for off+walFrameHeader <= len(data) {
 		n := int(binary.LittleEndian.Uint32(data[off:]))
@@ -224,7 +235,7 @@ func readWALRecords(path string) (records []walRecord, torn bool, err error) {
 		records = append(records, r)
 		off += walFrameHeader + n
 	}
-	return records, off < len(data), nil
+	return records, off < len(data)
 }
 
 // replay folds the record sequence into recovered state. Duplicate

@@ -1,6 +1,7 @@
 package problem
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -194,6 +195,13 @@ func CompileMaxKSAT(f *Formula) (*Instance, error) {
 	return q.ToIsing(FamilyMaxKSAT, f.Vars)
 }
 
+// The payload-size errors Compile and Spec.Qubits share.
+var (
+	errPartitionSize    = errors.New("problem: number partitioning needs at least 2 numbers")
+	errPortfolioSize    = errors.New("problem: portfolio needs at least 2 assets")
+	errPortfolioPayload = errors.New("problem: portfolio spec has no payload")
+)
+
 // CompilePartition maps number partitioning — split positive numbers
 // into two sets minimizing the difference of sums — onto spins:
 // minimize D(z)² with D = Σ_i w_i·s_i, i.e.
@@ -205,7 +213,7 @@ func CompileMaxKSAT(f *Formula) (*Instance, error) {
 func CompilePartition(numbers []float64) (*Instance, error) {
 	n := len(numbers)
 	if n < 2 {
-		return nil, fmt.Errorf("problem: number partitioning needs at least 2 numbers")
+		return nil, errPartitionSize
 	}
 	offset := 0.0
 	for i, w := range numbers {
@@ -248,7 +256,7 @@ type PortfolioSpec struct {
 func (p *PortfolioSpec) Validate() error {
 	n := len(p.Returns)
 	if n < 2 {
-		return fmt.Errorf("problem: portfolio needs at least 2 assets")
+		return errPortfolioSize
 	}
 	if len(p.Covariance) != n {
 		return fmt.Errorf("problem: covariance is %dx? for %d assets", len(p.Covariance), n)

@@ -70,7 +70,7 @@ func (s Spec) Compile() (*Instance, error) {
 		return CompilePartition(s.Numbers)
 	case FamilyPortfolio:
 		if s.Port == nil {
-			return nil, fmt.Errorf("problem: portfolio spec has no payload")
+			return nil, errPortfolioPayload
 		}
 		return CompilePortfolio(s.Port)
 	case FamilyColoring:
@@ -83,7 +83,10 @@ func (s Spec) Compile() (*Instance, error) {
 }
 
 // Qubits returns the compiled register width without keeping the
-// instance (coloring uses n·k qubits, maxksat adds auxiliaries).
+// instance (coloring uses n·k qubits, maxksat adds auxiliaries). For
+// maxcut, partition, portfolio and coloring it is arithmetic on the
+// payload — no coupling is built — and a payload too small to compile
+// fails with Compile's error; qubo and maxksat compile.
 func (s Spec) Qubits() (int, error) {
 	switch s.Family {
 	case FamilyMaxCut:
@@ -91,6 +94,19 @@ func (s Spec) Qubits() (int, error) {
 			return 0, fmt.Errorf("problem: maxcut spec has no graph")
 		}
 		return s.Graph.N, nil
+	case FamilyPartition:
+		if len(s.Numbers) < 2 {
+			return 0, errPartitionSize
+		}
+		return len(s.Numbers), nil
+	case FamilyPortfolio:
+		if s.Port == nil {
+			return 0, errPortfolioPayload
+		}
+		if len(s.Port.Returns) < 2 {
+			return 0, errPortfolioSize
+		}
+		return len(s.Port.Returns), nil
 	case FamilyColoring:
 		if s.Graph == nil {
 			return 0, fmt.Errorf("problem: coloring spec has no graph")

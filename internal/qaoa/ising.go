@@ -5,66 +5,89 @@ import "qaoaml/internal/problem"
 // buildIsingTables materializes the Score diagonal and the phase
 // generator gen(z) = −sense·(Σ h_i s_i + Σ J_ij s_i s_j) of a small
 // instance for z < dim: 2^N, or 2^(N−1) for the lower half a half
-// register evolves. Instances with integral doubled coefficients accumulate
-// the doubled sum T(z) = Σ(2J)ss + Σ(2h)s in int64 and recover both
-// tables by exact halving — the same arithmetic the streaming kernel
-// uses, which is what makes materialized and streamed evaluation
-// bit-identical (for an integer-weighted MaxCut, T = 2C − m gives
-// gen = (m−2C)/2 and Score = C exactly).
-func buildIsingTables(in *problem.Instance, dim int) (diag, gen []float64) {
-	diag = make([]float64, dim)
-	gen = make([]float64, dim)
+// register evolves. It sums the doubled T(z) = Σ(2h)s + Σ(2J)ss term by
+// term (addTerm; nonzero fields, then couplings: the order the float bits
+// are pinned to) — in int64, returned as t, when the doubled coefficients
+// are integral, else in gen's storage — and recovers both tables by exact
+// halving: the streaming kernel's arithmetic, which is what makes
+// materialized and streamed evaluation bit-identical (for an
+// integer-weighted MaxCut, T = 2C − m gives gen = (m−2C)/2 and Score = C
+// exactly).
+func buildIsingTables(in *problem.Instance, dim int) (diag, gen []float64, t []int64) {
+	diag, gen = make([]float64, dim), make([]float64, dim)
+	if in.IntegerCoeffs() {
+		t = make([]int64, dim)
+		addInstanceTerms(t, in)
+		for z, tz := range t {
+			gen[z] = float64(tz)
+		}
+	} else {
+		addInstanceTerms(gen, in)
+	}
 	sign := in.Sense.Sign()
 	senseOffset := sign * in.Offset
-	if in.IntegerCoeffs() {
-		for z := 0; z < dim; z++ {
-			var t int64
-			for i, h := range in.Linear {
-				if h == 0 {
-					continue
-				}
-				if (z>>uint(i))&1 == 0 {
-					t += int64(2 * h)
-				} else {
-					t -= int64(2 * h)
-				}
-			}
-			for _, q := range in.Quad {
-				if (z>>uint(q.I))&1 == (z>>uint(q.J))&1 {
-					t += int64(2 * q.W)
-				} else {
-					t -= int64(2 * q.W)
-				}
-			}
-			half := float64(t) / 2
-			diag[z] = senseOffset + sign*half
-			gen[z] = -sign * half
-		}
-		return diag, gen
+	for z, tz := range gen {
+		half := tz / 2
+		diag[z] = senseOffset + sign*half
+		gen[z] = -sign * half
 	}
-	for z := 0; z < dim; z++ {
-		t := 0.0
-		for i, h := range in.Linear {
-			if h == 0 {
-				continue
-			}
-			if (z>>uint(i))&1 == 0 {
-				t += 2 * h
-			} else {
-				t -= 2 * h
-			}
+	return diag, gen, t
+}
+
+func addInstanceTerms[T int64 | float64](acc []T, in *problem.Instance) {
+	for i, h := range in.Linear {
+		if h != 0 {
+			addTerm(acc, T(2*h), i, -1)
 		}
-		for _, q := range in.Quad {
-			if (z>>uint(q.I))&1 == (z>>uint(q.J))&1 {
-				t += 2 * q.W
-			} else {
-				t -= 2 * q.W
-			}
-		}
-		diag[z] = senseOffset + sign*(t/2)
-		gen[z] = -sign * (t / 2)
 	}
-	return diag, gen
+	for _, q := range in.Quad {
+		addTerm(acc, T(2*q.W), q.I, q.J)
+	}
+}
+
+// addTerm adds v·s_i(z)·s_j(z) to acc[z] for every z < len(acc) — v·s_i(z)
+// when j < 0 — with s_b(z) = +1 where bit b of z is clear, −1 where it is
+// set. The sign is constant on runs of 2^i, so the term costs one add per
+// entry and no branch on z. A subtraction x − v has the bits of x + (−v):
+// every entry equals the sum of the same signed terms in the same order
+// taken one basis state at a time, bit for bit.
+func addTerm[T int64 | float64](acc []T, v T, i, j int) {
+	if j < 0 || 1<<uint(j) >= len(acc) { // s_j = +1 throughout
+		addRuns(acc, v, i)
+		return
+	}
+	span := 1 << uint(j)
+	for lo := 0; lo < len(acc); lo += 2 * span {
+		addRuns(acc[lo:lo+span], v, i)
+		addRuns(acc[lo+span:lo+2*span], -v, i)
+	}
+}
+
+// addRuns adds v·s_i(z) to acc[z]; len(acc) is a power of two. Runs of
+// one take both signs of a period per step, where the general loop would
+// spend a slice and a loop setup per entry.
+func addRuns[T int64 | float64](acc []T, v T, i int) {
+	run := 1 << uint(i)
+	switch {
+	case run >= len(acc):
+		for z := range acc {
+			acc[z] += v
+		}
+	case run == 1:
+		for ; len(acc) >= 2; acc = acc[2:] {
+			acc[0] += v
+			acc[1] -= v
+		}
+	default:
+		for ; len(acc) >= 2*run; acc = acc[2*run:] {
+			up, down := acc[:run], acc[run:2*run]
+			down = down[:len(up)]
+			for z := range up {
+				up[z] += v
+				down[z] -= v
+			}
+		}
+	}
 }
 
 // newIsingKernel picks the evaluation engine for an instance by size:
@@ -87,8 +110,8 @@ func newMaterializedKernel(in *problem.Instance, half bool) *diagKernel {
 	if half {
 		n--
 	}
-	diag, gen := buildIsingTables(in, 1<<uint(n))
-	k := newDiagKernelFromGen(n, diag, gen)
+	diag, gen, t := buildIsingTables(in, 1<<uint(n))
+	k := newDiagKernelFromGen(n, diag, gen, t)
 	k.half = half
 	return k
 }

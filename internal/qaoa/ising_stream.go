@@ -39,7 +39,9 @@ import (
 //   - quadratic terms with both spins below cb and linear terms below
 //     cb depend only on the chunk-local bits: they fold into a 2^cb
 //     table built ONCE at construction (≤ 256 KiB — chunk-sized, not
-//     state-sized) shared by every chunk;
+//     state-sized) shared by every chunk, term by term over the runs of
+//     z_l where the term's sign is constant (addTerm: one add per entry
+//     per term, no branch on z_l);
 //   - terms entirely in the high bits are a per-chunk constant,
 //     computed once per chunk in O(terms);
 //   - cross terms (i < cb ≤ j) reduce, for frozen high bits, to
@@ -176,15 +178,38 @@ func newIsingStreamKernel(in *problem.Instance, half bool) *isingStreamKernel {
 		}
 	}
 
+	// One-time low-bits table: T over the in-chunk terms per local state,
+	// summed term by term (addTerm) as the classification below meets
+	// them — couplings, then fields: the order the float bits are pinned
+	// to. On the float path, flipping one low spin negates the terms it is
+	// in: lowFlip sums those, where tllF[2^t] − tllF[0] would carry the
+	// rounding of every low term into each of the cb differences.
+	nLow := 1 << uint(k.cb)
+	var step []float64 // float path: pair steps [t·cb + j], j < t
+	if k.integer {
+		k.tllInt = make([]int64, nLow)
+	} else {
+		k.tllF, k.lowFlip, step = make([]float64, nLow), make([]float64, k.cb), make([]float64, k.cb*k.cb)
+	}
+	addLow := func(a float64, i, j int) {
+		if k.integer {
+			addTerm(k.tllInt, int64(a), i, j)
+			return
+		}
+		addTerm(k.tllF, a, i, j)
+		k.lowFlip[i] -= 2 * a
+		if j >= 0 {
+			k.lowFlip[j] -= 2 * a
+			step[j*k.cb+i] -= k.sense * 2 * a
+		}
+	}
+
 	// Classify quadratic terms against the chunk width (i < j already).
-	var lowI, lowJ []int32
-	var lowA []float64
 	k.crossStart = make([]int32, k.cb+1)
 	for _, t := range in.Quad {
 		switch {
 		case t.J < k.cb:
-			lowI, lowJ = append(lowI, int32(t.I)), append(lowJ, int32(t.J))
-			lowA = append(lowA, 2*t.W)
+			addLow(2*t.W, t.I, t.J)
 		case t.I >= k.cb:
 			k.hhU, k.hhV = append(k.hhU, int32(t.I)), append(k.hhV, int32(t.J))
 			k.hhAF = append(k.hhAF, 2*t.W)
@@ -207,89 +232,40 @@ func newIsingStreamKernel(in *problem.Instance, half bool) *isingStreamKernel {
 		}
 	}
 	// Linear terms split by chunk width; low ones fold into the table.
-	var lowLinG []float64
-	lowLinIdx := []int32{}
 	for i, h := range in.Linear {
 		if h == 0 {
 			continue
 		}
 		if i < k.cb {
-			lowLinIdx = append(lowLinIdx, int32(i))
-			lowLinG = append(lowLinG, 2*h)
+			addLow(2*h, i, -1)
 		} else {
 			k.hiLinIdx = append(k.hiLinIdx, int32(i))
 			k.hiLinF = append(k.hiLinF, 2*h)
 		}
 	}
 
-	// One-time low-bits table: T over the in-chunk terms per local state.
-	nLow := 1 << uint(k.cb)
-	spin := func(z, b int32) float64 {
-		if (z>>uint(b))&1 == 0 {
-			return 1
-		}
-		return -1
-	}
 	if k.integer {
-		k.crossAInt = make([]int64, len(k.crossAF))
-		for i, a := range k.crossAF {
-			k.crossAInt[i] = int64(a)
-		}
-		k.hhAInt = make([]int64, len(k.hhAF))
-		for i, a := range k.hhAF {
-			k.hhAInt[i] = int64(a)
-		}
-		k.hiLinInt = make([]int64, len(k.hiLinF))
-		for i, g := range k.hiLinF {
-			k.hiLinInt[i] = int64(g)
-		}
-		k.tllInt = make([]int64, nLow)
-		for z := range k.tllInt {
-			var t int64
-			for i := range lowI {
-				t += int64(lowA[i]) * int64(spin(int32(z), lowI[i])*spin(int32(z), lowJ[i]))
+		k.crossAInt, k.hhAInt, k.hiLinInt = int64s(k.crossAF), int64s(k.hhAF), int64s(k.hiLinF)
+		return k
+	}
+	k.pairStart = make([]int32, k.cb+1)
+	for t := 0; t < k.cb; t++ {
+		for j, g := range step[t*k.cb : t*k.cb+t] {
+			if g != 0 {
+				k.pairLow, k.pairGen = append(k.pairLow, int32(j)), append(k.pairGen, g)
 			}
-			for i, g := range lowLinG {
-				t += int64(g) * int64(spin(int32(z), lowLinIdx[i]))
-			}
-			k.tllInt[z] = t
 		}
-	} else {
-		// Flipping one low spin negates the terms it is in: summed here
-		// term by term, where tllF[2^t] − tllF[0] would carry the rounding
-		// of every low term into each of the cb differences.
-		k.lowFlip = make([]float64, k.cb)
-		step := make([]float64, k.cb*k.cb) // [t·cb + j], j < t
-		for i, a := range lowA {
-			k.lowFlip[lowI[i]] -= 2 * a
-			k.lowFlip[lowJ[i]] -= 2 * a
-			step[int(lowJ[i])*k.cb+int(lowI[i])] -= k.sense * 2 * a
-		}
-		for i, g := range lowLinG {
-			k.lowFlip[lowLinIdx[i]] -= 2 * g
-		}
-		k.pairStart = make([]int32, k.cb+1)
-		for t := 0; t < k.cb; t++ {
-			for j, g := range step[t*k.cb : t*k.cb+t] {
-				if g != 0 {
-					k.pairLow, k.pairGen = append(k.pairLow, int32(j)), append(k.pairGen, g)
-				}
-			}
-			k.pairStart[t+1] = int32(len(k.pairGen))
-		}
-		k.tllF = make([]float64, nLow)
-		for z := range k.tllF {
-			t := 0.0
-			for i := range lowI {
-				t += lowA[i] * spin(int32(z), lowI[i]) * spin(int32(z), lowJ[i])
-			}
-			for i, g := range lowLinG {
-				t += g * spin(int32(z), lowLinIdx[i])
-			}
-			k.tllF[z] = t
-		}
+		k.pairStart[t+1] = int32(len(k.pairGen))
 	}
 	return k
+}
+
+func int64s(f []float64) []int64 {
+	out := make([]int64, len(f))
+	for i, x := range f {
+		out[i] = int64(x)
+	}
+	return out
 }
 
 // streamScratch holds one chunk's worth of generated cost data.
@@ -369,66 +345,40 @@ func (k *isingStreamKernel) genFromT(t int64) float64 {
 // cross-term contribution at all-zero low bits — plus the per-low-spin
 // flip deltas d with their prefix sums p[u] = Σ_{x<u} d[x].
 func (k *isingStreamKernel) chunkSetupInt(lo uint64, d, p *[maxStreamChunkBits]int64) int64 {
-	var base int64
-	for i, u := range k.hhU {
-		if (lo>>uint(u))&1 == (lo>>uint(k.hhV[i]))&1 {
-			base += k.hhAInt[i]
-		} else {
-			base -= k.hhAInt[i]
-		}
-	}
-	for i, q := range k.hiLinIdx {
-		if (lo>>uint(q))&1 == 0 {
-			base += k.hiLinInt[i]
-		} else {
-			base -= k.hiLinInt[i]
-		}
-	}
-	var acc int64
-	for u := 0; u < k.cb; u++ {
-		p[u] = acc
-		var du int64
-		for e := k.crossStart[u]; e < k.crossStart[u+1]; e++ {
-			av := k.crossAInt[e]
-			if (lo>>uint(k.crossVert[e]))&1 != 0 {
-				av = -av // s_v = −1 freezes the term to −a·s_u
-			}
-			base += av // low bit clear: s_u = +1
-			du -= 2 * av
-		}
-		d[u] = du
-		acc += du
-	}
-	return base
+	return chunkSetup(k, lo, k.hhAInt, k.hiLinInt, k.crossAInt, d, p)
 }
 
 // chunkSetupFloat is chunkSetupInt with float64 coefficients.
 func (k *isingStreamKernel) chunkSetupFloat(lo uint64, d, p *[maxStreamChunkBits]float64) float64 {
-	base := 0.0
+	return chunkSetup(k, lo, k.hhAF, k.hiLinF, k.crossAF, d, p)
+}
+
+func chunkSetup[T int64 | float64](k *isingStreamKernel, lo uint64, hhA, hiLin, crossA []T, d, p *[maxStreamChunkBits]T) T {
+	var base T
 	for i, u := range k.hhU {
 		if (lo>>uint(u))&1 == (lo>>uint(k.hhV[i]))&1 {
-			base += k.hhAF[i]
+			base += hhA[i]
 		} else {
-			base -= k.hhAF[i]
+			base -= hhA[i]
 		}
 	}
 	for i, q := range k.hiLinIdx {
 		if (lo>>uint(q))&1 == 0 {
-			base += k.hiLinF[i]
+			base += hiLin[i]
 		} else {
-			base -= k.hiLinF[i]
+			base -= hiLin[i]
 		}
 	}
-	acc := 0.0
+	var acc T
 	for u := 0; u < k.cb; u++ {
 		p[u] = acc
-		du := 0.0
+		var du T
 		for e := k.crossStart[u]; e < k.crossStart[u+1]; e++ {
-			av := k.crossAF[e]
+			av := crossA[e]
 			if (lo>>uint(k.crossVert[e]))&1 != 0 {
-				av = -av
+				av = -av // s_v = −1 freezes the term to −a·s_u
 			}
-			base += av
+			base += av // low bit clear: s_u = +1
 			du -= 2 * av
 		}
 		d[u] = du

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"qaoaml/internal/quantum"
@@ -136,14 +137,33 @@ type diagKernel struct {
 // gen(z) is not a pointwise function of diag(z) (a minimization
 // instance flips the sign, auxiliary penalties shift it). The phase
 // angles are factorized into distinct values; index assignment follows
-// first occurrence in basis-state order, so it is deterministic.
-func newDiagKernelFromGen(n int, diag, gen []float64) *diagKernel {
+// first occurrence in basis-state order, so it is deterministic. Given
+// integer doubled sums t (buildIsingTables) spanning fewer slots than the
+// table has entries, the slot (T − T_min)/2 stands in for the map key
+// with the same result: T ↦ gen is injective there (T averages to zero
+// over the register, so the span bounds |T| too).
+func newDiagKernelFromGen(n int, diag, gen []float64, t []int64) *diagKernel {
 	k := &diagKernel{
 		n:    n,
 		diag: diag,
 		idx:  make([]int32, len(diag)),
 	}
-	seen := make(map[float64]int32, 64)
+	if t != nil {
+		tmin := slices.Min(t)
+		if span := (slices.Max(t) - tmin) / 2; span < int64(len(t)) {
+			slot := make([]int32, span+1) // index + 1; 0 = not seen yet
+			for z, tz := range t {
+				s := &slot[(tz-tmin)/2]
+				if *s == 0 {
+					k.halfAngles = append(k.halfAngles, gen[z])
+					*s = int32(len(k.halfAngles))
+				}
+				k.idx[z] = *s - 1
+			}
+			return k
+		}
+	}
+	seen := make(map[float64]int32, len(gen)) // float gens are mostly distinct
 	for z, a := range gen {
 		j, ok := seen[a]
 		if !ok {

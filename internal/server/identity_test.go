@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -181,6 +182,29 @@ func TestRejectColoringWithoutCompiling(t *testing.T) {
 	})
 	if allocs > 40 {
 		t.Errorf("refusing an oversized coloring request cost %.0f allocations: the instance was built", allocs)
+	}
+}
+
+// So is the partition cap (one qubit per number): 20,000 numbers would
+// compile to 2·10⁸ couplings, 4.8 GB, before the cap was read. The
+// refusal keeps the message the cap gave after that compile and
+// allocates well under a megabyte.
+func TestRejectPartitionWithoutCompiling(t *testing.T) {
+	s := New(Config{Workers: 1, MaxNodes: 12})
+	defer s.Close()
+	req := SolveRequest{Problem: "partition", Numbers: make([]float64, 20000), Depth: 1, Strategy: StrategyNaive}
+	for i := range req.Numbers {
+		req.Numbers[i] = float64(1 + i%97)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, herr := s.normalize(&req)
+	runtime.ReadMemStats(&after)
+	if herr == nil || herr.code != http.StatusBadRequest || herr.msg != "partition instance needs 20000 qubits, out of [2, 12]" {
+		t.Fatalf("normalize: %v", herr)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+		t.Errorf("refusing a 20,000-number partition request allocated %d bytes: the instance was built", b)
 	}
 }
 

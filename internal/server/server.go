@@ -580,10 +580,11 @@ func (s *Server) normalize(req *SolveRequest) (resolved, *httpError) {
 	if req.Problem == problem.FamilyMaxCut {
 		rs.qubits = spec.Graph.N // capped by requestGraph
 	} else {
-		if req.Problem == problem.FamilyColoring {
-			// The one-hot width is arithmetic (nodes·colors), so the cap is
-			// checked before the instance — nodes·colors²/2 couplings —
-			// exists.
+		switch req.Problem {
+		case problem.FamilyColoring, problem.FamilyPartition, problem.FamilyPortfolio:
+			// The width is arithmetic (nodes·colors, numbers, assets), so the
+			// cap is checked before the instance — nodes·colors²/2 or n²/2
+			// couplings — exists.
 			qubits, err := spec.Qubits()
 			if err != nil {
 				return zero, badRequest("%v", err)

@@ -13,6 +13,7 @@
 # (sumXPartial, sumXRun) and the float stream kernel's per-amplitude
 # complex multiplies (State.MulRange, State.InnerImMulRange, and
 # fillPhase's two doubling loops phaseScale, phaseMul in internal/qaoa)
+# and the kernel builders' term-by-term table sums (addTerm, addRuns)
 # iterate equal-length sub-slices so the compiler can drop every
 # per-element index check; a refactor that brings one back costs 10–20 %
 # of a Go-body sweep without failing any test. This asks the compiler
@@ -34,7 +35,7 @@ check() {
   # a warm cache reports the same lines as a cold one.
   report="$(go build -gcflags='-d=ssa/check_bce/debug=1' "./$dir/" 2>&1 | grep 'Found IsInBounds' || true)"
   for fn in $funcs; do
-    loc="$(grep -nE "^func (\([^)]*\) )?$fn\(" "$dir"/*.go | grep -v _test.go || true)"
+    loc="$(grep -nE "^func (\([^)]*\) )?$fn[[(]" "$dir"/*.go | grep -v _test.go || true)"
     if [ "$(printf '%s\n' "$loc" | grep -c .)" != 1 ]; then
       echo "check_bce: expected exactly one definition of $fn in $dir, found: ${loc:-none}" >&2
       exit 1
@@ -55,5 +56,5 @@ check() {
 
 bad=0
 check internal/quantum 'rxQuad rxQuadGo rxQuadLow rxQuadLowGo rxQuadMirror rxQuadMirrorGo rxQuadRange rxDuo rxDuoMirror revQuad revQuadLow revQuadMirror revQuadChunk sumXQuad sumXQuadLow sumXDuo sumXQuadMirror sumXDuoMirror sumXPartial sumXRun MulRange InnerImMulRange'
-check internal/qaoa 'phaseScale phaseMul'
+check internal/qaoa 'phaseScale phaseMul addTerm addRuns'
 exit "$bad"
