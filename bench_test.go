@@ -204,22 +204,6 @@ func BenchmarkExpectation(b *testing.B) {
 	}
 }
 
-// BenchmarkGradient compares the central vs forward finite-difference
-// schemes on a depth-3 QAOA objective.
-func BenchmarkGradient(b *testing.B) {
-	pb := benchProblem(b)
-	ev := qaoa.NewEvaluator(pb, 3)
-	bounds := core.ParamBounds(3)
-	x := bounds.Random(rand.New(rand.NewSource(8)))
-	for _, scheme := range []optimize.FDScheme{optimize.CentralDiff, optimize.ForwardDiff} {
-		b.Run(scheme.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = optimize.Gradient(ev.NegExpectation, x, ev.NegExpectation(x), bounds, scheme, 1e-6)
-			}
-		})
-	}
-}
-
 // BenchmarkOptimizer runs each of the four local optimizers to
 // convergence on the same depth-2 instance from the same start.
 func BenchmarkOptimizer(b *testing.B) {
@@ -230,7 +214,8 @@ func BenchmarkOptimizer(b *testing.B) {
 		b.Run(opt.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ev := qaoa.NewEvaluator(pb, 2)
-				r := opt.Minimize(ev.NegExpectation, append([]float64(nil), x0...), bounds)
+				r := optimize.Run(context.Background(), optimize.Problem{F: ev.NegExpectation, X0: x0, Bounds: bounds},
+					optimize.Options{Optimizer: opt})
 				if r.NFev == 0 {
 					b.Fatal("no evaluations")
 				}
@@ -459,32 +444,20 @@ func BenchmarkBatchEval(b *testing.B) {
 }
 
 // BenchmarkGradientWorkspace measures a full depth-3 central-difference
-// gradient through the reusable workspace (serial and batched probes).
+// gradient through the reusable workspace.
 func BenchmarkGradientWorkspace(b *testing.B) {
 	pb := benchProblem(b)
 	bounds := core.ParamBounds(3)
 	x := bounds.Random(rand.New(rand.NewSource(20)))
 	ws := optimize.NewGradientWorkspace(len(x))
 	dst := make([]float64, len(x))
-	b.Run("serial", func(b *testing.B) {
-		ev := qaoa.NewEvaluator(pb, 3)
-		fx := ev.NegExpectation(x)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = ws.Gradient(dst, ev.NegExpectation, x, fx, bounds, optimize.CentralDiff, 1e-6)
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		ev := qaoa.NewEvaluator(pb, 3)
-		be := qaoa.NewBatchEvaluator(pb, 3, 0)
-		fx := ev.NegExpectation(x)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, _ = ws.GradientBatch(dst, be.EvalBatch, x, fx, bounds, optimize.CentralDiff, 1e-6)
-		}
-	})
+	ev := qaoa.NewEvaluator(pb, 3)
+	ev.NegExpectation(x) // warm the workspace
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = ws.Gradient(dst, ev.NegExpectation, x, bounds)
+	}
 }
 
 // BenchmarkGradientAdjoint measures one adjoint-mode value+gradient

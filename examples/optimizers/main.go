@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -52,7 +53,8 @@ func main() {
 		var fcs, ars []float64
 		for _, x0 := range starts {
 			ev := qaoa.NewEvaluator(pb, depth)
-			res := opt.Minimize(ev.NegExpectation, append([]float64(nil), x0...), bounds)
+			res := optimize.Run(context.Background(), optimize.Problem{F: ev.NegExpectation, X0: x0, Bounds: bounds},
+				optimize.Options{Optimizer: opt})
 			params := qaoa.FromVector(res.X)
 			fcs = append(fcs, float64(ev.NFev()))
 			ars = append(ars, pb.ApproximationRatio(params))

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -38,7 +39,8 @@ func main() {
 	bounds := core.ParamBounds(depth)
 
 	opt := &optimize.LBFGSB{Tol: 1e-6}
-	result := opt.Minimize(ev.NegExpectation, bounds.Random(rng), bounds)
+	result := optimize.Run(context.Background(), optimize.Problem{F: ev.NegExpectation, X0: bounds.Random(rng), Bounds: bounds},
+		optimize.Options{Optimizer: opt})
 
 	params := qaoa.FromVector(result.X)
 	fmt.Printf("optimizer: %s (%s)\n", opt.Name(), result.Message)

@@ -24,8 +24,8 @@ func fourOptimizers() map[string]optimize.Optimizer {
 }
 
 // FC is the paper's metric: at depth 1 every call the optimizer reports
-// must have reached an evaluator counter — F and Batch calls as NFev,
-// gradients as NGev — no circuit is simulated for any of them, and the
+// must have reached an evaluator counter — F calls as NFev, gradients
+// as NGev — no circuit is simulated for any of them, and the
 // flow reports the optimizer's own count.
 func TestLevel1CountsEveryClosedFormCall(t *testing.T) {
 	data := testData(t)
@@ -33,15 +33,14 @@ func TestLevel1CountsEveryClosedFormCall(t *testing.T) {
 	bounds := ParamBounds(1)
 	for name, opt := range fourOptimizers() {
 		ev := qaoa.NewEvaluator(pb, 1)
-		be := qaoa.NewBatchEvaluator(pb, 1, 0)
 		mem := telemetry.NewMemory()
 		r := optimize.Run(context.Background(), optimize.Problem{
-			F: ev.NegExpectation, Batch: be.EvalBatch, Grad: ev.NegGrad,
+			F: ev.NegExpectation, Grad: ev.NegGrad,
 			X0: bounds.Random(rand.New(rand.NewSource(5))), Bounds: bounds,
 		}, optimize.Options{Optimizer: opt, Recorder: mem})
-		if r.NFev != ev.NFev()+be.NFev() || r.NGev != ev.NGev() {
-			t.Errorf("%s: optimizer reports NFev=%d NGev=%d, evaluators counted %d+%d and %d",
-				name, r.NFev, r.NGev, ev.NFev(), be.NFev(), ev.NGev())
+		if r.NFev != ev.NFev() || r.NGev != ev.NGev() {
+			t.Errorf("%s: optimizer reports NFev=%d NGev=%d, evaluator counted %d and %d",
+				name, r.NFev, r.NGev, ev.NFev(), ev.NGev())
 		}
 		if got := mem.Snapshot().Counters["optimize.fev_total"]; got != int64(r.NFev) {
 			t.Errorf("%s: optimize.fev_total = %d, want %d", name, got, r.NFev)
@@ -60,7 +59,6 @@ func TestLevel1CountsEveryClosedFormCall(t *testing.T) {
 			t.Errorf("%s: level-1 AR %v, state vector %v", name, flow.AR, want)
 		}
 		ev.Release()
-		be.Release()
 	}
 }
 

@@ -21,7 +21,7 @@ func TestGenerateFamilyEnsembles(t *testing.T) {
 			Starts:    2,
 			Seed:      11,
 			Family:    fam,
-			Optimizer: &optimize.LBFGSB{Tol: 1e-4, MaxIter: 40},
+			Optimizer: &optimize.LBFGSB{Tol: 1e-4},
 		}
 		data, err := GenerateCtx(context.Background(), cfg)
 		if err != nil {
@@ -47,7 +47,7 @@ func TestGenerateFamilyDeterministic(t *testing.T) {
 	cfg := DataGenConfig{
 		NumGraphs: 2, Nodes: 6, EdgeProb: 0.5, MaxDepth: 1, Starts: 1, Seed: 5,
 		Family:    problem.FamilyQUBO,
-		Optimizer: &optimize.LBFGSB{Tol: 1e-4, MaxIter: 20},
+		Optimizer: &optimize.LBFGSB{Tol: 1e-4},
 	}
 	a, err := GenerateCtx(context.Background(), cfg)
 	if err != nil {

@@ -213,15 +213,11 @@ func descend(ctx context.Context, pb *qaoa.Problem, bounds *optimize.Bounds, sta
 	ev := qaoa.NewEvaluatorArena(pb, depth, o.Arena)
 	defer ev.Release()
 	// Gradient-based optimizers take the adjoint path (Grad), so a
-	// gradient costs one reverse sweep instead of 2n evaluations; the
-	// batch evaluator stays wired up for optimizers that still probe
-	// finite-difference stencils.
-	be := qaoa.NewBatchEvaluatorArena(pb, depth, 0, o.Arena)
-	defer be.Release()
+	// gradient costs one reverse sweep instead of 2n evaluations.
 	var d descent
 	var best optimize.Result
 	for _, x0 := range starts {
-		r := optimize.Run(ctx, optimize.Problem{F: ev.NegExpectation, Batch: be.EvalBatch, Grad: ev.NegGrad, X0: x0, Bounds: bounds},
+		r := optimize.Run(ctx, optimize.Problem{F: ev.NegExpectation, Grad: ev.NegGrad, X0: x0, Bounds: bounds},
 			optimize.Options{Optimizer: o.Optimizer, Recorder: o.Recorder})
 		d.NFev += r.NFev
 		if r.Status == optimize.Cancelled {

@@ -76,17 +76,6 @@ func tryPairing(n, k int, rng *rand.Rand) (*Graph, bool) {
 	return g, true
 }
 
-// Complete returns the complete graph K_n.
-func Complete(n int) *Graph {
-	g := New(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			mustAdd(g, u, v)
-		}
-	}
-	return g
-}
-
 // Cycle returns the cycle graph C_n (n ≥ 3).
 func Cycle(n int) *Graph {
 	if n < 3 {
@@ -112,67 +101,4 @@ func mustAdd(g *Graph, u, v int) {
 	if err := g.AddEdge(u, v); err != nil {
 		panic("graph: generator produced invalid edge: " + err.Error())
 	}
-}
-
-// Star returns the star graph S_n: vertex 0 joined to 1..n-1.
-func Star(n int) *Graph {
-	if n < 2 {
-		panic("graph: star needs n >= 2")
-	}
-	g := New(n)
-	for v := 1; v < n; v++ {
-		mustAdd(g, 0, v)
-	}
-	return g
-}
-
-// CompleteBipartite returns K_{a,b} with parts {0..a-1} and {a..a+b-1}.
-func CompleteBipartite(a, b int) *Graph {
-	if a < 1 || b < 1 {
-		panic("graph: complete bipartite needs a, b >= 1")
-	}
-	g := New(a + b)
-	for u := 0; u < a; u++ {
-		for v := a; v < a+b; v++ {
-			mustAdd(g, u, v)
-		}
-	}
-	return g
-}
-
-// Grid2D returns the rows×cols grid graph, vertices numbered row-major.
-func Grid2D(rows, cols int) *Graph {
-	if rows < 1 || cols < 1 {
-		panic("graph: grid needs rows, cols >= 1")
-	}
-	g := New(rows * cols)
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				mustAdd(g, id(r, c), id(r, c+1))
-			}
-			if r+1 < rows {
-				mustAdd(g, id(r, c), id(r+1, c))
-			}
-		}
-	}
-	return g
-}
-
-// Barbell returns two K_m cliques joined by a single bridge edge
-// (vertices 0..m-1 and m..2m-1, bridge (m-1, m)).
-func Barbell(m int) *Graph {
-	if m < 2 {
-		panic("graph: barbell needs m >= 2")
-	}
-	g := New(2 * m)
-	for u := 0; u < m; u++ {
-		for v := u + 1; v < m; v++ {
-			mustAdd(g, u, v)
-			mustAdd(g, m+u, m+v)
-		}
-	}
-	mustAdd(g, m-1, m)
-	return g
 }

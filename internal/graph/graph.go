@@ -123,16 +123,6 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 // Degree returns the degree of vertex v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
-// DegreeSequence returns the sorted (ascending) degree sequence.
-func (g *Graph) DegreeSequence() []int {
-	ds := make([]int, g.N)
-	for i := range ds {
-		ds[i] = g.Degree(i)
-	}
-	sort.Ints(ds)
-	return ds
-}
-
 // Neighbors returns the sorted neighbor list of v.
 func (g *Graph) Neighbors(v int) []int {
 	ns := make([]int, 0, len(g.adj[v]))
@@ -250,22 +240,6 @@ func (g *Graph) MaxCut() MaxCutResult {
 	return best
 }
 
-// CutTable returns a table of cut values for all 2^N assignments,
-// indexed by the assignment bits. This is the diagonal of the QAOA cost
-// Hamiltonian in the computational basis. It panics for N > 24.
-func (g *Graph) CutTable() []float64 {
-	if g.N > 24 {
-		panic("graph: CutTable limited to n <= 24")
-	}
-	table := make([]float64, 1<<uint(g.N))
-	// Incremental: cut(a) differs from cut(a ^ (1<<v)) only on edges at v.
-	// Simple direct evaluation is fast enough at n = 8; keep it clear.
-	for a := range table {
-		table[a] = float64(g.CutValue(uint64(a)))
-	}
-	return table
-}
-
 // Clone returns a deep copy of g, including edge weights.
 func (g *Graph) Clone() *Graph {
 	c := New(g.N)
@@ -295,33 +269,4 @@ func (g *Graph) String() string {
 	}
 	b.WriteByte(']')
 	return b.String()
-}
-
-// DOT renders the graph in Graphviz DOT format.
-func (g *Graph) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph %s {\n", name)
-	for i := 0; i < g.N; i++ {
-		fmt.Fprintf(&b, "  %d;\n", i)
-	}
-	for _, e := range g.edges {
-		fmt.Fprintf(&b, "  %d -- %d;\n", e.U, e.V)
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
-// Triangles returns the number of triangles in the graph. Each
-// triangle {a < b < c} is counted exactly once, via its lowest edge
-// (a, b) and the common neighbor c > b.
-func (g *Graph) Triangles() int {
-	count := 0
-	for _, e := range g.edges { // stored with U < V
-		for w := range g.adj[e.U] {
-			if w > e.V && g.adj[e.V][w] {
-				count++
-			}
-		}
-	}
-	return count
 }

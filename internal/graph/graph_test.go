@@ -42,18 +42,13 @@ func TestEdgeNormalization(t *testing.T) {
 
 func TestDegreeAndNeighbors(t *testing.T) {
 	g := Path(4) // 0-1-2-3
-	if g.Degree(0) != 1 || g.Degree(1) != 2 {
-		t.Errorf("degrees: %v", g.DegreeSequence())
+	for v, want := range []int{1, 2, 2, 1} {
+		if g.Degree(v) != want {
+			t.Errorf("Degree(%d) = %d, want %d", v, g.Degree(v), want)
+		}
 	}
 	if got := g.Neighbors(1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Errorf("Neighbors(1) = %v", got)
-	}
-	want := []int{1, 1, 2, 2}
-	for i, d := range g.DegreeSequence() {
-		if d != want[i] {
-			t.Errorf("DegreeSequence = %v", g.DegreeSequence())
-			break
-		}
 	}
 }
 
@@ -95,8 +90,8 @@ func TestMaxCutKnownGraphs(t *testing.T) {
 		{"triangle", Cycle(3), 2},
 		{"C4", Cycle(4), 4},
 		{"C5", Cycle(5), 4},
-		{"K4", Complete(4), 4},
-		{"K5", Complete(5), 6},
+		{"K4", complete(4), 4},
+		{"K5", complete(5), 6},
 		{"empty", New(5), 0},
 	}
 	for _, c := range cases {
@@ -110,15 +105,16 @@ func TestMaxCutKnownGraphs(t *testing.T) {
 	}
 }
 
+// On unit weights the weighted cut table is the cut count.
 func TestCutTableMatchesCutValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := ErdosRenyi(6, 0.5, rng)
-	table := g.CutTable()
+	table := g.WeightedCutTable()
 	if len(table) != 64 {
 		t.Fatalf("table length = %d", len(table))
 	}
 	for a := uint64(0); a < 64; a++ {
-		if int(table[a]) != g.CutValue(a) {
+		if table[a] != float64(g.CutValue(a)) {
 			t.Fatalf("table[%d] = %v != CutValue %d", a, table[a], g.CutValue(a))
 		}
 	}
@@ -240,14 +236,10 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestStringAndDOT(t *testing.T) {
+func TestString(t *testing.T) {
 	g := Path(3)
 	if s := g.String(); !strings.Contains(s, "n=3") || !strings.Contains(s, "(0,1)") {
 		t.Errorf("String = %q", s)
-	}
-	dot := g.DOT("p3")
-	if !strings.Contains(dot, "graph p3") || !strings.Contains(dot, "0 -- 1;") {
-		t.Errorf("DOT = %q", dot)
 	}
 }
 
@@ -257,4 +249,24 @@ func TestDeterministicGeneration(t *testing.T) {
 	if g1.String() != g2.String() {
 		t.Error("same seed produced different graphs")
 	}
+}
+
+// fromEdges builds an unweighted graph on n vertices.
+func fromEdges(n int, edges [][2]int) *Graph {
+	g := New(n)
+	for _, e := range edges {
+		mustAdd(g, e[0], e[1])
+	}
+	return g
+}
+
+// complete is K_n.
+func complete(n int) *Graph {
+	var edges [][2]int
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			edges = append(edges, [2]int{u, v})
+		}
+	}
+	return fromEdges(n, edges)
 }

@@ -148,91 +148,73 @@ func mustAddW(t *testing.T, g *Graph, u, v int, w float64) {
 	}
 }
 
+// Bipartite families: MaxCut cuts every edge.
 func TestStar(t *testing.T) {
-	g := Star(5)
-	if g.NumEdges() != 4 || g.Degree(0) != 4 {
-		t.Errorf("star: m=%d deg0=%d", g.NumEdges(), g.Degree(0))
-	}
-	// Star is bipartite: MaxCut cuts every edge.
+	g := fromEdges(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
 	if got := g.MaxCut().Value; got != 4 {
 		t.Errorf("star MaxCut = %d, want 4", got)
 	}
 }
 
 func TestCompleteBipartite(t *testing.T) {
-	g := CompleteBipartite(3, 4)
-	if g.N != 7 || g.NumEdges() != 12 {
-		t.Fatalf("K(3,4): n=%d m=%d", g.N, g.NumEdges())
+	var edges [][2]int
+	for u := 0; u < 3; u++ {
+		for v := 3; v < 7; v++ {
+			edges = append(edges, [2]int{u, v})
+		}
 	}
-	if got := g.MaxCut().Value; got != 12 {
+	if got := fromEdges(7, edges).MaxCut().Value; got != 12 {
 		t.Errorf("K(3,4) MaxCut = %d, want 12 (bipartite)", got)
-	}
-	if g.Triangles() != 0 {
-		t.Error("bipartite graph has triangles")
 	}
 }
 
 func TestGrid2D(t *testing.T) {
-	g := Grid2D(3, 4)
-	if g.N != 12 {
-		t.Fatalf("grid n = %d", g.N)
+	// 3×4 grid, vertices row-major: 3 rows × 3 horizontal + 2 × 4
+	// vertical = 17 edges.
+	var edges [][2]int
+	for r := 0; r < 3; r++ {
+		for c := 0; c < 4; c++ {
+			if c+1 < 4 {
+				edges = append(edges, [2]int{4*r + c, 4*r + c + 1})
+			}
+			if r+1 < 3 {
+				edges = append(edges, [2]int{4*r + c, 4*(r+1) + c})
+			}
+		}
 	}
-	// Edges: 3 rows × 3 horizontal + 2 × 4 vertical = 9 + 8 = 17.
-	if g.NumEdges() != 17 {
-		t.Errorf("grid m = %d, want 17", g.NumEdges())
-	}
+	g := fromEdges(12, edges)
 	if !g.Connected() {
 		t.Error("grid not connected")
 	}
-	// Grids are bipartite.
 	if got := g.MaxCut().Value; got != 17 {
 		t.Errorf("grid MaxCut = %d, want 17", got)
 	}
 }
 
+// Two K4 cliques joined by one bridge: connected, and the bridge plus
+// the best cut of each K4 (4 of 6 edges) is the optimum.
 func TestBarbell(t *testing.T) {
-	g := Barbell(4)
-	if g.N != 8 {
-		t.Fatalf("barbell n = %d", g.N)
+	var edges [][2]int
+	for u := 0; u < 4; u++ {
+		for v := u + 1; v < 4; v++ {
+			edges = append(edges, [2]int{u, v}, [2]int{4 + u, 4 + v})
+		}
 	}
-	// Two K4 (6 edges each) + bridge.
-	if g.NumEdges() != 13 {
-		t.Errorf("barbell m = %d, want 13", g.NumEdges())
-	}
+	g := fromEdges(8, append(edges, [2]int{3, 4}))
 	if !g.Connected() {
 		t.Error("barbell not connected")
 	}
-	// Each K4 contributes C(4,3) = 4 triangles.
-	if got := g.Triangles(); got != 8 {
-		t.Errorf("barbell triangles = %d, want 8", got)
-	}
-}
-
-func TestTriangles(t *testing.T) {
-	cases := []struct {
-		g    *Graph
-		want int
-	}{
-		{Cycle(3), 1},
-		{Cycle(5), 0},
-		{Complete(4), 4},
-		{Complete(5), 10},
-		{Path(4), 0},
-		{Star(6), 0},
-	}
-	for i, c := range cases {
-		if got := c.g.Triangles(); got != c.want {
-			t.Errorf("case %d: triangles = %d, want %d", i, got, c.want)
-		}
+	if got := g.MaxCut().Value; got != 9 {
+		t.Errorf("barbell MaxCut = %d, want 9", got)
 	}
 }
 
 func TestGeneratorPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
 	for i, f := range []func(){
-		func() { Star(1) },
-		func() { CompleteBipartite(0, 3) },
-		func() { Grid2D(0, 2) },
-		func() { Barbell(1) },
+		func() { Cycle(2) },
+		func() { ErdosRenyi(4, 1.5, rng) },
+		func() { RandomRegular(5, 3, rng) },
 	} {
 		func() {
 			defer func() {

@@ -51,18 +51,6 @@ func (c *CholeskyDecomp) Solve(b Vector) Vector {
 	return SolveUpperTriangular(c.L.T(), y)
 }
 
-// SolveMatrix solves A·X = B column by column.
-func (c *CholeskyDecomp) SolveMatrix(b *Matrix) *Matrix {
-	x := NewMatrix(b.Rows, b.Cols)
-	for j := 0; j < b.Cols; j++ {
-		col := c.Solve(b.Col(j))
-		for i := range col {
-			x.Set(i, j, col[i])
-		}
-	}
-	return x
-}
-
 // LogDet returns log det(A) = 2·Σ log L[i][i].
 func (c *CholeskyDecomp) LogDet() float64 {
 	s := 0.0
@@ -111,9 +99,8 @@ func SolveUpperTriangular(u *Matrix, b Vector) Vector {
 
 // LUDecomp holds an LU factorization with partial pivoting: P·A = L·U.
 type LUDecomp struct {
-	lu   *Matrix // packed L (unit diagonal, below) and U (on/above diagonal)
-	piv  []int   // row permutation
-	sign int     // permutation parity, used for Det
+	lu  *Matrix // packed L (unit diagonal, below) and U (on/above diagonal)
+	piv []int   // row permutation
 }
 
 // LU factors A with partial pivoting.
@@ -125,7 +112,6 @@ func LU(a *Matrix) (*LUDecomp, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for col := 0; col < n; col++ {
 		// Pivot search.
 		p := col
@@ -144,7 +130,6 @@ func LU(a *Matrix) (*LUDecomp, error) {
 				ri[k], rj[k] = rj[k], ri[k]
 			}
 			piv[p], piv[col] = piv[col], piv[p]
-			sign = -sign
 		}
 		d := lu.At(col, col)
 		for i := col + 1; i < n; i++ {
@@ -155,7 +140,7 @@ func LU(a *Matrix) (*LUDecomp, error) {
 			}
 		}
 	}
-	return &LUDecomp{lu: lu, piv: piv, sign: sign}, nil
+	return &LUDecomp{lu: lu, piv: piv}, nil
 }
 
 // Solve solves A·x = b.
@@ -182,15 +167,6 @@ func (d *LUDecomp) Solve(b Vector) Vector {
 		x[i] /= d.lu.At(i, i)
 	}
 	return x
-}
-
-// Det returns det(A).
-func (d *LUDecomp) Det() float64 {
-	det := float64(d.sign)
-	for i := 0; i < d.lu.Rows; i++ {
-		det *= d.lu.At(i, i)
-	}
-	return det
 }
 
 // QRDecomp holds a thin Householder QR factorization A = Q·R with

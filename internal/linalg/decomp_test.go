@@ -23,7 +23,7 @@ func TestCholeskyReconstructs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if !ch.L.Mul(ch.L.T()).Equal(a, 1e-9) {
+		if !matClose(ch.L.Mul(ch.L.T()), a, 1e-9) {
 			t.Errorf("n=%d: L·Lᵀ != A", n)
 		}
 	}
@@ -38,31 +38,39 @@ func TestCholeskySolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ch.Solve(b); !got.Equal(x, 1e-8) {
+	if got := ch.Solve(b); !vecClose(got, x, 1e-8) {
 		t.Errorf("Solve = %v, want %v", got, x)
 	}
 }
 
+// One factorization serves every column of a matrix right-hand side:
+// Solve leaves the factor untouched.
 func TestCholeskySolveMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randomSPD(rng, 4)
 	xm := randomMatrix(rng, 4, 3)
 	bm := a.Mul(xm)
 	ch, _ := Cholesky(a)
-	if got := ch.SolveMatrix(bm); !got.Equal(xm, 1e-8) {
-		t.Error("SolveMatrix mismatch")
+	for j := 0; j < xm.Cols; j++ {
+		b, x := make(Vector, 4), make(Vector, 4)
+		for i := range b {
+			b[i], x[i] = bm.At(i, j), xm.At(i, j)
+		}
+		if got := ch.Solve(b); !vecClose(got, x, 1e-8) {
+			t.Errorf("column %d: Solve = %v, want %v", j, got, x)
+		}
 	}
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	a := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := Cholesky(a); err != ErrNotPositiveDefinite {
 		t.Errorf("err = %v, want ErrNotPositiveDefinite", err)
 	}
 }
 
 func TestCholeskyLogDet(t *testing.T) {
-	a := FromRows([][]float64{{4, 0}, {0, 9}})
+	a := fromRows([][]float64{{4, 0}, {0, 9}})
 	ch, _ := Cholesky(a)
 	if got, want := ch.LogDet(), math.Log(36); math.Abs(got-want) > 1e-12 {
 		t.Errorf("LogDet = %v, want %v", got, want)
@@ -70,23 +78,33 @@ func TestCholeskyLogDet(t *testing.T) {
 }
 
 func TestLUSolveAndDet(t *testing.T) {
-	a := FromRows([][]float64{{2, 1, 1}, {4, -6, 0}, {-2, 7, 2}})
+	a := fromRows([][]float64{{2, 1, 1}, {4, -6, 0}, {-2, 7, 2}})
 	lu, err := LU(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := lu.Solve(Vector{5, -2, 9})
-	if got := a.MulVec(x); !got.Equal(Vector{5, -2, 9}, 1e-10) {
+	if got := a.MulVec(x); !vecClose(got, Vector{5, -2, 9}, 1e-10) {
 		t.Errorf("LU solve residual: A·x = %v", got)
 	}
-	// det by cofactor: 2(-12-0) -1(8-0) +1(28-12) = -24-8+16 = -16
-	if got := lu.Det(); math.Abs(got-(-16)) > 1e-10 {
-		t.Errorf("Det = %v, want -16", got)
+	// The factors carry det(A) = sign(P)·Π U[i][i]; by cofactors it is
+	// 2(-12-0) -1(8-0) +1(28-12) = -24-8+16 = -16.
+	det := 1.0
+	for i := range lu.piv {
+		det *= lu.lu.At(i, i)
+		for j := i + 1; j < len(lu.piv); j++ {
+			if lu.piv[j] < lu.piv[i] {
+				det = -det // one inversion of the row permutation
+			}
+		}
+	}
+	if math.Abs(det-(-16)) > 1e-10 {
+		t.Errorf("det from the LU factors = %v, want -16", det)
 	}
 }
 
 func TestLUSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := LU(a); err != ErrSingular {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
@@ -99,10 +117,10 @@ func TestQROrthonormalAndReconstructs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !qr.Q.T().Mul(qr.Q).Equal(Identity(4), 1e-9) {
+	if !matClose(qr.Q.T().Mul(qr.Q), Identity(4), 1e-9) {
 		t.Error("QᵀQ != I")
 	}
-	if !qr.Q.Mul(qr.R).Equal(a, 1e-9) {
+	if !matClose(qr.Q.Mul(qr.R), a, 1e-9) {
 		t.Error("Q·R != A")
 	}
 	// R upper triangular.
@@ -123,13 +141,13 @@ func TestQRRejectsWide(t *testing.T) {
 
 func TestLeastSquaresExact(t *testing.T) {
 	// Overdetermined consistent system: fit y = 2x + 1 exactly.
-	a := FromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
+	a := fromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
 	b := Vector{1, 3, 5, 7}
 	x, err := LeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !x.Equal(Vector{1, 2}, 1e-10) {
+	if !vecClose(x, Vector{1, 2}, 1e-10) {
 		t.Errorf("LeastSquares = %v, want [1 2]", x)
 	}
 }
@@ -142,15 +160,18 @@ func TestLeastSquaresResidualOrthogonal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := b.Sub(a.MulVec(x))
+	r := a.MulVec(x)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
 	// Normal equations: Aᵀr = 0.
-	if got := a.MulVecT(r); got.NormInf() > 1e-9 {
+	if got := a.MulVecT(r); !vecClose(got, make(Vector, len(got)), 1e-9) {
 		t.Errorf("Aᵀr = %v, want ~0", got)
 	}
 }
 
 func TestLeastSquaresRankDeficient(t *testing.T) {
-	a := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	a := fromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	if _, err := LeastSquares(a, Vector{1, 2, 3}); err != ErrSingular {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
@@ -162,11 +183,11 @@ func TestSolveAndSolveSPD(t *testing.T) {
 	x := randomVector(rng, 5)
 	b := a.MulVec(x)
 	got, err := Solve(a.Clone(), b)
-	if err != nil || !got.Equal(x, 1e-8) {
+	if err != nil || !vecClose(got, x, 1e-8) {
 		t.Errorf("Solve = %v (err %v), want %v", got, err, x)
 	}
 	got, err = SolveSPD(a, b)
-	if err != nil || !got.Equal(x, 1e-8) {
+	if err != nil || !vecClose(got, x, 1e-8) {
 		t.Errorf("SolveSPD = %v (err %v), want %v", got, err, x)
 	}
 }
@@ -183,9 +204,11 @@ func TestCholeskySolveProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		x := ch.Solve(b)
-		res := a.MulVec(x).Sub(b)
-		return res.NormInf() <= 1e-8*(1+b.NormInf())
+		scale := 0.0
+		for _, bi := range b {
+			scale = math.Max(scale, math.Abs(bi))
+		}
+		return vecClose(a.MulVec(ch.Solve(b)), b, 1e-8*(1+scale))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -205,11 +228,11 @@ func TestTriangularSolveProperty(t *testing.T) {
 			l.Set(i, i, 1+rng.Float64()) // well away from zero
 		}
 		x := randomVector(rng, n)
-		if !SolveLowerTriangular(l, l.MulVec(x)).Equal(x, 1e-8) {
+		if !vecClose(SolveLowerTriangular(l, l.MulVec(x)), x, 1e-8) {
 			return false
 		}
 		u := l.T()
-		return SolveUpperTriangular(u, u.MulVec(x)).Equal(x, 1e-8)
+		return vecClose(SolveUpperTriangular(u, u.MulVec(x)), x, 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

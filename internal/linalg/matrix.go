@@ -20,21 +20,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices. All rows must share a length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("linalg: ragged rows in FromRows")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -49,18 +34,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Row returns row i as a Vector view (shared storage).
-func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) Vector {
-	v := make(Vector, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		v[i] = m.At(i, j)
-	}
-	return v
-}
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
@@ -78,35 +51,6 @@ func (m *Matrix) T() *Matrix {
 		}
 	}
 	return t
-}
-
-// Add returns m + b. It panics on shape mismatch.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	m.checkSameShape(b)
-	c := m.Clone()
-	for i := range c.Data {
-		c.Data[i] += b.Data[i]
-	}
-	return c
-}
-
-// Sub returns m - b. It panics on shape mismatch.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
-	m.checkSameShape(b)
-	c := m.Clone()
-	for i := range c.Data {
-		c.Data[i] -= b.Data[i]
-	}
-	return c
-}
-
-// Scale returns a*m.
-func (m *Matrix) Scale(a float64) *Matrix {
-	c := m.Clone()
-	for i := range c.Data {
-		c.Data[i] *= a
-	}
-	return c
 }
 
 // Mul returns the matrix product m·b. It panics if inner dimensions differ.
@@ -162,19 +106,6 @@ func (m *Matrix) MulVecT(v Vector) Vector {
 	return out
 }
 
-// Diag returns the main diagonal as a vector.
-func (m *Matrix) Diag() Vector {
-	n := m.Rows
-	if m.Cols < n {
-		n = m.Cols
-	}
-	v := make(Vector, n)
-	for i := 0; i < n; i++ {
-		v[i] = m.At(i, i)
-	}
-	return v
-}
-
 // AddToDiag adds a to each diagonal entry in place and returns m.
 func (m *Matrix) AddToDiag(a float64) *Matrix {
 	n := m.Rows
@@ -185,15 +116,6 @@ func (m *Matrix) AddToDiag(a float64) *Matrix {
 		m.Set(i, i, m.At(i, i)+a)
 	}
 	return m
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, x := range m.Data {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbs returns the largest absolute entry of m (0 for an empty matrix).
@@ -207,19 +129,6 @@ func (m *Matrix) MaxAbs() float64 {
 	return mx
 }
 
-// Equal reports whether m and b have the same shape and entries within tol.
-func (m *Matrix) Equal(b *Matrix, tol float64) bool {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		return false
-	}
-	for i := range m.Data {
-		if math.Abs(m.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder
@@ -230,12 +139,6 @@ func (m *Matrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func (m *Matrix) checkSameShape(b *Matrix) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
 }
 
 func (m *Matrix) checkSquare() {

@@ -9,58 +9,10 @@
 // kernels.
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Vector is a dense column vector.
 type Vector []float64
-
-// Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	w := make(Vector, len(v))
-	copy(w, v)
-	return w
-}
-
-// Add returns v + w. It panics if lengths differ.
-func (v Vector) Add(w Vector) Vector {
-	checkLen(v, w)
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out
-}
-
-// Sub returns v - w. It panics if lengths differ.
-func (v Vector) Sub(w Vector) Vector {
-	checkLen(v, w)
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out
-}
-
-// Scale returns a*v.
-func (v Vector) Scale(a float64) Vector {
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = a * v[i]
-	}
-	return out
-}
-
-// AddScaled adds a*w to v in place and returns v.
-func (v Vector) AddScaled(a float64, w Vector) Vector {
-	checkLen(v, w)
-	for i := range v {
-		v[i] += a * w[i]
-	}
-	return v
-}
 
 // Dot returns the inner product of v and w. It panics if lengths differ.
 func (v Vector) Dot(w Vector) float64 {
@@ -70,61 +22,6 @@ func (v Vector) Dot(w Vector) float64 {
 		s += v[i] * w[i]
 	}
 	return s
-}
-
-// Norm returns the Euclidean norm of v.
-func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// NormInf returns the maximum absolute entry of v (0 for empty v).
-func (v Vector) NormInf() float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Max returns the maximum entry of v. It panics on an empty vector.
-func (v Vector) Max() float64 {
-	if len(v) == 0 {
-		panic("linalg: Max of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum entry of v. It panics on an empty vector.
-func (v Vector) Min() float64 {
-	if len(v) == 0 {
-		panic("linalg: Min of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Equal reports whether v and w have the same length and entries within tol.
-func (v Vector) Equal(w Vector, tol float64) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for i := range v {
-		if math.Abs(v[i]-w[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 func checkLen(v, w Vector) {

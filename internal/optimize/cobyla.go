@@ -1,7 +1,6 @@
 package optimize
 
 import (
-	"context"
 	"math"
 
 	"qaoaml/internal/linalg"
@@ -13,39 +12,32 @@ import (
 // them, and minimizes the model inside a shrinking trust region. Box
 // bounds — the only constraints the QAOA domain needs — are handled as
 // linear constraints solved in closed form (clipping the model step).
+// The trust region starts at radius 0.5, and a run stops after 500·dim
+// iterations at the latest.
 type COBYLA struct {
-	Tol     float64 // final trust-region radius ρ_end (default 1e-6)
-	RhoBeg  float64 // initial trust-region radius (default 0.5)
-	MaxIter int     // outer iteration cap (default 500·dim)
-	MaxFev  int     // function evaluation cap (default 1000·dim)
+	Tol    float64 // final trust-region radius ρ_end (default 1e-6)
+	MaxFev int     // function evaluation cap (default 1000·dim)
 }
 
 // Name implements Optimizer.
 func (o *COBYLA) Name() string { return "COBYLA" }
 
-// Minimize implements Optimizer.
-func (o *COBYLA) Minimize(f Func, x0 []float64, bounds *Bounds) Result {
-	return Run(context.Background(), Problem{F: f, X0: x0, Bounds: bounds}, Options{Optimizer: o})
-}
-
-// run implements the runner hook behind Run. Per-iteration events
-// report the simplex function-value spread (GNorm) and the trust-region
-// radius ρ (Step).
+// run implements Optimizer. Per-iteration events report the simplex
+// function-value spread (GNorm) and the trust-region radius ρ (Step).
 func (o *COBYLA) run(env *runEnv) Result {
-	f, bounds := env.f, env.bounds
+	bounds := env.bounds
 	x := prepareStart(env.x0, bounds)
 	n := len(x)
 	rhoEnd := tolOrDefault(o.Tol)
-	rho := o.RhoBeg
-	if rho <= 0 {
-		rho = 0.5
-	}
+	rho := 0.5
 	if rho < rhoEnd {
 		rho = rhoEnd * 10
 	}
-	maxIter := maxIterOrDefault(o.MaxIter, 500*n)
-	maxFev := env.capFev(maxIterOrDefault(o.MaxFev, 1000*n))
-	cnt := &counter{f: f}
+	maxIter, maxFev := 500*n, o.MaxFev
+	if maxFev <= 0 {
+		maxFev = 1000 * n
+	}
+	cnt := &counter{f: env.f}
 
 	rhoBeg := rho
 	simplex := buildSimplex(cnt, x, rho, bounds)
@@ -70,11 +62,7 @@ func (o *COBYLA) run(env *runEnv) Result {
 			cancelled = true
 			break
 		}
-		if env.emit(iters, simplex[0].f, spread(simplex), rho, cnt.n) {
-			cancelled = true
-			msg = callbackStopMsg
-			break
-		}
+		env.emit(iters, simplex[0].f, spread(simplex), rho, cnt.n)
 		if rho <= rhoEnd {
 			converged = true
 			msg = "trust region collapsed to tolerance"
@@ -172,7 +160,7 @@ func (o *COBYLA) run(env *runEnv) Result {
 	}
 	return Result{
 		X: simplex[0].x, F: simplex[0].f,
-		NFev: cnt.n, Iters: iters, Converged: converged,
+		NFev: cnt.n, Iters: iters,
 		Status: statusOf(converged, cancelled), Message: msg,
 	}
 }

@@ -1,6 +1,7 @@
 package optimize_test
 
 import (
+	"context"
 	"fmt"
 
 	"qaoaml/internal/optimize"
@@ -12,8 +13,8 @@ func ExampleLBFGSB() {
 		return (x[0]-0.5)*(x[0]-0.5) + (x[1]+0.25)*(x[1]+0.25)
 	}
 	bounds := optimize.UniformBounds(2, -1, 1)
-	opt := &optimize.LBFGSB{Tol: 1e-8}
-	res := opt.Minimize(f, []float64{0.9, 0.9}, bounds)
-	fmt.Printf("x = (%.2f, %.2f), converged: %v\n", res.X[0], res.X[1], res.Converged)
+	res := optimize.Run(context.Background(), optimize.Problem{F: f, X0: []float64{0.9, 0.9}, Bounds: bounds},
+		optimize.Options{Optimizer: &optimize.LBFGSB{Tol: 1e-8}})
+	fmt.Printf("x = (%.2f, %.2f), converged: %v\n", res.X[0], res.X[1], res.Status == optimize.Converged)
 	// Output: x = (0.50, -0.25), converged: true
 }

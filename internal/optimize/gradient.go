@@ -2,54 +2,16 @@ package optimize
 
 import "math"
 
-// FDScheme selects a finite-difference formula for gradients.
-type FDScheme int
+// fdStep is the central-difference step, a good compromise for smooth
+// trig objectives like the QAOA landscape.
+const fdStep = 1e-6
 
-// Supported schemes. Central differencing costs 2n evaluations per
-// gradient but is second-order accurate; forward differencing costs n
-// (reusing the already-known f(x)) but is first-order.
-const (
-	CentralDiff FDScheme = iota
-	ForwardDiff
-)
-
-// String names the scheme.
-func (s FDScheme) String() string {
-	if s == ForwardDiff {
-		return "forward"
-	}
-	return "central"
-}
-
-// defaultFDStep is a good compromise step for central differences on
-// smooth trig objectives like the QAOA landscape.
-const defaultFDStep = 1e-6
-
-// Gradient estimates ∇f(x) with the given scheme and step, keeping
-// sample points inside bounds by flipping the probe direction at the
-// box faces. fx is f(x), used by the forward scheme; pass math.NaN()
-// to force its (re)evaluation.
-//
-// Each call allocates the result and a probe buffer; optimizer inner
-// loops should hold a GradientWorkspace instead.
-func Gradient(f Func, x []float64, fx float64, bounds *Bounds, scheme FDScheme, step float64) []float64 {
-	ws := NewGradientWorkspace(len(x))
-	return ws.Gradient(make([]float64, len(x)), f, x, fx, bounds, scheme, step)
-}
-
-// GradientWorkspace holds the probe-point buffers finite-difference
-// gradients need, so optimizer inner loops (which compute a gradient
-// every iteration) reuse one set of slices instead of reallocating.
-// Not safe for concurrent use.
+// GradientWorkspace holds the probe point a finite-difference gradient
+// needs, so optimizer inner loops (which compute a gradient every
+// iteration) reuse one slice instead of reallocating. Not safe for
+// concurrent use.
 type GradientWorkspace struct {
-	xp []float64 // serial probe point
-
-	// Batch-path buffers: probe points (backed by buf), and the
-	// coordinate/denominator bookkeeping to assemble the gradient.
-	probes [][]float64
-	buf    []float64
-	coords []int
-	denoms []float64
+	xp []float64
 }
 
 // NewGradientWorkspace returns a workspace for n-dimensional gradients.
@@ -57,147 +19,33 @@ func NewGradientWorkspace(n int) *GradientWorkspace {
 	return &GradientWorkspace{xp: make([]float64, n)}
 }
 
-// Gradient fills dst with the finite-difference estimate of ∇f(x) and
-// returns it, evaluating probes serially through f. Semantics are
-// identical to the package-level Gradient.
-func (ws *GradientWorkspace) Gradient(dst []float64, f Func, x []float64, fx float64, bounds *Bounds, scheme FDScheme, step float64) []float64 {
-	if step <= 0 {
-		step = defaultFDStep
-	}
-	n := len(x)
-	xp := ws.xp[:n]
+// Gradient fills dst with the central-difference estimate of ∇f(x) and
+// returns it, evaluating the 2·len(x) probes serially through f. Steps
+// shrink at the box faces so every probe stays inside bounds; a
+// degenerate coordinate (lo == hi) gets derivative 0 and no probes.
+func (ws *GradientWorkspace) Gradient(dst []float64, f Func, x []float64, bounds *Bounds) []float64 {
+	xp := ws.xp[:len(x)]
 	copy(xp, x)
-	switch scheme {
-	case ForwardDiff:
-		if math.IsNaN(fx) {
-			fx = f(x)
-		}
-		for i := 0; i < n; i++ {
-			h := step
-			if bounds != nil && x[i]+h > bounds.Hi[i] {
-				h = -step // probe backwards at the upper face
-			}
-			xp[i] = x[i] + h
-			dst[i] = (f(xp) - fx) / h
-			xp[i] = x[i]
-		}
-	default: // CentralDiff
-		for i := 0; i < n; i++ {
-			hp, hm := centralSteps(x, i, bounds, step)
-			if hp+hm == 0 {
-				// Degenerate box face (lo == hi): derivative is irrelevant.
-				dst[i] = 0
-				continue
-			}
-			xp[i] = x[i] + hp
-			fp := f(xp)
-			xp[i] = x[i] - hm
-			fm := f(xp)
-			xp[i] = x[i]
-			dst[i] = (fp - fm) / (hp + hm)
-		}
-	}
-	return dst
-}
-
-// GradientBatch fills dst like Gradient but evaluates every probe point
-// through bf in a single batch, so independent probes can run
-// concurrently. It returns dst and the number of objective evaluations
-// consumed — exactly the count the serial path would spend, keeping
-// NFev accounting identical. The assembled gradient is bit-identical to
-// the serial path because the probe points, and therefore the objective
-// values, are the same.
-//
-// The forward scheme needs fx; when fx is NaN the point x itself is
-// prepended to the batch (one extra evaluation, as in the serial path).
-func (ws *GradientWorkspace) GradientBatch(dst []float64, bf BatchFunc, x []float64, fx float64, bounds *Bounds, scheme FDScheme, step float64) ([]float64, int) {
-	if step <= 0 {
-		step = defaultFDStep
-	}
-	n := len(x)
-	ws.reset(n)
-	switch scheme {
-	case ForwardDiff:
-		needFx := math.IsNaN(fx)
-		if needFx {
-			copy(ws.addProbe(x), x)
-		}
-		for i := 0; i < n; i++ {
-			h := step
-			if bounds != nil && x[i]+h > bounds.Hi[i] {
-				h = -step
-			}
-			p := ws.addProbe(x)
-			p[i] = x[i] + h
-			ws.coords = append(ws.coords, i)
-			ws.denoms = append(ws.denoms, h)
-		}
-		vals := bf(ws.probes)
-		k := 0
-		if needFx {
-			fx = vals[0]
-			k = 1
-		}
-		for j, i := range ws.coords {
-			dst[i] = (vals[k+j] - fx) / ws.denoms[j]
-		}
-		return dst, len(ws.probes)
-	default: // CentralDiff
-		for i := 0; i < n; i++ {
-			hp, hm := centralSteps(x, i, bounds, step)
-			if hp+hm == 0 {
-				dst[i] = 0
-				continue
-			}
-			p := ws.addProbe(x)
-			p[i] = x[i] + hp
-			m := ws.addProbe(x)
-			m[i] = x[i] - hm
-			ws.coords = append(ws.coords, i)
-			ws.denoms = append(ws.denoms, hp+hm)
-		}
-		vals := bf(ws.probes)
-		for j, i := range ws.coords {
-			dst[i] = (vals[2*j] - vals[2*j+1]) / ws.denoms[j]
-		}
-		return dst, len(ws.probes)
-	}
-}
-
-// centralSteps returns the (forward, backward) central-difference steps
-// for coordinate i, shrunk at the box faces.
-func centralSteps(x []float64, i int, bounds *Bounds, step float64) (hp, hm float64) {
-	hp, hm = step, step
-	if bounds != nil {
+	for i := range x {
+		hp, hm := fdStep, fdStep
 		if x[i]+hp > bounds.Hi[i] {
 			hp = bounds.Hi[i] - x[i]
 		}
 		if x[i]-hm < bounds.Lo[i] {
 			hm = x[i] - bounds.Lo[i]
 		}
+		if hp+hm == 0 {
+			dst[i] = 0
+			continue
+		}
+		xp[i] = x[i] + hp
+		fp := f(xp)
+		xp[i] = x[i] - hm
+		fm := f(xp)
+		xp[i] = x[i]
+		dst[i] = (fp - fm) / (hp + hm)
 	}
-	return hp, hm
-}
-
-// reset clears the batch bookkeeping, keeping capacity.
-func (ws *GradientWorkspace) reset(n int) {
-	ws.probes = ws.probes[:0]
-	ws.buf = ws.buf[:0]
-	ws.coords = ws.coords[:0]
-	ws.denoms = ws.denoms[:0]
-	if cap(ws.buf) < 2*n*n+n {
-		ws.buf = make([]float64, 0, 2*n*n+n)
-	}
-}
-
-// addProbe appends a copy of x to the probe list (backed by ws.buf)
-// and returns it for in-place modification.
-func (ws *GradientWorkspace) addProbe(x []float64) []float64 {
-	lo := len(ws.buf)
-	ws.buf = append(ws.buf, x...)
-	p := ws.buf[lo:len(ws.buf):len(ws.buf)]
-	ws.probes = append(ws.probes, p)
-	return p
+	return dst
 }
 
 // projectedGradientNorm returns the infinity norm of the projected
@@ -207,15 +55,11 @@ func projectedGradientNorm(x, g []float64, bounds *Bounds) float64 {
 	norm := 0.0
 	for i := range x {
 		gi := g[i]
-		if bounds != nil {
-			atLo := x[i] <= bounds.Lo[i]
-			atHi := x[i] >= bounds.Hi[i]
-			if atLo && gi > 0 {
-				gi = 0
-			}
-			if atHi && gi < 0 {
-				gi = 0
-			}
+		if x[i] <= bounds.Lo[i] && gi > 0 {
+			gi = 0
+		}
+		if x[i] >= bounds.Hi[i] && gi < 0 {
+			gi = 0
 		}
 		if a := math.Abs(gi); a > norm {
 			norm = a

@@ -1,69 +1,39 @@
 package optimize
 
-import "context"
-
 // LBFGSB is a limited-memory BFGS method with gradient projection for
-// box constraints, the same algorithm family as SciPy's L-BFGS-B.
-// Gradients are finite differences, so — as on real quantum hardware —
-// every gradient evaluation spends function calls, which is what the
-// paper counts.
+// box constraints, the same algorithm family as SciPy's L-BFGS-B. It
+// takes Problem.Grad when set; otherwise gradients are central finite
+// differences, so — as on real quantum hardware — every gradient spends
+// 2·dim function calls, which is what the paper counts. It keeps the
+// last 10 curvature pairs and stops after 100·dim iterations or 2000·dim
+// function calls at the latest.
 type LBFGSB struct {
-	Tol     float64  // relative f-change / projected-gradient tolerance (default 1e-6)
-	MaxIter int      // outer iteration cap (default 100·dim)
-	MaxFev  int      // function evaluation cap (default 2000·dim)
-	Memory  int      // number of (s, y) pairs kept (default 10)
-	Scheme  FDScheme // finite-difference scheme (default central)
-	FDStep  float64  // finite-difference step (default 1e-6)
+	Tol float64 // relative f-change / projected-gradient tolerance (default 1e-6)
 }
+
+// lbfgsbMemory is the number of (s, y) pairs L-BFGS-B keeps.
+const lbfgsbMemory = 10
 
 // Name implements Optimizer.
 func (o *LBFGSB) Name() string { return "L-BFGS-B" }
 
-// Minimize implements Optimizer.
-func (o *LBFGSB) Minimize(f Func, x0 []float64, bounds *Bounds) Result {
-	return Run(context.Background(), Problem{F: f, X0: x0, Bounds: bounds}, Options{Optimizer: o})
-}
-
-// run implements the runner hook behind Run. Per-iteration events
-// report the projected-gradient ∞-norm and the accepted line-search
-// step of the previous iteration.
+// run implements Optimizer. Per-iteration events report the
+// projected-gradient ∞-norm and the accepted line-search step of the
+// previous iteration.
 func (o *LBFGSB) run(env *runEnv) Result {
-	f, bf, bounds := env.f, env.bf, env.bounds
+	bounds := env.bounds
 	x := prepareStart(env.x0, bounds)
 	n := len(x)
 	tol := tolOrDefault(o.Tol)
-	maxIter := maxIterOrDefault(o.MaxIter, 100*n)
-	maxFev := env.capFev(maxIterOrDefault(o.MaxFev, 2000*n))
-	mem := o.Memory
-	if mem <= 0 {
-		mem = 10
-	}
-	cnt := &counter{f: f}
+	maxIter, maxFev := 100*n, 2000*n
+	cnt := &counter{f: env.f}
 	ngev := 0
-	gws := NewGradientWorkspace(n)
-	// Analytic gradients (adjoint mode) cost zero function evaluations
-	// and are counted in ngev; without them the finite-difference path
-	// below is bit-identical to the pre-analytic implementation.
-	grad := func(dst, at []float64, fat float64) {
-		if env.agrad != nil {
-			end := env.rec.Span("optimize.grad")
-			env.agrad(at, dst)
-			end()
-			ngev++
-			return
-		}
-		if bf != nil {
-			_, nev := gws.GradientBatch(dst, bf, at, fat, bounds, o.Scheme, o.FDStep)
-			cnt.n += nev
-		} else {
-			gws.Gradient(dst, cnt.call, at, fat, bounds, o.Scheme, o.FDStep)
-		}
-	}
+	grad := env.gradient(cnt, &ngev)
 
 	fx := cnt.call(x)
 	g := make([]float64, n)
 	gNew := make([]float64, n)
-	grad(g, x, fx)
+	grad(g, x)
 	xt := make([]float64, n) // line-search / next-iterate buffer
 
 	// L-BFGS history.
@@ -81,11 +51,7 @@ func (o *LBFGSB) run(env *runEnv) Result {
 			break
 		}
 		pg := projectedGradientNorm(x, g, bounds)
-		if env.emit(iters, fx, pg, alpha, cnt.n) {
-			cancelled = true
-			msg = callbackStopMsg
-			break
-		}
+		env.emit(iters, fx, pg, alpha, cnt.n)
 		if pg <= tol {
 			converged = true
 			msg = "projected gradient below tolerance"
@@ -134,7 +100,7 @@ func (o *LBFGSB) run(env *runEnv) Result {
 		}
 		alpha = a
 
-		grad(gNew, xt, fNew)
+		grad(gNew, xt)
 		// Curvature update.
 		s := make([]float64, n)
 		y := make([]float64, n)
@@ -148,7 +114,7 @@ func (o *LBFGSB) run(env *runEnv) Result {
 			sHist = append(sHist, s)
 			yHist = append(yHist, y)
 			rhoHist = append(rhoHist, 1/sy)
-			if len(sHist) > mem {
+			if len(sHist) > lbfgsbMemory {
 				sHist = sHist[1:]
 				yHist = yHist[1:]
 				rhoHist = rhoHist[1:]
@@ -169,7 +135,7 @@ func (o *LBFGSB) run(env *runEnv) Result {
 	if !converged && !cancelled && cnt.n >= maxFev {
 		msg = "function evaluation budget exhausted"
 	}
-	return Result{X: x, F: fx, NFev: cnt.n, NGev: ngev, Iters: iters, Converged: converged,
+	return Result{X: x, F: fx, NFev: cnt.n, NGev: ngev, Iters: iters,
 		Status: statusOf(converged, cancelled), Message: msg}
 }
 

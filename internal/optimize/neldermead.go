@@ -1,22 +1,19 @@
 package optimize
 
 import (
-	"context"
 	"math"
 	"sort"
 )
 
-// NelderMead is the derivative-free simplex method with the adaptive
-// coefficients of Gao & Han (as used by SciPy's `adaptive=True`
-// behaviour for larger dimensions). Box bounds are enforced by clipping
-// every trial vertex, matching how bounded Nelder-Mead is typically
-// driven for QAOA parameters.
+// NelderMead is the derivative-free simplex method with the standard
+// coefficients (reflection 1, expansion 2, contraction ½, shrink ½).
+// Box bounds are enforced by clipping every trial vertex, matching how
+// bounded Nelder-Mead is typically driven for QAOA parameters. It
+// converges when the simplex's function-value spread is within Tol and
+// its diameter within 1e-6, and stops after 200·dim iterations or
+// 400·dim function calls at the latest.
 type NelderMead struct {
-	Tol      float64 // simplex function-value spread tolerance (default 1e-6)
-	XTol     float64 // simplex diameter tolerance (default 1e-6)
-	MaxIter  int     // outer iteration cap (default 200·dim)
-	MaxFev   int     // function evaluation cap (default 400·dim)
-	Adaptive bool    // use dimension-dependent coefficients
+	Tol float64 // simplex function-value spread tolerance (default 1e-6)
 }
 
 // Name implements Optimizer.
@@ -27,34 +24,19 @@ type vertex struct {
 	f float64
 }
 
-// Minimize implements Optimizer.
-func (nm *NelderMead) Minimize(f Func, x0 []float64, bounds *Bounds) Result {
-	return Run(context.Background(), Problem{F: f, X0: x0, Bounds: bounds}, Options{Optimizer: nm})
-}
-
-// run implements the runner hook behind Run. Per-iteration events
-// report the simplex function-value spread (GNorm) and diameter (Step).
+// run implements Optimizer. Per-iteration events report the simplex
+// function-value spread (GNorm) and diameter (Step).
 func (nm *NelderMead) run(env *runEnv) Result {
-	f, bounds := env.f, env.bounds
+	bounds := env.bounds
 	x := prepareStart(env.x0, bounds)
 	n := len(x)
 	tol := tolOrDefault(nm.Tol)
-	xtol := nm.XTol
-	if xtol <= 0 {
-		xtol = 1e-6
-	}
-	maxIter := maxIterOrDefault(nm.MaxIter, 200*n)
-	maxFev := env.capFev(maxIterOrDefault(nm.MaxFev, 400*n))
-	cnt := &counter{f: f}
+	const xtol = 1e-6
+	maxIter, maxFev := 200*n, 400*n
+	cnt := &counter{f: env.f}
 
 	// Reflection, expansion, contraction, shrink coefficients.
-	alpha, gamma, rho, sigma := 1.0, 2.0, 0.5, 0.5
-	if nm.Adaptive && n > 2 {
-		fn := float64(n)
-		gamma = 1 + 2/fn
-		rho = 0.75 - 1/(2*fn)
-		sigma = 1 - 1/fn
-	}
+	const alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
 
 	// Initial simplex: x plus a scaled step along each axis (SciPy-style
 	// 5% nonzero perturbation), clipped into the box and nudged off the
@@ -89,11 +71,7 @@ func (nm *NelderMead) run(env *runEnv) Result {
 			break
 		}
 		sp, dia := spread(simplex), diameter(simplex)
-		if env.emit(iters, simplex[0].f, sp, dia, cnt.n) {
-			cancelled = true
-			msg = callbackStopMsg
-			break
-		}
+		env.emit(iters, simplex[0].f, sp, dia, cnt.n)
 		if sp <= tol && dia <= xtol {
 			converged = true
 			msg = "simplex spread below tolerance"
@@ -153,7 +131,7 @@ func (nm *NelderMead) run(env *runEnv) Result {
 	}
 	return Result{
 		X: simplex[0].x, F: simplex[0].f,
-		NFev: cnt.n, Iters: iters, Converged: converged,
+		NFev: cnt.n, Iters: iters,
 		Status: statusOf(converged, cancelled), Message: msg,
 	}
 }

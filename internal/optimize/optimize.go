@@ -1,15 +1,19 @@
 // Package optimize implements the classical local optimizers the paper
 // drives its QAOA loop with: two gradient-based methods (L-BFGS-B and
-// SLSQP, both using finite-difference gradients so every gradient costs
-// function calls, as on a real quantum computer) and two derivative-free
-// methods (Nelder-Mead and COBYLA). All support box bounds, the only
-// constraint kind the QAOA parameter domain needs.
+// SLSQP) and two derivative-free methods (Nelder-Mead and COBYLA). All
+// support box bounds, the only constraint kind the QAOA parameter domain
+// needs. The gradient-based methods take analytic gradients when
+// Problem.Grad is set — core passes the adjoint gradient, which costs no
+// function calls and is counted in Result.NGev — and otherwise fall back
+// to central finite differences, so every gradient spends 2·dim function
+// calls, as on a real quantum computer.
 //
-// Run(ctx, Problem, Options) is the context-first entry point: it
+// Run(ctx, Problem, Options) is the one way to run an optimizer: it
 // honors cancellation and deadlines (checked once per outer iteration),
 // emits per-iteration traces and per-run FC/latency observations
 // through a telemetry.Recorder, and reports the termination cause in
-// Result.Status. Each optimizer's Minimize is a thin wrapper around it.
+// Result.Status. Every optimizer runs at fixed defaults; only its
+// tolerance (and COBYLA's evaluation cap) is settable.
 //
 // The implementations follow the same algorithm families as the SciPy
 // routines the paper uses; see DESIGN.md for the substitution notes.
@@ -106,7 +110,7 @@ const (
 	// Converged means the configured tolerance was met.
 	Converged
 	// Cancelled means the run was stopped externally — context
-	// cancellation, a deadline, or a callback requesting stop.
+	// cancellation or a deadline.
 	Cancelled
 )
 
@@ -124,22 +128,22 @@ func (s Status) String() string {
 
 // Result reports the outcome of a minimization.
 type Result struct {
-	X         []float64 // best point found
-	F         float64   // objective at X
-	NFev      int       // function evaluations consumed
-	NGev      int       // analytic gradient evaluations (0 on the FD path)
-	Iters     int       // outer iterations
-	Converged bool      // tolerance met (vs. budget exhausted)
-	Status    Status    // termination cause (Converged/MaxIter/Cancelled)
-	Message   string    // human-readable termination reason
+	X       []float64 // best point found
+	F       float64   // objective at X
+	NFev    int       // function evaluations consumed
+	NGev    int       // analytic gradient evaluations (0 on the FD path)
+	Iters   int       // outer iterations
+	Status  Status    // termination cause (Converged/MaxIter/Cancelled)
+	Message string    // human-readable termination reason
 }
 
-// Optimizer is a bounded local minimizer.
+// Optimizer is one of this package's four bounded local minimizers;
+// Run is the way to run one. The interface is sealed.
 type Optimizer interface {
-	// Minimize runs from x0 (clipped into bounds if necessary).
-	Minimize(f Func, x0 []float64, bounds *Bounds) Result
 	// Name identifies the algorithm, e.g. "L-BFGS-B".
 	Name() string
+	// run is the algorithm's loop behind Run.
+	run(env *runEnv) Result
 }
 
 // ByName returns the paper's local optimizer of that name ("lbfgsb",
@@ -192,14 +196,6 @@ func tolOrDefault(t float64) float64 {
 		return t
 	}
 	return defaultTol
-}
-
-// maxIterOrDefault returns m if positive, else d.
-func maxIterOrDefault(m, d int) int {
-	if m > 0 {
-		return m
-	}
-	return d
 }
 
 // relChange returns |a−b| / max(1, |a|, |b|).

@@ -1,12 +1,11 @@
 package optimize
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"qaoaml/internal/linalg"
 )
 
 // sphere has its minimum 0 at the given center.
@@ -33,6 +32,12 @@ func qaoaLike(x []float64) float64 {
 	return -0.5 * (1 + math.Sin(x[0])*math.Sin(4*x[1]))
 }
 
+// minimize runs opt from x0 without an analytic gradient, the way the
+// examples do.
+func minimize(opt Optimizer, f Func, x0 []float64, b *Bounds) Result {
+	return Run(context.Background(), Problem{F: f, X0: x0, Bounds: b}, Options{Optimizer: opt})
+}
+
 func allOptimizers() []Optimizer {
 	return []Optimizer{
 		&LBFGSB{},
@@ -46,7 +51,7 @@ func TestOptimizersOnSphere(t *testing.T) {
 	center := []float64{0.7, -0.3, 1.2}
 	b := UniformBounds(3, -2, 2)
 	for _, opt := range allOptimizers() {
-		r := opt.Minimize(sphere(center), []float64{-1, 1, 0}, b)
+		r := minimize(opt, sphere(center), []float64{-1, 1, 0}, b)
 		if r.F > 1e-5 {
 			t.Errorf("%s: F = %v at %v (msg: %s)", opt.Name(), r.F, r.X, r.Message)
 		}
@@ -67,7 +72,7 @@ func TestOptimizersRespectBounds(t *testing.T) {
 	center := []float64{3, 3}
 	b := UniformBounds(2, -1, 1)
 	for _, opt := range allOptimizers() {
-		r := opt.Minimize(sphere(center), []float64{0, 0}, b)
+		r := minimize(opt, sphere(center), []float64{0, 0}, b)
 		if !b.Contains(r.X) {
 			t.Errorf("%s: solution %v violates bounds", opt.Name(), r.X)
 		}
@@ -79,10 +84,16 @@ func TestOptimizersRespectBounds(t *testing.T) {
 	}
 }
 
+// The banana valley outlasts L-BFGS-B's 100·dim iteration cap from the
+// classic start, so a run that hits the cap is warm-started from its
+// answer (which also resets the curvature history), at most twice.
 func TestGradientOptimizersOnRosenbrock(t *testing.T) {
 	b := UniformBounds(2, -2, 2)
-	for _, opt := range []Optimizer{&LBFGSB{MaxIter: 2000}, &SLSQP{MaxIter: 2000}} {
-		r := opt.Minimize(rosenbrock, []float64{-1.2, 1}, b)
+	for _, opt := range []Optimizer{&LBFGSB{}, &SLSQP{}} {
+		r := minimize(opt, rosenbrock, []float64{-1.2, 1}, b)
+		for restart := 0; restart < 2 && r.Status == MaxIter; restart++ {
+			r = minimize(opt, rosenbrock, r.X, b)
+		}
 		if r.F > 1e-4 {
 			t.Errorf("%s: rosenbrock F = %v at %v (msg: %s)", opt.Name(), r.F, r.X, r.Message)
 		}
@@ -94,7 +105,7 @@ func TestOptimizersOnQAOALandscape(t *testing.T) {
 	for _, opt := range allOptimizers() {
 		// Start near (not at) the optimum so every method converges to
 		// the global basin.
-		r := opt.Minimize(qaoaLike, []float64{1.2, 0.5}, b)
+		r := minimize(opt, qaoaLike, []float64{1.2, 0.5}, b)
 		if r.F > -0.99 {
 			t.Errorf("%s: qaoa landscape F = %v at %v (msg: %s)", opt.Name(), r.F, r.X, r.Message)
 		}
@@ -108,8 +119,8 @@ func TestWarmStartCutsFunctionCalls(t *testing.T) {
 	near := []float64{math.Pi/2 + 0.05, math.Pi/8 + 0.02}
 	far := []float64{5.9, 2.9}
 	for _, opt := range allOptimizers() {
-		rNear := opt.Minimize(qaoaLike, near, b)
-		rFar := opt.Minimize(qaoaLike, far, b)
+		rNear := minimize(opt, qaoaLike, near, b)
+		rFar := minimize(opt, qaoaLike, far, b)
 		if rNear.F > -0.99 {
 			t.Errorf("%s: near start failed to converge (F=%v)", opt.Name(), rNear.F)
 			continue
@@ -123,8 +134,8 @@ func TestWarmStartCutsFunctionCalls(t *testing.T) {
 func TestResultConvergedFlag(t *testing.T) {
 	b := UniformBounds(2, -2, 2)
 	for _, opt := range allOptimizers() {
-		r := opt.Minimize(sphere([]float64{0, 0}), []float64{1, 1}, b)
-		if !r.Converged {
+		r := minimize(opt, sphere([]float64{0, 0}), []float64{1, 1}, b)
+		if r.Status != Converged {
 			t.Errorf("%s: easy problem did not converge: %s", opt.Name(), r.Message)
 		}
 		if r.Message == "" {
@@ -133,20 +144,14 @@ func TestResultConvergedFlag(t *testing.T) {
 	}
 }
 
+// COBYLA.MaxFev is the one evaluation budget a caller sets.
 func TestMaxFevBudget(t *testing.T) {
-	budgets := []Optimizer{
-		&LBFGSB{MaxFev: 10},
-		&NelderMead{MaxFev: 10},
-		&SLSQP{MaxFev: 10},
-		&COBYLA{MaxFev: 10},
-	}
 	b := UniformBounds(4, -2, 2)
-	for _, opt := range budgets {
-		r := opt.Minimize(rosenbrockND, b.Random(rand.New(rand.NewSource(1))), b)
-		// Gradient methods may slightly overshoot inside one gradient batch;
-		// allow the batch slack (2n+1 evals).
-		if r.NFev > 10+2*4+1 {
-			t.Errorf("%s: NFev = %d exceeds budget", opt.Name(), r.NFev)
+	for _, budget := range []int{10, 12, 40} {
+		r := minimize(&COBYLA{MaxFev: budget}, rosenbrockND, b.Random(rand.New(rand.NewSource(1))), b)
+		// A simplex rebuild may overshoot by one simplex (n+1 evals).
+		if r.NFev > budget+4+1 || r.Status == Converged {
+			t.Errorf("MaxFev %d: NFev = %d, status %v", budget, r.NFev, r.Status)
 		}
 	}
 }
@@ -162,7 +167,7 @@ func rosenbrockND(x []float64) float64 {
 func TestStartOutsideBoundsIsClipped(t *testing.T) {
 	b := UniformBounds(2, 0, 1)
 	for _, opt := range allOptimizers() {
-		r := opt.Minimize(sphere([]float64{0.5, 0.5}), []float64{7, -7}, b)
+		r := minimize(opt, sphere([]float64{0.5, 0.5}), []float64{7, -7}, b)
 		if !b.Contains(r.X) {
 			t.Errorf("%s: solution %v out of bounds", opt.Name(), r.X)
 		}
@@ -213,42 +218,6 @@ func TestBoundsValidation(t *testing.T) {
 	}
 }
 
-func TestGradientCentralAndForward(t *testing.T) {
-	f := func(x []float64) float64 { return x[0]*x[0] + 3*x[1] }
-	x := []float64{1.5, -2}
-	b := UniformBounds(2, -10, 10)
-	for _, scheme := range []FDScheme{CentralDiff, ForwardDiff} {
-		g := Gradient(f, x, f(x), b, scheme, 1e-6)
-		if math.Abs(g[0]-3) > 1e-4 || math.Abs(g[1]-3) > 1e-4 {
-			t.Errorf("%v gradient = %v, want [3 3]", scheme, g)
-		}
-	}
-}
-
-func TestGradientAtBoundary(t *testing.T) {
-	// x at the upper face: probes must stay inside the box.
-	b := UniformBounds(1, 0, 1)
-	calls := 0
-	f := func(x []float64) float64 {
-		calls++
-		if !b.Contains(x) {
-			t.Fatalf("gradient probed out-of-bounds point %v", x)
-		}
-		return 2 * x[0]
-	}
-	g := Gradient(f, []float64{1}, math.NaN(), b, CentralDiff, 1e-6)
-	if math.Abs(g[0]-2) > 1e-4 {
-		t.Errorf("boundary central gradient = %v", g)
-	}
-	g = Gradient(f, []float64{1}, math.NaN(), b, ForwardDiff, 1e-6)
-	if math.Abs(g[0]-2) > 1e-4 {
-		t.Errorf("boundary forward gradient = %v", g)
-	}
-	if calls == 0 {
-		t.Fatal("gradient made no calls")
-	}
-}
-
 func TestProjectedGradientNorm(t *testing.T) {
 	b := UniformBounds(2, 0, 1)
 	// At the lower face with outward gradient: projected component is 0.
@@ -264,12 +233,6 @@ func TestProjectedGradientNorm(t *testing.T) {
 	}
 }
 
-func TestFDSchemeString(t *testing.T) {
-	if CentralDiff.String() != "central" || ForwardDiff.String() != "forward" {
-		t.Error("FDScheme names wrong")
-	}
-}
-
 // Property: every optimizer returns a feasible point with F equal to
 // the objective evaluated there, never worse than the start.
 func TestOptimizerInvariants(t *testing.T) {
@@ -282,7 +245,7 @@ func TestOptimizerInvariants(t *testing.T) {
 		obj := sphere(center)
 		f0 := obj(x0)
 		opt := opts[int(uint64(seed)%uint64(len(opts)))]
-		r := opt.Minimize(obj, x0, b)
+		r := minimize(opt, obj, x0, b)
 		if !b.Contains(r.X) {
 			return false
 		}
@@ -303,8 +266,4 @@ func TestOptimizerNames(t *testing.T) {
 			t.Errorf("unexpected name %q", opt.Name())
 		}
 	}
-}
-
-func matFromRows(rows [][]float64) *linalg.Matrix {
-	return linalg.FromRows(rows)
 }

@@ -3,6 +3,8 @@ package optimize
 import (
 	"context"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,26 +16,6 @@ func TestRunDefaultsToLBFGSB(t *testing.T) {
 	r := Run(context.Background(), Problem{F: sphere([]float64{1, 1}), X0: []float64{0, 0}, Bounds: b}, Options{})
 	if r.F > 1e-5 || r.Status != Converged {
 		t.Fatalf("default Run: F=%v status=%v (%s)", r.F, r.Status, r.Message)
-	}
-}
-
-// TestRunMatchesMinimize pins the wrapper contract: Minimize and Run
-// produce bit-identical results (same trajectory, NFev, message).
-func TestRunMatchesMinimize(t *testing.T) {
-	b := UniformBounds(3, -2, 2)
-	f := sphere([]float64{0.7, -0.3, 1.2})
-	x0 := []float64{-1, 1, 0}
-	for _, opt := range allOptimizers() {
-		want := opt.Minimize(f, x0, b)
-		got := Run(context.Background(), Problem{F: f, X0: x0, Bounds: b}, Options{Optimizer: opt})
-		if got.F != want.F || got.NFev != want.NFev || got.Iters != want.Iters || got.Message != want.Message {
-			t.Errorf("%s: Run != Minimize: got %+v want %+v", opt.Name(), got, want)
-		}
-		for i := range want.X {
-			if got.X[i] != want.X[i] {
-				t.Errorf("%s: X[%d] differs: %v != %v", opt.Name(), i, got.X[i], want.X[i])
-			}
-		}
 	}
 }
 
@@ -72,9 +54,6 @@ func TestRunCancelMidRun(t *testing.T) {
 			t.Errorf("%s: status = %v (%s), want Cancelled", opt.Name(), r.Status, r.Message)
 			continue
 		}
-		if r.Converged {
-			t.Errorf("%s: cancelled run reports Converged", opt.Name())
-		}
 		// One outer step costs at most one gradient (2n evals) plus a
 		// full line search / simplex rebuild; 3·30 evals is generous.
 		if r.NFev > 20+90 {
@@ -95,23 +74,30 @@ func TestRunDeadlineSetsCancelled(t *testing.T) {
 		return rosenbrockND(x)
 	}
 	r := Run(ctx, Problem{F: slow, X0: []float64{-1.2, 1, -1.2, 1}, Bounds: b},
-		Options{Optimizer: &LBFGSB{MaxIter: 10000}})
+		Options{Optimizer: &LBFGSB{}})
 	if r.Status != Cancelled {
 		t.Fatalf("status = %v (%s), want Cancelled on deadline", r.Status, r.Message)
 	}
 }
 
+// A per-iteration callback stops a run by cancelling its context: the
+// event for iteration 2 cancels, and the check entering iteration 3
+// ends the run.
 func TestRunCallbackStops(t *testing.T) {
 	b := UniformBounds(4, -2, 2)
 	for _, opt := range allOptimizers() {
+		ctx, cancel := context.WithCancel(context.Background())
 		events := 0
-		r := Run(context.Background(), Problem{F: rosenbrockND, X0: []float64{-1.2, 1, -1.2, 1}, Bounds: b},
-			Options{Optimizer: opt, Callback: func(ev telemetry.IterEvent) bool {
+		r := Run(ctx, Problem{F: rosenbrockND, X0: []float64{-1.2, 1, -1.2, 1}, Bounds: b},
+			Options{Optimizer: opt, Recorder: telemetry.Tee(nil, func(ev telemetry.IterEvent) {
 				events++
-				return ev.Iter >= 2
-			}})
-		if r.Status != Cancelled || r.Message != callbackStopMsg {
-			t.Errorf("%s: status = %v (%q), want callback stop", opt.Name(), r.Status, r.Message)
+				if ev.Iter >= 2 {
+					cancel()
+				}
+			})})
+		cancel()
+		if r.Status != Cancelled || r.Iters != 3 {
+			t.Errorf("%s: status = %v after %d iterations (%q), want Cancelled after 3", opt.Name(), r.Status, r.Iters, r.Message)
 		}
 		if events != 3 { // iters 0, 1, 2
 			t.Errorf("%s: callback saw %d events, want 3", opt.Name(), events)
@@ -165,17 +151,38 @@ func TestRunEmitsTraces(t *testing.T) {
 	}
 }
 
+// Every run through Run is capped by an evaluation budget: the fixed
+// defaults of L-BFGS-B (2000·n), Nelder-Mead (400·n), SLSQP (2000·n) and
+// COBYLA (1000·n), or COBYLA.MaxFev when set. A run that reports the
+// budget exhausted has status MaxIter, and a 12-call cap is spent.
 func TestRunMaxNFevCapsBudget(t *testing.T) {
-	b := UniformBounds(4, -2, 2)
-	for _, opt := range allOptimizers() {
+	const n = 4
+	b := UniformBounds(n, -2, 2)
+	for _, c := range []struct {
+		opt    Optimizer
+		budget int
+	}{
+		{&LBFGSB{}, 2000 * n},
+		{&NelderMead{}, 400 * n},
+		{&SLSQP{}, 2000 * n},
+		{&COBYLA{}, 1000 * n},
+		{&COBYLA{MaxFev: 12}, 12},
+	} {
 		r := Run(context.Background(), Problem{F: rosenbrockND, X0: []float64{-1.2, 1, -1.2, 1}, Bounds: b},
-			Options{Optimizer: opt, MaxNFev: 12})
-		// Gradient methods may overshoot within one probe batch (2n+1).
-		if r.NFev > 12+2*4+1 {
-			t.Errorf("%s: NFev = %d exceeds Options.MaxNFev cap", opt.Name(), r.NFev)
+			Options{Optimizer: c.opt})
+		// A gradient, line-search try or simplex rebuild may overshoot by
+		// one probe batch (2n+1).
+		if r.NFev > c.budget+2*n+1 {
+			t.Errorf("%s: NFev = %d exceeds budget %d", c.opt.Name(), r.NFev, c.budget)
 		}
-		if r.Status == Converged && !r.Converged {
-			t.Errorf("%s: Status/Converged mismatch: %+v", opt.Name(), r)
+		exhausted := r.Message == "function evaluation budget exhausted"
+		if exhausted && (r.Status != MaxIter || r.NFev < c.budget) {
+			t.Errorf("%s (budget %d): NFev = %d, status %v for an exhausted budget",
+				c.opt.Name(), c.budget, r.NFev, r.Status)
+		}
+		if c.budget == 12 && !exhausted {
+			t.Errorf("%s: MaxFev 12 not spent: NFev = %d, status %v (%s)",
+				c.opt.Name(), r.NFev, r.Status, r.Message)
 		}
 	}
 }
@@ -189,38 +196,55 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
-// TestStatusMatchesConvergedFlag pins the redundancy contract between
-// the legacy bool and the new enum on ordinary (non-cancelled) runs.
+// Status is the one termination flag: Converged exactly when a
+// tolerance was met, MaxIter when the budget ran out first.
 func TestStatusMatchesConvergedFlag(t *testing.T) {
 	b := UniformBounds(2, -2, 2)
 	for _, opt := range allOptimizers() {
-		easy := opt.Minimize(sphere([]float64{0, 0}), []float64{1, 1}, b)
-		if easy.Converged != (easy.Status == Converged) {
-			t.Errorf("%s: easy run Status %v vs Converged %v", opt.Name(), easy.Status, easy.Converged)
+		easy := minimize(opt, sphere([]float64{0, 0}), []float64{1, 1}, b)
+		if easy.Status != Converged || easy.Message == "function evaluation budget exhausted" {
+			t.Errorf("%s: easy run: status %v (%s)", opt.Name(), easy.Status, easy.Message)
 		}
 	}
-	starved := (&LBFGSB{MaxFev: 5}).Minimize(rosenbrock, []float64{-1.2, 1}, b)
-	if starved.Status != MaxIter || starved.Converged {
-		t.Errorf("starved run: status %v converged %v, want MaxIter", starved.Status, starved.Converged)
+	starved := minimize(&COBYLA{MaxFev: 5}, rosenbrock, []float64{-1.2, 1}, b)
+	if starved.Status != MaxIter || starved.Message != "function evaluation budget exhausted" {
+		t.Errorf("starved run: status %v (%s), want MaxIter", starved.Status, starved.Message)
 	}
 }
 
-// TestRunExternalOptimizerFallback drives Run with an Optimizer that
-// does not implement the internal runner hook.
-func TestRunExternalOptimizerFallback(t *testing.T) {
-	b := UniformBounds(1, -1, 1)
-	ext := externalOpt{}
-	r := Run(context.Background(), Problem{F: func(x []float64) float64 { return x[0] * x[0] }, X0: []float64{0.5}, Bounds: b},
-		Options{Optimizer: ext})
-	if r.Status != Converged || r.F != 0 {
-		t.Fatalf("external fallback: %+v", r)
+// Problem.Batch is deprecated and ignored: setting it changes no bit of
+// any optimizer's result, and no optimizer ever calls it.
+func TestRunWithBatchIsBitIdenticalToSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	objectives := []struct {
+		name string
+		f    Func
+		b    *Bounds
+	}{
+		{"sphere", sphere([]float64{0.3, -0.2}), UniformBounds(2, -2, 2)},
+		{"rosenbrock", rosenbrock, UniformBounds(2, -2, 2)},
+		{"qaoa-like", qaoaLike, UniformBounds(2, 0, math.Pi)},
 	}
-}
-
-type externalOpt struct{}
-
-func (externalOpt) Name() string { return "external" }
-
-func (externalOpt) Minimize(f Func, x0 []float64, bounds *Bounds) Result {
-	return Result{X: []float64{0}, F: f([]float64{0}), NFev: 1, Converged: true, Message: "exact"}
+	for _, opt := range allOptimizers() {
+		for _, obj := range objectives {
+			x0 := obj.b.Random(rng)
+			serial := Run(context.Background(), Problem{F: obj.f, X0: x0, Bounds: obj.b}, Options{Optimizer: opt})
+			batches := 0
+			batch := func(points [][]float64) []float64 {
+				batches++
+				out := make([]float64, len(points))
+				for i, x := range points {
+					out[i] = obj.f(x)
+				}
+				return out
+			}
+			batched := Run(context.Background(), Problem{F: obj.f, Batch: batch, X0: x0, Bounds: obj.b}, Options{Optimizer: opt})
+			if !reflect.DeepEqual(serial, batched) {
+				t.Errorf("%s/%s from %v: batch result %+v != serial %+v", opt.Name(), obj.name, x0, batched, serial)
+			}
+			if batches != 0 {
+				t.Errorf("%s/%s: Batch called %d times", opt.Name(), obj.name, batches)
+			}
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package optimize
 
 import (
-	"context"
 	"math"
 
 	"qaoaml/internal/linalg"
@@ -13,63 +12,37 @@ import (
 //
 //	min  gᵀd + ½ dᵀBd   s.t.  lo − x ≤ d ≤ hi − x
 //
-// is solved by cyclic coordinate descent with clipping, which converges
-// for the SPD B maintained by the damped update. Gradients are finite
-// differences (counted as function calls).
+// is solved by 30 sweeps of cyclic coordinate descent with clipping,
+// which converges for the SPD B maintained by the damped update. It
+// takes Problem.Grad when set; otherwise gradients are central finite
+// differences, counted as function calls. It stops after 100·dim
+// iterations or 2000·dim function calls at the latest.
 type SLSQP struct {
-	Tol     float64  // relative f-change / projected-gradient tolerance (default 1e-6)
-	MaxIter int      // outer iteration cap (default 100·dim)
-	MaxFev  int      // function evaluation cap (default 2000·dim)
-	Scheme  FDScheme // finite-difference scheme (default central)
-	FDStep  float64  // finite-difference step (default 1e-6)
-	QPSweep int      // coordinate-descent sweeps per QP solve (default 30)
+	Tol float64 // relative f-change / projected-gradient tolerance (default 1e-6)
 }
+
+// slsqpQPSweeps is the number of coordinate-descent sweeps per QP solve.
+const slsqpQPSweeps = 30
 
 // Name implements Optimizer.
 func (o *SLSQP) Name() string { return "SLSQP" }
 
-// Minimize implements Optimizer.
-func (o *SLSQP) Minimize(f Func, x0 []float64, bounds *Bounds) Result {
-	return Run(context.Background(), Problem{F: f, X0: x0, Bounds: bounds}, Options{Optimizer: o})
-}
-
-// run implements the runner hook behind Run. Per-iteration events
-// report the projected-gradient ∞-norm and the previous accepted
-// line-search step.
+// run implements Optimizer. Per-iteration events report the
+// projected-gradient ∞-norm and the previous accepted line-search step.
 func (o *SLSQP) run(env *runEnv) Result {
-	f, bf, bounds := env.f, env.bf, env.bounds
+	bounds := env.bounds
 	x := prepareStart(env.x0, bounds)
 	n := len(x)
 	tol := tolOrDefault(o.Tol)
-	maxIter := maxIterOrDefault(o.MaxIter, 100*n)
-	maxFev := env.capFev(maxIterOrDefault(o.MaxFev, 2000*n))
-	sweeps := maxIterOrDefault(o.QPSweep, 30)
-	cnt := &counter{f: f}
+	maxIter, maxFev := 100*n, 2000*n
+	cnt := &counter{f: env.f}
 	ngev := 0
-	gws := NewGradientWorkspace(n)
-	// Analytic gradients (adjoint mode) cost zero function evaluations
-	// and are counted in ngev; without them the finite-difference path
-	// below is bit-identical to the pre-analytic implementation.
-	grad := func(dst, at []float64, fat float64) {
-		if env.agrad != nil {
-			end := env.rec.Span("optimize.grad")
-			env.agrad(at, dst)
-			end()
-			ngev++
-			return
-		}
-		if bf != nil {
-			_, nev := gws.GradientBatch(dst, bf, at, fat, bounds, o.Scheme, o.FDStep)
-			cnt.n += nev
-		} else {
-			gws.Gradient(dst, cnt.call, at, fat, bounds, o.Scheme, o.FDStep)
-		}
-	}
+	grad := env.gradient(cnt, &ngev)
 
 	fx := cnt.call(x)
 	g := make([]float64, n)
 	gNew := make([]float64, n)
-	grad(g, x, fx)
+	grad(g, x)
 	xls := make([]float64, n) // line-search candidate buffer
 	b := linalg.Identity(n)
 
@@ -84,17 +57,13 @@ func (o *SLSQP) run(env *runEnv) Result {
 			break
 		}
 		pg := projectedGradientNorm(x, g, bounds)
-		if env.emit(iters, fx, pg, lastAlpha, cnt.n) {
-			cancelled = true
-			msg = callbackStopMsg
-			break
-		}
+		env.emit(iters, fx, pg, lastAlpha, cnt.n)
 		if pg <= tol {
 			converged = true
 			msg = "projected gradient below tolerance"
 			break
 		}
-		d := solveBoxQP(b, g, x, bounds, sweeps)
+		d := solveBoxQP(b, g, x, bounds, slsqpQPSweeps)
 		norm := 0.0
 		for _, di := range d {
 			norm += di * di
@@ -129,7 +98,7 @@ func (o *SLSQP) run(env *runEnv) Result {
 		}
 		lastAlpha = alpha
 
-		grad(gNew, xls, fNew)
+		grad(gNew, xls)
 		updateDampedBFGS(b, x, xls, g, gNew)
 
 		fPrev := fx
@@ -146,7 +115,7 @@ func (o *SLSQP) run(env *runEnv) Result {
 	if !converged && !cancelled && cnt.n >= maxFev {
 		msg = "function evaluation budget exhausted"
 	}
-	return Result{X: x, F: fx, NFev: cnt.n, NGev: ngev, Iters: iters, Converged: converged,
+	return Result{X: x, F: fx, NFev: cnt.n, NGev: ngev, Iters: iters,
 		Status: statusOf(converged, cancelled), Message: msg}
 }
 

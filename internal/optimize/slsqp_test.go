@@ -3,6 +3,8 @@ package optimize
 import (
 	"math/rand"
 	"testing"
+
+	"qaoaml/internal/linalg"
 )
 
 // solveBoxQP must satisfy the KKT conditions of the box-constrained QP:
@@ -14,7 +16,6 @@ func TestSolveBoxQPKKT(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(5)
 		// Random SPD B = AᵀA + I.
-		bm := make([][]float64, n)
 		a := make([][]float64, n)
 		for i := range a {
 			a[i] = make([]float64, n)
@@ -22,18 +23,19 @@ func TestSolveBoxQPKKT(t *testing.T) {
 				a[i][j] = rng.NormFloat64()
 			}
 		}
-		for i := range bm {
-			bm[i] = make([]float64, n)
-			for j := range bm[i] {
+		bmat := linalg.NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
 				s := 0.0
 				for k := 0; k < n; k++ {
 					s += a[k][i] * a[k][j]
 				}
-				bm[i][j] = s
+				if i == j {
+					s++
+				}
+				bmat.Set(i, j, s)
 			}
-			bm[i][i] += 1
 		}
-		bmat := matFromRows(bm)
 		g := make([]float64, n)
 		x := make([]float64, n)
 		for i := range g {

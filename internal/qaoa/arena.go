@@ -46,9 +46,8 @@ type shardKey struct {
 }
 
 // DefaultArenaCap bounds how many free buffers an arena retains per
-// key when NewArena is given no explicit cap. A solve holds at most
-// two state vectors (state + adjoint) per batch worker, so a small
-// multiple covers the steady state without hoarding memory across
+// key when NewArena is given no explicit cap. A solve holds two state
+// vectors (state + adjoint), so a small multiple covers the steady state without hoarding memory across
 // register widths a server has stopped seeing.
 const DefaultArenaCap = 8
 

@@ -11,43 +11,30 @@ import (
 
 // BatchEvaluator evaluates independent parameter vectors of one
 // (problem, depth) objective on a worker pool, one EvalWorkspace per
-// worker. It is the batch analogue of Evaluator.NegExpectation: each
-// point costs one QC call and results are returned in input order.
+// worker, and returns −⟨C⟩ in input order. Every point is evaluated by
+// the same pure kernel on its own workspace, so EvalBatch is
+// bit-identical to len(points) sequential Evaluator.NegExpectation calls
+// however the scheduler interleaves the workers. EvalBatch must not be
+// called concurrently (the worker workspaces are reused across calls).
+// The workers are built on the first EvalBatch; at depth 1 the engine
+// is the closed form of depth1.go, evaluated serially, with no workers.
 //
-// Because every point is evaluated by the same pure kernel on its own
-// workspace, EvalBatch is bit-identical to len(points) sequential
-// NegExpectation calls regardless of how the scheduler interleaves the
-// workers. EvalBatch itself must not be called concurrently (the NFev
-// counter and worker workspaces are reused across calls).
-//
-// The engine is built on the first EvalBatch, not by the constructor:
-// a gradient-based run never calls Batch, and its BatchEvaluator then
-// never draws a state vector. At depth 1 the engine is the closed form of
-// depth1.go, evaluated serially — a point costs less than a goroutine
-// hand-off — so there are no workers at all.
+// Deprecated: no optimizer evaluates batches; kept for the ladder's
+// qaoa.batch_evals_per_s row in benchmark/ (ROADMAP item 1).
 type BatchEvaluator struct {
 	Problem *Problem
 	Depth   int
 
-	arena    *Arena
 	nworkers int
 	d1       *depth1          // Depth == 1, after the first EvalBatch
 	workers  []*EvalWorkspace // Depth ≥ 2, after the first EvalBatch
-	nfev     int
 }
 
 // NewBatchEvaluator builds a batch evaluator with the given worker
 // count (≤ 0 selects GOMAXPROCS). Depth p must be ≥ 1.
+//
+// Deprecated: see BatchEvaluator.
 func NewBatchEvaluator(pb *Problem, p, workers int) *BatchEvaluator {
-	return NewBatchEvaluatorArena(pb, p, workers, nil)
-}
-
-// NewBatchEvaluatorArena is NewBatchEvaluator drawing every worker
-// workspace's state buffers from the arena (nil behaves like
-// NewBatchEvaluator). Call Release when done so the buffers return to
-// the arena. An Arena is safe for concurrent use, so one arena can
-// back all workers.
-func NewBatchEvaluatorArena(pb *Problem, p, workers int, a *Arena) *BatchEvaluator {
 	if p < 1 {
 		panic(fmt.Sprintf("qaoa: depth %d < 1", p))
 	}
@@ -61,12 +48,11 @@ func NewBatchEvaluatorArena(pb *Problem, p, workers int, a *Arena) *BatchEvaluat
 	if 1<<uint(pb.stateQubits()) >= quantum.ParallelDim {
 		workers = 1
 	}
-	return &BatchEvaluator{Problem: pb, Depth: p, arena: a, nworkers: workers}
+	return &BatchEvaluator{Problem: pb, Depth: p, nworkers: workers}
 }
 
-// Release retires the worker workspaces, if any were built, returning
-// arena-drawn buffers to their arena (closing shard workers otherwise).
-// The evaluator must not be used afterwards.
+// Release retires the worker workspaces, if any were built. The
+// evaluator must not be used afterwards.
 func (b *BatchEvaluator) Release() {
 	for _, ws := range b.workers {
 		ws.Release()
@@ -77,14 +63,13 @@ func (b *BatchEvaluator) Release() {
 func (b *BatchEvaluator) Dim() int { return 2 * b.Depth }
 
 // EvalBatch evaluates −⟨C⟩ at every point and returns the values in
-// input order. Each point counts one QC call.
+// input order.
 func (b *BatchEvaluator) EvalBatch(points [][]float64) []float64 {
 	for i, x := range points {
 		if len(x) != b.Dim() {
 			panic(fmt.Sprintf("qaoa: batch point %d has length %d != 2p = %d", i, len(x), b.Dim()))
 		}
 	}
-	b.nfev += len(points)
 	out := make([]float64, len(points))
 	if b.Depth == 1 {
 		if b.d1 == nil {
@@ -99,7 +84,7 @@ func (b *BatchEvaluator) EvalBatch(points [][]float64) []float64 {
 	if b.workers == nil {
 		b.workers = make([]*EvalWorkspace, b.nworkers)
 		for i := range b.workers {
-			b.workers[i] = b.Problem.NewWorkspaceArena(b.arena)
+			b.workers[i] = b.Problem.NewWorkspace()
 		}
 	}
 	nw := len(b.workers)
@@ -131,9 +116,3 @@ func (b *BatchEvaluator) EvalBatch(points [][]float64) []float64 {
 	wg.Wait()
 	return out
 }
-
-// NFev returns the number of QC calls so far.
-func (b *BatchEvaluator) NFev() int { return b.nfev }
-
-// ResetNFev zeroes the QC-call counter.
-func (b *BatchEvaluator) ResetNFev() { b.nfev = 0 }

@@ -218,9 +218,6 @@ func TestDepth1SerialAcrossGOMAXPROCS(t *testing.T) {
 			ev.NegGrad(x, grad)
 			got = append(got, v, grad[0], grad[1])
 		}
-		if be.NFev() != len(points) {
-			t.Errorf("batch NFev = %d, want %d", be.NFev(), len(points))
-		}
 		be.Release()
 		if base == nil {
 			base = got
@@ -282,8 +279,8 @@ func TestDepth1EvaluatorSimulatesOnlyForReadout(t *testing.T) {
 	ev.NegGrad(x, grad)
 	ev.ApproximationRatio(FromVector(x))
 	be.EvalBatch([][]float64{x, x, x})
-	if ev.NFev() != 2 || ev.NGev() != 1 || be.NFev() != 3 {
-		t.Errorf("counters NFev=%d NGev=%d batch NFev=%d, want 2/1/3", ev.NFev(), ev.NGev(), be.NFev())
+	if ev.NFev() != 2 || ev.NGev() != 1 {
+		t.Errorf("counters NFev=%d NGev=%d, want 2/1", ev.NFev(), ev.NGev())
 	}
 	if d := quantum.AmpBytesAllocated() - before; d != 0 || ev.ForwardPasses() != 0 {
 		t.Errorf("closed-form calls allocated %d amplitude bytes and ran %d forward passes, want 0/0", d, ev.ForwardPasses())
@@ -302,25 +299,22 @@ func TestDepth1EvaluatorSimulatesOnlyForReadout(t *testing.T) {
 	ev.Release()
 }
 
-// A BatchEvaluator draws no state until EvalBatch runs — gradient-based
-// optimizer runs never call it — and its results stay bit-identical to
-// sequential evaluation once it does.
+// A BatchEvaluator draws no state until EvalBatch runs, and its results
+// stay bit-identical to sequential evaluation once it does.
 func TestBatchEvaluatorBuildsWorkersOnFirstBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1616))
 	pb := mustProblem(t, graph.RandomRegular(StreamingThreshold+1, 3, rng))
-	a := NewArena(0)
-	defer a.Close()
 
 	before := quantum.AmpBytesAllocated()
-	NewBatchEvaluatorArena(pb, 2, 3, a).Release()
-	be := NewBatchEvaluatorArena(pb, 2, 3, a)
-	if d, st := quantum.AmpBytesAllocated()-before, a.Stats(); d != 0 || st.Gets != 0 {
-		t.Fatalf("constructor allocated %d amplitude bytes, arena gets %d; want 0/0", d, st.Gets)
+	NewBatchEvaluator(pb, 2, 3).Release()
+	be := NewBatchEvaluator(pb, 2, 3)
+	if d := quantum.AmpBytesAllocated() - before; d != 0 {
+		t.Fatalf("constructor allocated %d amplitude bytes, want 0", d)
 	}
 	points := [][]float64{testParams(2).Vector(), {0.5, 0.9, 0.25, 0.4}, {1.1, 0.3, 0.7, 0.2}, {2, 1, 0.1, 0.6}}
 	got := be.EvalBatch(points)
-	if st := a.Stats(); st.Gets != 3 {
-		t.Errorf("first batch drew %d buffers, want one per worker (3)", st.Gets)
+	if len(be.workers) != 3 {
+		t.Errorf("first batch built %d workers, want 3", len(be.workers))
 	}
 	ev := NewEvaluator(pb, 2)
 	for i, x := range points {

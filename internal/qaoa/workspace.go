@@ -242,8 +242,7 @@ const DefaultShardBits = 2
 // needs: the state vector, the distinct-phase factor table and the
 // per-chunk dispatch closures (created once here, so warm evaluations
 // construct no closures and allocate nothing). A workspace is not safe
-// for concurrent use; create one per goroutine (BatchEvaluator does
-// exactly that).
+// for concurrent use; create one per goroutine.
 //
 // The state is a quantum.ShardedState, one shard below ShardThreshold;
 // results are bit-identical at every shard count. Call Close (or

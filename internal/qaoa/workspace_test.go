@@ -123,7 +123,7 @@ func TestKernelCompressesDistinctCuts(t *testing.T) {
 }
 
 // BatchEvaluator must agree with sequential NegExpectation bit-for-bit,
-// in input order, and count one QC call per point.
+// in input order.
 func TestBatchEvaluatorMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, workers := range []int{1, 3} {
@@ -140,13 +140,6 @@ func TestBatchEvaluatorMatchesSequential(t *testing.T) {
 			if want := ev.NegExpectation(x); got[i] != want {
 				t.Fatalf("workers=%d point %d: batch %v != sequential %v", workers, i, got[i], want)
 			}
-		}
-		if be.NFev() != len(points) {
-			t.Errorf("workers=%d: NFev = %d, want %d", workers, be.NFev(), len(points))
-		}
-		be.ResetNFev()
-		if be.NFev() != 0 {
-			t.Error("ResetNFev failed")
 		}
 	}
 }

@@ -1,55 +1,5 @@
 package quantum
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-)
-
-// MeasureQubit performs a projective Z-basis measurement of qubit q,
-// collapsing and renormalizing the state. It returns the observed bit.
-func (s *State) MeasureQubit(q int, rng *rand.Rand) int {
-	s.checkQubit(q)
-	bit := 1 << uint(q)
-	p1 := 0.0
-	for i, a := range s.amps {
-		if i&bit != 0 {
-			p1 += real(a)*real(a) + imag(a)*imag(a)
-		}
-	}
-	outcome := 0
-	if rng.Float64() < p1 {
-		outcome = 1
-	}
-	// Project and renormalize.
-	var norm float64
-	if outcome == 1 {
-		norm = math.Sqrt(p1)
-	} else {
-		norm = math.Sqrt(1 - p1)
-	}
-	if norm == 0 {
-		// Degenerate roundoff: the impossible branch was drawn; keep the
-		// state and report the certain outcome instead.
-		if p1 > 0.5 {
-			outcome = 1
-			norm = math.Sqrt(p1)
-		} else {
-			outcome = 0
-			norm = math.Sqrt(1 - p1)
-		}
-	}
-	inv := complex(1/norm, 0)
-	for i := range s.amps {
-		if (i&bit != 0) != (outcome == 1) {
-			s.amps[i] = 0
-		} else {
-			s.amps[i] *= inv
-		}
-	}
-	return outcome
-}
-
 // ExpectationZ returns ⟨Zq⟩ for qubit q.
 func (s *State) ExpectationZ(q int) float64 {
 	s.checkQubit(q)
@@ -81,77 +31,4 @@ func (s *State) ExpectationZZ(a, b int) float64 {
 		}
 	}
 	return e
-}
-
-// Pauli labels a single-qubit Pauli operator in a PauliString.
-type Pauli byte
-
-// Pauli operators (I omitted: identity positions are simply absent).
-const (
-	PauliX Pauli = 'X'
-	PauliY Pauli = 'Y'
-	PauliZ Pauli = 'Z'
-)
-
-// PauliTerm is one Pauli operator acting on one qubit.
-type PauliTerm struct {
-	Op    Pauli
-	Qubit int
-}
-
-// ExpectationPauliString returns ⟨P1⊗P2⊗...⟩ for a product of Pauli
-// operators on distinct qubits (identity elsewhere). It does not modify
-// the state. Terms on duplicate qubits or with unknown operators are
-// rejected with an error.
-func (s *State) ExpectationPauliString(terms []PauliTerm) (float64, error) {
-	seen := make(map[int]bool, len(terms))
-	for _, t := range terms {
-		if t.Qubit < 0 || t.Qubit >= s.n {
-			return 0, fmt.Errorf("quantum: qubit %d out of range", t.Qubit)
-		}
-		if seen[t.Qubit] {
-			return 0, fmt.Errorf("quantum: duplicate qubit %d in Pauli string", t.Qubit)
-		}
-		seen[t.Qubit] = true
-		switch t.Op {
-		case PauliX, PauliY, PauliZ:
-		default:
-			return 0, fmt.Errorf("quantum: unknown Pauli %q", t.Op)
-		}
-	}
-	// Rotate a copy so every term becomes Z, then sum signed probabilities.
-	work := s.Clone()
-	zbits := 0
-	for _, t := range terms {
-		switch t.Op {
-		case PauliX:
-			work.H(t.Qubit) // H X H = Z
-		case PauliY:
-			// (HS†) Y (SH) = Z: apply S† then H.
-			work.Phase(t.Qubit, -math.Pi/2)
-			work.H(t.Qubit)
-		}
-		zbits |= 1 << uint(t.Qubit)
-	}
-	e := 0.0
-	for i, a := range work.amps {
-		p := real(a)*real(a) + imag(a)*imag(a)
-		if parityOf(uint64(i)&uint64(zbits)) == 0 {
-			e += p
-		} else {
-			e -= p
-		}
-	}
-	return e, nil
-}
-
-// parityOf returns the bit parity of x.
-func parityOf(x uint64) int {
-	x ^= x >> 32
-	x ^= x >> 16
-	x ^= x >> 8
-	x ^= x >> 4
-	x ^= x >> 2
-	x ^= x >> 1
-	return int(x & 1)
 }

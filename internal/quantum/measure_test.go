@@ -2,54 +2,8 @@ package quantum
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestMeasureQubitDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	s := NewBasisState(2, 0b10)
-	if got := s.MeasureQubit(1, rng); got != 1 {
-		t.Errorf("measured %d on |10>, want 1", got)
-	}
-	if got := s.MeasureQubit(0, rng); got != 0 {
-		t.Errorf("measured %d on qubit 0 of |10>, want 0", got)
-	}
-	if math.Abs(s.Norm()-1) > 1e-12 {
-		t.Errorf("norm after measurement = %v", s.Norm())
-	}
-}
-
-func TestMeasureQubitCollapses(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	// Bell state: measuring qubit 0 collapses qubit 1 to the same value.
-	for trial := 0; trial < 20; trial++ {
-		s := NewState(2)
-		s.H(0)
-		s.CNOT(0, 1)
-		m0 := s.MeasureQubit(0, rng)
-		m1 := s.MeasureQubit(1, rng)
-		if m0 != m1 {
-			t.Fatalf("Bell measurement disagreed: %d vs %d", m0, m1)
-		}
-	}
-}
-
-func TestMeasureQubitStatistics(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ones := 0
-	const trials = 5000
-	for i := 0; i < trials; i++ {
-		s := NewState(1)
-		s.RY(0, 2*math.Pi/6) // P(1) = sin²(π/6) = 0.25
-		ones += s.MeasureQubit(0, rng)
-	}
-	frac := float64(ones) / trials
-	if math.Abs(frac-0.25) > 0.03 {
-		t.Errorf("P(1) ≈ %v, want 0.25", frac)
-	}
-}
 
 func TestExpectationZ(t *testing.T) {
 	s := NewState(2)
@@ -80,97 +34,5 @@ func TestExpectationZZ(t *testing.T) {
 	anti.X(1) // |01>+|10>
 	if got := anti.ExpectationZZ(0, 1); math.Abs(got+1) > 1e-12 {
 		t.Errorf("<ZZ> anti-Bell = %v, want -1", got)
-	}
-}
-
-func TestExpectationPauliString(t *testing.T) {
-	// |+> has <X> = 1.
-	s := NewState(2)
-	s.H(0)
-	got, err := s.ExpectationPauliString([]PauliTerm{{Op: PauliX, Qubit: 0}})
-	if err != nil || math.Abs(got-1) > 1e-12 {
-		t.Errorf("<X>|+> = %v (err %v), want 1", got, err)
-	}
-	// Y eigenstate: S H |0> = (|0> + i|1>)/√2 has <Y> = 1.
-	y := NewState(1)
-	y.H(0)
-	y.Phase(0, math.Pi/2)
-	got, err = y.ExpectationPauliString([]PauliTerm{{Op: PauliY, Qubit: 0}})
-	if err != nil || math.Abs(got-1) > 1e-12 {
-		t.Errorf("<Y> = %v (err %v), want 1", got, err)
-	}
-	// Bell state: <XX> = 1, <ZZ> = 1, <XZ> = 0.
-	bell := NewState(2)
-	bell.H(0)
-	bell.CNOT(0, 1)
-	xx, _ := bell.ExpectationPauliString([]PauliTerm{{PauliX, 0}, {PauliX, 1}})
-	zz, _ := bell.ExpectationPauliString([]PauliTerm{{PauliZ, 0}, {PauliZ, 1}})
-	xz, _ := bell.ExpectationPauliString([]PauliTerm{{PauliX, 0}, {PauliZ, 1}})
-	if math.Abs(xx-1) > 1e-12 || math.Abs(zz-1) > 1e-12 || math.Abs(xz) > 1e-12 {
-		t.Errorf("Bell <XX>=%v <ZZ>=%v <XZ>=%v", xx, zz, xz)
-	}
-	// The state must not be modified.
-	if math.Abs(bell.Probability(0)-0.5) > 1e-12 {
-		t.Error("ExpectationPauliString modified the state")
-	}
-}
-
-func TestExpectationPauliStringValidation(t *testing.T) {
-	s := NewState(2)
-	if _, err := s.ExpectationPauliString([]PauliTerm{{PauliX, 5}}); err == nil {
-		t.Error("out-of-range qubit accepted")
-	}
-	if _, err := s.ExpectationPauliString([]PauliTerm{{PauliX, 0}, {PauliZ, 0}}); err == nil {
-		t.Error("duplicate qubit accepted")
-	}
-	if _, err := s.ExpectationPauliString([]PauliTerm{{Pauli('Q'), 0}}); err == nil {
-		t.Error("unknown Pauli accepted")
-	}
-}
-
-// The Z-string expectation must agree with ExpectationZZ.
-func TestPauliStringMatchesZZ(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := randomState(rng, 4)
-		a, b := rng.Intn(4), rng.Intn(4)
-		if a == b {
-			return true
-		}
-		got, err := s.ExpectationPauliString([]PauliTerm{{PauliZ, a}, {PauliZ, b}})
-		if err != nil {
-			return false
-		}
-		return math.Abs(got-s.ExpectationZZ(a, b)) < 1e-10
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Pauli expectations are always real numbers in [-1, 1].
-func TestPauliExpectationRange(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := randomState(rng, 3)
-		ops := []Pauli{PauliX, PauliY, PauliZ}
-		terms := []PauliTerm{{ops[rng.Intn(3)], rng.Intn(3)}}
-		got, err := s.ExpectationPauliString(terms)
-		if err != nil {
-			return false
-		}
-		return got >= -1-1e-10 && got <= 1+1e-10
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestParityOf(t *testing.T) {
-	cases := map[uint64]int{0: 0, 1: 1, 3: 0, 7: 1, 0b1010: 0, 1 << 40: 1}
-	for x, want := range cases {
-		if got := parityOf(x); got != want {
-			t.Errorf("parity(%b) = %d, want %d", x, got, want)
-		}
 	}
 }

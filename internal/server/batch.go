@@ -1,9 +1,6 @@
 package server
 
-import (
-	"encoding/json"
-	"net/http"
-)
+import "net/http"
 
 // POST /v1/solve/batch: up to Config.MaxBatch solve specs in one
 // request, solved with the same semantics as that many sequential
@@ -55,11 +52,8 @@ type batchItem struct {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	body := http.MaxBytesReader(w, r.Body, 8<<20)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, badRequest("decoding request: %v", err))
+	if herr := decodeBody(w, r, 8<<20, &req); herr != nil {
+		writeError(w, herr)
 		return
 	}
 	if len(req.Items) == 0 {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -162,6 +163,42 @@ func TestRejectTable(t *testing.T) {
 	}
 	if n := s2.Metrics().Snapshot().Counters["server.jobs.submitted"]; n != 1 {
 		t.Errorf("%d jobs submitted by a batch with one distinct valid item", n)
+	}
+
+	// A body is one JSON value: a valid request followed by a second one
+	// or by garbage is refused whole on both endpoints, never solved as
+	// its first value alone.
+	one, err := json.Marshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := json.Marshal(BatchRequest{Items: []SolveRequest{good}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trailing = "decoding request: trailing data after the JSON value"
+	for _, row := range []struct{ path, body string }{
+		{"/v1/solve", string(one) + string(one)},
+		{"/v1/solve", string(one) + " x"},
+		{"/v1/solve", string(one) + "\n{"},
+		{"/v1/solve/batch", string(batch) + string(batch)},
+		{"/v1/solve/batch", string(batch) + "]"},
+	} {
+		resp, err := http.Post(ts.URL+row.path, "application/json", strings.NewReader(row.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Error string `json:"error"`
+		}
+		derr := json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if derr != nil || resp.StatusCode != http.StatusBadRequest || doc.Error != trailing {
+			t.Errorf("%s %q: status %d, error %q (%v), want 400 %q", row.path, row.body, resp.StatusCode, doc.Error, derr, trailing)
+		}
+	}
+	if n := s.Metrics().Snapshot().Counters["server.jobs.submitted"]; n != 0 {
+		t.Errorf("%d jobs submitted by requests with trailing data", n)
 	}
 }
 

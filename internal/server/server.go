@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -972,16 +973,29 @@ func writeError(w http.ResponseWriter, e *httpError) {
 	writeJSON(w, e.code, map[string]string{"error": e.msg})
 }
 
+// decodeBody decodes a request body of at most limit bytes into v.
+// Unknown keys are rejected, not ignored: with per-family payloads a
+// silently dropped field would solve a different instance than the
+// client thinks it submitted. For the same reason the body must hold
+// exactly one JSON value: anything but whitespace after it is refused.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) *httpError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return badRequest("decoding request: %v", err)
+	}
+	// Only a clean end of body is io.EOF; a second value or garbage is
+	// anything else (decoding into a zero-size value allocates nothing).
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return badRequest("decoding request: trailing data after the JSON value")
+	}
+	return nil
+}
+
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	dec := json.NewDecoder(body)
-	// Unknown keys are rejected, not ignored: with per-family payloads a
-	// silently dropped field would solve a different instance than the
-	// client thinks it submitted.
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, badRequest("decoding request: %v", err))
+	if herr := decodeBody(w, r, 1<<20, &req); herr != nil {
+		writeError(w, herr)
 		return
 	}
 	rs, herr := s.normalize(&req)

@@ -1,6 +1,7 @@
 // Package stats provides the descriptive statistics used throughout the
 // reproduction: means, standard deviations, Pearson correlation (the
-// paper's dataset analysis in Sec. III-B), percentiles, and histograms.
+// paper's dataset analysis in Sec. III-B), percentiles, and the Fig. 6
+// prediction error.
 package stats
 
 import (
@@ -38,20 +39,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the unbiased sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// PopVariance returns the population (n) variance, or NaN for empty input.
-func PopVariance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
 
 // Covariance returns the unbiased sample covariance of xs and ys.
 // It panics if lengths differ and returns NaN for fewer than two samples.
@@ -165,36 +152,6 @@ func (s Summary) String() string {
 		s.N, s.Mean, s.Std, s.Min, s.P25, s.Median, s.P75, s.Max)
 }
 
-// Histogram bins xs into nbins equal-width bins over [min, max] and
-// returns bin edges (nbins+1) and counts (nbins). Values equal to max
-// land in the last bin. It panics for empty input or nbins < 1.
-func Histogram(xs []float64, nbins int) (edges []float64, counts []int) {
-	if nbins < 1 {
-		panic("stats: nbins < 1")
-	}
-	lo, hi := Min(xs), Max(xs)
-	if lo == hi {
-		hi = lo + 1 // degenerate range: single bin holds everything
-	}
-	edges = make([]float64, nbins+1)
-	width := (hi - lo) / float64(nbins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*width
-	}
-	counts = make([]int, nbins)
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	return edges, counts
-}
-
 // MeanAbsPercentError returns the mean of |pred-actual|/|actual|·100 over
 // all pairs, skipping pairs where actual is (near) zero, along with the
 // standard deviation of the same per-pair percentages. This is the error
@@ -214,37 +171,4 @@ func MeanAbsPercentError(actual, pred []float64) (mean, std float64) {
 		return math.NaN(), math.NaN()
 	}
 	return Mean(errs), StdDev(errs)
-}
-
-// Spearman returns the Spearman rank correlation coefficient of xs and
-// ys: the Pearson correlation of their rank transforms (average ranks
-// for ties). It returns NaN when either series is constant.
-func Spearman(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic(fmt.Sprintf("stats: length mismatch %d != %d", len(xs), len(ys)))
-	}
-	return Pearson(ranks(xs), ranks(ys))
-}
-
-// ranks returns average ranks (1-based) with ties sharing their mean rank.
-func ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	r := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			r[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return r
 }

@@ -20,9 +20,6 @@ func TestMean(t *testing.T) {
 
 func TestVarianceStd(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := PopVariance(xs); !almostEq(got, 4, 1e-12) {
-		t.Errorf("PopVariance = %v, want 4", got)
-	}
 	if got := Variance(xs); !almostEq(got, 32.0/7, 1e-12) {
 		t.Errorf("Variance = %v, want %v", got, 32.0/7)
 	}
@@ -117,50 +114,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	edges, counts := Histogram([]float64{0, 0.5, 1, 1.5, 2}, 2)
-	if len(edges) != 3 || len(counts) != 2 {
-		t.Fatalf("edges/counts lengths = %d/%d", len(edges), len(counts))
-	}
-	if counts[0]+counts[1] != 5 {
-		t.Errorf("histogram loses samples: %v", counts)
-	}
-	if counts[0] != 2 || counts[1] != 3 { // [0,1): {0,0.5}; [1,2]: {1,1.5,2}
-		t.Errorf("counts = %v, want [2 3]", counts)
-	}
-}
-
-func TestHistogramConstantInput(t *testing.T) {
-	_, counts := Histogram([]float64{4, 4, 4}, 3)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 3 {
-		t.Errorf("constant-input histogram total = %d", total)
-	}
-}
-
-func TestHistogramPropertyConservesMass(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(100)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 10
-		}
-		_, counts := Histogram(xs, 1+rng.Intn(10))
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		return total == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMeanAbsPercentError(t *testing.T) {
 	actual := []float64{1, 2, 4}
 	pred := []float64{1.1, 1.8, 4}
@@ -179,36 +132,5 @@ func TestMeanAbsPercentError(t *testing.T) {
 	}
 	if m3, _ := MeanAbsPercentError([]float64{0}, []float64{1}); !math.IsNaN(m3) {
 		t.Error("all-zero actuals should give NaN")
-	}
-}
-
-func TestSpearman(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	// Monotone but nonlinear: Spearman 1, Pearson < 1.
-	ys := []float64{1, 8, 27, 64, 125}
-	if got := Spearman(xs, ys); !almostEq(got, 1, 1e-12) {
-		t.Errorf("Spearman = %v, want 1", got)
-	}
-	if p := Pearson(xs, ys); p >= 1-1e-9 {
-		t.Errorf("Pearson = %v, should be < 1 for cubic", p)
-	}
-	desc := []float64{10, 8, 5, 3, 1}
-	if got := Spearman(xs, desc); !almostEq(got, -1, 1e-12) {
-		t.Errorf("Spearman = %v, want -1", got)
-	}
-	if !math.IsNaN(Spearman(xs, []float64{2, 2, 2, 2, 2})) {
-		t.Error("constant series should give NaN")
-	}
-}
-
-func TestSpearmanTies(t *testing.T) {
-	// With ties the rank transform uses average ranks.
-	xs := []float64{1, 2, 2, 3}
-	r := ranks(xs)
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if !almostEq(r[i], want[i], 1e-12) {
-			t.Fatalf("ranks = %v, want %v", r, want)
-		}
 	}
 }
