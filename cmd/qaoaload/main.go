@@ -17,10 +17,12 @@
 //	qaoaload -addr http://host:8080       # drive a remote qaoad
 //	qaoaload -check BENCH_server.json     # validate a report's schema and exit
 //
-// The workload is a seeded pool of -instances requests cycling through
-// -families × -sizes × -depths; the pool repeats, so steady-state
-// traffic mixes cold solves, result-cache hits and single-flight
-// coalescing exactly as repeated production traffic would.
+// The workload is a seeded pool of -instances naive L-BFGS-B requests
+// cycling through the benchmark's five families (maxcut, qubo, maxksat,
+// partition, portfolio) × -sizes × -depths; the pool repeats, so
+// steady-state traffic mixes cold solves, result-cache hits and
+// single-flight coalescing exactly as repeated production traffic
+// would. A self-hosted server runs with qaoad's defaults.
 package main
 
 import (
@@ -41,8 +43,7 @@ import (
 	"time"
 
 	"qaoaml/internal/cluster"
-	"qaoaml/internal/core"
-	"qaoaml/internal/graph"
+	"qaoaml/internal/problem"
 	"qaoaml/internal/server"
 )
 
@@ -107,18 +108,12 @@ func main() {
 		duration  = flag.Duration("duration", 5*time.Second, "how long to offer load")
 		seed      = flag.Int64("seed", 1, "workload RNG seed (instances and request order are deterministic)")
 		instances = flag.Int("instances", 16, "distinct instances in the request pool (traffic cycles through it)")
-		families  = flag.String("families", "maxcut,partition,maxksat", "comma-separated problem families to mix")
 		sizes     = flag.String("sizes", "8", "comma-separated instance sizes (qubits)")
 		depths    = flag.String("depths", "2", "comma-separated circuit depths")
-		strategy  = flag.String("strategy", "naive", "solve strategy: naive or two-level")
-		optimizer = flag.String("optimizer", "lbfgsb", "optimizer name passed through to the server")
 		batch     = flag.Int("batch", 0, "items per POST /v1/solve/batch request (0 = individual /v1/solve)")
 		sse       = flag.Float64("sse", 0, "fraction of solve requests to follow via the SSE event stream (0 = off; incompatible with -batch)")
-		name      = flag.String("name", "", "entry name (default derived from the workload)")
 		out       = flag.String("out", "BENCH_server.json", "output file ('-' = stdout)")
 		check     = flag.String("check", "", "validate an existing report file and exit")
-		workers   = flag.Int("workers", 0, "self-hosted server worker pool (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 0, "self-hosted server queue depth (0 = default)")
 	)
 	flag.Parse()
 	if *check != "" {
@@ -145,10 +140,7 @@ func main() {
 		}
 	}
 
-	pool, err := buildPool(workload{
-		families: splitList(*families), sizes: splitInts(*sizes), depths: splitInts(*depths),
-		instances: *instances, seed: *seed, strategy: *strategy, optimizer: *optimizer,
-	})
+	pool, err := buildPool(splitInts(*sizes), splitInts(*depths), *instances, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -156,7 +148,7 @@ func main() {
 	base := strings.TrimRight(*addr, "/")
 	var shutdown func()
 	if base == "" {
-		base, shutdown, err = selfHost(server.Config{Workers: *workers, QueueDepth: *queue}, *strategy)
+		base, shutdown, err = selfHost()
 		if err != nil {
 			fatal(err)
 		}
@@ -186,9 +178,9 @@ func main() {
 	}
 	e.FevTotal = after["optimize.fev_total"] - before["optimize.fev_total"]
 
-	e.Name = *name
-	if e.Name == "" {
-		e.Name = deriveName(*families, *strategy, *rate, *batch)
+	e.Name = "mix/naive-rps" + strconv.FormatFloat(*rate, 'f', -1, 64)
+	if *batch > 0 {
+		e.Name += "-b" + strconv.Itoa(*batch)
 	}
 	e.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	e.OfferedRPS = *rate
@@ -224,71 +216,32 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wrote %s (%d entries)\n", *out, len(rep.Entries))
 }
 
-// workload describes the request mix.
-type workload struct {
-	families  []string
-	sizes     []int
-	depths    []int
-	instances int
-	seed      int64
-	strategy  string
-	optimizer string
-}
+// families is the pool's mix: the benchmark's five cold-mix families.
+var families = []string{"maxcut", "qubo", "maxksat", "partition", "portfolio"}
 
 // buildPool generates the seeded request pool, cycling family × size ×
 // depth across instances. Every request is Wait=true: the generator
 // measures end-to-end solve latency, not enqueue latency.
-func buildPool(w workload) ([]server.SolveRequest, error) {
-	if len(w.families) == 0 || len(w.sizes) == 0 || len(w.depths) == 0 {
-		return nil, fmt.Errorf("need at least one family, size and depth")
+func buildPool(sizes, depths []int, instances int, seed int64) ([]server.SolveRequest, error) {
+	if len(sizes) == 0 || len(depths) == 0 {
+		return nil, fmt.Errorf("need at least one size and depth")
 	}
-	rng := rand.New(rand.NewSource(w.seed))
-	pool := make([]server.SolveRequest, 0, w.instances)
-	for i := 0; i < w.instances; i++ {
-		fam := w.families[i%len(w.families)]
-		n := w.sizes[(i/len(w.families))%len(w.sizes)]
-		req := server.SolveRequest{
-			Problem:   fam,
-			Depth:     w.depths[i%len(w.depths)],
-			Strategy:  w.strategy,
-			Optimizer: w.optimizer,
-			Seed:      int64(i + 1),
-			Wait:      true,
+	rng := rand.New(rand.NewSource(seed))
+	pool := make([]server.SolveRequest, 0, instances)
+	for i := 0; i < instances; i++ {
+		fam := families[i%len(families)]
+		spec, err := problem.RandomSpec(fam, sizes[(i/len(families))%len(sizes)], rng)
+		if err != nil {
+			return nil, err
 		}
-		switch fam {
-		case "maxcut":
-			g := graph.ErdosRenyiConnected(n, 0.5, rng)
-			req.Nodes = n
-			for _, ed := range g.Edges() {
-				req.Edges = append(req.Edges, [2]int{ed.U, ed.V})
-			}
-		case "partition":
-			req.Numbers = make([]float64, n)
-			for j := range req.Numbers {
-				req.Numbers[j] = float64(1 + rng.Intn(50))
-			}
-		case "maxksat":
-			// Two-literal clauses keep the compiled register at exactly
-			// n qubits (three-literal clauses add Rosenberg auxiliaries).
-			req.Vars = n
-			for c := 0; c < 2*n; c++ {
-				a := rng.Intn(n)
-				b := rng.Intn(n - 1)
-				if b >= a {
-					b++
-				}
-				lit := func(v int) int {
-					if rng.Intn(2) == 0 {
-						return -(v + 1)
-					}
-					return v + 1
-				}
-				req.Clauses = append(req.Clauses, []int{lit(a), lit(b)})
-			}
-		default:
-			return nil, fmt.Errorf("unsupported family %q (qaoaload generates maxcut, partition, maxksat)", fam)
+		w, err := problem.WireOf(spec)
+		if err != nil {
+			return nil, err
 		}
-		pool = append(pool, req)
+		pool = append(pool, server.SolveRequest{
+			Problem: fam, Wire: w, Depth: depths[i%len(depths)],
+			Strategy: server.StrategyNaive, Optimizer: "lbfgsb", Seed: int64(i + 1), Wait: true,
+		})
 	}
 	return pool, nil
 }
@@ -581,20 +534,10 @@ func scrapeCounters(base string) (map[string]int64, error) {
 	return snap.Counters, nil
 }
 
-// selfHost starts an in-process server on a loopback port and returns
-// its base URL plus a shutdown hook. The two-level strategy needs a
-// registered predictor, which the caller's qaoad would normally load;
-// here the "default" model is trained in-process exactly like
-// qaoad -train does.
-func selfHost(cfg server.Config, strategy string) (string, func(), error) {
-	if strategy == server.StrategyTwoLevel {
-		reg, err := trainedRegistry()
-		if err != nil {
-			return "", nil, err
-		}
-		cfg.Registry = reg
-	}
-	s := server.New(cfg)
+// selfHost starts an in-process server with the default configuration
+// on a loopback port and returns its base URL plus a shutdown hook.
+func selfHost() (string, func(), error) {
+	s := server.New(server.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		s.Close()
@@ -608,41 +551,6 @@ func selfHost(cfg server.Config, strategy string) (string, func(), error) {
 		_ = hs.Close()
 		s.Close()
 	}, nil
-}
-
-// trainedRegistry trains a small "default" two-level predictor the way
-// qaoad -train does, so a self-hosted run can exercise -strategy
-// two-level without a model directory.
-func trainedRegistry() (*server.Registry, error) {
-	reg, err := server.NewRegistry("")
-	if err != nil {
-		return nil, err
-	}
-	data, err := core.GenerateCtx(context.Background(), core.DataGenConfig{
-		NumGraphs: 8, Nodes: 8, EdgeProb: 0.5,
-		MaxDepth: 3, Starts: 2, Tol: 1e-6, Seed: 1,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("training dataset: %w", err)
-	}
-	train, _ := data.SplitIndices(0.8, 1)
-	pred := core.NewPredictor(nil)
-	if err := pred.Train(data, train); err != nil {
-		return nil, fmt.Errorf("training default model: %w", err)
-	}
-	reg.Register("default", pred)
-	return reg, nil
-}
-
-// deriveName builds a default entry name from the workload shape, e.g.
-// "maxcut+partition/naive-rps20" or "maxcut/naive-rps40-b8".
-func deriveName(families, strategy string, rate float64, batch int) string {
-	fams := strings.Join(splitList(families), "+")
-	n := fmt.Sprintf("%s/%s-rps%s", fams, strategy, strconv.FormatFloat(rate, 'f', -1, 64))
-	if batch > 0 {
-		n += fmt.Sprintf("-b%d", batch)
-	}
-	return n
 }
 
 // checkReport validates a BENCH_server.json document: the schema CI
@@ -738,19 +646,12 @@ func (r *Report) write(w *os.File) {
 	}
 }
 
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 func splitInts(s string) []int {
 	var out []int
-	for _, f := range splitList(s) {
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f == "" {
+			continue
+		}
 		v, err := strconv.Atoi(f)
 		if err != nil || v < 1 {
 			fatal(fmt.Errorf("bad list value %q (want positive integers)", f))

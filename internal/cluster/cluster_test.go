@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"qaoaml/internal/problem"
 	"qaoaml/internal/server"
 	"qaoaml/internal/telemetry"
 )
@@ -76,7 +77,7 @@ func fleetReq(i int) server.SolveRequest {
 	edges := [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 0}, {0, 4}, {2, 6}}
 	edges = append(edges, [2]int{i % 8, (i + 3) % 8})
 	return server.SolveRequest{
-		Nodes: 8, Edges: edges, Depth: 2,
+		Wire: problem.Wire{Nodes: 8, Edges: edges}, Depth: 2,
 		Strategy: "naive", Seed: int64(1 + i), Wait: true,
 	}
 }
@@ -251,7 +252,7 @@ func TestFleetCancellationPropagates(t *testing.T) {
 	// A solve of several seconds, so the cancel lands while it runs even
 	// when the test goroutine is starved for a few hundred ms.
 	req := server.SolveRequest{
-		Nodes: 20, Edges: ladder(20), Depth: 10,
+		Wire: problem.Wire{Nodes: 20, Edges: ladder(20)}, Depth: 10,
 		Strategy: "naive", Seed: 7,
 	}
 	code, view := solveHTTP(t, coord.ts.URL, req)
@@ -301,7 +302,7 @@ func TestFleetWALCrashRecovery(t *testing.T) {
 	doneRes := solveDone(t, crashed.ts.URL, reqDone)
 
 	reqOpen := server.SolveRequest{
-		Nodes: 14, Edges: ladder(14), Depth: 8,
+		Wire: problem.Wire{Nodes: 14, Edges: ladder(14)}, Depth: 8,
 		Strategy: "naive", Seed: 9,
 	}
 	code, _ := solveHTTP(t, crashed.ts.URL, reqOpen)
@@ -385,9 +386,11 @@ func TestFleetRejectsOverflowBeforeJournal(t *testing.T) {
 	coord, _, _ := startFleet(t, 1, server.Config{Journal: wal})
 	ring := [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}}
 	reqs := []server.SolveRequest{
-		{Nodes: 4, Edges: ring, Weights: []float64{1e308, 1e308, 1e308, 1e308}, Depth: 1, Strategy: "naive"},
-		{Problem: "qubo", Nodes: 3, Linear: []float64{1e308, 1e308, 0},
-			Quad: []server.WireTerm{{I: 0, J: 1, W: 1e308}}, Depth: 1, Strategy: "naive"},
+		{Wire: problem.Wire{Nodes: 4, Edges: ring, Weights: []float64{1e308, 1e308, 1e308, 1e308}}, Depth: 1, Strategy: "naive"},
+		{Problem: "qubo", Wire: problem.Wire{
+			Nodes: 3, Linear: []float64{1e308, 1e308, 0},
+			Quad: []server.WireTerm{{I: 0, J: 1, W: 1e308}},
+		}, Depth: 1, Strategy: "naive"},
 	}
 	for i, req := range reqs {
 		if code, view := solveHTTP(t, coord.ts.URL, req); code != http.StatusBadRequest {

@@ -6,12 +6,13 @@ import (
 	"reflect"
 	"testing"
 
+	"qaoaml/internal/problem"
 	"qaoaml/internal/server"
 )
 
 func walReq(seed int64) server.SolveRequest {
 	return server.SolveRequest{
-		Nodes: 6, Edges: [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}},
+		Wire:  problem.Wire{Nodes: 6, Edges: [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}}},
 		Depth: 2, Strategy: "naive", Seed: seed,
 	}
 }

@@ -98,16 +98,17 @@ func TestLoadFileMissing(t *testing.T) {
 // allocated for a huge register before qaoa.New could refuse it. They
 // double as fuzz seeds.
 var malformedDatasets = map[string]string{
-	"v1 endpoint out of range": `{"version":1,"config":{"max_depth":1},"nodes":2,"graphs":[[[0,5]]],"records":[[]]}`,
-	"v1 negative endpoint":     `{"version":1,"config":{"max_depth":1},"nodes":2,"graphs":[[[-1,1]]],"records":[[]]}`,
-	"v1 negative nodes":        `{"version":1,"config":{"max_depth":1},"nodes":-1,"graphs":[[[0,5]]],"records":[[]]}`,
-	"v1 one node":              `{"version":1,"config":{"max_depth":1},"nodes":1,"graphs":[[]],"records":[[]]}`,
-	"v1 huge nodes":            `{"version":1,"config":{"max_depth":1},"nodes":1000000000,"graphs":[[[0,1]]],"records":[[]]}`,
-	"v2 endpoint out of range": `{"version":2,"config":{"max_depth":1},"specs":[{"family":"maxcut","nodes":2,"edges":[[0,7]]}],"records":[[]]}`,
-	"v2 coloring negative":     `{"version":2,"config":{"max_depth":1},"specs":[{"family":"coloring","nodes":-3,"edges":[[0,1]],"colors":2}],"records":[[]]}`,
-	"v2 coloring huge colors":  `{"version":2,"config":{"max_depth":1},"specs":[{"family":"coloring","nodes":4,"edges":[[0,1]],"colors":100000}],"records":[[]]}`,
-	"v2 maxksat huge vars":     `{"version":2,"config":{"max_depth":1},"specs":[{"family":"maxksat","vars":1000000000,"clauses":[[1,2]]}],"records":[[]]}`,
-	"v2 short weights":         `{"version":2,"config":{"max_depth":1},"specs":[{"family":"maxcut","nodes":3,"edges":[[0,1],[1,2]],"weights":[2]}],"records":[[]]}`,
+	"v1 endpoint out of range":   `{"version":1,"config":{"max_depth":1},"nodes":2,"graphs":[[[0,5]]],"records":[[]]}`,
+	"v1 negative endpoint":       `{"version":1,"config":{"max_depth":1},"nodes":2,"graphs":[[[-1,1]]],"records":[[]]}`,
+	"v1 negative nodes":          `{"version":1,"config":{"max_depth":1},"nodes":-1,"graphs":[[[0,5]]],"records":[[]]}`,
+	"v1 one node":                `{"version":1,"config":{"max_depth":1},"nodes":1,"graphs":[[]],"records":[[]]}`,
+	"v1 huge nodes":              `{"version":1,"config":{"max_depth":1},"nodes":1000000000,"graphs":[[[0,1]]],"records":[[]]}`,
+	"v2 endpoint out of range":   `{"version":2,"config":{"max_depth":1},"specs":[{"family":"maxcut","nodes":2,"edges":[[0,7]]}],"records":[[]]}`,
+	"v2 coloring negative":       `{"version":2,"config":{"max_depth":1},"specs":[{"family":"coloring","nodes":-3,"edges":[[0,1]],"colors":2}],"records":[[]]}`,
+	"v2 coloring huge colors":    `{"version":2,"config":{"max_depth":1},"specs":[{"family":"coloring","nodes":4,"edges":[[0,1]],"colors":100000}],"records":[[]]}`,
+	"v2 maxksat huge vars":       `{"version":2,"config":{"max_depth":1},"specs":[{"family":"maxksat","vars":1000000000,"clauses":[[1,2]]}],"records":[[]]}`,
+	"v2 short weights":           `{"version":2,"config":{"max_depth":1},"specs":[{"family":"maxcut","nodes":3,"edges":[[0,1],[1,2]],"weights":[2]}],"records":[[]]}`,
+	"v2 maxksat min-int literal": `{"version":2,"config":{"max_depth":1},"specs":[{"family":"maxksat","vars":3,"clauses":[[-9223372036854775808,1]]}],"records":[[]]}`,
 }
 
 func TestLoadRejectsMalformedGraphs(t *testing.T) {

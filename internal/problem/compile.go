@@ -87,12 +87,13 @@ func (f *Formula) Validate() error {
 			if l == 0 {
 				return fmt.Errorf("problem: clause %d has literal 0", ci)
 			}
+			// Compared without negating: −MinInt64 is still negative.
+			if l < -f.Vars || l > f.Vars {
+				return fmt.Errorf("problem: clause %d literal %d out of range for %d variables", ci, l, f.Vars)
+			}
 			v := l
 			if v < 0 {
 				v = -v
-			}
-			if v > f.Vars {
-				return fmt.Errorf("problem: clause %d literal %d out of range for %d variables", ci, l, f.Vars)
 			}
 			if seen[v] {
 				return fmt.Errorf("problem: clause %d repeats variable %d", ci, v)

@@ -2,15 +2,18 @@ package problem
 
 import (
 	"fmt"
+	"math"
 
 	"qaoaml/internal/graph"
 )
 
 // Spec is the single problem-specification type every layer accepts:
 // qaoa constructors, core datagen/naive/two-level entry points and the
-// qaoad wire schema all take a Spec and compile it once. Exactly one
-// family payload is populated, per the Family string; the family
-// constructors below are the supported way to build one.
+// qaoad server all take a Spec and compile it once. Exactly one family
+// payload is populated, per the Family string; the family constructors
+// below are the supported way to build one. Its one JSON form is Wire
+// (wire.go): qaoad requests and dataset files decode through Wire.Spec
+// and encode through WireOf.
 type Spec struct {
 	Family string
 
@@ -113,6 +116,11 @@ func (s Spec) Qubits() (int, error) {
 		}
 		if s.Colors < 2 {
 			return 0, fmt.Errorf("problem: coloring needs at least 2 colors, got %d", s.Colors)
+		}
+		// Colors is a bare number from a request or a file: bounded by
+		// division, so the product cannot wrap around to a valid width.
+		if s.Colors > math.MaxInt/max(s.Graph.N, 1) {
+			return 0, fmt.Errorf("problem: coloring of %d nodes with %d colors overflows the register width", s.Graph.N, s.Colors)
 		}
 		return s.Graph.N * s.Colors, nil
 	}

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"qaoaml/internal/problem"
 )
 
 func TestJobCost(t *testing.T) {
@@ -62,7 +64,7 @@ func TestAdmissionBudgetExhausted(t *testing.T) {
 	}
 
 	n1, e1 := testInstance(31)
-	code, view := postSolve(t, ts.URL, SolveRequest{Nodes: n1, Edges: e1, Depth: 1, Strategy: StrategyNaive, Seed: 1})
+	code, view := postSolve(t, ts.URL, SolveRequest{Wire: problem.Wire{Nodes: n1, Edges: e1}, Depth: 1, Strategy: StrategyNaive, Seed: 1})
 	if code != http.StatusAccepted {
 		t.Fatalf("first job: status %d", code)
 	}
@@ -72,7 +74,7 @@ func TestAdmissionBudgetExhausted(t *testing.T) {
 	}
 
 	n2, e2 := testInstance(32)
-	blob, _ := json.Marshal(SolveRequest{Nodes: n2, Edges: e2, Depth: 1, Strategy: StrategyNaive, Seed: 2})
+	blob, _ := json.Marshal(SolveRequest{Wire: problem.Wire{Nodes: n2, Edges: e2}, Depth: 1, Strategy: StrategyNaive, Seed: 2})
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +103,7 @@ func TestAdmissionBudgetExhausted(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	code, view2 := postSolve(t, ts.URL, SolveRequest{
-		Nodes: n2, Edges: e2, Depth: 1, Strategy: StrategyNaive, Seed: 2, Wait: true})
+		Wire: problem.Wire{Nodes: n2, Edges: e2}, Depth: 1, Strategy: StrategyNaive, Seed: 2, Wait: true})
 	if code != http.StatusOK || view2.State != StateDone {
 		t.Fatalf("retried job after budget freed: status %d state %s", code, view2.State)
 	}
@@ -114,7 +116,7 @@ func TestAdmissionWhaleAdmittedWhenIdle(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, MaxInflightCost: 1})
 	nodes, edges := testInstance(33)
 	code, view := postSolve(t, ts.URL, SolveRequest{
-		Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive, Seed: 1, Wait: true})
+		Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive, Seed: 1, Wait: true})
 	if code != http.StatusOK || view.State != StateDone {
 		t.Fatalf("whale on idle server: status %d state %s", code, view.State)
 	}
@@ -133,7 +135,7 @@ func TestAdmissionCheapFlowsPastWhale(t *testing.T) {
 	defer close(release)
 	blockingSolve(s, started, release)
 
-	whale := SolveRequest{Problem: "partition", Numbers: make([]float64, 12), Depth: 1, Strategy: StrategyNaive, Seed: 1}
+	whale := SolveRequest{Problem: "partition", Wire: problem.Wire{Numbers: make([]float64, 12)}, Depth: 1, Strategy: StrategyNaive, Seed: 1}
 	for i := range whale.Numbers {
 		whale.Numbers[i] = float64(i + 1)
 	}
@@ -155,7 +157,7 @@ func TestAdmissionCheapFlowsPastWhale(t *testing.T) {
 	}
 
 	nodes, edges := testInstance(34)
-	code, _ := postSolve(t, ts.URL, SolveRequest{Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive, Seed: 3})
+	code, _ := postSolve(t, ts.URL, SolveRequest{Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive, Seed: 3})
 	if code != http.StatusAccepted {
 		t.Fatalf("cheap job behind the whale: status %d, want 202", code)
 	}
@@ -169,7 +171,7 @@ func TestAdmissionCheapFlowsPastWhale(t *testing.T) {
 func TestAdmissionCacheHitsBypass(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, MaxInflightCost: 256})
 	nodes, edges := testInstance(35)
-	req := SolveRequest{Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive, Seed: 1, Wait: true}
+	req := SolveRequest{Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive, Seed: 1, Wait: true}
 	if code, view := postSolve(t, ts.URL, req); code != http.StatusOK || view.State != StateDone {
 		t.Fatalf("priming solve failed: %d %+v", code, view)
 	}
@@ -180,7 +182,7 @@ func TestAdmissionCacheHitsBypass(t *testing.T) {
 	defer close(release)
 	blockingSolve(s, started, release)
 	n2, e2 := testInstance(36)
-	if code, _ := postSolve(t, ts.URL, SolveRequest{Nodes: n2, Edges: e2, Depth: 1, Strategy: StrategyNaive, Seed: 2}); code != http.StatusAccepted {
+	if code, _ := postSolve(t, ts.URL, SolveRequest{Wire: problem.Wire{Nodes: n2, Edges: e2}, Depth: 1, Strategy: StrategyNaive, Seed: 2}); code != http.StatusAccepted {
 		t.Fatal("blocker not accepted")
 	}
 	<-started

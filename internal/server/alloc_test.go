@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qaoaml/internal/graph"
+	"qaoaml/internal/problem"
 	"qaoaml/internal/qaoa"
 	"qaoaml/internal/quantum"
 )
@@ -27,7 +28,7 @@ func TestSteadyStateAllocatesNoAmplitudes(t *testing.T) {
 		for _, e := range g.Edges() {
 			edges = append(edges, [2]int{e.U, e.V})
 		}
-		return SolveRequest{Nodes: n, Edges: edges, Depth: 2,
+		return SolveRequest{Wire: problem.Wire{Nodes: n, Edges: edges}, Depth: 2,
 			Strategy: StrategyNaive, Seed: seed, Wait: true}
 	}
 	solve := func(seed int64) {

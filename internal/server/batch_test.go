@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"qaoaml/internal/problem"
 )
 
 // postBatch submits a batch and decodes the response; the raw status
@@ -41,9 +43,9 @@ func postBatch(t *testing.T, url string, req BatchRequest) (int, BatchResponse) 
 func mixedBatchItems() []SolveRequest {
 	nodes, edges := testInstance(3)
 	return []SolveRequest{
-		{Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive, Seed: 1},
-		{Problem: "partition", Numbers: []float64{4, 8, 15, 16, 23, 42}, Depth: 1, Strategy: StrategyNaive, Seed: 2},
-		{Problem: "maxksat", Vars: 5, Clauses: [][]int{{1, -2}, {2, 3}, {-3, 4}, {4, 5}, {-1, -5}},
+		{Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive, Seed: 1},
+		{Problem: "partition", Wire: problem.Wire{Numbers: []float64{4, 8, 15, 16, 23, 42}}, Depth: 1, Strategy: StrategyNaive, Seed: 2},
+		{Problem: "maxksat", Wire: problem.Wire{Vars: 5, Clauses: [][]int{{1, -2}, {2, 3}, {-3, 4}, {4, 5}, {-1, -5}}},
 			Depth: 1, Strategy: StrategyNaive, Seed: 3},
 	}
 }
@@ -86,7 +88,7 @@ func TestBatchMixedFamiliesBitIdentical(t *testing.T) {
 // owner's job.
 func TestBatchIntraBatchDedup(t *testing.T) {
 	nodes, edges := testInstance(11)
-	spec := SolveRequest{Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive, Seed: 4}
+	spec := SolveRequest{Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive, Seed: 4}
 
 	// Reference: the optimizer budget of one solve of this spec.
 	sRef, tsRef := newTestServer(t, Config{Workers: 1})
@@ -136,9 +138,9 @@ func TestBatchPartialFailure(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	nodes, edges := testInstance(5)
 	items := []SolveRequest{
-		{Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive, Seed: 1},
-		{Nodes: nodes, Edges: edges, Depth: 99, Strategy: StrategyNaive, Seed: 2}, // over MaxDepth
-		{Problem: "partition", Numbers: []float64{3, 1, 4, 1, 5}, Depth: 1, Strategy: StrategyNaive, Seed: 3},
+		{Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive, Seed: 1},
+		{Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 99, Strategy: StrategyNaive, Seed: 2}, // over MaxDepth
+		{Problem: "partition", Wire: problem.Wire{Numbers: []float64{3, 1, 4, 1, 5}}, Depth: 1, Strategy: StrategyNaive, Seed: 3},
 	}
 	code, br := postBatch(t, ts.URL, BatchRequest{Items: items})
 	if code != http.StatusOK {
@@ -159,7 +161,7 @@ func TestBatchPartialFailure(t *testing.T) {
 func TestBatchLimits(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, MaxBatch: 2})
 	nodes, edges := testInstance(6)
-	item := SolveRequest{Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive}
+	item := SolveRequest{Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive}
 	if code, _ := postBatch(t, ts.URL, BatchRequest{}); code != http.StatusBadRequest {
 		t.Fatalf("empty batch: status %d, want 400", code)
 	}
@@ -184,8 +186,8 @@ func TestBatchClientDisconnectCancels(t *testing.T) {
 	n1, e1 := testInstance(21)
 	n2, e2 := testInstance(22)
 	blob, err := json.Marshal(BatchRequest{Items: []SolveRequest{
-		{Nodes: n1, Edges: e1, Depth: 1, Strategy: StrategyNaive, Seed: 1},
-		{Nodes: n2, Edges: e2, Depth: 1, Strategy: StrategyNaive, Seed: 2},
+		{Wire: problem.Wire{Nodes: n1, Edges: e1}, Depth: 1, Strategy: StrategyNaive, Seed: 1},
+		{Wire: problem.Wire{Nodes: n2, Edges: e2}, Depth: 1, Strategy: StrategyNaive, Seed: 2},
 	}})
 	if err != nil {
 		t.Fatal(err)

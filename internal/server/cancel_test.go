@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"qaoaml/internal/problem"
 )
 
 // TestClientDisconnectCancelsJob covers the originating-client half of
@@ -22,7 +24,7 @@ func TestClientDisconnectCancelsJob(t *testing.T) {
 
 	nodes, edges := testInstance(20)
 	blob, err := json.Marshal(SolveRequest{
-		Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive, Wait: true,
+		Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive, Wait: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +72,7 @@ func TestDeadlineCancelsRunningJob(t *testing.T) {
 
 	nodes, edges := testInstance(21)
 	_, view := postSolve(t, ts.URL, SolveRequest{
-		Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive, TimeoutMs: 50,
+		Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive, TimeoutMs: 50,
 	})
 	job := <-started
 	if job.ID != view.ID {
@@ -96,7 +98,7 @@ func TestDeadlineAbortsRealOptimizer(t *testing.T) {
 	nodes = 16
 	edges = denseEdges(nodes)
 	code, view := postSolve(t, ts.URL, SolveRequest{
-		Nodes: nodes, Edges: edges, Depth: 8, Strategy: StrategyNaive,
+		Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 8, Strategy: StrategyNaive,
 		TimeoutMs: 5, Wait: true,
 	})
 	if code != http.StatusOK {
@@ -130,12 +132,12 @@ func TestQueuedJobCancelledBeforeWorker(t *testing.T) {
 	nodes, edges := testInstance(23)
 	// Occupy the only worker.
 	postSolve(t, ts.URL, SolveRequest{
-		Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive, Seed: 1,
+		Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive, Seed: 1,
 	})
 	blocker := <-started
 	// This one never reaches a worker before its 30ms deadline.
 	_, queued := postSolve(t, ts.URL, SolveRequest{
-		Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive, Seed: 2, TimeoutMs: 30,
+		Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive, Seed: 2, TimeoutMs: 30,
 	})
 	final := pollJob(t, ts.URL, queued.ID, 10*time.Second)
 	if final.State != StateCancelled {
@@ -158,7 +160,7 @@ func TestDeleteCancelsJob(t *testing.T) {
 
 	nodes, edges := testInstance(24)
 	_, view := postSolve(t, ts.URL, SolveRequest{
-		Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive,
+		Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive,
 	})
 	<-started
 	httpReq, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+view.ID, nil)

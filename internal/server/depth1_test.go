@@ -16,7 +16,7 @@ func TestSolveDepth1ReadoutMatchesBestSampled(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	nodes, edges := testInstance(31)
 	for name, req := range map[string]SolveRequest{
-		"maxcut": {Problem: problem.FamilyMaxCut, Nodes: nodes, Edges: edges},
+		"maxcut": {Problem: problem.FamilyMaxCut, Wire: problem.Wire{Nodes: nodes, Edges: edges}},
 		"qubo":   familyRequests()[problem.FamilyQUBO],
 	} {
 		req.Depth, req.Strategy, req.Wait = 1, StrategyNaive, true
@@ -28,9 +28,9 @@ func TestSolveDepth1ReadoutMatchesBestSampled(t *testing.T) {
 		if len(r.Gamma) != 1 || len(r.Beta) != 1 || r.NFev < 2 {
 			t.Fatalf("%s: not a depth-1 result: %+v", name, r)
 		}
-		spec, herr := s.requestSpec(&req)
-		if herr != nil {
-			t.Fatal(herr)
+		spec, err := req.Wire.Spec(req.Problem, s.cfg.MaxNodes)
+		if err != nil {
+			t.Fatal(err)
 		}
 		pb, err := qaoa.New(spec)
 		if err != nil {

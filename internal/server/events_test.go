@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"qaoaml/internal/problem"
 	"qaoaml/internal/telemetry"
 )
 
@@ -61,7 +62,7 @@ func TestJobEventsStream(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	nodes, edges := testInstance(21)
 	code, view := postSolve(t, ts.URL, SolveRequest{
-		Nodes: nodes, Edges: edges, Depth: 2, Strategy: StrategyNaive, Seed: 5, Wait: true,
+		Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 2, Strategy: StrategyNaive, Seed: 5, Wait: true,
 	})
 	if code != http.StatusOK || view.State != StateDone {
 		t.Fatalf("solve: %d %+v", code, view)
@@ -108,7 +109,7 @@ func TestJobEventsStream(t *testing.T) {
 func TestJobEventsCachedJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	nodes, edges := testInstance(22)
-	req := SolveRequest{Nodes: nodes, Edges: edges, Depth: 2, Strategy: StrategyNaive, Seed: 6, Wait: true}
+	req := SolveRequest{Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 2, Strategy: StrategyNaive, Seed: 6, Wait: true}
 	if code, _ := postSolve(t, ts.URL, req); code != http.StatusOK {
 		t.Fatal("priming solve failed")
 	}

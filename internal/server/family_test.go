@@ -15,40 +15,48 @@ import (
 func familyRequests() map[string]SolveRequest {
 	return map[string]SolveRequest{
 		problem.FamilyQUBO: {
-			Problem: "qubo", Nodes: 6,
-			Linear: []float64{1, -1, 0, 1, 0, -1},
-			Quad: []WireTerm{
-				{I: 0, J: 1, W: 1}, {I: 1, J: 2, W: -1}, {I: 2, J: 3, W: 1},
-				{I: 3, J: 4, W: -1}, {I: 4, J: 5, W: 1}, {I: 0, J: 5, W: -1},
+			Problem: "qubo", Wire: problem.Wire{
+				Nodes:  6,
+				Linear: []float64{1, -1, 0, 1, 0, -1},
+				Quad: []WireTerm{
+					{I: 0, J: 1, W: 1}, {I: 1, J: 2, W: -1}, {I: 2, J: 3, W: 1},
+					{I: 3, J: 4, W: -1}, {I: 4, J: 5, W: 1}, {I: 0, J: 5, W: -1},
+				},
 			},
 			Depth: 2, Strategy: StrategyNaive, Wait: true,
 		},
 		problem.FamilyMaxKSAT: {
-			Problem: "maxksat", Vars: 5,
-			Clauses: [][]int{{1, -2}, {2, 3}, {-3, 4}, {4, 5}, {-1, -5}},
-			Depth:   2, Strategy: StrategyNaive, Wait: true,
+			Problem: "maxksat", Wire: problem.Wire{
+				Vars:    5,
+				Clauses: [][]int{{1, -2}, {2, 3}, {-3, 4}, {4, 5}, {-1, -5}},
+			},
+			Depth: 2, Strategy: StrategyNaive, Wait: true,
 		},
 		problem.FamilyPartition: {
-			Problem: "partition", Numbers: []float64{4, 5, 6, 7, 8},
+			Problem: "partition", Wire: problem.Wire{Numbers: []float64{4, 5, 6, 7, 8}},
 			Depth: 2, Strategy: StrategyNaive, Wait: true,
 		},
 		problem.FamilyPortfolio: {
 			Problem: "portfolio",
-			Returns: []float64{0.12, 0.1, 0.07, 0.03},
-			Covariance: [][]float64{
-				{0.20, 0.02, 0.01, 0.00},
-				{0.02, 0.30, 0.03, 0.01},
-				{0.01, 0.03, 0.25, 0.02},
-				{0.00, 0.01, 0.02, 0.18},
+			Wire: problem.Wire{
+				Returns: []float64{0.12, 0.1, 0.07, 0.03},
+				Covariance: [][]float64{
+					{0.20, 0.02, 0.01, 0.00},
+					{0.02, 0.30, 0.03, 0.01},
+					{0.01, 0.03, 0.25, 0.02},
+					{0.00, 0.01, 0.02, 0.18},
+				},
+				RiskAversion: 0.5, Budget: 2,
 			},
-			RiskAversion: 0.5, Budget: 2,
 			Depth: 2, Strategy: StrategyNaive, Wait: true,
 		},
 		problem.FamilyColoring: {
-			Problem: "coloring", Nodes: 4,
-			Edges:  [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}},
-			Colors: 2,
-			Depth:  2, Strategy: StrategyNaive, Wait: true,
+			Problem: "coloring", Wire: problem.Wire{
+				Nodes:  4,
+				Edges:  [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}},
+				Colors: 2,
+			},
+			Depth: 2, Strategy: StrategyNaive, Wait: true,
 		},
 	}
 }
@@ -176,11 +184,11 @@ func TestSolveFamilyValidation(t *testing.T) {
 	t.Run("register-cap-counts-aux", func(t *testing.T) {
 		// 5 vars + 8 three-literal clauses = 13 qubits > MaxNodes 12.
 		req := SolveRequest{
-			Problem: "maxksat", Vars: 5, Depth: 1, Strategy: StrategyNaive,
-			Clauses: [][]int{
+			Problem: "maxksat", Depth: 1, Strategy: StrategyNaive,
+			Wire: problem.Wire{Vars: 5, Clauses: [][]int{
 				{1, 2, 3}, {1, 2, 4}, {1, 2, 5}, {1, 3, 4},
 				{1, 3, 5}, {1, 4, 5}, {2, 3, 4}, {2, 3, 5},
-			},
+			}},
 		}
 		code, body := postSolveRaw(t, ts.URL, req)
 		if code != http.StatusBadRequest || !strings.Contains(string(body), "qubits") {
@@ -205,7 +213,7 @@ func TestLegacyMaxCutBodyUnchanged(t *testing.T) {
 	nodes, edges := testInstance(21)
 	_, ts := newTestServer(t, Config{Workers: 2, Registry: testRegistry(t)})
 	req := SolveRequest{
-		Nodes: nodes, Edges: edges, Depth: 3,
+		Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 3,
 		Seed: int64(3), Wait: true,
 	}
 	code, view := postSolve(t, ts.URL, req)

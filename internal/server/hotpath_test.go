@@ -29,33 +29,11 @@ func hotRequest(tb testing.TB, family string, seed int64) SolveRequest {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	req := SolveRequest{Problem: family, Depth: 1, Strategy: StrategyNaive, Wait: true}
-	switch family {
-	case problem.FamilyMaxCut:
-		req.Nodes = spec.Graph.N
-		for _, e := range spec.Graph.Edges() {
-			req.Edges = append(req.Edges, [2]int{e.U, e.V})
-		}
-	case problem.FamilyQUBO:
-		in := spec.Inst
-		req.Nodes, req.Linear, req.Offset, req.Sense = in.N, in.Linear, in.Offset, in.Sense.String()
-		for _, t := range in.Quad {
-			req.Quad = append(req.Quad, WireTerm{I: t.I, J: t.J, W: t.W})
-		}
-	case problem.FamilyMaxKSAT:
-		req.Vars, req.ClauseWeights = spec.Formula.Vars, spec.Formula.Weights
-		for _, cl := range spec.Formula.Clauses {
-			req.Clauses = append(req.Clauses, []int(cl))
-		}
-	case problem.FamilyPartition:
-		req.Numbers = spec.Numbers
-	case problem.FamilyPortfolio:
-		p := spec.Port
-		req.Returns, req.Covariance, req.RiskAversion, req.Budget = p.Returns, p.Covariance, p.RiskAversion, p.Budget
-	default:
-		tb.Fatalf("no wire form for family %q", family)
+	w, err := problem.WireOf(spec)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	return req
+	return SolveRequest{Problem: family, Wire: w, Depth: 1, Strategy: StrategyNaive, Wait: true}
 }
 
 // post drives one request through the handler, no socket.

@@ -22,9 +22,11 @@ func TestSolveKeyPinned(t *testing.T) {
 	s := New(Config{Workers: 1, MaxNodes: 12, Registry: testRegistry(t)})
 	defer s.Close()
 	req := SolveRequest{
-		Problem: "maxksat", Vars: 5,
-		Clauses: [][]int{{1, -2}, {2, 3}, {-3, 4}, {4, 5}, {-1, -5}},
-		Depth:   3, Optimizer: "neldermead", Seed: -9007199254740993,
+		Problem: "maxksat", Wire: problem.Wire{
+			Vars:    5,
+			Clauses: [][]int{{1, -2}, {2, 3}, {-3, 4}, {4, 5}, {-1, -5}},
+		},
+		Depth: 3, Optimizer: "neldermead", Seed: -9007199254740993,
 		// Not part of the key: deadlines and wait mode change whether a
 		// solve finishes, never what it computes.
 		TimeoutMs: 1234, Wait: true,
@@ -65,7 +67,7 @@ func rejectCases() []rejectCase {
 		return r
 	}
 	ring := [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}}
-	partition := SolveRequest{Problem: "partition", Numbers: []float64{4, 5, 6, 7}}
+	partition := SolveRequest{Problem: "partition", Wire: problem.Wire{Numbers: []float64{4, 5, 6, 7}}}
 	cubes := [][]int{
 		{1, 2, 3}, {1, 2, 4}, {1, 2, 5}, {1, 3, 4},
 		{1, 3, 5}, {1, 4, 5}, {2, 3, 4}, {2, 3, 5},
@@ -75,36 +77,49 @@ func rejectCases() []rejectCase {
 		return r
 	}
 	return []rejectCase{
-		{"unknown-family", naive(SolveRequest{Problem: "tsp", Nodes: 4}), true, "unknown problem \"tsp\" (want one of [maxcut qubo maxksat partition portfolio coloring])"},
+		{"unknown-family", naive(SolveRequest{Problem: "tsp", Wire: problem.Wire{Nodes: 4}}), true, "unknown problem \"tsp\" (want one of [maxcut qubo maxksat partition portfolio coloring])"},
 		{"foreign-field", naive(with(partition, func(r *SolveRequest) { r.Clauses = [][]int{{1}} })), true, "field \"clauses\" is not valid for problem \"partition\""},
 		{"depth-zero", with(naive(partition), func(r *SolveRequest) { r.Depth = 0 }), true, "depth 0 out of [1, 10]"},
 		{"depth-over-max", with(naive(partition), func(r *SolveRequest) { r.Depth = 11 }), true, "depth 11 out of [1, 10]"},
 		{"unknown-optimizer", with(naive(partition), func(r *SolveRequest) { r.Optimizer = "adam" }), true, "unknown optimizer \"adam\" (want lbfgsb, neldermead, slsqp or cobyla)"},
 		{"unknown-strategy", with(naive(partition), func(r *SolveRequest) { r.Strategy = "annealing" }), true, "unknown strategy \"annealing\" (want \"naive\" or \"two-level\")"},
-		{"maxksat-aux-over-cap", naive(SolveRequest{Problem: "maxksat", Vars: 5, Clauses: cubes}), true, "maxksat instance needs 13 qubits, out of [2, 12]"},
-		{"coloring-over-cap", naive(SolveRequest{Problem: "coloring", Nodes: 4, Edges: ring, Colors: 4}), true, "coloring instance needs 16 qubits, out of [2, 12]"},
-		{"qubo-one-qubit", naive(SolveRequest{Problem: "qubo", Nodes: 1, Linear: []float64{1}}), true, "qubo instance needs 1 qubits, out of [2, 12]"},
-		{"zero-weight", naive(SolveRequest{Nodes: 4, Edges: ring, Weights: []float64{1, 0, 1, 1}}), true, "edge 1: graph: invalid edge weight 0 on (1,2)"},
-		{"nan-field", naive(SolveRequest{Problem: "qubo", Nodes: 3, Linear: []float64{math.NaN(), 0, 1},
-			Quad: []WireTerm{{I: 0, J: 1, W: 1}}}), false, "problem: non-finite linear term h[0] = NaN"},
+		{"maxksat-aux-over-cap", naive(SolveRequest{Problem: "maxksat", Wire: problem.Wire{Vars: 5, Clauses: cubes}}), true, "maxksat instance needs 13 qubits, out of [2, 12]"},
+		{"coloring-over-cap", naive(SolveRequest{Problem: "coloring", Wire: problem.Wire{Nodes: 4, Edges: ring, Colors: 4}}), true, "coloring instance needs 16 qubits, out of [2, 12]"},
+		{"qubo-one-qubit", naive(SolveRequest{Problem: "qubo", Wire: problem.Wire{Nodes: 1, Linear: []float64{1}}}), true, "qubo instance needs 1 qubits, out of [2, 12]"},
+		{"zero-weight", naive(SolveRequest{Wire: problem.Wire{Nodes: 4, Edges: ring, Weights: []float64{1, 0, 1, 1}}}), true, "edge 1: graph: invalid edge weight 0 on (1,2)"},
+		{"nan-field", naive(SolveRequest{Problem: "qubo", Wire: problem.Wire{
+			Nodes: 3, Linear: []float64{math.NaN(), 0, 1},
+			Quad: []WireTerm{{I: 0, J: 1, W: 1}},
+		}}), false, "problem: non-finite linear term h[0] = NaN"},
 		// Each coefficient finite, their sum not: no worker could solve it.
-		{"maxcut-weights-overflow", naive(SolveRequest{Nodes: 4, Edges: ring, Weights: []float64{1e308, 1e308, 1e308, 1e308}}), true, "edge weights overflow: Σ|w| is not finite"},
-		{"qubo-coefficients-overflow", naive(SolveRequest{Problem: "qubo", Nodes: 3, Linear: []float64{1e308, 1e308, 0},
-			Quad: []WireTerm{{I: 0, J: 1, W: 1e308}}}), true, "problem: coefficients overflow: |offset| + Σ|h| + Σ|J| is not finite"},
-		{"nan-number", naive(SolveRequest{Problem: "partition", Numbers: []float64{1, math.NaN(), 3}}), false, "problem: invalid number[1] = NaN"},
-		{"literal-out-of-range", naive(SolveRequest{Problem: "maxksat", Vars: 3, Clauses: [][]int{{1, -2}, {2, 7}}}), true, "problem: clause 1 literal 7 out of range for 3 variables"},
-		{"ragged-covariance", naive(SolveRequest{Problem: "portfolio", Returns: []float64{0.1, 0.2, 0.3},
-			Covariance: [][]float64{{0.2, 0, 0}, {0, 0.2}, {0, 0, 0.2}}, RiskAversion: 0.5, Budget: 1}), true, "problem: covariance row 1 has 2 entries for 3 assets"},
+		{"maxcut-weights-overflow", naive(SolveRequest{Wire: problem.Wire{Nodes: 4, Edges: ring, Weights: []float64{1e308, 1e308, 1e308, 1e308}}}), true, "edge weights overflow: Σ|w| is not finite"},
+		{"qubo-coefficients-overflow", naive(SolveRequest{Problem: "qubo", Wire: problem.Wire{
+			Nodes: 3, Linear: []float64{1e308, 1e308, 0},
+			Quad: []WireTerm{{I: 0, J: 1, W: 1e308}},
+		}}), true, "problem: coefficients overflow: |offset| + Σ|h| + Σ|J| is not finite"},
+		{"nan-number", naive(SolveRequest{Problem: "partition", Wire: problem.Wire{Numbers: []float64{1, math.NaN(), 3}}}), false, "problem: invalid number[1] = NaN"},
+		{"literal-out-of-range", naive(SolveRequest{Problem: "maxksat", Wire: problem.Wire{Vars: 3, Clauses: [][]int{{1, -2}, {2, 7}}}}), true, "problem: clause 1 literal 7 out of range for 3 variables"},
+		{"ragged-covariance", naive(SolveRequest{Problem: "portfolio", Wire: problem.Wire{
+			Returns:    []float64{0.1, 0.2, 0.3},
+			Covariance: [][]float64{{0.2, 0, 0}, {0, 0.2}, {0, 0, 0.2}}, RiskAversion: 0.5, Budget: 1,
+		}}), true, "problem: covariance row 1 has 2 entries for 3 assets"},
 		{"two-level-depth-1", with(partition, func(r *SolveRequest) { r.Depth = 1 }), true, "two-level needs depth >= 2 (use strategy \"naive\" for depth 1)"},
 		{"unknown-model", with(partition, func(r *SolveRequest) { r.Depth = 2; r.Model = "nope" }), true, "unknown model \"nope\" (registered: [default])"},
 		{"untrained-depth", with(partition, func(r *SolveRequest) { r.Depth = 9 }), true, "model \"default\" not trained for target depth 9 (trained: [2 3])"},
 		// Order: optimizer, depth, family, payload, width, compile, strategy.
 		{"order-optimizer-first", SolveRequest{Problem: "tsp", Optimizer: "adam"}, true, "unknown optimizer \"adam\" (want lbfgsb, neldermead, slsqp or cobyla)"},
 		{"order-depth-before-family", SolveRequest{Problem: "tsp"}, true, "depth 0 out of [1, 10]"},
-		{"order-cap-before-model", SolveRequest{Problem: "coloring", Nodes: 4, Edges: ring, Colors: 4,
+		{"order-cap-before-model", SolveRequest{Problem: "coloring", Wire: problem.Wire{Nodes: 4, Edges: ring, Colors: 4},
 			Depth: 2, Model: "nope"}, true, "coloring instance needs 16 qubits, out of [2, 12]"},
-		{"order-compile-before-model", SolveRequest{Problem: "maxksat", Vars: 3, Clauses: [][]int{{9}},
+		{"order-compile-before-model", SolveRequest{Problem: "maxksat", Wire: problem.Wire{Vars: 3, Clauses: [][]int{{9}}},
 			Depth: 2, Model: "nope"}, true, "problem: clause 0 literal 9 out of range for 3 variables"},
+		// Negating the literal to range-check it left it negative, and the
+		// compiler then indexed qubit MaxInt64.
+		{"literal-min-int", naive(SolveRequest{Problem: "maxksat", Wire: problem.Wire{Vars: 3, Clauses: [][]int{{math.MinInt64, 1}}}}), true,
+			"problem: clause 0 literal -9223372036854775808 out of range for 3 variables"},
+		// nodes·colors wrapped around to 4, a width under the cap.
+		{"coloring-width-overflow", naive(SolveRequest{Problem: "coloring", Wire: problem.Wire{Nodes: 4, Edges: ring, Colors: 1<<62 + 1}}), true,
+			"problem: coloring of 4 nodes with 4611686018427387905 colors overflows the register width"},
 	}
 }
 
@@ -141,7 +156,7 @@ func TestRejectTable(t *testing.T) {
 	}
 	// The same requests as items of one batch, between two good items
 	// that must be unaffected.
-	good := SolveRequest{Problem: "partition", Numbers: []float64{4, 5, 6, 7, 8}, Depth: 1, Strategy: StrategyNaive}
+	good := SolveRequest{Problem: "partition", Wire: problem.Wire{Numbers: []float64{4, 5, 6, 7, 8}}, Depth: 1, Strategy: StrategyNaive}
 	items = append(append([]SolveRequest{good}, items...), good)
 	s2, ts2 := newTestServer(t, Config{Workers: 1, MaxNodes: 12, MaxBatch: len(items), Registry: testRegistry(t)})
 	code, br := postBatch(t, ts2.URL, BatchRequest{Items: items})
@@ -209,8 +224,10 @@ func TestRejectTable(t *testing.T) {
 func TestRejectColoringWithoutCompiling(t *testing.T) {
 	s := New(Config{Workers: 1, MaxNodes: 12})
 	defer s.Close()
-	req := SolveRequest{Problem: "coloring", Nodes: 4, Edges: [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}},
-		Colors: 200, Depth: 1, Strategy: StrategyNaive}
+	req := SolveRequest{Problem: "coloring", Wire: problem.Wire{
+		Nodes: 4, Edges: [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}},
+		Colors: 200,
+	}, Depth: 1, Strategy: StrategyNaive}
 	allocs := testing.AllocsPerRun(5, func() {
 		r := req
 		if _, herr := s.normalize(&r); herr == nil || herr.msg != "coloring instance needs 800 qubits, out of [2, 12]" {
@@ -229,7 +246,7 @@ func TestRejectColoringWithoutCompiling(t *testing.T) {
 func TestRejectPartitionWithoutCompiling(t *testing.T) {
 	s := New(Config{Workers: 1, MaxNodes: 12})
 	defer s.Close()
-	req := SolveRequest{Problem: "partition", Numbers: make([]float64, 20000), Depth: 1, Strategy: StrategyNaive}
+	req := SolveRequest{Problem: "partition", Wire: problem.Wire{Numbers: make([]float64, 20000)}, Depth: 1, Strategy: StrategyNaive}
 	for i := range req.Numbers {
 		req.Numbers[i] = float64(1 + i%97)
 	}
@@ -249,7 +266,7 @@ func TestRejectPartitionWithoutCompiling(t *testing.T) {
 func identityRequests() map[string]SolveRequest {
 	reqs := familyRequests()
 	nodes, edges := testInstance(11)
-	reqs[problem.FamilyMaxCut] = SolveRequest{Nodes: nodes, Edges: edges, Depth: 2, Strategy: StrategyNaive}
+	reqs[problem.FamilyMaxCut] = SolveRequest{Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 2, Strategy: StrategyNaive}
 	for fam, r := range reqs {
 		r.Wait = false
 		r.Seed = 5
@@ -273,11 +290,9 @@ func TestRequestIdentityAcrossRoutes(t *testing.T) {
 				<-gate
 				return s.runSolve(ctx, job)
 			}
-			probe := req
-			probe.Problem = fam
-			spec, herr := s.requestSpec(&probe)
-			if herr != nil {
-				t.Fatal(herr)
+			spec, err := req.Wire.Spec(fam, s.cfg.MaxNodes)
+			if err != nil {
+				t.Fatal(err)
 			}
 			wantFP, err := spec.Fingerprint()
 			if err != nil {

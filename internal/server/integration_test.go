@@ -9,6 +9,7 @@ import (
 
 	"qaoaml/internal/core"
 	"qaoaml/internal/optimize"
+	"qaoaml/internal/problem"
 	"qaoaml/internal/qaoa"
 )
 
@@ -23,7 +24,7 @@ func TestTwoLevelEndToEnd(t *testing.T) {
 	nodes, edges := testInstance(30)
 	const depth = 3
 	req := SolveRequest{
-		Nodes: nodes, Edges: edges, Depth: depth,
+		Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: depth,
 		Strategy: StrategyTwoLevel, Model: "default",
 	}
 

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"qaoaml/internal/problem"
 )
 
 // TestConcurrentLoadAndDrain is the smoke-load check wired into CI: 64
@@ -23,7 +25,7 @@ func TestConcurrentLoadAndDrain(t *testing.T) {
 			defer wg.Done()
 			nodes, edges := testInstance(100 + seed)
 			code, view := postSolve(t, ts.URL, SolveRequest{
-				Nodes: nodes, Edges: edges, Depth: 1,
+				Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1,
 				Strategy: StrategyNaive, Seed: seed, Wait: true,
 			})
 			if code != 200 {
@@ -72,7 +74,7 @@ func TestDrainFinishesQueuedJobs(t *testing.T) {
 	var ids []string
 	for seed := int64(1); seed <= backlog; seed++ {
 		code, view := postSolve(t, ts.URL, SolveRequest{
-			Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive, Seed: seed,
+			Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive, Seed: seed,
 		})
 		if code != 202 && code != 200 {
 			t.Fatalf("seed %d: status %d", seed, code)

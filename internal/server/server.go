@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -40,7 +39,6 @@ import (
 	"time"
 
 	"qaoaml/internal/core"
-	"qaoaml/internal/graph"
 	"qaoaml/internal/optimize"
 	"qaoaml/internal/problem"
 	"qaoaml/internal/qaoa"
@@ -153,61 +151,18 @@ func (c Config) withDefaults() Config {
 }
 
 // WireTerm is one quadratic coupling J·s_i·s_j on the wire.
-type WireTerm struct {
-	I int     `json:"i"`
-	J int     `json:"j"`
-	W float64 `json:"w"`
-}
+type WireTerm = problem.WireTerm
 
-// SolveRequest is the POST /v1/solve body. Problem selects the family;
-// each family reads its own payload fields and rejects the others'
-// with a 400 (unknown JSON keys are rejected outright):
-//
-//	maxcut (default): nodes, edges, weights
-//	qubo:             nodes, linear, quad, offset, sense, vars
-//	maxksat:          vars, clauses, clause_weights
-//	partition:        numbers
-//	portfolio:        returns, covariance, risk_aversion, budget, penalty
-//	coloring:         nodes, edges, colors
+// SolveRequest is the POST /v1/solve body: the problem family, its
+// payload (problem.Wire: each family reads its own fields and refuses
+// the others' with a 400; unknown JSON keys are rejected outright) and
+// the solve options. Three-literal maxksat clauses add one auxiliary
+// qubit each, which counts against the node cap.
 type SolveRequest struct {
 	// Problem is the family: maxcut (default), qubo, maxksat,
 	// partition, portfolio or coloring.
-	Problem string    `json:"problem,omitempty"`
-	Nodes   int       `json:"nodes,omitempty"`
-	Edges   [][2]int  `json:"edges,omitempty"`
-	Weights []float64 `json:"weights,omitempty"` // parallel to Edges; omitted = unweighted
-
-	// qubo payload: an explicit Ising Hamiltonian over Nodes spins —
-	// per-spin fields, couplings, constant offset, and the optimization
-	// sense ("min" by default: spin glasses minimize energy). Vars marks
-	// how many leading spins are decision variables (default all).
-	Linear []float64  `json:"linear,omitempty"`
-	Quad   []WireTerm `json:"quad,omitempty"`
-	Offset float64    `json:"offset,omitempty"`
-	Sense  string     `json:"sense,omitempty"`
-	Vars   int        `json:"vars,omitempty"`
-
-	// maxksat payload: weighted Max-k-SAT (k ≤ 3) over Vars variables,
-	// clauses as DIMACS-style signed literals (±(v+1)). Three-literal
-	// clauses add one auxiliary qubit each (Rosenberg quadratization),
-	// which counts against the node cap.
-	Clauses       [][]int   `json:"clauses,omitempty"`
-	ClauseWeights []float64 `json:"clause_weights,omitempty"`
-
-	// partition payload: positive numbers to split into two equal-sum
-	// halves.
-	Numbers []float64 `json:"numbers,omitempty"`
-
-	// portfolio payload: budget-constrained mean-variance selection.
-	Returns      []float64   `json:"returns,omitempty"`
-	Covariance   [][]float64 `json:"covariance,omitempty"`
-	RiskAversion float64     `json:"risk_aversion,omitempty"`
-	Budget       int         `json:"budget,omitempty"`
-	Penalty      float64     `json:"penalty,omitempty"`
-
-	// coloring payload: the nodes/edges graph plus the color count
-	// (nodes·colors qubits).
-	Colors int `json:"colors,omitempty"`
+	Problem string `json:"problem,omitempty"`
+	problem.Wire
 
 	Depth int `json:"depth"`
 	// Strategy is "two-level" (default) or "naive".
@@ -372,161 +327,6 @@ const (
 	outcomeCached                         // served from the result cache
 )
 
-// familyFields maps each problem family to the payload fields it
-// reads; a request setting any other family's field is rejected so
-// typos and family mixups surface as 400s instead of silently ignored
-// payload.
-var familyFields = map[string]map[string]bool{
-	problem.FamilyMaxCut:    {"nodes": true, "edges": true, "weights": true},
-	problem.FamilyQUBO:      {"nodes": true, "linear": true, "quad": true, "offset": true, "sense": true, "vars": true},
-	problem.FamilyMaxKSAT:   {"vars": true, "clauses": true, "clause_weights": true},
-	problem.FamilyPartition: {"numbers": true},
-	problem.FamilyPortfolio: {"returns": true, "covariance": true, "risk_aversion": true, "budget": true, "penalty": true},
-	problem.FamilyColoring:  {"nodes": true, "edges": true, "colors": true},
-}
-
-// setPayloadFields lists the family-payload fields present in the
-// request (the always-valid solve options are not payload).
-func setPayloadFields(req *SolveRequest) []string {
-	var set []string
-	add := func(name string, ok bool) {
-		if ok {
-			set = append(set, name)
-		}
-	}
-	add("nodes", req.Nodes != 0)
-	add("edges", len(req.Edges) > 0)
-	add("weights", req.Weights != nil)
-	add("linear", req.Linear != nil)
-	add("quad", len(req.Quad) > 0)
-	add("offset", req.Offset != 0)
-	add("sense", req.Sense != "")
-	add("vars", req.Vars != 0)
-	add("clauses", len(req.Clauses) > 0)
-	add("clause_weights", req.ClauseWeights != nil)
-	add("numbers", len(req.Numbers) > 0)
-	add("returns", len(req.Returns) > 0)
-	add("covariance", len(req.Covariance) > 0)
-	add("risk_aversion", req.RiskAversion != 0)
-	add("budget", req.Budget != 0)
-	add("penalty", req.Penalty != 0)
-	add("colors", req.Colors != 0)
-	return set
-}
-
-// requestGraph builds the nodes/edges/weights graph shared by the
-// maxcut and coloring families.
-func (s *Server) requestGraph(req *SolveRequest) (*graph.Graph, *httpError) {
-	if req.Nodes < 2 || req.Nodes > s.cfg.MaxNodes {
-		return nil, badRequest("nodes %d out of [2, %d]", req.Nodes, s.cfg.MaxNodes)
-	}
-	if len(req.Edges) == 0 {
-		return nil, badRequest("instance has no edges")
-	}
-	if req.Weights != nil && len(req.Weights) != len(req.Edges) {
-		return nil, badRequest("%d weights for %d edges", len(req.Weights), len(req.Edges))
-	}
-	g := graph.New(req.Nodes)
-	total := 0.0
-	for i, e := range req.Edges {
-		if e[0] < 0 || e[0] >= req.Nodes || e[1] < 0 || e[1] >= req.Nodes {
-			return nil, badRequest("edge %d (%d,%d) out of range for %d nodes", i, e[0], e[1], req.Nodes)
-		}
-		w := 1.0
-		if req.Weights != nil {
-			w = req.Weights[i]
-		}
-		if err := g.AddWeightedEdge(e[0], e[1], w); err != nil {
-			return nil, badRequest("edge %d: %v", i, err)
-		}
-		total += math.Abs(w)
-	}
-	// MaxCut is not compiled until a worker solves it, and a cut is a
-	// sum of weights: each finite is not enough.
-	if math.IsInf(total, 0) {
-		return nil, badRequest("edge weights overflow: Σ|w| is not finite")
-	}
-	return g, nil
-}
-
-// requestSpec assembles the family payload into a problem.Spec.
-func (s *Server) requestSpec(req *SolveRequest) (problem.Spec, *httpError) {
-	var zero problem.Spec
-	allowed, ok := familyFields[req.Problem]
-	if !ok {
-		return zero, badRequest("unknown problem %q (want one of %v)", req.Problem, problem.Families())
-	}
-	for _, f := range setPayloadFields(req) {
-		if !allowed[f] {
-			return zero, badRequest("field %q is not valid for problem %q", f, req.Problem)
-		}
-	}
-	switch req.Problem {
-	case problem.FamilyMaxCut:
-		g, herr := s.requestGraph(req)
-		if herr != nil {
-			return zero, herr
-		}
-		return problem.MaxCut(g), nil
-	case problem.FamilyQUBO:
-		if req.Nodes < 1 {
-			return zero, badRequest("qubo needs nodes >= 1")
-		}
-		sense := req.Sense
-		if sense == "" {
-			sense = "min"
-		}
-		sn, err := problem.ParseSense(sense)
-		if err != nil {
-			return zero, badRequest("%v", err)
-		}
-		in := &problem.Instance{
-			Family: problem.FamilyQUBO,
-			Sense:  sn,
-			N:      req.Nodes,
-			Vars:   req.Vars,
-			Linear: req.Linear,
-			Offset: req.Offset,
-		}
-		if in.Vars == 0 {
-			in.Vars = in.N
-		}
-		for _, t := range req.Quad {
-			in.Quad = append(in.Quad, problem.Term{I: t.I, J: t.J, W: t.W})
-		}
-		return problem.FromInstance(in), nil
-	case problem.FamilyMaxKSAT:
-		f := &problem.Formula{Vars: req.Vars, Weights: req.ClauseWeights}
-		for _, cl := range req.Clauses {
-			f.Clauses = append(f.Clauses, problem.Clause(cl))
-		}
-		return problem.MaxKSAT(f), nil
-	case problem.FamilyPartition:
-		return problem.Partition(req.Numbers), nil
-	case problem.FamilyPortfolio:
-		return problem.Portfolio(&problem.PortfolioSpec{
-			Returns:      req.Returns,
-			Covariance:   req.Covariance,
-			RiskAversion: req.RiskAversion,
-			Budget:       req.Budget,
-			Penalty:      req.Penalty,
-		}), nil
-	case problem.FamilyColoring:
-		if req.Weights != nil {
-			return zero, badRequest("coloring takes no edge weights")
-		}
-		g, herr := s.requestGraph(req)
-		if herr != nil {
-			return zero, herr
-		}
-		if req.Colors < 2 {
-			return zero, badRequest("coloring needs colors >= 2, got %d", req.Colors)
-		}
-		return problem.Coloring(g, req.Colors), nil
-	}
-	return zero, badRequest("unknown problem %q (want one of %v)", req.Problem, problem.Families())
-}
-
 // resolved is a request's identity, computed once by normalize and read
 // by every later stage — batch dedup, the cache and single-flight
 // lookups, admission, the journal and the worker. Nothing downstream
@@ -534,7 +334,7 @@ func (s *Server) requestSpec(req *SolveRequest) (problem.Spec, *httpError) {
 type resolved struct {
 	spec problem.Spec
 	// inst is the compiled Hamiltonian the worker solves; nil for MaxCut,
-	// which requestGraph has fully validated and whose optimum qaoa.New
+	// which Wire.Spec has fully validated and whose optimum qaoa.New
 	// takes from the graph.
 	inst   *problem.Instance
 	qubits int    // register width, auxiliaries included: the admission price's exponent
@@ -544,7 +344,8 @@ type resolved struct {
 
 // normalize is the one place a request's identity is computed. It
 // applies the defaults in place and validates in a fixed order —
-// optimizer, depth, family and payload, register width, compile,
+// optimizer, depth, family and payload (problem.Wire.Spec, which also
+// caps an arithmetic register width), compile, compiled width,
 // strategy and model — so a request with several faults always reports
 // the same one. The instance is compiled here, once: a malformed
 // payload fails the request, not the job, and the register cap counts
@@ -573,33 +374,20 @@ func (s *Server) normalize(req *SolveRequest) (resolved, *httpError) {
 	if req.Depth < 1 || req.Depth > s.cfg.MaxDepth {
 		return zero, badRequest("depth %d out of [1, %d]", req.Depth, s.cfg.MaxDepth)
 	}
-	spec, herr := s.requestSpec(req)
-	if herr != nil {
-		return zero, herr
+	spec, err := req.Wire.Spec(req.Problem, s.cfg.MaxNodes)
+	if err != nil {
+		return zero, badRequest("%v", err)
 	}
 	rs := resolved{spec: spec}
 	if req.Problem == problem.FamilyMaxCut {
-		rs.qubits = spec.Graph.N // capped by requestGraph
+		rs.qubits = spec.Graph.N // capped by Wire.Spec
 	} else {
-		switch req.Problem {
-		case problem.FamilyColoring, problem.FamilyPartition, problem.FamilyPortfolio:
-			// The width is arithmetic (nodes·colors, numbers, assets), so the
-			// cap is checked before the instance — nodes·colors²/2 or n²/2
-			// couplings — exists.
-			qubits, err := spec.Qubits()
-			if err != nil {
-				return zero, badRequest("%v", err)
-			}
-			if herr := s.checkQubits(req, qubits); herr != nil {
-				return zero, herr
-			}
-		}
 		inst, err := spec.Compile()
+		if err == nil {
+			err = problem.CheckWidth(req.Problem, inst.N, s.cfg.MaxNodes)
+		}
 		if err != nil {
 			return zero, badRequest("%v", err)
-		}
-		if herr := s.checkQubits(req, inst.N); herr != nil {
-			return zero, herr
 		}
 		rs.inst, rs.qubits = inst, inst.N
 	}
@@ -628,15 +416,6 @@ func (s *Server) normalize(req *SolveRequest) (resolved, *httpError) {
 	}
 	rs.key = solveKey(rs.fp, req)
 	return rs, nil
-}
-
-// checkQubits holds a compiled family's register width against the
-// node cap.
-func (s *Server) checkQubits(req *SolveRequest, qubits int) *httpError {
-	if qubits < 2 || qubits > s.cfg.MaxNodes {
-		return badRequest("%s instance needs %d qubits, out of [2, %d]", req.Problem, qubits, s.cfg.MaxNodes)
-	}
-	return nil
 }
 
 // submit turns a normalized request into a job, reading the identity

@@ -11,6 +11,7 @@ import (
 
 	"qaoaml/internal/core"
 	"qaoaml/internal/optimize"
+	"qaoaml/internal/problem"
 	"qaoaml/internal/qaoa"
 	"qaoaml/internal/quantum"
 	"qaoaml/internal/telemetry"
@@ -63,7 +64,7 @@ func TestQubitCeiling(t *testing.T) {
 	}
 
 	_, edges := testInstance(3)
-	code, raw := postSolveRaw(t, ts.URL, SolveRequest{Nodes: 11, Edges: edges, Depth: 2})
+	code, raw := postSolveRaw(t, ts.URL, SolveRequest{Wire: problem.Wire{Nodes: 11, Edges: edges}, Depth: 2})
 	if code != http.StatusBadRequest {
 		t.Fatalf("solve above ceiling: status %d, body %s", code, raw)
 	}
@@ -101,7 +102,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestSolveValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Registry: testRegistry(t)})
 	nodes, edges := testInstance(3)
-	base := SolveRequest{Nodes: nodes, Edges: edges, Depth: 2}
+	base := SolveRequest{Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 2}
 
 	cases := map[string]func(r *SolveRequest){
 		"no edges":            func(r *SolveRequest) { r.Edges = nil },
@@ -147,7 +148,7 @@ func TestNaiveSolveMatchesDirectRun(t *testing.T) {
 	nodes, edges := testInstance(4)
 	const seed, depth = 9, 2
 	code, view := postSolve(t, ts.URL, SolveRequest{
-		Nodes: nodes, Edges: edges, Depth: depth,
+		Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: depth,
 		Strategy: StrategyNaive, Seed: seed, Wait: true,
 	})
 	if code != http.StatusOK || view.State != StateDone {
@@ -187,7 +188,7 @@ func TestNaiveSolveMatchesDirectRun(t *testing.T) {
 func TestHugeIntegerWeightsSolve(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	const nodes = 13
-	req := SolveRequest{Nodes: nodes, Depth: 2, Strategy: StrategyNaive, Seed: 1, Wait: true}
+	req := SolveRequest{Wire: problem.Wire{Nodes: nodes}, Depth: 2, Strategy: StrategyNaive, Seed: 1, Wait: true}
 	for v := 0; v < nodes; v++ {
 		req.Edges = append(req.Edges, [2]int{v, (v + 1) % nodes})
 		req.Weights = append(req.Weights, 1e19)
@@ -213,7 +214,7 @@ func TestJobEndpoints(t *testing.T) {
 	}
 	nodes, edges := testInstance(5)
 	code, view := postSolve(t, ts.URL, SolveRequest{
-		Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive,
+		Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive,
 	})
 	if code != http.StatusAccepted && code != http.StatusOK {
 		t.Fatalf("submit status %d", code)
@@ -234,7 +235,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 	blockingSolve(s, started, release)
 
 	nodes, edges := testInstance(6)
-	req := SolveRequest{Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive}
+	req := SolveRequest{Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive}
 	_, first := postSolve(t, ts.URL, req)
 	<-started
 	_, second := postSolve(t, ts.URL, req)
@@ -266,7 +267,7 @@ func TestBackpressure429(t *testing.T) {
 
 	nodes, edges := testInstance(7)
 	mkReq := func(seed int64) SolveRequest {
-		return SolveRequest{Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive, Seed: seed}
+		return SolveRequest{Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive, Seed: seed}
 	}
 	postSolve(t, ts.URL, mkReq(1)) // running
 	<-started
@@ -294,7 +295,7 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	nodes, edges := testInstance(8)
 	code, view := postSolve(t, ts.URL, SolveRequest{
-		Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive, Wait: true,
+		Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive, Wait: true,
 	})
 	if code != http.StatusOK || view.State != StateDone {
 		t.Fatalf("pre-drain solve: %d %+v", code, view)
@@ -315,7 +316,7 @@ func TestDrainRejectsNewWork(t *testing.T) {
 		t.Fatalf("healthz while drained: %d", resp.StatusCode)
 	}
 	code, body := postSolveRaw(t, ts.URL, SolveRequest{
-		Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive,
+		Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive,
 	})
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain solve: %d %s", code, body)
@@ -327,7 +328,7 @@ func TestJobStoreEvictsFinished(t *testing.T) {
 	nodes, edges := testInstance(9)
 	for seed := int64(1); seed <= 8; seed++ {
 		code, view := postSolve(t, ts.URL, SolveRequest{
-			Nodes: nodes, Edges: edges, Depth: 1, Strategy: StrategyNaive, Seed: seed, Wait: true,
+			Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive, Seed: seed, Wait: true,
 		})
 		if code != http.StatusOK || view.State != StateDone {
 			t.Fatalf("seed %d: %d %+v", seed, code, view)
