@@ -1,9 +1,15 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -70,6 +76,104 @@ func FuzzReadWAL(f *testing.F) {
 			t.Fatalf("decoder stopped at %d before a readable frame", off)
 		}
 	})
+}
+
+// FuzzEventStream feeds the SSE relay's decoder arbitrary bytes (seeds:
+// testdata/fuzz/FuzzEventStream, a relay transcript among them). It must
+// not panic, and:
+//
+//   - every Next that returns an event consumed input, so a reader loop
+//     ends; once Next returns an error it keeps returning one;
+//   - name and data framed the way the server writes an event (writeSSE:
+//     "event: %s\ndata: %s\n\n", the data JSON) decode back to that name
+//     and data, after a keep-alive comment and twice in a row, and
+//     nothing follows them.
+//
+// A line over maxEventLine is TestEventStreamLongLine's.
+func FuzzEventStream(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte, name, data string) {
+		es := newEventStream(io.NopCloser(bytes.NewReader(raw)), func() {})
+		consumed := 0
+		es.sc.Split(func(buf []byte, atEOF bool) (int, []byte, error) {
+			advance, line, err := bufio.ScanLines(buf, atEOF)
+			consumed += advance
+			return advance, line, err
+		})
+		for events := 0; ; events++ {
+			before := consumed
+			ev, err := es.Next()
+			if err != nil {
+				if _, again := es.Next(); again == nil {
+					t.Fatalf("Next returned an event after the error %v", err)
+				}
+				break
+			}
+			if consumed <= before {
+				t.Fatalf("event %d (%q, %q) consumed no input", events, ev.Name, ev.Data)
+			}
+		}
+		if err := es.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		if strings.ContainsAny(name, "\r\n") || strings.TrimSpace(name) != name {
+			return // not a name the server writes
+		}
+		blob, err := json.Marshal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := fmt.Sprintf("event: %s\ndata: %s\n\n", name, blob)
+		es = newEventStream(io.NopCloser(strings.NewReader(": keep-alive\n\n"+frame+frame)), func() {})
+		for i := 0; i < 2; i++ {
+			ev, err := es.Next()
+			if err != nil || ev.Name != name || !bytes.Equal(ev.Data, blob) {
+				t.Fatalf("frame %d of %q decodes to (%q, %q, %v), want (%q, %q)", i, frame, ev.Name, ev.Data, err, name, blob)
+			}
+		}
+		if ev, err := es.Next(); err == nil {
+			t.Fatalf("an event (%q, %q) past the frames", ev.Name, ev.Data)
+		}
+	})
+}
+
+// A line over 1 MiB ends the stream with bufio.ErrTooLong: the decoder
+// reads at most 1 MiB of it and its buffer stops growing there, however
+// long the line.
+func TestEventStreamLongLine(t *testing.T) {
+	const mib, line = 1 << 20, 8 << 20
+	var read countingReader
+	read.r = io.MultiReader(strings.NewReader("event: iteration\ndata: "),
+		bytes.NewReader(bytes.Repeat([]byte("x"), line)), strings.NewReader("\n\n"))
+	es := newEventStream(io.NopCloser(&read), func() {})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := es.Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("a %d-byte line: Next returned %v, want bufio.ErrTooLong", line, err)
+	}
+	if _, err := es.Next(); err == nil {
+		t.Fatal("Next returned an event after the error")
+	}
+	if read.n > mib+64 {
+		t.Errorf("read %d bytes of a %d-byte line, the cap is %d", read.n, line, mib)
+	}
+	// The buffer doubles from 4 KiB up to the cap: under 2 MiB in all.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 3*mib {
+		t.Errorf("allocated %d bytes for a %d-byte line", alloc, line)
+	}
+}
+
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
 }
 
 // sameRecord compares two records by their encoding, which is what the

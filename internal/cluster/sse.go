@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 )
@@ -52,9 +53,19 @@ func OpenEvents(ctx context.Context, client *http.Client, base, jobID string) (*
 		cancel()
 		return nil, fmt.Errorf("cluster: event stream for %s: HTTP %d", jobID, resp.StatusCode)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	return &EventStream{body: resp.Body, sc: sc, cancel: cancel}, nil
+	return newEventStream(resp.Body, cancel), nil
+}
+
+// maxEventLine caps one line of an event stream: a longer line ends the
+// stream with bufio.ErrTooLong, the buffer grown no further.
+const maxEventLine = 1 << 20
+
+// newEventStream decodes the events in body; Close calls cancel, then
+// closes body.
+func newEventStream(body io.ReadCloser, cancel context.CancelFunc) *EventStream {
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 0, 4096), maxEventLine)
+	return &EventStream{body: body, sc: sc, cancel: cancel}
 }
 
 // Next returns the next event, or an error once the stream ends (io.EOF

@@ -59,7 +59,10 @@ func (b *bitsRow) run(r RunResult) {
 // (computed at 75a0449 from the old flow's angles), which naive and
 // two-level have reported at depth 1 since level 1 became closed-form
 // and multistart now reports too; the old multistart read it from the
-// state vector, ≤ 4.4e-14 relative away on these rows. Every row is
+// state vector, ≤ 4.4e-14 relative away on these rows. The portfolio/…
+// rows were re-recorded, and only they, when an instance whose float
+// phase values are mostly distinct moved from the memoized table to the
+// stream kernel's doubled phases (qaoa.newIsingKernel). Every row is
 // checked with and without an arena.
 func TestSolveBitsUnchanged(t *testing.T) {
 	raw, err := os.ReadFile("testdata/solve_bits.json")

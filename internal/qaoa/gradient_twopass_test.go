@@ -109,7 +109,9 @@ func TestValueGradMatchesTwoPassReference(t *testing.T) {
 		}
 		cases = append(cases, kcase{name, k})
 	}
-	sizes := []int{8, 14}
+	// Integer coefficients: the largest memoized size and the first
+	// streamed one.
+	sizes := []int{8, StreamingThreshold - 1, StreamingThreshold}
 	if !testing.Short() {
 		sizes = append(sizes, 17)
 	}
@@ -122,12 +124,13 @@ func TestValueGradMatchesTwoPassReference(t *testing.T) {
 		add(fmt.Sprintf("maxcut/n%d", n), mustProblem(t, graph.RandomRegular(n, 3+n%2, rng)), want)
 		add(fmt.Sprintf("ising/n%d", n), mustIsing(t, problem.RandomIsing(n, rng)), want)
 	}
-	// Float coefficients: the per-amplitude Sincos streaming paths.
+	// Float coefficients: the stream kernel's doubled phases, built
+	// directly (a memoizing selection would skip them).
 	rng := rand.New(rand.NewSource(914))
-	add("maxcut-float/n14", mustProblem(t, randomWeightedGraph(rng, 14)), (*isingStreamKernel)(nil))
+	cases = append(cases, kcase{"maxcut-float/n14", newIsingStreamKernel(mustProblem(t, randomWeightedGraph(rng, 14)).Inst, true)})
 	fin := problem.RandomIsing(14, rng)
 	fin.Linear[3] = 0.37
-	add("ising-float/n14", mustIsing(t, fin), (*isingStreamKernel)(nil))
+	cases = append(cases, kcase{"ising-float/n14", newIsingStreamKernel(mustIsing(t, fin).Inst, false)})
 
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)

@@ -90,29 +90,57 @@ func addRuns[T int64 | float64](acc []T, v T, i int) {
 	}
 }
 
-// newIsingKernel picks the evaluation engine for an instance by size:
-// materialized tables with memoized phase factors below
-// StreamingThreshold, chunk-streamed generation from it. half builds it
-// over the lower half of the basis states, for a half register; the
-// instance must then be FieldFree.
+// maxDistinctShare bounds the phase table the materialized kernel
+// memoizes for float coefficients: one Sincos per distinct phase value
+// per stage, kept while those values number at most 1/maxDistinctShare of
+// the register's amplitudes. Past that the stream kernel's float path is
+// cheaper: it builds the phases by doubling, two complex multiplies per
+// amplitude and 1 + cb Sincos per chunk and stage (one or two chunks
+// below StreamingThreshold). The two cross at a share of about 1/4:
+// there the stream kernel's value+gradient takes 1.19, 1.00, 0.97 and
+// 0.97 times the memo's at n = 8, 10, 12 and 14, at 1/2 0.73–0.92 times
+// (BenchmarkKernelChoice's share sweep; EXPERIMENTS.md).
+const maxDistinctShare = 4
+
+// newIsingKernel picks the evaluation engine for an instance by its size
+// and by what its phase table costs. From StreamingThreshold it is
+// chunk-streamed generation. Below it, the materialized tables with
+// memoized phase factors — unless the coefficients are not integral and
+// the distinct phase values pass 1/maxDistinctShare of the register
+// (random real coefficients, where nearly every amplitude has its own),
+// and then the stream kernel, which builds them by doubling. Integral
+// doubled coefficients keep the memo at any share: their distinct values
+// are slots of T's span, never more than the span + 1 the stream kernel's
+// factor table would take one Sincos each for, and a partition whose span
+// overflows that table is no faster streamed. half builds the kernel over
+// the lower half of the basis states, for a half register; the instance
+// must then be FieldFree.
 func newIsingKernel(in *problem.Instance, half bool) costKernel {
 	if in.N < StreamingThreshold {
-		return newMaterializedKernel(in, half)
+		share := 1
+		if !in.IntegerCoeffs() {
+			share = maxDistinctShare
+		}
+		if k := memoKernel(in, half, share); k != nil {
+			return k
+		}
 	}
 	return newIsingStreamKernel(in, half)
 }
 
-// newMaterializedKernel builds the table kernel of an instance of any
-// size — what newIsingKernel selects for a small one, and the tests'
-// reference for the streaming kernel.
-func newMaterializedKernel(in *problem.Instance, half bool) *diagKernel {
+// memoKernel builds the table kernel of an instance of any size, or
+// returns nil as soon as its distinct phase values pass 1/share of the
+// register: share 1 always builds it.
+func memoKernel(in *problem.Instance, half bool, share int) *diagKernel {
 	n := in.N
 	if half {
 		n--
 	}
 	diag, gen, t := buildIsingTables(in, 1<<uint(n))
-	k := newDiagKernelFromGen(n, diag, gen, t)
-	k.half = half
+	k := newDiagKernelFromGen(n, diag, gen, t, len(diag)/share)
+	if k != nil {
+		k.half = half
+	}
 	return k
 }
 

@@ -8,14 +8,18 @@ import (
 	"qaoaml/internal/quantum"
 )
 
-// Streaming cost path for large instances.
+// Streaming cost path: every instance from StreamingThreshold, and below
+// it a float-coefficient one whose phase values are mostly distinct
+// (newIsingKernel), where one Sincos per distinct value would be one per
+// amplitude.
 //
 // The materialized diagKernel needs a float64 cost table plus an int32
 // index table as long as the state vector — 6 MiB at n = 20, 100 MiB at
 // n = 24 — on top of the state vector itself, just to look up C(z) per
 // amplitude. The isingStreamKernel holds neither: C(z) is recomputed on
 // the fly, chunk by chunk over the same fixed geometry every other
-// kernel uses (quantum.ChunkLen amplitudes per chunk).
+// kernel uses (quantum.ChunkLen amplitudes per chunk: the whole register
+// through 13 evolved qubits).
 //
 // The Hamiltonian is evaluated through the doubled accumulator
 //
@@ -61,7 +65,7 @@ import (
 // bit-identical to the materialized kernel, which derives its tables
 // from the same T accumulator and applies the same per-distinct-value
 // factor arithmetic over the same chunk reductions. Float coefficients
-// have no finite distinct-value set to memoize: their chunk's phase
+// have no bounded distinct-value set to memoize: their chunk's phase
 // factors are built by doubling from one rotation per chunk bit and per
 // in-chunk coupling (fillPhase) — two complex multiplies per amplitude,
 // no per-amplitude Sincos — and agree with the materialized path to
@@ -73,11 +77,17 @@ import (
 // 2^(N−1) basis states: the chunk geometry follows that dimension, and
 // terms on spin N−1 are ordinary high-bit terms whose bit is never set.
 
-// StreamingThreshold is the qubit count from which a problem's kernel
-// stops materializing 2^n tables and evaluates in streaming mode. At
-// n = 13 the table pair costs 96 KiB + 32 KiB — already bigger than the
-// reduction chunk — and doubles per qubit.
-const StreamingThreshold = 13
+// StreamingThreshold is the qubit count from which every problem's
+// kernel streams. Below it an instance that memoizes cheaply
+// (newIsingKernel) keeps materialized tables of 12 B per amplitude —
+// 192 KiB at n = 14 — for as long as its Problem lives. Per
+// value+gradient the stream kernel takes 5–40 % longer than the memo on
+// the low-share families at every n measured through 18, and the memo's
+// build costs 0.6–4.2 value+gradients there (BenchmarkKernelChoice;
+// EXPERIMENTS.md): the threshold is set by memory, not speed. 15
+// memoizes every register the served cold mixes draw (n ≤ 14) and
+// leaves the larger ones table-free.
+const StreamingThreshold = 15
 
 // maxStreamFactorTable caps the distinct-value phase-factor table of
 // the integer streaming path. Instances whose T range exceeds it (every

@@ -29,9 +29,8 @@ func mustNew(t testing.TB, spec problem.Spec) *Problem {
 }
 
 // Streaming vs materialized for Hamiltonians WITH linear terms: an
-// integer-coefficient spin glass at n=14 takes the streaming kernel
-// through NewIsing, and must match a directly-constructed materialized
-// kernel bit for bit at 1, 2 and 8 workers — both derive every double
+// integer-coefficient spin glass at n=14 must evaluate bit for bit alike
+// on the two kernels at 1, 2 and 8 workers — both derive every double
 // from the same int64 accumulator.
 func TestIsingStreamMatchesMaterializedExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -48,9 +47,9 @@ func TestIsingStreamMatchesMaterializedExactly(t *testing.T) {
 	if !hasLinear {
 		t.Fatal("test instance has no linear terms; raise n or reseed")
 	}
-	pb := mustIsing(t, in)
-	if _, ok := pb.kernel().(*isingStreamKernel); !ok {
-		t.Fatalf("n=%d instance did not pick the streaming kernel", in.N)
+	sk := newIsingStreamKernel(mustIsing(t, in).Inst, false)
+	if !sk.integer {
+		t.Fatal("integer spin glass did not take the stream kernel's integer path")
 	}
 	mat := newMaterializedKernel(in, false)
 
@@ -60,7 +59,7 @@ func TestIsingStreamMatchesMaterializedExactly(t *testing.T) {
 		x := testParams(p).Vector()
 		for _, w := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(w)
-			sw, mw := newWorkspace(pb.kernel(), nil), newWorkspace(mat, nil)
+			sw, mw := newWorkspace(sk, nil), newWorkspace(mat, nil)
 			if sv, mv := sw.ExpectationVec(x), mw.ExpectationVec(x); sv != mv {
 				t.Errorf("p=%d w=%d: streaming <Score> %v != materialized %v", p, w, sv, mv)
 			}
@@ -87,17 +86,10 @@ func TestIsingStreamFloatCoefficients(t *testing.T) {
 	if in.IntegerCoeffs() {
 		t.Fatal("instance should have float coefficients")
 	}
-	pb := mustIsing(t, in)
-	sk, ok := pb.kernel().(*isingStreamKernel)
-	if !ok {
-		t.Fatal("expected streaming kernel")
-	}
-	if sk.integer {
-		t.Fatal("float instance must take the float streaming path")
-	}
+	sk := floatStreamKernel(t, mustIsing(t, in), "float spin glass")
 	mat := newMaterializedKernel(in, false)
 	x := testParams(2).Vector()
-	sv := newWorkspace(pb.kernel(), nil).ExpectationVec(x)
+	sv := newWorkspace(sk, nil).ExpectationVec(x)
 	mv := newWorkspace(mat, nil).ExpectationVec(x)
 	if math.Abs(sv-mv) > 1e-9*(1+math.Abs(mv)) {
 		t.Errorf("float streaming <Score> %v != materialized %v", sv, mv)

@@ -274,12 +274,13 @@ func perZLowTables(in *problem.Instance, k *isingStreamKernel) (tllInt []int64, 
 
 // BenchmarkKernelBuild times building a problem's kernel — what a cold
 // solve pays once before its first evaluation — for the five families of
-// the cold mixes, materialized (n = 8, 12) and streamed (n = 14), and
-// reports it against one warm p = 3 value+gradient on the same problem.
+// the cold mixes at n = 8, 12 and 14 (memoized but for portfolio, which
+// streams), and reports it against one warm p = 3 value+gradient on the
+// same problem.
 func BenchmarkKernelBuild(b *testing.B) {
 	const p = 3
 	x, grad := testParams(p).Vector(), make([]float64, 2*p)
-	for _, fam := range []string{problem.FamilyMaxCut, problem.FamilyQUBO, problem.FamilyMaxKSAT, problem.FamilyPartition, problem.FamilyPortfolio} {
+	for _, fam := range coldFamilies {
 		for _, n := range []int{8, 12, 14} {
 			spec, err := problem.RandomSpec(fam, n, rand.New(rand.NewSource(int64(n))))
 			if err != nil {

@@ -6,10 +6,13 @@
 // Every problem family — the paper's MaxCut (J = −w/2, no field), QUBO,
 // Max-k-SAT, partition, portfolio, coloring — compiles to one Ising
 // Hamiltonian, a problem.Instance, and New is the one constructor. The
-// instance is evaluated by one of two kernels chosen by size: a
-// materialized table with memoized phases below StreamingThreshold
-// (workspace.go), chunk-streamed generation from the term lists from it
-// (ising_stream.go). QAOA always maximizes Score(z) = sense·Value(z).
+// instance is evaluated by one of two kernels chosen by its size and its
+// phase table (ising.go): a materialized table with memoized phases
+// below StreamingThreshold (workspace.go), chunk-streamed generation
+// from the term lists from it (ising_stream.go) — and below it too for
+// float coefficients whose phase values are mostly distinct, whose
+// phases the stream kernel builds by doubling. QAOA always maximizes
+// Score(z) = sense·Value(z).
 //
 // Parameter conventions follow Farhi et al. (the paper's reference [1]):
 // the stage angles are γi ∈ [0, 2π] and βi ∈ [0, π]. A parameter vector
@@ -93,7 +96,8 @@ func (pr Params) Validate(checkDomain bool) error {
 // Ising instance every kernel reads, and the exact Score extremes that
 // approximation ratios are taken against. No state-sized table lives
 // here: the kernel (built on first evaluation) holds one only below
-// StreamingThreshold, and an instance without linear terms — every
+// StreamingThreshold, and only when it memoizes, and an instance without
+// linear terms — every
 // MaxCut, every partition — evolves as a half register of 2^(n−1)
 // amplitudes (workspace.go), so an n = 20 MaxCut workspace is an 8 MiB
 // state and nothing else.

@@ -33,17 +33,12 @@ func reuseCases(t *testing.T) []reuseCase {
 		return func(a *Arena) *EvalWorkspace { return newWorkspace(k, a) }
 	}
 	diag := mustProblem(t, graph.RandomRegular(8, 3, rng)).kernel()
-	mc := mustProblem(t, graph.RandomRegular(14, 3, rng)).kernel()
-	is := mustIsing(t, problem.RandomIsing(14, rng)).kernel()
+	mc := newIsingStreamKernel(mustProblem(t, graph.RandomRegular(14, 3, rng)).Inst, true)
+	is := newIsingStreamKernel(mustIsing(t, problem.RandomIsing(14, rng)).Inst, false)
 	// A 14-qubit half register: the smallest MaxCut that shards.
 	mcs := mustProblem(t, graph.ErdosRenyiConnected(15, 0.3, rng)).kernel()
 	if _, ok := diag.(*diagKernel); !ok {
 		t.Fatalf("n=8 kernel is %T, want *diagKernel", diag)
-	}
-	for name, k := range map[string]costKernel{"MaxCut": mc, "Ising": is} {
-		if _, ok := k.(*isingStreamKernel); !ok {
-			t.Fatalf("n=14 %s kernel is %T, want *isingStreamKernel", name, k)
-		}
 	}
 	if !mc.mirror() || is.mirror() {
 		t.Fatalf("want a half-register MaxCut stream (mirror %v) and a full-register Ising one (mirror %v)", mc.mirror(), is.mirror())
@@ -212,8 +207,9 @@ func TestStateReuseInterleaved(t *testing.T) {
 		sharded bool
 	}
 	var kinds []kind
-	// 8-qubit registers: materialized kernels. 14-qubit registers:
-	// streaming kernels, one shard and two.
+	// 8-qubit registers: materialized kernels. 14-qubit registers, one
+	// shard and two: the field-free n = 15 problems stream, the fielded
+	// n = 14 one memoizes.
 	for _, n := range []int{9, 15} {
 		free := []*Problem{
 			mustProblem(t, graph.ErdosRenyiConnected(n, 0.4, rng)),

@@ -59,10 +59,7 @@ func TestStreamKernelMatchesMaterializedExactly(t *testing.T) {
 		g := g
 		t.Run(name, func(t *testing.T) {
 			pb := mustProblem(t, g)
-			sk, ok := pb.kernel().(*isingStreamKernel)
-			if !ok {
-				t.Fatalf("kernel is %T, want *isingStreamKernel", pb.kernel())
-			}
+			sk := newIsingStreamKernel(pb.Inst, true)
 			if !sk.integer {
 				t.Fatalf("integer-weighted graph did not take the exact integer path")
 			}
@@ -72,7 +69,7 @@ func TestStreamKernelMatchesMaterializedExactly(t *testing.T) {
 			mat := newMaterializedKernel(pb.Inst, true)
 			for _, procs := range []int{1, 2, 8} {
 				runtime.GOMAXPROCS(procs)
-				ref, got := newWorkspace(mat, nil), pb.NewWorkspace()
+				ref, got := newWorkspace(mat, nil), newWorkspace(sk, nil)
 				for _, p := range []int{1, 3} {
 					x := testParams(p).Vector()
 					if rv, gv := ref.ExpectationVec(x), got.ExpectationVec(x); rv != gv {
@@ -109,15 +106,9 @@ func TestStreamKernelMatchesMaterializedFloat(t *testing.T) {
 		}
 	}
 	pb := mustProblem(t, g)
-	sk, ok := pb.kernel().(*isingStreamKernel)
-	if !ok {
-		t.Fatalf("kernel is %T, want *isingStreamKernel", pb.kernel())
-	}
-	if sk.integer {
-		t.Fatal("π-scaled weights must take the float streaming path")
-	}
+	sk := floatStreamKernel(t, pb, "π-scaled weights")
 	ref := newWorkspace(newMaterializedKernel(pb.Inst, true), nil)
-	got := pb.NewWorkspace()
+	got := newWorkspace(sk, nil)
 	pr := testParams(2)
 	x := pr.Vector()
 	scale := math.Max(1, g.TotalWeight())
@@ -401,13 +392,15 @@ func doubledT(in *problem.Instance, z uint64) (t float64) {
 	return t
 }
 
-// mustFloatStream stops the test unless the problem's kernel is the
-// stream kernel on its float path.
-func mustFloatStream(t testing.TB, pb *Problem, name string) {
+// floatStreamKernel builds the problem's stream kernel, stopping the test
+// unless it takes the float path.
+func floatStreamKernel(t testing.TB, pb *Problem, name string) *isingStreamKernel {
 	t.Helper()
-	if k, ok := pb.kernel().(*isingStreamKernel); !ok || k.integer {
-		t.Fatalf("%s n=%d: kernel %T is not the float stream kernel", name, pb.Inst.N, pb.kernel())
+	k := newIsingStreamKernel(pb.Inst, pb.halfRegister())
+	if k.integer {
+		t.Fatalf("%s n=%d: the stream kernel takes its integer path, not the float one", name, pb.Inst.N)
 	}
+	return k
 }
 
 // Warm float-path evaluations allocate nothing: the chunk's phase tables
@@ -418,9 +411,7 @@ func TestFloatPhaseWarmAllocs(t *testing.T) {
 	}
 	for _, n := range []int{13, 14} {
 		for name, in := range phaseCases(t, n, rand.New(rand.NewSource(int64(2200+n)))) {
-			pb := mustIsing(t, in)
-			mustFloatStream(t, pb, name)
-			ws := pb.NewWorkspace()
+			ws := newWorkspace(floatStreamKernel(t, mustIsing(t, in), name), nil)
 			x := testParams(2).Vector()
 			grad := make([]float64, len(x))
 			ws.ValueGrad(x, grad) // warm-up: adjoint buffer, chunk scratch
@@ -436,10 +427,11 @@ func TestFloatPhaseWarmAllocs(t *testing.T) {
 }
 
 // BenchmarkFloatPhase times one expectation and one value+gradient
-// (p = 3) where the float stream kernel runs: the three families whose
-// coefficients take it from n = StreamingThreshold. maxksat and portfolio
-// carry fields (full register), partition evolves half of one; ns/amp/layer
-// is per stored amplitude and stage.
+// (p = 3) on the float stream kernel, built directly: the three families
+// whose coefficients take it (maxksat and partition memoize below
+// StreamingThreshold; portfolio streams at every size). maxksat and
+// portfolio carry fields (full register), partition evolves half of one;
+// ns/amp/layer is per stored amplitude and stage.
 func BenchmarkFloatPhase(b *testing.B) {
 	const p = 3
 	x, grad := testParams(p).Vector(), make([]float64, 2*p)
@@ -450,8 +442,7 @@ func BenchmarkFloatPhase(b *testing.B) {
 				b.Fatal(err)
 			}
 			pb := mustNew(b, spec)
-			mustFloatStream(b, pb, fam)
-			ws := pb.NewWorkspace()
+			ws := newWorkspace(floatStreamKernel(b, pb, fam), nil)
 			amps := 1 << uint(pb.stateQubits())
 			report := func(b *testing.B) {
 				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)

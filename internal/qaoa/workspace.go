@@ -15,13 +15,16 @@ import (
 // and every figure are tens of thousands of such calls — so it gets a
 // dedicated zero-allocation kernel:
 //
-//   - The phase separator exp(−iγC) is diagonal, and C takes only a
-//     handful of distinct values (an 8-node unweighted graph has ≲ 30
-//     distinct cut sizes against 256 amplitudes). The engine computes
-//     e^{iγ·φ} once per *distinct* value with math.Sincos and applies
-//     them through an index table — precomputed below
-//     StreamingThreshold, regenerated per chunk from the term lists
-//     from it (ising_stream.go).
+//   - The phase separator exp(−iγC) is diagonal, and C usually takes
+//     only a handful of distinct values (an 8-node unweighted graph has
+//     ≲ 30 distinct cut sizes against 256 amplitudes). The engine
+//     computes e^{iγ·φ} once per *distinct* value with math.Sincos and
+//     applies them through an index table — precomputed below
+//     StreamingThreshold, regenerated per chunk from the term lists from
+//     it (ising_stream.go). Random real coefficients give nearly every
+//     amplitude its own value; such an instance (more than
+//     1/maxDistinctShare of the register distinct) builds its phases by
+//     doubling on the stream kernel instead, at every size (ising.go).
 //   - A whole QAOA stage — uniform fill, phase separator, RX(2β)
 //     mixing layer — runs through one fused quantum.LayerRunner sweep:
 //     each cache-resident chunk is filled, phased, and mixed (for every
@@ -55,13 +58,14 @@ import (
 // how the phase separator exp(iγH_γ) is applied, how ⟨C⟩ is read out,
 // and how the adjoint sweep's matrix elements are taken. Two
 // implementations exist, chosen by newIsingKernel from the instance's
-// size:
+// size and distinct phase values:
 //
 //   - diagKernel (below): materialized cost diagonal with
 //     distinct-value phase memoization — the small-n fast path.
 //   - isingStreamKernel (ising_stream.go): computes C(z) on the fly
 //     from the term lists per fixed-geometry chunk, so large instances
-//     never hold a state-sized float64 table.
+//     never hold a state-sized float64 table, and builds float phases
+//     by doubling where memoizing would take a Sincos per amplitude.
 //
 // Both produce results over the same fixed reduction geometry
 // (quantum.ReduceChunks), so expectations and gradients are
@@ -141,8 +145,9 @@ type diagKernel struct {
 // integer doubled sums t (buildIsingTables) spanning fewer slots than the
 // table has entries, the slot (T − T_min)/2 stands in for the map key
 // with the same result: T ↦ gen is injective there (T averages to zero
-// over the register, so the span bounds |T| too).
-func newDiagKernelFromGen(n int, diag, gen []float64, t []int64) *diagKernel {
+// over the register, so the span bounds |T| too). It returns nil once
+// more than maxDistinct values turn up.
+func newDiagKernelFromGen(n int, diag, gen []float64, t []int64, maxDistinct int) *diagKernel {
 	k := &diagKernel{
 		n:    n,
 		diag: diag,
@@ -155,6 +160,9 @@ func newDiagKernelFromGen(n int, diag, gen []float64, t []int64) *diagKernel {
 			for z, tz := range t {
 				s := &slot[(tz-tmin)/2]
 				if *s == 0 {
+					if len(k.halfAngles) == maxDistinct {
+						return nil
+					}
 					k.halfAngles = append(k.halfAngles, gen[z])
 					*s = int32(len(k.halfAngles))
 				}
@@ -163,10 +171,13 @@ func newDiagKernelFromGen(n int, diag, gen []float64, t []int64) *diagKernel {
 			return k
 		}
 	}
-	seen := make(map[float64]int32, len(gen)) // float gens are mostly distinct
+	seen := make(map[float64]int32, min(len(gen), maxDistinct))
 	for z, a := range gen {
 		j, ok := seen[a]
 		if !ok {
+			if len(k.halfAngles) == maxDistinct {
+				return nil
+			}
 			j = int32(len(k.halfAngles))
 			k.halfAngles = append(k.halfAngles, a)
 			seen[a] = j
