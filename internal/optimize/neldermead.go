@@ -2,7 +2,7 @@ package optimize
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // NelderMead is the derivative-free simplex method with the standard
@@ -145,8 +145,20 @@ func affine(cen, xw []float64, t float64, bounds *Bounds) []float64 {
 	return bounds.Clip(out)
 }
 
+// sortSimplex orders the vertices by f, stably. The compare is < both
+// ways round, not cmp.Compare, which would sort NaN first: here a NaN
+// ties with everything and keeps its place, which is the order NelderMead
+// and COBYLA's recorded runs depend on.
 func sortSimplex(s []vertex) {
-	sort.SliceStable(s, func(i, j int) bool { return s[i].f < s[j].f })
+	slices.SortStableFunc(s, func(a, b vertex) int {
+		switch {
+		case a.f < b.f:
+			return -1
+		case a.f > b.f:
+			return 1
+		}
+		return 0
+	})
 }
 
 // spread is the best-to-worst function-value gap of the simplex.

@@ -574,7 +574,7 @@ func (k *isingStreamKernel) factorLen() int { return len(k.factorGens()) }
 // the gradient's matrix elements read — and on the float path the pair
 // rotations exp(iγ·pairGen) every chunk's fillPhase shares.
 func (k *isingStreamKernel) prepareFactors(factors []complex128, gamma float64, conj bool) {
-	prepareFactorTable(factors, k.factorGens(), gamma, conj)
+	quantum.PhaseFactors(factors, k.factorGens(), gamma, conj)
 }
 
 func (k *isingStreamKernel) applyPhaseRange(st *quantum.State, factors []complex128, gamma float64, off, lo, hi int) {

@@ -2,7 +2,6 @@ package qaoa
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -200,23 +199,7 @@ func (k *diagKernel) mirror() bool   { return k.half }
 func (k *diagKernel) factorLen() int { return len(k.halfAngles) }
 
 func (k *diagKernel) prepareFactors(factors []complex128, gamma float64, conj bool) {
-	prepareFactorTable(factors, k.halfAngles, gamma, conj)
-}
-
-// prepareFactorTable fills factors[j] = e^{±iγ·gens[j]} (minus when
-// conj), one Sincos each: per distinct phase-generator value for the
-// kernels that apply phases through an index table, per in-chunk
-// coupling for the float streaming kernel, which builds every chunk's
-// phases from those rotations.
-func prepareFactorTable(factors []complex128, gens []float64, gamma float64, conj bool) {
-	sign := 1.0
-	if conj {
-		sign = -1
-	}
-	for j, h := range gens {
-		sin, cos := math.Sincos(gamma * h)
-		factors[j] = complex(cos, sign*sin)
-	}
+	quantum.PhaseFactors(factors, k.halfAngles, gamma, conj)
 }
 
 func (k *diagKernel) applyPhaseRange(st *quantum.State, factors []complex128, _ float64, off, lo, hi int) {

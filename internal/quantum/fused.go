@@ -32,11 +32,18 @@ import (
 // the ΣX terms of reverse.go taken in lanes between the two states'
 // butterflies and folded by scalar adds in reverse.go's order (the fold
 // is a serial chain; inside the butterfly loop its latency is hidden).
-// The Go bodies stay: they are the only path on other GOARCHs and older
-// CPUs, the odd tail of a run, and the oracle the assembly is tested
-// against. Still scalar: rxDuo and its ΣX terms for an even stored
-// width's last pass, the indexed phase multiply and un-phase (a gather),
-// and the index fill that feeds them.
+// The phase separator's two loops are assembly too (phase_amd64.s): the
+// stage's factor table, math.Sincos's own algorithm on four angles per
+// register, and the indexed multiply, two amplitudes per register with
+// the factors gathered by 128-bit loads — eight bodies in all. The Go
+// bodies stay: they are the only path on other GOARCHs and older CPUs,
+// the odd tail of a run, and the oracle the assembly is tested against.
+// Still scalar: rxDuo and its ΣX terms for an even stored width's last
+// pass, the index fill, and the un-phase, seed and expectation loops.
+// Each of the last three folds one sum per chunk in a fixed amplitude
+// order — a serial chain of adds whose latency bounds the loop — so
+// lanes could only speed them up by adding in another order, which moves
+// the bits.
 //
 // Bit-identity: each amplitude goes through exactly the same arithmetic
 // operations in the same algebraic order as FillUniform + phase +

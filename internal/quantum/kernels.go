@@ -232,10 +232,54 @@ func (s *State) MulDiagonalIndexed(idx []int32, factors []complex128) {
 	mulIndexedRange(s.amps, idx, factors)
 }
 
+// mulIndexedRange multiplies amps[i] by factors[idx[i]]. Where the CPU
+// has AVX2 the even-length prefix runs in assembly (rx_amd64.go) up to a
+// pair with an index outside factors; mulIndexedGo does the rest, to the
+// same bits, and panics at such an index.
 func mulIndexedRange(amps []complex128, idx []int32, factors []complex128) {
+	amps = amps[:len(idx)]
+	if k := mulIndexedVec(amps, idx, factors); k < len(idx) {
+		mulIndexedGo(amps[k:], idx[k:], factors)
+	}
+}
+
+// mulIndexedGo is mulIndexedRange's portable body: the only one off
+// amd64 and before AVX2, the odd tail, the bounds check and the oracle
+// the assembly is tested against.
+func mulIndexedGo(amps []complex128, idx []int32, factors []complex128) {
 	amps = amps[:len(idx)]
 	for i, k := range idx {
 		amps[i] *= factors[k]
+	}
+}
+
+// PhaseFactors fills factors[j] = e^{±iγ·gens[j]} (minus when conj) with
+// the bits of math.Sincos(γ·gens[j]): a QAOA stage's rotations, one per
+// distinct phase-generator value of an index-table phase separator, or
+// one per in-chunk coupling for a float one that builds its chunk phases
+// from them. Where the CPU has AVX2 it runs math.Sincos's algorithm four
+// angles wide in assembly (rx_amd64.go); a group of four holding a
+// non-finite angle or one of magnitude 2²⁹ or more, and a table shorter
+// than four, take phaseFactorsGo.
+func PhaseFactors(factors []complex128, gens []float64, gamma float64, conj bool) {
+	sign := 1.0
+	if conj {
+		sign = -1
+	}
+	factors = factors[:len(gens)]
+	for len(gens) > 0 {
+		k, n := phaseFactorsVec(factors, gens, gamma, sign)
+		phaseFactorsGo(factors[k:n], gens[k:n], gamma, sign)
+		factors, gens = factors[n:], gens[n:]
+	}
+}
+
+// phaseFactorsGo is PhaseFactors' portable body (see mulIndexedGo).
+func phaseFactorsGo(factors []complex128, gens []float64, gamma, sign float64) {
+	factors = factors[:len(gens)]
+	for j, h := range gens {
+		sin, cos := math.Sincos(gamma * h)
+		factors[j] = complex(cos, sign*sin)
 	}
 }
 

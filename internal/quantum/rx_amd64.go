@@ -1,9 +1,12 @@
 package quantum
 
-// AVX2 dispatch for the three quadruple butterflies. The bodies are in
-// rx_amd64.s; rxQuad, rxQuadLow and rxQuadMirror hand them the part of a
-// run that fills whole YMM registers and finish the rest in Go. The
-// choice is made once, from the CPU alone.
+// AVX2 dispatch for the eight assembly bodies: the three quadruple
+// butterflies and their two-state forms (rx_amd64.s), and the phase
+// separator's factor table and indexed multiply (phase_amd64.s). rxQuad,
+// rxQuadLow, rxQuadMirror, the reverse sweep, PhaseFactors and
+// mulIndexedRange hand them the part of their input that fills whole YMM
+// registers and finish the rest in Go. The choice is made once, from the
+// CPU alone.
 
 // useAVX2 reports whether the CPU and the OS support AVX2.
 var useAVX2 = detectAVX2()
@@ -48,8 +51,15 @@ func revQuadMirrorAVX2(p00, p01, p10, p11, l00, l01, l10, l11 *complex128, n int
 //go:noescape
 func revQuadLowAVX2(p, l *complex128, quads int, cc, cm, mm float64) float64
 
-// Kernel names the body the mixer butterflies run: "avx2" for the
-// assembly, "go" for the portable bodies. Both return the same bits.
+//go:noescape
+func phaseFactorsAVX2(factors *complex128, gens *float64, n int, gamma, sign float64) int
+
+//go:noescape
+func mulIndexedAVX2(amps *complex128, idx *int32, n int, factors *complex128, nf int) int
+
+// Kernel names the bodies the mixer butterflies and the phase separator
+// run: "avx2" for the assembly, "go" for the portable bodies. Both return
+// the same bits.
 func Kernel() string {
 	if useAVX2 {
 		return "avx2"
@@ -146,4 +156,27 @@ func revQuadLowVec(p, l []complex128, k rxCoef) (im float64, ok bool) {
 		return 0, false
 	}
 	return revQuadLowAVX2(&p[0], &l[0], len(p)>>2, k.cc, k.cm, k.mm), true
+}
+
+// phaseFactorsVec fills PhaseFactors' table in assembly, four factors at
+// a time, from the start up to the first group of four holding an angle
+// outside the assembly's domain. The Go body is to fill [done, stop):
+// that group, or the whole of a table shorter than four.
+func phaseFactorsVec(factors []complex128, gens []float64, gamma, sign float64) (done, stop int) {
+	if !useAVX2 || len(gens) < 4 {
+		return 0, len(gens)
+	}
+	done = phaseFactorsAVX2(&factors[0], &gens[0], len(gens), gamma, sign)
+	return done, min(done+4, len(gens))
+}
+
+// mulIndexedVec multiplies the even-length prefix of amps by
+// factors[idx[i]] in assembly, up to the first pair holding an index
+// outside factors, and returns how many amplitudes it did. amps is as
+// long as idx.
+func mulIndexedVec(amps []complex128, idx []int32, factors []complex128) int {
+	if !useAVX2 || len(idx) < 2 || len(factors) == 0 {
+		return 0
+	}
+	return mulIndexedAVX2(&amps[0], &idx[0], len(idx)&^1, &factors[0], len(factors))
 }
