@@ -19,36 +19,50 @@ type CholeskyDecomp struct {
 }
 
 // Cholesky factors a symmetric positive-definite matrix A into L·Lᵀ.
-// Only the lower triangle of A is read.
+// Only the lower triangle of A is read. Column j of L is computed from
+// the finished rows 0..j-1 of L, each entry as one dot product over
+// k = 0..j-1 in ascending order.
 func Cholesky(a *Matrix) (*CholeskyDecomp, error) {
 	a.checkSquare()
 	n := a.Rows
 	l := NewMatrix(n, n)
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			d -= l.At(j, k) * l.At(j, k)
+		lj := l.Data[j*n : j*n+j] // L[j][0:j]
+		d := a.Data[j*n+j]
+		for _, ljk := range lj {
+			d -= ljk * ljk
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return nil, ErrNotPositiveDefinite
 		}
 		ljj := math.Sqrt(d)
-		l.Set(j, j, ljj)
+		l.Data[j*n+j] = ljj
 		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+			li := l.Data[i*n : i*n+j] // L[i][0:j]
+			li = li[:len(lj)]         // as long as lj: no check in the loop
+			s := a.Data[i*n+j]
+			for k, ljk := range lj {
+				s -= li[k] * ljk
 			}
-			l.Set(i, j, s/ljj)
+			l.Data[i*n+j] = s / ljj
 		}
 	}
 	return &CholeskyDecomp{L: l}, nil
 }
 
-// Solve solves A·x = b using the factorization.
+// Solve solves A·x = b using the factorization: forward substitution
+// with L, then back substitution with Lᵀ read down L's columns, in place.
 func (c *CholeskyDecomp) Solve(b Vector) Vector {
-	y := SolveLowerTriangular(c.L, b)
-	return SolveUpperTriangular(c.L.T(), y)
+	x := SolveLowerTriangular(c.L, b)
+	n, l := c.L.Rows, c.L.Data
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for k := i + 1; k < n; k++ {
+			s -= l[k*n+i] * x[k]
+		}
+		x[i] = s / l[i*n+i]
+	}
+	return x
 }
 
 // LogDet returns log det(A) = 2·Σ log L[i][i].

@@ -77,6 +77,108 @@ func TestCholeskyLogDet(t *testing.T) {
 	}
 }
 
+// choleskyAt is Cholesky as it was written on At/Set before it read row
+// slices: the oracle the slice form must match bit for bit.
+func choleskyAt(a *Matrix) (*CholeskyDecomp, error) {
+	a.checkSquare()
+	n := a.Rows
+	l := NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		d := a.At(j, j)
+		for k := 0; k < j; k++ {
+			d -= l.At(j, k) * l.At(j, k)
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return nil, ErrNotPositiveDefinite
+		}
+		ljj := math.Sqrt(d)
+		l.Set(j, j, ljj)
+		for i := j + 1; i < n; i++ {
+			s := a.At(i, j)
+			for k := 0; k < j; k++ {
+				s -= l.At(i, k) * l.At(j, k)
+			}
+			l.Set(i, j, s/ljj)
+		}
+	}
+	return &CholeskyDecomp{L: l}, nil
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Cholesky's L and Solve's x are the At/Set oracle's and the two
+// triangular solves' bit for bit, on random SPD matrices of every size
+// up to past a 64-point GPR bank, and on the GPR kernel's conditioning
+// (an RBF matrix plus a small noise diagonal).
+func TestCholeskyMatchesAtOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for n := 0; n <= 70; n++ {
+		rbf := NewMatrix(n, n)
+		pts := randomVector(rng, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				d := pts[i] - pts[j]
+				rbf.Set(i, j, math.Exp(-d*d/2))
+			}
+		}
+		for _, a := range []*Matrix{randomSPD(rng, n), rbf.AddToDiag(1e-4)} {
+			want, werr := choleskyAt(a)
+			got, err := Cholesky(a)
+			if err != werr {
+				t.Fatalf("n=%d: err %v, oracle %v", n, err, werr)
+			}
+			if err != nil {
+				continue
+			}
+			if !sameBits(got.L.Data, want.L.Data) {
+				t.Fatalf("n=%d: L differs from the At/Set oracle", n)
+			}
+			b := randomVector(rng, n)
+			x := got.Solve(b)
+			if wantX := SolveUpperTriangular(got.L.T(), SolveLowerTriangular(got.L, b)); !sameBits(x, wantX) {
+				t.Fatalf("n=%d: Solve = %v, two triangular solves %v", n, x, wantX)
+			}
+		}
+	}
+}
+
+// Indefinite and non-finite inputs fail, or do not, as the oracle does.
+func TestCholeskyFailsAsAtOracle(t *testing.T) {
+	late := randomSPD(rand.New(rand.NewSource(14)), 48)
+	late.Set(40, 40, -1)
+	cases := map[string]*Matrix{
+		"indefinite":          fromRows([][]float64{{1, 2}, {2, 1}}),
+		"zero pivot":          fromRows([][]float64{{1, 1}, {1, 1}}),
+		"negative first":      fromRows([][]float64{{-1, 0}, {0, 1}}),
+		"indefinite at 40":    late,
+		"NaN diagonal":        fromRows([][]float64{{4, 1, 0}, {1, math.NaN(), 1}, {0, 1, 4}}),
+		"NaN first diagonal":  fromRows([][]float64{{math.NaN(), 1}, {1, 4}}),
+		"NaN below diagonal":  fromRows([][]float64{{4, 1, 0}, {math.NaN(), 4, 1}, {0, 1, 4}}),
+		"+Inf diagonal":       fromRows([][]float64{{4, 1}, {1, math.Inf(1)}}),
+		"+Inf below diagonal": fromRows([][]float64{{4, 1}, {math.Inf(1), 4}}),
+	}
+	for name, a := range cases {
+		want, werr := choleskyAt(a)
+		got, err := Cholesky(a)
+		switch {
+		case err != werr:
+			t.Errorf("%s: err %v, oracle %v", name, err, werr)
+		case err == nil && !sameBits(got.L.Data, want.L.Data):
+			t.Errorf("%s: L differs from the At/Set oracle", name)
+		}
+	}
+}
+
 func TestLUSolveAndDet(t *testing.T) {
 	a := fromRows([][]float64{{2, 1, 1}, {4, -6, 0}, {-2, 7, 2}})
 	lu, err := LU(a)

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 
 	"qaoaml/internal/linalg"
@@ -60,21 +61,58 @@ func (g *GPR) Hyperparameters() (lengthScale, signalVar, noiseVar float64) {
 
 // Fit implements Regressor.
 func (g *GPR) Fit(x [][]float64, y []float64) error {
-	if _, err := checkTrainingData(x, y); err != nil {
-		return err
+	fits, errs := g.fitColumns(x, [][]float64{y})
+	if errs[0] != nil {
+		return errs[0]
 	}
-	g.xScale = NewStandardizer(x)
-	xs := g.xScale.TransformAll(x)
+	*g = *fits[0]
+	return nil
+}
 
-	// Standardize targets.
-	g.yMean, g.yStd = meanStd(y)
-	if g.yStd == 0 {
-		g.yStd = 1
+// fitColumns fits one GPR with g's settings to each target column. The
+// kernel matrix and its Cholesky factor depend on the features and the
+// grid point, not on the targets, so the grid is walked once: K is built
+// once per (ℓ, σ_f², σ_l²) and K + σ_n²I factored once per σ_n², then
+// every column takes its two triangular solves and its log marginal
+// likelihood there and keeps its own best — the first strict maximum in
+// grid order, as a one-column walk would. Columns that select the same
+// grid point share its factor, read-only. fits[j] is nil exactly where
+// errs[j] is not.
+func (g *GPR) fitColumns(x [][]float64, cols [][]float64) (fits []*GPR, errs []error) {
+	fits = make([]*GPR, len(cols))
+	errs = make([]error, len(cols))
+	ys := make([]linalg.Vector, len(cols))
+	live := 0
+	for j, y := range cols {
+		if _, err := checkTrainingData(x, y); err != nil {
+			errs[j] = err
+			continue
+		}
+		// Standardize targets. A mean or spread past the float range
+		// would make every log marginal likelihood NaN.
+		mean, std := meanStd(y)
+		if math.IsInf(mean, 0) || math.IsNaN(mean) || math.IsInf(std, 0) || math.IsNaN(std) {
+			errs[j] = fmt.Errorf("%w: target mean %v and std %v are not finite", ErrBadShape, mean, std)
+			continue
+		}
+		if std == 0 {
+			std = 1
+		}
+		ys[j] = make(linalg.Vector, len(y))
+		for i := range y {
+			ys[j][i] = (y[i] - mean) / std
+		}
+		fits[j] = &GPR{
+			LengthScale: g.LengthScale, SignalVar: g.SignalVar, NoiseVar: g.NoiseVar, LinearVar: g.LinearVar,
+			yMean: mean, yStd: std, logML: math.Inf(-1),
+		}
+		live++
 	}
-	ys := make(linalg.Vector, len(y))
-	for i := range y {
-		ys[i] = (y[i] - g.yMean) / g.yStd
+	if live == 0 {
+		return fits, errs
 	}
+	xScale := NewStandardizer(x)
+	xs := xScale.TransformAll(x)
 
 	// Candidate grids (standardized space) unless pinned by the caller.
 	ells := []float64{0.3, 0.5, 1, 2, 4}
@@ -97,46 +135,59 @@ func (g *GPR) Fit(x [][]float64, y []float64) error {
 		sl2s = []float64{0, 0.5, 2} // grid-select by marginal likelihood
 	}
 
-	bestML := math.Inf(-1)
-	var bestChol *linalg.CholeskyDecomp
-	var bestAlpha linalg.Vector
-	var bestEll, bestSf2, bestSn2, bestSl2 float64
+	n := len(xs)
+	norm := float64(n) / 2 * math.Log(2*math.Pi)
+	kn := linalg.NewMatrix(n, n)
 	for _, ell := range ells {
 		for _, sf2 := range sf2s {
 			for _, sl2 := range sl2s {
 				k := g.kernelMatrix(xs, ell, sf2, sl2)
 				for _, sn2 := range sn2s {
-					kn := k.Clone().AddToDiag(sn2)
-					ch, err := linalg.Cholesky(kn)
+					copy(kn.Data, k.Data)
+					ch, err := linalg.Cholesky(kn.AddToDiag(sn2))
 					if err != nil {
 						continue
 					}
-					alpha := ch.Solve(ys)
-					ml := -0.5*ys.Dot(alpha) - 0.5*ch.LogDet() - float64(len(ys))/2*math.Log(2*math.Pi)
-					if ml > bestML {
-						bestML, bestChol, bestAlpha = ml, ch, alpha
-						bestEll, bestSf2, bestSn2, bestSl2 = ell, sf2, sn2, sl2
+					logDet := ch.LogDet()
+					for j, f := range fits {
+						if f == nil {
+							continue
+						}
+						alpha := ch.Solve(ys[j])
+						ml := -0.5*ys[j].Dot(alpha) - 0.5*logDet - norm
+						if ml > f.logML {
+							f.chol, f.alpha, f.logML = ch, alpha, ml
+							f.ell, f.sf2, f.sn2, f.sl2 = ell, sf2, sn2, sl2
+						}
 					}
 				}
 			}
 		}
 	}
-	if bestChol == nil {
-		return linalg.ErrNotPositiveDefinite
+	for j, f := range fits {
+		switch {
+		case f == nil:
+		case f.chol == nil:
+			fits[j], errs[j] = nil, linalg.ErrNotPositiveDefinite
+		default:
+			f.xTrain, f.xScale, f.fitted = xs, xScale, true
+		}
 	}
-	g.xTrain = xs
-	g.chol = bestChol
-	g.alpha = bestAlpha
-	g.ell, g.sf2, g.sn2, g.sl2 = bestEll, bestSf2, bestSn2, bestSl2
-	g.logML = bestML
-	g.fitted = true
-	return nil
+	return fits, errs
 }
 
-// Predict implements Regressor (posterior mean).
+// Predict implements Regressor (posterior mean): Σ k(x, xᵢ)·αᵢ in
+// PredictWithVariance's order, without the variance's triangular solve.
 func (g *GPR) Predict(x []float64) float64 {
-	mean, _ := g.PredictWithVariance(x)
-	return mean
+	if !g.fitted {
+		panic("ml: GPR.Predict before Fit")
+	}
+	xs := g.xScale.Transform(x)
+	mu := 0.0
+	for i, xt := range g.xTrain {
+		mu += kernel(xs, xt, g.ell, g.sf2, g.sl2) * g.alpha[i]
+	}
+	return mu*g.yStd + g.yMean
 }
 
 // PredictWithVariance returns the posterior mean and variance at x

@@ -2,10 +2,14 @@ package ml
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"qaoaml/internal/linalg"
 )
 
 func allModels() []Regressor {
@@ -470,5 +474,282 @@ func TestGPRLinearVarPinnedAndDisabled(t *testing.T) {
 	dFar := disabled.Predict([]float64{6})
 	if math.Abs(pFar-6) >= math.Abs(dFar-6) {
 		t.Errorf("linear kernel (%v) not better than RBF-only (%v) at x=6", pFar, dFar)
+	}
+}
+
+// fitColumnOracle is GPR.Fit as it was before a bank walked its grid
+// once for all columns: one column, K built and factored per grid
+// point, Solve as its two triangular solves. fitColumns must reproduce
+// what it selects and stores bit for bit, and fail where it fails.
+func fitColumnOracle(g *GPR, x [][]float64, y []float64) error {
+	if _, err := checkTrainingData(x, y); err != nil {
+		return err
+	}
+	g.xScale = NewStandardizer(x)
+	xs := g.xScale.TransformAll(x)
+
+	g.yMean, g.yStd = meanStd(y)
+	if g.yStd == 0 {
+		g.yStd = 1
+	}
+	ys := make(linalg.Vector, len(y))
+	for i := range y {
+		ys[i] = (y[i] - g.yMean) / g.yStd
+	}
+
+	ells := []float64{0.3, 0.5, 1, 2, 4}
+	if g.LengthScale > 0 {
+		ells = []float64{g.LengthScale}
+	}
+	sf2s := []float64{0.5, 1, 2}
+	if g.SignalVar > 0 {
+		sf2s = []float64{g.SignalVar}
+	}
+	sn2s := []float64{1e-4, 1e-3, 1e-2, 1e-1}
+	if g.NoiseVar > 0 {
+		sn2s = []float64{g.NoiseVar}
+	}
+	sl2s := []float64{0}
+	switch {
+	case g.LinearVar > 0:
+		sl2s = []float64{g.LinearVar}
+	case g.LinearVar < 0:
+		sl2s = []float64{0, 0.5, 2}
+	}
+
+	bestML := math.Inf(-1)
+	var bestChol *linalg.CholeskyDecomp
+	var bestAlpha linalg.Vector
+	var bestEll, bestSf2, bestSn2, bestSl2 float64
+	for _, ell := range ells {
+		for _, sf2 := range sf2s {
+			for _, sl2 := range sl2s {
+				k := g.kernelMatrix(xs, ell, sf2, sl2)
+				for _, sn2 := range sn2s {
+					kn := k.Clone().AddToDiag(sn2)
+					ch, err := linalg.Cholesky(kn)
+					if err != nil {
+						continue
+					}
+					alpha := linalg.SolveUpperTriangular(ch.L.T(), linalg.SolveLowerTriangular(ch.L, ys))
+					ml := -0.5*ys.Dot(alpha) - 0.5*ch.LogDet() - float64(len(ys))/2*math.Log(2*math.Pi)
+					if ml > bestML {
+						bestML, bestChol, bestAlpha = ml, ch, alpha
+						bestEll, bestSf2, bestSn2, bestSl2 = ell, sf2, sn2, sl2
+					}
+				}
+			}
+		}
+	}
+	if bestChol == nil {
+		return linalg.ErrNotPositiveDefinite
+	}
+	g.xTrain = xs
+	g.chol = bestChol
+	g.alpha = bestAlpha
+	g.ell, g.sf2, g.sn2, g.sl2 = bestEll, bestSf2, bestSn2, bestSl2
+	g.logML = bestML
+	g.fitted = true
+	return nil
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// gprDiff names the first fitted field where got and want differ in
+// any bit, or returns "".
+func gprDiff(got, want *GPR) string {
+	switch {
+	case !sameBits([]float64{got.ell, got.sf2, got.sn2, got.sl2}, []float64{want.ell, want.sf2, want.sn2, want.sl2}):
+		return fmt.Sprintf("hyperparameters (ℓ, σ_f², σ_n², σ_l²) %v %v %v %v, want %v %v %v %v",
+			got.ell, got.sf2, got.sn2, got.sl2, want.ell, want.sf2, want.sn2, want.sl2)
+	case !sameBits([]float64{got.logML}, []float64{want.logML}):
+		return fmt.Sprintf("log-ML %v, want %v", got.logML, want.logML)
+	case !sameBits(got.alpha, want.alpha):
+		return "α"
+	case !sameBits(got.chol.L.Data, want.chol.L.Data):
+		return "L"
+	case !sameBits([]float64{got.yMean, got.yStd}, []float64{want.yMean, want.yStd}):
+		return "target standardization"
+	case !sameBits(append(got.xScale.Mean, got.xScale.Std...), append(want.xScale.Mean, want.xScale.Std...)):
+		return "feature standardization"
+	case len(got.xTrain) != len(want.xTrain):
+		return "training points"
+	}
+	for i := range got.xTrain {
+		if !sameBits(got.xTrain[i], want.xTrain[i]) {
+			return fmt.Sprintf("training point %d", i)
+		}
+	}
+	return ""
+}
+
+// oracleColumns are targets over smoothData's features: smooth, linear,
+// constant (yStd = 0), noise and a coarse step, so the columns pick
+// different grid points and some share one.
+func oracleColumns() ([][]float64, [][]float64) {
+	rng := rand.New(rand.NewSource(41))
+	x, smooth := smoothData(rng, 48)
+	cols := [][]float64{smooth, make([]float64, 48), make([]float64, 48), make([]float64, 48), make([]float64, 48), smooth}
+	for i, row := range x {
+		cols[1][i] = 2*row[0] - row[1] + 0.5
+		cols[2][i] = 3.25
+		cols[3][i] = rng.NormFloat64()
+		cols[4][i] = math.Floor(row[0])
+	}
+	return x, cols
+}
+
+// Every column of a bank selects the hyperparameters and stores the α,
+// L and log-ML bits a one-column fit of it would, under each way of
+// choosing the grid, whether fitColumns is called or MultiOutput routes
+// a GPR factory through it. Constant features make K the same at every
+// ℓ, so the log-MLs tie and only the first of them may win.
+func TestFitColumnsMatchesOneColumnOracle(t *testing.T) {
+	x, cols := oracleColumns()
+	rows := make([][]float64, len(x))
+	flat := make([][]float64, len(x))
+	for i := range rows {
+		for _, col := range cols {
+			rows[i] = append(rows[i], col[i])
+		}
+		flat[i] = []float64{1, -2}
+	}
+	settings := map[string]GPR{
+		"default grid":  {},
+		"LinearVar -1":  {LinearVar: -1},
+		"pinned":        {LengthScale: 2, SignalVar: 1, NoiseVar: 1e-3},
+		"pinned linear": {LengthScale: 0.5, SignalVar: 2, NoiseVar: 1e-2, LinearVar: 0.5},
+		"pinned ℓ only": {LengthScale: 1, LinearVar: -1},
+	}
+	for features, x := range map[string][][]float64{"features": x, "constant features": flat} {
+		for name, s := range settings {
+			name := features + ", " + name
+			fits, errs := s.fitColumns(x, cols)
+			bank := NewMultiOutput(func() Regressor { g := s; return &g })
+			if err := bank.Fit(x, rows); err != nil {
+				t.Fatalf("%s: MultiOutput.Fit: %v", name, err)
+			}
+			picks := map[[4]float64]bool{}
+			for j, col := range cols {
+				want := s
+				if err := fitColumnOracle(&want, x, col); err != nil || errs[j] != nil {
+					t.Fatalf("%s column %d: err %v, oracle %v", name, j, errs[j], err)
+				}
+				if d := gprDiff(fits[j], &want); d != "" {
+					t.Errorf("%s column %d: fitColumns differs from the oracle in %s", name, j, d)
+				}
+				if d := gprDiff(bank.Model(j).(*GPR), &want); d != "" {
+					t.Errorf("%s column %d: MultiOutput differs from the oracle in %s", name, j, d)
+				}
+				picks[[4]float64{want.ell, want.sf2, want.sn2, want.sl2}] = true
+			}
+			if name == "features, default grid" && len(picks) < 2 {
+				t.Errorf("%s: every column picked one grid point; the columns test nothing", name)
+			}
+		}
+	}
+}
+
+// A column that fails fails alone and as the oracle does — same text —
+// except a target whose mean or spread overflows: the oracle blamed the
+// matrix, fitColumns names the targets.
+func TestFitColumnsFailsAsOneColumnOracle(t *testing.T) {
+	x, cols := oracleColumns()
+	over := make([]float64, len(x))
+	for i := range over {
+		over[i] = 1e308
+	}
+	short := cols[0][:len(x)-1]
+	nanX := cloneRows(x)
+	nanX[3][1] = math.NaN()
+
+	var g GPR
+	bankCols := [][]float64{cols[0], over, short, cols[1]}
+	fits, errs := g.fitColumns(x, bankCols)
+	for _, j := range []int{0, 3} {
+		want := g
+		if err := fitColumnOracle(&want, x, bankCols[j]); err != nil || errs[j] != nil {
+			t.Fatalf("column %d: err %v, oracle %v", j, errs[j], err)
+		}
+		if d := gprDiff(fits[j], &want); d != "" {
+			t.Errorf("column %d beside failing columns differs from the oracle in %s", j, d)
+		}
+	}
+	want := g
+	if err := fitColumnOracle(&want, x, short); errs[2] == nil || err == nil || errs[2].Error() != err.Error() || fits[2] != nil {
+		t.Errorf("short column: err %v, oracle %v", errs[2], err)
+	}
+	want = g
+	if err := fitColumnOracle(&want, x, over); !errors.Is(err, linalg.ErrNotPositiveDefinite) {
+		t.Errorf("overflowing column: oracle err %v, want the matrix blamed", err)
+	}
+	if !errors.Is(errs[1], ErrBadShape) || !strings.Contains(errs[1].Error(), "target mean +Inf") || fits[1] != nil {
+		t.Errorf("overflowing column: err %v, want ErrBadShape naming the target mean", errs[1])
+	}
+
+	// Features that no grid point can factor fail every column.
+	fits, errs = g.fitColumns(nanX, cols[:2])
+	for j, col := range cols[:2] {
+		want := g
+		err := fitColumnOracle(&want, nanX, col)
+		if err == nil || errs[j] == nil || errs[j].Error() != err.Error() || fits[j] != nil {
+			t.Errorf("NaN feature, column %d: err %v, oracle %v", j, errs[j], err)
+		}
+	}
+}
+
+// Targets whose mean or spread overflows fail as ErrBadShape naming
+// them (the one-column oracle blamed the matrix), and a bank names the
+// output.
+func TestGPRRejectsOverflowingTargets(t *testing.T) {
+	x := [][]float64{{0}, {1}, {2}, {3}}
+	var g GPR
+	err := g.Fit(x, []float64{1e308, 1e308, -1e308, 1})
+	if !errors.Is(err, ErrBadShape) || !strings.Contains(err.Error(), "target mean") {
+		t.Errorf("Fit err = %v, want ErrBadShape naming the target mean", err)
+	}
+	if g.fitted {
+		t.Error("failed Fit left the model fitted")
+	}
+	bank := NewMultiOutput(func() Regressor { return &GPR{} })
+	err = bank.Fit(x, [][]float64{{0, 1e308}, {1, 1e308}, {2, -1e308}, {3, 1}})
+	if !errors.Is(err, ErrBadShape) || !strings.Contains(err.Error(), "fitting output 1:") {
+		t.Errorf("MultiOutput err = %v, want ErrBadShape on output 1", err)
+	}
+	err = bank.Fit(x, [][]float64{{0, 1e308}, {1, 0}, {2, -1e308}, {3, 1}}) // mean finite, spread not
+	if !errors.Is(err, ErrBadShape) || !strings.Contains(err.Error(), "std +Inf") {
+		t.Errorf("MultiOutput err = %v, want ErrBadShape naming the std", err)
+	}
+}
+
+// Predict is PredictWithVariance's mean bit for bit, near the data, far
+// from it and on both kernels.
+func TestGPRPredictIsPredictWithVarianceMean(t *testing.T) {
+	x, cols := oracleColumns()
+	rng := rand.New(rand.NewSource(42))
+	for _, s := range []GPR{{}, {LinearVar: -1}} {
+		for _, col := range cols {
+			g := s
+			if err := g.Fit(x, col); err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 50; trial++ {
+				q := []float64{rng.NormFloat64() * 4, rng.NormFloat64() * 2}
+				mean, _ := g.PredictWithVariance(q)
+				if got := g.Predict(q); math.Float64bits(got) != math.Float64bits(mean) {
+					t.Fatalf("Predict(%v) = %v, PredictWithVariance mean %v", q, got, mean)
+				}
+			}
+		}
 	}
 }

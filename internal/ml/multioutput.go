@@ -34,7 +34,9 @@ func (m *MultiOutput) Outputs() int { return len(m.models) }
 func (m *MultiOutput) Inputs() int { return m.inputs }
 
 // Fit trains one model per column of y. All rows of y must share a
-// length; x rows are validated by the underlying models.
+// length; x rows are validated by the underlying models. A GPR bank
+// walks its hyperparameter grid once for all columns, with the
+// settings of the factory's first model (GPR.fitColumns).
 func (m *MultiOutput) Fit(x [][]float64, y [][]float64) error {
 	if len(x) == 0 || len(y) == 0 {
 		return ErrEmptyTrainingSet
@@ -51,15 +53,28 @@ func (m *MultiOutput) Fit(x [][]float64, y [][]float64) error {
 			return fmt.Errorf("%w: target row %d has %d values, want %d", ErrBadShape, i, len(row), width)
 		}
 	}
-	models := make([]Regressor, width)
-	col := make([]float64, len(y))
-	for j := 0; j < width; j++ {
+	cols := make([][]float64, width)
+	for j := range cols {
+		cols[j] = make([]float64, len(y))
 		for i := range y {
-			col[i] = y[i][j]
+			cols[j][i] = y[i][j]
 		}
-		models[j] = m.New()
-		if err := models[j].Fit(x, col); err != nil {
-			return fmt.Errorf("ml: fitting output %d: %w", j, err)
+	}
+	models := make([]Regressor, width)
+	if g, ok := m.New().(*GPR); ok {
+		fits, errs := g.fitColumns(x, cols)
+		for j, err := range errs {
+			if err != nil {
+				return fmt.Errorf("ml: fitting output %d: %w", j, err)
+			}
+			models[j] = fits[j]
+		}
+	} else {
+		for j, col := range cols {
+			models[j] = m.New()
+			if err := models[j].Fit(x, col); err != nil {
+				return fmt.Errorf("ml: fitting output %d: %w", j, err)
+			}
 		}
 	}
 	m.models, m.inputs = models, len(x[0])

@@ -18,12 +18,16 @@
 # builders' term-by-term table sums (addTerm, addRuns) iterate
 # equal-length sub-slices so the compiler can drop every per-element
 # index check; a refactor that brings one back costs 10–20 % of a Go-body
-# sweep without failing any test. This asks the compiler (ssa/check_bce)
-# which checks survive in the two packages and fails if an IsInBounds
-# falls inside one of those functions — more than N of them for an entry
-# written fn:N. The gather keeps its one: mulIndexedGo's factors[k],
-# which is what panics on an index outside the factor table, and which
-# mulIndexedRange carries too by inlining mulIndexedGo. IsSliceInBounds —
+# sweep without failing any test. So do linalg.Cholesky's two dot
+# products over rows of L, which a GPR bank runs once per grid point.
+# This asks the compiler (ssa/check_bce) which checks survive in the
+# three packages and fails if an IsInBounds falls inside one of those
+# functions — more than N of them for an entry written fn:N. The gather
+# keeps its one: mulIndexedGo's factors[k], which is what panics on an
+# index outside the factor table, and which mulIndexedRange carries too
+# by inlining mulIndexedGo. Cholesky keeps four, each once per row or
+# column and outside the dot loops: A's diagonal and sub-diagonal reads
+# and L's two stores. IsSliceInBounds —
 # the once-per-run re-slicing in front of each loop — is expected, and so
 # are the IsInBounds of rx_amd64.go's *Vec steps: one per pointer handed
 # to the assembly, once per call, the check that makes a short slice
@@ -64,4 +68,5 @@ check() {
 bad=0
 check internal/quantum 'rxQuad rxQuadGo rxQuadLow rxQuadLowGo rxQuadMirror rxQuadMirrorGo rxQuadRange rxDuo rxDuoMirror revQuad revQuadLow revQuadMirror revQuadChunk sumXQuad sumXQuadLow sumXDuo sumXQuadMirror sumXDuoMirror sumXPartial sumXRun MulRange InnerImMulRange PhaseFactors phaseFactorsGo mulIndexedRange:1 mulIndexedGo:1'
 check internal/qaoa 'phaseScale phaseMul addTerm addRuns'
+check internal/linalg 'Cholesky:4'
 exit "$bad"
