@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"qaoaml/internal/ml"
@@ -68,22 +70,6 @@ func TestFeaturesValidation(t *testing.T) {
 		}()
 		FeaturesFromParams(qaoa.NewParams(1), 1)
 	}()
-}
-
-func TestHierFeaturesVector(t *testing.T) {
-	p1 := qaoa.Params{Gamma: []float64{1}, Beta: []float64{2}}
-	p2 := qaoa.Params{Gamma: []float64{3, 4}, Beta: []float64{5, 6}}
-	f := HierFeaturesFromParams(p1, p2, 5)
-	v := f.Vector()
-	want := []float64{1, 2, 3, 4, 5, 6, 5}
-	if len(v) != len(want) {
-		t.Fatalf("Vector = %v", v)
-	}
-	for i := range v {
-		if v[i] != want[i] {
-			t.Fatalf("Vector = %v, want %v", v, want)
-		}
-	}
 }
 
 func TestParamBounds(t *testing.T) {
@@ -325,48 +311,8 @@ func TestTwoLevelReducesFunctionCalls(t *testing.T) {
 	}
 }
 
-func TestHierarchicalFlow(t *testing.T) {
-	data := testData(t)
-	train, test := data.SplitIndices(0.5, 1)
-	pred := NewPredictor(nil)
-	hpred := NewHierPredictor(nil)
-	if err := pred.Train(data, train); err != nil {
-		t.Fatal(err)
-	}
-	if err := hpred.Train(data, train); err != nil {
-		t.Fatal(err)
-	}
-	opt := &optimize.LBFGSB{Tol: 1e-6}
-	rng := rand.New(rand.NewSource(5))
-	pb := data.Problems[test[0]]
-	o := Options{Strategy: StrategyHierarchical, Depth: 3, Optimizer: opt, Predictor: pred, HierPredictor: hpred, Rng: rng}
-	res := solve(t, pb, o)
-	if len(res.Stages) != 3 || res.NFev != res.Stages[0].NFev+res.Stages[1].NFev+res.Stages[2].NFev {
-		t.Fatalf("NFev %d over stages %+v", res.NFev, res.Stages)
-	}
-	if res.AR <= 0 || res.AR > 1+1e-9 {
-		t.Errorf("AR = %v", res.AR)
-	}
-	if res.Stages[1].Params.Depth() != 2 || res.Params.Depth() != 3 {
-		t.Error("stage depths wrong")
-	}
-	o.Depth = 2
-	if _, err := Solve(context.Background(), pb, o); err == nil {
-		t.Error("hierarchical target depth 2 accepted")
-	}
-}
-
-func TestHierPredictorRequiresDepth3(t *testing.T) {
-	cfg := DataGenConfig{NumGraphs: 3, Nodes: 4, EdgeProb: 0.9, MaxDepth: 2, Starts: 1, Seed: 1}
-	data, err := GenerateCtx(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := NewHierPredictor(nil).Train(data, []int{0, 1, 2}); err == nil {
-		t.Error("hierarchical training on depth-2 data accepted")
-	}
-}
-
+// The other three families train and predict in memory (Sec. III-C's
+// comparison) but do not save: a model file holds GPR banks only.
 func TestPredictorWithOtherModels(t *testing.T) {
 	data := testData(t)
 	train, _ := data.SplitIndices(0.5, 1)
@@ -389,6 +335,9 @@ func TestPredictorWithOtherModels(t *testing.T) {
 		}
 		if err := got.Validate(true); err != nil {
 			t.Errorf("%s: prediction out of domain: %v", name, err)
+		}
+		if err := pred.Save(io.Discard); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: Save err %v, want a refusal naming the family", name, err)
 		}
 	}
 }

@@ -3,15 +3,20 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"testing"
 
 	"qaoaml/internal/problem"
+	"qaoaml/internal/qaoa"
 )
 
 // The decoders of files from disk: whatever the bytes, Load and
-// LoadPredictor return or refuse, and never panic or hang. The seed
-// corpus is the malformed inputs of the rejection tests plus, under
-// testdata/fuzz, one valid file per dataset schema and per model family.
+// LoadPredictor return or refuse, and never panic or hang; a predictor
+// that loads predicts finite, in-domain angles or an error. The seed
+// corpus is the malformed inputs of the rejection tests, the overflowing
+// GPR file of TestPredictRefusesNonFiniteOutput and, under
+// testdata/fuzz, one valid file per dataset schema, a valid GPR
+// predictor and one refused predictor file per other model family.
 
 // fuzzMaxQubits keeps one execution in milliseconds: Load brute-forces
 // the optimum of every instance it accepts, 2^n steps each.
@@ -72,20 +77,31 @@ func FuzzLoadPredictor(f *testing.F) {
 	for _, blob := range malformedPredictors {
 		f.Add([]byte(blob))
 	}
+	nonFinite, err := os.ReadFile("testdata/nonfinite_predictor.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(nonFinite)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		pred, err := LoadPredictor(bytes.NewReader(raw))
 		if err != nil {
 			return
 		}
 		// A predictor that loads answers every depth it lists, for features
-		// inside the optimization domain.
+		// inside the optimization domain, with an error or with angles in
+		// [0, GammaMax] × [0, BetaMax] (a NaN fails both comparisons).
 		for _, depth := range pred.TargetDepths() {
 			got, err := pred.Predict(Features{Gamma1: 1.1, Beta1: 0.4, TargetDepth: depth})
 			if err != nil {
-				t.Fatal(err)
+				continue
 			}
 			if got.Depth() != depth {
 				t.Fatalf("depth-%d bank predicted %d stages", depth, got.Depth())
+			}
+			for i := range got.Gamma {
+				if !(got.Gamma[i] >= 0 && got.Gamma[i] <= qaoa.GammaMax && got.Beta[i] >= 0 && got.Beta[i] <= qaoa.BetaMax) {
+					t.Fatalf("depth-%d bank predicted (γ, β) = (%v, %v) at stage %d", depth, got.Gamma[i], got.Beta[i], i)
+				}
 			}
 		}
 	})

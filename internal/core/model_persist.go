@@ -16,7 +16,7 @@ import (
 // registry) can load pre-trained predictors at startup instead of
 // regenerating the dataset and retraining per process. The serialized
 // state restores Predict bit-identically, which keeps the daemon's
-// result cache coherent with offline runs.
+// result cache coherent with offline runs. A file holds GPR banks only.
 
 // predictorFileVersion is the schema version written by Predictor.Save.
 const predictorFileVersion = 1
@@ -27,7 +27,8 @@ type predictorFile struct {
 	Banks   map[string]ml.MultiOutputState `json:"banks"`  // target depth (decimal string) → bank
 }
 
-// Save serializes the trained predictor as JSON. It errors before Train.
+// Save serializes the trained predictor as JSON. It errors before Train
+// and on a predictor of any family but GPR.
 func (p *Predictor) Save(w io.Writer) error {
 	if len(p.banks) == 0 {
 		return fmt.Errorf("core: cannot save untrained predictor")
@@ -73,11 +74,10 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 	if len(pf.Banks) == 0 {
 		return nil, fmt.Errorf("core: predictor file has no trained banks")
 	}
-	factory, ok := ml.FactoryFor(pf.Family)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown model family %q", pf.Family)
+	if pf.Family != "GPR" {
+		return nil, fmt.Errorf("core: model family %q refused: a predictor file holds GPR banks only", pf.Family)
 	}
-	p := NewPredictor(factory)
+	p := NewPredictor(nil)
 	depths := make([]string, 0, len(pf.Banks))
 	for d := range pf.Banks {
 		depths = append(depths, d)

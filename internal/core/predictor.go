@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"qaoaml/internal/ml"
@@ -11,7 +12,8 @@ import (
 // Predictor maps the two-level features (γ1OPT(p=1), β1OPT(p=1), pt) to
 // the 2·pt parameters of the target-depth instance. Because the output
 // width varies with pt, the predictor keeps one multi-output regression
-// bank per target depth, all sharing the same model family.
+// bank per target depth, all sharing the same model family. Only a GPR
+// predictor saves (Save); the other families train in memory.
 type Predictor struct {
 	// NewModel constructs the underlying single-output model family
 	// (default: GPR, the paper's best performer).
@@ -71,12 +73,19 @@ func (p *Predictor) Train(data *Data, trainIDs []int) error {
 
 // Predict returns the predicted target-depth parameters for the given
 // features, clipped into the paper's domain (γ ∈ [0, 2π], β ∈ [0, π]).
+// A bank output that is not finite is an error: a loaded bank can
+// overflow to ±Inf or NaN, and clipping passes NaN through.
 func (p *Predictor) Predict(f Features) (qaoa.Params, error) {
 	bank, ok := p.banks[f.TargetDepth]
 	if !ok {
 		return qaoa.Params{}, fmt.Errorf("core: no bank trained for target depth %d", f.TargetDepth)
 	}
 	raw := bank.Predict(f.Vector())
+	for j, v := range raw {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return qaoa.Params{}, fmt.Errorf("core: depth-%d bank output %d is %v", f.TargetDepth, j, v)
+		}
+	}
 	return clipParams(qaoa.FromVector(raw)), nil
 }
 
@@ -97,53 +106,4 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// HierPredictor is the hierarchical variant: one bank per target depth
-// ≥ 3, trained on the richer HierFeatures (depth-1 and depth-2 optima).
-type HierPredictor struct {
-	NewModel func() ml.Regressor
-	banks    map[int]*ml.MultiOutput
-}
-
-// NewHierPredictor returns a HierPredictor (nil factory selects GPR).
-func NewHierPredictor(factory func() ml.Regressor) *HierPredictor {
-	if factory == nil {
-		factory = func() ml.Regressor { return &ml.GPR{} }
-	}
-	return &HierPredictor{NewModel: factory, banks: make(map[int]*ml.MultiOutput)}
-}
-
-// Train fits banks for every target depth 3..cfg.MaxDepth.
-func (p *HierPredictor) Train(data *Data, trainIDs []int) error {
-	maxDepth := data.Config.MaxDepth
-	if maxDepth < 3 {
-		return fmt.Errorf("core: dataset max depth %d < 3 cannot train a hierarchical predictor", maxDepth)
-	}
-	for depth := 3; depth <= maxDepth; depth++ {
-		var x [][]float64
-		var y [][]float64
-		for _, g := range trainIDs {
-			p1 := data.Record(g, 1).Params
-			p2 := data.Record(g, 2).Params
-			x = append(x, HierFeaturesFromParams(p1, p2, depth).Vector())
-			y = append(y, data.Record(g, depth).Params.Vector())
-		}
-		bank := ml.NewMultiOutput(p.NewModel)
-		if err := bank.Fit(x, y); err != nil {
-			return fmt.Errorf("core: training hierarchical depth-%d bank: %w", depth, err)
-		}
-		p.banks[depth] = bank
-	}
-	return nil
-}
-
-// Predict returns the predicted parameters for the hierarchical
-// features, clipped into the domain.
-func (p *HierPredictor) Predict(f HierFeatures) (qaoa.Params, error) {
-	bank, ok := p.banks[f.TargetDepth]
-	if !ok {
-		return qaoa.Params{}, fmt.Errorf("core: no hierarchical bank for target depth %d", f.TargetDepth)
-	}
-	return clipParams(qaoa.FromVector(bank.Predict(f.Vector()))), nil
 }

@@ -24,10 +24,6 @@ const (
 	// random start, predict the 2·pt target-depth angles from
 	// (γ1OPT(p=1), β1OPT(p=1), pt), polish from the prediction.
 	StrategyTwoLevel
-	// StrategyHierarchical is the Sec. I(d) variant for pt ≥ 3: the
-	// depth-2 instance is itself ML-initialized and polished, and its
-	// optimum joins the depth-1 optimum as features for the target depth.
-	StrategyHierarchical
 )
 
 // Options are the inputs of one Solve beside the problem.
@@ -44,16 +40,15 @@ type Options struct {
 	Starts int
 	Seeds  []qaoa.Params
 
-	Predictor     *Predictor     // StrategyTwoLevel, StrategyHierarchical
-	HierPredictor *HierPredictor // StrategyHierarchical
+	Predictor *Predictor // StrategyTwoLevel
 
 	// Arena, when non-nil, lends every stage its state buffers, so a
 	// serving loop reuses its 2^n vectors across solves. It only changes
 	// where buffers come from, never what the kernels compute.
 	Arena *qaoa.Arena
-	// Recorder receives the optimizer traces of every run and, for the
-	// staged strategies, one span per stage ("twolevel.level1",
-	// "twolevel.predict", "twolevel.level2", …).
+	// Recorder receives the optimizer traces of every run and, for
+	// two-level, one span per stage ("twolevel.level1",
+	// "twolevel.predict", "twolevel.level2").
 	Recorder telemetry.Recorder
 }
 
@@ -72,8 +67,8 @@ type Result struct {
 	NFev   int         // QC calls over every stage and start (the paper's FC)
 
 	// Stages holds the optimizer stages in the order run: one for naive
-	// and multistart, levels 1–2 for two-level, levels 1–3 for
-	// hierarchical; a cancelled solve holds the stages it reached.
+	// and multistart, levels 1–2 for two-level; a cancelled solve holds
+	// the stages it reached.
 	Stages []RunResult
 	// Predicted is the ML initialization of the target-depth stage.
 	Predicted qaoa.Params
@@ -84,8 +79,8 @@ type Result struct {
 // effect within one optimizer step and Solve returns ctx.Err() with what
 // it has: naive the optimizer's incumbent, multistart the best of the
 // starts that finished (the cancelled one is dropped; only NFev is set
-// if none finished), the staged strategies the stages reached, the last
-// of them an incumbent. NFev always counts the QC calls actually spent.
+// if none finished), two-level the stages it reached, the last of them
+// an incumbent. NFev always counts the QC calls actually spent.
 func Solve(ctx context.Context, pb *qaoa.Problem, o Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -109,8 +104,8 @@ func Solve(ctx context.Context, pb *qaoa.Problem, o Options) (Result, error) {
 		}
 		res.add(d)
 		return res, ctx.Err()
-	case StrategyTwoLevel, StrategyHierarchical:
-		return solveStaged(ctx, pb, &o)
+	case StrategyTwoLevel:
+		return solveTwoLevel(ctx, pb, &o)
 	}
 	return res, fmt.Errorf("core: unknown strategy %d", o.Strategy)
 }
@@ -131,23 +126,15 @@ func startPoints(bounds *optimize.Bounds, o *Options) [][]float64 {
 	return points
 }
 
-// stageSpans names the flow span of each stage of a staged strategy.
-var stageSpans = [...]string{"twolevel.level1", "twolevel.level2", "twolevel.level3"}
-
-// solveStaged runs the ML-initialized flows: level 1 from a random
-// start, then each further stage from a prediction over the optima
-// before it.
-func solveStaged(ctx context.Context, pb *qaoa.Problem, o *Options) (Result, error) {
-	hier := o.Strategy == StrategyHierarchical
-	if hier && o.Depth < 3 {
-		return Result{}, fmt.Errorf("core: hierarchical target depth %d < 3", o.Depth)
-	}
+// solveTwoLevel runs the ML-initialized flow: level 1 from a random
+// start, then the target depth from the prediction over its optimum.
+func solveTwoLevel(ctx context.Context, pb *qaoa.Problem, o *Options) (Result, error) {
 	if o.Depth < 2 {
 		return Result{}, fmt.Errorf("core: two-level target depth %d < 2", o.Depth)
 	}
 	var res Result
-	stage := func(bounds *optimize.Bounds, x0 []float64) (RunResult, error) {
-		end := o.Recorder.Span(stageSpans[len(res.Stages)])
+	stage := func(span string, bounds *optimize.Bounds, x0 []float64) (RunResult, error) {
+		end := o.Recorder.Span(span)
 		d := descend(ctx, pb, bounds, [][]float64{x0}, o)
 		end()
 		res.add(d)
@@ -155,36 +142,18 @@ func solveStaged(ctx context.Context, pb *qaoa.Problem, o *Options) (Result, err
 	}
 
 	bounds := ParamBounds(1)
-	level1, err := stage(bounds, bounds.Random(o.Rng))
+	level1, err := stage("twolevel.level1", bounds, bounds.Random(o.Rng))
 	if err != nil {
 		return res, err
 	}
-	// The two-level predictor initializes the next stage: the target
-	// depth, or hierarchical's intermediate depth 2.
-	next := o.Depth
-	if hier {
-		next = 2
-	}
 	end := o.Recorder.Span("twolevel.predict")
-	init, err := o.Predictor.Predict(FeaturesFromParams(level1.Params, next))
+	init, err := o.Predictor.Predict(FeaturesFromParams(level1.Params, o.Depth))
 	end()
 	if err != nil {
 		return res, err
 	}
-	if hier {
-		level2, err := stage(ParamBounds(2), init.Vector())
-		if err != nil {
-			return res, err
-		}
-		end = o.Recorder.Span("twolevel.predict")
-		init, err = o.HierPredictor.Predict(HierFeaturesFromParams(level1.Params, level2.Params, o.Depth))
-		end()
-		if err != nil {
-			return res, err
-		}
-	}
 	res.Predicted = init
-	_, err = stage(ParamBounds(o.Depth), init.Vector())
+	_, err = stage("twolevel.level2", ParamBounds(o.Depth), init.Vector())
 	return res, err
 }
 

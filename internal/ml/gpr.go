@@ -10,19 +10,16 @@ import (
 // GPR is Gaussian-process regression with a squared-exponential (RBF)
 // kernel k(a,b) = σ_f²·exp(−‖a−b‖²/(2ℓ²)) plus observation noise σ_n².
 // This is the paper's best-performing predictor model. Features and
-// targets are standardized internally; hyperparameters can be tuned by
-// maximizing the log marginal likelihood over a small grid (the default)
-// or fixed by the caller.
+// targets are standardized internally, and the hyperparameters maximize
+// the log marginal likelihood over a small grid (gprEllGrid, …).
 type GPR struct {
-	LengthScale float64 // ℓ; ≤ 0 selects by marginal likelihood
-	SignalVar   float64 // σ_f²; ≤ 0 selects by marginal likelihood
-	NoiseVar    float64 // σ_n²; ≤ 0 selects by marginal likelihood
-	LinearVar   float64 // σ_l² of an additive dot-product kernel term:
-	// 0 (default) disables it, > 0 fixes it, < 0 selects it by marginal
-	// likelihood. The linear term lets the posterior mean extrapolate
+	// LinearVar adds a dot-product kernel term σ_l²·⟨a, b⟩ whose variance
+	// is selected from gprLinearGrid with the others; off, the kernel is
+	// RBF only. The linear term lets the posterior mean extrapolate
 	// linear trends instead of reverting to the prior mean — better on
 	// in-distribution test points, but brittle under feature shift, so
 	// it is opt-in (see EXPERIMENTS.md on the two-level flow).
+	LinearVar bool
 
 	xTrain [][]float64
 	alpha  linalg.Vector
@@ -37,6 +34,14 @@ type GPR struct {
 	logML  float64
 	fitted bool
 }
+
+// The hyperparameter grid (standardized space), walked in this order.
+var (
+	gprEllGrid    = []float64{0.3, 0.5, 1, 2, 4}      // ℓ
+	gprSf2Grid    = []float64{0.5, 1, 2}              // σ_f²
+	gprSn2Grid    = []float64{1e-4, 1e-3, 1e-2, 1e-1} // σ_n²
+	gprLinearGrid = []float64{0, 0.5, 2}              // σ_l², with LinearVar
+)
 
 // Name implements Regressor.
 func (g *GPR) Name() string { return "GPR" }
@@ -102,10 +107,7 @@ func (g *GPR) fitColumns(x [][]float64, cols [][]float64) (fits []*GPR, errs []e
 		for i := range y {
 			ys[j][i] = (y[i] - mean) / std
 		}
-		fits[j] = &GPR{
-			LengthScale: g.LengthScale, SignalVar: g.SignalVar, NoiseVar: g.NoiseVar, LinearVar: g.LinearVar,
-			yMean: mean, yStd: std, logML: math.Inf(-1),
-		}
+		fits[j] = &GPR{LinearVar: g.LinearVar, yMean: mean, yStd: std, logML: math.Inf(-1)}
 		live++
 	}
 	if live == 0 {
@@ -114,35 +116,18 @@ func (g *GPR) fitColumns(x [][]float64, cols [][]float64) (fits []*GPR, errs []e
 	xScale := NewStandardizer(x)
 	xs := xScale.TransformAll(x)
 
-	// Candidate grids (standardized space) unless pinned by the caller.
-	ells := []float64{0.3, 0.5, 1, 2, 4}
-	if g.LengthScale > 0 {
-		ells = []float64{g.LengthScale}
+	sl2s := gprLinearGrid[:1] // pure RBF
+	if g.LinearVar {
+		sl2s = gprLinearGrid
 	}
-	sf2s := []float64{0.5, 1, 2}
-	if g.SignalVar > 0 {
-		sf2s = []float64{g.SignalVar}
-	}
-	sn2s := []float64{1e-4, 1e-3, 1e-2, 1e-1}
-	if g.NoiseVar > 0 {
-		sn2s = []float64{g.NoiseVar}
-	}
-	sl2s := []float64{0} // default: pure RBF
-	switch {
-	case g.LinearVar > 0:
-		sl2s = []float64{g.LinearVar}
-	case g.LinearVar < 0:
-		sl2s = []float64{0, 0.5, 2} // grid-select by marginal likelihood
-	}
-
 	n := len(xs)
 	norm := float64(n) / 2 * math.Log(2*math.Pi)
 	kn := linalg.NewMatrix(n, n)
-	for _, ell := range ells {
-		for _, sf2 := range sf2s {
+	for _, ell := range gprEllGrid {
+		for _, sf2 := range gprSf2Grid {
 			for _, sl2 := range sl2s {
 				k := g.kernelMatrix(xs, ell, sf2, sl2)
-				for _, sn2 := range sn2s {
+				for _, sn2 := range gprSn2Grid {
 					copy(kn.Data, k.Data)
 					ch, err := linalg.Cholesky(kn.AddToDiag(sn2))
 					if err != nil {

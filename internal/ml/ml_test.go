@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -96,7 +97,7 @@ func TestGPRInterpolatesSmoothFunction(t *testing.T) {
 func TestGPRVarianceShrinksNearData(t *testing.T) {
 	x := [][]float64{{0}, {1}, {2}, {3}}
 	y := []float64{0, 1, 0, -1}
-	g := GPR{NoiseVar: 1e-4}
+	var g GPR
 	if err := g.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -110,16 +111,17 @@ func TestGPRVarianceShrinksNearData(t *testing.T) {
 	}
 }
 
+// The hyperparameters are fixed to the grid: Fit selects grid points.
 func TestGPRFixedHyperparameters(t *testing.T) {
 	x := [][]float64{{0}, {1}, {2}}
 	y := []float64{1, 2, 3}
-	g := GPR{LengthScale: 2, SignalVar: 1, NoiseVar: 1e-3}
+	var g GPR
 	if err := g.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
 	ell, sf2, sn2 := g.Hyperparameters()
-	if ell != 2 || sf2 != 1 || sn2 != 1e-3 {
-		t.Errorf("hyperparameters = %v %v %v", ell, sf2, sn2)
+	if !slices.Contains(gprEllGrid, ell) || !slices.Contains(gprSf2Grid, sf2) || !slices.Contains(gprSn2Grid, sn2) {
+		t.Errorf("hyperparameters %v %v %v are not grid points", ell, sf2, sn2)
 	}
 	if math.IsInf(g.LogMarginalLikelihood(), 0) || math.IsNaN(g.LogMarginalLikelihood()) {
 		t.Error("bad log marginal likelihood")
@@ -157,12 +159,12 @@ func TestTreeFitsPiecewiseStructure(t *testing.T) {
 func TestTreeRespectsMaxDepth(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x, y := smoothData(rng, 200)
-	tr := Tree{MaxDepth: 3}
+	var tr Tree
 	if err := tr.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Depth() > 3 {
-		t.Errorf("depth = %d > 3", tr.Depth())
+	if tr.Depth() > treeMaxDepth {
+		t.Errorf("depth = %d > %d", tr.Depth(), treeMaxDepth)
 	}
 }
 
@@ -199,10 +201,10 @@ func TestSVRFitsSmoothFunction(t *testing.T) {
 }
 
 func TestSVREpsilonTubeSparsity(t *testing.T) {
-	// With a huge tube every residual fits inside it → all β are 0.
+	// Constant targets standardize to 0, inside the tube → all β are 0.
 	x := [][]float64{{0}, {1}, {2}, {3}}
-	y := []float64{0.0, 0.01, -0.01, 0.0}
-	s := SVR{Epsilon: 10}
+	y := []float64{0.25, 0.25, 0.25, 0.25}
+	var s SVR
 	if err := s.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +212,7 @@ func TestSVREpsilonTubeSparsity(t *testing.T) {
 		t.Errorf("support vectors = %d, want 0", s.SupportVectors())
 	}
 	// Prediction degenerates to the target mean.
-	if got := s.Predict([]float64{1.5}); math.Abs(got-0.0) > 0.02 {
+	if got := s.Predict([]float64{1.5}); got != 0.25 {
 		t.Errorf("degenerate prediction = %v", got)
 	}
 }
@@ -446,7 +448,7 @@ func TestLinearResidualOrthogonality(t *testing.T) {
 func TestGPRLinearKernelExtrapolates(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	x, y := linearData(rng, 60, 0.01)
-	g := GPR{LinearVar: -1} // grid-select the linear kernel term
+	g := GPR{LinearVar: true}
 	if err := g.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -458,20 +460,24 @@ func TestGPRLinearKernelExtrapolates(t *testing.T) {
 	}
 }
 
+// LinearVar on grid-selects σ_l² > 0 on a line; off (disabled) keeps it 0.
 func TestGPRLinearVarPinnedAndDisabled(t *testing.T) {
 	x := [][]float64{{0}, {1}, {2}, {3}}
 	y := []float64{0, 1, 2, 3}
-	pinned := GPR{LinearVar: 1}
-	if err := pinned.Fit(x, y); err != nil {
+	on := GPR{LinearVar: true}
+	if err := on.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	disabled := GPR{} // default: RBF only
-	if err := disabled.Fit(x, y); err != nil {
+	off := GPR{} // default: RBF only
+	if err := off.Fit(x, y); err != nil {
 		t.Fatal(err)
+	}
+	if on.sl2 == 0 || off.sl2 != 0 {
+		t.Errorf("σ_l² = %v on, %v off; want the line to select the linear term", on.sl2, off.sl2)
 	}
 	// The linear-kernel model should extrapolate the line much better.
-	pFar := pinned.Predict([]float64{6})
-	dFar := disabled.Predict([]float64{6})
+	pFar := on.Predict([]float64{6})
+	dFar := off.Predict([]float64{6})
 	if math.Abs(pFar-6) >= math.Abs(dFar-6) {
 		t.Errorf("linear kernel (%v) not better than RBF-only (%v) at x=6", pFar, dFar)
 	}
@@ -498,22 +504,10 @@ func fitColumnOracle(g *GPR, x [][]float64, y []float64) error {
 	}
 
 	ells := []float64{0.3, 0.5, 1, 2, 4}
-	if g.LengthScale > 0 {
-		ells = []float64{g.LengthScale}
-	}
 	sf2s := []float64{0.5, 1, 2}
-	if g.SignalVar > 0 {
-		sf2s = []float64{g.SignalVar}
-	}
 	sn2s := []float64{1e-4, 1e-3, 1e-2, 1e-1}
-	if g.NoiseVar > 0 {
-		sn2s = []float64{g.NoiseVar}
-	}
 	sl2s := []float64{0}
-	switch {
-	case g.LinearVar > 0:
-		sl2s = []float64{g.LinearVar}
-	case g.LinearVar < 0:
+	if g.LinearVar {
 		sl2s = []float64{0, 0.5, 2}
 	}
 
@@ -625,11 +619,8 @@ func TestFitColumnsMatchesOneColumnOracle(t *testing.T) {
 		flat[i] = []float64{1, -2}
 	}
 	settings := map[string]GPR{
-		"default grid":  {},
-		"LinearVar -1":  {LinearVar: -1},
-		"pinned":        {LengthScale: 2, SignalVar: 1, NoiseVar: 1e-3},
-		"pinned linear": {LengthScale: 0.5, SignalVar: 2, NoiseVar: 1e-2, LinearVar: 0.5},
-		"pinned ℓ only": {LengthScale: 1, LinearVar: -1},
+		"default grid": {},
+		"LinearVar":    {LinearVar: true},
 	}
 	for features, x := range map[string][][]float64{"features": x, "constant features": flat} {
 		for name, s := range settings {
@@ -737,7 +728,7 @@ func TestGPRRejectsOverflowingTargets(t *testing.T) {
 func TestGPRPredictIsPredictWithVarianceMean(t *testing.T) {
 	x, cols := oracleColumns()
 	rng := rand.New(rand.NewSource(42))
-	for _, s := range []GPR{{}, {LinearVar: -1}} {
+	for _, s := range []GPR{{}, {LinearVar: true}} {
 		for _, col := range cols {
 			g := s
 			if err := g.Fit(x, col); err != nil {

@@ -6,45 +6,23 @@ import (
 	"qaoaml/internal/linalg"
 )
 
-// Model persistence: JSON-serializable snapshots of trained regressor
-// banks, which core embeds in its versioned predictor files. The
+// Model persistence: JSON-serializable snapshots of trained GPR banks,
+// which core embeds in its versioned predictor files. GPR is the one
+// family a model file holds — every predictor a binary saves is GPR; the
+// other three families are trained in memory for the Sec. III-C
+// comparison — and a state of any other family is refused by name. The
 // serialized state is the exact fitted state — standardizers, dual
-// coefficients, Cholesky factors — so a loaded model's Predict is
+// coefficients, Cholesky factor — so a loaded model's Predict is
 // bit-identical to the original's (same float operations in the same
 // order), which the model registry in internal/server relies on for
 // cache coherence. A state comes from a file, so decoding checks every
 // shape Predict relies on: a bank that loads predicts without panicking
-// or looping on any input of its width.
+// on any input of its width.
 
-// modelState is a tagged union over the supported model families.
+// modelState is one output's model: its family and the GPR payload.
 type modelState struct {
-	Kind   string       `json:"kind"` // Name() of the model: LM, RTREE, GPR, RSVM
-	Linear *linearState `json:"linear,omitempty"`
-	Tree   *treeState   `json:"tree,omitempty"`
-	GPR    *gprState    `json:"gpr,omitempty"`
-	SVR    *svrState    `json:"svr,omitempty"`
-}
-
-type linearState struct {
-	Coef      []float64 `json:"coef"`
-	Intercept float64   `json:"intercept"`
-}
-
-// flatNode is one tree node in breadth-agnostic preorder; Left/Right are
-// indices into the node slice, -1 for leaves.
-type flatNode struct {
-	Feature   int     `json:"f"`
-	Threshold float64 `json:"t"`
-	Value     float64 `json:"v"`
-	Left      int     `json:"l"`
-	Right     int     `json:"r"`
-}
-
-type treeState struct {
-	MaxDepth    int        `json:"max_depth,omitempty"`
-	MinLeafSize int        `json:"min_leaf_size,omitempty"`
-	Dim         int        `json:"dim"`
-	Nodes       []flatNode `json:"nodes"`
+	Kind string    `json:"kind"` // Name() of the model: GPR
+	GPR  *gprState `json:"gpr,omitempty"`
 }
 
 type matrixState struct {
@@ -72,206 +50,63 @@ type gprState struct {
 	LogML  float64           `json:"log_ml"`
 }
 
-type svrState struct {
-	C           float64           `json:"c,omitempty"`
-	Epsilon     float64           `json:"epsilon,omitempty"`
-	LengthScale float64           `json:"length_scale"`
-	MaxSweeps   int               `json:"max_sweeps,omitempty"`
-	Tol         float64           `json:"tol,omitempty"`
-	XTrain      [][]float64       `json:"x_train"`
-	Beta        []float64         `json:"beta"`
-	XScale      standardizerState `json:"x_scale"`
-	YMean       float64           `json:"y_mean"`
-	YStd        float64           `json:"y_std"`
-}
-
-// FactoryFor returns a fresh-model constructor for a family name as
-// reported by Regressor.Name (LM, RTREE, GPR, RSVM).
-func FactoryFor(name string) (func() Regressor, bool) {
-	switch name {
-	case "LM":
-		return func() Regressor { return &Linear{} }, true
-	case "RTREE":
-		return func() Regressor { return &Tree{} }, true
-	case "GPR":
-		return func() Regressor { return &GPR{} }, true
-	case "RSVM":
-		return func() Regressor { return &SVR{} }, true
-	}
-	return nil, false
-}
-
 func encodeRegressor(r Regressor) (modelState, error) {
-	switch m := r.(type) {
-	case *Linear:
-		if !m.fitted {
-			return modelState{}, fmt.Errorf("ml: cannot save unfitted %s model", m.Name())
-		}
-		return modelState{Kind: m.Name(), Linear: &linearState{
-			Coef:      append([]float64(nil), m.Coef...),
-			Intercept: m.Intercept,
-		}}, nil
-	case *Tree:
-		if !m.fitted {
-			return modelState{}, fmt.Errorf("ml: cannot save unfitted %s model", m.Name())
-		}
-		st := encodeTree(m)
-		return modelState{Kind: m.Name(), Tree: &st}, nil
-	case *GPR:
-		if !m.fitted {
-			return modelState{}, fmt.Errorf("ml: cannot save unfitted %s model", m.Name())
-		}
-		return modelState{Kind: m.Name(), GPR: &gprState{
-			XTrain: cloneRows(m.xTrain),
-			Alpha:  append([]float64(nil), m.alpha...),
-			CholL:  encodeMatrix(m.chol.L),
-			XScale: encodeStandardizer(m.xScale),
-			YMean:  m.yMean, YStd: m.yStd,
-			Ell: m.ell, Sf2: m.sf2, Sn2: m.sn2, Sl2: m.sl2,
-			LogML: m.logML,
-		}}, nil
-	case *SVR:
-		if !m.fitted {
-			return modelState{}, fmt.Errorf("ml: cannot save unfitted %s model", m.Name())
-		}
-		return modelState{Kind: m.Name(), SVR: &svrState{
-			C: m.C, Epsilon: m.Epsilon, LengthScale: m.LengthScale,
-			MaxSweeps: m.MaxSweeps, Tol: m.Tol,
-			XTrain: cloneRows(m.xTrain),
-			Beta:   append([]float64(nil), m.beta...),
-			XScale: encodeStandardizer(m.xScale),
-			YMean:  m.yMean, YStd: m.yStd,
-		}}, nil
+	g, ok := r.(*GPR)
+	if !ok {
+		return modelState{}, fmt.Errorf("ml: cannot save a %s model: a model file holds GPR banks only", r.Name())
 	}
-	return modelState{}, fmt.Errorf("ml: model %q does not support persistence", r.Name())
+	if !g.fitted {
+		return modelState{}, fmt.Errorf("ml: cannot save unfitted %s model", g.Name())
+	}
+	return modelState{Kind: g.Name(), GPR: &gprState{
+		XTrain: cloneRows(g.xTrain),
+		Alpha:  append([]float64(nil), g.alpha...),
+		CholL:  encodeMatrix(g.chol.L),
+		XScale: encodeStandardizer(g.xScale),
+		YMean:  g.yMean, YStd: g.yStd,
+		Ell: g.ell, Sf2: g.sf2, Sn2: g.sn2, Sl2: g.sl2,
+		LogML: g.logML,
+	}}, nil
 }
 
-// decodeRegressor rebuilds one model and reports how many features its
-// Predict takes.
-func decodeRegressor(st modelState) (Regressor, int, error) {
-	switch {
-	case st.Linear != nil:
-		return &Linear{
-			Coef:      append([]float64(nil), st.Linear.Coef...),
-			Intercept: st.Linear.Intercept,
-			fitted:    true,
-		}, len(st.Linear.Coef), nil
-	case st.Tree != nil:
-		t, err := decodeTree(*st.Tree)
-		return t, st.Tree.Dim, err
-	case st.GPR != nil:
-		s := st.GPR
-		dim, err := checkKernelState(s.XTrain, s.XScale)
-		if err != nil {
-			return nil, 0, fmt.Errorf("ml: GPR state: %w", err)
-		}
-		l, err := decodeMatrix(s.CholL)
-		if err != nil {
-			return nil, 0, fmt.Errorf("ml: GPR Cholesky factor: %w", err)
-		}
-		if len(s.Alpha) != len(s.XTrain) || l.Rows != len(s.XTrain) || l.Cols != l.Rows {
-			return nil, 0, fmt.Errorf("ml: GPR state shapes disagree (%d points, %d alpha, %d×%d L)",
-				len(s.XTrain), len(s.Alpha), l.Rows, l.Cols)
-		}
-		return &GPR{
-			xTrain: cloneRows(s.XTrain),
-			alpha:  append(linalg.Vector(nil), s.Alpha...),
-			chol:   &linalg.CholeskyDecomp{L: l},
-			xScale: decodeStandardizer(s.XScale),
-			yMean:  s.YMean, yStd: s.YStd,
-			ell: s.Ell, sf2: s.Sf2, sn2: s.Sn2, sl2: s.Sl2,
-			logML:  s.LogML,
-			fitted: true,
-		}, dim, nil
-	case st.SVR != nil:
-		s := st.SVR
-		dim, err := checkKernelState(s.XTrain, s.XScale)
-		if err != nil {
-			return nil, 0, fmt.Errorf("ml: SVR state: %w", err)
-		}
-		if len(s.Beta) != len(s.XTrain) {
-			return nil, 0, fmt.Errorf("ml: SVR state shapes disagree (%d points, %d beta)", len(s.XTrain), len(s.Beta))
-		}
-		if s.LengthScale <= 0 {
-			return nil, 0, fmt.Errorf("ml: SVR length scale %v not positive", s.LengthScale)
-		}
-		return &SVR{
-			C: s.C, Epsilon: s.Epsilon, LengthScale: s.LengthScale,
-			MaxSweeps: s.MaxSweeps, Tol: s.Tol,
-			xTrain: cloneRows(s.XTrain),
-			beta:   append([]float64(nil), s.Beta...),
-			xScale: decodeStandardizer(s.XScale),
-			yMean:  s.YMean, yStd: s.YStd,
-			fitted: true,
-		}, dim, nil
+// decodeRegressor rebuilds one GPR and reports how many features its
+// Predict takes: the standardizer's, which every stored training point
+// must share.
+func decodeRegressor(st modelState) (*GPR, int, error) {
+	if st.Kind != "GPR" {
+		return nil, 0, fmt.Errorf("ml: model family %q refused: a model file holds GPR banks only", st.Kind)
 	}
-	return nil, 0, fmt.Errorf("ml: model state of kind %q has no payload", st.Kind)
-}
-
-// checkKernelState returns the feature width of a kernel model's state:
-// the standardizer's, which every stored training point must share.
-func checkKernelState(xTrain [][]float64, sc standardizerState) (int, error) {
-	dim := len(sc.Mean)
-	if len(sc.Std) != dim {
-		return 0, fmt.Errorf("standardizer has %d means but %d scales", dim, len(sc.Std))
+	s := st.GPR
+	if s == nil {
+		return nil, 0, fmt.Errorf("ml: GPR state has no payload")
 	}
-	for i, row := range xTrain {
+	dim := len(s.XScale.Mean)
+	if len(s.XScale.Std) != dim {
+		return nil, 0, fmt.Errorf("ml: GPR standardizer has %d means but %d scales", dim, len(s.XScale.Std))
+	}
+	for i, row := range s.XTrain {
 		if len(row) != dim {
-			return 0, fmt.Errorf("training point %d has %d features, the standardizer %d", i, len(row), dim)
+			return nil, 0, fmt.Errorf("ml: GPR training point %d has %d features, the standardizer %d", i, len(row), dim)
 		}
 	}
-	return dim, nil
-}
-
-// encodeTree flattens the node graph into a preorder slice.
-func encodeTree(t *Tree) treeState {
-	st := treeState{MaxDepth: t.MaxDepth, MinLeafSize: t.MinLeafSize, Dim: t.dim}
-	var flatten func(n *treeNode) int
-	flatten = func(n *treeNode) int {
-		at := len(st.Nodes)
-		st.Nodes = append(st.Nodes, flatNode{
-			Feature: n.feature, Threshold: n.threshold, Value: n.value, Left: -1, Right: -1,
-		})
-		if n.left != nil {
-			l := flatten(n.left)
-			r := flatten(n.right)
-			st.Nodes[at].Left, st.Nodes[at].Right = l, r
-		}
-		return at
+	l, err := decodeMatrix(s.CholL)
+	if err != nil {
+		return nil, 0, fmt.Errorf("ml: GPR Cholesky factor: %w", err)
 	}
-	flatten(t.root)
-	return st
-}
-
-func decodeTree(st treeState) (*Tree, error) {
-	if len(st.Nodes) == 0 {
-		return nil, fmt.Errorf("ml: tree state has no nodes")
+	if len(s.Alpha) != len(s.XTrain) || l.Rows != len(s.XTrain) || l.Cols != l.Rows {
+		return nil, 0, fmt.Errorf("ml: GPR state shapes disagree (%d points, %d alpha, %d×%d L)",
+			len(s.XTrain), len(s.Alpha), l.Rows, l.Cols)
 	}
-	nodes := make([]*treeNode, len(st.Nodes))
-	for i, fn := range st.Nodes {
-		nodes[i] = &treeNode{feature: fn.Feature, threshold: fn.Threshold, value: fn.Value}
-	}
-	for i, fn := range st.Nodes {
-		if (fn.Left < 0) != (fn.Right < 0) {
-			return nil, fmt.Errorf("ml: tree node %d has exactly one child", i)
-		}
-		if fn.Left >= 0 {
-			// encodeTree writes preorder, so a child always follows its
-			// parent; holding a file to that keeps the links acyclic, and
-			// Predict's walk finite.
-			if fn.Left >= len(nodes) || fn.Right >= len(nodes) || fn.Left <= i || fn.Right <= i {
-				return nil, fmt.Errorf("ml: tree node %d has out-of-range children (%d, %d)", i, fn.Left, fn.Right)
-			}
-			if fn.Feature < 0 || fn.Feature >= st.Dim {
-				return nil, fmt.Errorf("ml: tree node %d splits on feature %d of %d", i, fn.Feature, st.Dim)
-			}
-			nodes[i].left, nodes[i].right = nodes[fn.Left], nodes[fn.Right]
-		}
-	}
-	return &Tree{
-		MaxDepth: st.MaxDepth, MinLeafSize: st.MinLeafSize,
-		root: nodes[0], dim: st.Dim, fitted: true,
-	}, nil
+	return &GPR{
+		xTrain: cloneRows(s.XTrain),
+		alpha:  append(linalg.Vector(nil), s.Alpha...),
+		chol:   &linalg.CholeskyDecomp{L: l},
+		xScale: decodeStandardizer(s.XScale),
+		yMean:  s.YMean, yStd: s.YStd,
+		ell: s.Ell, sf2: s.Sf2, sn2: s.Sn2, sl2: s.Sl2,
+		logML:  s.LogML,
+		fitted: true,
+	}, dim, nil
 }
 
 func encodeMatrix(m *linalg.Matrix) matrixState {
@@ -301,13 +136,14 @@ func decodeStandardizer(st standardizerState) *Standardizer {
 	}
 }
 
-// MultiOutputState is the JSON-serializable state of a trained
+// MultiOutputState is the JSON-serializable state of a trained GPR
 // MultiOutput bank; core embeds it in predictor files.
 type MultiOutputState struct {
 	Models []modelState `json:"models"`
 }
 
-// State snapshots the trained bank. It errors before Fit.
+// State snapshots the trained bank. It errors before Fit and on a bank
+// of any family but GPR.
 func (m *MultiOutput) State() (MultiOutputState, error) {
 	if len(m.models) == 0 {
 		return MultiOutputState{}, fmt.Errorf("ml: cannot save unfitted multi-output bank")
@@ -323,18 +159,13 @@ func (m *MultiOutput) State() (MultiOutputState, error) {
 	return st, nil
 }
 
-// MultiOutputFromState rebuilds a trained bank from its snapshot. The
-// bank's model factory is reconstructed from the first model's family,
-// and every model must take the same number of features (Inputs).
+// MultiOutputFromState rebuilds a trained GPR bank from its snapshot.
+// Every model must be a GPR taking the same number of features (Inputs).
 func MultiOutputFromState(st MultiOutputState) (*MultiOutput, error) {
 	if len(st.Models) == 0 {
 		return nil, fmt.Errorf("ml: multi-output state has no models")
 	}
-	factory, ok := FactoryFor(st.Models[0].Kind)
-	if !ok {
-		return nil, fmt.Errorf("ml: unknown model family %q", st.Models[0].Kind)
-	}
-	bank := NewMultiOutput(factory)
+	bank := NewMultiOutput(func() Regressor { return &GPR{} })
 	for j, ms := range st.Models {
 		mod, inputs, err := decodeRegressor(ms)
 		if err != nil {

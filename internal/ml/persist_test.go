@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -54,11 +55,8 @@ func TestSaveLoadRoundTripPredictions(t *testing.T) {
 	}
 
 	factories := map[string]func() Regressor{
-		"LM":         func() Regressor { return &Linear{} },
-		"RTREE":      func() Regressor { return &Tree{} },
 		"GPR":        func() Regressor { return &GPR{} },
-		"GPR+linear": func() Regressor { return &GPR{LinearVar: -1} },
-		"RSVM":       func() Regressor { return &SVR{} },
+		"GPR+linear": func() Regressor { return &GPR{LinearVar: true} },
 	}
 	for name, factory := range factories {
 		bank := NewMultiOutput(factory)
@@ -76,6 +74,19 @@ func TestSaveLoadRoundTripPredictions(t *testing.T) {
 			}
 		}
 	}
+	// The other families train but do not save, and say which they are.
+	for _, factory := range []func() Regressor{
+		func() Regressor { return &Linear{} }, func() Regressor { return &Tree{} }, func() Regressor { return &SVR{} },
+	} {
+		bank := NewMultiOutput(factory)
+		if err := bank.Fit(x, targets); err != nil {
+			t.Fatal(err)
+		}
+		name := factory().Name()
+		if _, err := bank.State(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s bank snapshot: err %v, want a refusal naming %s", name, err, name)
+		}
+	}
 }
 
 func TestSaveRejectsUnfitted(t *testing.T) {
@@ -89,48 +100,53 @@ func TestSaveRejectsUnfitted(t *testing.T) {
 // A state comes from a file: every shape Predict relies on is checked
 // when the bank is rebuilt, so what loads cannot panic or loop later.
 func TestMultiOutputFromStateRejects(t *testing.T) {
-	leaf := func(v float64) flatNode { return flatNode{Value: v, Left: -1, Right: -1} }
-	tree := func(dim int, nodes ...flatNode) modelState {
-		return modelState{Kind: "RTREE", Tree: &treeState{Dim: dim, Nodes: nodes}}
-	}
-	linear := func(coef ...float64) modelState {
-		return modelState{Kind: "LM", Linear: &linearState{Coef: coef}}
+	// gpr is a one-point GPR state of the given width.
+	gpr := func(dim int) modelState {
+		x := make([]float64, dim)
+		sc := standardizerState{Mean: make([]float64, dim), Std: make([]float64, dim)}
+		for i := range sc.Std {
+			sc.Std[i] = 1
+		}
+		return modelState{Kind: "GPR", GPR: &gprState{XTrain: [][]float64{x}, Alpha: []float64{1},
+			CholL: matrixState{Rows: 1, Cols: 1, Data: []float64{1}}, XScale: sc, YStd: 1, Ell: 1, Sf2: 1}}
 	}
 	scale3 := standardizerState{Mean: []float64{0, 0, 0}, Std: []float64{1, 1, 1}}
 	cases := map[string][]modelState{
-		"no models":        nil,
-		"unknown family":   {{Kind: "FOREST"}},
-		"payload-free":     {{Kind: "LM"}},
-		"empty tree":       {tree(3)},
-		"one child":        {tree(3, flatNode{Left: 1, Right: -1}, leaf(1))},
-		"child past end":   {tree(3, flatNode{Left: 1, Right: 5}, leaf(1))},
-		"self loop":        {tree(3, flatNode{Left: 0, Right: 0})},
-		"children cycle":   {tree(3, flatNode{Left: 1, Right: 1}, flatNode{Left: 0, Right: 0})},
-		"feature past dim": {tree(3, flatNode{Feature: 3, Left: 1, Right: 2}, leaf(1), leaf(2))},
-		"negative feature": {tree(3, flatNode{Feature: -1, Left: 1, Right: 2}, leaf(1), leaf(2))},
-		"mixed widths":     {linear(1, 2, 3), linear(1, 2)},
-		"svr ragged points": {{Kind: "RSVM", SVR: &svrState{LengthScale: 1,
-			XTrain: [][]float64{{1, 2}}, Beta: []float64{1}, XScale: scale3}}},
-		"svr ragged scaler": {{Kind: "RSVM", SVR: &svrState{LengthScale: 1,
-			XScale: standardizerState{Mean: []float64{0, 0, 0}, Std: []float64{1}}}}},
+		"no models":    nil,
+		"payload-free": {{Kind: "GPR"}},
+		"mixed widths": {gpr(3), gpr(2)},
 		"gpr ragged points": {{Kind: "GPR", GPR: &gprState{XTrain: [][]float64{{1}}, Alpha: []float64{1},
 			CholL: matrixState{Rows: 1, Cols: 1, Data: []float64{1}}, XScale: scale3}}},
+		"gpr ragged scaler": {{Kind: "GPR", GPR: &gprState{
+			XScale: standardizerState{Mean: []float64{0, 0, 0}, Std: []float64{1}}}}},
 		"gpr wide factor": {{Kind: "GPR", GPR: &gprState{XTrain: [][]float64{{1, 2, 3}}, Alpha: []float64{1},
 			CholL: matrixState{Rows: 1, Cols: 2, Data: []float64{1, 0}}, XScale: scale3}}},
 	}
+	// A model file holds GPR banks only; any other family is refused by
+	// name, with or without a GPR payload.
+	for _, family := range []string{"FOREST", "LM", "RTREE", "RSVM", ""} {
+		cases["family "+family] = []modelState{{Kind: family, GPR: gpr(3).GPR}}
+		cases["GPR then "+family] = []modelState{gpr(3), {Kind: family}}
+	}
 	for name, models := range cases {
-		if _, err := MultiOutputFromState(MultiOutputState{Models: models}); err == nil {
+		_, err := MultiOutputFromState(MultiOutputState{Models: models})
+		if err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+		if family, ok := strings.CutPrefix(name, "family "); ok && !strings.Contains(err.Error(), `"`+family+`"`) {
+			t.Errorf("%s: err %v does not name the family", name, err)
+		}
 	}
-	// The same tree in preorder loads and predicts.
-	ok := tree(3, flatNode{Feature: 2, Threshold: 0.5, Left: 1, Right: 2}, leaf(1), leaf(2))
-	bank, err := MultiOutputFromState(MultiOutputState{Models: []modelState{ok}})
+	// One GPR state of each width loads and predicts.
+	bank, err := MultiOutputFromState(MultiOutputState{Models: []modelState{gpr(3), gpr(3)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := bank.Predict([]float64{0, 0, 1})[0]; got != 2 {
-		t.Errorf("preorder tree predicted %v, want 2", got)
+	if bank.Inputs() != 3 || bank.Outputs() != 2 {
+		t.Errorf("loaded bank takes %d features to %d outputs", bank.Inputs(), bank.Outputs())
+	}
+	if got := bank.Predict([]float64{0, 0, 0})[0]; got != 1 {
+		t.Errorf("one-point GPR at its point predicted %v, want 1", got)
 	}
 }
 

@@ -16,12 +16,6 @@ import (
 // update per coordinate. Features and targets are standardized
 // internally.
 type SVR struct {
-	C           float64 // box constraint (default 10)
-	Epsilon     float64 // insensitive-tube half width (default 0.05)
-	LengthScale float64 // RBF length scale in standardized space (default 1)
-	MaxSweeps   int     // coordinate-descent sweeps (default 200)
-	Tol         float64 // max coefficient change to stop (default 1e-6)
-
 	xTrain [][]float64
 	beta   []float64
 	xScale *Standardizer
@@ -29,6 +23,14 @@ type SVR struct {
 	yStd   float64
 	fitted bool
 }
+
+const (
+	svrC           = 10   // box constraint
+	svrEpsilon     = 0.05 // insensitive-tube half width
+	svrLengthScale = 1    // RBF length scale in standardized space
+	svrMaxSweeps   = 200  // coordinate-descent sweeps
+	svrTol         = 1e-6 // max coefficient change to stop
+)
 
 // Name implements Regressor.
 func (s *SVR) Name() string { return "RSVM" }
@@ -53,27 +55,6 @@ func (s *SVR) Fit(x [][]float64, y []float64) error {
 	if _, err := checkTrainingData(x, y); err != nil {
 		return err
 	}
-	c := s.C
-	if c <= 0 {
-		c = 10
-	}
-	eps := s.Epsilon
-	if eps <= 0 {
-		eps = 0.05
-	}
-	ell := s.LengthScale
-	if ell <= 0 {
-		ell = 1
-	}
-	sweeps := s.MaxSweeps
-	if sweeps <= 0 {
-		sweeps = 200
-	}
-	tol := s.Tol
-	if tol <= 0 {
-		tol = 1e-6
-	}
-
 	s.xScale = NewStandardizer(x)
 	xs := s.xScale.TransformAll(x)
 	s.yMean, s.yStd = meanStd(y)
@@ -91,7 +72,7 @@ func (s *SVR) Fit(x [][]float64, y []float64) error {
 	for i := range k {
 		k[i] = make([]float64, n)
 		for j := 0; j <= i; j++ {
-			v := rbf(xs[i], xs[j], ell, 1) + 1
+			v := rbf(xs[i], xs[j], svrLengthScale, 1) + 1
 			k[i][j] = v
 			k[j][i] = v
 		}
@@ -100,7 +81,7 @@ func (s *SVR) Fit(x [][]float64, y []float64) error {
 	beta := make([]float64, n)
 	// f[i] = Σ_j K'ij β_j, maintained incrementally.
 	f := make([]float64, n)
-	for sweep := 0; sweep < sweeps; sweep++ {
+	for sweep := 0; sweep < svrMaxSweeps; sweep++ {
 		maxDelta := 0.0
 		for i := 0; i < n; i++ {
 			// Residual excluding i's own contribution.
@@ -108,17 +89,17 @@ func (s *SVR) Fit(x [][]float64, y []float64) error {
 			// Exact minimizer of ½K'ii b² − r·b + ε|b| over [−C, C].
 			var b float64
 			switch {
-			case r > eps:
-				b = (r - eps) / k[i][i]
-			case r < -eps:
-				b = (r + eps) / k[i][i]
+			case r > svrEpsilon:
+				b = (r - svrEpsilon) / k[i][i]
+			case r < -svrEpsilon:
+				b = (r + svrEpsilon) / k[i][i]
 			default:
 				b = 0
 			}
-			if b > c {
-				b = c
-			} else if b < -c {
-				b = -c
+			if b > svrC {
+				b = svrC
+			} else if b < -svrC {
+				b = -svrC
 			}
 			if d := b - beta[i]; d != 0 {
 				for j := 0; j < n; j++ {
@@ -130,14 +111,13 @@ func (s *SVR) Fit(x [][]float64, y []float64) error {
 				beta[i] = b
 			}
 		}
-		if maxDelta < tol {
+		if maxDelta < svrTol {
 			break
 		}
 	}
 
 	s.xTrain = xs
 	s.beta = beta
-	s.LengthScale = ell
 	s.fitted = true
 	return nil
 }
@@ -153,7 +133,7 @@ func (s *SVR) Predict(x []float64) float64 {
 		if s.beta[i] == 0 {
 			continue
 		}
-		out += s.beta[i] * (rbf(xs, xt, s.LengthScale, 1) + 1)
+		out += s.beta[i] * (rbf(xs, xt, svrLengthScale, 1) + 1)
 	}
 	return out*s.yStd + s.yMean
 }

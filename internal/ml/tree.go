@@ -8,9 +8,6 @@ import (
 // Tree is a CART regression tree grown by greedy variance-reduction
 // splits, the paper's "RTREE" model.
 type Tree struct {
-	MaxDepth    int // default 8
-	MinLeafSize int // default 3
-
 	root   *treeNode
 	dim    int
 	fitted bool
@@ -23,6 +20,11 @@ type treeNode struct {
 	left, right *treeNode
 }
 
+const (
+	treeMaxDepth    = 8 // a single leaf has depth 1
+	treeMinLeafSize = 3 // training points per leaf, at least
+)
+
 // Name implements Regressor.
 func (t *Tree) Name() string { return "RTREE" }
 
@@ -32,20 +34,12 @@ func (t *Tree) Fit(x [][]float64, y []float64) error {
 	if err != nil {
 		return err
 	}
-	maxDepth := t.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 8
-	}
-	minLeaf := t.MinLeafSize
-	if minLeaf <= 0 {
-		minLeaf = 3
-	}
 	idx := make([]int, len(x))
 	for i := range idx {
 		idx[i] = i
 	}
 	t.dim = dim
-	t.root = grow(x, y, idx, maxDepth, minLeaf)
+	t.root = grow(x, y, idx, treeMaxDepth, treeMinLeafSize)
 	t.fitted = true
 	return nil
 }
