@@ -182,7 +182,7 @@ func BenchmarkPhaseSeparatorGates(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := pb.BuildCircuit(pr).Simulate()
+		st := pb.GateState(pr)
 		_ = st.ExpectationDiagonal(table)
 	}
 }
@@ -312,12 +312,6 @@ func BenchmarkStateGates(b *testing.B) {
 		s := quantum.NewState(8)
 		for i := 0; i < b.N; i++ {
 			s.CNOT(i%8, (i+1)%8)
-		}
-	})
-	b.Run("ZZ", func(b *testing.B) {
-		s := quantum.NewState(8)
-		for i := 0; i < b.N; i++ {
-			s.ZZ(i%8, (i+1)%8, 0.4)
 		}
 	})
 }

@@ -17,8 +17,7 @@ import (
 // references on seeded instances of every field-free kind the
 // constructors produce:
 //
-//   - the gate-level circuit, BuildCircuit(pr).Simulate(), on all 2^n
-//     amplitudes;
+//   - the gate-level oracle, GateState(pr), on all 2^n amplitudes;
 //   - the same couplings forced through the full-register sweep — the
 //     engine every Hamiltonian with a field still runs — by the
 //     test-only constructor fullRegisterKernel.
@@ -201,7 +200,7 @@ func TestHalfRegisterMatchesFullRegisterAndCircuit(t *testing.T) {
 				// n = 12, one stage above, and under -short (the race matrix)
 				// not past the single-chunk sizes.
 				if n <= 12 || (p == 1 && (n <= 14 || !testing.Short())) {
-					circuit := c.pb.BuildCircuit(pr).Simulate().ExpectationDiagonal(scoreTable(c.pb))
+					circuit := c.pb.GateState(pr).ExpectationDiagonal(scoreTable(c.pb))
 					if d := math.Abs(want - circuit); d > 1e-12*scale {
 						t.Errorf("%s: full-register value %v, gate circuit %v (|Δ| = %g)", label, want, circuit, d)
 					}

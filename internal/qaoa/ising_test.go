@@ -109,7 +109,7 @@ func TestIsingFastPathMatchesGateCircuit(t *testing.T) {
 		pb := mustIsing(t, in)
 		pr := randomParams(rng, 1+rng.Intn(3))
 		fast := pb.State(pr)
-		slow := pb.BuildCircuit(pr).Simulate()
+		slow := pb.GateState(pr)
 		if !fast.Equal(slow, 1e-10) {
 			t.Fatalf("trial %d: fast path != gate circuit (sense %v)", trial, in.Sense)
 		}

@@ -174,47 +174,46 @@ func (pb *Problem) stateQubits() int {
 	return pb.NumQubits()
 }
 
-// BuildCircuit constructs the explicit gate-level QAOA circuit for the
-// given parameters: H on all qubits, then per stage the phase separator
-// — RZ(2γ·sense·h) per qubit with a field, CNOT·RZ(2γ·sense·J)·CNOT per
-// coupling — followed by RX(2β) mixers. With RZ(θ) = diag(e^{−iθ/2},
-// e^{+iθ/2}), basis state z picks up exactly e^{iγ·gen(z)}, the fast
-// path's convention, global phase included. For MaxCut (sense +1,
-// J = −w/2) the coupling gate is RZ(−γw): the circuit of the paper's
-// Fig. 1(a).
-func (pb *Problem) BuildCircuit(pr Params) *quantum.Circuit {
+// GateState returns |ψ(γ, β)⟩ built gate by gate from |0…0⟩, the test
+// oracle of the fast path: H on all qubits, then per stage the phase
+// separator — RZ(2γ·sense·h) per qubit with a field,
+// CNOT·RZ(2γ·sense·J)·CNOT per coupling — followed by RX(2β) mixers.
+// With RZ(θ) = diag(e^{−iθ/2}, e^{+iθ/2}), basis state z picks up
+// exactly e^{iγ·gen(z)}, the fast path's convention, global phase
+// included. For MaxCut (sense +1, J = −w/2) the coupling gate is
+// RZ(−γw): the circuit of the paper's Fig. 1(a).
+func (pb *Problem) GateState(pr Params) *quantum.State {
 	if err := pr.Validate(false); err != nil {
 		panic(err)
 	}
 	in := pb.Inst
 	sign := in.Sense.Sign()
-	c := quantum.NewCircuit(in.N)
+	s := quantum.NewState(in.N)
 	for q := 0; q < in.N; q++ {
-		c.H(q)
+		s.H(q)
 	}
-	for s := 0; s < pr.Depth(); s++ {
+	for st := 0; st < pr.Depth(); st++ {
 		for q, h := range in.Linear {
 			if h != 0 {
-				c.RZ(q, 2*pr.Gamma[s]*sign*h)
+				s.RZ(q, 2*pr.Gamma[st]*sign*h)
 			}
 		}
 		for _, t := range in.Quad {
-			c.CNOT(t.I, t.J)
-			c.RZ(t.J, 2*pr.Gamma[s]*sign*t.W)
-			c.CNOT(t.I, t.J)
+			s.CNOT(t.I, t.J)
+			s.RZ(t.J, 2*pr.Gamma[st]*sign*t.W)
+			s.CNOT(t.I, t.J)
 		}
 		for q := 0; q < in.N; q++ {
-			c.RX(q, 2*pr.Beta[s])
+			s.RX(q, 2*pr.Beta[st])
 		}
 	}
-	return c
+	return s
 }
 
 // State returns |ψ(γ, β)⟩ using the fast diagonal phase-separator path
 // (distinct-value memoized phases, fused mixing kernel — see
 // workspace.go), always as the full 2^n-amplitude register. The result
-// matches BuildCircuit(pr).Simulate() to rounding error, including
-// global phase.
+// matches GateState(pr) to rounding error, including global phase.
 func (pb *Problem) State(pr Params) *quantum.State {
 	if err := pr.Validate(false); err != nil {
 		panic(err)

@@ -123,21 +123,10 @@ func TestFastPathMatchesGateCircuit(t *testing.T) {
 		p := 1 + rng.Intn(3)
 		pr := randomParams(rng, p)
 		fast := pb.State(pr)
-		slow := pb.BuildCircuit(pr).Simulate()
+		slow := pb.GateState(pr)
 		if !fast.Equal(slow, 1e-10) {
 			t.Fatalf("trial %d: fast path != gate circuit (p=%d, %v)", trial, p, g)
 		}
-	}
-}
-
-func TestBuildCircuitStructure(t *testing.T) {
-	g := graph.Cycle(4) // 4 edges
-	pb := mustProblem(t, g)
-	p := 3
-	c := pb.BuildCircuit(randomParams(rand.New(rand.NewSource(4)), p))
-	wantLen := 4 + p*(4*3+4) // H layer + p·(per-edge CNOT,RZ,CNOT + RX per qubit)
-	if c.Len() != wantLen {
-		t.Errorf("circuit len = %d, want %d", c.Len(), wantLen)
 	}
 }
 
@@ -282,23 +271,4 @@ func bestOnGridAround(pb *Problem, p int, seed gridBest, steps int) gridBest {
 		}
 	}
 	return best
-}
-
-// Cross-check the diagonal-cost expectation against the Pauli identity
-// ⟨C⟩ = Σ_e w_e (1 − ⟨Z_u Z_v⟩)/2 evaluated on the simulator.
-func TestExpectationMatchesPauliDecomposition(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 10; trial++ {
-		g := graph.ErdosRenyiConnected(6, 0.5, rng)
-		pb := mustProblem(t, g)
-		pr := randomParams(rng, 2)
-		st := pb.State(pr)
-		viaPauli := 0.0
-		for _, e := range g.Edges() {
-			viaPauli += (1 - st.ExpectationZZ(e.U, e.V)) / 2
-		}
-		if got := pb.Expectation(pr); math.Abs(got-viaPauli) > 1e-10 {
-			t.Fatalf("diagonal %v != Pauli decomposition %v", got, viaPauli)
-		}
-	}
 }

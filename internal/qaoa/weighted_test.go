@@ -62,7 +62,7 @@ func TestWeightedFastPathMatchesGateCircuit(t *testing.T) {
 		g := randomWeightedGraph(rng, 5)
 		pb := mustProblem(t, g)
 		pr := randomParams(rng, 1+rng.Intn(3))
-		if !pb.State(pr).Equal(pb.BuildCircuit(pr).Simulate(), 1e-10) {
+		if !pb.State(pr).Equal(pb.GateState(pr), 1e-10) {
 			t.Fatalf("trial %d: weighted fast path != gate circuit", trial)
 		}
 	}
@@ -82,7 +82,7 @@ func TestWeightedFastPathMatchesGateCircuit(t *testing.T) {
 			grad := make([]float64, len(x))
 			got := ws.ValueGrad(x, grad)
 			for name, want := range map[string]float64{
-				"gate circuit":       pb.BuildCircuit(pr).Simulate().ExpectationDiagonal(table),
+				"gate circuit":       pb.GateState(pr).ExpectationDiagonal(table),
 				"fast state ⊗ table": pb.State(pr).ExpectationDiagonal(table),
 			} {
 				if d := math.Abs(got - want); d > tol {
@@ -114,7 +114,7 @@ func TestHugeIntegerWeights(t *testing.T) {
 		}
 		pb := mustProblem(t, g)
 		got := pb.Expectation(pr)
-		want := pb.BuildCircuit(pr).Simulate().ExpectationDiagonal(g.WeightedCutTable())
+		want := pb.GateState(pr).ExpectationDiagonal(g.WeightedCutTable())
 		if d := math.Abs(got - want); !(d <= 1e-12*math.Abs(want)) {
 			t.Errorf("w=%g: ⟨C⟩ = %v, gate circuit %v", w, got, want)
 		}

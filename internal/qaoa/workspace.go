@@ -50,8 +50,8 @@ import (
 //     range. The choice is made from the Hamiltonian alone; one with a
 //     field evolves all 2^n amplitudes as before.
 //
-// The results match the explicit gate-level circuit (BuildCircuit +
-// Simulate) to rounding error, global phase included.
+// The results match the gate-level oracle (Problem.GateState) to
+// rounding error, global phase included.
 
 // costKernel is the per-problem evaluation engine behind EvalWorkspace:
 // how the phase separator exp(iγH_γ) is applied, how ⟨C⟩ is read out,

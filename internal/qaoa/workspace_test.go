@@ -39,7 +39,7 @@ func TestWorkspaceStateMatchesGateCircuit(t *testing.T) {
 		pb := mustProblem(t, g)
 		pr := randomParams(rng, 1+rng.Intn(4))
 		fast := pb.State(pr)
-		slow := pb.BuildCircuit(pr).Simulate()
+		slow := pb.GateState(pr)
 		if d := maxStateDiff(t, fast, slow); d > 1e-12 {
 			t.Fatalf("trial %d: fast state differs from gate circuit by %v", trial, d)
 		}
@@ -61,7 +61,7 @@ func TestWorkspaceExpectationMatchesGateCircuit(t *testing.T) {
 		pr := randomParams(rng, 1+rng.Intn(3))
 		ws := pb.NewWorkspace()
 		got := ws.Expectation(pr)
-		ref := pb.BuildCircuit(pr).Simulate().ExpectationDiagonal(g.WeightedCutTable())
+		ref := pb.GateState(pr).ExpectationDiagonal(g.WeightedCutTable())
 		if math.Abs(got-ref) > 1e-12 {
 			t.Fatalf("trial %d: workspace ⟨C⟩ = %v, gate circuit %v", trial, got, ref)
 		}

@@ -1,71 +1,21 @@
 package quantum
 
-import "fmt"
-
-// This file holds the kernels adjoint-mode (reverse-sweep) analytic
-// differentiation is built from. Adjoint differentiation keeps two
-// state vectors — the ket |φ⟩ and the adjoint λ — un-applies circuit
-// layers from both, and accumulates each partial derivative as an inner
-// product between them. The kernels here are the allocation-free
-// building blocks: buffer reuse, a diagonal-observable application, and
-// the two inner-product forms the QAOA ansatz needs.
-//
-// The inner-product reductions run over the fixed chunk geometry of
-// reduce.go: partial sums are computed per chunk in a fixed order and
-// combined left-to-right, so gradients are bit-reproducible across
-// GOMAXPROCS settings while still scaling across workers at large n.
-// Registers of up to ReduceChunkLen amplitudes keep the exact
-// serial-summation bits of the pre-chunking kernels.
-
-// CopyFrom overwrites s with the amplitudes of t, without allocating.
-// It panics if the register widths differ. This is the in-place
-// analogue of Clone used by gradient workspaces to seed the adjoint
-// state from the forward state.
-func (s *State) CopyFrom(t *State) {
-	if s.n != t.n {
-		panic(fmt.Sprintf("quantum: CopyFrom width mismatch %d != %d", s.n, t.n))
-	}
-	if s.parallel() {
-		runRange(len(s.amps), true, func(lo, hi int) {
-			copy(s.amps[lo:hi], t.amps[lo:hi])
-		})
-		return
-	}
-	copy(s.amps, t.amps)
-}
-
-// MulDiagonalReal multiplies amplitude z by the real diagonal entry
-// diag[z] — the application of a diagonal observable D|ψ⟩, which seeds
-// the adjoint state λ = D|ψ⟩ of a reverse sweep. It panics on a length
-// mismatch. Element-wise: parallel chunks at large n, bit-identical.
-func (s *State) MulDiagonalReal(diag []float64) {
-	if len(diag) != len(s.amps) {
-		panic(fmt.Sprintf("quantum: diagonal length %d != dim %d", len(diag), len(s.amps)))
-	}
-	if s.parallel() {
-		runRange(len(s.amps), true, func(lo, hi int) {
-			s.MulDiagonalRealRange(lo, diag[lo:hi])
-		})
-		return
-	}
-	s.MulDiagonalRealRange(0, diag)
-}
-
-// MulDiagonalRealRange multiplies amps[lo+i] by diag[i] over one chunk
-// — the streamed form of MulDiagonalReal for cost kernels that generate
-// the diagonal per chunk instead of materializing 2^n entries.
-func (s *State) MulDiagonalRealRange(lo int, diag []float64) {
-	s.checkRange(lo, len(diag))
-	amps := s.amps[lo : lo+len(diag)]
-	for i, d := range diag {
-		a := amps[i]
-		amps[i] = complex(real(a)*d, imag(a)*d)
-	}
-}
+// This file holds the per-chunk kernels a QAOA cost kernel streams:
+// the phase separator's multiplies (MulDiagonalIndexedRange, MulRange),
+// the adjoint seed λ = C|ψ⟩ fused with the value readout
+// (SeedDiagonalRange), and the reverse sweep's fused
+// inner-product-and-unphase steps (InnerImMulIndexedRange,
+// InnerImMulRange). Each acts on one chunk [lo, lo+len) the caller
+// hands out (a fused layer's chunk or a reduction's), and the partial
+// sums combine over the fixed chunk geometry of reduce.go:
+// bit-identical at every GOMAXPROCS.
+// InnerProductDiagonalRange and InnerProductSumX are the unfused
+// two-pass gradient reference the tests hold the fused sweep to.
 
 // MulDiagonalIndexedRange multiplies amps[lo+i] by factors[idx[i]] over
-// one chunk — the streamed form of MulDiagonalIndexed for cost kernels
-// whose index table is generated per chunk.
+// one chunk: the phase separator of a cost kernel with a small set of
+// distinct phase values (see PhaseFactors), its index table
+// materialized or generated per chunk.
 func (s *State) MulDiagonalIndexedRange(lo int, idx []int32, factors []complex128) {
 	s.checkRange(lo, len(idx))
 	mulIndexedRange(s.amps[lo:lo+len(idx)], idx, factors)
@@ -83,36 +33,11 @@ func (s *State) MulRange(lo int, f []complex128) {
 	}
 }
 
-// InnerProductDiagonal returns ⟨s|D|t⟩ for a real diagonal operator D:
-// Σ_z conj(s_z)·diag[z]·t_z. It panics on width or length mismatches.
-// The reduction runs over the fixed chunk geometry, so the result is
-// bit-reproducible at every GOMAXPROCS (see the file comment).
-func (s *State) InnerProductDiagonal(t *State, diag []float64) complex128 {
-	if s.n != t.n {
-		panic("quantum: qubit count mismatch in InnerProductDiagonal")
-	}
-	if len(diag) != len(s.amps) {
-		panic(fmt.Sprintf("quantum: diagonal length %d != dim %d", len(diag), len(s.amps)))
-	}
-	if reduceChunkCount(len(s.amps)) == 1 {
-		// Single chunk: call directly so no reduction closure is ever
-		// constructed — the small-n gradient loop stays allocation-free.
-		re, im := s.InnerProductDiagonalRange(t, 0, diag)
-		return complex(re, im)
-	}
-	re, im := ReduceChunks(len(s.amps), func(lo, hi int) (float64, float64) {
-		return s.InnerProductDiagonalRange(t, lo, diag[lo:hi])
-	})
-	return complex(re, im)
-}
-
 // SeedDiagonalRange overwrites s's amplitudes over [lo, lo+len(diag))
 // with diag[i]·src[lo+i] — one chunk of the adjoint seed λ = C|ψ⟩ —
 // and returns that chunk's contribution to ⟨src|C|src⟩, accumulated in
-// exactly the order ExpectationDiagonalRange uses. Fusing the seed with
-// the value readout lets gradient sweeps stream the forward state once
-// where CopyFrom + MulDiagonalReal + ExpectationDiagonal streamed it
-// three times.
+// exactly the order ExpectationDiagonalRange uses, so a gradient sweep
+// streams the forward state once for both.
 func (s *State) SeedDiagonalRange(src *State, lo int, diag []float64) float64 {
 	s.checkRange(lo, len(diag))
 	src.checkRange(lo, len(diag))

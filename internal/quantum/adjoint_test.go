@@ -6,52 +6,8 @@ import (
 	"testing"
 )
 
-func TestCopyFrom(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	src := randomKernelState(rng, 5)
-	dst := NewState(5)
-	dst.CopyFrom(src)
-	if !dst.Equal(src, 0) {
-		t.Fatal("CopyFrom did not reproduce the source amplitudes")
-	}
-	// Deep copy: mutating the destination leaves the source untouched.
-	before := src.Amplitude(3)
-	dst.X(0)
-	if src.Amplitude(3) != before {
-		t.Fatal("CopyFrom aliased the source buffer")
-	}
-}
-
-func TestCopyFromWidthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CopyFrom accepted mismatched widths")
-		}
-	}()
-	NewState(3).CopyFrom(NewState(4))
-}
-
-func TestMulDiagonalReal(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	s := randomKernelState(rng, 4)
-	diag := make([]float64, s.Dim())
-	for i := range diag {
-		diag[i] = rng.NormFloat64()
-	}
-	want := make([]complex128, s.Dim())
-	for z := range want {
-		want[z] = s.Amplitude(uint64(z)) * complex(diag[z], 0)
-	}
-	s.MulDiagonalReal(diag)
-	for z := range want {
-		if s.Amplitude(uint64(z)) != want[z] {
-			t.Fatalf("amplitude %d: got %v want %v", z, s.Amplitude(uint64(z)), want[z])
-		}
-	}
-}
-
-// InnerProductDiagonal must equal ⟨s|(D|t⟩)⟩ computed through the
-// reference MulDiagonalReal + InnerProduct path.
+// InnerProductDiagonalRange over the whole register must equal
+// ⟨s|(D|t⟩)⟩ with D|t⟩ formed amplitude by amplitude.
 func TestInnerProductDiagonal(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	s := randomKernelState(rng, 6)
@@ -61,16 +17,18 @@ func TestInnerProductDiagonal(t *testing.T) {
 		diag[i] = rng.NormFloat64() * 3
 	}
 	dt := u.Clone()
-	dt.MulDiagonalReal(diag)
+	for z, d := range diag {
+		dt.amps[z] *= complex(d, 0)
+	}
 	want := s.InnerProduct(dt)
-	got := s.InnerProductDiagonal(u, diag)
-	if cmplx.Abs(got-want) > 1e-12 {
-		t.Fatalf("InnerProductDiagonal = %v, want %v", got, want)
+	re, im := s.InnerProductDiagonalRange(u, 0, diag)
+	if got := complex(re, im); cmplx.Abs(got-want) > 1e-12 {
+		t.Fatalf("InnerProductDiagonalRange = %v, want %v", got, want)
 	}
 }
 
-// InnerProductSumX must equal Σ_q ⟨s|X_q|t⟩ computed with explicit X
-// gate applications.
+// InnerProductSumX must equal Σ_q ⟨s|X_q|t⟩ with each X_q|t⟩ formed by
+// permuting amplitudes.
 func TestInnerProductSumX(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for _, n := range []int{1, 2, 5} {
@@ -79,7 +37,9 @@ func TestInnerProductSumX(t *testing.T) {
 		var want complex128
 		for q := 0; q < n; q++ {
 			x := u.Clone()
-			x.X(q)
+			for z := range x.amps {
+				x.amps[z] = u.amps[z^1<<uint(q)]
+			}
 			want += s.InnerProduct(x)
 		}
 		got := s.InnerProductSumX(u)
@@ -89,8 +49,8 @@ func TestInnerProductSumX(t *testing.T) {
 	}
 }
 
-// The adjoint inner products must not allocate: they sit inside the
-// per-stage loop of every analytic gradient evaluation.
+// The adjoint kernels must not allocate: they sit inside the per-stage
+// loop of every analytic gradient evaluation.
 func TestAdjointKernelsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	s := randomKernelState(rng, 8)
@@ -101,10 +61,10 @@ func TestAdjointKernelsZeroAlloc(t *testing.T) {
 	}
 	var sink complex128
 	if allocs := testing.AllocsPerRun(100, func() {
-		sink += s.InnerProductDiagonal(u, diag)
+		re, im := s.InnerProductDiagonalRange(u, 0, diag)
+		sink += complex(re, im)
 		sink += s.InnerProductSumX(u)
-		u.CopyFrom(s)
-		u.MulDiagonalReal(diag)
+		sink += complex(u.SeedDiagonalRange(s, 0, diag), 0)
 	}); allocs != 0 {
 		t.Fatalf("adjoint kernels allocate %v times per run", allocs)
 	}

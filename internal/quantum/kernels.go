@@ -1,7 +1,6 @@
 package quantum
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 )
@@ -211,25 +210,6 @@ func rxDuo(p0, p1 []complex128, c, s float64) {
 		p0[k] = complex(c*real(x)+s*imag(y), c*imag(x)-s*real(y))
 		p1[k] = complex(c*real(y)+s*imag(x), c*imag(y)-s*real(x))
 	}
-}
-
-// MulDiagonalIndexed multiplies amplitude z by factors[idx[z]] — the
-// table-driven form of ApplyDiagonalPhase for diagonal operators with
-// few distinct values (a QAOA phase separator over an 8-node unweighted
-// graph has ≲ 30 distinct cut values against 256 amplitudes, so the
-// expensive complex exponentials are computed once per distinct value
-// and only looked up here). It panics on a length mismatch.
-func (s *State) MulDiagonalIndexed(idx []int32, factors []complex128) {
-	if len(idx) != len(s.amps) {
-		panic(fmt.Sprintf("quantum: index table length %d != dim %d", len(idx), len(s.amps)))
-	}
-	if s.parallel() {
-		runRange(len(s.amps), true, func(lo, hi int) {
-			mulIndexedRange(s.amps[lo:hi], idx[lo:hi], factors)
-		})
-		return
-	}
-	mulIndexedRange(s.amps, idx, factors)
 }
 
 // mulIndexedRange multiplies amps[i] by factors[idx[i]]. Where the CPU

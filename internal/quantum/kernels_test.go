@@ -63,8 +63,8 @@ func TestFillUniformMatchesHadamardLayer(t *testing.T) {
 	}
 }
 
-// MulDiagonalIndexed with a per-amplitude identity index must equal
-// ApplyDiagonalPhase on the same angles.
+// MulDiagonalIndexedRange with a per-amplitude identity index must
+// equal ApplyDiagonalPhase on the same angles.
 func TestMulDiagonalIndexedMatchesApplyDiagonalPhase(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	n := 6
@@ -80,7 +80,7 @@ func TestMulDiagonalIndexedMatchesApplyDiagonalPhase(t *testing.T) {
 	}
 	a := randomKernelState(rng, n)
 	b := a.Clone()
-	a.MulDiagonalIndexed(idx, factors)
+	a.MulDiagonalIndexedRange(0, idx, factors)
 	b.ApplyDiagonalPhase(phases)
 	if d := maxAmpDiff(a, b); d > 1e-12 {
 		t.Errorf("indexed diagonal differs from phase table by %v", d)
@@ -107,7 +107,7 @@ func TestMulDiagonalIndexedSharedValues(t *testing.T) {
 	}
 	a := randomKernelState(rng, n)
 	b := a.Clone()
-	a.MulDiagonalIndexed(idx, factors)
+	a.MulDiagonalIndexedRange(0, idx, factors)
 	b.ApplyDiagonalPhase(phases)
 	if d := maxAmpDiff(a, b); d > 1e-12 {
 		t.Errorf("shared-value indexed diagonal differs by %v", d)
@@ -120,7 +120,7 @@ func TestMulDiagonalIndexedLengthPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewState(2).MulDiagonalIndexed([]int32{0}, []complex128{1})
+	NewState(2).MulDiagonalIndexedRange(0, make([]int32, 5), []complex128{1})
 }
 
 // The pool-dispatched chunk split must be bit-identical to one serial

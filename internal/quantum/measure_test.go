@@ -10,9 +10,9 @@ func TestExpectationZ(t *testing.T) {
 	if got := s.ExpectationZ(0); math.Abs(got-1) > 1e-12 {
 		t.Errorf("<Z>|00> = %v, want 1", got)
 	}
-	s.X(1)
+	s.RX(1, math.Pi) // -i|10>
 	if got := s.ExpectationZ(1); math.Abs(got+1) > 1e-12 {
-		t.Errorf("<Z1> after X = %v, want -1", got)
+		t.Errorf("<Z1> after RX(π) = %v, want -1", got)
 	}
 	h := NewState(1)
 	h.H(0)
@@ -31,7 +31,7 @@ func TestExpectationZZ(t *testing.T) {
 	anti := NewState(2)
 	anti.H(0)
 	anti.CNOT(0, 1)
-	anti.X(1) // |01>+|10>
+	anti.RX(1, math.Pi) // -i(|01>+|10>)
 	if got := anti.ExpectationZZ(0, 1); math.Abs(got+1) > 1e-12 {
 		t.Errorf("<ZZ> anti-Bell = %v, want -1", got)
 	}

@@ -65,7 +65,6 @@ func TestGateKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		{"Apply1Q-RX", func(s *State) { s.RX(3, 1.234) }},
 		{"Apply1Q-highbit", func(s *State) { s.RX(n-1, 0.456) }},
 		{"RZ", func(s *State) { s.RZ(5, 0.987) }},
-		{"ZZ", func(s *State) { s.ZZ(2, 13, 0.654) }},
 		{"Normalize", func(s *State) { s.amps[0] *= 3; s.Normalize() }},
 		{"FillUniform", func(s *State) { s.FillUniform() }},
 	}
@@ -91,11 +90,9 @@ func TestDiagonalKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	phases := make([]float64, dim)
 	idx := make([]int32, dim)
-	diag := make([]float64, dim)
 	for i := range phases {
 		phases[i] = rng.NormFloat64()
 		idx[i] = int32(i % 17)
-		diag[i] = rng.NormFloat64()
 	}
 	factors := make([]complex128, 17)
 	for i := range factors {
@@ -107,9 +104,9 @@ func TestDiagonalKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		run  func(s *State)
 	}{
 		{"ApplyDiagonalPhase", func(s *State) { s.ApplyDiagonalPhase(phases) }},
-		{"MulDiagonalIndexed", func(s *State) { s.MulDiagonalIndexed(idx, factors) }},
-		{"MulDiagonalReal", func(s *State) { s.MulDiagonalReal(diag) }},
-		{"CopyFrom", func(s *State) { u := NewState(n); u.CopyFrom(s); *s = *u }},
+		{"MulDiagonalIndexed", func(s *State) {
+			runRange(dim, s.parallel(), func(lo, hi int) { s.MulDiagonalIndexedRange(lo, idx[lo:hi], factors) })
+		}},
 	}
 	for _, k := range kernels {
 		k := k
@@ -142,7 +139,12 @@ func TestReductionsBitIdenticalAcrossWorkers(t *testing.T) {
 		{"Norm", func(s, u *State) any { return s.Norm() }},
 		{"InnerProduct", func(s, u *State) any { return s.InnerProduct(u) }},
 		{"ExpectationDiagonal", func(s, u *State) any { return s.ExpectationDiagonal(diag) }},
-		{"InnerProductDiagonal", func(s, u *State) any { return s.InnerProductDiagonal(u, diag) }},
+		{"InnerProductDiagonal", func(s, u *State) any {
+			re, im := ReduceChunks(dim, func(lo, hi int) (float64, float64) {
+				return s.InnerProductDiagonalRange(u, lo, diag[lo:hi])
+			})
+			return complex(re, im)
+		}},
 		{"InnerProductSumX", func(s, u *State) any { return s.InnerProductSumX(u) }},
 	}
 	for _, r := range reductions {

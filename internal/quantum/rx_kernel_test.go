@@ -249,28 +249,29 @@ func TestShardedLayerMatchesComplexReference(t *testing.T) {
 	}
 }
 
-// The gate-by-gate circuit simulator (circuit.go → H, ZZ, RX through
-// the generic Apply1Q) shares no code with the fused kernels: a QAOA
-// ring circuit run both ways must agree to rounding error.
+// The gate-by-gate simulator (H and RX through the generic Apply1Q,
+// each coupling as CNOT·RZ·CNOT) shares no code with the fused kernels:
+// a QAOA ring circuit run both ways must agree to rounding error.
 func TestLayerAgreesWithCircuitSimulator(t *testing.T) {
 	for n := 2; n <= 14; n++ {
 		gammas := []float64{0.7, -0.45}
 		betas := []float64{0.3, 1.1}
-		c := NewCircuit(n)
+		want := NewState(n)
 		for q := 0; q < n; q++ {
-			c.H(q)
+			want.H(q)
 		}
 		for st := range gammas {
 			for q := 0; q < n; q++ {
 				if a, b := q, (q+1)%n; a != b && (n > 2 || q == 0) {
-					c.ZZ(a, b, gammas[st])
+					want.CNOT(a, b)
+					want.RZ(b, gammas[st])
+					want.CNOT(a, b)
 				}
 			}
 			for q := 0; q < n; q++ {
-				c.RX(q, 2*betas[st])
+				want.RX(q, 2*betas[st])
 			}
 		}
-		want := c.Simulate()
 
 		s := NewState(n)
 		r := NewLayerRunner(s)

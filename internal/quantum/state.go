@@ -1,7 +1,11 @@
 // Package quantum implements the exact dense state-vector simulator the
 // reproduction uses in place of QuTiP. A State holds the 2^n complex
-// amplitudes of an n-qubit register; gates are applied in place. Qubit 0
-// is the least-significant bit of the basis-state index.
+// amplitudes of an n-qubit register; qubit 0 is the least-significant
+// bit of the basis-state index. The QAOA engine runs the fused kernels
+// (kernels.go, adjoint.go, reverse.go, mirror.go) on a ShardedState.
+// The gates — H, RX, RZ, CNOT and the generic Apply1Q — act one at a
+// time, in place; they build the gate-level oracle those kernels are
+// tested against.
 //
 // The simulator is exact (no noise model): the paper's evaluation runs
 // on a noiseless QuTiP simulation, so the optimization landscapes seen
@@ -51,17 +55,6 @@ func NewState(n int) *State {
 	s := &State{n: n, amps: make([]complex128, 1<<uint(n))}
 	ampBytes.Add(int64(16) << uint(n))
 	s.amps[0] = 1
-	return s
-}
-
-// NewBasisState returns the computational basis state |index⟩.
-func NewBasisState(n int, index uint64) *State {
-	s := NewState(n)
-	if index >= uint64(len(s.amps)) {
-		panic(fmt.Sprintf("quantum: basis index %d out of range for %d qubits", index, n))
-	}
-	s.amps[0] = 0
-	s.amps[index] = 1
 	return s
 }
 
@@ -170,12 +163,6 @@ func dotPartial(sa, ta []complex128) (re, im float64) {
 	return re, im
 }
 
-// Fidelity returns |⟨s|t⟩|².
-func (s *State) Fidelity(t *State) float64 {
-	ip := s.InnerProduct(t)
-	return real(ip)*real(ip) + imag(ip)*imag(ip)
-}
-
 // ExpectationDiagonal returns ⟨ψ|D|ψ⟩ for a diagonal observable D given
 // by its diagonal in the computational basis. This is how the QAOA
 // MaxCut cost Hamiltonian is evaluated. It panics on a length mismatch.
@@ -281,27 +268,11 @@ func (s *State) H(q int) {
 	s.Apply1Q(q, h, h, h, -h)
 }
 
-// X applies the Pauli-X gate to qubit q.
-func (s *State) X(q int) { s.Apply1Q(q, 0, 1, 1, 0) }
-
-// Y applies the Pauli-Y gate to qubit q.
-func (s *State) Y(q int) { s.Apply1Q(q, 0, complex(0, -1), complex(0, 1), 0) }
-
-// Z applies the Pauli-Z gate to qubit q.
-func (s *State) Z(q int) { s.Apply1Q(q, 1, 0, 0, -1) }
-
 // RX applies RX(θ) = exp(-iθX/2) to qubit q.
 func (s *State) RX(q int, theta float64) {
 	c := complex(math.Cos(theta/2), 0)
 	ms := complex(0, -math.Sin(theta/2))
 	s.Apply1Q(q, c, ms, ms, c)
-}
-
-// RY applies RY(θ) = exp(-iθY/2) to qubit q.
-func (s *State) RY(q int, theta float64) {
-	c := complex(math.Cos(theta/2), 0)
-	sn := complex(math.Sin(theta/2), 0)
-	s.Apply1Q(q, c, -sn, sn, c)
 }
 
 // RZ applies RZ(θ) = exp(-iθZ/2) = diag(e^{-iθ/2}, e^{iθ/2}) to qubit q.
@@ -332,19 +303,6 @@ func (s *State) rzRange(bit, lo, hi int, p0, p1 complex128) {
 	}
 }
 
-// Phase applies diag(1, e^{iφ}) to qubit q.
-func (s *State) Phase(q int, phi float64) {
-	s.checkQubit(q)
-	sin, cos := math.Sincos(phi)
-	p := complex(cos, sin)
-	bit := 1 << uint(q)
-	for i := range s.amps {
-		if i&bit != 0 {
-			s.amps[i] *= p
-		}
-	}
-}
-
 // --- two-qubit gates ---
 
 // CNOT applies a controlled-X with the given control and target qubits.
@@ -360,94 +318,6 @@ func (s *State) CNOT(control, target int) {
 		if i&cbit != 0 && i&tbit == 0 {
 			j := i | tbit
 			s.amps[i], s.amps[j] = s.amps[j], s.amps[i]
-		}
-	}
-}
-
-// CZ applies a controlled-Z between qubits a and b (symmetric).
-func (s *State) CZ(a, b int) {
-	s.checkQubit(a)
-	s.checkQubit(b)
-	if a == b {
-		panic("quantum: CZ on identical qubits")
-	}
-	abit, bbit := 1<<uint(a), 1<<uint(b)
-	for i := range s.amps {
-		if i&abit != 0 && i&bbit != 0 {
-			s.amps[i] = -s.amps[i]
-		}
-	}
-}
-
-// SWAP exchanges qubits a and b.
-func (s *State) SWAP(a, b int) {
-	s.checkQubit(a)
-	s.checkQubit(b)
-	if a == b {
-		return
-	}
-	abit, bbit := 1<<uint(a), 1<<uint(b)
-	for i := range s.amps {
-		// Act once per pair: pick representatives with a-bit set, b-bit clear.
-		if i&abit != 0 && i&bbit == 0 {
-			j := i&^abit | bbit
-			s.amps[i], s.amps[j] = s.amps[j], s.amps[i]
-		}
-	}
-}
-
-// XY applies exp(−iθ(X⊗X + Y⊗Y)/2) between qubits a and b: a rotation
-// within the span of |01⟩ and |10⟩ that leaves |00⟩ and |11⟩ fixed. It
-// preserves Hamming weight, which makes it the building block for
-// constrained QAOA mixers (ring/XY mixers).
-func (s *State) XY(a, b int, theta float64) {
-	s.checkQubit(a)
-	s.checkQubit(b)
-	if a == b {
-		panic("quantum: XY on identical qubits")
-	}
-	c := complex(math.Cos(theta), 0)
-	ms := complex(0, -math.Sin(theta))
-	abit, bbit := 1<<uint(a), 1<<uint(b)
-	for i := range s.amps {
-		// Act once per {|01⟩, |10⟩} pair: representative has a set, b clear.
-		if i&abit != 0 && i&bbit == 0 {
-			j := i&^abit | bbit
-			ai, aj := s.amps[i], s.amps[j]
-			s.amps[i] = c*ai + ms*aj
-			s.amps[j] = ms*ai + c*aj
-		}
-	}
-}
-
-// ZZ applies exp(-iθ Z⊗Z/2) between qubits a and b. It equals the gate
-// sequence CNOT(a,b)·RZ_b(θ)·CNOT(a,b) and is the fast path for QAOA
-// phase separators.
-func (s *State) ZZ(a, b int, theta float64) {
-	s.checkQubit(a)
-	s.checkQubit(b)
-	if a == b {
-		panic("quantum: ZZ on identical qubits")
-	}
-	sin, cos := math.Sincos(theta / 2)
-	pSame := complex(cos, -sin) // Z⊗Z eigenvalue +1
-	pDiff := complex(cos, sin)  // Z⊗Z eigenvalue -1
-	abit, bbit := 1<<uint(a), 1<<uint(b)
-	if s.parallel() {
-		runRange(len(s.amps), true, func(lo, hi int) {
-			s.zzRange(abit, bbit, lo, hi, pSame, pDiff)
-		})
-		return
-	}
-	s.zzRange(abit, bbit, 0, len(s.amps), pSame, pDiff)
-}
-
-func (s *State) zzRange(abit, bbit, lo, hi int, pSame, pDiff complex128) {
-	for i := lo; i < hi; i++ {
-		if (i&abit != 0) == (i&bbit != 0) {
-			s.amps[i] *= pSame
-		} else {
-			s.amps[i] *= pDiff
 		}
 	}
 }
@@ -481,15 +351,6 @@ func (s *State) Equal(t *State, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// EqualUpToGlobalPhase reports whether the states describe the same ray,
-// i.e. fidelity within tol of 1.
-func (s *State) EqualUpToGlobalPhase(t *State, tol float64) bool {
-	if s.n != t.n {
-		return false
-	}
-	return math.Abs(s.Fidelity(t)-1) <= tol
 }
 
 func (s *State) checkQubit(q int) {

@@ -109,6 +109,24 @@ func TestDeadlineAbortsRealOptimizer(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutCapsAtMaxTimeout: a timeout_ms whose Duration in
+// nanoseconds overflows int64 (2^62 wraps to 0, 9.3e12 to a negative
+// duration) is capped at MaxTimeout like any other large value, so the
+// job runs to completion instead of expiring at once.
+func TestHugeTimeoutCapsAtMaxTimeout(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	nodes, edges := testInstance(23)
+	for i, ms := range []int64{1 << 62, 9.3e12} {
+		code, view := postSolve(t, ts.URL, SolveRequest{
+			Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive,
+			Seed: int64(i + 1), TimeoutMs: ms, Wait: true,
+		})
+		if code != http.StatusOK || view.State != StateDone {
+			t.Errorf("timeout_ms=%d: status %d, state %s (%s), want done", ms, code, view.State, view.Error)
+		}
+	}
+}
+
 // denseEdges returns the complete graph edge list on n nodes.
 func denseEdges(n int) [][2]int {
 	var edges [][2]int

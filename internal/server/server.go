@@ -469,12 +469,14 @@ func (s *Server) submit(req *SolveRequest, rs resolved) (*Job, submitOutcome, *h
 		return nil, 0, &httpError{code: http.StatusTooManyRequests, msg: "job queue full, retry later"}
 	}
 
+	// Cap in milliseconds before converting: the Duration product wraps
+	// for timeout_ms above ≈ 9.2e12.
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
+	switch {
+	case req.TimeoutMs > s.cfg.MaxTimeout.Milliseconds():
+		timeout = s.cfg.MaxTimeout
+	case req.TimeoutMs > 0:
 		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
 	}
 
 	// Journal the acceptance before the job becomes visible: once the
