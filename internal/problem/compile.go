@@ -270,6 +270,9 @@ func (p *PortfolioSpec) Validate() error {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("problem: non-finite covariance[%d][%d]", i, j)
 			}
+			if mirror := p.Covariance[j]; i >= len(mirror) { // a later row too short to mirror this entry
+				return fmt.Errorf("problem: covariance row %d has %d entries for %d assets", j, len(mirror), n)
+			}
 			if math.Abs(v-p.Covariance[j][i]) > 1e-9*(1+math.Abs(v)) {
 				return fmt.Errorf("problem: covariance not symmetric at (%d,%d)", i, j)
 			}

@@ -137,6 +137,24 @@ func TestPortfolioCompilerGroundState(t *testing.T) {
 	}
 }
 
+// A covariance whose later rows are too short to mirror an earlier
+// row's entries is refused as ragged: the symmetry check indexed the
+// short row before its length was read, and panicked.
+func TestPortfolioShortLaterRows(t *testing.T) {
+	for _, tc := range []struct {
+		cov  [][]float64
+		want string
+	}{
+		{[][]float64{{0, 0, 0, 0}, {}, {}, {}}, "problem: covariance row 1 has 0 entries for 4 assets"},
+		{[][]float64{{1, 0, 0}, {0, 1, 0}, {0}}, "problem: covariance row 2 has 1 entries for 3 assets"},
+	} {
+		p := &PortfolioSpec{Returns: make([]float64, len(tc.cov)), Covariance: tc.cov, RiskAversion: 1, Budget: 1}
+		if err := p.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("%v: %v, want %q", tc.cov, err, tc.want)
+		}
+	}
+}
+
 func TestColoringCompilerGroundState(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 4; trial++ {

@@ -52,6 +52,11 @@ func TestClientDisconnectCancelsJob(t *testing.T) {
 	if view.Error == "" {
 		t.Fatal("cancelled job has no error message")
 	}
+	// The state turns cancelled in finish, a moment before afterFinish
+	// counts it: wait for the count, then require exactly one.
+	for deadline := time.Now().Add(5 * time.Second); s.mem.CounterValue("server.jobs.cancelled") == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := s.mem.CounterValue("server.jobs.client_disconnects"); got != 1 {
 		t.Fatalf("client_disconnects counter %d", got)
 	}

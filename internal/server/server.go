@@ -26,10 +26,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -535,8 +533,8 @@ func (s *Server) completeJob(j *Job, state JobState, res *SolveResult, errMsg st
 	}
 }
 
-// afterFinish clears the single-flight slot, retires the job's cost
-// reservation, feeds the cache, and counts the terminal state. Called
+// afterFinish feeds the cache, clears the single-flight slot, retires
+// the job's cost reservation, and counts the terminal state. Called
 // exactly once per job.
 func (s *Server) afterFinish(j *Job, state JobState) {
 	var seconds float64
@@ -550,7 +548,19 @@ func (s *Server) afterFinish(j *Job, state JobState) {
 		}
 		j.mu.Unlock()
 	}
+	var res *SolveResult
+	if state == StateDone {
+		j.mu.Lock()
+		res = j.result
+		j.mu.Unlock()
+	}
+	// The answer enters the cache in the same critical section that
+	// drops the in-flight entry (lock order s.mu → cache, as in submit):
+	// an identical request always finds one or the other, never neither.
 	s.mu.Lock()
+	if state == StateDone {
+		s.cache.Add(j.Key, res)
+	}
 	if s.inflight[j.Key] == j {
 		delete(s.inflight, j.Key)
 	}
@@ -560,13 +570,6 @@ func (s *Server) afterFinish(j *Job, state JobState) {
 	s.mu.Unlock()
 	if j.cost > 0 {
 		s.mem.Count("server.cost.inflight", -j.cost)
-	}
-	var res *SolveResult
-	if state == StateDone {
-		j.mu.Lock()
-		res = j.result
-		j.mu.Unlock()
-		s.cache.Add(j.Key, res)
 	}
 	// Journal the terminal outcome: done jobs carry their result (the
 	// WAL replays it into the cache on recovery), failed and cancelled
@@ -737,12 +740,6 @@ func (s *Server) timed(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func writeError(w http.ResponseWriter, e *httpError) {
 	if e.code == http.StatusTooManyRequests {
 		after := e.retryAfter
@@ -752,25 +749,6 @@ func writeError(w http.ResponseWriter, e *httpError) {
 		w.Header().Set("Retry-After", strconv.Itoa(after))
 	}
 	writeJSON(w, e.code, map[string]string{"error": e.msg})
-}
-
-// decodeBody decodes a request body of at most limit bytes into v.
-// Unknown keys are rejected, not ignored: with per-family payloads a
-// silently dropped field would solve a different instance than the
-// client thinks it submitted. For the same reason the body must hold
-// exactly one JSON value: anything but whitespace after it is refused.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) *httpError {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest("decoding request: %v", err)
-	}
-	// Only a clean end of body is io.EOF; a second value or garbage is
-	// anything else (decoding into a zero-size value allocates nothing).
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return badRequest("decoding request: trailing data after the JSON value")
-	}
-	return nil
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -257,6 +258,48 @@ func TestSingleFlightCoalescing(t *testing.T) {
 	}
 	close(release)
 	pollJob(t, ts.URL, first.ID, 10*time.Second)
+}
+
+// Identical requests racing a job's completion find its answer in the
+// cache or the job in flight, never neither: afterFinish fills the
+// cache in the critical section that drops the in-flight entry, so
+// each distinct request is solved exactly once.
+func TestSingleFlightNoRepeatSolve(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	s.solveFn = func(ctx context.Context, job *Job) (*SolveResult, error) {
+		return &SolveResult{Strategy: job.req.Strategy, AR: 1, Fingerprint: job.fp}, nil
+	}
+	const rounds, submitters = 200, 3
+	for k := 1; k <= rounds; k++ {
+		req := SolveRequest{Problem: "partition", Wire: problem.Wire{Numbers: []float64{4, 5, 6, 7}}, Depth: 1, Strategy: StrategyNaive, Seed: int64(k)}
+		rs, herr := s.normalize(&req)
+		if herr != nil {
+			t.Fatal(herr)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					r := req
+					_, outcome, herr := s.submit(&r, rs)
+					if herr != nil {
+						t.Error(herr)
+						return
+					}
+					if outcome == outcomeCached {
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if n := s.mem.CounterValue("server.jobs.submitted"); n != rounds {
+		t.Errorf("%d jobs submitted for %d distinct requests: a repeat missed both the cache and the job in flight", n, rounds)
+	}
 }
 
 func TestBackpressure429(t *testing.T) {
