@@ -14,7 +14,7 @@ import (
 // GET /v1/jobs/{id}/events stream. Only the subset the server emits is
 // parsed: "event:" and "data:" fields, blank-line dispatch, ":" comment
 // lines ignored. Used by the Dispatcher to relay per-iteration traces
-// coordinator-side and by qaoaload's -sse sampling.
+// coordinator-side and by qaoaload, which follows every 4th job.
 
 // Event is one parsed SSE message.
 type Event struct {

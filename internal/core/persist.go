@@ -14,13 +14,12 @@ import (
 // one-time cost (Sec. III-A); Save/Load let the CLI and downstream
 // users generate once and retrain/re-evaluate cheaply.
 //
-// Two schema versions coexist. Version 1 (edge lists only) is what
-// every MaxCut dataset ever written uses, and MaxCut datasets still
-// write it byte-identically. Version 2 persists the full problem.Spec
+// Save writes schema version 2 for every family: the full problem.Spec
 // per instance — the family tag plus the payload a qaoad request
-// carries (problem.Wire) — so qubo/maxksat/partition/portfolio/coloring
-// datasets round-trip too. Load accepts both and decodes every instance,
-// v1 edge lists included, through problem.Wire.Spec.
+// carries (problem.Wire), so a weighted MaxCut graph keeps its weights.
+// Load also reads version 1, the unweighted MaxCut edge lists of older
+// files, and decodes every instance, v1 edge lists included, through
+// problem.Wire.Spec.
 
 // dataFile is the JSON schema of a persisted dataset. Graphs is the v1
 // instance payload, Specs the v2 one; exactly one is populated.
@@ -66,14 +65,11 @@ type specFile struct {
 }
 
 const (
-	dataFileVersion   = 1 // MaxCut: edge lists (every pre-v2 file)
-	dataFileVersionV2 = 2 // any family: full problem specs
+	dataFileVersionV1 = 1 // MaxCut: unweighted edge lists (read only)
+	dataFileVersion   = 2 // any family: full problem specs
 )
 
-// Save serializes the dataset as JSON. MaxCut datasets keep writing
-// schema v1 byte-identically (edge lists); every other family writes
-// v2: the same config and record layout, with the full per-instance
-// spec in place of the edge list.
+// Save serializes the dataset as schema v2 JSON.
 func (d *Data) Save(w io.Writer) error {
 	df := dataFile{
 		Version: dataFileVersion,
@@ -88,21 +84,12 @@ func (d *Data) Save(w io.Writer) error {
 			Family:    d.Config.Family,
 		},
 	}
-	if d.Config.Family != "" && d.Config.Family != problem.FamilyMaxCut {
-		df.Version = dataFileVersionV2
-	} else {
-		df.Nodes = d.Config.Nodes
-	}
 	for i, pb := range d.Problems {
 		pw, err := problem.WireOf(pb.Spec)
 		if err != nil {
 			return fmt.Errorf("core: instance %d: %w", i, err)
 		}
-		if df.Version == dataFileVersionV2 {
-			df.Specs = append(df.Specs, specFile{Family: pb.Spec.Family, Wire: pw, PenaltyA: pb.Spec.PenaltyA, PenaltyB: pb.Spec.PenaltyB})
-		} else {
-			df.Graphs = append(df.Graphs, pw.Edges)
-		}
+		df.Specs = append(df.Specs, specFile{Family: pb.Spec.Family, Wire: pw, PenaltyA: pb.Spec.PenaltyA, PenaltyB: pb.Spec.PenaltyB})
 	}
 	for _, recs := range d.Records {
 		var rf []recordFile
@@ -139,8 +126,8 @@ func Load(r io.Reader) (*Data, error) {
 	if err := json.NewDecoder(r).Decode(&df); err != nil {
 		return nil, fmt.Errorf("core: decoding dataset: %w", err)
 	}
-	if df.Version != dataFileVersion && df.Version != dataFileVersionV2 {
-		return nil, fmt.Errorf("core: unsupported dataset version %d (want %d or %d)", df.Version, dataFileVersion, dataFileVersionV2)
+	if df.Version != dataFileVersionV1 && df.Version != dataFileVersion {
+		return nil, fmt.Errorf("core: unsupported dataset version %d (want %d or %d)", df.Version, dataFileVersionV1, dataFileVersion)
 	}
 	d := &Data{
 		Config: DataGenConfig{
@@ -163,7 +150,7 @@ func Load(r io.Reader) (*Data, error) {
 	// as a qaoad request does, capped at the widest register whose exact
 	// optimum qaoa.New can compute.
 	specs := df.Specs
-	if df.Version == dataFileVersion {
+	if df.Version == dataFileVersionV1 {
 		specs = make([]specFile, len(df.Graphs))
 		for gi, edges := range df.Graphs {
 			specs[gi] = specFile{Family: problem.FamilyMaxCut, Wire: problem.Wire{Nodes: df.Nodes, Edges: edges}}

@@ -7,17 +7,16 @@ import (
 	"reflect"
 	"testing"
 
+	"qaoaml/internal/graph"
 	"qaoaml/internal/problem"
+	"qaoaml/internal/qaoa"
 )
 
-// Every non-MaxCut family must round-trip through schema v2: identical
-// records, identical canonical fingerprints (the instance really is
-// the same one), identical exact optima.
+// Every family must round-trip through schema v2: identical records,
+// identical canonical fingerprints (the instance really is the same
+// one), identical exact optima.
 func TestSaveLoadV2AllFamilies(t *testing.T) {
 	for _, family := range problem.Families() {
-		if family == problem.FamilyMaxCut {
-			continue // v1 path, covered by TestSaveLoadRoundTrip
-		}
 		t.Run(family, func(t *testing.T) {
 			data, err := GenerateCtx(context.Background(), DataGenConfig{
 				NumGraphs: 3, Nodes: 6, EdgeProb: 0.5,
@@ -75,35 +74,47 @@ func TestSaveLoadV2AllFamilies(t *testing.T) {
 	}
 }
 
-// MaxCut datasets must keep writing schema v1 — the byte format every
-// existing dataset file uses — with no v2 fields leaking in.
-func TestSaveMaxCutStaysV1(t *testing.T) {
-	data, err := GenerateCtx(context.Background(), DataGenConfig{
-		NumGraphs: 2, Nodes: 6, EdgeProb: 0.5,
-		MaxDepth: 2, Starts: 1, Tol: 1e-6, Seed: 3,
-	})
+// A weighted MaxCut dataset keeps its weights across Save and Load:
+// the same fingerprint, still weighted, the same weighted optimum.
+func TestSaveLoadWeightedMaxCut(t *testing.T) {
+	g := graph.New(4)
+	for i, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}, {0, 2}} {
+		if err := g.AddWeightedEdge(e[0], e[1], 0.5+float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pb, err := qaoa.New(problem.MaxCut(g))
 	if err != nil {
 		t.Fatal(err)
+	}
+	data := &Data{
+		Config:   DataGenConfig{NumGraphs: 1, Nodes: 4, MaxDepth: 1, Family: problem.FamilyMaxCut},
+		Problems: []*qaoa.Problem{pb},
+		Records: [][]Record{{{
+			Depth: 1, Params: qaoa.Params{Gamma: []float64{0.5}, Beta: []float64{-0.25}},
+		}}},
 	}
 	var buf bytes.Buffer
 	if err := data.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var probe map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &probe); err != nil {
+	loaded, err := Load(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if string(probe["version"]) != "1" {
-		t.Fatalf("maxcut dataset wrote version %s, want 1", probe["version"])
-	}
-	if _, leaked := probe["specs"]; leaked {
-		t.Fatal("v2 specs field leaked into a v1 maxcut file")
-	}
-	if _, ok := probe["graphs"]; !ok {
-		t.Fatal("v1 graphs field missing")
-	}
-	if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+	want, err := pb.Spec.Fingerprint()
+	if err != nil {
 		t.Fatal(err)
+	}
+	got := loaded.Problems[0]
+	if fp, err := got.Spec.Fingerprint(); err != nil || fp != want {
+		t.Errorf("fingerprint %s (%v) after round trip, want %s", fp, err, want)
+	}
+	if !got.Spec.Graph.Weighted() {
+		t.Error("graph unweighted after round trip")
+	}
+	if got.OptValue != pb.OptValue {
+		t.Errorf("optimum %v after round trip, want %v", got.OptValue, pb.OptValue)
 	}
 }
 

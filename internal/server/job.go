@@ -155,25 +155,33 @@ func (j *Job) setRunning() bool {
 	return true
 }
 
-// finish moves the job to a terminal state and wakes all waiters. Only
-// the first call wins.
-func (j *Job) finish(state JobState, res *SolveResult, errMsg string) bool {
+// finish moves the job to a terminal state; only the first call wins.
+// With queuedOnly it leaves only a job that never started — the
+// queued-cancellation path, where no worker owns the job — and reports
+// false for a running one (its worker finishes it instead). Waiters
+// stay asleep until wake: the server first publishes the answer to its
+// cache (afterFinish), so a reply is never ahead of a repeat's hit.
+func (j *Job) finish(queuedOnly bool, state JobState, res *SolveResult, errMsg string) bool {
 	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
+	defer j.mu.Unlock()
+	if j.state.Terminal() || queuedOnly && j.state != StateQueued {
 		return false
 	}
 	j.state = state
 	j.result = res
 	j.errMsg = errMsg
 	j.finished = time.Now()
-	j.mu.Unlock()
-	j.cancel() // release the deadline timer
+	return true
+}
+
+// wake releases the deadline timer and every waiter: Done's channel and
+// the SSE subscribers.
+func (j *Job) wake() {
+	j.cancel()
 	close(j.done)
 	if j.bus != nil {
 		j.bus.close()
 	}
-	return true
 }
 
 // publish forwards one iteration event to the job's SSE subscribers;
@@ -182,28 +190,6 @@ func (j *Job) publish(ev telemetry.IterEvent) {
 	if j.bus != nil {
 		j.bus.publish(ev)
 	}
-}
-
-// finishFromQueued is finish restricted to jobs that never started —
-// the queued-cancellation path, where no worker owns the job. It
-// reports false if the job is running or terminal (the owner finishes
-// it instead).
-func (j *Job) finishFromQueued(state JobState, errMsg string) bool {
-	j.mu.Lock()
-	if j.state != StateQueued {
-		j.mu.Unlock()
-		return false
-	}
-	j.state = state
-	j.errMsg = errMsg
-	j.finished = time.Now()
-	j.mu.Unlock()
-	j.cancel()
-	close(j.done)
-	if j.bus != nil {
-		j.bus.close()
-	}
-	return true
 }
 
 // jobStore indexes jobs by id and evicts the oldest finished records

@@ -506,7 +506,7 @@ func (s *Server) submit(req *SolveRequest, rs resolved) (*Job, submitOutcome, *h
 	// must not wait for a worker slot to take effect.
 	go func() {
 		<-job.ctx.Done()
-		if job.finishFromQueued(StateCancelled, cancelMsg(job.ctx)) {
+		if job.finish(true, StateCancelled, nil, cancelMsg(job.ctx)) {
 			s.afterFinish(job, StateCancelled)
 		}
 	}()
@@ -528,14 +528,14 @@ func (s *Server) newFinishedJob(key string, res *SolveResult) *Job {
 // completeJob finishes a job from the worker path and runs the shared
 // bookkeeping exactly once.
 func (s *Server) completeJob(j *Job, state JobState, res *SolveResult, errMsg string) {
-	if j.finish(state, res, errMsg) {
+	if j.finish(false, state, res, errMsg) {
 		s.afterFinish(j, state)
 	}
 }
 
 // afterFinish feeds the cache, clears the single-flight slot, retires
-// the job's cost reservation, and counts the terminal state. Called
-// exactly once per job.
+// the job's cost reservation, counts the terminal state, wakes the
+// job's waiters and journals the outcome. Called exactly once per job.
 func (s *Server) afterFinish(j *Job, state JobState) {
 	var seconds float64
 	if j.cost > 0 {
@@ -571,6 +571,10 @@ func (s *Server) afterFinish(j *Job, state JobState) {
 	if j.cost > 0 {
 		s.mem.Count("server.cost.inflight", -j.cost)
 	}
+	s.mem.Count("server.jobs."+string(state), 1)
+	// Waiters wake only now, so a repeat sent on the reply finds the
+	// answer cached; the journal's fsync below is not theirs to wait for.
+	j.wake()
 	// Journal the terminal outcome: done jobs carry their result (the
 	// WAL replays it into the cache on recovery), failed and cancelled
 	// jobs are settled with nil (recovery must not re-run them). A
@@ -583,7 +587,6 @@ func (s *Server) afterFinish(j *Job, state JobState) {
 			s.mem.Count("server.journal.completed", 1)
 		}
 	}
-	s.mem.Count("server.jobs."+string(state), 1)
 }
 
 // ---- worker pool ----

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -299,6 +300,54 @@ func TestSingleFlightNoRepeatSolve(t *testing.T) {
 	}
 	if n := s.mem.CounterValue("server.jobs.submitted"); n != rounds {
 		t.Errorf("%d jobs submitted for %d distinct requests: a repeat missed both the cache and the job in flight", n, rounds)
+	}
+}
+
+// A Wait reply leaves only once the answer is cached, so a repeat sent
+// on the reply is a cache hit, not coalesced onto the finished job. The
+// solver returns holding s.mu, which parks afterFinish before its cache
+// fill: the reply must not arrive meanwhile.
+func TestWaitReplyAfterCacheFill(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	locked := make(chan struct{})
+	var once sync.Once
+	s.solveFn = func(ctx context.Context, job *Job) (*SolveResult, error) {
+		once.Do(func() {
+			s.mu.Lock()
+			close(locked)
+		})
+		return &SolveResult{Strategy: job.req.Strategy, AR: 1, Fingerprint: job.fp}, nil
+	}
+	req := SolveRequest{Problem: "partition", Wire: problem.Wire{Numbers: []float64{4, 5, 6, 7}}, Depth: 1, Strategy: StrategyNaive, Wait: true}
+	blob, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replied := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(string(blob)))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d", resp.StatusCode)
+			}
+		}
+		replied <- err
+	}()
+	<-locked
+	select {
+	case <-replied:
+		s.mu.Unlock()
+		t.Fatal("the Wait reply arrived before afterFinish cached the answer")
+	case <-time.After(100 * time.Millisecond):
+	}
+	s.mu.Unlock()
+	if err := <-replied; err != nil {
+		t.Fatal(err)
+	}
+	code, view := postSolve(t, ts.URL, req)
+	if code != http.StatusOK || !view.Cached || view.Coalesced {
+		t.Fatalf("repeat after the reply: status %d cached %v coalesced %v, want a 200 cache hit", code, view.Cached, view.Coalesced)
 	}
 }
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Fleet smoke test: boot a coordinator (with WAL) fronting two workers,
-# drive mixed open-loop traffic through it with qaoaload (a fraction of
-# requests followed over SSE), kill -9 one worker mid-run, and assert
-# that every accepted job still completes — the dispatcher must fail
-# the dead worker's jobs over to the survivor. CI runs this; it is also
-# runnable locally: scripts/cluster_smoke.sh
+# drive mixed open-loop traffic through it with qaoaload (every 4th
+# request followed over SSE), kill -9 one worker mid-run, and let
+# qaoaload's exit status assert that every accepted job still completes
+# — the dispatcher must fail the dead worker's jobs over to the
+# survivor. CI runs this; it is also runnable locally:
+# scripts/cluster_smoke.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -53,31 +54,16 @@ echo "== start coordinator (WAL at $workdir/coord.wal)"
 pids+=("$!")
 wait_healthy "http://127.0.0.1:$COORD_PORT"
 
-echo "== offer mixed traffic at $RATE rps for $DURATION (25% via SSE), killing worker 1 mid-run"
+echo "== offer mixed traffic at $RATE rps for $DURATION (every 4th via SSE), killing worker 1 mid-run"
+# qaoaload exits 1 unless failed == 0, done + rejected == items, done > 0
+# and at least one job completed over its SSE stream.
 "$workdir/qaoaload" -addr "http://127.0.0.1:$COORD_PORT" \
-  -rate "$RATE" -duration "$DURATION" -instances 12 -sizes 8 -depths 2,3 \
-  -sse 0.25 -seed 7 -out "$workdir/BENCH_cluster.json" &
+  -rate "$RATE" -duration "$DURATION" &
 load_pid=$!
 sleep 3
 echo "== kill -9 worker 1 (pid $w1_pid)"
 kill -9 "$w1_pid"
 wait "$load_pid"
-
-echo "== validate report schema"
-"$workdir/qaoaload" -check "$workdir/BENCH_cluster.json"
-
-echo "== assert every accepted job completed"
-python3 - "$workdir/BENCH_cluster.json" <<'EOF'
-import json, sys
-e = json.load(open(sys.argv[1]))["entries"][0]
-g = lambda k: e.get(k, 0)  # zero counters are omitted from the JSON
-print(f"items={g('items')} done={g('done')} rejected={g('rejected')} "
-      f"failed={g('failed')} sse_sampled={g('sse_sampled')}")
-assert g("failed") == 0, f"{g('failed')} accepted jobs failed after worker kill"
-assert g("done") + g("rejected") == g("items"), "accepted jobs went missing"
-assert g("done") > 0, "no job completed at all"
-assert g("sse_sampled") > 0, "-sse 0.25 sampled no streams"
-EOF
 
 echo "== coordinator still healthy after the kill"
 curl -fsS "http://127.0.0.1:$COORD_PORT/healthz"
