@@ -564,45 +564,3 @@ func BenchmarkGradientAdjointLargeN(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkShardedExpectation measures the depth-1 expectation over the
-// sharded state layout (4 shards) against the same streaming kernels
-// the flat benches use. At these sizes sharding is about exercising the
-// cross-shard exchange and per-shard reduction drivers, not memory —
-// the values are asserted bit-identical to the flat path in the test
-// suite.
-func BenchmarkShardedExpectation(b *testing.B) {
-	for _, n := range []int{18, 20} {
-		n := n
-		b.Run(map[int]string{18: "n18-s4", 20: "n20-s4"}[n], func(b *testing.B) {
-			pb := largeBenchProblem(b, n)
-			w := pb.NewWorkspaceShards(2)
-			defer w.Close()
-			x := []float64{0.4, 0.3}
-			_ = w.ExpectationVec(x) // warm the shard workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = w.ExpectationVec(x)
-			}
-		})
-	}
-}
-
-// BenchmarkShardedGradient measures the adjoint value+gradient sweep
-// over two sharded state sets (state + adjoint, 4 shards each).
-func BenchmarkShardedGradient(b *testing.B) {
-	pb := largeBenchProblem(b, 20)
-	b.Run("n20-p3-s4", func(b *testing.B) {
-		w := pb.NewWorkspaceShards(2)
-		defer w.Close()
-		x := []float64{0.4, 0.7, 0.9, 0.5, 0.3, 0.2}
-		grad := make([]float64, len(x))
-		_ = w.ValueGrad(x, grad) // warm workers + adjoint shard set
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = w.ValueGrad(x, grad)
-		}
-	})
-}

@@ -76,7 +76,7 @@ func TestArenaBitIdentity(t *testing.T) {
 	pooled := NewEvaluatorArena(pb, 2, a)
 	fresh := NewEvaluator(pb, 2)
 	defer pooled.Release()
-	defer fresh.Release() // no arena: falls back to Close
+	defer fresh.Release() // no arena: a no-op
 
 	if got, want := pooled.NegExpectation(x), fresh.NegExpectation(x); got != want {
 		t.Fatalf("pooled expectation %v != fresh %v", got, want)
@@ -98,70 +98,65 @@ func TestArenaBitIdentity(t *testing.T) {
 	}
 }
 
-// TestArenaShardedReuse: two-shard workspaces round-trip through the
-// arena (same shard geometry → same buffers) and stay bit-identical to
-// one shard on dirty reuse.
-func TestArenaShardedReuse(t *testing.T) {
+// TestArenaMultiChunkReuse: a streamed half register of two chunks
+// round-trips through the arena (same width → same buffers) and stays
+// bit-identical on dirty reuse.
+func TestArenaMultiChunkReuse(t *testing.T) {
 	a := NewArena(0)
 	defer a.Close()
-	// n = 15: the half register is 14 qubits, two shards of one chunk each.
+	// n = 15: the half register is 14 qubits, two chunks.
 	pb := arenaProblem(t, StreamingThreshold+2, 3)
 	x := []float64{0.6, 0.1}
 
-	w1 := newShardedWorkspace(pb.kernel(), 1, a)
+	w1 := newWorkspace(pb.kernel(), a)
 	first := w1.ExpectationVec(x)
 	w1.Release()
 
 	dirty := arenaProblem(t, StreamingThreshold+2, 55)
-	wd := newShardedWorkspace(dirty.kernel(), 1, a)
+	wd := newWorkspace(dirty.kernel(), a)
 	wd.ExpectationVec(x)
 	wd.Release()
 
 	base := quantum.AmpBytesAllocated()
-	w2 := newShardedWorkspace(pb.kernel(), 1, a)
+	w2 := newWorkspace(pb.kernel(), a)
 	defer w2.Release()
 	if delta := quantum.AmpBytesAllocated() - base; delta != 0 {
-		t.Fatalf("pooled sharded workspace allocated %d amplitude bytes, want 0", delta)
+		t.Fatalf("pooled workspace allocated %d amplitude bytes, want 0", delta)
 	}
 	if got := w2.ExpectationVec(x); got != first {
-		t.Fatalf("recycled sharded expectation %v != first run %v", got, first)
-	}
-	one := pb.NewWorkspace()
-	if got, want := w2.ExpectationVec(x), one.ExpectationVec(x); got != want {
-		t.Fatalf("two shards %v != one %v", got, want)
+		t.Fatalf("recycled expectation %v != first run %v", got, first)
 	}
 }
 
-// TestArenaCapAndClose: the per-key pool never exceeds its cap (extra
-// buffers are closed and dropped), and a closed arena declines further
-// buffers while still serving fresh allocations.
+// TestArenaCapAndClose: the per-width pool never exceeds its cap (extra
+// buffers are dropped), and a closed arena declines further buffers while
+// still serving fresh allocations.
 func TestArenaCapAndClose(t *testing.T) {
 	a := NewArena(2)
-	key := shardKey{n: 6, shards: 1}
 	pooled := func() int {
 		a.mu.Lock()
 		defer a.mu.Unlock()
-		return len(a.free[key])
+		return len(a.free[6])
 	}
 	for i := 0; i < 5; i++ {
-		a.put(quantum.NewShardedState(6, 0))
+		a.put(quantum.NewState(6))
 	}
 	if got := pooled(); got != 2 {
 		t.Fatalf("pool holds %d states over cap 2", got)
 	}
 
 	a.Close()
-	if ss := a.get(6, 0); ss == nil || ss.NumQubits() != 6 {
+	if st := a.get(6); st == nil || st.NumQubits() != 6 {
 		t.Fatal("closed arena must still hand out fresh states")
 	}
-	a.put(quantum.NewShardedState(6, 0))
+	a.put(quantum.NewState(6))
 	if got := pooled(); got != 0 {
 		t.Fatalf("closed arena retained %d states, want 0", got)
 	}
 
 	// nil arena: plain allocation.
 	var nilA *Arena
-	if ss := nilA.get(5, 0); ss.NumQubits() != 5 {
+	if st := nilA.get(5); st.NumQubits() != 5 {
 		t.Fatal("nil arena get")
 	}
 }
@@ -178,7 +173,7 @@ func TestArenaConcurrent(t *testing.T) {
 			defer wg.Done()
 			n := 5 + g%3
 			for i := 0; i < 50; i++ {
-				a.put(a.get(n, 0))
+				a.put(a.get(n))
 			}
 		}(g)
 	}

@@ -2,7 +2,6 @@ package qaoa
 
 import (
 	"fmt"
-	"math/bits"
 
 	"qaoaml/internal/quantum"
 )
@@ -76,11 +75,9 @@ func (w *EvalWorkspace) Gradient(x, grad []float64) { w.ValueGrad(x, grad) }
 // valueGrad runs the forward pass — unless the state buffer still holds
 // |ψ(γ,β)⟩ — and the adjoint reverse sweep. All kernel-dependent steps
 // (phase layers, observable application, matrix elements) go through
-// the costKernel interface and all layout-dependent ones through
-// quantum.ShardedState (Reduce, the reverse mixer), so one sweep drives
-// the materialized and streaming kernels at every shard count; partial
-// merge order and per-chunk arithmetic do not depend on it, so value and
-// gradient are bit-identical across shard counts.
+// the costKernel interface and every reduction through
+// quantum.ReduceChunks and the reverse mixer, so one sweep drives the
+// materialized and streaming kernels over the fixed chunk geometry.
 func (w *EvalWorkspace) valueGrad(gamma, beta, dGamma, dBeta []float64) float64 {
 	if w.rev == nil {
 		w.initAdjoint()
@@ -92,7 +89,7 @@ func (w *EvalWorkspace) valueGrad(gamma, beta, dGamma, dBeta []float64) float64 
 	// Seed the adjoint and read the value in one fused pass: λ = C|ψ⟩,
 	// val = ⟨C⟩. The per-chunk sums and their merge order match
 	// expectation()'s exactly, so the value stays bit-identical.
-	val, _ := w.ss.Reduce(w.seedBody)
+	val, _ := quantum.ReduceChunks(w.st.Dim(), w.seedBody)
 
 	// Reverse sweep: invariantly, entering iteration s the buffers hold
 	// φ = (stages 1..s+1 applied) and λ = (stages s+2..p un-applied from
@@ -108,7 +105,7 @@ func (w *EvalWorkspace) valueGrad(gamma, beta, dGamma, dBeta []float64) float64 
 		// separator from both states (conjugated factors).
 		w.k.prepareFactors(w.factors, gamma[s], true)
 		w.gamma = gamma[s]
-		gim, _ := w.ss.Reduce(w.unphaseBody)
+		gim, _ := quantum.ReduceChunks(w.st.Dim(), w.unphaseBody)
 		dGamma[s] = -2 * gim
 	}
 	return val
@@ -117,21 +114,16 @@ func (w *EvalWorkspace) valueGrad(gamma, beta, dGamma, dBeta []float64) float64 
 // initAdjoint builds the one-time adjoint buffers and dispatch closures;
 // every later call reuses them, so warm sweeps allocate nothing. The
 // seed pass overwrites every adjoint chunk, so the buffer's initial
-// content is irrelevant (arena-pooled buffers arrive dirty). The chunk
-// bodies receive global bounds and map them onto the owning shard.
+// content is irrelevant (arena-pooled buffers arrive dirty).
 func (w *EvalWorkspace) initAdjoint() {
 	k := w.k
-	w.adj = w.arena.get(w.ss.NumQubits(), bits.Len(uint(w.ss.NumShards()-1)))
-	w.rev = quantum.NewShardedReverseMixer(w.ss, w.adj)
-	sdim := w.ss.ShardDim()
+	w.adj = w.arena.get(k.qubits())
+	w.rev = quantum.NewReverseMixer(w.st, w.adj)
+	w.rev.SetMirror(k.mirror())
 	w.seedBody = func(lo, hi int) (float64, float64) {
-		off := lo &^ (sdim - 1)
-		si := lo >> w.sbits
-		return k.seedChunkValue(w.adj.Shard(si), w.ss.Shard(si), off, lo-off, hi-off), 0
+		return k.seedChunkValue(w.adj, w.st, lo, hi), 0
 	}
 	w.unphaseBody = func(lo, hi int) (float64, float64) {
-		off := lo &^ (sdim - 1)
-		si := lo >> w.sbits
-		return k.unphaseInnerChunk(w.adj.Shard(si), w.ss.Shard(si), w.factors, w.gamma, off, lo-off, hi-off), 0
+		return k.unphaseInnerChunk(w.adj, w.st, w.factors, w.gamma, lo, hi), 0
 	}
 }

@@ -23,8 +23,8 @@ import (
 // generated h(z), one applyPhaseRange and one Layer per state). The
 // value and every ∂E/∂γ are pinned to it bit for bit on every kernel;
 // ∂E/∂β, whose summation order the two-state sweep defines anew, to
-// rounding — and to itself, bit for bit, across worker counts and shard
-// counts. On a half register the reference takes ΣX on the unfolded
+// rounding — and to itself, bit for bit, across worker counts. On a half
+// register the reference takes ΣX on the unfolded
 // full states, so the dropped qubit's term is the oracle's own.
 
 // refGen returns the phase generator h(z) over the global range
@@ -52,13 +52,13 @@ func refGen(k costKernel, lo, hi int) []float64 {
 	return gen
 }
 
-// refValueGradTwoPass is the two-pass reverse sweep over plain States:
-// the forward pass is a one-shard workspace's, everything after it
-// quantum.State, LayerRunner and ReduceChunks.
+// refValueGradTwoPass is the two-pass reverse sweep: the forward pass is
+// the workspace's, everything after it quantum.State, LayerRunner and
+// ReduceChunks.
 func refValueGradTwoPass(w *EvalWorkspace, x, grad []float64) float64 {
 	p := len(x) / 2
 	gamma, beta, dGamma, dBeta := x[:p], x[p:], grad[:p], grad[p:]
-	k, st := w.k, w.ss.Shard(0)
+	k, st := w.k, w.st
 	dim := st.Dim()
 	adj := quantum.NewState(k.qubits())
 	runners := [2]*quantum.LayerRunner{quantum.NewLayerRunner(st), quantum.NewLayerRunner(adj)}
@@ -68,7 +68,7 @@ func refValueGradTwoPass(w *EvalWorkspace, x, grad []float64) float64 {
 
 	w.runLayers(gamma, beta)
 	val, _ := quantum.ReduceChunks(dim, func(lo, hi int) (float64, float64) {
-		return k.seedChunkValue(adj, st, 0, lo, hi), 0
+		return k.seedChunkValue(adj, st, lo, hi), 0
 	})
 	for s := p - 1; s >= 0; s-- {
 		if k.mirror() {
@@ -88,8 +88,8 @@ func refValueGradTwoPass(w *EvalWorkspace, x, grad []float64) float64 {
 
 		k.prepareFactors(w.factors, gamma[s], true)
 		quantum.ReduceChunks(dim, func(lo, hi int) (float64, float64) {
-			k.applyPhaseRange(st, w.factors, -gamma[s], 0, lo, hi)
-			k.applyPhaseRange(adj, w.factors, -gamma[s], 0, lo, hi)
+			k.applyPhaseRange(st, w.factors, -gamma[s], lo, hi)
+			k.applyPhaseRange(adj, w.factors, -gamma[s], lo, hi)
 			return 0, 0
 		})
 	}
@@ -135,11 +135,10 @@ func TestValueGradMatchesTwoPassReference(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	for _, c := range cases {
-		shardBits := min(2, max(0, c.k.qubits()-13))
 		for _, p := range []int{1, 3} {
 			x := testParams(p).Vector()
 			want := make([]float64, len(x))
-			refVal := refValueGradTwoPass(newShardedWorkspace(c.k, 0, nil), x, want)
+			refVal := refValueGradTwoPass(newWorkspace(c.k, nil), x, want)
 			var first []float64
 			check := func(label string, ws *EvalWorkspace) {
 				got := make([]float64, len(x))
@@ -167,12 +166,7 @@ func TestValueGradMatchesTwoPassReference(t *testing.T) {
 			}
 			for _, procs := range []int{1, 2, 8} {
 				runtime.GOMAXPROCS(procs)
-				label := fmt.Sprintf("%s p=%d GOMAXPROCS=%d", c.name, p, procs)
-				for _, sb := range []int{0, shardBits} {
-					sw := newShardedWorkspace(c.k, sb, nil)
-					check(fmt.Sprintf("%s shards=%d", label, 1<<sb), sw)
-					sw.Close()
-				}
+				check(fmt.Sprintf("%s p=%d GOMAXPROCS=%d", c.name, p, procs), newWorkspace(c.k, nil))
 			}
 		}
 	}

@@ -24,7 +24,7 @@ import (
 //
 // Half and full agree to rounding only (they sum different terms in
 // different orders). What stays exact is each half-register path with
-// itself: 1 ≡ 2 ≡ 4 shards ≡ any GOMAXPROCS, and materialized ≡ streaming
+// itself at any GOMAXPROCS, and materialized ≡ streaming
 // where the stream kernel takes its int64 path, all by ==.
 
 // fullRegisterKernel builds the instance's kernel over all 2^n basis
@@ -125,22 +125,11 @@ func halfKernels(pb *Problem) map[string]costKernel {
 	}
 }
 
-// halfShardBits lists the shard layouts an n-qubit problem's half
-// register admits, one shard first (a shard of several holds at least
-// one 2^13 chunk).
-func halfShardBits(n int) []int {
-	var out []int
-	for sb := 0; sb <= 2 && (sb == 0 || n-1-sb >= 13); sb++ {
-		out = append(out, sb)
-	}
-	return out
-}
-
 func TestHalfRegisterMatchesFullRegisterAndCircuit(t *testing.T) {
 	// n = 2: the half register is one qubit, whose RX partner is its
 	// mirror partner. n = 3, 4: the smallest even and odd widths, the
 	// latter the smallest fused pass. Through 14: single chunk. 15, 16:
-	// two and four chunks, one and two shard bits. 17: on the pool.
+	// two and four chunks. 17: on the pool.
 	sizes := []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 	if !testing.Short() {
 		sizes = append(sizes, 17)
@@ -209,7 +198,7 @@ func TestHalfRegisterMatchesFullRegisterAndCircuit(t *testing.T) {
 					}
 				}
 
-				exact := map[string][]float64{} // kernel → [value, grad…] on one shard
+				exact := map[string][]float64{} // kernel → [value, grad…]
 				for kind, k := range kernels {
 					klabel := label + " " + kind
 					w := newWorkspace(k, nil)
@@ -236,28 +225,19 @@ func TestHalfRegisterMatchesFullRegisterAndCircuit(t *testing.T) {
 					}
 					exact[kind] = append([]float64{val}, grad...)
 
-					// 1 ≡ 2 ≡ 4 shards ≡ any GOMAXPROCS, by ==.
-					layouts := []*EvalWorkspace{w}
-					for _, sb := range halfShardBits(n)[1:] {
-						layouts = append(layouts, newShardedWorkspace(k, sb, nil))
-					}
+					// ≡ any GOMAXPROCS, by ==.
 					for _, np := range procs {
 						runtime.GOMAXPROCS(np)
-						for li, ws := range layouts {
-							g := make([]float64, len(x))
-							got := append([]float64{ws.ValueGrad(x, g)}, g...)
-							for i := range got {
-								if got[i] != exact[kind][i] {
-									t.Errorf("%s layout %d (%d shards) GOMAXPROCS=%d: component %d = %v != the first one-shard run's %v",
-										klabel, li, ws.Shards(), np, i, got[i], exact[kind][i])
-								}
+						g := make([]float64, len(x))
+						got := append([]float64{w.ValueGrad(x, g)}, g...)
+						for i := range got {
+							if got[i] != exact[kind][i] {
+								t.Errorf("%s GOMAXPROCS=%d: component %d = %v != the first run's %v",
+									klabel, np, i, got[i], exact[kind][i])
 							}
 						}
 					}
 					runtime.GOMAXPROCS(prev)
-					for _, ws := range layouts {
-						ws.Close()
-					}
 				}
 				// == where the stream kernel ran its int64 path. Integer
 				// couplings past its factor table (partition) take the float
@@ -394,7 +374,7 @@ var (
 		{"portfolio/n14", pinFloatFamily(problem.FamilyPortfolio, 14), false, 0.7848259880567143,
 			[7]uint64{0xc0401f86da07b3d6, 0x407282c0c5756e83, 0xc080835f13e196bb, 0xc071516ebce121b0, 0xc0557fe70bf7f3d6, 0x4047b97c00de48d7, 0xc02526f04d03b2f8},
 			[3]uint64{0x4030f1709d813fde, 0xc071ce85203fd825, 0x402bdf6ed212c3f3}},
-		{"portfolio/n15", pinFloatFamily(problem.FamilyPortfolio, 15), false, 0.026031553760136106, // four shards
+		{"portfolio/n15", pinFloatFamily(problem.FamilyPortfolio, 15), false, 0.026031553760136106,
 			[7]uint64{0xc057965b86014a2e, 0x3fe0b4c7c9a04000, 0xc0835ac5e9149e2e, 0xc06b7b40b1a9317f, 0x40435f44c9d4154e, 0xc0480d578405e088, 0x4057a68ff7e2154e},
 			[3]uint64{0x4045f4e8e749d82e, 0x408682c06b7bef1a, 0x40602f5e00b7960b}},
 		{"partition/n13", pinFloatFamily(problem.FamilyPartition, 13), false, -1,
@@ -434,34 +414,23 @@ func TestFieldedHamiltonianBitsUnchanged(t *testing.T) {
 		if pb.OptValue != c.opt {
 			t.Errorf("%s: OptValue %v, recorded %v", c.name, pb.OptValue, c.opt)
 		}
-		// One shard — what NewWorkspace builds, and what recorded most of
-		// these bits as the flat layout — and four where each still holds a
-		// chunk.
-		layouts := map[string]*EvalWorkspace{"1 shard": pb.NewWorkspace()}
-		if pb.stateQubits()-2 >= 13 {
-			layouts["4 shards"] = newShardedWorkspace(pb.kernel(), 2, nil)
-		}
+		w := pb.NewWorkspace()
 		for _, procs := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(procs)
-			for name, w := range layouts {
-				label := fmt.Sprintf("%s %s GOMAXPROCS=%d", c.name, name, procs)
-				grad := make([]float64, len(fieldedPinX))
-				e := w.ExpectationVec(fieldedPinX)
-				got := append([]float64{w.ValueGrad(fieldedPinX, grad)}, grad...)
-				if math.Float64bits(e) != c.pins[0] {
-					t.Errorf("%s: ExpectationVec bits %#x, recorded %#x", label, math.Float64bits(e), c.pins[0])
-				}
-				for i, v := range got {
-					if math.Float64bits(v) != c.pins[i] {
-						t.Errorf("%s: component %d bits %#x, recorded %#x", label, i, math.Float64bits(v), c.pins[i])
-					}
+			label := fmt.Sprintf("%s GOMAXPROCS=%d", c.name, procs)
+			grad := make([]float64, len(fieldedPinX))
+			e := w.ExpectationVec(fieldedPinX)
+			got := append([]float64{w.ValueGrad(fieldedPinX, grad)}, grad...)
+			if math.Float64bits(e) != c.pins[0] {
+				t.Errorf("%s: ExpectationVec bits %#x, recorded %#x", label, math.Float64bits(e), c.pins[0])
+			}
+			for i, v := range got {
+				if math.Float64bits(v) != c.pins[i] {
+					t.Errorf("%s: component %d bits %#x, recorded %#x", label, i, math.Float64bits(v), c.pins[i])
 				}
 			}
 		}
 		runtime.GOMAXPROCS(prev)
-		for _, w := range layouts {
-			w.Close()
-		}
 		grad := make([]float64, 2)
 		v := NewEvaluator(pb, 1).NegValueGrad([]float64{fieldedPinX[0], fieldedPinX[3]}, grad)
 		for i, got := range []float64{v, grad[0], grad[1]} {

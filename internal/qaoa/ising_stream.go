@@ -577,49 +577,49 @@ func (k *isingStreamKernel) prepareFactors(factors []complex128, gamma float64, 
 	quantum.PhaseFactors(factors, k.factorGens(), gamma, conj)
 }
 
-func (k *isingStreamKernel) applyPhaseRange(st *quantum.State, factors []complex128, gamma float64, off, lo, hi int) {
+func (k *isingStreamKernel) applyPhaseRange(st *quantum.State, factors []complex128, gamma float64, lo, hi int) {
 	ws := k.scratch.get()
 	if k.integer {
 		idx := ws.idxBuf(hi - lo)
-		k.fillIdx(off+lo, off+hi, idx)
+		k.fillIdx(lo, hi, idx)
 		st.MulDiagonalIndexedRange(lo, idx, factors)
 	} else {
 		g, f := ws.phaseBuf(hi - lo)
-		k.fillPhase(off+lo, gamma, factors, g, f)
+		k.fillPhase(lo, gamma, factors, g, f)
 		st.MulRange(lo, g)
 	}
 	k.scratch.put(ws)
 }
 
-func (k *isingStreamKernel) expectChunk(st *quantum.State, off, lo, hi int) float64 {
+func (k *isingStreamKernel) expectChunk(st *quantum.State, lo, hi int) float64 {
 	ws := k.scratch.get()
 	score := ws.genBuf(hi - lo)
-	k.fillScore(off+lo, off+hi, score)
+	k.fillScore(lo, hi, score)
 	e := st.ExpectationDiagonalRange(lo, score)
 	k.scratch.put(ws)
 	return e
 }
 
-func (k *isingStreamKernel) seedChunkValue(adj, st *quantum.State, off, lo, hi int) float64 {
+func (k *isingStreamKernel) seedChunkValue(adj, st *quantum.State, lo, hi int) float64 {
 	ws := k.scratch.get()
 	score := ws.genBuf(hi - lo)
-	k.fillScore(off+lo, off+hi, score)
+	k.fillScore(lo, hi, score)
 	e := adj.SeedDiagonalRange(st, lo, score)
 	k.scratch.put(ws)
 	return e
 }
 
-func (k *isingStreamKernel) unphaseInnerChunk(adj, st *quantum.State, factors []complex128, gamma float64, off, lo, hi int) (im float64) {
+func (k *isingStreamKernel) unphaseInnerChunk(adj, st *quantum.State, factors []complex128, gamma float64, lo, hi int) (im float64) {
 	ws := k.scratch.get()
 	if k.integer {
 		idx := ws.idxBuf(hi - lo)
-		k.fillIdx(off+lo, off+hi, idx)
+		k.fillIdx(lo, hi, idx)
 		im = adj.InnerImMulIndexedRange(st, lo, idx, k.genTab, factors)
 	} else {
 		gen := ws.genBuf(hi - lo)
-		k.fillGen(off+lo, off+hi, gen)
+		k.fillGen(lo, hi, gen)
 		g, f := ws.phaseBuf(hi - lo)
-		k.fillPhase(off+lo, -gamma, factors, g, f)
+		k.fillPhase(lo, -gamma, factors, g, f)
 		im = adj.InnerImMulRange(st, lo, gen, g)
 	}
 	k.scratch.put(ws)

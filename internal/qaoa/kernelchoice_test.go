@@ -78,7 +78,7 @@ func selectionSpec(t *testing.T, fam string, n int, rng *rand.Rand) problem.Spec
 // the power-of-two fields: every value distinct). From the threshold
 // everything streams, the integer families exactly and the rest by
 // doubling. Every workspace the problem builds — with and without an
-// arena, at every shard count — runs the one kernel, and a warm
+// arena — runs the one kernel, and a warm
 // ExpectationVec + ValueGrad allocates nothing.
 func TestKernelSelection(t *testing.T) {
 	sizes := []int{2, 4, 8, 10, 12, 13, 14, 15, 16}
@@ -157,12 +157,9 @@ func TestKernelSelection(t *testing.T) {
 				continue
 			}
 			workspaces := []*EvalWorkspace{pb.NewWorkspace(), pb.NewWorkspaceArena(arena)}
-			for sb := 1; sb <= 2 && k.qubits()-sb >= 13; sb++ {
-				workspaces = append(workspaces, pb.NewWorkspaceShards(sb))
-			}
 			for _, w := range workspaces {
 				if w.k != k {
-					t.Errorf("%s: a %d-shard workspace runs %T %p, the problem's kernel is %p", at, w.Shards(), w.k, w.k, k)
+					t.Errorf("%s: a workspace runs %T %p, the problem's kernel is %p", at, w.k, w.k, k)
 				}
 			}
 			if !raceEnabled {

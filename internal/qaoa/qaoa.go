@@ -166,7 +166,7 @@ func (pb *Problem) NumQubits() int { return pb.Inst.N }
 func (pb *Problem) halfRegister() bool { return pb.Inst.FieldFree() }
 
 // stateQubits returns the width of the register a workspace evolves,
-// the length ShardThreshold and quantum.ParallelDim are held against.
+// the length quantum.ParallelDim is held against.
 func (pb *Problem) stateQubits() int {
 	if pb.halfRegister() {
 		return pb.NumQubits() - 1
@@ -311,8 +311,8 @@ func (e *Evaluator) workspace() *EvalWorkspace {
 }
 
 // Release retires the evaluator's workspace, if it built one, returning
-// arena-drawn buffers to their arena (closing shard workers otherwise).
-// The evaluator must not be used afterwards.
+// arena-drawn buffers to their arena. The evaluator must not be used
+// afterwards.
 func (e *Evaluator) Release() {
 	if e.ws != nil {
 		e.ws.Release()

@@ -18,8 +18,8 @@ import (
 // counts runLayers calls, so each case pins both the numbers and
 // whether a pass was run.
 
-// reuseCase builds workspaces of one kernel × shard count, all drawing
-// from the arena handed in (nil: plain ownership).
+// reuseCase builds workspaces of one kernel, all drawing from the arena
+// handed in (nil: plain ownership).
 type reuseCase struct {
 	name string
 	k    costKernel
@@ -35,8 +35,8 @@ func reuseCases(t *testing.T) []reuseCase {
 	diag := mustProblem(t, graph.RandomRegular(8, 3, rng)).kernel()
 	mc := newIsingStreamKernel(mustProblem(t, graph.RandomRegular(14, 3, rng)).Inst, true)
 	is := newIsingStreamKernel(mustIsing(t, problem.RandomIsing(14, rng)).Inst, false)
-	// A 14-qubit half register: the smallest MaxCut that shards.
-	mcs := mustProblem(t, graph.ErdosRenyiConnected(15, 0.3, rng)).kernel()
+	// A 14-qubit half register: two chunks, the smallest multi-chunk MaxCut.
+	mmc := mustProblem(t, graph.ErdosRenyiConnected(15, 0.3, rng)).kernel()
 	if _, ok := diag.(*diagKernel); !ok {
 		t.Fatalf("n=8 kernel is %T, want *diagKernel", diag)
 	}
@@ -47,7 +47,7 @@ func reuseCases(t *testing.T) []reuseCase {
 		{"materialized", diag, one(diag)},
 		{"maxcut-stream", mc, one(mc)},
 		{"ising-stream", is, one(is)},
-		{"sharded", mcs, func(a *Arena) *EvalWorkspace { return newShardedWorkspace(mcs, 1, a) }},
+		{"maxcut-multichunk", mmc, one(mmc)},
 	}
 }
 
@@ -196,20 +196,17 @@ func TestStateReuseZeroAlloc(t *testing.T) {
 // a cold workspace's, so a writer of the state buffer that forgets to
 // clear the record fails here. The workspaces share one Arena and
 // alternate between field-free problems of width n — half registers of
-// n−1 qubits — and problems with fields of width n−1, on one shard and
-// on two, so half- and full-register evolutions keep trading the very
-// same buffers (and a pooled state its mirror setting).
+// n−1 qubits — and problems with fields of width n−1, so half- and
+// full-register evolutions keep trading the very same buffers.
 func TestStateReuseInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	type kind struct {
-		name    string
-		pb      *Problem
-		sharded bool
+		name string
+		pb   *Problem
 	}
 	var kinds []kind
-	// 8-qubit registers: materialized kernels. 14-qubit registers, one
-	// shard and two: the field-free n = 15 problems stream, the fielded
-	// n = 14 one memoizes.
+	// 8-qubit registers: materialized kernels. 14-qubit registers: the
+	// field-free n = 15 problems stream, the fielded n = 14 one memoizes.
 	for _, n := range []int{9, 15} {
 		free := []*Problem{
 			mustProblem(t, graph.ErdosRenyiConnected(n, 0.4, rng)),
@@ -223,10 +220,7 @@ func TestStateReuseInterleaved(t *testing.T) {
 			if got := pb.stateQubits(); got != n-1 {
 				t.Fatalf("problem evolves %d qubits, want %d", got, n-1)
 			}
-			kinds = append(kinds, kind{fmt.Sprintf("%s/n%d", pb.Spec.Family, pb.NumQubits()), pb, false})
-			if n-1 >= 14 {
-				kinds = append(kinds, kind{fmt.Sprintf("%s/n%d/sharded", pb.Spec.Family, pb.NumQubits()), pb, true})
-			}
+			kinds = append(kinds, kind{fmt.Sprintf("%s/n%d", pb.Spec.Family, pb.NumQubits()), pb})
 		}
 	}
 	// A few points per depth, so repeats — the reuse path — are common.
@@ -252,11 +246,7 @@ func TestStateReuseInterleaved(t *testing.T) {
 			if s == nil {
 				// Arena recycle: any kind may draw the buffers any other left.
 				k := kinds[rng.Intn(len(kinds))]
-				shardBits := 0
-				if k.sharded {
-					shardBits = 1
-				}
-				slots[si] = &slot{k, newShardedWorkspace(k.pb.kernel(), shardBits, a)}
+				slots[si] = &slot{k, newWorkspace(k.pb.kernel(), a)}
 				mixed[k.pb.halfRegister()]++
 				continue
 			}

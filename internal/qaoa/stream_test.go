@@ -469,3 +469,120 @@ func BenchmarkFloatPhase(b *testing.B) {
 		}
 	}
 }
+
+// The streaming kernels' chunk scratch must survive garbage collection:
+// the old shared sync.Pool was cleared per P on every GC, so a steady
+// evaluation stream re-allocated scratch once per P per cycle and
+// bytes/op grew with GOMAXPROCS (53 KB/op at 8 procs on ising/n20).
+// The bounded channel freelists are GC-immune; a warm expectation now
+// stays under a flat byte budget even with a forced GC before every
+// call.
+func TestStreamScratchSurvivesGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	runtime.GOMAXPROCS(8)
+
+	problems := map[string]*Problem{}
+	ising, err := NewIsing(problem.RandomIsing(20, rand.New(rand.NewSource(61))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems["ising/n20"] = ising
+	f := problem.RandomMaxKSAT(14, 6, 3, rand.New(rand.NewSource(62)))
+	ksat, err := New(problem.MaxKSAT(f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems["maxksat/n20"] = ksat
+
+	x := []float64{0.4, 0.3}
+	for name, pb := range problems {
+		k := pb.kernel().(*isingStreamKernel)
+		primeScratch(k.scratch, 1<<uint(k.cb))
+		w := pb.NewWorkspace()
+		for i := 0; i < 3; i++ {
+			w.ExpectationVec(x) // warm pool workers and factor tables
+		}
+		const iters = 20
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < iters; i++ {
+			runtime.GC() // would clear sync.Pool caches; freelists survive
+			w.ExpectationVec(x)
+		}
+		runtime.ReadMemStats(&after)
+		perOp := float64(after.TotalAlloc-before.TotalAlloc) / iters
+		if perOp > 4096 {
+			t.Errorf("%s: %.0f bytes/op allocated across GC cycles at GOMAXPROCS 8, want flat (<= 4096)",
+				name, perOp)
+		}
+	}
+}
+
+// primeScratch stocks a kernel's scratch freelist with fully-sized
+// buffers up to the worst-case concurrent-holder count, so the
+// measurement loop never hits a first-use allocation. Priming through
+// the old sync.Pool would be useless — the first GC emptied it.
+func primeScratch(l scratchList, clen int) {
+	bufs := make([]*streamScratch, 16)
+	for i := range bufs {
+		ws := l.get()
+		ws.genBuf(clen)
+		ws.idxBuf(clen)
+		bufs[i] = ws
+	}
+	for _, ws := range bufs {
+		l.put(ws)
+	}
+}
+
+// Parallel throughput floor for the streaming Ising path, pinning the
+// satellite fix (per-worker allocation growth ate the 2-worker win):
+// with real cores available, 2 workers must beat 1 by >= 1.5x on the
+// n=20 streaming kernels. Skipped where the hardware cannot show it.
+func TestIsingStreamTwoWorkerSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("speedup measurement skipped in short mode")
+	}
+	if raceEnabled {
+		t.Skip("timings are not meaningful under -race")
+	}
+	if runtime.NumCPU() < 4 {
+		t.Skipf("need >= 4 CPUs to measure parallel speedup, have %d", runtime.NumCPU())
+	}
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+
+	ising, err := NewIsing(problem.RandomIsing(20, rand.New(rand.NewSource(61))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{0.4, 0.3}
+	w := ising.NewWorkspace()
+	measure := func(procs int) float64 {
+		runtime.GOMAXPROCS(procs)
+		w.ExpectationVec(x) // warm at this worker count
+		best := 0.0
+		for rep := 0; rep < 5; rep++ {
+			res := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					w.ExpectationVec(x)
+				}
+			})
+			opsPerSec := float64(res.N) / res.T.Seconds()
+			if opsPerSec > best {
+				best = opsPerSec
+			}
+		}
+		return best
+	}
+	serial := measure(1)
+	parallel := measure(2)
+	if speedup := parallel / serial; speedup < 1.5 {
+		t.Errorf("ising/n20 2-worker speedup %.2fx, want >= 1.5x", speedup)
+	}
+}

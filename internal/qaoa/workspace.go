@@ -2,7 +2,6 @@ package qaoa
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -36,10 +35,10 @@ import (
 //     closures live in an EvalWorkspace that is reused across objective
 //     calls, so a warm NegExpectation performs no heap allocation at
 //     all.
-//   - The state vector is always a quantum.ShardedState: one shard below
-//     ShardThreshold — which is the flat engine, fanned out over the
-//     chunk pool — and 2^DefaultShardBits worker-owned shards from it.
-//     The workspace has one code path; the layout lives in quantum.
+//   - The state vector is one quantum.State, fanned out over the chunk
+//     pool from quantum.ParallelDim. Four worker-owned shards were
+//     measured no faster at 20–27 evolved qubits (EXPERIMENTS.md), so
+//     there is no other layout.
 //   - A Hamiltonian without linear terms (every MaxCut, partition, any
 //     Instance that is FieldFree) has C(z) = C(z̄), so ψ(z) = ψ(z̄) at
 //     every stage. The workspace then evolves the half register φ(z) =
@@ -72,7 +71,7 @@ import (
 // basis states the workspace stores: all 2^n, or the lower 2^(n−1) of a
 // half register — the same global indices, the top bit clear.
 // The interface is range-based: the workspace drives the chunk loop
-// (through quantum.ShardedState's Layer and Reduce over the fixed
+// (through quantum.LayerRunner and quantum.ReduceChunks over the fixed
 // geometry) and the kernel supplies per-chunk bodies. That lets
 // the phase separator run inside the fused layer sweep while the chunk
 // is cache-resident, and lets reductions fuse with streamed diagonal
@@ -93,32 +92,29 @@ type costKernel interface {
 	// un-apply). Called once per stage, before the chunked phase
 	// application.
 	prepareFactors(factors []complex128, gamma float64, conj bool)
-	// Every per-chunk method takes an offset/range pair: [lo, hi) indexes
-	// the passed State's amplitudes, off+lo…off+hi is the corresponding
-	// GLOBAL basis-state range (for cost tables and streamed fills). st is
-	// a shard of a quantum.ShardedState and off its base index (0 when
-	// there is one shard). Chunk bounds follow the fixed global geometry
-	// at every shard count, so per-chunk values do not depend on it.
+	// Every per-chunk method takes a range [lo, hi) of the fixed chunk
+	// geometry: the passed States' amplitudes and the basis states whose
+	// costs the kernel reads or streams.
 
 	// applyPhaseRange applies the phase separator to st over one chunk.
 	// gamma is the angle the factors rotate by — the prepareFactors
 	// argument, negated where they were conjugated — for kernels that
 	// build per-chunk phases on top of them.
-	applyPhaseRange(st *quantum.State, factors []complex128, gamma float64, off, lo, hi int)
+	applyPhaseRange(st *quantum.State, factors []complex128, gamma float64, lo, hi int)
 	// expectChunk returns one chunk's contribution to ⟨st|C|st⟩.
-	expectChunk(st *quantum.State, off, lo, hi int) float64
+	expectChunk(st *quantum.State, lo, hi int) float64
 	// seedChunkValue overwrites adj's chunk with (C|st⟩)'s and returns
 	// the chunk's contribution to ⟨st|C|st⟩, with the exact summation
 	// order of expectChunk — so a fused value+seed pass stays
 	// bit-identical to a plain expectation.
-	seedChunkValue(adj, st *quantum.State, off, lo, hi int) float64
+	seedChunkValue(adj, st *quantum.State, lo, hi int) float64
 	// unphaseInnerChunk is one chunk of an adjoint reverse stage: it
 	// returns the chunk's contribution to Im⟨adj|H_γ|st⟩ (the half of
 	// the matrix element ∂E/∂γ reads) and then un-applies the phase
 	// separator from both states — factors prepared conjugated for
 	// gamma — reading the states and generating the chunk's diagonal
 	// once.
-	unphaseInnerChunk(adj, st *quantum.State, factors []complex128, gamma float64, off, lo, hi int) float64
+	unphaseInnerChunk(adj, st *quantum.State, factors []complex128, gamma float64, lo, hi int) float64
 }
 
 // diagKernel is the immutable per-problem precomputation: the cost
@@ -202,35 +198,21 @@ func (k *diagKernel) prepareFactors(factors []complex128, gamma float64, conj bo
 	quantum.PhaseFactors(factors, k.halfAngles, gamma, conj)
 }
 
-func (k *diagKernel) applyPhaseRange(st *quantum.State, factors []complex128, _ float64, off, lo, hi int) {
-	st.MulDiagonalIndexedRange(lo, k.idx[off+lo:off+hi], factors)
+func (k *diagKernel) applyPhaseRange(st *quantum.State, factors []complex128, _ float64, lo, hi int) {
+	st.MulDiagonalIndexedRange(lo, k.idx[lo:hi], factors)
 }
 
-func (k *diagKernel) expectChunk(st *quantum.State, off, lo, hi int) float64 {
-	return st.ExpectationDiagonalRange(lo, k.diag[off+lo:off+hi])
+func (k *diagKernel) expectChunk(st *quantum.State, lo, hi int) float64 {
+	return st.ExpectationDiagonalRange(lo, k.diag[lo:hi])
 }
 
-func (k *diagKernel) seedChunkValue(adj, st *quantum.State, off, lo, hi int) float64 {
-	return adj.SeedDiagonalRange(st, lo, k.diag[off+lo:off+hi])
+func (k *diagKernel) seedChunkValue(adj, st *quantum.State, lo, hi int) float64 {
+	return adj.SeedDiagonalRange(st, lo, k.diag[lo:hi])
 }
 
-func (k *diagKernel) unphaseInnerChunk(adj, st *quantum.State, factors []complex128, _ float64, off, lo, hi int) float64 {
-	return adj.InnerImMulIndexedRange(st, lo, k.idx[off+lo:off+hi], k.halfAngles, factors)
+func (k *diagKernel) unphaseInnerChunk(adj, st *quantum.State, factors []complex128, _ float64, lo, hi int) float64 {
+	return adj.InnerImMulIndexedRange(st, lo, k.idx[lo:hi], k.halfAngles, factors)
 }
-
-// ShardThreshold is the width of the evolved register — one less than
-// the problem's for a half register — from which NewWorkspace splits the
-// evaluation state over more than one shard: at 27 qubits a single
-// allocation is 2 GiB, the regime where per-worker shard ownership pays
-// for itself. Results are bit-identical at every shard count; the
-// threshold only picks the memory layout.
-const ShardThreshold = 27
-
-// DefaultShardBits is the shard count exponent NewWorkspace uses from
-// ShardThreshold: 2^2 = 4 shards keeps per-shard allocations ≤ 2 GiB
-// through n = 30 while the exchange passes stay a small fraction of a
-// layer.
-const DefaultShardBits = 2
 
 // EvalWorkspace owns the preallocated buffers one evaluation stream
 // needs: the state vector, the distinct-phase factor table and the
@@ -238,33 +220,26 @@ const DefaultShardBits = 2
 // construct no closures and allocate nothing). A workspace is not safe
 // for concurrent use; create one per goroutine.
 //
-// The state is a quantum.ShardedState, one shard below ShardThreshold;
-// results are bit-identical at every shard count. Call Close (or
-// Release) when done: with more than one shard it stops the shard
-// workers promptly (a finalizer backs it up).
-//
 // When the kernel reports a half register, the state and the adjoint
-// hold 2^(n−1) amplitudes and Layer and the reverse mixer run their
-// mirror pass. Half- and full-register results are each bit-identical
-// across shard counts, worker counts and arenas; they agree with each
+// hold 2^(n−1) amplitudes and the layer runner and the reverse mixer run
+// their mirror pass. Half- and full-register results are each
+// bit-identical across worker counts and arenas; they agree with each
 // other to rounding only.
 type EvalWorkspace struct {
 	k       costKernel
-	ss      *quantum.ShardedState
-	sbits   uint // log2(shard dim), for global→shard index mapping
+	st      *quantum.State
+	layer   *quantum.LayerRunner
 	factors []complex128
 
 	// Stage angle for the phase closures, written between dispatches
-	// (the dispatch's channel send orders it before any worker reads).
+	// (the dispatch orders it before any worker reads).
 	gamma float64
 
-	// Chunk bodies. Reduce bodies receive GLOBAL bounds (every shard count
-	// iterates the same fixed chunk geometry) and map them onto the owning
-	// shard: off is the shard's base index, lo−off its local range.
-	phaseBody  func(off, lo, hi int)
+	// Chunk bodies over the fixed geometry.
+	phaseBody  func(lo, hi int)
 	expectBody func(lo, hi int) (a, b float64)
 
-	// held is the [γ…,β…] whose |ψ⟩ the last forward pass left in ss,
+	// held is the [γ…,β…] whose |ψ⟩ the last forward pass left in st,
 	// valid while heldOK: runLayers records it, the reverse sweep (which
 	// consumes the state) and Release clear it, and nothing else writes
 	// the buffer. ValueGrad alone reads it, to skip a forward pass that
@@ -276,20 +251,18 @@ type EvalWorkspace struct {
 	// Adjoint-sweep buffers and closures (gradient.go), allocated on
 	// first ValueGrad call so plain expectation streams never pay for
 	// them. Warm gradient calls are allocation-free.
-	adj         *quantum.ShardedState
+	adj         *quantum.State
 	rev         *quantum.ReverseMixer
 	seedBody    func(lo, hi int) (a, b float64)
 	unphaseBody func(lo, hi int) (a, b float64)
 
 	// arena, when non-nil, supplied the state buffers (and supplies the
 	// lazy adjoint buffer); Release returns them there for the next
-	// workspace at this width. A nil arena means plain ownership —
-	// Release degrades to Close.
+	// workspace at this width. A nil arena means plain ownership.
 	arena *Arena
 }
 
-// NewWorkspace returns a reusable evaluation workspace for the problem:
-// one shard below ShardThreshold qubits, 2^DefaultShardBits from it.
+// NewWorkspace returns a reusable evaluation workspace for the problem.
 func (pb *Problem) NewWorkspace() *EvalWorkspace {
 	return newWorkspace(pb.kernel(), nil)
 }
@@ -297,95 +270,56 @@ func (pb *Problem) NewWorkspace() *EvalWorkspace {
 // NewWorkspaceArena is NewWorkspace drawing the state-vector buffers
 // from the arena (nil behaves like NewWorkspace). Evaluation results
 // are bit-identical: pooled buffers are always filled before use. Call
-// Release, not Close, so the buffers return to the arena.
+// Release so the buffers return to the arena.
 func (pb *Problem) NewWorkspaceArena(a *Arena) *EvalWorkspace {
 	return newWorkspace(pb.kernel(), a)
 }
 
-// NewWorkspaceShards returns a workspace whose state is split into
-// 2^shardBits shards regardless of size. Evaluation results are
-// bit-identical to NewWorkspace; only the memory layout and worker
-// ownership change. Callers should Close the workspace when done.
-func (pb *Problem) NewWorkspaceShards(shardBits int) *EvalWorkspace {
-	return newShardedWorkspace(pb.kernel(), shardBits, nil)
-}
-
 func newWorkspace(k costKernel, a *Arena) *EvalWorkspace {
-	shardBits := 0
-	if k.qubits() >= ShardThreshold {
-		shardBits = DefaultShardBits
-	}
-	return newShardedWorkspace(k, shardBits, a)
-}
-
-func newShardedWorkspace(k costKernel, shardBits int, a *Arena) *EvalWorkspace {
-	ss := a.get(k.qubits(), shardBits)
-	ss.SetMirror(k.mirror()) // a pooled state keeps its last owner's setting
+	st := a.get(k.qubits())
 	w := &EvalWorkspace{
 		k:       k,
-		ss:      ss,
-		sbits:   uint(bits.TrailingZeros(uint(ss.ShardDim()))),
+		st:      st,
+		layer:   quantum.NewLayerRunner(st),
 		factors: make([]complex128, k.factorLen()),
 		arena:   a,
 	}
-	w.phaseBody = func(off, lo, hi int) {
-		k.applyPhaseRange(w.ss.Shard(off>>w.sbits), w.factors, w.gamma, off, lo, hi)
+	w.layer.SetMirror(k.mirror())
+	w.phaseBody = func(lo, hi int) {
+		k.applyPhaseRange(w.st, w.factors, w.gamma, lo, hi)
 	}
 	w.expectBody = func(lo, hi int) (float64, float64) {
-		off := lo &^ (w.ss.ShardDim() - 1)
-		return k.expectChunk(w.ss.Shard(lo>>w.sbits), off, lo-off, hi-off), 0
+		return k.expectChunk(w.st, lo, hi), 0
 	}
 	return w
 }
 
-// Close releases the workspace's shard worker goroutines, if it has any.
-// Safe to call more than once.
-func (w *EvalWorkspace) Close() {
-	if w.ss != nil {
-		w.ss.Close()
-	}
-	if w.adj != nil {
-		w.adj.Close()
-	}
-}
+// Close is a no-op: a workspace holds nothing but memory, which the
+// garbage collector reclaims. Release hands arena buffers back.
+func (w *EvalWorkspace) Close() {}
 
 // Release retires the workspace, returning its state buffers to the
-// arena it was built from (arena-less workspaces just Close). The
-// workspace must not be used afterwards. Safe to call more than once.
+// arena it was built from (a no-op without one). The workspace must not
+// be used afterwards. Safe to call more than once.
 func (w *EvalWorkspace) Release() {
 	if w.arena == nil {
-		w.Close()
 		return
 	}
 	a := w.arena
 	w.arena = nil
-	a.put(w.ss)
+	a.put(w.st)
 	a.put(w.adj)
-	w.ss, w.adj, w.rev = nil, nil, nil
+	w.st, w.layer, w.adj, w.rev = nil, nil, nil, nil
 	w.heldOK = false
 	w.phaseBody, w.expectBody, w.seedBody, w.unphaseBody = nil, nil, nil, nil
 }
 
 // argmax returns the index of the most probable basis state of the
-// current workspace state. Ties resolve to the lowest global index:
-// State.ArgmaxProbability's rule within a shard, and across shards the
-// scan ascends and takes strict improvements only.
+// current workspace state, the lowest on a tie.
 func (w *EvalWorkspace) argmax() uint64 {
-	var best uint64
-	bestProb := -1.0
-	for i := 0; i < w.ss.NumShards(); i++ {
-		local, p := w.ss.Shard(i).ArgmaxProbability()
-		if p > bestProb {
-			bestProb = p
-			best = uint64(i)<<w.sbits | local
-		}
-	}
-	return best
+	i, _ := w.st.ArgmaxProbability()
+	return i
 }
-
-// Shards returns how many state-vector shards the workspace evaluates
-// over.
-func (w *EvalWorkspace) Shards() int { return w.ss.NumShards() }
 
 // runLayers prepares |ψ(γ,β)⟩ in the workspace state: per stage, one
 // fused layer sweep applies the uniform fill (first stage), the phase
@@ -393,12 +327,12 @@ func (w *EvalWorkspace) Shards() int { return w.ss.NumShards() }
 func (w *EvalWorkspace) runLayers(gamma, beta []float64) {
 	w.forwardPasses++
 	if len(gamma) == 0 {
-		w.ss.FillUniform()
+		w.st.FillUniform()
 	}
 	for s := range gamma {
 		w.k.prepareFactors(w.factors, gamma[s], false)
 		w.gamma = gamma[s]
-		w.ss.Layer(2*beta[s], s == 0, w.phaseBody)
+		w.layer.Layer(2*beta[s], s == 0, w.phaseBody)
 	}
 	w.held = append(append(w.held[:0], gamma...), beta...)
 	w.heldOK = true
@@ -421,22 +355,21 @@ func (w *EvalWorkspace) holds(gamma, beta []float64) bool {
 
 // prepareState builds a fresh |ψ(γ,β)⟩ with the fused layer kernels.
 // It backs the one-shot State helpers, which are not hot paths, so the
-// transient workspace is fine. One shard, whose State the helpers hand
-// out, and always the problem's full register — a half register is
-// unfolded.
+// transient workspace is fine. Always the problem's full register — a
+// half register is unfolded.
 func prepareState(k costKernel, gamma, beta []float64) *quantum.State {
-	w := newShardedWorkspace(k, 0, nil)
+	w := newWorkspace(k, nil)
 	w.runLayers(gamma, beta)
 	if k.mirror() {
-		return w.ss.Shard(0).UnfoldMirror()
+		return w.st.UnfoldMirror()
 	}
-	return w.ss.Shard(0)
+	return w.st
 }
 
 // expectation evaluates ⟨C⟩ at (γ, β), reusing the workspace buffers.
 func (w *EvalWorkspace) expectation(gamma, beta []float64) float64 {
 	w.runLayers(gamma, beta)
-	e, _ := w.ss.Reduce(w.expectBody)
+	e, _ := quantum.ReduceChunks(w.st.Dim(), w.expectBody)
 	return e
 }
 

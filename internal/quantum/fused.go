@@ -22,7 +22,7 @@ import (
 //
 // What bounds a sweep is arithmetic, not memory bandwidth (go run
 // ./benchmark -trace holds it against a STREAM-triad probe). Every pair
-// pass, here, in the shard exchange and in the reverse sweep, funnels
+// pass, here and in the reverse sweep, funnels
 // through three butterflies — rxQuad, rxQuadLow (kernels.go) and
 // rxQuadMirror — which do real arithmetic on the components (40 flops
 // per quadruple where the complex products did 92) and, on an amd64 CPU
@@ -63,13 +63,12 @@ type LayerRunner struct {
 
 	// limit caps the mixer sweep: only RX pairs with q+1 < limit (and,
 	// when limit == s.n, the odd final qubit) are applied. Zero means
-	// the full register. Sharded states (shard.go) set it to stop the
-	// in-shard sweep below the qubits the cross-shard exchange owns.
+	// the full register. Only the pinned sharded probe (shard.go) sets
+	// it, to stop the in-shard sweep below its exchange qubits.
 	limit int
 	// clen overrides the chunk length of the low sweep (0: ChunkLen of
-	// the state's own dimension). Sharded states pin it to the GLOBAL
-	// chunk length so per-chunk phase callbacks see the same ranges at
-	// every shard count.
+	// the state's own dimension). Only the pinned sharded probe sets it,
+	// to the GLOBAL chunk length of its register.
 	clen int
 	// mirror makes the state a half register (mirror.go): the sweep ends
 	// with the mirror butterfly of the qubit the state does not store.

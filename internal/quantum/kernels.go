@@ -44,8 +44,8 @@ func (s *State) FillUniform() {
 
 // parallel reports whether element-wise kernels on this state should
 // fan out across the worker pool. Parallel and serial passes are
-// bit-identical; this only gates scheduling. Shard-local states are
-// pinned serial: their owning shard worker IS the parallelism.
+// bit-identical; this only gates scheduling. The pinned probe's shard
+// states (shard.go) are serial: their owning worker is the parallelism.
 func (s *State) parallel() bool {
 	return !s.serial && len(s.amps) >= ParallelDim && runtime.GOMAXPROCS(0) > 1
 }

@@ -28,12 +28,11 @@ import "math"
 // two and nothing fuses: qubit 0's rxDuo and the mirror's run one after
 // the other on the same pair.
 //
-// The pass is added once to each sweep — LayerRunner.Layer,
-// ShardedState.Layer (shard w exchanges with shard K−1−w) and
+// The pass is added once to each sweep — LayerRunner.Layer and
 // ReverseMixer.Sweep — as the last pass, in place of the odd final
-// qubit's. A half register is a property of the sweep, not of the
-// buffer: a State or ShardedState of n qubits serves full n-qubit and
-// half (n+1)-qubit evolutions alike.
+// qubit's. A half register is a property of the sweep (SetMirror on
+// either), not of the buffer: a State of n qubits serves full n-qubit
+// and half (n+1)-qubit evolutions alike.
 
 // mirrorFused reports whether an n-qubit half register's mirror
 // butterfly fuses with its odd final qubit into one quadruple pass.

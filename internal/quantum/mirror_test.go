@@ -52,14 +52,6 @@ func mirrorTestWidths() []int {
 	return []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 14, 15, 16}
 }
 
-func mirrorShardBits(n int) []int {
-	var out []int
-	for sb := 0; sb <= 3 && (sb == 0 || n-sb >= 13); sb++ {
-		out = append(out, sb)
-	}
-	return out
-}
-
 func TestMirrorLayerMatchesFullRegister(t *testing.T) {
 	for _, n := range mirrorTestWidths() {
 		for ti, theta := range kernelTestThetas {
@@ -86,14 +78,6 @@ func TestMirrorLayerMatchesFullRegister(t *testing.T) {
 				r.SetMirror(true)
 				r.Layer(theta, false, nil)
 				halfMatchesFull(t, label, h, full)
-
-				for _, sb := range mirrorShardBits(n) {
-					ss := loadSharded(h0, sb)
-					ss.SetMirror(true)
-					ss.Layer(theta, false, nil)
-					ampsEqualExact(t, fmt.Sprintf("%s shards=%d", label, 1<<sb), h, ss.gather(), runtime.GOMAXPROCS(0))
-					ss.Close()
-				}
 				return h
 			}, func(t *testing.T, baseline, got any, w int) {
 				ampsEqualExact(t, label+" across workers", baseline.(*State), got.(*State), w)
@@ -198,26 +182,11 @@ func TestMirrorReverseMixerMatchesLayerAndOracle(t *testing.T) {
 			}
 			withWorkers(t, workers, func() any {
 				phi, lam := reverseTestPair(n, seed)
-				m, phi, lam := oneShardMixer(phi, lam, true)
-				got := m.Sweep(theta)
+				got := testMixer(phi, lam, true).Sweep(theta)
 				ampsEqualExact(t, label+" φ", phi0, phi, runtime.GOMAXPROCS(0))
 				ampsEqualExact(t, label+" λ", lam0, lam, runtime.GOMAXPROCS(0))
 				if d := math.Abs(got - oracle); d > 1e-12*(1+math.Abs(oracle)) {
 					t.Fatalf("%s: Sweep = %v, Im InnerProductSumX/2 = %v (|Δ| = %g)", label, got, oracle, d)
-				}
-
-				for _, sb := range mirrorShardBits(n) {
-					fphi, flam := reverseTestPair(n, seed)
-					sphi, slam := loadSharded(fphi, sb), loadSharded(flam, sb)
-					sphi.SetMirror(true)
-					slabel := fmt.Sprintf("%s shards=%d", label, 1<<sb)
-					if sg := NewShardedReverseMixer(sphi, slam).Sweep(theta); sg != got {
-						t.Fatalf("%s: sharded Sweep %v != one shard's %v", slabel, sg, got)
-					}
-					ampsEqualExact(t, slabel+" φ", phi0, sphi.gather(), sb)
-					ampsEqualExact(t, slabel+" λ", lam0, slam.gather(), sb)
-					sphi.Close()
-					slam.Close()
 				}
 				return got
 			}, func(t *testing.T, baseline, got any, w int) {
@@ -237,7 +206,7 @@ func TestMirrorSweepsZeroAlloc(t *testing.T) {
 		phi, lam := reverseTestPair(n, 78)
 		r := NewLayerRunner(phi)
 		r.SetMirror(true)
-		m, _, _ := oneShardMixer(phi, lam, true)
+		m := testMixer(phi, lam, true)
 		r.Layer(0.3, false, nil) // warm the pool's job freelist
 		sink += m.Sweep(0.3)
 		if allocs := testing.AllocsPerRun(10, func() {

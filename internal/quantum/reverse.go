@@ -70,30 +70,22 @@ import "math/bits"
 // like every other pass.
 //
 // Blocks are a function of the dimension alone and run through the
-// fixed-geometry reduction (ShardedState.Reduce; ReduceChunks on one
-// shard), never through runRange's serial shortcut, so the value is the
-// same at every shard count and GOMAXPROCS, bit for bit.
+// fixed-geometry reduction (ReduceChunks), never through runRange's
+// serial shortcut, so the value is the same at every GOMAXPROCS, bit
+// for bit.
 
 // revSubQuads is the sub-run length: 128 quadruples are 8 KiB per
 // state, so the ΣX read and the two butterflies that follow it find
 // both states' sub-runs in L1.
 const revSubQuads = 128
 
-// span returns amplitudes [i, i+n) of the global basis-state range, the
-// view the sweep works through. n is at most the fixed chunk length and
-// divides i, so a span never straddles a shard.
-func (ss *ShardedState) span(i, n int) []complex128 {
-	l := i & (ss.sdim - 1)
-	return ss.shards[i>>uint(ss.sbits)].amps[l : l+n]
-}
-
 // ReverseMixer un-applies the RX mixer from a ket |φ⟩ and an adjoint λ
 // in lockstep and reads Im⟨λ|ΣX|φ⟩ off on the way (see the file
-// comment). It holds the reduction closures the worker dispatch needs,
+// comment). It holds the reduction closures the chunk dispatch needs,
 // so warm Sweep calls allocate nothing. A ReverseMixer is bound to its
 // two states and is not safe for concurrent use.
 type ReverseMixer struct {
-	phi, lam     *ShardedState
+	phi, lam     []complex128
 	n, dim, clen int  // register width, 2^n, fixed chunk length (≤ dim)
 	mirror       bool // the states are half registers (mirror.go)
 
@@ -104,18 +96,21 @@ type ReverseMixer struct {
 	lowBody, pairBody, oneBody, mirrorBody func(lo, hi int) (a, b float64)
 }
 
-// NewShardedReverseMixer returns a sweep over two sharded states of
-// equal geometry, half registers if phi is one (SetMirror). Blocks run
-// through phi.Reduce: on the chunk pool for one shard, else each on the
-// worker owning the block's chunk.
-func NewShardedReverseMixer(phi, lam *ShardedState) *ReverseMixer {
-	if phi.n != lam.n || phi.sbits != lam.sbits {
-		panic("quantum: geometry mismatch in NewShardedReverseMixer")
+// NewReverseMixer returns a sweep over two states of equal width, full
+// registers until SetMirror says otherwise.
+func NewReverseMixer(phi, lam *State) *ReverseMixer {
+	if phi.n != lam.n {
+		panic("quantum: width mismatch in NewReverseMixer")
 	}
-	m := &ReverseMixer{phi: phi, lam: lam, n: phi.n, dim: phi.Dim(), clen: phi.clen, mirror: phi.mirror}
+	dim := len(phi.amps)
+	m := &ReverseMixer{phi: phi.amps, lam: lam.amps, n: phi.n, dim: dim, clen: min(ChunkLen(dim), dim)}
 	m.lowBody, m.pairBody, m.oneBody, m.mirrorBody = m.low, m.pair, m.one, m.mirrorBlock
 	return m
 }
+
+// SetMirror makes the sweep treat both states as half registers
+// (mirror.go) or, with false, as full registers again.
+func (m *ReverseMixer) SetMirror(on bool) { m.mirror = on }
 
 // Sweep applies RX(theta) to every qubit of both states — amplitudes
 // bit-identical to LayerRunner.Layer(theta, false, nil) on each — and
@@ -126,7 +121,7 @@ func NewShardedReverseMixer(phi, lam *ShardedState) *ReverseMixer {
 // return).
 func (m *ReverseMixer) Sweep(theta float64) float64 {
 	m.rx = newRXCoef(theta)
-	im, _ := m.phi.Reduce(m.lowBody)
+	im, _ := ReduceChunks(m.dim, m.lowBody)
 
 	// Cross-chunk pairs in ascending qubit order, then the last pass:
 	// LayerRunner.Layer's pass sequence.
@@ -137,16 +132,16 @@ func (m *ReverseMixer) Sweep(theta float64) float64 {
 	}
 	for ; q+1 < m.n; q += 2 {
 		m.q = q
-		p, _ := m.phi.Reduce(m.pairBody)
+		p, _ := ReduceChunks(m.dim, m.pairBody)
 		im += p
 	}
 	if m.dim > m.clen {
 		switch {
 		case m.mirror:
-			p, _ := m.phi.Reduce(m.mirrorBody)
+			p, _ := ReduceChunks(m.dim, m.mirrorBody)
 			im += p
 		case m.n%2 == 1:
-			p, _ := m.phi.Reduce(m.oneBody)
+			p, _ := ReduceChunks(m.dim, m.oneBody)
 			im += p
 		}
 	}
@@ -158,7 +153,7 @@ func (m *ReverseMixer) Sweep(theta float64) float64 {
 // register — the last pass, exactly as LayerRunner.runLow.
 func (m *ReverseMixer) low(lo, hi int) (im, _ float64) {
 	span := hi - lo
-	p, l := m.phi.span(lo, span), m.lam.span(lo, span)
+	p, l := m.phi[lo:hi], m.lam[lo:hi]
 	q := 0
 	for ; q+1 < m.n && 1<<uint(q+1) < span; q += 2 {
 		im += revQuadChunk(p, l, q, m.rx)
@@ -186,9 +181,10 @@ func (m *ReverseMixer) pair(lo, hi int) (im, _ float64) {
 	mask := bit0 - 1
 	r, n := lo>>2, (hi-lo)>>2
 	i := ((r &^ mask) << 2) | (r & mask)
+	p, l := m.phi[i:], m.lam[i:]
 	return revQuad(
-		m.phi.span(i, n), m.phi.span(i+bit0, n), m.phi.span(i+bit1, n), m.phi.span(i+bit0+bit1, n),
-		m.lam.span(i, n), m.lam.span(i+bit0, n), m.lam.span(i+bit1, n), m.lam.span(i+bit0+bit1, n),
+		p[:n], p[bit0:bit0+n], p[bit1:bit1+n], p[bit0+bit1:bit0+bit1+n],
+		l[:n], l[bit0:bit0+n], l[bit1:bit1+n], l[bit0+bit1:bit0+bit1+n],
 		m.rx), 0
 }
 
@@ -196,7 +192,7 @@ func (m *ReverseMixer) pair(lo, hi int) (im, _ float64) {
 // register: pairs [lo/2, hi/2), equal offsets of the two halves.
 func (m *ReverseMixer) one(lo, hi int) (im, _ float64) {
 	i, n, half := lo>>1, (hi-lo)>>1, m.dim>>1
-	return revDuo(m.phi.span(i, n), m.phi.span(half+i, n), m.lam.span(i, n), m.lam.span(half+i, n), m.rx), 0
+	return revDuo(m.phi[i:i+n], m.phi[half+i:half+i+n], m.lam[i:i+n], m.lam[half+i:half+i+n], m.rx), 0
 }
 
 // mirrorBlock is one block of a half register's mirror pass on a
@@ -210,17 +206,17 @@ func (m *ReverseMixer) mirrorBlock(lo, hi int) (im, _ float64) {
 
 // revMirror un-applies the mirror pass for representatives [rlo, rhi)
 // from both states and returns their ΣX terms: mirrorRange on two
-// states through span.
+// states.
 func (m *ReverseMixer) revMirror(rlo, rhi int) float64 {
-	n := rhi - rlo
+	p, l, d := m.phi, m.lam, m.dim
 	if mirrorFused(m.n) {
-		t := m.dim >> 1
+		t := d >> 1
 		return revQuadMirror(
-			m.phi.span(rlo, n), m.phi.span(t+rlo, n), m.phi.span(m.dim-rhi, n), m.phi.span(t-rhi, n),
-			m.lam.span(rlo, n), m.lam.span(t+rlo, n), m.lam.span(m.dim-rhi, n), m.lam.span(t-rhi, n),
+			p[rlo:rhi], p[t+rlo:t+rhi], p[d-rhi:d-rlo], p[t-rhi:t-rlo],
+			l[rlo:rhi], l[t+rlo:t+rhi], l[d-rhi:d-rlo], l[t-rhi:t-rlo],
 			m.rx)
 	}
-	return revDuoMirror(m.phi.span(rlo, n), m.phi.span(m.dim-rhi, n), m.lam.span(rlo, n), m.lam.span(m.dim-rhi, n), m.rx)
+	return revDuoMirror(p[rlo:rhi], p[d-rhi:d-rlo], l[rlo:rhi], l[d-rhi:d-rlo], m.rx)
 }
 
 // revQuadChunk un-applies the in-chunk pair (q, q+1) from one chunk of

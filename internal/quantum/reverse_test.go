@@ -8,11 +8,10 @@ import (
 )
 
 // Differential suite for the two-state reverse mixer sweep. Amplitudes
-// are compared with == against the single-state layer kernels on plain
-// States; the returned matrix element is compared with == against itself
-// across shard counts and worker counts, and to rounding against
-// InnerProductSumX, the qubit-by-qubit complex walk that shares no code
-// with the sweep.
+// are compared with == against the single-state layer kernels; the
+// returned matrix element is compared with == against itself across
+// worker counts, and to rounding against InnerProductSumX, the
+// qubit-by-qubit complex walk that shares no code with the sweep.
 
 // reverseTestPair returns a seeded, non-normalized state pair with a
 // share of exact zeros (see kernelTestAmps).
@@ -23,22 +22,18 @@ func reverseTestPair(n int, seed int64) (phi, lam *State) {
 	return phi, lam
 }
 
-// oneShardMixer loads a pair into one-shard ShardedStates — the layout of
-// every workspace below qaoa.ShardThreshold — and returns the sweep over
-// them with the two shards it writes. Nothing to Close: one shard starts
-// no worker.
-func oneShardMixer(phi, lam *State, mirror bool) (m *ReverseMixer, p, l *State) {
-	sphi, slam := loadSharded(phi, 0), loadSharded(lam, 0)
-	sphi.SetMirror(mirror)
-	return NewShardedReverseMixer(sphi, slam), sphi.Shard(0), slam.Shard(0)
+// testMixer returns the sweep over phi and lam, half registers if
+// mirror.
+func testMixer(phi, lam *State, mirror bool) *ReverseMixer {
+	m := NewReverseMixer(phi, lam)
+	m.SetMirror(mirror)
+	return m
 }
 
 // n = 1…13 are single-chunk registers (odd widths take the final qubit
 // in-chunk), 14 and 15 add cross-chunk pairs and the multi-chunk odd
 // qubit below the parallel threshold, 16 and 17 run on the pool — the
-// only widths at which the worker count can matter. Every case runs on
-// one shard; 2/4/8 shards (where a shard still holds a chunk) share the
-// butterflies, so two angles cover their index mapping.
+// only widths at which the worker count can matter.
 func TestReverseMixerMatchesLayerAndOracle(t *testing.T) {
 	maxN := 17
 	if testing.Short() {
@@ -60,16 +55,11 @@ func TestReverseMixerMatchesLayerAndOracle(t *testing.T) {
 			}
 			withWorkers(t, workers, func() any {
 				phi, lam := reverseTestPair(n, seed)
-				m, phi, lam := oneShardMixer(phi, lam, false)
-				got := m.Sweep(theta)
+				got := testMixer(phi, lam, false).Sweep(theta)
 				ampsEqualExact(t, label+" φ", phi0, phi, runtime.GOMAXPROCS(0))
 				ampsEqualExact(t, label+" λ", lam0, lam, runtime.GOMAXPROCS(0))
 				if d := math.Abs(got - oracle); d > 1e-12*(1+math.Abs(oracle)) {
 					t.Fatalf("%s: Sweep = %v, Im InnerProductSumX = %v (|Δ| = %g)", label, got, oracle, d)
-				}
-
-				for sb := 1; sb <= 3 && n-sb >= 13 && (ti == 1 || ti == 4); sb++ {
-					reverseShardedCase(t, fmt.Sprintf("%s shards=%d", label, 1<<sb), n, sb, seed, theta, got, phi0, lam0)
 				}
 				return got
 			}, func(t *testing.T, baseline, got any, w int) {
@@ -81,27 +71,6 @@ func TestReverseMixerMatchesLayerAndOracle(t *testing.T) {
 	}
 }
 
-// reverseShardedCase runs the sweep on 2^sb shards of the seeded pair
-// and pins it to the one-shard result: the value, both states, and
-// ShardedState.Layer's own amplitudes. The shard sets are closed on
-// return (t.Cleanup would hold every case's buffers to the end).
-func reverseShardedCase(t *testing.T, label string, n, sb int, seed int64, theta, want float64, phi0, lam0 *State) {
-	t.Helper()
-	fphi, flam := reverseTestPair(n, seed)
-	sphi, slam, lphi := loadSharded(fphi, sb), loadSharded(flam, sb), loadSharded(fphi, sb)
-	defer sphi.Close()
-	defer slam.Close()
-	defer lphi.Close()
-
-	if got := NewShardedReverseMixer(sphi, slam).Sweep(theta); got != want {
-		t.Fatalf("%s: sharded Sweep %v != one shard's %v", label, got, want)
-	}
-	ampsEqualExact(t, label+" φ", phi0, sphi.gather(), sb)
-	ampsEqualExact(t, label+" λ", lam0, slam.gather(), sb)
-	lphi.Layer(theta, false, nil)
-	ampsEqualExact(t, label+" ShardedState.Layer", lphi.gather(), sphi.gather(), sb)
-}
-
 // The sweep sits inside the per-stage loop of every analytic gradient:
 // warm calls must not allocate, on the serial path or through the pool.
 func TestReverseMixerZeroAlloc(t *testing.T) {
@@ -110,7 +79,7 @@ func TestReverseMixerZeroAlloc(t *testing.T) {
 	var sink float64
 	for _, n := range []int{8, 16} {
 		phi, lam := reverseTestPair(n, 77)
-		m, _, _ := oneShardMixer(phi, lam, false)
+		m := testMixer(phi, lam, false)
 		sink += m.Sweep(0.3) // warm the pool's job freelist
 		if allocs := testing.AllocsPerRun(10, func() { sink += m.Sweep(-0.3) }); allocs != 0 {
 			t.Fatalf("n=%d: Sweep allocates %v times per run", n, allocs)
@@ -122,10 +91,10 @@ func TestReverseMixerZeroAlloc(t *testing.T) {
 func TestReverseMixerPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewShardedReverseMixer accepted mismatched widths")
+			t.Fatal("NewReverseMixer accepted mismatched widths")
 		}
 	}()
-	NewShardedReverseMixer(NewShardedState(3, 0), NewShardedState(4, 0))
+	NewReverseMixer(NewState(3), NewState(4))
 }
 
 // BenchmarkReverseMixer times one two-state sweep — RX un-applied from
@@ -149,7 +118,7 @@ func BenchmarkReverseMixer(b *testing.B) {
 		forEachKernel(func(kernel string) {
 			b.Run(c.name+"/"+kernel, func(b *testing.B) {
 				phi, lam := randomParallelState(c.n, 8), randomParallelState(c.n, 9)
-				m, _, _ := oneShardMixer(phi, lam, c.mirror)
+				m := testMixer(phi, lam, c.mirror)
 				var sink float64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -309,8 +309,7 @@ func TestRevKernelAVX2RunsMatchOracle(t *testing.T) {
 }
 
 // Whole reverse sweeps with the assembly and without: the returned
-// matrix element and both states, full and half registers, on one shard
-// and at every shard count reverseShardedCase covers, every seventh
+// matrix element and both states, full and half registers, every seventh
 // amplitude of φ and every fifth of λ a signed zero. Sweep must not say
 // which bodies ran it — the fold is reverse.go's either way.
 func TestRevKernelSweepBitsMatchGoBodies(t *testing.T) {
@@ -330,25 +329,17 @@ func TestRevKernelSweepBitsMatchGoBodies(t *testing.T) {
 				for i := 0; i < len(lam0.amps); i += 5 {
 					lam0.amps[i] = complex(math.Copysign(0, -1), 0)
 				}
-				for sb := 0; sb <= 3 && (sb == 0 || n-sb >= 13 && ti >= 3); sb++ {
-					name := fmt.Sprintf("Sweep n=%d mirror=%v θ=%v shardBits=%d", n, mirror, theta, sb)
-					var sum [2]float64
-					var phi, lam [2]*State
-					for i, asm := range []bool{false, true} {
-						useAVX2 = asm
-						phi[i], lam[i] = phi0.Clone(), lam0.Clone()
-						sphi, slam := loadSharded(phi[i], sb), loadSharded(lam[i], sb)
-						sphi.SetMirror(mirror)
-						slam.SetMirror(mirror)
-						sum[i] = NewShardedReverseMixer(sphi, slam).Sweep(theta)
-						phi[i], lam[i] = sphi.gather(), slam.gather()
-						sphi.Close()
-						slam.Close()
-					}
-					requireSameSum(t, name, sum[0], sum[1])
-					requireSameBits(t, name+" φ", phi[0].amps, phi[1].amps)
-					requireSameBits(t, name+" λ", lam[0].amps, lam[1].amps)
+				name := fmt.Sprintf("Sweep n=%d mirror=%v θ=%v", n, mirror, theta)
+				var sum [2]float64
+				var phi, lam [2]*State
+				for i, asm := range []bool{false, true} {
+					useAVX2 = asm
+					phi[i], lam[i] = phi0.Clone(), lam0.Clone()
+					sum[i] = testMixer(phi[i], lam[i], mirror).Sweep(theta)
 				}
+				requireSameSum(t, name, sum[0], sum[1])
+				requireSameBits(t, name+" φ", phi[0].amps, phi[1].amps)
+				requireSameBits(t, name+" λ", lam[0].amps, lam[1].amps)
 			}
 		}
 	}

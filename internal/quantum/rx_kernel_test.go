@@ -219,36 +219,6 @@ func TestLayerMatchesComplexReference(t *testing.T) {
 	}
 }
 
-// ShardedState.Layer at 1/2/4/8 shards against the same reference:
-// straddle, quad and single exchange passes all run rxQuad/rxDuo on
-// shard slices.
-func TestShardedLayerMatchesComplexReference(t *testing.T) {
-	for _, n := range []int{16, 17} {
-		phases := testPhases(n, int64(90+n))
-		for sb := 0; sb <= 3; sb++ {
-			for ti, theta := range []float64{math.Pi / 2, 0.8342} {
-				flat := NewState(n)
-				copy(flat.amps, kernelTestAmps(n, int64(4000*n+10*sb+ti)))
-				ss := shardedFromState(t, flat, sb)
-				want := append([]complex128(nil), flat.amps...)
-				for pass, fill := range []bool{true, false} {
-					if fill {
-						for i := range want {
-							want[i] = complex(1/math.Sqrt(float64(len(want))), 0)
-						}
-					}
-					applyPhaseRange(want, phases)
-					refRXAll(want, n, theta-float64(pass))
-					ss.Layer(theta-float64(pass), fill, func(off, lo, hi int) {
-						applyPhaseRange(ss.shards[off>>uint(ss.sbits)].amps[lo:hi], phases[off+lo:off+hi])
-					})
-				}
-				sliceEqualExact(t, fmt.Sprintf("sharded Layer n=%d shards=%d θ=%v", n, 1<<uint(sb), theta), want, ss.gather().amps)
-			}
-		}
-	}
-}
-
 // The gate-by-gate simulator (H and RX through the generic Apply1Q,
 // each coupling as CNOT·RZ·CNOT) shares no code with the fused kernels:
 // a QAOA ring circuit run both ways must agree to rounding error.

@@ -2,7 +2,7 @@
 // reproduction uses in place of QuTiP. A State holds the 2^n complex
 // amplitudes of an n-qubit register; qubit 0 is the least-significant
 // bit of the basis-state index. The QAOA engine runs the fused kernels
-// (kernels.go, adjoint.go, reverse.go, mirror.go) on a ShardedState.
+// (fused.go, adjoint.go, reverse.go, mirror.go) on a State.
 // The gates — H, RX, RZ, CNOT and the generic Apply1Q — act one at a
 // time, in place; they build the gate-level oracle those kernels are
 // tested against.
@@ -20,11 +20,9 @@ import (
 )
 
 // MaxQubits bounds state allocation (2^30 amplitudes = 16 GiB). The
-// practical ceiling for flat-array evaluations is n = 26–28 depending
-// on how many state buffers the caller holds (a gradient workspace
-// holds two); n = 29–30 is the territory of the sharded representation
-// (shard.go), which splits the register across independently allocated
-// shards with the same two-state-vector budget.
+// practical ceiling for evaluations is n = 26–28 evolved qubits,
+// depending on how many state buffers the caller holds (a gradient
+// workspace holds two).
 const MaxQubits = 30
 
 // State is the dense state vector of an n-qubit register.
@@ -32,8 +30,8 @@ type State struct {
 	n    int
 	amps []complex128
 	// serial pins every kernel on this state to the calling goroutine.
-	// Shard-local states set it so in-shard work never re-enters the
-	// worker pool from a shard worker (locality is the point of a shard).
+	// Only the pinned probe's shards set it (shard.go), so in-shard work
+	// never re-enters the worker pool from a shard worker.
 	serial bool
 }
 
@@ -44,7 +42,8 @@ type State struct {
 var ampBytes atomic.Int64
 
 // AmpBytesAllocated returns the cumulative bytes of amplitude storage
-// allocated by NewState, Clone and NewShardedState since process start.
+// allocated since process start: NewState, Clone and the sharded probe
+// (shard.go).
 func AmpBytesAllocated() int64 { return ampBytes.Load() }
 
 // NewState returns the n-qubit computational basis state |0...0⟩.

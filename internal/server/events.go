@@ -25,8 +25,9 @@ const (
 	// terminal result event is never dropped).
 	eventHistoryCap = 4096
 	// subBuffer is the per-subscriber channel depth. A subscriber
-	// draining slower than the optimizer iterates has events dropped
-	// (counted, never blocking the solve).
+	// draining slower than the optimizer iterates misses the events that
+	// find its buffer full: each is dropped for that subscriber alone,
+	// without blocking the solve, and no drop is counted.
 	subBuffer = 256
 )
 
@@ -40,7 +41,6 @@ const (
 type eventBus struct {
 	mu      sync.Mutex
 	history []telemetry.IterEvent
-	dropped int64 // history overflow (publishes beyond eventHistoryCap)
 	subs    map[chan telemetry.IterEvent]struct{}
 	closed  bool
 }
@@ -49,8 +49,9 @@ func newEventBus() *eventBus {
 	return &eventBus{subs: make(map[chan telemetry.IterEvent]struct{})}
 }
 
-// publish records the event and fans it out without blocking: a full
-// subscriber buffer drops the event for that subscriber only.
+// publish records the event (history stops growing at eventHistoryCap)
+// and fans it out without blocking: a subscriber whose buffer is full
+// does not get the event, and the drop is not counted.
 func (b *eventBus) publish(ev telemetry.IterEvent) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -59,8 +60,6 @@ func (b *eventBus) publish(ev telemetry.IterEvent) {
 	}
 	if len(b.history) < eventHistoryCap {
 		b.history = append(b.history, ev)
-	} else {
-		b.dropped++
 	}
 	for ch := range b.subs {
 		select {

@@ -75,8 +75,7 @@ type Config struct {
 	// MaxTimeout caps requested per-job deadlines (default 10m).
 	MaxTimeout time.Duration
 	// MaxNodes caps instance size (default 20; hard limit
-	// quantum.MaxQubits — the simulator's register ceiling, reached via
-	// the sharded state layout).
+	// quantum.MaxQubits, the simulator's register ceiling).
 	MaxNodes int
 	// MaxDepth caps the requested circuit depth (default 10).
 	MaxDepth int
