@@ -21,23 +21,28 @@ func writeCSV(header []string, rows [][]string) string {
 
 func f64(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
 
-// CSV renders Table I.
-func (t Table1Result) CSV() string {
+// CSV renders an arm table: per arm its mean and SD of AR and FC, and
+// each later arm's FC reduction against the first.
+func (t ArmTable) CSV() string {
+	header := []string{"optimizer", "p"}
+	for a, name := range t.Arms {
+		header = append(header, name+"_mean_ar", name+"_sd_ar", name+"_mean_fc", name+"_sd_fc")
+		if a > 0 {
+			header = append(header, name+"_fc_reduction_pct")
+		}
+	}
 	var rows [][]string
 	for _, r := range t.Rows {
-		rows = append(rows, []string{
-			r.Optimizer, strconv.Itoa(r.Depth),
-			f64(r.NaiveMeanAR), f64(r.NaiveSDAR), f64(r.NaiveMeanFC), f64(r.NaiveSDFC),
-			f64(r.TwoMeanAR), f64(r.TwoSDAR), f64(r.TwoMeanFC), f64(r.TwoSDFC),
-			f64(r.FCReductionPct),
-		})
+		row := []string{r.Optimizer, strconv.Itoa(r.Depth)}
+		for a, s := range r.Arms {
+			row = append(row, f64(s.MeanAR), f64(s.SDAR), f64(s.MeanFC), f64(s.SDFC))
+			if a > 0 {
+				row = append(row, f64(s.FCReductionPct))
+			}
+		}
+		rows = append(rows, row)
 	}
-	return writeCSV([]string{
-		"optimizer", "p",
-		"naive_mean_ar", "naive_sd_ar", "naive_mean_fc", "naive_sd_fc",
-		"two_mean_ar", "two_sd_ar", "two_mean_fc", "two_sd_fc",
-		"fc_reduction_pct",
-	}, rows)
+	return writeCSV(header, rows)
 }
 
 // CSV renders the Fig. 1(c) series.
@@ -118,24 +123,6 @@ func (m ModelComparisonResult) CSV() string {
 		})
 	}
 	return writeCSV([]string{"model", "mse", "rmse", "mae", "r2", "r2adj"}, rows)
-}
-
-// CSV renders the hierarchical comparison.
-func (h HierResult) CSV() string {
-	var rows [][]string
-	for _, r := range h.Rows {
-		rows = append(rows, []string{
-			strconv.Itoa(r.Depth),
-			f64(r.NaiveMeanFC), f64(r.NaiveMeanAR),
-			f64(r.TwoMeanFC), f64(r.TwoMeanAR),
-			f64(r.HierMeanFC), f64(r.HierMeanAR),
-			f64(r.TwoReductionPct), f64(r.HierReductionPct),
-		})
-	}
-	return writeCSV([]string{
-		"p", "naive_fc", "naive_ar", "two_fc", "two_ar", "hier_fc", "hier_ar",
-		"two_reduction_pct", "hier_reduction_pct",
-	}, rows)
 }
 
 // CSVName returns the canonical file name for an experiment id.

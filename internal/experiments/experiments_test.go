@@ -89,13 +89,14 @@ func TestRunTable1(t *testing.T) {
 	}
 	positive := 0
 	for _, r := range res.Rows {
-		if r.NaiveMeanFC <= 0 || r.TwoMeanFC <= 0 {
+		naive, two := r.Arms[0], r.Arms[1]
+		if naive.MeanFC <= 0 || two.MeanFC <= 0 {
 			t.Errorf("%s p=%d: nonpositive FC", r.Optimizer, r.Depth)
 		}
-		if r.NaiveMeanAR <= 0 || r.NaiveMeanAR > 1+1e-9 || r.TwoMeanAR <= 0 || r.TwoMeanAR > 1+1e-9 {
+		if naive.MeanAR <= 0 || naive.MeanAR > 1+1e-9 || two.MeanAR <= 0 || two.MeanAR > 1+1e-9 {
 			t.Errorf("%s p=%d: AR out of range", r.Optimizer, r.Depth)
 		}
-		if r.FCReductionPct > 0 {
+		if two.FCReductionPct > 0 {
 			positive++
 		}
 	}
@@ -104,10 +105,11 @@ func TestRunTable1(t *testing.T) {
 	if positive < 6 {
 		t.Errorf("only %d/8 cells show an FC reduction\n%s", positive, res)
 	}
-	if res.AvgFCReductionPct <= 0 {
-		t.Errorf("average reduction %.1f%% not positive", res.AvgFCReductionPct)
+	avg, max := res.FCReduction(1)
+	if avg <= 0 {
+		t.Errorf("average reduction %.1f%% not positive", avg)
 	}
-	if res.MaxFCReductionPct < res.AvgFCReductionPct {
+	if max < avg {
 		t.Error("max reduction below average")
 	}
 	s := res.String()
@@ -283,10 +285,10 @@ func TestRunHierarchical(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	r := res.Rows[0]
-	if r.NaiveMeanFC <= 0 || r.TwoMeanFC <= 0 || r.HierMeanFC <= 0 {
+	if r.Arms[0].MeanFC <= 0 || r.Arms[1].MeanFC <= 0 || r.Arms[2].MeanFC <= 0 {
 		t.Errorf("nonpositive FC: %+v", r)
 	}
-	for _, ar := range []float64{r.NaiveMeanAR, r.TwoMeanAR, r.HierMeanAR} {
+	for _, ar := range []float64{r.Arms[0].MeanAR, r.Arms[1].MeanAR, r.Arms[2].MeanAR} {
 		if ar <= 0 || ar > 1+1e-9 {
 			t.Errorf("AR out of range: %+v", r)
 		}
@@ -318,10 +320,16 @@ func TestNewEnvFromData(t *testing.T) {
 
 func TestCSVRendering(t *testing.T) {
 	env := sharedEnv(t)
+	hier, err := RunHierarchical(env)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checks := map[string]string{
-		"fig5":  RunFig5(env).CSV(),
-		"fig6":  RunFig6(env).CSV(),
-		"fig1c": RunFig1c(2, 2, 1).CSV(),
+		"fig5":   RunFig5(env).CSV(),
+		"fig6":   RunFig6(env).CSV(),
+		"fig1c":  RunFig1c(2, 2, 1).CSV(),
+		"table1": RunTable1(env).CSV(),
+		"hier":   hier.CSV(),
 	}
 	for id, csvText := range checks {
 		lines := strings.Split(strings.TrimSpace(csvText), "\n")

@@ -3,38 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"runtime"
-	"strings"
-	"sync"
 
 	"qaoaml/internal/core"
 	"qaoaml/internal/ml"
-	"qaoaml/internal/optimize"
 	"qaoaml/internal/qaoa"
-	"qaoaml/internal/stats"
 )
-
-// HierRow compares the three flows at one target depth: naive random
-// initialization, the two-level flow, and the hierarchical variant the
-// paper sketches in Sec. I(d) (intermediate-depth optimum joins the
-// feature vector).
-type HierRow struct {
-	Depth int
-
-	NaiveMeanFC, NaiveMeanAR float64
-	TwoMeanFC, TwoMeanAR     float64
-	HierMeanFC, HierMeanAR   float64
-
-	TwoReductionPct  float64
-	HierReductionPct float64
-}
-
-// HierResult is the hierarchical-vs-two-level ablation (DESIGN.md).
-type HierResult struct {
-	Optimizer string
-	Rows      []HierRow
-}
 
 // hierBanks is the hierarchical predictor: one GPR bank per target
 // depth ≥ 3 over hierFeatures.
@@ -102,100 +75,29 @@ func solveHier(pb *qaoa.Problem, o core.Options, banks hierBanks) (core.Result, 
 	return res, nil
 }
 
-// RunHierarchical evaluates naive vs two-level vs hierarchical with
-// L-BFGS-B for target depths 3..MaxTarget over the test graphs.
-func RunHierarchical(env *Env) (HierResult, error) {
-	banks, err := trainHier(env.Data, env.TrainIDs)
-	if err != nil {
-		return HierResult{}, err
-	}
-	opt := &optimize.LBFGSB{Tol: 1e-6}
-	res := HierResult{Optimizer: opt.Name()}
-
-	flows := [3]func(*qaoa.Problem, core.Options) (core.Result, error){
-		func(pb *qaoa.Problem, o core.Options) (core.Result, error) {
-			return core.Solve(context.Background(), pb, o)
-		},
-		func(pb *qaoa.Problem, o core.Options) (core.Result, error) {
-			o.Strategy = core.StrategyTwoLevel
-			return core.Solve(context.Background(), pb, o)
-		},
-		func(pb *qaoa.Problem, o core.Options) (core.Result, error) { return solveHier(pb, o, banks) },
-	}
-	type sample [len(flows)]struct{ fc, ar []float64 }
-	for pt := 3; pt <= env.Scale.MaxTarget; pt++ {
-		ids := env.testSubset()
-		samples := make([]sample, len(ids))
-		var wg sync.WaitGroup
-		var firstErr error
-		var errOnce sync.Once
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for k, g := range ids {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(k, g int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				pb := env.Data.Problems[g]
-				rng := rand.New(rand.NewSource(env.Scale.Seed + int64(g)*33331 + int64(pt)))
-				o := core.Options{Depth: pt, Optimizer: opt, Rng: rng, Predictor: env.Predictor}
-				var s sample
-				for rep := 0; rep < env.Scale.Reps; rep++ {
-					for i, flow := range flows {
-						r, err := flow(pb, o)
-						if err != nil {
-							errOnce.Do(func() { firstErr = err })
-							return
-						}
-						s[i].fc = append(s[i].fc, float64(r.NFev))
-						s[i].ar = append(s[i].ar, r.AR)
-					}
-				}
-				samples[k] = s
-			}(k, g)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return HierResult{}, firstErr
-		}
-		var all sample
-		for _, s := range samples {
-			for i := range all {
-				all[i].fc = append(all[i].fc, s[i].fc...)
-				all[i].ar = append(all[i].ar, s[i].ar...)
-			}
-		}
-		row := HierRow{
-			Depth:       pt,
-			NaiveMeanFC: stats.Mean(all[0].fc), NaiveMeanAR: stats.Mean(all[0].ar),
-			TwoMeanFC: stats.Mean(all[1].fc), TwoMeanAR: stats.Mean(all[1].ar),
-			HierMeanFC: stats.Mean(all[2].fc), HierMeanAR: stats.Mean(all[2].ar),
-		}
-		if row.NaiveMeanFC > 0 {
-			row.TwoReductionPct = 100 * (1 - row.TwoMeanFC/row.NaiveMeanFC)
-			row.HierReductionPct = 100 * (1 - row.HierMeanFC/row.NaiveMeanFC)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+// hierArm is solveHier on banks.
+func hierArm(banks hierBanks) arm {
+	return arm{"hier", func(pb *qaoa.Problem, o core.Options) (core.Result, error) { return solveHier(pb, o, banks) }}
 }
 
-// String renders the three-way comparison.
-func (h HierResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Sec. I(d) tweak: hierarchical vs two-level vs naive (%s)\n", h.Optimizer)
-	var rows [][]string
-	for _, r := range h.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", r.Depth),
-			fmt.Sprintf("%.1f", r.NaiveMeanFC), fmt.Sprintf("%.4f", r.NaiveMeanAR),
-			fmt.Sprintf("%.1f", r.TwoMeanFC), fmt.Sprintf("%.4f", r.TwoMeanAR),
-			fmt.Sprintf("%.1f", r.HierMeanFC), fmt.Sprintf("%.4f", r.HierMeanAR),
-			fmt.Sprintf("%.1f", r.TwoReductionPct), fmt.Sprintf("%.1f", r.HierReductionPct),
-		})
+// RunHierarchical compares naive, two-level and the hierarchical
+// variant the paper sketches in Sec. I(d) (the intermediate-depth
+// optimum joins the feature vector) with L-BFGS-B at target depths
+// 3..MaxTarget. The naive and two-level arms draw what Table I's
+// L-BFGS-B rows draw, so their statistics equal those rows.
+func RunHierarchical(env *Env) (ArmTable, error) {
+	banks, err := trainHier(env.Data, env.TrainIDs)
+	if err != nil {
+		return ArmTable{}, err
 	}
-	b.WriteString(renderTable(
-		[]string{"p", "naive FC", "AR", "2-level FC", "AR", "hier FC", "AR", "2-lvl red.%", "hier red.%"},
-		rows))
-	return b.String()
+	opt := Optimizers()[0]
+	var cells []cell
+	for pt := 3; pt <= env.Scale.MaxTarget; pt++ {
+		cells = append(cells, cell{opt, pt})
+	}
+	runs, err := runArms(env, cells, []arm{naiveArm, twoLevelArm, hierArm(banks)})
+	if err != nil {
+		return ArmTable{}, err
+	}
+	return runs.table("Sec. I(d) tweak: hierarchical vs two-level vs naive"), nil
 }

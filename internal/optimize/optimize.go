@@ -90,15 +90,6 @@ func (b *Bounds) Random(rng *rand.Rand) []float64 {
 	return x
 }
 
-// Width returns hi[i]−lo[i] for each coordinate.
-func (b *Bounds) Width() []float64 {
-	w := make([]float64, b.Dim())
-	for i := range w {
-		w[i] = b.Hi[i] - b.Lo[i]
-	}
-	return w
-}
-
 // Status is the termination cause of a run, so callers no longer infer
 // it from NIter/NFev heuristics.
 type Status uint8

@@ -190,10 +190,6 @@ func TestBoundsHelpers(t *testing.T) {
 	if !b.Contains(x) || b.Contains([]float64{0.5, 2}) {
 		t.Error("Contains wrong")
 	}
-	w := b.Width()
-	if w[0] != 1 || w[1] != 2 {
-		t.Errorf("Width = %v", w)
-	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
 		if !b.Contains(b.Random(rng)) {

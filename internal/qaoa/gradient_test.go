@@ -124,10 +124,6 @@ func TestEvaluatorNegValueGrad(t *testing.T) {
 	if ev.NGev() != 2 {
 		t.Errorf("NGev after NegGrad = %d, want 2", ev.NGev())
 	}
-	ev.ResetNGev()
-	if ev.NGev() != 0 {
-		t.Error("ResetNGev did not zero the counter")
-	}
 }
 
 // ValueGrad is on the optimizer hot path: after the first call (which

@@ -410,11 +410,5 @@ func (e *Evaluator) ForwardPasses() int {
 // NFev returns the number of QC calls so far.
 func (e *Evaluator) NFev() int { return e.nfev }
 
-// ResetNFev zeroes the QC-call counter.
-func (e *Evaluator) ResetNFev() { e.nfev = 0 }
-
 // NGev returns the number of adjoint gradient evaluations so far.
 func (e *Evaluator) NGev() int { return e.ngev }
-
-// ResetNGev zeroes the gradient-evaluation counter.
-func (e *Evaluator) ResetNGev() { e.ngev = 0 }

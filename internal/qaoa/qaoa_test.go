@@ -176,10 +176,6 @@ func TestEvaluatorCountsCalls(t *testing.T) {
 	if ev.NFev() != 5 {
 		t.Errorf("NFev = %d, want 5", ev.NFev())
 	}
-	ev.ResetNFev()
-	if ev.NFev() != 0 {
-		t.Error("ResetNFev failed")
-	}
 }
 
 func TestEvaluatorNegatesExpectation(t *testing.T) {

@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"context"
-	"expvar"
-	"runtime/pprof"
-)
+import "expvar"
 
 // PublishExpvar registers a live view of the sink under the given
 // expvar name (served at /debug/vars when net/http/pprof or expvar's
@@ -18,11 +14,4 @@ func (m *Memory) PublishExpvar(name string) bool {
 	}
 	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
 	return true
-}
-
-// PprofDo runs fn with the span name attached as a pprof label
-// ("telemetry_span"), so CPU profiles taken during long flows (dataset
-// generation, two-level solves) attribute samples to pipeline stages.
-func PprofDo(ctx context.Context, span string, fn func(context.Context)) {
-	pprof.Do(ctx, pprof.Labels("telemetry_span", span), fn)
 }

@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// DefaultTraceCap bounds how many iteration events a Memory sink
-// retains (full paper-scale dataset generation emits millions).
-const DefaultTraceCap = 4096
+// TraceCap bounds how many iteration events a Memory sink retains (full
+// paper-scale dataset generation emits millions).
+const TraceCap = 4096
 
 // Memory is a thread-safe in-memory Recorder. Counters and histograms
 // are created lazily on first use (histograms with DefaultBuckets
@@ -23,8 +23,7 @@ type Memory struct {
 	hists    map[string]*Histogram
 	bounds   map[string][]float64 // per-name bucket layouts
 	trace    []IterEvent
-	traceCap int
-	dropped  int64 // atomic; events beyond traceCap
+	dropped  int64 // atomic; events beyond TraceCap
 	spans    map[string]*spanStats
 }
 
@@ -33,23 +32,14 @@ type spanStats struct {
 	totalNs int64
 }
 
-// NewMemory returns an empty sink with the default trace cap.
+// NewMemory returns an empty sink.
 func NewMemory() *Memory {
 	return &Memory{
 		counters: make(map[string]*Counter),
 		hists:    make(map[string]*Histogram),
 		bounds:   make(map[string][]float64),
 		spans:    make(map[string]*spanStats),
-		traceCap: DefaultTraceCap,
 	}
-}
-
-// SetTraceCap changes how many iteration events are retained (≤ 0
-// disables the trace entirely). Call before recording starts.
-func (m *Memory) SetTraceCap(n int) {
-	m.mu.Lock()
-	m.traceCap = n
-	m.mu.Unlock()
 }
 
 // DefineBuckets fixes the bucket layout the named histogram will use
@@ -63,7 +53,7 @@ func (m *Memory) DefineBuckets(name string, edges []float64) {
 // Iteration implements Recorder.
 func (m *Memory) Iteration(ev IterEvent) {
 	m.mu.Lock()
-	if len(m.trace) < m.traceCap {
+	if len(m.trace) < TraceCap {
 		m.trace = append(m.trace, ev)
 		m.mu.Unlock()
 		return

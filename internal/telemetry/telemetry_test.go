@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"math"
 	"sync"
@@ -119,16 +118,18 @@ func TestMemorySink(t *testing.T) {
 
 func TestMemoryTraceCap(t *testing.T) {
 	m := NewMemory()
-	m.SetTraceCap(2)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < TraceCap+3; i++ {
 		m.Iteration(IterEvent{Iter: i})
 	}
 	s := m.Snapshot()
-	if len(s.Trace) != 2 {
-		t.Fatalf("trace len = %d, want 2", len(s.Trace))
+	if len(s.Trace) != TraceCap {
+		t.Fatalf("trace len = %d, want %d", len(s.Trace), TraceCap)
 	}
 	if s.TraceDropped != 3 {
 		t.Fatalf("dropped = %d, want 3", s.TraceDropped)
+	}
+	if last := s.Trace[TraceCap-1].Iter; last != TraceCap-1 {
+		t.Fatalf("last kept event is iteration %d, want %d", last, TraceCap-1)
 	}
 }
 
@@ -200,13 +201,5 @@ func TestPublishExpvar(t *testing.T) {
 	}
 	if m.PublishExpvar("telemetry_test_sink") {
 		t.Fatal("duplicate publish should return false, not panic")
-	}
-}
-
-func TestPprofDo(t *testing.T) {
-	ran := false
-	PprofDo(context.Background(), "unit", func(ctx context.Context) { ran = true })
-	if !ran {
-		t.Fatal("PprofDo did not run fn")
 	}
 }
