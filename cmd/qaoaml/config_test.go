@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"strings"
 	"testing"
 	"time"
 )
@@ -70,5 +71,44 @@ func TestFromFlagsOverridesApply(t *testing.T) {
 	defer cancel()
 	if _, ok := ctx.Deadline(); !ok {
 		t.Error("Context() has no deadline despite -timeout")
+	}
+}
+
+// The usage text lists every experiment of experimentTable, the dataset
+// and Table I first.
+func TestUsageText(t *testing.T) {
+	const want = `usage: qaoaml [flags] <experiment>
+
+experiments:
+  datagen   generate the optimal-parameter dataset and print summary stats
+  table1    Table I  — naive vs two-level FC/AR for 4 optimizers × depths
+  fig1c     Fig 1(c) — AR and QC-call distributions vs depth
+  fig2      Fig 2    — within-depth optimal parameter patterns
+  fig3      Fig 3    — optimal parameters vs circuit depth
+  fig5      Fig 5    — predictor/response correlation analysis
+  fig6      Fig 6    — ML prediction error distributions
+  mlcmp     Sec III-C — GPR vs LM vs RTREE vs RSVM comparison
+  hier      Sec I(d)  — hierarchical vs two-level vs naive ablation
+  all       everything above (one shared dataset)
+
+flags:
+`
+	var b strings.Builder
+	writeUsage(&b)
+	if b.String() != want {
+		t.Errorf("usage text:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
+func TestSelectExperiments(t *testing.T) {
+	all, err := selectExperiments("all")
+	if err != nil || len(all) != len(experimentTable) {
+		t.Fatalf("all: %d experiments, %v", len(all), err)
+	}
+	if one, err := selectExperiments("hier"); err != nil || len(one) != 1 || one[0].id != "hier" {
+		t.Errorf("hier: %v, %v", one, err)
+	}
+	if _, err := selectExperiments("bogus"); err == nil {
+		t.Error("an unknown experiment was accepted")
 	}
 }

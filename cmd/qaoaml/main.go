@@ -6,7 +6,7 @@
 //
 //	qaoaml [flags] <experiment>
 //
-// Experiments: datagen, table1, fig1c, fig2, fig3, fig5, fig6, mlcmp, all.
+// Run with no arguments for the experiments (experimentTable) and flags.
 //
 // The default scale runs in tens of seconds; -paper restores the
 // paper's full setup (330 graphs, 20 starts, 20 reps — minutes of CPU).
@@ -19,8 +19,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"qaoaml/internal/core"
@@ -76,46 +78,101 @@ func writeMetrics(path string, mem *telemetry.Memory) error {
 	return f.Close()
 }
 
+// result is what an experiment prints and, with -csv, writes as CSV.
+type result interface {
+	String() string
+	CSV() string
+}
+
+// experiment is one subcommand. experimentTable is the order "all"
+// runs them in, on one shared dataset.
+type experiment struct {
+	id, usage string
+	needsData bool // runs on the generated dataset and trained predictor
+	allDepth  int  // "all" skips it when the dataset is shallower
+	run       func(*experiments.Env, experiments.Scale) (result, error)
+}
+
+var experimentTable = []experiment{
+	{"datagen", "generate the optimal-parameter dataset and print summary stats", true, 0,
+		func(env *experiments.Env, _ experiments.Scale) (result, error) {
+			printDatagenSummary(env)
+			return nil, nil
+		}},
+	{"fig1c", "Fig 1(c) — AR and QC-call distributions vs depth", false, 0,
+		func(_ *experiments.Env, s experiments.Scale) (result, error) {
+			return experiments.RunFig1c(s.MaxTarget, s.Starts, s.Seed), nil
+		}},
+	{"fig2", "Fig 2    — within-depth optimal parameter patterns", false, 0,
+		func(_ *experiments.Env, s experiments.Scale) (result, error) {
+			return experiments.RunFig2(s.Starts, s.Seed), nil
+		}},
+	{"fig3", "Fig 3    — optimal parameters vs circuit depth", false, 0,
+		func(_ *experiments.Env, s experiments.Scale) (result, error) {
+			return experiments.RunFig3(s.MaxTarget, s.Starts, s.Seed), nil
+		}},
+	{"fig5", "Fig 5    — predictor/response correlation analysis", true, 0,
+		func(env *experiments.Env, _ experiments.Scale) (result, error) { return experiments.RunFig5(env), nil }},
+	{"fig6", "Fig 6    — ML prediction error distributions", true, 0,
+		func(env *experiments.Env, _ experiments.Scale) (result, error) { return experiments.RunFig6(env), nil }},
+	{"mlcmp", "Sec III-C — GPR vs LM vs RTREE vs RSVM comparison", true, 0,
+		func(env *experiments.Env, _ experiments.Scale) (result, error) {
+			return experiments.RunModelComparison(env)
+		}},
+	{"hier", "Sec I(d)  — hierarchical vs two-level vs naive ablation", true, 3,
+		func(env *experiments.Env, _ experiments.Scale) (result, error) {
+			return experiments.RunHierarchical(env)
+		}},
+	{"table1", "Table I  — naive vs two-level FC/AR for 4 optimizers × depths", true, 0,
+		func(env *experiments.Env, _ experiments.Scale) (result, error) {
+			return experiments.RunTable1(env), nil
+		}},
+}
+
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: qaoaml [flags] <experiment>
-
-experiments:
-  datagen   generate the optimal-parameter dataset and print summary stats
-  table1    Table I  — naive vs two-level FC/AR for 4 optimizers × depths
-  fig1c     Fig 1(c) — AR and QC-call distributions vs depth
-  fig2      Fig 2    — within-depth optimal parameter patterns
-  fig3      Fig 3    — optimal parameters vs circuit depth
-  fig5      Fig 5    — predictor/response correlation analysis
-  fig6      Fig 6    — ML prediction error distributions
-  mlcmp     Sec III-C — GPR vs LM vs RTREE vs RSVM comparison
-  hier      Sec I(d)  — hierarchical vs two-level vs naive ablation
-  all       everything above (one shared dataset)
-
-flags:
-`)
+	writeUsage(os.Stderr)
 	flag.PrintDefaults()
 }
 
-// needsEnv reports whether the experiment requires the generated
-// dataset and trained predictor.
-func needsEnv(name string) bool {
-	switch name {
-	case "fig1c", "fig2", "fig3":
-		return false
+// writeUsage lists the experiments: the dataset and Table I, the
+// paper's headline, first, then the rest in run order.
+func writeUsage(w io.Writer) {
+	last := len(experimentTable) - 1
+	listed := append([]experiment{experimentTable[0], experimentTable[last]}, experimentTable[1:last]...)
+	fmt.Fprint(w, "usage: qaoaml [flags] <experiment>\n\nexperiments:\n")
+	for _, e := range listed {
+		fmt.Fprintf(w, "  %-9s %s\n", e.id, e.usage)
 	}
-	return true
+	fmt.Fprintf(w, "  %-9s %s\n\nflags:\n", "all", "everything above (one shared dataset)")
+}
+
+// selectExperiments returns the experiments name runs: one, or the
+// whole table for "all".
+func selectExperiments(name string) ([]experiment, error) {
+	if name == "all" {
+		return experimentTable, nil
+	}
+	for _, e := range experimentTable {
+		if e.id == name {
+			return []experiment{e}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (run with no arguments for usage)", name)
 }
 
 func run(ctx context.Context, name string, cfg RunConfig, mem *telemetry.Memory) error {
 	start := time.Now()
+	todo, err := selectExperiments(name)
+	if err != nil {
+		return err
+	}
 	scale := cfg.Scale()
 	var rec telemetry.Recorder // stays untyped-nil when -metrics is off
 	if mem != nil {
 		rec = mem
 	}
 	var env *experiments.Env
-	if needsEnv(name) {
-		var err error
+	if slices.ContainsFunc(todo, func(e experiment) bool { return e.needsData }) {
 		if cfg.LoadData != "" {
 			fmt.Printf("loading dataset from %s...\n", cfg.LoadData)
 			data, lerr := core.LoadFile(cfg.LoadData)
@@ -155,96 +212,25 @@ func run(ctx context.Context, name string, cfg RunConfig, mem *telemetry.Memory)
 		return err
 	}
 
-	// report prints a result and, with -csv, also writes <id>.csv.
-	report := func(id string, res interface {
-		String() string
-		CSV() string
-	}) error {
+	for _, e := range todo {
+		if name == "all" && env.Scale.MaxDepth < e.allDepth {
+			continue
+		}
+		res, err := e.run(env, scale)
+		if err != nil {
+			return err
+		}
+		if res == nil {
+			continue
+		}
 		fmt.Println(res)
-		if cfg.CSVDir == "" {
-			return nil
-		}
-		path := filepath.Join(cfg.CSVDir, experiments.CSVName(id))
-		if err := os.WriteFile(path, []byte(res.CSV()), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", path)
-		return nil
-	}
-
-	switch name {
-	case "datagen":
-		printDatagenSummary(env)
-	case "table1":
-		return finish(start, report("table1", experiments.RunTable1(env)))
-	case "fig1c":
-		return finish(start, report("fig1c", experiments.RunFig1c(scale.MaxTarget, scale.Starts, scale.Seed)))
-	case "fig2":
-		return finish(start, report("fig2", experiments.RunFig2(scale.Starts, scale.Seed)))
-	case "fig3":
-		return finish(start, report("fig3", experiments.RunFig3(scale.MaxTarget, scale.Starts, scale.Seed)))
-	case "fig5":
-		return finish(start, report("fig5", experiments.RunFig5(env)))
-	case "fig6":
-		return finish(start, report("fig6", experiments.RunFig6(env)))
-	case "mlcmp":
-		res, err := experiments.RunModelComparison(env)
-		if err != nil {
-			return err
-		}
-		return finish(start, report("mlcmp", res))
-	case "hier":
-		res, err := experiments.RunHierarchical(env)
-		if err != nil {
-			return err
-		}
-		return finish(start, report("hier", res))
-	case "all":
-		printDatagenSummary(env)
-		if err := report("fig1c", experiments.RunFig1c(scale.MaxTarget, scale.Starts, scale.Seed)); err != nil {
-			return err
-		}
-		if err := report("fig2", experiments.RunFig2(scale.Starts, scale.Seed)); err != nil {
-			return err
-		}
-		if err := report("fig3", experiments.RunFig3(scale.MaxTarget, scale.Starts, scale.Seed)); err != nil {
-			return err
-		}
-		if err := report("fig5", experiments.RunFig5(env)); err != nil {
-			return err
-		}
-		if err := report("fig6", experiments.RunFig6(env)); err != nil {
-			return err
-		}
-		res, err := experiments.RunModelComparison(env)
-		if err != nil {
-			return err
-		}
-		if err := report("mlcmp", res); err != nil {
-			return err
-		}
-		if env.Scale.MaxDepth >= 3 {
-			hres, err := experiments.RunHierarchical(env)
-			if err != nil {
+		if cfg.CSVDir != "" {
+			path := filepath.Join(cfg.CSVDir, experiments.CSVName(e.id))
+			if err := os.WriteFile(path, []byte(res.CSV()), 0o644); err != nil {
 				return err
 			}
-			if err := report("hier", hres); err != nil {
-				return err
-			}
+			fmt.Printf("wrote %s\n\n", path)
 		}
-		if err := report("table1", experiments.RunTable1(env)); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q (run with no arguments for usage)", name)
-	}
-	return finish(start, nil)
-}
-
-// finish prints the wall time and passes through err.
-func finish(start time.Time, err error) error {
-	if err != nil {
-		return err
 	}
 	fmt.Printf("total wall time: %v\n", time.Since(start).Round(time.Millisecond))
 	return nil

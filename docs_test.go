@@ -17,7 +17,7 @@ import (
 
 // The documents that describe the tree must cite only names the tree
 // declares. TestDocsCiteLiveNames parses every Go file of the module and
-// resolves, in DESIGN.md and README.md:
+// resolves, in every file of docFiles:
 //
 //   - every backticked Test*, Benchmark* or Fuzz* name to a declared
 //     function (a trailing * is a prefix match);
@@ -32,14 +32,19 @@ import (
 // Telemetry and benchmark metric names (optimize.ngev,
 // quantum.sharded_vs_flat_ratio) are lower case and not checked.
 
-var docFiles = []string{"DESIGN.md", "README.md"}
+var docFiles = []string{"DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"}
+
+// docLimits caps the documents that describe the system at HEAD: past
+// these lengths they turn back into a history of changes, which is
+// CHANGES.md's job.
+var docLimits = map[string]int{"DESIGN.md": 500, "README.md": 300}
 
 var (
 	backtickSpan = regexp.MustCompile("`[^`\n]+`")
 	testFuncName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_][A-Za-z0-9_]*\*?`)
 	goFileName   = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_]\.go`)
 	pkgIdent     = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9]*)\b`)
-	constValue   = regexp.MustCompile("`(?:([a-z][a-z0-9]*)\\.)?([A-Z][A-Za-z0-9_]*)` = `?([0-9]+)(?: << ([0-9]+)|([⁰¹²³⁴⁵⁶⁷⁸⁹]+))?")
+	constValue   = regexp.MustCompile("`(?:([a-z][a-z0-9]*)\\.)?([A-Z][A-Za-z0-9_]*)`\\s+=\\s+`?([0-9]+)(?: << ([0-9]+)|([⁰¹²³⁴⁵⁶⁷⁸⁹]+))?")
 )
 
 // goTree is what the module declares: every file path, every top-level
@@ -284,6 +289,36 @@ func TestDocsCiteLiveNames(t *testing.T) {
 	}
 }
 
+func TestDocsLength(t *testing.T) {
+	for doc, limit := range docLimits {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(b), "\n"); n > limit {
+			t.Errorf("%s is %d lines, over its limit of %d", doc, n, limit)
+		}
+	}
+}
+
+func TestDocsDeadNames(t *testing.T) {
+	tr := parseGoTree(t, ".")
+	for doc, dead := range map[string]bool{
+		"`quantum.ShardThreshold`":      true,
+		"`qaoa.NewWorkspaceShards`":     true,
+		"`TestNoSuchTest`":              true,
+		"the kernel is in stream.go":    true,
+		"`quantum.LayerRunner`":         false,
+		"`TestKernelSelection`":         false,
+		"the kernel is ising_stream.go": false,
+		"`BenchmarkPhaseSeparator*`":    false,
+	} {
+		if got := len(tr.deadNames(doc)) > 0; got != dead {
+			t.Errorf("%q: flagged %v, want %v", doc, got, dead)
+		}
+	}
+}
+
 func TestDocsConstantValues(t *testing.T) {
 	tr := parseGoTree(t, ".")
 	for doc, wrong := range map[string]bool{
@@ -292,6 +327,7 @@ func TestDocsConstantValues(t *testing.T) {
 		"`quantum.ParallelDim` = `1 << 16`": false,
 		"`quantum.ParallelDim` = 65536":     false,
 		"`StreamingThreshold` = 15 qubits":  false,
+		"`StreamingThreshold`\n= 13":        true, // a line break does not hide a value
 		"`quantum.ParallelDim` = 2¹⁵":       true,
 		"`quantum.ParallelDim` = 1 << 15":   true,
 		"`StreamingThreshold` = 13":         true,

@@ -156,9 +156,6 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// Path returns the journal file path.
-func (w *WAL) Path() string { return w.path }
-
 func (w *WAL) append(r walRecord) error {
 	frame, err := encodeFrame(r)
 	if err != nil {

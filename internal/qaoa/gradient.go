@@ -68,10 +68,6 @@ func (w *EvalWorkspace) ValueGrad(x, grad []float64) float64 {
 	return w.valueGrad(x[:p], x[p:], grad[:p], grad[p:])
 }
 
-// Gradient fills grad with ∂⟨C⟩/∂x at x, discarding the value. Layout
-// and cost are those of ValueGrad.
-func (w *EvalWorkspace) Gradient(x, grad []float64) { w.ValueGrad(x, grad) }
-
 // valueGrad runs the forward pass — unless the state buffer still holds
 // |ψ(γ,β)⟩ — and the adjoint reverse sweep. All kernel-dependent steps
 // (phase layers, observable application, matrix elements) go through

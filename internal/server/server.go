@@ -594,9 +594,10 @@ func (s *Server) afterFinish(j *Job, state JobState) {
 // life of the pool: consecutive jobs at the same register width reuse
 // the same 2^n state vectors instead of reallocating them, which is
 // what keeps steady-state solves free of state-vector-sized
-// allocations (pinned by TestSteadyStateAllocations). The arena is
-// worker-local, so no cross-worker synchronization touches the hot
-// buffers; its hit/get counters surface as server.arena.* on /metrics.
+// allocations (pinned by TestSteadyStateAllocatesNoAmplitudes). The
+// arena is worker-local, so no cross-worker synchronization touches the
+// hot buffers; its hit/get counters surface as server.arena.* on
+// /metrics.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	arena := qaoa.NewArena(0)
