@@ -47,12 +47,18 @@ func (p *Predictor) setBank(depth int, bank *ml.MultiOutput) {
 }
 
 // Train fits the predictor from the dataset restricted to the training
-// graph ids, for every target depth 2..cfg.MaxDepth.
+// graph ids, for every target depth 2..cfg.MaxDepth. The banks train
+// together (ml.FitBanks): a bank's depth feature is constant and
+// standardizes to +0, so every bank sees the same standardized features
+// and a GPR predictor walks its hyperparameter grid once for all of
+// them.
 func (p *Predictor) Train(data *Data, trainIDs []int) error {
 	maxDepth := data.Config.MaxDepth
 	if maxDepth < 2 {
 		return fmt.Errorf("core: dataset max depth %d < 2 cannot train a predictor", maxDepth)
 	}
+	var banks []*ml.MultiOutput
+	var xs, ys [][][]float64
 	for depth := 2; depth <= maxDepth; depth++ {
 		var x [][]float64
 		var y [][]float64
@@ -62,11 +68,14 @@ func (p *Predictor) Train(data *Data, trainIDs []int) error {
 			x = append(x, FeaturesFromParams(p1, depth).Vector())
 			y = append(y, target.Vector())
 		}
-		bank := ml.NewMultiOutput(p.NewModel)
-		if err := bank.Fit(x, y); err != nil {
-			return fmt.Errorf("core: training depth-%d bank: %w", depth, err)
-		}
-		p.setBank(depth, bank)
+		banks = append(banks, ml.NewMultiOutput(p.NewModel))
+		xs, ys = append(xs, x), append(ys, y)
+	}
+	if b, err := ml.FitBanks(banks, xs, ys); err != nil {
+		return fmt.Errorf("core: training depth-%d bank: %w", b+2, err)
+	}
+	for b, bank := range banks {
+		p.setBank(b+2, bank)
 	}
 	return nil
 }

@@ -84,38 +84,93 @@ func (g *GPR) Fit(x [][]float64, y []float64) error {
 // grid point share its factor, read-only. fits[j] is nil exactly where
 // errs[j] is not.
 func (g *GPR) fitColumns(x [][]float64, cols [][]float64) (fits []*GPR, errs []error) {
-	fits = make([]*GPR, len(cols))
-	errs = make([]error, len(cols))
-	ys := make([]linalg.Vector, len(cols))
-	live := 0
-	for j, y := range cols {
-		if _, err := checkTrainingData(x, y); err != nil {
-			errs[j] = err
-			continue
-		}
-		// Standardize targets. A mean or spread past the float range
-		// would make every log marginal likelihood NaN.
-		mean, std := meanStd(y)
-		if math.IsInf(mean, 0) || math.IsNaN(mean) || math.IsInf(std, 0) || math.IsNaN(std) {
-			errs[j] = fmt.Errorf("%w: target mean %v and std %v are not finite", ErrBadShape, mean, std)
-			continue
-		}
-		if std == 0 {
-			std = 1
-		}
-		ys[j] = make(linalg.Vector, len(y))
-		for i := range y {
-			ys[j][i] = (y[i] - mean) / std
-		}
-		fits[j] = &GPR{LinearVar: g.LinearVar, yMean: mean, yStd: std, logML: math.Inf(-1)}
-		live++
-	}
-	if live == 0 {
-		return fits, errs
-	}
-	xScale := NewStandardizer(x)
-	xs := xScale.TransformAll(x)
+	bankFits, bankErrs := g.fitBanks([][][]float64{x}, [][][]float64{cols})
+	return bankFits[0], bankErrs[0]
+}
 
+// fitBanks is fitColumns for several banks at once: bank b's columns
+// cols[b] against its features x[b]. Each bank keeps its own
+// Standardizer, and banks whose standardized features are bitwise equal
+// walk the grid once between them — the predictor's depth banks, whose
+// one differing feature (the target depth) is constant within a bank
+// and standardizes to +0 in each.
+func (g *GPR) fitBanks(x [][][]float64, cols [][][]float64) (fits [][]*GPR, errs [][]error) {
+	type group struct {
+		xs   [][]float64
+		fits []*GPR
+		ys   []linalg.Vector
+	}
+	var groups []*group
+	fits = make([][]*GPR, len(cols))
+	errs = make([][]error, len(cols))
+	for b := range cols {
+		fits[b], errs[b] = make([]*GPR, len(cols[b])), make([]error, len(cols[b]))
+		var live []*GPR
+		var ys []linalg.Vector
+		for j, y := range cols[b] {
+			if _, err := checkTrainingData(x[b], y); err != nil {
+				errs[b][j] = err
+				continue
+			}
+			// Standardize targets. A mean or spread past the float range
+			// would make every log marginal likelihood NaN.
+			mean, std := meanStd(y)
+			if math.IsInf(mean, 0) || math.IsNaN(mean) || math.IsInf(std, 0) || math.IsNaN(std) {
+				errs[b][j] = fmt.Errorf("%w: target mean %v and std %v are not finite", ErrBadShape, mean, std)
+				continue
+			}
+			if std == 0 {
+				std = 1
+			}
+			ysj := make(linalg.Vector, len(y))
+			for i := range y {
+				ysj[i] = (y[i] - mean) / std
+			}
+			fits[b][j] = &GPR{LinearVar: g.LinearVar, yMean: mean, yStd: std, logML: math.Inf(-1)}
+			live, ys = append(live, fits[b][j]), append(ys, ysj)
+		}
+		if len(live) == 0 {
+			continue
+		}
+		xScale := NewStandardizer(x[b])
+		xs := xScale.TransformAll(x[b])
+		for _, f := range live {
+			f.xTrain, f.xScale = xs, xScale
+		}
+		var grp *group
+		for _, other := range groups {
+			if bitsEqual(other.xs, xs) {
+				grp = other
+				break
+			}
+		}
+		if grp == nil {
+			grp = &group{xs: xs}
+			groups = append(groups, grp)
+		}
+		grp.fits, grp.ys = append(grp.fits, live...), append(grp.ys, ys...)
+	}
+	for _, grp := range groups {
+		g.walkGrid(grp.xs, grp.fits, grp.ys)
+	}
+	for b := range fits {
+		for j, f := range fits[b] {
+			switch {
+			case f == nil:
+			case f.chol == nil:
+				fits[b][j], errs[b][j] = nil, linalg.ErrNotPositiveDefinite
+			default:
+				f.fitted = true
+			}
+		}
+	}
+	return fits, errs
+}
+
+// walkGrid walks the hyperparameter grid over the standardized features
+// xs once, and leaves in each fits[k] the best grid point for the
+// standardized targets ys[k].
+func (g *GPR) walkGrid(xs [][]float64, fits []*GPR, ys []linalg.Vector) {
 	sl2s := gprLinearGrid[:1] // pure RBF
 	if g.LinearVar {
 		sl2s = gprLinearGrid
@@ -134,12 +189,9 @@ func (g *GPR) fitColumns(x [][]float64, cols [][]float64) (fits []*GPR, errs []e
 						continue
 					}
 					logDet := ch.LogDet()
-					for j, f := range fits {
-						if f == nil {
-							continue
-						}
-						alpha := ch.Solve(ys[j])
-						ml := -0.5*ys[j].Dot(alpha) - 0.5*logDet - norm
+					for c, f := range fits {
+						alpha := ch.Solve(ys[c])
+						ml := -0.5*ys[c].Dot(alpha) - 0.5*logDet - norm
 						if ml > f.logML {
 							f.chol, f.alpha, f.logML = ch, alpha, ml
 							f.ell, f.sf2, f.sn2, f.sl2 = ell, sf2, sn2, sl2
@@ -149,16 +201,24 @@ func (g *GPR) fitColumns(x [][]float64, cols [][]float64) (fits []*GPR, errs []e
 			}
 		}
 	}
-	for j, f := range fits {
-		switch {
-		case f == nil:
-		case f.chol == nil:
-			fits[j], errs[j] = nil, linalg.ErrNotPositiveDefinite
-		default:
-			f.xTrain, f.xScale, f.fitted = xs, xScale, true
+}
+
+// bitsEqual reports whether two matrices hold the same float64 bits.
+func bitsEqual(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
 		}
 	}
-	return fits, errs
+	return true
 }
 
 // Predict implements Regressor (posterior mean): Σ k(x, xᵢ)·αᵢ in

@@ -744,3 +744,64 @@ func TestGPRPredictIsPredictWithVarianceMean(t *testing.T) {
 		}
 	}
 }
+
+// FitBanks fits every bank as MultiOutput.Fit fits it alone, bit for
+// bit. Banks whose standardized features are bitwise equal — a constant
+// feature of any value standardizes to +0, as the predictor's target
+// depth does — share one grid walk and so its factors; a bank with
+// other features walks its own. A failing bank is reported by index,
+// with Fit's error.
+func TestFitBanksMatchesBankByBank(t *testing.T) {
+	x, cols := oracleColumns()
+	withConst := func(x [][]float64, c float64) [][]float64 {
+		out := make([][]float64, len(x))
+		for i, row := range x {
+			out[i] = append(append([]float64(nil), row...), c)
+		}
+		return out
+	}
+	rows := make([][]float64, len(x))
+	for i := range rows {
+		for _, col := range cols {
+			rows[i] = append(rows[i], col[i])
+		}
+	}
+	shifted := cloneRows(x)
+	shifted[0][0] += 0.5
+	xs := [][][]float64{withConst(x, 2), withConst(x, 3), withConst(shifted, 2)}
+	ys := [][][]float64{rows, rows, rows}
+	banks := make([]*MultiOutput, len(xs))
+	for b := range banks {
+		banks[b] = NewMultiOutput(func() Regressor { return &GPR{} })
+	}
+	if b, err := FitBanks(banks, xs, ys); err != nil {
+		t.Fatalf("bank %d: %v", b, err)
+	}
+	for b := range banks {
+		alone := NewMultiOutput(func() Regressor { return &GPR{} })
+		if err := alone.Fit(xs[b], ys[b]); err != nil {
+			t.Fatal(err)
+		}
+		for j := range cols {
+			if d := gprDiff(banks[b].Model(j).(*GPR), alone.Model(j).(*GPR)); d != "" {
+				t.Errorf("bank %d column %d: differs from the bank fit alone in %s", b, j, d)
+			}
+		}
+	}
+	if banks[0].Model(0).(*GPR).chol != banks[1].Model(0).(*GPR).chol {
+		t.Error("banks with equal standardized features walked the grid apart")
+	}
+	if banks[0].Model(0).(*GPR).chol == banks[2].Model(0).(*GPR).chol {
+		t.Error("banks with other features shared a factor")
+	}
+
+	over := cloneRows(rows)
+	for i := range over[1:] {
+		over[1+i][1] = 1e308 // {…, 1e308, 1e308, …}: the sum overflows
+	}
+	ys[1] = over
+	b, err := FitBanks(banks, xs, ys)
+	if b != 1 || !errors.Is(err, ErrBadShape) || !strings.Contains(err.Error(), "output 1") {
+		t.Errorf("bank %d: %v, want bank 1 and output 1 blamed", b, err)
+	}
+}

@@ -2,74 +2,94 @@ package server
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"strconv"
 	"sync"
 )
 
-// lruCache is a fixed-capacity least-recently-used result cache. Keys
-// are the canonical solve keys (graph fingerprint + solve options); a
-// hit serves a finished SolveResult with zero optimizer work.
-type lruCache struct {
+// lru is a fixed-capacity least-recently-used map. The server keeps two:
+// the result cache (solve key → finished SolveResult; a hit costs zero
+// optimizer work) and the memo (request bytes → solve key; a hit skips
+// decode, compile and fingerprint).
+type lru[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
-	ll    *list.List // *cacheEntry, front = most recent
-	items map[string]*list.Element
-
-	hits, misses, evictions int64
+	ll    *list.List // *lruEntry, front = most recent
+	items map[K]*list.Element
 }
 
-type cacheEntry struct {
-	key string
-	res *SolveResult
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-func newLRUCache(capacity int) *lruCache {
-	return &lruCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
+func newLRU[K comparable, V any](capacity int) *lru[K, V] {
+	return &lru[K, V]{cap: capacity, ll: list.New(), items: make(map[K]*list.Element)}
 }
 
-// Get returns the cached result and marks it most recently used.
-func (c *lruCache) Get(key string) (*SolveResult, bool) {
+// Get returns the value stored under key and marks it most recently
+// used.
+func (c *lru[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.items[key]
 	if !ok {
-		c.misses++
-		return nil, false
+		var zero V
+		return zero, false
 	}
-	c.hits++
 	c.ll.MoveToFront(e)
-	return e.Value.(*cacheEntry).res, true
+	return e.Value.(*lruEntry[K, V]).val, true
 }
 
-// Add inserts (or refreshes) a result, evicting the least recently used
-// entry when over capacity. A nil result or non-positive capacity is a
-// no-op.
-func (c *lruCache) Add(key string, res *SolveResult) {
-	if res == nil || c.cap <= 0 {
+// Add inserts (or refreshes) a value, evicting the least recently used
+// entry when over capacity. A non-positive capacity makes it a no-op.
+func (c *lru[K, V]) Add(key K, val V) {
+	if c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.items[key]; ok {
 		c.ll.MoveToFront(e)
-		e.Value.(*cacheEntry).res = res
+		e.Value.(*lruEntry[K, V]).val = val
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
+	c.items[key] = c.ll.PushFront(&lruEntry[K, V]{key: key, val: val})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-		c.evictions++
+		delete(c.items, oldest.Value.(*lruEntry[K, V]).key)
 	}
 }
 
-// Len returns the number of cached results.
-func (c *lruCache) Len() int {
+// Len returns the number of entries.
+func (c *lru[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
+
+// Purge drops every entry.
+func (c *lru[K, V]) Purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ll.Init()
+	clear(c.items)
+}
+
+// memoKey names one request's bytes — a whole /v1/solve body, or one
+// item's span of a batch body — under one registry generation. The
+// digest is SHA-256, not a 64-bit hash, so a crafted body cannot alias
+// another instance's answer.
+type memoKey struct {
+	sum [sha256.Size]byte
+	gen uint64
+}
+
+// memoPerAnswer bounds the memo at this many entries per result-cache
+// entry: one answer is reached by a few spellings of its request (wait
+// true or false, a single body or a batch item).
+const memoPerAnswer = 4
 
 // solveKey builds the canonical cache key: the family and the instance
 // fingerprint (which covers linear terms, couplings, offsets and sense

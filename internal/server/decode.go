@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,7 +19,7 @@ import (
 // a purpose-built scanner instead of encoding/json's reflection: on a
 // cached answer the decode was the largest single cost of a request.
 // encoding/json stays the specification. With DisallowUnknownFields and
-// the one-value check of decodeBody, the scanner accepts exactly the
+// the one-value check of decodeRequest, the scanner accepts exactly the
 // bodies encoding/json accepts and produces the same value from them
 // (FuzzDecodeRequest holds it to that on arbitrary bytes), including
 // the library's less obvious rules:
@@ -62,7 +63,11 @@ type requestBody interface {
 func (r *SolveRequest) decode(s *scanner) bool { return s.solveRequest(r) }
 func (r *BatchRequest) decode(s *scanner) bool { return s.batchRequest(r) }
 
-// decodeRequest decodes one request body held in data into v.
+// decodeRequest decodes one request body held in data into v. Unknown
+// keys are rejected, not ignored: with per-family payloads a silently
+// dropped field would solve a different instance than the client thinks
+// it submitted. For the same reason the body must hold exactly one JSON
+// value: anything but whitespace after it is refused.
 func decodeRequest(data []byte, v requestBody) error {
 	s := scanner{data: data}
 	v.decode(&s)
@@ -78,25 +83,27 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 // and grows only as its bytes arrive.
 const maxPooledBody = 64 << 10
 
-// decodeBody decodes a request body of at most limit bytes into v.
-// Unknown keys are rejected, not ignored: with per-family payloads a
-// silently dropped field would solve a different instance than the
-// client thinks it submitted. For the same reason the body must hold
-// exactly one JSON value: anything but whitespace after it is refused.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v requestBody) *httpError {
+// readRequest reads a request body of at most limit bytes into a pooled
+// buffer, which the caller hands back with putBody once nothing reads
+// it any more.
+func readRequest(w http.ResponseWriter, r *http.Request, limit int64) (*[]byte, *httpError) {
 	buf := bodyPool.Get().(*[]byte)
 	body, err := readBody(http.MaxBytesReader(w, r.Body, limit), (*buf)[:0], r.ContentLength, limit)
-	if err == nil {
-		err = decodeRequest(body, v)
+	*buf = body
+	if err != nil {
+		putBody(buf)
+		return nil, badRequest("decoding request: %v", err)
 	}
-	if cap(body) <= maxPooledBody {
-		*buf = body[:0]
+	return buf, nil
+}
+
+// putBody returns a body buffer to bodyPool, unless it grew past
+// maxPooledBody.
+func putBody(buf *[]byte) {
+	if cap(*buf) <= maxPooledBody {
+		*buf = (*buf)[:0]
 		bodyPool.Put(buf)
 	}
-	if err != nil {
-		return badRequest("decoding request: %v", err)
-	}
-	return nil
 }
 
 // readBody reads r to its end into buf. The buffer is sized from the
@@ -716,3 +723,105 @@ func (s *scanner) wireTermField(t *WireTerm, key []byte) bool {
 	}
 	return s.unknownField(key)
 }
+
+// ---- batch item spans ----
+
+// itemSpans returns each item's byte range when body is exactly
+// {"items":[…]} holding one or more objects, whitespace aside: the
+// spans the memo keys and decodeBatch decodes one by one. Any other
+// shape — a folded or escaped key, a second key, an item that is not an
+// object, trailing data, nesting past maxNesting — returns false, and
+// the body is decoded whole. The scan validates nothing inside an item;
+// decoding each span validates it, and a body whose every span decodes
+// is one decodeRequest accepts, with those items.
+func itemSpans(body []byte) ([][2]int, bool) {
+	i, ok := expect(body, 0, `{`)
+	if ok {
+		i, ok = expect(body, i, `"items"`)
+	}
+	if ok {
+		i, ok = expect(body, i, `:`)
+	}
+	if ok {
+		i, ok = expect(body, i, `[`)
+	}
+	if !ok {
+		return nil, false
+	}
+	spans := make([][2]int, 0, 16)
+	for {
+		start := skipSpace(body, i)
+		end, ok := objectEnd(body, start)
+		if !ok {
+			return nil, false
+		}
+		spans = append(spans, [2]int{start, end})
+		if i, ok = expect(body, end, `,`); ok {
+			continue
+		}
+		if i, ok = expect(body, end, `]`); ok {
+			break
+		}
+		return nil, false
+	}
+	if i, ok = expect(body, i, `}`); !ok || skipSpace(body, i) != len(body) {
+		return nil, false
+	}
+	return spans, true
+}
+
+// skipSpace returns the offset of the first non-whitespace byte at or
+// after i.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// expect skips whitespace from i and consumes tok, returning the offset
+// after it.
+func expect(b []byte, i int, tok string) (int, bool) {
+	i = skipSpace(b, i)
+	if !bytes.HasPrefix(b[i:], []byte(tok)) {
+		return i, false
+	}
+	return i + len(tok), true
+}
+
+// objectEnd returns the offset just past the object that opens at b[i],
+// matching brackets outside strings. It refuses an object that is not
+// closed, and one nested past maxNesting once the batch's own object
+// and array are counted.
+func objectEnd(b []byte, i int) (int, bool) {
+	if i >= len(b) || b[i] != '{' {
+		return 0, false
+	}
+	depth := 0
+	for ; i < len(b); i++ {
+		if !structural[b[i]] {
+			continue
+		}
+		switch b[i] {
+		case '"':
+			for i++; i < len(b) && b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			if depth++; depth+2 > maxNesting {
+				return 0, false
+			}
+		case '}', ']':
+			if depth--; depth == 0 {
+				return i + 1, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// structural marks the bytes objectEnd stops at: most of an item is
+// digits, commas and letters it steps over.
+var structural = [256]bool{'"': true, '{': true, '}': true, '[': true, ']': true}

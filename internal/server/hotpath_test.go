@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -13,9 +14,11 @@ import (
 	"qaoaml/internal/problem"
 )
 
-// The hot path is a request whose answer is already cached: decode,
-// normalize (validate, compile, fingerprint, key), one LRU read, encode.
-// Its five families are the benchmark's serve_hot_batch mix.
+// The hot path is a request whose answer is already cached. On the
+// decode path that is decode, normalize (validate, compile, fingerprint,
+// key), one LRU read and encode; on the byte path, bytes seen before, it
+// is a digest, a memo read, one LRU read and encode. Its five families
+// are the benchmark's serve_hot_batch mix.
 var hotFamilies = []string{
 	problem.FamilyMaxCut, problem.FamilyQUBO, problem.FamilyMaxKSAT,
 	problem.FamilyPartition, problem.FamilyPortfolio,
@@ -79,7 +82,8 @@ func waitCached(tb testing.TB, s *Server, count int) {
 }
 
 // BenchmarkHotPath times a cached answer through the handler, as one
-// POST /v1/solve and as an item of a 16-item POST /v1/solve/batch:
+// POST /v1/solve and as an item of a 16-item POST /v1/solve/batch, on
+// the decode path (a server without the memo) and the byte path:
 // µs/item and allocs/item, JSON decode and encode included.
 func BenchmarkHotPath(b *testing.B) {
 	shapes := []struct {
@@ -88,34 +92,48 @@ func BenchmarkHotPath(b *testing.B) {
 	}{{"single", 1}, {"batch16", 16}}
 	for _, shape := range shapes {
 		for _, family := range hotFamilies {
-			b.Run(shape.name+"/"+family, func(b *testing.B) {
-				s, reqs := warmHot(b, family, shape.items)
-				path, payload := "/v1/solve", any(reqs[0])
-				if shape.items > 1 {
-					path, payload = "/v1/solve/batch", BatchRequest{Items: reqs}
-				}
-				body, err := json.Marshal(payload)
-				if err != nil {
-					b.Fatal(err)
-				}
-				h := s.Handler()
-				post(b, h, path, body)
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					post(b, h, path, body)
-				}
-				b.StopTimer()
-				runtime.ReadMemStats(&after)
-				items := float64(b.N * shape.items)
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/items, "µs/item")
-				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/items, "allocs/item")
-				if hits := s.Metrics().Snapshot().Counters["server.cache.hits"]; hits < int64(items) {
-					b.Fatalf("%d cache hits for %.0f items: the path timed is not the hot one", hits, items)
-				}
-			})
+			for _, path := range []string{"decode", "bytes"} {
+				b.Run(shape.name+"/"+family+"/"+path, func(b *testing.B) {
+					benchHot(b, path == "bytes", family, shape.items)
+				})
+			}
 		}
+	}
+}
+
+// benchHot times count cached items of the family per request, with or
+// without the memo.
+func benchHot(b *testing.B, memo bool, family string, count int) {
+	s, reqs := warmHot(b, family, count)
+	if !memo {
+		s.memo = nil
+	}
+	path, payload := "/v1/solve", any(reqs[0])
+	if count > 1 {
+		path, payload = "/v1/solve/batch", BatchRequest{Items: reqs}
+	}
+	body, err := json.Marshal(payload)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	post(b, h, path, body)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(b, h, path, body)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	items := float64(b.N * count)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/items, "µs/item")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/items, "allocs/item")
+	if hits := s.Metrics().Snapshot().Counters["server.cache.hits"]; hits < int64(items) {
+		b.Fatalf("%d cache hits for %.0f items: the path timed is not the hot one", hits, items)
+	}
+	if hits := s.Metrics().Snapshot().Counters["server.memo.hits"]; memo && hits < int64(items) {
+		b.Fatalf("%d memo hits for %.0f items: the path timed is not the byte path", hits, items)
 	}
 }
 
@@ -134,9 +152,29 @@ var hotPathAllocBudget = map[string]float64{
 	problem.FamilyPortfolio: 31,
 }
 
+// memoPathAllocBudget is what the byte path may allocate to answer one
+// request from the cache, whatever its family: the digest and the memo
+// read allocate nothing, and the finished job is the job record, its id
+// and its entry in the job store (go1.24; the slack of one is
+// hotPathAllocBudget's).
+const memoPathAllocBudget = 3
+
 func TestHotPathAllocs(t *testing.T) {
 	for _, family := range hotFamilies {
 		s, reqs := warmHot(t, family, 1)
+		body, err := json.Marshal(reqs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytePath := testing.AllocsPerRun(100, func() {
+			if job := s.memoAnswer(sha256.Sum256(body)); job == nil || job.result == nil {
+				t.Fatal("byte path: no cached answer for a warmed body")
+			}
+		})
+		t.Logf("%-9s %.0f allocs per cached answer on the byte path (budget %d + 1)", family, bytePath, memoPathAllocBudget)
+		if bytePath > memoPathAllocBudget+1 {
+			t.Errorf("%s: %.0f allocations per cached answer on the byte path, budget %d + 1", family, bytePath, memoPathAllocBudget)
+		}
 		allocs := testing.AllocsPerRun(100, func() {
 			req := reqs[0]
 			rs, herr := s.normalize(&req)

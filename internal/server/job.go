@@ -77,7 +77,8 @@ type Job struct {
 	spec problem.Spec
 	inst *problem.Instance
 	fp   string
-	cost int64 // admission-control price (0: cache hit, never admitted)
+	cost int64  // admission-control price (0: cache hit, never admitted)
+	gen  uint64 // registry generation normalize validated under; an older one fills no cache
 
 	// arena is the owning worker's buffer arena, set by that worker
 	// just before runJob and read only on its goroutine.

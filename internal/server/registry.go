@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 
 	"qaoaml/internal/core"
@@ -20,11 +21,16 @@ import (
 // .json suffix) and can be hot-reloaded — the daemon wires Reload to
 // SIGHUP via WatchHUP — without dropping in-flight jobs: running solves
 // keep the *core.Predictor they resolved at start.
+//
+// A solve key names a model, not its contents, so the registry counts
+// generations: every Register and every successful Reload starts a new
+// one, and a server drops the answers it cached under an older one.
 type Registry struct {
 	mu     sync.RWMutex
 	dir    string
 	models map[string]*core.Predictor // serving view: files merged with inproc
 	inproc map[string]*core.Predictor // Register()ed models, kept across reloads
+	gen    atomic.Uint64
 
 	reloads, reloadErrors int64
 }
@@ -82,8 +88,13 @@ func (r *Registry) Register(name string, p *core.Predictor) {
 	r.mu.Lock()
 	r.inproc[name] = p
 	r.models[name] = p
+	r.gen.Add(1)
 	r.mu.Unlock()
 }
+
+// Generation returns the model set's generation: it advances on every
+// Register and every successful Reload.
+func (r *Registry) Generation() uint64 { return r.gen.Load() }
 
 // Names lists the registered models, sorted.
 func (r *Registry) Names() []string {
@@ -127,6 +138,7 @@ func (r *Registry) Reload() error {
 	}
 	r.models = fresh
 	r.reloads++
+	r.gen.Add(1)
 	r.mu.Unlock()
 	return nil
 }

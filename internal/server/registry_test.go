@@ -2,11 +2,17 @@ package server
 
 import (
 	"context"
+	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"qaoaml/internal/core"
+	"qaoaml/internal/problem"
 )
 
 // saveTestModel writes the shared predictor into dir under name.json.
@@ -132,4 +138,122 @@ func TestRegistryWatchHUP(t *testing.T) {
 	if _, ok := reg.Get("hupped"); !ok {
 		t.Fatal("reloaded set missing the new model")
 	}
+}
+
+// otherEnv is a second trained predictor, on a dataset of another seed:
+// the model a reload swaps in.
+var otherEnv struct {
+	once sync.Once
+	pred *core.Predictor
+	err  error
+}
+
+func otherPredictor(t testing.TB) *core.Predictor {
+	t.Helper()
+	otherEnv.once.Do(func() {
+		data, err := core.GenerateCtx(context.Background(), core.DataGenConfig{
+			NumGraphs: 8, Nodes: 8, EdgeProb: 0.5,
+			MaxDepth: 3, Starts: 2, Tol: 1e-6, Seed: testTrainSeed + 1,
+		})
+		if err == nil {
+			otherEnv.pred = core.NewPredictor(nil)
+			err = otherEnv.pred.Train(data, []int{0, 1, 2, 3, 4})
+		}
+		otherEnv.err = err
+	})
+	if otherEnv.err != nil {
+		t.Fatal(otherEnv.err)
+	}
+	return otherEnv.pred
+}
+
+// A solve key names a model, not its contents. After the model behind a
+// name changes — by Register, or by a reload of its file — a repeat is
+// solved again and gets the answer a fresh server on the new model
+// gives, not the old model's answer from the cache or the memo; and a
+// job that was solving when the model changed fills no cache.
+func TestReloadDropsCachedAnswers(t *testing.T) {
+	oldPred, newPred := testPredictor(t), otherPredictor(t)
+	nodes, edges := testInstance(5)
+	req := SolveRequest{Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 3, Wait: true}
+	solve := func(t *testing.T, url string, wantCached bool) *SolveResult {
+		t.Helper()
+		code, view := postSolve(t, url, req)
+		if code != http.StatusOK || view.State != StateDone || view.Result == nil {
+			t.Fatalf("status %d, state %s (%s)", code, view.State, view.Error)
+		}
+		if view.Cached != wantCached {
+			t.Fatalf("cached = %v, want %v (AR %v)", view.Cached, wantCached, view.Result.AR)
+		}
+		return view.Result
+	}
+	reg, err := NewRegistry("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Register("default", newPred)
+	_, fresh := newTestServer(t, Config{Workers: 1, Registry: reg})
+	want := solve(t, fresh.URL, false)
+
+	// Each case serves oldPred, answers the request twice (the second
+	// from the cache), swaps in newPred and asks again.
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T) (*Registry, func())
+	}{
+		{"register", func(t *testing.T) (*Registry, func()) {
+			reg := testRegistry(t)
+			return reg, func() { reg.Register("default", newPred) }
+		}},
+		{"reload", func(t *testing.T) (*Registry, func()) {
+			path := filepath.Join(t.TempDir(), "default.json")
+			if err := oldPred.SaveFile(path); err != nil {
+				t.Fatal(err)
+			}
+			reg, err := NewRegistry(filepath.Dir(path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return reg, func() {
+				if err := newPred.SaveFile(path); err != nil {
+					t.Fatal(err)
+				}
+				if err := reg.Reload(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg, swap := tc.setup(t)
+			_, ts := newTestServer(t, Config{Workers: 1, Registry: reg})
+			solve(t, ts.URL, false)
+			solve(t, ts.URL, true)
+			swap()
+			if got := solve(t, ts.URL, false); !reflect.DeepEqual(got, want) {
+				t.Errorf("after the swap: AR %v, γ %v; a fresh server on the new model: AR %v, γ %v",
+					got.AR, got.Gamma, want.AR, want.Gamma)
+			}
+			solve(t, ts.URL, true)
+		})
+	}
+
+	t.Run("in-flight", func(t *testing.T) {
+		reg := testRegistry(t)
+		s, ts := newTestServer(t, Config{Workers: 1, Registry: reg})
+		started, release := make(chan *Job, 1), make(chan struct{})
+		blockingSolve(s, started, release)
+		queued := req
+		queued.Wait = false
+		if code, _ := postSolve(t, ts.URL, queued); code != http.StatusAccepted {
+			t.Fatalf("status %d, want 202", code)
+		}
+		job := <-started
+		reg.Register("default", newPred)
+		close(release)
+		<-job.Done()
+		if code, view := postSolve(t, ts.URL, req); code != http.StatusOK || view.Cached {
+			t.Fatalf("repeat of a job solved across a model swap: status %d, cached %v", code, view.Cached)
+		}
+	})
 }

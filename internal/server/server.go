@@ -4,7 +4,9 @@
 // worker pool. A request is decoded, resolved once (normalize: validate,
 // compile, fingerprint, key), submitted (cache, single-flight, admission,
 // journal, queue), solved by a worker and encoded; no stage after
-// normalize derives the request's identity again.
+// normalize derives the request's identity again. Bytes seen before
+// take their identity from the memo instead, and a cached answer is
+// then returned without decoding them.
 //
 // The subsystem is built from four pieces:
 //
@@ -12,7 +14,7 @@
 //     backpressure (429 + Retry-After) when the queue is full;
 //   - an LRU result cache keyed by the canonical instance fingerprint
 //     plus solve options, with single-flight coalescing of identical
-//     in-flight requests;
+//     in-flight requests, and a memo from request bytes to that key;
 //   - a model Registry of pre-trained parameter predictors, hot-
 //     reloadable on SIGHUP;
 //   - per-job deadlines and client-disconnect propagation as context
@@ -26,6 +28,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -66,7 +69,8 @@ type Config struct {
 	QueueDepth int
 	// CacheSize bounds the LRU result cache entries (default 256;
 	// negative disables caching — a coordinator that defers entirely to
-	// the worker-owned cache shards).
+	// the worker-owned cache shards). The memo holds memoPerAnswer
+	// entries per cache entry; a server without a cache has no memo.
 	CacheSize int
 	// MaxJobs bounds retained finished job records (default 1024).
 	MaxJobs int
@@ -188,13 +192,15 @@ type Server struct {
 	mem      *telemetry.Memory
 	registry *Registry
 	jobs     *jobStore
-	cache    *lruCache
+	cache    *lru[string, *SolveResult] // solve key → answer
+	memo     *lru[memoKey, string]      // request bytes → solve key; nil without a cache
 	queue    chan *Job
 
 	mu       sync.Mutex
 	inflight map[string]*Job // cache key → queued/running job
 	adm      admission       // cost budget, guarded by mu
 	draining bool
+	gen      uint64 // registry generation the cache's answers were solved under, guarded by mu
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -230,9 +236,13 @@ func New(cfg Config) *Server {
 		mem:      mem,
 		registry: reg,
 		jobs:     newJobStore(cfg.MaxJobs),
-		cache:    newLRUCache(cfg.CacheSize),
+		cache:    newLRU[string, *SolveResult](cfg.CacheSize),
 		queue:    make(chan *Job, cfg.QueueDepth),
 		inflight: make(map[string]*Job),
+		gen:      reg.Generation(),
+	}
+	if cfg.CacheSize > 0 {
+		s.memo = newLRU[memoKey, string](memoPerAnswer * cfg.CacheSize)
 	}
 	s.adm = admission{budget: cfg.MaxInflightCost}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -337,6 +347,7 @@ type resolved struct {
 	qubits int    // register width, auxiliaries included: the admission price's exponent
 	fp     string // canonical instance fingerprint
 	key    string // canonical solve key (solveKey)
+	gen    uint64 // registry generation the request was validated under
 }
 
 // normalize is the one place a request's identity is computed. It
@@ -350,6 +361,7 @@ type resolved struct {
 // taken from that one compile.
 func (s *Server) normalize(req *SolveRequest) (resolved, *httpError) {
 	var zero resolved
+	gen := s.registry.Generation() // before the model lookup it covers
 	if req.Problem == "" {
 		req.Problem = problem.FamilyMaxCut
 	}
@@ -375,7 +387,7 @@ func (s *Server) normalize(req *SolveRequest) (resolved, *httpError) {
 	if err != nil {
 		return zero, badRequest("%v", err)
 	}
-	rs := resolved{spec: spec}
+	rs := resolved{spec: spec, gen: gen}
 	if req.Problem == problem.FamilyMaxCut {
 		rs.qubits = spec.Graph.N // capped by Wire.Spec
 	} else {
@@ -429,14 +441,13 @@ func (s *Server) submit(req *SolveRequest, rs resolved) (*Job, submitOutcome, *h
 	if s.draining {
 		return nil, 0, &httpError{code: http.StatusServiceUnavailable, msg: "server is draining"}
 	}
+	s.syncGen()
 	if res, ok := s.cache.Get(key); ok {
-		s.mem.Count("server.cache.hits", 1)
-		job := s.newFinishedJob(key, res)
-		s.jobs.add(job)
-		return job, outcomeCached, nil
+		return s.cachedJob(key, res), outcomeCached, nil
 	}
 	s.mem.Count("server.cache.misses", 1)
-	if j := s.inflight[key]; j != nil {
+	// A job solving under an older model set is no answer to this one.
+	if j := s.inflight[key]; j != nil && j.gen == s.gen {
 		j.mu.Lock()
 		j.coalesced = true
 		j.mu.Unlock()
@@ -491,7 +502,7 @@ func (s *Server) submit(req *SolveRequest, rs resolved) (*Job, submitOutcome, *h
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 	job := &Job{
-		ID: s.jobs.nextID(), Key: key, req: *req, spec: rs.spec, inst: rs.inst, fp: rs.fp, cost: cost,
+		ID: s.jobs.nextID(), Key: key, req: *req, spec: rs.spec, inst: rs.inst, fp: rs.fp, cost: cost, gen: rs.gen,
 		ctx: ctx, cancel: cancel, done: make(chan struct{}),
 		state: StateQueued, enqueued: time.Now(), bus: newEventBus(),
 	}
@@ -512,16 +523,70 @@ func (s *Server) submit(req *SolveRequest, rs resolved) (*Job, submitOutcome, *h
 	return job, outcomeQueued, nil
 }
 
-// newFinishedJob materializes a cache hit as an already-done job record.
-// Born finished, it has nothing of its own to cancel or to wait for.
-func (s *Server) newFinishedJob(key string, res *SolveResult) *Job {
+// syncGen drops the cached answers and the memo when the registry has
+// moved to a new generation since the cache was last read or filled: a
+// solve key names a model, not its contents. Called with s.mu held.
+func (s *Server) syncGen() {
+	if g := s.registry.Generation(); g != s.gen {
+		s.gen = g
+		s.cache.Purge()
+		if s.memo != nil {
+			s.memo.Purge()
+		}
+	}
+}
+
+// cachedJob materializes a cache hit as an already-done job record and
+// files it. Born finished, it has nothing of its own to cancel or to
+// wait for. Called with s.mu held.
+func (s *Server) cachedJob(key string, res *SolveResult) *Job {
+	s.mem.Count("server.cache.hits", 1)
 	now := time.Now()
-	return &Job{
+	job := &Job{
 		ID: s.jobs.nextID(), Key: key,
 		ctx: s.finishedCtx, cancel: func() {}, done: s.finishedDone,
 		state: StateDone, cached: true, result: res,
 		enqueued: now, started: now, finished: now,
 	}
+	s.jobs.add(job)
+	return job
+}
+
+// memoAnswer answers a request from its bytes: when the memo knows the
+// digest under the current generation and the cache holds the key's
+// answer, it returns the finished job, as submit would for the decoded
+// request. Any other case returns nil, and the request takes the full
+// path.
+func (s *Server) memoAnswer(sum [sha256.Size]byte) *Job {
+	key, ok := s.memo.Get(memoKey{sum, s.registry.Generation()})
+	if !ok {
+		return nil
+	}
+	return s.memoHit(key)
+}
+
+// memoHit returns the answer cached under a key the memo gave, as a
+// finished job, or nil when there is none or the server is draining.
+func (s *Server) memoHit(key string) *Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return nil
+	}
+	s.syncGen()
+	res, ok := s.cache.Get(key)
+	if !ok {
+		return nil
+	}
+	s.mem.Count("server.memo.hits", 1)
+	return s.cachedJob(key, res)
+}
+
+// remember memoizes the identity a request's bytes resolved to. Only
+// requests that passed normalize and submit get here, so an answer the
+// memo gives is one the full path would give.
+func (s *Server) remember(sum [sha256.Size]byte, rs resolved) {
+	s.memo.Add(memoKey{sum, rs.gen}, rs.key)
 }
 
 // completeJob finishes a job from the worker path and runs the shared
@@ -556,8 +621,10 @@ func (s *Server) afterFinish(j *Job, state JobState) {
 	// The answer enters the cache in the same critical section that
 	// drops the in-flight entry (lock order s.mu → cache, as in submit):
 	// an identical request always finds one or the other, never neither.
+	// A job that started under an older model set fills nothing.
 	s.mu.Lock()
-	if state == StateDone {
+	s.syncGen()
+	if state == StateDone && res != nil && j.gen == s.gen {
 		s.cache.Add(j.Key, res)
 	}
 	if s.inflight[j.Key] == j {
@@ -755,9 +822,25 @@ func writeError(w http.ResponseWriter, e *httpError) {
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req SolveRequest
-	if herr := decodeBody(w, r, 1<<20, &req); herr != nil {
+	buf, herr := readRequest(w, r, 1<<20)
+	if herr != nil {
 		writeError(w, herr)
+		return
+	}
+	var sum [sha256.Size]byte
+	if s.memo != nil {
+		sum = sha256.Sum256(*buf)
+		if job := s.memoAnswer(sum); job != nil {
+			putBody(buf)
+			writeJSON(w, http.StatusOK, job.View())
+			return
+		}
+	}
+	var req SolveRequest
+	err := decodeRequest(*buf, &req)
+	putBody(buf)
+	if err != nil {
+		writeError(w, badRequest("decoding request: %v", err))
 		return
 	}
 	rs, herr := s.normalize(&req)
@@ -769,6 +852,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if herr != nil {
 		writeError(w, herr)
 		return
+	}
+	if s.memo != nil {
+		s.remember(sum, rs)
 	}
 	if req.Wait {
 		select {

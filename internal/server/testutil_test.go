@@ -26,7 +26,7 @@ var testEnv struct {
 
 const testTrainSeed = 17
 
-func testPredictor(t *testing.T) *core.Predictor {
+func testPredictor(t testing.TB) *core.Predictor {
 	t.Helper()
 	testEnv.once.Do(func() {
 		data, err := core.GenerateCtx(context.Background(), core.DataGenConfig{
@@ -51,7 +51,7 @@ func testPredictor(t *testing.T) *core.Predictor {
 }
 
 // testRegistry returns a registry with the shared predictor as "default".
-func testRegistry(t *testing.T) *Registry {
+func testRegistry(t testing.TB) *Registry {
 	t.Helper()
 	reg, err := NewRegistry("")
 	if err != nil {
@@ -76,8 +76,11 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 // testInstance returns a connected 8-node MaxCut instance (nodes,
 // edges) drawn from the paper's ensemble.
-func testInstance(seed int64) (int, [][2]int) {
-	g := graph.ErdosRenyiConnected(8, 0.5, rand.New(rand.NewSource(seed)))
+func testInstance(seed int64) (int, [][2]int) { return randomEdges(8, seed) }
+
+// randomEdges returns a connected G(n, 1/2) instance (nodes, edges).
+func randomEdges(n int, seed int64) (int, [][2]int) {
+	g := graph.ErdosRenyiConnected(n, 0.5, rand.New(rand.NewSource(seed)))
 	var edges [][2]int
 	for _, e := range g.Edges() {
 		edges = append(edges, [2]int{e.U, e.V})
