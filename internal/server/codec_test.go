@@ -3,8 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -19,123 +17,6 @@ import (
 
 	"qaoaml/internal/problem"
 )
-
-// oracleDecode is what decodeBody did with encoding/json, and what the
-// scanner must agree with: unknown keys refused, one value per body.
-func oracleDecode(raw []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return errors.New("trailing data after the JSON value")
-	}
-	return nil
-}
-
-// checkDecode decodes raw as both request bodies with the scanner and
-// with the oracle, and fails unless both accept with equal values or
-// both refuse. It returns what the scanner accepted.
-func checkDecode(tb testing.TB, raw []byte) (*SolveRequest, *BatchRequest) {
-	tb.Helper()
-	var want, got SolveRequest
-	werr, gerr := oracleDecode(raw, &want), decodeRequest(raw, &got)
-	if (werr == nil) != (gerr == nil) || werr == nil && !reflect.DeepEqual(got, want) {
-		tb.Fatalf("SolveRequest from %q:\nscanner  %+v (%v)\nencoding/json %+v (%v)", raw, got, gerr, want, werr)
-	}
-	var wantB, gotB BatchRequest
-	werrB, gerrB := oracleDecode(raw, &wantB), decodeRequest(raw, &gotB)
-	if (werrB == nil) != (gerrB == nil) || werrB == nil && !reflect.DeepEqual(gotB, wantB) {
-		tb.Fatalf("BatchRequest from %q:\nscanner  %+v (%v)\nencoding/json %+v (%v)", raw, gotB, gerrB, wantB, werrB)
-	}
-	var sr *SolveRequest
-	var br *BatchRequest
-	if gerr == nil {
-		sr = &got
-	}
-	if gerrB == nil {
-		br = &gotB
-	}
-	return sr, br
-}
-
-// decodeRows are bodies at the edges of encoding/json's rules, each
-// decoded by both and compared; the comment says what it pins.
-var decodeRows = []string{
-	// Keys: exact, folded (ASCII and Unicode: U+017F folds to s, U+212A
-	// to k), escaped, unknown, unknown inside a quad term.
-	`{"depth":2,"problem":"qubo"}`,
-	`{"DEPTH":2,"Problem":"qubo","Wait":true,"TIMEOUT_MS":5,"Clause_Weights":[1]}`,
-	"{\"\u017feed\":3}",
-	"{\"\u212aeep\":3}",
-	`{"d\u0065pth":2,"\u0070roblem":"partition"}`,
-	`{"nodez":1}`,
-	`{"quad":[{"i":1,"j":2,"w":3,"k":4}]}`,
-	`{"quad":[{"I":1,"J":2,"W":3}]}`,
-	// Repeated keys: the last scalar wins, slices refill in place.
-	`{"depth":1,"depth":2}`,
-	`{"clauses":[[1,2],[3,4]],"clauses":[[5]],"clauses":[[6],[7]]}`,
-	`{"edges":[[1,2],[3,4]],"edges":[[5]],"edges":[[6],[7]]}`,
-	`{"quad":[{"i":1,"j":2,"w":3}],"quad":[{"w":5}]}`,
-	`{"numbers":[1,2,3],"numbers":[],"numbers":[4]}`,
-	`{"covariance":[[1,2],[3]],"covariance":[[4],[5,6,7]]}`,
-	// null: slices go nil, everything else stays.
-	`{"problem":null,"depth":null,"wait":null,"offset":null,"seed":null}`,
-	`{"depth":3,"depth":null}`,
-	`{"edges":null,"weights":null,"quad":null,"clauses":null,"covariance":null}`,
-	`{"clauses":[[1,2],null,[]],"edges":[null,[1,null]],"quad":[null],"covariance":[null,[null,1]]}`,
-	`{"weights":[1,2],"weights":null}`,
-	`{"weights":[]}`,
-	// [2]int: zero-filled when short, extras skipped unparsed.
-	`{"edges":[[1],[],[2,3,4,"x",{"a":[1,{}]},1e999,true,null]]}`,
-	`{"edges":[[1,2,3,]]}`,
-	`{"edges":[[1,2,{"a" 1}]]}`,
-	`{"edges":[[1,2,"\u00zz"]]}`, `{"edges":[[1,2,"\q"]]}`, `{"edges":[[1,2,"\u00e9\n"]]}`,
-	// Integers refuse fractions, exponents and overflow; floats overflow.
-	`{"depth":1.0}`,
-	`{"depth":1e2}`,
-	`{"depth":-0}`,
-	`{"seed":9223372036854775807}`,
-	`{"seed":9223372036854775808}`,
-	`{"seed":-9223372036854775808}`,
-	`{"offset":1e400}`,
-	`{"offset":-1e400}`,
-	`{"offset":1e-400}`,
-	`{"offset":-0.0}`,
-	`{"offset":1E+2,"penalty":2.5e-3,"risk_aversion":0.000001}`,
-	// Number grammar.
-	`{"depth":01}`, `{"depth":-}`, `{"offset":.5}`, `{"offset":1.}`, `{"offset":1e}`,
-	`{"offset":+1}`, `{"offset":1e+}`, `{"offset":-01.5}`, `{"depth":1x}`,
-	// Kinds that do not fit the field.
-	`{"depth":"2"}`, `{"wait":1}`, `{"wait":"true"}`, `{"problem":2}`, `{"problem":[]}`,
-	`{"edges":{}}`, `{"edges":[1]}`, `{"quad":[1]}`, `{"quad":[[1]]}`, `{"clauses":[["1"]]}`,
-	`{"items":[1]}`, `{"items":{}}`, `{"items":[[]]}`,
-	// Strings: escapes, surrogates, invalid UTF-8, control characters.
-	`{"problem":"max\u0063ut","model":"a\"b\\c\/d\b\f\n\r\t"}`,
-	`{"model":"\ud83d\ude00 \ud800 \udc00x \u00e9"}`,
-	"{\"model\":\"a\xffb\xc3\"}",
-	"{\"model\":\"tab\there\"}",
-	"{\"model\":\"unit\x1fseparator\"}", "{\"model\":\"nul\x00\"}", "{\"model\":\"del\x7f\"}",
-	`{"model":"\x"}`,
-	`{"model":"\u12"}`,
-	`{"model":"unterminated`,
-	"{\"model\":\"h\u00e9llo <&> \u2028\"}",
-	`{"sense":"max","optimizer":"cobyla","strategy":"naive","model":"m1"}`,
-	// Literals.
-	`{"wait":true}`, `{"wait":false}`, `{"wait":tru}`, `{"wait":nul}`, `{"wait":truex}`,
-	// Top level: null, other kinds, nothing, whitespace, trailing data.
-	`null`, " \t\r\n null \n", `[]`, `""`, `1`, `true`, `{}`, ``, ` `, "\ufeff{}",
-	`{"depth":1}{}`, `{"depth":1} x`, `{"depth":1}]`, `{"depth":1}` + "\n\t ", `{"depth":1}null`,
-	`{`, `{"depth"`, `{"depth":`, `{"depth":1`, `{"depth":1,}`, `{,"depth":1}`, `{"depth" 1}`,
-	`{depth:1}`, `{"items":[{"depth":1},]}`, `{"items":[,{"depth":1}]}`,
-	// Batches: null items, folded key, refilled items.
-	`{"items":[{"depth":1},null,{}]}`,
-	`{"ITEMS":[]}`,
-	`{"items":null}`,
-	`{"items":[{"depth":1,"numbers":[1,2]}],"items":[{"seed":5},{"depth":3}]}`,
-	`{"items":[{"depth":1}],"extra":1}`,
-}
 
 // nested returns a body whose first edge carries an extra element
 // nested to depth levels in all.
@@ -181,14 +62,25 @@ func hotBodies(tb testing.TB) [][]byte {
 	return bodies
 }
 
-// The scanner accepts what encoding/json accepts and decodes it to the
-// same value: the edge rows, nesting at encoding/json's limit, the
-// request goldens, every family's bodies, and the checked-in fuzz seeds.
+// decodeAs decodes body as each request type.
+func decodeAs(body []byte) (solveErr, batchErr error) {
+	return decodeRequest(body, &SolveRequest{}), decodeRequest(body, &BatchRequest{})
+}
+
+// The decoder takes what the server has always taken and refuses with
+// the stated messages: nesting at encoding/json's limit but not past it,
+// the request goldens, every family's bodies and every checked-in fuzz
+// seed but the trailing-data ones. A syntax or type error and an early
+// end name their offset; an unknown key is named; trailing data is one
+// fixed message.
 func TestDecodeRequestOracle(t *testing.T) {
-	bodies := [][]byte{[]byte(nested(maxNesting)), []byte(nested(maxNesting + 1))}
-	for _, row := range decodeRows {
-		bodies = append(bodies, []byte(row))
+	if err := decodeRequest([]byte(nested(maxNesting)), &SolveRequest{}); err != nil {
+		t.Errorf("nesting at the limit: %v", err)
 	}
+	if err := decodeRequest([]byte(nested(maxNesting+1)), &SolveRequest{}); err == nil {
+		t.Error("nesting past the limit accepted")
+	}
+	var bodies [][]byte
 	for _, golden := range wireGolden {
 		bodies = append(bodies, []byte(golden))
 	}
@@ -198,26 +90,34 @@ func TestDecodeRequestOracle(t *testing.T) {
 		t.Fatalf("no fuzz seeds (%v)", err)
 	}
 	for _, path := range seeds {
-		bodies = append(bodies, readSeed(t, path))
-	}
-	accepted := 0
-	for _, body := range bodies {
-		if sr, br := checkDecode(t, body); sr != nil || br != nil {
-			accepted++
+		body := readSeed(t, path)
+		if !strings.HasPrefix(filepath.Base(path), "trailing-") {
+			bodies = append(bodies, body)
+		} else if serr, berr := decodeAs(body); serr != errTrailing && berr != errTrailing {
+			t.Errorf("%s: %v / %v, want trailing data refused", path, serr, berr)
 		}
 	}
-	t.Logf("%d bodies, %d accepted by one request type or both", len(bodies), accepted)
-
-	// Refusals name their offset; the two fixed messages stay verbatim.
-	var req SolveRequest
-	if err := decodeRequest([]byte(`{"depth":1.5}`), &req); err == nil || !strings.HasSuffix(err.Error(), "at offset 9") {
-		t.Errorf("fractional depth: %v, want the offset of the number", err)
+	for _, body := range bodies {
+		if serr, berr := decodeAs(body); serr != nil && berr != nil {
+			t.Errorf("%.80s: refused (%v / %v)", body, serr, berr)
+		}
 	}
-	if err := decodeRequest([]byte(`{"depth":1, "nodez":1}`), &req); err == nil || err.Error() != `unknown field "nodez" at offset 12` {
-		t.Errorf("unknown key: %v, want its offset", err)
+
+	var req SolveRequest
+	if err := decodeRequest([]byte(`{"depth":1,}`), &req); err == nil || !strings.HasSuffix(err.Error(), "at offset 12") {
+		t.Errorf("syntax error: %v, want the offset of the bad byte", err)
+	}
+	if err := decodeRequest([]byte(`{"depth":1.5}`), &req); err == nil || !strings.HasSuffix(err.Error(), "at offset 12") {
+		t.Errorf("fractional depth: %v, want the offset of the number's end", err)
+	}
+	if err := decodeRequest([]byte(`{"depth":1, "nodez":1}`), &req); err == nil || err.Error() != `json: unknown field "nodez"` {
+		t.Errorf("unknown key: %v, want it named", err)
 	}
 	if err := decodeRequest([]byte(`{"depth":1} {}`), &req); err == nil || err.Error() != "trailing data after the JSON value" {
 		t.Errorf("trailing value: %v", err)
+	}
+	if err := decodeRequest([]byte(`{"depth":1`), &req); err == nil || err.Error() != "unexpected end of JSON input at offset 10" {
+		t.Errorf("truncated body: %v, want the offset of its end", err)
 	}
 }
 
@@ -239,22 +139,42 @@ func readSeed(tb testing.TB, path string) []byte {
 	return []byte(body)
 }
 
-// FuzzDecodeRequest holds the scanner to encoding/json on any bytes, as
-// both request bodies: both accept with equal values, or both refuse. An
-// accepted request then goes through normalize, which must refuse or
-// resolve it without panicking.
+// FuzzDecodeRequest holds the memo's batch scan to the decoder on any
+// bytes: when itemSpans splits a body, the body decodes whole exactly
+// when every span decodes alone, and to the same items. decodeBatch
+// relies on it when it decodes a batch item by item. FuzzMemoReply's
+// checked-in batches seed it too.
 func FuzzDecodeRequest(f *testing.F) {
-	s := New(Config{Workers: 1, MaxNodes: 12})
-	f.Cleanup(s.Close)
+	seeds, err := filepath.Glob("testdata/fuzz/FuzzMemoReply/*")
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no FuzzMemoReply seeds (%v)", err)
+	}
+	for _, path := range seeds {
+		f.Add(readSeed(f, path))
+	}
+	// One item whose escaped quotes a scan blind to escapes splits in two.
+	f.Add([]byte(`{"items":[{"model":"\"},{\""}]}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		sr, br := checkDecode(t, raw)
-		if sr != nil {
-			s.normalize(sr)
+		spans, ok := itemSpans(raw)
+		if !ok {
+			return
 		}
-		if br != nil {
-			for i := range br.Items {
-				s.normalize(&br.Items[i])
+		var whole BatchRequest
+		werr := decodeRequest(raw, &whole)
+		items := make([]SolveRequest, len(spans))
+		for i, sp := range spans {
+			if err := decodeRequest(raw[sp[0]:sp[1]], &items[i]); err != nil {
+				if werr == nil {
+					t.Fatalf("item %d refused (%v), but the whole body decodes", i, err)
+				}
+				return
 			}
+		}
+		if werr != nil {
+			t.Fatalf("every item decodes, but the whole body is refused: %v", werr)
+		}
+		if !reflect.DeepEqual(whole.Items, items) {
+			t.Fatalf("whole body %+v, items alone %+v", whole.Items, items)
 		}
 	})
 }
@@ -433,23 +353,10 @@ func jsonTags(t reflect.Type) []string {
 	return tags
 }
 
-// A JSON tag the codecs do not handle fails here, before a request
-// field is refused as unknown or a view field silently dropped: the key
-// tables are the tags, a request with every field set decodes to
-// itself, and a view with every field set encodes every key.
+// A JSON tag the codecs do not handle fails here, before a view field
+// is silently dropped: a request with every field set decodes, and a
+// view with every field set encodes every key.
 func TestCodecCoversTags(t *testing.T) {
-	for _, tc := range []struct {
-		typ  reflect.Type
-		keys []string
-	}{
-		{reflect.TypeOf(SolveRequest{}), solveRequestKeys[:]},
-		{reflect.TypeOf(WireTerm{}), wireTermKeys[:]},
-		{reflect.TypeOf(BatchRequest{}), batchRequestKeys[:]},
-	} {
-		if tags := jsonTags(tc.typ); !reflect.DeepEqual(tags, tc.keys) {
-			t.Errorf("%v: tags %q, decoder keys %q", tc.typ, tags, tc.keys)
-		}
-	}
 	f := filler{rng: rand.New(rand.NewSource(1))}
 	var req BatchRequest
 	f.fill(reflect.ValueOf(&req).Elem())
@@ -457,13 +364,13 @@ func TestCodecCoversTags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range append(solveRequestKeys[:], wireTermKeys[:]...) {
+	for _, key := range append(jsonTags(reflect.TypeOf(SolveRequest{})), jsonTags(reflect.TypeOf(WireTerm{}))...) {
 		if !bytes.Contains(body, []byte(`"`+key+`":`)) {
 			t.Fatalf("filled request %s lacks %q", body, key)
 		}
 	}
-	if _, br := checkDecode(t, body); br == nil {
-		t.Errorf("a request with every field set was refused: %s", body)
+	if err := decodeRequest(body, &BatchRequest{}); err != nil {
+		t.Errorf("a request with every field set was refused (%v): %s", err, body)
 	}
 	var reply BatchResponse
 	f.fill(reflect.ValueOf(&reply).Elem())
@@ -537,21 +444,14 @@ func hotBatch(b *testing.B, family string) []byte {
 	return body
 }
 
-// BenchmarkDecodeRequest decodes a 16-item hot batch body per family
-// with encoding/json (DisallowUnknownFields and the trailing check, as
-// decodeBody did) and with the scanner.
+// BenchmarkDecodeRequest decodes a 16-item hot batch body per family,
+// as a memo-less server (the coordinator) decodes every request.
 func BenchmarkDecodeRequest(b *testing.B) {
 	for _, family := range hotFamilies {
 		b.Run(family, func(b *testing.B) {
 			body := hotBatch(b, family)
 			benchCodecs(b, 16, map[string]func(){
 				"json": func() {
-					var req BatchRequest
-					if err := oracleDecode(body, &req); err != nil {
-						b.Fatal(err)
-					}
-				},
-				"codec": func() {
 					var req BatchRequest
 					if err := decodeRequest(body, &req); err != nil {
 						b.Fatal(err)

@@ -211,6 +211,8 @@ func appendTime(b []byte, t time.Time, ok bool) ([]byte, bool) {
 	return append(b, '"'), ok
 }
 
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
 // hex is the digit set of \u escapes.
 const hex = "0123456789abcdef"
 

@@ -328,6 +328,84 @@ func racesClock(raw []byte) bool {
 	return false
 }
 
+// decodeRows are bodies at the edges of encoding/json's rules; the
+// comment says what each group pins. FuzzMemoReply seeds with them, so
+// every plain go test sends each through both server paths.
+var decodeRows = []string{
+	// Keys: exact, folded (ASCII and Unicode: U+017F folds to s, U+212A
+	// to k), escaped, unknown, unknown inside a quad term.
+	`{"depth":2,"problem":"qubo"}`,
+	`{"DEPTH":2,"Problem":"qubo","Wait":true,"TIMEOUT_MS":5,"Clause_Weights":[1]}`,
+	"{\"\u017feed\":3}",
+	"{\"\u212aeep\":3}",
+	`{"d\u0065pth":2,"\u0070roblem":"partition"}`,
+	`{"nodez":1}`,
+	`{"quad":[{"i":1,"j":2,"w":3,"k":4}]}`,
+	`{"quad":[{"I":1,"J":2,"W":3}]}`,
+	// Repeated keys: the last scalar wins, slices refill in place.
+	`{"depth":1,"depth":2}`,
+	`{"clauses":[[1,2],[3,4]],"clauses":[[5]],"clauses":[[6],[7]]}`,
+	`{"edges":[[1,2],[3,4]],"edges":[[5]],"edges":[[6],[7]]}`,
+	`{"quad":[{"i":1,"j":2,"w":3}],"quad":[{"w":5}]}`,
+	`{"numbers":[1,2,3],"numbers":[],"numbers":[4]}`,
+	`{"covariance":[[1,2],[3]],"covariance":[[4],[5,6,7]]}`,
+	// null: slices go nil, everything else stays.
+	`{"problem":null,"depth":null,"wait":null,"offset":null,"seed":null}`,
+	`{"depth":3,"depth":null}`,
+	`{"edges":null,"weights":null,"quad":null,"clauses":null,"covariance":null}`,
+	`{"clauses":[[1,2],null,[]],"edges":[null,[1,null]],"quad":[null],"covariance":[null,[null,1]]}`,
+	`{"weights":[1,2],"weights":null}`,
+	`{"weights":[]}`,
+	// [2]int: zero-filled when short, extras skipped unparsed.
+	`{"edges":[[1],[],[2,3,4,"x",{"a":[1,{}]},1e999,true,null]]}`,
+	`{"edges":[[1,2,3,]]}`,
+	`{"edges":[[1,2,{"a" 1}]]}`,
+	`{"edges":[[1,2,"\u00zz"]]}`, `{"edges":[[1,2,"\q"]]}`, `{"edges":[[1,2,"\u00e9\n"]]}`,
+	// Integers refuse fractions, exponents and overflow; floats overflow.
+	`{"depth":1.0}`,
+	`{"depth":1e2}`,
+	`{"depth":-0}`,
+	`{"seed":9223372036854775807}`,
+	`{"seed":9223372036854775808}`,
+	`{"seed":-9223372036854775808}`,
+	`{"offset":1e400}`,
+	`{"offset":-1e400}`,
+	`{"offset":1e-400}`,
+	`{"offset":-0.0}`,
+	`{"offset":1E+2,"penalty":2.5e-3,"risk_aversion":0.000001}`,
+	// Number grammar.
+	`{"depth":01}`, `{"depth":-}`, `{"offset":.5}`, `{"offset":1.}`, `{"offset":1e}`,
+	`{"offset":+1}`, `{"offset":1e+}`, `{"offset":-01.5}`, `{"depth":1x}`,
+	// Kinds that do not fit the field.
+	`{"depth":"2"}`, `{"wait":1}`, `{"wait":"true"}`, `{"problem":2}`, `{"problem":[]}`,
+	`{"edges":{}}`, `{"edges":[1]}`, `{"quad":[1]}`, `{"quad":[[1]]}`, `{"clauses":[["1"]]}`,
+	`{"items":[1]}`, `{"items":{}}`, `{"items":[[]]}`,
+	// Strings: escapes, surrogates, invalid UTF-8, control characters.
+	`{"problem":"max\u0063ut","model":"a\"b\\c\/d\b\f\n\r\t"}`,
+	`{"model":"\ud83d\ude00 \ud800 \udc00x \u00e9"}`,
+	"{\"model\":\"a\xffb\xc3\"}",
+	"{\"model\":\"tab\there\"}",
+	"{\"model\":\"unit\x1fseparator\"}", "{\"model\":\"nul\x00\"}", "{\"model\":\"del\x7f\"}",
+	`{"model":"\x"}`,
+	`{"model":"\u12"}`,
+	`{"model":"unterminated`,
+	"{\"model\":\"h\u00e9llo <&> \u2028\"}",
+	`{"sense":"max","optimizer":"cobyla","strategy":"naive","model":"m1"}`,
+	// Literals.
+	`{"wait":true}`, `{"wait":false}`, `{"wait":tru}`, `{"wait":nul}`, `{"wait":truex}`,
+	// Top level: null, other kinds, nothing, whitespace, trailing data.
+	`null`, " \t\r\n null \n", `[]`, `""`, `1`, `true`, `{}`, ``, ` `, "\ufeff{}",
+	`{"depth":1}{}`, `{"depth":1} x`, `{"depth":1}]`, `{"depth":1}` + "\n\t ", `{"depth":1}null`,
+	`{`, `{"depth"`, `{"depth":`, `{"depth":1`, `{"depth":1,}`, `{,"depth":1}`, `{"depth" 1}`,
+	`{depth:1}`, `{"items":[{"depth":1},]}`, `{"items":[,{"depth":1}]}`,
+	// Batches: null items, folded key, refilled items.
+	`{"items":[{"depth":1},null,{}]}`,
+	`{"ITEMS":[]}`,
+	`{"items":null}`,
+	`{"items":[{"depth":1,"numbers":[1,2]}],"items":[{"seed":5},{"depth":3}]}`,
+	`{"items":[{"depth":1}],"extra":1}`,
+}
+
 // FuzzMemoReply holds the byte path to the decode path: a server with
 // the memo and one without get the same body twice, as a single and as
 // a batch, and give the same status and reply each time (maskReply).
@@ -344,6 +422,9 @@ func FuzzMemoReply(f *testing.F) {
 	}
 	for _, body := range hotBodies(f) {
 		f.Add(body)
+	}
+	for _, row := range decodeRows {
+		f.Add([]byte(row))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if racesClock(raw) {
