@@ -419,7 +419,7 @@ func BenchmarkNegExpectation(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchEval measures worker-pool throughput on a 12-point batch
+// BenchmarkBatchEval measures EvalBatch throughput on a 12-point batch
 // (the size of one depth-3 central-difference gradient stencil).
 func BenchmarkBatchEval(b *testing.B) {
 	pb := benchProblem(b)

@@ -64,10 +64,9 @@ type daemonConfig struct {
 	trainDepth  int
 	trainSeed   int64
 
-	role         string
-	peers        string
-	wal          string
-	workerBudget int64
+	role  string
+	peers string
+	wal   string
 
 	srv server.Config
 }
@@ -92,7 +91,6 @@ func registerFlags(fs *flag.FlagSet, c *daemonConfig) {
 	fs.StringVar(&c.role, "role", "single", "fleet role: single, coordinator or worker")
 	fs.StringVar(&c.peers, "peers", "", "comma-separated worker base URLs (coordinator role)")
 	fs.StringVar(&c.wal, "wal", "", "write-ahead log path for durable job journaling (empty = no journal)")
-	fs.Int64Var(&c.workerBudget, "worker-budget", 0, "per-worker in-flight cost cap for dispatch (0 = uncapped)")
 }
 
 func main() {
@@ -154,9 +152,8 @@ func run(cfg daemonConfig) error {
 		}
 	case "coordinator":
 		disp, err := cluster.NewDispatcher(cluster.DispatcherConfig{
-			Workers:      splitPeers(cfg.peers),
-			WorkerBudget: cfg.workerBudget,
-			Recorder:     cfg.srv.Recorder,
+			Workers:  splitPeers(cfg.peers),
+			Recorder: cfg.srv.Recorder,
 		})
 		if err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"strings"
 	"sync"
@@ -19,11 +20,10 @@ import (
 // worker qaoad over HTTP. Routing is consistent-hashed on the instance
 // fingerprint (Ring), so repeat requests land on the worker whose
 // result cache owns the key; failures walk the ring's failover
-// sequence with exponential backoff; per-worker in-flight cost budgets
-// reuse the admission price (the cost a job carries) so one worker is never
-// loaded past what its own admission control would accept; and the
-// job's context threads through end-to-end — cancelling it aborts the
-// remote optimizer via DELETE /v1/jobs/{id}.
+// sequence with exponential backoff; each worker's own admission
+// control bounds its load (a busy worker answers 429 and the job moves
+// on); and the job's context threads through end-to-end — cancelling it
+// aborts the remote optimizer via DELETE /v1/jobs/{id}.
 //
 // Determinism makes all of this safe: a solve re-dispatched to a
 // different worker (even one racing a still-running first attempt the
@@ -33,45 +33,28 @@ import (
 type DispatcherConfig struct {
 	// Workers is the fleet roster: base URLs like "http://127.0.0.1:8081".
 	Workers []string
-	// WorkerBudget caps the summed admission cost (depth × 2^qubits) the
-	// coordinator keeps in flight per worker; 0 means no per-worker cap
-	// (the workers' own admission control still applies). Like local
-	// admission, an idle worker accepts one job of any cost.
-	WorkerBudget int64
-	// Rounds is how many full passes over a key's failover sequence to
-	// attempt before failing the job (default 3).
-	Rounds int
 	// HealthInterval is the worker health-check period (default 1s).
 	HealthInterval time.Duration
-	// Client is the HTTP client for worker calls (default: no-timeout
-	// client; per-call contexts bound everything).
-	Client *http.Client
 	// Recorder receives dispatch telemetry (nil = none).
 	Recorder telemetry.Recorder
 }
 
 const (
+	dispatchRounds      = 3 // full passes over a key's failover sequence before the job fails
 	dispatchBackoffBase = 50 * time.Millisecond
 	dispatchBackoffCap  = 2 * time.Second
 	healthTimeout       = 2 * time.Second
 	cancelTimeout       = 2 * time.Second
 )
 
-type workerState struct {
-	down     bool
-	inflight int64
-}
-
 // Dispatcher implements server.Dispatcher over a worker fleet.
 type Dispatcher struct {
 	ring   *Ring
-	client *http.Client
+	client *http.Client // no timeout: per-call contexts bound everything
 	mem    telemetry.Recorder
-	budget int64
-	rounds int
 
-	mu      sync.Mutex
-	workers map[string]*workerState
+	mu sync.Mutex
+	up map[string]bool // worker address → last known liveness
 
 	stop   context.CancelFunc
 	health sync.WaitGroup
@@ -86,25 +69,17 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 	if ring.Len() == 0 {
 		return nil, errors.New("cluster: dispatcher needs at least one worker")
 	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 3
-	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = time.Second
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
 	d := &Dispatcher{
-		ring:    ring,
-		client:  cfg.Client,
-		mem:     telemetry.OrNop(cfg.Recorder),
-		budget:  cfg.WorkerBudget,
-		rounds:  cfg.Rounds,
-		workers: make(map[string]*workerState, ring.Len()),
+		ring:   ring,
+		client: &http.Client{},
+		mem:    telemetry.OrNop(cfg.Recorder),
+		up:     make(map[string]bool, ring.Len()),
 	}
 	for _, a := range ring.Addrs() {
-		d.workers[a] = &workerState{}
+		d.up[a] = true
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	d.stop = cancel
@@ -124,11 +99,7 @@ func (d *Dispatcher) Close() {
 func (d *Dispatcher) Workers() map[string]bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make(map[string]bool, len(d.workers))
-	for a, w := range d.workers {
-		out[a] = !w.down
-	}
-	return out
+	return maps.Clone(d.up)
 }
 
 // permanentError marks a failure retrying cannot fix (worker rejected
@@ -140,11 +111,13 @@ func (e permanentError) Unwrap() error { return e.err }
 
 // Dispatch implements server.Dispatcher: route by fingerprint, walk
 // the failover sequence with backoff between rounds, relay iteration
-// events, and propagate cancellation.
+// events, and propagate cancellation. cost is unused: the signature is
+// server.Dispatcher's, which benchmark/serve.go's timedDispatcher also
+// implements.
 func (d *Dispatcher) Dispatch(ctx context.Context, req server.SolveRequest, fingerprint string, cost int64, emit func(telemetry.IterEvent)) (*server.SolveResult, error) {
 	seq := d.ring.Sequence(fingerprint)
 	var lastErr error
-	for round := 0; round < d.rounds; round++ {
+	for round := 0; round < dispatchRounds; round++ {
 		if round > 0 {
 			backoff := dispatchBackoffBase << uint(round-1)
 			if backoff > dispatchBackoffCap {
@@ -166,16 +139,12 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req server.SolveRequest, fing
 				if ctx.Err() != nil {
 					return nil, ctx.Err()
 				}
-				if skipDown && !d.reserve(addr, cost) {
+				if skipDown && d.isDown(addr) {
 					continue
-				}
-				if !skipDown {
-					d.forceReserve(addr, cost)
 				}
 				tried = true
 				d.mem.Count("cluster.dispatch.attempts", 1)
 				res, err := d.dispatchOne(ctx, addr, req, emit)
-				d.release(addr, cost)
 				if err == nil {
 					return res, nil
 				}
@@ -198,40 +167,14 @@ func (d *Dispatcher) Dispatch(ctx context.Context, req server.SolveRequest, fing
 		lastErr = errors.New("no dispatch attempt succeeded")
 	}
 	d.mem.Count("cluster.dispatch.failures", 1)
-	return nil, fmt.Errorf("cluster: job undispatchable after %d rounds: %w", d.rounds, lastErr)
+	return nil, fmt.Errorf("cluster: job undispatchable after %d rounds: %w", dispatchRounds, lastErr)
 }
 
-// reserve books cost against addr's budget; false if the worker is
-// down or (per admission semantics) busy past the budget.
-func (d *Dispatcher) reserve(addr string, cost int64) bool {
+// isDown reports whether addr is marked down.
+func (d *Dispatcher) isDown(addr string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	w := d.workers[addr]
-	if w == nil || w.down {
-		return false
-	}
-	if d.budget > 0 && w.inflight > 0 && w.inflight+cost > d.budget {
-		return false
-	}
-	w.inflight += cost
-	return true
-}
-
-// forceReserve books cost unconditionally (the all-down fallback).
-func (d *Dispatcher) forceReserve(addr string, cost int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if w := d.workers[addr]; w != nil {
-		w.inflight += cost
-	}
-}
-
-func (d *Dispatcher) release(addr string, cost int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if w := d.workers[addr]; w != nil {
-		w.inflight -= cost
-	}
+	return !d.up[addr]
 }
 
 // markDown flags a worker after a transport failure; the health loop
@@ -239,8 +182,8 @@ func (d *Dispatcher) release(addr string, cost int64) {
 func (d *Dispatcher) markDown(addr string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if w := d.workers[addr]; w != nil && !w.down {
-		w.down = true
+	if d.up[addr] {
+		d.up[addr] = false
 		d.mem.Count("cluster.workers.marked_down", 1)
 	}
 }
@@ -248,8 +191,8 @@ func (d *Dispatcher) markDown(addr string) {
 func (d *Dispatcher) markUp(addr string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if w := d.workers[addr]; w != nil && w.down {
-		w.down = false
+	if up, ok := d.up[addr]; ok && !up {
+		d.up[addr] = true
 		d.mem.Count("cluster.workers.marked_up", 1)
 	}
 }

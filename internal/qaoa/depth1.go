@@ -42,9 +42,9 @@ import "math"
 // 1e-12 of |Offset| + Σ|h| + Σ|J|, the gradient to 1e-11 of that times
 // the largest coefficient).
 
-// depth1 is the closed-form p = 1 engine of one Evaluator or
-// BatchEvaluator. The couplings are immutable; the tables are per-call
-// scratch, so a depth1 is not safe for concurrent use.
+// depth1 is the closed-form p = 1 engine of one Evaluator. The
+// couplings are immutable; the tables are per-call scratch, so a
+// depth1 is not safe for concurrent use.
 type depth1 struct {
 	n      int
 	offset float64   // c₀ = sense·Offset

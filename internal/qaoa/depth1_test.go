@@ -300,7 +300,7 @@ func TestDepth1EvaluatorSimulatesOnlyForReadout(t *testing.T) {
 }
 
 // A BatchEvaluator draws no state until EvalBatch runs, and its results
-// stay bit-identical to sequential evaluation once it does.
+// are bit-identical to sequential evaluation once it does.
 func TestBatchEvaluatorBuildsWorkersOnFirstBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1616))
 	pb := mustProblem(t, graph.RandomRegular(StreamingThreshold+1, 3, rng))
@@ -313,9 +313,6 @@ func TestBatchEvaluatorBuildsWorkersOnFirstBatch(t *testing.T) {
 	}
 	points := [][]float64{testParams(2).Vector(), {0.5, 0.9, 0.25, 0.4}, {1.1, 0.3, 0.7, 0.2}, {2, 1, 0.1, 0.6}}
 	got := be.EvalBatch(points)
-	if len(be.workers) != 3 {
-		t.Errorf("first batch built %d workers, want 3", len(be.workers))
-	}
 	ev := NewEvaluator(pb, 2)
 	for i, x := range points {
 		if want := ev.NegExpectation(x); got[i] != want {

@@ -274,11 +274,11 @@ func TestHalfRegisterSelection(t *testing.T) {
 			in.Linear = make([]float64, n)
 			in.Linear[rng.Intn(n)] = 1e-300
 			fielded := mustIsing(t, &in)
-			if k := fielded.kernel(); k.mirror() || k.qubits() != n || fielded.halfRegister() || fielded.stateQubits() != n {
+			if k := fielded.kernel(); k.mirror() || k.qubits() != n || fielded.halfRegister() {
 				t.Fatalf("%s: a 1e-300 field left the half register selected (%T, %d qubits)", c.name, k, k.qubits())
 			}
-			if !c.pb.halfRegister() || c.pb.stateQubits() != n-1 {
-				t.Fatalf("%s: field-free problem reports %d state qubits", c.name, c.pb.stateQubits())
+			if !c.pb.halfRegister() || c.pb.kernel().qubits() != n-1 {
+				t.Fatalf("%s: field-free problem reports %d state qubits", c.name, c.pb.kernel().qubits())
 			}
 			scale, _ := coeffScale(&in)
 			pr := randomParams(rng, 2)

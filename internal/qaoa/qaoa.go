@@ -165,15 +165,6 @@ func (pb *Problem) NumQubits() int { return pb.Inst.N }
 // register: its Hamiltonian has no linear term.
 func (pb *Problem) halfRegister() bool { return pb.Inst.FieldFree() }
 
-// stateQubits returns the width of the register a workspace evolves,
-// the length quantum.ParallelDim is held against.
-func (pb *Problem) stateQubits() int {
-	if pb.halfRegister() {
-		return pb.NumQubits() - 1
-	}
-	return pb.NumQubits()
-}
-
 // GateState returns |ψ(γ, β)⟩ built gate by gate from |0…0⟩, the test
 // oracle of the fast path: H on all qubits, then per stage the phase
 // separator — RZ(2γ·sense·h) per qubit with a field,

@@ -217,7 +217,7 @@ func TestStateReuseInterleaved(t *testing.T) {
 			t.Fatalf("n=%d: RandomIsing drew no field; reseed", n-1)
 		}
 		for _, pb := range append(free, fielded) {
-			if got := pb.stateQubits(); got != n-1 {
+			if got := pb.kernel().qubits(); got != n-1 {
 				t.Fatalf("problem evolves %d qubits, want %d", got, n-1)
 			}
 			kinds = append(kinds, kind{fmt.Sprintf("%s/n%d", pb.Spec.Family, pb.NumQubits()), pb})

@@ -442,8 +442,9 @@ func BenchmarkFloatPhase(b *testing.B) {
 				b.Fatal(err)
 			}
 			pb := mustNew(b, spec)
-			ws := newWorkspace(floatStreamKernel(b, pb, fam), nil)
-			amps := 1 << uint(pb.stateQubits())
+			k := floatStreamKernel(b, pb, fam)
+			ws := newWorkspace(k, nil)
+			amps := 1 << uint(k.qubits())
 			report := func(b *testing.B) {
 				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 				b.ReportMetric(ns/1e3, "µs/op")

@@ -38,7 +38,8 @@ import (
 //   - The state vector is one quantum.State, fanned out over the chunk
 //     pool from quantum.ParallelDim. Four worker-owned shards were
 //     measured no faster at 20–27 evolved qubits (EXPERIMENTS.md), so
-//     there is no other layout.
+//     there is no other layout; quantum.ShardedState is a forward to
+//     the same LayerRunner, kept for benchmark/.
 //   - A Hamiltonian without linear terms (every MaxCut, partition, any
 //     Instance that is FieldFree) has C(z) = C(z̄), so ψ(z) = ψ(z̄) at
 //     every stage. The workspace then evolves the half register φ(z) =

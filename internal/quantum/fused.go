@@ -61,15 +61,6 @@ type LayerRunner struct {
 	s   *State
 	amp complex128 // uniform-fill amplitude 1/√dim
 
-	// limit caps the mixer sweep: only RX pairs with q+1 < limit (and,
-	// when limit == s.n, the odd final qubit) are applied. Zero means
-	// the full register. Only the pinned sharded probe (shard.go) sets
-	// it, to stop the in-shard sweep below its exchange qubits.
-	limit int
-	// clen overrides the chunk length of the low sweep (0: ChunkLen of
-	// the state's own dimension). Only the pinned sharded probe sets it,
-	// to the GLOBAL chunk length of its register.
-	clen int
 	// mirror makes the state a half register (mirror.go): the sweep ends
 	// with the mirror butterfly of the qubit the state does not store.
 	mirror bool
@@ -120,17 +111,7 @@ func (r *LayerRunner) Layer(theta float64, fill bool, phase func(lo, hi int)) {
 	r.fill = fill
 
 	dim := len(s.amps)
-	clen := r.clen
-	if clen == 0 {
-		clen = ChunkLen(dim)
-	}
-	if clen > dim {
-		clen = dim
-	}
-	limit := r.limit
-	if limit == 0 {
-		limit = s.n
-	}
+	clen := min(ChunkLen(dim), dim)
 	nc := dim / clen
 	par := s.parallel()
 
@@ -155,11 +136,11 @@ func (r *LayerRunner) Layer(theta float64, fill bool, phase func(lo, hi int)) {
 	if q%2 != 0 {
 		q = cb
 	}
-	for ; q+1 < limit; q += 2 {
+	for ; q+1 < s.n; q += 2 {
 		r.pairQ = q
 		runRange(dim>>2, par, r.pairBody)
 	}
-	if limit == s.n && nc > 1 {
+	if nc > 1 {
 		switch {
 		case r.mirror:
 			runRange(mirrorReps(s.n), par, r.mirrorBody)
@@ -188,15 +169,10 @@ func (r *LayerRunner) runLow(lo, hi int) {
 		r.phase(lo, hi)
 	}
 	span := hi - lo
-	limit := r.limit
-	if limit == 0 {
-		limit = s.n
-	}
-	q := 0
-	for ; q+1 < limit && 1<<uint(q+1) < span; q += 2 {
+	for q := 0; 1<<uint(q+1) < span; q += 2 {
 		rxQuadRange(s.amps, q, lo>>2, hi>>2, r.rx.cc, r.rx.cm, r.rx.mm)
 	}
-	if limit != s.n || span != len(s.amps) {
+	if span != len(s.amps) {
 		return
 	}
 	if s.n%2 == 1 && !(r.mirror && mirrorFused(s.n)) {

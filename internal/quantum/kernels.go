@@ -44,10 +44,9 @@ func (s *State) FillUniform() {
 
 // parallel reports whether element-wise kernels on this state should
 // fan out across the worker pool. Parallel and serial passes are
-// bit-identical; this only gates scheduling. The pinned probe's shard
-// states (shard.go) are serial: their owning worker is the parallelism.
+// bit-identical; this only gates scheduling.
 func (s *State) parallel() bool {
-	return !s.serial && len(s.amps) >= ParallelDim && runtime.GOMAXPROCS(0) > 1
+	return len(s.amps) >= ParallelDim && runtime.GOMAXPROCS(0) > 1
 }
 
 // rxCoef holds the real coefficients of the RX(θ) butterflies. One
@@ -155,7 +154,7 @@ func rxMix(a, t, b complex128, cc, cm, mm float64) complex128 {
 // rxQuad applies the fused two-qubit RX butterfly to every quadruple
 // (p00[k], p01[k], p10[k], p11[k]): the amplitudes whose two target
 // bits read 00, 01, 10 and 11. The four slices are equal-length and
-// disjoint — runs of one state, or equal local ranges of four shards.
+// disjoint runs of one state.
 // Where the CPU has AVX2 the even-length prefix runs in assembly
 // (rx_amd64.go); rxQuadGo does the rest, to the same bits.
 func rxQuad(p00, p01, p10, p11 []complex128, cc, cm, mm float64) {

@@ -15,6 +15,14 @@ import (
 // term, InnerProductSumX on those full states. Across layouts and
 // worker counts the half register is compared with itself by ==.
 
+// testPhaseFactor is a deterministic per-amplitude phase, a pure
+// function of the global basis index, so a chunk-bounds bug shows up as
+// an amplitude mismatch.
+func testPhaseFactor(i int) complex128 {
+	sin, cos := math.Sincos(0.37 * float64(i%23))
+	return complex(cos, sin)
+}
+
 // mirrorFull returns the (n+1)-qubit X-symmetric state whose lower half
 // is h, amplitude for amplitude (no 1/√2).
 func mirrorFull(h *State) *State {

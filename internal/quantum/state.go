@@ -29,10 +29,6 @@ const MaxQubits = 30
 type State struct {
 	n    int
 	amps []complex128
-	// serial pins every kernel on this state to the calling goroutine.
-	// Only the pinned probe's shards set it (shard.go), so in-shard work
-	// never re-enters the worker pool from a shard worker.
-	serial bool
 }
 
 // ampBytes tracks cumulative amplitude-array allocation across the
@@ -42,8 +38,7 @@ type State struct {
 var ampBytes atomic.Int64
 
 // AmpBytesAllocated returns the cumulative bytes of amplitude storage
-// allocated since process start: NewState, Clone and the sharded probe
-// (shard.go).
+// allocated since process start by NewState and Clone.
 func AmpBytesAllocated() int64 { return ampBytes.Load() }
 
 // NewState returns the n-qubit computational basis state |0...0⟩.
@@ -68,7 +63,7 @@ func (s *State) Amplitude(index uint64) complex128 { return s.amps[index] }
 
 // Clone returns a deep copy of s.
 func (s *State) Clone() *State {
-	c := &State{n: s.n, amps: make([]complex128, len(s.amps)), serial: s.serial}
+	c := &State{n: s.n, amps: make([]complex128, len(s.amps))}
 	ampBytes.Add(int64(16 * len(s.amps)))
 	copy(c.amps, s.amps)
 	return c

@@ -34,8 +34,9 @@ type Journal interface {
 // side of the coordinator/worker split. It receives the normalized
 // request, the canonical instance fingerprint (the consistent-hashing
 // key, so repeat requests land on the cache that owns them), the
-// admission cost (the existing depth·2^qubits price, reused for
-// per-worker budgets), and an emit callback for relaying the remote
+// admission cost (depth·2^qubits; the fleet's Dispatcher ignores it, and
+// the parameter stays because benchmark/serve.go's timedDispatcher
+// implements this signature), and an emit callback for relaying the remote
 // per-iteration trace events into the local job's SSE stream (may be
 // nil). Cancelling ctx must abort the remote solve. The returned
 // result must be bit-identical to a local solve of the same request —

@@ -14,8 +14,7 @@
 //     dataset generation, the two-level flow) emits into. Nop is the
 //     zero-cost default; Memory is a thread-safe in-memory sink whose
 //     Snapshot serializes to JSON.
-//   - Process hooks: expvar publication of a live Memory snapshot and a
-//     pprof-label helper for attributing CPU profiles to flow spans.
+//   - Process hook: expvar publication of a live Memory snapshot.
 //
 // Everything is stdlib-only and safe for concurrent use unless noted.
 package telemetry
