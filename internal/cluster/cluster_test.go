@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -193,7 +194,7 @@ func TestFleetWorkerFailover(t *testing.T) {
 			t.Fatalf("request %d: post-failover result differs:\n got %+v\nwant %+v", i, got, want)
 		}
 	}
-	if up := disp.Workers(); up[dead.ts.URL] {
+	if !disp.isDown(dead.ts.URL) {
 		t.Fatal("dead worker still marked live after failed dispatches")
 	}
 }
@@ -483,4 +484,59 @@ func drainCtx(t *testing.T, d time.Duration) context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	t.Cleanup(cancel)
 	return ctx
+}
+
+// A worker's answer is a remote cache hit only when its view says
+// cached: a fresh job that finished before the worker replied still has
+// iteration events to relay, and the dispatcher reads them off the
+// stream. The stub worker answers every submission 200 with a done
+// view, cached or not, and streams three iterations and the result.
+func TestDispatchRelaysFinishedFreshJob(t *testing.T) {
+	res := &server.SolveResult{Strategy: server.StrategyNaive, AR: 0.9, Gamma: []float64{0.1}, Beta: []float64{0.2}, NFev: 3, Fingerprint: "fp"}
+	for _, cached := range []bool{false, true} {
+		view := server.JobView{ID: "job-00000001", State: server.StateDone, Cached: cached, Result: res}
+		streams := 0
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
+			_ = json.NewEncoder(w).Encode(view)
+		})
+		mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+			streams++
+			w.Header().Set("Content-Type", "text/event-stream")
+			for i := 1; i <= 3; i++ {
+				fmt.Fprintf(w, "event: %s\ndata: {\"source\":\"stub\",\"iter\":%d,\"nfev\":%d}\n\n", server.EventIteration, i-1, i)
+			}
+			blob, _ := json.Marshal(view)
+			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", server.EventResult, blob)
+		})
+		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {})
+		ts := httptest.NewServer(mux)
+		mem := telemetry.NewMemory()
+		disp, err := NewDispatcher(DispatcherConfig{Workers: []string{ts.URL}, Recorder: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var relayed []telemetry.IterEvent
+		got, err := disp.Dispatch(drainCtx(t, 10*time.Second), fleetReq(0), "fp", 0, func(ev telemetry.IterEvent) {
+			relayed = append(relayed, ev)
+		})
+		disp.Close()
+		ts.Close()
+		if err != nil {
+			t.Fatalf("cached=%v: %v", cached, err)
+		}
+		if !reflect.DeepEqual(got, res) {
+			t.Errorf("cached=%v: result %+v, want %+v", cached, got, res)
+		}
+		wantEvents, wantHits := 3, int64(0)
+		if cached {
+			wantEvents, wantHits = 0, 1
+		}
+		if len(relayed) != wantEvents || streams != min(wantEvents, 1) {
+			t.Errorf("cached=%v: %d iteration events relayed over %d streams, want %d", cached, len(relayed), streams, wantEvents)
+		}
+		if hits := mem.CounterValue("cluster.dispatch.remote_cache_hits"); hits != wantHits {
+			t.Errorf("cached=%v: %d remote cache hits, want %d", cached, hits, wantHits)
+		}
+	}
 }

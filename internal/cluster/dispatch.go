@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"net/http"
 	"strings"
 	"sync"
@@ -93,13 +92,6 @@ func NewDispatcher(cfg DispatcherConfig) (*Dispatcher, error) {
 func (d *Dispatcher) Close() {
 	d.stop()
 	d.health.Wait()
-}
-
-// Workers returns each worker address with its current liveness.
-func (d *Dispatcher) Workers() map[string]bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return maps.Clone(d.up)
 }
 
 // permanentError marks a failure retrying cannot fix (worker rejected
@@ -255,16 +247,14 @@ func (d *Dispatcher) dispatchOne(ctx context.Context, addr string, req server.So
 	decodeErr := json.NewDecoder(resp.Body).Decode(&view)
 	resp.Body.Close()
 	switch {
-	case resp.StatusCode == http.StatusOK:
-		// Terminal on arrival: the worker's cache shard owned the key.
+	case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted:
 		if decodeErr != nil {
 			return nil, decodeErr
 		}
-		d.mem.Count("cluster.dispatch.remote_cache_hits", 1)
-		return terminalResult(view)
-	case resp.StatusCode == http.StatusAccepted:
-		if decodeErr != nil {
-			return nil, decodeErr
+		if view.Cached {
+			// Terminal on arrival: the worker's cache shard owned the key.
+			d.mem.Count("cluster.dispatch.remote_cache_hits", 1)
+			return terminalResult(view)
 		}
 	case resp.StatusCode == http.StatusTooManyRequests:
 		return nil, fmt.Errorf("worker busy (HTTP 429)")
@@ -274,9 +264,11 @@ func (d *Dispatcher) dispatchOne(ctx context.Context, addr string, req server.So
 		return nil, fmt.Errorf("worker HTTP %d", resp.StatusCode)
 	}
 
-	// Accepted: follow the event stream to the terminal result. Any
-	// break in the stream is a worker failure (retryable — determinism
-	// makes a second attempt elsewhere return the identical result).
+	// A job the worker solves: follow the event stream to the terminal
+	// result, even if the job has already finished (the stream replays
+	// its history). Any break in the stream is a worker failure
+	// (retryable — determinism makes a second attempt elsewhere return
+	// the identical result).
 	stream, err := OpenEvents(ctx, d.client, base, view.ID)
 	if err != nil {
 		if ctx.Err() != nil {

@@ -64,14 +64,6 @@ func (r *Ring) Addrs() []string { return append([]string(nil), r.addrs...) }
 // Len returns the number of distinct workers.
 func (r *Ring) Len() int { return len(r.addrs) }
 
-// Owner returns the worker owning key, or "" for an empty ring.
-func (r *Ring) Owner(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	return r.points[r.locate(key)].addr
-}
-
 // Sequence returns every worker in the order they should be tried for
 // key: the owner first, then ring successors (each distinct worker
 // once). This is the failover order — the key's cache entry can only

@@ -23,11 +23,8 @@ func TestRingOrderIndependence(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("fingerprint-%d", i)
-		if a.Owner(key) != b.Owner(key) {
-			t.Fatalf("key %q: owner differs by roster order: %q vs %q", key, a.Owner(key), b.Owner(key))
-		}
 		if !reflect.DeepEqual(a.Sequence(key), b.Sequence(key)) {
-			t.Fatalf("key %q: failover sequence differs by roster order", key)
+			t.Fatalf("key %q: owner or failover sequence differs by roster order", key)
 		}
 	}
 }
@@ -40,8 +37,8 @@ func TestRingSequence(t *testing.T) {
 		if len(seq) != 3 {
 			t.Fatalf("sequence covers %d workers, want 3", len(seq))
 		}
-		if seq[0] != r.Owner(key) {
-			t.Fatalf("sequence head %q is not the owner %q", seq[0], r.Owner(key))
+		if owner := r.points[r.locate(key)].addr; seq[0] != owner {
+			t.Fatalf("sequence head %q is not the owner %q", seq[0], owner)
 		}
 		seen := map[string]bool{}
 		for _, a := range seq {
@@ -60,7 +57,7 @@ func TestRingSpread(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 3000
 	for i := 0; i < keys; i++ {
-		counts[r.Owner(fmt.Sprintf("fp-%d", i))]++
+		counts[r.Sequence(fmt.Sprintf("fp-%d", i))[0]]++
 	}
 	for _, w := range ringWorkers {
 		if counts[w] < keys/6 {
@@ -77,11 +74,11 @@ func TestRingRemovalMovesOnlyOrphans(t *testing.T) {
 	reduced := NewRing(ringWorkers[:2])
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("fp-%d", i)
-		owner := full.Owner(key)
+		owner := full.Sequence(key)[0]
 		if owner == ringWorkers[2] {
 			continue // orphaned key: expected to move
 		}
-		if got := reduced.Owner(key); got != owner {
+		if got := reduced.Sequence(key)[0]; got != owner {
 			t.Fatalf("key %q moved from %q to %q though its owner survived", key, owner, got)
 		}
 	}
@@ -89,18 +86,18 @@ func TestRingRemovalMovesOnlyOrphans(t *testing.T) {
 	// failover sequence — the node retries would have landed on anyway.
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("fp-%d", i)
-		if full.Owner(key) != ringWorkers[2] {
+		if full.Sequence(key)[0] != ringWorkers[2] {
 			continue
 		}
-		if want := full.Sequence(key)[1]; reduced.Owner(key) != want {
-			t.Fatalf("orphan %q landed on %q, want ring successor %q", key, reduced.Owner(key), want)
+		if want := full.Sequence(key)[1]; reduced.Sequence(key)[0] != want {
+			t.Fatalf("orphan %q landed on %q, want ring successor %q", key, reduced.Sequence(key)[0], want)
 		}
 	}
 }
 
 func TestRingEmpty(t *testing.T) {
 	r := NewRing(nil)
-	if r.Owner("x") != "" || r.Sequence("x") != nil || r.Len() != 0 {
+	if r.Sequence("x") != nil || r.Len() != 0 {
 		t.Fatal("empty ring must own nothing")
 	}
 }

@@ -9,7 +9,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -122,16 +121,6 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // Degree returns the degree of vertex v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
-
-// Neighbors returns the sorted neighbor list of v.
-func (g *Graph) Neighbors(v int) []int {
-	ns := make([]int, 0, len(g.adj[v]))
-	for u := range g.adj[v] {
-		ns = append(ns, u)
-	}
-	sort.Ints(ns)
-	return ns
-}
 
 // Connected reports whether the graph is connected (true for n ≤ 1).
 func (g *Graph) Connected() bool {

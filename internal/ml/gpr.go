@@ -46,24 +46,6 @@ var (
 // Name implements Regressor.
 func (g *GPR) Name() string { return "GPR" }
 
-// LogMarginalLikelihood returns the training log marginal likelihood of
-// the selected hyperparameters. It panics before Fit.
-func (g *GPR) LogMarginalLikelihood() float64 {
-	if !g.fitted {
-		panic("ml: GPR.LogMarginalLikelihood before Fit")
-	}
-	return g.logML
-}
-
-// Hyperparameters returns the selected (ℓ, σ_f², σ_n²) in standardized
-// feature/target space. It panics before Fit.
-func (g *GPR) Hyperparameters() (lengthScale, signalVar, noiseVar float64) {
-	if !g.fitted {
-		panic("ml: GPR.Hyperparameters before Fit")
-	}
-	return g.ell, g.sf2, g.sn2
-}
-
 // Fit implements Regressor.
 func (g *GPR) Fit(x [][]float64, y []float64) error {
 	fits, errs := g.fitColumns(x, [][]float64{y})
@@ -330,15 +312,6 @@ func (s *Standardizer) TransformAll(x [][]float64) [][]float64 {
 	out := make([][]float64, len(x))
 	for i, row := range x {
 		out[i] = s.Transform(row)
-	}
-	return out
-}
-
-// Inverse undoes Transform for one vector.
-func (s *Standardizer) Inverse(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for j := range x {
-		out[j] = x[j]*s.Std[j] + s.Mean[j]
 	}
 	return out
 }

@@ -139,6 +139,3 @@ func (m *MultiOutput) Predict(x []float64) []float64 {
 	}
 	return out
 }
-
-// Model returns the trained model for output column j.
-func (m *MultiOutput) Model(j int) Regressor { return m.models[j] }

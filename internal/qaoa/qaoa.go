@@ -114,7 +114,6 @@ type Problem struct {
 	// The evaluation kernel (workspace.go), built on first use.
 	kernOnce sync.Once
 	kern     costKernel
-	pool     wsPool
 }
 
 // New builds an evaluation-ready Problem from a problem spec: compile
@@ -213,18 +212,14 @@ func (pb *Problem) State(pr Params) *quantum.State {
 }
 
 // Expectation returns ⟨ψ(γ, β)|C|ψ(γ, β)⟩, the expected Score (cut
-// weight for MaxCut). It is safe for concurrent use: evaluation buffers
-// come from an internal pool. Evaluation loops should prefer an
-// Evaluator or EvalWorkspace, which reuse one buffer set without pool
-// round-trips.
+// weight for MaxCut). It is safe for concurrent use: each call evolves
+// a workspace of its own. Evaluation loops should use an Evaluator or
+// EvalWorkspace, which reuse one buffer set.
 func (pb *Problem) Expectation(pr Params) float64 {
 	if err := pr.Validate(false); err != nil {
 		panic(err)
 	}
-	w := pb.pool.get(pb.kernel())
-	e := w.expectation(pr.Gamma, pr.Beta)
-	pb.pool.put(w)
-	return e
+	return newWorkspace(pb.kernel(), nil).expectation(pr.Gamma, pr.Beta)
 }
 
 // ApproximationRatio returns the quality ratio for the given

@@ -3,7 +3,6 @@ package qaoa
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"qaoaml/internal/quantum"
 )
@@ -391,19 +390,3 @@ func (w *EvalWorkspace) ExpectationVec(x []float64) float64 {
 	p := len(x) / 2
 	return w.expectation(x[:p], x[p:])
 }
-
-// wsPool hands out evaluation workspaces to concurrent callers of the
-// problem-level Expectation helpers. Pointers round-trip through the
-// pool without allocating.
-type wsPool struct {
-	pool sync.Pool
-}
-
-func (p *wsPool) get(k costKernel) *EvalWorkspace {
-	if w, ok := p.pool.Get().(*EvalWorkspace); ok {
-		return w
-	}
-	return newWorkspace(k, nil)
-}
-
-func (p *wsPool) put(w *EvalWorkspace) { p.pool.Put(w) }

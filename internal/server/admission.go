@@ -10,12 +10,10 @@ package server
 // small jobs keep flowing through the remainder. The queue-depth bound
 // stays as a second, count-based backstop.
 
-// jobCost prices one solve, for admission control here and as the cost
-// a dispatched job carries to internal/cluster's per-worker budgets:
-// depth × 2^qubits. 2^n is both the state-vector memory the job pins
-// and the per-layer kernel work; depth multiplies the layers per
-// objective call. The unit is arbitrary (amplitude-layers, roughly) —
-// only ratios matter.
+// jobCost prices one solve for admission control: depth × 2^qubits.
+// 2^n is both the state-vector memory the job pins and the per-layer
+// kernel work; depth multiplies the layers per objective call. The unit
+// is arbitrary (amplitude-layers, roughly) — only ratios matter.
 func jobCost(qubits, depth int) int64 {
 	if qubits < 1 {
 		qubits = 1

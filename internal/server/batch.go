@@ -1,20 +1,18 @@
 package server
 
-import (
-	"crypto/sha256"
-	"net/http"
-)
+import "net/http"
 
-// POST /v1/solve/batch: up to Config.MaxBatch solve specs in one
+// POST /v1/solve/batch: up to maxBatch solve specs in one
 // request, solved with the same semantics as that many sequential
 // POST /v1/solve calls with wait=true — and therefore bit-identical
 // results (each item goes through the identical normalize → submit →
 // solve path; batching changes scheduling, never arithmetic).
 //
+// Every item enters through enter, as a lone request does.
 // Deduplication is layered, and every layer reads the one solve key
 // normalize resolved for the item: identical specs WITHIN the batch
-// collapse onto one job here (items after the first are marked deduped
-// and share its result), and each distinct spec still passes through
+// collapse onto one job (items after the first are marked deduped and
+// share its result), and each distinct spec still passes through
 // the single-flight and LRU layers in submit, so a batch also coalesces
 // with concurrent individual requests and hits the result cache. A
 // batch of B identical items costs exactly one optimizer run, and an
@@ -25,8 +23,7 @@ import (
 // is 200 whenever the batch itself was well-formed.
 //
 // An item whose bytes the memo knows is answered from the cache without
-// being decoded; the others go through decode and normalize as before
-// (decodeBatch).
+// being decoded (decodeBatch).
 
 // BatchRequest is the POST /v1/solve/batch body. The per-item Wait
 // flag is ignored: a batch always waits for its items.
@@ -50,68 +47,39 @@ type BatchResponse struct {
 	Items []BatchItemResult `json:"items"`
 }
 
-// batchItem tracks one in-flight batch slot while its job runs.
-type batchItem struct {
-	job     *Job
-	outcome submitOutcome
-	owner   int // index of the item whose job this slot shares (dedup)
-}
+// maxBatch caps the item count of one POST /v1/solve/batch request.
+const maxBatch = 64
 
-// batchBody is a batch request as decodeBatch left it. When the body is
-// exactly {"items":[…]}, spans and sums hold each item's byte range and
-// its SHA-256, and keys the solve key the memo knows for the item's
-// bytes ("" for none); such an item stays undecoded until its answer
-// turns out not to be cached.
-type batchBody struct {
-	BatchRequest
-	spans [][2]int
-	sums  [][sha256.Size]byte
-	keys  []string
-}
-
-// decodeBatch decodes a batch body. With the memo, a body that is
-// exactly {"items":[…]} is decoded item by item (decodeItems); any other
-// body, or one with an item that does not decode, is decoded whole, so
-// a refusal names its offset in the body.
-func (s *Server) decodeBatch(body []byte) (batchBody, error) {
+// decodeBatch decodes a batch body into its items. With the memo, a
+// body that is exactly {"items":[…]} is split at its item spans: each
+// item keeps its bytes, and is decoded only if the memo knows no key
+// for them. Any other body, or one with an item that does not decode,
+// is decoded whole, so a refusal names its offset in the body.
+func (s *Server) decodeBatch(body []byte) ([]item, error) {
 	if s.memo != nil {
 		if spans, ok := itemSpans(body); ok {
-			if b, ok := s.decodeItems(body, spans); ok {
-				return b, nil
+			items := make([]item, len(spans))
+			for i, sp := range spans {
+				items[i] = s.identify(body[sp[0]:sp[1]])
+				if items[i].key == "" && items[i].decode() != nil {
+					items = nil
+					break
+				}
+			}
+			if items != nil {
+				return items, nil
 			}
 		}
 	}
-	var b batchBody
-	return b, decodeRequest(body, &b.BatchRequest)
-}
-
-// decodeItems decodes every item span of body except those whose bytes
-// the memo knows; ok is false if an item does not decode.
-func (s *Server) decodeItems(body []byte, spans [][2]int) (b batchBody, ok bool) {
-	n := len(spans)
-	b = batchBody{
-		BatchRequest: BatchRequest{Items: make([]SolveRequest, n)},
-		spans:        spans, sums: make([][sha256.Size]byte, n), keys: make([]string, n),
+	var b BatchRequest
+	if err := decodeRequest(body, &b); err != nil {
+		return nil, err
 	}
-	gen := s.registry.Generation()
-	for i, sp := range spans {
-		item := body[sp[0]:sp[1]]
-		b.sums[i] = sha256.Sum256(item)
-		if key, ok := s.memo.Get(memoKey{b.sums[i], gen}); ok {
-			b.keys[i] = key
-		} else if decodeRequest(item, &b.Items[i]) != nil {
-			return b, false
-		}
+	items := make([]item, len(b.Items))
+	for i := range items {
+		items[i].req = &b.Items[i]
 	}
-	return b, true
-}
-
-// known returns the solve key the memo knows for item i's bytes, or "".
-func (b *batchBody) known(i int) string {
-	if b.keys == nil {
-		return ""
-	}
-	return b.keys[i]
+	return items, nil
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -121,116 +89,38 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer putBody(buf) // an item the memo knows is decoded from it on a cache miss
-	body := *buf
-	req, err := s.decodeBatch(body)
+	items, err := s.decodeBatch(*buf)
 	if err != nil {
 		writeError(w, badRequest("decoding request: %v", err))
 		return
 	}
-	if len(req.Items) == 0 {
+	if len(items) == 0 {
 		writeError(w, badRequest("batch has no items"))
 		return
 	}
-	if len(req.Items) > s.cfg.MaxBatch {
-		writeError(w, badRequest("batch of %d items exceeds the %d-item limit", len(req.Items), s.cfg.MaxBatch))
+	if len(items) > maxBatch {
+		writeError(w, badRequest("batch of %d items exceeds the %d-item limit", len(items), maxBatch))
 		return
 	}
 	s.mem.Count("server.batch.requests", 1)
-	s.mem.Count("server.batch.items", int64(len(req.Items)))
+	s.mem.Count("server.batch.items", int64(len(items)))
 
-	results := make([]BatchItemResult, len(req.Items))
-	items := make([]batchItem, len(req.Items))
-	// byKey maps a solve key to the first batch index that submitted it:
-	// the intra-batch dedup layer. Submission errors are not owners —
-	// a later identical item retries (it will fail identically for 4xx
-	// causes, but a queue-full 429 may clear mid-batch).
-	byKey := make(map[string]int, len(req.Items))
-	dedup := func(i, j int) {
-		s.mem.Count("server.batch.deduped", 1)
-		results[i] = BatchItemResult{Code: http.StatusOK, Deduped: true}
-		items[i] = batchItem{owner: j}
-	}
-	for i := range req.Items {
-		item := &req.Items[i]
-		if key := req.known(i); key != "" {
-			if j, ok := byKey[key]; ok {
-				dedup(i, j)
-				continue
-			}
-			if job := s.memoHit(key); job != nil {
-				byKey[key] = i
-				results[i] = BatchItemResult{Code: http.StatusOK}
-				items[i] = batchItem{job: job, outcome: outcomeCached, owner: i}
-				continue
-			}
-			// No answer cached: decode the item after all. Its bytes
-			// decoded when the memo learnt them, and decode the same now.
-			_ = decodeRequest(body[req.spans[i][0]:req.spans[i][1]], item)
-		}
-		item.Wait = false // the batch waits collectively below
-		rs, herr := s.normalize(item)
-		if herr != nil {
-			results[i] = BatchItemResult{Code: herr.code, Error: herr.msg}
-			continue
-		}
-		if j, ok := byKey[rs.key]; ok {
-			dedup(i, j)
-			if req.sums != nil {
-				s.remember(req.sums[i], rs)
-			}
-			continue
-		}
-		job, outcome, herr := s.submit(item, rs)
-		if herr != nil {
-			results[i] = BatchItemResult{Code: herr.code, Error: herr.msg}
-			continue
-		}
-		if req.sums != nil {
-			s.remember(req.sums[i], rs)
-		}
-		byKey[rs.key] = i
-		results[i] = BatchItemResult{Code: http.StatusOK}
-		items[i] = batchItem{job: job, outcome: outcome, owner: i}
-	}
-
-	// Wait for every submitted job. On client disconnect, cancel the
-	// jobs this batch originated — coalesced jobs belong to other
-	// requests and cached ones are already done — and collect their
-	// terminal states: the response write fails anyway, but the store
-	// must not keep running jobs nobody waits on.
-	disconnected := false
+	entries := make([]entry, len(items))
+	owners := make(map[string]int, len(items))
 	for i := range items {
-		if items[i].job == nil || disconnected {
-			continue
-		}
-		select {
-		case <-items[i].job.Done():
-		case <-r.Context().Done():
-			disconnected = true
-			s.mem.Count("server.jobs.client_disconnects", 1)
-		}
+		entries[i] = s.enter(&items[i], i, owners)
 	}
-	if disconnected {
-		for i := range items {
-			if items[i].job != nil && items[i].outcome == outcomeQueued {
-				items[i].job.Cancel()
-				<-items[i].job.Done()
-			}
-		}
-	}
+	s.await(r.Context(), entries)
 
-	for i := range items {
-		if results[i].Error != "" {
+	results := make([]BatchItemResult, len(entries))
+	for i, e := range entries {
+		if e.err != nil {
+			results[i] = BatchItemResult{Code: e.err.code, Error: e.err.msg}
 			continue
 		}
-		// Dedup followers report their owner's job; byKey only records
-		// successful submissions, so the owner always has one.
-		src := items[items[i].owner]
-		view := src.job.View()
-		if src.outcome == outcomeCoalesced {
-			view.Coalesced = true
-		}
-		results[i].Job = &view
+		// An item that shares a job reports its owner's, which has one.
+		view := entries[e.owner].job.View()
+		results[i] = BatchItemResult{Code: http.StatusOK, Deduped: e.owner != i, Job: &view}
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Items: results})
 }

@@ -156,19 +156,23 @@ func TestBatchPartialFailure(t *testing.T) {
 	}
 }
 
-// TestBatchLimits: empty batches and batches over MaxBatch are rejected
+// TestBatchLimits: empty batches and batches over maxBatch are rejected
 // whole with 400.
 func TestBatchLimits(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxBatch: 2})
+	_, ts := newTestServer(t, Config{Workers: 1})
 	nodes, edges := testInstance(6)
 	item := SolveRequest{Wire: problem.Wire{Nodes: nodes, Edges: edges}, Depth: 1, Strategy: StrategyNaive}
+	items := make([]SolveRequest, maxBatch+1)
+	for i := range items {
+		items[i] = item
+	}
 	if code, _ := postBatch(t, ts.URL, BatchRequest{}); code != http.StatusBadRequest {
 		t.Fatalf("empty batch: status %d, want 400", code)
 	}
-	if code, _ := postBatch(t, ts.URL, BatchRequest{Items: []SolveRequest{item, item, item}}); code != http.StatusBadRequest {
+	if code, _ := postBatch(t, ts.URL, BatchRequest{Items: items}); code != http.StatusBadRequest {
 		t.Fatalf("oversize batch: status %d, want 400", code)
 	}
-	if code, _ := postBatch(t, ts.URL, BatchRequest{Items: []SolveRequest{item, item}}); code != http.StatusOK {
+	if code, _ := postBatch(t, ts.URL, BatchRequest{Items: items[:maxBatch]}); code != http.StatusOK {
 		t.Fatalf("at-limit batch: status %d, want 200", code)
 	}
 }

@@ -58,22 +58,17 @@ func (s *Server) SeedCache(key string, res *SolveResult) {
 
 // Resubmit re-enqueues a recovered request with no attached client —
 // WAL recovery's path for jobs that were accepted but never finished.
-// The request takes the path of a fresh submission — normalize, then
-// submit with the identity it resolved, so it is re-journaled under the
-// key its accepted record carries (recovery dedups repeated accepted
-// records by key) — and runs under a fresh default deadline. It returns
-// the job, or the submission error (e.g. a model that is no longer
-// registered).
+// The request enters as a fresh one does (enter), so it is re-journaled
+// under the key its accepted record carries (recovery dedups repeated
+// accepted records by key), and runs under a fresh default deadline. It
+// returns the job, or the submission error (e.g. a model that is no
+// longer registered).
 func (s *Server) Resubmit(req SolveRequest) (*Job, error) {
 	req.Wait = false
-	rs, herr := s.normalize(&req)
-	if herr != nil {
-		return nil, herr
-	}
-	job, _, herr := s.submit(&req, rs)
-	if herr != nil {
-		return nil, herr
+	e := s.enter(&item{req: &req}, 0, nil)
+	if e.err != nil {
+		return nil, e.err
 	}
 	s.mem.Count("server.jobs.resubmitted", 1)
-	return job, nil
+	return e.job, nil
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -167,7 +166,8 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		bytePath := testing.AllocsPerRun(100, func() {
-			if job := s.memoAnswer(sha256.Sum256(body)); job == nil || job.result == nil {
+			it := s.identify(body)
+			if e := s.enter(&it, 0, nil); e.outcome != outcomeCached || e.job.result == nil || it.req != nil {
 				t.Fatal("byte path: no cached answer for a warmed body")
 			}
 		})

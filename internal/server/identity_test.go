@@ -158,7 +158,7 @@ func TestRejectTable(t *testing.T) {
 	// that must be unaffected.
 	good := SolveRequest{Problem: "partition", Wire: problem.Wire{Numbers: []float64{4, 5, 6, 7, 8}}, Depth: 1, Strategy: StrategyNaive}
 	items = append(append([]SolveRequest{good}, items...), good)
-	s2, ts2 := newTestServer(t, Config{Workers: 1, MaxNodes: 12, MaxBatch: len(items), Registry: testRegistry(t)})
+	s2, ts2 := newTestServer(t, Config{Workers: 1, MaxNodes: 12, Registry: testRegistry(t)})
 	code, br := postBatch(t, ts2.URL, BatchRequest{Items: items})
 	if code != http.StatusOK || len(br.Items) != len(items) {
 		t.Fatalf("batch: status %d, %d items", code, len(br.Items))

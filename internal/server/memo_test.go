@@ -80,12 +80,13 @@ func maskStamps(raw []byte) string { return jobStamps.ReplaceAllString(string(ra
 // knows them and the cache holds their answers: a fallback is the
 // scan's doing. A draining server refuses every request, memo or not.
 func TestMemoBatchFallback(t *testing.T) {
-	const maxBatch = 3
-	p := newMemoPair(t, Config{Workers: 1, MaxBatch: maxBatch})
+	p := newMemoPair(t, Config{Workers: 1})
 	item := func(seed int) string {
 		return fmt.Sprintf(`{"problem":"partition","numbers":[4,5,6,7],"depth":1,"strategy":"naive","seed":%d}`, seed)
 	}
 	a, b, c, d, e := item(1), item(2), item(3), item(4), item(5)
+	// maxBatch items, the last maxBatch-2 of them c.
+	full := a + `,` + b + strings.Repeat(`,`+c, maxBatch-2)
 	// A naive request keeps any model name, and the name is in its key.
 	tricky := `{"problem":"partition","numbers":[4,5,6,7],"depth":1,"strategy":"naive","model":"x\"}]{[\\"}`
 	// At the nesting limit alone, past it inside a batch's two levels.
@@ -112,7 +113,7 @@ func TestMemoBatchFallback(t *testing.T) {
 	}{
 		{"exact", `{"items":[` + a + `,` + b + `]}`, true},
 		{"whitespace-and-repeat", " \r\n{ \"items\" :\t[ " + a + " ,\n" + b + " , " + a + " ] } \n", true},
-		{"max-batch", `{"items":[` + a + `,` + b + `,` + c + `]}`, true},
+		{"max-batch", `{"items":[` + full + `]}`, true},
 		{"strings", `{"items":[` + tricky + `,` + a + `]}`, true},
 		{"new-item", `{"items":[` + a + `,` + e + `,` + a + `]}`, true},
 		{"folded-key", `{"Items":[` + a + `]}`, false},
@@ -126,7 +127,7 @@ func TestMemoBatchFallback(t *testing.T) {
 		{"nested-arrays", `{"items":[[` + a + `]]}`, false},
 		{"null-item", `{"items":[` + a + `,null]}`, false},
 		{"zero-items", `{"items":[]}`, false},
-		{"over-max-batch", `{"items":[` + a + `,` + b + `,` + c + `,` + d + `]}`, false},
+		{"over-max-batch", `{"items":[` + full + `,` + d + `]}`, false},
 		{"unclosed", `{"items":[` + a + `,` + b, false},
 		{"nesting-limit", `{"items":[` + deep + `]}`, false},
 	} {

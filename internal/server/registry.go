@@ -31,8 +31,6 @@ type Registry struct {
 	models map[string]*core.Predictor // serving view: files merged with inproc
 	inproc map[string]*core.Predictor // Register()ed models, kept across reloads
 	gen    atomic.Uint64
-
-	reloads, reloadErrors int64
 }
 
 // NewRegistry returns a registry over dir, loading every *.json model
@@ -108,13 +106,6 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Reloads returns how many successful reloads have completed.
-func (r *Registry) Reloads() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.reloads
-}
-
 // Reload re-scans the model directory and atomically swaps the model
 // set. On any load error the previous models stay in service. Models
 // registered in-process (Register) survive reloads unless a file of the
@@ -125,9 +116,6 @@ func (r *Registry) Reload() error {
 	}
 	fresh, err := loadModelDir(r.dir)
 	if err != nil {
-		r.mu.Lock()
-		r.reloadErrors++
-		r.mu.Unlock()
 		return err
 	}
 	r.mu.Lock()
@@ -137,7 +125,6 @@ func (r *Registry) Reload() error {
 		}
 	}
 	r.models = fresh
-	r.reloads++
 	r.gen.Add(1)
 	r.mu.Unlock()
 	return nil

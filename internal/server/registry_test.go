@@ -71,8 +71,8 @@ func TestRegistryReload(t *testing.T) {
 	if _, ok := reg.Get("fresh"); !ok {
 		t.Fatal("reload did not pick up the new model")
 	}
-	if reg.Reloads() != 1 {
-		t.Fatalf("reload count %d", reg.Reloads())
+	if reg.Generation() != 1 {
+		t.Fatalf("generation %d after one reload", reg.Generation())
 	}
 
 	// In-process registrations survive reloads.
@@ -129,7 +129,7 @@ func TestRegistryWatchHUP(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for reg.Reloads() == 0 {
+	for reg.Generation() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("SIGHUP did not trigger a reload")
 		}

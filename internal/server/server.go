@@ -6,7 +6,8 @@
 // journal, queue), solved by a worker and encoded; no stage after
 // normalize derives the request's identity again. Bytes seen before
 // take their identity from the memo instead, and a cached answer is
-// then returned without decoding them.
+// then returned without decoding them. A /v1/solve body, a batch item
+// and a recovered job all take this path through one function, enter.
 //
 // The subsystem is built from four pieces:
 //
@@ -83,9 +84,6 @@ type Config struct {
 	MaxNodes int
 	// MaxDepth caps the requested circuit depth (default 10).
 	MaxDepth int
-	// MaxBatch caps the item count of one POST /v1/solve/batch request
-	// (default 64).
-	MaxBatch int
 	// MaxInflightCost budgets the summed cost (depth·2^qubits, see
 	// jobCost) of queued-plus-running jobs; submissions beyond it get
 	// 429 + Retry-After. Default: Workers × jobCost(MaxNodes, MaxDepth)
@@ -141,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxDepth <= 0 {
 		c.MaxDepth = 10
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
 	}
 	if c.MaxInflightCost <= 0 {
 		c.MaxInflightCost = int64(c.Workers) * jobCost(c.MaxNodes, c.MaxDepth)
@@ -552,19 +547,6 @@ func (s *Server) cachedJob(key string, res *SolveResult) *Job {
 	return job
 }
 
-// memoAnswer answers a request from its bytes: when the memo knows the
-// digest under the current generation and the cache holds the key's
-// answer, it returns the finished job, as submit would for the decoded
-// request. Any other case returns nil, and the request takes the full
-// path.
-func (s *Server) memoAnswer(sum [sha256.Size]byte) *Job {
-	key, ok := s.memo.Get(memoKey{sum, s.registry.Generation()})
-	if !ok {
-		return nil
-	}
-	return s.memoHit(key)
-}
-
 // memoHit returns the answer cached under a key the memo gave, as a
 // finished job, or nil when there is none or the server is draining.
 func (s *Server) memoHit(key string) *Job {
@@ -582,11 +564,124 @@ func (s *Server) memoHit(key string) *Job {
 	return s.cachedJob(key, res)
 }
 
-// remember memoizes the identity a request's bytes resolved to. Only
-// requests that passed normalize and submit get here, so an answer the
-// memo gives is one the full path would give.
-func (s *Server) remember(sum [sha256.Size]byte, rs resolved) {
-	s.memo.Add(memoKey{sum, rs.gen}, rs.key)
+// ---- the way in ----
+
+// item is one request on its way to a job: a /v1/solve body, one item
+// of a batch, or a recovered request.
+type item struct {
+	body []byte            // the request's bytes; nil for a recovered request or a batch decoded whole
+	sum  [sha256.Size]byte // their SHA-256, with the memo
+	key  string            // the solve key the memo knows for them, "" for none
+	req  *SolveRequest     // the decoded request; nil while the memo may answer without it
+}
+
+// identify makes an item of request bytes: with the memo, their digest
+// and the solve key the memo knows for them under the current
+// generation.
+func (s *Server) identify(body []byte) item {
+	it := item{body: body}
+	if s.memo != nil {
+		it.sum = sha256.Sum256(body)
+		it.key, _ = s.memo.Get(memoKey{it.sum, s.registry.Generation()})
+	}
+	return it
+}
+
+// decode decodes the item's bytes into a request of its own.
+func (it *item) decode() error {
+	it.req = new(SolveRequest)
+	return decodeRequest(it.body, it.req)
+}
+
+// entry is where enter took an item: a job and how it was reached, or
+// the refusal. owner is the index of the batch item whose job the entry
+// reports: its own, or an earlier identical item's, whose job it
+// shares (job is then nil).
+type entry struct {
+	job     *Job
+	outcome submitOutcome
+	owner   int
+	err     *httpError
+}
+
+// enter is the one way a request becomes a job. Bytes whose key the
+// memo knows share the job of an earlier batch item with that key, or
+// take the cached answer; every other request is decoded if it is not
+// yet, normalized, shares an earlier batch item's job by its solve key,
+// or is submitted. The memo then learns the bytes: only bytes that
+// passed normalize and submit are learnt, so an answer the memo gives
+// is one the full path would give.
+//
+// i is the item's index in its batch, and owners maps each solve key
+// the batch has entered to the index of its first item; a lone request
+// passes nil. A batch item enters with Wait cleared: the batch waits
+// for its items itself (await), and its journal records say so.
+func (s *Server) enter(it *item, i int, owners map[string]int) entry {
+	if it.key != "" {
+		if j, ok := owners[it.key]; ok {
+			s.mem.Count("server.batch.deduped", 1)
+			return entry{owner: j}
+		}
+		if job := s.memoHit(it.key); job != nil {
+			if owners != nil {
+				owners[it.key] = i
+			}
+			return entry{job: job, outcome: outcomeCached, owner: i}
+		}
+		// No answer cached: decode the bytes after all. They decoded
+		// when the memo learnt them, and decode the same now.
+		_ = it.decode()
+	}
+	if owners != nil {
+		it.req.Wait = false
+	}
+	rs, herr := s.normalize(it.req)
+	if herr != nil {
+		return entry{err: herr}
+	}
+	e := entry{owner: i}
+	if j, ok := owners[rs.key]; ok {
+		s.mem.Count("server.batch.deduped", 1)
+		e.owner = j
+	} else if e.job, e.outcome, e.err = s.submit(it.req, rs); e.err != nil {
+		// Not an owner: a later identical item retries, and a queue-full
+		// 429 may clear mid-batch.
+		return e
+	} else if owners != nil {
+		owners[rs.key] = i
+	}
+	if s.memo != nil && it.body != nil {
+		s.memo.Add(memoKey{it.sum, rs.gen}, rs.key)
+	}
+	return e
+}
+
+// await waits for the job of every entry and reports whether all of
+// them finished. If the client leaves first, it counts the disconnect
+// once, then cancels the jobs this request queued and collects their
+// terminal states: coalesced jobs belong to other requests and cached
+// ones are already done, but the store must not keep running jobs
+// nobody waits on.
+func (s *Server) await(ctx context.Context, entries []entry) bool {
+	for _, e := range entries {
+		if e.job == nil {
+			continue
+		}
+		select {
+		case <-e.job.Done():
+			continue
+		case <-ctx.Done():
+		}
+		s.mem.Count("server.jobs.client_disconnects", 1)
+		for _, e := range entries {
+			if e.job != nil && e.outcome == outcomeQueued {
+				e.job.Cancel()
+				<-e.job.Done()
+			}
+		}
+		return false
+	}
+	return true
 }
 
 // completeJob finishes a job from the worker path and runs the shared
@@ -827,58 +922,34 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, herr)
 		return
 	}
-	var sum [sha256.Size]byte
-	if s.memo != nil {
-		sum = sha256.Sum256(*buf)
-		if job := s.memoAnswer(sum); job != nil {
-			putBody(buf)
-			writeJSON(w, http.StatusOK, job.View())
+	defer putBody(buf) // bytes the memo knows are decoded from it on a cache miss
+	it := s.identify(*buf)
+	if it.key == "" {
+		if err := it.decode(); err != nil {
+			writeError(w, badRequest("decoding request: %v", err))
 			return
 		}
 	}
-	var req SolveRequest
-	err := decodeRequest(*buf, &req)
-	putBody(buf)
-	if err != nil {
-		writeError(w, badRequest("decoding request: %v", err))
+	e := s.enter(&it, 0, nil)
+	if e.err != nil {
+		writeError(w, e.err)
 		return
 	}
-	rs, herr := s.normalize(&req)
-	if herr != nil {
-		writeError(w, herr)
-		return
+	// The memo answers only from the cache, so an item left undecoded
+	// has a finished job to reply with.
+	waited := it.req != nil && it.req.Wait && s.await(r.Context(), []entry{e})
+	writeJSON(w, status(e, waited), e.job.View())
+}
+
+// status is a /v1/solve reply's code: 200 when the reply is the answer
+// — cached, or waited for — and 202 otherwise, even when a fresh job
+// has finished by the time the reply is written: a client that did not
+// wait reads the job's iteration events from its stream.
+func status(e entry, waited bool) int {
+	if waited || e.outcome == outcomeCached {
+		return http.StatusOK
 	}
-	job, outcome, herr := s.submit(&req, rs)
-	if herr != nil {
-		writeError(w, herr)
-		return
-	}
-	if s.memo != nil {
-		s.remember(sum, rs)
-	}
-	if req.Wait {
-		select {
-		case <-job.Done():
-		case <-r.Context().Done():
-			// The submitting client is gone. Only the job's originator
-			// cancels it; coalesced waiters must not abort someone
-			// else's solve, and cached jobs are already finished.
-			if outcome == outcomeQueued {
-				s.mem.Count("server.jobs.client_disconnects", 1)
-				job.Cancel()
-				<-job.Done()
-			}
-		}
-	}
-	code := http.StatusAccepted
-	if job.State().Terminal() {
-		code = http.StatusOK
-	}
-	view := job.View()
-	if outcome == outcomeCoalesced {
-		view.Coalesced = true
-	}
-	writeJSON(w, code, view)
+	return http.StatusAccepted
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -927,7 +998,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"qubit_ceiling": s.cfg.MaxNodes,
 		"cost_inflight": costInflight,
 		"cost_budget":   s.cfg.MaxInflightCost,
-		"batch_max":     s.cfg.MaxBatch,
+		"batch_max":     maxBatch,
 		"kernel":        quantum.Kernel(),
 	})
 }

@@ -430,3 +430,27 @@ func TestJobStoreEvictsFinished(t *testing.T) {
 		t.Fatalf("job store grew to %d records (cap 4)", got)
 	}
 }
+
+// A /v1/solve reply is 200 only when it is the answer: cached, or
+// waited for. A fresh or coalesced job the client did not wait for is a
+// 202 even when it has finished by the time the reply is written, so a
+// client — the fleet's dispatcher among them — reads its iteration
+// events from its stream.
+func TestSolveStatus(t *testing.T) {
+	for _, tc := range []struct {
+		outcome submitOutcome
+		waited  bool
+		want    int
+	}{
+		{outcomeCached, false, http.StatusOK},
+		{outcomeCached, true, http.StatusOK},
+		{outcomeQueued, false, http.StatusAccepted},
+		{outcomeQueued, true, http.StatusOK},
+		{outcomeCoalesced, false, http.StatusAccepted},
+		{outcomeCoalesced, true, http.StatusOK},
+	} {
+		if got := status(entry{outcome: tc.outcome}, tc.waited); got != tc.want {
+			t.Errorf("outcome %d, waited %v: status %d, want %d", tc.outcome, tc.waited, got, tc.want)
+		}
+	}
+}
