@@ -112,6 +112,8 @@ func SolveUpperTriangular(u *Matrix, b Vector) Vector {
 }
 
 // LUDecomp holds an LU factorization with partial pivoting: P·A = L·U.
+// Factor reuses its storage, so one LUDecomp serves a loop of same-size
+// solves without allocating.
 type LUDecomp struct {
 	lu  *Matrix // packed L (unit diagonal, below) and U (on/above diagonal)
 	piv []int   // row permutation
@@ -119,10 +121,24 @@ type LUDecomp struct {
 
 // LU factors A with partial pivoting.
 func LU(a *Matrix) (*LUDecomp, error) {
+	d := new(LUDecomp)
+	if err := d.Factor(a); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Factor factors A with partial pivoting into d, reusing d's storage
+// when it already holds a factorization of A's size. A is not modified.
+// After an error d holds no usable factorization.
+func (d *LUDecomp) Factor(a *Matrix) error {
 	a.checkSquare()
 	n := a.Rows
-	lu := a.Clone()
-	piv := make([]int, n)
+	if d.lu == nil || d.lu.Rows != n {
+		d.lu, d.piv = NewMatrix(n, n), make([]int, n)
+	}
+	lu, piv := d.lu, d.piv
+	copy(lu.Data, a.Data)
 	for i := range piv {
 		piv[i] = i
 	}
@@ -136,7 +152,7 @@ func LU(a *Matrix) (*LUDecomp, error) {
 			}
 		}
 		if maxAbs == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != col {
 			ri, rj := lu.Data[p*n:(p+1)*n], lu.Data[col*n:(col+1)*n]
@@ -145,25 +161,28 @@ func LU(a *Matrix) (*LUDecomp, error) {
 			}
 			piv[p], piv[col] = piv[col], piv[p]
 		}
-		d := lu.At(col, col)
+		diag := lu.At(col, col)
 		for i := col + 1; i < n; i++ {
-			f := lu.At(i, col) / d
+			f := lu.At(i, col) / diag
 			lu.Set(i, col, f)
 			for j := col + 1; j < n; j++ {
 				lu.Set(i, j, lu.At(i, j)-f*lu.At(col, j))
 			}
 		}
 	}
-	return &LUDecomp{lu: lu, piv: piv}, nil
+	return nil
 }
 
 // Solve solves A·x = b.
-func (d *LUDecomp) Solve(b Vector) Vector {
+func (d *LUDecomp) Solve(b Vector) Vector { return d.SolveTo(make(Vector, d.lu.Rows), b) }
+
+// SolveTo solves A·x = b into x, which must not share memory with b,
+// and returns x.
+func (d *LUDecomp) SolveTo(x, b Vector) Vector {
 	n := d.lu.Rows
-	if len(b) != n {
+	if len(b) != n || len(x) != n {
 		panic("linalg: rhs length mismatch")
 	}
-	x := make(Vector, n)
 	for i := 0; i < n; i++ {
 		x[i] = b[d.piv[i]]
 	}

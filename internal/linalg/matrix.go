@@ -76,11 +76,14 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 }
 
 // MulVec returns m·v. It panics if m.Cols != len(v).
-func (m *Matrix) MulVec(v Vector) Vector {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("linalg: MulVec shape mismatch (%dx%d)·(%d)", m.Rows, m.Cols, len(v)))
+func (m *Matrix) MulVec(v Vector) Vector { return m.MulVecTo(make(Vector, m.Rows), v) }
+
+// MulVecTo writes m·v into out, which must not share memory with v, and
+// returns out. It panics if m.Cols != len(v) or m.Rows != len(out).
+func (m *Matrix) MulVecTo(out, v Vector) Vector {
+	if m.Cols != len(v) || m.Rows != len(out) {
+		panic(fmt.Sprintf("linalg: MulVec shape mismatch (%dx%d)·(%d) into (%d)", m.Rows, m.Cols, len(v), len(out)))
 	}
-	out := make(Vector, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		out[i] = Vector(m.Data[i*m.Cols : (i+1)*m.Cols]).Dot(v)
 	}

@@ -24,6 +24,8 @@ func (o *COBYLA) Name() string { return "COBYLA" }
 
 // run implements Optimizer. Per-iteration events report the simplex
 // function-value spread (GNorm) and the trust-region radius ρ (Step).
+// Like NelderMead's, the run allocates its points and its linear-model
+// scratch once; a rebuild re-fills the simplex's own buffers.
 func (o *COBYLA) run(env *runEnv) Result {
 	bounds := env.bounds
 	x := prepareStart(env.x0, bounds)
@@ -40,7 +42,16 @@ func (o *COBYLA) run(env *runEnv) Result {
 	cnt := &counter{f: env.f}
 
 	rhoBeg := rho
-	simplex := buildSimplex(cnt, x, rho, bounds)
+	pts := points(n+1, n)
+	simplex := make([]vertex, n+1)
+	simplex[0].x = x
+	for i := 1; i <= n; i++ {
+		simplex[i].x = pts[i-1]
+	}
+	trial := pts[n]
+	lm := newLinearModel(n)
+	buildSimplex(cnt, simplex, rho, bounds)
+	rebuilt := true // the simplex is not in sortSimplex order
 	iters := 0
 	converged := false
 	shrinks := 0
@@ -56,8 +67,16 @@ func (o *COBYLA) run(env *runEnv) Result {
 	lastBest := simplex[0].f
 	cancelled := false
 	msg := "max iterations reached"
+	resort := func() {
+		if rebuilt {
+			sortSimplex(simplex)
+		} else {
+			sortLast(simplex)
+		}
+		rebuilt = false
+	}
 	for ; iters < maxIter && cnt.n < maxFev; iters++ {
-		sortSimplex(simplex)
+		resort()
 		if env.stop(&msg) {
 			cancelled = true
 			break
@@ -79,10 +98,11 @@ func (o *COBYLA) run(env *runEnv) Result {
 				break
 			}
 		}
-		grad, ok := fitLinearModel(simplex)
+		grad, ok := lm.fit(simplex)
 		if !ok {
 			// Degenerate geometry: rebuild the simplex around the best point.
-			simplex = buildSimplex(cnt, simplex[0].x, rho, bounds)
+			buildSimplex(cnt, simplex, rho, bounds)
+			rebuilt = true
 			continue
 		}
 		best := simplex[0]
@@ -97,7 +117,6 @@ func (o *COBYLA) run(env *runEnv) Result {
 			rho /= 2
 			continue
 		}
-		trial := make([]float64, n)
 		for i := range trial {
 			trial[i] = best.x[i] - rho*grad[i]/gnorm
 		}
@@ -123,7 +142,7 @@ func (o *COBYLA) run(env *runEnv) Result {
 		switch {
 		case ft < best.f && best.f-ft >= 0.1*predicted:
 			// Good step: the trial becomes a vertex, displacing the worst.
-			simplex[n] = vertex{x: trial, f: ft}
+			trial = replaceWorst(simplex, trial, ft)
 			consecFails = 0
 			// Very good step: grow the trust region (standard TR update)
 			// so a prematurely shrunk region recovers instead of creeping.
@@ -140,7 +159,7 @@ func (o *COBYLA) run(env *runEnv) Result {
 			// simplex only every few shrinks (each rebuild costs n+1
 			// evaluations).
 			if ft < simplex[n].f {
-				simplex[n] = vertex{x: trial, f: ft}
+				trial = replaceWorst(simplex, trial, ft)
 			}
 			consecFails++
 			if consecFails > 1 {
@@ -150,11 +169,12 @@ func (o *COBYLA) run(env *runEnv) Result {
 			}
 			shrinks++
 			if shrinks%5 == 0 && rho > rhoEnd && cnt.n+n < maxFev {
-				simplex = buildSimplex(cnt, best.x, rho, bounds)
+				buildSimplex(cnt, simplex, rho, bounds) // around best, still simplex[0]
+				rebuilt = true
 			}
 		}
 	}
-	sortSimplex(simplex)
+	resort()
 	if !converged && !cancelled && cnt.n >= maxFev {
 		msg = "function evaluation budget exhausted"
 	}
@@ -165,15 +185,16 @@ func (o *COBYLA) run(env *runEnv) Result {
 	}
 }
 
-// buildSimplex evaluates x plus axis steps of size rho (flipped at box
-// faces) to form a fresh, well-conditioned simplex.
-func buildSimplex(cnt *counter, x []float64, rho float64, bounds *Bounds) []vertex {
-	n := len(x)
-	simplex := make([]vertex, 0, n+1)
-	base := append([]float64(nil), x...)
-	simplex = append(simplex, vertex{x: base, f: cnt.call(base)})
-	for i := 0; i < n; i++ {
-		xi := append([]float64(nil), x...)
+// buildSimplex re-evaluates the base point s[0].x and resets every
+// other vertex to the base plus an axis step of size rho (flipped at box
+// faces): a fresh, well-conditioned simplex in the vertices' own
+// buffers.
+func buildSimplex(cnt *counter, s []vertex, rho float64, bounds *Bounds) {
+	x := s[0].x
+	s[0].f = cnt.call(x)
+	for i := range x {
+		xi := s[i+1].x
+		copy(xi, x)
 		step := rho
 		if xi[i]+step > bounds.Hi[i] {
 			step = -rho
@@ -182,27 +203,38 @@ func buildSimplex(cnt *counter, x []float64, rho float64, bounds *Bounds) []vert
 		if xi[i] < bounds.Lo[i] {
 			xi[i] = bounds.Lo[i]
 		}
-		simplex = append(simplex, vertex{x: xi, f: cnt.call(xi)})
+		s[i+1].f = cnt.call(xi)
 	}
-	return simplex
 }
 
-// fitLinearModel solves for the gradient of the affine interpolant
-// through the simplex vertices via least squares on the edge system.
-func fitLinearModel(simplex []vertex) ([]float64, bool) {
+// linearModel is the scratch of COBYLA's model fit: the edge system, its
+// right-hand side, its LU factors and the gradient it solves for.
+type linearModel struct {
+	a   *linalg.Matrix
+	rhs linalg.Vector
+	lu  linalg.LUDecomp
+	g   linalg.Vector
+}
+
+func newLinearModel(n int) *linearModel {
+	return &linearModel{a: linalg.NewMatrix(n, n), rhs: make(linalg.Vector, n), g: make(linalg.Vector, n)}
+}
+
+// fit solves for the gradient of the affine interpolant through the
+// simplex vertices from the edge system. The gradient is the model's own
+// buffer, valid until the next fit.
+func (m *linearModel) fit(simplex []vertex) ([]float64, bool) {
 	n := len(simplex) - 1
-	a := linalg.NewMatrix(n, n)
-	rhs := make(linalg.Vector, n)
 	for i := 1; i <= n; i++ {
 		for j := 0; j < n; j++ {
-			a.Set(i-1, j, simplex[i].x[j]-simplex[0].x[j])
+			m.a.Set(i-1, j, simplex[i].x[j]-simplex[0].x[j])
 		}
-		rhs[i-1] = simplex[i].f - simplex[0].f
+		m.rhs[i-1] = simplex[i].f - simplex[0].f
 	}
-	g, err := linalg.Solve(a, rhs)
-	if err != nil {
+	if m.lu.Factor(m.a) != nil {
 		return nil, false
 	}
+	g := m.lu.SolveTo(m.g, m.rhs)
 	for _, gi := range g {
 		if math.IsNaN(gi) || math.IsInf(gi, 0) {
 			return nil, false

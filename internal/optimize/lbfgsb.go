@@ -35,10 +35,7 @@ func (o *LBFGSB) run(env *runEnv) Result {
 	gNew := make([]float64, n)
 	grad(g, x)
 	xt := make([]float64, n) // line-search / next-iterate buffer
-
-	// L-BFGS history.
-	var sHist, yHist [][]float64
-	var rhoHist []float64
+	hist := newCurvatureRing(n)
 
 	iters := 0
 	converged := false
@@ -57,7 +54,7 @@ func (o *LBFGSB) run(env *runEnv) Result {
 			msg = "projected gradient below tolerance"
 			break
 		}
-		d := twoLoop(g, sHist, yHist, rhoHist)
+		d := hist.twoLoop(g)
 		for i := range d {
 			d[i] = -d[i]
 		}
@@ -73,7 +70,7 @@ func (o *LBFGSB) run(env *runEnv) Result {
 		if descent >= 0 {
 			// Not a descent direction (stale curvature): fall back to the
 			// projected steepest descent direction.
-			sHist, yHist, rhoHist = nil, nil, nil
+			hist.reset()
 			for i := range d {
 				d[i] = -g[i]
 				if (x[i] <= bounds.Lo[i] && d[i] < 0) || (x[i] >= bounds.Hi[i] && d[i] > 0) {
@@ -102,8 +99,7 @@ func (o *LBFGSB) run(env *runEnv) Result {
 
 		grad(gNew, xt)
 		// Curvature update.
-		s := make([]float64, n)
-		y := make([]float64, n)
+		s, y := hist.sNew, hist.yNew
 		sy := 0.0
 		for i := range x {
 			s[i] = xt[i] - x[i]
@@ -111,14 +107,7 @@ func (o *LBFGSB) run(env *runEnv) Result {
 			sy += s[i] * y[i]
 		}
 		if sy > 1e-10 {
-			sHist = append(sHist, s)
-			yHist = append(yHist, y)
-			rhoHist = append(rhoHist, 1/sy)
-			if len(sHist) > lbfgsbMemory {
-				sHist = sHist[1:]
-				yHist = yHist[1:]
-				rhoHist = rhoHist[1:]
-			}
+			hist.push(1 / sy)
 		}
 
 		fPrev := fx
@@ -139,32 +128,78 @@ func (o *LBFGSB) run(env *runEnv) Result {
 		Status: statusOf(converged, cancelled), Message: msg}
 }
 
+// curvatureRing is L-BFGS-B's memory: the last lbfgsbMemory curvature
+// pairs (s, y) and their 1/sᵀy, oldest first from start, in buffers
+// allocated once per run. A new pair is written into sNew and yNew and
+// pushed by trading buffers with the slot it takes.
+type curvatureRing struct {
+	s, y       [lbfgsbMemory][]float64
+	rho        [lbfgsbMemory]float64
+	start, len int
+	sNew, yNew []float64
+	q          []float64             // two-loop result
+	alpha      [lbfgsbMemory]float64 // two-loop scratch
+}
+
+func newCurvatureRing(n int) *curvatureRing {
+	pts := points(2*lbfgsbMemory+3, n)
+	h := &curvatureRing{sNew: pts[0], yNew: pts[1], q: pts[2]}
+	for i := range h.s {
+		h.s[i], h.y[i] = pts[3+2*i], pts[4+2*i]
+	}
+	return h
+}
+
+// at returns the slot of the i-th oldest pair.
+func (h *curvatureRing) at(i int) int { return (h.start + i) % lbfgsbMemory }
+
+// reset forgets every pair.
+func (h *curvatureRing) reset() { h.start, h.len = 0, 0 }
+
+// push appends (sNew, yNew, rho) as the newest pair, dropping the oldest
+// when the ring is full.
+func (h *curvatureRing) push(rho float64) {
+	k := h.at(h.len)
+	if h.len < lbfgsbMemory {
+		h.len++
+	} else {
+		h.start = h.at(1)
+	}
+	h.s[k], h.sNew = h.sNew, h.s[k]
+	h.y[k], h.yNew = h.yNew, h.y[k]
+	h.rho[k] = rho
+}
+
 // twoLoop computes H·g with the standard L-BFGS two-loop recursion,
-// scaling the initial Hessian by the last curvature pair.
-func twoLoop(g []float64, sHist, yHist [][]float64, rhoHist []float64) []float64 {
-	q := append([]float64(nil), g...)
-	k := len(sHist)
-	alpha := make([]float64, k)
+// scaling the initial Hessian by the last curvature pair. The result is
+// the ring's own buffer, valid until the next call.
+func (h *curvatureRing) twoLoop(g []float64) []float64 {
+	q := h.q
+	copy(q, g)
+	k := h.len
 	for i := k - 1; i >= 0; i-- {
-		a := rhoHist[i] * dot(sHist[i], q)
-		alpha[i] = a
-		for j := range q {
-			q[j] -= a * yHist[i][j]
+		j := h.at(i)
+		a := h.rho[j] * dot(h.s[j], q)
+		h.alpha[i] = a
+		for l := range q {
+			q[l] -= a * h.y[j][l]
 		}
 	}
 	if k > 0 {
-		yy := dot(yHist[k-1], yHist[k-1])
+		last := h.at(k - 1)
+		yy := dot(h.y[last], h.y[last])
 		if yy > 0 {
-			scale := dot(sHist[k-1], yHist[k-1]) / yy
-			for j := range q {
-				q[j] *= scale
+			scale := dot(h.s[last], h.y[last]) / yy
+			for l := range q {
+				q[l] *= scale
 			}
 		}
 	}
 	for i := 0; i < k; i++ {
-		b := rhoHist[i] * dot(yHist[i], q)
-		for j := range q {
-			q[j] += (alpha[i] - b) * sHist[i][j]
+		j := h.at(i)
+		b := h.rho[j] * dot(h.y[j], q)
+		for l := range q {
+			q[l] += (h.alpha[i] - b) * h.s[j][l]
 		}
 	}
 	return q

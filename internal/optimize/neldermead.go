@@ -25,7 +25,9 @@ type vertex struct {
 }
 
 // run implements Optimizer. Per-iteration events report the simplex
-// function-value spread (GNorm) and diameter (Step).
+// function-value spread (GNorm) and diameter (Step). The run allocates
+// its points once: n+1 vertices, the centroid and two trial points, an
+// accepted trial trading buffers with the vertex it replaces.
 func (nm *NelderMead) run(env *runEnv) Result {
 	bounds := env.bounds
 	x := prepareStart(env.x0, bounds)
@@ -38,13 +40,17 @@ func (nm *NelderMead) run(env *runEnv) Result {
 	// Reflection, expansion, contraction, shrink coefficients.
 	const alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
 
+	pts := points(n+3, n)
+	cen, t1, t2 := pts[n], pts[n+1], pts[n+2]
+
 	// Initial simplex: x plus a scaled step along each axis (SciPy-style
 	// 5% nonzero perturbation), clipped into the box and nudged off the
 	// start if clipping collapsed the step.
 	simplex := make([]vertex, n+1)
-	simplex[0] = vertex{x: append([]float64(nil), x...), f: cnt.call(x)}
+	simplex[0] = vertex{x: x, f: cnt.call(x)}
 	for i := 0; i < n; i++ {
-		xi := append([]float64(nil), x...)
+		xi := pts[i]
+		copy(xi, x)
 		step := 0.05 * (1 + math.Abs(x[i]))
 		w := bounds.Hi[i] - bounds.Lo[i]
 		if w > 0 && step > 0.25*w {
@@ -70,7 +76,12 @@ func (nm *NelderMead) run(env *runEnv) Result {
 			cancelled = true
 			break
 		}
-		sp, dia := spread(simplex), diameter(simplex)
+		// The diameter is read by the convergence test only once the
+		// spread is within tolerance, and otherwise only by a recorder.
+		sp, dia := spread(simplex), 0.0
+		if sp <= tol || !env.quiet {
+			dia = diameter(simplex)
+		}
 		env.emit(iters, simplex[0].f, sp, dia, cnt.n)
 		if sp <= tol && dia <= xtol {
 			converged = true
@@ -78,40 +89,42 @@ func (nm *NelderMead) run(env *runEnv) Result {
 			break
 		}
 		// Centroid of all but the worst vertex.
-		cen := make([]float64, n)
+		clear(cen)
 		for _, v := range simplex[:n] {
 			for j := range cen {
 				cen[j] += v.x[j] / float64(n)
 			}
 		}
 		worst := simplex[n]
-		refl := affine(cen, worst.x, -alpha, bounds)
+		refl := affine(t1, cen, worst.x, -alpha, bounds)
 		fr := cnt.call(refl)
+		shrunk := false
 		switch {
 		case fr < simplex[0].f:
 			// Try expansion.
-			exp := affine(cen, worst.x, -alpha*gamma, bounds)
+			exp := affine(t2, cen, worst.x, -alpha*gamma, bounds)
 			fe := cnt.call(exp)
 			if fe < fr {
-				simplex[n] = vertex{x: exp, f: fe}
+				t2 = replaceWorst(simplex, t2, fe)
 			} else {
-				simplex[n] = vertex{x: refl, f: fr}
+				t1 = replaceWorst(simplex, t1, fr)
 			}
 		case fr < simplex[n-1].f:
-			simplex[n] = vertex{x: refl, f: fr}
+			t1 = replaceWorst(simplex, t1, fr)
 		default:
 			// Contraction (outside if reflection helped vs worst, else inside).
 			var con []float64
 			if fr < worst.f {
-				con = affine(cen, worst.x, -alpha*rho, bounds)
+				con = affine(t2, cen, worst.x, -alpha*rho, bounds)
 			} else {
-				con = affine(cen, worst.x, rho, bounds)
+				con = affine(t2, cen, worst.x, rho, bounds)
 			}
 			fc := cnt.call(con)
 			if fc < math.Min(fr, worst.f) {
-				simplex[n] = vertex{x: con, f: fc}
+				t2 = replaceWorst(simplex, t2, fc)
 			} else {
 				// Shrink toward the best vertex.
+				shrunk = true
 				for i := 1; i <= n; i++ {
 					for j := range simplex[i].x {
 						simplex[i].x[j] = simplex[0].x[j] + sigma*(simplex[i].x[j]-simplex[0].x[j])
@@ -124,7 +137,11 @@ func (nm *NelderMead) run(env *runEnv) Result {
 				}
 			}
 		}
-		sortSimplex(simplex)
+		if shrunk {
+			sortSimplex(simplex)
+		} else {
+			sortLast(simplex)
+		}
 	}
 	if !converged && !cancelled && cnt.n >= maxFev {
 		msg = "function evaluation budget exhausted"
@@ -136,13 +153,21 @@ func (nm *NelderMead) run(env *runEnv) Result {
 	}
 }
 
-// affine returns clip(cen + t·(xw − cen)).
-func affine(cen, xw []float64, t float64, bounds *Bounds) []float64 {
-	out := make([]float64, len(cen))
-	for i := range out {
-		out[i] = cen[i] + t*(xw[i]-cen[i])
+// affine writes clip(cen + t·(xw − cen)) into dst and returns it.
+func affine(dst, cen, xw []float64, t float64, bounds *Bounds) []float64 {
+	for i := range dst {
+		dst[i] = cen[i] + t*(xw[i]-cen[i])
 	}
-	return bounds.Clip(out)
+	return bounds.Clip(dst)
+}
+
+// replaceWorst makes (x, f) the simplex's last vertex and returns the
+// buffer that vertex held, free for the next trial point.
+func replaceWorst(s []vertex, x []float64, f float64) []float64 {
+	w := &s[len(s)-1]
+	old := w.x
+	w.x, w.f = x, f
+	return old
 }
 
 // sortSimplex orders the vertices by f, stably. The compare is < both
@@ -159,6 +184,29 @@ func sortSimplex(s []vertex) {
 		}
 		return 0
 	})
+}
+
+// sortLast is sortSimplex for a simplex whose vertices but the last are
+// in the order sortSimplex (or sortLast) left them. Up to 20 vertices
+// slices.SortStableFunc is an insertion sort, which finds such a prefix
+// in order and moves only the last vertex, down past every vertex whose
+// f it is below; sortLast does that one move. On more vertices
+// SortStableFunc merges blocks, where a NaN can end up elsewhere, so
+// sortLast runs sortSimplex.
+func sortLast(s []vertex) {
+	if len(s) > 20 {
+		sortSimplex(s)
+		return
+	}
+	j := len(s) - 1
+	if j < 0 {
+		return
+	}
+	v := s[j]
+	for ; j > 0 && v.f < s[j-1].f; j-- {
+		s[j] = s[j-1]
+	}
+	s[j] = v
 }
 
 // spread is the best-to-worst function-value gap of the simplex.

@@ -178,6 +178,17 @@ func prepareStart(x0 []float64, bounds *Bounds) []float64 {
 	return bounds.Clip(x)
 }
 
+// points returns k zeroed points of dimension n (length and capacity n)
+// carved from one allocation: a run's working buffers.
+func points(k, n int) [][]float64 {
+	buf := make([]float64, k*n)
+	ps := make([][]float64, k)
+	for i := range ps {
+		ps[i] = buf[i*n : (i+1)*n : (i+1)*n]
+	}
+	return ps
+}
+
 // defaultTol is the paper's functional tolerance (Sec. II-B, III-A).
 const defaultTol = 1e-6
 

@@ -57,19 +57,22 @@ func Run(ctx context.Context, p Problem, opts Options) Result {
 		opt = &LBFGSB{}
 	}
 	rec := telemetry.OrNop(opts.Recorder)
+	_, quiet := rec.(telemetry.Nop)
+	start := time.Now()
+	var res Result
 	if err := ctx.Err(); err != nil {
 		// Cancelled before the run: report the clipped start as the
-		// incumbent (one evaluation, so F is consistent with X).
+		// incumbent (one evaluation, so F is consistent with X), counted
+		// like any other run's.
 		x := prepareStart(p.X0, p.Bounds)
-		return Result{X: x, F: p.F(x), NFev: 1, Status: Cancelled,
+		res = Result{X: x, F: p.F(x), NFev: 1, Status: Cancelled,
 			Message: "context cancelled before start: " + err.Error()}
+	} else {
+		res = opt.run(&runEnv{
+			f: p.F, agrad: p.Grad, x0: p.X0, bounds: p.Bounds,
+			ctx: ctx, rec: rec, quiet: quiet, name: opt.Name(),
+		})
 	}
-	env := &runEnv{
-		f: p.F, agrad: p.Grad, x0: p.X0, bounds: p.Bounds,
-		ctx: ctx, rec: rec, name: opt.Name(),
-	}
-	start := time.Now()
-	res := opt.run(env)
 	rec.Count("optimize.runs", 1)
 	rec.Count("optimize.fev_total", int64(res.NFev))
 	rec.Observe("optimize.nfev", float64(res.NFev))
@@ -90,6 +93,7 @@ type runEnv struct {
 	bounds *Bounds
 	ctx    context.Context
 	rec    telemetry.Recorder
+	quiet  bool   // rec is telemetry.Nop: no event is read
 	name   string // Source for emitted events
 }
 

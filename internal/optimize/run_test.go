@@ -34,6 +34,25 @@ func TestRunCancelledBeforeStart(t *testing.T) {
 	}
 }
 
+// A run handed a context that is already cancelled still spends one
+// evaluation on its start point, and /metrics counts it: one run and its
+// evaluation in the counters, like any other run's.
+func TestRunCancelledBeforeStartIsCounted(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	b := UniformBounds(2, -2, 2)
+	for _, opt := range allOptimizers() {
+		mem := telemetry.NewMemory()
+		r := Run(ctx, Problem{F: sphere([]float64{0, 0}), X0: []float64{1, 1}, Bounds: b}, Options{Optimizer: opt, Recorder: mem})
+		if got := mem.CounterValue("optimize.runs"); got != 1 {
+			t.Errorf("%s: optimize.runs = %d, want 1", opt.Name(), got)
+		}
+		if got := mem.CounterValue("optimize.fev_total"); got != int64(r.NFev) || got != 1 {
+			t.Errorf("%s: optimize.fev_total = %d, want NFev = %d = 1", opt.Name(), got, r.NFev)
+		}
+	}
+}
+
 // TestRunCancelMidRun cancels from inside the objective and checks
 // every optimizer stops within one outer step, keeping its incumbent.
 func TestRunCancelMidRun(t *testing.T) {

@@ -45,6 +45,8 @@ func (o *SLSQP) run(env *runEnv) Result {
 	grad(g, x)
 	xls := make([]float64, n) // line-search candidate buffer
 	b := linalg.Identity(n)
+	d := make([]float64, n)      // QP step
+	work := make([]float64, 4*n) // BFGS update vectors
 
 	iters := 0
 	converged := false
@@ -63,7 +65,7 @@ func (o *SLSQP) run(env *runEnv) Result {
 			msg = "projected gradient below tolerance"
 			break
 		}
-		d := solveBoxQP(b, g, x, bounds, slsqpQPSweeps)
+		solveBoxQP(d, b, g, x, bounds, slsqpQPSweeps)
 		norm := 0.0
 		for _, di := range d {
 			norm += di * di
@@ -99,7 +101,7 @@ func (o *SLSQP) run(env *runEnv) Result {
 		lastAlpha = alpha
 
 		grad(gNew, xls)
-		updateDampedBFGS(b, x, xls, g, gNew)
+		updateDampedBFGS(b, x, xls, g, gNew, work)
 
 		fPrev := fx
 		x, xls = xls, x
@@ -120,21 +122,23 @@ func (o *SLSQP) run(env *runEnv) Result {
 }
 
 // solveBoxQP minimizes gᵀd + ½dᵀBd subject to lo−x ≤ d ≤ hi−x by cyclic
-// coordinate descent with clipping (convergent for SPD B).
-func solveBoxQP(b *linalg.Matrix, g, x []float64, bounds *Bounds, sweeps int) []float64 {
+// coordinate descent with clipping (convergent for SPD B), from d = 0,
+// into d.
+func solveBoxQP(d []float64, b *linalg.Matrix, g, x []float64, bounds *Bounds, sweeps int) {
 	n := len(g)
-	d := make([]float64, n)
+	clear(d)
 	for s := 0; s < sweeps; s++ {
 		maxDelta := 0.0
 		for i := 0; i < n; i++ {
-			bii := b.At(i, i)
+			row := b.Data[i*n : (i+1)*n]
+			bii := row[i]
 			if bii <= 0 {
 				bii = 1
 			}
 			// Partial derivative of the QP objective wrt d_i at current d.
 			deriv := g[i]
-			for j := 0; j < n; j++ {
-				deriv += b.At(i, j) * d[j]
+			for j, bij := range row {
+				deriv += bij * d[j]
 			}
 			di := d[i] - deriv/bii
 			lo, hi := bounds.Lo[i]-x[i], bounds.Hi[i]-x[i]
@@ -152,20 +156,20 @@ func solveBoxQP(b *linalg.Matrix, g, x []float64, bounds *Bounds, sweeps int) []
 			break
 		}
 	}
-	return d
 }
 
 // updateDampedBFGS applies Powell's damped BFGS update to b in place,
-// which keeps it positive definite even when sᵀy ≤ 0.
-func updateDampedBFGS(b *linalg.Matrix, x, xNew, g, gNew []float64) {
+// which keeps it positive definite even when sᵀy ≤ 0. work (4·n) holds
+// the update's vectors.
+func updateDampedBFGS(b *linalg.Matrix, x, xNew, g, gNew, work []float64) {
 	n := len(x)
-	s := make(linalg.Vector, n)
-	y := make(linalg.Vector, n)
+	s, y := linalg.Vector(work[:n]), linalg.Vector(work[n:2*n])
+	bs, r := linalg.Vector(work[2*n:3*n]), linalg.Vector(work[3*n:4*n])
 	for i := range s {
 		s[i] = xNew[i] - x[i]
 		y[i] = gNew[i] - g[i]
 	}
-	bs := b.MulVec(s)
+	b.MulVecTo(bs, s)
 	sBs := s.Dot(bs)
 	if sBs <= 0 {
 		return // degenerate step; skip update
@@ -176,7 +180,6 @@ func updateDampedBFGS(b *linalg.Matrix, x, xNew, g, gNew []float64) {
 		theta = 0.8 * sBs / (sBs - sy)
 	}
 	// r = θ·y + (1−θ)·B·s guarantees sᵀr ≥ 0.2·sᵀBs > 0.
-	r := make(linalg.Vector, n)
 	for i := range r {
 		r[i] = theta*y[i] + (1-theta)*bs[i]
 	}

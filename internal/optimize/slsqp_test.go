@@ -43,7 +43,8 @@ func TestSolveBoxQPKKT(t *testing.T) {
 			x[i] = rng.Float64()
 		}
 		bounds := UniformBounds(n, 0, 1)
-		d := solveBoxQP(bmat, g, x, bounds, 200)
+		d := make([]float64, n)
+		solveBoxQP(d, bmat, g, x, bounds, 200)
 		// KKT check on ∇q(d) = g + B·d.
 		for i := 0; i < n; i++ {
 			grad := g[i]

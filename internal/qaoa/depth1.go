@@ -43,8 +43,8 @@ import "math"
 // the largest coefficient).
 
 // depth1 is the closed-form p = 1 engine of one Evaluator. The
-// couplings are immutable; the tables are per-call scratch, so a
-// depth1 is not safe for concurrent use.
+// couplings are immutable; the tables are per-call scratch and the last
+// point's answer is kept, so a depth1 is not safe for concurrent use.
 type depth1 struct {
 	n      int
 	offset float64   // c₀ = sense·Offset
@@ -56,6 +56,12 @@ type depth1 struct {
 	// field or coupling hold (1, 0) for good.
 	ch, sh []float64
 	cj, sj []float64
+
+	// The point of the last at call and its answer.
+	last   [2]float64
+	answer [3]float64
+	held   bool
+	evals  int // closed-form evaluations computed
 }
 
 // newDepth1 lays the problem's Hamiltonian out in the dense form the
@@ -93,6 +99,19 @@ func newDepth1(pb *Problem) *depth1 {
 		d.cj[i] = 1
 	}
 	return d
+}
+
+// at is eval, answered without computing when (γ, β) is the point of
+// the previous call: the same two floats by ==, as EvalWorkspace.holds
+// matches, so a NaN never matches. An optimizer's gradient at the point
+// whose value it just took is free.
+func (d *depth1) at(gamma, beta float64) (e, dGamma, dBeta float64) {
+	if !d.held || d.last[0] != gamma || d.last[1] != beta {
+		e, dGamma, dBeta = d.eval(gamma, beta)
+		d.last, d.answer, d.held = [2]float64{gamma, beta}, [3]float64{e, dGamma, dBeta}, true
+		d.evals++
+	}
+	return d.answer[0], d.answer[1], d.answer[2]
 }
 
 // eval returns ⟨Score⟩ at (γ, β) with its exact partial derivatives.

@@ -340,14 +340,56 @@ func TestDepth1ZeroAlloc(t *testing.T) {
 		points[i] = randomPoint(rng, 1, false)
 	}
 	be.EvalBatch(points) // warm: builds the engine
-	if n := testing.AllocsPerRun(100, func() { _ = ev.NegExpectation(x) }); n != 0 {
+	// A fresh point each call, so the closed form is computed, not
+	// reused from the call before.
+	if n := testing.AllocsPerRun(100, func() { x[0] += 1e-9; _ = ev.NegExpectation(x) }); n != 0 {
 		t.Errorf("warm depth-1 NegExpectation allocates %v times per call", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = ev.NegValueGrad(x, grad) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { x[0] += 1e-9; _ = ev.NegValueGrad(x, grad) }); n != 0 {
 		t.Errorf("warm depth-1 NegValueGrad allocates %v times per call", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = be.EvalBatch(points) }); n > 1 {
 		t.Errorf("warm depth-1 EvalBatch of %d points allocates %v times, want 1 (the result slice)", len(points), n)
+	}
+}
+
+// An optimizer asks for the gradient at the point whose value it just
+// took: a depth-1 Evaluator answers NegValueGrad there from the
+// NegExpectation before it, with the same bits, and computes again for a
+// point one ulp away, for a NaN (== never matches it) and for each new
+// point after that.
+func TestDepth1ReusesLastPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(1618))
+	pb := mustIsing(t, problem.RandomIsing(10, rng))
+	ev := NewEvaluator(pb, 1)
+	fresh := NewEvaluator(pb, 1)
+	grad, want := make([]float64, 2), make([]float64, 2)
+	x := testParams(1).Vector()
+	step := func(name string, x []float64, computes int) {
+		t.Helper()
+		before := ev.d1.evals
+		v := ev.NegExpectation(x)
+		g := ev.NegValueGrad(x, grad)
+		if got := ev.d1.evals - before; got != computes {
+			t.Errorf("%s: NegExpectation + NegValueGrad computed the closed form %d times, want %d", name, got, computes)
+		}
+		w := fresh.NegValueGrad(x, want)
+		for i, pair := range [][2]float64{{v, w}, {g, w}, {grad[0], want[0]}, {grad[1], want[1]}} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Errorf("%s: value %d is %v, a fresh evaluator's %v", name, i, pair[0], pair[1])
+			}
+		}
+	}
+	step("first point", x, 1)
+	step("same point", x, 0)
+	step("one ulp in γ", []float64{math.Nextafter(x[0], 4), x[1]}, 1)
+	step("one ulp in β", []float64{math.Nextafter(x[0], 4), math.Nextafter(x[1], -4)}, 1)
+	nan := []float64{math.NaN(), x[1]}
+	step("NaN", nan, 2)
+	step("NaN again", nan, 2)
+	step("back to the first point", x, 1)
+	if r0, r1 := ev.ApproximationRatio(FromVector(x)), fresh.ApproximationRatio(FromVector(x)); r0 != r1 {
+		t.Errorf("ApproximationRatio from the kept point %v, fresh %v", r0, r1)
 	}
 }
 
@@ -369,16 +411,20 @@ func BenchmarkDepth1(b *testing.B) {
 		grad := make([]float64, 2)
 		size := fmt.Sprintf("n%d", n)
 
+		// Each closed-form call takes a fresh point: at the point of the
+		// call before, the Evaluator computes nothing.
 		ev := NewEvaluator(pb, 1)
 		b.Run("closed/"+size+"/value", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				x[0] += 1e-9
 				depth1Sink += ev.NegExpectation(x)
 			}
 		})
 		b.Run("closed/"+size+"/valuegrad", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				x[0] += 1e-9
 				depth1Sink += ev.NegValueGrad(x, grad)
 			}
 		})

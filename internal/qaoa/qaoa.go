@@ -250,7 +250,8 @@ func (pb *Problem) ratioOf(e float64) float64 {
 //   - Depth ≥ 2 owns an EvalWorkspace and simulates the circuit.
 //   - Depth 1 evaluates the closed form of depth1.go and holds no state
 //     buffer; a workspace is built only if BestSampled asks for the
-//     amplitudes.
+//     amplitudes. It keeps its last point's value and gradient, so a
+//     call at the point of the call before computes nothing.
 //
 // Either way NegExpectation and NegValueGrad perform no heap allocation
 // after warm-up; an Evaluator is not safe for concurrent use — create
@@ -312,7 +313,7 @@ func (e *Evaluator) Release() {
 // closed form, equal to it to rounding.
 func (e *Evaluator) ApproximationRatio(pr Params) float64 {
 	if e.d1 != nil && len(pr.Gamma) == 1 && len(pr.Beta) == 1 {
-		v, _, _ := e.d1.eval(pr.Gamma[0], pr.Beta[0])
+		v, _, _ := e.d1.at(pr.Gamma[0], pr.Beta[0])
 		return e.Problem.ratioOf(v)
 	}
 	return e.Problem.ratioOf(e.workspace().Expectation(pr))
@@ -344,7 +345,7 @@ func (e *Evaluator) NegExpectation(x []float64) float64 {
 	}
 	e.nfev++
 	if e.d1 != nil {
-		v, _, _ := e.d1.eval(x[0], x[1])
+		v, _, _ := e.d1.at(x[0], x[1])
 		return -v
 	}
 	return -e.ws.ExpectationVec(x)
@@ -369,7 +370,7 @@ func (e *Evaluator) NegValueGrad(x, grad []float64) float64 {
 		if len(grad) != 2 {
 			panic(fmt.Sprintf("qaoa: gradient length %d != parameter length 2", len(grad)))
 		}
-		v, dg, db := e.d1.eval(x[0], x[1])
+		v, dg, db := e.d1.at(x[0], x[1])
 		grad[0], grad[1] = -dg, -db
 		return -v
 	}

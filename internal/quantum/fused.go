@@ -154,31 +154,37 @@ func (r *LayerRunner) Layer(theta float64, fill bool, phase func(lo, hi int)) {
 // pair both of whose qubits address bits inside the chunk, and — when
 // the chunk spans the whole register — the last pass: the odd final
 // qubit and a half register's mirror butterfly, fused when they fuse.
+// With the assembly each pair pass and a fused mirror pass is one call
+// of its body; the Go bodies behind rxQuadRange and mirrorRange are the
+// fallback.
 // Chunk bounds are ChunkLen-aligned, so the representative ranges
 // [lo>>2, hi>>2) and [lo>>1, hi>>1) map exactly onto the chunk's
 // butterflies.
 func (r *LayerRunner) runLow(lo, hi int) {
 	s := r.s
 	if r.fill {
-		amps := s.amps[lo:hi]
+		amps, amp := s.amps[lo:hi], r.amp
 		for i := range amps {
-			amps[i] = r.amp
+			amps[i] = amp
 		}
 	}
 	if r.phase != nil {
 		r.phase(lo, hi)
 	}
 	span := hi - lo
-	for q := 0; 1<<uint(q+1) < span; q += 2 {
-		rxQuadRange(s.amps, q, lo>>2, hi>>2, r.rx.cc, r.rx.cm, r.rx.mm)
+	if !rxChunkVec(s.amps[lo:hi], r.rx) {
+		for q := 0; 1<<uint(q+1) < span; q += 2 {
+			rxQuadRange(s.amps, q, lo>>2, hi>>2, r.rx.cc, r.rx.cm, r.rx.mm)
+		}
 	}
 	if span != len(s.amps) {
 		return
 	}
-	if s.n%2 == 1 && !(r.mirror && mirrorFused(s.n)) {
+	fused := r.mirror && mirrorFused(s.n)
+	if s.n%2 == 1 && !fused {
 		r.oneBody(lo>>1, hi>>1)
 	}
-	if r.mirror {
-		r.mirrorBody(0, mirrorReps(s.n))
+	if r.mirror && !(fused && rxMirrorVec(s.amps, r.rx)) {
+		mirrorRange(s.amps, s.n, 0, mirrorReps(s.n), r.rx)
 	}
 }

@@ -103,6 +103,38 @@ func rxQuadMirrorVec(p00, p01, p10, p11 []complex128, cc, cm, mm float64) int {
 	return n
 }
 
+// rxChunkVec applies every in-chunk pair pass of the low sweep to the
+// chunk a — qubits (q, q+1) for even q while 2^(q+1) < len(a) — each as
+// one call of its assembly body, and reports whether it did. It makes
+// the calls rxQuadRange makes for these passes, without the steps in
+// between.
+func rxChunkVec(a []complex128, k rxCoef) bool {
+	if !useAVX2 {
+		return false
+	}
+	if len(a) > 2 {
+		rxQuadLowAVX2(&a[0], len(a)>>2, k.cc, k.cm, k.mm)
+	}
+	for b := 4; 2*b < len(a); b <<= 2 {
+		rxQuadAVX2(&a[0], &a[b], &a[2*b], &a[3*b], b, len(a)/(4*b), k.cc, k.cm, k.mm)
+	}
+	return true
+}
+
+// rxMirrorVec applies the fused mirror pass of a one-chunk half register
+// to all of amps, its len(amps)/4 quadruples, as one call of its assembly
+// body — mirrorRange's call, without the steps in between — and reports
+// whether it did.
+func rxMirrorVec(amps []complex128, k rxCoef) bool {
+	m := len(amps)
+	reps, t := m>>2, m>>1
+	if !useAVX2 || reps < 2 || reps&1 != 0 {
+		return false
+	}
+	rxQuadMirrorAVX2(&amps[0], &amps[t], &amps[m-reps], &amps[t-reps], reps, k.cc, k.cm, k.mm)
+	return true
+}
+
 // rxQuadLowVec applies rxQuadLow's butterfly to the whole 4-amplitude
 // groups of a in assembly and returns how many amplitudes they cover.
 func rxQuadLowVec(a []complex128, cc, cm, mm float64) int {

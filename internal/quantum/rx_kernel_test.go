@@ -292,7 +292,9 @@ func TestLayerAgreesWithCircuitSimulator(t *testing.T) {
 // pass over one L2-resident chunk, a cross-chunk pair over a 2^20
 // register that streams from memory, and n7, the whole mixer of
 // paper_n8's half register (three pair passes and the mirror's 32
-// quadruples), where call overhead is all there is to lose.
+// quadruples), where call overhead is all there is to lose. n7-layer is
+// the same mixer through LayerRunner.Layer, whose one-chunk low sweep
+// calls each pass's body once (rxChunkVec, rxMirrorVec) instead.
 func BenchmarkRXQuad(b *testing.B) {
 	k := newRXCoef(0.4)
 	for _, c := range []struct {
@@ -300,14 +302,16 @@ func BenchmarkRXQuad(b *testing.B) {
 		n      int
 		pairs  []int
 		mirror bool
+		layer  bool
 	}{
-		{"q0", 15, []int{0}, false},
-		{"q2", 15, []int{2}, false},
-		{"q4", 15, []int{4}, false},
-		{"q12", 15, []int{12}, false},
-		{"cross-chunk", 20, []int{18}, false},
-		{"mirror", 15, nil, true},
-		{"n7", 7, []int{0, 2, 4}, true},
+		{"q0", 15, []int{0}, false, false},
+		{"q2", 15, []int{2}, false, false},
+		{"q4", 15, []int{4}, false, false},
+		{"q12", 15, []int{12}, false, false},
+		{"cross-chunk", 20, []int{18}, false, false},
+		{"mirror", 15, nil, true, false},
+		{"n7", 7, []int{0, 2, 4}, true, false},
+		{"n7-layer", 7, []int{0, 2, 4}, true, true},
 	} {
 		forEachKernel(func(kernel string) {
 			b.Run(c.name+"/"+kernel, func(b *testing.B) {
@@ -316,8 +320,14 @@ func BenchmarkRXQuad(b *testing.B) {
 				if c.mirror {
 					touched += len(s.amps)
 				}
+				r := NewLayerRunner(s)
+				r.SetMirror(c.mirror)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					if c.layer {
+						r.Layer(0.4, false, nil)
+						continue
+					}
 					for _, q := range c.pairs {
 						rxQuadRange(s.amps, q, 0, len(s.amps)>>2, k.cc, k.cm, k.mm)
 					}

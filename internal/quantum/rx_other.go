@@ -19,6 +19,10 @@ func rxQuadMirrorVec(p00, p01, p10, p11 []complex128, cc, cm, mm float64) int { 
 
 func rxQuadLowVec(a []complex128, cc, cm, mm float64) int { return 0 }
 
+func rxChunkVec(a []complex128, k rxCoef) bool { return false }
+
+func rxMirrorVec(amps []complex128, k rxCoef) bool { return false }
+
 func revQuadVec(p00, p01, p10, p11, l00, l01, l10, l11 []complex128, k rxCoef) (float64, bool) {
 	return 0, false
 }
