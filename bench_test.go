@@ -205,7 +205,8 @@ func BenchmarkExpectation(b *testing.B) {
 }
 
 // BenchmarkOptimizer runs each of the four local optimizers to
-// convergence on the same depth-2 instance from the same start.
+// convergence on the same depth-2 instance from the same start, with
+// the adjoint gradient core passes.
 func BenchmarkOptimizer(b *testing.B) {
 	pb := benchProblem(b)
 	bounds := core.ParamBounds(2)
@@ -214,7 +215,7 @@ func BenchmarkOptimizer(b *testing.B) {
 		b.Run(opt.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ev := qaoa.NewEvaluator(pb, 2)
-				r := optimize.Run(context.Background(), optimize.Problem{F: ev.NegExpectation, X0: x0, Bounds: bounds},
+				r := optimize.Run(context.Background(), optimize.Problem{F: ev.NegExpectation, Grad: ev.NegGrad, X0: x0, Bounds: bounds},
 					optimize.Options{Optimizer: opt})
 				if r.NFev == 0 {
 					b.Fatal("no evaluations")
@@ -437,26 +438,8 @@ func BenchmarkBatchEval(b *testing.B) {
 	}
 }
 
-// BenchmarkGradientWorkspace measures a full depth-3 central-difference
-// gradient through the reusable workspace.
-func BenchmarkGradientWorkspace(b *testing.B) {
-	pb := benchProblem(b)
-	bounds := core.ParamBounds(3)
-	x := bounds.Random(rand.New(rand.NewSource(20)))
-	ws := optimize.NewGradientWorkspace(len(x))
-	dst := make([]float64, len(x))
-	ev := qaoa.NewEvaluator(pb, 3)
-	ev.NegExpectation(x) // warm the workspace
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ws.Gradient(dst, ev.NegExpectation, x, bounds)
-	}
-}
-
 // BenchmarkGradientAdjoint measures one adjoint-mode value+gradient
-// sweep per depth — the analytic replacement for the 4p-evaluation
-// central-difference stencil in BenchmarkGradientWorkspace.
+// sweep per depth.
 func BenchmarkGradientAdjoint(b *testing.B) {
 	pb := benchProblem(b)
 	for _, depth := range []int{1, 3, 5} {
@@ -474,25 +457,13 @@ func BenchmarkGradientAdjoint(b *testing.B) {
 	}
 }
 
-// BenchmarkLBFGSBGradientPath runs L-BFGS-B to convergence on the same
-// depth-5 instance from the same start with finite-difference vs
-// adjoint gradients — the end-to-end speedup the adjoint engine buys.
-// The adjoint run also reports forward passes per run next to NFev.
+// BenchmarkLBFGSBGradientPath runs L-BFGS-B to convergence on a depth-5
+// instance from a fixed start with the adjoint gradient, and reports
+// forward passes per run next to NFev.
 func BenchmarkLBFGSBGradientPath(b *testing.B) {
 	pb := benchProblem(b)
 	bounds := core.ParamBounds(5)
 	x0 := bounds.Random(rand.New(rand.NewSource(21)))
-	b.Run("fd", func(b *testing.B) {
-		ev := qaoa.NewEvaluator(pb, 5)
-		for i := 0; i < b.N; i++ {
-			r := optimize.Run(context.Background(),
-				optimize.Problem{F: ev.NegExpectation, X0: x0, Bounds: bounds},
-				optimize.Options{Optimizer: &optimize.LBFGSB{}})
-			if r.NFev == 0 {
-				b.Fatal("no evaluations")
-			}
-		}
-	})
 	b.Run("adjoint", func(b *testing.B) {
 		ev := qaoa.NewEvaluator(pb, 5)
 		for i := 0; i < b.N; i++ {

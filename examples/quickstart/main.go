@@ -1,8 +1,8 @@
 // Quickstart: solve one MaxCut instance with QAOA.
 //
-// Builds a random 8-node graph, runs a depth-2 QAOA optimization with
-// L-BFGS-B from a random initialization, and reads out the solution —
-// the flow of the paper's Fig. 1(a).
+// Builds a random 8-node graph, solves it at depth 2 through core.Solve
+// (L-BFGS-B from one random start), and reads out the solution — the
+// flow of the paper's Fig. 1(a).
 //
 //	go run ./examples/quickstart
 package main
@@ -31,20 +31,19 @@ func main() {
 		panic(err)
 	}
 
-	// A depth-2 QAOA circuit has 4 parameters (γ1, γ2, β1, β2). The
-	// evaluator counts every expectation evaluation as one quantum-
-	// computer call.
+	// A depth-2 QAOA circuit has 4 parameters (γ1, γ2, β1, β2). Solve
+	// runs L-BFGS-B from one random start with the adjoint gradient and
+	// counts every expectation evaluation as one quantum-computer call.
 	const depth = 2
-	ev := qaoa.NewEvaluator(pb, depth)
-	bounds := core.ParamBounds(depth)
-
 	opt := &optimize.LBFGSB{Tol: 1e-6}
-	result := optimize.Run(context.Background(), optimize.Problem{F: ev.NegExpectation, X0: bounds.Random(rng), Bounds: bounds},
-		optimize.Options{Optimizer: opt})
+	result, err := core.Solve(context.Background(), pb, core.Options{Depth: depth, Optimizer: opt, Rng: rng})
+	if err != nil {
+		panic(err)
+	}
 
-	params := qaoa.FromVector(result.X)
-	fmt.Printf("optimizer: %s (%s)\n", opt.Name(), result.Message)
-	fmt.Printf("QC calls: %d\n", ev.NFev())
+	params := result.Params
+	fmt.Printf("optimizer: %s\n", opt.Name())
+	fmt.Printf("QC calls: %d\n", result.NFev)
 	fmt.Printf("optimal angles: γ=%.3f β=%.3f\n", params.Gamma, params.Beta)
 	fmt.Printf("expected cut ⟨C⟩: %.4f\n", pb.Expectation(params))
 	fmt.Printf("approximation ratio: %.4f\n", pb.ApproximationRatio(params))

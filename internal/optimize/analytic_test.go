@@ -2,13 +2,12 @@ package optimize
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"qaoaml/internal/telemetry"
 )
 
-// gradOptimizers are the two methods that consume analytic gradients.
+// gradOptimizers are the two methods that require Problem.Grad.
 func gradOptimizers() []Optimizer {
 	return []Optimizer{&LBFGSB{}, &SLSQP{}}
 }
@@ -22,61 +21,47 @@ func sphereGrad(center []float64) GradFunc {
 	}
 }
 
-// Analytic-gradient runs must converge to the same optimum as the
-// finite-difference runs, spend strictly fewer function evaluations,
-// and report the gradient count in NGev.
+// Gradient runs converge to the optimum, and each count holds the calls
+// of one function: NFev the objective's, NGev the gradient's.
 func TestAnalyticGradientConverges(t *testing.T) {
 	b := UniformBounds(4, -2, 2)
 	center := []float64{0.7, -0.3, 1.2, 0.4}
-	x0 := []float64{-1, 1, 0, -1}
 	for _, opt := range gradOptimizers() {
-		fd := Run(context.Background(), Problem{F: sphere(center), X0: x0, Bounds: b}, Options{Optimizer: opt})
-		an := Run(context.Background(), Problem{F: sphere(center), Grad: sphereGrad(center), X0: x0, Bounds: b},
-			Options{Optimizer: opt})
-		if an.Status != Converged {
-			t.Errorf("%s: analytic run did not converge: %+v", opt.Name(), an)
+		fCalls, gCalls := 0, 0
+		f, g := sphere(center), sphereGrad(center)
+		r := Run(context.Background(), Problem{
+			F:    func(x []float64) float64 { fCalls++; return f(x) },
+			Grad: func(x, grad []float64) { gCalls++; g(x, grad) },
+			X0:   []float64{-1, 1, 0, -1}, Bounds: b,
+		}, Options{Optimizer: opt})
+		if r.Status != Converged || r.F > 1e-10 {
+			t.Errorf("%s: F = %v, status %v (%s)", opt.Name(), r.F, r.Status, r.Message)
 		}
-		if math.Abs(an.F-fd.F) > 1e-6 {
-			t.Errorf("%s: analytic F %v vs FD F %v", opt.Name(), an.F, fd.F)
-		}
-		if an.NGev == 0 {
-			t.Errorf("%s: analytic run reports NGev = 0", opt.Name())
-		}
-		if fd.NGev != 0 {
-			t.Errorf("%s: FD run reports NGev = %d, want 0", opt.Name(), fd.NGev)
-		}
-		if an.NFev >= fd.NFev {
-			t.Errorf("%s: analytic NFev %d not below FD NFev %d", opt.Name(), an.NFev, fd.NFev)
+		if r.NFev != fCalls || r.NGev != gCalls || gCalls == 0 {
+			t.Errorf("%s: NFev = %d, NGev = %d; F was called %d times, Grad %d", opt.Name(), r.NFev, r.NGev, fCalls, gCalls)
 		}
 	}
 }
 
-// Without Grad the gradient-based optimizers take exactly the central-
-// difference gradient of GradientWorkspace, counted as function calls: a
-// run with Grad nil is bit-identical to one handed that gradient as Grad,
-// and spends 2·dim more calls per gradient the latter counts in NGev.
-func TestNilGradKeepsFDPathBitIdentical(t *testing.T) {
-	b := UniformBounds(3, -2, 2)
-	f := sphere([]float64{0.7, -0.3, 1.2})
-	x0 := []float64{-1, 1, 0}
+// L-BFGS-B and SLSQP require Problem.Grad and, like a nil Bounds, a nil
+// Grad panics, naming the optimizer. Nelder-Mead and COBYLA take no
+// gradient and run without one.
+func TestGradientOptimizersNeedGrad(t *testing.T) {
+	p := Problem{F: sphere([]float64{0.5, -0.5}), X0: []float64{1, 1}, Bounds: UniformBounds(2, -2, 2)}
 	for _, opt := range gradOptimizers() {
-		ws := NewGradientWorkspace(3)
-		probes := 0
-		fd := func(x, grad []float64) {
-			ws.Gradient(grad, func(x []float64) float64 { probes++; return f(x) }, x, b)
-		}
-		got := Run(context.Background(), Problem{F: f, X0: x0, Bounds: b}, Options{Optimizer: opt})
-		want := Run(context.Background(), Problem{F: f, Grad: fd, X0: x0, Bounds: b}, Options{Optimizer: opt})
-		if got.F != want.F || got.Iters != want.Iters || got.Message != want.Message || got.NGev != 0 {
-			t.Errorf("%s: nil-Grad Run differs from the FD gradient as Grad: got %+v want %+v", opt.Name(), got, want)
-		}
-		if got.NFev != want.NFev+probes || probes != 2*3*want.NGev {
-			t.Errorf("%s: NFev %d, want %d + %d probes over %d gradients", opt.Name(), got.NFev, want.NFev, probes, want.NGev)
-		}
-		for i := range want.X {
-			if got.X[i] != want.X[i] {
-				t.Errorf("%s: X[%d] differs", opt.Name(), i)
-			}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := "optimize: " + opt.Name() + " needs Problem.Grad"; msg != want {
+					t.Errorf("%s with nil Grad: panic %q, want %q", opt.Name(), msg, want)
+				}
+			}()
+			Run(context.Background(), p, Options{Optimizer: opt})
+		}()
+	}
+	for _, opt := range []Optimizer{&NelderMead{}, &COBYLA{}} {
+		if r := Run(context.Background(), p, Options{Optimizer: opt}); r.Status != Converged || r.NGev != 0 {
+			t.Errorf("%s with nil Grad: status %v (%s), NGev = %d", opt.Name(), r.Status, r.Message, r.NGev)
 		}
 	}
 }
@@ -123,8 +108,8 @@ func TestAnalyticCancelMidGradient(t *testing.T) {
 	}
 }
 
-// Run must surface gradient-evaluation telemetry for analytic runs and
-// stay silent about it on the FD path.
+// Run must surface gradient-evaluation telemetry for the gradient
+// methods and stay silent about it for the derivative-free ones.
 func TestRunRecordsGradientTelemetry(t *testing.T) {
 	b := UniformBounds(3, -2, 2)
 	center := []float64{0.7, -0.3, 1.2}
@@ -139,11 +124,13 @@ func TestRunRecordsGradientTelemetry(t *testing.T) {
 			t.Errorf("%s: optimize.ngev histogram missing", opt.Name())
 		}
 
-		fdMem := telemetry.NewMemory()
-		_ = Run(context.Background(), Problem{F: sphere(center), X0: []float64{-1, 1, 0}, Bounds: b},
-			Options{Optimizer: opt, Recorder: fdMem})
-		if got := fdMem.CounterValue("optimize.gev_total"); got != 0 {
-			t.Errorf("%s: FD run recorded gev_total = %d", opt.Name(), got)
+	}
+	for _, opt := range []Optimizer{&NelderMead{}, &COBYLA{}} {
+		mem := telemetry.NewMemory()
+		_ = Run(context.Background(), Problem{F: sphere(center), Grad: sphereGrad(center), X0: []float64{-1, 1, 0}, Bounds: b},
+			Options{Optimizer: opt, Recorder: mem})
+		if got := mem.CounterValue("optimize.gev_total"); got != 0 {
+			t.Errorf("%s: derivative-free run recorded gev_total = %d", opt.Name(), got)
 		}
 	}
 }

@@ -2,11 +2,10 @@ package optimize
 
 // LBFGSB is a limited-memory BFGS method with gradient projection for
 // box constraints, the same algorithm family as SciPy's L-BFGS-B. It
-// takes Problem.Grad when set; otherwise gradients are central finite
-// differences, so — as on real quantum hardware — every gradient spends
-// 2·dim function calls, which is what the paper counts. It keeps the
-// last 10 curvature pairs and stops after 100·dim iterations or 2000·dim
-// function calls at the latest.
+// requires Problem.Grad: NFev counts objective calls and each gradient
+// is one NGev, so SciPy's count without a jac is NFev + dim·NGev. It
+// keeps the last 10 curvature pairs and stops after 100·dim iterations
+// or 2000·dim function calls at the latest.
 type LBFGSB struct {
 	Tol float64 // relative f-change / projected-gradient tolerance (default 1e-6)
 }
@@ -28,7 +27,7 @@ func (o *LBFGSB) run(env *runEnv) Result {
 	maxIter, maxFev := 100*n, 2000*n
 	cnt := &counter{f: env.f}
 	ngev := 0
-	grad := env.gradient(cnt, &ngev)
+	grad := env.gradient(&ngev)
 
 	fx := cnt.call(x)
 	g := make([]float64, n)

@@ -2,11 +2,10 @@
 // drives its QAOA loop with: two gradient-based methods (L-BFGS-B and
 // SLSQP) and two derivative-free methods (Nelder-Mead and COBYLA). All
 // support box bounds, the only constraint kind the QAOA parameter domain
-// needs. The gradient-based methods take analytic gradients when
-// Problem.Grad is set — core passes the adjoint gradient, which costs no
-// function calls and is counted in Result.NGev — and otherwise fall back
-// to central finite differences, so every gradient spends 2·dim function
-// calls, as on a real quantum computer.
+// needs. The gradient-based methods require Problem.Grad (core passes
+// the adjoint gradient). Result.NFev counts objective calls and each
+// gradient is one Result.NGev, so SciPy's count without a jac, the
+// paper's FC, is NFev + dim·NGev.
 //
 // Run(ctx, Problem, Options) is the one way to run an optimizer: it
 // honors cancellation and deadlines (checked once per outer iteration),
@@ -122,7 +121,7 @@ type Result struct {
 	X       []float64 // best point found
 	F       float64   // objective at X
 	NFev    int       // function evaluations consumed
-	NGev    int       // analytic gradient evaluations (0 on the FD path)
+	NGev    int       // gradient evaluations (Problem.Grad calls)
 	Iters   int       // outer iterations
 	Status  Status    // termination cause (Converged/MaxIter/Cancelled)
 	Message string    // human-readable termination reason

@@ -12,17 +12,15 @@ import (
 type GradFunc func(x, grad []float64)
 
 // Problem bundles everything that defines one minimization: the
-// objective, optional analytic gradients, the start point and the box
-// bounds.
+// objective, its gradient, the start point and the box bounds.
 type Problem struct {
 	F      Func      // objective (required)
 	X0     []float64 // start point (clipped into Bounds)
 	Bounds *Bounds   // box constraints (required)
 
-	// Grad, when non-nil, supplies analytic gradients. The gradient-based
-	// optimizers (L-BFGS-B, SLSQP) then skip finite differences entirely:
-	// gradients cost zero function evaluations and are counted in
-	// Result.NGev instead. Optimizers that do not use gradients ignore it.
+	// Grad supplies ∇F. The two gradient methods (L-BFGS-B, SLSQP)
+	// require it and count each call in Result.NGev, never in NFev;
+	// Nelder-Mead and COBYLA ignore it.
 	Grad GradFunc
 
 	// Deprecated: ignored; benchmark/ladder.go still sets it (ROADMAP item 1).
@@ -69,7 +67,7 @@ func Run(ctx context.Context, p Problem, opts Options) Result {
 			Message: "context cancelled before start: " + err.Error()}
 	} else {
 		res = opt.run(&runEnv{
-			f: p.F, agrad: p.Grad, x0: p.X0, bounds: p.Bounds,
+			f: p.F, grad: p.Grad, x0: p.X0, bounds: p.Bounds,
 			ctx: ctx, rec: rec, quiet: quiet, name: opt.Name(),
 		})
 	}
@@ -88,7 +86,7 @@ func Run(ctx context.Context, p Problem, opts Options) Result {
 // recorder) into the optimizer inner loops.
 type runEnv struct {
 	f      Func
-	agrad  GradFunc // non-nil: analytic gradient replaces finite differences
+	grad   GradFunc // Problem.Grad; only L-BFGS-B and SLSQP read it
 	x0     []float64
 	bounds *Bounds
 	ctx    context.Context
@@ -113,20 +111,18 @@ func (e *runEnv) emit(iter int, f, gnorm, step float64, nfev int) {
 }
 
 // gradient returns the gradient source of the two gradient-based
-// optimizers: the analytic Grad when set (a span and one NGev per call),
-// else serial central differences through cnt, so every probe counts
-// as a function call.
-func (e *runEnv) gradient(cnt *counter, ngev *int) func(dst, at []float64) {
-	if e.agrad != nil {
-		return func(dst, at []float64) {
-			end := e.rec.Span("optimize.grad")
-			e.agrad(at, dst)
-			end()
-			*ngev++
-		}
+// optimizers: Problem.Grad under an "optimize.grad" span, one NGev per
+// call. A nil Grad is a programming error, like nil Bounds.
+func (e *runEnv) gradient(ngev *int) func(dst, at []float64) {
+	if e.grad == nil {
+		panic("optimize: " + e.name + " needs Problem.Grad")
 	}
-	gws := NewGradientWorkspace(len(e.x0))
-	return func(dst, at []float64) { gws.Gradient(dst, cnt.call, at, e.bounds) }
+	return func(dst, at []float64) {
+		end := e.rec.Span("optimize.grad")
+		e.grad(at, dst)
+		end()
+		*ngev++
+	}
 }
 
 // statusOf folds the two termination booleans into a Status.

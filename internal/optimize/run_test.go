@@ -13,7 +13,7 @@ import (
 
 func TestRunDefaultsToLBFGSB(t *testing.T) {
 	b := UniformBounds(2, -2, 2)
-	r := Run(context.Background(), Problem{F: sphere([]float64{1, 1}), X0: []float64{0, 0}, Bounds: b}, Options{})
+	r := Run(context.Background(), Problem{F: sphere([]float64{1, 1}), Grad: sphereGrad([]float64{1, 1}), X0: []float64{0, 0}, Bounds: b}, Options{})
 	if r.F > 1e-5 || r.Status != Converged {
 		t.Fatalf("default Run: F=%v status=%v (%s)", r.F, r.Status, r.Message)
 	}
@@ -67,14 +67,14 @@ func TestRunCancelMidRun(t *testing.T) {
 			}
 			return rosenbrockND(x)
 		}
-		r := Run(ctx, Problem{F: f, X0: []float64{-1.2, 1, -1.2, 1}, Bounds: b}, Options{Optimizer: opt})
+		r := Run(ctx, Problem{F: f, Grad: rosenbrockNDGrad, X0: []float64{-1.2, 1, -1.2, 1}, Bounds: b}, Options{Optimizer: opt})
 		cancel()
 		if r.Status != Cancelled {
 			t.Errorf("%s: status = %v (%s), want Cancelled", opt.Name(), r.Status, r.Message)
 			continue
 		}
-		// One outer step costs at most one gradient (2n evals) plus a
-		// full line search / simplex rebuild; 3·30 evals is generous.
+		// One outer step costs at most a full line search or simplex
+		// rebuild; 3·30 evals is generous.
 		if r.NFev > 20+90 {
 			t.Errorf("%s: cancelled at call 20 but spent %d evaluations", opt.Name(), r.NFev)
 		}
@@ -92,7 +92,7 @@ func TestRunDeadlineSetsCancelled(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		return rosenbrockND(x)
 	}
-	r := Run(ctx, Problem{F: slow, X0: []float64{-1.2, 1, -1.2, 1}, Bounds: b},
+	r := Run(ctx, Problem{F: slow, Grad: rosenbrockNDGrad, X0: []float64{-1.2, 1, -1.2, 1}, Bounds: b},
 		Options{Optimizer: &LBFGSB{}})
 	if r.Status != Cancelled {
 		t.Fatalf("status = %v (%s), want Cancelled on deadline", r.Status, r.Message)
@@ -107,7 +107,7 @@ func TestRunCallbackStops(t *testing.T) {
 	for _, opt := range allOptimizers() {
 		ctx, cancel := context.WithCancel(context.Background())
 		events := 0
-		r := Run(ctx, Problem{F: rosenbrockND, X0: []float64{-1.2, 1, -1.2, 1}, Bounds: b},
+		r := Run(ctx, Problem{F: rosenbrockND, Grad: rosenbrockNDGrad, X0: []float64{-1.2, 1, -1.2, 1}, Bounds: b},
 			Options{Optimizer: opt, Recorder: telemetry.Tee(nil, func(ev telemetry.IterEvent) {
 				events++
 				if ev.Iter >= 2 {
@@ -128,10 +128,10 @@ func TestRunCallbackStops(t *testing.T) {
 // events with sane cumulative NFev.
 func TestRunEmitsTraces(t *testing.T) {
 	b := UniformBounds(3, -2, 2)
-	f := sphere([]float64{0.7, -0.3, 1.2})
+	center := []float64{0.7, -0.3, 1.2}
 	for _, opt := range allOptimizers() {
 		mem := telemetry.NewMemory()
-		r := Run(context.Background(), Problem{F: f, X0: []float64{-1, 1, 0}, Bounds: b},
+		r := Run(context.Background(), Problem{F: sphere(center), Grad: sphereGrad(center), X0: []float64{-1, 1, 0}, Bounds: b},
 			Options{Optimizer: opt, Recorder: mem})
 		trace := mem.Trace()
 		if len(trace) == 0 {
@@ -187,11 +187,11 @@ func TestRunMaxNFevCapsBudget(t *testing.T) {
 		{&COBYLA{}, 1000 * n},
 		{&COBYLA{MaxFev: 12}, 12},
 	} {
-		r := Run(context.Background(), Problem{F: rosenbrockND, X0: []float64{-1.2, 1, -1.2, 1}, Bounds: b},
+		r := Run(context.Background(), Problem{F: rosenbrockND, Grad: rosenbrockNDGrad, X0: []float64{-1.2, 1, -1.2, 1}, Bounds: b},
 			Options{Optimizer: c.opt})
-		// A gradient, line-search try or simplex rebuild may overshoot by
-		// one probe batch (2n+1).
-		if r.NFev > c.budget+2*n+1 {
+		// A line-search try or simplex rebuild may overshoot by one
+		// probe batch (n+1).
+		if r.NFev > c.budget+n+1 {
 			t.Errorf("%s: NFev = %d exceeds budget %d", c.opt.Name(), r.NFev, c.budget)
 		}
 		exhausted := r.Message == "function evaluation budget exhausted"
@@ -220,12 +220,12 @@ func TestStatusString(t *testing.T) {
 func TestStatusMatchesConvergedFlag(t *testing.T) {
 	b := UniformBounds(2, -2, 2)
 	for _, opt := range allOptimizers() {
-		easy := minimize(opt, sphere([]float64{0, 0}), []float64{1, 1}, b)
+		easy := minimize(opt, sphere([]float64{0, 0}), sphereGrad([]float64{0, 0}), []float64{1, 1}, b)
 		if easy.Status != Converged || easy.Message == "function evaluation budget exhausted" {
 			t.Errorf("%s: easy run: status %v (%s)", opt.Name(), easy.Status, easy.Message)
 		}
 	}
-	starved := minimize(&COBYLA{MaxFev: 5}, rosenbrock, []float64{-1.2, 1}, b)
+	starved := minimize(&COBYLA{MaxFev: 5}, rosenbrock, nil, []float64{-1.2, 1}, b)
 	if starved.Status != MaxIter || starved.Message != "function evaluation budget exhausted" {
 		t.Errorf("starved run: status %v (%s), want MaxIter", starved.Status, starved.Message)
 	}
@@ -238,16 +238,17 @@ func TestRunWithBatchIsBitIdenticalToSerial(t *testing.T) {
 	objectives := []struct {
 		name string
 		f    Func
+		g    GradFunc
 		b    *Bounds
 	}{
-		{"sphere", sphere([]float64{0.3, -0.2}), UniformBounds(2, -2, 2)},
-		{"rosenbrock", rosenbrock, UniformBounds(2, -2, 2)},
-		{"qaoa-like", qaoaLike, UniformBounds(2, 0, math.Pi)},
+		{"sphere", sphere([]float64{0.3, -0.2}), sphereGrad([]float64{0.3, -0.2}), UniformBounds(2, -2, 2)},
+		{"rosenbrock", rosenbrock, rosenbrockNDGrad, UniformBounds(2, -2, 2)},
+		{"qaoa-like", qaoaLike, qaoaLikeGrad, UniformBounds(2, 0, math.Pi)},
 	}
 	for _, opt := range allOptimizers() {
 		for _, obj := range objectives {
 			x0 := obj.b.Random(rng)
-			serial := Run(context.Background(), Problem{F: obj.f, X0: x0, Bounds: obj.b}, Options{Optimizer: opt})
+			serial := Run(context.Background(), Problem{F: obj.f, Grad: obj.g, X0: x0, Bounds: obj.b}, Options{Optimizer: opt})
 			batches := 0
 			batch := func(points [][]float64) []float64 {
 				batches++
@@ -257,7 +258,7 @@ func TestRunWithBatchIsBitIdenticalToSerial(t *testing.T) {
 				}
 				return out
 			}
-			batched := Run(context.Background(), Problem{F: obj.f, Batch: batch, X0: x0, Bounds: obj.b}, Options{Optimizer: opt})
+			batched := Run(context.Background(), Problem{F: obj.f, Grad: obj.g, Batch: batch, X0: x0, Bounds: obj.b}, Options{Optimizer: opt})
 			if !reflect.DeepEqual(serial, batched) {
 				t.Errorf("%s/%s from %v: batch result %+v != serial %+v", opt.Name(), obj.name, x0, batched, serial)
 			}

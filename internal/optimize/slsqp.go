@@ -14,9 +14,10 @@ import (
 //
 // is solved by 30 sweeps of cyclic coordinate descent with clipping,
 // which converges for the SPD B maintained by the damped update. It
-// takes Problem.Grad when set; otherwise gradients are central finite
-// differences, counted as function calls. It stops after 100·dim
-// iterations or 2000·dim function calls at the latest.
+// requires Problem.Grad: NFev counts objective calls and each gradient
+// is one NGev, so SciPy's count without a jac is NFev + dim·NGev. It
+// stops after 100·dim iterations or 2000·dim function calls at the
+// latest.
 type SLSQP struct {
 	Tol float64 // relative f-change / projected-gradient tolerance (default 1e-6)
 }
@@ -37,7 +38,7 @@ func (o *SLSQP) run(env *runEnv) Result {
 	maxIter, maxFev := 100*n, 2000*n
 	cnt := &counter{f: env.f}
 	ngev := 0
-	grad := env.gradient(cnt, &ngev)
+	grad := env.gradient(&ngev)
 
 	fx := cnt.call(x)
 	g := make([]float64, n)

@@ -153,7 +153,7 @@ func TestDepth1ClosedFormMatchesStateVector(t *testing.T) {
 	for _, c := range depth1Cases(t) {
 		name, pb := c.name, c.pb
 		scale, freq := coeffScale(pb.Inst)
-		h := fdStep / freq
+		h := centralStep / freq
 		ev := NewEvaluator(pb, 1)
 		ws := pb.NewWorkspace()
 		points := [][]float64{

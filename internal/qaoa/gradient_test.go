@@ -8,19 +8,19 @@ import (
 	"qaoaml/internal/graph"
 )
 
-// fdStep balances truncation (O(h²·f”')) against roundoff (O(ε|f|/h))
+// centralStep balances truncation (O(h²·f”')) against roundoff (O(ε|f|/h))
 // for objectives of magnitude ~10: both land well below the 1e-8
 // comparison tolerance.
-const fdStep = 1e-5
+const centralStep = 1e-5
 
-// centralFD estimates ∂f/∂x_i by central differences at step fdStep.
+// centralFD estimates ∂f/∂x_i by central differences at step centralStep.
 func centralFD(f func([]float64) float64, x []float64, i int) float64 {
 	xp := append([]float64(nil), x...)
-	xp[i] = x[i] + fdStep
+	xp[i] = x[i] + centralStep
 	fp := f(xp)
-	xp[i] = x[i] - fdStep
+	xp[i] = x[i] - centralStep
 	fm := f(xp)
-	return (fp - fm) / (2 * fdStep)
+	return (fp - fm) / (2 * centralStep)
 }
 
 // checkGradient compares the adjoint gradient against central finite

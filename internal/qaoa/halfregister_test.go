@@ -49,7 +49,7 @@ func scoreTable(pb *Problem) []float64 {
 type halfCase struct {
 	name string
 	pb   *Problem
-	// unit marks O(1) couplings, where central differences at fdStep
+	// unit marks O(1) couplings, where central differences at centralStep
 	// are a meaningful reference (their truncation error grows with the
 	// cube of the coupling scale).
 	unit bool
