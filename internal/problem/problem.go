@@ -99,9 +99,14 @@ type Instance struct {
 	Offset float64
 }
 
+// maxMagnitude is the largest |offset| + Σ|h| + Σ|J| Validate accepts:
+// √MaxFloat64, the largest magnitude whose square is finite.
+var maxMagnitude = math.Sqrt(math.MaxFloat64)
+
 // Validate checks structural invariants: qubit counts, finite
 // coefficients whose magnitudes also sum to a finite number (every
-// Value(z) is a signed sum of them, so that bounds them all), index
+// Value(z) is a signed sum of them, so that bounds them all) with a
+// finite square (maxMagnitude), index
 // ranges, i < j term normalization, and that at least one coupling or
 // field is non-zero (a constant Hamiltonian has nothing to optimize).
 func (in *Instance) Validate() error {
@@ -145,6 +150,12 @@ func (in *Instance) Validate() error {
 	}
 	if math.IsInf(mag, 0) {
 		return fmt.Errorf("problem: coefficients overflow: |offset| + Σ|h| + Σ|J| is not finite")
+	}
+	// The adjoint gradient multiplies λ = C|ψ⟩ by C again, so it scales
+	// as the magnitude squared: past √MaxFloat64 it overflows to ±Inf and
+	// the optimizer carries the NaN that follows into the reply.
+	if math.IsInf(mag*mag, 0) {
+		return fmt.Errorf("problem: coefficients too large: |offset| + Σ|h| + Σ|J| = %g exceeds %.4g, past which the gradient overflows", mag, maxMagnitude)
 	}
 	if !nonzero {
 		return fmt.Errorf("problem: constant Hamiltonian (all couplings and fields zero) has nothing to optimize")

@@ -353,6 +353,8 @@ func TestValidateRejects(t *testing.T) {
 		"badvars":   {Family: FamilyQUBO, Sense: Minimize, N: 2, Vars: 3, Quad: []Term{{I: 0, J: 1, W: 1}}},
 		// Finite one by one, +Inf in sum: Value(0) would be.
 		"overflow": {Family: FamilyQUBO, Sense: Minimize, N: 2, Vars: 2, Linear: []float64{1e308, 0}, Quad: []Term{{I: 0, J: 1, W: 1e308}}},
+		// Finite in sum, +Inf squared: the adjoint gradient would be.
+		"gradient-overflow": {Family: FamilyQUBO, Sense: Minimize, N: 2, Vars: 2, Linear: []float64{1e154, 0}, Quad: []Term{{I: 0, J: 1, W: 1e154}}},
 	}
 	for name, in := range cases {
 		if err := in.Validate(); err == nil {

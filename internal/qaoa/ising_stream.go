@@ -504,11 +504,11 @@ func (k *isingStreamKernel) fillGen(lo, hi int, gen []float64) {
 // which is linear in r's bits: f[r] = e^{i·scale·Δ_t(r)} doubles one bit
 // j at a time, f[2^j + r'] = f[r']·w_tj (a copy where j and t share no
 // coupling), and g doubles one bit t at a time, g[2^t + r] = g[r]·f[r].
-// That is two complex multiplies per amplitude and 1 + cb Sincos per
-// chunk, against one Sincos per amplitude for e^{i·scale·gen(z)} taken
-// directly. g[z] is a product of at most 1 + cb + cb(cb−1)/2 unit
-// factors, each a function of (lo, scale) alone, so every layout and
-// GOMAXPROCS computes the same bits.
+// That is two complex multiplies per amplitude (quantum.Mul, in assembly
+// where the CPU has AVX2) and 1 + cb Sincos per chunk, against one Sincos
+// per amplitude for e^{i·scale·gen(z)} taken directly. g[z] is a product
+// of at most 1 + cb + cb(cb−1)/2 unit factors, each a function of (lo,
+// scale) alone, so every layout and GOMAXPROCS computes the same bits.
 func (k *isingStreamKernel) fillPhase(lo int, scale float64, w, g, f []complex128) {
 	var d, p [maxStreamChunkBits]float64
 	base := k.chunkSetupFloat(uint64(lo), &d, &p)
@@ -520,29 +520,13 @@ func (k *isingStreamKernel) fillPhase(lo int, scale float64, w, g, f []complex12
 		for j := 0; j < t; j++ {
 			h := 1 << uint(j)
 			if e < end && int(k.pairLow[e]) == j {
-				phaseScale(f[h:2*h], f[:h], w[e])
+				quantum.Mul(f[h:2*h], f[:h], w[e:e+1])
 				e++
 			} else {
 				copy(f[h:2*h], f[:h])
 			}
 		}
-		phaseMul(g[bit:2*bit], g[:bit], f[:bit])
-	}
-}
-
-// phaseScale writes dst[i] = src[i]·w, phaseMul dst[i] = a[i]·b[i]:
-// fillPhase's two inner loops, over equal-length disjoint slices.
-func phaseScale(dst, src []complex128, w complex128) {
-	src = src[:len(dst)]
-	for i := range dst {
-		dst[i] = src[i] * w
-	}
-}
-
-func phaseMul(dst, a, b []complex128) {
-	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		dst[i] = a[i] * b[i]
+		quantum.Mul(g[bit:2*bit], g[:bit], f[:bit])
 	}
 }
 

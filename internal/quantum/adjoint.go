@@ -3,12 +3,11 @@ package quantum
 // This file holds the per-chunk kernels a QAOA cost kernel streams:
 // the phase separator's multiplies (MulDiagonalIndexedRange, MulRange),
 // the adjoint seed λ = C|ψ⟩ fused with the value readout
-// (SeedDiagonalRange), and the reverse sweep's fused
-// inner-product-and-unphase steps (InnerImMulIndexedRange,
-// InnerImMulRange). Each acts on one chunk [lo, lo+len) the caller
-// hands out (a fused layer's chunk or a reduction's), and the partial
-// sums combine over the fixed chunk geometry of reduce.go:
-// bit-identical at every GOMAXPROCS.
+// (SeedDiagonalRange), and the reverse sweep's inner-product-and-unphase
+// steps (InnerImMulIndexedRange, InnerImMulRange). Each acts on one chunk
+// [lo, lo+len) the caller hands out (a fused layer's chunk or a
+// reduction's), and the partial sums combine over the fixed chunk
+// geometry of reduce.go: bit-identical at every GOMAXPROCS.
 // InnerProductDiagonalRange and InnerProductSumX are the unfused
 // two-pass gradient reference the tests hold the fused sweep to.
 
@@ -28,9 +27,7 @@ func (s *State) MulDiagonalIndexedRange(lo int, idx []int32, factors []complex12
 func (s *State) MulRange(lo int, f []complex128) {
 	s.checkRange(lo, len(f))
 	amps := s.amps[lo : lo+len(f)]
-	for i, w := range f {
-		amps[i] *= w
-	}
+	Mul(amps, amps, f)
 }
 
 // SeedDiagonalRange overwrites s's amplitudes over [lo, lo+len(diag))
@@ -66,13 +63,14 @@ func (s *State) InnerProductDiagonalRange(t *State, lo int, diag []float64) (re,
 	return re, im
 }
 
-// InnerImMulIndexedRange is one chunk of an adjoint reverse stage, fused:
-// it returns the chunk's contribution to Im⟨s|D|t⟩ for the real
-// diagonal D with entries vals[idx[i]] — accumulated exactly like the
-// imaginary half of InnerProductDiagonalRange, the half the gradient
-// reads — and then multiplies both states' amplitudes by
-// factors[idx[i]], so the two states are read and the index table
-// walked once per stage instead of once per step.
+// InnerImMulIndexedRange is one chunk of an adjoint reverse stage: it
+// returns the chunk's contribution to Im⟨s|D|t⟩ for the real diagonal D
+// with entries vals[idx[i]] — accumulated exactly like the imaginary
+// half of InnerProductDiagonalRange, the half the gradient reads — and
+// then multiplies both states' amplitudes by factors[idx[i]]. The fold
+// is a read-only pass, bound by its adds' latency; the multiplies are
+// mulIndexedRange's, which run in assembly where the CPU has AVX2. An
+// index outside factors panics before anything is written.
 func (s *State) InnerImMulIndexedRange(t *State, lo int, idx []int32, vals []float64, factors []complex128) (im float64) {
 	s.checkRange(lo, len(idx))
 	t.checkRange(lo, len(idx))
@@ -81,10 +79,9 @@ func (s *State) InnerImMulIndexedRange(t *State, lo int, idx []int32, vals []flo
 	for i, k := range idx {
 		a, b := sa[i], ta[i]
 		im += (real(a)*imag(b) - imag(a)*real(b)) * vals[k]
-		f := factors[k]
-		sa[i] = a * f
-		ta[i] = b * f
 	}
+	mulIndexedRange(sa, idx, factors)
+	mulIndexedRange(ta, idx, factors)
 	return im
 }
 
@@ -98,10 +95,9 @@ func (s *State) InnerImMulRange(t *State, lo int, gen []float64, f []complex128)
 	for i, h := range gen {
 		a, b := sa[i], ta[i]
 		im += (real(a)*imag(b) - imag(a)*real(b)) * h
-		w := f[i]
-		sa[i] = a * w
-		ta[i] = b * w
 	}
+	Mul(sa, sa, f)
+	Mul(ta, ta, f)
 	return im
 }
 

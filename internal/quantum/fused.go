@@ -32,18 +32,21 @@ import (
 // the ΣX terms of reverse.go taken in lanes between the two states'
 // butterflies and folded by scalar adds in reverse.go's order (the fold
 // is a serial chain; inside the butterfly loop its latency is hidden).
-// The phase separator's two loops are assembly too (phase_amd64.s): the
+// The lone last passes, rxDuo and rxDuoMirror, are assembly in both.
+// The phase separator's loops are assembly too (phase_amd64.s): the
 // stage's factor table, math.Sincos's own algorithm on four angles per
-// register, and the indexed multiply, two amplitudes per register with
-// the factors gathered by 128-bit loads — eight bodies in all. The Go
-// bodies stay: they are the only path on other GOARCHs and older CPUs,
-// the odd tail of a run, and the oracle the assembly is tested against.
-// Still scalar: rxDuo and its ΣX terms for an even stored width's last
-// pass, the index fill, and the un-phase, seed and expectation loops.
-// Each of the last three folds one sum per chunk in a fixed amplitude
-// order — a serial chain of adds whose latency bounds the loop — so
-// lanes could only speed them up by adding in another order, which moves
-// the bits.
+// register, the indexed multiply, two amplitudes per register with the
+// factors gathered by 128-bit loads, and Mul, the element-wise multiply
+// a float phase separator builds and applies its phases with — eleven
+// bodies in all. The Go bodies stay: they are the only path on other
+// GOARCHs and older CPUs, the odd tail of a run, and the oracle the
+// assembly is tested against. Still scalar: the lone passes' ΣX terms
+// in the reverse sweep, the index fill, and the un-phase, seed and
+// expectation folds. Each fold sums one value per chunk in a fixed
+// amplitude order — a serial chain of adds whose latency bounds the
+// loop — so lanes could only speed it up by adding in another order,
+// which moves the bits; the un-phase pass folds first, read-only, and
+// then multiplies both states by the vector bodies.
 //
 // Bit-identity: each amplitude goes through exactly the same arithmetic
 // operations in the same algebraic order as FillUniform + phase +

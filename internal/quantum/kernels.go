@@ -201,8 +201,17 @@ func rxQuadLowGo(a []complex128, cc, cm, mm float64) {
 // rxDuo applies the single-qubit RX butterfly c·I − i·s·X to every
 // pair (p0[k], p1[k]) — the target bit clear and set — in real
 // arithmetic on the components (see rxMix for why that equals the
-// complex 2×2 product). The slices are equal-length and disjoint.
+// complex 2×2 product). The slices are equal-length and disjoint. Like
+// rxQuad, it runs the even-length prefix in assembly where it can.
 func rxDuo(p0, p1 []complex128, c, s float64) {
+	p1 = p1[:len(p0)]
+	if k := rxDuoVec(p0, p1, c, s); k < len(p0) {
+		rxDuoGo(p0[k:], p1[k:], c, s)
+	}
+}
+
+// rxDuoGo is rxDuo's portable body (see rxQuadGo).
+func rxDuoGo(p0, p1 []complex128, c, s float64) {
 	p1 = p1[:len(p0)]
 	for k, x := range p0 {
 		y := p1[k]
@@ -229,6 +238,43 @@ func mulIndexedGo(amps []complex128, idx []int32, factors []complex128) {
 	amps = amps[:len(idx)]
 	for i, k := range idx {
 		amps[i] *= factors[k]
+	}
+}
+
+// Mul sets dst[i] = a[i]·b[i], Go's complex product, for every i <
+// len(dst) — or a[i]·b[0] when b holds one factor. a is as long as dst,
+// and dst is a itself or disjoint from it. Where the CPU has AVX2 the
+// even-length prefix runs in assembly (rx_amd64.go); mulGo and scaleGo
+// do the rest, to the same bits.
+func Mul(dst, a, b []complex128) {
+	a = a[:len(dst)]
+	if len(b) != 1 {
+		b = b[:len(dst)]
+	}
+	k := mulVec(dst, a, b)
+	if k == len(dst) {
+		return
+	}
+	if len(b) == 1 {
+		scaleGo(dst[k:], a[k:], b[0])
+		return
+	}
+	mulGo(dst[k:], a[k:], b[k:])
+}
+
+// mulGo and scaleGo are Mul's portable bodies (see mulIndexedGo): the
+// element-wise product and the one by a single factor w.
+func mulGo(dst, a, b []complex128) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] * b[i]
+	}
+}
+
+func scaleGo(dst, a []complex128, w complex128) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] * w
 	}
 }
 

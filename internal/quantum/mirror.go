@@ -64,9 +64,20 @@ func mirrorRange(amps []complex128, n, rlo, rhi int, k rxCoef) {
 }
 
 // rxDuoMirror is rxDuo on a reversed partner: pair k is (p0[k],
-// p1[len−1−k]). The loop condition keeps both the ascending and the
-// descending index in range, so the body carries no bounds check.
+// p1[len−1−k]). Like rxQuadMirror, it runs an even number of leading
+// pairs in assembly where it can.
 func rxDuoMirror(p0, p1 []complex128, c, s float64) {
+	n := len(p0)
+	p1 = p1[:n]
+	if k := rxDuoMirrorVec(p0, p1, c, s); k < n {
+		rxDuoMirrorGo(p0[k:], p1[:n-k], c, s)
+	}
+}
+
+// rxDuoMirrorGo is rxDuoMirror's portable body (see rxQuadGo). The loop
+// condition keeps both the ascending and the descending index in range,
+// so the body carries no bounds check.
+func rxDuoMirrorGo(p0, p1 []complex128, c, s float64) {
 	n := len(p0)
 	p1 = p1[:n]
 	for k, j := 0, n-1; k < n && uint(j) < uint(n); k, j = k+1, j-1 {

@@ -1,11 +1,12 @@
 #include "textflag.h"
 
-// AVX2 bodies of the phase separator's two loops (kernels.go): the factor
-// table PhaseFactors fills once per stage, and the indexed multiply
-// mulIndexedRange applies per chunk. Like the butterflies in rx_amd64.s
-// they repeat their Go twins operation for operation, each lane rounded as
-// the scalar MULSD/ADDSD/SUBSD round, with no FMA, so they return the Go
-// bodies' bits.
+// AVX2 bodies of the phase separator's loops (kernels.go): the factor
+// table PhaseFactors fills once per stage, the indexed multiply
+// mulIndexedRange applies per chunk, and the element-wise multiply Mul
+// that a float phase separator builds and applies its chunk phases with.
+// Like the butterflies in rx_amd64.s they repeat their Go twins operation
+// for operation, each lane rounded as the scalar MULSD/ADDSD/SUBSD round,
+// with no FMA, so they return the Go bodies' bits.
 
 // CONST4 defines a 32-byte read-only constant: one float64 bit pattern in
 // all four lanes, for use as a VEX memory operand.
@@ -158,15 +159,25 @@ done:
 	VZEROUPPER
 	RET
 
-// func mulIndexedAVX2(amps *complex128, idx *int32, n int, factors *complex128, nf int) int
-//
-// amps[i] *= factors[idx[i]] for i in [0, n), n even and at least 2, two
-// amplitudes per register. Go's complex product is
+// The complex multiplies, two amplitudes per register. Go's complex
+// product a·f is
 //
 //	re = ar·fr − ai·fi,  im = ar·fi + ai·fr
 //
-// and here [ar, ai]·[fr, fr] (VMOVDDUP) and [ai, ar]·[fi, fi] (VPERMILPD)
-// meet in VADDSUBPD: subtract in the even lanes, add in the odd ones. Each
+// and CMUL forms [ar, ai]·[fr, fr] and [ai, ar]·[fi, fi] and meets them in
+// VADDSUBPD: subtract in the even lanes, add in the odd ones. It takes a
+// in Y0 and the registers holding [fr, fr] and [fi, fi], leaves a·f in Y2
+// and clobbers Y3.
+#define CMUL(fr, fi) \
+	VPERMILPD $5, Y0, Y3 /* [ai, ar] */ \
+	VMULPD    fi, Y3, Y3 \
+	VMULPD    fr, Y0, Y2 \
+	VADDSUBPD Y3, Y2, Y2
+
+// func mulIndexedAVX2(amps *complex128, idx *int32, n int, factors *complex128, nf int) int
+//
+// amps[i] *= factors[idx[i]] for i in [0, n), n even and at least 2, the
+// factors gathered by 128-bit loads. Each
 // index is compared with nf as unsigned, so a negative one fails too; a
 // pair holding a bad index stops the body before it writes anything of
 // that pair, and the return value says how many amplitudes it did, so
@@ -193,10 +204,7 @@ pair:
 	VMOVUPD     (DI), Y0                  // [ar0, ai0, ar1, ai1]
 	VMOVDDUP    Y1, Y2                    // [fr, fr]
 	VPERMILPD   $15, Y1, Y1               // [fi, fi]
-	VPERMILPD   $5, Y0, Y3                // [ai, ar]
-	VMULPD      Y2, Y0, Y2
-	VMULPD      Y1, Y3, Y1
-	VADDSUBPD   Y1, Y2, Y2
+	CMUL(Y2, Y1)
 	VMOVUPD     Y2, (DI)
 	ADDQ        $32, DI
 	ADDQ        $2, AX
@@ -205,5 +213,48 @@ pair:
 
 stop:
 	MOVQ       AX, ret+40(FP)
+	VZEROUPPER
+	RET
+
+// func mulAVX2(dst, a, b *complex128, n int, bcast bool)
+//
+// dst[i] = a[i]·b[i] for i in [0, n), n even and at least 2 — with bcast,
+// a[i]·b[0], whose [fr, fr] and [fi, fi] are formed once. dst is a or
+// disjoint from it: each pair is loaded before it is stored.
+TEXT ·mulAVX2(SB), NOSPLIT, $0-33
+	MOVQ    dst+0(FP), DI
+	MOVQ    a+8(FP), SI
+	MOVQ    b+16(FP), DX
+	MOVQ    n+24(FP), CX
+	SHLQ    $4, CX
+	XORQ    AX, AX
+	MOVBQZX bcast+32(FP), R8
+	TESTQ   R8, R8
+	JNZ     scale
+
+mul:
+	VMOVUPD   (SI)(AX*1), Y0
+	VMOVDDUP  (DX)(AX*1), Y2      // [br, br]
+	VPERMILPD $15, (DX)(AX*1), Y1 // [bi, bi]
+	CMUL(Y2, Y1)
+	VMOVUPD   Y2, (DI)(AX*1)
+	ADDQ      $32, AX
+	CMPQ      AX, CX
+	JLT       mul
+	VZEROUPPER
+	RET
+
+scale:
+	VBROADCASTF128 (DX), Y4    // [br, bi, br, bi]
+	VMOVDDUP       Y4, Y5      // [br, br]
+	VPERMILPD      $15, Y4, Y4 // [bi, bi]
+
+scalepair:
+	VMOVUPD (SI)(AX*1), Y0
+	CMUL(Y5, Y4)
+	VMOVUPD Y2, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     scalepair
 	VZEROUPPER
 	RET

@@ -167,3 +167,48 @@ func TestPhaseKernelMulIndexedBadIndexPanics(t *testing.T) {
 		}
 	}
 }
+
+// Mul against its Go bodies on every length of loneKernelLengths: into a
+// disjoint buffer and in place (MulRange and the un-phase multiply with
+// dst == a), by a run of factors and by one (fillPhase's doubling with a
+// pair rotation), each slice at an even and an odd element of its
+// buffer, with ±0, subnormals, ±Inf and NaN payloads among the
+// components; the guards around dst must come out as they went in.
+func TestPhaseKernelMulMatchesGoBodies(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(33))
+	for _, nonFinite := range []bool{false, true} {
+		for _, n := range loneKernelLengths {
+			for off := 0; off <= 1; off++ {
+				for _, inPlace := range []bool{false, true} {
+					for _, bcast := range []bool{false, true} {
+						name := fmt.Sprintf("Mul n=%d offset=%d inPlace=%v bcast=%v nonFinite=%v", n, off, inPlace, bcast, nonFinite)
+						a := loneKernelInput(rng, n+2, nonFinite)[1-off : 1-off+n]
+						b := loneKernelInput(rng, n+1, nonFinite)[off : off+n]
+						if bcast {
+							b = loneKernelInput(rng, 1, nonFinite)
+						}
+						want := loneKernelInput(rng, n+3, nonFinite)
+						if inPlace {
+							copy(want[off:off+n], a)
+						}
+						got := append([]complex128(nil), want...)
+						src := func(buf []complex128) []complex128 {
+							if inPlace {
+								return buf[off : off+n]
+							}
+							return a
+						}
+						if bcast {
+							scaleGo(want[off:off+n], src(want), b[0])
+						} else {
+							mulGo(want[off:off+n], src(want), b)
+						}
+						Mul(got[off:off+n], src(got), b)
+						requireSameBits(t, name, want, got)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package quantum
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -38,6 +39,78 @@ func FuzzPhaseFactors(f *testing.F) {
 			}
 		})
 	})
+}
+
+// FuzzRXKernelDuoMul feeds amplitude bit patterns, two runs of up to 9
+// amplitudes, and an angle to the lone butterflies and to Mul on every
+// body this CPU has, and requires the Go bodies' bits: rxDuo, then
+// rxDuoMirror on its output, and Mul of the runs element-wise and by the
+// second run's first factor, each into a third buffer and in place.
+func FuzzRXKernelDuoMul(f *testing.F) {
+	bits := math.Float64bits
+	le := func(xs ...float64) []byte {
+		var out []byte
+		for _, x := range xs {
+			out = binary.LittleEndian.AppendUint64(out, bits(x))
+		}
+		return out
+	}
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	f.Add(bits(0.4), le(0.1, -0.7, 2.5, 1e-3, -1, 0.25, 3, -2))
+	f.Add(bits(math.Pi), le(0, negZero, nan, math.Inf(1), math.Inf(-1), 1e-310, -2.2e-308, 1e300, 5e-324, 1, -1, 0))
+	f.Add(bits(negZero), le(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20))
+	f.Add(uint64(0x7ff0000000000001), le(math.Float64frombits(0xfff8000000000123), 1, 1e-300, -1e300, 0.5, 0.5))
+	f.Fuzz(func(t *testing.T, theta uint64, data []byte) {
+		vals := make([]complex128, min(len(data)/16, 18))
+		for i := range vals {
+			re, im := binary.LittleEndian.Uint64(data[16*i:]), binary.LittleEndian.Uint64(data[16*i+8:])
+			vals[i] = complex(math.Float64frombits(re), math.Float64frombits(im))
+		}
+		n := len(vals) / 2
+		k := newRXCoef(math.Float64frombits(theta))
+		forEachKernel(func(kernel string) {
+			want, got := append([]complex128(nil), vals[:2*n]...), append([]complex128(nil), vals[:2*n]...)
+			rxDuoGo(want[:n], want[n:], k.c, k.s)
+			rxDuo(got[:n], got[n:], k.c, k.s)
+			requireSameBits(t, kernel+" rxDuo", want, got)
+			rxDuoMirrorGo(want[:n], want[n:], k.c, k.s)
+			rxDuoMirror(got[:n], got[n:], k.c, k.s)
+			requireSameBits(t, kernel+" rxDuoMirror", want, got)
+
+			x, y := vals[:n], vals[n:2*n]
+
+			for _, b := range [][]complex128{y, y[:min(n, 1)]} {
+				want, got := make([]complex128, n), make([]complex128, n)
+				if len(b) == n {
+					mulGo(want, x, b)
+				} else if n > 0 {
+					scaleGo(want, x, b[0])
+				}
+				Mul(got, x, b)
+				requireSameBits(t, fmt.Sprintf("%s Mul by %d", kernel, len(b)), want, got)
+				inPlace := append([]complex128(nil), x...)
+				Mul(inPlace, inPlace, b)
+				requireSameBits(t, fmt.Sprintf("%s Mul in place by %d", kernel, len(b)), want, inPlace)
+			}
+		})
+	})
+}
+
+// sameFloatBits and requireSameBits compare by bit pattern, NaNs as
+// NaNs (see rx_amd64_test.go).
+func sameFloatBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+func requireSameBits(t *testing.T, name string, want, got []complex128) {
+	t.Helper()
+	for i := range want {
+		if !sameFloatBits(real(want[i]), real(got[i])) || !sameFloatBits(imag(want[i]), imag(got[i])) {
+			t.Fatalf("%s: amplitude %d: assembly (%x, %x), Go body (%x, %x)", name, i,
+				math.Float64bits(real(got[i])), math.Float64bits(imag(got[i])),
+				math.Float64bits(real(want[i])), math.Float64bits(imag(want[i])))
+		}
+	}
 }
 
 // benchKernels runs op reps times per body and iteration, the bodies in

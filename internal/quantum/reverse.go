@@ -38,7 +38,10 @@ import "math/bits"
 //     loop body carrying all 16 amplitudes of a quadruple pair spills
 //     registers and runs 1.5× slower per state than rxQuad. The assembly
 //     fits a quadruple pair of one state, the other's sums, the fold and
-//     the coefficients in the 16 YMM registers.)
+//     the coefficients in the 16 YMM registers.) Where the CPU has AVX2
+//     the butterfly loops are still assembly — the lone butterflies'
+//     rxDuo and rxDuoMirror bodies, rxQuad's even prefix — so of a lone
+//     pass only the ΣX terms are scalar.
 //
 // Either way the butterflies are the forward sweep's operation for
 // operation, so both states come out bit-identical to two Layer(theta,

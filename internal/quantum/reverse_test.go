@@ -102,7 +102,8 @@ func TestReverseMixerPanicsOnMismatch(t *testing.T) {
 // amplitude, per body (forEachKernel). n8 is a single chunk, n16 and n20
 // add cross-chunk passes (run on the calling goroutine at GOMAXPROCS=1);
 // n7-half and n19-half are the half registers of paper_n8 and whale_n20,
-// whose last pass is the mirror body's.
+// whose last pass is the mirror body's; n13 and n12-half end in a lone
+// butterfly, revDuo's and revDuoMirror's.
 func BenchmarkReverseMixer(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -114,6 +115,8 @@ func BenchmarkReverseMixer(b *testing.B) {
 		{"n20", 20, false},
 		{"n7-half", 7, true},
 		{"n19-half", 19, true},
+		{"n13", 13, false},
+		{"n12-half", 12, true},
 	} {
 		forEachKernel(func(kernel string) {
 			b.Run(c.name+"/"+kernel, func(b *testing.B) {

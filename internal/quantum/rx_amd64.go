@@ -1,12 +1,13 @@
 package quantum
 
-// AVX2 dispatch for the eight assembly bodies: the three quadruple
-// butterflies and their two-state forms (rx_amd64.s), and the phase
-// separator's factor table and indexed multiply (phase_amd64.s). rxQuad,
-// rxQuadLow, rxQuadMirror, the reverse sweep, PhaseFactors and
-// mulIndexedRange hand them the part of their input that fills whole YMM
-// registers and finish the rest in Go. The choice is made once, from the
-// CPU alone.
+// AVX2 dispatch for the eleven assembly bodies: the three quadruple
+// butterflies, their two-state forms and the two lone butterflies
+// (rx_amd64.s), and the phase separator's factor table, indexed multiply
+// and element-wise multiply (phase_amd64.s). rxQuad, rxQuadLow,
+// rxQuadMirror, rxDuo, rxDuoMirror, the reverse sweep, PhaseFactors,
+// mulIndexedRange and Mul hand them the part of their input that fills
+// whole YMM registers and finish the rest in Go. The choice is made once,
+// from the CPU alone.
 
 // useAVX2 reports whether the CPU and the OS support AVX2.
 var useAVX2 = detectAVX2()
@@ -52,10 +53,19 @@ func revQuadMirrorAVX2(p00, p01, p10, p11, l00, l01, l10, l11 *complex128, n int
 func revQuadLowAVX2(p, l *complex128, quads int, cc, cm, mm float64) float64
 
 //go:noescape
+func rxDuoAVX2(p0, p1 *complex128, n int, c, s float64)
+
+//go:noescape
+func rxDuoMirrorAVX2(p0, p1 *complex128, n int, c, s float64)
+
+//go:noescape
 func phaseFactorsAVX2(factors *complex128, gens *float64, n int, gamma, sign float64) int
 
 //go:noescape
 func mulIndexedAVX2(amps *complex128, idx *int32, n int, factors *complex128, nf int) int
+
+//go:noescape
+func mulAVX2(dst, a, b *complex128, n int, bcast bool)
 
 // Kernel names the bodies the mixer butterflies and the phase separator
 // run: "avx2" for the assembly, "go" for the portable bodies. Both return
@@ -145,6 +155,30 @@ func rxQuadLowVec(a []complex128, cc, cm, mm float64) int {
 	return len(a) &^ 3
 }
 
+// rxDuoVec applies rxDuo's butterfly to the even-length prefix of two
+// equal-length runs in assembly and returns that prefix's length.
+func rxDuoVec(p0, p1 []complex128, c, s float64) int {
+	if !useAVX2 || len(p0) < 2 {
+		return 0
+	}
+	n := len(p0) &^ 1
+	rxDuoAVX2(&p0[0], &p1[0], n, c, s)
+	return n
+}
+
+// rxDuoMirrorVec applies rxDuoMirror's butterfly to pairs [0, k) of two
+// equal-length runs, k even, in assembly and returns k: the ascending
+// prefix of p0 against the descending suffix of p1.
+func rxDuoMirrorVec(p0, p1 []complex128, c, s float64) int {
+	if !useAVX2 || len(p0) < 2 {
+		return 0
+	}
+	odd := len(p0) & 1
+	n := len(p0) - odd
+	rxDuoMirrorAVX2(&p0[0], &p1[odd], n, c, s)
+	return n
+}
+
 // The two-state steps un-apply one sub-run from φ and from λ in assembly
 // and return its ΣX fold; ok is false when they did nothing. They take a
 // sub-run whole or not at all — an odd length goes to the Go bodies: the
@@ -211,4 +245,16 @@ func mulIndexedVec(amps []complex128, idx []int32, factors []complex128) int {
 		return 0
 	}
 	return mulIndexedAVX2(&amps[0], &idx[0], len(idx)&^1, &factors[0], len(factors))
+}
+
+// mulVec sets the even-length prefix of dst to Mul's products in
+// assembly and returns its length. a is as long as dst, b as long or
+// one factor long.
+func mulVec(dst, a, b []complex128) int {
+	if !useAVX2 || len(dst) < 2 {
+		return 0
+	}
+	n := len(dst) &^ 1
+	mulAVX2(&dst[0], &a[0], &b[0], n, len(b) == 1)
+	return n
 }

@@ -1,7 +1,8 @@
 #include "textflag.h"
 
-// AVX2 bodies of the three quadruple butterflies (kernels.go, mirror.go)
-// and of their two-state forms, the reverse sweep's (reverse.go). One YMM
+// AVX2 bodies of the three quadruple butterflies (kernels.go, mirror.go),
+// of their two-state forms, the reverse sweep's (reverse.go), and of the
+// two lone butterflies (at the end of this file). One YMM
 // register holds two complex128 as [re0, im0, re1, im1], so each loop
 // iteration carries two quadruples. Every output is rxMix's expression,
 // operation for operation and in its association order:
@@ -371,6 +372,90 @@ revlow:
 	DECQ         CX
 	JNZ          revlow
 	VMOVSD       X12, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// The lone butterflies (kernels.go, mirror.go): rxDuo's
+//
+//	p0 = complex(c·re x + s·im y, c·im x − s·re y)
+//	p1 = complex(c·re y + s·im x, c·im y − s·re x)
+//
+// for a pair (x, y), two pairs per register. Each output is c·x plus the
+// product of [s, −s] and the swapped partner, [im y, re y]: the
+// subtraction becomes an add of a sign-masked product, and x − p and
+// x + (−p) round alike, so VMULPD, VMULPD, VADDPD give the Go body's
+// bits. Y13 holds c broadcast and Y14 [s, −s, s, −s]; DUO takes x, y in
+// Y0, Y1 and leaves the outputs in Y2, Y3, clobbering Y4, Y5.
+DATA duoSign<>+0(SB)/8, $0
+DATA duoSign<>+8(SB)/8, $0x8000000000000000
+DATA duoSign<>+16(SB)/8, $0
+DATA duoSign<>+24(SB)/8, $0x8000000000000000
+GLOBL duoSign<>(SB), RODATA|NOPTR, $32
+
+#define DUOCOEF \
+	VBROADCASTSD c+24(FP), Y13 \
+	VBROADCASTSD s+32(FP), Y14 \
+	VXORPD       duoSign<>(SB), Y14, Y14
+
+#define DUO \
+	VPERMILPD $5, Y1, Y4  /* [im y, re y] */ \
+	VPERMILPD $5, Y0, Y5  /* [im x, re x] */ \
+	VMULPD    Y14, Y4, Y4 /* [s·im y, −s·re y] */ \
+	VMULPD    Y14, Y5, Y5 \
+	VMULPD    Y13, Y0, Y2 /* c·x */ \
+	VMULPD    Y13, Y1, Y3 /* c·y */ \
+	VADDPD    Y4, Y2, Y2  \
+	VADDPD    Y5, Y3, Y3
+
+// func rxDuoAVX2(p0, p1 *complex128, n int, c, s float64)
+//
+// n ≥ 2 pairs (p0[k], p1[k]), n even.
+TEXT ·rxDuoAVX2(SB), NOSPLIT, $0-40
+	MOVQ p0+0(FP), SI
+	MOVQ p1+8(FP), DI
+	MOVQ n+16(FP), CX
+	DUOCOEF
+	SHLQ $4, CX
+	XORQ AX, AX
+
+duo:
+	VMOVUPD (SI)(AX*1), Y0
+	VMOVUPD (DI)(AX*1), Y1
+	DUO
+	VMOVUPD Y2, (SI)(AX*1)
+	VMOVUPD Y3, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     duo
+	VZEROUPPER
+	RET
+
+// func rxDuoMirrorAVX2(p0, p1 *complex128, n int, c, s float64)
+//
+// n ≥ 2 pairs (p0[k], p1[n−1−k]), n even: the descending partners are
+// loaded from their lower address and their 128-bit lanes exchanged, on
+// the way in and on the way out, as in rxQuadMirrorAVX2.
+TEXT ·rxDuoMirrorAVX2(SB), NOSPLIT, $0-40
+	MOVQ p0+0(FP), SI
+	MOVQ p1+8(FP), DI
+	MOVQ n+16(FP), CX
+	DUOCOEF
+	SHLQ $4, CX
+	XORQ AX, AX         // ascending byte offset
+	LEAQ -32(CX), BX    // descending byte offset: elements n−2, n−1
+
+duomirror:
+	VMOVUPD    (SI)(AX*1), Y0
+	VMOVUPD    (DI)(BX*1), Y1
+	VPERM2F128 $1, Y1, Y1, Y1
+	DUO
+	VPERM2F128 $1, Y3, Y3, Y3
+	VMOVUPD    Y2, (SI)(AX*1)
+	VMOVUPD    Y3, (DI)(BX*1)
+	SUBQ       $32, BX
+	ADDQ       $32, AX
+	CMPQ       AX, CX
+	JLT        duomirror
 	VZEROUPPER
 	RET
 

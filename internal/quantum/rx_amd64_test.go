@@ -64,21 +64,6 @@ func rxKernelInput(rng *rand.Rand, n int, nonFinite bool) []complex128 {
 	return out
 }
 
-func sameFloatBits(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
-}
-
-func requireSameBits(t *testing.T, name string, want, got []complex128) {
-	t.Helper()
-	for i := range want {
-		if !sameFloatBits(real(want[i]), real(got[i])) || !sameFloatBits(imag(want[i]), imag(got[i])) {
-			t.Fatalf("%s: amplitude %d: assembly (%x, %x), Go body (%x, %x)", name, i,
-				math.Float64bits(real(got[i])), math.Float64bits(imag(got[i])),
-				math.Float64bits(real(want[i])), math.Float64bits(imag(want[i])))
-		}
-	}
-}
-
 // Every run length from 1 to 33 (the odd ones leave a tail to the Go
 // body), each starting at an even and at an odd element of its buffer —
 // 32-byte aligned or only 16 — with the guard elements around the runs
@@ -112,6 +97,66 @@ func TestRXKernelAVX2MatchesGoBodies(t *testing.T) {
 					rxQuadLowGo(want[off:off+n], k.cc, k.cm, k.mm)
 					rxQuadLow(got[off:off+n], k.cc, k.cm, k.mm)
 					requireSameBits(t, "rxQuadLow "+name, want, got)
+				}
+			}
+		}
+	}
+}
+
+// loneKernelLengths are the run lengths the lone butterflies and the
+// complex multiply are checked on: every length a register's tail can
+// leave (0 to 9, the odd ones handing one element to the Go body) and
+// 2¹³, the last pass of an n = 14 register or a whole chunk.
+var loneKernelLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1 << 13}
+
+// loneKernelInput is rxKernelInput with, when nonFinite is set, one
+// component in sixteen replaced by a NaN of random sign and payload,
+// quiet or signalling.
+func loneKernelInput(rng *rand.Rand, n int, nonFinite bool) []complex128 {
+	out := rxKernelInput(rng, n, nonFinite)
+	if !nonFinite {
+		return out
+	}
+	nan := func(x float64) float64 {
+		if rng.Intn(16) != 0 {
+			return x
+		}
+		return math.Float64frombits(0x7ff0000000000001 | rng.Uint64()&0x800fffffffffffff)
+	}
+	for i, a := range out {
+		out[i] = complex(nan(real(a)), nan(imag(a)))
+	}
+	return out
+}
+
+// The lone butterflies against their Go bodies: rxDuo on two runs and,
+// on its output, rxDuoMirror, whose odd lengths leave the middle pair to
+// the Go body with its partner at the front of p1. Each run starts at an
+// even and an odd element of its buffer, and the guards around the runs
+// must come out as they went in. θ = −0 gives s = −0, a NaN angle NaN
+// coefficients.
+func TestRXKernelDuoMatchesGoBodies(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(22))
+	thetas := []float64{0, math.Copysign(0, -1), math.Pi / 2, -math.Pi / 2, math.Pi, 6 * (rng.Float64() - 0.5), math.NaN()}
+	for _, nonFinite := range []bool{false, true} {
+		for _, theta := range thetas {
+			k := newRXCoef(theta)
+			for _, n := range loneKernelLengths {
+				stride := n + 3
+				for off := 0; off <= 1; off++ {
+					want := loneKernelInput(rng, 2*stride, nonFinite)
+					got := append([]complex128(nil), want...)
+					run := func(buf []complex128, i int) []complex128 { return buf[i*stride+off : i*stride+off+n] }
+					name := fmt.Sprintf("n=%d offset=%d θ=%v nonFinite=%v", n, off, theta, nonFinite)
+
+					rxDuoGo(run(want, 0), run(want, 1), k.c, k.s)
+					rxDuo(run(got, 0), run(got, 1), k.c, k.s)
+					requireSameBits(t, "rxDuo "+name, want, got)
+
+					rxDuoMirrorGo(run(want, 0), run(want, 1), k.c, k.s)
+					rxDuoMirror(run(got, 0), run(got, 1), k.c, k.s)
+					requireSameBits(t, "rxDuoMirror "+name, want, got)
 				}
 			}
 		}

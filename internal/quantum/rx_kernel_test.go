@@ -295,6 +295,10 @@ func TestLayerAgreesWithCircuitSimulator(t *testing.T) {
 // quadruples), where call overhead is all there is to lose. n7-layer is
 // the same mixer through LayerRunner.Layer, whose one-chunk low sweep
 // calls each pass's body once (rxChunkVec, rxMirrorVec) instead.
+// n13-layer and n12-mirror-layer are whole one-chunk mixers that end in
+// a lone butterfly: the odd final qubit's rxDuo on a full register, the
+// unfused mirror's rxDuoMirror on a half register of even stored width
+// (serve_cold_mix's n = 13 requests).
 func BenchmarkRXQuad(b *testing.B) {
 	k := newRXCoef(0.4)
 	for _, c := range []struct {
@@ -312,13 +316,15 @@ func BenchmarkRXQuad(b *testing.B) {
 		{"mirror", 15, nil, true, false},
 		{"n7", 7, []int{0, 2, 4}, true, false},
 		{"n7-layer", 7, []int{0, 2, 4}, true, true},
+		{"n13-layer", 13, []int{0, 2, 4, 6, 8, 10}, false, true},
+		{"n12-mirror-layer", 12, []int{0, 2, 4, 6, 8, 10}, true, true},
 	} {
 		forEachKernel(func(kernel string) {
 			b.Run(c.name+"/"+kernel, func(b *testing.B) {
 				s := randomParallelState(c.n, 7)
 				touched := len(s.amps) * len(c.pairs)
-				if c.mirror {
-					touched += len(s.amps)
+				if c.mirror || c.layer && c.n%2 == 1 {
+					touched += len(s.amps) // the last pass
 				}
 				r := NewLayerRunner(s)
 				r.SetMirror(c.mirror)

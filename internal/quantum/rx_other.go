@@ -4,8 +4,8 @@ package quantum
 
 // Off amd64 the butterflies and the phase separator have no assembly: the
 // vector steps handle nothing, the compiler inlines them away, and rxQuad,
-// rxQuadLow, rxQuadMirror, the reverse sweep's revQuad*, PhaseFactors and
-// mulIndexedRange are their Go bodies.
+// rxQuadLow, rxQuadMirror, rxDuo, rxDuoMirror, the reverse sweep's
+// revQuad*, PhaseFactors, mulIndexedRange and Mul are their Go bodies.
 
 // Kernel names the bodies the mixer butterflies and the phase separator
 // run: always "go" here (see rx_amd64.go).
@@ -18,6 +18,10 @@ func rxQuadRunsVec(blk []complex128, run int, cc, cm, mm float64) bool { return 
 func rxQuadMirrorVec(p00, p01, p10, p11 []complex128, cc, cm, mm float64) int { return 0 }
 
 func rxQuadLowVec(a []complex128, cc, cm, mm float64) int { return 0 }
+
+func rxDuoVec(p0, p1 []complex128, c, s float64) int { return 0 }
+
+func rxDuoMirrorVec(p0, p1 []complex128, c, s float64) int { return 0 }
 
 func rxChunkVec(a []complex128, k rxCoef) bool { return false }
 
@@ -40,3 +44,5 @@ func phaseFactorsVec(factors []complex128, gens []float64, gamma, sign float64) 
 }
 
 func mulIndexedVec(amps []complex128, idx []int32, factors []complex128) int { return 0 }
+
+func mulVec(dst, a, b []complex128) int { return 0 }

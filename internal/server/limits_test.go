@@ -24,6 +24,52 @@ func serveRaw(h http.Handler, r *http.Request) (int, string) {
 	return w.Code, doc.Error
 }
 
+// requireHealthy fails the test unless GET /healthz answers 200.
+func requireHealthy(t *testing.T, url, after string) {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatalf("after %s: %v", after, err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("after %s: /healthz status %d", after, resp.StatusCode)
+	}
+}
+
+// Coefficients each finite, summing to a finite magnitude whose square
+// is not, are refused at the HTTP boundary with the bound in the
+// message: the adjoint gradient scales as that square, so a solve would
+// overflow to ±Inf and NaN and answer 500 while encoding its reply. One
+// request per family that can reach it — maxksat by clause weights, a
+// QUBO and a portfolio just past the bound — and /healthz stays 200.
+func TestHugeCoefficientsRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	const run = `"depth":2,"strategy":"naive","wait":true}`
+	for name, body := range map[string]string{
+		"maxksat":   `{"problem":"maxksat","vars":3,"clauses":[[1,2],[-1,3]],"clause_weights":[1e308,1e308],` + run,
+		"qubo":      `{"problem":"qubo","nodes":2,"linear":[1e154,0],"quad":[{"i":0,"j":1,"w":1e154}],` + run,
+		"portfolio": `{"problem":"portfolio","returns":[1e153,2e153,3e153],"covariance":[[1e153,0,0],[0,1e153,0],[0,0,1e153]],"risk_aversion":0.5,"budget":1,` + run,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Error string `json:"error"`
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil {
+			err = json.Unmarshal(raw, &doc)
+		}
+		if err != nil || resp.StatusCode/100 != 4 || !strings.Contains(doc.Error, "exceeds 1.341e+154") {
+			t.Errorf("%s: status %d %s (%v), want a 4xx naming the bound 1.341e+154", name, resp.StatusCode, raw, err)
+		}
+		requireHealthy(t, ts.URL, name)
+	}
+}
+
 // The body limits hold at the HTTP boundary, and refusing a body never
 // takes the server down: an oversize body is a 400 on both endpoints, a
 // forged Content-Length (above the limit or at it) buys no allocation of
@@ -32,17 +78,7 @@ func serveRaw(h http.Handler, r *http.Request) (int, string) {
 func TestBodyLimits(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	h := s.Handler()
-	healthy := func(after string) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatalf("after %s: %v", after, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("after %s: /healthz status %d", after, resp.StatusCode)
-		}
-	}
+	healthy := func(after string) { t.Helper(); requireHealthy(t, ts.URL, after) }
 	healthy("start")
 
 	const tooLarge = "decoding request: http: request body too large"

@@ -1,34 +1,37 @@
 #!/usr/bin/env bash
 # Bounds-check gate for the mixer, ΣX and float-phase kernels. The inner
 # loops of the butterflies' Go bodies (rxQuadGo, rxQuadLowGo,
-# rxQuadMirrorGo — the fallback, the odd tail and the oracle of the AVX2
-# assembly — and rxDuo, rxDuoMirror), the entry points that dispatch
-# between the two (rxQuad, rxQuadLow, rxQuadMirror, the pair-pass walk
-# rxQuadRange and the two-state sweep's revQuad, revQuadLow,
-# revQuadMirror, revQuadChunk, whose sub-run loops hand equal-length
-# re-slices to either body), the sweep's ΣX terms (sumXQuad, sumXQuadLow,
-# sumXDuo, sumXQuadMirror, sumXDuoMirror — the Go path and the oracle of
-# the fused assembly; the mirror forms run one index ascending, one
-# descending, both held in range by the loop condition), the ΣX oracle
-# (sumXPartial, sumXRun), the float stream kernel's per-amplitude
-# complex multiplies (State.MulRange, State.InnerImMulRange, and
-# fillPhase's two doubling loops phaseScale, phaseMul in internal/qaoa),
-# the phase separator's Go bodies and their dispatchers (PhaseFactors,
-# phaseFactorsGo, mulIndexedRange, mulIndexedGo) and the kernel
-# builders' term-by-term table sums (addTerm, addRuns) iterate
-# equal-length sub-slices so the compiler can drop every per-element
-# index check; a refactor that brings one back costs 10–20 % of a Go-body
-# sweep without failing any test. So do linalg.Cholesky's two dot
-# products over rows of L, which a GPR bank runs once per grid point.
-# This asks the compiler (ssa/check_bce) which checks survive in the
-# three packages and fails if an IsInBounds falls inside one of those
-# functions — more than N of them for an entry written fn:N. The gather
-# keeps its one: mulIndexedGo's factors[k], which is what panics on an
-# index outside the factor table, and which mulIndexedRange carries too
-# by inlining mulIndexedGo. Cholesky keeps four, each once per row or
-# column and outside the dot loops: A's diagonal and sub-diagonal reads
-# and L's two stores. IsSliceInBounds —
-# the once-per-run re-slicing in front of each loop — is expected, and so
+# rxQuadMirrorGo, rxDuoGo, rxDuoMirrorGo — the fallback, the odd tail and
+# the oracle of the AVX2 assembly), the entry points that dispatch
+# between the two (rxQuad, rxQuadLow, rxQuadMirror, rxDuo, rxDuoMirror,
+# the pair-pass walk rxQuadRange and the two-state sweep's revQuad,
+# revQuadLow, revQuadMirror, revQuadChunk, whose sub-run loops hand
+# equal-length re-slices to either body), the sweep's ΣX terms
+# (sumXQuad, sumXQuadLow, sumXDuo, sumXQuadMirror, sumXDuoMirror — the Go
+# path and the oracle of the fused assembly; the mirror forms run one
+# index ascending, one descending, both held in range by the loop
+# condition), the ΣX oracle (sumXPartial, sumXRun), the complex multiply
+# the float stream kernel builds and applies its phases with (Mul and its
+# Go bodies mulGo, scaleGo, behind State.MulRange and fillPhase in
+# internal/qaoa), the un-phase folds (State.InnerImMulRange,
+# State.InnerImMulIndexedRange), the phase separator's Go bodies and
+# their dispatchers (PhaseFactors, phaseFactorsGo, mulIndexedRange,
+# mulIndexedGo) and the kernel builders' term-by-term table sums
+# (addTerm, addRuns) iterate equal-length sub-slices so the compiler can
+# drop every per-element index check; a refactor that brings one back
+# costs 10–20 % of a Go-body sweep without failing any test. So do
+# linalg.Cholesky's two dot products over rows of L, which a GPR bank
+# runs once per grid point. This asks the compiler (ssa/check_bce) which
+# checks survive in the three packages and fails if an IsInBounds falls
+# inside one of those functions — more than N of them for an entry
+# written fn:N. The gather keeps its one: mulIndexedGo's factors[k],
+# which is what panics on an index outside the factor table, and which
+# mulIndexedRange carries too by inlining mulIndexedGo; the indexed
+# un-phase fold keeps vals[k], its own read of the same index, which
+# panics before either state is written. Cholesky keeps four, each once
+# per row or column and outside the dot loops: A's diagonal and
+# sub-diagonal reads and L's two stores. IsSliceInBounds — the
+# once-per-run re-slicing in front of each loop — is expected, and so
 # are the IsInBounds of rx_amd64.go's *Vec steps: one per pointer handed
 # to the assembly, once per call, the check that makes a short slice
 # panic in Go.
@@ -66,7 +69,7 @@ check() {
 }
 
 bad=0
-check internal/quantum 'rxQuad rxQuadGo rxQuadLow rxQuadLowGo rxQuadMirror rxQuadMirrorGo rxQuadRange rxDuo rxDuoMirror revQuad revQuadLow revQuadMirror revQuadChunk sumXQuad sumXQuadLow sumXDuo sumXQuadMirror sumXDuoMirror sumXPartial sumXRun MulRange InnerImMulRange PhaseFactors phaseFactorsGo mulIndexedRange:1 mulIndexedGo:1'
-check internal/qaoa 'phaseScale phaseMul addTerm addRuns'
+check internal/quantum 'rxQuad rxQuadGo rxQuadLow rxQuadLowGo rxQuadMirror rxQuadMirrorGo rxQuadRange rxDuo rxDuoGo rxDuoMirror rxDuoMirrorGo revQuad revQuadLow revQuadMirror revQuadChunk sumXQuad sumXQuadLow sumXDuo sumXQuadMirror sumXDuoMirror sumXPartial sumXRun Mul mulGo scaleGo MulRange InnerImMulRange InnerImMulIndexedRange:1 PhaseFactors phaseFactorsGo mulIndexedRange:1 mulIndexedGo:1'
+check internal/qaoa 'addTerm addRuns'
 check internal/linalg 'Cholesky:4'
 exit "$bad"
