@@ -291,7 +291,7 @@ func BenchmarkMaxCutBruteForce(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.MaxCut()
+		_, _ = g.WeightedMaxCut()
 	}
 }
 

@@ -24,7 +24,8 @@ import (
 func main() {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.RandomRegular(8, 3, rng)
-	fmt.Printf("graph: 3-regular, 8 nodes, MaxCut = %d\n\n", g.MaxCut().Value)
+	maxCut, _ := g.WeightedMaxCut()
+	fmt.Printf("graph: 3-regular, 8 nodes, MaxCut = %g\n\n", maxCut)
 
 	pb, err := qaoa.NewProblem(g)
 	if err != nil {

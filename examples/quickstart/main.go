@@ -24,7 +24,8 @@ func main() {
 	// The problem: MaxCut on an Erdős–Rényi G(8, 0.5) graph.
 	g := graph.ErdosRenyiConnected(8, 0.5, rng)
 	fmt.Printf("graph: %v\n", g)
-	fmt.Printf("exact MaxCut (brute force): %d of %d edges\n\n", g.MaxCut().Value, g.NumEdges())
+	maxCut, _ := g.WeightedMaxCut()
+	fmt.Printf("exact MaxCut (brute force): %g of %d edges\n\n", maxCut, g.NumEdges())
 
 	pb, err := qaoa.NewProblem(g)
 	if err != nil {

@@ -145,19 +145,6 @@ func (g *Graph) Connected() bool {
 	return count == g.N
 }
 
-// CutValue returns the number of edges crossing the cut described by
-// assign, where assign bit i gives the side of vertex i. Weights are
-// ignored; use WeightedCutValue for weighted graphs.
-func (g *Graph) CutValue(assign uint64) int {
-	cut := 0
-	for _, e := range g.edges {
-		if (assign>>uint(e.U))&1 != (assign>>uint(e.V))&1 {
-			cut++
-		}
-	}
-	return cut
-}
-
 // WeightedCutValue returns the total weight of edges crossing the cut.
 func (g *Graph) WeightedCutValue(assign uint64) float64 {
 	cut := 0.0
@@ -169,8 +156,11 @@ func (g *Graph) WeightedCutValue(assign uint64) float64 {
 	return cut
 }
 
-// WeightedMaxCut solves weighted MaxCut exactly by enumeration (vertex
-// 0 pinned, as in MaxCut). It panics for N > 30.
+// WeightedMaxCut solves weighted MaxCut exactly by enumerating all
+// 2^(N−1) bipartitions (vertex 0 is pinned to side 0, since
+// complementary assignments give the same cut) and returns the first
+// maximum. It panics for N > 30. For the paper's 8-node graphs this
+// enumerates 128 assignments.
 func (g *Graph) WeightedMaxCut() (value float64, assign uint64) {
 	if g.N > 30 {
 		panic("graph: WeightedMaxCut brute force limited to n <= 30")
@@ -200,33 +190,6 @@ func (g *Graph) WeightedCutTable() []float64 {
 		table[a] = g.WeightedCutValue(uint64(a))
 	}
 	return table
-}
-
-// MaxCutResult holds the exact optimum of the MaxCut problem.
-type MaxCutResult struct {
-	Value  int    // number of edges in the optimal cut
-	Assign uint64 // one optimal assignment (bit i = side of vertex i)
-}
-
-// MaxCut solves MaxCut exactly by enumerating all 2^(N-1) bipartitions
-// (vertex 0 is pinned to side 0 since complementary assignments give the
-// same cut). It panics for N > 30. For the paper's 8-node graphs this
-// enumerates 128 assignments.
-func (g *Graph) MaxCut() MaxCutResult {
-	if g.N > 30 {
-		panic("graph: MaxCut brute force limited to n <= 30")
-	}
-	best := MaxCutResult{}
-	var limit uint64 = 1
-	if g.N > 0 {
-		limit = 1 << uint(g.N-1)
-	}
-	for a := uint64(0); a < limit; a++ {
-		if v := g.CutValue(a); v > best.Value {
-			best = MaxCutResult{Value: v, Assign: a}
-		}
-	}
-	return best
 }
 
 // Clone returns a deep copy of g, including edge weights.

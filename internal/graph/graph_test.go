@@ -68,10 +68,10 @@ func TestConnected(t *testing.T) {
 func TestCutValue(t *testing.T) {
 	g := New(2)
 	mustAdd(g, 0, 1)
-	if g.CutValue(0b00) != 0 || g.CutValue(0b11) != 0 {
+	if g.WeightedCutValue(0b00) != 0 || g.WeightedCutValue(0b11) != 0 {
 		t.Error("same-side cut should be 0")
 	}
-	if g.CutValue(0b01) != 1 || g.CutValue(0b10) != 1 {
+	if g.WeightedCutValue(0b01) != 1 || g.WeightedCutValue(0b10) != 1 {
 		t.Error("crossing cut should be 1")
 	}
 }
@@ -80,7 +80,7 @@ func TestMaxCutKnownGraphs(t *testing.T) {
 	cases := []struct {
 		name string
 		g    *Graph
-		want int
+		want float64
 	}{
 		{"single edge", Path(2), 1},
 		{"path4", Path(4), 3},
@@ -92,11 +92,11 @@ func TestMaxCutKnownGraphs(t *testing.T) {
 		{"empty", New(5), 0},
 	}
 	for _, c := range cases {
-		got := c.g.MaxCut()
-		if got.Value != c.want {
-			t.Errorf("%s: MaxCut = %d, want %d", c.name, got.Value, c.want)
+		v, assign := c.g.WeightedMaxCut()
+		if v != c.want {
+			t.Errorf("%s: MaxCut = %v, want %v", c.name, v, c.want)
 		}
-		if c.g.CutValue(got.Assign) != got.Value {
+		if c.g.WeightedCutValue(assign) != v {
 			t.Errorf("%s: reported assignment does not achieve reported value", c.name)
 		}
 	}
@@ -111,8 +111,14 @@ func TestCutTableMatchesCutValue(t *testing.T) {
 		t.Fatalf("table length = %d", len(table))
 	}
 	for a := uint64(0); a < 64; a++ {
-		if table[a] != float64(g.CutValue(a)) {
-			t.Fatalf("table[%d] = %v != CutValue %d", a, table[a], g.CutValue(a))
+		crossing := 0
+		for _, e := range g.Edges() {
+			if (a>>uint(e.U))&1 != (a>>uint(e.V))&1 {
+				crossing++
+			}
+		}
+		if table[a] != float64(crossing) {
+			t.Fatalf("table[%d] = %v != %d crossing edges", a, table[a], crossing)
 		}
 	}
 }
@@ -124,7 +130,7 @@ func TestCutComplementInvariance(t *testing.T) {
 		g := ErdosRenyi(8, 0.5, rng)
 		assign := uint64(a)
 		comp := ^assign & 0xFF
-		return g.CutValue(assign) == g.CutValue(comp)
+		return g.WeightedCutValue(assign) == g.WeightedCutValue(comp)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -137,8 +143,8 @@ func TestMaxCutBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := ErdosRenyi(7, 0.4, rng)
-		mc := g.MaxCut().Value
-		return 2*mc >= g.NumEdges() && mc <= g.NumEdges()
+		mc, _ := g.WeightedMaxCut()
+		return 2*mc >= float64(g.NumEdges()) && mc <= float64(g.NumEdges())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -149,8 +155,8 @@ func TestMaxCutBipartiteIsAllEdges(t *testing.T) {
 	// Even cycles are bipartite: optimal cut severs every edge.
 	for _, n := range []int{4, 6, 8} {
 		g := Cycle(n)
-		if got := g.MaxCut().Value; got != n {
-			t.Errorf("C%d MaxCut = %d, want %d", n, got, n)
+		if got, _ := g.WeightedMaxCut(); got != float64(n) {
+			t.Errorf("C%d MaxCut = %v, want %d", n, got, n)
 		}
 	}
 }

@@ -10,9 +10,11 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 
 	"qaoaml/internal/problem"
+	"qaoaml/internal/quantum"
 )
 
 // gateOracleDigests maps each TestGateOracleEveryFamily group to the
@@ -71,6 +73,71 @@ func TestGateOracleEveryFamily(t *testing.T) {
 	}
 }
 
+// TestGateOracleEveryFamilyPooled meets one random instance of each of
+// problem.Families() with the gate oracle where the engine runs on the
+// worker pool: every evolved register holds at least 2^16 amplitudes
+// (ParallelDim) — 16 qubits for a fielded family, 17 for a field-free
+// one, which evolves as a half register, and 18 for coloring, whose
+// RandomSpec widths are multiples of three — at p = 2 and GOMAXPROCS =
+// 2. It asserts that Problem.Expectation equals ⟨Score⟩ on GateState
+// within 1e-12·(|Offset| + Σ|h| + Σ|J|). It records no digest.
+func TestGateOracleEveryFamilyPooled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2^16-amplitude gate circuits; skipped under -short")
+	}
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	for fi, fam := range problem.Families() {
+		rng := rand.New(rand.NewSource(int64(100 + fi)))
+		qubits := 16
+		switch fam {
+		case problem.FamilyMaxCut, problem.FamilyPartition:
+			qubits = 17
+		case problem.FamilyColoring:
+			qubits = 18
+		}
+		spec, err := problem.RandomSpec(fam, qubits, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := New(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", fam, err)
+		}
+		in := pb.Inst
+		evolved := in.N
+		if pb.halfRegister() {
+			evolved--
+		}
+		if 1<<uint(evolved) < quantum.ParallelDim {
+			t.Fatalf("%s: %d qubits evolve 2^%d amplitudes, below the pool's %d", fam, in.N, evolved, quantum.ParallelDim)
+		}
+		pr := randomParams(rng, 2)
+		table := make([]float64, 1<<uint(in.N))
+		for z := range table {
+			table[z] = in.Score(uint64(z))
+		}
+		score := pb.GateState(pr).ExpectationDiagonal(table)
+		tol := 1e-12 * coefficientScale(in)
+		if got := pb.Expectation(pr); math.Abs(got-score) > tol {
+			t.Errorf("%s n=%d: Expectation %v, ⟨Score⟩ on GateState %v (tol %v)", fam, in.N, got, score, tol)
+		}
+	}
+}
+
+// coefficientScale returns |Offset| + Σ|h| + Σ|J|, the scale of the
+// oracle tests' tolerances.
+func coefficientScale(in *problem.Instance) float64 {
+	scale := math.Abs(in.Offset)
+	for _, c := range in.Linear {
+		scale += math.Abs(c)
+	}
+	for _, c := range in.Quad {
+		scale += math.Abs(c.W)
+	}
+	return scale
+}
+
 // checkGateOracle runs one instance at p = 1…3 with angles drawn from
 // rng, asserts the two expectation identities and writes each
 // GateState's amplitude bits to h.
@@ -81,14 +148,7 @@ func checkGateOracle(t *testing.T, name string, spec problem.Spec, rng *rand.Ran
 		t.Fatalf("%s: %v", name, err)
 	}
 	in := pb.Inst
-	scale := math.Abs(in.Offset)
-	for _, c := range in.Linear {
-		scale += math.Abs(c)
-	}
-	for _, c := range in.Quad {
-		scale += math.Abs(c.W)
-	}
-	tol := 1e-12 * scale
+	tol := 1e-12 * coefficientScale(in)
 	table := make([]float64, 1<<uint(in.N))
 	for z := range table {
 		table[z] = in.Score(uint64(z))

@@ -8,8 +8,8 @@ package quantum
 // [lo, lo+len) the caller hands out (a fused layer's chunk or a
 // reduction's), and the partial sums combine over the fixed chunk
 // geometry of reduce.go: bit-identical at every GOMAXPROCS.
-// InnerProductDiagonalRange and InnerProductSumX are the unfused
-// two-pass gradient reference the tests hold the fused sweep to.
+// InnerProductDiagonalRange and the serial InnerProductSumX are the
+// unfused two-pass gradient reference the tests hold the fused sweep to.
 
 // MulDiagonalIndexedRange multiplies amps[lo+i] by factors[idx[i]] over
 // one chunk: the phase separator of a cost kernel with a small set of
@@ -102,71 +102,29 @@ func (s *State) InnerImMulRange(t *State, lo int, gen []float64, f []complex128)
 }
 
 // InnerProductSumX returns ⟨s| Σ_q X_q |t⟩, the matrix element of the
-// transverse-field mixer generator: Σ_q Σ_z conj(s_z)·t_{z⊕2^q}. No
-// allocation on the serial path. It panics if the register widths
-// differ. The adjoint gradient reads its imaginary part inside the
-// two-state mixer sweep instead (reverse.go); this qubit-by-qubit,
-// full-complex walk shares no code with that and is its oracle.
-//
-// Chunking: every ⟨z|X_q|z⊕2^q⟩ pair is accumulated (both orders) at
-// its representative index (the one with bit q clear), in the chunk
-// holding that representative. For q below the chunk width the pair is
-// chunk-local; above it, the representative chunk reads the partner
-// amplitudes from the distant chunk — reads only, so chunks stay
-// write-disjoint. Within a chunk the loop order is fixed (q outer,
-// index inner) and chunks merge in order: bit-identical at every
-// GOMAXPROCS.
+// transverse-field mixer generator: Σ_q Σ_z conj(s_z)·t_{z⊕2^q}. It
+// panics if the register widths differ. The adjoint gradient reads its
+// imaginary part inside the two-state mixer sweep instead (reverse.go);
+// this serial, qubit-by-qubit, full-complex walk shares no code with
+// that and is its oracle. Each pair (z, z⊕2^q) adds both of its terms
+// at once, at its representative z (bit q clear), q in the outer loop
+// and z ascending; adding every term singly at its own z rounds past the
+// reverse sweep tests' 1e-12 bound at n = 12.
 func (s *State) InnerProductSumX(t *State) complex128 {
 	if s.n != t.n {
 		panic("quantum: qubit count mismatch in InnerProductSumX")
 	}
-	if reduceChunkCount(len(s.amps)) == 1 {
-		re, im := sumXPartial(s.amps, t.amps, 0, len(s.amps), s.n)
-		return complex(re, im)
-	}
-	re, im := ReduceChunks(len(s.amps), func(lo, hi int) (float64, float64) {
-		return sumXPartial(s.amps, t.amps, lo, hi, s.n)
-	})
-	return complex(re, im)
-}
-
-// sumXPartial accumulates the Σ_q X_q matrix-element terms whose
-// representative index lies in [lo, hi), qubit by qubit in ascending
-// order. lo is chunk-aligned (a multiple of hi−lo when the range is one
-// chunk of a larger array), so the base-stride walk stays aligned for
-// every bit below the span.
-func sumXPartial(sa, ta []complex128, lo, hi, n int) (re, im float64) {
-	span := hi - lo
-	for q := 0; q < n; q++ {
+	sa, ta := s.amps, t.amps
+	var re, im float64
+	for q := 0; q < s.n; q++ {
 		bit := 1 << uint(q)
-		// Each run is the pairs (i, i+bit) for run consecutive i. Below
-		// the span, runs of bit indices alternate with their partners.
-		// At and above it the whole chunk has bit q clear or set. Clear:
-		// one run, every index a representative whose partner sits bit
-		// elements ahead in a later chunk (read-only access). Set: the
-		// partner chunk owns these pairs.
-		run := min(bit, span)
-		if run == span && lo&bit != 0 {
-			continue
-		}
-		for base := lo; base < hi; base += run << 1 {
-			re, im = sumXRun(re, im, sa[base:base+run], sa[base+bit:base+bit+run], ta[base:base+run], ta[base+bit:base+bit+run])
+		for base := 0; base < len(sa); base += bit << 1 {
+			for z := base; z < base+bit; z++ {
+				a, b, c, d := sa[z], ta[z|bit], sa[z|bit], ta[z]
+				re += real(a)*real(b) + imag(a)*imag(b) + real(c)*real(d) + imag(c)*imag(d)
+				im += real(a)*imag(b) - imag(a)*real(b) + real(c)*imag(d) - imag(c)*real(d)
+			}
 		}
 	}
-	return re, im
-}
-
-// sumXRun adds one run of ⟨z|X_q|z⊕bit⟩ terms, both orders, onto
-// (re, im): s0/t0 are the two states' amplitudes with bit q clear,
-// s1/t1 their partners with it set — four equal-length slices. Each
-// term pair is conj(a)·b + conj(c)·d with a, c one state's amplitudes
-// at z and z⊕bit and b, d the other's at z⊕bit and z.
-func sumXRun(re, im float64, s0, s1, t0, t1 []complex128) (float64, float64) {
-	s1, t0, t1 = s1[:len(s0)], t0[:len(s0)], t1[:len(s0)]
-	for k, a := range s0 {
-		b, c, d := t1[k], s1[k], t0[k]
-		re += real(a)*real(b) + imag(a)*imag(b) + real(c)*real(d) + imag(c)*imag(d)
-		im += real(a)*imag(b) - imag(a)*real(b) + real(c)*imag(d) - imag(c)*real(d)
-	}
-	return re, im
+	return complex(re, im)
 }

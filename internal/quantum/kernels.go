@@ -5,14 +5,15 @@ import (
 	"runtime"
 )
 
-// This file holds the fused, allocation-free kernels the QAOA hot path
-// is built from. The gate methods in state.go are the readable
-// reference semantics; these kernels compute identical amplitudes (to
+// This file holds the butterflies and multiplies the QAOA hot path is
+// built from, and two serial references that call them: FillUniform and
+// RXAll. The gate methods in state.go are the readable reference
+// semantics; these kernels compute identical amplitudes (to
 // floating-point rounding) with fewer passes over the state vector and
-// no per-call heap allocation. Large registers (ParallelDim amplitudes
-// and up) run element-wise kernels on parallel chunks; writes are
-// disjoint and each amplitude's new value depends only on old values,
-// so results are bit-identical to a serial pass at every GOMAXPROCS.
+// no per-call heap allocation. The engine (fused.go, reverse.go) runs
+// them on parallel chunks of large registers; writes are disjoint and
+// each amplitude's new value depends only on old values, so results are
+// bit-identical to a serial pass at every GOMAXPROCS.
 
 // NewUniformState returns the uniform superposition H^⊗n|0…0⟩, the
 // starting state of every QAOA circuit, without applying n Hadamard
@@ -24,19 +25,10 @@ func NewUniformState(n int) *State {
 }
 
 // FillUniform overwrites s with the uniform superposition (amplitude
-// 1/√2^n everywhere). It is the in-place reset used by evaluation
-// workspaces between objective calls.
+// 1/√2^n everywhere): the depth-0 state of an evaluation workspace and
+// the starting state of the unfused reference.
 func (s *State) FillUniform() {
 	amp := complex(1/math.Sqrt(float64(len(s.amps))), 0)
-	if s.parallel() {
-		runRange(len(s.amps), true, func(lo, hi int) {
-			amps := s.amps[lo:hi]
-			for i := range amps {
-				amps[i] = amp
-			}
-		})
-		return
-	}
 	for i := range s.amps {
 		s.amps[i] = amp
 	}
@@ -68,45 +60,20 @@ func newRXCoef(theta float64) rxCoef {
 
 // RXAll applies RX(θ) to every qubit — the QAOA mixing layer
 // exp(−i(θ/2)ΣXi) — walking the amplitude array once per fused qubit
-// pair instead of once per qubit. The amplitudes match n sequential
-// RX(q, θ) calls to rounding error. Large registers split each pass's
-// representative set across workers; the per-amplitude arithmetic is
-// identical, so the result matches the serial pass bit-for-bit.
+// pair instead of once per qubit, serially. The amplitudes match n
+// sequential RX(q, θ) calls to rounding error. It runs the engine's
+// butterflies (rxQuadRange, rxDuo) on purpose: it is the unfused
+// sequence the fused layer sweep is held to bit for bit.
 func (s *State) RXAll(theta float64) {
 	k := newRXCoef(theta)
 	q := 0
 	for ; q+1 < s.n; q += 2 {
-		s.rxPair(q, k)
+		rxQuadRange(s.amps, q, 0, len(s.amps)>>2, k.cc, k.cm, k.mm)
 	}
 	if q < s.n {
-		s.rxLast(k)
+		half := len(s.amps) >> 1
+		rxDuo(s.amps[:half], s.amps[half:], k.c, k.s)
 	}
-}
-
-// rxPair applies the fused RX butterfly to qubits q and q+1 in a single
-// pass: a 4×4 kernel touching each amplitude once where two RX calls
-// would touch it twice.
-func (s *State) rxPair(q int, k rxCoef) {
-	if s.parallel() {
-		runRange(len(s.amps)>>2, true, func(rlo, rhi int) {
-			rxQuadRange(s.amps, q, rlo, rhi, k.cc, k.cm, k.mm)
-		})
-		return
-	}
-	rxQuadRange(s.amps, q, 0, len(s.amps)>>2, k.cc, k.cm, k.mm)
-}
-
-// rxLast applies RX to the top qubit, the one an odd register width
-// leaves unpaired: its pairs are equal offsets of the two array halves.
-func (s *State) rxLast(k rxCoef) {
-	half := len(s.amps) >> 1
-	if s.parallel() {
-		runRange(half, true, func(lo, hi int) {
-			rxDuo(s.amps[lo:hi], s.amps[half+lo:half+hi], k.c, k.s)
-		})
-		return
-	}
-	rxDuo(s.amps[:half], s.amps[half:], k.c, k.s)
 }
 
 // rxQuadRange applies the fused RX butterfly on qubits q and q+1 for

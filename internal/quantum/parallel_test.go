@@ -8,10 +8,11 @@ import (
 )
 
 // Cross-GOMAXPROCS bit-identity suite. Every kernel that fans out across
-// goroutines — element-wise gates and fixed-geometry reductions alike —
-// must produce EXACTLY the same bits at 1, 2, and 8 workers. Tolerance
-// comparisons would hide merge-order bugs, so everything here compares
-// with == on float64/complex128 values.
+// goroutines — element-wise passes and fixed-geometry reductions alike —
+// must produce EXACTLY the same bits at 1, 2, and 8 workers. (The serial
+// reference — the gates, Norm, InnerProduct, InnerProductSumX — never
+// fans out.) Tolerance comparisons would hide merge-order bugs, so
+// everything here compares with == on float64/complex128 values.
 
 // withWorkers runs fn under each GOMAXPROCS setting and hands the
 // results to check for exact comparison against the 1-worker baseline.
@@ -55,43 +56,11 @@ func ampsEqualExact(t *testing.T, name string, a, b *State, w int) {
 	}
 }
 
-func TestGateKernelsBitIdenticalAcrossWorkers(t *testing.T) {
-	const n = 16 // 2^16 amplitudes: at the ParallelDim threshold
-	kernels := []struct {
-		name string
-		run  func(s *State)
-	}{
-		{"RXAll", func(s *State) { s.RXAll(0.7321) }},
-		{"Apply1Q-RX", func(s *State) { s.RX(3, 1.234) }},
-		{"Apply1Q-highbit", func(s *State) { s.RX(n-1, 0.456) }},
-		{"RZ", func(s *State) { s.RZ(5, 0.987) }},
-		{"Normalize", func(s *State) { s.amps[0] *= 3; s.Normalize() }},
-		{"FillUniform", func(s *State) { s.FillUniform() }},
-	}
-	for _, k := range kernels {
-		k := k
-		t.Run(k.name, func(t *testing.T) {
-			withWorkers(t, identityWorkers,
-				func() any {
-					s := randomParallelState(n, 42)
-					k.run(s)
-					return s
-				},
-				func(t *testing.T, baseline, got any, w int) {
-					ampsEqualExact(t, k.name, baseline.(*State), got.(*State), w)
-				})
-		})
-	}
-}
-
 func TestDiagonalKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	const n = 16
 	dim := 1 << n
-	rng := rand.New(rand.NewSource(7))
-	phases := make([]float64, dim)
 	idx := make([]int32, dim)
-	for i := range phases {
-		phases[i] = rng.NormFloat64()
+	for i := range idx {
 		idx[i] = int32(i % 17)
 	}
 	factors := make([]complex128, 17)
@@ -103,7 +72,6 @@ func TestDiagonalKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		name string
 		run  func(s *State)
 	}{
-		{"ApplyDiagonalPhase", func(s *State) { s.ApplyDiagonalPhase(phases) }},
 		{"MulDiagonalIndexed", func(s *State) {
 			runRange(dim, s.parallel(), func(lo, hi int) { s.MulDiagonalIndexedRange(lo, idx[lo:hi], factors) })
 		}},
@@ -136,8 +104,6 @@ func TestReductionsBitIdenticalAcrossWorkers(t *testing.T) {
 		name string
 		run  func(s, u *State) any
 	}{
-		{"Norm", func(s, u *State) any { return s.Norm() }},
-		{"InnerProduct", func(s, u *State) any { return s.InnerProduct(u) }},
 		{"ExpectationDiagonal", func(s, u *State) any { return s.ExpectationDiagonal(diag) }},
 		{"InnerProductDiagonal", func(s, u *State) any {
 			re, im := ReduceChunks(dim, func(lo, hi int) (float64, float64) {
@@ -145,7 +111,6 @@ func TestReductionsBitIdenticalAcrossWorkers(t *testing.T) {
 			})
 			return complex(re, im)
 		}},
-		{"InnerProductSumX", func(s, u *State) any { return s.InnerProductSumX(u) }},
 	}
 	for _, r := range reductions {
 		r := r
@@ -167,19 +132,24 @@ func TestReductionsBitIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestChunkedReductionMatchesSerialSum pins the chunk geometry itself:
-// at n=14 (4 chunks, below the parallel threshold) the chunked sum must
-// equal the explicit ((c0+c1)+c2)+c3 merge, and ReduceChunks must hand
-// out exactly the fixed [c·8192, (c+1)·8192) ranges.
+// at n=14 (2 chunks, below the parallel threshold) the chunked sum must
+// equal the explicit c0+c1 merge, and ReduceChunks must hand out exactly
+// the fixed [c·8192, (c+1)·8192) ranges. The sum is ExpectationDiagonal
+// over a table of ones, whose chunk partials are the Σ|a|² folds.
 func TestChunkedReductionMatchesSerialSum(t *testing.T) {
 	const n = 14
 	dim := 1 << n
 	s := randomParallelState(n, 99)
+	ones := make([]float64, dim)
+	for i := range ones {
+		ones[i] = 1
+	}
 	var want float64
 	for c := 0; c < dim/ReduceChunkLen; c++ {
 		want += normSqPartial(s.amps[c*ReduceChunkLen : (c+1)*ReduceChunkLen])
 	}
-	if got := s.Norm(); got != math.Sqrt(want) {
-		t.Fatalf("chunked Norm %v != fixed-order merge %v", got, math.Sqrt(want))
+	if got := s.ExpectationDiagonal(ones); got != want {
+		t.Fatalf("chunked ExpectationDiagonal %v != fixed-order merge %v", got, want)
 	}
 
 	var ranges [][2]int

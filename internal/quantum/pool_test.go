@@ -1,6 +1,8 @@
 package quantum
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -30,22 +32,26 @@ func TestChunkGeometry(t *testing.T) {
 // The worker pool's goroutines are persistent: any number of kernel
 // dispatches after warm-up must leave the goroutine count unchanged.
 // (The old per-call fan-out spawned and tore down GOMAXPROCS goroutines
-// per pass; this pins the replacement behavior.)
+// per pass; this pins the replacement behavior.) The dispatches are the
+// engine's: a fused layer sweep and a chunked expectation at n = 17.
 func TestPoolNoGoroutineLeak(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	runtime.GOMAXPROCS(8)
 
 	s := randomParallelState(17, 9)
+	r := NewLayerRunner(s)
+	diag := randomDiag(s.Dim(), 10)
+	step := func() {
+		r.Layer(0.1, false, nil)
+		s.ExpectationDiagonal(diag)
+	}
 	for i := 0; i < 4; i++ { // warm: spawn whatever workers will exist
-		s.RZ(3, 0.25)
-		s.Norm()
+		step()
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 100; i++ {
-		s.RZ(3, 0.25)
-		s.RXAll(0.1)
-		s.Norm()
+		step()
 	}
 	after := runtime.NumGoroutine()
 	if after > before {
@@ -75,28 +81,46 @@ func TestDispatchCoversEveryChunkOnce(t *testing.T) {
 	}
 }
 
-// Reductions from many goroutines share one pool; results must stay
-// exact and the dispatch must not deadlock when every worker is busy.
+// Layers and reductions from many goroutines share one pool; results
+// must equal the serial references — RXAll, and the chunk partials
+// folded in order — and the dispatch must not deadlock when every
+// worker is busy.
 func TestConcurrentReductionsSharedPool(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	runtime.GOMAXPROCS(8)
 
-	s := randomParallelState(17, 12)
-	want := s.Norm()
+	const theta = 0.61
+	src := randomParallelState(17, 12)
+	diag := randomDiag(src.Dim(), 13)
+	layered := src.Clone()
+	layered.RXAll(theta)
+	var wantE float64
+	for lo, clen := 0, ChunkLen(len(diag)); lo < len(diag); lo += clen {
+		wantE += layered.ExpectationDiagonalRange(lo, diag[lo:lo+clen])
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				if got := s.Norm(); got != want {
-					select {
-					case errs <- errMismatch(got, want):
-					default:
+			s := src.Clone()
+			r := NewLayerRunner(s)
+			for i := 0; i < 3; i++ {
+				copy(s.amps, src.amps)
+				r.Layer(theta, false, nil)
+				for k := range s.amps {
+					if s.amps[k] != layered.amps[k] {
+						errs <- fmt.Errorf("concurrent Layer: amplitude %d = %v, serial RXAll %v", k, s.amps[k], layered.amps[k])
+						return
 					}
-					return
+				}
+				for j := 0; j < 8; j++ {
+					if got := s.ExpectationDiagonal(diag); got != wantE {
+						errs <- fmt.Errorf("concurrent ExpectationDiagonal %v, chunk-ordered fold %v", got, wantE)
+						return
+					}
 				}
 			}
 		}()
@@ -108,8 +132,12 @@ func TestConcurrentReductionsSharedPool(t *testing.T) {
 	}
 }
 
-type normMismatch struct{ got, want float64 }
-
-func errMismatch(got, want float64) error { return normMismatch{got, want} }
-
-func (e normMismatch) Error() string { return "concurrent Norm mismatch" }
+// randomDiag returns a deterministic pseudo-random diagonal of length dim.
+func randomDiag(dim int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	d := make([]float64, dim)
+	for i := range d {
+		d[i] = rng.NormFloat64()
+	}
+	return d
+}

@@ -6,18 +6,19 @@ import (
 
 // Deterministic fixed-geometry chunk machinery.
 //
-// Every reduction over the amplitude array (norms, inner products,
-// diagonal expectations, mixer matrix elements) and every streamed
-// diagonal kernel runs over the SAME chunk layout: the array is split
-// into contiguous chunks of ChunkLen(dim) elements — a geometry fixed
-// by the dimension alone, never by GOMAXPROCS — and per-chunk partial
-// results are combined left-to-right in chunk order. Workers may
-// compute chunks in any order on any number of goroutines; because the
-// merge order and the within-chunk accumulation order are fixed, the
-// result is bit-identical at 1, 2, or 64 workers. Arrays no longer than
-// one chunk reduce in a single serial pass, so registers of up to 13
-// qubits keep the exact summation order (and therefore the exact bits)
-// of the pre-chunking serial kernels.
+// Every reduction the engine runs over the amplitude array (diagonal
+// expectations, the adjoint sweep's inner products and mixer matrix
+// elements) and every streamed diagonal kernel runs over the SAME chunk
+// layout: the array is split into contiguous chunks of ChunkLen(dim)
+// elements — a geometry fixed by the dimension alone, never by
+// GOMAXPROCS — and per-chunk partial results are combined left-to-right
+// in chunk order. Workers may compute chunks in any order on any number
+// of goroutines; because the merge order and the within-chunk
+// accumulation order are fixed, the result is bit-identical at 1, 2, or
+// 64 workers. Arrays no longer than one chunk reduce in a single serial
+// pass, so registers of up to 13 qubits keep the exact summation order
+// (and therefore the exact bits) of the serial reference reductions —
+// Norm, InnerProduct and InnerProductSumX, which never chunk.
 //
 // Chunk work is executed by the persistent worker pool (pool.go); the
 // pool only ever changes WHO computes a chunk, never which chunks

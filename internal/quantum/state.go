@@ -4,8 +4,10 @@
 // bit of the basis-state index. The QAOA engine runs the fused kernels
 // (fused.go, adjoint.go, reverse.go, mirror.go) on a State.
 // The gates — H, RX, RZ, CNOT and the generic Apply1Q — act one at a
-// time, in place; they build the gate-level oracle those kernels are
-// tested against.
+// time, in place; with the reductions Norm, InnerProduct and
+// InnerProductSumX they build the reference those kernels are tested
+// against: plain serial loops, free of the worker pool and the chunk
+// geometry the kernels run on.
 //
 // The simulator is exact (no noise model): the paper's evaluation runs
 // on a noiseless QuTiP simulation, so the optimization landscapes seen
@@ -70,18 +72,7 @@ func (s *State) Clone() *State {
 }
 
 // Norm returns the 2-norm of the state vector (1 for a valid state).
-// The sum runs over the fixed reduction geometry (reduce.go), so it is
-// bit-identical at every GOMAXPROCS setting.
-func (s *State) Norm() float64 {
-	if reduceChunkCount(len(s.amps)) == 1 {
-		// Single chunk: no reduction closure, no allocation.
-		return math.Sqrt(normSqPartial(s.amps))
-	}
-	t, _ := ReduceChunks(len(s.amps), func(lo, hi int) (float64, float64) {
-		return normSqPartial(s.amps[lo:hi]), 0
-	})
-	return math.Sqrt(t)
-}
+func (s *State) Norm() float64 { return math.Sqrt(normSqPartial(s.amps)) }
 
 // normSqPartial returns Σ|a|² over one contiguous amplitude range.
 func normSqPartial(amps []complex128) float64 {
@@ -99,15 +90,6 @@ func (s *State) Normalize() {
 		panic("quantum: cannot normalize zero state")
 	}
 	inv := complex(1/n, 0)
-	if s.parallel() {
-		runRange(len(s.amps), true, func(lo, hi int) {
-			amps := s.amps[lo:hi]
-			for i := range amps {
-				amps[i] *= inv
-			}
-		})
-		return
-	}
 	for i := range s.amps {
 		s.amps[i] *= inv
 	}
@@ -129,32 +111,18 @@ func (s *State) Probabilities() []float64 {
 	return p
 }
 
-// InnerProduct returns ⟨s|t⟩. It panics if widths differ. The sum runs
-// over the fixed reduction geometry (reduce.go): bit-identical results
-// at every GOMAXPROCS setting.
+// InnerProduct returns ⟨s|t⟩. It panics if widths differ.
 func (s *State) InnerProduct(t *State) complex128 {
 	if s.n != t.n {
 		panic("quantum: qubit count mismatch in InnerProduct")
 	}
-	if reduceChunkCount(len(s.amps)) == 1 {
-		re, im := dotPartial(s.amps, t.amps)
-		return complex(re, im)
-	}
-	re, im := ReduceChunks(len(s.amps), func(lo, hi int) (float64, float64) {
-		return dotPartial(s.amps[lo:hi], t.amps[lo:hi])
-	})
-	return complex(re, im)
-}
-
-// dotPartial returns Σ conj(sa[i])·ta[i] over one contiguous range, in
-// split real/imag form.
-func dotPartial(sa, ta []complex128) (re, im float64) {
-	for i, a := range sa {
-		b := ta[i]
+	var re, im float64
+	for i, a := range s.amps {
+		b := t.amps[i]
 		re += real(a)*real(b) + imag(a)*imag(b)
 		im += real(a)*imag(b) - imag(a)*real(b)
 	}
-	return re, im
+	return complex(re, im)
 }
 
 // ExpectationDiagonal returns ⟨ψ|D|ψ⟩ for a diagonal observable D given
@@ -215,44 +183,18 @@ func (s *State) checkRange(lo, length int) {
 
 // --- single-qubit gates ---
 
-// Apply1Q applies the 2×2 unitary [[u00,u01],[u10,u11]] to qubit q.
-// Large registers split the 2^(n−1) amplitude pairs across workers;
-// each pair is written by exactly one worker with the same arithmetic
-// the serial pass uses, so the result is bit-identical at every
-// GOMAXPROCS.
+// Apply1Q applies the 2×2 unitary [[u00,u01],[u10,u11]] to qubit q,
+// pair by pair in ascending index order.
 func (s *State) Apply1Q(q int, u00, u01, u10, u11 complex128) {
 	s.checkQubit(q)
 	bit := 1 << uint(q)
-	if s.parallel() {
-		runRange(len(s.amps)>>1, true, func(lo, hi int) {
-			s.apply1QRange(bit, lo, hi, u00, u01, u10, u11)
-		})
-		return
-	}
-	s.apply1QRange(bit, 0, len(s.amps)>>1, u00, u01, u10, u11)
-}
-
-// apply1QRange applies the 2×2 kernel for pair representatives
-// r ∈ [rlo, rhi). Representative r maps to the lower index of the pair
-// by re-inserting a cleared target bit: i = ((r &^ (bit−1)) << 1) |
-// (r & (bit−1)); ascending r walks the same (base, offset) order as the
-// classic base-stride loop.
-func (s *State) apply1QRange(bit, rlo, rhi int, u00, u01, u10, u11 complex128) {
-	mask := bit - 1
-	for r := rlo; r < rhi; {
-		i := ((r &^ mask) << 1) | (r & mask)
-		run := bit - (r & mask)
-		if run > rhi-r {
-			run = rhi - r
-		}
-		for k := 0; k < run; k++ {
-			ii := i + k
-			j := ii | bit
-			a, b := s.amps[ii], s.amps[j]
-			s.amps[ii] = u00*a + u01*b
+	for base := 0; base < len(s.amps); base += bit << 1 {
+		for i := base; i < base+bit; i++ {
+			j := i | bit
+			a, b := s.amps[i], s.amps[j]
+			s.amps[i] = u00*a + u01*b
 			s.amps[j] = u10*a + u11*b
 		}
-		r += run
 	}
 }
 
@@ -270,25 +212,13 @@ func (s *State) RX(q int, theta float64) {
 }
 
 // RZ applies RZ(θ) = exp(-iθZ/2) = diag(e^{-iθ/2}, e^{iθ/2}) to qubit q.
-// Element-wise diagonal: large registers run parallel chunks with
-// bit-identical results.
 func (s *State) RZ(q int, theta float64) {
 	s.checkQubit(q)
 	sin, cos := math.Sincos(theta / 2)
 	p0 := complex(cos, -sin)
 	p1 := complex(cos, sin)
 	bit := 1 << uint(q)
-	if s.parallel() {
-		runRange(len(s.amps), true, func(lo, hi int) {
-			s.rzRange(bit, lo, hi, p0, p1)
-		})
-		return
-	}
-	s.rzRange(bit, 0, len(s.amps), p0, p1)
-}
-
-func (s *State) rzRange(bit, lo, hi int, p0, p1 complex128) {
-	for i := lo; i < hi; i++ {
+	for i := range s.amps {
 		if i&bit == 0 {
 			s.amps[i] *= p0
 		} else {
@@ -317,18 +247,10 @@ func (s *State) CNOT(control, target int) {
 }
 
 // ApplyDiagonalPhase multiplies amplitude z by e^{i·phases[z]}.
-// It panics on a length mismatch. Large registers (2^16 amplitudes and
-// up) are processed in parallel chunks; the chunks are disjoint, so the
-// result is bit-identical to a serial pass.
+// It panics on a length mismatch.
 func (s *State) ApplyDiagonalPhase(phases []float64) {
 	if len(phases) != len(s.amps) {
 		panic("quantum: phase table length mismatch")
-	}
-	if s.parallel() {
-		runRange(len(s.amps), true, func(lo, hi int) {
-			applyPhaseRange(s.amps[lo:hi], phases[lo:hi])
-		})
-		return
 	}
 	applyPhaseRange(s.amps, phases)
 }

@@ -10,15 +10,15 @@
 # (sumXQuad, sumXQuadLow, sumXDuo, sumXQuadMirror, sumXDuoMirror — the Go
 # path and the oracle of the fused assembly; the mirror forms run one
 # index ascending, one descending, both held in range by the loop
-# condition), the ΣX oracle (sumXPartial, sumXRun), the complex multiply
-# the float stream kernel builds and applies its phases with (Mul and its
-# Go bodies mulGo, scaleGo, behind State.MulRange and fillPhase in
-# internal/qaoa), the un-phase folds (State.InnerImMulRange,
-# State.InnerImMulIndexedRange), the phase separator's Go bodies and
-# their dispatchers (PhaseFactors, phaseFactorsGo, mulIndexedRange,
-# mulIndexedGo) and the kernel builders' term-by-term table sums
-# (addTerm, addRuns) iterate equal-length sub-slices so the compiler can
-# drop every per-element index check; a refactor that brings one back
+# condition), the complex multiply the float stream kernel builds and
+# applies its phases with (Mul and its Go bodies mulGo, scaleGo, behind
+# State.MulRange and fillPhase in internal/qaoa), the un-phase folds
+# (State.InnerImMulRange, State.InnerImMulIndexedRange), the phase
+# separator's Go bodies and their dispatchers (PhaseFactors,
+# phaseFactorsGo, mulIndexedRange, mulIndexedGo) and the kernel
+# builders' term-by-term table sums (addTerm, addRuns) iterate
+# equal-length sub-slices so the compiler can drop every per-element
+# index check; a refactor that brings one back
 # costs 10–20 % of a Go-body sweep without failing any test. So do
 # linalg.Cholesky's two dot products over rows of L, which a GPR bank
 # runs once per grid point. This asks the compiler (ssa/check_bce) which
@@ -69,7 +69,7 @@ check() {
 }
 
 bad=0
-check internal/quantum 'rxQuad rxQuadGo rxQuadLow rxQuadLowGo rxQuadMirror rxQuadMirrorGo rxQuadRange rxDuo rxDuoGo rxDuoMirror rxDuoMirrorGo revQuad revQuadLow revQuadMirror revQuadChunk sumXQuad sumXQuadLow sumXDuo sumXQuadMirror sumXDuoMirror sumXPartial sumXRun Mul mulGo scaleGo MulRange InnerImMulRange InnerImMulIndexedRange:1 PhaseFactors phaseFactorsGo mulIndexedRange:1 mulIndexedGo:1'
+check internal/quantum 'rxQuad rxQuadGo rxQuadLow rxQuadLowGo rxQuadMirror rxQuadMirrorGo rxQuadRange rxDuo rxDuoGo rxDuoMirror rxDuoMirrorGo revQuad revQuadLow revQuadMirror revQuadChunk sumXQuad sumXQuadLow sumXDuo sumXQuadMirror sumXDuoMirror Mul mulGo scaleGo MulRange InnerImMulRange InnerImMulIndexedRange:1 PhaseFactors phaseFactorsGo mulIndexedRange:1 mulIndexedGo:1'
 check internal/qaoa 'addTerm addRuns'
 check internal/linalg 'Cholesky:4'
 exit "$bad"
