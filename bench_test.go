@@ -46,7 +46,7 @@ var (
 
 func benchEnv(b *testing.B) *experiments.Env {
 	b.Helper()
-	benchEnvOnce.Do(func() { benchEnvVal, benchEnvErr = experiments.NewEnv(benchScale()) })
+	benchEnvOnce.Do(func() { benchEnvVal, benchEnvErr = experiments.NewEnvCtx(context.Background(), benchScale(), nil) })
 	if benchEnvErr != nil {
 		b.Fatal(benchEnvErr)
 	}

@@ -90,7 +90,7 @@ func TestGenerateCtxTelemetry(t *testing.T) {
 	}
 	for d := 1; d <= 2; d++ {
 		name := map[int]string{1: "datagen.fc.p1", 2: "datagen.fc.p2"}[d]
-		h, ok := mem.HistogramSnapshot(name)
+		h, ok := mem.Snapshot().Histograms[name]
 		if !ok || h.Count != 3 {
 			t.Errorf("%s histogram: ok=%v count=%d", name, ok, h.Count)
 		}

@@ -98,16 +98,12 @@ type Env struct {
 	Predictor *core.Predictor
 }
 
-// NewEnv generates the dataset and trains the default (GPR) predictor.
-func NewEnv(s Scale) (*Env, error) {
-	return NewEnvCtx(context.Background(), s, nil)
-}
-
-// NewEnvCtx is NewEnv with cancellation and telemetry: the context and
-// recorder are threaded through dataset generation, so a deadline stops
-// the sweep within one optimizer step. Unlike core.GenerateCtx it does
-// not return a partial Env — an interrupted dataset cannot back a fair
-// experiment — so cancellation surfaces as an error.
+// NewEnvCtx generates the dataset and trains the default (GPR)
+// predictor. The context and recorder (nil for none) are threaded
+// through dataset generation, so a deadline stops the sweep within one
+// optimizer step. Unlike core.GenerateCtx it does not return a partial
+// Env — an interrupted dataset cannot back a fair experiment — so
+// cancellation surfaces as an error.
 func NewEnvCtx(ctx context.Context, s Scale, rec telemetry.Recorder) (*Env, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -32,7 +33,7 @@ var (
 
 func sharedEnv(t *testing.T) *Env {
 	t.Helper()
-	envOnce.Do(func() { envVal, envErr = NewEnv(testScale()) })
+	envOnce.Do(func() { envVal, envErr = NewEnvCtx(context.Background(), testScale(), nil) })
 	if envErr != nil {
 		t.Fatal(envErr)
 	}
@@ -259,7 +260,7 @@ func TestRunModelComparison(t *testing.T) {
 			t.Errorf("ranking violated at %d:\n%s", i, res)
 		}
 	}
-	if res.Best() == "" {
+	if res.Scores[0].Name == "" {
 		t.Error("no best model")
 	}
 	// The paper's GPR-wins claim needs the full-scale dataset (66

@@ -119,14 +119,6 @@ func RunModelComparison(env *Env) (ModelComparisonResult, error) {
 	return res, nil
 }
 
-// Best returns the winning model family name.
-func (m ModelComparisonResult) Best() string {
-	if len(m.Scores) == 0 {
-		return ""
-	}
-	return m.Scores[0].Name
-}
-
 // String renders the ranking.
 func (m ModelComparisonResult) String() string {
 	var b strings.Builder

@@ -71,9 +71,11 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	}
 
 	// Extra edge.
-	more := base.Clone()
-	if err := more.AddEdge(2, 3); err != nil {
-		t.Fatal(err)
+	more := New(4)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
+		if err := more.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if more.Fingerprint() == fp {
 		t.Error("edge set not hashed")

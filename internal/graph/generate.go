@@ -76,27 +76,6 @@ func tryPairing(n, k int, rng *rand.Rand) (*Graph, bool) {
 	return g, true
 }
 
-// Cycle returns the cycle graph C_n (n ≥ 3).
-func Cycle(n int) *Graph {
-	if n < 3 {
-		panic("graph: cycle needs n >= 3")
-	}
-	g := New(n)
-	for v := 0; v < n; v++ {
-		mustAdd(g, v, (v+1)%n)
-	}
-	return g
-}
-
-// Path returns the path graph P_n.
-func Path(n int) *Graph {
-	g := New(n)
-	for v := 0; v+1 < n; v++ {
-		mustAdd(g, v, v+1)
-	}
-	return g
-}
-
 func mustAdd(g *Graph, u, v int) {
 	if err := g.AddEdge(u, v); err != nil {
 		panic("graph: generator produced invalid edge: " + err.Error())

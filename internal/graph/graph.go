@@ -192,17 +192,6 @@ func (g *Graph) WeightedCutTable() []float64 {
 	return table
 }
 
-// Clone returns a deep copy of g, including edge weights.
-func (g *Graph) Clone() *Graph {
-	c := New(g.N)
-	for i, e := range g.edges {
-		if err := c.AddWeightedEdge(e.U, e.V, g.weights[i]); err != nil {
-			panic("graph: clone of invalid graph: " + err.Error())
-		}
-	}
-	return c
-}
-
 // String renders the graph as "n=<N> edges=[(u,v) ...]"; weighted edges
 // render as "(u,v):w".
 func (g *Graph) String() string {

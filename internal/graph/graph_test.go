@@ -7,6 +7,22 @@ import (
 	"testing/quick"
 )
 
+// pathGraph returns the path graph P_n.
+func pathGraph(n int) *Graph {
+	g := New(n)
+	for v := 0; v+1 < n; v++ {
+		mustAdd(g, v, v+1)
+	}
+	return g
+}
+
+// cycleGraph returns the cycle graph C_n (n ≥ 3).
+func cycleGraph(n int) *Graph {
+	g := pathGraph(n)
+	mustAdd(g, n-1, 0)
+	return g
+}
+
 func TestAddEdgeBasics(t *testing.T) {
 	g := New(3)
 	if err := g.AddEdge(0, 1); err != nil {
@@ -41,7 +57,7 @@ func TestEdgeNormalization(t *testing.T) {
 }
 
 func TestDegreeAndNeighbors(t *testing.T) {
-	g := Path(4) // 0-1-2-3
+	g := pathGraph(4) // 0-1-2-3
 	for v, want := range []int{1, 2, 2, 1} {
 		if g.Degree(v) != want {
 			t.Errorf("Degree(%d) = %d, want %d", v, g.Degree(v), want)
@@ -50,7 +66,7 @@ func TestDegreeAndNeighbors(t *testing.T) {
 }
 
 func TestConnected(t *testing.T) {
-	g := Path(4)
+	g := pathGraph(4)
 	if !g.Connected() {
 		t.Error("path should be connected")
 	}
@@ -82,11 +98,11 @@ func TestMaxCutKnownGraphs(t *testing.T) {
 		g    *Graph
 		want float64
 	}{
-		{"single edge", Path(2), 1},
-		{"path4", Path(4), 3},
-		{"triangle", Cycle(3), 2},
-		{"C4", Cycle(4), 4},
-		{"C5", Cycle(5), 4},
+		{"single edge", pathGraph(2), 1},
+		{"path4", pathGraph(4), 3},
+		{"triangle", cycleGraph(3), 2},
+		{"C4", cycleGraph(4), 4},
+		{"C5", cycleGraph(5), 4},
 		{"K4", complete(4), 4},
 		{"K5", complete(5), 6},
 		{"empty", New(5), 0},
@@ -154,7 +170,7 @@ func TestMaxCutBounds(t *testing.T) {
 func TestMaxCutBipartiteIsAllEdges(t *testing.T) {
 	// Even cycles are bipartite: optimal cut severs every edge.
 	for _, n := range []int{4, 6, 8} {
-		g := Cycle(n)
+		g := cycleGraph(n)
 		if got, _ := g.WeightedMaxCut(); got != float64(n) {
 			t.Errorf("C%d MaxCut = %v, want %d", n, got, n)
 		}
@@ -227,20 +243,8 @@ func TestRandomRegularZeroK(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	g := Cycle(4)
-	c := g.Clone()
-	mustAdd(c, 0, 2)
-	if g.HasEdge(0, 2) {
-		t.Error("Clone shares edge storage")
-	}
-	if c.NumEdges() != g.NumEdges()+1 {
-		t.Error("Clone lost edges")
-	}
-}
-
 func TestString(t *testing.T) {
-	g := Path(3)
+	g := pathGraph(3)
 	if s := g.String(); !strings.Contains(s, "n=3") || !strings.Contains(s, "(0,1)") {
 		t.Errorf("String = %q", s)
 	}

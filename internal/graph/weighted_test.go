@@ -37,7 +37,7 @@ func TestAddWeightedEdgeRejectsBadWeights(t *testing.T) {
 }
 
 func TestUnweightedDefaults(t *testing.T) {
-	g := Path(3)
+	g := pathGraph(3)
 	if g.Weighted() {
 		t.Error("unit-weight graph reported weighted")
 	}
@@ -92,17 +92,13 @@ func TestWeightedCutTable(t *testing.T) {
 	}
 }
 
-func TestWeightedCloneAndString(t *testing.T) {
+func TestWeightedString(t *testing.T) {
 	g := New(2)
 	mustAddW(t, g, 0, 1, 2)
-	c := g.Clone()
-	if !c.Weighted() || c.TotalWeight() != 2 {
-		t.Error("Clone dropped weights")
-	}
 	if s := g.String(); !strings.Contains(s, "(0,1):2") {
 		t.Errorf("String = %q", s)
 	}
-	if s := Path(2).String(); strings.Contains(s, ":1") {
+	if s := pathGraph(2).String(); strings.Contains(s, ":1") {
 		t.Errorf("unit-weight String shows weights: %q", s)
 	}
 }
@@ -201,7 +197,6 @@ func TestBarbell(t *testing.T) {
 func TestGeneratorPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i, f := range []func(){
-		func() { Cycle(2) },
 		func() { ErdosRenyi(4, 1.5, rng) },
 		func() { RandomRegular(5, 3, rng) },
 	} {

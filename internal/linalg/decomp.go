@@ -10,7 +10,8 @@ import (
 // not symmetric positive definite (within floating-point tolerance).
 var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
 
-// ErrSingular is returned by LU-based solvers when a pivot vanishes.
+// ErrSingular is returned by LUDecomp.Factor when a pivot vanishes and
+// by the least-squares solvers when A is rank deficient.
 var ErrSingular = errors.New("linalg: matrix is singular")
 
 // CholeskyDecomp holds the lower-triangular factor L with A = L·Lᵀ.
@@ -111,21 +112,12 @@ func SolveUpperTriangular(u *Matrix, b Vector) Vector {
 	return x
 }
 
-// LUDecomp holds an LU factorization with partial pivoting: P·A = L·U.
-// Factor reuses its storage, so one LUDecomp serves a loop of same-size
-// solves without allocating.
+// LUDecomp holds a factorization with partial pivoting, P·A = L·U, that
+// Factor fills and SolveTo solves with. Factor reuses its storage, so
+// one LUDecomp serves a loop of same-size solves without allocating.
 type LUDecomp struct {
 	lu  *Matrix // packed L (unit diagonal, below) and U (on/above diagonal)
 	piv []int   // row permutation
-}
-
-// LU factors A with partial pivoting.
-func LU(a *Matrix) (*LUDecomp, error) {
-	d := new(LUDecomp)
-	if err := d.Factor(a); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 // Factor factors A with partial pivoting into d, reusing d's storage
@@ -172,9 +164,6 @@ func (d *LUDecomp) Factor(a *Matrix) error {
 	}
 	return nil
 }
-
-// Solve solves A·x = b.
-func (d *LUDecomp) Solve(b Vector) Vector { return d.SolveTo(make(Vector, d.lu.Rows), b) }
 
 // SolveTo solves A·x = b into x, which must not share memory with b,
 // and returns x.
@@ -294,15 +283,6 @@ func (d *QRDecomp) SolveLeastSquares(b Vector) (Vector, error) {
 	}
 	qtb := d.Q.MulVecT(b)
 	return SolveUpperTriangular(d.R, qtb), nil
-}
-
-// Solve solves the square system A·x = b via LU with partial pivoting.
-func Solve(a *Matrix, b Vector) (Vector, error) {
-	lu, err := LU(a)
-	if err != nil {
-		return nil, err
-	}
-	return lu.Solve(b), nil
 }
 
 // SolveSPD solves A·x = b for symmetric positive-definite A via Cholesky.

@@ -181,11 +181,11 @@ func TestCholeskyFailsAsAtOracle(t *testing.T) {
 
 func TestLUSolveAndDet(t *testing.T) {
 	a := fromRows([][]float64{{2, 1, 1}, {4, -6, 0}, {-2, 7, 2}})
-	lu, err := LU(a)
-	if err != nil {
+	var lu LUDecomp
+	if err := lu.Factor(a); err != nil {
 		t.Fatal(err)
 	}
-	x := lu.Solve(Vector{5, -2, 9})
+	x := lu.SolveTo(make(Vector, 3), Vector{5, -2, 9})
 	if got := a.MulVec(x); !vecClose(got, Vector{5, -2, 9}, 1e-10) {
 		t.Errorf("LU solve residual: A·x = %v", got)
 	}
@@ -207,7 +207,7 @@ func TestLUSolveAndDet(t *testing.T) {
 
 func TestLUSingular(t *testing.T) {
 	a := fromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := LU(a); err != ErrSingular {
+	if err := new(LUDecomp).Factor(a); err != ErrSingular {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
 }
@@ -284,11 +284,14 @@ func TestSolveAndSolveSPD(t *testing.T) {
 	a := randomSPD(rng, 5)
 	x := randomVector(rng, 5)
 	b := a.MulVec(x)
-	got, err := Solve(a.Clone(), b)
-	if err != nil || !vecClose(got, x, 1e-8) {
-		t.Errorf("Solve = %v (err %v), want %v", got, err, x)
+	var lu LUDecomp
+	if err := lu.Factor(a); err != nil {
+		t.Fatal(err)
 	}
-	got, err = SolveSPD(a, b)
+	if got := lu.SolveTo(make(Vector, 5), b); !vecClose(got, x, 1e-8) {
+		t.Errorf("LU SolveTo = %v, want %v", got, x)
+	}
+	got, err := SolveSPD(a, b)
 	if err != nil || !vecClose(got, x, 1e-8) {
 		t.Errorf("SolveSPD = %v (err %v), want %v", got, err, x)
 	}

@@ -79,6 +79,38 @@ func TestLinearConstantFeatureFallback(t *testing.T) {
 	}
 }
 
+// predictAll applies r.Predict to every row.
+func predictAll(r Regressor, x [][]float64) []float64 {
+	out := make([]float64, len(x))
+	for i, row := range x {
+		out[i] = r.Predict(row)
+	}
+	return out
+}
+
+// treeShape returns the height (a single leaf has height 1) and the leaf
+// count of the tree below n.
+func treeShape(n *treeNode) (depth, leaves int) {
+	if n.left == nil {
+		return 1, 1
+	}
+	ld, ll := treeShape(n.left)
+	rd, rl := treeShape(n.right)
+	return max(ld, rd) + 1, ll + rl
+}
+
+// supportVectors returns the number of training points with a nonzero
+// dual coefficient in a fitted SVR.
+func supportVectors(s *SVR) int {
+	n := 0
+	for _, b := range s.beta {
+		if b != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestGPRInterpolatesSmoothFunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x, y := smoothData(rng, 80)
@@ -87,7 +119,7 @@ func TestGPRInterpolatesSmoothFunction(t *testing.T) {
 		t.Fatal(err)
 	}
 	xt, yt := smoothData(rng, 40)
-	pred := PredictBatch(&g, xt)
+	pred := predictAll(&g, xt)
 	m := Evaluate(yt, pred, 2)
 	if m.RMSE > 0.1 {
 		t.Errorf("GPR RMSE = %v (metrics: %v)", m.RMSE, m)
@@ -150,8 +182,8 @@ func TestTreeFitsPiecewiseStructure(t *testing.T) {
 	if got := tr.Predict([]float64{5}); math.Abs(got-5) > 1e-9 {
 		t.Errorf("right region = %v", got)
 	}
-	if tr.Depth() < 2 || tr.Leaves() < 2 {
-		t.Errorf("depth=%d leaves=%d", tr.Depth(), tr.Leaves())
+	if depth, leaves := treeShape(tr.root); depth < 2 || leaves < 2 {
+		t.Errorf("depth=%d leaves=%d", depth, leaves)
 	}
 }
 
@@ -162,8 +194,8 @@ func TestTreeRespectsMaxDepth(t *testing.T) {
 	if err := tr.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Depth() > treeMaxDepth {
-		t.Errorf("depth = %d > %d", tr.Depth(), treeMaxDepth)
+	if depth, _ := treeShape(tr.root); depth > treeMaxDepth {
+		t.Errorf("depth = %d > %d", depth, treeMaxDepth)
 	}
 }
 
@@ -177,8 +209,8 @@ func TestTreeConstantTarget(t *testing.T) {
 	if got := tr.Predict([]float64{2.2}); got != 7 {
 		t.Errorf("constant prediction = %v", got)
 	}
-	if tr.Leaves() != 1 {
-		t.Errorf("constant target grew %d leaves", tr.Leaves())
+	if _, leaves := treeShape(tr.root); leaves != 1 {
+		t.Errorf("constant target grew %d leaves", leaves)
 	}
 }
 
@@ -190,11 +222,11 @@ func TestSVRFitsSmoothFunction(t *testing.T) {
 		t.Fatal(err)
 	}
 	xt, yt := smoothData(rng, 40)
-	m := Evaluate(yt, PredictBatch(&s, xt), 2)
+	m := Evaluate(yt, predictAll(&s, xt), 2)
 	if m.RMSE > 0.15 {
 		t.Errorf("SVR RMSE = %v", m.RMSE)
 	}
-	if sv := s.SupportVectors(); sv == 0 || sv > 120 {
+	if sv := supportVectors(&s); sv == 0 || sv > 120 {
 		t.Errorf("support vectors = %d", sv)
 	}
 }
@@ -207,8 +239,8 @@ func TestSVREpsilonTubeSparsity(t *testing.T) {
 	if err := s.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if s.SupportVectors() != 0 {
-		t.Errorf("support vectors = %d, want 0", s.SupportVectors())
+	if sv := supportVectors(&s); sv != 0 {
+		t.Errorf("support vectors = %d, want 0", sv)
 	}
 	// Prediction degenerates to the target mean.
 	if got := s.Predict([]float64{1.5}); got != 0.25 {
@@ -266,8 +298,8 @@ func TestGPRBeatsLinearOnNonlinearData(t *testing.T) {
 	if err := lm.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	mg := Evaluate(yt, PredictBatch(&g, xt), 2)
-	ml := Evaluate(yt, PredictBatch(&lm, xt), 2)
+	mg := Evaluate(yt, predictAll(&g, xt), 2)
+	ml := Evaluate(yt, predictAll(&lm, xt), 2)
 	if !mg.Better(ml) {
 		t.Errorf("GPR (%v) not better than LM (%v)", mg, ml)
 	}

@@ -50,15 +50,6 @@ func checkTrainingData(x [][]float64, y []float64) (dim int, err error) {
 	return dim, nil
 }
 
-// PredictBatch applies r.Predict to every row.
-func PredictBatch(r Regressor, x [][]float64) []float64 {
-	out := make([]float64, len(x))
-	for i, row := range x {
-		out[i] = r.Predict(row)
-	}
-	return out
-}
-
 // cloneRows deep-copies a feature matrix.
 func cloneRows(x [][]float64) [][]float64 {
 	out := make([][]float64, len(x))

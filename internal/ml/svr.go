@@ -35,21 +35,6 @@ const (
 // Name implements Regressor.
 func (s *SVR) Name() string { return "RSVM" }
 
-// SupportVectors returns the number of training points with nonzero
-// dual coefficients. It panics before Fit.
-func (s *SVR) SupportVectors() int {
-	if !s.fitted {
-		panic("ml: SVR.SupportVectors before Fit")
-	}
-	n := 0
-	for _, b := range s.beta {
-		if b != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Fit implements Regressor.
 func (s *SVR) Fit(x [][]float64, y []float64) error {
 	if _, err := checkTrainingData(x, y); err != nil {

@@ -63,40 +63,6 @@ func (t *Tree) Predict(x []float64) float64 {
 	return n.value
 }
 
-// Depth returns the tree height (a single leaf has depth 1).
-func (t *Tree) Depth() int {
-	if !t.fitted {
-		return 0
-	}
-	return depthOf(t.root)
-}
-
-// Leaves returns the number of leaf nodes.
-func (t *Tree) Leaves() int {
-	if !t.fitted {
-		return 0
-	}
-	return leavesOf(t.root)
-}
-
-func depthOf(n *treeNode) int {
-	if n.left == nil {
-		return 1
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if r > l {
-		l = r
-	}
-	return l + 1
-}
-
-func leavesOf(n *treeNode) int {
-	if n.left == nil {
-		return 1
-	}
-	return leavesOf(n.left) + leavesOf(n.right)
-}
-
 func grow(x [][]float64, y []float64, idx []int, depthLeft, minLeaf int) *treeNode {
 	node := &treeNode{value: meanAt(y, idx)}
 	if depthLeft <= 1 || len(idx) < 2*minLeaf || constantAt(y, idx) {

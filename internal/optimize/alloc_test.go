@@ -26,7 +26,7 @@ func TestRunAllocsIndependentOfIterations(t *testing.T) {
 		{&LBFGSB{Tol: 1e-300}, 20},
 		{&SLSQP{Tol: 1e-300}, 20},
 	} {
-		b := UniformBounds(c.n, -2, 2)
+		b := uniformBounds(c.n, -2, 2)
 		x0 := b.Random(rand.New(rand.NewSource(4)))
 		allocs := func(budget int) float64 {
 			var r Result

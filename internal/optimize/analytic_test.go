@@ -24,7 +24,7 @@ func sphereGrad(center []float64) GradFunc {
 // Gradient runs converge to the optimum, and each count holds the calls
 // of one function: NFev the objective's, NGev the gradient's.
 func TestAnalyticGradientConverges(t *testing.T) {
-	b := UniformBounds(4, -2, 2)
+	b := uniformBounds(4, -2, 2)
 	center := []float64{0.7, -0.3, 1.2, 0.4}
 	for _, opt := range gradOptimizers() {
 		fCalls, gCalls := 0, 0
@@ -47,7 +47,7 @@ func TestAnalyticGradientConverges(t *testing.T) {
 // Grad panics, naming the optimizer. Nelder-Mead and COBYLA take no
 // gradient and run without one.
 func TestGradientOptimizersNeedGrad(t *testing.T) {
-	p := Problem{F: sphere([]float64{0.5, -0.5}), X0: []float64{1, 1}, Bounds: UniformBounds(2, -2, 2)}
+	p := Problem{F: sphere([]float64{0.5, -0.5}), X0: []float64{1, 1}, Bounds: uniformBounds(2, -2, 2)}
 	for _, opt := range gradOptimizers() {
 		func() {
 			defer func() {
@@ -70,7 +70,7 @@ func TestGradientOptimizersNeedGrad(t *testing.T) {
 // consistent partial result: Status Cancelled, F equal to the objective
 // at the returned X, and NFev/NGev equal to the calls actually made.
 func TestAnalyticCancelMidGradient(t *testing.T) {
-	b := UniformBounds(4, -2, 2)
+	b := uniformBounds(4, -2, 2)
 	for _, opt := range gradOptimizers() {
 		ctx, cancel := context.WithCancel(context.Background())
 		fCalls, gCalls := 0, 0
@@ -111,7 +111,7 @@ func TestAnalyticCancelMidGradient(t *testing.T) {
 // Run must surface gradient-evaluation telemetry for the gradient
 // methods and stay silent about it for the derivative-free ones.
 func TestRunRecordsGradientTelemetry(t *testing.T) {
-	b := UniformBounds(3, -2, 2)
+	b := uniformBounds(3, -2, 2)
 	center := []float64{0.7, -0.3, 1.2}
 	for _, opt := range gradOptimizers() {
 		mem := telemetry.NewMemory()
@@ -120,7 +120,7 @@ func TestRunRecordsGradientTelemetry(t *testing.T) {
 		if got := mem.CounterValue("optimize.gev_total"); got != int64(r.NGev) {
 			t.Errorf("%s: optimize.gev_total = %d, want %d", opt.Name(), got, r.NGev)
 		}
-		if h, ok := mem.HistogramSnapshot("optimize.ngev"); !ok || h.Count != 1 {
+		if h, ok := mem.Snapshot().Histograms["optimize.ngev"]; !ok || h.Count != 1 {
 			t.Errorf("%s: optimize.ngev histogram missing", opt.Name())
 		}
 

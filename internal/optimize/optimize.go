@@ -45,16 +45,6 @@ func NewBounds(lo, hi []float64) *Bounds {
 	return &Bounds{Lo: lo, Hi: hi}
 }
 
-// UniformBounds returns n-dimensional bounds [lo, hi]^n.
-func UniformBounds(n int, lo, hi float64) *Bounds {
-	l := make([]float64, n)
-	h := make([]float64, n)
-	for i := range l {
-		l[i], h[i] = lo, hi
-	}
-	return NewBounds(l, h)
-}
-
 // Dim returns the dimensionality.
 func (b *Bounds) Dim() int { return len(b.Lo) }
 
@@ -68,16 +58,6 @@ func (b *Bounds) Clip(x []float64) []float64 {
 		}
 	}
 	return x
-}
-
-// Contains reports whether x lies inside the box (inclusive).
-func (b *Bounds) Contains(x []float64) bool {
-	for i := range x {
-		if x[i] < b.Lo[i] || x[i] > b.Hi[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Random samples a uniform point in the box.
@@ -168,7 +148,7 @@ func (c *counter) call(x []float64) float64 {
 // clipped copy of x0.
 func prepareStart(x0 []float64, bounds *Bounds) []float64 {
 	if bounds == nil {
-		panic("optimize: nil bounds (use UniformBounds with wide limits for unconstrained problems)")
+		panic("optimize: nil bounds (use NewBounds with wide limits for unconstrained problems)")
 	}
 	if len(x0) != bounds.Dim() {
 		panic(fmt.Sprintf("optimize: x0 dim %d != bounds dim %d", len(x0), bounds.Dim()))

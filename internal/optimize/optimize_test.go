@@ -8,6 +8,25 @@ import (
 	"testing/quick"
 )
 
+// uniformBounds returns n-dimensional bounds [lo, hi]^n.
+func uniformBounds(n int, lo, hi float64) *Bounds {
+	l, h := make([]float64, n), make([]float64, n)
+	for i := range l {
+		l[i], h[i] = lo, hi
+	}
+	return NewBounds(l, h)
+}
+
+// inBox reports whether x lies inside b (inclusive).
+func inBox(b *Bounds, x []float64) bool {
+	for i := range x {
+		if x[i] < b.Lo[i] || x[i] > b.Hi[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // sphere has its minimum 0 at the given center.
 func sphere(center []float64) Func {
 	return func(x []float64) float64 {
@@ -55,7 +74,7 @@ func allOptimizers() []Optimizer {
 
 func TestOptimizersOnSphere(t *testing.T) {
 	center := []float64{0.7, -0.3, 1.2}
-	b := UniformBounds(3, -2, 2)
+	b := uniformBounds(3, -2, 2)
 	for _, opt := range allOptimizers() {
 		r := minimize(opt, sphere(center), sphereGrad(center), []float64{-1, 1, 0}, b)
 		if r.F > 1e-5 {
@@ -76,10 +95,10 @@ func TestOptimizersRespectBounds(t *testing.T) {
 	// Minimum of the sphere is outside the box: optimizers must stop at
 	// the face x = 1 and stay feasible throughout the reported solution.
 	center := []float64{3, 3}
-	b := UniformBounds(2, -1, 1)
+	b := uniformBounds(2, -1, 1)
 	for _, opt := range allOptimizers() {
 		r := minimize(opt, sphere(center), sphereGrad(center), []float64{0, 0}, b)
-		if !b.Contains(r.X) {
+		if !inBox(b, r.X) {
 			t.Errorf("%s: solution %v violates bounds", opt.Name(), r.X)
 		}
 		for i := range r.X {
@@ -94,7 +113,7 @@ func TestOptimizersRespectBounds(t *testing.T) {
 // classic start, so a run that hits the cap is warm-started from its
 // answer (which also resets the curvature history), at most twice.
 func TestGradientOptimizersOnRosenbrock(t *testing.T) {
-	b := UniformBounds(2, -2, 2)
+	b := uniformBounds(2, -2, 2)
 	for _, opt := range []Optimizer{&LBFGSB{}, &SLSQP{}} {
 		r := minimize(opt, rosenbrock, rosenbrockNDGrad, []float64{-1.2, 1}, b)
 		for restart := 0; restart < 2 && r.Status == MaxIter; restart++ {
@@ -140,7 +159,7 @@ func TestWarmStartCutsFunctionCalls(t *testing.T) {
 }
 
 func TestResultConvergedFlag(t *testing.T) {
-	b := UniformBounds(2, -2, 2)
+	b := uniformBounds(2, -2, 2)
 	for _, opt := range allOptimizers() {
 		r := minimize(opt, sphere([]float64{0, 0}), sphereGrad([]float64{0, 0}), []float64{1, 1}, b)
 		if r.Status != Converged {
@@ -154,7 +173,7 @@ func TestResultConvergedFlag(t *testing.T) {
 
 // COBYLA.MaxFev is the one evaluation budget a caller sets.
 func TestMaxFevBudget(t *testing.T) {
-	b := UniformBounds(4, -2, 2)
+	b := uniformBounds(4, -2, 2)
 	for _, budget := range []int{10, 12, 40} {
 		r := minimize(&COBYLA{MaxFev: budget}, rosenbrockND, nil, b.Random(rand.New(rand.NewSource(1))), b)
 		// A simplex rebuild may overshoot by one simplex (n+1 evals).
@@ -173,10 +192,10 @@ func rosenbrockND(x []float64) float64 {
 }
 
 func TestStartOutsideBoundsIsClipped(t *testing.T) {
-	b := UniformBounds(2, 0, 1)
+	b := uniformBounds(2, 0, 1)
 	for _, opt := range allOptimizers() {
 		r := minimize(opt, sphere([]float64{0.5, 0.5}), sphereGrad([]float64{0.5, 0.5}), []float64{7, -7}, b)
-		if !b.Contains(r.X) {
+		if !inBox(b, r.X) {
 			t.Errorf("%s: solution %v out of bounds", opt.Name(), r.X)
 		}
 		if r.F > 1e-4 {
@@ -195,12 +214,12 @@ func TestBoundsHelpers(t *testing.T) {
 	if x[0] != 1 || x[1] != -1 {
 		t.Errorf("Clip = %v", x)
 	}
-	if !b.Contains(x) || b.Contains([]float64{0.5, 2}) {
+	if !inBox(b, x) || inBox(b, []float64{0.5, 2}) {
 		t.Error("Contains wrong")
 	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
-		if !b.Contains(b.Random(rng)) {
+		if !inBox(b, b.Random(rng)) {
 			t.Fatal("Random sample out of bounds")
 		}
 	}
@@ -223,7 +242,7 @@ func TestBoundsValidation(t *testing.T) {
 }
 
 func TestProjectedGradientNorm(t *testing.T) {
-	b := UniformBounds(2, 0, 1)
+	b := uniformBounds(2, 0, 1)
 	// At the lower face with outward gradient: projected component is 0.
 	if got := projectedGradientNorm([]float64{0, 0.5}, []float64{5, 0}, b); got != 0 {
 		t.Errorf("norm = %v, want 0", got)
@@ -243,14 +262,14 @@ func TestOptimizerInvariants(t *testing.T) {
 	opts := allOptimizers()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		b := UniformBounds(3, -1, 2)
+		b := uniformBounds(3, -1, 2)
 		x0 := b.Random(rng)
 		center := b.Random(rng)
 		obj := sphere(center)
 		f0 := obj(x0)
 		opt := opts[int(uint64(seed)%uint64(len(opts)))]
 		r := minimize(opt, obj, sphereGrad(center), x0, b)
-		if !b.Contains(r.X) {
+		if !inBox(b, r.X) {
 			return false
 		}
 		if math.Abs(obj(r.X)-r.F) > 1e-12 {

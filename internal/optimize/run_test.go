@@ -12,7 +12,7 @@ import (
 )
 
 func TestRunDefaultsToLBFGSB(t *testing.T) {
-	b := UniformBounds(2, -2, 2)
+	b := uniformBounds(2, -2, 2)
 	r := Run(context.Background(), Problem{F: sphere([]float64{1, 1}), Grad: sphereGrad([]float64{1, 1}), X0: []float64{0, 0}, Bounds: b}, Options{})
 	if r.F > 1e-5 || r.Status != Converged {
 		t.Fatalf("default Run: F=%v status=%v (%s)", r.F, r.Status, r.Message)
@@ -22,7 +22,7 @@ func TestRunDefaultsToLBFGSB(t *testing.T) {
 func TestRunCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	b := UniformBounds(2, -2, 2)
+	b := uniformBounds(2, -2, 2)
 	for _, opt := range allOptimizers() {
 		r := Run(ctx, Problem{F: sphere([]float64{0, 0}), X0: []float64{1, 1}, Bounds: b}, Options{Optimizer: opt})
 		if r.Status != Cancelled {
@@ -40,7 +40,7 @@ func TestRunCancelledBeforeStart(t *testing.T) {
 func TestRunCancelledBeforeStartIsCounted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	b := UniformBounds(2, -2, 2)
+	b := uniformBounds(2, -2, 2)
 	for _, opt := range allOptimizers() {
 		mem := telemetry.NewMemory()
 		r := Run(ctx, Problem{F: sphere([]float64{0, 0}), X0: []float64{1, 1}, Bounds: b}, Options{Optimizer: opt, Recorder: mem})
@@ -56,7 +56,7 @@ func TestRunCancelledBeforeStartIsCounted(t *testing.T) {
 // TestRunCancelMidRun cancels from inside the objective and checks
 // every optimizer stops within one outer step, keeping its incumbent.
 func TestRunCancelMidRun(t *testing.T) {
-	b := UniformBounds(4, -2, 2)
+	b := uniformBounds(4, -2, 2)
 	for _, opt := range allOptimizers() {
 		ctx, cancel := context.WithCancel(context.Background())
 		calls := 0
@@ -85,7 +85,7 @@ func TestRunCancelMidRun(t *testing.T) {
 }
 
 func TestRunDeadlineSetsCancelled(t *testing.T) {
-	b := UniformBounds(4, -2, 2)
+	b := uniformBounds(4, -2, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	slow := func(x []float64) float64 {
@@ -103,7 +103,7 @@ func TestRunDeadlineSetsCancelled(t *testing.T) {
 // event for iteration 2 cancels, and the check entering iteration 3
 // ends the run.
 func TestRunCallbackStops(t *testing.T) {
-	b := UniformBounds(4, -2, 2)
+	b := uniformBounds(4, -2, 2)
 	for _, opt := range allOptimizers() {
 		ctx, cancel := context.WithCancel(context.Background())
 		events := 0
@@ -127,13 +127,13 @@ func TestRunCallbackStops(t *testing.T) {
 // TestRunEmitsTraces checks all four optimizers emit per-iteration
 // events with sane cumulative NFev.
 func TestRunEmitsTraces(t *testing.T) {
-	b := UniformBounds(3, -2, 2)
+	b := uniformBounds(3, -2, 2)
 	center := []float64{0.7, -0.3, 1.2}
 	for _, opt := range allOptimizers() {
 		mem := telemetry.NewMemory()
 		r := Run(context.Background(), Problem{F: sphere(center), Grad: sphereGrad(center), X0: []float64{-1, 1, 0}, Bounds: b},
 			Options{Optimizer: opt, Recorder: mem})
-		trace := mem.Trace()
+		trace := mem.Snapshot().Trace
 		if len(trace) == 0 {
 			t.Errorf("%s: no iteration events", opt.Name())
 			continue
@@ -161,10 +161,10 @@ func TestRunEmitsTraces(t *testing.T) {
 		if got := mem.CounterValue("optimize.fev_total"); got != int64(r.NFev) {
 			t.Errorf("%s: optimize.fev_total = %d, want %d", opt.Name(), got, r.NFev)
 		}
-		if h, ok := mem.HistogramSnapshot("optimize.nfev"); !ok || h.Count != 1 {
+		if h, ok := mem.Snapshot().Histograms["optimize.nfev"]; !ok || h.Count != 1 {
 			t.Errorf("%s: optimize.nfev histogram missing", opt.Name())
 		}
-		if h, ok := mem.HistogramSnapshot("optimize.run_ms"); !ok || h.Count != 1 {
+		if h, ok := mem.Snapshot().Histograms["optimize.run_ms"]; !ok || h.Count != 1 {
 			t.Errorf("%s: optimize.run_ms histogram missing", opt.Name())
 		}
 	}
@@ -176,7 +176,7 @@ func TestRunEmitsTraces(t *testing.T) {
 // budget exhausted has status MaxIter, and a 12-call cap is spent.
 func TestRunMaxNFevCapsBudget(t *testing.T) {
 	const n = 4
-	b := UniformBounds(n, -2, 2)
+	b := uniformBounds(n, -2, 2)
 	for _, c := range []struct {
 		opt    Optimizer
 		budget int
@@ -218,7 +218,7 @@ func TestStatusString(t *testing.T) {
 // Status is the one termination flag: Converged exactly when a
 // tolerance was met, MaxIter when the budget ran out first.
 func TestStatusMatchesConvergedFlag(t *testing.T) {
-	b := UniformBounds(2, -2, 2)
+	b := uniformBounds(2, -2, 2)
 	for _, opt := range allOptimizers() {
 		easy := minimize(opt, sphere([]float64{0, 0}), sphereGrad([]float64{0, 0}), []float64{1, 1}, b)
 		if easy.Status != Converged || easy.Message == "function evaluation budget exhausted" {
@@ -241,9 +241,9 @@ func TestRunWithBatchIsBitIdenticalToSerial(t *testing.T) {
 		g    GradFunc
 		b    *Bounds
 	}{
-		{"sphere", sphere([]float64{0.3, -0.2}), sphereGrad([]float64{0.3, -0.2}), UniformBounds(2, -2, 2)},
-		{"rosenbrock", rosenbrock, rosenbrockNDGrad, UniformBounds(2, -2, 2)},
-		{"qaoa-like", qaoaLike, qaoaLikeGrad, UniformBounds(2, 0, math.Pi)},
+		{"sphere", sphere([]float64{0.3, -0.2}), sphereGrad([]float64{0.3, -0.2}), uniformBounds(2, -2, 2)},
+		{"rosenbrock", rosenbrock, rosenbrockNDGrad, uniformBounds(2, -2, 2)},
+		{"qaoa-like", qaoaLike, qaoaLikeGrad, uniformBounds(2, 0, math.Pi)},
 	}
 	for _, opt := range allOptimizers() {
 		for _, obj := range objectives {

@@ -42,7 +42,7 @@ func TestSolveBoxQPKKT(t *testing.T) {
 			g[i] = rng.NormFloat64() * 3
 			x[i] = rng.Float64()
 		}
-		bounds := UniformBounds(n, 0, 1)
+		bounds := uniformBounds(n, 0, 1)
 		d := make([]float64, n)
 		solveBoxQP(d, bmat, g, x, bounds, 200)
 		// KKT check on ∇q(d) = g + B·d.

@@ -184,7 +184,7 @@ func TestOddDegreeGammaShiftSymmetry(t *testing.T) {
 	}
 	// P3 has degrees (1, 2, 1): the even-degree middle vertex breaks
 	// the symmetry.
-	even, err := NewProblem(graph.Path(3))
+	even, err := NewProblem(pathGraph(3))
 	if err != nil {
 		t.Fatal(err)
 	}

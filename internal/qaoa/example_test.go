@@ -11,7 +11,8 @@ import (
 // Solve MaxCut on a single edge with a depth-1 circuit at the known
 // optimal angles.
 func ExampleProblem_expectation() {
-	g := graph.Path(2)
+	g := graph.New(2)
+	_ = g.AddEdge(0, 1)
 	pb, _ := qaoa.NewProblem(g)
 	pr := qaoa.Params{Gamma: []float64{math.Pi / 2}, Beta: []float64{math.Pi / 8}}
 	fmt.Printf("<C> = %.2f, AR = %.2f\n", pb.Expectation(pr), pb.ApproximationRatio(pr))

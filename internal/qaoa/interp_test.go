@@ -3,8 +3,6 @@ package qaoa
 import (
 	"math"
 	"testing"
-
-	"qaoaml/internal/graph"
 )
 
 func TestInterpolateDepth1(t *testing.T) {
@@ -59,7 +57,7 @@ func TestInterpolatePreservesMonotonicity(t *testing.T) {
 // zero-parameter (uniform-state) baseline: it lands in the basin of the
 // regular optimum family rather than at a generic point.
 func TestInterpolateIsWarmStart(t *testing.T) {
-	pb := mustProblem(t, graph.Cycle(5))
+	pb := mustProblem(t, cycleGraph(5))
 	// Depth-1 optimum found by a fine grid.
 	best := bestOnGrid(pb, 1, 48)
 	seed := Interpolate(best.pr)
@@ -71,7 +69,7 @@ func TestInterpolateIsWarmStart(t *testing.T) {
 }
 
 func TestGridSearchP1(t *testing.T) {
-	pb := mustProblem(t, graph.Path(2))
+	pb := mustProblem(t, pathGraph(2))
 	best, e := GridSearchP1(pb, 64)
 	// Single-edge optimum is <C> = 1 at (π/2, π/8); a 64-step grid gets
 	// close.
@@ -84,7 +82,7 @@ func TestGridSearchP1(t *testing.T) {
 }
 
 func TestGridSearchP1Panics(t *testing.T) {
-	pb := mustProblem(t, graph.Path(2))
+	pb := mustProblem(t, pathGraph(2))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -156,10 +156,6 @@ func NewProblem(g *graph.Graph) (*Problem, error) { return New(problem.MaxCut(g)
 // NewIsing is New for a pre-built Ising Hamiltonian.
 func NewIsing(in *problem.Instance) (*Problem, error) { return New(problem.FromInstance(in)) }
 
-// NumQubits returns the compiled register width: the decision variables
-// plus any quadratization auxiliaries.
-func (pb *Problem) NumQubits() int { return pb.Inst.N }
-
 // halfRegister reports whether workspaces evolve the problem as a half
 // register: its Hamiltonian has no linear term.
 func (pb *Problem) halfRegister() bool { return pb.Inst.FieldFree() }
@@ -198,17 +194,6 @@ func (pb *Problem) GateState(pr Params) *quantum.State {
 		}
 	}
 	return s
-}
-
-// State returns |ψ(γ, β)⟩ using the fast diagonal phase-separator path
-// (distinct-value memoized phases, fused mixing kernel — see
-// workspace.go), always as the full 2^n-amplitude register. The result
-// matches GateState(pr) to rounding error, including global phase.
-func (pb *Problem) State(pr Params) *quantum.State {
-	if err := pr.Validate(false); err != nil {
-		panic(err)
-	}
-	return prepareState(pb.kernel(), pr.Gamma, pr.Beta)
 }
 
 // Expectation returns ⟨ψ(γ, β)|C|ψ(γ, β)⟩, the expected Score (cut

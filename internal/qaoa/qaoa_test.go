@@ -7,7 +7,45 @@ import (
 	"testing/quick"
 
 	"qaoaml/internal/graph"
+	"qaoaml/internal/quantum"
 )
+
+// State returns |ψ(γ, β)⟩ evolved by a fresh workspace (the fused layer
+// kernels), always as the full 2^n-amplitude register: a half register
+// is unfolded. It matches GateState(pr) to rounding error, global phase
+// included.
+func (pb *Problem) State(pr Params) *quantum.State {
+	if err := pr.Validate(false); err != nil {
+		panic(err)
+	}
+	k := pb.kernel()
+	w := newWorkspace(k, nil)
+	w.runLayers(pr.Gamma, pr.Beta)
+	if k.mirror() {
+		return w.st.UnfoldMirror()
+	}
+	return w.st
+}
+
+// pathGraph returns the path graph P_n.
+func pathGraph(n int) *graph.Graph {
+	g := graph.New(n)
+	for v := 0; v+1 < n; v++ {
+		if err := g.AddEdge(v, v+1); err != nil {
+			panic(err)
+		}
+	}
+	return g
+}
+
+// cycleGraph returns the cycle graph C_n (n ≥ 3).
+func cycleGraph(n int) *graph.Graph {
+	g := pathGraph(n)
+	if err := g.AddEdge(n-1, 0); err != nil {
+		panic(err)
+	}
+	return g
+}
 
 func mustProblem(t testing.TB, g *graph.Graph) *Problem {
 	t.Helper()
@@ -79,7 +117,7 @@ func TestNewProblemRejectsEmptyGraph(t *testing.T) {
 // Single edge, p = 1: with U_B = exp(−iβΣX) (i.e. RX(2β) mixers) the
 // known closed form is ⟨C⟩ = (1 + sin(γ)·sin(4β)) / 2.
 func TestSingleEdgeClosedForm(t *testing.T) {
-	g := graph.Path(2)
+	g := pathGraph(2)
 	pb := mustProblem(t, g)
 	for _, gamma := range []float64{0, 0.3, 1.1, math.Pi / 2, 3.0} {
 		for _, beta := range []float64{0, 0.2, math.Pi / 8, 1.0, 3.0} {
@@ -95,7 +133,7 @@ func TestSingleEdgeClosedForm(t *testing.T) {
 // The optimal p = 1 single-edge parameters (γ = π/2, β = π/8 gives
 // sin·sin = 1) achieve AR = 1.
 func TestSingleEdgeOptimal(t *testing.T) {
-	pb := mustProblem(t, graph.Path(2))
+	pb := mustProblem(t, pathGraph(2))
 	pr := Params{Gamma: []float64{math.Pi / 2}, Beta: []float64{math.Pi / 8}}
 	if ar := pb.ApproximationRatio(pr); math.Abs(ar-1) > 1e-10 {
 		t.Errorf("AR = %v, want 1", ar)
@@ -164,7 +202,7 @@ func TestApproximationRatioAtMostOne(t *testing.T) {
 }
 
 func TestEvaluatorCountsCalls(t *testing.T) {
-	pb := mustProblem(t, graph.Cycle(4))
+	pb := mustProblem(t, cycleGraph(4))
 	ev := NewEvaluator(pb, 2)
 	if ev.Dim() != 4 {
 		t.Fatalf("Dim = %d", ev.Dim())
@@ -179,7 +217,7 @@ func TestEvaluatorCountsCalls(t *testing.T) {
 }
 
 func TestEvaluatorNegatesExpectation(t *testing.T) {
-	pb := mustProblem(t, graph.Path(2))
+	pb := mustProblem(t, pathGraph(2))
 	ev := NewEvaluator(pb, 1)
 	x := []float64{math.Pi / 2, math.Pi / 8}
 	if got := ev.NegExpectation(x); math.Abs(got+1) > 1e-10 {
@@ -188,7 +226,7 @@ func TestEvaluatorNegatesExpectation(t *testing.T) {
 }
 
 func TestEvaluatorWrongDimPanics(t *testing.T) {
-	pb := mustProblem(t, graph.Path(2))
+	pb := mustProblem(t, pathGraph(2))
 	ev := NewEvaluator(pb, 2)
 	defer func() {
 		if recover() == nil {
@@ -199,7 +237,7 @@ func TestEvaluatorWrongDimPanics(t *testing.T) {
 }
 
 func TestBestSampled(t *testing.T) {
-	pb := mustProblem(t, graph.Path(2))
+	pb := mustProblem(t, pathGraph(2))
 	// At the optimal single-edge parameters the state concentrates on the
 	// cut states |01>, |10>.
 	pr := Params{Gamma: []float64{math.Pi / 2}, Beta: []float64{math.Pi / 8}}
@@ -216,7 +254,7 @@ func TestBestSampled(t *testing.T) {
 // the depth-2 optimum found by a coarse grid refine is >= the depth-1
 // optimum on a triangle (the classic non-bipartite example).
 func TestDepthImprovesTriangle(t *testing.T) {
-	pb := mustProblem(t, graph.Cycle(3))
+	pb := mustProblem(t, cycleGraph(3))
 	best1 := bestOnGrid(pb, 1, 24)
 	best2 := bestOnGridAround(pb, 2, best1, 8)
 	if best2.ar+1e-9 < best1.ar {

@@ -220,7 +220,7 @@ func TestStateReuseInterleaved(t *testing.T) {
 			if got := pb.kernel().qubits(); got != n-1 {
 				t.Fatalf("problem evolves %d qubits, want %d", got, n-1)
 			}
-			kinds = append(kinds, kind{fmt.Sprintf("%s/n%d", pb.Spec.Family, pb.NumQubits()), pb})
+			kinds = append(kinds, kind{fmt.Sprintf("%s/n%d", pb.Spec.Family, pb.Inst.N), pb})
 		}
 	}
 	// A few points per depth, so repeats — the reuse path — are common.

@@ -26,10 +26,9 @@ import (
 //     mixing layer — runs through one fused quantum.LayerRunner sweep:
 //     each cache-resident chunk is filled, phased, and mixed (for every
 //     in-chunk qubit pair) back-to-back, so the state vector streams
-//     from memory once per stage instead of once per pass. (Measured
-//     since: the sweep is scalar-ALU-bound, not bandwidth-bound — ≈ 0.2
-//     of the triad roofline after the mixer butterflies dropped their
-//     complex products by exact zeros, 0.1 before; see quantum/fused.go.)
+//     from memory once per stage instead of once per pass. The sweep is
+//     arithmetic-bound, not bandwidth-bound: the benchmark ladder's
+//     quantum.roofline_share row reads its share of the triad roofline.
 //   - All buffers (state vector, factor table) and the dispatch
 //     closures live in an EvalWorkspace that is reused across objective
 //     calls, so a warm NegExpectation performs no heap allocation at
@@ -351,19 +350,6 @@ func (w *EvalWorkspace) holds(gamma, beta []float64) bool {
 		}
 	}
 	return true
-}
-
-// prepareState builds a fresh |ψ(γ,β)⟩ with the fused layer kernels.
-// It backs the one-shot State helpers, which are not hot paths, so the
-// transient workspace is fine. Always the problem's full register — a
-// half register is unfolded.
-func prepareState(k costKernel, gamma, beta []float64) *quantum.State {
-	w := newWorkspace(k, nil)
-	w.runLayers(gamma, beta)
-	if k.mirror() {
-		return w.st.UnfoldMirror()
-	}
-	return w.st
 }
 
 // expectation evaluates ⟨C⟩ at (γ, β), reusing the workspace buffers.

@@ -145,7 +145,7 @@ func TestBatchEvaluatorMatchesSequential(t *testing.T) {
 }
 
 func TestBatchEvaluatorWrongDimPanics(t *testing.T) {
-	pb := mustProblem(t, graph.Path(3))
+	pb := mustProblem(t, pathGraph(3))
 	be := NewBatchEvaluator(pb, 2, 2)
 	defer func() {
 		if recover() == nil {

@@ -50,8 +50,8 @@ func (s *State) SeedDiagonalRange(src *State, lo int, diag []float64) float64 {
 
 // InnerProductDiagonalRange returns one chunk's contribution to
 // ⟨s|D|t⟩: Σ_i conj(s_{lo+i})·diag[i]·t_{lo+i}, accumulated in split
-// real/imag form. Streaming cost kernels call it with per-chunk
-// generated diagonals inside ReduceChunks.
+// real/imag form. qaoa's two-pass reference gradient calls it with
+// per-chunk generated diagonals inside ReduceChunks.
 func (s *State) InnerProductDiagonalRange(t *State, lo int, diag []float64) (re, im float64) {
 	s.checkRange(lo, len(diag))
 	for i, d := range diag {

@@ -63,14 +63,6 @@ func (s *State) Dim() int { return len(s.amps) }
 // Amplitude returns the amplitude of basis state |index⟩.
 func (s *State) Amplitude(index uint64) complex128 { return s.amps[index] }
 
-// Clone returns a deep copy of s.
-func (s *State) Clone() *State {
-	c := &State{n: s.n, amps: make([]complex128, len(s.amps))}
-	ampBytes.Add(int64(16 * len(s.amps)))
-	copy(c.amps, s.amps)
-	return c
-}
-
 // Norm returns the 2-norm of the state vector (1 for a valid state).
 func (s *State) Norm() float64 { return math.Sqrt(normSqPartial(s.amps)) }
 
@@ -99,16 +91,6 @@ func (s *State) Normalize() {
 func (s *State) Probability(index uint64) float64 {
 	a := s.amps[index]
 	return real(a)*real(a) + imag(a)*imag(a)
-}
-
-// Probabilities returns the full measurement distribution over the
-// computational basis.
-func (s *State) Probabilities() []float64 {
-	p := make([]float64, len(s.amps))
-	for i, a := range s.amps {
-		p[i] = real(a)*real(a) + imag(a)*imag(a)
-	}
-	return p
 }
 
 // InnerProduct returns ⟨s|t⟩. It panics if widths differ.
@@ -159,8 +141,7 @@ func (s *State) ExpectationDiagonalRange(lo int, diag []float64) float64 {
 
 // ArgmaxProbability returns the basis state with the largest |amp|² and
 // that probability, scanning in ascending index order (first maximum
-// wins). It replaces Probabilities()-then-scan readouts, which allocate
-// a 2^n table.
+// wins), without allocating a 2^n probability table.
 func (s *State) ArgmaxProbability() (uint64, float64) {
 	best := -1.0
 	var arg uint64

@@ -8,6 +8,14 @@ import (
 	"testing/quick"
 )
 
+// Clone returns a deep copy of s.
+func (s *State) Clone() *State {
+	c := &State{n: s.n, amps: make([]complex128, len(s.amps))}
+	ampBytes.Add(int64(16 * len(s.amps)))
+	copy(c.amps, s.amps)
+	return c
+}
+
 func TestNewStateIsZeroKet(t *testing.T) {
 	s := NewState(3)
 	if s.Dim() != 8 || s.NumQubits() != 3 {
@@ -25,11 +33,11 @@ func TestHadamardSuperposition(t *testing.T) {
 	s := NewState(1)
 	s.H(0)
 	if math.Abs(s.Probability(0)-0.5) > 1e-12 || math.Abs(s.Probability(1)-0.5) > 1e-12 {
-		t.Errorf("H|0> probs = %v", s.Probabilities())
+		t.Errorf("H|0> probs = %v", s.amps)
 	}
 	s.H(0) // H is an involution
 	if math.Abs(s.Probability(0)-1) > 1e-12 {
-		t.Errorf("H² != I: %v", s.Probabilities())
+		t.Errorf("H² != I: %v", s.amps)
 	}
 }
 
@@ -38,7 +46,7 @@ func TestBellState(t *testing.T) {
 	s.H(0)
 	s.CNOT(0, 1)
 	if math.Abs(s.Probability(0b00)-0.5) > 1e-12 || math.Abs(s.Probability(0b11)-0.5) > 1e-12 {
-		t.Errorf("Bell probs = %v", s.Probabilities())
+		t.Errorf("Bell probs = %v", s.amps)
 	}
 	if p := s.Probability(0b01) + s.Probability(0b10); p > 1e-12 {
 		t.Errorf("Bell has odd-parity weight %v", p)
@@ -67,12 +75,12 @@ func TestRXRotation(t *testing.T) {
 	s := NewState(1)
 	s.RX(0, math.Pi) // = -iX up to phase
 	if math.Abs(s.Probability(1)-1) > 1e-12 {
-		t.Errorf("RX(π)|0> probs = %v", s.Probabilities())
+		t.Errorf("RX(π)|0> probs = %v", s.amps)
 	}
 	s2 := NewState(1)
 	s2.RX(0, math.Pi/2)
 	if math.Abs(s2.Probability(0)-0.5) > 1e-12 {
-		t.Errorf("RX(π/2) probs = %v", s2.Probabilities())
+		t.Errorf("RX(π/2) probs = %v", s2.amps)
 	}
 }
 
@@ -214,8 +222,8 @@ func TestProbabilitiesSumToOne(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomState(rng, 5)
 		total := 0.0
-		for _, p := range s.Probabilities() {
-			total += p
+		for i := range s.amps {
+			total += s.Probability(uint64(i))
 		}
 		return math.Abs(total-1) < 1e-10
 	}

@@ -38,7 +38,7 @@ func TestSolveDepth1ReadoutMatchesBestSampled(t *testing.T) {
 		}
 		pr := qaoa.Params{Gamma: r.Gamma, Beta: r.Beta}
 		score, assign := pb.BestSampled(pr)
-		if want := assignBits(assign, pb.NumQubits()); r.Assignment != want || r.Objective != score {
+		if want := assignBits(assign, pb.Inst.N); r.Assignment != want || r.Objective != score {
 			t.Errorf("%s: served (%s, %v), Problem.BestSampled (%s, %v)", name, r.Assignment, r.Objective, want, score)
 		}
 		if want := pb.ApproximationRatio(pr); r.AR < want-1e-12 || r.AR > want+1e-12 {

@@ -140,25 +140,6 @@ func (m *Memory) CounterValue(name string) int64 {
 	return c.Value()
 }
 
-// HistogramSnapshot returns the named histogram's snapshot and whether
-// it exists.
-func (m *Memory) HistogramSnapshot(name string) (HistogramSnapshot, bool) {
-	m.mu.RLock()
-	h := m.hists[name]
-	m.mu.RUnlock()
-	if h == nil {
-		return HistogramSnapshot{}, false
-	}
-	return h.Snapshot(), true
-}
-
-// Trace returns a copy of the retained iteration events.
-func (m *Memory) Trace() []IterEvent {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return append([]IterEvent(nil), m.trace...)
-}
-
 // SpanSnapshot summarizes one aggregated span name.
 type SpanSnapshot struct {
 	Count   int64   `json:"count"`

@@ -84,15 +84,15 @@ func TestMemorySink(t *testing.T) {
 	if got := m.CounterValue("missing"); got != 0 {
 		t.Errorf("missing counter = %d, want 0", got)
 	}
-	fc, ok := m.HistogramSnapshot("fc")
+	fc, ok := m.Snapshot().Histograms["fc"]
 	if !ok || fc.Count != 1 || fc.Buckets[1].Count != 1 {
 		t.Errorf("fc histogram wrong: %+v (ok=%v)", fc, ok)
 	}
 	if len(fc.Buckets) != 3 {
 		t.Errorf("fc buckets = %d, want the 3 defined edges", len(fc.Buckets))
 	}
-	if _, ok := m.HistogramSnapshot("nope"); ok {
-		t.Error("HistogramSnapshot invented a histogram")
+	if _, ok := m.Snapshot().Histograms["nope"]; ok {
+		t.Error("Snapshot invented a histogram")
 	}
 
 	s := m.Snapshot()
@@ -156,7 +156,7 @@ func TestMemoryConcurrent(t *testing.T) {
 	if got := m.CounterValue("n"); got != workers*perWorker {
 		t.Errorf("n = %d, want %d", got, workers*perWorker)
 	}
-	v, _ := m.HistogramSnapshot("v")
+	v := m.Snapshot().Histograms["v"]
 	if v.Count != workers*perWorker {
 		t.Errorf("v count = %d, want %d", v.Count, workers*perWorker)
 	}
