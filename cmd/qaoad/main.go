@@ -21,13 +21,13 @@
 // drain gracefully: accepted jobs finish (up to -drain-grace), new
 // submissions get 503.
 //
-// Fleet mode (-role): "single" (default) serves and solves in one
-// process; "worker" is the same but typically fronted by a
-// coordinator; "coordinator" admits, dedups, journals and fans solves
-// out to the -peers workers by consistent-hashed fingerprint, so each
-// worker's result cache owns a shard of the key space. -wal journals
-// accepted jobs and results to an fsync'd write-ahead log (any role):
-// on restart, completed results re-seed the cache and incomplete jobs
+// Fleet mode: with no -peers the daemon serves and solves in one
+// process, alone or as a coordinator's worker; with -peers it is the
+// coordinator, which admits, dedups, journals and fans solves out to
+// the -peers workers by consistent-hashed fingerprint, so each worker's
+// result cache owns a shard of the key space. -wal journals accepted
+// jobs and results to an fsync'd write-ahead log (either mode): on
+// restart, completed results re-seed the cache and incomplete jobs
 // re-enqueue, so kill -9 loses no accepted work.
 package main
 
@@ -64,7 +64,6 @@ type daemonConfig struct {
 	trainDepth  int
 	trainSeed   int64
 
-	role  string
 	peers string
 	wal   string
 
@@ -88,8 +87,7 @@ func registerFlags(fs *flag.FlagSet, c *daemonConfig) {
 	fs.DurationVar(&c.srv.MaxTimeout, "max-timeout", 0, "cap on requested per-job deadlines (0 = 10m)")
 	fs.IntVar(&c.srv.MaxNodes, "max-nodes", 0, "largest accepted instance (0 = default 20, hard cap 30)")
 	fs.IntVar(&c.srv.MaxDepth, "max-depth", 0, "largest accepted circuit depth (0 = default 10)")
-	fs.StringVar(&c.role, "role", "single", "fleet role: single, coordinator or worker")
-	fs.StringVar(&c.peers, "peers", "", "comma-separated worker base URLs (coordinator role)")
+	fs.StringVar(&c.peers, "peers", "", "comma-separated worker base URLs; non-empty makes this daemon their coordinator")
 	fs.StringVar(&c.wal, "wal", "", "write-ahead log path for durable job journaling (empty = no journal)")
 }
 
@@ -128,9 +126,9 @@ func run(cfg daemonConfig) error {
 		cfg.srv.Recorder = telemetry.NewMemory()
 	}
 
-	// Fleet wiring. The WAL (any role) journals accepted jobs and
-	// results; the dispatcher (coordinator role) fans solves out to the
-	// -peers workers. Both plug into the server through its Journal and
+	// Fleet wiring. The WAL (either mode) journals accepted jobs and
+	// results; the dispatcher (with -peers) fans solves out to the
+	// workers. Both plug into the server through its Journal and
 	// Dispatcher config seams — nil means plain single-process serving.
 	var recovery *cluster.Recovery
 	if cfg.wal != "" {
@@ -145,24 +143,15 @@ func run(cfg daemonConfig) error {
 			logger.Printf("wal %s: dropped a torn tail record (mid-write crash)", cfg.wal)
 		}
 	}
-	switch cfg.role {
-	case "single", "worker":
-		if cfg.peers != "" {
-			return fmt.Errorf("-peers is only meaningful with -role=coordinator")
-		}
-	case "coordinator":
-		disp, err := cluster.NewDispatcher(cluster.DispatcherConfig{
-			Workers:  splitPeers(cfg.peers),
-			Recorder: cfg.srv.Recorder,
-		})
+	if cfg.peers != "" {
+		peers := splitPeers(cfg.peers)
+		disp, err := cluster.NewDispatcher(cluster.DispatcherConfig{Workers: peers, Recorder: cfg.srv.Recorder})
 		if err != nil {
 			return err
 		}
 		defer disp.Close()
 		cfg.srv.Dispatcher = disp
-		logger.Printf("coordinator: dispatching to %d workers", len(splitPeers(cfg.peers)))
-	default:
-		return fmt.Errorf("unknown -role %q (single, coordinator or worker)", cfg.role)
+		logger.Printf("coordinator: dispatching to %d workers", len(peers))
 	}
 
 	s := server.New(cfg.srv)

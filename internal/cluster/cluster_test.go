@@ -20,8 +20,8 @@ import (
 )
 
 // Fleet integration tests: real server.Server instances behind httptest
-// listeners, wired exactly as qaoad -role=coordinator/-role=worker
-// wires them. Everything runs the naive strategy (no model registry
+// listeners, wired exactly as qaoad wires a coordinator (-peers) and
+// its workers. Everything runs the naive strategy (no model registry
 // needed) on small instances, so the suite stays fast enough for -race.
 
 type node struct {

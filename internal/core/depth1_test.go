@@ -7,6 +7,7 @@ import (
 
 	"qaoaml/internal/optimize"
 	"qaoaml/internal/qaoa"
+	"qaoaml/internal/quantum"
 	"qaoaml/internal/telemetry"
 )
 
@@ -23,10 +24,10 @@ func fourOptimizers() map[string]optimize.Optimizer {
 	}
 }
 
-// FC is the paper's metric: at depth 1 every call the optimizer reports
-// must have reached an evaluator counter — F calls as NFev, gradients
-// as NGev — no circuit is simulated for any of them, and the
-// flow reports the optimizer's own count.
+// FC is the paper's metric: at depth 1 the optimizer's counts equal the
+// calls that reached the evaluator — F calls as NFev, gradients as NGev
+// — no circuit is simulated for any of them (no amplitude is
+// allocated), and the flow reports the optimizer's own count.
 func TestLevel1CountsEveryClosedFormCall(t *testing.T) {
 	data := testData(t)
 	pb := data.Problems[3]
@@ -34,22 +35,25 @@ func TestLevel1CountsEveryClosedFormCall(t *testing.T) {
 	for name, opt := range fourOptimizers() {
 		ev := qaoa.NewEvaluator(pb, 1)
 		mem := telemetry.NewMemory()
+		var calls, grads int
+		before := quantum.AmpBytesAllocated()
 		r := optimize.Run(context.Background(), optimize.Problem{
-			F: ev.NegExpectation, Grad: ev.NegGrad,
-			X0: bounds.Random(rand.New(rand.NewSource(5))), Bounds: bounds,
+			F:    func(x []float64) float64 { calls++; return ev.NegExpectation(x) },
+			Grad: func(x, g []float64) { grads++; ev.NegGrad(x, g) },
+			X0:   bounds.Random(rand.New(rand.NewSource(5))), Bounds: bounds,
 		}, optimize.Options{Optimizer: opt, Recorder: mem})
-		if r.NFev != ev.NFev() || r.NGev != ev.NGev() {
-			t.Errorf("%s: optimizer reports NFev=%d NGev=%d, evaluator counted %d and %d",
-				name, r.NFev, r.NGev, ev.NFev(), ev.NGev())
+		if r.NFev != calls || r.NGev != grads {
+			t.Errorf("%s: optimizer reports NFev=%d NGev=%d, the evaluator was called %d and %d times",
+				name, r.NFev, r.NGev, calls, grads)
 		}
 		if got := mem.Snapshot().Counters["optimize.fev_total"]; got != int64(r.NFev) {
 			t.Errorf("%s: optimize.fev_total = %d, want %d", name, got, r.NFev)
 		}
-		if gradient := name == "lbfgsb" || name == "slsqp"; gradient != (ev.NGev() > 0) {
-			t.Errorf("%s: NGev = %d", name, ev.NGev())
+		if gradient := name == "lbfgsb" || name == "slsqp"; gradient != (grads > 0) {
+			t.Errorf("%s: %d gradients", name, grads)
 		}
-		if ev.ForwardPasses() != 0 {
-			t.Errorf("%s: level-1 run simulated the circuit %d times", name, ev.ForwardPasses())
+		if d := quantum.AmpBytesAllocated() - before; d != 0 {
+			t.Errorf("%s: level-1 run allocated %d amplitude bytes", name, d)
 		}
 		flow := solve(t, pb, Options{Depth: 1, Optimizer: opt, Rng: rand.New(rand.NewSource(5))})
 		if flow.NFev != r.NFev {

@@ -16,7 +16,10 @@ import (
 // registry) can load pre-trained predictors at startup instead of
 // regenerating the dataset and retraining per process. The serialized
 // state restores Predict bit-identically, which keeps the daemon's
-// result cache coherent with offline runs. A file holds GPR banks only.
+// result cache coherent with offline runs. A file holds GPR banks only,
+// each output as what Predict reads and no Cholesky factor; the decoder
+// ignores unknown members, so a file that still carries one ("chol_l")
+// loads.
 
 // predictorFileVersion is the schema version written by Predictor.Save.
 const predictorFileVersion = 1

@@ -3,10 +3,16 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"math"
 	"math/rand"
+	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"qaoaml/internal/qaoa"
 )
 
 var persistEnv struct {
@@ -175,5 +181,90 @@ func TestLoadPredictorChecksBankWidth(t *testing.T) {
 	blob = strings.Replace(blob, `"2":`, `"9":`, 1)
 	if _, err := LoadPredictor(strings.NewReader(blob)); err == nil {
 		t.Fatal("bank width mismatch accepted")
+	}
+}
+
+// cholRecipe trains the predictor testdata/predictor_chol_l.json holds:
+// 6 8-node graphs, depths 1..3, two starts, seed 1, an 80 % split.
+func cholRecipe(t *testing.T) *Predictor {
+	t.Helper()
+	data, err := GenerateCtx(context.Background(), DataGenConfig{
+		NumGraphs: 6, Nodes: 8, EdgeProb: 0.5, MaxDepth: 3, Starts: 2, Tol: 1e-6, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, _ := data.SplitIndices(0.8, 1)
+	pred := NewPredictor(nil)
+	if err := pred.Train(data, train); err != nil {
+		t.Fatal(err)
+	}
+	return pred
+}
+
+// dropKey returns v, decoded JSON, with every object member named key
+// removed.
+func dropKey(v any, key string) any {
+	switch v := v.(type) {
+	case map[string]any:
+		delete(v, key)
+		for k, e := range v {
+			v[k] = dropKey(e, key)
+		}
+	case []any:
+		for i, e := range v {
+			v[i] = dropKey(e, key)
+		}
+	}
+	return v
+}
+
+// testdata/predictor_chol_l.json was saved when every output also
+// carried its Cholesky factor ("chol_l"). It still loads — the decoder
+// ignores the member — and its banks predict the bits cholRecipe's
+// predictor does; a file saved now holds no chol_l and is the old file
+// without it, compared decoded.
+func TestLoadPredictorWithCholeskyFactor(t *testing.T) {
+	old, err := os.ReadFile("testdata/predictor_chol_l.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadPredictor(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := cholRecipe(t)
+	for depth := 2; depth <= 3; depth++ {
+		for i := 0; i <= 16; i++ {
+			for j := 0; j <= 10; j++ {
+				f := Features{Gamma1: float64(i) * qaoa.GammaMax / 16, Beta1: float64(j) * qaoa.BetaMax / 10, TargetDepth: depth}
+				got, want := loaded.banks[depth].Predict(f.Vector()), pred.banks[depth].Predict(f.Vector())
+				for k := range want {
+					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("%+v output %d: loaded file predicts %v, fresh training %v", f, k, got[k], want[k])
+					}
+				}
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := pred.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte(`"chol_l"`)) {
+		t.Error("a saved predictor holds chol_l")
+	}
+	var was, now any
+	if err := json.Unmarshal(old, &was); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &now); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dropKey(was, "chol_l"), now) {
+		t.Error("the saved predictor is not the old file without chol_l")
+	}
+	if buf.Len() >= len(old) {
+		t.Errorf("saved %d bytes, the old file %d", buf.Len(), len(old))
 	}
 }

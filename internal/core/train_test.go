@@ -31,13 +31,15 @@ func qaoadTrainRecipe(t *testing.T) (*Data, []int) {
 }
 
 // The saved predictor and a 17 × 11 × 4 grid of its raw bank outputs
-// (γ1 over [0, 2π], β1 over [0, π], depths 2..5) hash to the digests
-// recorded before GPR banks shared one factorization per grid point:
-// every column selects the same hyperparameters and carries the same α
-// and L bits, and Predict's mean is the same sum.
+// (γ1 over [0, 2π], β1 over [0, π], depths 2..5) hash to recorded
+// digests. The grid's was recorded before GPR banks shared one
+// factorization per grid point: every column selects the same
+// hyperparameters and carries the same α bits, and Predict's mean is
+// the same sum. The file's was recorded when files stopped carrying
+// each output's Cholesky factor, which had made it 90,311 bytes.
 func TestPredictorTrainBitsUnchanged(t *testing.T) {
 	const (
-		wantSave = "a57216f81c24c36c5f0d157e1dd2decca3747ead288a279e28f0ce90ed11cc1a" // 90,311 bytes
+		wantSave = "4ecb2722d47101a02e8141bb4754d5a7dd87993cf6885660ab7d887a23587c99" // 30,555 bytes
 		wantGrid = "c1ac4bdece9ecf30cbcbf4053696a63d1dc9214830f00ea04f3998ae098e6140"
 	)
 	data, train := qaoadTrainRecipe(t)

@@ -23,7 +23,6 @@ type GPR struct {
 
 	xTrain [][]float64
 	alpha  linalg.Vector
-	chol   *linalg.CholeskyDecomp
 	xScale *Standardizer
 	yMean  float64
 	yStd   float64
@@ -62,8 +61,7 @@ func (g *GPR) Fit(x [][]float64, y []float64) error {
 // once per (ℓ, σ_f², σ_l²) and K + σ_n²I factored once per σ_n², then
 // every column takes its two triangular solves and its log marginal
 // likelihood there and keeps its own best — the first strict maximum in
-// grid order, as a one-column walk would. Columns that select the same
-// grid point share its factor, read-only. fits[j] is nil exactly where
+// grid order, as a one-column walk would. fits[j] is nil exactly where
 // errs[j] is not.
 func (g *GPR) fitColumns(x [][]float64, cols [][]float64) (fits []*GPR, errs []error) {
 	bankFits, bankErrs := g.fitBanks([][][]float64{x}, [][][]float64{cols})
@@ -116,9 +114,6 @@ func (g *GPR) fitBanks(x [][][]float64, cols [][][]float64) (fits [][]*GPR, errs
 		}
 		xScale := NewStandardizer(x[b])
 		xs := xScale.TransformAll(x[b])
-		for _, f := range live {
-			f.xTrain, f.xScale = xs, xScale
-		}
 		var grp *group
 		for _, other := range groups {
 			if bitsEqual(other.xs, xs) {
@@ -130,6 +125,9 @@ func (g *GPR) fitBanks(x [][][]float64, cols [][][]float64) (fits [][]*GPR, errs
 			grp = &group{xs: xs}
 			groups = append(groups, grp)
 		}
+		for _, f := range live {
+			f.xTrain, f.xScale = grp.xs, xScale // the group's points, read-only
+		}
 		grp.fits, grp.ys = append(grp.fits, live...), append(grp.ys, ys...)
 	}
 	for _, grp := range groups {
@@ -139,7 +137,7 @@ func (g *GPR) fitBanks(x [][][]float64, cols [][][]float64) (fits [][]*GPR, errs
 		for j, f := range fits[b] {
 			switch {
 			case f == nil:
-			case f.chol == nil:
+			case f.alpha == nil: // no grid point factored
 				fits[b][j], errs[b][j] = nil, linalg.ErrNotPositiveDefinite
 			default:
 				f.fitted = true
@@ -151,7 +149,8 @@ func (g *GPR) fitBanks(x [][][]float64, cols [][][]float64) (fits [][]*GPR, errs
 
 // walkGrid walks the hyperparameter grid over the standardized features
 // xs once, and leaves in each fits[k] the best grid point for the
-// standardized targets ys[k].
+// standardized targets ys[k]. Each factor lives only while its grid
+// point's columns solve against it.
 func (g *GPR) walkGrid(xs [][]float64, fits []*GPR, ys []linalg.Vector) {
 	sl2s := gprLinearGrid[:1] // pure RBF
 	if g.LinearVar {
@@ -175,7 +174,7 @@ func (g *GPR) walkGrid(xs [][]float64, fits []*GPR, ys []linalg.Vector) {
 						alpha := ch.Solve(ys[c])
 						ml := -0.5*ys[c].Dot(alpha) - 0.5*logDet - norm
 						if ml > f.logML {
-							f.chol, f.alpha, f.logML = ch, alpha, ml
+							f.alpha, f.logML = alpha, ml
 							f.ell, f.sf2, f.sn2, f.sl2 = ell, sf2, sn2, sl2
 						}
 					}
@@ -203,8 +202,7 @@ func bitsEqual(a, b [][]float64) bool {
 	return true
 }
 
-// Predict implements Regressor (posterior mean): Σ k(x, xᵢ)·αᵢ in
-// PredictWithVariance's order, without the variance's triangular solve.
+// Predict implements Regressor: the posterior mean Σ k(x, xᵢ)·αᵢ.
 func (g *GPR) Predict(x []float64) float64 {
 	if !g.fitted {
 		panic("ml: GPR.Predict before Fit")
@@ -215,26 +213,6 @@ func (g *GPR) Predict(x []float64) float64 {
 		mu += kernel(xs, xt, g.ell, g.sf2, g.sl2) * g.alpha[i]
 	}
 	return mu*g.yStd + g.yMean
-}
-
-// PredictWithVariance returns the posterior mean and variance at x
-// (variance in original target units squared).
-func (g *GPR) PredictWithVariance(x []float64) (mean, variance float64) {
-	if !g.fitted {
-		panic("ml: GPR.Predict before Fit")
-	}
-	xs := g.xScale.Transform(x)
-	kstar := make(linalg.Vector, len(g.xTrain))
-	for i, xt := range g.xTrain {
-		kstar[i] = kernel(xs, xt, g.ell, g.sf2, g.sl2)
-	}
-	mu := kstar.Dot(g.alpha)
-	v := linalg.SolveLowerTriangular(g.chol.L, kstar)
-	varStd := kernel(xs, xs, g.ell, g.sf2, g.sl2) - v.Dot(v)
-	if varStd < 0 {
-		varStd = 0
-	}
-	return mu*g.yStd + g.yMean, varStd * g.yStd * g.yStd
 }
 
 func (g *GPR) kernelMatrix(xs [][]float64, ell, sf2, sl2 float64) *linalg.Matrix {

@@ -22,11 +22,6 @@ func NewMultiOutput(factory func() Regressor) *MultiOutput {
 	return &MultiOutput{New: factory}
 }
 
-// Name returns the underlying model family name, e.g. "GPR (multi-output)".
-func (m *MultiOutput) Name() string {
-	return fmt.Sprintf("%s (multi-output)", m.New().Name())
-}
-
 // Outputs returns the number of target columns (0 before Fit).
 func (m *MultiOutput) Outputs() int { return len(m.models) }
 

@@ -11,24 +11,18 @@ import (
 // family a model file holds — every predictor a binary saves is GPR; the
 // other three families are trained in memory for the Sec. III-C
 // comparison — and a state of any other family is refused by name. The
-// serialized state is the exact fitted state — standardizers, dual
-// coefficients, Cholesky factor — so a loaded model's Predict is
-// bit-identical to the original's (same float operations in the same
-// order), which the model registry in internal/server relies on for
-// cache coherence. A state comes from a file, so decoding checks every
-// shape Predict relies on: a bank that loads predicts without panicking
-// on any input of its width.
+// serialized state is what Predict reads — standardizers, training
+// points, dual coefficients, hyperparameters — and no Cholesky factor,
+// so a loaded model's Predict is bit-identical to the original's (same
+// float operations in the same order), which the model registry in
+// internal/server relies on for cache coherence. A state comes from a
+// file, so decoding checks every shape Predict relies on: a bank that
+// loads predicts without panicking on any input of its width.
 
 // modelState is one output's model: its family and the GPR payload.
 type modelState struct {
 	Kind string    `json:"kind"` // Name() of the model: GPR
 	GPR  *gprState `json:"gpr,omitempty"`
-}
-
-type matrixState struct {
-	Rows int       `json:"rows"`
-	Cols int       `json:"cols"`
-	Data []float64 `json:"data"`
 }
 
 type standardizerState struct {
@@ -39,7 +33,6 @@ type standardizerState struct {
 type gprState struct {
 	XTrain [][]float64       `json:"x_train"`
 	Alpha  []float64         `json:"alpha"`
-	CholL  matrixState       `json:"chol_l"`
 	XScale standardizerState `json:"x_scale"`
 	YMean  float64           `json:"y_mean"`
 	YStd   float64           `json:"y_std"`
@@ -61,7 +54,6 @@ func encodeRegressor(r Regressor) (modelState, error) {
 	return modelState{Kind: g.Name(), GPR: &gprState{
 		XTrain: cloneRows(g.xTrain),
 		Alpha:  append([]float64(nil), g.alpha...),
-		CholL:  encodeMatrix(g.chol.L),
 		XScale: encodeStandardizer(g.xScale),
 		YMean:  g.yMean, YStd: g.yStd,
 		Ell: g.ell, Sf2: g.sf2, Sn2: g.sn2, Sl2: g.sl2,
@@ -89,37 +81,18 @@ func decodeRegressor(st modelState) (*GPR, int, error) {
 			return nil, 0, fmt.Errorf("ml: GPR training point %d has %d features, the standardizer %d", i, len(row), dim)
 		}
 	}
-	l, err := decodeMatrix(s.CholL)
-	if err != nil {
-		return nil, 0, fmt.Errorf("ml: GPR Cholesky factor: %w", err)
-	}
-	if len(s.Alpha) != len(s.XTrain) || l.Rows != len(s.XTrain) || l.Cols != l.Rows {
-		return nil, 0, fmt.Errorf("ml: GPR state shapes disagree (%d points, %d alpha, %d×%d L)",
-			len(s.XTrain), len(s.Alpha), l.Rows, l.Cols)
+	if len(s.Alpha) != len(s.XTrain) {
+		return nil, 0, fmt.Errorf("ml: GPR state shapes disagree (%d points, %d alpha)", len(s.XTrain), len(s.Alpha))
 	}
 	return &GPR{
 		xTrain: cloneRows(s.XTrain),
 		alpha:  append(linalg.Vector(nil), s.Alpha...),
-		chol:   &linalg.CholeskyDecomp{L: l},
 		xScale: decodeStandardizer(s.XScale),
 		yMean:  s.YMean, yStd: s.YStd,
 		ell: s.Ell, sf2: s.Sf2, sn2: s.Sn2, sl2: s.Sl2,
 		logML:  s.LogML,
 		fitted: true,
 	}, dim, nil
-}
-
-func encodeMatrix(m *linalg.Matrix) matrixState {
-	return matrixState{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
-}
-
-func decodeMatrix(st matrixState) (*linalg.Matrix, error) {
-	if st.Rows < 0 || st.Cols < 0 || len(st.Data) != st.Rows*st.Cols {
-		return nil, fmt.Errorf("ml: matrix state %d×%d with %d entries", st.Rows, st.Cols, len(st.Data))
-	}
-	m := linalg.NewMatrix(st.Rows, st.Cols)
-	copy(m.Data, st.Data)
-	return m, nil
 }
 
 func encodeStandardizer(s *Standardizer) standardizerState {

@@ -67,26 +67,3 @@ func TestInterpolateIsWarmStart(t *testing.T) {
 		t.Errorf("interp seed AR %v not better than uniform baseline %v", arSeed, baseline)
 	}
 }
-
-func TestGridSearchP1(t *testing.T) {
-	pb := mustProblem(t, pathGraph(2))
-	best, e := GridSearchP1(pb, 64)
-	// Single-edge optimum is <C> = 1 at (π/2, π/8); a 64-step grid gets
-	// close.
-	if e < 0.99 {
-		t.Errorf("grid best <C> = %v, want ~1", e)
-	}
-	if math.Abs(pb.Expectation(best)-e) > 1e-12 {
-		t.Error("returned params do not achieve returned value")
-	}
-}
-
-func TestGridSearchP1Panics(t *testing.T) {
-	pb := mustProblem(t, pathGraph(2))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	GridSearchP1(pb, 1)
-}

@@ -228,9 +228,9 @@ func (pb *Problem) ratioOf(e float64) float64 {
 }
 
 // Evaluator wraps a Problem as a minimization objective over the flat
-// parameter vector and counts quantum-computer calls (the paper's
-// "function calls" / "QC calls" / loop iterations). Every call counts
-// the same way at every depth; how a call is answered differs:
+// parameter vector; optimize.Run counts its calls (the paper's
+// "function calls" / "QC calls" / loop iterations) and gradients in
+// optimize.Result. How a call is answered differs with the depth:
 //
 //   - Depth ≥ 2 owns an EvalWorkspace and simulates the circuit.
 //   - Depth 1 evaluates the closed form of depth1.go and holds no state
@@ -244,8 +244,6 @@ func (pb *Problem) ratioOf(e float64) float64 {
 type Evaluator struct {
 	Problem *Problem
 	Depth   int
-	nfev    int
-	ngev    int
 	d1      *depth1        // Depth == 1 only
 	ws      *EvalWorkspace // nil at depth 1 until BestSampled needs it
 	arena   *Arena
@@ -323,12 +321,11 @@ func (e *Evaluator) BestSampled(pr Params) (score float64, assign uint64) {
 func (e *Evaluator) Dim() int { return 2 * e.Depth }
 
 // NegExpectation is the minimization objective −⟨C⟩ over the flat
-// parameter vector [γ1..γp, β1..βp]. Each call counts one QC call.
+// parameter vector [γ1..γp, β1..βp]: one QC call.
 func (e *Evaluator) NegExpectation(x []float64) float64 {
 	if len(x) != e.Dim() {
 		panic(fmt.Sprintf("qaoa: parameter vector length %d != 2p = %d", len(x), e.Dim()))
 	}
-	e.nfev++
 	if e.d1 != nil {
 		v, _, _ := e.d1.at(x[0], x[1])
 		return -v
@@ -339,18 +336,17 @@ func (e *Evaluator) NegExpectation(x []float64) float64 {
 // NegGrad fills grad with the exact gradient of the minimization
 // objective −⟨C⟩ at x — one adjoint reverse sweep (see gradient.go),
 // or the closed form's own derivative at depth 1 — with no finite
-// differences and no function calls counted. Each call counts one
-// gradient evaluation (NGev). Warm calls perform no heap allocation.
+// differences: one gradient evaluation, and no function call. Warm calls
+// perform no heap allocation.
 func (e *Evaluator) NegGrad(x, grad []float64) { e.NegValueGrad(x, grad) }
 
 // NegValueGrad is NegGrad returning −⟨C⟩ as well; the value is
 // bit-identical to NegExpectation(x) (same forward pass, same closed
-// form) but does not count a QC call, only a gradient evaluation.
+// form) but is a gradient evaluation, not a QC call.
 func (e *Evaluator) NegValueGrad(x, grad []float64) float64 {
 	if len(x) != e.Dim() {
 		panic(fmt.Sprintf("qaoa: parameter vector length %d != 2p = %d", len(x), e.Dim()))
 	}
-	e.ngev++
 	if e.d1 != nil {
 		if len(grad) != 2 {
 			panic(fmt.Sprintf("qaoa: gradient length %d != parameter length 2", len(grad)))
@@ -365,22 +361,3 @@ func (e *Evaluator) NegValueGrad(x, grad []float64) float64 {
 	}
 	return -v
 }
-
-// ForwardPasses returns how many times the evaluator has simulated the
-// circuit. At depth ≥ 2 NegExpectation always does, and a gradient does
-// only when the workspace's last evaluation was not at its x, so an
-// L-BFGS-B or SLSQP run reads NFev here, not NFev + NGev. A depth-1
-// optimizer run reads 0: the closed form answers every call, and only
-// BestSampled simulates.
-func (e *Evaluator) ForwardPasses() int {
-	if e.ws == nil {
-		return 0
-	}
-	return e.ws.forwardPasses
-}
-
-// NFev returns the number of QC calls so far.
-func (e *Evaluator) NFev() int { return e.nfev }
-
-// NGev returns the number of adjoint gradient evaluations so far.
-func (e *Evaluator) NGev() int { return e.ngev }

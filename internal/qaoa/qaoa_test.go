@@ -1,12 +1,14 @@
 package qaoa
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"qaoaml/internal/graph"
+	"qaoaml/internal/optimize"
 	"qaoaml/internal/quantum"
 )
 
@@ -201,18 +203,27 @@ func TestApproximationRatioAtMostOne(t *testing.T) {
 	}
 }
 
+// The Evaluator keeps no counter: an optimizer run over it reports
+// every objective call in NFev, at both depth paths.
 func TestEvaluatorCountsCalls(t *testing.T) {
 	pb := mustProblem(t, cycleGraph(4))
-	ev := NewEvaluator(pb, 2)
-	if ev.Dim() != 4 {
-		t.Fatalf("Dim = %d", ev.Dim())
-	}
-	x := []float64{0.1, 0.2, 0.3, 0.4}
-	for i := 0; i < 5; i++ {
-		_ = ev.NegExpectation(x)
-	}
-	if ev.NFev() != 5 {
-		t.Errorf("NFev = %d, want 5", ev.NFev())
+	for _, p := range []int{1, 2} {
+		ev := NewEvaluator(pb, p)
+		if ev.Dim() != 2*p {
+			t.Fatalf("Dim = %d", ev.Dim())
+		}
+		lo, hi := make([]float64, 2*p), make([]float64, 2*p)
+		for i := 0; i < p; i++ {
+			hi[i], hi[p+i] = GammaMax, BetaMax
+		}
+		calls := 0
+		r := optimize.Run(context.Background(), optimize.Problem{
+			F:  func(x []float64) float64 { calls++; return ev.NegExpectation(x) },
+			X0: testParams(p).Vector(), Bounds: optimize.NewBounds(lo, hi),
+		}, optimize.Options{Optimizer: &optimize.NelderMead{}})
+		if calls == 0 || r.NFev != calls {
+			t.Errorf("p=%d: NFev = %d, F called %d times", p, r.NFev, calls)
+		}
 	}
 }
 

@@ -245,7 +245,7 @@ type EvalWorkspace struct {
 	// would rebuild what is already there.
 	held          []float64
 	heldOK        bool
-	forwardPasses int // runLayers calls, for tests and benchmarks
+	forwardPasses int // runLayers calls; tests read it
 
 	// Adjoint-sweep buffers and closures (gradient.go), allocated on
 	// first ValueGrad call so plain expectation streams never pay for

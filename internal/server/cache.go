@@ -62,13 +62,6 @@ func (c *lru[K, V]) Add(key K, val V) {
 	}
 }
 
-// Len returns the number of entries.
-func (c *lru[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Purge drops every entry.
 func (c *lru[K, V]) Purge() {
 	c.mu.Lock()

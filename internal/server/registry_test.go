@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 
 	"qaoaml/internal/core"
 	"qaoaml/internal/problem"
+	"qaoaml/internal/qaoa"
 )
 
 // saveTestModel writes the shared predictor into dir under name.json.
@@ -52,6 +55,67 @@ func TestRegistryRejectsCorruptDirectory(t *testing.T) {
 	}
 	if _, err := NewRegistry(dir); err == nil {
 		t.Fatal("corrupt model dir accepted at startup")
+	}
+}
+
+// core's testdata/predictor_chol_l.json was saved when every output
+// also carried its Cholesky factor. Reload serves it with the bits a
+// fresh training of its recipe (6 graphs, depths 1..3, seed 1) predicts,
+// and the fresh predictor's own file, which holds no chol_l, reloads to
+// the same bits.
+func TestRegistryReloadsFileWithCholeskyFactor(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := NewRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(filepath.Join("..", "core", "testdata", "predictor_chol_l.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "old.json"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	data, err := core.GenerateCtx(context.Background(), core.DataGenConfig{
+		NumGraphs: 6, Nodes: 8, EdgeProb: 0.5, MaxDepth: 3, Starts: 2, Tol: 1e-6, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, _ := data.SplitIndices(0.8, 1)
+	fresh := core.NewPredictor(nil)
+	if err := fresh.Train(data, train); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.SaveFile(filepath.Join(dir, "new.json")); err != nil {
+		t.Fatal(err)
+	}
+	if saved, err := os.ReadFile(filepath.Join(dir, "new.json")); err != nil || bytes.Contains(saved, []byte(`"chol_l"`)) {
+		t.Fatalf("saved predictor holds chol_l (read error %v)", err)
+	}
+	if err := reg.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"old", "new"} {
+		pred, ok := reg.Get(name)
+		if !ok {
+			t.Fatalf("%s.json not loaded", name)
+		}
+		for depth := 2; depth <= 3; depth++ {
+			for i := 0; i <= 8; i++ {
+				f := core.Features{Gamma1: float64(i) * qaoa.GammaMax / 8, Beta1: float64(i) * qaoa.BetaMax / 16, TargetDepth: depth}
+				got, err := pred.Predict(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := fresh.Predict(f)
+				for k, v := range want.Vector() {
+					if math.Float64bits(got.Vector()[k]) != math.Float64bits(v) {
+						t.Fatalf("%s.json at %+v: angle %d is %v, fresh training %v", name, f, k, got.Vector()[k], v)
+					}
+				}
+			}
+		}
 	}
 }
 

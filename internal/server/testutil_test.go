@@ -16,6 +16,13 @@ import (
 	"qaoaml/internal/graph"
 )
 
+// Len returns the number of entries.
+func (c *lru[K, V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len()
+}
+
 // testEnv builds one tiny dataset + trained GPR predictor for the whole
 // package: dataset generation dominates test time, so it is shared.
 var testEnv struct {

@@ -28,30 +28,60 @@ import (
 //     var initializer;
 //   - a function is reached when a reached body (or a root initializer)
 //     names it, called or as a value;
-//   - naming an interface method reaches every method of that name, and
-//     the methods of stdlib interfaces (stdlibMethods) are roots;
+//   - naming an interface method reaches that method of every module
+//     type that implements the interface (a generic type counts when it
+//     has every method name the interface has), and the methods of the
+//     stdlib interfaces in stdlibInterfaces are roots on the types that
+//     implement them;
 //   - the walk runs once for each of reachArches' file sets and a
 //     function reached in either is reached, so a Go twin that only the
 //     other architecture's file calls stays reached.
 //
 // An unreached function is either deleted, moved into its package's
-// _test.go, or listed in testdata/reach_allow.txt with a reason: "test
-// oracle: <the test that compares against it>" or "decided by ROADMAP
-// item N". The test fails on any other unreached function, on an entry
-// with no such reason, on an entry naming no function, and on an entry
-// naming a function a binary reaches.
+// _test.go, or listed in testdata/reach_allow.txt as "test oracle: <the
+// test that compares against it>". The test fails on any other
+// unreached function, on an entry with no such reason, on an entry
+// naming no function, and on an entry naming a function a binary
+// reaches. Its limit: every String() string method satisfies
+// fmt.Stringer, so a dead String method still passes.
 
 var reachArches = []string{"amd64", "arm64"}
 
-// stdlibMethods are the methods the standard library calls through its
-// own interfaces (fmt, errors, sort, container/heap, encoding/json,
-// net/http, io).
-var stdlibMethods = map[string]bool{
-	"String": true, "GoString": true, "Format": true, "Error": true, "Unwrap": true, "Is": true, "As": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
-	"ServeHTTP": true, "Read": true, "Write": true, "Close": true,
-}
+// stdlibInterfaces declares the interfaces through which the standard
+// library calls a module's methods (fmt, errors, sort, container/heap,
+// encoding/json, encoding, net/http, io), one named type each.
+const stdlibInterfaces = `package roots
+
+import (
+	"container/heap"
+	"encoding"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"sort"
+)
+
+type (
+	stringer        fmt.Stringer
+	goStringer      fmt.GoStringer
+	formatter       fmt.Formatter
+	errorer         interface{ error }
+	unwrapper       interface{ Unwrap() error }
+	iser            interface{ Is(error) bool }
+	aser            interface{ As(any) bool }
+	sorter          sort.Interface
+	heaper          heap.Interface
+	jsonMarshaler   json.Marshaler
+	jsonUnmarshaler json.Unmarshaler
+	textMarshaler   encoding.TextMarshaler
+	textUnmarshaler encoding.TextUnmarshaler
+	handler         http.Handler
+	reader          io.Reader
+	writer          io.Writer
+	closer          io.Closer
+)
+`
 
 // reachFunc is one function declaration of the module.
 type reachFunc struct {
@@ -83,6 +113,9 @@ func reachModule(root string) ([]*reachFunc, error) {
 		return nil, err
 	}
 	r := &reachLoader{root: root, mod: mod, fset: token.NewFileSet(), files: map[string]*ast.File{}, std: importer.Default()}
+	if r.roots, err = r.stdlibRoots(); err != nil {
+		return nil, err
+	}
 	byPos := map[token.Position]*reachFunc{}
 	for _, arch := range reachArches {
 		r.ctxt = build.Default
@@ -145,6 +178,24 @@ type reachLoader struct {
 	ctxt      build.Context
 	pkgs      map[string]*reachPkg
 	info      *types.Info
+	roots     []*types.Interface // stdlibInterfaces
+}
+
+// stdlibRoots type-checks stdlibInterfaces against the loader's stdlib.
+func (r *reachLoader) stdlibRoots() ([]*types.Interface, error) {
+	f, err := parser.ParseFile(r.fset, "stdlib_interfaces.go", stdlibInterfaces, 0)
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := (&types.Config{Importer: r.std}).Check("roots", r.fset, []*ast.File{f}, nil)
+	if err != nil {
+		return nil, err
+	}
+	var out []*types.Interface
+	for _, name := range pkg.Scope().Names() {
+		out = append(out, pkg.Scope().Lookup(name).Type().Underlying().(*types.Interface))
+	}
+	return out, nil
 }
 
 type reachPkg struct {
@@ -208,19 +259,25 @@ type reachDecl struct {
 // marked reached or not.
 func (r *reachLoader) walk() map[*types.Func]*reachDecl {
 	decls := map[*types.Func]*reachDecl{}
-	methods := map[string][]*types.Func{} // concrete methods by name
+	var named []*types.Named // the module's non-interface named types
 	var roots []ast.Node
 	for _, p := range r.pkgs {
+		if p.pkg == nil {
+			continue
+		}
+		for _, name := range p.pkg.Scope().Names() {
+			if tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) {
+					named = append(named, n)
+				}
+			}
+		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
-					fn := r.info.Defs[d.Name].(*types.Func)
-					decls[fn] = &reachDecl{decl: d}
-					switch {
-					case d.Recv != nil:
-						methods[d.Name.Name] = append(methods[d.Name.Name], fn)
-					case d.Name.Name == "init", d.Name.Name == "main" && p.pkg.Name() == "main":
+					decls[r.info.Defs[d.Name].(*types.Func)] = &reachDecl{decl: d}
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.pkg.Name() == "main") {
 						roots = append(roots, d.Name)
 					}
 				case *ast.GenDecl:
@@ -240,17 +297,27 @@ func (r *reachLoader) walk() map[*types.Func]*reachDecl {
 			}
 		}
 	}
-	called := map[string]bool{} // interface method names already dispatched
-	dispatch := func(name string) {
-		if !called[name] {
-			called[name] = true
-			for _, m := range methods[name] {
-				mark(m)
+	type call struct {
+		iface *types.Interface
+		name  string
+	}
+	called := map[call]bool{} // interface methods already dispatched
+	dispatch := func(iface *types.Interface, m *types.Func) {
+		if c := (call{iface, m.Name()}); !called[c] {
+			called[c] = true
+			for _, n := range named {
+				if implements(n, iface) {
+					if sel := types.NewMethodSet(types.NewPointer(n)).Lookup(m.Pkg(), m.Name()); sel != nil {
+						mark(sel.Obj().(*types.Func))
+					}
+				}
 			}
 		}
 	}
-	for name := range stdlibMethods {
-		dispatch(name)
+	for _, iface := range r.roots {
+		for i := 0; i < iface.NumMethods(); i++ {
+			dispatch(iface, iface.Method(i))
+		}
 	}
 	for _, root := range roots {
 		if id, ok := root.(*ast.Ident); ok {
@@ -272,7 +339,7 @@ func (r *reachLoader) walk() map[*types.Func]*reachDecl {
 				return true
 			}
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				dispatch(fn.Name())
+				dispatch(recv.Type().Underlying().(*types.Interface), fn)
 			} else {
 				mark(fn)
 			}
@@ -280,6 +347,23 @@ func (r *reachLoader) walk() map[*types.Func]*reachDecl {
 		})
 	}
 	return decls
+}
+
+// implements reports whether n or *n implements iface. A generic type
+// implements it when it has a method of every name iface has, since
+// some instantiation may match the signatures.
+func implements(n *types.Named, iface *types.Interface) bool {
+	ptr := types.NewPointer(n)
+	if n.TypeParams().Len() == 0 {
+		return types.Implements(n, iface) || types.Implements(ptr, iface)
+	}
+	ms := types.NewMethodSet(ptr)
+	for i := 0; i < iface.NumMethods(); i++ {
+		if m := iface.Method(i); ms.Lookup(m.Pkg(), m.Name()) == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // funcName is the name the allowlist and failures use: the package's
@@ -301,7 +385,7 @@ func (r *reachLoader) funcName(fn *types.Func) string {
 }
 
 // allowReason is the form every allowlist reason takes.
-var allowReason = regexp.MustCompile(`^(test oracle: (Test[A-Za-z0-9_]+)|decided by ROADMAP items? [0-9]+( and [0-9]+)?)$`)
+var allowReason = regexp.MustCompile(`^test oracle: (Test[A-Za-z0-9_]+)$`)
 
 // reachProblems returns what fails the test: unreached functions the
 // allowlist does not name, and entries without a valid reason, naming no
@@ -328,9 +412,9 @@ func reachProblems(funcs []*reachFunc, allow map[string]string, tests map[string
 			out = append(out, fmt.Sprintf("allowlist names %s, which the tree does not declare", name))
 			continue
 		case m == nil:
-			out = append(out, fmt.Sprintf("allowlist entry %s (%s) has no reason: want \"test oracle: <Test>\" or \"decided by ROADMAP item N\", got %q", name, decls[0].pos, allow[name]))
-		case m[2] != "" && !tests[m[2]]:
-			out = append(out, fmt.Sprintf("allowlist entry %s (%s) cites %s, which no _test.go declares", name, decls[0].pos, m[2]))
+			out = append(out, fmt.Sprintf("allowlist entry %s (%s) has no reason: want \"test oracle: <Test>\", got %q", name, decls[0].pos, allow[name]))
+		case !tests[m[1]]:
+			out = append(out, fmt.Sprintf("allowlist entry %s (%s) cites %s, which no _test.go declares", name, decls[0].pos, m[1]))
 		}
 		if !slices.ContainsFunc(decls, func(f *reachFunc) bool { return !f.reached }) {
 			out = append(out, fmt.Sprintf("allowlist entry %s (%s) is reached from a binary: drop the entry", name, decls[0].pos))
@@ -424,6 +508,10 @@ func TestReachRules(t *testing.T) {
 		{"lib.Square.Side", false, "a method no body names"},
 		{"lib.Square.String", true, "a stdlib interface method"},
 		{"lib.Counter.Inc", true, "a method value passed as a func"},
+		{"lib.Counter.Area", false, "Shape's method name, but Counter is no Shape"},
+		{"lib.Counter.Len", false, "a Len on a type that is no sort.Interface"},
+		{"lib.Wrapped.Error", true, "an error type's Error"},
+		{"lib.Wrapped.Unwrap", true, "an Unwrap only errors.Is calls"},
 		{"lib.armOnly", true, "called only from an arm64-tagged file"},
 		{"lib.ArchHook", true, "declared once per architecture"},
 		{"lib.buildTable", true, "called in a package-level var initializer"},
@@ -445,7 +533,7 @@ func TestReachRules(t *testing.T) {
 		}
 	}
 	slices.Sort(unreached)
-	if want := []string{"lib.Dead", "lib.Square.Side", "lib.testHelper"}; !slices.Equal(unreached, want) {
+	if want := []string{"lib.Counter.Area", "lib.Counter.Len", "lib.Dead", "lib.Square.Side", "lib.testHelper"}; !slices.Equal(unreached, want) {
 		t.Errorf("unreached = %v, want %v", unreached, want)
 	}
 }
@@ -463,8 +551,7 @@ func TestReachAllowlistRules(t *testing.T) {
 		want  string // a substring of the one problem, or "" for none
 	}{
 		{map[string]string{"graph.Oracle": "test oracle: TestOracle"}, ""},
-		{map[string]string{"graph.Oracle": "decided by ROADMAP item 18"}, ""},
-		{map[string]string{"graph.Oracle": "decided by ROADMAP items 3 and 9"}, ""},
+		{map[string]string{"graph.Oracle": "decided by ROADMAP item 18"}, "has no reason"},
 		{map[string]string{}, "graph.Oracle (internal/graph/a.go:1) is reached from no binary"},
 		{map[string]string{"graph.Oracle": ""}, "graph.Oracle (internal/graph/a.go:1) has no reason"},
 		{map[string]string{"graph.Oracle": "kept for later"}, "has no reason"},

@@ -39,20 +39,24 @@ wait_healthy() { # url
 }
 
 echo "== start 2 workers"
-"$workdir/qaoad" -role=worker -addr "127.0.0.1:$W1_PORT" -workers 2 &
+"$workdir/qaoad" -addr "127.0.0.1:$W1_PORT" -workers 2 &
 w1_pid=$!
 pids+=("$w1_pid")
-"$workdir/qaoad" -role=worker -addr "127.0.0.1:$W2_PORT" -workers 2 &
+"$workdir/qaoad" -addr "127.0.0.1:$W2_PORT" -workers 2 &
 pids+=("$!")
 wait_healthy "http://127.0.0.1:$W1_PORT"
 wait_healthy "http://127.0.0.1:$W2_PORT"
 
-echo "== start coordinator (WAL at $workdir/coord.wal)"
-"$workdir/qaoad" -role=coordinator -addr "127.0.0.1:$COORD_PORT" \
+echo "== start coordinator (-peers; WAL at $workdir/coord.wal)"
+"$workdir/qaoad" -addr "127.0.0.1:$COORD_PORT" \
   -peers "http://127.0.0.1:$W1_PORT,http://127.0.0.1:$W2_PORT" \
   -wal "$workdir/coord.wal" -cache -1 &
 pids+=("$!")
 wait_healthy "http://127.0.0.1:$COORD_PORT"
+case "$(curl -fsS "http://127.0.0.1:$COORD_PORT/healthz")" in
+  *'"mode":"coordinator"'*) ;;
+  *) echo "FAIL: -peers did not make a coordinator" >&2; exit 1 ;;
+esac
 
 echo "== offer mixed traffic at $RATE rps for $DURATION (every 4th via SSE), killing worker 1 mid-run"
 # qaoaload exits 1 unless failed == 0, done + rejected == items, done > 0

@@ -2,6 +2,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 
 	"reachfix/lib"
@@ -12,5 +13,5 @@ func main() {
 	var c lib.Counter
 	lib.Apply(c.Inc)
 	lib.ArchHook()
-	fmt.Println(s.Area(), s, lib.Table, lib.Generic(1), lib.Box[int]{}.Get())
+	fmt.Println(s.Area(), s, lib.Table, lib.Generic(1), lib.Box[int]{}.Get(), errors.Is(lib.Wrapped{}, nil))
 }

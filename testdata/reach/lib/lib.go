@@ -14,8 +14,15 @@ func (s Square) String() string { return fmt.Sprint("square ", s.side) }
 
 type Counter struct{ n int }
 
-func (c *Counter) Inc() { c.n++ }
-func Apply(f func())    { f() }
+func (c *Counter) Inc()      { c.n++ }
+func (c *Counter) Area() int { return c.n }
+func (c *Counter) Len() int  { return c.n }
+func Apply(f func())         { f() }
+
+type Wrapped struct{ err error }
+
+func (w Wrapped) Error() string { return "wrapped" }
+func (w Wrapped) Unwrap() error { return w.err }
 
 var Table = buildTable()
 
