@@ -26,21 +26,23 @@ import (
 // through three butterflies — rxQuad, rxQuadLow (kernels.go) and
 // rxQuadMirror — which do real arithmetic on the components (40 flops
 // per quadruple where the complex products did 92) and, on an amd64 CPU
-// with AVX2, do it four doubles wide in assembly (rx_amd64.s), in the Go
-// bodies' operation order and without FMA, so to the same bits. The
-// reverse sweep's two-state forms of the three are assembly too, with
-// the ΣX terms of reverse.go taken in lanes between the two states'
-// butterflies and folded by scalar adds in reverse.go's order (the fold
-// is a serial chain; inside the butterfly loop its latency is hidden).
-// The lone last passes, rxDuo and rxDuoMirror, are assembly in both.
-// The phase separator's loops are assembly too (phase_amd64.s): the
-// stage's factor table, math.Sincos's own algorithm on four angles per
-// register, the indexed multiply, two amplitudes per register with the
-// factors gathered by 128-bit loads, and Mul, the element-wise multiply
-// a float phase separator builds and applies its phases with — eleven
-// bodies in all. The Go bodies stay: they are the only path on other
-// GOARCHs and older CPUs, the odd tail of a run, and the oracle the
-// assembly is tested against. Still scalar: the lone passes' ΣX terms
+// with AVX2, do it in assembly (rx_amd64.s) four doubles wide, or eight
+// with AVX-512, in the Go bodies' operation order and without FMA, so to
+// the same bits. The reverse sweep's two-state forms of the three are
+// assembly too, with the ΣX terms of reverse.go taken in lanes between
+// the two states' butterflies and folded by scalar adds in reverse.go's
+// order (the fold is a serial chain; inside the butterfly loop its
+// latency is hidden). The lone last passes, rxDuo and rxDuoMirror, are
+// AVX2 assembly in both. The phase separator's loops are assembly too
+// (phase_amd64.s): the stage's factor table, math.Sincos's own algorithm
+// on four or eight angles per register, the indexed multiply, two
+// amplitudes per register with the factors gathered by 128-bit loads —
+// or eight, from a table of up to 16 factors held in ZMM registers — and
+// Mul, the element-wise multiply a float phase separator builds and
+// applies its phases with: eleven bodies, all but the lone butterflies
+// and Mul with an AVX-512 form. The Go bodies stay: they are the only
+// path on other GOARCHs and older CPUs, the odd tail of a run, and the
+// oracle the assembly is tested against. Still scalar: the lone passes' ΣX terms
 // in the reverse sweep, the index fill, and the un-phase, seed and
 // expectation folds. Each fold sums one value per chunk in a fixed
 // amplitude order — a serial chain of adds whose latency bounds the

@@ -123,7 +123,8 @@ func rxMix(a, t, b complex128, cc, cm, mm float64) complex128 {
 // bits read 00, 01, 10 and 11. The four slices are equal-length and
 // disjoint runs of one state.
 // Where the CPU has AVX2 the even-length prefix runs in assembly
-// (rx_amd64.go); rxQuadGo does the rest, to the same bits.
+// (rx_amd64.go), groups of four quadruples eight doubles wide where it
+// has AVX-512; rxQuadGo does the rest, to the same bits.
 func rxQuad(p00, p01, p10, p11 []complex128, cc, cm, mm float64) {
 	p01, p10, p11 = p01[:len(p00)], p10[:len(p00)], p11[:len(p00)]
 	if k := rxQuadVec(p00, p01, p10, p11, cc, cm, mm); k < len(p00) {
@@ -188,9 +189,10 @@ func rxDuoGo(p0, p1 []complex128, c, s float64) {
 }
 
 // mulIndexedRange multiplies amps[i] by factors[idx[i]]. Where the CPU
-// has AVX2 the even-length prefix runs in assembly (rx_amd64.go) up to a
-// pair with an index outside factors; mulIndexedGo does the rest, to the
-// same bits, and panics at such an index.
+// has AVX2 the even-length prefix runs in assembly (rx_amd64.go) — in
+// groups of eight from a table of at most 16 factors where it has
+// AVX-512 — up to a group with an index outside factors; mulIndexedGo
+// does the rest, to the same bits, and panics at such an index.
 func mulIndexedRange(amps []complex128, idx []int32, factors []complex128) {
 	amps = amps[:len(idx)]
 	if k := mulIndexedVec(amps, idx, factors); k < len(idx) {
@@ -250,9 +252,9 @@ func scaleGo(dst, a []complex128, w complex128) {
 // distinct phase-generator value of an index-table phase separator, or
 // one per in-chunk coupling for a float one that builds its chunk phases
 // from them. Where the CPU has AVX2 it runs math.Sincos's algorithm four
-// angles wide in assembly (rx_amd64.go); a group of four holding a
-// non-finite angle or one of magnitude 2²⁹ or more, and a table shorter
-// than four, take phaseFactorsGo.
+// angles wide in assembly (rx_amd64.go), eight wide with AVX-512; a
+// group holding a non-finite angle or one of magnitude 2²⁹ or more, and
+// a table shorter than a group, take phaseFactorsGo.
 func PhaseFactors(factors []complex128, gens []float64, gamma float64, conj bool) {
 	sign := 1.0
 	if conj {

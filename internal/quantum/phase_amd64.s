@@ -3,13 +3,15 @@
 // AVX2 bodies of the phase separator's loops (kernels.go): the factor
 // table PhaseFactors fills once per stage, the indexed multiply
 // mulIndexedRange applies per chunk, and the element-wise multiply Mul
-// that a float phase separator builds and applies its chunk phases with.
-// Like the butterflies in rx_amd64.s they repeat their Go twins operation
-// for operation, each lane rounded as the scalar MULSD/ADDSD/SUBSD round,
+// that a float phase separator builds and applies its chunk phases with;
+// at the end of the file the AVX-512 forms of the first two. Like the
+// butterflies in rx_amd64.s they repeat their Go twins operation for
+// operation, each lane rounded as the scalar MULSD/ADDSD/SUBSD round,
 // with no FMA, so they return the Go bodies' bits.
 
 // CONST4 defines a 32-byte read-only constant: one float64 bit pattern in
-// all four lanes, for use as a VEX memory operand.
+// all four lanes, for use as a VEX memory operand (the AVX-512 bodies
+// broadcast its first lane).
 #define CONST4(name, bits) \
 	DATA name<>+0(SB)/8, bits \
 	DATA name<>+8(SB)/8, bits \
@@ -256,5 +258,227 @@ scalepair:
 	ADDQ    $32, AX
 	CMPQ    AX, CX
 	JLT     scalepair
+	VZEROUPPER
+	RET
+
+// AVX-512 forms of the factor table and the indexed multiply: the AVX2
+// bodies' operations on eight lanes, AVX512F only (its VPANDQ and VPXORQ
+// for the bitwise ops; the 8-byte constants above are read with
+// embedded broadcasts). AVX-512 has no VBLENDVPD, so the swap takes its
+// k-mask from j&2 with VPTESTMQ and selects with VBLENDMPD.
+
+// QWORDS8 defines a 64-byte read-only table of eight qwords.
+#define QWORDS8(name, off, a, b, c, d, e, f, g, h) \
+	DATA name<>+(off+0)(SB)/8, $a \
+	DATA name<>+(off+8)(SB)/8, $b \
+	DATA name<>+(off+16)(SB)/8, $c \
+	DATA name<>+(off+24)(SB)/8, $d \
+	DATA name<>+(off+32)(SB)/8, $e \
+	DATA name<>+(off+40)(SB)/8, $f \
+	DATA name<>+(off+48)(SB)/8, $g \
+	DATA name<>+(off+56)(SB)/8, $h
+
+// VPERMI2PD indices: the even and odd qwords of two registers (the re and
+// im parts of eight complex128), and their inverse, which interleaves
+// eight re and eight im parts back into two registers.
+QWORDS8(zEven, 0, 0, 2, 4, 6, 8, 10, 12, 14)
+GLOBL zEven<>(SB), RODATA|NOPTR, $64
+QWORDS8(zOdd, 0, 1, 3, 5, 7, 9, 11, 13, 15)
+GLOBL zOdd<>(SB), RODATA|NOPTR, $64
+QWORDS8(zInterleave, 0, 0, 8, 1, 9, 2, 10, 3, 11)
+QWORDS8(zInterleave, 64, 4, 12, 5, 13, 6, 14, 7, 15)
+GLOBL zInterleave<>(SB), RODATA|NOPTR, $128
+
+// func phaseFactorsAVX512(factors *complex128, gens *float64, n int, gamma, sign float64) int
+//
+// phaseFactorsAVX2 on eight angles per register: n ≥ 8, the groups of
+// eight, the last one overlapping when n is not a multiple of eight, and
+// a group holding an angle outside the domain stops the body.
+TEXT ·phaseFactorsAVX512(SB), NOSPLIT, $0-48
+	MOVQ         factors+0(FP), R12
+	MOVQ         gens+8(FP), R11
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD gamma+24(FP), Z15
+	VBROADCASTSD sign+32(FP), Z14
+	VBROADCASTSD phaseOne<>(SB), Z13
+	VMOVDQU64    zInterleave<>+0(SB), Z20
+	VMOVDQU64    zInterleave<>+64(SB), Z21
+	LEAQ         -8(CX), R8               // start of the last eight
+	XORQ         AX, AX                   // leading factors written
+
+znext:
+	MOVQ AX, BX
+	CMPQ AX, R8
+	JLE  zgroup
+	CMPQ AX, CX
+	JEQ  zdone
+	MOVQ R8, BX                           // a tail: the last eight
+
+zgroup:
+	LEAQ        (R11)(BX*8), SI
+	MOVQ        BX, DI
+	SHLQ        $4, DI
+	ADDQ        R12, DI
+	VMOVUPD     (SI), Z0
+	VMULPD      Z15, Z0, Z0               // x = γ·h
+	VPANDQ.BCST phaseAbs<>(SB), Z0, Z1    // |x|
+	VCMPPD.BCST $0x11, phaseTwo29<>(SB), Z1, K1 // |x| < 2²⁹: false for NaN
+	KMOVW       K1, DX
+	CMPQ        DX, $0xFF
+	JNE         zdone
+
+	VMULPD.BCST phaseFourOverPi<>(SB), Z1, Z2
+	VCVTTPD2DQ  Z2, Y2                    // j, truncated: < 2³¹
+	VPAND       phaseOnes32<>(SB), Y2, Y3
+	VPADDD      Y3, Y2, Y2                // j += j&1
+	VCVTDQ2PD   Y2, Z3                    // y
+	VPMOVSXDQ   Y2, Z2                    // j in 64-bit lanes
+	VMULPD.BCST phasePI4A<>(SB), Z3, Z4
+	VSUBPD      Z4, Z1, Z4
+	VMULPD.BCST phasePI4B<>(SB), Z3, Z5
+	VSUBPD      Z5, Z4, Z4
+	VMULPD.BCST phasePI4C<>(SB), Z3, Z5
+	VSUBPD      Z5, Z4, Z4                // z
+
+	VPSLLQ      $62, Z2, Z3               // sign bit = j&2
+	VPTESTMQ    Z3, Z3, K2                // the swap mask: j is even
+	VPSLLQ      $61, Z2, Z2               // sign bit = j&4
+	VPXORQ      Z0, Z2, Z0
+	VPANDQ.BCST phaseSign<>(SB), Z0, Z0   // sin's sign: x's xor j&4
+	VPXORQ      Z3, Z2, Z2
+	VPANDQ.BCST phaseSign<>(SB), Z2, Z2   // cos's sign: j&4 xor j&2
+
+	VMULPD      Z4, Z4, Z5                // zz
+	VMULPD.BCST phaseCos0<>(SB), Z5, Z6
+	VMULPD.BCST phaseSin0<>(SB), Z5, Z7
+	VADDPD.BCST phaseCos1<>(SB), Z6, Z6
+	VADDPD.BCST phaseSin1<>(SB), Z7, Z7
+	VMULPD      Z5, Z6, Z6
+	VMULPD      Z5, Z7, Z7
+	VADDPD.BCST phaseCos2<>(SB), Z6, Z6
+	VADDPD.BCST phaseSin2<>(SB), Z7, Z7
+	VMULPD      Z5, Z6, Z6
+	VMULPD      Z5, Z7, Z7
+	VADDPD.BCST phaseCos3<>(SB), Z6, Z6
+	VADDPD.BCST phaseSin3<>(SB), Z7, Z7
+	VMULPD      Z5, Z6, Z6
+	VMULPD      Z5, Z7, Z7
+	VADDPD.BCST phaseCos4<>(SB), Z6, Z6
+	VADDPD.BCST phaseSin4<>(SB), Z7, Z7
+	VMULPD      Z5, Z6, Z6
+	VMULPD      Z5, Z7, Z7
+	VADDPD.BCST phaseCos5<>(SB), Z6, Z6   // Pc
+	VADDPD.BCST phaseSin5<>(SB), Z7, Z7   // Ps
+	VMULPD      Z5, Z5, Z8                // zz·zz
+	VMULPD      Z8, Z6, Z6
+	VMULPD.BCST phaseHalf<>(SB), Z5, Z8   // 0.5·zz
+	VSUBPD      Z8, Z13, Z8               // 1 − 0.5·zz
+	VADDPD      Z6, Z8, Z6                // cos
+	VMULPD      Z5, Z4, Z8                // z·zz
+	VMULPD      Z8, Z7, Z7
+	VADDPD      Z7, Z4, Z7                // sin
+
+	VBLENDMPD Z6, Z7, K2, Z8              // sin' = swap ? cos : sin
+	VBLENDMPD Z7, Z6, K2, Z9              // cos' = swap ? sin : cos
+	VPXORQ    Z0, Z8, Z8
+	VPXORQ    Z2, Z9, Z9
+	VMULPD    Z14, Z8, Z8                 // sign·sin'
+	VMOVDQA64 Z20, Z10
+	VPERMI2PD Z8, Z9, Z10                 // [c0, s0, c1, s1, c2, s2, c3, s3]
+	VMOVDQA64 Z21, Z11
+	VPERMI2PD Z8, Z9, Z11                 // [c4, s4, …, c7, s7]
+	VMOVUPD   Z10, (DI)
+	VMOVUPD   Z11, 64(DI)
+	LEAQ      8(BX), AX
+	JMP       znext
+
+zdone:
+	MOVQ       AX, ret+40(FP)
+	VZEROUPPER
+	RET
+
+// func mulIndexedAVX512(amps *complex128, idx *int32, n int, factors *complex128, nf int) int
+//
+// mulIndexedAVX2 for a table of nf ≤ 16 factors, held in registers as
+// its re parts (Z20, Z22: factors 0–7, 8–15) and im parts (Z21, Z23),
+// read from factors by masked loads that touch nothing past nf. n is a
+// multiple of 8; each group of eight indices is zero-extended and
+// compared with nf as unsigned, so a negative one fails too, and a group
+// holding a bad index stops the body before it writes anything of that
+// group. Per group the amplitudes are split into re and im parts, the
+// factors looked up with VPERMI2PD, and
+//
+//	re = ar·fr − ai·fi,  im = ar·fi + ai·fr
+//
+// formed as Go forms them before the parts are interleaved back.
+TEXT ·mulIndexedAVX512(SB), NOSPLIT, $0-48
+	MOVQ       factors+24(FP), R8
+	MOVQ       nf+32(FP), R9
+	LEAQ       (R9)(R9*1), CX
+	MOVQ       $1, AX
+	SHLQ       CX, AX
+	DECQ       AX                         // one bit per double of the table
+	KMOVW      AX, K1
+	VMOVUPD.Z  (R8), K1, Z16
+	SHRQ       $8, AX
+	KMOVW      AX, K1
+	VMOVUPD.Z  64(R8), K1, Z17
+	SHRQ       $8, AX
+	KMOVW      AX, K1
+	VMOVUPD.Z  128(R8), K1, Z18
+	SHRQ       $8, AX
+	KMOVW      AX, K1
+	VMOVUPD.Z  192(R8), K1, Z19
+	VMOVDQU64  zEven<>(SB), Z24
+	VMOVDQU64  zOdd<>(SB), Z25
+	VMOVDQU64  zInterleave<>+0(SB), Z26
+	VMOVDQU64  zInterleave<>+64(SB), Z27
+	VMOVDQA64  Z24, Z20
+	VPERMI2PD  Z17, Z16, Z20              // fr 0–7
+	VMOVDQA64  Z25, Z21
+	VPERMI2PD  Z17, Z16, Z21              // fi 0–7
+	VMOVDQA64  Z24, Z22
+	VPERMI2PD  Z19, Z18, Z22              // fr 8–15
+	VMOVDQA64  Z25, Z23
+	VPERMI2PD  Z19, Z18, Z23              // fi 8–15
+	VPBROADCASTQ R9, Z28
+	MOVQ       amps+0(FP), DI
+	MOVQ       idx+8(FP), SI
+	MOVQ       n+16(FP), CX
+	XORQ       AX, AX
+
+zeight:
+	VPMOVZXDQ (SI)(AX*4), Z4
+	VPCMPUQ   $5, Z28, Z4, K1             // index ≥ nf
+	KORTESTW  K1, K1
+	JNZ       zstop
+	VMOVDQA64 Z4, Z5
+	VPERMI2PD Z22, Z20, Z4                // fr
+	VPERMI2PD Z23, Z21, Z5                // fi
+	VMOVUPD   (DI), Z0
+	VMOVUPD   64(DI), Z1
+	VMOVDQA64 Z24, Z2
+	VPERMI2PD Z1, Z0, Z2                  // ar
+	VMOVDQA64 Z25, Z3
+	VPERMI2PD Z1, Z0, Z3                  // ai
+	VMULPD    Z4, Z2, Z6                  // ar·fr
+	VMULPD    Z5, Z3, Z7                  // ai·fi
+	VSUBPD    Z7, Z6, Z6                  // re
+	VMULPD    Z5, Z2, Z8                  // ar·fi
+	VMULPD    Z4, Z3, Z9                  // ai·fr
+	VADDPD    Z9, Z8, Z8                  // im
+	VMOVDQA64 Z26, Z10
+	VPERMI2PD Z8, Z6, Z10
+	VMOVDQA64 Z27, Z11
+	VPERMI2PD Z8, Z6, Z11
+	VMOVUPD   Z10, (DI)
+	VMOVUPD   Z11, 64(DI)
+	ADDQ      $128, DI
+	ADDQ      $8, AX
+	CMPQ      AX, CX
+	JLT       zeight
+
+zstop:
+	MOVQ       AX, ret+40(FP)
 	VZEROUPPER
 	RET

@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// The phase separator's AVX2 bodies against their oracles by bit
-// pattern: the factor table against math.Sincos itself, the indexed
-// multiply against its Go body, guard elements included.
+// The phase separator's assembly bodies, every tier, against their
+// oracles by bit pattern: the factor table against math.Sincos itself,
+// the indexed multiply and Mul against their Go bodies, guard elements
+// included.
 
 // phaseKernelAngles returns the angles the factor table is checked on:
 // every octant of both signs, multiples of π/8 (the octant boundaries),
@@ -85,7 +86,7 @@ func TestPhaseKernelFactorsMatchSincos(t *testing.T) {
 		halves = append(halves, h)
 	}
 	gammas := []float64{1, -1, 0.37, -2.9, math.Pi, 1e-3, 123.456}
-	forEachKernel(func(kernel string) {
+	forEachKernel(t, func(kernel string) {
 		for _, conj := range []bool{false, true} {
 			for _, gamma := range gammas {
 				name := fmt.Sprintf("%s γ=%v conj=%v", kernel, gamma, conj)
@@ -103,69 +104,82 @@ func TestPhaseKernelFactorsMatchSincos(t *testing.T) {
 	})
 }
 
-// Lengths 0 to 33 (the odd ones leave a tail to the Go body), each at an
-// even and an odd element of its buffer, indices 0 and len−1 of the
-// factor table always among them, amplitudes and factors with ±0,
-// subnormals, 1e±300 and non-finite components; the guard elements
-// around the range must come out as they went in.
+// Lengths 0 to 33 (AVX-512 takes groups of eight, AVX2 an even
+// remainder, the Go body an odd one), each at an even and an odd element
+// of its buffer, indices 0 and len−1 of the factor table always among
+// them, amplitudes and factors with ±0, subnormals, 1e±300 and non-finite
+// components; the guard elements around the range must come out as they
+// went in. Tables of 1 to 16 factors are the AVX-512 body's, held in
+// registers; 17 must take the AVX2 gather (its index 16 would wrap to 0
+// in the registers). Each table is cut from a longer buffer whose tail
+// is NaN, which no product may show.
 func TestPhaseKernelMulIndexedMatchesGoBody(t *testing.T) {
-	requireAVX2(t)
-	rng := rand.New(rand.NewSource(30))
-	for _, nf := range []int{1, 2, 17} {
-		for n := 0; n <= 33; n++ {
-			for off := 0; off <= 1; off++ {
-				for _, nonFinite := range []bool{false, true} {
-					factors := rxKernelInput(rng, nf, nonFinite)
-					idx := make([]int32, n)
-					for i := range idx {
-						idx[i] = int32(rng.Intn(nf))
+	forEachKernel(t, func(kernel string) {
+		rng := rand.New(rand.NewSource(30))
+		for _, nf := range []int{1, 2, 9, 13, 15, 16, 17} {
+			for n := 0; n <= 33; n++ {
+				for off := 0; off <= 1; off++ {
+					for _, nonFinite := range []bool{false, true} {
+						buf := rxKernelInput(rng, nf+16, nonFinite)
+						for i := nf; i < len(buf); i++ {
+							buf[i] = complex(math.NaN(), math.NaN())
+						}
+						factors := buf[:nf]
+						idx := make([]int32, n)
+						for i := range idx {
+							idx[i] = int32(rng.Intn(nf))
+						}
+						if n > 0 {
+							idx[0], idx[n-1] = int32(nf-1), 0
+						}
+						want := rxKernelInput(rng, n+3, nonFinite)
+						got := append([]complex128(nil), want...)
+						mulIndexedGo(want[off:off+n], idx, factors)
+						mulIndexedRange(got[off:off+n], idx, factors)
+						requireSameBits(t, fmt.Sprintf("%s mulIndexedRange nf=%d n=%d offset=%d nonFinite=%v", kernel, nf, n, off, nonFinite), want, got)
 					}
-					if n > 0 {
-						idx[0], idx[n-1] = int32(nf-1), 0
-					}
-					want := rxKernelInput(rng, n+3, nonFinite)
-					got := append([]complex128(nil), want...)
-					mulIndexedGo(want[off:off+n], idx, factors)
-					mulIndexedRange(got[off:off+n], idx, factors)
-					requireSameBits(t, fmt.Sprintf("mulIndexedRange nf=%d n=%d offset=%d nonFinite=%v", nf, n, off, nonFinite), want, got)
 				}
 			}
 		}
-	}
+	})
 }
 
 // An index outside the factor table still panics as the Go body does, at
-// every position of a range and for every kind of bad index, and the
-// amplitudes before it come out as the Go body leaves them.
+// every position of a range — each lane of a group of eight, in the
+// first group and the second — and for every kind of bad index, and the
+// amplitudes before it come out as the Go body leaves them: the group
+// holding it is written by the Go body alone, up to the index.
 func TestPhaseKernelMulIndexedBadIndexPanics(t *testing.T) {
-	requireAVX2(t)
-	rng := rand.New(rand.NewSource(31))
-	const nf = 8
-	factors := rxKernelInput(rng, nf, false)
-	run := func(mul func([]complex128, []int32, []complex128), amps []complex128, idx []int32) (msg string) {
-		defer func() { msg = fmt.Sprint(recover()) }()
-		mul(amps, idx, factors)
-		return "no panic"
-	}
-	for n := 1; n <= 9; n++ {
-		for at := 0; at < n; at++ {
-			for _, bad := range []int32{-1, nf, nf + 1, math.MaxInt32, math.MinInt32} {
-				idx := make([]int32, n)
-				for i := range idx {
-					idx[i] = int32(rng.Intn(nf))
+	forEachKernel(t, func(kernel string) {
+		rng := rand.New(rand.NewSource(31))
+		for _, nf := range []int{8, 16} {
+			factors := rxKernelInput(rng, nf, false)
+			run := func(mul func([]complex128, []int32, []complex128), amps []complex128, idx []int32) (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				mul(amps, idx, factors)
+				return "no panic"
+			}
+			for n := 1; n <= 17; n++ {
+				for at := 0; at < n; at++ {
+					for _, bad := range []int32{-1, int32(nf), int32(nf) + 1, math.MaxInt32, math.MinInt32} {
+						idx := make([]int32, n)
+						for i := range idx {
+							idx[i] = int32(rng.Intn(nf))
+						}
+						idx[at] = bad
+						want := rxKernelInput(rng, n, false)
+						got := append([]complex128(nil), want...)
+						name := fmt.Sprintf("%s nf=%d n=%d index %d = %d", kernel, nf, n, at, bad)
+						wantMsg, gotMsg := run(mulIndexedGo, want, idx), run(mulIndexedRange, got, idx)
+						if gotMsg != wantMsg || !strings.Contains(wantMsg, "index out of range") {
+							t.Fatalf("%s: panic %q, Go body %q", name, gotMsg, wantMsg)
+						}
+						requireSameBits(t, name, want, got)
+					}
 				}
-				idx[at] = bad
-				want := rxKernelInput(rng, n, false)
-				got := append([]complex128(nil), want...)
-				name := fmt.Sprintf("n=%d index %d = %d", n, at, bad)
-				wantMsg, gotMsg := run(mulIndexedGo, want, idx), run(mulIndexedRange, got, idx)
-				if gotMsg != wantMsg || !strings.Contains(wantMsg, "index out of range") {
-					t.Fatalf("%s: panic %q, Go body %q", name, gotMsg, wantMsg)
-				}
-				requireSameBits(t, name, want, got)
 			}
 		}
-	}
+	})
 }
 
 // Mul against its Go bodies on every length of loneKernelLengths: into a
@@ -175,14 +189,17 @@ func TestPhaseKernelMulIndexedBadIndexPanics(t *testing.T) {
 // buffer, with ±0, subnormals, ±Inf and NaN payloads among the
 // components; the guards around dst must come out as they went in.
 func TestPhaseKernelMulMatchesGoBodies(t *testing.T) {
-	requireAVX2(t)
+	forEachKernel(t, func(kernel string) { testPhaseKernelMul(t, kernel) })
+}
+
+func testPhaseKernelMul(t *testing.T, kernel string) {
 	rng := rand.New(rand.NewSource(33))
 	for _, nonFinite := range []bool{false, true} {
 		for _, n := range loneKernelLengths {
 			for off := 0; off <= 1; off++ {
 				for _, inPlace := range []bool{false, true} {
 					for _, bcast := range []bool{false, true} {
-						name := fmt.Sprintf("Mul n=%d offset=%d inPlace=%v bcast=%v nonFinite=%v", n, off, inPlace, bcast, nonFinite)
+						name := fmt.Sprintf("%s Mul n=%d offset=%d inPlace=%v bcast=%v nonFinite=%v", kernel, n, off, inPlace, bcast, nonFinite)
 						a := loneKernelInput(rng, n+2, nonFinite)[1-off : 1-off+n]
 						b := loneKernelInput(rng, n+1, nonFinite)[off : off+n]
 						if bcast {

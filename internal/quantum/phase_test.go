@@ -27,7 +27,7 @@ func FuzzPhaseFactors(f *testing.F) {
 		if conj {
 			sign = -1
 		}
-		forEachKernel(func(kernel string) {
+		forEachKernel(t, func(kernel string) {
 			factors := make([]complex128, len(gens))
 			PhaseFactors(factors, gens, 1, conj)
 			for j, h := range gens {
@@ -68,7 +68,7 @@ func FuzzRXKernelDuoMul(f *testing.F) {
 		}
 		n := len(vals) / 2
 		k := newRXCoef(math.Float64frombits(theta))
-		forEachKernel(func(kernel string) {
+		forEachKernel(t, func(kernel string) {
 			want, got := append([]complex128(nil), vals[:2*n]...), append([]complex128(nil), vals[:2*n]...)
 			rxDuoGo(want[:n], want[n:], k.c, k.s)
 			rxDuo(got[:n], got[n:], k.c, k.s)
@@ -113,14 +113,14 @@ func requireSameBits(t *testing.T, name string, want, got []complex128) {
 	}
 }
 
-// benchKernels runs op reps times per body and iteration, the bodies in
-// turn (forEachKernel), so that a host changing speed mid-run moves both;
-// it reports ns per op for each and avx2/go.
+// benchKernels runs op reps times per tier and iteration, the tiers in
+// turn (forEachKernel), so that a host changing speed mid-run moves all
+// of them; it reports ns per op for each, avx2/go and avx512/avx2.
 func benchKernels(b *testing.B, op func()) {
 	const reps = 32
 	took := map[string]time.Duration{}
 	for i := 0; i < b.N; i++ {
-		forEachKernel(func(kernel string) {
+		forEachKernel(b, func(kernel string) {
 			start := time.Now()
 			for r := 0; r < reps; r++ {
 				op()
@@ -133,6 +133,9 @@ func benchKernels(b *testing.B, op func()) {
 	}
 	if avx, ok := took["avx2"]; ok {
 		b.ReportMetric(float64(avx)/float64(took["go"]), "avx2/go")
+	}
+	if avx, ok := took["avx512"]; ok {
+		b.ReportMetric(float64(avx)/float64(took["avx2"]), "avx512/avx2")
 	}
 }
 

@@ -21,11 +21,12 @@ import "math/bits"
 // is fused where:
 //
 //   - On amd64 with AVX2 a sub-run of quadruples is one assembly body
-//     (revQuadAVX2, revQuadLowAVX2, revQuadMirrorAVX2 in rx_amd64.s). Per
-//     two quadruples it loads φ's, keeps t and u, butterflies and stores
-//     them; loads λ's, multiplies its sums into φ's for the two terms,
-//     adds them to the fold with scalar adds, quadruple k before k+1;
-//     butterflies and stores λ's. Every slice is read once and written
+//     (revQuadAVX2, revQuadLowAVX2, revQuadMirrorAVX2 in rx_amd64.s, or
+//     their AVX-512 forms for a sub-run of whole groups of four). Per
+//     two quadruples (four) it loads φ's, keeps t and u, butterflies and
+//     stores them; loads λ's, multiplies its sums into φ's for the two
+//     terms, adds them to the fold with scalar adds, quadruple k before
+//     k+1; butterflies and stores λ's. Every slice is read once and written
 //     once, and the fold's dependent add waits in the shadow of the
 //     butterflies' arithmetic. An in-chunk pair whose runs are no longer
 //     than a sub-run — (2,3), (4,5), (6,7) — is one call per chunk: the

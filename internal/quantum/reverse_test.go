@@ -118,7 +118,7 @@ func BenchmarkReverseMixer(b *testing.B) {
 		{"n13", 13, false},
 		{"n12-half", 12, true},
 	} {
-		forEachKernel(func(kernel string) {
+		forEachKernel(b, func(kernel string) {
 			b.Run(c.name+"/"+kernel, func(b *testing.B) {
 				phi, lam := randomParallelState(c.n, 8), randomParallelState(c.n, 9)
 				m := testMixer(phi, lam, c.mirror)

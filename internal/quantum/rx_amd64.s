@@ -2,9 +2,9 @@
 
 // AVX2 bodies of the three quadruple butterflies (kernels.go, mirror.go),
 // of their two-state forms, the reverse sweep's (reverse.go), and of the
-// two lone butterflies (at the end of this file). One YMM
-// register holds two complex128 as [re0, im0, re1, im1], so each loop
-// iteration carries two quadruples. Every output is rxMix's expression,
+// two lone butterflies; after them the AVX-512 forms of the first six.
+// One YMM register holds two complex128 as [re0, im0, re1, im1], so each
+// loop iteration carries two quadruples. Every output is rxMix's expression,
 // operation for operation and in its association order:
 //
 //	re = (cc·re(a) − cm·im(t)) + mm·re(b)
@@ -456,6 +456,384 @@ duomirror:
 	ADDQ       $32, AX
 	CMPQ       AX, CX
 	JLT        duomirror
+	VZEROUPPER
+	RET
+
+// AVX-512 forms of the quadruple butterflies and their two-state forms.
+// One ZMM register holds four complex128, so each iteration of the
+// strided and mirror bodies carries four quadruples, and the low bodies
+// hold one quadruple per register. The operations are the AVX2 bodies',
+// in the same order, with one exception: AVX-512 has no VADDSUBPD. Z14
+// holds cm with its even lanes negated, [−cm, cm, …], and the mix adds
+// that product: (−cm)·x is −(cm·x) exactly, and x − p and x + (−p) round
+// alike (as in DUO), so each lane gets the bits the Y bodies give it.
+// Z13 and Z15 hold cc and mm broadcast. Only AVX512F is used; the
+// bitwise ops are its VPXORQ, and VEXTRACTF32X4 moves two doubles.
+DATA evenSign<>+0(SB)/8, $0x8000000000000000
+DATA evenSign<>+8(SB)/8, $0
+DATA evenSign<>+16(SB)/8, $0x8000000000000000
+DATA evenSign<>+24(SB)/8, $0
+DATA evenSign<>+32(SB)/8, $0x8000000000000000
+DATA evenSign<>+40(SB)/8, $0
+DATA evenSign<>+48(SB)/8, $0x8000000000000000
+DATA evenSign<>+56(SB)/8, $0
+GLOBL evenSign<>(SB), RODATA|NOPTR, $64
+
+// RXMIXZ and RXQUADZ are RXMIX and RXQUAD on Z registers: a00, a01,
+// a10, a11 in Z0..Z3, the four outputs in Z6..Z9, the swapped sums St,
+// Su in Z10, Z11; Z4 and Z5 are clobbered.
+#define RXMIXZ \
+	VMULPD Z14, Z10, Z4 /* [−cm, cm]·swap(t) */ \
+	VMULPD Z14, Z11, Z5 \
+	VMULPD Z13, Z0, Z6  \
+	VMULPD Z13, Z1, Z7  \
+	VMULPD Z13, Z2, Z8  \
+	VMULPD Z13, Z3, Z9  \
+	VADDPD Z4, Z6, Z6   /* cc·a00 ∓ cm·swap(t) */ \
+	VADDPD Z5, Z7, Z7   \
+	VADDPD Z5, Z8, Z8   \
+	VADDPD Z4, Z9, Z9   \
+	VMULPD Z15, Z3, Z4  \
+	VMULPD Z15, Z2, Z5  \
+	VADDPD Z4, Z6, Z6   \
+	VADDPD Z5, Z7, Z7   \
+	VMULPD Z15, Z1, Z4  \
+	VMULPD Z15, Z0, Z5  \
+	VADDPD Z4, Z8, Z8   \
+	VADDPD Z5, Z9, Z9
+
+#define RXQUADZ \
+	VADDPD    Z2, Z1, Z10 /* t */ \
+	VADDPD    Z3, Z0, Z11 /* u */ \
+	VPERMILPD $0x55, Z10, Z10 \
+	VPERMILPD $0x55, Z11, Z11 \
+	RXMIXZ
+
+// SUMXQUADZ is SUMXQUAD for four quadruples. AVX-512 has no VHSUBPD or
+// VHADDPD: the products are subtracted from their re/im-swapped selves,
+// which leaves A and B in the even lanes, and added there. Each lane's
+// A + B is the scalar expression's MUL, MUL, SUB, ADD; the four are
+// folded into X12 by scalar adds, quadruple k before k+1.
+#define SUMXQUADZ \
+	VADDPD        Z2, Z1, Z4      /* lt */ \
+	VADDPD        Z3, Z0, Z5      /* lu */ \
+	VMULPD        Z5, Z10, Z10    /* lu·St */ \
+	VMULPD        Z4, Z11, Z11    /* lt·Su */ \
+	VPERMILPD     $0x55, Z10, Z16 \
+	VPERMILPD     $0x55, Z11, Z17 \
+	VSUBPD        Z16, Z10, Z10   /* A in the even lanes */ \
+	VSUBPD        Z17, Z11, Z11   /* B */ \
+	VADDPD        Z11, Z10, Z10   /* A + B */ \
+	VEXTRACTF32X4 $1, Z10, X16    \
+	VEXTRACTF32X4 $2, Z10, X17    \
+	VEXTRACTF32X4 $3, Z10, X18    \
+	VADDSD        X10, X12, X12   \
+	VADDSD        X16, X12, X12   \
+	VADDSD        X17, X12, X12   \
+	VADDSD        X18, X12, X12   \
+	VPERMILPD     $0x55, Z4, Z10  \
+	VPERMILPD     $0x55, Z5, Z11
+
+// func rxQuadAVX512(p00, p01, p10, p11 *complex128, run, runs int, cc, cm, mm float64)
+//
+// rxQuadAVX2 with run a multiple of 4 and at least 4.
+TEXT ·rxQuadAVX512(SB), NOSPLIT, $0-72
+	MOVQ         p00+0(FP), SI
+	MOVQ         p01+8(FP), DI
+	MOVQ         p10+16(FP), R8
+	MOVQ         p11+24(FP), R9
+	MOVQ         run+32(FP), CX
+	MOVQ         runs+40(FP), DX
+	VBROADCASTSD cc+48(FP), Z13
+	VBROADCASTSD cm+56(FP), Z14
+	VPXORQ       evenSign<>(SB), Z14, Z14
+	VBROADCASTSD mm+64(FP), Z15
+	SHLQ         $4, CX
+
+znextrun:
+	XORQ AX, AX
+
+zquad:
+	VMOVUPD (SI)(AX*1), Z0
+	VMOVUPD (DI)(AX*1), Z1
+	VMOVUPD (R8)(AX*1), Z2
+	VMOVUPD (R9)(AX*1), Z3
+	RXQUADZ
+	VMOVUPD Z6, (SI)(AX*1)
+	VMOVUPD Z7, (DI)(AX*1)
+	VMOVUPD Z8, (R8)(AX*1)
+	VMOVUPD Z9, (R9)(AX*1)
+	ADDQ    $64, AX
+	CMPQ    AX, CX
+	JLT     zquad
+	LEAQ    (SI)(CX*4), SI
+	LEAQ    (DI)(CX*4), DI
+	LEAQ    (R8)(CX*4), R8
+	LEAQ    (R9)(CX*4), R9
+	DECQ    DX
+	JNZ     znextrun
+	VZEROUPPER
+	RET
+
+// func revQuadAVX512(p00, p01, p10, p11, l00, l01, l10, l11 *complex128, run, runs int, cc, cm, mm float64) float64
+//
+// revQuadAVX2 with run a multiple of 4 and at least 4.
+TEXT ·revQuadAVX512(SB), NOSPLIT, $0-112
+	MOVQ         p00+0(FP), SI
+	MOVQ         p01+8(FP), DI
+	MOVQ         p10+16(FP), R8
+	MOVQ         p11+24(FP), R9
+	MOVQ         l00+32(FP), R10
+	MOVQ         l01+40(FP), R11
+	MOVQ         l10+48(FP), R12
+	MOVQ         l11+56(FP), R13
+	MOVQ         run+64(FP), CX
+	MOVQ         runs+72(FP), DX
+	VBROADCASTSD cc+80(FP), Z13
+	VBROADCASTSD cm+88(FP), Z14
+	VPXORQ       evenSign<>(SB), Z14, Z14
+	VBROADCASTSD mm+96(FP), Z15
+	SHLQ         $4, CX
+	VPXORQ       Z19, Z19, Z19 // the pass's sum: +0
+
+zrevrun:
+	VXORPD X12, X12, X12
+	XORQ   AX, AX
+
+zrevquad:
+	VMOVUPD (SI)(AX*1), Z0
+	VMOVUPD (DI)(AX*1), Z1
+	VMOVUPD (R8)(AX*1), Z2
+	VMOVUPD (R9)(AX*1), Z3
+	RXQUADZ
+	VMOVUPD Z6, (SI)(AX*1)
+	VMOVUPD Z7, (DI)(AX*1)
+	VMOVUPD Z8, (R8)(AX*1)
+	VMOVUPD Z9, (R9)(AX*1)
+	VMOVUPD (R10)(AX*1), Z0
+	VMOVUPD (R11)(AX*1), Z1
+	VMOVUPD (R12)(AX*1), Z2
+	VMOVUPD (R13)(AX*1), Z3
+	SUMXQUADZ
+	RXMIXZ
+	VMOVUPD Z6, (R10)(AX*1)
+	VMOVUPD Z7, (R11)(AX*1)
+	VMOVUPD Z8, (R12)(AX*1)
+	VMOVUPD Z9, (R13)(AX*1)
+	ADDQ    $64, AX
+	CMPQ    AX, CX
+	JLT     zrevquad
+	VADDSD  X12, X19, X19
+	LEAQ    (SI)(CX*4), SI
+	LEAQ    (DI)(CX*4), DI
+	LEAQ    (R8)(CX*4), R8
+	LEAQ    (R9)(CX*4), R9
+	LEAQ    (R10)(CX*4), R10
+	LEAQ    (R11)(CX*4), R11
+	LEAQ    (R12)(CX*4), R12
+	LEAQ    (R13)(CX*4), R13
+	DECQ    DX
+	JNZ     zrevrun
+	VMOVSD  X19, ret+104(FP)
+	VZEROUPPER
+	RET
+
+// func rxQuadMirrorAVX512(p00, p01, p10, p11 *complex128, n int, cc, cm, mm float64)
+//
+// rxQuadMirrorAVX2 with n a multiple of 4 and at least 4: the
+// descending four are loaded from their lowest address and their 128-bit
+// lanes reversed, on the way in and on the way out.
+TEXT ·rxQuadMirrorAVX512(SB), NOSPLIT, $0-64
+	MOVQ         p00+0(FP), SI
+	MOVQ         p01+8(FP), DI
+	MOVQ         p10+16(FP), R8
+	MOVQ         p11+24(FP), R9
+	MOVQ         n+32(FP), CX
+	VBROADCASTSD cc+40(FP), Z13
+	VBROADCASTSD cm+48(FP), Z14
+	VPXORQ       evenSign<>(SB), Z14, Z14
+	VBROADCASTSD mm+56(FP), Z15
+	SHLQ         $4, CX
+	XORQ         AX, AX
+	LEAQ         -64(CX), BX // elements n−4 … n−1
+
+zmirror:
+	VMOVUPD    (SI)(AX*1), Z0
+	VMOVUPD    (DI)(AX*1), Z1
+	VMOVUPD    (R8)(BX*1), Z2
+	VMOVUPD    (R9)(BX*1), Z3
+	VSHUFF64X2 $0x1B, Z2, Z2, Z2
+	VSHUFF64X2 $0x1B, Z3, Z3, Z3
+	RXQUADZ
+	VSHUFF64X2 $0x1B, Z8, Z8, Z8
+	VSHUFF64X2 $0x1B, Z9, Z9, Z9
+	VMOVUPD    Z6, (SI)(AX*1)
+	VMOVUPD    Z7, (DI)(AX*1)
+	VMOVUPD    Z8, (R8)(BX*1)
+	VMOVUPD    Z9, (R9)(BX*1)
+	SUBQ       $64, BX
+	ADDQ       $64, AX
+	CMPQ       AX, CX
+	JLT        zmirror
+	VZEROUPPER
+	RET
+
+// func revQuadMirrorAVX512(p00, p01, p10, p11, l00, l01, l10, l11 *complex128, n int, cc, cm, mm float64) float64
+//
+// revQuadMirrorAVX2 with n a multiple of 4 and at least 4; the lanes are
+// reversed before the sums are formed, so the fold ascends.
+TEXT ·revQuadMirrorAVX512(SB), NOSPLIT, $0-104
+	MOVQ         p00+0(FP), SI
+	MOVQ         p01+8(FP), DI
+	MOVQ         p10+16(FP), R8
+	MOVQ         p11+24(FP), R9
+	MOVQ         l00+32(FP), R10
+	MOVQ         l01+40(FP), R11
+	MOVQ         l10+48(FP), R12
+	MOVQ         l11+56(FP), R13
+	MOVQ         n+64(FP), CX
+	VBROADCASTSD cc+72(FP), Z13
+	VBROADCASTSD cm+80(FP), Z14
+	VPXORQ       evenSign<>(SB), Z14, Z14
+	VBROADCASTSD mm+88(FP), Z15
+	SHLQ         $4, CX
+	XORQ         AX, AX
+	LEAQ         -64(CX), BX
+	VXORPD       X12, X12, X12
+
+zrevmirror:
+	VMOVUPD    (SI)(AX*1), Z0
+	VMOVUPD    (DI)(AX*1), Z1
+	VMOVUPD    (R8)(BX*1), Z2
+	VMOVUPD    (R9)(BX*1), Z3
+	VSHUFF64X2 $0x1B, Z2, Z2, Z2
+	VSHUFF64X2 $0x1B, Z3, Z3, Z3
+	RXQUADZ
+	VSHUFF64X2 $0x1B, Z8, Z8, Z8
+	VSHUFF64X2 $0x1B, Z9, Z9, Z9
+	VMOVUPD    Z6, (SI)(AX*1)
+	VMOVUPD    Z7, (DI)(AX*1)
+	VMOVUPD    Z8, (R8)(BX*1)
+	VMOVUPD    Z9, (R9)(BX*1)
+	VMOVUPD    (R10)(AX*1), Z0
+	VMOVUPD    (R11)(AX*1), Z1
+	VMOVUPD    (R12)(BX*1), Z2
+	VMOVUPD    (R13)(BX*1), Z3
+	VSHUFF64X2 $0x1B, Z2, Z2, Z2
+	VSHUFF64X2 $0x1B, Z3, Z3, Z3
+	SUMXQUADZ
+	RXMIXZ
+	VSHUFF64X2 $0x1B, Z8, Z8, Z8
+	VSHUFF64X2 $0x1B, Z9, Z9, Z9
+	VMOVUPD    Z6, (R10)(AX*1)
+	VMOVUPD    Z7, (R11)(AX*1)
+	VMOVUPD    Z8, (R12)(BX*1)
+	VMOVUPD    Z9, (R13)(BX*1)
+	SUBQ       $64, BX
+	ADDQ       $64, AX
+	CMPQ       AX, CX
+	JLT        zrevmirror
+	VMOVSD     X12, ret+96(FP)
+	VZEROUPPER
+	RET
+
+// The low bodies hold one quadruple [a00, a01, a10, a11] per register.
+// Its 128-bit lanes reversed, [a11, a10, a01, a00], are the mm terms, and
+// added to it give [u, t, t, u]; exchanging the lanes of each half gives
+// [t, u, u, t], the sum each output's cm term takes:
+//
+//	r = cc·a ∓ cm·swap([t, u, u, t]) + mm·[a11, a10, a01, a00]
+//
+// LOWSUMZ loads the quadruple at ptr into Z0, its reversal into Z1 and
+// [u, t, t, u] into Z2; LOWSWAPZ turns Z2 into the swapped [St, Su, Su,
+// St] in Z10, one VPERMPD by the qword indices lowSwap in Z20; LOWMIXZ
+// leaves the outputs in Z6 and clobbers Z4, Z5.
+DATA lowSwap<>+0(SB)/8, $3
+DATA lowSwap<>+8(SB)/8, $2
+DATA lowSwap<>+16(SB)/8, $1
+DATA lowSwap<>+24(SB)/8, $0
+DATA lowSwap<>+32(SB)/8, $1
+DATA lowSwap<>+40(SB)/8, $0
+DATA lowSwap<>+48(SB)/8, $3
+DATA lowSwap<>+56(SB)/8, $2
+GLOBL lowSwap<>(SB), RODATA|NOPTR, $64
+
+#define LOWSUMZ(ptr) \
+	VMOVUPD    (ptr), Z0          \
+	VSHUFF64X2 $0x1B, Z0, Z0, Z1  \
+	VADDPD     Z1, Z0, Z2
+
+#define LOWSWAPZ \
+	VPERMPD Z2, Z20, Z10
+
+#define LOWMIXZ \
+	VMULPD Z14, Z10, Z4 \
+	VMULPD Z13, Z0, Z6  \
+	VADDPD Z4, Z6, Z6   \
+	VMULPD Z15, Z1, Z5  \
+	VADDPD Z5, Z6, Z6
+
+// func rxQuadLowAVX512(a *complex128, quads int, cc, cm, mm float64)
+//
+// quads ≥ 1 consecutive groups [a00, a01, a10, a11].
+TEXT ·rxQuadLowAVX512(SB), NOSPLIT, $0-40
+	MOVQ         a+0(FP), SI
+	MOVQ         quads+8(FP), CX
+	VBROADCASTSD cc+16(FP), Z13
+	VBROADCASTSD cm+24(FP), Z14
+	VPXORQ       evenSign<>(SB), Z14, Z14
+	VBROADCASTSD mm+32(FP), Z15
+	VMOVDQU64    lowSwap<>(SB), Z20
+
+zlow:
+	LOWSUMZ(SI)
+	LOWSWAPZ
+	LOWMIXZ
+	VMOVUPD Z6, (SI)
+	ADDQ    $64, SI
+	DECQ    CX
+	JNZ     zlow
+	VZEROUPPER
+	RET
+
+// func revQuadLowAVX512(p, l *complex128, quads int, cc, cm, mm float64) float64
+//
+// rxQuadLowAVX512 on φ and on λ, returning the ΣX terms folded from +0.
+// λ's [lu, lt, lt, lu] times φ's [St, Su, Su, St] is [lu·St, lt·Su, …]:
+// subtracted from its swapped self it holds A in lane 0 and B in lane 2,
+// and A + B is one scalar add before the one into the fold.
+TEXT ·revQuadLowAVX512(SB), NOSPLIT, $0-56
+	MOVQ         p+0(FP), SI
+	MOVQ         l+8(FP), DI
+	MOVQ         quads+16(FP), CX
+	VBROADCASTSD cc+24(FP), Z13
+	VBROADCASTSD cm+32(FP), Z14
+	VPXORQ       evenSign<>(SB), Z14, Z14
+	VBROADCASTSD mm+40(FP), Z15
+	VMOVDQU64    lowSwap<>(SB), Z20
+	VXORPD       X12, X12, X12
+
+zrevlow:
+	LOWSUMZ(SI)
+	LOWSWAPZ
+	LOWMIXZ
+	VMOVUPD       Z6, (SI)
+	VMOVAPD       Z10, Z11           // φ's [St, Su, Su, St]
+	LOWSUMZ(DI)
+	VMULPD        Z2, Z11, Z11       // [lu·St, lt·Su, lt·Su, lu·St]
+	VPERMILPD     $0x55, Z11, Z16
+	VSUBPD        Z16, Z11, Z11      // A in lane 0, B in lane 2
+	VEXTRACTF32X4 $1, Z11, X16
+	VADDSD        X16, X11, X11      // A + B
+	VADDSD        X11, X12, X12      // im += A + B
+	LOWSWAPZ
+	LOWMIXZ
+	VMOVUPD       Z6, (DI)
+	ADDQ          $64, SI
+	ADDQ          $64, DI
+	DECQ          CX
+	JNZ           zrevlow
+	VMOVSD        X12, ret+48(FP)
 	VZEROUPPER
 	RET
 

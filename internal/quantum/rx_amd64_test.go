@@ -7,30 +7,33 @@ import (
 	"testing"
 )
 
-// The AVX2 butterflies against their oracle, the Go bodies. Unlike the
-// rest of the kernel suite this compares bit patterns, not ==: the
-// assembly must reproduce the sign of every zero too, or a digest could
-// move. NaNs are compared as NaNs (which operand's payload survives is
-// not part of the contract).
+// The assembly butterflies of every tier against their oracle, the Go
+// bodies. Unlike the rest of the kernel suite this compares bit
+// patterns, not ==: the assembly must reproduce the sign of every zero
+// too, or a digest could move. NaNs are compared as NaNs (which
+// operand's payload survives is not part of the contract).
 
-func requireAVX2(t *testing.T) {
-	t.Helper()
-	if !useAVX2 {
-		t.Skip("CPU or OS without AVX2: the butterflies already run their Go bodies")
-	}
-}
-
-// forEachKernel calls f once per body Kernel() can name on this CPU,
-// "go" first, with the dispatch pinned to that body for the call.
-func forEachKernel(f func(kernel string)) {
-	defer func(have bool) { useAVX2 = have }(useAVX2)
-	have := useAVX2
-	useAVX2 = false
+// forEachKernel calls f once per tier Kernel() can name on this CPU —
+// "go", then "avx2", then "avx512" — with the dispatch pinned to that
+// tier for the call, and logs on tb which tier the CPU lacks and why.
+func forEachKernel(tb testing.TB, f func(kernel string)) {
+	tb.Helper()
+	defer func(avx2, avx512 bool) { useAVX2, useAVX512 = avx2, avx512 }(useAVX2, useAVX512)
+	have2, have512 := useAVX2, useAVX512
+	useAVX2, useAVX512 = false, false
 	f("go")
-	if have {
-		useAVX2 = true
-		f("avx2")
+	if !have2 {
+		tb.Log("avx2 and avx512 tiers skipped: the CPU or OS lacks AVX2")
+		return
 	}
+	useAVX2 = true
+	f("avx2")
+	if !have512 {
+		tb.Logf("avx512 tier skipped: the CPU or OS lacks %s", avx512Missing)
+		return
+	}
+	useAVX512 = true
+	f("avx512")
 }
 
 // rxKernelSpecials are the component values rounding, signed zeros,
@@ -64,12 +67,16 @@ func rxKernelInput(rng *rand.Rand, n int, nonFinite bool) []complex128 {
 	return out
 }
 
-// Every run length from 1 to 33 (the odd ones leave a tail to the Go
-// body), each starting at an even and at an odd element of its buffer —
-// 32-byte aligned or only 16 — with the guard elements around the runs
-// compared too: the assembly may write nothing the Go body does not.
-func TestRXKernelAVX2MatchesGoBodies(t *testing.T) {
-	requireAVX2(t)
+// Every run length from 1 to 33 on every tier (AVX-512 takes groups of
+// four quadruples, AVX2 an even remainder, the Go body an odd one), each
+// starting at an even and at an odd element of its buffer — 32-byte
+// aligned or only 16 — with the guard elements around the runs compared
+// too: the assembly may write nothing the Go body does not.
+func TestRXKernelQuadMatchesGoBodies(t *testing.T) {
+	forEachKernel(t, func(kernel string) { testRXKernelQuad(t, kernel) })
+}
+
+func testRXKernelQuad(t *testing.T, kernel string) {
 	rng := rand.New(rand.NewSource(19))
 	const stride = 40 // per run: up to 33 amplitudes, an offset of 0 or 1, guards
 	thetas := []float64{0, math.Pi / 2, -math.Pi / 2, math.Pi, 6 * (rng.Float64() - 0.5), 6 * (rng.Float64() - 0.5)}
@@ -81,7 +88,7 @@ func TestRXKernelAVX2MatchesGoBodies(t *testing.T) {
 					want := rxKernelInput(rng, 4*stride, nonFinite)
 					got := append([]complex128(nil), want...)
 					run := func(buf []complex128, i int) []complex128 { return buf[i*stride+off : i*stride+off+n] }
-					name := fmt.Sprintf("n=%d offset=%d θ=%v nonFinite=%v", n, off, theta, nonFinite)
+					name := fmt.Sprintf("%s n=%d offset=%d θ=%v nonFinite=%v", kernel, n, off, theta, nonFinite)
 
 					rxQuadGo(run(want, 0), run(want, 1), run(want, 2), run(want, 3), k.cc, k.cm, k.mm)
 					rxQuad(run(got, 0), run(got, 1), run(got, 2), run(got, 3), k.cc, k.cm, k.mm)
@@ -134,9 +141,12 @@ func loneKernelInput(rng *rand.Rand, n int, nonFinite bool) []complex128 {
 // the Go body with its partner at the front of p1. Each run starts at an
 // even and an odd element of its buffer, and the guards around the runs
 // must come out as they went in. θ = −0 gives s = −0, a NaN angle NaN
-// coefficients.
+// coefficients. Both have AVX2 bodies only, which the avx512 tier runs.
 func TestRXKernelDuoMatchesGoBodies(t *testing.T) {
-	requireAVX2(t)
+	forEachKernel(t, func(kernel string) { testRXKernelDuo(t, kernel) })
+}
+
+func testRXKernelDuo(t *testing.T, kernel string) {
 	rng := rand.New(rand.NewSource(22))
 	thetas := []float64{0, math.Copysign(0, -1), math.Pi / 2, -math.Pi / 2, math.Pi, 6 * (rng.Float64() - 0.5), math.NaN()}
 	for _, nonFinite := range []bool{false, true} {
@@ -148,7 +158,7 @@ func TestRXKernelDuoMatchesGoBodies(t *testing.T) {
 					want := loneKernelInput(rng, 2*stride, nonFinite)
 					got := append([]complex128(nil), want...)
 					run := func(buf []complex128, i int) []complex128 { return buf[i*stride+off : i*stride+off+n] }
-					name := fmt.Sprintf("n=%d offset=%d θ=%v nonFinite=%v", n, off, theta, nonFinite)
+					name := fmt.Sprintf("%s n=%d offset=%d θ=%v nonFinite=%v", kernel, n, off, theta, nonFinite)
 
 					rxDuoGo(run(want, 0), run(want, 1), k.c, k.s)
 					rxDuo(run(got, 0), run(got, 1), k.c, k.s)
@@ -163,34 +173,35 @@ func TestRXKernelDuoMatchesGoBodies(t *testing.T) {
 	}
 }
 
-// A whole fused layer with the assembly and without, full and half
-// registers, single- and multi-chunk, every seventh amplitude (+0, −0):
-// every pass funnels through the three butterflies, and the amplitudes
-// must not say which body ran them.
+// A whole fused layer on every tier, full and half registers, single-
+// and multi-chunk, every seventh amplitude (+0, −0): every pass funnels
+// through the three butterflies, and the amplitudes must not say which
+// tier ran them.
 func TestRXKernelLayerBitsMatchGoBodies(t *testing.T) {
-	requireAVX2(t)
-	defer func() { useAVX2 = true }()
-	for n := 1; n <= 17; n++ {
-		for _, mirror := range []bool{false, true} {
-			for ti, theta := range []float64{0, math.Pi / 2, math.Pi, 0.37, -1.9} {
-				in := kernelTestAmps(n, int64(100*n+ti))
-				for i := 0; i < len(in); i += 7 {
-					in[i] = complex(0, math.Copysign(0, -1))
-				}
-				var out [2][]complex128
-				for i, asm := range []bool{false, true} {
-					useAVX2 = asm
+	var want [][]complex128 // per case, from the go tier
+	forEachKernel(t, func(kernel string) {
+		c := 0
+		for n := 1; n <= 17; n++ {
+			for _, mirror := range []bool{false, true} {
+				for ti, theta := range []float64{0, math.Pi / 2, math.Pi, 0.37, -1.9} {
 					s := NewState(n)
-					copy(s.amps, in)
+					copy(s.amps, kernelTestAmps(n, int64(100*n+ti)))
+					for i := 0; i < len(s.amps); i += 7 {
+						s.amps[i] = complex(0, math.Copysign(0, -1))
+					}
 					r := NewLayerRunner(s)
 					r.SetMirror(mirror)
 					r.Layer(theta, false, nil)
-					out[i] = s.amps
+					if kernel == "go" {
+						want = append(want, s.amps)
+					} else {
+						requireSameBits(t, fmt.Sprintf("%s Layer n=%d mirror=%v θ=%v", kernel, n, mirror, theta), want[c], s.amps)
+					}
+					c++
 				}
-				requireSameBits(t, fmt.Sprintf("Layer n=%d mirror=%v θ=%v", n, mirror, theta), out[0], out[1])
 			}
 		}
-	}
+	})
 }
 
 // revKernelClasses are the inputs of the two-state tests: rxKernelInput's
@@ -255,10 +266,14 @@ func requireSameSum(t *testing.T, name string, want, got float64) {
 // the Go butterfly on φ and on λ — on copies of one input: the returned
 // fold and every amplitude of both buffers, guards included. Lengths 1
 // to 34 are one sub-run (the odd ones must come out of the dispatchers
-// as the Go bodies whole), 130 and 258 cross into a second and a third;
-// each at an even and an odd element of its buffer.
-func TestRevKernelAVX2MatchesOracle(t *testing.T) {
-	requireAVX2(t)
+// as the Go bodies whole, those of the form 4k + 2 as the AVX2 bodies'
+// on the avx512 tier), 130 and 258 cross into a second and a third;
+// each at an even and an odd element of its buffer, on every tier.
+func TestRevKernelMatchesOracle(t *testing.T) {
+	forEachKernel(t, func(kernel string) { testRevKernel(t, kernel) })
+}
+
+func testRevKernel(t *testing.T, kernel string) {
 	rng := rand.New(rand.NewSource(20))
 	lengths := []int{130, 258}
 	for n := 1; n <= 34; n++ {
@@ -274,12 +289,12 @@ func TestRevKernelAVX2MatchesOracle(t *testing.T) {
 					wantP, wantL := revKernelInput(rng, 4*stride, class), revKernelInput(rng, 4*stride, class)
 					gotP, gotL := append([]complex128(nil), wantP...), append([]complex128(nil), wantL...)
 					run := func(buf []complex128, i int) []complex128 { return buf[i*stride+off : i*stride+off+n] }
-					name := fmt.Sprintf("n=%d offset=%d θ=%v %s", n, off, theta, class)
-					check := func(kernel string, want, got float64) {
+					name := fmt.Sprintf("%s n=%d offset=%d θ=%v %s", kernel, n, off, theta, class)
+					check := func(body string, want, got float64) {
 						t.Helper()
-						requireSameSum(t, kernel+" "+name, want, got)
-						requireSameBits(t, kernel+" φ "+name, wantP, gotP)
-						requireSameBits(t, kernel+" λ "+name, wantL, gotL)
+						requireSameSum(t, body+" "+name, want, got)
+						requireSameBits(t, body+" φ "+name, wantP, gotP)
+						requireSameBits(t, body+" λ "+name, wantL, gotL)
 					}
 
 					var p, l [4][]complex128
@@ -313,10 +328,14 @@ func TestRevKernelAVX2MatchesOracle(t *testing.T) {
 
 // The strided entry points: a pair pass over whole blocks, 1, 2 and 5 of
 // them, as one assembly call against the run-by-run walk of the Go
-// bodies. Runs of 2 to 128 quadruples are revQuadChunk's one-call form
-// and 256 its run-by-run one; rxQuadRange takes every length in one call.
-func TestRevKernelAVX2RunsMatchOracle(t *testing.T) {
-	requireAVX2(t)
+// bodies, on every tier. Runs of 2 to 128 quadruples are revQuadChunk's
+// one-call form (runs of 2 the AVX2 body's on the avx512 tier) and 256
+// its run-by-run one; rxQuadRange takes every length in one call.
+func TestRevKernelRunsMatchOracle(t *testing.T) {
+	forEachKernel(t, func(kernel string) { testRevKernelRuns(t, kernel) })
+}
+
+func testRevKernelRuns(t *testing.T, kernel string) {
 	rng := rand.New(rand.NewSource(21))
 	k := newRXCoef(0.37)
 	for _, class := range revKernelClasses {
@@ -327,7 +346,7 @@ func TestRevKernelAVX2RunsMatchOracle(t *testing.T) {
 					n := 4 * run * runs
 					wantP, wantL := revKernelInput(rng, n+4, class), revKernelInput(rng, n+4, class)
 					gotP, gotL := append([]complex128(nil), wantP...), append([]complex128(nil), wantL...)
-					name := fmt.Sprintf("run=%d runs=%d offset=%d %s", run, runs, off, class)
+					name := fmt.Sprintf("%s run=%d runs=%d offset=%d %s", kernel, run, runs, off, class)
 
 					var want float64
 					for i := off; i < off+n; i += 4 * run {
@@ -353,39 +372,123 @@ func TestRevKernelAVX2RunsMatchOracle(t *testing.T) {
 	}
 }
 
-// Whole reverse sweeps with the assembly and without: the returned
-// matrix element and both states, full and half registers, every seventh
-// amplitude of φ and every fifth of λ a signed zero. Sweep must not say
-// which bodies ran it — the fold is reverse.go's either way.
+// Whole reverse sweeps on every tier: the returned matrix element and
+// both states, full and half registers, every seventh amplitude of φ and
+// every fifth of λ a signed zero. Sweep must not say which tier ran it —
+// the fold is reverse.go's either way.
 func TestRevKernelSweepBitsMatchGoBodies(t *testing.T) {
-	requireAVX2(t)
-	defer func() { useAVX2 = true }()
 	maxN := 17
 	if testing.Short() {
 		maxN = 16
 	}
-	for n := 1; n <= maxN; n++ {
-		for _, mirror := range []bool{false, true} {
-			for ti, theta := range []float64{0, math.Pi / 2, math.Pi, 0.37, -1.9} {
-				phi0, lam0 := reverseTestPair(n, int64(200*n+ti))
-				for i := 0; i < len(phi0.amps); i += 7 {
-					phi0.amps[i] = complex(0, math.Copysign(0, -1))
+	type result struct {
+		sum      float64
+		phi, lam []complex128
+	}
+	var want []result // per case, from the go tier
+	forEachKernel(t, func(kernel string) {
+		c := 0
+		for n := 1; n <= maxN; n++ {
+			for _, mirror := range []bool{false, true} {
+				for ti, theta := range []float64{0, math.Pi / 2, math.Pi, 0.37, -1.9} {
+					phi, lam := reverseTestPair(n, int64(200*n+ti))
+					for i := 0; i < len(phi.amps); i += 7 {
+						phi.amps[i] = complex(0, math.Copysign(0, -1))
+					}
+					for i := 0; i < len(lam.amps); i += 5 {
+						lam.amps[i] = complex(math.Copysign(0, -1), 0)
+					}
+					got := result{testMixer(phi, lam, mirror).Sweep(theta), phi.amps, lam.amps}
+					if kernel == "go" {
+						want = append(want, got)
+					} else {
+						name := fmt.Sprintf("%s Sweep n=%d mirror=%v θ=%v", kernel, n, mirror, theta)
+						requireSameSum(t, name, want[c].sum, got.sum)
+						requireSameBits(t, name+" φ", want[c].phi, got.phi)
+						requireSameBits(t, name+" λ", want[c].lam, got.lam)
+					}
+					c++
 				}
-				for i := 0; i < len(lam0.amps); i += 5 {
-					lam0.amps[i] = complex(math.Copysign(0, -1), 0)
-				}
-				name := fmt.Sprintf("Sweep n=%d mirror=%v θ=%v", n, mirror, theta)
-				var sum [2]float64
-				var phi, lam [2]*State
-				for i, asm := range []bool{false, true} {
-					useAVX2 = asm
-					phi[i], lam[i] = phi0.Clone(), lam0.Clone()
-					sum[i] = testMixer(phi[i], lam[i], mirror).Sweep(theta)
-				}
-				requireSameSum(t, name, sum[0], sum[1])
-				requireSameBits(t, name+" φ", phi[0].amps, phi[1].amps)
-				requireSameBits(t, name+" λ", lam[0].amps, lam[1].amps)
 			}
 		}
+	})
+}
+
+// One QAOA stage and its adjoint on every tier, the way a cost kernel
+// runs them: a fused Layer whose phase separator is the indexed multiply
+// (12 factors, which the AVX-512 body holds in registers, and 17, which
+// it leaves to the AVX2 gather), a ReverseMixer.Sweep, and the un-phase
+// with its Im⟨λ|D|φ⟩ fold, on full and half registers of 7, 12 and 13
+// qubits. Both states and both returned sums must not say which tier ran
+// them.
+func TestRXKernelStageAcrossTiers(t *testing.T) {
+	type result struct {
+		sumX, im float64
+		phi, lam []complex128
 	}
+	var want []result // per case, from the go tier
+	forEachKernel(t, func(kernel string) {
+		c := 0
+		for _, n := range []int{7, 12, 13} {
+			for _, mirror := range []bool{false, true} {
+				for _, nf := range []int{12, 17} {
+					rng := rand.New(rand.NewSource(int64(100*n + nf)))
+					gens := make([]float64, nf)
+					for j := range gens {
+						gens[j] = float64(j-nf/2) / 2
+					}
+					idx := make([]int32, 1<<uint(n))
+					for i := range idx {
+						idx[i] = int32(rng.Intn(nf))
+					}
+					factors := make([]complex128, nf)
+					PhaseFactors(factors, gens, 0.37, false)
+					phi := NewState(n)
+					r := NewLayerRunner(phi)
+					r.SetMirror(mirror)
+					r.Layer(0.81, true, func(lo, hi int) { phi.MulDiagonalIndexedRange(lo, idx[lo:hi], factors) })
+					lam := NewState(n)
+					copy(lam.amps, kernelTestAmps(n, int64(n)))
+
+					var got result
+					got.sumX = testMixer(phi, lam, mirror).Sweep(-0.81)
+					PhaseFactors(factors, gens, 0.37, true)
+					got.im = lam.InnerImMulIndexedRange(phi, 0, idx, gens, factors)
+					got.phi, got.lam = phi.amps, lam.amps
+					if kernel == "go" {
+						want = append(want, got)
+					} else {
+						name := fmt.Sprintf("%s n=%d mirror=%v nf=%d", kernel, n, mirror, nf)
+						requireSameSum(t, name+" ΣX", want[c].sumX, got.sumX)
+						requireSameSum(t, name+" un-phase", want[c].im, got.im)
+						requireSameBits(t, name+" φ", want[c].phi, got.phi)
+						requireSameBits(t, name+" λ", want[c].lam, got.lam)
+					}
+					c++
+				}
+			}
+		}
+	})
+}
+
+// Kernel names the tier the dispatch runs, and the log says which one
+// and what the CPU lacks for AVX-512: CI prints it before the
+// bit-identity tests, so that a run on a CPU without AVX-512 is told
+// apart from one that ran those bodies.
+func TestKernelTier(t *testing.T) {
+	want := "go"
+	switch {
+	case useAVX512:
+		want = "avx512"
+	case useAVX2:
+		want = "avx2"
+	}
+	if Kernel() != want || useAVX512 != (avx512Missing == "") || useAVX512 && !useAVX2 {
+		t.Fatalf("Kernel() = %q with useAVX2 %v, useAVX512 %v, AVX-512 missing %q", Kernel(), useAVX2, useAVX512, avx512Missing)
+	}
+	missing := avx512Missing
+	if missing == "" {
+		missing = "nothing"
+	}
+	t.Logf("kernel %s; the AVX-512 tier lacks %s", Kernel(), missing)
 }

@@ -319,7 +319,7 @@ func BenchmarkRXQuad(b *testing.B) {
 		{"n13-layer", 13, []int{0, 2, 4, 6, 8, 10}, false, true},
 		{"n12-mirror-layer", 12, []int{0, 2, 4, 6, 8, 10}, true, true},
 	} {
-		forEachKernel(func(kernel string) {
+		forEachKernel(b, func(kernel string) {
 			b.Run(c.name+"/"+kernel, func(b *testing.B) {
 				s := randomParallelState(c.n, 7)
 				touched := len(s.amps) * len(c.pairs)
@@ -344,5 +344,36 @@ func BenchmarkRXQuad(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(touched), "ns/amp")
 			})
 		})
+	}
+}
+
+// BenchmarkKernelBodies times each butterfly body that has an AVX-512
+// form, one call per op through its dispatcher, the tiers in turn per
+// iteration (benchKernels), at 128 amplitudes (paper_n8's half register)
+// and 8192 (a whole chunk): the sizes a body's AVX-512 form has to beat
+// its AVX2 form at to be used. rxQuad is the q2 pass, runs of four
+// quadruples; the two-state forms un-apply the same passes from two
+// states. BenchmarkPhaseFactors and BenchmarkMulIndexed are the phase
+// separator's.
+func BenchmarkKernelBodies(b *testing.B) {
+	k := newRXCoef(0.4)
+	for _, n := range []int{7, 13} {
+		phi, lam := randomParallelState(n, 3), randomParallelState(n, 4)
+		p, l := phi.amps, lam.amps
+		m := testMixer(phi, lam, true)
+		m.rx = k
+		for _, c := range []struct {
+			name string
+			op   func()
+		}{
+			{"rxQuad", func() { rxQuadRange(p, 2, 0, len(p)>>2, k.cc, k.cm, k.mm) }},
+			{"rxQuadLow", func() { rxQuadLow(p, k.cc, k.cm, k.mm) }},
+			{"rxQuadMirror", func() { mirrorRange(p, n, 0, mirrorReps(n), k) }},
+			{"revQuad", func() { revQuadChunk(p, l, 2, k) }},
+			{"revQuadLow", func() { revQuadLow(p, l, k) }},
+			{"revQuadMirror", func() { m.revMirror(0, mirrorReps(n)) }},
+		} {
+			b.Run(fmt.Sprintf("%s/n%d", c.name, len(p)), func(b *testing.B) { benchKernels(b, c.op) })
+		}
 	}
 }

@@ -2,8 +2,8 @@
 # Bounds-check gate for the mixer, ΣX and float-phase kernels. The inner
 # loops of the butterflies' Go bodies (rxQuadGo, rxQuadLowGo,
 # rxQuadMirrorGo, rxDuoGo, rxDuoMirrorGo — the fallback, the odd tail and
-# the oracle of the AVX2 assembly), the entry points that dispatch
-# between the two (rxQuad, rxQuadLow, rxQuadMirror, rxDuo, rxDuoMirror,
+# the oracle of the AVX2 and AVX-512 assembly), the entry points that
+# dispatch between them (rxQuad, rxQuadLow, rxQuadMirror, rxDuo, rxDuoMirror,
 # the pair-pass walk rxQuadRange and the two-state sweep's revQuad,
 # revQuadLow, revQuadMirror, revQuadChunk, whose sub-run loops hand
 # equal-length re-slices to either body), the sweep's ΣX terms
