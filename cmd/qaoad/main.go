@@ -59,10 +59,7 @@ type daemonConfig struct {
 	models     string
 	drainGrace time.Duration
 
-	train       bool
-	trainGraphs int
-	trainDepth  int
-	trainSeed   int64
+	train bool
 
 	peers string
 	wal   string
@@ -76,9 +73,6 @@ func registerFlags(fs *flag.FlagSet, c *daemonConfig) {
 	fs.StringVar(&c.models, "models", "", "directory of pre-trained predictor JSON files (SIGHUP reloads)")
 	fs.DurationVar(&c.drainGrace, "drain-grace", 30*time.Second, "graceful-drain budget on SIGINT/SIGTERM")
 	fs.BoolVar(&c.train, "train", false, "train a \"default\" model at startup if the registry has none")
-	fs.IntVar(&c.trainGraphs, "train-graphs", 16, "dataset size for -train")
-	fs.IntVar(&c.trainDepth, "train-depth", 5, "largest target depth for -train")
-	fs.Int64Var(&c.trainSeed, "train-seed", 1, "dataset RNG seed for -train")
 	fs.IntVar(&c.srv.Workers, "workers", 0, "solve worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&c.srv.QueueDepth, "queue", 0, "job queue bound; full queue returns 429 (0 = default 64)")
 	fs.IntVar(&c.srv.CacheSize, "cache", 0, "LRU result cache entries (0 = default 256)")
@@ -244,22 +238,31 @@ func splitPeers(s string) []string {
 	return out
 }
 
+// The -train recipe: trainGraphs 8-node graphs optimized at depths
+// 1..trainDepth from two starts each, graphs and the 80 % training
+// split drawn from trainSeed.
+const (
+	trainGraphs = 16
+	trainDepth  = 5
+	trainSeed   = 1
+)
+
 // trainDefault generates a small dataset and trains the "default"
 // two-level predictor in-process — the zero-setup path for trying the
 // daemon without a model directory.
 func trainDefault(reg *server.Registry, cfg daemonConfig, logger *log.Logger) error {
 	start := time.Now()
 	logger.Printf("training default model: %d graphs × depths 1..%d (seed %d)...",
-		cfg.trainGraphs, cfg.trainDepth, cfg.trainSeed)
+		trainGraphs, trainDepth, trainSeed)
 	data, err := core.GenerateCtx(context.Background(), core.DataGenConfig{
-		NumGraphs: cfg.trainGraphs, Nodes: 8, EdgeProb: 0.5,
-		MaxDepth: cfg.trainDepth, Starts: 2, Tol: 1e-6,
-		Seed: cfg.trainSeed, Workers: cfg.srv.Workers,
+		NumGraphs: trainGraphs, Nodes: 8, EdgeProb: 0.5,
+		MaxDepth: trainDepth, Starts: 2, Tol: 1e-6,
+		Seed: trainSeed, Workers: cfg.srv.Workers,
 	})
 	if err != nil {
 		return fmt.Errorf("training dataset: %w", err)
 	}
-	train, _ := data.SplitIndices(0.8, cfg.trainSeed)
+	train, _ := data.SplitIndices(0.8, trainSeed)
 	pred := core.NewPredictor(nil)
 	if err := pred.Train(data, train); err != nil {
 		return fmt.Errorf("training default model: %w", err)

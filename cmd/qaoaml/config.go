@@ -9,24 +9,14 @@ import (
 	"qaoaml/internal/experiments"
 )
 
-// RunConfig groups every qaoaml flag into one validated bundle. A zero
-// numeric field means "unset — keep the scale's default"; Validate
-// rejects values that are present but nonsensical (negative counts,
-// fractions outside (0,1)), so bad input fails before the dataset sweep
-// starts rather than deep inside it.
+// RunConfig groups every qaoaml flag into one validated bundle. The ten
+// scale flags write experiments.Scale's fields directly, starting from
+// DefaultScale, or from PaperScale with -paper; FromFlags checks the
+// result, so bad input fails before the dataset sweep starts rather
+// than deep inside it.
 type RunConfig struct {
-	// Scale overrides (0 = keep DefaultScale/PaperScale value).
-	Paper      bool
-	Graphs     int
-	Nodes      int
-	MaxDepth   int
-	Starts     int
-	Reps       int
-	TestGraphs int // -1 = unset; 0 = explicitly "all test graphs"
-	TrainFrac  float64
-	MaxTarget  int
-	Seed       int64
-	Workers    int
+	Paper bool // rebase the scale onto PaperScale; the scale flags given still win
+	Scale experiments.Scale
 
 	// Run controls.
 	Timeout time.Duration // 0 = no deadline
@@ -39,19 +29,22 @@ type RunConfig struct {
 	ModelOut string // export the trained predictor for qaoad -models
 }
 
-// RegisterFlags binds the config's fields to fs.
+// RegisterFlags binds the config's fields to fs, the scale's at
+// DefaultScale's values.
 func (c *RunConfig) RegisterFlags(fs *flag.FlagSet) {
-	fs.BoolVar(&c.Paper, "paper", false, "use the paper's full experimental scale")
-	fs.IntVar(&c.Graphs, "graphs", 0, "override dataset graph count")
-	fs.IntVar(&c.Nodes, "nodes", 0, "override graph size")
-	fs.IntVar(&c.MaxDepth, "maxdepth", 0, "override dataset max depth")
-	fs.IntVar(&c.Starts, "starts", 0, "override datagen multistart count")
-	fs.IntVar(&c.Reps, "reps", 0, "override Table I repetitions per graph")
-	fs.IntVar(&c.TestGraphs, "test-graphs", -1, "cap on test graphs (0 = all)")
-	fs.Float64Var(&c.TrainFrac, "train-frac", 0, "override train split fraction")
-	fs.IntVar(&c.MaxTarget, "max-target", 0, "override largest target depth")
-	fs.Int64Var(&c.Seed, "seed", 0, "override RNG seed")
-	fs.IntVar(&c.Workers, "workers", 0, "datagen parallelism (0 = GOMAXPROCS)")
+	c.Scale = experiments.DefaultScale()
+	s := &c.Scale
+	fs.BoolVar(&c.Paper, "paper", false, "start from the paper's full experimental scale (the scale flags given override it)")
+	fs.IntVar(&s.NumGraphs, "graphs", s.NumGraphs, "dataset graph count")
+	fs.IntVar(&s.Nodes, "nodes", s.Nodes, "graph size")
+	fs.IntVar(&s.MaxDepth, "maxdepth", s.MaxDepth, "dataset max depth")
+	fs.IntVar(&s.Starts, "starts", s.Starts, "datagen multistart count")
+	fs.IntVar(&s.Reps, "reps", s.Reps, "Table I repetitions per graph")
+	fs.IntVar(&s.TestGraphs, "test-graphs", s.TestGraphs, "cap on test graphs (0 = all)")
+	fs.Float64Var(&s.TrainFrac, "train-frac", s.TrainFrac, "train split fraction")
+	fs.IntVar(&s.MaxTarget, "max-target", s.MaxTarget, "largest target depth")
+	fs.Int64Var(&s.Seed, "seed", s.Seed, "RNG seed")
+	fs.IntVar(&s.Workers, "workers", s.Workers, "datagen parallelism (0 = GOMAXPROCS)")
 	fs.DurationVar(&c.Timeout, "timeout", 0, "overall deadline (e.g. 90s; 0 = none)")
 	fs.StringVar(&c.Metrics, "metrics", "", "write collected telemetry as JSON to this file")
 	fs.StringVar(&c.SaveData, "save-data", "", "write the generated dataset to this JSON file")
@@ -67,72 +60,21 @@ func FromFlags(fs *flag.FlagSet, args []string) (RunConfig, error) {
 	if err := fs.Parse(args); err != nil {
 		return c, err
 	}
-	return c, c.Validate()
-}
-
-// Validate rejects present-but-nonsensical values. Zero means unset and
-// is always accepted (except TestGraphs, whose unset sentinel is -1).
-func (c RunConfig) Validate() error {
-	pos := map[string]int{
-		"graphs": c.Graphs, "nodes": c.Nodes, "maxdepth": c.MaxDepth,
-		"starts": c.Starts, "reps": c.Reps, "max-target": c.MaxTarget,
-		"workers": c.Workers,
-	}
-	for name, v := range pos {
-		if v < 0 {
-			return fmt.Errorf("-%s %d is negative", name, v)
+	if c.Paper {
+		// Rebase onto the paper's scale; parsing again re-applies the
+		// flags given, wherever they stood relative to -paper.
+		c.Scale = experiments.PaperScale()
+		if err := fs.Parse(args); err != nil {
+			return c, err
 		}
 	}
-	if c.TestGraphs < -1 {
-		return fmt.Errorf("-test-graphs %d is negative (use 0 for all)", c.TestGraphs)
-	}
-	if c.TrainFrac != 0 && (c.TrainFrac <= 0 || c.TrainFrac >= 1) {
-		return fmt.Errorf("-train-frac %v out of (0,1)", c.TrainFrac)
-	}
 	if c.Timeout < 0 {
-		return fmt.Errorf("-timeout %v is negative", c.Timeout)
+		return c, fmt.Errorf("-timeout %v is negative", c.Timeout)
 	}
 	if c.LoadData != "" && c.SaveData != "" {
-		return fmt.Errorf("-load-data and -save-data are mutually exclusive")
+		return c, fmt.Errorf("-load-data and -save-data are mutually exclusive")
 	}
-	return nil
-}
-
-// Scale folds the config's overrides into the base experimental scale.
-func (c RunConfig) Scale() experiments.Scale {
-	s := experiments.DefaultScale()
-	if c.Paper {
-		s = experiments.PaperScale()
-	}
-	if c.Graphs > 0 {
-		s.NumGraphs = c.Graphs
-	}
-	if c.Nodes > 0 {
-		s.Nodes = c.Nodes
-	}
-	if c.MaxDepth > 0 {
-		s.MaxDepth = c.MaxDepth
-	}
-	if c.Starts > 0 {
-		s.Starts = c.Starts
-	}
-	if c.Reps > 0 {
-		s.Reps = c.Reps
-	}
-	if c.TestGraphs >= 0 {
-		s.TestGraphs = c.TestGraphs
-	}
-	if c.TrainFrac > 0 {
-		s.TrainFrac = c.TrainFrac
-	}
-	if c.MaxTarget > 0 {
-		s.MaxTarget = c.MaxTarget
-	}
-	if c.Seed != 0 {
-		s.Seed = c.Seed
-	}
-	s.Workers = c.Workers
-	return s
+	return c, c.Scale.Validate()
 }
 
 // Context returns the run context honoring -timeout.

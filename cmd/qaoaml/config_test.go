@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"qaoaml/internal/experiments"
 )
 
 func parse(t *testing.T, args ...string) (RunConfig, error) {
@@ -20,9 +22,11 @@ func TestFromFlagsDefaultsAreValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := cfg.Scale()
-	if err := s.Validate(); err != nil {
+	if err := cfg.Scale.Validate(); err != nil {
 		t.Errorf("default scale invalid: %v", err)
+	}
+	if cfg.Scale != experiments.DefaultScale() {
+		t.Errorf("scale %+v, want DefaultScale", cfg.Scale)
 	}
 	if cfg.Timeout != 0 || cfg.Metrics != "" {
 		t.Errorf("unexpected defaults: %+v", cfg)
@@ -56,7 +60,7 @@ func TestFromFlagsOverridesApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := cfg.Scale()
+	s := cfg.Scale
 	if s.NumGraphs != 12 || s.TrainFrac != 0.5 || s.Workers != 3 || s.TestGraphs != 0 {
 		t.Errorf("overrides not applied: %+v", s)
 	}
@@ -71,6 +75,27 @@ func TestFromFlagsOverridesApply(t *testing.T) {
 	defer cancel()
 	if _, ok := ctx.Deadline(); !ok {
 		t.Error("Context() has no deadline despite -timeout")
+	}
+}
+
+// -paper rebases the scale wherever it stands: a scale flag given
+// before it still wins, and -paper=false keeps the default scale.
+func TestFromFlagsPaperPrecedence(t *testing.T) {
+	cfg, err := parse(t, "-graphs", "12", "-seed", "0", "-paper", "table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := experiments.PaperScale()
+	want.NumGraphs, want.Seed = 12, 0
+	if cfg.Scale != want {
+		t.Errorf("flags before -paper: scale %+v, want %+v", cfg.Scale, want)
+	}
+	cfg, err = parse(t, "-paper=false", "table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Paper || cfg.Scale != experiments.DefaultScale() {
+		t.Errorf("-paper=false: paper %v, scale %+v, want DefaultScale", cfg.Paper, cfg.Scale)
 	}
 }
 

@@ -166,7 +166,7 @@ func run(ctx context.Context, name string, cfg RunConfig, mem *telemetry.Memory)
 	if err != nil {
 		return err
 	}
-	scale := cfg.Scale()
+	scale := cfg.Scale
 	var rec telemetry.Recorder // stays untyped-nil when -metrics is off
 	if mem != nil {
 		rec = mem

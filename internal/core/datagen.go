@@ -18,27 +18,30 @@ import (
 // DataGenConfig describes the paper's dataset generation recipe
 // (Sec. III-A): Erdős–Rényi graphs, depths 1..MaxDepth, multistart
 // L-BFGS-B at tolerance 1e-6 restricted to β ∈ [0, π], γ ∈ [0, 2π].
+//
+// It is also the "config" object of a dataset file (Save); the
+// runtime-only fields, tagged "-", are not written.
 type DataGenConfig struct {
-	NumGraphs int                // graphs to draw (paper: 330)
-	Nodes     int                // vertices per graph (paper: 8)
-	EdgeProb  float64            // Erdős–Rényi edge probability (paper: 0.5)
-	MaxDepth  int                // optimize depths 1..MaxDepth (paper: 6)
-	Starts    int                // random multistarts per (graph, depth) (paper: 20)
-	Tol       float64            // functional tolerance (paper: 1e-6)
-	Seed      int64              // RNG seed for graphs and starts
-	Workers   int                // parallel workers (default GOMAXPROCS)
-	Optimizer optimize.Optimizer // default L-BFGS-B
+	NumGraphs int                `json:"num_graphs"` // graphs to draw (paper: 330)
+	Nodes     int                `json:"nodes"`      // vertices per graph (paper: 8)
+	EdgeProb  float64            `json:"edge_prob"`  // Erdős–Rényi edge probability (paper: 0.5)
+	MaxDepth  int                `json:"max_depth"`  // optimize depths 1..MaxDepth (paper: 6)
+	Starts    int                `json:"starts"`     // random multistarts per (graph, depth) (paper: 20)
+	Tol       float64            `json:"tol"`        // functional tolerance (paper: 1e-6)
+	Seed      int64              `json:"seed"`       // RNG seed for graphs and starts
+	Workers   int                `json:"-"`          // parallel workers (default GOMAXPROCS)
+	Optimizer optimize.Optimizer `json:"-"`          // default L-BFGS-B
 	// Family selects the problem ensemble: problem.FamilyMaxCut (the
 	// default, the paper's Erdős–Rényi MaxCut recipe, byte-identical to
 	// the pre-family generator) or any other problem family, drawn by
 	// problem.RandomSpec at roughly Nodes qubits per instance.
-	Family string
+	Family string `json:"family,omitempty"`
 	// Recorder receives datagen telemetry: graph/record counters, the
 	// per-depth FC histograms "datagen.fc.p<d>", per-graph wall-time
 	// observations and the overall "datagen.generate" span, plus the
 	// per-iteration optimizer traces of every run. Shared across all
 	// workers, so the sink must be thread-safe (default telemetry.Nop).
-	Recorder telemetry.Recorder
+	Recorder telemetry.Recorder `json:"-"`
 }
 
 func (c *DataGenConfig) fillDefaults() error {
@@ -201,32 +204,17 @@ func GenerateCtx(ctx context.Context, cfg DataGenConfig) (*Data, error) {
 			defer func() { <-sem }()
 			start := time.Now()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(g)*7919 + 13))
-			recs := make([]Record, 0, cfg.MaxDepth)
-			for depth := 1; depth <= cfg.MaxDepth; depth++ {
-				if ctx.Err() != nil {
-					break
-				}
-				// Seed one start with the interpolated previous-depth
-				// optimum (Zhou et al. INTERP) so best-of-starts lands in
-				// the regular optimum family the paper's trends rely on.
-				var seeds []qaoa.Params
-				if depth > 1 {
-					seeds = append(seeds, qaoa.Interpolate(recs[depth-2].Params))
-				}
-				res, err := Solve(ctx, problems[g], Options{
-					Strategy: StrategyMultiStart, Depth: depth, Optimizer: cfg.Optimizer, Rng: rng,
-					Starts: cfg.Starts, Seeds: seeds, Recorder: cfg.Recorder,
-				})
-				if err != nil {
-					break // cancelled mid-depth: drop the partial record
-				}
-				rec := Record{
-					GraphID: g, Depth: depth, Params: res.Params, NegF: res.NegF, AR: res.AR,
+			chain, _ := InterpChain(ctx, problems[g], cfg.MaxDepth, Options{
+				Optimizer: cfg.Optimizer, Rng: rng, Starts: cfg.Starts, Recorder: cfg.Recorder,
+			})
+			recs := make([]Record, len(chain))
+			for i, res := range chain {
+				recs[i] = Record{
+					GraphID: g, Depth: i + 1, Params: res.Params, NegF: res.NegF, AR: res.AR,
 					NFev: res.NFev, MeanFev: float64(res.NFev) / float64(cfg.Starts),
 				}
-				recs = append(recs, rec)
 				cfg.Recorder.Count("datagen.records", 1)
-				cfg.Recorder.Observe(fcMetric[depth], float64(rec.NFev))
+				cfg.Recorder.Observe(fcMetric[i+1], float64(res.NFev))
 			}
 			records[g] = recs
 			if len(recs) == cfg.MaxDepth {
@@ -237,6 +225,34 @@ func GenerateCtx(ctx context.Context, cfg DataGenConfig) (*Data, error) {
 	}
 	wg.Wait()
 	return &Data{Config: cfg, Problems: problems, Records: records}, ctx.Err()
+}
+
+// InterpChain optimizes pb at depths 1..maxDepth by multistart, the
+// dataset recipe of Sec. III-A: one start of each depth after the first
+// is the INTERP (Zhou et al.) of the optimum before it, so best-of-starts
+// lands in the regular optimum family the paper's trends rely on. o
+// supplies the Optimizer, Rng, Starts and Recorder; the chain sets
+// Strategy, Depth and Seeds. Element d−1 is the depth-d result. It
+// checks ctx before each depth; cancelled, it returns the depths it
+// finished, without the one in flight, and the error.
+func InterpChain(ctx context.Context, pb *qaoa.Problem, maxDepth int, o Options) ([]Result, error) {
+	chain := make([]Result, 0, maxDepth)
+	o.Strategy = StrategyMultiStart
+	for depth := 1; depth <= maxDepth; depth++ {
+		if err := ctx.Err(); err != nil {
+			return chain, err
+		}
+		o.Depth, o.Seeds = depth, nil
+		if depth > 1 {
+			o.Seeds = []qaoa.Params{qaoa.Interpolate(chain[depth-2].Params)}
+		}
+		res, err := Solve(ctx, pb, o)
+		if err != nil {
+			return chain, err
+		}
+		chain = append(chain, res)
+	}
+	return chain, nil
 }
 
 // SplitIndices deterministically shuffles graph ids and splits them

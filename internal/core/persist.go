@@ -14,33 +14,17 @@ import (
 // one-time cost (Sec. III-A); Save/Load let the CLI and downstream
 // users generate once and retrain/re-evaluate cheaply.
 //
-// Save writes schema version 2 for every family: the full problem.Spec
-// per instance — the family tag plus the payload a qaoad request
-// carries (problem.Wire), so a weighted MaxCut graph keeps its weights.
-// Load also reads version 1, the unweighted MaxCut edge lists of older
-// files, and decodes every instance, v1 edge lists included, through
-// problem.Wire.Spec.
+// The file is schema version 2 for every family: the generation
+// config and the full problem.Spec per instance — the family tag plus
+// the payload a qaoad request carries (problem.Wire), so a weighted
+// MaxCut graph keeps its weights — decoded as a request is.
 
-// dataFile is the JSON schema of a persisted dataset. Graphs is the v1
-// instance payload, Specs the v2 one; exactly one is populated.
+// dataFile is the JSON schema of a persisted dataset.
 type dataFile struct {
 	Version int            `json:"version"`
-	Config  configFile     `json:"config"`
-	Graphs  [][][2]int     `json:"graphs,omitempty"` // v1: edge lists, one per graph
-	Nodes   int            `json:"nodes,omitempty"`
-	Specs   []specFile     `json:"specs,omitempty"` // v2: full problem specs
+	Config  DataGenConfig  `json:"config"`
+	Specs   []specFile     `json:"specs,omitempty"`
 	Records [][]recordFile `json:"records"`
-}
-
-type configFile struct {
-	NumGraphs int     `json:"num_graphs"`
-	Nodes     int     `json:"nodes"`
-	EdgeProb  float64 `json:"edge_prob"`
-	MaxDepth  int     `json:"max_depth"`
-	Starts    int     `json:"starts"`
-	Tol       float64 `json:"tol"`
-	Seed      int64   `json:"seed"`
-	Family    string  `json:"family,omitempty"`
 }
 
 type recordFile struct {
@@ -64,26 +48,11 @@ type specFile struct {
 	PenaltyB float64 `json:"penalty_b,omitempty"`
 }
 
-const (
-	dataFileVersionV1 = 1 // MaxCut: unweighted edge lists (read only)
-	dataFileVersion   = 2 // any family: full problem specs
-)
+const dataFileVersion = 2
 
 // Save serializes the dataset as schema v2 JSON.
 func (d *Data) Save(w io.Writer) error {
-	df := dataFile{
-		Version: dataFileVersion,
-		Config: configFile{
-			NumGraphs: d.Config.NumGraphs,
-			Nodes:     d.Config.Nodes,
-			EdgeProb:  d.Config.EdgeProb,
-			MaxDepth:  d.Config.MaxDepth,
-			Starts:    d.Config.Starts,
-			Tol:       d.Config.Tol,
-			Seed:      d.Config.Seed,
-			Family:    d.Config.Family,
-		},
-	}
+	df := dataFile{Version: dataFileVersion, Config: d.Config}
 	for i, pb := range d.Problems {
 		pw, err := problem.WireOf(pb.Spec)
 		if err != nil {
@@ -118,48 +87,28 @@ func (d *Data) SaveFile(path string) error {
 	return f.Close()
 }
 
-// Load deserializes a dataset previously written by Save (either
-// schema version), rebuilding the per-instance cost structures and
-// exact optima.
+// Load deserializes a dataset previously written by Save, rebuilding
+// the per-instance cost structures and exact optima. Each instance
+// decodes as a qaoad request does, capped at the widest register whose
+// exact optimum qaoa.New can compute.
 func Load(r io.Reader) (*Data, error) {
 	var df dataFile
 	if err := json.NewDecoder(r).Decode(&df); err != nil {
 		return nil, fmt.Errorf("core: decoding dataset: %w", err)
 	}
-	if df.Version != dataFileVersionV1 && df.Version != dataFileVersion {
-		return nil, fmt.Errorf("core: unsupported dataset version %d (want %d or %d)", df.Version, dataFileVersionV1, dataFileVersion)
+	if df.Version != dataFileVersion {
+		return nil, fmt.Errorf("core: dataset version %d is not supported (want %d)", df.Version, dataFileVersion)
 	}
-	d := &Data{
-		Config: DataGenConfig{
-			NumGraphs: df.Config.NumGraphs,
-			Nodes:     df.Config.Nodes,
-			EdgeProb:  df.Config.EdgeProb,
-			MaxDepth:  df.Config.MaxDepth,
-			Starts:    df.Config.Starts,
-			Tol:       df.Config.Tol,
-			Seed:      df.Config.Seed,
-			Family:    df.Config.Family,
-		},
-	}
-	// Pre-family datasets (version-1 files without the field) are MaxCut
-	// by construction.
+	d := &Data{Config: df.Config}
+	// A file without the field is MaxCut, the only family before there
+	// were others.
 	if d.Config.Family == "" {
 		d.Config.Family = problem.FamilyMaxCut
 	}
-	// A v1 edge list is a MaxCut payload. Either way the instance decodes
-	// as a qaoad request does, capped at the widest register whose exact
-	// optimum qaoa.New can compute.
-	specs := df.Specs
-	if df.Version == dataFileVersionV1 {
-		specs = make([]specFile, len(df.Graphs))
-		for gi, edges := range df.Graphs {
-			specs[gi] = specFile{Family: problem.FamilyMaxCut, Wire: problem.Wire{Nodes: df.Nodes, Edges: edges}}
-		}
+	if len(df.Specs) != len(df.Records) {
+		return nil, fmt.Errorf("core: dataset has %d instances but %d record rows", len(df.Specs), len(df.Records))
 	}
-	if len(specs) != len(df.Records) {
-		return nil, fmt.Errorf("core: dataset has %d instances but %d record rows", len(specs), len(df.Records))
-	}
-	for si, sf := range specs {
+	for si, sf := range df.Specs {
 		spec, err := sf.Wire.Spec(sf.Family, problem.BruteForceMaxQubits)
 		if err != nil {
 			return nil, fmt.Errorf("core: dataset instance %d: %w", si, err)

@@ -81,8 +81,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Error("wrong version accepted")
 	}
-	if _, err := Load(strings.NewReader(`{"version": 1, "graphs": [[[0,1]]], "records": []}`)); err == nil {
-		t.Error("mismatched graphs/records accepted")
+	// Schema v1 (unweighted MaxCut edge lists) is no longer read.
+	if _, err := Load(strings.NewReader(malformedDatasets["version 1"])); err == nil || !strings.Contains(err.Error(), "version 1 ") {
+		t.Errorf("a version-1 file: error %v does not refuse it by version", err)
 	}
 }
 
@@ -92,17 +93,17 @@ func TestLoadFileMissing(t *testing.T) {
 	}
 }
 
-// malformedDatasets are files Load must refuse. All but "one node" and
-// "short weights" used to crash their reader: Load handed sizes and
-// endpoints straight to graph.New / AddWeightedEdge, which panic, and
-// allocated for a huge register before qaoa.New could refuse it. They
-// double as fuzz seeds.
+// malformedDatasets are files Load must refuse. All but "one node",
+// "short weights" and "version 1" used to crash their reader: Load
+// handed sizes and endpoints straight to graph.New / AddWeightedEdge,
+// which panic, and allocated for a huge register before qaoa.New could
+// refuse it. They double as fuzz seeds.
 var malformedDatasets = map[string]string{
-	"v1 endpoint out of range":   `{"version":1,"config":{"max_depth":1},"nodes":2,"graphs":[[[0,5]]],"records":[[]]}`,
-	"v1 negative endpoint":       `{"version":1,"config":{"max_depth":1},"nodes":2,"graphs":[[[-1,1]]],"records":[[]]}`,
-	"v1 negative nodes":          `{"version":1,"config":{"max_depth":1},"nodes":-1,"graphs":[[[0,5]]],"records":[[]]}`,
-	"v1 one node":                `{"version":1,"config":{"max_depth":1},"nodes":1,"graphs":[[]],"records":[[]]}`,
-	"v1 huge nodes":              `{"version":1,"config":{"max_depth":1},"nodes":1000000000,"graphs":[[[0,1]]],"records":[[]]}`,
+	"version 1":                  `{"version":1,"config":{"max_depth":1},"nodes":2,"graphs":[[[0,1]]],"records":[[]]}`,
+	"v2 negative endpoint":       `{"version":2,"config":{"max_depth":1},"specs":[{"family":"maxcut","nodes":2,"edges":[[-1,1]]}],"records":[[]]}`,
+	"v2 negative nodes":          `{"version":2,"config":{"max_depth":1},"specs":[{"family":"maxcut","nodes":-1,"edges":[[0,5]]}],"records":[[]]}`,
+	"v2 one node":                `{"version":2,"config":{"max_depth":1},"specs":[{"family":"maxcut","nodes":1,"edges":[]}],"records":[[]]}`,
+	"v2 huge nodes":              `{"version":2,"config":{"max_depth":1},"specs":[{"family":"maxcut","nodes":1000000000,"edges":[[0,1]]}],"records":[[]]}`,
 	"v2 endpoint out of range":   `{"version":2,"config":{"max_depth":1},"specs":[{"family":"maxcut","nodes":2,"edges":[[0,7]]}],"records":[[]]}`,
 	"v2 coloring negative":       `{"version":2,"config":{"max_depth":1},"specs":[{"family":"coloring","nodes":-3,"edges":[[0,1]],"colors":2}],"records":[[]]}`,
 	"v2 coloring huge colors":    `{"version":2,"config":{"max_depth":1},"specs":[{"family":"coloring","nodes":4,"edges":[[0,1]],"colors":100000}],"records":[[]]}`,

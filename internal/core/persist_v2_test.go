@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"qaoaml/internal/graph"
+	"qaoaml/internal/optimize"
 	"qaoaml/internal/problem"
 	"qaoaml/internal/qaoa"
+	"qaoaml/internal/telemetry"
 )
 
 // Every family must round-trip through schema v2: identical records,
@@ -126,5 +128,43 @@ func TestLoadV2Rejects(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader([]byte(`{"version": 2, "specs": [{"family": "nope"}], "records": [[]]}`))); err == nil {
 		t.Error("unknown family accepted")
+	}
+}
+
+// Save's bytes are pinned for a hand-built one-instance dataset: the
+// config keys in their order, the runtime-only fields (Workers,
+// Optimizer, Recorder) left out, the v2 spec and the record.
+func TestSaveBytesPinned(t *testing.T) {
+	g := graph.New(3)
+	for _, e := range [][2]int{{0, 1}, {1, 2}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pb, err := qaoa.NewProblem(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := &Data{
+		Config: DataGenConfig{
+			NumGraphs: 1, Nodes: 3, EdgeProb: 0.5, MaxDepth: 1, Starts: 2, Tol: 1e-6, Seed: 9,
+			Workers: 4, Optimizer: &optimize.LBFGSB{Tol: 1e-6}, Family: problem.FamilyMaxCut,
+			Recorder: telemetry.Nop{},
+		},
+		Problems: []*qaoa.Problem{pb},
+		Records: [][]Record{{{
+			GraphID: 0, Depth: 1, Params: qaoa.Params{Gamma: []float64{0.5}, Beta: []float64{0.25}},
+			NegF: -1.5, AR: 0.75, NFev: 12, MeanFev: 6,
+		}}},
+	}
+	var buf bytes.Buffer
+	if err := data.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"version":2,"config":{"num_graphs":1,"nodes":3,"edge_prob":0.5,"max_depth":1,"starts":2,"tol":0.000001,"seed":9,"family":"maxcut"},` +
+		`"specs":[{"family":"maxcut","nodes":3,"edges":[[0,1],[1,2]]}],` +
+		`"records":[[{"graph_id":0,"depth":1,"gamma":[0.5],"beta":[0.25],"neg_f":-1.5,"ar":0.75,"nfev":12,"mean_fev":6}]]}` + "\n"
+	if got := buf.String(); got != want {
+		t.Errorf("Save wrote\n%s\nwant\n%s", got, want)
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"qaoaml/internal/qaoa"
 )
 
-// qaoadTrainRecipe is `qaoad -train` at its defaults: 16 8-node graphs,
+// qaoadTrainRecipe is `qaoad -train`'s recipe: 16 8-node graphs,
 // depths 1..5, two starts, seed 1, an 80 % training split.
 func qaoadTrainRecipe(t *testing.T) (*Data, []int) {
 	t.Helper()

@@ -72,6 +72,9 @@ func (s Scale) Validate() error {
 	if s.NumGraphs < 5 {
 		return fmt.Errorf("experiments: NumGraphs %d too small", s.NumGraphs)
 	}
+	if s.Nodes < 2 {
+		return fmt.Errorf("experiments: Nodes %d < 2", s.Nodes)
+	}
 	if s.MaxDepth < 2 {
 		return fmt.Errorf("experiments: MaxDepth %d < 2", s.MaxDepth)
 	}
@@ -81,8 +84,17 @@ func (s Scale) Validate() error {
 	if s.TrainFrac <= 0 || s.TrainFrac >= 1 {
 		return fmt.Errorf("experiments: TrainFrac %v out of (0,1)", s.TrainFrac)
 	}
+	if s.Starts < 1 {
+		return fmt.Errorf("experiments: Starts %d < 1", s.Starts)
+	}
 	if s.Reps < 1 {
 		return fmt.Errorf("experiments: Reps %d < 1", s.Reps)
+	}
+	if s.TestGraphs < 0 {
+		return fmt.Errorf("experiments: TestGraphs %d is negative (0 = all)", s.TestGraphs)
+	}
+	if s.Workers < 0 {
+		return fmt.Errorf("experiments: Workers %d is negative (0 = GOMAXPROCS)", s.Workers)
 	}
 	return nil
 }
@@ -108,18 +120,10 @@ func NewEnvCtx(ctx context.Context, s Scale, rec telemetry.Recorder) (*Env, erro
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := core.DataGenConfig{
-		NumGraphs: s.NumGraphs,
-		Nodes:     s.Nodes,
-		EdgeProb:  s.EdgeProb,
-		MaxDepth:  s.MaxDepth,
-		Starts:    s.Starts,
-		Tol:       1e-6,
-		Seed:      s.Seed,
-		Workers:   s.Workers,
-		Recorder:  rec,
-	}
-	data, err := core.GenerateCtx(ctx, cfg)
+	data, err := core.GenerateCtx(ctx, core.DataGenConfig{
+		NumGraphs: s.NumGraphs, Nodes: s.Nodes, EdgeProb: s.EdgeProb, MaxDepth: s.MaxDepth,
+		Starts: s.Starts, Tol: 1e-6, Seed: s.Seed, Workers: s.Workers, Recorder: rec,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: dataset generation: %w", err)
 	}

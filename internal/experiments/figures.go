@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -105,19 +106,15 @@ type Fig2Result struct {
 	Schedules []StageParams
 }
 
-// interpChain optimizes depths 1..maxDepth by multistart, one start of
-// each depth seeded with the INTERP of the optimum before it, as in
-// dataset generation. Element d−1 is the depth-d result.
-func interpChain(pb *qaoa.Problem, maxDepth, starts int, opt optimize.Optimizer, rng *rand.Rand) []core.Result {
-	var chain []core.Result
-	for d := 1; d <= maxDepth; d++ {
-		var seeds []qaoa.Params
-		if d > 1 {
-			seeds = append(seeds, qaoa.Interpolate(chain[d-2].Params))
-		}
-		chain = append(chain, solve(pb, core.Options{
-			Strategy: core.StrategyMultiStart, Depth: d, Optimizer: opt, Rng: rng, Starts: starts, Seeds: seeds,
-		}))
+// interpChain is core.InterpChain, the dataset's depth chain, with its
+// L-BFGS-B at tolerance 1e-6, for the figure sweeps, which nothing
+// cancels. Element d−1 is the depth-d result.
+func interpChain(pb *qaoa.Problem, maxDepth, starts int, rng *rand.Rand) []core.Result {
+	chain, err := core.InterpChain(context.Background(), pb, maxDepth, core.Options{
+		Optimizer: &optimize.LBFGSB{Tol: 1e-6}, Rng: rng, Starts: starts,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
 	}
 	return chain
 }
@@ -126,11 +123,10 @@ func interpChain(pb *qaoa.Problem, maxDepth, starts int, opt optimize.Optimizer,
 // count per instance (paper: 20 random initializations).
 func RunFig2(starts int, seed int64) Fig2Result {
 	problems := regularProblems(4, seed)
-	opt := &optimize.LBFGSB{Tol: 1e-6}
 	res := Fig2Result{Depths: []int{3, 5}}
 	for gi, pb := range problems {
 		rng := rand.New(rand.NewSource(seed + int64(gi)*977))
-		byDepth := interpChain(pb, 5, starts, opt, rng)
+		byDepth := interpChain(pb, 5, starts, rng)
 		for _, d := range res.Depths {
 			rec := byDepth[d-1]
 			res.Schedules = append(res.Schedules, StageParams{
@@ -174,10 +170,9 @@ type Fig3Result struct {
 // RunFig3 executes the Fig. 3 experiment.
 func RunFig3(maxDepth, starts int, seed int64) Fig3Result {
 	pb := regularProblems(1, seed)[0]
-	opt := &optimize.LBFGSB{Tol: 1e-6}
 	rng := rand.New(rand.NewSource(seed + 5))
 	var res Fig3Result
-	for _, rec := range interpChain(pb, maxDepth, starts, opt, rng) {
+	for _, rec := range interpChain(pb, maxDepth, starts, rng) {
 		res.GammaByDepth = append(res.GammaByDepth, rec.Params.Gamma)
 		res.BetaByDepth = append(res.BetaByDepth, rec.Params.Beta)
 		res.ARByDepth = append(res.ARByDepth, rec.AR)

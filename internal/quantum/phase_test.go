@@ -115,8 +115,10 @@ func requireSameBits(t *testing.T, name string, want, got []complex128) {
 
 // benchKernels runs op reps times per tier and iteration, the tiers in
 // turn (forEachKernel), so that a host changing speed mid-run moves all
-// of them; it reports ns per op for each, avx2/go and avx512/avx2.
-func benchKernels(b *testing.B, op func()) {
+// of them; it reports for each ns per op ("<tier>-ns") or, when op
+// touches amps > 0 amplitudes, ns per amplitude ("<tier>-ns/amp"), and
+// the ratios avx2/go and avx512/avx2.
+func benchKernels(b *testing.B, amps int, op func()) {
 	const reps = 32
 	took := map[string]time.Duration{}
 	for i := 0; i < b.N; i++ {
@@ -128,8 +130,12 @@ func benchKernels(b *testing.B, op func()) {
 			took[kernel] += time.Since(start)
 		})
 	}
+	per, unit := float64(b.N*reps), "-ns"
+	if amps > 0 {
+		per, unit = per*float64(amps), "-ns/amp"
+	}
 	for kernel, d := range took {
-		b.ReportMetric(float64(d.Nanoseconds())/float64(b.N*reps), kernel+"-ns")
+		b.ReportMetric(float64(d.Nanoseconds())/per, kernel+unit)
 	}
 	if avx, ok := took["avx2"]; ok {
 		b.ReportMetric(float64(avx)/float64(took["go"]), "avx2/go")
@@ -151,7 +157,7 @@ func BenchmarkPhaseFactors(b *testing.B) {
 		}
 		factors := make([]complex128, n)
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			benchKernels(b, func() { PhaseFactors(factors, gens, 0.37, false) })
+			benchKernels(b, 0, func() { PhaseFactors(factors, gens, 0.37, false) })
 		})
 	}
 }
@@ -171,7 +177,7 @@ func BenchmarkMulIndexed(b *testing.B) {
 			idx[i] = int32(rng.Intn(len(factors)))
 		}
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			benchKernels(b, func() { mulIndexedRange(amps, idx, factors) })
+			benchKernels(b, 0, func() { mulIndexedRange(amps, idx, factors) })
 		})
 	}
 }

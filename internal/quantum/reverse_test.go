@@ -99,11 +99,12 @@ func TestReverseMixerPanicsOnMismatch(t *testing.T) {
 
 // BenchmarkReverseMixer times one two-state sweep — RX un-applied from
 // all qubits of both states, ΣX read on the way — in ns per stored
-// amplitude, per body (forEachKernel). n8 is a single chunk, n16 and n20
-// add cross-chunk passes (run on the calling goroutine at GOMAXPROCS=1);
-// n7-half and n19-half are the half registers of paper_n8 and whale_n20,
-// whose last pass is the mirror body's; n13 and n12-half end in a lone
-// butterfly, revDuo's and revDuoMirror's.
+// amplitude, per body, the tiers in turn per iteration (benchKernels).
+// n8 is a single chunk, n16 and n20 add cross-chunk passes (run on the
+// calling goroutine at GOMAXPROCS=1); n7-half and n19-half are the half
+// registers of paper_n8 and whale_n20, whose last pass is the mirror
+// body's; n13 and n12-half end in a lone butterfly, revDuo's and
+// revDuoMirror's.
 func BenchmarkReverseMixer(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -118,18 +119,12 @@ func BenchmarkReverseMixer(b *testing.B) {
 		{"n13", 13, false},
 		{"n12-half", 12, true},
 	} {
-		forEachKernel(b, func(kernel string) {
-			b.Run(c.name+"/"+kernel, func(b *testing.B) {
-				phi, lam := randomParallelState(c.n, 8), randomParallelState(c.n, 9)
-				m := testMixer(phi, lam, c.mirror)
-				var sink float64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sink += m.Sweep(0.4)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(phi.amps)), "ns/amp")
-				_ = sink
-			})
+		b.Run(c.name, func(b *testing.B) {
+			phi, lam := randomParallelState(c.n, 8), randomParallelState(c.n, 9)
+			m := testMixer(phi, lam, c.mirror)
+			var sink float64
+			benchKernels(b, len(phi.amps), func() { sink += m.Sweep(0.4) })
+			_ = sink
 		})
 	}
 }

@@ -282,10 +282,10 @@ func TestLayerAgreesWithCircuitSimulator(t *testing.T) {
 // regression there can be pinned to a qubit position here. All run on
 // the calling goroutine.
 
-// BenchmarkRXQuad times one fused RX pair pass per butterfly body
-// (forEachKernel), through the calls Layer makes — rxQuadRange over the
-// whole representative range, mirrorRange — so that what a body's
-// dispatch costs is in the figure: in-chunk low qubits (q0 is the
+// BenchmarkRXQuad times one fused RX pair pass per butterfly body, the
+// tiers in turn per iteration (benchKernels), through the calls Layer
+// makes — rxQuadRange over the whole representative range, mirrorRange
+// — so that what a body's dispatch costs is in the figure: in-chunk low qubits (q0 is the
 // contiguous fast path; q2 and q4 the shortest sliced runs, 16 and 64
 // amplitudes, which the assembly walks from one call per pass and the Go
 // bodies take one call each; q12 the last in-chunk pair) and the mirror
@@ -319,29 +319,25 @@ func BenchmarkRXQuad(b *testing.B) {
 		{"n13-layer", 13, []int{0, 2, 4, 6, 8, 10}, false, true},
 		{"n12-mirror-layer", 12, []int{0, 2, 4, 6, 8, 10}, true, true},
 	} {
-		forEachKernel(b, func(kernel string) {
-			b.Run(c.name+"/"+kernel, func(b *testing.B) {
-				s := randomParallelState(c.n, 7)
-				touched := len(s.amps) * len(c.pairs)
-				if c.mirror || c.layer && c.n%2 == 1 {
-					touched += len(s.amps) // the last pass
+		b.Run(c.name, func(b *testing.B) {
+			s := randomParallelState(c.n, 7)
+			touched := len(s.amps) * len(c.pairs)
+			if c.mirror || c.layer && c.n%2 == 1 {
+				touched += len(s.amps) // the last pass
+			}
+			r := NewLayerRunner(s)
+			r.SetMirror(c.mirror)
+			benchKernels(b, touched, func() {
+				if c.layer {
+					r.Layer(0.4, false, nil)
+					return
 				}
-				r := NewLayerRunner(s)
-				r.SetMirror(c.mirror)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if c.layer {
-						r.Layer(0.4, false, nil)
-						continue
-					}
-					for _, q := range c.pairs {
-						rxQuadRange(s.amps, q, 0, len(s.amps)>>2, k.cc, k.cm, k.mm)
-					}
-					if c.mirror {
-						mirrorRange(s.amps, c.n, 0, mirrorReps(c.n), k)
-					}
+				for _, q := range c.pairs {
+					rxQuadRange(s.amps, q, 0, len(s.amps)>>2, k.cc, k.cm, k.mm)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(touched), "ns/amp")
+				if c.mirror {
+					mirrorRange(s.amps, c.n, 0, mirrorReps(c.n), k)
+				}
 			})
 		})
 	}
@@ -373,7 +369,7 @@ func BenchmarkKernelBodies(b *testing.B) {
 			{"revQuadLow", func() { revQuadLow(p, l, k) }},
 			{"revQuadMirror", func() { m.revMirror(0, mirrorReps(n)) }},
 		} {
-			b.Run(fmt.Sprintf("%s/n%d", c.name, len(p)), func(b *testing.B) { benchKernels(b, c.op) })
+			b.Run(fmt.Sprintf("%s/n%d", c.name, len(p)), func(b *testing.B) { benchKernels(b, 0, c.op) })
 		}
 	}
 }
