@@ -78,6 +78,23 @@ func TestFromFlagsOverridesApply(t *testing.T) {
 	}
 }
 
+// A target past -maxdepth is checked only where -maxdepth sets the
+// dataset's depth (experiments.NewEnvCtx): fig3 reads no dataset, and a
+// loaded dataset brings its own depth.
+func TestFromFlagsTargetPastDepth(t *testing.T) {
+	for _, args := range [][]string{
+		{"-maxdepth", "3", "-max-target", "4", "-starts", "2", "fig3"},
+		{"-load-data", "d.json", "-max-target", "6", "table1"},
+	} {
+		cfg, err := parse(t, args...)
+		if err != nil {
+			t.Errorf("args %v refused: %v", args, err)
+		} else if cfg.Scale.MaxTarget <= cfg.Scale.MaxDepth {
+			t.Errorf("args %v: scale %+v", args, cfg.Scale)
+		}
+	}
+}
+
 // -paper rebases the scale wherever it stands: a scale flag given
 // before it still wins, and -paper=false keeps the default scale.
 func TestFromFlagsPaperPrecedence(t *testing.T) {

@@ -67,7 +67,9 @@ func PaperScale() Scale {
 	}
 }
 
-// Validate sanity-checks the scale.
+// Validate sanity-checks the scale. MaxTarget is held to MaxDepth only
+// where MaxDepth sets the dataset's depth, in NewEnvCtx: a loaded
+// dataset brings its own depth, and Figs. 1(c) and 3 read no dataset.
 func (s Scale) Validate() error {
 	if s.NumGraphs < 5 {
 		return fmt.Errorf("experiments: NumGraphs %d too small", s.NumGraphs)
@@ -78,8 +80,8 @@ func (s Scale) Validate() error {
 	if s.MaxDepth < 2 {
 		return fmt.Errorf("experiments: MaxDepth %d < 2", s.MaxDepth)
 	}
-	if s.MaxTarget < 2 || s.MaxTarget > s.MaxDepth {
-		return fmt.Errorf("experiments: MaxTarget %d out of [2, MaxDepth=%d]", s.MaxTarget, s.MaxDepth)
+	if s.MaxTarget < 2 {
+		return fmt.Errorf("experiments: MaxTarget %d < 2", s.MaxTarget)
 	}
 	if s.TrainFrac <= 0 || s.TrainFrac >= 1 {
 		return fmt.Errorf("experiments: TrainFrac %v out of (0,1)", s.TrainFrac)
@@ -119,6 +121,9 @@ type Env struct {
 func NewEnvCtx(ctx context.Context, s Scale, rec telemetry.Recorder) (*Env, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
+	}
+	if s.MaxTarget > s.MaxDepth {
+		return nil, fmt.Errorf("experiments: MaxTarget %d > MaxDepth %d", s.MaxTarget, s.MaxDepth)
 	}
 	data, err := core.GenerateCtx(ctx, core.DataGenConfig{
 		NumGraphs: s.NumGraphs, Nodes: s.Nodes, EdgeProb: s.EdgeProb, MaxDepth: s.MaxDepth,

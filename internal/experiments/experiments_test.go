@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"qaoaml/internal/telemetry"
 )
 
 // testScale is small enough for the full experiment suite to run in a
@@ -48,14 +50,28 @@ func TestScaleValidate(t *testing.T) {
 		t.Errorf("PaperScale invalid: %v", err)
 	}
 	bad := DefaultScale()
-	bad.MaxTarget = bad.MaxDepth + 1
+	bad.MaxTarget = 1
 	if err := bad.Validate(); err == nil {
-		t.Error("MaxTarget > MaxDepth accepted")
+		t.Error("MaxTarget < 2 accepted")
 	}
 	bad2 := DefaultScale()
 	bad2.TrainFrac = 1.5
 	if err := bad2.Validate(); err == nil {
 		t.Error("TrainFrac > 1 accepted")
+	}
+}
+
+// A generated dataset must reach every target depth: NewEnvCtx refuses
+// MaxTarget > MaxDepth before it generates anything.
+func TestNewEnvRefusesTargetPastDepth(t *testing.T) {
+	s := testScale()
+	s.MaxTarget = s.MaxDepth + 1
+	mem := telemetry.NewMemory()
+	if _, err := NewEnvCtx(context.Background(), s, mem); err == nil || !strings.Contains(err.Error(), "MaxTarget 4 > MaxDepth 3") {
+		t.Errorf("MaxTarget > MaxDepth: %v, want refused", err)
+	}
+	if snap := mem.Snapshot(); len(snap.Counters)+len(snap.Spans) != 0 {
+		t.Errorf("refused after generating: counters %v", snap.Counters)
 	}
 }
 

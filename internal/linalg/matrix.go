@@ -3,7 +3,6 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Matrix is a dense row-major matrix.
@@ -130,18 +129,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			fmt.Fprintf(&b, "%10.5g ", m.At(i, j))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 func (m *Matrix) checkSquare() {

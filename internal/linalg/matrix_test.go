@@ -108,13 +108,6 @@ func TestFrobeniusSubmultiplicative(t *testing.T) {
 	}
 }
 
-func TestMatrixStringDoesNotPanic(t *testing.T) {
-	s := fromRows([][]float64{{1, math.Pi}}).String()
-	if s == "" {
-		t.Error("empty String output")
-	}
-}
-
 func randomMatrix(rng *rand.Rand, r, c int) *Matrix {
 	m := NewMatrix(r, c)
 	for i := range m.Data {

@@ -74,9 +74,3 @@ func (m Metrics) Better(o Metrics) bool {
 		return m.R2 > o.R2
 	}
 }
-
-// String renders the metrics in one line.
-func (m Metrics) String() string {
-	return fmt.Sprintf("MSE=%.5g RMSE=%.5g MAE=%.5g R2=%.4f R2adj=%.4f (n=%d, p=%d)",
-		m.MSE, m.RMSE, m.MAE, m.R2, m.R2Adj, m.N, m.P)
-}
