@@ -14,7 +14,7 @@
 //   - internal/graph    — Erdős–Rényi / regular graphs, exact MaxCut
 //   - internal/optimize — L-BFGS-B, Nelder-Mead, SLSQP, COBYLA (replaces SciPy)
 //   - internal/ml       — GPR, linear, tree, SVR regression (replaces MATLAB)
-//   - internal/linalg   — dense linear algebra (Cholesky, QR, LU)
+//   - internal/linalg   — dense linear algebra (Cholesky, LU)
 //   - internal/stats    — descriptive statistics and correlations
 //   - internal/telemetry — counters, histograms, spans, iteration traces
 //   - internal/experiments — one runner per paper table/figure

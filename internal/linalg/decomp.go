@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -10,8 +9,7 @@ import (
 // not symmetric positive definite (within floating-point tolerance).
 var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
 
-// ErrSingular is returned by LUDecomp.Factor when a pivot vanishes and
-// by the least-squares solvers when A is rank deficient.
+// ErrSingular is returned by LUDecomp.Factor when a pivot vanishes.
 var ErrSingular = errors.New("linalg: matrix is singular")
 
 // CholeskyDecomp holds the lower-triangular factor L with A = L·Lᵀ.
@@ -94,7 +92,9 @@ func SolveLowerTriangular(l *Matrix, b Vector) Vector {
 	return y
 }
 
-// SolveUpperTriangular solves U·x = b by back substitution.
+// SolveUpperTriangular solves U·x = b by back substitution. No binary
+// calls it: it is the reference that CholeskyDecomp.Solve's in-place
+// back substitution along L's columns is checked against.
 func SolveUpperTriangular(u *Matrix, b Vector) Vector {
 	u.checkSquare()
 	n := u.Rows
@@ -191,100 +191,6 @@ func (d *LUDecomp) SolveTo(x, b Vector) Vector {
 	return x
 }
 
-// QRDecomp holds a thin Householder QR factorization A = Q·R with
-// Q m×n orthonormal columns and R n×n upper triangular (m ≥ n).
-type QRDecomp struct {
-	Q *Matrix
-	R *Matrix
-}
-
-// QR computes the thin QR factorization of an m×n matrix with m ≥ n
-// using Householder reflections.
-func QR(a *Matrix) (*QRDecomp, error) {
-	m, n := a.Rows, a.Cols
-	if m < n {
-		return nil, fmt.Errorf("linalg: QR requires rows >= cols, got %dx%d", m, n)
-	}
-	r := a.Clone()
-	// Accumulate Q implicitly by applying reflectors to an m×m identity,
-	// then truncating; m is small in this repo so this is fine.
-	q := Identity(m)
-	v := make(Vector, m)
-	for k := 0; k < n; k++ {
-		// Build Householder vector for column k.
-		normX := 0.0
-		for i := k; i < m; i++ {
-			normX += r.At(i, k) * r.At(i, k)
-		}
-		normX = math.Sqrt(normX)
-		if normX == 0 {
-			continue
-		}
-		alpha := -math.Copysign(normX, r.At(k, k))
-		vnorm2 := 0.0
-		for i := k; i < m; i++ {
-			vi := r.At(i, k)
-			if i == k {
-				vi -= alpha
-			}
-			v[i] = vi
-			vnorm2 += vi * vi
-		}
-		if vnorm2 == 0 {
-			continue
-		}
-		// Apply H = I - 2vvᵀ/vᵀv to R (columns k..n-1).
-		for j := k; j < n; j++ {
-			s := 0.0
-			for i := k; i < m; i++ {
-				s += v[i] * r.At(i, j)
-			}
-			f := 2 * s / vnorm2
-			for i := k; i < m; i++ {
-				r.Set(i, j, r.At(i, j)-f*v[i])
-			}
-		}
-		// Apply H to Q from the right: Q = Q·H.
-		for i := 0; i < m; i++ {
-			s := 0.0
-			for j := k; j < m; j++ {
-				s += q.At(i, j) * v[j]
-			}
-			f := 2 * s / vnorm2
-			for j := k; j < m; j++ {
-				q.Set(i, j, q.At(i, j)-f*v[j])
-			}
-		}
-	}
-	// Truncate to thin factors.
-	qt := NewMatrix(m, n)
-	rt := NewMatrix(n, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			qt.Set(i, j, q.At(i, j))
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			rt.Set(i, j, r.At(i, j))
-		}
-	}
-	return &QRDecomp{Q: qt, R: rt}, nil
-}
-
-// SolveLeastSquares returns the x minimizing ‖A·x − b‖₂ via R·x = Qᵀb.
-// It returns ErrSingular when A is rank deficient.
-func (d *QRDecomp) SolveLeastSquares(b Vector) (Vector, error) {
-	n := d.R.Rows
-	for i := 0; i < n; i++ {
-		if math.Abs(d.R.At(i, i)) < 1e-12*(1+d.R.MaxAbs()) {
-			return nil, ErrSingular
-		}
-	}
-	qtb := d.Q.MulVecT(b)
-	return SolveUpperTriangular(d.R, qtb), nil
-}
-
 // SolveSPD solves A·x = b for symmetric positive-definite A via Cholesky.
 func SolveSPD(a *Matrix, b Vector) (Vector, error) {
 	ch, err := Cholesky(a)
@@ -292,13 +198,4 @@ func SolveSPD(a *Matrix, b Vector) (Vector, error) {
 		return nil, err
 	}
 	return ch.Solve(b), nil
-}
-
-// LeastSquares returns argmin ‖A·x − b‖₂ for m×n A with m ≥ n.
-func LeastSquares(a *Matrix, b Vector) (Vector, error) {
-	qr, err := QR(a)
-	if err != nil {
-		return nil, err
-	}
-	return qr.SolveLeastSquares(b)
 }

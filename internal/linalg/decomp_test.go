@@ -212,73 +212,6 @@ func TestLUSingular(t *testing.T) {
 	}
 }
 
-func TestQROrthonormalAndReconstructs(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randomMatrix(rng, 7, 4)
-	qr, err := QR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matClose(qr.Q.T().Mul(qr.Q), Identity(4), 1e-9) {
-		t.Error("QᵀQ != I")
-	}
-	if !matClose(qr.Q.Mul(qr.R), a, 1e-9) {
-		t.Error("Q·R != A")
-	}
-	// R upper triangular.
-	for i := 1; i < 4; i++ {
-		for j := 0; j < i; j++ {
-			if qr.R.At(i, j) != 0 {
-				t.Errorf("R[%d][%d] = %v, want 0", i, j, qr.R.At(i, j))
-			}
-		}
-	}
-}
-
-func TestQRRejectsWide(t *testing.T) {
-	if _, err := QR(NewMatrix(2, 3)); err == nil {
-		t.Error("expected error for wide matrix")
-	}
-}
-
-func TestLeastSquaresExact(t *testing.T) {
-	// Overdetermined consistent system: fit y = 2x + 1 exactly.
-	a := fromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
-	b := Vector{1, 3, 5, 7}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vecClose(x, Vector{1, 2}, 1e-10) {
-		t.Errorf("LeastSquares = %v, want [1 2]", x)
-	}
-}
-
-func TestLeastSquaresResidualOrthogonal(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randomMatrix(rng, 10, 3)
-	b := randomVector(rng, 10)
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := a.MulVec(x)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	// Normal equations: Aᵀr = 0.
-	if got := a.MulVecT(r); !vecClose(got, make(Vector, len(got)), 1e-9) {
-		t.Errorf("Aᵀr = %v, want ~0", got)
-	}
-}
-
-func TestLeastSquaresRankDeficient(t *testing.T) {
-	a := fromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
-	if _, err := LeastSquares(a, Vector{1, 2, 3}); err != ErrSingular {
-		t.Errorf("err = %v, want ErrSingular", err)
-	}
-}
-
 func TestSolveAndSolveSPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := randomSPD(rng, 5)

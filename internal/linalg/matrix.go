@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -33,13 +30,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
 
 // T returns the transpose of m as a new matrix.
 func (m *Matrix) T() *Matrix {
@@ -89,25 +79,6 @@ func (m *Matrix) MulVecTo(out, v Vector) Vector {
 	return out
 }
 
-// MulVecT returns mᵀ·v without forming the transpose.
-func (m *Matrix) MulVecT(v Vector) Vector {
-	if m.Rows != len(v) {
-		panic(fmt.Sprintf("linalg: MulVecT shape mismatch (%dx%d)ᵀ·(%d)", m.Rows, m.Cols, len(v)))
-	}
-	out := make(Vector, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		vi := v[i]
-		if vi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j := range out {
-			out[j] += vi * row[j]
-		}
-	}
-	return out
-}
-
 // AddToDiag adds a to each diagonal entry in place and returns m.
 func (m *Matrix) AddToDiag(a float64) *Matrix {
 	n := m.Rows
@@ -118,17 +89,6 @@ func (m *Matrix) AddToDiag(a float64) *Matrix {
 		m.Set(i, i, m.At(i, i)+a)
 	}
 	return m
-}
-
-// MaxAbs returns the largest absolute entry of m (0 for an empty matrix).
-func (m *Matrix) MaxAbs() float64 {
-	mx := 0.0
-	for _, x := range m.Data {
-		if a := math.Abs(x); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 func (m *Matrix) checkSquare() {

@@ -63,16 +63,6 @@ func TestMulVecMatchesMul(t *testing.T) {
 	}
 }
 
-func TestMulVecT(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randomMatrix(rng, 4, 6)
-	v := randomVector(rng, 4)
-	want := a.T().MulVec(v)
-	if got := a.MulVecT(v); !vecClose(got, want, 1e-12) {
-		t.Errorf("MulVecT = %v, want %v", got, want)
-	}
-}
-
 // AddToDiag shifts the diagonal of a rectangular matrix and nothing else.
 func TestDiagAndAddToDiag(t *testing.T) {
 	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})

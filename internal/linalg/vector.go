@@ -1,6 +1,6 @@
 // Package linalg provides the dense real linear algebra needed by the
-// rest of the repository: vectors, row-major matrices, Householder QR,
-// Cholesky and LU factorizations, and linear solvers.
+// rest of the repository: vectors, row-major matrices, Cholesky and LU
+// factorizations, and linear solvers.
 //
 // It replaces the NumPy/SciPy and MATLAB routines used in the paper's
 // original stack. Everything is float64 and allocation-explicit; the

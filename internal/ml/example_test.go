@@ -6,7 +6,7 @@ import (
 	"qaoaml/internal/ml"
 )
 
-// Fit and query an ordinary least-squares model.
+// Fit and query a linear model.
 func ExampleLinear() {
 	x := [][]float64{{0}, {1}, {2}, {3}}
 	y := []float64{1, 3, 5, 7} // y = 2x + 1

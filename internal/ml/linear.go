@@ -4,9 +4,11 @@ import (
 	"qaoaml/internal/linalg"
 )
 
-// Linear is ordinary least-squares linear regression with an intercept,
-// solved by Householder QR (numerically stable vs. normal equations).
-// This is the paper's "LM" model.
+// Linear is linear regression with an intercept: the paper's "LM"
+// model. It solves ridge-regularized normal equations by Cholesky
+// rather than plain least squares because every depth bank's design is
+// rank deficient: the bank's pt feature is constant, a multiple of the
+// intercept column.
 type Linear struct {
 	Coef      []float64 // feature weights, length = feature dim
 	Intercept float64
@@ -16,39 +18,26 @@ type Linear struct {
 // Name implements Regressor.
 func (l *Linear) Name() string { return "LM" }
 
-// Fit implements Regressor. Rank-deficient designs (e.g. constant
-// features) fall back to ridge-stabilized normal equations so Fit still
-// returns a usable model.
+// Fit implements Regressor: it solves (AᵀA + 1e-8·I)·w = Aᵀy for the
+// design matrix A = [1, x].
 func (l *Linear) Fit(x [][]float64, y []float64) error {
 	dim, err := checkTrainingData(x, y)
 	if err != nil {
 		return err
 	}
-	n := len(x)
-	// Design matrix with a leading 1 column for the intercept.
-	a := linalg.NewMatrix(n, dim+1)
+	a := linalg.NewMatrix(len(x), dim+1)
 	for i, row := range x {
 		a.Set(i, 0, 1)
 		for j, v := range row {
 			a.Set(i, j+1, v)
 		}
 	}
-	b := make(linalg.Vector, n)
-	copy(b, y)
-
-	var w linalg.Vector
-	if n >= dim+1 {
-		w, err = linalg.LeastSquares(a, b)
-	}
-	if n < dim+1 || err != nil {
-		// Underdetermined or rank-deficient: ridge fallback.
-		at := a.T()
-		gram := at.Mul(a)
-		gram.AddToDiag(1e-8)
-		w, err = linalg.SolveSPD(gram, at.MulVec(b))
-		if err != nil {
-			return err
-		}
+	at := a.T()
+	gram := at.Mul(a)
+	gram.AddToDiag(1e-8)
+	w, err := linalg.SolveSPD(gram, at.MulVec(y))
+	if err != nil {
+		return err
 	}
 	l.Intercept = w[0]
 	l.Coef = append([]float64(nil), w[1:]...)

@@ -523,7 +523,9 @@ func fitColumnOracle(g *GPR, x [][]float64, y []float64) error {
 			for _, sl2 := range sl2s {
 				k := g.kernelMatrix(xs, ell, sf2, sl2)
 				for _, sn2 := range sn2s {
-					kn := k.Clone().AddToDiag(sn2)
+					kn := linalg.NewMatrix(k.Rows, k.Cols)
+					copy(kn.Data, k.Data)
+					kn.AddToDiag(sn2)
 					ch, err := linalg.Cholesky(kn)
 					if err != nil {
 						continue

@@ -16,8 +16,8 @@ import (
 
 // A solve key is persistent state: WAL accepted records carry it, WAL
 // recovery seeds the cache under it, and a coordinator upgraded between
-// an accept and its replay must still find the entry. The literal below
-// was recorded before solveKey stopped going through fmt.
+// an accept and its replay must still find the entry, so the literal
+// below must never move.
 func TestSolveKeyPinned(t *testing.T) {
 	s := New(Config{Workers: 1, MaxNodes: 12, Registry: testRegistry(t)})
 	defer s.Close()
