@@ -251,14 +251,14 @@ func BenchmarkTwoLevelVsNaive(b *testing.B) {
 }
 
 // BenchmarkGPR measures predictor-model fit and predict costs on a
-// dataset-shaped task (3 features, 60 samples).
+// dataset-shaped task (2 features, 60 samples).
 func BenchmarkGPR(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	x := make([][]float64, 60)
 	y := make([]float64, 60)
 	for i := range x {
-		x[i] = []float64{rng.Float64(), rng.Float64(), float64(2 + rng.Intn(4))}
-		y[i] = x[i][0]*0.5 + x[i][1]*0.2 + 0.1*x[i][2]
+		x[i] = []float64{rng.Float64(), rng.Float64()}
+		y[i] = x[i][0]*0.5 + x[i][1]*0.2
 	}
 	b.Run("fit", func(b *testing.B) {
 		b.ReportAllocs()

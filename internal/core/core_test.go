@@ -47,8 +47,8 @@ func TestFeaturesVector(t *testing.T) {
 	p1 := qaoa.Params{Gamma: []float64{1.5}, Beta: []float64{0.4}}
 	f := FeaturesFromParams(p1, 4)
 	v := f.Vector()
-	if len(v) != 3 || v[0] != 1.5 || v[1] != 0.4 || v[2] != 4 {
-		t.Errorf("Vector = %v", v)
+	if len(v) != 2 || v[0] != 1.5 || v[1] != 0.4 || f.TargetDepth != 4 {
+		t.Errorf("Vector = %v, target depth %d", v, f.TargetDepth)
 	}
 }
 

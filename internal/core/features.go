@@ -1,8 +1,9 @@
 // Package core implements the paper's contribution: ML-accelerated QAOA
 // parameter initialization. It generates the optimal-parameter dataset
-// (Sec. III-A), extracts the three-feature representation
-// (γ1OPT(p=1), β1OPT(p=1), target depth pt — Sec. II-D), trains the
-// per-depth regression banks (Sec. III-C), and runs every optimization
+// (Sec. III-A), extracts the paper's predictor inputs (γ1OPT(p=1),
+// β1OPT(p=1), target depth pt — Sec. II-D) as the features (γ1, β1),
+// with pt selecting the bank, trains the per-depth regression banks
+// (Sec. III-C), and runs every optimization
 // flow — naive, multistart and the two-level flow of Fig. 4 — through
 // one entry point, Solve. (The hierarchical variant sketched in
 // Sec. I(d) is an experiment built on Solve, internal/experiments.)
@@ -19,12 +20,13 @@ import (
 type Features struct {
 	Gamma1      float64 // γ1OPT(p = 1)
 	Beta1       float64 // β1OPT(p = 1)
-	TargetDepth int     // pt
+	TargetDepth int     // pt, which selects the bank
 }
 
-// Vector flattens the features for the regression models.
+// Vector flattens the features a bank reads: (γ1, β1). pt is the same
+// in every row of a bank, so it selects the bank instead.
 func (f Features) Vector() []float64 {
-	return []float64{f.Gamma1, f.Beta1, float64(f.TargetDepth)}
+	return []float64{f.Gamma1, f.Beta1}
 }
 
 // FeaturesFromParams extracts Features from a depth-1 optimum.

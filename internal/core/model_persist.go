@@ -65,7 +65,8 @@ func (p *Predictor) SaveFile(path string) error {
 }
 
 // LoadPredictor reads a predictor previously written by Save. The
-// restored banks predict bit-identically to the saved ones.
+// restored banks predict bit-identically to the saved ones, those of a
+// file whose banks still take pt as a third input included (Predict).
 func LoadPredictor(r io.Reader) (*Predictor, error) {
 	var pf predictorFile
 	if err := json.NewDecoder(r).Decode(&pf); err != nil {
@@ -98,8 +99,9 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 		if bank.Outputs() != 2*depth {
 			return nil, fmt.Errorf("core: depth-%d bank has %d outputs, want %d", depth, bank.Outputs(), 2*depth)
 		}
-		if want := len(Features{}.Vector()); bank.Inputs() != want {
-			return nil, fmt.Errorf("core: depth-%d bank takes %d features, want %d", depth, bank.Inputs(), want)
+		// A file saved when pt was still a feature holds 3-input banks.
+		if want := len(Features{}.Vector()); bank.Inputs() != want && bank.Inputs() != want+1 {
+			return nil, fmt.Errorf("core: depth-%d bank takes %d features, want %d or %d", depth, bank.Inputs(), want, want+1)
 		}
 		p.setBank(depth, bank)
 	}

@@ -115,7 +115,9 @@ func bankOf(family, model string) string {
 // GPR banks only: the LM, RTREE and RSVM rows are files of those
 // families (a cyclic tree, a linear bank of five features, kernel points
 // narrower than their scaler) and are refused for the family alone, as
-// is an RTREE model inside a GPR file. They double as fuzz seeds.
+// is an RTREE model inside a GPR file. A GPR bank takes (γ1, β1), or
+// (γ1, β1, pt) in an old file, so one or five features are refused.
+// They double as fuzz seeds.
 var malformedPredictors = map[string]string{
 	"bad version":   `{"version":9,"family":"GPR","banks":{}}`,
 	"no banks":      `{"version":1,"family":"GPR","banks":{}}`,
@@ -130,6 +132,8 @@ var malformedPredictors = map[string]string{
 	"LM family refused": bankOf("LM", `{"kind":"LM","linear":{"coef":[1,2,3,4,5],"intercept":0}}`),
 	"RSVM family refused": bankOf("RSVM", `{"kind":"RSVM","svr":{"length_scale":1,`+
 		`"x_train":[[1,2]],"beta":[1],"x_scale":{"mean":[0,0,0],"std":[1,1,1]},"y_mean":0,"y_std":1}}`),
+	"GPR bank of one feature": bankOf("GPR", `{"kind":"GPR","gpr":{"x_train":[[1]],"alpha":[1],`+
+		`"x_scale":{"mean":[0],"std":[1]},"y_mean":0,"y_std":1,"ell":1,"sf2":1,"sn2":0,"sl2":0,"log_ml":0}}`),
 	"GPR bank of five features": bankOf("GPR", `{"kind":"GPR","gpr":{"x_train":[[1,2,3,4,5]],"alpha":[1],`+
 		`"chol_l":{"rows":1,"cols":1,"data":[1]},"x_scale":{"mean":[0,0,0,0,0],"std":[1,1,1,1,1]},`+
 		`"y_mean":0,"y_std":1,"ell":1,"sf2":1,"sn2":0,"sl2":0,"log_ml":0}}`),
@@ -219,11 +223,31 @@ func dropKey(v any, key string) any {
 	return v
 }
 
+// dropPt returns file, a decoded predictor file, with the pt column
+// removed from every output: the last value of each training point and
+// of the standardizer's mean and std.
+func dropPt(file any) any {
+	last := func(v any) any { s := v.([]any); return s[:len(s)-1] }
+	for _, bank := range file.(map[string]any)["banks"].(map[string]any) {
+		for _, m := range bank.(map[string]any)["models"].([]any) {
+			g := m.(map[string]any)["gpr"].(map[string]any)
+			rows := g["x_train"].([]any)
+			for i := range rows {
+				rows[i] = last(rows[i])
+			}
+			scale := g["x_scale"].(map[string]any)
+			scale["mean"], scale["std"] = last(scale["mean"]), last(scale["std"])
+		}
+	}
+	return file
+}
+
 // testdata/predictor_chol_l.json was saved when every output also
-// carried its Cholesky factor ("chol_l"). It still loads — the decoder
-// ignores the member — and its banks predict the bits cholRecipe's
-// predictor does; a file saved now holds no chol_l and is the old file
-// without it, compared decoded.
+// carried its Cholesky factor ("chol_l") and its banks took pt as a
+// third input. It still loads — the decoder ignores the member — and
+// through Predict, which feeds its banks (γ1, β1, pt), predicts the bits
+// cholRecipe's 2-input predictor does. A file saved now is the old file
+// without chol_l and without the pt column, compared decoded.
 func TestLoadPredictorWithCholeskyFactor(t *testing.T) {
 	old, err := os.ReadFile("testdata/predictor_chol_l.json")
 	if err != nil {
@@ -235,13 +259,23 @@ func TestLoadPredictorWithCholeskyFactor(t *testing.T) {
 	}
 	pred := cholRecipe(t)
 	for depth := 2; depth <= 3; depth++ {
+		if in, fresh := loaded.banks[depth].Inputs(), pred.banks[depth].Inputs(); in != 3 || fresh != 2 {
+			t.Fatalf("depth %d: the old bank takes %d inputs and the fresh one %d, want 3 and 2", depth, in, fresh)
+		}
 		for i := 0; i <= 16; i++ {
 			for j := 0; j <= 10; j++ {
 				f := Features{Gamma1: float64(i) * qaoa.GammaMax / 16, Beta1: float64(j) * qaoa.BetaMax / 10, TargetDepth: depth}
-				got, want := loaded.banks[depth].Predict(f.Vector()), pred.banks[depth].Predict(f.Vector())
-				for k := range want {
-					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-						t.Fatalf("%+v output %d: loaded file predicts %v, fresh training %v", f, k, got[k], want[k])
+				got, err := loaded.Predict(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := pred.Predict(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, v := range want.Vector() {
+					if math.Float64bits(got.Vector()[k]) != math.Float64bits(v) {
+						t.Fatalf("%+v angle %d: loaded file predicts %v, fresh training %v", f, k, got.Vector()[k], v)
 					}
 				}
 			}
@@ -261,8 +295,8 @@ func TestLoadPredictorWithCholeskyFactor(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &now); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(dropKey(was, "chol_l"), now) {
-		t.Error("the saved predictor is not the old file without chol_l")
+	if !reflect.DeepEqual(dropPt(dropKey(was, "chol_l")), now) {
+		t.Error("the saved predictor is not the old file without chol_l and the pt column")
 	}
 	if buf.Len() >= len(old) {
 		t.Errorf("saved %d bytes, the old file %d", buf.Len(), len(old))

@@ -33,13 +33,15 @@ func qaoadTrainRecipe(t *testing.T) (*Data, []int) {
 // The saved predictor and a 17 × 11 × 4 grid of its raw bank outputs
 // (γ1 over [0, 2π], β1 over [0, π], depths 2..5) hash to recorded
 // digests. The grid's was recorded before GPR banks shared one
-// factorization per grid point: every column selects the same
-// hyperparameters and carries the same α bits, and Predict's mean is
-// the same sum. The file's was recorded when files stopped carrying
-// each output's Cholesky factor, which had made it 90,311 bytes.
+// factorization per grid point, and when pt was still a third feature
+// (standardized to +0 in every row of its bank): every column selects
+// the same hyperparameters and carries the same α bits, and Predict's
+// mean is the same sum. The file's was recorded when banks stopped
+// taking pt; with it (and a mean and std for it) the file was 30,555
+// bytes, and with each output's Cholesky factor as well 90,311.
 func TestPredictorTrainBitsUnchanged(t *testing.T) {
 	const (
-		wantSave = "4ecb2722d47101a02e8141bb4754d5a7dd87993cf6885660ab7d887a23587c99" // 30,555 bytes
+		wantSave = "c92bd7fee7b5cb7549f99925df4a3da39de5d781090864e8cc8b4078f1cdacb2" // 29,715 bytes
 		wantGrid = "c1ac4bdece9ecf30cbcbf4053696a63d1dc9214830f00ea04f3998ae098e6140"
 	)
 	data, train := qaoadTrainRecipe(t)

@@ -283,8 +283,9 @@ func TestRunModelComparison(t *testing.T) {
 	// The paper's GPR-wins claim needs the full-scale dataset (66
 	// training graphs); at this test scale every family's pooled metrics
 	// are held to testdata/model_bits.json (recorded at 96593ed, when LM
-	// still tried a Householder QR before its ridge normal equations) as
-	// Float64bits of MSE, RMSE, MAE, R² and R²adj.
+	// still tried a Householder QR before its ridge normal equations; the
+	// LM row again when pt stopped being a bank input) as Float64bits of
+	// MSE, RMSE, MAE, R² and R²adj.
 	raw, err := os.ReadFile("testdata/model_bits.json")
 	if err != nil {
 		t.Fatal(err)

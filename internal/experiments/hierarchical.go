@@ -13,35 +13,40 @@ import (
 // depth ≥ 3 over hierFeatures.
 type hierBanks map[int]*ml.MultiOutput
 
-// hierFeatures is the hierarchical predictor input (7 values): the
-// depth-1 and depth-2 optima, then the target depth.
-func hierFeatures(p1, p2 qaoa.Params, pt int) []float64 {
-	v := make([]float64, 0, 7)
+// hierFeatures is the hierarchical predictor input (6 values): the
+// depth-1 and depth-2 optima. The target depth selects the bank.
+func hierFeatures(p1, p2 qaoa.Params) []float64 {
+	v := make([]float64, 0, 6)
 	v = append(v, p1.Gamma[0], p1.Beta[0])
 	v = append(v, p2.Gamma...)
-	v = append(v, p2.Beta...)
-	return append(v, float64(pt))
+	return append(v, p2.Beta...)
 }
 
 // trainHier fits a bank for every target depth 3..MaxDepth of the
-// dataset on the training graphs' recorded optima.
+// dataset on the training graphs' recorded optima, all banks on the
+// same features in one ml.FitBanks call.
 func trainHier(data *core.Data, trainIDs []int) (hierBanks, error) {
 	maxDepth := data.Config.MaxDepth
 	if maxDepth < 3 {
 		return nil, fmt.Errorf("experiments: dataset max depth %d < 3 cannot train a hierarchical predictor", maxDepth)
 	}
-	banks := hierBanks{}
-	for depth := 3; depth <= maxDepth; depth++ {
-		var x, y [][]float64
+	var x [][]float64
+	for _, g := range trainIDs {
+		x = append(x, hierFeatures(data.Record(g, 1).Params, data.Record(g, 2).Params))
+	}
+	ys := make([][][]float64, maxDepth-2) // ys[b]: depth b+3's targets
+	for b := range ys {
 		for _, g := range trainIDs {
-			x = append(x, hierFeatures(data.Record(g, 1).Params, data.Record(g, 2).Params, depth))
-			y = append(y, data.Record(g, depth).Params.Vector())
+			ys[b] = append(ys[b], data.Record(g, b+3).Params.Vector())
 		}
-		bank := ml.NewMultiOutput(func() ml.Regressor { return &ml.GPR{} })
-		if err := bank.Fit(x, y); err != nil {
-			return nil, fmt.Errorf("experiments: training hierarchical depth-%d bank: %w", depth, err)
-		}
-		banks[depth] = bank
+	}
+	fitted, b, err := ml.FitBanks(func() ml.Regressor { return &ml.GPR{} }, x, ys)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: training hierarchical depth-%d bank: %w", b+3, err)
+	}
+	banks := hierBanks{}
+	for b, bank := range fitted {
+		banks[b+3] = bank
 	}
 	return banks, nil
 }
@@ -62,7 +67,7 @@ func solveHier(pb *qaoa.Problem, o core.Options, banks hierBanks) (core.Result, 
 	if err != nil {
 		return res, err
 	}
-	raw := bank.Predict(hierFeatures(res.Stages[0].Params, res.Stages[1].Params, pt))
+	raw := bank.Predict(hierFeatures(res.Stages[0].Params, res.Stages[1].Params))
 	res.Predicted = qaoa.FromVector(core.ParamBounds(pt).Clip(raw))
 	o.Strategy, o.Depth, o.Starts, o.Seeds = core.StrategyMultiStart, pt, 1, []qaoa.Params{res.Predicted}
 	polish, err := core.Solve(context.Background(), pb, o)

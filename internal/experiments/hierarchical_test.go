@@ -145,7 +145,7 @@ func TestHierarchicalFlow(t *testing.T) {
 func TestHierFeaturesVector(t *testing.T) {
 	p1 := qaoa.Params{Gamma: []float64{1}, Beta: []float64{2}}
 	p2 := qaoa.Params{Gamma: []float64{3, 4}, Beta: []float64{5, 6}}
-	if got, want := hierFeatures(p1, p2, 5), []float64{1, 2, 3, 4, 5, 6, 5}; !reflect.DeepEqual(got, want) {
+	if got, want := hierFeatures(p1, p2), []float64{1, 2, 3, 4, 5, 6}; !reflect.DeepEqual(got, want) {
 		t.Errorf("hierFeatures = %v, want %v", got, want)
 	}
 }

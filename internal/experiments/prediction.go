@@ -103,6 +103,9 @@ func RunModelComparison(env *Env) (ModelComparisonResult, error) {
 				predicted = append(predicted, pp.Vector()...)
 			}
 		}
+		// p = 3 is the paper's predictor count (γ1, β1, pt; Sec. II-D),
+		// kept so R²adj compares with Sec. III-C's although pt selects
+		// the bank here.
 		res.Scores = append(res.Scores, ModelScore{
 			Name:    name,
 			Metrics: ml.Evaluate(actual, predicted, 3),

@@ -18,15 +18,15 @@ func ExampleLinear() {
 	// Output: 21.0
 }
 
-// Train one model per output column with MultiOutput.
+// Train one model per output column: a MultiOutput bank from FitBanks.
 func ExampleMultiOutput() {
 	x := [][]float64{{0}, {1}, {2}, {3}}
 	y := [][]float64{{0, 3}, {2, 2}, {4, 1}, {6, 0}} // y0 = 2x, y1 = 3 − x
-	mo := ml.NewMultiOutput(func() ml.Regressor { return &ml.Linear{} })
-	if err := mo.Fit(x, y); err != nil {
+	banks, _, err := ml.FitBanks(func() ml.Regressor { return &ml.Linear{} }, x, [][][]float64{y})
+	if err != nil {
 		panic(err)
 	}
-	out := mo.Predict([]float64{5})
+	out := banks[0].Predict([]float64{5})
 	fmt.Printf("%.0f %.0f\n", out[0], out[1])
 	// Output: 10 -2
 }

@@ -61,87 +61,51 @@ func (g *GPR) Fit(x [][]float64, y []float64) error {
 // once per (ℓ, σ_f², σ_l²) and K + σ_n²I factored once per σ_n², then
 // every column takes its two triangular solves and its log marginal
 // likelihood there and keeps its own best — the first strict maximum in
-// grid order, as a one-column walk would. fits[j] is nil exactly where
-// errs[j] is not.
+// grid order, as a one-column walk would. The fits share one
+// Standardizer and one set of standardized training points. fits[j] is
+// nil exactly where errs[j] is not.
 func (g *GPR) fitColumns(x [][]float64, cols [][]float64) (fits []*GPR, errs []error) {
-	bankFits, bankErrs := g.fitBanks([][][]float64{x}, [][][]float64{cols})
-	return bankFits[0], bankErrs[0]
-}
-
-// fitBanks is fitColumns for several banks at once: bank b's columns
-// cols[b] against its features x[b]. Each bank keeps its own
-// Standardizer, and banks whose standardized features are bitwise equal
-// walk the grid once between them — the predictor's depth banks, whose
-// one differing feature (the target depth) is constant within a bank
-// and standardizes to +0 in each.
-func (g *GPR) fitBanks(x [][][]float64, cols [][][]float64) (fits [][]*GPR, errs [][]error) {
-	type group struct {
-		xs   [][]float64
-		fits []*GPR
-		ys   []linalg.Vector
-	}
-	var groups []*group
-	fits = make([][]*GPR, len(cols))
-	errs = make([][]error, len(cols))
-	for b := range cols {
-		fits[b], errs[b] = make([]*GPR, len(cols[b])), make([]error, len(cols[b]))
-		var live []*GPR
-		var ys []linalg.Vector
-		for j, y := range cols[b] {
-			if _, err := checkTrainingData(x[b], y); err != nil {
-				errs[b][j] = err
-				continue
-			}
-			// Standardize targets. A mean or spread past the float range
-			// would make every log marginal likelihood NaN.
-			mean, std := meanStd(y)
-			if math.IsInf(mean, 0) || math.IsNaN(mean) || math.IsInf(std, 0) || math.IsNaN(std) {
-				errs[b][j] = fmt.Errorf("%w: target mean %v and std %v are not finite", ErrBadShape, mean, std)
-				continue
-			}
-			if std == 0 {
-				std = 1
-			}
-			ysj := make(linalg.Vector, len(y))
-			for i := range y {
-				ysj[i] = (y[i] - mean) / std
-			}
-			fits[b][j] = &GPR{LinearVar: g.LinearVar, yMean: mean, yStd: std, logML: math.Inf(-1)}
-			live, ys = append(live, fits[b][j]), append(ys, ysj)
-		}
-		if len(live) == 0 {
+	fits, errs = make([]*GPR, len(cols)), make([]error, len(cols))
+	var live []*GPR
+	var ys []linalg.Vector
+	for j, y := range cols {
+		if _, err := checkTrainingData(x, y); err != nil {
+			errs[j] = err
 			continue
 		}
-		xScale := NewStandardizer(x[b])
-		xs := xScale.TransformAll(x[b])
-		var grp *group
-		for _, other := range groups {
-			if bitsEqual(other.xs, xs) {
-				grp = other
-				break
-			}
+		// Standardize targets. A mean or spread past the float range
+		// would make every log marginal likelihood NaN.
+		mean, std := meanStd(y)
+		if math.IsInf(mean, 0) || math.IsNaN(mean) || math.IsInf(std, 0) || math.IsNaN(std) {
+			errs[j] = fmt.Errorf("%w: target mean %v and std %v are not finite", ErrBadShape, mean, std)
+			continue
 		}
-		if grp == nil {
-			grp = &group{xs: xs}
-			groups = append(groups, grp)
+		if std == 0 {
+			std = 1
 		}
-		for _, f := range live {
-			f.xTrain, f.xScale = grp.xs, xScale // the group's points, read-only
+		ysj := make(linalg.Vector, len(y))
+		for i := range y {
+			ysj[i] = (y[i] - mean) / std
 		}
-		grp.fits, grp.ys = append(grp.fits, live...), append(grp.ys, ys...)
+		fits[j] = &GPR{LinearVar: g.LinearVar, yMean: mean, yStd: std, logML: math.Inf(-1)}
+		live, ys = append(live, fits[j]), append(ys, ysj)
 	}
-	for _, grp := range groups {
-		g.walkGrid(grp.xs, grp.fits, grp.ys)
+	if len(live) == 0 {
+		return fits, errs
 	}
-	for b := range fits {
-		for j, f := range fits[b] {
-			switch {
-			case f == nil:
-			case f.alpha == nil: // no grid point factored
-				fits[b][j], errs[b][j] = nil, linalg.ErrNotPositiveDefinite
-			default:
-				f.fitted = true
-			}
+	xScale := NewStandardizer(x)
+	xs := xScale.TransformAll(x)
+	for _, f := range live {
+		f.xTrain, f.xScale = xs, xScale // shared, read-only
+	}
+	g.walkGrid(xs, live, ys)
+	for j, f := range fits {
+		switch {
+		case f == nil:
+		case f.alpha == nil: // no grid point factored
+			fits[j], errs[j] = nil, linalg.ErrNotPositiveDefinite
+		default:
+			f.fitted = true
 		}
 	}
 	return fits, errs
@@ -182,24 +146,6 @@ func (g *GPR) walkGrid(xs [][]float64, fits []*GPR, ys []linalg.Vector) {
 			}
 		}
 	}
-}
-
-// bitsEqual reports whether two matrices hold the same float64 bits.
-func bitsEqual(a, b [][]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Predict implements Regressor: the posterior mean Σ k(x, xᵢ)·αᵢ.

@@ -5,10 +5,9 @@ import (
 )
 
 // Linear is linear regression with an intercept: the paper's "LM"
-// model. It solves ridge-regularized normal equations by Cholesky
-// rather than plain least squares because every depth bank's design is
-// rank deficient: the bank's pt feature is constant, a multiple of the
-// intercept column.
+// model. It solves normal equations by Cholesky with a 1e-8 ridge on the
+// Gram diagonal, which keeps a design with a constant column (a
+// multiple of the intercept) or collinear columns solvable.
 type Linear struct {
 	Coef      []float64 // feature weights, length = feature dim
 	Intercept float64

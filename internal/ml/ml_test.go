@@ -13,6 +13,17 @@ import (
 	"qaoaml/internal/linalg"
 )
 
+// Fit trains one model per column of y: FitBanks with one bank, the
+// tests' way to fit a bank alone.
+func (m *MultiOutput) Fit(x [][]float64, y [][]float64) error {
+	banks, _, err := FitBanks(m.New, x, [][][]float64{y})
+	if err != nil {
+		return err
+	}
+	m.models, m.inputs = banks[0].models, banks[0].inputs
+	return nil
+}
+
 func allModels() []Regressor {
 	return []Regressor{&Linear{}, &GPR{}, &Tree{}, &SVR{}}
 }
@@ -726,54 +737,37 @@ func TestGPRRejectsOverflowingTargets(t *testing.T) {
 }
 
 // FitBanks fits every bank as MultiOutput.Fit fits it alone, bit for
-// bit. Banks whose standardized features are bitwise equal — a constant
-// feature of any value standardizes to +0, as the predictor's target
-// depth does — share one grid walk and so its standardized training
-// points; a bank with other features walks its own. A failing bank is reported by index,
-// with Fit's error.
+// bit, though a GPR factory walks the grid once for every column of
+// every bank. A failing bank is reported by index, with Fit's error.
 func TestFitBanksMatchesBankByBank(t *testing.T) {
 	x, cols := oracleColumns()
-	withConst := func(x [][]float64, c float64) [][]float64 {
-		out := make([][]float64, len(x))
-		for i, row := range x {
-			out[i] = append(append([]float64(nil), row...), c)
-		}
-		return out
-	}
 	rows := make([][]float64, len(x))
+	halved := make([][]float64, len(x)) // a bank of other targets
 	for i := range rows {
 		for _, col := range cols {
 			rows[i] = append(rows[i], col[i])
 		}
+		halved[i] = []float64{cols[0][i] / 2, cols[3][i]}
 	}
-	shifted := cloneRows(x)
-	shifted[0][0] += 0.5
-	xs := [][][]float64{withConst(x, 2), withConst(x, 3), withConst(shifted, 2)}
-	ys := [][][]float64{rows, rows, rows}
-	banks := make([]*MultiOutput, len(xs))
-	for b := range banks {
-		banks[b] = NewMultiOutput(func() Regressor { return &GPR{} })
-	}
-	if b, err := FitBanks(banks, xs, ys); err != nil {
+	ys := [][][]float64{rows, halved, rows}
+	factory := func() Regressor { return &GPR{} }
+	banks, b, err := FitBanks(factory, x, ys)
+	if err != nil {
 		t.Fatalf("bank %d: %v", b, err)
 	}
-	for b := range banks {
-		alone := NewMultiOutput(func() Regressor { return &GPR{} })
-		if err := alone.Fit(xs[b], ys[b]); err != nil {
+	for b, bank := range banks {
+		alone := NewMultiOutput(factory)
+		if err := alone.Fit(x, ys[b]); err != nil {
 			t.Fatal(err)
 		}
-		for j := range cols {
-			if d := gprDiff(banks[b].models[j].(*GPR), alone.models[j].(*GPR)); d != "" {
+		if bank.Outputs() != alone.Outputs() || bank.Inputs() != alone.Inputs() {
+			t.Fatalf("bank %d: %d outputs of %d inputs, alone %d of %d", b, bank.Outputs(), bank.Inputs(), alone.Outputs(), alone.Inputs())
+		}
+		for j := range alone.models {
+			if d := gprDiff(bank.models[j].(*GPR), alone.models[j].(*GPR)); d != "" {
 				t.Errorf("bank %d column %d: differs from the bank fit alone in %s", b, j, d)
 			}
 		}
-	}
-	points := func(b int) *float64 { return &banks[b].models[0].(*GPR).xTrain[0][0] }
-	if points(0) != points(1) {
-		t.Error("banks with equal standardized features walked the grid apart")
-	}
-	if points(0) == points(2) {
-		t.Error("banks with other features shared a grid walk")
 	}
 
 	over := cloneRows(rows)
@@ -781,8 +775,8 @@ func TestFitBanksMatchesBankByBank(t *testing.T) {
 		over[1+i][1] = 1e308 // {…, 1e308, 1e308, …}: the sum overflows
 	}
 	ys[1] = over
-	b, err := FitBanks(banks, xs, ys)
-	if b != 1 || !errors.Is(err, ErrBadShape) || !strings.Contains(err.Error(), "output 1") {
+	banks, b, err = FitBanks(factory, x, ys)
+	if b != 1 || banks != nil || !errors.Is(err, ErrBadShape) || !strings.Contains(err.Error(), "output 1") {
 		t.Errorf("bank %d: %v, want bank 1 and output 1 blamed", b, err)
 	}
 }

@@ -3,9 +3,10 @@ package ml
 import "fmt"
 
 // MultiOutput fits one independent single-output Regressor per target
-// column. The paper's predictor maps 3 features to 2·pt outputs (the γ
-// and β parameters of the target-depth instance); training one model
-// per output is the standard reduction.
+// column. The paper's predictor maps the features (γ1, β1) to 2·pt
+// outputs (the γ and β parameters of the target-depth instance), and pt
+// selects the bank; training one model per output is the standard
+// reduction.
 type MultiOutput struct {
 	// New constructs a fresh underlying model for each output column.
 	New func() Regressor
@@ -28,70 +29,51 @@ func (m *MultiOutput) Outputs() int { return len(m.models) }
 // Inputs returns the number of features Predict takes (0 before Fit).
 func (m *MultiOutput) Inputs() int { return m.inputs }
 
-// Fit trains one model per column of y. All rows of y must share a
-// length; x rows are validated by the underlying models. A GPR bank
-// walks its hyperparameter grid once for all columns, with the
-// settings of the factory's first model (GPR.fitBanks).
-func (m *MultiOutput) Fit(x [][]float64, y [][]float64) error {
-	_, err := FitBanks([]*MultiOutput{m}, [][][]float64{x}, [][][]float64{y})
-	return err
-}
-
-// FitBanks fits banks[b] to (x[b], y[b]) for every b. It is Fit on each
-// bank in turn — the same models, and on failure the error Fit gives
-// for the first bank that fails, with that bank's index — except that
-// when every factory makes a GPR with the same settings the banks walk
-// the hyperparameter grid together (GPR.fitBanks): banks whose
-// standardized features are bitwise equal share every kernel matrix
-// and factor.
-func FitBanks(banks []*MultiOutput, x, y [][][]float64) (int, error) {
-	cols := make([][][]float64, len(banks))
-	shape := make([]error, len(banks))
-	for b := range banks {
-		cols[b], shape[b] = columns(x[b], y[b])
+// FitBanks fits one bank of factory's models per target matrix, bank b
+// to (x, ys[b]) with one model per column: every bank shares the
+// features x. All rows of a target matrix must share a length; x rows
+// are validated by the underlying models. On failure it returns the
+// index of the first bank that fails and the error fitting that bank
+// alone gives. A GPR factory fits every column of every bank in one
+// walk of the hyperparameter grid (GPR.fitColumns), with the settings
+// of its first model.
+func FitBanks(factory func() Regressor, x [][]float64, ys [][][]float64) ([]*MultiOutput, int, error) {
+	cols := make([][][]float64, len(ys))
+	shape := make([]error, len(ys))
+	var all [][]float64
+	for b, y := range ys {
+		cols[b], shape[b] = columns(x, y)
+		all = append(all, cols[b]...)
 	}
-	g, shared := sharedGPR(banks)
-	var fits [][]*GPR
-	var errs [][]error
-	if shared {
-		fits, errs = g.fitBanks(x, cols)
+	g, isGPR := factory().(*GPR)
+	var fits []*GPR
+	var errs []error
+	if isGPR {
+		fits, errs = g.fitColumns(x, all)
 	}
-	for b, m := range banks {
+	banks := make([]*MultiOutput, len(ys))
+	k := 0 // next column of all
+	for b := range ys {
 		if shape[b] != nil {
-			return b, shape[b]
+			return nil, b, shape[b]
 		}
 		models := make([]Regressor, len(cols[b]))
 		for j, col := range cols[b] {
 			var err error
-			if shared {
-				models[j], err = fits[b][j], errs[b][j]
+			if isGPR {
+				models[j], err = fits[k], errs[k]
+				k++
 			} else {
-				models[j] = m.New()
-				err = models[j].Fit(x[b], col)
+				models[j] = factory()
+				err = models[j].Fit(x, col)
 			}
 			if err != nil {
-				return b, fmt.Errorf("ml: fitting output %d: %w", j, err)
+				return nil, b, fmt.Errorf("ml: fitting output %d: %w", j, err)
 			}
 		}
-		m.models, m.inputs = models, len(x[b][0])
+		banks[b] = &MultiOutput{New: factory, models: models, inputs: len(x[0])}
 	}
-	return -1, nil
-}
-
-// sharedGPR returns the first model of banks[0]'s factory when every
-// bank's factory makes a GPR with its settings.
-func sharedGPR(banks []*MultiOutput) (*GPR, bool) {
-	var g *GPR
-	for _, m := range banks {
-		h, ok := m.New().(*GPR)
-		if !ok || g != nil && h.LinearVar != g.LinearVar {
-			return nil, false
-		}
-		if g == nil {
-			g = h
-		}
-	}
-	return g, g != nil
+	return banks, -1, nil
 }
 
 // columns checks the shape of a bank's training data and returns y's
