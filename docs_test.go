@@ -289,6 +289,71 @@ func TestDocsCiteLiveNames(t *testing.T) {
 	}
 }
 
+// ciPattern is a test-selecting argument of a go test command line:
+// -run, -bench or -fuzz with its regexp quoted or bare.
+var ciPattern = regexp.MustCompile(`-(?:run|bench|fuzz)[= ](?:'([^']*)'|"([^"]*)"|([^\s'"]+))`)
+
+// deadCIPatterns returns every |-alternative of the -run, -bench and
+// -fuzz arguments in the workflow text that matches no declared Test*,
+// Benchmark* or Fuzz* function (go test runs a pattern that matches
+// nothing without a word). "^$" and "." select nothing and everything
+// on purpose and are not checked.
+func (tr *goTree) deadCIPatterns(t *testing.T, yml string) []string {
+	t.Helper()
+	var tests []string
+	for name := range tr.funcs {
+		if testFuncName.FindString(name) == name {
+			tests = append(tests, name)
+		}
+	}
+	var dead []string
+	for _, line := range strings.Split(yml, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		for _, m := range ciPattern.FindAllStringSubmatch(line, -1) {
+			for _, alt := range strings.Split(m[1]+m[2]+m[3], "|") {
+				if alt == "^$" || alt == "." {
+					continue
+				}
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("pattern %q: %v", alt, err)
+					continue
+				}
+				if !slices.ContainsFunc(tests, re.MatchString) {
+					dead = append(dead, alt)
+				}
+			}
+		}
+	}
+	return dead
+}
+
+// Every test pattern a CI step passes to go test names a live test.
+func TestCIPatternsNameLiveTests(t *testing.T) {
+	tr := parseGoTree(t, ".")
+	b, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alt := range tr.deadCIPatterns(t, string(b)) {
+		t.Errorf("ci.yml selects tests with %q, which matches no declared test", alt)
+	}
+	for line, want := range map[string]string{
+		"run: go test -run 'Pool|NoSuchTest' ./internal/quantum/":      "NoSuchTest",
+		`run: go test -run "^TestNoSuchTest$" .`:                       "^TestNoSuchTest$",
+		"run: go test -run '^$' -bench NoSuchBench -benchtime 20x ./x": "NoSuchBench",
+		"run: go test -run '^$' -fuzz 'FuzzNoSuch$' -fuzztime 10s ./x": "FuzzNoSuch$",
+		"run: go test -run '^$' -bench=. -benchtime=1x ./...":          "",
+		"  # -run 'NoSuchTest' in a comment":                           "",
+	} {
+		if got := strings.Join(tr.deadCIPatterns(t, line), ","); got != want {
+			t.Errorf("%q: flagged %q, want %q", line, got, want)
+		}
+	}
+}
+
 func TestDocsLength(t *testing.T) {
 	for doc, limit := range docLimits {
 		b, err := os.ReadFile(doc)

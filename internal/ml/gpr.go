@@ -222,8 +222,12 @@ func NewStandardizer(x [][]float64) *Standardizer {
 	return s
 }
 
-// Transform returns the standardized copy of one feature vector.
+// Transform returns the standardized copy of one feature vector. It
+// panics unless x has one value per feature.
 func (s *Standardizer) Transform(x []float64) []float64 {
+	if len(x) != len(s.Mean) {
+		panic("ml: Standardizer.Transform feature dim mismatch")
+	}
 	out := make([]float64, len(x))
 	for j := range x {
 		out[j] = (x[j] - s.Mean[j]) / s.Std[j]

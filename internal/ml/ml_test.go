@@ -13,15 +13,14 @@ import (
 	"qaoaml/internal/linalg"
 )
 
-// Fit trains one model per column of y: FitBanks with one bank, the
-// tests' way to fit a bank alone.
-func (m *MultiOutput) Fit(x [][]float64, y [][]float64) error {
-	banks, _, err := FitBanks(m.New, x, [][][]float64{y})
+// fitBank trains one of factory's models per column of y: FitBanks with
+// one bank, the tests' way to fit a bank alone.
+func fitBank(factory func() Regressor, x [][]float64, y [][]float64) (*MultiOutput, error) {
+	banks, _, err := FitBanks(factory, x, [][][]float64{y})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m.models, m.inputs = banks[0].models, banks[0].inputs
-	return nil
+	return banks[0], nil
 }
 
 func allModels() []Regressor {
@@ -351,8 +350,8 @@ func TestMultiOutput(t *testing.T) {
 		x[i] = []float64{v}
 		y[i] = []float64{2 * v, -v + 1}
 	}
-	mo := NewMultiOutput(func() Regressor { return &Linear{} })
-	if err := mo.Fit(x, y); err != nil {
+	mo, err := fitBank(func() Regressor { return &Linear{} }, x, y)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if mo.Outputs() != 2 {
@@ -368,14 +367,14 @@ func TestMultiOutput(t *testing.T) {
 }
 
 func TestMultiOutputValidation(t *testing.T) {
-	mo := NewMultiOutput(func() Regressor { return &Linear{} })
-	if err := mo.Fit(nil, nil); !errors.Is(err, ErrEmptyTrainingSet) {
+	lm := func() Regressor { return &Linear{} }
+	if _, err := fitBank(lm, nil, nil); !errors.Is(err, ErrEmptyTrainingSet) {
 		t.Errorf("empty err = %v", err)
 	}
-	if err := mo.Fit([][]float64{{1}}, [][]float64{{1}, {2}}); !errors.Is(err, ErrBadShape) {
+	if _, err := fitBank(lm, [][]float64{{1}}, [][]float64{{1}, {2}}); !errors.Is(err, ErrBadShape) {
 		t.Errorf("mismatch err = %v", err)
 	}
-	if err := mo.Fit([][]float64{{1}, {2}}, [][]float64{{1}, {1, 2}}); !errors.Is(err, ErrBadShape) {
+	if _, err := fitBank(lm, [][]float64{{1}, {2}}, [][]float64{{1}, {1, 2}}); !errors.Is(err, ErrBadShape) {
 		t.Errorf("ragged err = %v", err)
 	}
 	func() {
@@ -384,8 +383,30 @@ func TestMultiOutputValidation(t *testing.T) {
 				t.Error("Predict before Fit should panic")
 			}
 		}()
-		mo.Predict([]float64{1})
+		(&MultiOutput{}).Predict([]float64{1})
 	}()
+}
+
+// Every family refuses a query of the wrong width rather than scoring
+// it: one feature short or one too many panics with the dim-mismatch
+// message.
+func TestPredictRejectsWrongWidth(t *testing.T) {
+	x, y := linearData(rand.New(rand.NewSource(8)), 5, 0.1)
+	for _, m := range allModels() {
+		if err := m.Fit(x, y); err != nil {
+			t.Fatalf("%s: %v", m.Name(), err)
+		}
+		for _, q := range [][]float64{{0.5}, {0.5, -1, 2}} {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "feature dim mismatch") {
+						t.Errorf("%s: Predict of %d features: panic %v, want a feature dim mismatch", m.Name(), len(q), r)
+					}
+				}()
+				m.Predict(q)
+			}()
+		}
+	}
 }
 
 func TestStandardizer(t *testing.T) {
@@ -639,9 +660,9 @@ func TestFitColumnsMatchesOneColumnOracle(t *testing.T) {
 		for name, s := range settings {
 			name := features + ", " + name
 			fits, errs := s.fitColumns(x, cols)
-			bank := NewMultiOutput(func() Regressor { g := s; return &g })
-			if err := bank.Fit(x, rows); err != nil {
-				t.Fatalf("%s: MultiOutput.Fit: %v", name, err)
+			bank, err := fitBank(func() Regressor { g := s; return &g }, x, rows)
+			if err != nil {
+				t.Fatalf("%s: fitBank: %v", name, err)
 			}
 			picks := map[[4]float64]bool{}
 			for j, col := range cols {
@@ -725,20 +746,20 @@ func TestGPRRejectsOverflowingTargets(t *testing.T) {
 	if g.fitted {
 		t.Error("failed Fit left the model fitted")
 	}
-	bank := NewMultiOutput(func() Regressor { return &GPR{} })
-	err = bank.Fit(x, [][]float64{{0, 1e308}, {1, 1e308}, {2, -1e308}, {3, 1}})
+	gpr := func() Regressor { return &GPR{} }
+	_, err = fitBank(gpr, x, [][]float64{{0, 1e308}, {1, 1e308}, {2, -1e308}, {3, 1}})
 	if !errors.Is(err, ErrBadShape) || !strings.Contains(err.Error(), "fitting output 1:") {
 		t.Errorf("MultiOutput err = %v, want ErrBadShape on output 1", err)
 	}
-	err = bank.Fit(x, [][]float64{{0, 1e308}, {1, 0}, {2, -1e308}, {3, 1}}) // mean finite, spread not
+	_, err = fitBank(gpr, x, [][]float64{{0, 1e308}, {1, 0}, {2, -1e308}, {3, 1}}) // mean finite, spread not
 	if !errors.Is(err, ErrBadShape) || !strings.Contains(err.Error(), "std +Inf") {
 		t.Errorf("MultiOutput err = %v, want ErrBadShape naming the std", err)
 	}
 }
 
-// FitBanks fits every bank as MultiOutput.Fit fits it alone, bit for
-// bit, though a GPR factory walks the grid once for every column of
-// every bank. A failing bank is reported by index, with Fit's error.
+// FitBanks fits every bank as fitBank fits it alone, bit for bit,
+// though a GPR factory walks the grid once for every column of every
+// bank. A failing bank is reported by index, with Fit's error.
 func TestFitBanksMatchesBankByBank(t *testing.T) {
 	x, cols := oracleColumns()
 	rows := make([][]float64, len(x))
@@ -756,8 +777,8 @@ func TestFitBanksMatchesBankByBank(t *testing.T) {
 		t.Fatalf("bank %d: %v", b, err)
 	}
 	for b, bank := range banks {
-		alone := NewMultiOutput(factory)
-		if err := alone.Fit(x, ys[b]); err != nil {
+		alone, err := fitBank(factory, x, ys[b])
+		if err != nil {
 			t.Fatal(err)
 		}
 		if bank.Outputs() != alone.Outputs() || bank.Inputs() != alone.Inputs() {

@@ -8,19 +8,8 @@ import "fmt"
 // selects the bank; training one model per output is the standard
 // reduction.
 type MultiOutput struct {
-	// New constructs a fresh underlying model for each output column.
-	New func() Regressor
-
 	models []Regressor
 	inputs int // features per Predict row, once fitted or loaded
-}
-
-// NewMultiOutput returns a MultiOutput with the given model factory.
-func NewMultiOutput(factory func() Regressor) *MultiOutput {
-	if factory == nil {
-		panic("ml: nil model factory")
-	}
-	return &MultiOutput{New: factory}
 }
 
 // Outputs returns the number of target columns (0 before Fit).
@@ -71,7 +60,7 @@ func FitBanks(factory func() Regressor, x [][]float64, ys [][][]float64) ([]*Mul
 				return nil, b, fmt.Errorf("ml: fitting output %d: %w", j, err)
 			}
 		}
-		banks[b] = &MultiOutput{New: factory, models: models, inputs: len(x[0])}
+		banks[b] = &MultiOutput{models: models, inputs: len(x[0])}
 	}
 	return banks, -1, nil
 }

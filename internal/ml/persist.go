@@ -138,7 +138,7 @@ func MultiOutputFromState(st MultiOutputState) (*MultiOutput, error) {
 	if len(st.Models) == 0 {
 		return nil, fmt.Errorf("ml: multi-output state has no models")
 	}
-	bank := NewMultiOutput(func() Regressor { return &GPR{} })
+	bank := &MultiOutput{}
 	for j, ms := range st.Models {
 		mod, inputs, err := decodeRegressor(ms)
 		if err != nil {

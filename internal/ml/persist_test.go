@@ -59,8 +59,8 @@ func TestSaveLoadRoundTripPredictions(t *testing.T) {
 		"GPR+linear": func() Regressor { return &GPR{LinearVar: true} },
 	}
 	for name, factory := range factories {
-		bank := NewMultiOutput(factory)
-		if err := bank.Fit(x, targets); err != nil {
+		bank, err := fitBank(factory, x, targets)
+		if err != nil {
 			t.Fatalf("%s: fit: %v", name, err)
 		}
 		loaded := throughJSON(t, bank)
@@ -78,8 +78,8 @@ func TestSaveLoadRoundTripPredictions(t *testing.T) {
 	for _, factory := range []func() Regressor{
 		func() Regressor { return &Linear{} }, func() Regressor { return &Tree{} }, func() Regressor { return &SVR{} },
 	} {
-		bank := NewMultiOutput(factory)
-		if err := bank.Fit(x, targets); err != nil {
+		bank, err := fitBank(factory, x, targets)
+		if err != nil {
 			t.Fatal(err)
 		}
 		name := factory().Name()
@@ -156,8 +156,8 @@ func TestMultiOutputRoundTrip(t *testing.T) {
 	for i := range y {
 		y[i] = []float64{y1[i], y2[i]}
 	}
-	bank := NewMultiOutput(func() Regressor { return &GPR{} })
-	if err := bank.Fit(x, y); err != nil {
+	bank, err := fitBank(func() Regressor { return &GPR{} }, x, y)
+	if err != nil {
 		t.Fatal(err)
 	}
 	loaded := throughJSON(t, bank)
@@ -174,7 +174,7 @@ func TestMultiOutputRoundTrip(t *testing.T) {
 		}
 	}
 	// An unfitted bank refuses to snapshot.
-	if _, err := NewMultiOutput(func() Regressor { return &Linear{} }).State(); err == nil {
+	if _, err := (&MultiOutput{}).State(); err == nil {
 		t.Fatal("unfitted bank snapshot succeeded")
 	}
 }

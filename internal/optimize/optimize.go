@@ -84,18 +84,6 @@ const (
 	Cancelled
 )
 
-// String names the status.
-func (s Status) String() string {
-	switch s {
-	case Converged:
-		return "converged"
-	case Cancelled:
-		return "cancelled"
-	default:
-		return "maxiter"
-	}
-}
-
 // Result reports the outcome of a minimization.
 type Result struct {
 	X       []float64 // best point found

@@ -206,15 +206,6 @@ func TestRunMaxNFevCapsBudget(t *testing.T) {
 	}
 }
 
-func TestStatusString(t *testing.T) {
-	cases := map[Status]string{Converged: "converged", MaxIter: "maxiter", Cancelled: "cancelled"}
-	for s, want := range cases {
-		if s.String() != want {
-			t.Errorf("Status(%d).String() = %q, want %q", s, s.String(), want)
-		}
-	}
-}
-
 // Status is the one termination flag: Converged exactly when a
 // tolerance was met, MaxIter when the budget ran out first.
 func TestStatusMatchesConvergedFlag(t *testing.T) {

@@ -85,7 +85,7 @@ func (w *EvalWorkspace) valueGrad(gamma, beta, dGamma, dBeta []float64) float64 
 	// Seed the adjoint and read the value in one fused pass: λ = C|ψ⟩,
 	// val = ⟨C⟩. The per-chunk sums and their merge order match
 	// expectation()'s exactly, so the value stays bit-identical.
-	val, _ := quantum.ReduceChunks(w.st.Dim(), w.seedBody)
+	val := quantum.ReduceChunks(w.st.Dim(), w.seedBody)
 
 	// Reverse sweep: invariantly, entering iteration s the buffers hold
 	// φ = (stages 1..s+1 applied) and λ = (stages s+2..p un-applied from
@@ -101,8 +101,7 @@ func (w *EvalWorkspace) valueGrad(gamma, beta, dGamma, dBeta []float64) float64 
 		// separator from both states (conjugated factors).
 		w.k.prepareFactors(w.factors, gamma[s], true)
 		w.gamma = gamma[s]
-		gim, _ := quantum.ReduceChunks(w.st.Dim(), w.unphaseBody)
-		dGamma[s] = -2 * gim
+		dGamma[s] = -2 * quantum.ReduceChunks(w.st.Dim(), w.unphaseBody)
 	}
 	return val
 }
@@ -116,10 +115,10 @@ func (w *EvalWorkspace) initAdjoint() {
 	w.adj = w.arena.get(k.qubits())
 	w.rev = quantum.NewReverseMixer(w.st, w.adj)
 	w.rev.SetMirror(k.mirror())
-	w.seedBody = func(lo, hi int) (float64, float64) {
-		return k.seedChunkValue(w.adj, w.st, lo, hi), 0
+	w.seedBody = func(lo, hi int) float64 {
+		return k.seedChunkValue(w.adj, w.st, lo, hi)
 	}
-	w.unphaseBody = func(lo, hi int) (float64, float64) {
-		return k.unphaseInnerChunk(w.adj, w.st, w.factors, w.gamma, lo, hi), 0
+	w.unphaseBody = func(lo, hi int) float64 {
+		return k.unphaseInnerChunk(w.adj, w.st, w.factors, w.gamma, lo, hi)
 	}
 }

@@ -67,8 +67,8 @@ func refValueGradTwoPass(w *EvalWorkspace, x, grad []float64) float64 {
 	}
 
 	w.runLayers(gamma, beta)
-	val, _ := quantum.ReduceChunks(dim, func(lo, hi int) (float64, float64) {
-		return k.seedChunkValue(adj, st, lo, hi), 0
+	val := quantum.ReduceChunks(dim, func(lo, hi int) float64 {
+		return k.seedChunkValue(adj, st, lo, hi)
 	})
 	for s := p - 1; s >= 0; s-- {
 		if k.mirror() {
@@ -81,16 +81,17 @@ func refValueGradTwoPass(w *EvalWorkspace, x, grad []float64) float64 {
 			r.Layer(-2*beta[s], false, nil)
 		}
 
-		_, gim := quantum.ReduceChunks(dim, func(lo, hi int) (float64, float64) {
-			return adj.InnerProductDiagonalRange(st, lo, refGen(k, lo, hi))
+		gim := quantum.ReduceChunks(dim, func(lo, hi int) float64 {
+			_, im := adj.InnerProductDiagonalRange(st, lo, refGen(k, lo, hi))
+			return im
 		})
 		dGamma[s] = -2 * gim
 
 		k.prepareFactors(w.factors, gamma[s], true)
-		quantum.ReduceChunks(dim, func(lo, hi int) (float64, float64) {
+		quantum.ReduceChunks(dim, func(lo, hi int) float64 {
 			k.applyPhaseRange(st, w.factors, -gamma[s], lo, hi)
 			k.applyPhaseRange(adj, w.factors, -gamma[s], lo, hi)
-			return 0, 0
+			return 0
 		})
 	}
 	return val

@@ -236,7 +236,7 @@ type EvalWorkspace struct {
 
 	// Chunk bodies over the fixed geometry.
 	phaseBody  func(lo, hi int)
-	expectBody func(lo, hi int) (a, b float64)
+	expectBody func(lo, hi int) float64
 
 	// held is the [γ…,β…] whose |ψ⟩ the last forward pass left in st,
 	// valid while heldOK: runLayers records it, the reverse sweep (which
@@ -252,8 +252,8 @@ type EvalWorkspace struct {
 	// them. Warm gradient calls are allocation-free.
 	adj         *quantum.State
 	rev         *quantum.ReverseMixer
-	seedBody    func(lo, hi int) (a, b float64)
-	unphaseBody func(lo, hi int) (a, b float64)
+	seedBody    func(lo, hi int) float64
+	unphaseBody func(lo, hi int) float64
 
 	// arena, when non-nil, supplied the state buffers (and supplies the
 	// lazy adjoint buffer); Release returns them there for the next
@@ -287,8 +287,8 @@ func newWorkspace(k costKernel, a *Arena) *EvalWorkspace {
 	w.phaseBody = func(lo, hi int) {
 		k.applyPhaseRange(w.st, w.factors, w.gamma, lo, hi)
 	}
-	w.expectBody = func(lo, hi int) (float64, float64) {
-		return k.expectChunk(w.st, lo, hi), 0
+	w.expectBody = func(lo, hi int) float64 {
+		return k.expectChunk(w.st, lo, hi)
 	}
 	return w
 }
@@ -355,8 +355,7 @@ func (w *EvalWorkspace) holds(gamma, beta []float64) bool {
 // expectation evaluates ⟨C⟩ at (γ, β), reusing the workspace buffers.
 func (w *EvalWorkspace) expectation(gamma, beta []float64) float64 {
 	w.runLayers(gamma, beta)
-	e, _ := quantum.ReduceChunks(w.st.Dim(), w.expectBody)
-	return e
+	return quantum.ReduceChunks(w.st.Dim(), w.expectBody)
 }
 
 // Expectation returns ⟨ψ(γ,β)|C|ψ(γ,β)⟩ without heap allocation.

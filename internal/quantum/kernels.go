@@ -1,9 +1,6 @@
 package quantum
 
-import (
-	"math"
-	"runtime"
-)
+import "math"
 
 // This file holds the butterflies and multiplies the QAOA hot path is
 // built from, and two serial references that call them: FillUniform and
@@ -32,13 +29,6 @@ func (s *State) FillUniform() {
 	for i := range s.amps {
 		s.amps[i] = amp
 	}
-}
-
-// parallel reports whether element-wise kernels on this state should
-// fan out across the worker pool. Parallel and serial passes are
-// bit-identical; this only gates scheduling.
-func (s *State) parallel() bool {
-	return len(s.amps) >= ParallelDim && runtime.GOMAXPROCS(0) > 1
 }
 
 // rxCoef holds the real coefficients of the RX(θ) butterflies. One

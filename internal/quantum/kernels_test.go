@@ -136,8 +136,9 @@ func TestParallelChunksMatchSerial(t *testing.T) {
 	serial := randomKernelState(rng, n)
 	chunked := serial.Clone()
 	applyPhaseRange(serial.amps, phases)
-	dispatchChunks(dim/256, 256, func(lo, hi int) {
+	dispatch(dim/256, 256, func(lo, hi int) float64 {
 		applyPhaseRange(chunked.amps[lo:hi], phases[lo:hi])
+		return 0
 	})
 	for i := range serial.amps {
 		if serial.amps[i] != chunked.amps[i] {

@@ -73,7 +73,10 @@ func TestDiagonalKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 		run  func(s *State)
 	}{
 		{"MulDiagonalIndexed", func(s *State) {
-			runRange(dim, s.parallel(), func(lo, hi int) { s.MulDiagonalIndexedRange(lo, idx[lo:hi], factors) })
+			ReduceChunks(dim, func(lo, hi int) float64 {
+				s.MulDiagonalIndexedRange(lo, idx[lo:hi], factors)
+				return 0
+			})
 		}},
 	}
 	for _, k := range kernels {
@@ -106,8 +109,13 @@ func TestReductionsBitIdenticalAcrossWorkers(t *testing.T) {
 	}{
 		{"ExpectationDiagonal", func(s, u *State) any { return s.ExpectationDiagonal(diag) }},
 		{"InnerProductDiagonal", func(s, u *State) any {
-			re, im := ReduceChunks(dim, func(lo, hi int) (float64, float64) {
-				return s.InnerProductDiagonalRange(u, lo, diag[lo:hi])
+			re := ReduceChunks(dim, func(lo, hi int) float64 {
+				re, _ := s.InnerProductDiagonalRange(u, lo, diag[lo:hi])
+				return re
+			})
+			im := ReduceChunks(dim, func(lo, hi int) float64 {
+				_, im := s.InnerProductDiagonalRange(u, lo, diag[lo:hi])
+				return im
 			})
 			return complex(re, im)
 		}},
@@ -153,9 +161,9 @@ func TestChunkedReductionMatchesSerialSum(t *testing.T) {
 	}
 
 	var ranges [][2]int
-	ReduceChunks(dim, func(lo, hi int) (float64, float64) {
+	ReduceChunks(dim, func(lo, hi int) float64 {
 		ranges = append(ranges, [2]int{lo, hi}) // below ParallelDim: serial, in order
-		return 0, 0
+		return 0
 	})
 	if len(ranges) != dim/ReduceChunkLen {
 		t.Fatalf("ReduceChunks produced %d chunks, want %d", len(ranges), dim/ReduceChunkLen)

@@ -22,8 +22,8 @@ import (
 //     caller claim chunks from it with an atomic counter, so the chunk
 //     GEOMETRY (fixed by the dimension — see reduce.go) is independent
 //     of who executes which chunk.
-//   - Per-chunk partial results land in a per-job buffer that is pooled
-//     with the job, so warm reductions allocate nothing.
+//   - Each chunk's partial lands in a per-job buffer that is pooled
+//     with the job, so warm passes allocate nothing.
 //
 // The caller always participates in chunk execution: if every worker is
 // busy (or the queue is full) the dispatch degrades to a serial pass
@@ -33,12 +33,11 @@ import (
 // the pool's goroutine footprint) regardless of GOMAXPROCS.
 const maxPoolWorkers = 64
 
-// chunkJob is one dispatched kernel pass: nc chunks of chunkLen
-// elements, claimed by atomic counter. Exactly one of f (element-wise)
-// and fr (reduction; partials land in parts) is set.
+// chunkJob is one dispatched chunk pass: nc chunks of chunkLen
+// elements, claimed by atomic counter; chunk c's partial f(lo, hi)
+// lands in parts[c].
 type chunkJob struct {
-	f        func(lo, hi int)
-	fr       func(lo, hi int) (a, b float64)
+	f        func(lo, hi int) float64
 	parts    []float64
 	chunkLen int
 	nc       int32
@@ -109,25 +108,21 @@ func (j *chunkJob) run() {
 		}
 		lo := int(c) * j.chunkLen
 		hi := lo + j.chunkLen
-		if j.fr != nil {
-			j.parts[2*c], j.parts[2*c+1] = j.fr(lo, hi)
-		} else {
-			j.f(lo, hi)
-		}
+		j.parts[c] = j.f(lo, hi)
 		if j.done.Add(1) == nc {
 			j.wake <- struct{}{}
 		}
 	}
 }
 
-// release drops one reference; the last holder clears the closures and
+// release drops one reference; the last holder clears the closure and
 // returns the job to the freelist (dropping it if the list is full).
 // Queue copies received after the job finished (stale copies) run zero
 // chunks and release harmlessly — the job cannot be recycled while
 // they are outstanding.
 func (j *chunkJob) release() {
 	if j.refs.Add(-1) == 0 {
-		j.f, j.fr = nil, nil
+		j.f = nil
 		select {
 		case jobFree <- j:
 		default:
@@ -136,26 +131,24 @@ func (j *chunkJob) release() {
 }
 
 // dispatch fans nc chunks of clen elements out across the pool and the
-// calling goroutine, returning after every chunk has completed. The
-// returned job still holds the caller's reference so reduction partials
-// in j.parts can be read; the caller must j.release() afterwards.
-func dispatch(nc, clen int, f func(lo, hi int), fr func(lo, hi int) (a, b float64)) *chunkJob {
+// calling goroutine and returns the chunk partials folded in chunk
+// order (left to right), so the result is bit-identical to a serial
+// pass over the same chunks.
+func dispatch(nc, clen int, f func(lo, hi int) float64) (sum float64) {
 	j := getJob()
 	select { // drain a stale completion token from a previous dispatch
 	case <-j.wake:
 	default:
 	}
-	j.f, j.fr = f, fr
+	j.f = f
 	j.chunkLen = clen
 	j.nc = int32(nc)
 	j.next.Store(0)
 	j.done.Store(0)
-	if fr != nil {
-		if cap(j.parts) < 2*nc {
-			j.parts = make([]float64, 2*nc)
-		} else {
-			j.parts = j.parts[:2*nc]
-		}
+	if cap(j.parts) < nc {
+		j.parts = make([]float64, nc)
+	} else {
+		j.parts = j.parts[:nc]
 	}
 	helpers := runtime.GOMAXPROCS(0) - 1
 	if helpers > nc-1 {
@@ -179,44 +172,9 @@ func dispatch(nc, clen int, f func(lo, hi int), fr func(lo, hi int) (a, b float6
 	if j.done.Load() != j.nc {
 		<-j.wake // workers still own claimed chunks; wait for the last
 	}
-	return j
-}
-
-// dispatchChunks runs the element-wise body f over nc chunks of clen
-// elements on the pool and returns when all chunks are done.
-func dispatchChunks(nc, clen int, f func(lo, hi int)) {
-	j := dispatch(nc, clen, f, nil)
-	j.release()
-}
-
-// dispatchReduce runs the reduction body fr over nc chunks of clen
-// elements on the pool and combines the per-chunk partials in chunk
-// order (left to right), so the result is bit-identical to a serial
-// pass over the same geometry.
-func dispatchReduce(nc, clen int, fr func(lo, hi int) (a, b float64)) (a, b float64) {
-	j := dispatch(nc, clen, nil, fr)
-	for c := 0; c < nc; c++ {
-		a += j.parts[2*c]
-		b += j.parts[2*c+1]
+	for _, p := range j.parts {
+		sum += p
 	}
 	j.release()
-	return a, b
-}
-
-// runRange runs the element-wise body f over [0, n): in one serial call
-// when par is false or the range is a single chunk, otherwise fanned
-// out over fixed-geometry chunks on the pool. Element-wise kernels are
-// bit-identical either way — each element is written exactly once with
-// the same arithmetic — so par only ever changes scheduling.
-func runRange(n int, par bool, f func(lo, hi int)) {
-	if !par {
-		f(0, n)
-		return
-	}
-	clen := ChunkLen(n)
-	if n <= clen {
-		f(0, n)
-		return
-	}
-	dispatchChunks(n/clen, clen, f)
+	return sum
 }

@@ -68,10 +68,11 @@ func TestDispatchCoversEveryChunkOnce(t *testing.T) {
 	const nc, clen = 64, 128
 	marks := make([]int32, nc*clen)
 	for round := 0; round < 20; round++ {
-		dispatchChunks(nc, clen, func(lo, hi int) {
+		dispatch(nc, clen, func(lo, hi int) float64 {
 			for i := lo; i < hi; i++ {
 				marks[i]++
 			}
+			return 0
 		})
 	}
 	for i, m := range marks {

@@ -1,24 +1,23 @@
 package quantum
 
-import (
-	"runtime"
-)
+import "runtime"
 
 // Deterministic fixed-geometry chunk machinery.
 //
-// Every reduction the engine runs over the amplitude array (diagonal
-// expectations, the adjoint sweep's inner products and mixer matrix
-// elements) and every streamed diagonal kernel runs over the SAME chunk
-// layout: the array is split into contiguous chunks of ChunkLen(dim)
-// elements — a geometry fixed by the dimension alone, never by
-// GOMAXPROCS — and per-chunk partial results are combined left-to-right
-// in chunk order. Workers may compute chunks in any order on any number
-// of goroutines; because the merge order and the within-chunk
-// accumulation order are fixed, the result is bit-identical at 1, 2, or
-// 64 workers. Arrays no longer than one chunk reduce in a single serial
-// pass, so registers of up to 13 qubits keep the exact summation order
-// (and therefore the exact bits) of the serial reference reductions —
-// Norm, InnerProduct and InnerProductSumX, which never chunk.
+// Every pass the engine runs over the amplitude array — the fused layer
+// sweep, the reverse mixer sweep, diagonal expectations, the adjoint
+// seed and un-phase — runs over the SAME chunk layout, through one walk
+// (ReduceChunks): the array is split into contiguous chunks of
+// ChunkLen(dim) elements — a geometry fixed by the dimension alone,
+// never by GOMAXPROCS — and each chunk gives one partial, the partials
+// combined left-to-right in chunk order. Workers may compute chunks in
+// any order on any number of goroutines; because the merge order and
+// the within-chunk accumulation order are fixed, the result is
+// bit-identical at 1, 2, or 64 workers. Arrays no longer than one
+// chunk reduce in a single serial pass, so registers of up to 13 qubits
+// keep the exact summation order (and therefore the exact bits) of the
+// serial reference reductions — Norm, InnerProduct and
+// InnerProductSumX, which never chunk.
 //
 // Chunk work is executed by the persistent worker pool (pool.go); the
 // pool only ever changes WHO computes a chunk, never which chunks
@@ -41,10 +40,10 @@ const LargeChunkDim = 1 << 20
 // LargeChunkDim and above.
 const LargeReduceChunkLen = 1 << 15
 
-// ParallelDim is the state-vector length from which kernels fan chunks
-// out across goroutines. Below it (n < 16 qubits) the whole vector fits
-// in cache and fan-out costs more than it saves; at and above it,
-// element-wise kernels and chunk reductions use the worker pool.
+// ParallelDim is the state-vector length from which ReduceChunks fans
+// chunks out across goroutines. Below it (n < 16 qubits) the whole
+// vector fits in cache and fan-out costs more than it saves; at and
+// above it, every chunk pass uses the worker pool.
 const ParallelDim = 1 << 16
 
 // ChunkLen returns the fixed chunk length for an array of length dim —
@@ -68,32 +67,26 @@ func reduceChunkCount(dim int) int {
 	return dim / clen
 }
 
-// reduceParallel reports whether chunk work for an array of length dim
-// should fan out across the worker pool. The answer never changes the
-// chunk geometry or merge order, only the scheduling.
-func reduceParallel(dim int) bool {
-	return dim >= ParallelDim && runtime.GOMAXPROCS(0) > 1
-}
-
-// ReduceChunks evaluates f over every fixed-geometry chunk of [0, dim)
-// and returns the two partial sums combined in chunk order. f must be
-// pure over its range (no shared mutable state); it receives disjoint
-// [lo, hi) ranges. The combination a = ((a₀+a₁)+a₂)+… is identical
-// whether chunks run serially or on any number of workers, so results
-// are bit-reproducible across GOMAXPROCS settings.
-func ReduceChunks(dim int, f func(lo, hi int) (a, b float64)) (a, b float64) {
+// ReduceChunks runs f over every fixed-geometry chunk of [0, dim) and
+// returns the chunk partials folded left to right: ((f₀+f₁)+f₂)+…, or
+// f(0, dim) itself when the array is one chunk. It is the one way the
+// engine walks a register: reductions return their chunk's sum and
+// element-wise passes return 0. Chunks run serially below ParallelDim
+// (or at GOMAXPROCS 1) and on the worker pool from it; f receives
+// disjoint [lo, hi) ranges and must be safe to run on them
+// concurrently. The fold is the same either way, so results are
+// bit-reproducible across GOMAXPROCS settings.
+func ReduceChunks(dim int, f func(lo, hi int) float64) (sum float64) {
 	nc := reduceChunkCount(dim)
 	if nc == 1 {
 		return f(0, dim)
 	}
 	clen := ChunkLen(dim)
-	if !reduceParallel(dim) {
-		for c := 0; c < nc; c++ {
-			pa, pb := f(c*clen, (c+1)*clen)
-			a += pa
-			b += pb
-		}
-		return a, b
+	if dim >= ParallelDim && runtime.GOMAXPROCS(0) > 1 {
+		return dispatch(nc, clen, f)
 	}
-	return dispatchReduce(nc, clen, f)
+	for c := 0; c < nc; c++ {
+		sum += f(c*clen, (c+1)*clen)
+	}
+	return sum
 }

@@ -1,7 +1,5 @@
 package quantum
 
-import "math/bits"
-
 // Two-state reverse mixer sweep.
 //
 // An adjoint reverse stage needs two things from the mixer: the matrix
@@ -73,10 +71,10 @@ import "math/bits"
 // order of their lowest index i, sub-run by sub-run and block by block
 // like every other pass.
 //
-// Blocks are a function of the dimension alone and run through the
-// fixed-geometry reduction (ReduceChunks), never through runRange's
-// serial shortcut, so the value is the same at every GOMAXPROCS, bit
-// for bit.
+// Blocks are a function of the dimension alone, and every pass is one
+// ReduceChunks walk over them (passWalk in fused.go, the forward's pass
+// sequence too), so the value is the same at every GOMAXPROCS, bit for
+// bit.
 
 // revSubQuads is the sub-run length: 128 quadruples are 8 KiB per
 // state, so the ΣX read and the two butterflies that follow it find
@@ -89,15 +87,8 @@ const revSubQuads = 128
 // so warm Sweep calls allocate nothing. A ReverseMixer is bound to its
 // two states and is not safe for concurrent use.
 type ReverseMixer struct {
-	phi, lam     []complex128
-	n, dim, clen int  // register width, 2^n, fixed chunk length (≤ dim)
-	mirror       bool // the states are half registers (mirror.go)
-
-	// Per-Sweep parameters, written before dispatch, read-only during.
-	rx rxCoef
-	q  int // low qubit of the current cross-chunk pair
-
-	lowBody, pairBody, oneBody, mirrorBody func(lo, hi int) (a, b float64)
+	passWalk
+	phi, lam []complex128
 }
 
 // NewReverseMixer returns a sweep over two states of equal width, full
@@ -106,8 +97,7 @@ func NewReverseMixer(phi, lam *State) *ReverseMixer {
 	if phi.n != lam.n {
 		panic("quantum: width mismatch in NewReverseMixer")
 	}
-	dim := len(phi.amps)
-	m := &ReverseMixer{phi: phi.amps, lam: lam.amps, n: phi.n, dim: dim, clen: min(ChunkLen(dim), dim)}
+	m := &ReverseMixer{passWalk: newPassWalk(phi), phi: phi.amps, lam: lam.amps}
 	m.lowBody, m.pairBody, m.oneBody, m.mirrorBody = m.low, m.pair, m.one, m.mirrorBlock
 	return m
 }
@@ -124,38 +114,13 @@ func (m *ReverseMixer) SetMirror(on bool) { m.mirror = on }
 // they were on entry (and, ΣX commuting with the mixer, as they are on
 // return).
 func (m *ReverseMixer) Sweep(theta float64) float64 {
-	m.rx = newRXCoef(theta)
-	im, _ := ReduceChunks(m.dim, m.lowBody)
-
-	// Cross-chunk pairs in ascending qubit order, then the last pass:
-	// LayerRunner.Layer's pass sequence.
-	cb := bits.TrailingZeros(uint(m.clen))
-	q := cb - 1
-	if q%2 != 0 {
-		q = cb
-	}
-	for ; q+1 < m.n; q += 2 {
-		m.q = q
-		p, _ := ReduceChunks(m.dim, m.pairBody)
-		im += p
-	}
-	if m.dim > m.clen {
-		switch {
-		case m.mirror:
-			p, _ := ReduceChunks(m.dim, m.mirrorBody)
-			im += p
-		case m.n%2 == 1:
-			p, _ := ReduceChunks(m.dim, m.oneBody)
-			im += p
-		}
-	}
-	return im
+	return m.run(theta)
 }
 
 // low is one block of the low pass: chunk [lo, hi) of both states has
 // every in-chunk pair un-applied, and — when the chunk spans the whole
 // register — the last pass, exactly as LayerRunner.runLow.
-func (m *ReverseMixer) low(lo, hi int) (im, _ float64) {
+func (m *ReverseMixer) low(lo, hi int) (im float64) {
 	span := hi - lo
 	p, l := m.phi[lo:hi], m.lam[lo:hi]
 	q := 0
@@ -163,7 +128,7 @@ func (m *ReverseMixer) low(lo, hi int) (im, _ float64) {
 		im += revQuadChunk(p, l, q, m.rx)
 	}
 	if span != m.dim {
-		return im, 0
+		return im
 	}
 	if m.n%2 == 1 && !(m.mirror && mirrorFused(m.n)) {
 		half := span >> 1
@@ -172,14 +137,14 @@ func (m *ReverseMixer) low(lo, hi int) (im, _ float64) {
 	if m.mirror {
 		im += m.revMirror(0, mirrorReps(m.n))
 	}
-	return im, 0
+	return im
 }
 
 // pair is one block of a cross-chunk pair pass: the quadruples of pair
 // (q, q+1) whose representatives are chunk [lo, hi)'s, [lo/4, hi/4).
 // 2^q is at least half a chunk, so the block is a single run: four
 // contiguous spans per state.
-func (m *ReverseMixer) pair(lo, hi int) (im, _ float64) {
+func (m *ReverseMixer) pair(lo, hi int) float64 {
 	bit0 := 1 << uint(m.q)
 	bit1 := bit0 << 1
 	mask := bit0 - 1
@@ -189,23 +154,23 @@ func (m *ReverseMixer) pair(lo, hi int) (im, _ float64) {
 	return revQuad(
 		p[:n], p[bit0:bit0+n], p[bit1:bit1+n], p[bit0+bit1:bit0+bit1+n],
 		l[:n], l[bit0:bit0+n], l[bit1:bit1+n], l[bit0+bit1:bit0+bit1+n],
-		m.rx), 0
+		m.rx)
 }
 
 // one is one block of the odd final qubit's pass on a multi-chunk
 // register: pairs [lo/2, hi/2), equal offsets of the two halves.
-func (m *ReverseMixer) one(lo, hi int) (im, _ float64) {
+func (m *ReverseMixer) one(lo, hi int) float64 {
 	i, n, half := lo>>1, (hi-lo)>>1, m.dim>>1
-	return revDuo(m.phi[i:i+n], m.phi[half+i:half+i+n], m.lam[i:i+n], m.lam[half+i:half+i+n], m.rx), 0
+	return revDuo(m.phi[i:i+n], m.phi[half+i:half+i+n], m.lam[i:i+n], m.lam[half+i:half+i+n], m.rx)
 }
 
 // mirrorBlock is one block of a half register's mirror pass on a
 // multi-chunk register: the groups whose representatives are chunk
 // [lo, hi)'s, [lo/4, hi/4) when the odd final qubit fuses in and
 // [lo/2, hi/2) otherwise.
-func (m *ReverseMixer) mirrorBlock(lo, hi int) (im, _ float64) {
+func (m *ReverseMixer) mirrorBlock(lo, hi int) float64 {
 	sh := mirrorShift(m.n)
-	return m.revMirror(lo>>sh, hi>>sh), 0
+	return m.revMirror(lo>>sh, hi>>sh)
 }
 
 // revMirror un-applies the mirror pass for representatives [rlo, rhi)

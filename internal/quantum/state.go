@@ -114,13 +114,9 @@ func (s *State) ExpectationDiagonal(diag []float64) float64 {
 	if len(diag) != len(s.amps) {
 		panic(fmt.Sprintf("quantum: diagonal length %d != dim %d", len(diag), len(s.amps)))
 	}
-	if reduceChunkCount(len(s.amps)) == 1 {
-		return s.ExpectationDiagonalRange(0, diag)
-	}
-	e, _ := ReduceChunks(len(s.amps), func(lo, hi int) (float64, float64) {
-		return s.ExpectationDiagonalRange(lo, diag[lo:hi]), 0
+	return ReduceChunks(len(s.amps), func(lo, hi int) float64 {
+		return s.ExpectationDiagonalRange(lo, diag[lo:hi])
 	})
-	return e
 }
 
 // ExpectationDiagonalRange returns the partial sum Σ |amp[lo+i]|²·diag[i]
