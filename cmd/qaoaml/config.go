@@ -4,6 +4,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"time"
 
 	"qaoaml/internal/experiments"
@@ -12,8 +14,9 @@ import (
 // RunConfig groups every qaoaml flag into one validated bundle. The ten
 // scale flags write experiments.Scale's fields directly, starting from
 // DefaultScale, or from PaperScale with -paper; FromFlags checks the
-// result, so bad input fails before the dataset sweep starts rather
-// than deep inside it.
+// result and that every output path's directory exists, so bad input
+// fails before the dataset sweep starts rather than deep inside it or
+// after it.
 type RunConfig struct {
 	Paper bool // rebase the scale onto PaperScale; the scale flags given still win
 	Scale experiments.Scale
@@ -73,6 +76,21 @@ func FromFlags(fs *flag.FlagSet, args []string) (RunConfig, error) {
 	}
 	if c.LoadData != "" && c.SaveData != "" {
 		return c, fmt.Errorf("-load-data and -save-data are mutually exclusive")
+	}
+	for _, out := range []struct{ flag, path, dir string }{
+		{"-csv", c.CSVDir, c.CSVDir},
+		{"-save-data", c.SaveData, filepath.Dir(c.SaveData)},
+		{"-model-out", c.ModelOut, filepath.Dir(c.ModelOut)},
+		{"-metrics", c.Metrics, filepath.Dir(c.Metrics)},
+	} {
+		if out.path == "" {
+			continue
+		}
+		if fi, err := os.Stat(out.dir); err != nil {
+			return c, fmt.Errorf("%s: %w", out.flag, err)
+		} else if !fi.IsDir() {
+			return c, fmt.Errorf("%s: %s is not a directory", out.flag, out.dir)
+		}
 	}
 	return c, c.Scale.Validate()
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -75,6 +77,36 @@ func TestFromFlagsOverridesApply(t *testing.T) {
 	defer cancel()
 	if _, ok := ctx.Deadline(); !ok {
 		t.Error("Context() has no deadline despite -timeout")
+	}
+}
+
+// Every output path is checked before any work: a -csv directory, and
+// the directory of a -save-data, -model-out or -metrics file, must
+// exist, so a typo no longer fails after the dataset sweep.
+func TestFromFlagsChecksOutputDirs(t *testing.T) {
+	dir := t.TempDir()
+	missing, file := filepath.Join(dir, "missing"), filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-csv", missing, "fig6"},
+		{"-csv", file, "fig6"},
+		{"-save-data", filepath.Join(missing, "d.json"), "datagen"},
+		{"-model-out", filepath.Join(missing, "m.json"), "datagen"},
+		{"-metrics", filepath.Join(missing, "t.json"), "datagen"},
+		{"-metrics", filepath.Join(file, "t.json"), "datagen"},
+	} {
+		if _, err := parse(t, args...); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
+	}
+	if _, err := parse(t, "-csv", dir, "-save-data", filepath.Join(dir, "d.json"),
+		"-model-out", filepath.Join(dir, "m.json"), "-metrics", filepath.Join(dir, "t.json"), "all"); err != nil {
+		t.Errorf("existing directories refused: %v", err)
+	}
+	if _, err := parse(t, "-model-out", "m.json", "datagen"); err != nil {
+		t.Errorf("a file in the working directory refused: %v", err)
 	}
 }
 

@@ -3,9 +3,10 @@
 // SLSQP) and two derivative-free methods (Nelder-Mead and COBYLA). All
 // support box bounds, the only constraint kind the QAOA parameter domain
 // needs. The gradient-based methods require Problem.Grad (core passes
-// the adjoint gradient). Result.NFev counts objective calls and each
-// gradient is one Result.NGev, so SciPy's count without a jac, the
-// paper's FC, is NFev + dim·NGev.
+// the adjoint gradient) and run one loop, which stops after 100·dim
+// iterations or 2000·dim function calls at the latest. Result.NFev
+// counts objective calls and each gradient is one Result.NGev, so
+// SciPy's count without a jac, the paper's FC, is NFev + dim·NGev.
 //
 // Run(ctx, Problem, Options) is the one way to run an optimizer: it
 // honors cancellation and deadlines (checked once per outer iteration),

@@ -125,15 +125,16 @@ func TestRunCallbackStops(t *testing.T) {
 }
 
 // TestRunEmitsTraces checks all four optimizers emit per-iteration
-// events with sane cumulative NFev.
+// events with sane cumulative NFev, captured through a Tee on the sink
+// that aggregates the run's counters and histograms.
 func TestRunEmitsTraces(t *testing.T) {
 	b := uniformBounds(3, -2, 2)
 	center := []float64{0.7, -0.3, 1.2}
 	for _, opt := range allOptimizers() {
 		mem := telemetry.NewMemory()
+		var trace []telemetry.IterEvent
 		r := Run(context.Background(), Problem{F: sphere(center), Grad: sphereGrad(center), X0: []float64{-1, 1, 0}, Bounds: b},
-			Options{Optimizer: opt, Recorder: mem})
-		trace := mem.Snapshot().Trace
+			Options{Optimizer: opt, Recorder: telemetry.Tee(mem, func(ev telemetry.IterEvent) { trace = append(trace, ev) })})
 		if len(trace) == 0 {
 			t.Errorf("%s: no iteration events", opt.Name())
 			continue

@@ -15,9 +15,7 @@ import (
 // is solved by 30 sweeps of cyclic coordinate descent with clipping,
 // which converges for the SPD B maintained by the damped update. It
 // requires Problem.Grad: NFev counts objective calls and each gradient
-// is one NGev, so SciPy's count without a jac is NFev + dim·NGev. It
-// stops after 100·dim iterations or 2000·dim function calls at the
-// latest.
+// is one NGev, so SciPy's count without a jac is NFev + dim·NGev.
 type SLSQP struct {
 	Tol float64 // relative f-change / projected-gradient tolerance (default 1e-6)
 }
@@ -28,98 +26,47 @@ const slsqpQPSweeps = 30
 // Name implements Optimizer.
 func (o *SLSQP) Name() string { return "SLSQP" }
 
-// run implements Optimizer. Per-iteration events report the
-// projected-gradient ∞-norm and the previous accepted line-search step.
-func (o *SLSQP) run(env *runEnv) Result {
-	bounds := env.bounds
-	x := prepareStart(env.x0, bounds)
-	n := len(x)
-	tol := tolOrDefault(o.Tol)
-	maxIter, maxFev := 100*n, 2000*n
-	cnt := &counter{f: env.f}
-	ngev := 0
-	grad := env.gradient(&ngev)
+// run implements Optimizer on the gradient methods' loop.
+func (o *SLSQP) run(env *runEnv) Result { return projectedQuasiNewton(env, o.Tol, newSLSQPModel) }
 
-	fx := cnt.call(x)
-	g := make([]float64, n)
-	gNew := make([]float64, n)
-	grad(g, x)
-	xls := make([]float64, n) // line-search candidate buffer
-	b := linalg.Identity(n)
-	d := make([]float64, n)      // QP step
-	work := make([]float64, 4*n) // BFGS update vectors
+// slsqpModel is SLSQP's model: the box, the damped-BFGS Hessian
+// approximation B and the update's vectors (4·n).
+type slsqpModel struct {
+	bounds *Bounds
+	b      *linalg.Matrix
+	d      linalg.Vector // QP step
+	work   []float64
+}
 
-	iters := 0
-	converged := false
-	cancelled := false
-	lastAlpha := 0.0
-	msg := "max iterations reached"
-	for ; iters < maxIter && cnt.n < maxFev; iters++ {
-		if env.stop(&msg) {
-			cancelled = true
-			break
-		}
-		pg := projectedGradientNorm(x, g, bounds)
-		env.emit(iters, fx, pg, lastAlpha, cnt.n)
-		if pg <= tol {
-			converged = true
-			msg = "projected gradient below tolerance"
-			break
-		}
-		solveBoxQP(d, b, g, x, bounds, slsqpQPSweeps)
-		norm := 0.0
-		for _, di := range d {
-			norm += di * di
-		}
-		if math.Sqrt(norm) <= 1e-14 {
-			converged = true
-			msg = "QP step vanished (KKT point)"
-			break
-		}
+func newSLSQPModel(n int, bounds *Bounds) quasiNewton {
+	return &slsqpModel{bounds: bounds, b: linalg.Identity(n), d: make([]float64, n), work: make([]float64, 4*n)}
+}
 
-		// Armijo backtracking along the feasible direction d, writing
-		// candidates into the reusable xls buffer.
-		gTd := dot(g, d)
-		alpha := 1.0
-		var fNew float64
-		accepted := false
-		for try := 0; try < 30 && cnt.n < maxFev; try++ {
-			for i := range xls {
-				xls[i] = x[i] + alpha*d[i]
-			}
-			bounds.Clip(xls) // guard roundoff; d is feasible by construction
-			ft := cnt.call(xls)
-			if ft <= fx+1e-4*alpha*gTd || (gTd >= 0 && ft < fx) {
-				fNew, accepted = ft, true
-				break
-			}
-			alpha /= 2
-		}
-		if !accepted {
-			msg = "line search failed to make progress"
-			break
-		}
-		lastAlpha = alpha
-
-		grad(gNew, xls)
-		updateDampedBFGS(b, x, xls, g, gNew, work)
-
-		fPrev := fx
-		x, xls = xls, x
-		fx = fNew
-		g, gNew = gNew, g
-		if relChange(fPrev, fx) <= tol {
-			converged = true
-			msg = "function change below tolerance"
-			iters++
-			break
-		}
+// direction returns the box QP's step, or a KKT message if it vanishes.
+func (m *slsqpModel) direction(x, g []float64) ([]float64, string) {
+	solveBoxQP(m.d, m.b, g, x, m.bounds, slsqpQPSweeps)
+	if math.Sqrt(m.d.Dot(m.d)) <= 1e-14 {
+		return nil, "QP step vanished (KKT point)"
 	}
-	if !converged && !cancelled && cnt.n >= maxFev {
-		msg = "function evaluation budget exhausted"
+	return m.d, ""
+}
+
+// search backtracks along x + α·d from α = 1 with an Armijo condition.
+func (m *slsqpModel) search(cnt *counter, x []float64, fx float64, g, d, xt []float64, maxFev int) (fNew, alpha float64, ok bool) {
+	gTd := linalg.Vector(g).Dot(d)
+	alpha = 1.0
+	for try := 0; try < 30 && cnt.n < maxFev; try++ {
+		for i := range xt {
+			xt[i] = x[i] + alpha*d[i]
+		}
+		m.bounds.Clip(xt) // guard roundoff; d is feasible by construction
+		ft := cnt.call(xt)
+		if ft <= fx+1e-4*alpha*gTd || (gTd >= 0 && ft < fx) {
+			return ft, alpha, true
+		}
+		alpha /= 2
 	}
-	return Result{X: x, F: fx, NFev: cnt.n, NGev: ngev, Iters: iters,
-		Status: statusOf(converged, cancelled), Message: msg}
+	return 0, 0, false
 }
 
 // solveBoxQP minimizes gᵀd + ½dᵀBd subject to lo−x ≤ d ≤ hi−x by cyclic
@@ -159,11 +106,10 @@ func solveBoxQP(d []float64, b *linalg.Matrix, g, x []float64, bounds *Bounds, s
 	}
 }
 
-// updateDampedBFGS applies Powell's damped BFGS update to b in place,
-// which keeps it positive definite even when sᵀy ≤ 0. work (4·n) holds
-// the update's vectors.
-func updateDampedBFGS(b *linalg.Matrix, x, xNew, g, gNew, work []float64) {
-	n := len(x)
+// update applies Powell's damped BFGS update to B in place, which keeps
+// it positive definite even when sᵀy ≤ 0.
+func (m *slsqpModel) update(x, xNew, g, gNew []float64) {
+	n, b, work := len(x), m.b, m.work
 	s, y := linalg.Vector(work[:n]), linalg.Vector(work[n:2*n])
 	bs, r := linalg.Vector(work[2*n:3*n]), linalg.Vector(work[3*n:4*n])
 	for i := range s {
@@ -191,8 +137,7 @@ func updateDampedBFGS(b *linalg.Matrix, x, xNew, g, gNew, work []float64) {
 	// B ← B − (B s sᵀ B)/(sᵀBs) + (r rᵀ)/(sᵀr)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			v := b.At(i, j) - bs[i]*bs[j]/sBs + r[i]*r[j]/sr
-			b.Set(i, j, v)
+			b.Set(i, j, b.At(i, j)-bs[i]*bs[j]/sBs+r[i]*r[j]/sr)
 		}
 	}
 }

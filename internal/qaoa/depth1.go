@@ -37,10 +37,10 @@ import "math"
 // What stays on the state vector, and why: depths ≥ 2 (no closed form
 // of useful size), BestSampled (a readout needs the amplitudes, so a
 // depth-1 Evaluator builds its workspace on first readout), and
-// EvalWorkspace, Problem.Expectation and Problem.State at every depth —
-// they are the oracle depth1_test.go holds this file to (the value to
-// 1e-12 of |Offset| + Σ|h| + Σ|J|, the gradient to 1e-11 of that times
-// the largest coefficient).
+// EvalWorkspace and Problem.Expectation at every depth. The workspace
+// is the oracle depth1_test.go holds this file to (the value to 1e-12
+// of |Offset| + Σ|h| + Σ|J|, the gradient to 1e-11 of that times the
+// largest coefficient).
 
 // depth1 is the closed-form p = 1 engine of one Evaluator. The
 // couplings are immutable; the tables are per-call scratch and the last

@@ -4,26 +4,19 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// TraceCap bounds how many iteration events a Memory sink retains (full
-// paper-scale dataset generation emits millions).
-const TraceCap = 4096
-
 // Memory is a thread-safe in-memory Recorder. Counters and histograms
 // are created lazily on first use (histograms with DefaultBuckets
-// unless DefineBuckets customized the name); iteration events are
-// retained up to a cap, after which they are counted as dropped; spans
-// are aggregated into per-name count/total-duration statistics.
+// unless DefineBuckets customized the name); spans are aggregated into
+// per-name count/total-duration statistics. Iteration events are not
+// kept: a consumer that wants them taps the producer with Tee.
 type Memory struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	hists    map[string]*Histogram
 	bounds   map[string][]float64 // per-name bucket layouts
-	trace    []IterEvent
-	dropped  int64 // atomic; events beyond TraceCap
 	spans    map[string]*spanStats
 }
 
@@ -50,17 +43,8 @@ func (m *Memory) DefineBuckets(name string, edges []float64) {
 	m.mu.Unlock()
 }
 
-// Iteration implements Recorder.
-func (m *Memory) Iteration(ev IterEvent) {
-	m.mu.Lock()
-	if len(m.trace) < TraceCap {
-		m.trace = append(m.trace, ev)
-		m.mu.Unlock()
-		return
-	}
-	m.mu.Unlock()
-	atomic.AddInt64(&m.dropped, 1)
-}
+// Iteration implements Recorder; it keeps nothing.
+func (m *Memory) Iteration(IterEvent) {}
 
 // Count implements Recorder.
 func (m *Memory) Count(name string, delta int64) {
@@ -149,11 +133,9 @@ type SpanSnapshot struct {
 
 // Snapshot is the JSON-serializable state of a Memory sink.
 type Snapshot struct {
-	Counters     map[string]int64             `json:"counters,omitempty"`
-	Histograms   map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Spans        map[string]SpanSnapshot      `json:"spans,omitempty"`
-	Trace        []IterEvent                  `json:"trace,omitempty"`
-	TraceDropped int64                        `json:"trace_dropped,omitempty"`
+	Counters   map[string]int64             `json:"counters,omitempty"`
+	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Spans      map[string]SpanSnapshot      `json:"spans,omitempty"`
 }
 
 // Snapshot captures the full sink state.
@@ -161,11 +143,9 @@ func (m *Memory) Snapshot() Snapshot {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	s := Snapshot{
-		Counters:     make(map[string]int64, len(m.counters)),
-		Histograms:   make(map[string]HistogramSnapshot, len(m.hists)),
-		Spans:        make(map[string]SpanSnapshot, len(m.spans)),
-		Trace:        append([]IterEvent(nil), m.trace...),
-		TraceDropped: atomic.LoadInt64(&m.dropped),
+		Counters:   make(map[string]int64, len(m.counters)),
+		Histograms: make(map[string]HistogramSnapshot, len(m.hists)),
+		Spans:      make(map[string]SpanSnapshot, len(m.spans)),
 	}
 	for name, c := range m.counters {
 		s.Counters[name] = c.Value()

@@ -76,7 +76,6 @@ func TestMemorySink(t *testing.T) {
 	m.Observe("latency_ms", 0.3)
 	end := m.Span("flow")
 	end()
-	m.Iteration(IterEvent{Source: "L-BFGS-B", Iter: 0, F: -1, NFev: 5})
 
 	if got := m.CounterValue("runs"); got != 3 {
 		t.Errorf("runs = %d, want 3", got)
@@ -99,9 +98,6 @@ func TestMemorySink(t *testing.T) {
 	if s.Spans["flow"].Count != 1 {
 		t.Errorf("span count = %d, want 1", s.Spans["flow"].Count)
 	}
-	if len(s.Trace) != 1 || s.Trace[0].Source != "L-BFGS-B" {
-		t.Errorf("trace = %+v", s.Trace)
-	}
 
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {
@@ -113,23 +109,6 @@ func TestMemorySink(t *testing.T) {
 	}
 	if round.Counters["runs"] != 3 {
 		t.Errorf("round-tripped runs = %d", round.Counters["runs"])
-	}
-}
-
-func TestMemoryTraceCap(t *testing.T) {
-	m := NewMemory()
-	for i := 0; i < TraceCap+3; i++ {
-		m.Iteration(IterEvent{Iter: i})
-	}
-	s := m.Snapshot()
-	if len(s.Trace) != TraceCap {
-		t.Fatalf("trace len = %d, want %d", len(s.Trace), TraceCap)
-	}
-	if s.TraceDropped != 3 {
-		t.Fatalf("dropped = %d, want 3", s.TraceDropped)
-	}
-	if last := s.Trace[TraceCap-1].Iter; last != TraceCap-1 {
-		t.Fatalf("last kept event is iteration %d, want %d", last, TraceCap-1)
 	}
 }
 
@@ -163,9 +142,6 @@ func TestMemoryConcurrent(t *testing.T) {
 	s := m.Snapshot()
 	if s.Spans["s"].Count != workers*perWorker {
 		t.Errorf("span count = %d", s.Spans["s"].Count)
-	}
-	if int64(len(s.Trace))+s.TraceDropped != workers*perWorker {
-		t.Errorf("trace %d + dropped %d != %d", len(s.Trace), s.TraceDropped, workers*perWorker)
 	}
 }
 
