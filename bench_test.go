@@ -17,6 +17,7 @@ import (
 	"qaoaml/internal/graph"
 	"qaoaml/internal/ml"
 	"qaoaml/internal/optimize"
+	"qaoaml/internal/problem"
 	"qaoaml/internal/qaoa"
 	"qaoaml/internal/quantum"
 )
@@ -284,14 +285,18 @@ func BenchmarkGPR(b *testing.B) {
 }
 
 // BenchmarkMaxCutBruteForce measures the exact classical solve used for
-// approximation ratios (8 nodes → 128 assignments).
+// approximation ratios: problem.Instance.BruteForce on the compiled
+// instance, as qaoa.New runs it (8 nodes → 128 assignments).
 func BenchmarkMaxCutBruteForce(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
-	g := graph.ErdosRenyiConnected(8, 0.5, rng)
+	in, err := problem.MaxCut(graph.ErdosRenyiConnected(8, 0.5, rng)).Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = g.WeightedMaxCut()
+		_, _, _ = in.BruteForce()
 	}
 }
 

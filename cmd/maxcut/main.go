@@ -8,8 +8,8 @@
 //	0 2 2.5" | maxcut -depth 2
 //
 // The tool runs a multistart QAOA optimization, prints the optimized
-// angles, the expected and most-probable cut, and (for small graphs)
-// the exact optimum for comparison.
+// angles, the expected and most-probable cut, and the exact optimum the
+// approximation ratio is taken against. Graphs have at most 20 vertices.
 package main
 
 import (
@@ -18,14 +18,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
 	"strings"
 
 	"qaoaml/internal/core"
-	"qaoaml/internal/graph"
 	"qaoaml/internal/optimize"
+	"qaoaml/internal/problem"
 	"qaoaml/internal/qaoa"
 )
 
@@ -47,7 +48,23 @@ func main() {
 	}
 }
 
+// maxNodes is the widest graph the tool solves, as qaoad's default -max-nodes.
+const maxNodes = 20
+
 func run(file string, depth int, optName string, starts int, seed int64, tol float64, quiet bool, w io.Writer) error {
+	if depth < 1 {
+		return fmt.Errorf("depth %d < 1", depth)
+	}
+	if starts < 1 {
+		return fmt.Errorf("starts %d < 1", starts)
+	}
+	if !(tol > 0) || math.IsInf(tol, 1) {
+		return fmt.Errorf("tol %v: want a finite value > 0", tol)
+	}
+	opt, err := optimizerByName(optName, tol)
+	if err != nil {
+		return err
+	}
 	var in io.Reader = os.Stdin
 	if file != "-" {
 		f, err := os.Open(file)
@@ -57,23 +74,13 @@ func run(file string, depth int, optName string, starts int, seed int64, tol flo
 		defer f.Close()
 		in = f
 	}
-	g, err := parseEdgeList(in)
+	spec, err := parseEdgeList(in)
 	if err != nil {
 		return err
 	}
-	opt, err := optimizerByName(optName, tol)
+	pb, err := qaoa.New(spec)
 	if err != nil {
 		return err
-	}
-	pb, err := qaoa.NewProblem(g)
-	if err != nil {
-		return err
-	}
-	if depth < 1 {
-		return fmt.Errorf("depth %d < 1", depth)
-	}
-	if starts < 1 {
-		return fmt.Errorf("starts %d < 1", starts)
 	}
 
 	rng := rand.New(rand.NewSource(seed))
@@ -85,6 +92,7 @@ func run(file string, depth int, optName string, starts int, seed int64, tol flo
 	}
 	cut, assign := pb.BestSampled(rec.Params)
 
+	g := pb.Graph
 	if quiet {
 		fmt.Fprintf(w, "%0*b %g\n", g.N, assign, cut)
 		return nil
@@ -96,20 +104,16 @@ func run(file string, depth int, optName string, starts int, seed int64, tol flo
 	fmt.Fprintf(w, "expected cut ⟨C⟩: %.4f\n", pb.Expectation(rec.Params))
 	fmt.Fprintf(w, "approximation ratio: %.4f\n", rec.AR)
 	fmt.Fprintf(w, "assignment: %0*b → cut %g\n", g.N, assign, cut)
-	optV, optAssign := g.WeightedMaxCut()
-	fmt.Fprintf(w, "exact optimum (brute force): %0*b → cut %g\n", g.N, optAssign, optV)
+	_, _, optAssign := pb.Inst.BruteForce()
+	fmt.Fprintf(w, "exact optimum (brute force): %0*b → cut %g\n", g.N, optAssign, pb.OptValue)
 	return nil
 }
 
 // parseEdgeList reads "u v [weight]" lines, ignoring blanks and
-// '#'-comments, and returns a graph sized to the largest vertex id.
-func parseEdgeList(r io.Reader) (*graph.Graph, error) {
-	type edge struct {
-		u, v int
-		w    float64
-	}
-	var edges []edge
-	maxV := -1
+// '#'-comments, into a graph sized to the largest vertex id. It only
+// splits the lines; problem.Wire.Spec checks the graph as qaoad does.
+func parseEdgeList(r io.Reader) (problem.Spec, error) {
+	var wire problem.Wire
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {
@@ -123,50 +127,35 @@ func parseEdgeList(r io.Reader) (*graph.Graph, error) {
 		}
 		fields := strings.Fields(line)
 		if len(fields) != 2 && len(fields) != 3 {
-			return nil, fmt.Errorf("line %d: want 'u v [weight]', got %q", lineNo, line)
+			return problem.Spec{}, fmt.Errorf("line %d: want 'u v [weight]', got %q", lineNo, line)
 		}
-		u, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("line %d: bad vertex %q", lineNo, fields[0])
-		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("line %d: bad vertex %q", lineNo, fields[1])
-		}
-		if u < 0 || v < 0 {
-			return nil, fmt.Errorf("line %d: negative vertex id", lineNo)
+		var e [2]int
+		for i, f := range fields[:2] {
+			v, err := strconv.Atoi(f)
+			if err != nil || v < 0 || v >= maxNodes {
+				return problem.Spec{}, fmt.Errorf("line %d: bad vertex %q (ids run 0..%d)", lineNo, f, maxNodes-1)
+			}
+			e[i] = v
+			// A lone "0 0" still sizes two nodes, so it reports its self-loop.
+			wire.Nodes = max(wire.Nodes, v+1, 2)
 		}
 		wgt := 1.0
 		if len(fields) == 3 {
-			wgt, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: bad weight %q", lineNo, fields[2])
+			var err error
+			if wgt, err = strconv.ParseFloat(fields[2], 64); err != nil {
+				return problem.Spec{}, fmt.Errorf("line %d: bad weight %q", lineNo, fields[2])
 			}
 		}
-		edges = append(edges, edge{u, v, wgt})
-		if u > maxV {
-			maxV = u
-		}
-		if v > maxV {
-			maxV = v
-		}
+		wire.Edges = append(wire.Edges, e)
+		wire.Weights = append(wire.Weights, wgt)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return problem.Spec{}, err
 	}
-	if len(edges) == 0 {
-		return nil, fmt.Errorf("no edges in input")
+	if len(wire.Edges) == 0 {
+		return problem.Spec{}, fmt.Errorf("no edges in input")
 	}
-	if maxV+1 > 20 {
-		return nil, fmt.Errorf("graph has %d vertices; the exact simulator is limited to 20", maxV+1)
-	}
-	g := graph.New(maxV + 1)
-	for _, e := range edges {
-		if err := g.AddWeightedEdge(e.u, e.v, e.w); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
+	return wire.Spec(problem.FamilyMaxCut, maxNodes)
 }
 
 // optimizerByName maps a CLI name (optimize.ByName's, or an alias) to

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -15,10 +16,11 @@ func TestParseEdgeList(t *testing.T) {
 
 0 2   # inline comment
 `
-	g, err := parseEdgeList(strings.NewReader(in))
+	spec, err := parseEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := spec.Graph
 	if g.N != 3 || g.NumEdges() != 3 {
 		t.Fatalf("parsed n=%d m=%d", g.N, g.NumEdges())
 	}
@@ -38,6 +40,9 @@ func TestParseEdgeListErrors(t *testing.T) {
 		"self loop":       "1 1\n",
 		"duplicate":       "0 1\n1 0\n",
 		"too large":       "0 25\n",
+		"max int vertex":  "0 9223372036854775807\n",
+		"zero weight":     "0 1 0\n",
+		"weight overflow": "0 1 1e308\n1 2 1e308\n",
 	}
 	for name, in := range cases {
 		if _, err := parseEdgeList(strings.NewReader(in)); err == nil {
@@ -96,24 +101,33 @@ func TestRunQuiet(t *testing.T) {
 	}
 }
 
+// Every flag is checked before the input is read: the rows name a
+// missing file, and the error must be the flag's.
 func TestRunValidation(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/edge.txt"
-	if err := writeFile(path, "0 1\n"); err != nil {
-		t.Fatal(err)
+	missing := t.TempDir() + "/missing.txt"
+	cases := []struct {
+		name    string
+		depth   int
+		opt     string
+		starts  int
+		tol     float64
+		wantErr string
+	}{
+		{"depth 0", 0, "lbfgsb", 5, 1e-6, "depth"},
+		{"0 starts", 1, "lbfgsb", 0, 1e-6, "starts"},
+		{"unknown optimizer", 1, "nope", 5, 1e-6, "optimizer"},
+		{"negative tol", 1, "lbfgsb", 5, -1, "tol"},
+		{"zero tol", 1, "lbfgsb", 5, 0, "tol"},
+		{"NaN tol", 1, "lbfgsb", 5, math.NaN(), "tol"},
+		{"infinite tol", 1, "lbfgsb", 5, math.Inf(1), "tol"},
+		{"missing file", 1, "lbfgsb", 5, 1e-6, "missing.txt"},
 	}
-	var buf bytes.Buffer
-	if err := run(path, 0, "lbfgsb", 5, 1, 1e-6, false, &buf); err == nil {
-		t.Error("depth 0 accepted")
-	}
-	if err := run(path, 1, "lbfgsb", 0, 1, 1e-6, false, &buf); err == nil {
-		t.Error("0 starts accepted")
-	}
-	if err := run(path, 1, "nope", 5, 1, 1e-6, false, &buf); err == nil {
-		t.Error("unknown optimizer accepted")
-	}
-	if err := run(dir+"/missing.txt", 1, "lbfgsb", 5, 1, 1e-6, false, &buf); err == nil {
-		t.Error("missing file accepted")
+	for _, c := range cases {
+		var buf bytes.Buffer
+		err := run(missing, c.depth, c.opt, c.starts, 1, c.tol, false, &buf)
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.wantErr)
+		}
 	}
 }
 

@@ -24,13 +24,11 @@ import (
 func main() {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.RandomRegular(8, 3, rng)
-	maxCut, _ := g.WeightedMaxCut()
-	fmt.Printf("graph: 3-regular, 8 nodes, MaxCut = %g\n\n", maxCut)
-
 	pb, err := qaoa.NewProblem(g)
 	if err != nil {
 		panic(err)
 	}
+	fmt.Printf("graph: 3-regular, 8 nodes, MaxCut = %g\n\n", pb.OptValue)
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 
 	fmt.Println(" p  AR      γ schedule                β schedule")

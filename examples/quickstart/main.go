@@ -24,13 +24,14 @@ func main() {
 	// The problem: MaxCut on an Erdős–Rényi G(8, 0.5) graph.
 	g := graph.ErdosRenyiConnected(8, 0.5, rng)
 	fmt.Printf("graph: %v\n", g)
-	maxCut, _ := g.WeightedMaxCut()
-	fmt.Printf("exact MaxCut (brute force): %g of %d edges\n\n", maxCut, g.NumEdges())
 
+	// NewProblem finds the exact optimum by brute force: the denominator
+	// of every approximation ratio below.
 	pb, err := qaoa.NewProblem(g)
 	if err != nil {
 		panic(err)
 	}
+	fmt.Printf("exact MaxCut (brute force): %g of %d edges\n\n", pb.OptValue, g.NumEdges())
 
 	// A depth-2 QAOA circuit has 4 parameters (γ1, γ2, β1, β2). Solve
 	// runs L-BFGS-B from one random start with the adjoint gradient and

@@ -41,8 +41,8 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	optV, optAssign := g.WeightedMaxCut()
-	fmt.Printf("exact weighted MaxCut: %g at %06b\n\n", optV, optAssign)
+	_, _, optAssign := pb.Inst.BruteForce()
+	fmt.Printf("exact weighted MaxCut: %g at %06b\n\n", pb.OptValue, optAssign)
 
 	rng := rand.New(rand.NewSource(11))
 	opt := &optimize.LBFGSB{Tol: 1e-6}

@@ -10,9 +10,10 @@
 //     so repeat requests land on whichever worker owns (and has
 //     cached) the key — the result cache becomes a sharded tier;
 //   - Dispatcher: the coordinator side of the coordinator/worker
-//     split — a health-checked worker registry, per-worker cost
-//     budgets reusing the admission price, retry with backoff and
-//     re-dispatch on worker death, and end-to-end cancellation (a
+//     split — a health-checked worker registry, load bounded by each
+//     worker's own admission control (a busy worker's 429 moves the job
+//     on), retry with backoff and re-dispatch on worker death, and
+//     end-to-end cancellation (a
 //     client disconnect at the coordinator aborts the remote
 //     optimizer), with per-iteration trace events relayed back over
 //     SSE for /v1/jobs/{id}/events proxying.

@@ -78,7 +78,7 @@ func TestSaveLoadV2AllFamilies(t *testing.T) {
 
 // A weighted MaxCut dataset keeps its weights across Save and Load:
 // the same fingerprint, still weighted, the same weighted optimum.
-func TestSaveLoadWeightedMaxCut(t *testing.T) {
+func TestSaveLoadWeightedGraph(t *testing.T) {
 	g := graph.New(4)
 	for i, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}, {0, 2}} {
 		if err := g.AddWeightedEdge(e[0], e[1], 0.5+float64(i)); err != nil {

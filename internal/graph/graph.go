@@ -1,8 +1,8 @@
 // Package graph provides the undirected-graph substrate for the QAOA
 // MaxCut reproduction: graph construction, the random ensembles used by
-// the paper (Erdős–Rényi G(n, p) and random k-regular graphs), cut
-// evaluation, and exact brute-force MaxCut for the small (n = 8)
-// instances the paper studies. It replaces the NetworkX usage in the
+// the paper (Erdős–Rényi G(n, p) and random k-regular graphs) and cut
+// evaluation. The exact MaxCut optimum is problem.Instance.BruteForce's,
+// on the compiled instance. It replaces the NetworkX usage in the
 // original stack.
 package graph
 
@@ -154,28 +154,6 @@ func (g *Graph) WeightedCutValue(assign uint64) float64 {
 		}
 	}
 	return cut
-}
-
-// WeightedMaxCut solves weighted MaxCut exactly by enumerating all
-// 2^(N−1) bipartitions (vertex 0 is pinned to side 0, since
-// complementary assignments give the same cut) and returns the first
-// maximum. It panics for N > 30. For the paper's 8-node graphs this
-// enumerates 128 assignments.
-func (g *Graph) WeightedMaxCut() (value float64, assign uint64) {
-	if g.N > 30 {
-		panic("graph: WeightedMaxCut brute force limited to n <= 30")
-	}
-	var limit uint64 = 1
-	if g.N > 0 {
-		limit = 1 << uint(g.N-1)
-	}
-	value = math.Inf(-1)
-	for a := uint64(0); a < limit; a++ {
-		if v := g.WeightedCutValue(a); v > value {
-			value, assign = v, a
-		}
-	}
-	return value, assign
 }
 
 // WeightedCutTable returns the weighted cut value for all 2^N

@@ -92,32 +92,6 @@ func TestCutValue(t *testing.T) {
 	}
 }
 
-func TestMaxCutKnownGraphs(t *testing.T) {
-	cases := []struct {
-		name string
-		g    *Graph
-		want float64
-	}{
-		{"single edge", pathGraph(2), 1},
-		{"path4", pathGraph(4), 3},
-		{"triangle", cycleGraph(3), 2},
-		{"C4", cycleGraph(4), 4},
-		{"C5", cycleGraph(5), 4},
-		{"K4", complete(4), 4},
-		{"K5", complete(5), 6},
-		{"empty", New(5), 0},
-	}
-	for _, c := range cases {
-		v, assign := c.g.WeightedMaxCut()
-		if v != c.want {
-			t.Errorf("%s: MaxCut = %v, want %v", c.name, v, c.want)
-		}
-		if c.g.WeightedCutValue(assign) != v {
-			t.Errorf("%s: reported assignment does not achieve reported value", c.name)
-		}
-	}
-}
-
 // On unit weights the weighted cut table is the cut count.
 func TestCutTableMatchesCutValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -150,30 +124,6 @@ func TestCutComplementInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: MaxCut is at least half the edges (probabilistic bound holds
-// deterministically for the greedy/optimal cut) and at most all edges.
-func TestMaxCutBounds(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := ErdosRenyi(7, 0.4, rng)
-		mc, _ := g.WeightedMaxCut()
-		return 2*mc >= float64(g.NumEdges()) && mc <= float64(g.NumEdges())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMaxCutBipartiteIsAllEdges(t *testing.T) {
-	// Even cycles are bipartite: optimal cut severs every edge.
-	for _, n := range []int{4, 6, 8} {
-		g := cycleGraph(n)
-		if got, _ := g.WeightedMaxCut(); got != float64(n) {
-			t.Errorf("C%d MaxCut = %v, want %d", n, got, n)
-		}
 	}
 }
 

@@ -83,8 +83,7 @@ func Families() []string {
 	return []string{FamilyMaxCut, FamilyQUBO, FamilyMaxKSAT, FamilyPartition, FamilyPortfolio, FamilyColoring}
 }
 
-// BruteForceMaxQubits bounds the exhaustive ground-state scan, matching
-// graph.WeightedMaxCut's limit.
+// BruteForceMaxQubits bounds the exhaustive ground-state scan.
 const BruteForceMaxQubits = 30
 
 // Instance is a compiled diagonal Hamiltonian: the universal problem

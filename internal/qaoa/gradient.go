@@ -99,7 +99,7 @@ func (w *EvalWorkspace) valueGrad(gamma, beta, dGamma, dBeta []float64) float64 
 
 		// One pass per chunk takes Im⟨λ|H_γ|φ⟩ and un-applies the phase
 		// separator from both states (conjugated factors).
-		w.k.prepareFactors(w.factors, gamma[s], true)
+		quantum.PhaseFactors(w.factors, w.gens, gamma[s], true)
 		w.gamma = gamma[s]
 		dGamma[s] = -2 * quantum.ReduceChunks(w.st.Dim(), w.unphaseBody)
 	}

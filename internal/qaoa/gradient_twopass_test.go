@@ -87,7 +87,7 @@ func refValueGradTwoPass(w *EvalWorkspace, x, grad []float64) float64 {
 		})
 		dGamma[s] = -2 * gim
 
-		k.prepareFactors(w.factors, gamma[s], true)
+		quantum.PhaseFactors(w.factors, k.gens(), gamma[s], true)
 		quantum.ReduceChunks(dim, func(lo, hi int) float64 {
 			k.applyPhaseRange(st, w.factors, -gamma[s], lo, hi)
 			k.applyPhaseRange(adj, w.factors, -gamma[s], lo, hi)

@@ -142,7 +142,7 @@ type isingStreamKernel struct {
 	// terms). pairGen is what that flip adds to gen on top when the lower
 	// spin j of an in-chunk pair (j, t) is already down: −sense·2a,
 	// repeated (j, t) terms summed, zero sums dropped — CSR by t, j
-	// ascending. A stage prepares one rotation per entry (prepareFactors).
+	// ascending. A stage prepares one rotation per entry (gens).
 	lowFlip   []float64
 	pairStart []int32
 	pairLow   []int32
@@ -493,7 +493,7 @@ func (k *isingStreamKernel) fillGen(lo, hi int, gen []float64) {
 
 // fillPhase writes the phase factors g[z] = e^{i·scale·gen(z)} of the
 // chunk based at lo. Float path only; w holds e^{i·scale·pairGen[e]}
-// (prepareFactors) and f is scratch of half the chunk.
+// (gens) and f is scratch of half the chunk.
 //
 // With the high bits frozen gen is a quadratic form in the chunk's low
 // bits, so setting bit t on top of a pattern r < 2^t adds
@@ -541,24 +541,16 @@ func (k *isingStreamKernel) qubits() int { return k.n }
 
 func (k *isingStreamKernel) mirror() bool { return k.half }
 
-// factorGens are the generators whose rotations a stage prepares once:
-// the distinct values of gen (integer path), or the low-low pair steps
-// fillPhase doubles with (float path).
-func (k *isingStreamKernel) factorGens() []float64 {
+// gens are the generators whose rotations a stage prepares once: on
+// the integer path the distinct values of gen, whose factor table
+// exp(iγ·gen(T)) holds exactly the genFromT doubles the gradient's
+// matrix elements read; on the float path the low-low pair steps
+// every chunk's fillPhase doubles with.
+func (k *isingStreamKernel) gens() []float64 {
 	if k.integer {
 		return k.genTab
 	}
 	return k.pairGen
-}
-
-func (k *isingStreamKernel) factorLen() int { return len(k.factorGens()) }
-
-// prepareFactors fills, on the integer path, the per-distinct-T phase
-// factor table exp(iγ·gen(T)) from genTab — exactly the genFromT doubles
-// the gradient's matrix elements read — and on the float path the pair
-// rotations exp(iγ·pairGen) every chunk's fillPhase shares.
-func (k *isingStreamKernel) prepareFactors(factors []complex128, gamma float64, conj bool) {
-	quantum.PhaseFactors(factors, k.factorGens(), gamma, conj)
 }
 
 func (k *isingStreamKernel) applyPhaseRange(st *quantum.State, factors []complex128, gamma float64, lo, hi int) {

@@ -11,6 +11,7 @@ import (
 
 	"qaoaml/internal/graph"
 	"qaoaml/internal/problem"
+	"qaoaml/internal/quantum"
 )
 
 func testParams(p int) Params {
@@ -342,7 +343,7 @@ func TestFloatPhaseDoublingMatchesSincos(t *testing.T) {
 					continue
 				}
 				clen := 1 << uint(k.cb)
-				gen, old, w := make([]float64, clen), make([]float64, clen), make([]complex128, k.factorLen())
+				gen, old, w := make([]float64, clen), make([]float64, clen), make([]complex128, len(k.gens()))
 				g, f := new(streamScratch).phaseBuf(clen)
 				for lo := 0; lo < 1<<uint(k.n); lo += clen {
 					for z := range gen {
@@ -351,7 +352,7 @@ func TestFloatPhaseDoublingMatchesSincos(t *testing.T) {
 					k.fillGen(lo, lo+clen, old)
 					for _, s := range []float64{0, gamma, -gamma, 2 * math.Pi, 1e3} {
 						tol := c * eps * (float64(k.cb*k.cb) + math.Abs(s)*span)
-						k.prepareFactors(w, math.Abs(s), s < 0)
+						quantum.PhaseFactors(w, k.gens(), math.Abs(s), s < 0)
 						k.fillPhase(lo, s, w, g, f)
 						for z, h := range gen {
 							want := expi(s * h)

@@ -83,20 +83,18 @@ type costKernel interface {
 	// X⊗n-symmetric problem (no linear terms), to be evolved as a half
 	// register.
 	mirror() bool
-	// factorLen returns the length of the per-workspace factor scratch
-	// the kernel wants.
-	factorLen() int
-	// prepareFactors fills the factor scratch — the stage's rotations
-	// that every chunk shares — for stage angle gamma (conjugated to
-	// un-apply). Called once per stage, before the chunked phase
-	// application.
-	prepareFactors(factors []complex128, gamma float64, conj bool)
+	// gens returns the generators of the stage's rotations that every
+	// chunk shares: once per stage, before the chunked phase
+	// application, the workspace fills its factor scratch with
+	// quantum.PhaseFactors(factors, gens, gamma, conj) (conjugated to
+	// un-apply). The workspace reads them once, when it is built.
+	gens() []float64
 	// Every per-chunk method takes a range [lo, hi) of the fixed chunk
 	// geometry: the passed States' amplitudes and the basis states whose
 	// costs the kernel reads or streams.
 
 	// applyPhaseRange applies the phase separator to st over one chunk.
-	// gamma is the angle the factors rotate by — the prepareFactors
+	// gamma is the angle the factors rotate by — the PhaseFactors
 	// argument, negated where they were conjugated — for kernels that
 	// build per-chunk phases on top of them.
 	applyPhaseRange(st *quantum.State, factors []complex128, gamma float64, lo, hi int)
@@ -189,13 +187,9 @@ func (pb *Problem) kernel() costKernel {
 }
 
 // costKernel implementation for the materialized-table path.
-func (k *diagKernel) qubits() int    { return k.n }
-func (k *diagKernel) mirror() bool   { return k.half }
-func (k *diagKernel) factorLen() int { return len(k.halfAngles) }
-
-func (k *diagKernel) prepareFactors(factors []complex128, gamma float64, conj bool) {
-	quantum.PhaseFactors(factors, k.halfAngles, gamma, conj)
-}
+func (k *diagKernel) qubits() int     { return k.n }
+func (k *diagKernel) mirror() bool    { return k.half }
+func (k *diagKernel) gens() []float64 { return k.halfAngles }
 
 func (k *diagKernel) applyPhaseRange(st *quantum.State, factors []complex128, _ float64, lo, hi int) {
 	st.MulDiagonalIndexedRange(lo, k.idx[lo:hi], factors)
@@ -229,6 +223,7 @@ type EvalWorkspace struct {
 	st      *quantum.State
 	layer   *quantum.LayerRunner
 	factors []complex128
+	gens    []float64 // k.gens(): a stage's factors rotate these
 
 	// Stage angle for the phase closures, written between dispatches
 	// (the dispatch orders it before any worker reads).
@@ -276,11 +271,13 @@ func (pb *Problem) NewWorkspaceArena(a *Arena) *EvalWorkspace {
 
 func newWorkspace(k costKernel, a *Arena) *EvalWorkspace {
 	st := a.get(k.qubits())
+	gens := k.gens()
 	w := &EvalWorkspace{
 		k:       k,
 		st:      st,
 		layer:   quantum.NewLayerRunner(st),
-		factors: make([]complex128, k.factorLen()),
+		factors: make([]complex128, len(gens)),
+		gens:    gens,
 		arena:   a,
 	}
 	w.layer.SetMirror(k.mirror())
@@ -329,7 +326,7 @@ func (w *EvalWorkspace) runLayers(gamma, beta []float64) {
 		w.st.FillUniform()
 	}
 	for s := range gamma {
-		w.k.prepareFactors(w.factors, gamma[s], false)
+		quantum.PhaseFactors(w.factors, w.gens, gamma[s], false)
 		w.gamma = gamma[s]
 		w.layer.Layer(2*beta[s], s == 0, w.phaseBody)
 	}
