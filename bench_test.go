@@ -179,7 +179,7 @@ func BenchmarkPhaseSeparatorDiagonal(b *testing.B) {
 func BenchmarkPhaseSeparatorGates(b *testing.B) {
 	pb := benchProblem(b)
 	pr := qaoa.Params{Gamma: []float64{0.4, 0.7, 0.9}, Beta: []float64{0.5, 0.3, 0.2}}
-	table := pb.Graph.WeightedCutTable()
+	table := pb.Spec.Graph.WeightedCutTable()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -15,6 +15,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -92,7 +93,7 @@ func run(file string, depth int, optName string, starts int, seed int64, tol flo
 	}
 	cut, assign := pb.BestSampled(rec.Params)
 
-	g := pb.Graph
+	g := pb.Spec.Graph
 	if quiet {
 		fmt.Fprintf(w, "%0*b %g\n", g.N, assign, cut)
 		return nil
@@ -111,9 +112,11 @@ func run(file string, depth int, optName string, starts int, seed int64, tol flo
 
 // parseEdgeList reads "u v [weight]" lines, ignoring blanks and
 // '#'-comments, into a graph sized to the largest vertex id. It only
-// splits the lines; problem.Wire.Spec checks the graph as qaoad does.
+// splits the lines; problem.Wire.Spec checks the graph as qaoad does,
+// and an edge it rejects is reported by its input line.
 func parseEdgeList(r io.Reader) (problem.Spec, error) {
 	var wire problem.Wire
+	var lines []int // lines[i] is the input line of wire.Edges[i]
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {
@@ -148,6 +151,7 @@ func parseEdgeList(r io.Reader) (problem.Spec, error) {
 		}
 		wire.Edges = append(wire.Edges, e)
 		wire.Weights = append(wire.Weights, wgt)
+		lines = append(lines, lineNo)
 	}
 	if err := sc.Err(); err != nil {
 		return problem.Spec{}, err
@@ -155,7 +159,12 @@ func parseEdgeList(r io.Reader) (problem.Spec, error) {
 	if len(wire.Edges) == 0 {
 		return problem.Spec{}, fmt.Errorf("no edges in input")
 	}
-	return wire.Spec(problem.FamilyMaxCut, maxNodes)
+	spec, err := wire.Spec(problem.FamilyMaxCut, maxNodes)
+	var ee *problem.EdgeError
+	if errors.As(err, &ee) {
+		return problem.Spec{}, fmt.Errorf("line %d: %w", lines[ee.Index], ee.Err)
+	}
+	return spec, err
 }
 
 // optimizerByName maps a CLI name (optimize.ByName's, or an alias) to

@@ -30,23 +30,31 @@ func TestParseEdgeList(t *testing.T) {
 }
 
 func TestParseEdgeListErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":           "",
-		"only comments":   "# nothing\n",
-		"bad fields":      "0 1 2 3\n",
-		"bad vertex":      "a 1\n",
-		"bad weight":      "0 1 x\n",
-		"negative vertex": "-1 2\n",
-		"self loop":       "1 1\n",
-		"duplicate":       "0 1\n1 0\n",
-		"too large":       "0 25\n",
-		"max int vertex":  "0 9223372036854775807\n",
-		"zero weight":     "0 1 0\n",
-		"weight overflow": "0 1 1e308\n1 2 1e308\n",
+	// want, where set, is what the error must name: an edge the graph
+	// rejects is reported by its input line, not its index.
+	cases := map[string]struct{ in, want string }{
+		"empty":              {in: ""},
+		"only comments":      {in: "# nothing\n"},
+		"bad fields":         {in: "0 1 2 3\n"},
+		"bad vertex":         {in: "a 1\n"},
+		"bad weight":         {in: "0 1 x\n"},
+		"negative vertex":    {in: "-1 2\n"},
+		"self loop":          {in: "1 1\n"},
+		"duplicate":          {in: "0 1\n1 0\n"},
+		"too large":          {in: "0 25\n"},
+		"max int vertex":     {in: "0 9223372036854775807\n"},
+		"zero weight":        {in: "0 1 0\n"},
+		"weight overflow":    {in: "0 1 1e308\n1 2 1e308\n"},
+		"duplicate, comment": {in: "# c\n0 1\n1 0\n", want: "line 3: "},
+		"self loop, blanks":  {in: "0 1\n\n# x\n1 1\n", want: "line 4: "},
+		"zero weight line":   {in: "0 1\n1 2 0\n", want: "line 2: "},
 	}
-	for name, in := range cases {
-		if _, err := parseEdgeList(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted %q", name, in)
+	for name, c := range cases {
+		_, err := parseEdgeList(strings.NewReader(c.in))
+		if err == nil {
+			t.Errorf("%s: accepted %q", name, c.in)
+		} else if !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: %q gives %q, want it to start with %q", name, c.in, err, c.want)
 		}
 	}
 }

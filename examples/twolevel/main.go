@@ -49,7 +49,7 @@ func main() {
 
 	// Evaluate on one unseen graph.
 	pb := data.Problems[test[0]]
-	fmt.Printf("test graph: %v\n\n", pb.Graph)
+	fmt.Printf("test graph: %v\n\n", pb.Spec.Graph)
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	rng := rand.New(rand.NewSource(99))
 

@@ -385,6 +385,47 @@ func TestDatasetP1Correlation(t *testing.T) {
 	}
 }
 
+// Every p = 1 target sits in one fundamental domain, even-degree graphs
+// included: at seed 1 the paper's recipe draws graph 44 with every
+// degree even, whose optimum γ1 + π is as good, and folded it lies with
+// the rest.
+func TestDatasetP1TargetsFolded(t *testing.T) {
+	data, err := GenerateCtx(context.Background(), DataGenConfig{
+		NumGraphs: 45, Nodes: 8, EdgeProb: 0.5, MaxDepth: 1, Starts: 20, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	even := 0
+	var g1, b1 []float64
+	for g, pb := range data.Problems {
+		deg := make([]int, pb.Inst.N)
+		for _, e := range pb.Spec.Graph.Edges() {
+			deg[e.U]++
+			deg[e.V]++
+		}
+		allEven := true
+		for _, d := range deg {
+			allEven = allEven && d%2 == 0
+		}
+		if allEven {
+			even++
+		}
+		p1 := data.Record(g, 1).Params
+		g1 = append(g1, p1.Gamma[0])
+		b1 = append(b1, p1.Beta[0])
+	}
+	if even == 0 {
+		t.Fatal("no graph with every degree even: the dataset checks nothing")
+	}
+	mg, mb := stats.Median(g1), stats.Median(b1)
+	for g := range g1 {
+		if math.Abs(g1[g]-mg) > 0.5 || math.Abs(b1[g]-mb) > 0.5 {
+			t.Errorf("graph %d: p = 1 target (%.3f, %.3f) is more than 0.5 rad from the median (%.3f, %.3f)", g, g1[g], b1[g], mg, mb)
+		}
+	}
+}
+
 // Seeds replace random starts one-for-one, keeping the total start
 // count (and thus the FC accounting) unchanged.
 func TestOptimizeDepthSeedAccounting(t *testing.T) {

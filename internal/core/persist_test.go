@@ -24,7 +24,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("config mismatch: %+v vs %+v", loaded.Config, data.Config)
 	}
 	for g := range data.Problems {
-		if loaded.Problems[g].Graph.String() != data.Problems[g].Graph.String() {
+		if loaded.Problems[g].Spec.Graph.String() != data.Problems[g].Spec.Graph.String() {
 			t.Fatalf("graph %d differs after round trip", g)
 		}
 		if loaded.Problems[g].OptValue != data.Problems[g].OptValue {

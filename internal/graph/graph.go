@@ -78,17 +78,6 @@ func (g *Graph) Weighted() bool {
 	return false
 }
 
-// IntegerWeighted reports whether every edge weight is an integer
-// (relevant for the 2π-periodicity of QAOA phase separators).
-func (g *Graph) IntegerWeighted() bool {
-	for _, w := range g.weights {
-		if w != math.Trunc(w) {
-			return false
-		}
-	}
-	return true
-}
-
 // Weights returns a copy of the edge weights in Edges() order.
 func (g *Graph) Weights() []float64 {
 	return append([]float64(nil), g.weights...)
@@ -118,9 +107,6 @@ func (g *Graph) Edges() []Edge {
 
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
-
-// Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
 // Connected reports whether the graph is connected (true for n ≤ 1).
 func (g *Graph) Connected() bool {

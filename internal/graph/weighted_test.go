@@ -16,9 +16,6 @@ func TestAddWeightedEdge(t *testing.T) {
 	if !g.Weighted() {
 		t.Error("graph with weight 2.5 not reported weighted")
 	}
-	if g.IntegerWeighted() {
-		t.Error("2.5 reported as integer weight")
-	}
 	if got := g.Weights(); len(got) != 1 || got[0] != 2.5 {
 		t.Errorf("Weights = %v", got)
 	}
@@ -40,9 +37,6 @@ func TestUnweightedDefaults(t *testing.T) {
 	g := pathGraph(3)
 	if g.Weighted() {
 		t.Error("unit-weight graph reported weighted")
-	}
-	if !g.IntegerWeighted() {
-		t.Error("unit weights not integer")
 	}
 	if g.TotalWeight() != 2 {
 		t.Errorf("TotalWeight = %v, want 2", g.TotalWeight())

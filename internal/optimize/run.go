@@ -55,7 +55,6 @@ func Run(ctx context.Context, p Problem, opts Options) Result {
 		opt = &LBFGSB{}
 	}
 	rec := telemetry.OrNop(opts.Recorder)
-	_, quiet := rec.(telemetry.Nop)
 	start := time.Now()
 	var res Result
 	if err := ctx.Err(); err != nil {
@@ -68,7 +67,7 @@ func Run(ctx context.Context, p Problem, opts Options) Result {
 	} else {
 		res = opt.run(&runEnv{
 			f: p.F, grad: p.Grad, x0: p.X0, bounds: p.Bounds,
-			ctx: ctx, rec: rec, quiet: quiet, name: opt.Name(),
+			ctx: ctx, rec: rec, quiet: quietRecorder(rec), name: opt.Name(),
 		})
 	}
 	rec.Count("optimize.runs", 1)
@@ -91,8 +90,20 @@ type runEnv struct {
 	bounds *Bounds
 	ctx    context.Context
 	rec    telemetry.Recorder
-	quiet  bool   // rec is telemetry.Nop: no event is read
+	quiet  bool   // rec reads no iteration event (quietRecorder)
 	name   string // Source for emitted events
+}
+
+// quietRecorder reports whether rec reads no iteration event, so a run
+// need not compute what only an event carries: Nop drops events and
+// Memory keeps only counters, histograms and spans. A Tee is never
+// quiet, whatever its primary.
+func quietRecorder(rec telemetry.Recorder) bool {
+	switch rec.(type) {
+	case telemetry.Nop, *telemetry.Memory:
+		return true
+	}
+	return false
 }
 
 // stop reports whether the context is done; when it is, *msg is set to

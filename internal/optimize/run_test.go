@@ -260,3 +260,38 @@ func TestRunWithBatchIsBitIdenticalToSerial(t *testing.T) {
 		}
 	}
 }
+
+// Nelder–Mead computes the simplex diameter for a recorder only when
+// the recorder reads iteration events: Nop and Memory do not, a Tee
+// does. Skipping it changes nothing a run returns.
+func TestQuietRecorder(t *testing.T) {
+	mem := telemetry.NewMemory()
+	for _, c := range []struct {
+		name  string
+		rec   telemetry.Recorder
+		quiet bool
+	}{
+		{"nop", telemetry.Nop{}, true},
+		{"memory", mem, true},
+		{"tee", telemetry.Tee(mem, func(telemetry.IterEvent) {}), false},
+	} {
+		if got := quietRecorder(c.rec); got != c.quiet {
+			t.Errorf("%s: quietRecorder = %v, want %v", c.name, got, c.quiet)
+		}
+	}
+	run := func(rec telemetry.Recorder) Result {
+		return Run(context.Background(), Problem{F: rosenbrock, X0: []float64{-1.2, 1}, Bounds: uniformBounds(2, -2, 2)},
+			Options{Optimizer: &NelderMead{Tol: 1e-8}, Recorder: rec})
+	}
+	want := run(telemetry.Nop{})
+	for _, rec := range []telemetry.Recorder{mem, telemetry.Tee(mem, func(telemetry.IterEvent) {})} {
+		got := run(rec)
+		same := reflect.DeepEqual(got, want) && math.Float64bits(got.F) == math.Float64bits(want.F)
+		for i := range got.X {
+			same = same && math.Float64bits(got.X[i]) == math.Float64bits(want.X[i])
+		}
+		if !same {
+			t.Errorf("%T run returned %+v, the Nop run %+v", rec, got, want)
+		}
+	}
+}

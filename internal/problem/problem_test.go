@@ -343,6 +343,27 @@ func TestIntegerCoeffs(t *testing.T) {
 	if in.IntegerCoeffs() {
 		t.Fatal("0.3 coupling wrongly qualified")
 	}
+	// A MaxCut instance qualifies exactly when every edge weight is an
+	// integer: J = −w/2.
+	for _, c := range []struct {
+		w    float64
+		want bool
+	}{{1, true}, {2, true}, {-3, true}, {2.5, false}} {
+		g := graph.New(3)
+		if err := g.AddWeightedEdge(0, 1, c.w); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AddEdge(1, 2); err != nil {
+			t.Fatal(err)
+		}
+		in, err := CompileMaxCut(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.IntegerCoeffs() != c.want {
+			t.Errorf("maxcut with weight %v: IntegerCoeffs = %v, want %v", c.w, !c.want, c.want)
+		}
+	}
 }
 
 func TestValidateRejects(t *testing.T) {

@@ -188,6 +188,16 @@ func (w Wire) Spec(family string, maxQubits int) (Spec, error) {
 	return s, nil
 }
 
+// EdgeError is an edge the graph rejects: a self-loop, a duplicate or a
+// bad weight. Index is its position in Wire.Edges, so a caller that read
+// the edges from lines can name the line.
+type EdgeError struct {
+	Index int
+	Err   error
+}
+
+func (e *EdgeError) Error() string { return fmt.Sprintf("edge %d: %v", e.Index, e.Err) }
+
 // buildGraph builds the nodes/edges/weights graph maxcut and coloring share.
 func (w Wire) buildGraph(maxQubits int) (*graph.Graph, error) {
 	if w.Nodes < 2 || w.Nodes > maxQubits {
@@ -210,7 +220,7 @@ func (w Wire) buildGraph(maxQubits int) (*graph.Graph, error) {
 			wt = w.Weights[i]
 		}
 		if err := g.AddWeightedEdge(e[0], e[1], wt); err != nil {
-			return nil, fmt.Errorf("edge %d: %v", i, err)
+			return nil, &EdgeError{Index: i, Err: err}
 		}
 		total += math.Abs(wt)
 	}

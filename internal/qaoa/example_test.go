@@ -36,11 +36,21 @@ func ExampleInterpolate() {
 }
 
 // Canonicalize folds symmetric copies of an optimum into one
-// representative (here: β shifted by the π/2 mixer period).
-func ExampleCanonicalize() {
-	a := qaoa.Params{Gamma: []float64{1.1}, Beta: []float64{0.3}}
-	b := qaoa.Params{Gamma: []float64{1.1}, Beta: []float64{0.3 + math.Pi/2}}
-	ca, cb := qaoa.Canonicalize(a), qaoa.Canonicalize(b)
-	fmt.Printf("%.3f %.3f\n", ca.Beta[0], cb.Beta[0])
-	// Output: 0.300 0.300
+// representative. Every vertex of an even cycle has even degree, so
+// shifting γ by π is a symmetry on its own, as is shifting β by the π/2
+// mixer period.
+func ExampleProblem_Canonicalize() {
+	g := graph.New(4)
+	for v := 0; v < 4; v++ {
+		_ = g.AddEdge(v, (v+1)%4)
+	}
+	pb, _ := qaoa.NewProblem(g)
+	a := qaoa.Params{Gamma: []float64{0.4}, Beta: []float64{0.3}}
+	b := qaoa.Params{Gamma: []float64{0.4 + math.Pi}, Beta: []float64{0.3 + math.Pi/2}}
+	ca, cb := pb.Canonicalize(a), pb.Canonicalize(b)
+	fmt.Printf("γ %.3f %.3f, β %.3f %.3f\n", ca.Gamma[0], cb.Gamma[0], ca.Beta[0], cb.Beta[0])
+	fmt.Printf("<C> %.4f %.4f\n", pb.Expectation(a), pb.Expectation(b))
+	// Output:
+	// γ 0.400 0.400, β 0.300 0.300
+	// <C> 2.6686 2.6686
 }

@@ -36,8 +36,8 @@ func fullRegisterKernel(in *problem.Instance) costKernel { return newIsingKernel
 // term by the problem package, the graph's own cut table for MaxCut —
 // no code shared with the kernels' tables.
 func scoreTable(pb *Problem) []float64 {
-	if pb.Graph != nil {
-		return pb.Graph.WeightedCutTable()
+	if pb.Spec.Family == problem.FamilyMaxCut {
+		return pb.Spec.Graph.WeightedCutTable()
 	}
 	table := make([]float64, 1<<uint(pb.Inst.N))
 	for z := range table {

@@ -102,14 +102,10 @@ func (pr Params) Validate(checkDomain bool) error {
 // amplitudes (workspace.go), so an n = 20 MaxCut workspace is an 8 MiB
 // state and nothing else.
 type Problem struct {
-	Spec problem.Spec
-	Inst *problem.Instance // the compiled Hamiltonian; always set
-	// Graph is what a MaxCut problem was built from, nil for every other
-	// family. It selects MaxCut's two family policies (ratioOf,
-	// Canonicalize) and nothing about evaluation.
-	Graph    *graph.Graph
-	OptValue float64 // exact best Score; for MaxCut the optimum's directly summed cut weight
-	MinScore float64 // exact worst Score, the floor of the normalized-score ratio
+	Spec     problem.Spec
+	Inst     *problem.Instance // the compiled Hamiltonian; always set
+	OptValue float64           // exact best Score; for MaxCut the optimum's directly summed cut weight
+	MinScore float64           // exact worst Score, the floor of the normalized-score ratio
 
 	// The evaluation kernel (workspace.go), built on first use.
 	kernOnce sync.Once
@@ -137,7 +133,6 @@ func New(spec problem.Spec) (*Problem, error) {
 	sign := in.Sense.Sign()
 	pb := &Problem{Spec: spec, Inst: in, OptValue: sign * opt, MinScore: sign * worst}
 	if spec.Family == problem.FamilyMaxCut {
-		pb.Graph = spec.Graph
 		pb.OptValue = spec.Graph.WeightedCutValue(arg)
 		if pb.OptValue <= 0 {
 			return nil, fmt.Errorf("qaoa: MaxCut optimum %v is not positive; approximation ratio undefined", pb.OptValue)
@@ -221,7 +216,7 @@ func (pb *Problem) ApproximationRatio(pr Params) float64 {
 // Evaluator.ApproximationRatio, so both report bit-identical ratios for
 // the same expectation value.
 func (pb *Problem) ratioOf(e float64) float64 {
-	if pb.Graph != nil {
+	if pb.Spec.Family == problem.FamilyMaxCut {
 		return e / pb.OptValue
 	}
 	return pb.NormalizedScore(e)
