@@ -109,30 +109,38 @@ func TestRunQuiet(t *testing.T) {
 	}
 }
 
-// Every flag is checked before the input is read: the rows name a
-// missing file, and the error must be the flag's.
+// Every flag is checked before the input is read: those rows name a
+// missing file, and the error must be the flag's. A graph that parses
+// but has no MaxCut ratio is refused by its compiler.
 func TestRunValidation(t *testing.T) {
-	missing := t.TempDir() + "/missing.txt"
+	dir := t.TempDir()
+	missing := dir + "/missing.txt"
+	negative := dir + "/negative.txt"
+	if err := writeFile(negative, "0 1 -1\n1 2 -2\n"); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
+		file    string
 		depth   int
 		opt     string
 		starts  int
 		tol     float64
 		wantErr string
 	}{
-		{"depth 0", 0, "lbfgsb", 5, 1e-6, "depth"},
-		{"0 starts", 1, "lbfgsb", 0, 1e-6, "starts"},
-		{"unknown optimizer", 1, "nope", 5, 1e-6, "optimizer"},
-		{"negative tol", 1, "lbfgsb", 5, -1, "tol"},
-		{"zero tol", 1, "lbfgsb", 5, 0, "tol"},
-		{"NaN tol", 1, "lbfgsb", 5, math.NaN(), "tol"},
-		{"infinite tol", 1, "lbfgsb", 5, math.Inf(1), "tol"},
-		{"missing file", 1, "lbfgsb", 5, 1e-6, "missing.txt"},
+		{"depth 0", missing, 0, "lbfgsb", 5, 1e-6, "depth"},
+		{"0 starts", missing, 1, "lbfgsb", 0, 1e-6, "starts"},
+		{"unknown optimizer", missing, 1, "nope", 5, 1e-6, "optimizer"},
+		{"negative tol", missing, 1, "lbfgsb", 5, -1, "tol"},
+		{"zero tol", missing, 1, "lbfgsb", 5, 0, "tol"},
+		{"NaN tol", missing, 1, "lbfgsb", 5, math.NaN(), "tol"},
+		{"infinite tol", missing, 1, "lbfgsb", 5, math.Inf(1), "tol"},
+		{"missing file", missing, 1, "lbfgsb", 5, 1e-6, "missing.txt"},
+		{"no positive weight", negative, 1, "lbfgsb", 5, 1e-6, "no positive edge weight"},
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
-		err := run(missing, c.depth, c.opt, c.starts, 1, c.tol, false, &buf)
+		err := run(c.file, c.depth, c.opt, c.starts, 1, c.tol, false, &buf)
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.wantErr)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"qaoaml/internal/graph"
 )
@@ -26,6 +27,11 @@ func CompileMaxCut(g *graph.Graph) (*Instance, error) {
 	}
 	edges := g.Edges()
 	weights := g.Weights()
+	// The ratio ⟨C⟩/C_opt needs a positive optimum; a mixed-sign graph
+	// can still lack one, and qaoa.New refuses it there.
+	if !slices.ContainsFunc(weights, func(w float64) bool { return w > 0 }) {
+		return nil, fmt.Errorf("problem: graph with no positive edge weight has no positive cut")
+	}
 	in := &Instance{
 		Family: FamilyMaxCut,
 		Sense:  Maximize,

@@ -49,6 +49,28 @@ func TestMaxCutCompilerGroundState(t *testing.T) {
 	}
 }
 
+// A graph the ratio ⟨C⟩/C_opt is undefined on is refused by its compiler.
+func TestCompileMaxCutRejects(t *testing.T) {
+	negative := graph.New(3)
+	for _, e := range [][2]int{{0, 1}, {1, 2}} {
+		if err := negative.AddWeightedEdge(e[0], e[1], -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := map[string]struct {
+		g    *graph.Graph
+		want string
+	}{
+		"no edges":           {graph.New(3), "problem: graph with no edges has no MaxCut objective"},
+		"no positive weight": {negative, "problem: graph with no positive edge weight has no positive cut"},
+	}
+	for name, c := range cases {
+		if _, err := CompileMaxCut(c.g); err == nil || err.Error() != c.want {
+			t.Errorf("%s: %v, want %q", name, err, c.want)
+		}
+	}
+}
+
 func TestPartitionCompilerGroundState(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 4; trial++ {
@@ -288,9 +310,12 @@ func TestSpecCompileAndFingerprint(t *testing.T) {
 		if err := in.Validate(); err != nil {
 			t.Fatalf("%s: invalid instance: %v", family, err)
 		}
-		qb, err := spec.Qubits()
-		if err != nil || qb != in.N {
-			t.Fatalf("%s: Qubits() = (%d, %v), instance has %d", family, qb, err, in.N)
+		switch family {
+		case FamilyPartition, FamilyPortfolio, FamilyColoring:
+			qb, err := spec.Qubits()
+			if err != nil || qb != in.N {
+				t.Fatalf("%s: Qubits() = (%d, %v), instance has %d", family, qb, err, in.N)
+			}
 		}
 		fp, err := spec.Fingerprint()
 		if err != nil || fp == "" {

@@ -85,18 +85,13 @@ func (s Spec) Compile() (*Instance, error) {
 	return nil, fmt.Errorf("problem: unknown family %q (want one of %v)", s.Family, Families())
 }
 
-// Qubits returns the compiled register width without keeping the
-// instance (coloring uses n·k qubits, maxksat adds auxiliaries). For
-// maxcut, partition, portfolio and coloring it is arithmetic on the
-// payload — no coupling is built — and a payload too small to compile
-// fails with Compile's error; qubo and maxksat compile.
+// Qubits returns the compiled register width of a partition, portfolio
+// or coloring spec (coloring uses n·k qubits) by arithmetic on the
+// payload, so a width cap is checked before any coupling is built; a
+// payload too small to compile fails with Compile's error. Every other
+// family's width is known only once compiled (maxksat adds auxiliaries).
 func (s Spec) Qubits() (int, error) {
 	switch s.Family {
-	case FamilyMaxCut:
-		if s.Graph == nil {
-			return 0, fmt.Errorf("problem: maxcut spec has no graph")
-		}
-		return s.Graph.N, nil
 	case FamilyPartition:
 		if len(s.Numbers) < 2 {
 			return 0, errPartitionSize
@@ -124,11 +119,7 @@ func (s Spec) Qubits() (int, error) {
 		}
 		return s.Graph.N * s.Colors, nil
 	}
-	in, err := s.Compile()
-	if err != nil {
-		return 0, err
-	}
-	return in.N, nil
+	return 0, fmt.Errorf("problem: %s width is known only once compiled", s.Family)
 }
 
 // Fingerprint returns the canonical cache identity of the spec. MaxCut

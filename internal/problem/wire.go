@@ -110,11 +110,12 @@ func (w Wire) foreignField(allowed map[string]bool) string {
 // Spec decodes the payload as an instance of family whose register may
 // be at most maxQubits wide. The checks run in a fixed order, so a
 // payload with several faults always reports the same one: the family,
-// a field another family reads, the graph (maxcut, coloring), the
-// family's own rules, and — for coloring, partition and portfolio, whose
-// width is arithmetic — the register width, before any coupling exists.
-// The width of a qubo or maxksat instance is known only once compiled;
-// the caller compiles and checks it (CheckWidth). The Spec shares the
+// a field another family reads, the graph (maxcut, coloring; its node
+// count is maxcut's width), the family's own rules, and — for coloring,
+// partition and portfolio, whose width is arithmetic (Spec.Qubits) —
+// the register width, before any coupling exists. The width of a qubo
+// or maxksat instance is known only once compiled; the caller compiles
+// every family and checks that width (CheckWidth). The Spec shares the
 // payload's slices.
 func (w Wire) Spec(family string, maxQubits int) (Spec, error) {
 	allowed, ok := wireFields[family]
@@ -224,8 +225,7 @@ func (w Wire) buildGraph(maxQubits int) (*graph.Graph, error) {
 		}
 		total += math.Abs(wt)
 	}
-	// MaxCut is not compiled until it is solved, and a cut is a sum of
-	// weights: each finite is not enough.
+	// A cut is a sum of weights: each finite is not enough.
 	if math.IsInf(total, 0) {
 		return nil, fmt.Errorf("edge weights overflow: Σ|w| is not finite")
 	}

@@ -86,10 +86,14 @@ func FuzzWire(f *testing.F) {
 		}
 		arithmetic := req.Problem != FamilyQUBO && req.Problem != FamilyMaxKSAT
 		qubits := 0
-		if arithmetic {
-			if qubits, err = spec.Qubits(); err != nil || qubits < 2 || qubits > fuzzWireMaxQubits {
-				t.Fatalf("%s passed the cap of %d at width %d (%v)", req.Problem, fuzzWireMaxQubits, qubits, err)
-			}
+		switch {
+		case req.Problem == FamilyMaxCut:
+			qubits = spec.Graph.N
+		case arithmetic:
+			qubits, err = spec.Qubits()
+		}
+		if arithmetic && (err != nil || qubits < 2 || qubits > fuzzWireMaxQubits) {
+			t.Fatalf("%s passed the cap of %d at width %d (%v)", req.Problem, fuzzWireMaxQubits, qubits, err)
 		}
 		in, err := spec.Compile()
 		if err != nil {

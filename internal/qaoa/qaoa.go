@@ -104,7 +104,7 @@ func (pr Params) Validate(checkDomain bool) error {
 type Problem struct {
 	Spec     problem.Spec
 	Inst     *problem.Instance // the compiled Hamiltonian; always set
-	OptValue float64           // exact best Score; for MaxCut the optimum's directly summed cut weight
+	OptValue float64           // exact best Score (for MaxCut the optimum cut weight)
 	MinScore float64           // exact worst Score, the floor of the normalized-score ratio
 
 	// The evaluation kernel (workspace.go), built on first use.
@@ -117,10 +117,9 @@ type Problem struct {
 // scan — so the register is capped at problem.BruteForceMaxQubits;
 // approximation ratios are undefined without the true optimum.
 //
-// MaxCut keeps the paper's ratio ⟨C⟩/C_opt, so its optimum is stored as
-// the directly summed cut weight of the assignment the scan lands on,
-// and a graph whose optimum is not positive (no edges, all-negative
-// weights) is rejected: the ratio would be meaningless.
+// MaxCut keeps the paper's ratio ⟨C⟩/C_opt, so a MaxCut instance whose
+// optimum is not positive (a mixed-sign graph with no positive cut) is
+// rejected: the ratio would be meaningless.
 func New(spec problem.Spec) (*Problem, error) {
 	in, err := spec.Compile() // validated by every compiler
 	if err != nil {
@@ -129,15 +128,11 @@ func New(spec problem.Spec) (*Problem, error) {
 	if in.N > problem.BruteForceMaxQubits {
 		return nil, fmt.Errorf("qaoa: %d-qubit instance exceeds the %d-qubit exact-optimum limit", in.N, problem.BruteForceMaxQubits)
 	}
-	opt, worst, arg := in.BruteForce()
+	opt, worst, _ := in.BruteForce()
 	sign := in.Sense.Sign()
 	pb := &Problem{Spec: spec, Inst: in, OptValue: sign * opt, MinScore: sign * worst}
-	if spec.Family == problem.FamilyMaxCut {
-		pb.OptValue = spec.Graph.WeightedCutValue(arg)
-		if pb.OptValue <= 0 {
-			return nil, fmt.Errorf("qaoa: MaxCut optimum %v is not positive; approximation ratio undefined", pb.OptValue)
-		}
-		return pb, nil
+	if in.Family == problem.FamilyMaxCut && pb.OptValue <= 0 {
+		return nil, fmt.Errorf("qaoa: MaxCut optimum %v is not positive; approximation ratio undefined", pb.OptValue)
 	}
 	if pb.OptValue <= pb.MinScore {
 		return nil, fmt.Errorf("qaoa: constant objective (score range [%v, %v]); nothing to optimize", pb.MinScore, pb.OptValue)
@@ -148,7 +143,9 @@ func New(spec problem.Spec) (*Problem, error) {
 // NewProblem is New for a (possibly weighted) MaxCut graph.
 func NewProblem(g *graph.Graph) (*Problem, error) { return New(problem.MaxCut(g)) }
 
-// NewIsing is New for a pre-built Ising Hamiltonian.
+// NewIsing is New for a pre-built Ising Hamiltonian. Its ratio follows
+// the instance's Family, so NewIsing(problem.CompileMaxCut(g)) and
+// NewProblem(g) are the same Problem.
 func NewIsing(in *problem.Instance) (*Problem, error) { return New(problem.FromInstance(in)) }
 
 // halfRegister reports whether workspaces evolve the problem as a half
@@ -216,7 +213,7 @@ func (pb *Problem) ApproximationRatio(pr Params) float64 {
 // Evaluator.ApproximationRatio, so both report bit-identical ratios for
 // the same expectation value.
 func (pb *Problem) ratioOf(e float64) float64 {
-	if pb.Spec.Family == problem.FamilyMaxCut {
+	if pb.Inst.Family == problem.FamilyMaxCut {
 		return e / pb.OptValue
 	}
 	return pb.NormalizedScore(e)

@@ -3,10 +3,12 @@ package qaoa
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"qaoaml/internal/graph"
+	"qaoaml/internal/problem"
 )
 
 func randomWeightedGraph(rng *rand.Rand, n int) *graph.Graph {
@@ -185,6 +187,9 @@ func TestIntegerWeightedCanonicalize(t *testing.T) {
 	}
 }
 
+// A graph with no positive edge weight is refused by its compiler; a
+// mixed-sign one with no positive cut — edge (0,1) of weight 1 and two
+// edges of −10 to vertex 2 — compiles, and New refuses its optimum 0.
 func TestNewProblemRejectsNonPositiveOptimum(t *testing.T) {
 	g := graph.New(2)
 	if err := g.AddWeightedEdge(0, 1, -1); err != nil {
@@ -192,6 +197,49 @@ func TestNewProblemRejectsNonPositiveOptimum(t *testing.T) {
 	}
 	if _, err := NewProblem(g); err == nil {
 		t.Error("all-negative-weight graph accepted")
+	}
+	mixed := graph.New(3)
+	for _, e := range [][3]float64{{0, 1, 1}, {0, 2, -10}, {1, 2, -10}} {
+		if err := mixed.AddWeightedEdge(int(e[0]), int(e[1]), e[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := NewProblem(mixed); err == nil || !strings.Contains(err.Error(), "MaxCut optimum 0 is not positive") {
+		t.Errorf("mixed-sign graph with no positive cut: %v", err)
+	}
+}
+
+// A MaxCut and its own compiled Ising form are one Problem: the same
+// exact extremes and the paper's ratio ⟨C⟩/C_opt, read off the
+// instance's family, not the spec's. The negative edge makes the worst
+// cut negative, where the normalized score would differ.
+func TestMaxCutAndCompiledIsingAreOneProblem(t *testing.T) {
+	g := graph.New(4)
+	for _, e := range [][3]float64{{0, 1, 2}, {1, 2, -3}, {2, 3, 1.5}, {0, 3, 1}} {
+		if err := g.AddWeightedEdge(int(e[0]), int(e[1]), e[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pb := mustProblem(t, g)
+	in, err := problem.CompileMaxCut(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ising := mustIsing(t, in)
+	if !(pb.MinScore < 0) {
+		t.Fatalf("worst cut %v: the case needs a negative one", pb.MinScore)
+	}
+	same := func(what string, a, b float64) {
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%s: New(MaxCut(g)) %v, NewIsing(CompileMaxCut(g)) %v", what, a, b)
+		}
+	}
+	same("OptValue", pb.OptValue, ising.OptValue)
+	same("MinScore", pb.MinScore, ising.MinScore)
+	for _, pr := range []Params{testParams(1), testParams(2), testParams(3)} {
+		r := pb.ApproximationRatio(pr)
+		same("ApproximationRatio", r, ising.ApproximationRatio(pr))
+		same("⟨C⟩/C_opt", r, pb.Expectation(pr)/pb.OptValue)
 	}
 }
 

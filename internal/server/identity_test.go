@@ -37,9 +37,9 @@ func TestSolveKeyPinned(t *testing.T) {
 	if herr != nil {
 		t.Fatal(herr)
 	}
-	fp, err := rs.spec.Fingerprint()
-	if err != nil || fp != rs.fp {
-		t.Fatalf("normalize resolved fingerprint %s, spec.Fingerprint() = (%s, %v)", rs.fp, fp, err)
+	fp := rs.inst.Fingerprint()
+	if fp != rs.fp {
+		t.Fatalf("normalize resolved fingerprint %s, inst.Fingerprint() = %s", rs.fp, fp)
 	}
 	const want = "5147a563a1f5fd37576ee4348ca5728d17670865d5fabba158eb2bfaec3a9d81|f=maxksat|p=3|s=two-level|o=neldermead|m=default|seed=-9007199254740993"
 	if got := solveKey(fp, &req); got != want || rs.key != want {
@@ -93,6 +93,13 @@ func rejectCases() []rejectCase {
 		}}), false, "problem: non-finite linear term h[0] = NaN"},
 		// Each coefficient finite, their sum not: no worker could solve it.
 		{"maxcut-weights-overflow", naive(SolveRequest{Wire: problem.Wire{Nodes: 4, Edges: ring, Weights: []float64{1e308, 1e308, 1e308, 1e308}}}), true, "edge weights overflow: Σ|w| is not finite"},
+		// Each Σ|w| finite, its square not: the compile in normalize
+		// refuses it, as it does the same coefficients sent as a qubo.
+		{"maxcut-coefficients-too-large", naive(SolveRequest{Wire: problem.Wire{Nodes: 4, Edges: ring, Weights: []float64{1e200, 1e200, 1e200, 1e200}}}), true,
+			"problem: coefficients too large: |offset| + Σ|h| + Σ|J| = 3.999999999999999e+200 exceeds 1.341e+154, past which the gradient overflows"},
+		// Every cut of it weighs ≤ 0: no ratio ⟨C⟩/C_opt exists.
+		{"maxcut-no-positive-weight", naive(SolveRequest{Wire: problem.Wire{Nodes: 4, Edges: ring, Weights: []float64{-1, -1, -1, -1}}}), true,
+			"problem: graph with no positive edge weight has no positive cut"},
 		{"qubo-coefficients-overflow", naive(SolveRequest{Problem: "qubo", Wire: problem.Wire{
 			Nodes: 3, Linear: []float64{1e308, 1e308, 0},
 			Quad: []WireTerm{{I: 0, J: 1, W: 1e308}},

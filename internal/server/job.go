@@ -71,10 +71,9 @@ type Job struct {
 	Key string // canonical cache key (fingerprint + solve options)
 
 	// What normalize resolved, carried to the worker (unset on cache
-	// hits, which are born finished): the request, its spec, the compiled
-	// instance (nil for MaxCut, solved from spec) and its fingerprint.
+	// hits, which are born finished): the request, the compiled instance
+	// and its fingerprint.
 	req  SolveRequest
-	spec problem.Spec
 	inst *problem.Instance
 	fp   string
 	cost int64  // admission-control price (0: cache hit, never admitted)

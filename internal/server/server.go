@@ -334,15 +334,11 @@ const (
 // lookups, admission, the journal and the worker. Nothing downstream
 // compiles, fingerprints or keys the request again.
 type resolved struct {
-	spec problem.Spec
-	// inst is the compiled Hamiltonian the worker solves; nil for MaxCut,
-	// which Wire.Spec has fully validated and whose optimum qaoa.New
-	// takes from the graph.
-	inst   *problem.Instance
-	qubits int    // register width, auxiliaries included: the admission price's exponent
-	fp     string // canonical instance fingerprint
-	key    string // canonical solve key (solveKey)
-	gen    uint64 // registry generation the request was validated under
+	inst   *problem.Instance // the compiled Hamiltonian the worker solves
+	qubits int               // register width, auxiliaries included: the admission price's exponent
+	fp     string            // canonical instance fingerprint
+	key    string            // canonical solve key (solveKey)
+	gen    uint64            // registry generation the request was validated under
 }
 
 // normalize is the one place a request's identity is computed. It
@@ -350,10 +346,11 @@ type resolved struct {
 // optimizer, depth, family and payload (problem.Wire.Spec, which also
 // caps an arithmetic register width), compile, compiled width,
 // strategy and model — so a request with several faults always reports
-// the same one. The instance is compiled here, once: a malformed
-// payload fails the request, not the job, and the register cap counts
-// auxiliary qubits (maxksat). The fingerprint and the solve key are
-// taken from that one compile.
+// the same one. Every family's instance is compiled here, once: a
+// malformed payload fails the request, not the job, and the register
+// cap counts auxiliary qubits (maxksat). The fingerprint and the solve
+// key are taken from that one compile, except that MaxCut keeps its
+// graph's fingerprint.
 func (s *Server) normalize(req *SolveRequest) (resolved, *httpError) {
 	var zero resolved
 	gen := s.registry.Generation() // before the model lookup it covers
@@ -382,19 +379,14 @@ func (s *Server) normalize(req *SolveRequest) (resolved, *httpError) {
 	if err != nil {
 		return zero, badRequest("%v", err)
 	}
-	rs := resolved{spec: spec, gen: gen}
-	if req.Problem == problem.FamilyMaxCut {
-		rs.qubits = spec.Graph.N // capped by Wire.Spec
-	} else {
-		inst, err := spec.Compile()
-		if err == nil {
-			err = problem.CheckWidth(req.Problem, inst.N, s.cfg.MaxNodes)
-		}
-		if err != nil {
-			return zero, badRequest("%v", err)
-		}
-		rs.inst, rs.qubits = inst, inst.N
+	inst, err := spec.Compile()
+	if err == nil {
+		err = problem.CheckWidth(req.Problem, inst.N, s.cfg.MaxNodes)
 	}
+	if err != nil {
+		return zero, badRequest("%v", err)
+	}
+	rs := resolved{inst: inst, qubits: inst.N, gen: gen}
 	switch req.Strategy {
 	case StrategyNaive:
 	case StrategyTwoLevel:
@@ -412,11 +404,12 @@ func (s *Server) normalize(req *SolveRequest) (resolved, *httpError) {
 	default:
 		return zero, badRequest("unknown strategy %q (want %q or %q)", req.Strategy, StrategyNaive, StrategyTwoLevel)
 	}
-	// Identity last: a rejected request pays for no hash.
-	if rs.inst != nil {
-		rs.fp = rs.inst.Fingerprint()
-	} else {
+	// Identity last: a rejected request pays for no hash. MaxCut keeps
+	// its plain graph fingerprint, which WAL keys and ring routing carry.
+	if req.Problem == problem.FamilyMaxCut {
 		rs.fp = spec.Graph.Fingerprint()
+	} else {
+		rs.fp = inst.Fingerprint()
 	}
 	rs.key = solveKey(rs.fp, req)
 	return rs, nil
@@ -497,7 +490,7 @@ func (s *Server) submit(req *SolveRequest, rs resolved) (*Job, submitOutcome, *h
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 	job := &Job{
-		ID: s.jobs.nextID(), Key: key, req: *req, spec: rs.spec, inst: rs.inst, fp: rs.fp, cost: cost, gen: rs.gen,
+		ID: s.jobs.nextID(), Key: key, req: *req, inst: rs.inst, fp: rs.fp, cost: cost, gen: rs.gen,
 		ctx: ctx, cancel: cancel, done: make(chan struct{}),
 		state: StateQueued, enqueued: time.Now(), bus: newEventBus(),
 	}
@@ -819,15 +812,7 @@ func (s *Server) runSolve(ctx context.Context, job *Job) (*SolveResult, error) {
 		return s.cfg.Dispatcher.Dispatch(ctx, job.req, job.fp, job.cost, job.publish)
 	}
 	rec := telemetry.Tee(s.mem, job.publish)
-	// The instance normalize compiled is the one solved; MaxCut alone goes
-	// back to its spec, because its optimum is summed over the graph.
-	var pb *qaoa.Problem
-	var err error
-	if job.inst != nil {
-		pb, err = qaoa.NewIsing(job.inst)
-	} else {
-		pb, err = qaoa.New(job.spec)
-	}
+	pb, err := qaoa.NewIsing(job.inst) // the instance normalize compiled
 	if err != nil {
 		return nil, err
 	}
