@@ -28,7 +28,6 @@ func benchScale() experiments.Scale {
 	return experiments.Scale{
 		NumGraphs:  16,
 		Nodes:      8,
-		EdgeProb:   0.5,
 		MaxDepth:   3,
 		Starts:     4,
 		TrainFrac:  0.4,

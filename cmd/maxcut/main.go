@@ -91,7 +91,7 @@ func run(file string, depth int, optName string, starts int, seed int64, tol flo
 	if err != nil {
 		return err
 	}
-	cut, assign := pb.BestSampled(rec.Params)
+	cut, assign := qaoa.NewEvaluator(pb, depth).BestSampled(rec.Params)
 
 	g := pb.Spec.Graph
 	if quiet {

@@ -58,7 +58,7 @@ func main() {
 			params := qaoa.FromVector(res.X)
 			fcs = append(fcs, float64(res.NFev))
 			grads = append(grads, float64(res.NGev))
-			ars = append(ars, pb.ApproximationRatio(params))
+			ars = append(ars, ev.ApproximationRatio(params))
 		}
 		fmt.Printf("%-11s  %7.1f  %7.1f  %10.1f  %7.4f  %7.4f\n",
 			opt.Name(), stats.Mean(fcs), stats.StdDev(fcs), stats.Mean(grads), stats.Mean(ars), stats.Max(ars))

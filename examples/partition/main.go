@@ -47,7 +47,7 @@ func main() {
 	fmt.Printf("QAOA depth %d, %d starts, %d QC calls\n", depth, starts, rec.NFev)
 	fmt.Printf("⟨Score⟩ = %.4f, normalized score %.4f\n", -rec.NegF, rec.AR)
 
-	score, assign := pb.BestSampled(params)
+	score, assign := qaoa.NewEvaluator(pb, depth).BestSampled(params)
 	var left, right []float64
 	for i, s := range numbers {
 		if (assign>>uint(i))&1 == 0 {

@@ -48,8 +48,8 @@ func main() {
 	fmt.Printf("QC calls: %d\n", result.NFev)
 	fmt.Printf("optimal angles: γ=%.3f β=%.3f\n", params.Gamma, params.Beta)
 	fmt.Printf("expected cut ⟨C⟩: %.4f\n", pb.Expectation(params))
-	fmt.Printf("approximation ratio: %.4f\n", pb.ApproximationRatio(params))
+	fmt.Printf("approximation ratio: %.4f\n", result.AR)
 
-	cut, assign := pb.BestSampled(params)
+	cut, assign := qaoa.NewEvaluator(pb, depth).BestSampled(params)
 	fmt.Printf("most probable assignment: %08b → cut %g\n", assign, cut)
 }

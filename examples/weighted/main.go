@@ -55,7 +55,7 @@ func main() {
 
 	fmt.Printf("QAOA depth 2, 10 starts: ⟨C⟩ = %.4f (AR %.4f), %d QC calls\n",
 		pb.Expectation(rec.Params), rec.AR, rec.NFev)
-	cut, assign := pb.BestSampled(rec.Params)
+	cut, assign := qaoa.NewEvaluator(pb, 2).BestSampled(rec.Params)
 	fmt.Printf("most probable assignment: %06b → cut %g\n", assign, cut)
 
 	heavyCut := 0

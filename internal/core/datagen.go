@@ -22,15 +22,14 @@ import (
 // It is also the "config" object of a dataset file (Save); the
 // runtime-only fields, tagged "-", are not written.
 type DataGenConfig struct {
-	NumGraphs int                `json:"num_graphs"` // graphs to draw (paper: 330)
-	Nodes     int                `json:"nodes"`      // vertices per graph (paper: 8)
-	EdgeProb  float64            `json:"edge_prob"`  // Erdős–Rényi edge probability (paper: 0.5)
-	MaxDepth  int                `json:"max_depth"`  // optimize depths 1..MaxDepth (paper: 6)
-	Starts    int                `json:"starts"`     // random multistarts per (graph, depth) (paper: 20)
-	Tol       float64            `json:"tol"`        // functional tolerance (paper: 1e-6)
-	Seed      int64              `json:"seed"`       // RNG seed for graphs and starts
-	Workers   int                `json:"-"`          // parallel workers (default GOMAXPROCS)
-	Optimizer optimize.Optimizer `json:"-"`          // default L-BFGS-B
+	NumGraphs int     `json:"num_graphs"` // graphs to draw (paper: 330)
+	Nodes     int     `json:"nodes"`      // vertices per graph (paper: 8)
+	EdgeProb  float64 `json:"edge_prob"`  // Erdős–Rényi edge probability (paper: 0.5)
+	MaxDepth  int     `json:"max_depth"`  // optimize depths 1..MaxDepth (paper: 6)
+	Starts    int     `json:"starts"`     // random multistarts per (graph, depth) (paper: 20)
+	Tol       float64 `json:"tol"`        // functional tolerance (paper: 1e-6)
+	Seed      int64   `json:"seed"`       // RNG seed for graphs and starts
+	Workers   int     `json:"-"`          // parallel workers (default GOMAXPROCS)
 	// Family selects the problem ensemble: problem.FamilyMaxCut (the
 	// default, the paper's Erdős–Rényi MaxCut recipe, byte-identical to
 	// the pre-family generator) or any other problem family, drawn by
@@ -65,9 +64,6 @@ func (c *DataGenConfig) fillDefaults() error {
 	}
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Optimizer == nil {
-		c.Optimizer = &optimize.LBFGSB{Tol: c.Tol}
 	}
 	if c.Family == "" {
 		c.Family = problem.FamilyMaxCut
@@ -193,6 +189,9 @@ func GenerateCtx(ctx context.Context, cfg DataGenConfig) (*Data, error) {
 		fcMetric[d] = fmt.Sprintf("datagen.fc.p%d", d)
 	}
 
+	// One L-BFGS-B at the recipe's tolerance; it is read-only, so the
+	// workers share it.
+	opt := &optimize.LBFGSB{Tol: cfg.Tol}
 	records := make([][]Record, cfg.NumGraphs)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, cfg.Workers)
@@ -205,7 +204,7 @@ func GenerateCtx(ctx context.Context, cfg DataGenConfig) (*Data, error) {
 			start := time.Now()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(g)*7919 + 13))
 			chain, _ := InterpChain(ctx, problems[g], cfg.MaxDepth, Options{
-				Optimizer: cfg.Optimizer, Rng: rng, Starts: cfg.Starts, Recorder: cfg.Recorder,
+				Optimizer: opt, Rng: rng, Starts: cfg.Starts, Recorder: cfg.Recorder,
 			})
 			recs := make([]Record, len(chain))
 			for i, res := range chain {

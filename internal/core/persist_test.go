@@ -50,10 +50,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// persistedConfig strips the runtime-only fields (Optimizer, Workers,
-// Recorder) that Save intentionally drops.
+// persistedConfig strips the runtime-only fields (Workers, Recorder)
+// that Save intentionally drops.
 func persistedConfig(c DataGenConfig) DataGenConfig {
-	c.Optimizer = nil
 	c.Workers = 0
 	c.Recorder = nil
 	return c

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"qaoaml/internal/graph"
-	"qaoaml/internal/optimize"
 	"qaoaml/internal/problem"
 	"qaoaml/internal/qaoa"
 	"qaoaml/internal/telemetry"
@@ -133,7 +132,7 @@ func TestLoadV2Rejects(t *testing.T) {
 
 // Save's bytes are pinned for a hand-built one-instance dataset: the
 // config keys in their order, the runtime-only fields (Workers,
-// Optimizer, Recorder) left out, the v2 spec and the record.
+// Recorder) left out, the v2 spec and the record.
 func TestSaveBytesPinned(t *testing.T) {
 	g := graph.New(3)
 	for _, e := range [][2]int{{0, 1}, {1, 2}} {
@@ -148,7 +147,7 @@ func TestSaveBytesPinned(t *testing.T) {
 	data := &Data{
 		Config: DataGenConfig{
 			NumGraphs: 1, Nodes: 3, EdgeProb: 0.5, MaxDepth: 1, Starts: 2, Tol: 1e-6, Seed: 9,
-			Workers: 4, Optimizer: &optimize.LBFGSB{Tol: 1e-6}, Family: problem.FamilyMaxCut,
+			Workers: 4, Family: problem.FamilyMaxCut,
 			Recorder: telemetry.Nop{},
 		},
 		Problems: []*qaoa.Problem{pb},

@@ -24,7 +24,6 @@ import (
 type Scale struct {
 	NumGraphs  int     // dataset graphs (paper: 330)
 	Nodes      int     // vertices per graph (paper: 8)
-	EdgeProb   float64 // Erdős–Rényi edge probability (paper: 0.5)
 	MaxDepth   int     // dataset depths 1..MaxDepth (paper: 6)
 	Starts     int     // datagen multistarts per instance (paper: 20)
 	TrainFrac  float64 // train split fraction (paper: 0.2)
@@ -40,7 +39,6 @@ func DefaultScale() Scale {
 	return Scale{
 		NumGraphs:  60,
 		Nodes:      8,
-		EdgeProb:   0.5,
 		MaxDepth:   5,
 		Starts:     10,
 		TrainFrac:  0.2,
@@ -56,7 +54,6 @@ func PaperScale() Scale {
 	return Scale{
 		NumGraphs:  330,
 		Nodes:      8,
-		EdgeProb:   0.5,
 		MaxDepth:   6,
 		Starts:     20,
 		TrainFrac:  0.2,
@@ -125,8 +122,9 @@ func NewEnvCtx(ctx context.Context, s Scale, rec telemetry.Recorder) (*Env, erro
 	if s.MaxTarget > s.MaxDepth {
 		return nil, fmt.Errorf("experiments: MaxTarget %d > MaxDepth %d", s.MaxTarget, s.MaxDepth)
 	}
+	// EdgeProb is the paper's Erdős–Rényi p (Sec. III-A).
 	data, err := core.GenerateCtx(ctx, core.DataGenConfig{
-		NumGraphs: s.NumGraphs, Nodes: s.Nodes, EdgeProb: s.EdgeProb, MaxDepth: s.MaxDepth,
+		NumGraphs: s.NumGraphs, Nodes: s.Nodes, EdgeProb: 0.5, MaxDepth: s.MaxDepth,
 		Starts: s.Starts, Tol: 1e-6, Seed: s.Seed, Workers: s.Workers, Recorder: rec,
 	})
 	if err != nil {
@@ -141,7 +139,6 @@ func NewEnvCtx(ctx context.Context, s Scale, rec telemetry.Recorder) (*Env, erro
 func NewEnvFromData(s Scale, data *core.Data) (*Env, error) {
 	s.NumGraphs = len(data.Problems)
 	s.Nodes = data.Config.Nodes
-	s.EdgeProb = data.Config.EdgeProb
 	s.MaxDepth = data.Config.MaxDepth
 	s.Starts = data.Config.Starts
 	if s.MaxTarget > s.MaxDepth {

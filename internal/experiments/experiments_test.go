@@ -20,7 +20,6 @@ func testScale() Scale {
 	return Scale{
 		NumGraphs:  36,
 		Nodes:      8,
-		EdgeProb:   0.5,
 		MaxDepth:   3,
 		Starts:     8,
 		TrainFrac:  0.34,

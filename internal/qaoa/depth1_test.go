@@ -264,7 +264,7 @@ func TestDepth1NonFiniteAnglesGiveNaN(t *testing.T) {
 
 // A depth-1 Evaluator answers calls from the closed form and holds no
 // amplitudes until a readout asks for them; the readout then agrees
-// with Problem.BestSampled, and Release is safe either way.
+// with a fresh evaluator's, and Release is safe either way.
 func TestDepth1EvaluatorSimulatesOnlyForReadout(t *testing.T) {
 	rng := rand.New(rand.NewSource(1615))
 	pb := mustProblem(t, graph.RandomRegular(StreamingThreshold+1, 3, rng))
@@ -286,9 +286,9 @@ func TestDepth1EvaluatorSimulatesOnlyForReadout(t *testing.T) {
 	NewEvaluator(pb, 1).Release() // nothing built, nothing to release
 
 	score, assign := ev.BestSampled(FromVector(x))
-	wantScore, wantAssign := pb.BestSampled(FromVector(x))
+	wantScore, wantAssign := bestSampled(pb, FromVector(x))
 	if score != wantScore || assign != wantAssign {
-		t.Errorf("BestSampled = (%v, %b), Problem.BestSampled (%v, %b)", score, assign, wantScore, wantAssign)
+		t.Errorf("BestSampled = (%v, %b), a fresh evaluator's (%v, %b)", score, assign, wantScore, wantAssign)
 	}
 	if ev.ForwardPasses() != 1 {
 		t.Errorf("ForwardPasses after one readout = %d, want 1", ev.ForwardPasses())

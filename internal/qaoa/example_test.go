@@ -15,7 +15,7 @@ func ExampleProblem_expectation() {
 	_ = g.AddEdge(0, 1)
 	pb, _ := qaoa.NewProblem(g)
 	pr := qaoa.Params{Gamma: []float64{math.Pi / 2}, Beta: []float64{math.Pi / 8}}
-	fmt.Printf("<C> = %.2f, AR = %.2f\n", pb.Expectation(pr), pb.ApproximationRatio(pr))
+	fmt.Printf("<C> = %.2f, AR = %.2f\n", pb.Expectation(pr), qaoa.NewEvaluator(pb, 1).ApproximationRatio(pr))
 	// Output: <C> = 1.00, AR = 1.00
 }
 

@@ -286,16 +286,18 @@ func TestHalfRegisterSelection(t *testing.T) {
 				t.Errorf("%s: half-register value %v, with a 1e-300 field %v", c.name, h, f)
 			}
 			// The readout is an assignment with the top bit clear, one of
-			// the most probable of the unfolded state, and the evaluator's.
-			score, assign := c.pb.BestSampled(pr)
+			// the most probable of the unfolded state, and the same from an
+			// evaluator whose workspace held another point.
+			score, assign := bestSampled(c.pb, pr)
 			st := c.pb.State(pr)
 			_, pmax := st.ArgmaxProbability()
 			if assign >= 1<<uint(n-1) || math.Abs(st.Probability(assign)-pmax) > 1e-14 {
 				t.Errorf("%s: readout %b has probability %v, the maximum is %v", c.name, assign, st.Probability(assign), pmax)
 			}
 			ev := NewEvaluator(c.pb, 2)
+			ev.ApproximationRatio(randomParams(rng, 2))
 			if es, ea := ev.BestSampled(pr); es != score || ea != assign {
-				t.Errorf("%s: Evaluator.BestSampled (%v, %b) != Problem.BestSampled (%v, %b)", c.name, es, ea, score, assign)
+				t.Errorf("%s: reused evaluator's BestSampled (%v, %b) != fresh (%v, %b)", c.name, es, ea, score, assign)
 			}
 		}
 	}

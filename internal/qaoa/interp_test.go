@@ -61,8 +61,8 @@ func TestInterpolateIsWarmStart(t *testing.T) {
 	// Depth-1 optimum found by a fine grid.
 	best := bestOnGrid(pb, 1, 48)
 	seed := Interpolate(best.pr)
-	arSeed := pb.ApproximationRatio(seed)
-	baseline := pb.ApproximationRatio(NewParams(2)) // uniform state: (m/2)/C_opt
+	arSeed := stateVectorRatio(pb, seed)
+	baseline := stateVectorRatio(pb, NewParams(2)) // uniform state: (m/2)/C_opt
 	if arSeed < baseline+0.05 {
 		t.Errorf("interp seed AR %v not better than uniform baseline %v", arSeed, baseline)
 	}

@@ -143,35 +143,3 @@ func memoKernel(in *problem.Instance, half bool, share int) *diagKernel {
 	}
 	return k
 }
-
-// ScoreValue returns the direction-normalized objective Score(z) =
-// sense·Value(z) for an assignment — the cut weight for MaxCut. This is
-// the quantity QAOA maximizes and the one reports should quote.
-func (pb *Problem) ScoreValue(z uint64) float64 { return pb.Inst.Score(z) }
-
-// BestSampled returns the most probable basis state's Score and
-// assignment, i.e. the solution a user would read out after
-// optimization. For families with auxiliary qubits (Max-3-SAT
-// quadratization), the assignment still spans the full register; mask
-// to Inst.Vars for the decision variables.
-func (pb *Problem) BestSampled(pr Params) (score float64, assign uint64) {
-	if err := pr.Validate(false); err != nil {
-		panic(err)
-	}
-	// A transient workspace, read the way Evaluator.BestSampled reads
-	// its own: a half register's most probable index is an assignment
-	// with the top bit clear, the lower of the two equally probable
-	// complements.
-	w := newWorkspace(pb.kernel(), nil)
-	w.runLayers(pr.Gamma, pr.Beta)
-	assign = w.argmax()
-	return pb.ScoreValue(assign), assign
-}
-
-// NormalizedScore maps an expectation ⟨Score⟩ onto [0, 1] between the
-// instance's exact worst and best Scores — the cross-family analogue
-// of the MaxCut approximation ratio (which divides by the optimum
-// alone; see ApproximationRatio for the dispatch).
-func (pb *Problem) NormalizedScore(e float64) float64 {
-	return (e - pb.MinScore) / (pb.OptValue - pb.MinScore)
-}

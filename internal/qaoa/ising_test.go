@@ -133,14 +133,14 @@ func TestIsingExpectationAndRatio(t *testing.T) {
 	if math.Abs(e-want) > 1e-9*(1+math.Abs(want)) {
 		t.Errorf("<Score> = %v, want probability sum %v", e, want)
 	}
-	ar := pb.ApproximationRatio(pr)
+	ar := stateVectorRatio(pb, pr)
 	if ar < 0 || ar > 1 {
 		t.Errorf("normalized score %v out of [0, 1]", ar)
 	}
 	if pb.OptValue <= pb.MinScore {
 		t.Errorf("degenerate score range [%v, %v]", pb.MinScore, pb.OptValue)
 	}
-	score, assign := pb.BestSampled(pr)
+	score, assign := bestSampled(pb, pr)
 	if got := in.Score(assign); got != score {
 		t.Errorf("BestSampled score %v != Score(%d) = %v", score, assign, got)
 	}
@@ -163,7 +163,7 @@ func TestNewAllFamilies(t *testing.T) {
 			t.Fatalf("%s: compiled a %q instance", fam, pb.Inst.Family)
 		}
 		pr := testParams(1)
-		ar := pb.ApproximationRatio(pr)
+		ar := stateVectorRatio(pb, pr)
 		if math.IsNaN(ar) || ar < -1e-12 || ar > 1+1e-12 {
 			t.Errorf("%s: approximation ratio %v out of [0, 1]", fam, ar)
 		}
@@ -271,11 +271,11 @@ func TestNumberPartitionProblem(t *testing.T) {
 		t.Errorf("perfect partition optimum = %v, want 0", pb.OptValue)
 	}
 	// z = 0110 means sets {5,2} / {4,3}: diff 0.
-	if got := pb.ScoreValue(0b0110); got != 0 {
+	if got := pb.Inst.Score(0b0110); got != 0 {
 		t.Errorf("score(0110) = %v, want 0", got)
 	}
 	// All on one side: diff = 14 → score −196, the worst.
-	if got := pb.ScoreValue(0); got != -196 || pb.MinScore != -196 {
+	if got := pb.Inst.Score(0); got != -196 || pb.MinScore != -196 {
 		t.Errorf("score(0000) = %v, worst %v, want -196", got, pb.MinScore)
 	}
 }
@@ -308,11 +308,11 @@ func TestQAOASolvesNumberPartitioning(t *testing.T) {
 			}
 		}
 	}
-	score, assign := pb.BestSampled(bestPr)
+	score, assign := bestSampled(pb, bestPr)
 	if score != 0 {
 		t.Errorf("most probable assignment %04b has score %v, want a perfect partition", assign, score)
 	}
-	if s := pb.NormalizedScore(best); s <= 0.5 {
+	if s := pb.ratioOf(best); s <= 0.5 {
 		t.Errorf("optimized score %v not above the uniform baseline", s)
 	}
 }

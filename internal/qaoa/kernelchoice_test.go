@@ -156,7 +156,7 @@ func TestKernelSelection(t *testing.T) {
 					at, got, want, pb.Inst.IntegerCoeffs(), len(mat.halfAngles), len(mat.diag))
 				continue
 			}
-			workspaces := []*EvalWorkspace{pb.NewWorkspace(), pb.NewWorkspaceArena(arena)}
+			workspaces := []*EvalWorkspace{pb.NewWorkspace(), newWorkspace(pb.kernel(), arena)}
 			for _, w := range workspaces {
 				if w.k != k {
 					t.Errorf("%s: a workspace runs %T %p, the problem's kernel is %p", at, w.k, w.k, k)

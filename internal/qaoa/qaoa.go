@@ -189,9 +189,10 @@ func (pb *Problem) GateState(pr Params) *quantum.State {
 }
 
 // Expectation returns ⟨ψ(γ, β)|C|ψ(γ, β)⟩, the expected Score (cut
-// weight for MaxCut). It is safe for concurrent use: each call evolves
-// a workspace of its own. Evaluation loops should use an Evaluator or
-// EvalWorkspace, which reuse one buffer set.
+// weight for MaxCut), from a state vector of its own: the reference the
+// depth-1 closed form is held to (benchmark/verify.go and the depth-1
+// tests). It is safe for concurrent use. Every ratio and readout of a
+// solved circuit comes from an Evaluator, which reuses one buffer set.
 func (pb *Problem) Expectation(pr Params) float64 {
 	if err := pr.Validate(false); err != nil {
 		panic(err)
@@ -199,30 +200,23 @@ func (pb *Problem) Expectation(pr Params) float64 {
 	return newWorkspace(pb.kernel(), nil).expectation(pr.Gamma, pr.Beta)
 }
 
-// ApproximationRatio returns the quality ratio for the given
-// parameters: ⟨C⟩ / C_opt for MaxCut (the paper's convention), and the
-// [0, 1]-normalized score (⟨Score⟩ − worst) / (best − worst) for
-// every other family, whose raw Score can be negative and whose plain
-// ratio would be meaningless.
-func (pb *Problem) ApproximationRatio(pr Params) float64 {
-	return pb.ratioOf(pb.Expectation(pr))
-}
-
-// ratioOf maps an expectation onto the family's quality ratio — the
-// shared arithmetic behind Problem.ApproximationRatio and
-// Evaluator.ApproximationRatio, so both report bit-identical ratios for
-// the same expectation value.
+// ratioOf maps an expectation onto the family's quality ratio:
+// ⟨C⟩ / C_opt for MaxCut (the paper's convention), and the [0, 1]
+// normalized score (⟨Score⟩ − worst) / (best − worst) for every other
+// family, whose raw Score can be negative and whose plain ratio would
+// be meaningless. Evaluator.ApproximationRatio is its one reader.
 func (pb *Problem) ratioOf(e float64) float64 {
 	if pb.Inst.Family == problem.FamilyMaxCut {
 		return e / pb.OptValue
 	}
-	return pb.NormalizedScore(e)
+	return (e - pb.MinScore) / (pb.OptValue - pb.MinScore)
 }
 
 // Evaluator wraps a Problem as a minimization objective over the flat
 // parameter vector; optimize.Run counts its calls (the paper's
 // "function calls" / "QC calls" / loop iterations) and gradients in
-// optimize.Result. How a call is answered differs with the depth:
+// optimize.Result; it is also the one reader of a solved circuit's ratio
+// and readout. How a call is answered differs with the depth:
 //
 //   - Depth ≥ 2 owns an EvalWorkspace and simulates the circuit.
 //   - Depth 1 evaluates the closed form of depth1.go and holds no state
@@ -258,7 +252,7 @@ func NewEvaluatorArena(pb *Problem, p int, a *Arena) *Evaluator {
 	if p == 1 {
 		e.d1 = newDepth1(pb)
 	} else {
-		e.ws = pb.NewWorkspaceArena(a)
+		e.ws = newWorkspace(pb.kernel(), a)
 	}
 	return e
 }
@@ -267,7 +261,7 @@ func NewEvaluatorArena(pb *Problem, p int, a *Arena) *Evaluator {
 // use (only a depth-1 evaluator starts without one).
 func (e *Evaluator) workspace() *EvalWorkspace {
 	if e.ws == nil {
-		e.ws = e.Problem.NewWorkspaceArena(e.arena)
+		e.ws = newWorkspace(e.Problem.kernel(), e.arena)
 	}
 	return e.ws
 }
@@ -281,32 +275,34 @@ func (e *Evaluator) Release() {
 	}
 }
 
-// ApproximationRatio returns the quality ratio at the given parameters
-// through the evaluator's own engine: at depth ≥ 2 bit-identical to
-// Problem.ApproximationRatio (same kernel, same chunk geometry) but
-// with no pool round-trip and no buffer allocation; at depth 1 the
-// closed form, equal to it to rounding.
+// ApproximationRatio returns ratioOf at the given parameters with no
+// allocation: at depth ≥ 2 from the workspace, bit-identical to
+// Problem.Expectation's state vector; at depth 1 from the closed form,
+// equal to it to rounding. It panics if len(γ) ≠ len(β).
 func (e *Evaluator) ApproximationRatio(pr Params) float64 {
-	if e.d1 != nil && len(pr.Gamma) == 1 && len(pr.Beta) == 1 {
+	if err := pr.Validate(false); err != nil {
+		panic(err)
+	}
+	if e.d1 != nil && pr.Depth() == 1 {
 		v, _, _ := e.d1.at(pr.Gamma[0], pr.Beta[0])
 		return e.Problem.ratioOf(v)
 	}
-	return e.Problem.ratioOf(e.workspace().Expectation(pr))
+	return e.Problem.ratioOf(e.workspace().expectation(pr.Gamma, pr.Beta))
 }
 
-// BestSampled returns the most probable basis state's Score and
-// assignment at the given parameters, reusing the evaluator's
-// workspace — the allocation-free analogue of Problem.BestSampled
-// (which builds a transient workspace per call). Ties resolve to the
-// lowest basis index in both, so the readouts agree exactly.
+// BestSampled reads out the solution at the given parameters: the most
+// probable basis state's Score and assignment, the lowest index on a
+// tie, on the evaluator's own workspace. A half register's readout has
+// the top bit clear; an assignment spans the full register, so mask
+// Max-3-SAT's auxiliaries off with Inst.Vars.
 func (e *Evaluator) BestSampled(pr Params) (score float64, assign uint64) {
 	if err := pr.Validate(false); err != nil {
 		panic(err)
 	}
 	ws := e.workspace()
 	ws.runLayers(pr.Gamma, pr.Beta)
-	assign = ws.argmax()
-	return e.Problem.ScoreValue(assign), assign
+	assign, _ = ws.st.ArgmaxProbability()
+	return e.Problem.Inst.Score(assign), assign
 }
 
 // Dim returns the number of optimization variables, 2p.

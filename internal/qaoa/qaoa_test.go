@@ -137,7 +137,7 @@ func TestSingleEdgeClosedForm(t *testing.T) {
 func TestSingleEdgeOptimal(t *testing.T) {
 	pb := mustProblem(t, pathGraph(2))
 	pr := Params{Gamma: []float64{math.Pi / 2}, Beta: []float64{math.Pi / 8}}
-	if ar := pb.ApproximationRatio(pr); math.Abs(ar-1) > 1e-10 {
+	if ar := stateVectorRatio(pb, pr); math.Abs(ar-1) > 1e-10 {
 		t.Errorf("AR = %v, want 1", ar)
 	}
 }
@@ -195,7 +195,7 @@ func TestApproximationRatioAtMostOne(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ar := pb.ApproximationRatio(randomParams(rng, 2))
+		ar := stateVectorRatio(pb, randomParams(rng, 2))
 		return ar > 0 && ar <= 1+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -238,13 +238,21 @@ func TestEvaluatorNegatesExpectation(t *testing.T) {
 
 func TestEvaluatorWrongDimPanics(t *testing.T) {
 	pb := mustProblem(t, pathGraph(2))
-	ev := NewEvaluator(pb, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ev.NegExpectation([]float64{1, 2})
+	for name, call := range map[string]func(){
+		"NegExpectation": func() { NewEvaluator(pb, 2).NegExpectation([]float64{1, 2}) },
+		// γ and β of different lengths, at the closed form's depth and at a simulated one.
+		"ApproximationRatio p=1": func() { NewEvaluator(pb, 1).ApproximationRatio(Params{Gamma: []float64{1}, Beta: []float64{1, 2}}) },
+		"ApproximationRatio p=2": func() { NewEvaluator(pb, 2).ApproximationRatio(Params{Gamma: []float64{1, 2}, Beta: []float64{1}}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			call()
+		}()
+	}
 }
 
 func TestBestSampled(t *testing.T) {
@@ -252,7 +260,7 @@ func TestBestSampled(t *testing.T) {
 	// At the optimal single-edge parameters the state concentrates on the
 	// cut states |01>, |10>.
 	pr := Params{Gamma: []float64{math.Pi / 2}, Beta: []float64{math.Pi / 8}}
-	cut, assign := pb.BestSampled(pr)
+	cut, assign := bestSampled(pb, pr)
 	if cut != 1 {
 		t.Errorf("cut = %g, want 1", cut)
 	}
@@ -292,7 +300,7 @@ func bestOnGrid(pb *Problem, p, steps int) gridBest {
 				Gamma: []float64{GammaMax * float64(i) / float64(steps)},
 				Beta:  []float64{BetaMax * float64(j) / float64(steps)},
 			}
-			if ar := pb.ApproximationRatio(pr); ar > best.ar {
+			if ar := stateVectorRatio(pb, pr); ar > best.ar {
 				best = gridBest{pr: pr, ar: ar}
 			}
 		}
@@ -310,7 +318,7 @@ func bestOnGridAround(pb *Problem, p int, seed gridBest, steps int) gridBest {
 				Gamma: []float64{seed.pr.Gamma[0], GammaMax * float64(i) / float64(steps)},
 				Beta:  []float64{seed.pr.Beta[0], BetaMax * float64(j) / float64(steps)},
 			}
-			if ar := pb.ApproximationRatio(pr); ar > best.ar {
+			if ar := stateVectorRatio(pb, pr); ar > best.ar {
 				best = gridBest{pr: pr, ar: ar}
 			}
 		}

@@ -141,7 +141,7 @@ func TestStreamKernelSmallRegister(t *testing.T) {
 	}
 	stream := newWorkspace(newIsingStreamKernel(pb.Inst, true), nil)
 	pr := testParams(3)
-	if rv, gv := pb.Expectation(pr), stream.Expectation(pr); rv != gv {
+	if rv, gv := pb.Expectation(pr), stream.expectation(pr.Gamma, pr.Beta); rv != gv {
 		t.Errorf("streaming n=8 expectation %v != materialized %v", gv, rv)
 	}
 }
@@ -166,7 +166,8 @@ func TestStreamingMemoryBudgetN20(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	ws := pb.NewWorkspace()
-	e := ws.Expectation(testParams(1))
+	pr := testParams(1)
+	e := ws.expectation(pr.Gamma, pr.Beta)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(ws)

@@ -261,14 +261,6 @@ func (pb *Problem) NewWorkspace() *EvalWorkspace {
 	return newWorkspace(pb.kernel(), nil)
 }
 
-// NewWorkspaceArena is NewWorkspace drawing the state-vector buffers
-// from the arena (nil behaves like NewWorkspace). Evaluation results
-// are bit-identical: pooled buffers are always filled before use. Call
-// Release so the buffers return to the arena.
-func (pb *Problem) NewWorkspaceArena(a *Arena) *EvalWorkspace {
-	return newWorkspace(pb.kernel(), a)
-}
-
 func newWorkspace(k costKernel, a *Arena) *EvalWorkspace {
 	st := a.get(k.qubits())
 	gens := k.gens()
@@ -310,13 +302,6 @@ func (w *EvalWorkspace) Release() {
 	w.phaseBody, w.expectBody, w.seedBody, w.unphaseBody = nil, nil, nil, nil
 }
 
-// argmax returns the index of the most probable basis state of the
-// current workspace state, the lowest on a tie.
-func (w *EvalWorkspace) argmax() uint64 {
-	i, _ := w.st.ArgmaxProbability()
-	return i
-}
-
 // runLayers prepares |ψ(γ,β)⟩ in the workspace state: per stage, one
 // fused layer sweep applies the uniform fill (first stage), the phase
 // separator and the RX(2β) mixer. It records (γ,β) as the state held.
@@ -353,14 +338,6 @@ func (w *EvalWorkspace) holds(gamma, beta []float64) bool {
 func (w *EvalWorkspace) expectation(gamma, beta []float64) float64 {
 	w.runLayers(gamma, beta)
 	return quantum.ReduceChunks(w.st.Dim(), w.expectBody)
-}
-
-// Expectation returns ⟨ψ(γ,β)|C|ψ(γ,β)⟩ without heap allocation.
-func (w *EvalWorkspace) Expectation(pr Params) float64 {
-	if len(pr.Gamma) != len(pr.Beta) {
-		panic(fmt.Sprintf("qaoa: gamma/beta length mismatch %d != %d", len(pr.Gamma), len(pr.Beta)))
-	}
-	return w.expectation(pr.Gamma, pr.Beta)
 }
 
 // ExpectationVec evaluates the flat [γ1..γp, β1..βp] parameter vector

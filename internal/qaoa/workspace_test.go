@@ -60,7 +60,7 @@ func TestWorkspaceExpectationMatchesGateCircuit(t *testing.T) {
 		pb := mustProblem(t, g)
 		pr := randomParams(rng, 1+rng.Intn(3))
 		ws := pb.NewWorkspace()
-		got := ws.Expectation(pr)
+		got := ws.expectation(pr.Gamma, pr.Beta)
 		ref := pb.GateState(pr).ExpectationDiagonal(g.WeightedCutTable())
 		if math.Abs(got-ref) > 1e-12 {
 			t.Fatalf("trial %d: workspace ⟨C⟩ = %v, gate circuit %v", trial, got, ref)
@@ -80,11 +80,11 @@ func TestWorkspaceReuseIsStateless(t *testing.T) {
 	prs := []Params{randomParams(rng, 3), randomParams(rng, 1), randomParams(rng, 2)}
 	want := make([]float64, len(prs))
 	for i, pr := range prs {
-		want[i] = pb.NewWorkspace().Expectation(pr)
+		want[i] = pb.NewWorkspace().expectation(pr.Gamma, pr.Beta)
 	}
 	for round := 0; round < 3; round++ {
 		for i, pr := range prs {
-			if got := ws.Expectation(pr); got != want[i] {
+			if got := ws.expectation(pr.Gamma, pr.Beta); got != want[i] {
 				t.Fatalf("round %d params %d: reused workspace %v != fresh %v", round, i, got, want[i])
 			}
 		}

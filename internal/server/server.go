@@ -848,9 +848,7 @@ func (s *Server) runSolve(ctx context.Context, job *Job) (*SolveResult, error) {
 	// the solution a client acts on — masked to the decision variables
 	// (quadratization auxiliaries are an encoding detail). The readout
 	// evaluator draws from the worker arena, so it reuses the buffers
-	// the optimization just released instead of building a transient
-	// 2^n state (Problem.BestSampled's behavior); ties resolve
-	// identically, so the readout is unchanged.
+	// the optimization just released instead of allocating a state.
 	rd := qaoa.NewEvaluatorArena(pb, len(res.Gamma), job.arena)
 	score, assign := rd.BestSampled(qaoa.Params{Gamma: res.Gamma, Beta: res.Beta})
 	rd.Release()
