@@ -58,7 +58,10 @@ func (b *bitsRow) run(r RunResult) {
 // state vector, ≤ 4.4e-14 relative away on these rows. The portfolio/…
 // rows were re-recorded, and only they, when an instance whose float
 // phase values are mostly distinct moved from the memoized table to the
-// stream kernel's doubled phases (qaoa.newIsingKernel). Every row is
+// stream kernel's doubled phases (qaoa.newIsingKernel). The L-BFGS-B,
+// SLSQP and COBYLA rows were re-recorded when the gradient methods'
+// line searches became one and COBYLA stopped re-evaluating its base
+// point (COBYLA's angles kept their bits; its NFev fell). Every row is
 // checked with and without an arena.
 func TestSolveBitsUnchanged(t *testing.T) {
 	raw, err := os.ReadFile("testdata/solve_bits.json")

@@ -283,8 +283,9 @@ func TestRunModelComparison(t *testing.T) {
 	// training graphs); at this test scale every family's pooled metrics
 	// are held to testdata/model_bits.json (recorded at 96593ed, when LM
 	// still tried a Householder QR before its ridge normal equations; the
-	// LM row again when pt stopped being a bank input) as Float64bits of
-	// MSE, RMSE, MAE, R² and R²adj.
+	// LM row again when pt stopped being a bank input; every row when
+	// datagen's L-BFGS-B line search began to backtrack to the
+	// interpolated minimum) as Float64bits of MSE, RMSE, MAE, R² and R²adj.
 	raw, err := os.ReadFile("testdata/model_bits.json")
 	if err != nil {
 		t.Fatal(err)

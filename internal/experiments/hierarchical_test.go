@@ -42,8 +42,10 @@ func hierTestData(t *testing.T) (*core.Data, *core.Predictor, hierBanks) {
 // testdata/solve_bits.json (recorded at 75a0449, when the flow was a
 // strategy of core.Solve): five families × four optimizers × two seeds,
 // as Float64bits of level 1's angles, AR and NFev, level 2's, the
-// hierarchical prediction, level 3's, then the total NFev. solveHier
-// must reproduce every row, with and without an arena.
+// hierarchical prediction, level 3's, then the total NFev. Every row was
+// re-recorded when the gradient methods' line searches became one and
+// COBYLA stopped re-evaluating its base point. solveHier must reproduce
+// every row, with and without an arena.
 func TestHierarchicalBitsUnchanged(t *testing.T) {
 	raw, err := os.ReadFile("testdata/hier_bits.json")
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // exactly as often as one stopped after 50. The objective is Rosenbrock
 // at a tolerance no run meets, and the call that spends the budget
 // cancels the run's context, so both runs leave by the same exit. The
-// gradient-based optimizers run in 20 dimensions, where they take more
+// gradient-based optimizers run in 30 dimensions, where they take more
 // than 500 calls to stall.
 func TestRunAllocsIndependentOfIterations(t *testing.T) {
 	if raceEnabled {
@@ -23,8 +23,8 @@ func TestRunAllocsIndependentOfIterations(t *testing.T) {
 	}{
 		{&NelderMead{Tol: 1e-300}, 10},
 		{&COBYLA{Tol: 1e-300}, 10},
-		{&LBFGSB{Tol: 1e-300}, 20},
-		{&SLSQP{Tol: 1e-300}, 20},
+		{&LBFGSB{Tol: 1e-300}, 30},
+		{&SLSQP{Tol: 1e-300}, 30},
 	} {
 		b := uniformBounds(c.n, -2, 2)
 		x0 := b.Random(rand.New(rand.NewSource(4)))

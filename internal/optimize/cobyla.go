@@ -50,6 +50,7 @@ func (o *COBYLA) run(env *runEnv) Result {
 	}
 	trial := pts[n]
 	lm := newLinearModel(n)
+	simplex[0].f = cnt.call(x)
 	buildSimplex(cnt, simplex, rho, bounds)
 	rebuilt := true // the simplex is not in sortSimplex order
 	iters := 0
@@ -156,7 +157,7 @@ func (o *COBYLA) run(env *runEnv) Result {
 			// signature of sitting near an optimum, so warm starts finish
 			// in few evaluations. Still absorb the trial if it improves
 			// the worst vertex (free geometry refresh), and rebuild the
-			// simplex only every few shrinks (each rebuild costs n+1
+			// simplex only every few shrinks (each rebuild costs n
 			// evaluations).
 			if ft < simplex[n].f {
 				trial = replaceWorst(simplex, trial, ft)
@@ -185,13 +186,12 @@ func (o *COBYLA) run(env *runEnv) Result {
 	}
 }
 
-// buildSimplex re-evaluates the base point s[0].x and resets every
-// other vertex to the base plus an axis step of size rho (flipped at box
-// faces): a fresh, well-conditioned simplex in the vertices' own
-// buffers.
+// buildSimplex keeps the base vertex s[0], whose f is already known, and
+// resets every other vertex to the base plus an axis step of size rho
+// (flipped at box faces), evaluating each: a fresh, well-conditioned
+// simplex in the vertices' own buffers.
 func buildSimplex(cnt *counter, s []vertex, rho float64, bounds *Bounds) {
 	x := s[0].x
-	s[0].f = cnt.call(x)
 	for i := range x {
 		xi := s[i+1].x
 		copy(xi, x)

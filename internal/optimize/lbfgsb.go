@@ -135,31 +135,3 @@ func (h *lbfgsbModel) twoLoop(g []float64) []float64 {
 	}
 	return q
 }
-
-// search backtracks along clip(x + α·d) from α = 1 with an Armijo
-// condition on the projected step.
-func (h *lbfgsbModel) search(cnt *counter, x []float64, fx float64, g, d, xt []float64, maxFev int) (fNew, alpha float64, ok bool) {
-	alpha = 1.0
-	for try := 0; try < 30 && cnt.n < maxFev; try++ {
-		for i := range xt {
-			xt[i] = x[i] + alpha*d[i]
-		}
-		h.bounds.Clip(xt)
-		// Armijo on the actual (projected) displacement.
-		gTdx, moved := 0.0, false
-		for i := range xt {
-			dx := xt[i] - x[i]
-			moved = moved || dx != 0
-			gTdx += g[i] * dx
-		}
-		if !moved {
-			return 0, 0, false
-		}
-		ft := cnt.call(xt)
-		if ft <= fx+1e-4*gTdx || (gTdx >= 0 && ft < fx) {
-			return ft, alpha, true
-		}
-		alpha /= 2
-	}
-	return 0, 0, false
-}

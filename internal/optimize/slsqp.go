@@ -51,24 +51,6 @@ func (m *slsqpModel) direction(x, g []float64) ([]float64, string) {
 	return m.d, ""
 }
 
-// search backtracks along x + α·d from α = 1 with an Armijo condition.
-func (m *slsqpModel) search(cnt *counter, x []float64, fx float64, g, d, xt []float64, maxFev int) (fNew, alpha float64, ok bool) {
-	gTd := linalg.Vector(g).Dot(d)
-	alpha = 1.0
-	for try := 0; try < 30 && cnt.n < maxFev; try++ {
-		for i := range xt {
-			xt[i] = x[i] + alpha*d[i]
-		}
-		m.bounds.Clip(xt) // guard roundoff; d is feasible by construction
-		ft := cnt.call(xt)
-		if ft <= fx+1e-4*alpha*gTd || (gTd >= 0 && ft < fx) {
-			return ft, alpha, true
-		}
-		alpha /= 2
-	}
-	return 0, 0, false
-}
-
 // solveBoxQP minimizes gᵀd + ½dᵀBd subject to lo−x ≤ d ≤ hi−x by cyclic
 // coordinate descent with clipping (convergent for SPD B), from d = 0,
 // into d.
