@@ -245,10 +245,11 @@ func dropPt(file any) any {
 // testdata/predictor_chol_l.json was saved when every output also
 // carried its Cholesky factor ("chol_l") and its banks took pt as a
 // third input, and re-written in that form (pt standardized to +0, the
-// factor of K + sn2·I) when datagen's line search changed. It still loads — the decoder ignores the member — and
-// through Predict, which feeds its banks (γ1, β1, pt), predicts the bits
-// cholRecipe's 2-input predictor does. A file saved now is the old file
-// without chol_l and without the pt column, compared decoded.
+// factor of K + sn2·I) when datagen's line search changed. It still
+// loads — the decoder ignores the member — and through Predict, which
+// feeds its banks (γ1, β1, pt), predicts the bits cholRecipe's 2-input
+// predictor does. A file saved now is the old file without chol_l and
+// without the pt column, compared decoded.
 func TestLoadPredictorWithCholeskyFactor(t *testing.T) {
 	old, err := os.ReadFile("testdata/predictor_chol_l.json")
 	if err != nil {
