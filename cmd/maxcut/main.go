@@ -86,7 +86,7 @@ func run(file string, depth int, optName string, starts int, seed int64, tol flo
 
 	rng := rand.New(rand.NewSource(seed))
 	rec, err := core.Solve(context.Background(), pb, core.Options{
-		Strategy: core.StrategyMultiStart, Depth: depth, Optimizer: opt, Rng: rng, Starts: starts,
+		Depth: depth, Optimizer: opt, Rng: rng, Starts: starts,
 	})
 	if err != nil {
 		return err

@@ -41,7 +41,7 @@ func main() {
 			seeds = append(seeds, qaoa.Interpolate(prev))
 		}
 		rec, err := core.Solve(context.Background(), pb, core.Options{
-			Strategy: core.StrategyMultiStart, Depth: depth, Optimizer: opt, Rng: rng, Starts: 10, Seeds: seeds,
+			Depth: depth, Optimizer: opt, Rng: rng, Starts: 10, Seeds: seeds,
 		})
 		if err != nil {
 			panic(err)

@@ -37,7 +37,7 @@ func main() {
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	rng := rand.New(rand.NewSource(2))
 	rec, err := core.Solve(context.Background(), pb, core.Options{
-		Strategy: core.StrategyMultiStart, Depth: depth, Optimizer: opt, Rng: rng, Starts: starts,
+		Depth: depth, Optimizer: opt, Rng: rng, Starts: starts,
 	})
 	if err != nil {
 		panic(err)

@@ -47,7 +47,7 @@ func main() {
 	rng := rand.New(rand.NewSource(11))
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	rec, err := core.Solve(context.Background(), pb, core.Options{
-		Strategy: core.StrategyMultiStart, Depth: 2, Optimizer: opt, Rng: rng, Starts: 10,
+		Depth: 2, Optimizer: opt, Rng: rng, Starts: 10,
 	})
 	if err != nil {
 		panic(err)

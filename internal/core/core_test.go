@@ -438,7 +438,7 @@ func TestOptimizeDepthSeedAccounting(t *testing.T) {
 	// replaced, so the run count is identical but the trajectories differ.
 	multi := func(starts int, rngSeed int64, seeds ...qaoa.Params) Result {
 		return solve(t, pb, Options{
-			Strategy: StrategyMultiStart, Depth: 2, Optimizer: opt, Starts: starts,
+			Depth: 2, Optimizer: opt, Starts: starts,
 			Rng: rand.New(rand.NewSource(rngSeed)), Seeds: seeds,
 		})
 	}
@@ -470,7 +470,7 @@ func TestOptimizeDepthClipsSeeds(t *testing.T) {
 	opt := &optimize.LBFGSB{Tol: 1e-6}
 	wild := qaoa.Params{Gamma: []float64{99, -7}, Beta: []float64{42, -1}}
 	rec := solve(t, pb, Options{
-		Strategy: StrategyMultiStart, Depth: 2, Optimizer: opt, Starts: 2,
+		Depth: 2, Optimizer: opt, Starts: 2,
 		Rng: rand.New(rand.NewSource(3)), Seeds: []qaoa.Params{wild},
 	})
 	if err := rec.Params.Validate(true); err != nil {

@@ -146,6 +146,50 @@ func TestNaiveRunCtxCancelled(t *testing.T) {
 	}
 }
 
+// Every strategy keeps one rule on cancel: a stage keeps the best start
+// that finished, else the cancelled start's incumbent, so a solve
+// cancelled in its first start still answers with in-domain angles.
+func TestSolveCancelledKeepsIncumbent(t *testing.T) {
+	_, pred := trainedOnHalf(t)
+	pb, err := qaoa.NewProblem(graph.ErdosRenyiConnected(8, 0.5, rand.New(rand.NewSource(4))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		o      Options
+		stages int
+	}{
+		{"naive/starts3", Options{Depth: 2, Starts: 3}, 1},
+		{"naive/starts1", Options{Depth: 2, Starts: 1}, 1},
+		{"twolevel", Options{Strategy: StrategyTwoLevel, Depth: 2, Predictor: pred}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			o := c.o
+			o.Optimizer, o.Rng = &optimize.LBFGSB{Tol: 1e-6}, rand.New(rand.NewSource(5))
+			o.Recorder = &cancelAfterIters{cancel: cancel, trigger: 3}
+			r, err := Solve(ctx, pb, o)
+			if err != context.Canceled {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if len(r.Stages) != c.stages {
+				t.Fatalf("%d stages, want %d: %+v", len(r.Stages), c.stages, r)
+			}
+			if err := r.Params.Validate(true); err != nil {
+				t.Errorf("incumbent: %v", err)
+			}
+			if !(r.AR > 0 && r.AR <= 1) {
+				t.Errorf("AR = %v, want in (0, 1]", r.AR)
+			}
+			if r.NFev <= 0 || r.NFev != r.Stages[0].NFev {
+				t.Errorf("NFev = %d, stage NFev = %d", r.NFev, r.Stages[0].NFev)
+			}
+		})
+	}
+}
+
 func TestTwoLevelCtxSpansAndCancellation(t *testing.T) {
 	data := testData(t)
 	train, test := data.SplitIndices(0.5, 1)

@@ -152,9 +152,6 @@ func GenerateCtx(ctx context.Context, cfg DataGenConfig) (*Data, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	endSpan := cfg.Recorder.Span("datagen.generate")
 	defer endSpan()
 	graphRNG := rand.New(rand.NewSource(cfg.Seed))
@@ -226,17 +223,16 @@ func GenerateCtx(ctx context.Context, cfg DataGenConfig) (*Data, error) {
 	return &Data{Config: cfg, Problems: problems, Records: records}, ctx.Err()
 }
 
-// InterpChain optimizes pb at depths 1..maxDepth by multistart, the
-// dataset recipe of Sec. III-A: one start of each depth after the first
-// is the INTERP (Zhou et al.) of the optimum before it, so best-of-starts
-// lands in the regular optimum family the paper's trends rely on. o
-// supplies the Optimizer, Rng, Starts and Recorder; the chain sets
-// Strategy, Depth and Seeds. Element d−1 is the depth-d result. It
-// checks ctx before each depth; cancelled, it returns the depths it
-// finished, without the one in flight, and the error.
+// InterpChain runs a naive Solve of o.Starts starts at each depth
+// 1..maxDepth of pb, the dataset recipe of Sec. III-A: one start of each
+// depth after the first is the INTERP (Zhou et al.) of the optimum
+// before it, so best-of-starts lands in the regular optimum family the
+// paper's trends rely on. o supplies the Optimizer, Rng, Starts and
+// Recorder; the chain sets Depth and Seeds. Element d−1 is the depth-d
+// result. It checks ctx before each depth; cancelled, it returns the
+// depths it finished, without the one in flight, and the error.
 func InterpChain(ctx context.Context, pb *qaoa.Problem, maxDepth int, o Options) ([]Result, error) {
 	chain := make([]Result, 0, maxDepth)
-	o.Strategy = StrategyMultiStart
 	for depth := 1; depth <= maxDepth; depth++ {
 		if err := ctx.Err(); err != nil {
 			return chain, err

@@ -3,10 +3,10 @@
 // (Sec. III-A), extracts the paper's predictor inputs (γ1OPT(p=1),
 // β1OPT(p=1), target depth pt — Sec. II-D) as the features (γ1, β1),
 // with pt selecting the bank, trains the per-depth regression banks
-// (Sec. III-C), and runs every optimization
-// flow — naive, multistart and the two-level flow of Fig. 4 — through
-// one entry point, Solve. (The hierarchical variant sketched in
-// Sec. I(d) is an experiment built on Solve, internal/experiments.)
+// (Sec. III-C), and runs every optimization flow — naive from one or
+// more starts and the two-level flow of Fig. 4 — through one entry
+// point, Solve. (The hierarchical variant sketched in Sec. I(d) is an
+// experiment built on Solve, internal/experiments.)
 package core
 
 import (

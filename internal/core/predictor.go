@@ -92,24 +92,5 @@ func (p *Predictor) Predict(f Features) (qaoa.Params, error) {
 			return qaoa.Params{}, fmt.Errorf("core: depth-%d bank output %d is %v", f.TargetDepth, j, v)
 		}
 	}
-	return clipParams(qaoa.FromVector(raw)), nil
-}
-
-// clipParams projects parameters into the optimization domain.
-func clipParams(pr qaoa.Params) qaoa.Params {
-	for i := range pr.Gamma {
-		pr.Gamma[i] = clamp(pr.Gamma[i], 0, qaoa.GammaMax)
-		pr.Beta[i] = clamp(pr.Beta[i], 0, qaoa.BetaMax)
-	}
-	return pr
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	return qaoa.FromVector(ParamBounds(f.TargetDepth).Clip(raw)), nil
 }

@@ -14,12 +14,10 @@ import (
 type Strategy int
 
 const (
-	// StrategyNaive optimizes the target depth from one random start
-	// (the paper's baseline QCR flow, Fig. 1(a)).
+	// StrategyNaive takes the best of Options.Starts local optimizations
+	// at the target depth: one random start is the paper's baseline QCR
+	// flow (Fig. 1(a)), several the dataset recipe of Sec. III-A.
 	StrategyNaive Strategy = iota
-	// StrategyMultiStart takes the best of Options.Starts local
-	// optimizations (the dataset recipe of Sec. III-A).
-	StrategyMultiStart
 	// StrategyTwoLevel is the paper's Fig. 4 flow: optimize p = 1 from a
 	// random start, predict the 2·pt target-depth angles from
 	// (γ1OPT(p=1), β1OPT(p=1), pt), polish from the prediction.
@@ -33,10 +31,11 @@ type Options struct {
 	Optimizer optimize.Optimizer // nil selects optimize.Run's default
 	Rng       *rand.Rand         // draws every random start
 
-	// Starts is StrategyMultiStart's start count. Seeds (e.g. the INTERP
-	// initialization from the previous depth) replace that many random
-	// starts, clipped into the domain, but never the last one: a
-	// multistart of two or more keeps at least one random start.
+	// Starts is StrategyNaive's start count; below 1 it is 1. Seeds
+	// (e.g. the INTERP initialization from the previous depth) replace
+	// that many random starts, but never the last one: two or more
+	// starts keep at least one random start. optimize.Run clips each
+	// start into the domain. StrategyTwoLevel reads neither.
 	Starts int
 	Seeds  []qaoa.Params
 
@@ -66,9 +65,9 @@ type Result struct {
 	NegF   float64     // objective −⟨C⟩ at the optimizer's own optimum
 	NFev   int         // QC calls over every stage and start (the paper's FC)
 
-	// Stages holds the optimizer stages in the order run: one for naive
-	// and multistart, levels 1–2 for two-level; a cancelled solve holds
-	// the stages it reached.
+	// Stages holds the optimizer stages in the order run: one for naive,
+	// levels 1–2 for two-level; a cancelled solve holds the stages it
+	// reached.
 	Stages []RunResult
 	// Predicted is the ML initialization of the target-depth stage.
 	Predicted qaoa.Params
@@ -76,51 +75,37 @@ type Result struct {
 
 // Solve runs one optimization flow on a compiled problem. The context
 // is threaded into every optimizer run, so a cancel or deadline takes
-// effect within one optimizer step and Solve returns ctx.Err() with what
-// it has: naive the optimizer's incumbent, multistart the best of the
-// starts that finished (the cancelled one is dropped; only NFev is set
-// if none finished), two-level the stages it reached, the last of them
-// an incumbent. NFev always counts the QC calls actually spent.
+// effect within one optimizer step and Solve returns ctx.Err() with the
+// stages it reached: each keeps the best start that finished, else the
+// cancelled start's incumbent. NFev always counts the QC calls actually
+// spent.
 func Solve(ctx context.Context, pb *qaoa.Problem, o Options) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	o.Recorder = telemetry.OrNop(o.Recorder)
 	var res Result
 	switch o.Strategy {
 	case StrategyNaive:
 		bounds := ParamBounds(o.Depth)
-		d := descend(ctx, pb, bounds, [][]float64{bounds.Random(o.Rng)}, &o)
+		d := descend(ctx, pb, bounds, startPoints(bounds, &o), &o)
 		res.add(d)
 		return res, d.err
-	case StrategyMultiStart:
-		if o.Starts < 1 {
-			return res, fmt.Errorf("core: multistart with %d starts", o.Starts)
-		}
-		bounds := ParamBounds(o.Depth)
-		d := descend(ctx, pb, bounds, startPoints(bounds, &o), &o)
-		if d.completed == 0 {
-			return Result{NFev: d.NFev}, ctx.Err()
-		}
-		res.add(d)
-		return res, ctx.Err()
 	case StrategyTwoLevel:
 		return solveTwoLevel(ctx, pb, &o)
 	}
 	return res, fmt.Errorf("core: unknown strategy %d", o.Strategy)
 }
 
-// startPoints lists a multistart's initial points: the seeds first,
-// then random draws up to o.Starts.
+// startPoints lists a naive solve's max(o.Starts, 1) initial points:
+// the seeds first (optimize.Run clips every start), then random draws.
 func startPoints(bounds *optimize.Bounds, o *Options) [][]float64 {
-	points := make([][]float64, 0, o.Starts)
+	n := max(o.Starts, 1)
+	points := make([][]float64, 0, n)
 	for _, s := range o.Seeds {
-		if len(points) == o.Starts-1 && o.Starts > 1 {
+		if len(points) == n-1 && n > 1 {
 			break // always keep at least one random start
 		}
-		points = append(points, bounds.Clip(s.Vector()))
+		points = append(points, s.Vector())
 	}
-	for len(points) < o.Starts {
+	for len(points) < n {
 		points = append(points, bounds.Random(o.Rng))
 	}
 	return points
@@ -161,7 +146,6 @@ func solveTwoLevel(ctx context.Context, pb *qaoa.Problem, o *Options) (Result, e
 type descent struct {
 	RunResult         // best start, canonicalized; NFev summed over all starts
 	negF      float64 // the optimizer's objective at that start's optimum
-	completed int     // starts that ran to their own termination
 	err       error   // ctx.Err() when a start was cancelled
 }
 
@@ -175,8 +159,7 @@ func (r *Result) add(d descent) {
 // descend is the one optimization loop: it runs the optimizer from each
 // start in turn on one evaluator pair and keeps the best. A cancelled
 // start ends the loop; its incumbent is the answer only when no start
-// finished before it (a lone naive or staged start — multistart drops
-// it), and its evaluations are counted either way.
+// finished before it, and its evaluations are counted either way.
 func descend(ctx context.Context, pb *qaoa.Problem, bounds *optimize.Bounds, starts [][]float64, o *Options) descent {
 	depth := bounds.Dim() / 2
 	ev := qaoa.NewEvaluatorArena(pb, depth, o.Arena)
@@ -185,21 +168,18 @@ func descend(ctx context.Context, pb *qaoa.Problem, bounds *optimize.Bounds, sta
 	// gradient costs one reverse sweep instead of 2n evaluations.
 	var d descent
 	var best optimize.Result
-	for _, x0 := range starts {
+	for i, x0 := range starts {
 		r := optimize.Run(ctx, optimize.Problem{F: ev.NegExpectation, Grad: ev.NegGrad, X0: x0, Bounds: bounds},
 			optimize.Options{Optimizer: o.Optimizer, Recorder: o.Recorder})
 		d.NFev += r.NFev
-		if r.Status == optimize.Cancelled {
-			d.err = ctx.Err()
-			if d.completed == 0 {
-				best = r
-			}
-			break
-		}
-		if d.completed == 0 || r.F < best.F {
+		cancelled := r.Status == optimize.Cancelled
+		if i == 0 || !cancelled && r.F < best.F {
 			best = r
 		}
-		d.completed++
+		if cancelled {
+			d.err = ctx.Err()
+			break
+		}
 	}
 	// Canonicalize so that symmetric copies of the optimum (the QAOA
 	// landscape's β-period and conjugation symmetries) map to one

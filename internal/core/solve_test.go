@@ -138,8 +138,8 @@ func TestSolveBitsUnchanged(t *testing.T) {
 					}
 					{
 						rng := rand.New(rand.NewSource(seed))
-						r1 := run(Options{Strategy: StrategyMultiStart, Depth: 1, Starts: 3, Rng: rng})
-						r2 := run(Options{Strategy: StrategyMultiStart, Depth: 2, Starts: 3, Rng: rng,
+						r1 := run(Options{Depth: 1, Starts: 3, Rng: rng})
+						r2 := run(Options{Depth: 2, Starts: 3, Rng: rng,
 							Seeds: []qaoa.Params{qaoa.Interpolate(r1.Params)}})
 						var b bitsRow
 						for _, r := range []Result{r1, r2} {

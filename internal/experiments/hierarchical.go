@@ -69,7 +69,7 @@ func solveHier(pb *qaoa.Problem, o core.Options, banks hierBanks) (core.Result, 
 	}
 	raw := bank.Predict(hierFeatures(res.Stages[0].Params, res.Stages[1].Params))
 	res.Predicted = qaoa.FromVector(core.ParamBounds(pt).Clip(raw))
-	o.Strategy, o.Depth, o.Starts, o.Seeds = core.StrategyMultiStart, pt, 1, []qaoa.Params{res.Predicted}
+	o.Strategy, o.Depth, o.Starts, o.Seeds = core.StrategyNaive, pt, 1, []qaoa.Params{res.Predicted}
 	polish, err := core.Solve(context.Background(), pb, o)
 	if err != nil {
 		return res, err

@@ -18,7 +18,7 @@ func TestVectorMismatchPanics(t *testing.T) {
 // Property: dot product is symmetric and Cauchy-Schwarz holds.
 func TestVectorDotProperties(t *testing.T) {
 	f := func(a, b [8]float64) bool {
-		v, w := clamp(a[:]), clamp(b[:])
+		v, w := tame(a[:]), tame(b[:])
 		d1, d2 := v.Dot(w), w.Dot(v)
 		if math.Abs(d1-d2) > 1e-9*(1+math.Abs(d1)) {
 			return false
@@ -30,9 +30,9 @@ func TestVectorDotProperties(t *testing.T) {
 	}
 }
 
-// clamp replaces NaN/Inf/huge quick-generated values with tame ones so
+// tame replaces NaN/Inf/huge quick-generated values with bounded ones so
 // float roundoff bounds in properties stay meaningful.
-func clamp(xs []float64) Vector {
+func tame(xs []float64) Vector {
 	v := make(Vector, len(xs))
 	for i, x := range xs {
 		switch {

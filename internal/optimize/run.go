@@ -47,9 +47,6 @@ type Options struct {
 // the returned Result carries the best point found so far with
 // Status == Cancelled.
 func Run(ctx context.Context, p Problem, opts Options) Result {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	opt := opts.Optimizer
 	if opt == nil {
 		opt = &LBFGSB{}
